@@ -220,7 +220,7 @@ func BenchmarkThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Joins)/wall, "joins/sec")
 		b.ReportMetric(float64(res.Events)/wall, "events/sec")
-		b.ReportMetric(100*res.SettledReduction(), "%settled-reduction")
+		b.ReportMetric(res.SettledPerJoin(), "settled/join")
 	}
 }
 

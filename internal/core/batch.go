@@ -4,41 +4,22 @@ import (
 	"smrp/internal/graph"
 )
 
-// batchState carries the machinery one JoinBatch call amortizes across its
-// joiners:
-//
-//   - spt: the source-rooted SPF tree under the session's failure mask,
-//     computed once per batch. Sequential joins ask ShortestPath(source, nr)
-//     per joiner — k full sweeps without a cache, k cache probes with one;
-//     the batch reads every joiner's SPF delay off this single tree. Joins
-//     never move the failure mask, so the tree stays valid for the whole
-//     batch.
-//   - sw: one sweep scratch arena shared by every joiner's candidate
-//     enumeration, run in bounded mode (stop when the last live on-tree
-//     merger settles — see graph.Sweep.RunBounded).
-//
-// Both substitutions are value-identical to the sequential machinery, which
-// is what makes JoinBatch bit-identical to one-at-a-time joins
-// (TestJoinBatchBitIdentical).
-type batchState struct {
-	spt *graph.SPTree
-	sw  *graph.Sweep
-}
-
 // JoinBatch admits joiners in order, producing the same session state,
 // results, and errors as calling Join for each element of joiners in the same
 // order — bit-identical, not merely equivalent: grafts, SHR refreshes,
 // Condition-I reshaping, parking, and every float in every JoinResult match
 // the sequential reference exactly.
 //
-// What the batch buys is amortization, not reordering: one source-rooted SPF
-// serves every joiner's delay-bound query, one sweep arena serves every
-// candidate enumeration, and each enumeration stops as soon as all live
-// on-tree mergers have settled instead of flooding the remaining topology.
-// For a k-joiner flash crowd this cuts the settled-node work (Stats.
-// EnumSettled) substantially versus k independent Join calls — the intended
-// use is exactly that shape: k simultaneous joiners of one group, as queued
-// by the server actor's mailbox or a flash-crowd workload.
+// What the batch buys is amortization, not reordering. One source-rooted SPF
+// tree under the failure mask, computed once (joins never move the mask),
+// answers every joiner's delay-bound query — k early-exit point queries
+// without a cache, k cache probes with one, when joining one at a time — and
+// while healthy its distances are also the candidate sweep's lower bound
+// (Session.sourceSPF), which a cacheless sequential join has to do without.
+// One sweep arena serves every candidate sweep. Both are value-identical to
+// the per-call machinery (TestJoinBatchBitIdentical). The intended use is k
+// simultaneous joiners of one group, as queued by the server actor's mailbox
+// or a flash-crowd workload.
 //
 // Per-joiner failures do not abort the batch: results[i] and errs[i] report
 // joiner i's outcome, and a failed joiner leaves exactly the state a failed
@@ -49,14 +30,11 @@ func (s *Session) JoinBatch(joiners []graph.NodeID) (results []*JoinResult, errs
 	if len(joiners) == 0 {
 		return results, errs
 	}
-	bs := &batchState{sw: s.g.NewSweep()}
-	defer bs.sw.Release()
-	// One source SPF for the whole batch. With an SPF cache attached this is
-	// a single probe; without one it replaces k early-exit point queries with
-	// one full tree — still a large saving for k > 1.
-	bs.spt = s.g.Dijkstra(s.tree.Source(), s.maskOrNil())
+	sw := s.g.NewSweep()
+	defer sw.Release()
+	spt := s.g.Dijkstra(s.tree.Source(), s.maskOrNil())
 	for i, nr := range joiners {
-		results[i], errs[i] = s.join(nr, bs)
+		results[i], errs[i] = s.join(nr, spt, sw)
 		if errs[i] == nil {
 			s.stats.BatchJoins++
 		}

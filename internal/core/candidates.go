@@ -50,39 +50,18 @@ const delayEps = 1e-9
 //
 // extraMask additionally blocks nodes/edges (used by reshaping to keep the
 // member's own subtree out of the new path). The joiner must be off-tree.
+//
+// Exhaustive, every connection materialized: joins come here only when
+// selectInBudget found nothing within the bound, and tests use it as the
+// reference for that pass.
 func enumerateFull(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMask *graph.Mask, stats *Stats) []Candidate {
 	g := t.Graph()
 	sw := g.NewSweep()
 	defer sw.Release()
-	return enumerateFullWith(sw, false, t, joiner, shr, extraMask, stats)
-}
-
-// enumerateFullWith is enumerateFull on a caller-supplied sweep, optionally
-// bounded. bounded stops the absorbing sweep the moment every unmasked
-// on-tree node has settled: each merger's distance and parent chain is final
-// at its settle (Dijkstra never re-relaxes a settled node), so the candidate
-// set — connections, delays, ordering — is identical to the exhaustive run;
-// only nodes that would have settled after the last merger are skipped. The
-// batched join path passes its batch-scoped sweep (one scratch arena for the
-// whole batch) with bounded=true; the sequential path keeps the exhaustive
-// sweep it has always run, which is what makes EnumSettled a meaningful
-// batch-vs-sequential comparison.
-func enumerateFullWith(sw *graph.Sweep, bounded bool, t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMask *graph.Mask, stats *Stats) []Candidate {
-	g := t.Graph()
 	treeNodes := t.Nodes()
 	out := make([]Candidate, 0, len(treeNodes))
 
-	if bounded {
-		want := 0
-		for _, n := range treeNodes {
-			if !extraMask.NodeBlocked(n) {
-				want++
-			}
-		}
-		sw.RunBounded(joiner, extraMask, t.OnTree, want)
-	} else {
-		sw.Run(joiner, extraMask, t.OnTree)
-	}
+	sw.Run(joiner, extraMask, t.OnTree)
 	if stats != nil {
 		stats.EnumSettled += sw.SettledCount()
 	}
@@ -109,6 +88,59 @@ func enumerateFullWith(sw *graph.Sweep, bounded bool, t *multicast.Tree, joiner 
 		})
 	}
 	return out
+}
+
+// pruneSlack widens the sweep budget relative to the delay bound so float
+// rounding can never prune a node an admissible connection uses: the sweep
+// sums distances joiner-outward, TotalDelay sums tree delay plus connection
+// merger-inward, and the two differ by a few ulps per hop. 1e-9 relative is
+// orders of magnitude above that; admissibility is still tested exactly.
+const pruneSlack = 1e-9
+
+// selectInBudget is enumeration and the Path Selection Criterion in one
+// pass, confined to where an admissible candidate can be. Merger m is
+// admissible when treeDelay(m) + conn(m, joiner) ≤ bound = (1+dThresh)·
+// spfDelay. lower holds SPF distances from the source on the unmasked graph,
+// so lower[m] ≤ treeDelay(m) and lower[w] ≤ lower[m] + conn(m, w) for every
+// w on the connection: dist(joiner, w) + lower[w] ≤ bound all along it, the
+// sweep need not leave that region (graph.Sweep.RunPruned), and inside it
+// everything reads as in the exhaustive sweep. The winner is therefore the
+// one selectCandidate picks from enumerateFull's output, bit for bit
+// (TestPrunedSelectionMatchesExhaustive; DESIGN.md §9.1). A nil lower prunes
+// on radius alone.
+//
+// Candidates are scored off the sweep — Sweep.WeightFrom is the same float
+// as Path.Weight of the materialized connection — and only the winner's
+// Connection is built. found is false when nothing is within the bound; the
+// caller decides what that means (join: exhaustive min-delay fallback;
+// reshape: stay put). A nil sw is acquired here.
+func selectInBudget(sw *graph.Sweep, t *multicast.Tree, joiner graph.NodeID, shr shrVals, mask *graph.Mask, lower []float64, spfDelay, dThresh float64, stats *Stats) (best Candidate, found bool) {
+	if sw == nil {
+		sw = t.Graph().NewSweep()
+		defer sw.Release()
+	}
+	bound := (1 + dThresh) * spfDelay
+	sw.RunPruned(joiner, mask, t.OnTree, lower, bound*(1+pruneSlack)+2*delayEps)
+	stats.EnumSettled += sw.SettledCount()
+	for _, merger := range t.Nodes() {
+		if !sw.Reached(merger) {
+			continue
+		}
+		treeDelay, err := t.DelayTo(merger)
+		if err != nil {
+			continue
+		}
+		stats.CandidatesSeen++
+		d := sw.WeightFrom(merger)
+		c := Candidate{Merger: merger, ConnDelay: d, TotalDelay: treeDelay + d, SHR: shr.at(merger)}
+		if c.TotalDelay <= bound+delayEps && (!found || less(c, best, false)) {
+			best, found = c, true
+		}
+	}
+	if found {
+		best.Connection = sw.PathFrom(best.Merger) // merger → … → joiner
+	}
+	return best, found
 }
 
 // enumerateQuery generates candidates via the query scheme of §3.3.1: the

@@ -203,7 +203,7 @@ type Stats struct {
 	SHRUpdates     int // per-node SHR writes under eager maintenance
 	SHRComputes    int // on-demand SHR evaluations under deferred maintenance
 	QueryMessages  int // query-scheme messages sent (neighbor relays)
-	CandidatesSeen int // total candidates examined during path selections
+	CandidatesSeen int // total candidates scored during path selections
 	Parks          int // members degraded to the parked state (partitioned)
 	Readmissions   int // parked members automatically re-admitted
 
@@ -215,11 +215,11 @@ type Stats struct {
 	StrategyFallbacks int
 
 	// BatchJoins counts members admitted through JoinBatch (a subset of
-	// Joins). EnumSettled tallies nodes settled by candidate-enumeration
-	// sweeps — the settled-node counter is the repository's CI-stable unit of
-	// SPF work (wall-clock is noise on shared single-core runners), and the
-	// batched join path's bounded sweeps show up here as a reduction against
-	// the one-at-a-time reference.
+	// Joins). EnumSettled tallies nodes settled by candidate sweeps (the
+	// delay-bound-pruned pass of every join and reshape, plus the exhaustive
+	// re-run of a join that found nothing within the bound) — the
+	// settled-node counter is the repository's CI-stable unit of SPF work
+	// (wall-clock is noise on shared single-core runners).
 	BatchJoins  int
 	EnumSettled int
 

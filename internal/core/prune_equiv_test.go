@@ -1,0 +1,351 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+
+	"smrp/internal/failure"
+	"smrp/internal/graph"
+	"smrp/internal/multicast"
+	"smrp/internal/topology"
+)
+
+// pruneOracle drives one real session and, at every path selection it makes,
+// holds the delay-bound-pruned pass to the exhaustive reference — the full
+// absorbing sweep of enumerateFull, every connection materialized, then
+// selectCandidate — computed on the state the session is in just before the
+// operation. The reference's choice is applied to a clone of that tree; after
+// the operation the session must stand exactly where the clone does.
+// Everything but the selection is shared code, so agreement at every
+// selection is agreement of whole runs.
+type pruneOracle struct {
+	t *testing.T
+	s *Session
+
+	selections, fallbacks int
+	joins, parks, moves   int
+}
+
+// reference runs the exhaustive enumeration and the selection criterion for
+// joiner on tree tr, and checks selectInBudget against it field by field.
+// admissible is false when nothing is within the bound.
+func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *graph.Mask, what string) (want Candidate, admissible, reachable bool) {
+	o.t.Helper()
+	s := o.s
+	shr := denseSHRFor(tr)
+	sw := s.g.NewSweep() // the reference asks no cache
+	defer sw.Release()
+	sw.Run(tr.Source(), s.maskOrNil(), nil)
+	spf := sw.Dist(joiner)
+
+	cands := enumerateFull(tr, joiner, shr, mask, nil)
+	want, admissible = selectCandidate(cands, spf, s.cfg.DThresh)
+
+	spfDelay, lower := s.sourceSPF(joiner, nil)
+	if spfDelay != spf {
+		o.t.Fatalf("%s: sourceSPF delay %v, reference %v", what, spfDelay, spf)
+	}
+	var st Stats
+	got, found := selectInBudget(nil, tr, joiner, shr, mask, lower, spfDelay, s.cfg.DThresh, &st)
+	o.selections++
+	if found != admissible {
+		o.t.Fatalf("%s: pruned pass found=%v, reference admissible=%v (%d candidates)", what, found, admissible, len(cands))
+	}
+	if !found {
+		o.fallbacks++
+	} else if got.Merger != want.Merger || got.ConnDelay != want.ConnDelay || got.TotalDelay != want.TotalDelay ||
+		got.SHR != want.SHR || !slices.Equal(got.Connection, want.Connection) {
+		o.t.Fatalf("%s: pruned pass chose %+v, reference %+v", what, got, want)
+	}
+	if st.EnumSettled > s.g.NumNodes() || st.CandidatesSeen > len(cands) {
+		o.t.Fatalf("%s: pruned pass settled %d, scored %d; the exhaustive sweep has %d candidates", what, st.EnumSettled, st.CandidatesSeen, len(cands))
+	}
+	return want, admissible, len(cands) > 0
+}
+
+// sameTree asserts the session's tree equals exp node for node: parents,
+// membership and delays.
+func (o *pruneOracle) sameTree(exp *multicast.Tree, what string) {
+	o.t.Helper()
+	tr := o.s.tree
+	if err := tr.Validate(); err != nil {
+		o.t.Fatalf("%s: tree invalid: %v", what, err)
+	}
+	if !slices.Equal(tr.Nodes(), exp.Nodes()) || !slices.Equal(tr.Members(), exp.Members()) {
+		o.t.Fatalf("%s: tree nodes %v members %v, reference %v / %v", what, tr.Nodes(), tr.Members(), exp.Nodes(), exp.Members())
+	}
+	for _, n := range exp.Nodes() {
+		gp, _ := tr.Parent(n)
+		wp, _ := exp.Parent(n)
+		gd, _ := tr.DelayTo(n)
+		wd, _ := exp.DelayTo(n)
+		if gp != wp || gd != wd {
+			o.t.Fatalf("%s: node %d (parent, delay) = (%d, %v), reference (%d, %v)", what, n, gp, gd, wp, wd)
+		}
+	}
+	ref := computeSHRReference(exp)
+	for n, v := range o.s.SHRSnapshot() {
+		if v != ref[n] {
+			o.t.Fatalf("%s: SHR[%d] = %d, reference %d", what, n, v, ref[n])
+		}
+	}
+}
+
+// join admits nr through the session and checks the outcome against the
+// reference's.
+func (o *pruneOracle) join(nr graph.NodeID) {
+	o.t.Helper()
+	s := o.s
+	what := fmt.Sprintf("join %d", nr)
+	mask := s.maskOrNil()
+	exp := s.tree.Clone()
+	parkedBefore := s.Parked()
+
+	if s.tree.IsMember(nr) || mask.NodeBlocked(nr) {
+		if _, err := s.Join(nr); err == nil {
+			o.t.Fatalf("%s: member or failed node admitted", what)
+		}
+		o.sameTree(exp, what)
+		return
+	}
+	sw := s.g.NewSweep()
+	sw.Run(s.tree.Source(), mask, nil)
+	cutOff := !sw.Reached(nr)
+	sw.Release()
+
+	var want Candidate
+	admissible, reachable := true, false
+	switch {
+	case cutOff:
+	case s.tree.OnTree(nr):
+		want, reachable = Candidate{Merger: nr, Connection: graph.Path{nr}}, true
+	default:
+		want, admissible, reachable = o.reference(s.tree, nr, mask, what)
+	}
+
+	res, err := s.Join(nr)
+	if !reachable {
+		// Nothing connects nr to the source: parked when degraded, refused
+		// when healthy; the tree is untouched either way.
+		if err == nil || (mask != nil) != errors.Is(err, ErrPartitioned) {
+			o.t.Fatalf("%s: err = %v with no path (degraded=%v)", what, err, mask != nil)
+		}
+		if mask != nil {
+			if !slices.Contains(parkedBefore, nr) {
+				o.parks++
+			}
+			if !s.IsParked(nr) {
+				o.t.Fatalf("%s: partitioned joiner not parked", what)
+			}
+		}
+		o.sameTree(exp, what)
+		return
+	}
+	if err != nil {
+		o.t.Fatalf("%s: %v, reference chose merger %d", what, err, want.Merger)
+	}
+	o.joins++
+	if err := exp.Graft(want.Connection, true); err != nil {
+		o.t.Fatalf("%s: reference graft: %v", what, err)
+	}
+	wantDelay, _ := exp.DelayTo(nr)
+	if res.Merger != want.Merger || !slices.Equal(res.Connection, want.Connection) ||
+		res.MergerSHR != want.SHR || res.WithinBound != admissible || res.Delay != wantDelay {
+		o.t.Fatalf("%s: result %+v, reference %+v (admissible=%v, delay %v)", what, res, want, admissible, wantDelay)
+	}
+	o.sameTree(exp, what)
+	if got := s.Parked(); !slices.Equal(got, slices.DeleteFunc(parkedBefore, func(p graph.NodeID) bool { return p == nr })) {
+		o.t.Fatalf("%s: parked set %v, was %v", what, got, parkedBefore)
+	}
+}
+
+// reshape re-selects member m's path (§3.2.3) and checks the selection made
+// on the hypothetical tree, under the subtree extra-mask, against the
+// reference's: a member that moves lands on the reference's connection, a
+// member with no admissible alternative stays put.
+func (o *pruneOracle) reshape(m graph.NodeID) {
+	o.t.Helper()
+	s := o.s
+	what := fmt.Sprintf("reshape %d", m)
+	if p, _ := s.tree.Parent(m); p == graph.Invalid {
+		return
+	}
+	exp := s.tree.Clone()
+	hypo := s.tree.Clone()
+	sub, err := s.tree.SubtreeNodes(m)
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	if err := hypo.RemoveSubtree(m); err != nil {
+		o.t.Fatal(err)
+	}
+	mask := s.opMask(graph.NewMask().BlockNodes(sub...).UnblockNode(m))
+	want, admissible, _ := o.reference(hypo, m, mask, what)
+
+	moved, err := s.reshapeMember(m)
+	if err != nil {
+		// The winner crosses a relay above m that the hypothetical tree
+		// pruned and the real one still holds; Reroute refuses it and the
+		// member stays. The reference's winner must be refused alike.
+		if !admissible || exp.Reroute(m, want.Connection) == nil {
+			o.t.Fatalf("%s: %v, but the reference's %v is accepted", what, err, want.Connection)
+		}
+	}
+	if moved {
+		o.moves++
+		if !admissible {
+			o.t.Fatalf("%s: moved with no admissible alternative", what)
+		}
+		if err := exp.Reroute(m, want.Connection); err != nil {
+			o.t.Fatalf("%s: reference reroute: %v", what, err)
+		}
+	}
+	o.sameTree(exp, what)
+}
+
+// TestPrunedSelectionMatchesExhaustive is the equivalence property of the
+// delay-bound prune: over 60 random Waxman topologies × {SPF cache, none} ×
+// D_thresh ∈ {0, 0.3, 5} × both SHR modes, through healthy joins, joins on a
+// folded-but-unflushed failure (dead edges still on the tree), joins on an
+// accumulated flushed mask, and a reshape of every member in each of those
+// states (the subtree extra-mask), every selection the session makes is the
+// exhaustive reference's, bit for bit, and the session's tree, SHR table,
+// parked set and outcome counters follow. Selections that found nothing
+// within the bound — the joins that pay for the exhaustive re-run — are
+// counted; the run must contain some, and the rate is logged.
+func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
+	const topologies = 60
+	var selections, fallbacks int
+	for trial := 0; trial < topologies; trial++ {
+		rng := topology.NewRNG(0x9E11195E + uint64(trial))
+		n := 20 + rng.Intn(41) // 20..60 nodes
+		g, err := topology.Waxman(topology.WaxmanConfig{
+			N:               n,
+			Alpha:           0.15 + 0.2*rng.Float64(),
+			Beta:            topology.DefaultBeta,
+			EnsureConnected: true,
+		}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial%2 == 0 {
+			g.EnableSPFCache()
+		}
+		cfg := DefaultConfig()
+		cfg.DThresh = []float64{0, 0.3, 5}[trial/2%3]
+		if trial/6%2 == 1 {
+			cfg.SHRMode = DeferredSHR
+		}
+		// Condition I is off so that every reshape is one the oracle drives
+		// (and checks); it reaches the same reshapeMember.
+		cfg.ReshapeDelta = 0
+		src := graph.NodeID(rng.Intn(n))
+		s, err := NewSession(g, src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &pruneOracle{t: t, s: s}
+		randomFailure := func() failure.Failure {
+			if es := g.Edges(); rng.Intn(2) == 0 {
+				e := es[rng.Intn(len(es))]
+				return failure.LinkDown(e.A, e.B)
+			}
+			down := graph.NodeID(rng.Intn(n))
+			if down == src {
+				down = (down + 1) % graph.NodeID(n)
+			}
+			return failure.NodeDown(down)
+		}
+		round := func() {
+			for i, k := 0, 3+rng.Intn(6); i < k; i++ {
+				o.join(graph.NodeID(rng.Intn(n)))
+			}
+			for _, m := range s.tree.Members() {
+				o.reshape(m)
+			}
+		}
+
+		round() // healthy
+		// A tree edge goes down and is folded but not flushed: the tree keeps
+		// its dead edges, which is the state where masked SPF distances stop
+		// being a lower bound on tree delay.
+		if es := s.tree.Edges(); len(es) > 0 {
+			e := es[rng.Intn(len(es))]
+			s.ApplyFailure(failure.LinkDown(e.A, e.B))
+		}
+		s.ApplyFailure(randomFailure())
+		round()
+		// Flush, then accumulate one more failure through a full recovery.
+		parksBefore := s.Stats().Parks
+		if _, err := s.Reconcile(); err != nil {
+			t.Fatalf("trial %d: reconcile: %v", trial, err)
+		}
+		if _, err := s.Recover(randomFailure()); err != nil {
+			t.Fatalf("trial %d: recover: %v", trial, err)
+		}
+		recoveryParks := s.Stats().Parks - parksBefore
+		round()
+
+		if st := s.Stats(); st.Joins != o.joins || st.Reshapes != o.moves || st.Parks-recoveryParks != o.parks {
+			t.Fatalf("trial %d: stats %+v, oracle saw joins=%d moves=%d parks=%d (+%d in recovery)",
+				trial, st, o.joins, o.moves, o.parks, recoveryParks)
+		}
+		selections += o.selections
+		fallbacks += o.fallbacks
+	}
+	if fallbacks == 0 {
+		t.Fatal("no selection fell back to the exhaustive sweep; the fallback path went untested")
+	}
+	t.Logf("%d selections, %d found nothing within the bound (%.1f%%)", selections, fallbacks, 100*float64(fallbacks)/float64(selections))
+}
+
+// TestJoinOnUnflushedFailureKeepsDeadEdgeCandidate pins the lower bound the
+// prune may use while a failure is folded into the mask but Recover has not
+// flushed it: the tree still holds the dead edge, so a node's tree delay can
+// undercut its *masked* SPF distance, and only unmasked distances stay below
+// it.
+//
+//	S —1— a —1— j        members: a, c, d, e; then link S–a fails (no Recover)
+//	S —1— c —1— j        masked SPF(S, j) = 2 via c, bound 2.6
+//	S —5— b —5— a        a: tree delay 1 over the dead edge, total 2, SHR 1
+//	c —1— d, c —1— e     c: total 2, SHR 3
+//
+// The exhaustive reference picks a. Masked, SPF(S, a) is 3 (via c and j) and
+// 1 + 3 exceeds the bound: a prune on masked distances never reaches a and
+// the join lands on c instead.
+func TestJoinOnUnflushedFailureKeepsDeadEdgeCandidate(t *testing.T) {
+	const S, a, b, c, d, e, j = 0, 1, 2, 3, 4, 5, 6
+	g := graph.New(7)
+	for _, ed := range []struct {
+		u, v graph.NodeID
+		w    float64
+	}{{S, a, 1}, {a, j, 1}, {S, c, 1}, {c, j, 1}, {S, b, 5}, {b, a, 5}, {c, d, 1}, {c, e, 1}} {
+		if err := g.AddEdge(ed.u, ed.v, ed.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.EnableSPFCache() // the prune takes its lower bound from the cache
+	cfg := DefaultConfig()
+	cfg.ReshapeDelta = 0
+	s, err := NewSession(g, S, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []graph.NodeID{a, c, d, e} {
+		if _, err := s.Join(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.ApplyFailure(failure.LinkDown(S, a))
+
+	o := &pruneOracle{t: t, s: s}
+	o.join(j) // checks the pruned pass and the join against the reference
+	if p, _ := s.tree.Parent(j); p != a {
+		t.Fatalf("j attached below %d, want %d (the low-SHR merger over the unflushed edge)", p, a)
+	}
+	if o.fallbacks != 0 {
+		t.Fatal("the join needed the exhaustive fallback; the pruned pass should have reached a")
+	}
+}

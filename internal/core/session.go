@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"smrp/internal/failure"
@@ -170,15 +171,14 @@ type JoinResult struct {
 // reshaping triggers. It fails if nr is already a member or cannot reach the
 // tree.
 func (s *Session) Join(nr graph.NodeID) (*JoinResult, error) {
-	return s.join(nr, nil)
+	return s.join(nr, nil, nil)
 }
 
-// join is the shared admission engine behind Join and JoinBatch. A non-nil
-// batchState substitutes the batch's amortized machinery — the shared
-// source-rooted SPF tree and the bounded candidate sweep — for the
-// per-call equivalents; every substitution is value-identical (see
-// batch.go), so the two paths produce bit-identical sessions.
-func (s *Session) join(nr graph.NodeID, bs *batchState) (*JoinResult, error) {
+// join is the shared admission engine behind Join and JoinBatch. A batch
+// lends its source-rooted SPF tree and its sweep arena (nil otherwise); both
+// are value-identical substitutions for the per-call machinery (see
+// JoinBatch), so the two paths produce bit-identical sessions.
+func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, sw *graph.Sweep) (*JoinResult, error) {
 	if nr < 0 || int(nr) >= s.g.NumNodes() {
 		return nil, fmt.Errorf("join %d: %w", nr, ErrUnknownNode)
 	}
@@ -190,20 +190,8 @@ func (s *Session) join(nr graph.NodeID, bs *batchState) (*JoinResult, error) {
 		return nil, fmt.Errorf("join %d: %w", nr, failure.ErrMemberFailed)
 	}
 
-	var spfDelay float64
-	var spfReachable bool
-	if bs != nil {
-		// The batch's shared source tree answers every joiner's SPF query:
-		// same source, same mask (joins never move the failure mask), so the
-		// distances are the ones ShortestPath would have produced.
-		spfReachable = bs.spt.Reachable(nr)
-		spfDelay = bs.spt.Dist[nr]
-	} else {
-		var spfPath graph.Path
-		spfPath, spfDelay = s.g.ShortestPath(s.tree.Source(), nr, mask)
-		spfReachable = spfPath != nil
-	}
-	if !spfReachable && nr != s.tree.Source() {
+	spfDelay, lower := s.sourceSPF(nr, spt)
+	if math.IsInf(spfDelay, 1) && nr != s.tree.Source() {
 		if mask != nil {
 			// Degrade gracefully: the joiner is alive but the accumulated
 			// failures cut it off. Park it for automatic re-admission.
@@ -223,7 +211,7 @@ func (s *Session) join(nr graph.NodeID, bs *batchState) (*JoinResult, error) {
 		res.Merger = nr
 		res.Connection = graph.Path{nr}
 	} else {
-		cand, ok, err := s.selectJoinPath(nr, spfDelay, nil, bs)
+		cand, ok, err := s.selectJoinPath(nr, spfDelay, lower, sw)
 		if err != nil {
 			if mask != nil && errors.Is(err, ErrNoPath) {
 				s.park(nr)
@@ -257,25 +245,52 @@ func (s *Session) join(nr graph.NodeID, bs *batchState) (*JoinResult, error) {
 	return res, nil
 }
 
-// selectJoinPath enumerates candidates for joiner (per the configured
-// knowledge mode) and applies the selection criterion. extraMask lets
-// reshaping exclude the member's own subtree; the session's accumulated
-// failure mask is always folded in on top. A non-nil batchState routes
-// full-topology enumeration through the batch's shared sweep in bounded
-// mode (value-identical; see enumerateFullWith).
-func (s *Session) selectJoinPath(joiner graph.NodeID, spfDelay float64, extraMask *graph.Mask, bs *batchState) (Candidate, bool, error) {
+// sourceSPF returns nr's SPF delay from the source under the accumulated
+// failure mask (Unreachable when cut off; read off spt when the caller holds
+// that tree) and the lower bound the candidate sweep prunes with (see
+// selectInBudget): SPF distances from the source on the *unmasked* graph.
+// Masked distances would prune harder, but the tree keeps its dead edges
+// between ApplyFailure and Recover, and a node's delay along them can
+// undercut its masked SPF distance. Degraded, the unmasked tree is the cache
+// entry healthy joins keep warm; it is asked for first, so the masked entry
+// stays the delta-repair lineage head. Without a cache only a healthy batch
+// has a tree to lend; otherwise lower is nil and the sweep prunes on radius
+// alone.
+func (s *Session) sourceSPF(nr graph.NodeID, spt *graph.SPTree) (spfDelay float64, lower []float64) {
+	src, mask := s.tree.Source(), s.maskOrNil()
+	cached := s.g.SPFCacheOf() != nil
+	if cached && mask != nil {
+		lower = s.g.Dijkstra(src, nil).Dist
+	}
+	if cached && spt == nil {
+		spt = s.g.Dijkstra(src, mask)
+	}
+	if spt == nil {
+		_, spfDelay = s.g.ShortestPath(src, nr, mask)
+		return spfDelay, nil
+	}
+	if mask == nil {
+		lower = spt.Dist // healthy: the masked tree is the unmasked one
+	}
+	return spt.Dist[nr], lower
+}
+
+// selectJoinPath picks joiner's connection per the configured knowledge
+// mode and the Path Selection Criterion, under the accumulated failure mask.
+// Full knowledge tries the delay-bound-pruned pass first; only when nothing
+// is within the bound does it pay for the exhaustive enumeration, whose
+// minimum-delay candidate is the (paper-unspecified) fallback.
+func (s *Session) selectJoinPath(joiner graph.NodeID, spfDelay float64, lower []float64, sw *graph.Sweep) (Candidate, bool, error) {
 	shr := s.shr.table(s.tree)
-	mask := s.opMask(extraMask)
+	mask := s.maskOrNil()
 	var cands []Candidate
-	switch s.cfg.Knowledge {
-	case QueryScheme:
+	if s.cfg.Knowledge == QueryScheme {
 		cands = enumerateQuery(s.tree, joiner, shr, mask, &s.stats)
-	default:
-		if bs != nil {
-			cands = enumerateFullWith(bs.sw, true, s.tree, joiner, shr, mask, &s.stats)
-		} else {
-			cands = enumerateFull(s.tree, joiner, shr, mask, &s.stats)
+	} else {
+		if best, ok := selectInBudget(sw, s.tree, joiner, shr, mask, lower, spfDelay, s.cfg.DThresh, &s.stats); ok {
+			return best, true, nil
 		}
+		cands = enumerateFull(s.tree, joiner, shr, mask, &s.stats)
 	}
 	s.stats.CandidatesSeen += len(cands)
 	if len(cands) == 0 {
@@ -473,20 +488,16 @@ func (s *Session) reshapeMember(m graph.NodeID) (bool, error) {
 	// every failed component. Block the whole subtree in one call, then lift
 	// m itself — m is the joiner, not an obstacle.
 	mask := s.opMask(graph.NewMask().BlockNodes(subNodes...).UnblockNode(m))
-	var cands []Candidate
-	switch s.cfg.Knowledge {
-	case QueryScheme:
-		cands = enumerateQuery(hypo, m, hypoSHR, mask, &s.stats)
-	default:
-		cands = enumerateFull(hypo, m, hypoSHR, mask, &s.stats)
+	spfDelay, lower := s.sourceSPF(m, nil)
+	var best Candidate
+	var ok bool
+	if s.cfg.Knowledge == QueryScheme {
+		cands := enumerateQuery(hypo, m, hypoSHR, mask, &s.stats)
+		s.stats.CandidatesSeen += len(cands)
+		best, ok = selectCandidate(cands, spfDelay, s.cfg.DThresh)
+	} else {
+		best, ok = selectInBudget(nil, hypo, m, hypoSHR, mask, lower, spfDelay, s.cfg.DThresh, &s.stats)
 	}
-	s.stats.CandidatesSeen += len(cands)
-	if len(cands) == 0 {
-		return false, nil
-	}
-
-	_, spfDelay := s.g.ShortestPath(s.tree.Source(), m, s.maskOrNil())
-	best, ok := selectCandidate(cands, spfDelay, s.cfg.DThresh)
 	if !ok {
 		return false, nil // no admissible alternative; stay put
 	}

@@ -46,6 +46,8 @@ func TestMultigroupZipfProfile(t *testing.T) {
 //     the rank-0 group's full schedule produced identical work counters on
 //     both storage backends;
 //   - every group drove its full branch-cut schedule and settled real work;
+//   - the admission-work ceiling (ROADMAP 1(a)): a join's candidate sweeps
+//     settle at most half of what the exhaustive sweep did at this shape;
 //   - the per-group standing-bytes ceiling: the mean sparse group costs at
 //     most a tenth of what one dense session costs on the same topology.
 func TestMultigroupStandingBytesGate(t *testing.T) {
@@ -68,6 +70,12 @@ func TestMultigroupStandingBytesGate(t *testing.T) {
 	}
 	if res.JoinSettled == 0 || res.RecoverSettled == 0 {
 		t.Fatalf("no settled work recorded: join=%d recover=%d", res.JoinSettled, res.RecoverSettled)
+	}
+	// The exhaustive candidate sweep settled 3275.8 nodes per join at this
+	// shape (PR 12); the delay-bound prune settles 1252.1. The ceiling is
+	// half the old figure.
+	if perJoin := ratioF(res.JoinSettled, res.Members); perJoin > 3275.8/2 {
+		t.Errorf("admission settled %.1f nodes/join, want <= %.1f", perJoin, 3275.8/2)
 	}
 	if res.DenseTwinBytes == 0 || res.Rank0Bytes == 0 {
 		t.Fatalf("twin accounting missing: dense=%d rank0=%d", res.DenseTwinBytes, res.Rank0Bytes)

@@ -59,7 +59,7 @@ func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 		Parent: make([]NodeID, n),
 	}
 	s := g.NewSweep()
-	s.run(src, mask, Invalid, nil, nil, 0)
+	s.run(src, mask, Invalid, nil, nil, nil, Unreachable)
 	spfFullRuns.Add(1)
 	spfNodesSettled.Add(uint64(s.settledCount))
 	for i := 0; i < n; i++ {
@@ -100,7 +100,7 @@ func (g *Graph) ShortestPath(src, dst NodeID, mask *Mask) (Path, float64) {
 	}
 	s := g.NewSweep()
 	defer s.Release()
-	if s.run(src, mask, dst, nil, nil, 0) == Invalid {
+	if s.run(src, mask, dst, nil, nil, nil, Unreachable) == Invalid {
 		return nil, Unreachable
 	}
 	return s.PathTo(dst), s.dist[dst]
@@ -134,7 +134,7 @@ func (g *Graph) NearestOf(src NodeID, mask *Mask, accept func(NodeID) bool) (Nod
 func (g *Graph) NearestOfCounted(src NodeID, mask *Mask, accept func(NodeID) bool) (NodeID, Path, float64, int) {
 	s := g.NewSweep()
 	defer s.Release()
-	got := s.run(src, mask, Invalid, nil, accept, 0)
+	got := s.run(src, mask, Invalid, nil, accept, nil, Unreachable)
 	settled := s.SettledCount()
 	if got == Invalid {
 		return Invalid, nil, Unreachable, settled

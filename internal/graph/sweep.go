@@ -103,7 +103,10 @@ type Sweep struct {
 	settled []uint32
 	dist    []float64
 	parent  []NodeID
-	heap    pqueue.Heap[heapItem]
+	// pw[v] is the weight of the arc parent[v]→v, kept so a path's weight
+	// can be summed in path order without materializing it (WeightFrom).
+	pw   []float64
+	heap pqueue.Heap[heapItem]
 	// settledCount tallies nodes settled by the last run. Graph.dijkstra
 	// feeds it into the package-wide SPFNodesSettled counter so full builds
 	// and incremental delta repairs are comparable; early-exit point queries,
@@ -135,6 +138,7 @@ func (s *Sweep) begin() {
 		s.settled = make([]uint32, n)
 		s.dist = make([]float64, n)
 		s.parent = make([]NodeID, n)
+		s.pw = make([]float64, n)
 		s.epoch = 0
 	}
 	s.n = n
@@ -162,23 +166,23 @@ func (s *Sweep) begin() {
 // settle in ascending node order, and among equal-length relaxations the
 // smallest parent ID wins, so results are byte-stable across runs.
 func (s *Sweep) Run(src NodeID, mask *Mask, absorbing func(NodeID) bool) {
-	s.run(src, mask, Invalid, absorbing, nil, 0)
+	s.run(src, mask, Invalid, absorbing, nil, nil, Unreachable)
 }
 
-// RunBounded is Run with an early exit: the sweep stops as soon as want
-// absorbing nodes (excluding src) have settled. When want counts every
-// unmasked absorbing node, the exit happens exactly when the last of them
-// settles — at which point all of their distances and parent chains are final
-// (settled nodes are never re-relaxed), so every absorbing endpoint reads
-// identically to a full Run. Nodes that would have settled after the last
-// absorbing one are simply skipped; that is the entire saving. With want <= 0
-// or more absorbing nodes than are reachable, RunBounded degrades to Run.
-//
-// The batched join path uses this to stop each joiner-rooted candidate sweep
-// the moment every live on-tree merger has settled, instead of flooding the
-// rest of the topology (see core.JoinBatch and SettledCount).
-func (s *Sweep) RunBounded(src NodeID, mask *Mask, absorbing func(NodeID) bool, want int) {
-	s.run(src, mask, Invalid, absorbing, nil, want)
+// RunPruned is Run confined to the region a delay budget can use: the
+// relaxation u→v is skipped when dist(src,v) + lower[v] > budget, where
+// lower[v] bounds from below whatever a caller will add to a path ending at
+// v (nil reads as all zeros: a plain radius cut). lower must be consistent
+// over every arc the sweep may take — lower[u] ≤ w(u,v) + lower[v] — which
+// shortest-path distances from any fixed node are. Then every node on a
+// shortest path to an in-region node is itself in-region, so each node v
+// with dist(src,v) + lower[v] ≤ budget is reached with exactly the distance,
+// parent and tie-break Run gives it, and no other node is reached at all
+// (DESIGN.md §9.1). The candidate sweep of a join runs in this mode with
+// lower = SPF distance from the session source and budget = the join's delay
+// bound, the ellipse with foci source and joiner.
+func (s *Sweep) RunPruned(src NodeID, mask *Mask, absorbing func(NodeID) bool, lower []float64, budget float64) {
+	s.run(src, mask, Invalid, absorbing, nil, lower, budget)
 }
 
 // SettledCount reports how many nodes the last run settled — the unit of SPF
@@ -195,12 +199,12 @@ func (s *Sweep) SettledCount() int { return s.settledCount }
 //   - absorbing != nil: absorbing nodes settle but do not relax outward.
 //   - accept != nil: stop at the first settled node for which accept holds
 //     (including src) and return it.
-//   - absorbWant > 0: stop once that many absorbing nodes (excluding src)
-//     have settled (see RunBounded).
+//   - budget < Unreachable: skip relaxations that leave the budget's region
+//     (see RunPruned); lower may be nil.
 //
 // It returns the settled accept/target node, or Invalid when the sweep ran
 // to exhaustion (or src was invalid/blocked).
-func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID) bool, accept func(NodeID) bool, absorbWant int) NodeID {
+func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID) bool, accept func(NodeID) bool, lower []float64, budget float64) NodeID {
 	s.begin()
 	g := s.g
 	if !g.valid(src) || mask.NodeBlocked(src) {
@@ -221,6 +225,7 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 	if checkNodes {
 		mbits, mnodes = mask.bits, mask.nodes
 	}
+	prune := budget < Unreachable
 
 	s.seen[src] = s.epoch
 	s.dist[src] = 0
@@ -245,12 +250,6 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 			return u
 		}
 		if absorbing != nil && u != src && absorbing(u) {
-			if absorbWant > 0 {
-				absorbWant--
-				if absorbWant == 0 {
-					return Invalid // every wanted endpoint settled; stop early
-				}
-			}
 			continue // settled as an endpoint; never relax through
 		}
 		du := s.dist[u]
@@ -272,15 +271,24 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 				continue
 			}
 			nd := du + cs.wt[i]
-			if s.seen[v] != s.epoch {
-				s.seen[v] = s.epoch
-			} else if !(nd < s.dist[v] || (nd == s.dist[v] && u < s.parent[v])) {
-				continue
-			}
 			// Deterministic tie-breaking on parent ID keeps shortest-path
 			// trees stable when multiple equal-length paths exist.
+			if s.seen[v] == s.epoch && !(nd < s.dist[v] || (nd == s.dist[v] && u < s.parent[v])) {
+				continue
+			}
+			if prune { // after the test above: only improvements pay for it
+				reach := nd
+				if lower != nil {
+					reach += lower[v]
+				}
+				if reach > budget {
+					continue
+				}
+			}
+			s.seen[v] = s.epoch
 			s.dist[v] = nd
 			s.parent[v] = u
+			s.pw[v] = cs.wt[i]
 			s.heap.Push(heapItem{node: v, dist: nd})
 		}
 	}
@@ -321,6 +329,21 @@ func (s *Sweep) chainLen(n NodeID) int {
 		ln++
 	}
 	return ln
+}
+
+// WeightFrom returns the weight of PathFrom(n) without materializing it:
+// the parent-arc weights summed from n toward the source, the same terms in
+// the same order as PathFrom(n).Weight, hence the same float. Unreachable
+// when n was not reached.
+func (s *Sweep) WeightFrom(n NodeID) float64 {
+	if !s.Reached(n) {
+		return Unreachable
+	}
+	var total float64
+	for cur := n; s.parent[cur] != Invalid; cur = s.parent[cur] {
+		total += s.pw[cur]
+	}
+	return total
 }
 
 // PathTo returns the shortest path source→…→n, or nil when unreached.

@@ -105,8 +105,9 @@ func TestShortestPathEarlyExitMatchesFullTree(t *testing.T) {
 
 // TestSweepSteadyStateAllocs is the allocation-regression guard from the PR 2
 // issue: once warm, a full sweep plus path extraction performs zero heap
-// allocations. GC is disabled so a collection cannot clear the sweep pool or
-// shrink the pooled arrays mid-measurement.
+// allocations, and so does a delay-bound-pruned sweep plus scoring a node off
+// it. GC is disabled so a collection cannot clear the sweep pool or shrink
+// the pooled arrays mid-measurement.
 func TestSweepSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
@@ -131,6 +132,17 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state sweep allocated %.1f times per run, want 0", allocs)
+	}
+
+	lower := g.Dijkstra(1, nil).Dist
+	budget := 1.3 * s.Dist(NodeID(199))
+	allocs = testing.AllocsPerRun(50, func() {
+		s.RunPruned(0, nil, absorbing, lower, budget)
+		buf = s.AppendPathFrom(buf[:0], NodeID(199))
+		sink += s.WeightFrom(NodeID(199))
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state pruned sweep allocated %.1f times per run, want 0", allocs)
 	}
 	_ = sink
 }
