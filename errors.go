@@ -56,12 +56,10 @@ var (
 
 	// ErrNoDomain is returned when a node belongs to no recovery domain.
 	ErrNoDomain = hierarchy.ErrUnknownNode
-	// ErrOutsideDomains is returned when a failure touches no recovery
-	// domain.
+	// ErrOutsideDomains is returned when a failure cannot be attributed to a
+	// recovery domain (an end in no domain, a link between unrelated
+	// domains, an unknown failure kind).
 	ErrOutsideDomains = hierarchy.ErrFailureOutsideDomains
-	// ErrUnsupportedFailure is returned when a recovery model cannot
-	// attribute the failure kind to a domain.
-	ErrUnsupportedFailure = hierarchy.ErrUnsupportedFailure
 
 	// ErrBadTopologyConfig is returned by topology-generator validation.
 	ErrBadTopologyConfig = topology.ErrBadConfig

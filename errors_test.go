@@ -77,3 +77,52 @@ func TestPublicSentinels(t *testing.T) {
 		t.Errorf("RandomSchedule(bad config) = %v, want ErrBadSchedule", err)
 	}
 }
+
+// TestHierarchySentinels: the one hierarchical session type answers with the
+// same typed sentinels whichever constructor built it.
+func TestHierarchySentinels(t *testing.T) {
+	ts, err := smrp.GenerateTransitStub(smrp.DefaultTransitStubConfig(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := smrp.NewHierarchicalSession(ts, ts.Stubs[0].Nodes[0], smrp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nt, err := smrp.GenerateNLevel(smrp.DefaultNLevelConfig(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three, err := smrp.NewNLevelSession(nt, nt.Domains[nt.Leaves()[0]].Nodes[0], smrp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		s        *smrp.NLevelSession
+		receiver smrp.NodeID
+		outside  smrp.NodeID
+	}{
+		{"NewHierarchicalSession", two, ts.Stubs[1].Nodes[0], smrp.NodeID(ts.Graph.NumNodes())},
+		{"NewNLevelSession", three, nt.Domains[nt.Leaves()[1]].Nodes[0], smrp.NodeID(nt.Graph.NumNodes())},
+	} {
+		if err := tc.s.Join(tc.outside); !errors.Is(err, smrp.ErrNoDomain) {
+			t.Errorf("%s: Join(node in no domain) = %v, want ErrNoDomain", tc.name, err)
+		}
+		if err := tc.s.Leave(tc.receiver); !errors.Is(err, smrp.ErrNotMember) {
+			t.Errorf("%s: Leave(non-member) = %v, want ErrNotMember", tc.name, err)
+		}
+		if err := tc.s.Join(tc.receiver); err != nil {
+			t.Fatalf("%s: Join(%d) = %v", tc.name, tc.receiver, err)
+		}
+		if err := tc.s.Join(tc.receiver); !errors.Is(err, smrp.ErrAlreadyMember) {
+			t.Errorf("%s: re-Join = %v, want ErrAlreadyMember", tc.name, err)
+		}
+		if _, err := tc.s.Recover(smrp.NodeDown(tc.outside)); !errors.Is(err, smrp.ErrOutsideDomains) {
+			t.Errorf("%s: Recover(node in no domain) = %v, want ErrOutsideDomains", tc.name, err)
+		}
+		if _, err := tc.s.RecoverSet(nil); !errors.Is(err, smrp.ErrBadSchedule) {
+			t.Errorf("%s: RecoverSet(nil) = %v, want ErrBadSchedule", tc.name, err)
+		}
+	}
+}

@@ -2,7 +2,8 @@
 // internetwork. Receivers are clustered into stub recovery domains, each
 // with an agent relaying from the level-0 core tree; a link failure inside
 // one stub is recovered entirely inside that domain, leaving every other
-// domain (and the core) untouched.
+// domain (and the core) untouched; a crashed agent suspends its domain until
+// the router is repaired.
 //
 //	go run ./examples/hierarchy
 package main
@@ -80,7 +81,7 @@ func run() error {
 			break
 		}
 	}
-	stubSess, nm, err := sess.StubTree(victimDomain)
+	stubSess, nm, err := sess.DomainSession(victimDomain)
 	if err != nil {
 		return err
 	}
@@ -107,5 +108,25 @@ func run() error {
 	if len(rep.Heal.Unrecovered) > 0 {
 		fmt.Printf("  unrecoverable inside the domain (cut edge): %v\n", rep.Heal.Unrecovered)
 	}
+
+	// Crash the victim domain's agent (its gateway router): the domain is
+	// suspended and its receivers degrade as a group, the core heals around
+	// the lost agent, and repairing the router brings everyone back.
+	crash := smrp.NodeDown(ts.Stubs[victimDomain-1].Gateway)
+	reports, err := sess.RecoverSet([]smrp.Failure{crash})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\ninjecting %v (the agent of stub domain %d)\n", crash, victimDomain)
+	for _, r := range reports {
+		fmt.Printf("  domain %d (level %d): suspended %v\n", r.DomainID, r.Level, r.DomainDown)
+	}
+	fmt.Printf("  receivers degraded: %v\n", sess.Parked())
+	sum, err := sess.Repair(crash)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("repaired: domains revived %v, receivers re-admitted %v, still degraded %v\n",
+		sum.Revived, sum.Readmitted, sum.StillParked)
 	return sess.Validate()
 }

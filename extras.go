@@ -57,12 +57,10 @@ func NewSPFInstance(net *Network, source NodeID, cfg ProtocolConfig) (*SPFInstan
 
 // Hierarchical recovery aliases (§3.3.3).
 type (
-	// HierarchicalSession runs SMRP per recovery domain over a transit–stub
-	// topology, confining failures to the domain where they occur.
-	HierarchicalSession = hierarchy.Session
 	// DomainRecoveryReport describes a domain-confined recovery.
 	DomainRecoveryReport = hierarchy.RecoveryReport
-	// NLevelSession generalizes the recovery architecture to N levels.
+	// NLevelSession runs SMRP per recovery domain over an N-level domain
+	// tree, confining failures to the domain(s) where they occur.
 	NLevelSession = hierarchy.NLevelSession
 	// NLevelTopology is an N-level hierarchical network.
 	NLevelTopology = topology.NLevelTopology
@@ -70,10 +68,12 @@ type (
 	NLevelConfig = topology.NLevelConfig
 )
 
-// NewHierarchicalSession builds a hierarchical SMRP session over ts with
-// the true multicast source at src (inside a stub domain).
-func NewHierarchicalSession(ts *TransitStub, src NodeID, cfg Config) (*HierarchicalSession, error) {
-	return hierarchy.New(ts, src, cfg)
+// NewHierarchicalSession builds a hierarchical SMRP session over the
+// transit–stub topology ts — the two-level case of NewNLevelSession: domain 0
+// is the transit core, domain i is ts.Stubs[i-1] — with the true multicast
+// source at src.
+func NewHierarchicalSession(ts *TransitStub, src NodeID, cfg Config) (*NLevelSession, error) {
+	return hierarchy.NewNLevel(ts.NLevel(), src, cfg)
 }
 
 // GenerateNLevel builds an N-level hierarchical network.

@@ -104,7 +104,7 @@ func TestDegradationPartitionRepair(t *testing.T) {
 			}
 			rep, err := s.Recover(tc.fail...)
 			if err != nil {
-				t.Fatalf("HealSet(%v) = %v", tc.fail, err)
+				t.Fatalf("Recover(%v) = %v", tc.fail, err)
 			}
 			if !slices.Equal(rep.Unrecovered, tc.wantUnrecovered) {
 				t.Fatalf("Unrecovered = %v, want %v", rep.Unrecovered, tc.wantUnrecovered)
@@ -204,5 +204,42 @@ func TestDegradationErrorIdentity(t *testing.T) {
 	}
 	if !s.FailedMask().IsEmpty() {
 		t.Fatal("mask must be empty after full repair")
+	}
+}
+
+// TestLeaveParkedMember: a parked member that leaves is gone — it counts as a
+// leave, is no longer parked, and the repair that reconnects it must not
+// re-admit a receiver that asked to go. (Regression: Leave answered
+// ErrNotMember and the member stayed parked.)
+func TestLeaveParkedMember(t *testing.T) {
+	s, err := NewSession(lineGraph(t, 4), 0, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Join(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(failure.LinkDown(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.IsParked(3) {
+		t.Fatal("member 3 should be parked behind the cut")
+	}
+	leaves := s.Stats().Leaves
+	if err := s.Leave(3); err != nil {
+		t.Fatalf("Leave(parked) = %v, want nil", err)
+	}
+	if s.IsParked(3) || s.Stats().Leaves != leaves+1 {
+		t.Errorf("after Leave: parked %v, leaves %d → %d", s.IsParked(3), leaves, s.Stats().Leaves)
+	}
+	rr, err := s.Repair(failure.LinkDown(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rr.Readmitted) != 0 || s.Tree().IsMember(3) {
+		t.Errorf("repair re-admitted a receiver that left: %v", rr.Readmitted)
+	}
+	if err := s.Leave(3); !errors.Is(err, ErrNotMember) {
+		t.Errorf("second Leave = %v, want ErrNotMember", err)
 	}
 }

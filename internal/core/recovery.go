@@ -10,7 +10,7 @@ import (
 )
 
 // HealReport describes how a session recovered from one failure event
-// (a single failure, or a correlated SRLG batch via HealSet).
+// (a single failure, or a correlated SRLG batch).
 type HealReport struct {
 	// Failure is the (first) event that was healed; Failures lists the full
 	// correlated batch.
@@ -120,10 +120,21 @@ func (s *Session) RecoverGraft(p graph.Path) error {
 // Recover restores the session after the given failure set using the
 // configured RecoveryStrategy (SMRP's local detours by default). The
 // failures are folded into the session's accumulated mask before recovery
-// begins, so overlapping failures compose and a correlated batch (an SRLG
-// cut) never routes a detour over a sibling cut discovered one step later.
-// It is the blessed strategy-aware recovery entry point; Heal and HealSet
-// are the pre-strategy names for the same operation.
+// begins, so overlapping failures compose — every detour avoids *all* failed
+// components, not just the newest — and a correlated batch (an SRLG cut)
+// never routes a detour over a sibling cut discovered one step later.
+//
+// With the default strategy, dead tree state below the cut is flushed, then
+// each disconnected member reconnects to the nearest unaffected on-tree
+// node, nearest member first (each reconnection enlarges the live tree,
+// modeling neighbor-assisted recovery). Members with no residual path
+// degrade gracefully: they are parked (see Parked/ErrPartitioned) and
+// re-admitted automatically by a later Recover or Repair that makes them
+// reachable. Surviving relays whose branches died are kept as detour
+// targets during recovery and pruned afterwards.
+//
+// The failed components remain failed: subsequent joins and reshapes treat
+// the underlying graph as degraded automatically.
 func (s *Session) Recover(fs ...failure.Failure) (*HealReport, error) {
 	if len(fs) == 0 {
 		return nil, fmt.Errorf("core: recover: %w: empty failure set", failure.ErrBadSchedule)
@@ -139,42 +150,6 @@ func (s *Session) Recover(fs ...failure.Failure) (*HealReport, error) {
 	}
 	s.ApplyFailure(fs...)
 	return s.dispatchRecover(fs)
-}
-
-// Heal restores the session after the given failure using SMRP's local
-// detours. The failure is folded into the session's accumulated mask, so
-// overlapping failures compose: every detour avoids *all* failed components,
-// not just the newest one. Dead tree state below the cut is flushed, then
-// each disconnected member reconnects to the nearest unaffected on-tree
-// node, nearest member first (each reconnection enlarges the live tree,
-// modeling neighbor-assisted recovery). Members with no residual path
-// degrade gracefully: they are parked (see Parked/ErrPartitioned) and
-// re-admitted automatically by a later Heal or Repair that makes them
-// reachable. Surviving relays whose branches died are kept as detour
-// targets during recovery and pruned afterwards.
-//
-// The failed component remains failed: subsequent joins and reshapes treat
-// the underlying graph as degraded automatically.
-//
-// Deprecated: Heal is the pre-strategy name of single-failure recovery. Use
-// Recover, which dispatches to the configured RecoveryStrategy; with the
-// default (SMRP) strategy the two are bit-identical.
-func (s *Session) Heal(f failure.Failure) (*HealReport, error) {
-	return s.Recover(f)
-}
-
-// HealSet is Heal for a correlated batch (an SRLG cut): every failure in fs
-// is applied atomically before recovery begins, so detours never route over
-// a sibling cut discovered one step later.
-//
-// Deprecated: HealSet is the pre-strategy name of batch recovery. Use
-// Recover, which dispatches to the configured RecoveryStrategy; with the
-// default (SMRP) strategy the two are bit-identical.
-func (s *Session) HealSet(fs []failure.Failure) (*HealReport, error) {
-	if len(fs) == 0 {
-		return nil, fmt.Errorf("core: heal: %w: empty failure set", failure.ErrBadSchedule)
-	}
-	return s.Recover(fs...)
 }
 
 // Reconcile re-runs failure recovery against the session's accumulated mask

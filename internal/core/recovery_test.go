@@ -268,3 +268,18 @@ func TestHealRandomWorstCases(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverEmptySet pins the blessed entry point's argument contract.
+func TestRecoverEmptySet(t *testing.T) {
+	g, err := topology.PaperFig1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(g, 0, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(); !errors.Is(err, failure.ErrBadSchedule) {
+		t.Errorf("Recover() error = %v, want ErrBadSchedule", err)
+	}
+}

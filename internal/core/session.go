@@ -356,6 +356,10 @@ func (s *Session) IsParked(m graph.NodeID) bool { return s.parked[m] }
 // healthy).
 func (s *Session) FailedMask() *graph.Mask { return s.failed.Clone() }
 
+// SourceFailed reports whether the accumulated failures include the
+// session's own source: nothing can be recovered until it is repaired.
+func (s *Session) SourceFailed() bool { return s.failed.NodeBlocked(s.tree.Source()) }
+
 // ApplyFailure folds persistent failures into the session's accumulated
 // mask without healing. Recover applies its failures itself; use this when the
 // protocol layer detects a failure before recovery begins.
@@ -371,8 +375,14 @@ func (s *Session) ApplyFailure(fs ...failure.Failure) {
 	}
 }
 
-// Leave removes member m and prunes its unused branch.
+// Leave removes member m and prunes its unused branch. A parked member has
+// no branch: leaving withdraws its standing request for re-admission.
 func (s *Session) Leave(m graph.NodeID) error {
+	if s.parked[m] {
+		delete(s.parked, m)
+		s.stats.Leaves++
+		return nil
+	}
 	// The dirty subtree root must be captured before the leave: the prune
 	// may remove part (or all) of the branch.
 	top := s.tree.TopAncestor(m)

@@ -13,7 +13,7 @@ import (
 
 // TestSMRPStrategyEquivalence pins the api_redesign's zero-behavior-change
 // guarantee: a session configured with the explicit SMRP strategy must
-// reproduce, bit-exactly, every Heal/HealSet/Repair/Reconcile report and the
+// reproduce, bit-exactly, every Recover/Repair/Reconcile report and the
 // final session state of a default (nil-Strategy) session across randomized
 // failure schedules.
 func TestSMRPStrategyEquivalence(t *testing.T) {
@@ -180,20 +180,5 @@ func TestStrategyDispatch(t *testing.T) {
 	unbound := NewSMRPStrategy()
 	if _, err := unbound.Recover(nil); !errors.Is(err, ErrUnboundStrategy) {
 		t.Errorf("unbound Recover error = %v, want ErrUnboundStrategy", err)
-	}
-}
-
-// TestRecoverEmptySet pins the blessed entry point's argument contract.
-func TestRecoverEmptySet(t *testing.T) {
-	g, err := topology.PaperFig1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSession(g, 0, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Recover(); !errors.Is(err, failure.ErrBadSchedule) {
-		t.Errorf("Recover() error = %v, want ErrBadSchedule", err)
 	}
 }

@@ -105,7 +105,7 @@ func RunHierarchyCtx(ctx context.Context, runs int, seed uint64) (*HierResult, e
 			}
 		}
 
-		hier, err := hierarchy.New(ts, src, cfg)
+		hier, err := hierarchy.NewNLevel(ts.NLevel(), src, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func RunHierarchyCtx(ctx context.Context, runs int, seed uint64) (*HierResult, e
 		if victim == graph.Invalid {
 			return hr, nil
 		}
-		sess, nm, err := hier.StubTree(victimDomain)
+		sess, nm, err := hier.DomainSession(victimDomain)
 		if err != nil {
 			return nil, err
 		}

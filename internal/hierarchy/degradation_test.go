@@ -15,11 +15,7 @@ import (
 // domain, its members park as a group, and repairing the agent revives the
 // domain and re-admits them automatically.
 func TestDomainDownRepairRevive(t *testing.T) {
-	ts, src := buildTS(t, 3)
-	s, err := New(ts, src, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts, src, s := newTS(t, 3)
 	members := pickMembers(ts, src, 8)
 	for _, m := range members {
 		if err := s.Join(m); err != nil {
@@ -103,20 +99,222 @@ func TestDomainDownRepairRevive(t *testing.T) {
 	}
 }
 
-// TestHierarchyErrorIdentity pins the typed sentinels of the hierarchy API.
+// TestHierarchyErrorIdentity pins the typed sentinels of the hierarchy API,
+// on the two-level view and on a generated 3-level topology alike.
 func TestHierarchyErrorIdentity(t *testing.T) {
-	ts, src := buildTS(t, 4)
-	s, err := New(ts, src, core.DefaultConfig())
+	ts, _, two := newTS(t, 4)
+	nt, src := buildNLevel(t, 4)
+	three, err := NewNLevel(nt, src, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RecoverSet(nil); !errors.Is(err, failure.ErrBadSchedule) {
-		t.Errorf("RecoverSet(nil) = %v, want ErrBadSchedule", err)
+	for _, tc := range []struct {
+		name     string
+		s        *NLevelSession
+		receiver graph.NodeID
+		nodes    int
+	}{
+		{"transit-stub", two, ts.Stubs[1].Nodes[0], ts.Graph.NumNodes()},
+		{"3-level", three, nt.Domains[nt.Leaves()[1]].Nodes[0], nt.Graph.NumNodes()},
+	} {
+		s, outside := tc.s, graph.NodeID(tc.nodes+5)
+		if _, err := s.RecoverSet(nil); !errors.Is(err, failure.ErrBadSchedule) {
+			t.Errorf("%s: RecoverSet(nil) = %v, want ErrBadSchedule", tc.name, err)
+		}
+		if _, err := s.RecoverSet([]failure.Failure{{Kind: failure.Kind(99)}}); !errors.Is(err, ErrFailureOutsideDomains) {
+			t.Errorf("%s: RecoverSet(bad kind) = %v, want ErrFailureOutsideDomains", tc.name, err)
+		}
+		if _, err := s.Recover(failure.NodeDown(outside)); !errors.Is(err, ErrFailureOutsideDomains) {
+			t.Errorf("%s: Recover(node in no domain) = %v, want ErrFailureOutsideDomains", tc.name, err)
+		}
+		if err := s.Join(outside); !errors.Is(err, ErrUnknownNode) {
+			t.Errorf("%s: Join(out of range) = %v, want ErrUnknownNode", tc.name, err)
+		}
+		if err := s.Leave(tc.receiver); !errors.Is(err, core.ErrNotMember) {
+			t.Errorf("%s: Leave(non-member) = %v, want ErrNotMember", tc.name, err)
+		}
+		if _, err := s.EndToEndDelay(tc.receiver); !errors.Is(err, core.ErrNotMember) {
+			t.Errorf("%s: EndToEndDelay(non-member) = %v, want ErrNotMember", tc.name, err)
+		}
+		if err := s.Join(tc.receiver); err != nil {
+			t.Fatalf("%s: Join(%d) = %v", tc.name, tc.receiver, err)
+		}
+		if err := s.Join(tc.receiver); !errors.Is(err, core.ErrAlreadyMember) {
+			t.Errorf("%s: re-Join = %v, want ErrAlreadyMember", tc.name, err)
+		}
 	}
-	if _, err := s.RecoverSet([]failure.Failure{{Kind: failure.Kind(99)}}); !errors.Is(err, ErrFailureOutsideDomains) {
-		t.Errorf("RecoverSet(bad kind) = %v, want ErrFailureOutsideDomains", err)
+}
+
+// TestPartitionedJoinIsRecorded: a receiver whose domain session parks it on
+// admission is a member in the degraded state, not a ghost. (Regression: Join
+// returned before recording the membership, so Members and Parked missed the
+// receiver, its agent never joined level 0, and after the repair the stub
+// tree carried a member the hierarchy refused to Leave.)
+func TestPartitionedJoinIsRecorded(t *testing.T) {
+	ts, _, s := newTS(t, 4)
+	stub := ts.Stubs[1]
+	n := stub.Nodes[0]
+	if n == stub.Gateway {
+		n = stub.Nodes[1]
 	}
-	if err := s.Join(graph.NodeID(ts.Graph.NumNodes() + 5)); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("Join(out of range) = %v, want ErrUnknownNode", err)
+	cut := failure.SRLG(ts.Graph, n)
+	if _, err := s.RecoverSet(cut); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Join(n); !errors.Is(err, core.ErrPartitioned) {
+		t.Fatalf("Join(isolated) = %v, want ErrPartitioned", err)
+	}
+	if !slices.Contains(s.Members(), n) || !slices.Contains(s.Parked(), n) {
+		t.Fatalf("isolated joiner: members %v, parked %v, want %d in both", s.Members(), s.Parked(), n)
+	}
+	top, topNM, _ := s.DomainSession(0)
+	if agent, _ := topNM.ToSub(stub.Gateway); !top.Tree().IsMember(agent) {
+		t.Error("the joiner's agent was not hooked into level 0")
+	}
+	sum, err := s.Repair(cut...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sum.Readmitted, []graph.NodeID{n}) || len(sum.StillParked) != 0 {
+		t.Errorf("Repair: readmitted %v, still parked %v, want [%d] and none", sum.Readmitted, sum.StillParked, n)
+	}
+	if _, err := s.EndToEndDelay(n); err != nil {
+		t.Errorf("EndToEndDelay after repair = %v", err)
+	}
+	if err := s.Leave(n); err != nil {
+		t.Errorf("Leave after repair = %v", err)
+	}
+}
+
+// TestLeaveWhileDomainDown: a receiver that leaves while its domain is
+// suspended is gone for good — the repair that revives the domain must not
+// re-admit it.
+func TestLeaveWhileDomainDown(t *testing.T) {
+	ts, _, s := newTS(t, 3)
+	stub := ts.Stubs[2]
+	var stay, goes graph.NodeID = graph.Invalid, graph.Invalid
+	for _, n := range stub.Nodes {
+		if n == stub.Gateway {
+			continue
+		}
+		if err := s.Join(n); err != nil {
+			t.Fatal(err)
+		}
+		if stay, goes = goes, n; stay != graph.Invalid {
+			break
+		}
+	}
+	agent := failure.NodeDown(stub.Gateway)
+	if _, err := s.RecoverSet([]failure.Failure{agent}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(s.Parked(), s.Members()) {
+		t.Fatalf("parked %v, want every member %v", s.Parked(), s.Members())
+	}
+	if err := s.Leave(goes); err != nil {
+		t.Fatalf("Leave while domain down = %v", err)
+	}
+	sum, err := s.Repair(agent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sum.Revived, []int{stub.ID}) || !slices.Equal(sum.Readmitted, []graph.NodeID{stay}) {
+		t.Errorf("Repair: revived %v readmitted %v, want [%d] and [%d]", sum.Revived, sum.Readmitted, stub.ID, stay)
+	}
+	sess, nm, _ := s.DomainSession(stub.ID)
+	if sub, _ := nm.ToSub(goes); sess.Tree().IsMember(sub) || sess.IsParked(sub) || slices.Contains(s.Members(), goes) {
+		t.Errorf("receiver %d left while the domain was down, yet the repair re-admitted it", goes)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLeafGatewayCrashThreeLevel is the domain-down state machine below the
+// first level: a leaf domain's agent crashes, the leaf suspends and its
+// parent heals around the lost agent, the receivers below degrade as a
+// group, and the repair revives the leaf and re-admits them.
+func TestLeafGatewayCrashThreeLevel(t *testing.T) {
+	nt, src := buildNLevel(t, 12)
+	s, err := NewNLevel(nt, src, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := nt.Leaves()
+	leaf := nt.Domains[leaves[len(leaves)-1]] // not the source's leaf
+	var below []graph.NodeID
+	for _, n := range leaf.Nodes {
+		if n != leaf.Gateway && len(below) < 3 {
+			below = append(below, n)
+		}
+	}
+	elsewhere := nt.Domains[leaves[1]].Nodes[0]
+	for _, m := range append(slices.Clone(below), elsewhere) {
+		if err := s.Join(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(below)
+
+	crash := failure.NodeDown(leaf.Gateway)
+	reports, err := s.RecoverSet([]failure.Failure{crash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 2 || reports[0].DomainID != leaf.ID || !reports[0].DomainDown || reports[0].Level != 2 ||
+		reports[1].DomainID != leaf.Parent || reports[1].DomainDown || reports[1].Heal == nil {
+		t.Fatalf("reports = %+v, want leaf %d down then parent %d healed", reports, leaf.ID, leaf.Parent)
+	}
+	if !slices.Equal(s.Parked(), below) {
+		t.Fatalf("parked = %v, want the receivers below the crashed agent %v", s.Parked(), below)
+	}
+	// A receiver that joins the suspended domain waits with the others: the
+	// parent already holds the crashed agent's place.
+	for _, n := range leaf.Nodes {
+		if n != leaf.Gateway && !slices.Contains(below, n) {
+			if err := s.Join(n); !errors.Is(err, core.ErrPartitioned) {
+				t.Fatalf("Join(%d) below the crashed agent = %v, want ErrPartitioned", n, err)
+			}
+			below = append(below, n)
+			slices.Sort(below)
+			break
+		}
+	}
+	sum, err := s.Repair(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sum.Revived, []int{leaf.ID}) || !slices.Equal(sum.Readmitted, below) || len(sum.StillParked) != 0 {
+		t.Errorf("Repair = %+v, want revived [%d], readmitted %v, nobody parked", sum, leaf.ID, below)
+	}
+	for _, m := range s.Members() {
+		if _, err := s.EndToEndDelay(m); err != nil {
+			t.Errorf("EndToEndDelay(%d) after repair = %v", m, err)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJoinRefusedBehindCrashedAgent: a domain nobody had joined yet, whose
+// agent is down, has no place in its parent's tree for a repair to restore —
+// a joiner is refused outright and leaves no state behind.
+func TestJoinRefusedBehindCrashedAgent(t *testing.T) {
+	ts, _, s := newTS(t, 4)
+	stub := ts.Stubs[3]
+	n := stub.Nodes[0]
+	if n == stub.Gateway {
+		n = stub.Nodes[1]
+	}
+	if _, err := s.Recover(failure.NodeDown(stub.Gateway)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Join(n); !errors.Is(err, failure.ErrMemberFailed) {
+		t.Fatalf("Join behind a crashed, never-hooked agent = %v, want ErrMemberFailed", err)
+	}
+	sess, nm, _ := s.DomainSession(stub.ID)
+	if sub, _ := nm.ToSub(n); len(s.Members()) != 0 || sess.IsParked(sub) || sess.Tree().IsMember(sub) {
+		t.Errorf("refused joiner left state behind: members %v, parked in stub %v", s.Members(), sess.Parked())
 	}
 }

@@ -1,15 +1,16 @@
 // Package hierarchy implements the paper's hierarchical recovery
-// architecture (§3.3.3, Figure 6): the network is partitioned into recovery
-// domains over a transit–stub topology, each domain runs its own SMRP
-// sub-session rooted at a domain agent, and any failure is recovered
-// entirely inside the domain where it occurred. This bounds the scope of
-// tree reconfiguration and makes SMRP scale to large networks.
+// architecture (§3.3.3, Figure 6) at any depth: the network is a tree of
+// recovery domains, every domain runs its own SMRP sub-session over its
+// nodes plus its children's gateways, agents relay the stream across
+// levels, and a failure is recovered entirely inside the domain(s) it
+// touches. This bounds the scope of tree reconfiguration and makes SMRP
+// scale to large networks.
 //
-// The 2-level instantiation here maps directly onto the transit–stub
-// structure: every stub domain is a level-1 recovery domain whose agent is
-// its gateway router; the transit core (plus the agents) forms the level-0
-// domain. The agent of the domain containing the actual multicast source
-// relays packets from the source into the level-0 tree (A₁ in Figure 6).
+// A transit–stub topology is the two-level case (topology.TransitStub.NLevel):
+// every stub is a level-1 domain whose agent is its gateway router, and the
+// transit core plus those agents is the level-0 domain. The gateway of the
+// domain holding the true source relays the stream up into its parent's
+// session (A₁ in Figure 6), and so on up the source's chain of domains.
 package hierarchy
 
 import (
@@ -18,110 +19,30 @@ import (
 	"slices"
 
 	"smrp/internal/core"
-	"smrp/internal/failure"
 	"smrp/internal/graph"
 	"smrp/internal/topology"
 )
 
-// Errors returned by Session operations.
+// Errors returned by NLevelSession operations.
 var (
 	// ErrUnknownNode is returned when a node belongs to no recovery domain.
 	ErrUnknownNode = errors.New("hierarchy: node belongs to no recovery domain")
-	// ErrFailureOutsideDomains is returned when a failure touches no domain
-	// (cannot happen on well-formed transit–stub inputs).
+	// ErrFailureOutsideDomains is returned when a failure cannot be
+	// attributed to a domain: an end in no domain, a link between unrelated
+	// domains, or an unknown failure kind.
 	ErrFailureOutsideDomains = errors.New("hierarchy: failure outside all recovery domains")
-	// ErrUnsupportedFailure is returned when a recovery model cannot
-	// attribute the given failure kind to a domain.
-	ErrUnsupportedFailure = errors.New("hierarchy: failure kind not supported")
 )
 
 // domainSession is one recovery domain's sub-multicast tree, built over the
-// induced subgraph of the domain's nodes (plus, for the top domain, the
-// agents).
+// induced subgraph of the domain's nodes plus its children's gateways.
 type domainSession struct {
-	id      int // topology.Domain ID; -1 for the top (level-0) domain
 	session *core.Session
 	nm      *graph.NodeMap
-	// agent is the domain's source in full-graph IDs (the gateway for
-	// stubs; the source-domain relays from the true source).
-	agent graph.NodeID
-}
-
-// Session is a hierarchical SMRP session over a transit–stub topology.
-type Session struct {
-	ts     *topology.TransitStub
-	cfg    core.Config
-	source graph.NodeID
-
-	// stubs maps stub-domain ID → its sub-session; top is the level-0
-	// session spanning the transit core and the stub agents.
-	stubs map[int]*domainSession
-	top   *domainSession
-
-	members map[graph.NodeID]bool
-}
-
-// New builds a hierarchical session over ts, with the true multicast source
-// at src (which must live in a stub domain, as members do in Figure 6).
-func New(ts *topology.TransitStub, src graph.NodeID, cfg core.Config) (*Session, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	srcDomain := ts.DomainOf(src)
-	if srcDomain == nil || srcDomain.Kind != topology.StubDomain {
-		return nil, fmt.Errorf("hierarchy: source %d must be inside a stub domain", src)
-	}
-	s := &Session{
-		ts:      ts,
-		cfg:     cfg,
-		source:  src,
-		stubs:   make(map[int]*domainSession, len(ts.Stubs)),
-		members: make(map[graph.NodeID]bool),
-	}
-
-	// Per-stub sub-sessions. The source's own domain is rooted at the true
-	// source; every other stub is rooted at its gateway agent. The agent of
-	// the source's domain is its gateway too — it joins the stub tree as a
-	// member so it can relay the stream into the level-0 core (Figure 6's
-	// A₁).
-	for i := range ts.Stubs {
-		d := &ts.Stubs[i]
-		root := d.Gateway
-		if d.ID == srcDomain.ID {
-			root = src
-		}
-		ds, err := newDomainSession(ts.Graph, d.ID, d.Nodes, root, d.Gateway, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy: stub %d: %w", d.ID, err)
-		}
-		s.stubs[d.ID] = ds
-	}
-
-	// Level-0 session: transit nodes plus all stub agents, rooted at the
-	// source domain's agent (which relays from the true source).
-	topNodes := append([]graph.NodeID(nil), ts.Transit.Nodes...)
-	for i := range ts.Stubs {
-		topNodes = append(topNodes, ts.Stubs[i].Gateway)
-	}
-	topAgent := srcDomain.Gateway
-	top, err := newDomainSession(ts.Graph, -1, topNodes, topAgent, topAgent, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("hierarchy: top domain: %w", err)
-	}
-	s.top = top
-
-	// Connect the relay agent inside the source's stub.
-	if srcDomain.Gateway != src {
-		if _, err := s.stubs[srcDomain.ID].join(srcDomain.Gateway); err != nil {
-			return nil, fmt.Errorf("hierarchy: connect source agent: %w", err)
-		}
-	}
-	return s, nil
 }
 
 // newDomainSession builds a sub-session over the induced subgraph of nodes,
-// rooted at root, with the given agent (both full-graph IDs).
-func newDomainSession(g *graph.Graph, id int, nodes []graph.NodeID, root, agent graph.NodeID, cfg core.Config) (*domainSession, error) {
+// rooted at root (a full-graph ID).
+func newDomainSession(g *graph.Graph, nodes []graph.NodeID, root graph.NodeID, cfg core.Config) (*domainSession, error) {
 	sub, nm, err := g.Subgraph(nodes)
 	if err != nil {
 		return nil, err
@@ -139,16 +60,17 @@ func newDomainSession(g *graph.Graph, id int, nodes []graph.NodeID, root, agent 
 	if err != nil {
 		return nil, err
 	}
-	return &domainSession{id: id, session: sess, nm: nm, agent: agent}, nil
+	return &domainSession{session: sess, nm: nm}, nil
 }
 
 // join admits a full-graph node into the domain's sub-session.
-func (d *domainSession) join(n graph.NodeID) (*core.JoinResult, error) {
+func (d *domainSession) join(n graph.NodeID) error {
 	sub, ok := d.nm.ToSub(n)
 	if !ok {
-		return nil, fmt.Errorf("join %d: %w", n, ErrUnknownNode)
+		return fmt.Errorf("join %d: %w", n, ErrUnknownNode)
 	}
-	return d.session.Join(sub)
+	_, err := d.session.Join(sub)
+	return err
 }
 
 // leave removes a full-graph node from the domain's sub-session.
@@ -166,76 +88,180 @@ func (d *domainSession) isMember(n graph.NodeID) bool {
 	return ok && d.session.Tree().IsMember(sub)
 }
 
-// Join admits a receiver. Its stub domain's agent transparently joins the
-// level-0 tree the first time the domain gains a member.
-func (s *Session) Join(n graph.NodeID) error {
+// isParked reports whether a full-graph node is parked in the sub-session.
+func (d *domainSession) isParked(n graph.NodeID) bool {
+	sub, ok := d.nm.ToSub(n)
+	return ok && d.session.IsParked(sub)
+}
+
+// root returns the sub-session's root in full-graph IDs.
+func (d *domainSession) root() graph.NodeID {
+	full, _ := d.nm.ToFull(d.session.Tree().Source())
+	return full
+}
+
+// NLevelSession is a hierarchical SMRP session over an N-level domain tree
+// (the extension §3.3.3 sketches; transit–stub is N = 2).
+type NLevelSession struct {
+	topo *topology.NLevelTopology
+
+	// sessions[i] is domain i's sub-session; sourceChain lists domain
+	// indices from the source's domain up to the root.
+	sessions    []*domainSession
+	sourceChain []int
+	onChain     map[int]bool
+	members     map[graph.NodeID]bool
+}
+
+// NewNLevel builds an N-level session over t with the true source at src,
+// which may live in any domain.
+func NewNLevel(t *topology.NLevelTopology, src graph.NodeID, cfg core.Config) (*NLevelSession, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	srcDom := t.DomainOf(src)
+	if srcDom < 0 {
+		return nil, fmt.Errorf("hierarchy: source %d: %w", src, ErrUnknownNode)
+	}
+	s := &NLevelSession{
+		topo:    t,
+		onChain: make(map[int]bool),
+		members: make(map[graph.NodeID]bool),
+	}
+	for d := srcDom; d != -1; d = t.Domains[d].Parent {
+		s.sourceChain = append(s.sourceChain, d)
+		s.onChain[d] = true
+	}
+
+	// Build every domain's sub-session. The session graph covers the
+	// domain's nodes plus its children's gateways. The root of the session:
+	//   - the true source, in the source's own domain;
+	//   - the gateway of the chain child, in ancestors of the source domain
+	//     (the relaying agent, Figure 6's A₁ generalized);
+	//   - the domain's own gateway everywhere else (data arrives from the
+	//     parent through it).
+	s.sessions = make([]*domainSession, len(t.Domains))
+	for i := range t.Domains {
+		d := &t.Domains[i]
+		nodes := append([]graph.NodeID(nil), d.Nodes...)
+		for _, c := range d.Children {
+			nodes = append(nodes, t.Domains[c].Gateway)
+		}
+		root := d.Gateway
+		switch {
+		case i == srcDom:
+			root = src
+		case s.onChain[i]:
+			root = t.Domains[s.chainChild(i)].Gateway
+		}
+		ds, err := newDomainSession(t.Graph, nodes, root, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("hierarchy: domain %d: %w", i, err)
+		}
+		s.sessions[i] = ds
+	}
+
+	// Wire the upward relay chain: in every source-chain domain with a
+	// parent, the domain's own gateway joins as a member so it can push the
+	// stream up into the parent's session (where it is the root).
+	for _, i := range s.sourceChain {
+		d := &t.Domains[i]
+		if d.Parent == -1 {
+			continue
+		}
+		ds := s.sessions[i]
+		if !ds.isMember(d.Gateway) {
+			if err := ds.join(d.Gateway); err != nil {
+				return nil, fmt.Errorf("hierarchy: relay agent of domain %d: %w", i, err)
+			}
+		}
+	}
+	return s, nil
+}
+
+// chainChild returns the source-chain child of chain domain i.
+func (s *NLevelSession) chainChild(i int) int {
+	for k, d := range s.sourceChain {
+		if d == i && k > 0 {
+			return s.sourceChain[k-1]
+		}
+	}
+	return -1
+}
+
+// Join admits receiver n; agents along the path toward the root join their
+// parent sessions transparently as needed. A receiver (or an agent above it)
+// that the accumulated failures cut off is admitted in the degraded state:
+// the domain session parks it, n is a member and is listed by Parked, the
+// rest of the chain is still hooked, and the wrapped core.ErrPartitioned is
+// returned; the repair that reconnects it re-admits it.
+func (s *NLevelSession) Join(n graph.NodeID) error {
 	if s.members[n] {
 		return fmt.Errorf("hierarchy: join %d: %w", n, core.ErrAlreadyMember)
 	}
-	d := s.ts.DomainOf(n)
-	if d == nil {
+	di := s.topo.DomainOf(n)
+	if di < 0 {
 		return fmt.Errorf("hierarchy: join %d: %w", n, ErrUnknownNode)
 	}
-	if d.Kind != topology.StubDomain {
-		return fmt.Errorf("hierarchy: join %d: receivers live in stub domains", n)
-	}
-	ds := s.stubs[d.ID]
-	if !ds.isMember(n) { // the source-domain agent is already a relay member
-		if _, err := ds.join(n); err != nil {
-			return fmt.Errorf("hierarchy: join %d in stub %d: %w", n, d.ID, err)
+	ds := s.sessions[di]
+	var degraded error
+	if !ds.isMember(n) { // a source-chain gateway is already a relay member
+		err := ds.join(n)
+		if err != nil && !errors.Is(err, core.ErrPartitioned) {
+			return fmt.Errorf("hierarchy: join %d in domain %d: %w", n, di, err)
 		}
+		degraded = err
 	}
 	s.members[n] = true
-	// Hook the domain into the core tree if not already there.
-	if !s.top.isMember(ds.agent) && ds.agent != s.top.agent {
-		if _, err := s.top.join(ds.agent); err != nil {
-			return fmt.Errorf("hierarchy: agent %d join top: %w", ds.agent, err)
+	// Hook the domain chain into the delivery structure: for every domain
+	// from n's up to (but excluding) the first that already carries the
+	// stream, the domain's gateway joins the parent session.
+	for d := di; !s.onChain[d]; d = s.topo.Domains[d].Parent {
+		gw := s.topo.Domains[d].Gateway
+		ps := s.sessions[s.topo.Domains[d].Parent]
+		if ps.isMember(gw) || ps.isParked(gw) || gw == ps.root() {
+			break // already delivered (or waiting for a repair) here
 		}
+		err := ps.join(gw)
+		if err != nil && !errors.Is(err, core.ErrPartitioned) {
+			// The agent itself is down and the parent never carried it: no
+			// repair would bring the stream here, so refuse the receiver.
+			// (Only off-chain domains get here, and there n was joined or
+			// parked just above.)
+			delete(s.members, n)
+			_ = ds.leave(n)
+			return fmt.Errorf("hierarchy: join %d: agent %d join domain %d: %w", n, gw, s.topo.Domains[d].Parent, err)
+		}
+		if degraded == nil {
+			degraded = err
+		}
+	}
+	if degraded != nil {
+		return fmt.Errorf("hierarchy: join %d: %w", n, degraded)
 	}
 	return nil
 }
 
-// Leave removes a receiver; the domain's agent leaves the level-0 tree when
-// its domain empties.
-func (s *Session) Leave(n graph.NodeID) error {
+// Leave removes receiver n. Agent chains are left in place (they expire via
+// soft state in a deployment; Validate tolerates relay-only domains).
+func (s *NLevelSession) Leave(n graph.NodeID) error {
 	if !s.members[n] {
 		return fmt.Errorf("hierarchy: leave %d: %w", n, core.ErrNotMember)
 	}
-	d := s.ts.DomainOf(n)
-	if d == nil {
-		return fmt.Errorf("hierarchy: leave %d: %w", n, ErrUnknownNode)
-	}
-	ds := s.stubs[d.ID]
-	srcDomain := s.ts.DomainOf(s.source)
-	// The source-domain gateway stays connected as the relay agent even if
-	// it stops being a receiver itself.
-	if !(d.ID == srcDomain.ID && n == ds.agent) {
-		if err := ds.leave(n); err != nil {
+	di := s.topo.DomainOf(n)
+	// A source-chain gateway stays connected as the relay agent even when it
+	// stops being a receiver itself.
+	if !(s.onChain[di] && n == s.topo.Domains[di].Gateway) {
+		if err := s.sessions[di].leave(n); err != nil {
 			return err
 		}
 	}
 	delete(s.members, n)
-	if s.domainMemberCount(d.ID) == 0 && s.top.isMember(ds.agent) {
-		if err := s.top.leave(ds.agent); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// domainMemberCount counts live receivers registered in stub domain id.
-func (s *Session) domainMemberCount(id int) int {
-	count := 0
-	for m := range s.members {
-		if d := s.ts.DomainOf(m); d != nil && d.ID == id {
-			count++
-		}
-	}
-	return count
-}
-
-// Members returns the session's receivers in ascending order.
-func (s *Session) Members() []graph.NodeID {
+// Members returns the receivers in ascending order.
+func (s *NLevelSession) Members() []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(s.members))
 	for m := range s.members {
 		out = append(out, m)
@@ -244,134 +270,110 @@ func (s *Session) Members() []graph.NodeID {
 	return out
 }
 
-// DomainSessions returns the stub-domain IDs in ascending order (for
-// inspection and tests).
-func (s *Session) DomainSessions() []int {
-	out := make([]int, 0, len(s.stubs))
-	for id := range s.stubs {
-		out = append(out, id)
+// DomainSession exposes domain i's sub-session and node map.
+func (s *NLevelSession) DomainSession(i int) (*core.Session, *graph.NodeMap, error) {
+	if i < 0 || i >= len(s.sessions) {
+		return nil, nil, fmt.Errorf("hierarchy: no domain %d", i)
 	}
-	slices.Sort(out)
-	return out
+	return s.sessions[i].session, s.sessions[i].nm, nil
 }
 
-// StubTree returns the sub-tree of stub domain id along with its node map.
-func (s *Session) StubTree(id int) (*core.Session, *graph.NodeMap, error) {
-	ds, ok := s.stubs[id]
-	if !ok {
-		return nil, nil, fmt.Errorf("hierarchy: no stub domain %d", id)
-	}
-	return ds.session, ds.nm, nil
-}
-
-// TopTree returns the level-0 session and its node map.
-func (s *Session) TopTree() (*core.Session, *graph.NodeMap) {
-	return s.top.session, s.top.nm
-}
-
-// RecoveryReport describes a domain-confined recovery.
-type RecoveryReport struct {
-	// DomainID is the recovery domain that handled the failure (-1 = the
-	// level-0 core domain).
-	DomainID int
-	// Level is 1 for stub domains, 0 for the core.
-	Level int
-	// Heal is the domain-local SMRP recovery report, in the domain's local
-	// ID space.
-	Heal *core.HealReport
-	// NodesInDomain is the size of the domain that had to react — every
-	// other domain is untouched, which is the scalability argument of
-	// §3.3.3.
-	NodesInDomain int
-	// DomainDown reports that the domain's own agent is down: recovery
-	// there is suspended (Heal is nil) and its members are degraded as a
-	// group until a Repair revives the agent.
-	DomainDown bool
-}
-
-// Recover handles one failure: each domain the failure touches heals its own
-// sub-tree with local detours; every other domain is left untouched. A link
-// inside a stub is that stub's problem; cross-domain uplinks (stub gateway ↔
-// transit) and transit links are handled in the level-0 domain; a node
-// failure hits the node's own domain (a gateway failure additionally hits
-// level 0). When the failure touches several domains (a gateway crash), the
-// stub-level report is returned; RecoverSet exposes the full list.
-func (s *Session) Recover(f failure.Failure) (*RecoveryReport, error) {
-	reports, err := s.RecoverSet([]failure.Failure{f})
-	if err != nil {
-		return nil, err
-	}
-	return reports[0], nil
-}
-
-// indexOfStub finds the slice index of the stub with the given domain ID.
-func indexOfStub(ts *topology.TransitStub, id int) int {
-	for i := range ts.Stubs {
-		if ts.Stubs[i].ID == id {
-			return i
-		}
-	}
-	return 0
-}
-
-// Validate checks every sub-tree's structural invariants.
-func (s *Session) Validate() error {
-	for id, ds := range s.stubs {
-		if err := ds.session.Tree().Validate(); err != nil {
-			return fmt.Errorf("hierarchy: stub %d: %w", id, err)
-		}
-	}
-	if err := s.top.session.Tree().Validate(); err != nil {
-		return fmt.Errorf("hierarchy: top: %w", err)
-	}
-	return nil
-}
-
-// EndToEndDelay computes a member's total delivery delay: source → its
-// domain agent inside the source stub, across the level-0 tree, then down
-// the member's own stub tree. Members in the source's domain use only their
-// stub tree.
-func (s *Session) EndToEndDelay(m graph.NodeID) (float64, error) {
+// EndToEndDelay computes the delivery delay to member m across the domain
+// hierarchy: up the source chain agent by agent to the deepest common
+// ancestor, then down the member's chain gateway by gateway. It fails with
+// core.ErrPartitioned exactly when m is degraded (see Parked).
+func (s *NLevelSession) EndToEndDelay(m graph.NodeID) (float64, error) {
 	if !s.members[m] {
 		return 0, fmt.Errorf("hierarchy: delay %d: %w", m, core.ErrNotMember)
 	}
-	d := s.ts.DomainOf(m)
-	srcDomain := s.ts.DomainOf(s.source)
-	ds := s.stubs[d.ID]
+	// m's chain, bottom-up: domain d delivers to n (m itself, then the gateway
+	// of the domain below). The source chain reaches the root, so the climb
+	// ends on it, at the deepest common ancestor.
+	type leg struct {
+		d int
+		n graph.NodeID
+	}
+	l := leg{s.topo.DomainOf(m), m}
+	down := []leg{l}
+	for !s.onChain[l.d] {
+		l = leg{s.topo.Domains[l.d].Parent, s.topo.Domains[l.d].Gateway}
+		down = append(down, l)
+	}
+	var cum float64
+	// Ascend the source chain: each domain relays from its session root to
+	// its gateway, which is the root of the parent's session.
+	for _, d := range s.sourceChain {
+		if d == l.d {
+			break
+		}
+		v, err := s.delayIn(d, s.topo.Domains[d].Gateway)
+		if err != nil {
+			return 0, err
+		}
+		cum += v
+	}
+	// Descend from the common ancestor to m.
+	for k := len(down) - 1; k >= 0; k-- {
+		v, err := s.delayIn(down[k].d, down[k].n)
+		if err != nil {
+			return 0, err
+		}
+		cum += v
+	}
+	return cum, nil
+}
 
-	// Distance inside m's own stub from the stub root (its agent, or the
-	// true source in the source's domain) down to m.
-	sub, ok := ds.nm.ToSub(m)
+// delayIn returns the delay from domain d's session root to node n (full
+// IDs), or core.ErrPartitioned when that leg is cut: the domain is down or n
+// is parked in it.
+func (s *NLevelSession) delayIn(d int, n graph.NodeID) (float64, error) {
+	ds := s.sessions[d]
+	sub, ok := ds.nm.ToSub(n)
 	if !ok {
-		return 0, ErrUnknownNode
+		return 0, fmt.Errorf("hierarchy: node %d not in domain %d", n, d)
 	}
-	inStub, err := ds.session.Tree().DelayTo(sub)
-	if err != nil {
-		return 0, err
+	if ds.session.IsParked(sub) || ds.down() {
+		return 0, fmt.Errorf("hierarchy: node %d in domain %d: %w", n, d, core.ErrPartitioned)
 	}
-	if d.ID == srcDomain.ID {
-		return inStub, nil
-	}
+	return ds.session.Tree().DelayTo(sub)
+}
 
-	// Source stub: source → its agent.
-	srcDS := s.stubs[srcDomain.ID]
-	agentSub, ok := srcDS.nm.ToSub(srcDS.agent)
-	if !ok {
-		return 0, ErrUnknownNode
+// SettledWork sums the settled-node work counters across every domain
+// sub-session: enum is candidate-enumeration work (joins, reshapes), heal is
+// failure-recovery sweep work. Both are deterministic, making them the
+// megascale study's CI-stable unit of comparison against a flat session.
+func (s *NLevelSession) SettledWork() (enum, heal int) {
+	for _, ds := range s.sessions {
+		st := ds.session.Stats()
+		enum += st.EnumSettled
+		heal += st.HealSettled
 	}
-	toAgent, err := srcDS.session.Tree().DelayTo(agentSub)
-	if err != nil {
-		return 0, err
-	}
+	return enum, heal
+}
 
-	// Level-0 tree: source agent → m's domain agent.
-	topSub, ok := s.top.nm.ToSub(ds.agent)
-	if !ok {
-		return 0, ErrUnknownNode
+// SubgraphBytes reports the deterministic memory footprint of the per-domain
+// induced subgraphs the sub-sessions route over — the memory the hierarchy
+// pays on top of the shared full topology in exchange for domain-confined
+// recovery. The sum is O(N·avg-degree) total because every node belongs to
+// exactly one domain (gateways additionally appear in their parent's
+// session).
+func (s *NLevelSession) SubgraphBytes() int64 {
+	var total int64
+	for _, ds := range s.sessions {
+		total += ds.session.Graph().MemoryFootprint()
 	}
-	across, err := s.top.session.Tree().DelayTo(topSub)
-	if err != nil {
-		return 0, err
+	return total
+}
+
+// NumDomains returns the number of domain sub-sessions.
+func (s *NLevelSession) NumDomains() int { return len(s.sessions) }
+
+// Validate checks every domain session's structural invariants.
+func (s *NLevelSession) Validate() error {
+	for i, ds := range s.sessions {
+		if err := ds.session.Tree().Validate(); err != nil {
+			return fmt.Errorf("hierarchy: domain %d: %w", i, err)
+		}
 	}
-	return toAgent + across + inStub, nil
+	return nil
 }

@@ -1,6 +1,8 @@
 package hierarchy
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"smrp/internal/core"
@@ -27,6 +29,18 @@ func buildTS(t *testing.T, seed uint64) (*topology.TransitStub, graph.NodeID) {
 	return nil, 0
 }
 
+// newTS builds the hierarchical session over buildTS's topology, seen as the
+// two-level domain tree it is.
+func newTS(t *testing.T, seed uint64) (*topology.TransitStub, graph.NodeID, *NLevelSession) {
+	t.Helper()
+	ts, src := buildTS(t, seed)
+	s, err := NewNLevel(ts.NLevel(), src, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts, src, s
+}
+
 // pickMembers returns up to k non-gateway, non-source receivers spread over
 // all stub domains.
 func pickMembers(ts *topology.TransitStub, src graph.NodeID, k int) []graph.NodeID {
@@ -50,22 +64,23 @@ func pickMembers(ts *topology.TransitStub, src graph.NodeID, k int) []graph.Node
 
 func TestNewValidation(t *testing.T) {
 	ts, _ := buildTS(t, 1)
-	if _, err := New(ts, ts.Transit.Nodes[0], core.DefaultConfig()); err == nil {
-		t.Error("source in transit domain should be rejected")
+	nt := ts.NLevel()
+	if _, err := NewNLevel(nt, graph.NodeID(ts.Graph.NumNodes()+1), core.DefaultConfig()); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("source in no domain = %v, want ErrUnknownNode", err)
+	}
+	// The source may live in any domain, the transit core included.
+	if _, err := NewNLevel(nt, ts.Transit.Nodes[0], core.DefaultConfig()); err != nil {
+		t.Errorf("source in the transit domain: %v", err)
 	}
 	bad := core.DefaultConfig()
 	bad.DThresh = -1
-	if _, err := New(ts, ts.Stubs[0].Nodes[0], bad); err == nil {
+	if _, err := NewNLevel(nt, ts.Stubs[0].Nodes[0], bad); err == nil {
 		t.Error("bad config should be rejected")
 	}
 }
 
 func TestJoinAcrossDomains(t *testing.T) {
-	ts, src := buildTS(t, 2)
-	s, err := New(ts, src, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts, src, s := newTS(t, 2)
 	members := pickMembers(ts, src, 8)
 	for _, m := range members {
 		if err := s.Join(m); err != nil {
@@ -79,10 +94,10 @@ func TestJoinAcrossDomains(t *testing.T) {
 		t.Errorf("members = %d, want %d", got, len(members))
 	}
 	// Every member domain's agent sits on the level-0 tree.
-	topSess, topNM := s.TopTree()
+	topSess, topNM, _ := s.DomainSession(0)
 	for _, m := range members {
 		d := ts.DomainOf(m)
-		agentSub, ok := topNM.ToSub(ts.Stubs[indexOfStub(ts, d.ID)].Gateway)
+		agentSub, ok := topNM.ToSub(d.Gateway)
 		if !ok {
 			t.Fatalf("agent of domain %d not in top session", d.ID)
 		}
@@ -107,11 +122,7 @@ func TestJoinAcrossDomains(t *testing.T) {
 }
 
 func TestLeaveEmptiesDomain(t *testing.T) {
-	ts, src := buildTS(t, 3)
-	s, err := New(ts, src, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts, _, s := newTS(t, 3)
 	// One member in a non-source domain.
 	var m graph.NodeID = graph.Invalid
 	for _, n := range ts.Stubs[1].Nodes {
@@ -126,7 +137,7 @@ func TestLeaveEmptiesDomain(t *testing.T) {
 	if err := s.Join(m); err != nil {
 		t.Fatal(err)
 	}
-	topSess, topNM := s.TopTree()
+	topSess, topNM, _ := s.DomainSession(0)
 	agentSub, _ := topNM.ToSub(ts.Stubs[1].Gateway)
 	if !topSess.Tree().IsMember(agentSub) {
 		t.Fatal("agent should be on top tree while domain has members")
@@ -134,8 +145,9 @@ func TestLeaveEmptiesDomain(t *testing.T) {
 	if err := s.Leave(m); err != nil {
 		t.Fatal(err)
 	}
-	if topSess.Tree().IsMember(agentSub) {
-		t.Error("agent should leave top tree when its domain empties")
+	// The agent chain stays in place: it expires by soft state, not by Leave.
+	if !topSess.Tree().IsMember(agentSub) {
+		t.Error("Leave withdrew the agent from the level-0 tree")
 	}
 	if err := s.Leave(m); err == nil {
 		t.Error("double leave should fail")
@@ -149,11 +161,7 @@ func TestLeaveEmptiesDomain(t *testing.T) {
 // domain is recovered entirely within that domain; all other sub-trees are
 // byte-for-byte untouched.
 func TestDomainConfinedRecovery(t *testing.T) {
-	ts, src := buildTS(t, 4)
-	s, err := New(ts, src, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts, src, s := newTS(t, 4)
 	members := pickMembers(ts, src, 8)
 	for _, m := range members {
 		if err := s.Join(m); err != nil {
@@ -174,7 +182,7 @@ func TestDomainConfinedRecovery(t *testing.T) {
 	if victim == graph.Invalid {
 		t.Skip("no member outside the source domain in this draw")
 	}
-	sess, nm, err := s.StubTree(victimDomain)
+	sess, nm, err := s.DomainSession(victimDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,22 +194,18 @@ func TestDomainConfinedRecovery(t *testing.T) {
 	fullA, _ := nm.ToFull(f.Edge.A)
 	fullB, _ := nm.ToFull(f.Edge.B)
 
-	// Snapshot all OTHER domains' trees.
-	type snap struct {
-		edges []graph.EdgeID
-	}
-	before := make(map[int]snap)
-	for _, id := range s.DomainSessions() {
+	// Snapshot all OTHER domains' trees, the level-0 core (domain 0) included.
+	before := make(map[int][]graph.EdgeID)
+	for id := 0; id < s.NumDomains(); id++ {
 		if id == victimDomain {
 			continue
 		}
-		o, _, err := s.StubTree(id)
+		o, _, err := s.DomainSession(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before[id] = snap{edges: o.Tree().Edges()}
+		before[id] = o.Tree().Edges()
 	}
-	topBefore := func() []graph.EdgeID { ts, _ := s.TopTree(); return ts.Tree().Edges() }()
 
 	rep, err := s.Recover(failure.LinkDown(fullA, fullB))
 	if err != nil {
@@ -217,43 +221,28 @@ func TestDomainConfinedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All other domains untouched.
-	for id, sn := range before {
-		o, _, err := s.StubTree(id)
+	for id, edges := range before {
+		o, _, err := s.DomainSession(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := o.Tree().Edges()
-		if len(after) != len(sn.edges) {
+		if !slices.Equal(o.Tree().Edges(), edges) {
 			t.Errorf("domain %d changed during foreign recovery", id)
-			continue
 		}
-		for i := range after {
-			if after[i] != sn.edges[i] {
-				t.Errorf("domain %d edge %d changed", id, i)
-			}
-		}
-	}
-	topAfter := func() []graph.EdgeID { ts, _ := s.TopTree(); return ts.Tree().Edges() }()
-	if len(topBefore) != len(topAfter) {
-		t.Error("level-0 tree changed during stub-confined recovery")
 	}
 }
 
 // TestCoreRecoveryLevel0 checks that transit-core failures are healed in the
 // level-0 domain.
 func TestCoreRecoveryLevel0(t *testing.T) {
-	ts, src := buildTS(t, 5)
-	s, err := New(ts, src, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts, src, s := newTS(t, 5)
 	for _, m := range pickMembers(ts, src, 6) {
 		if err := s.Join(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Fail a transit-core link that the level-0 tree actually uses.
-	topSess, topNM := s.TopTree()
+	topSess, topNM, _ := s.DomainSession(0)
 	edges := topSess.Tree().Edges()
 	if len(edges) == 0 {
 		t.Skip("level-0 tree has no edges in this draw")
@@ -264,7 +253,7 @@ func TestCoreRecoveryLevel0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Level != 0 || rep.DomainID != -1 {
+	if rep.Level != 0 || rep.DomainID != 0 {
 		t.Errorf("recovery level = %d domain %d, want level 0", rep.Level, rep.DomainID)
 	}
 	if err := s.Validate(); err != nil {
@@ -273,17 +262,13 @@ func TestCoreRecoveryLevel0(t *testing.T) {
 }
 
 func TestRecoverNodeFailure(t *testing.T) {
-	ts, src := buildTS(t, 6)
-	s, err := New(ts, src, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts, _, s := newTS(t, 6)
 	// A transit-node failure is attributed to the level-0 domain.
 	rep, err := s.Recover(failure.NodeDown(ts.Transit.Nodes[len(ts.Transit.Nodes)-1]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Level != 0 || rep.DomainID != -1 {
+	if rep.Level != 0 || rep.DomainID != 0 {
 		t.Errorf("recovery level = %d domain %d, want level 0", rep.Level, rep.DomainID)
 	}
 	if err := s.Validate(); err != nil {
@@ -292,13 +277,10 @@ func TestRecoverNodeFailure(t *testing.T) {
 }
 
 func TestJoinErrors(t *testing.T) {
-	ts, src := buildTS(t, 7)
-	s, err := New(ts, src, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Join(ts.Transit.Nodes[0]); err == nil {
-		t.Error("transit nodes cannot be receivers")
+	ts, _, s := newTS(t, 7)
+	// Receivers may live in any domain, the transit core included.
+	if err := s.Join(ts.Transit.Nodes[0]); err != nil {
+		t.Errorf("join of a transit node: %v", err)
 	}
 	if err := s.Join(graph.NodeID(ts.Graph.NumNodes() + 4)); err == nil {
 		t.Error("unknown node should fail")

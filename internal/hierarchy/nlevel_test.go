@@ -265,14 +265,3 @@ func TestNLevelLeave(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestNLevelRejectsNodeFailure(t *testing.T) {
-	nt, src := buildNLevel(t, 14)
-	s, err := NewNLevel(nt, src, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Recover(failure.NodeDown(0)); err == nil {
-		t.Error("node failures are not attributable")
-	}
-}

@@ -1,200 +1,174 @@
 package hierarchy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
 
+	"smrp/internal/core"
 	"smrp/internal/failure"
 	"smrp/internal/graph"
-	"smrp/internal/topology"
 )
 
-// This file extends §3.3.3's domain-confined recovery to the multi-failure
-// regime: correlated batches that straddle domains, node failures (including
-// a domain's own agent), graceful domain-wide degradation while an agent is
-// down, and repair-driven revival with automatic re-admission. The
-// single-failure Recover in hierarchy.go delegates here.
+// This file is §3.3.3's domain-confined recovery on the domain tree, for
+// single failures and for the multi-failure regime alike: correlated batches
+// that straddle domains, node failures (including a domain's own agent),
+// graceful domain-wide degradation while an agent is down, and repair-driven
+// revival with automatic re-admission.
 
-// attribution pairs a recovery domain with a failure translated into the
-// domain's local ID space.
-type attribution struct {
-	ds    *domainSession
-	local failure.Failure
+// RecoveryReport describes a domain-confined recovery.
+type RecoveryReport struct {
+	// DomainID is the index of the recovery domain that handled the failure
+	// (0 = the root domain, the transit core of a transit–stub topology).
+	DomainID int
+	// Level is the domain's depth in the hierarchy (0 = root).
+	Level int
+	// Heal is the domain-local SMRP recovery report, in the domain's local
+	// ID space.
+	Heal *core.HealReport
+	// NodesInDomain is the size of the domain that had to react — every
+	// other domain is untouched, which is the scalability argument of
+	// §3.3.3.
+	NodesInDomain int
+	// DomainDown reports that the domain session's own root is down:
+	// recovery there is suspended (Heal is nil) and everything it delivers to
+	// is degraded as a group until a Repair revives the root.
+	DomainDown bool
 }
 
-// attribute maps f onto every recovery domain it touches. Link failures
-// follow the paper's rule: a link inside one stub is that stub's problem;
-// anything touching the transit core or crossing domains is handled at
-// level 0. A node failure hits the node's own domain; a gateway failure
-// additionally hits the level-0 domain, where the node doubles as the
-// stub's agent.
-func (s *Session) attribute(f failure.Failure) ([]attribution, error) {
-	switch f.Kind {
-	case failure.LinkFailure:
-		du := s.ts.DomainOf(f.Edge.A)
-		dv := s.ts.DomainOf(f.Edge.B)
-		if du == nil || dv == nil {
-			return nil, ErrFailureOutsideDomains
-		}
-		if du.Kind == topology.StubDomain && dv.Kind == topology.StubDomain && du.ID == dv.ID {
-			ds := s.stubs[du.ID]
-			a, okA := ds.nm.ToSub(f.Edge.A)
-			b, okB := ds.nm.ToSub(f.Edge.B)
-			if !okA || !okB {
-				return nil, fmt.Errorf("hierarchy: link %v not inside stub %d: %w", f, du.ID, ErrFailureOutsideDomains)
-			}
-			return []attribution{{ds, failure.LinkDown(a, b)}}, nil
-		}
-		a, okA := s.top.nm.ToSub(f.Edge.A)
-		b, okB := s.top.nm.ToSub(f.Edge.B)
-		if !okA || !okB {
-			return nil, fmt.Errorf("hierarchy: link %v not visible at level 0: %w", f, ErrFailureOutsideDomains)
-		}
-		return []attribution{{s.top, failure.LinkDown(a, b)}}, nil
+// domainBatch is the part of a failure set one recovery domain has to react
+// to, translated into the domain's local ID space.
+type domainBatch struct {
+	dom   int
+	local []failure.Failure
+}
 
-	case failure.NodeFailure:
-		d := s.ts.DomainOf(f.Node)
-		if d == nil {
-			return nil, ErrFailureOutsideDomains
-		}
-		if d.Kind == topology.TransitDomain {
-			sub, ok := s.top.nm.ToSub(f.Node)
-			if !ok {
-				return nil, fmt.Errorf("hierarchy: transit node %d not visible at level 0: %w", f.Node, ErrFailureOutsideDomains)
-			}
-			return []attribution{{s.top, failure.NodeDown(sub)}}, nil
-		}
-		ds := s.stubs[d.ID]
-		sub, ok := ds.nm.ToSub(f.Node)
-		if !ok {
-			return nil, fmt.Errorf("hierarchy: node %d not inside stub %d: %w", f.Node, d.ID, ErrFailureOutsideDomains)
-		}
-		atts := []attribution{{ds, failure.NodeDown(sub)}}
-		if f.Node == d.Gateway {
-			if topSub, ok := s.top.nm.ToSub(f.Node); ok {
-				atts = append(atts, attribution{s.top, failure.NodeDown(topSub)})
-			}
-		}
-		return atts, nil
-
-	default:
-		return nil, fmt.Errorf("hierarchy: failure kind %v: %w", f.Kind, ErrFailureOutsideDomains)
+// attribute maps every failure onto the recovery domain(s) it touches and
+// groups the translated failures per domain, in heal order. A link belongs
+// to the deepest domain holding both ends, a gateway's uplink to the parent
+// (whose session holds the gateway as an agent). A node failure hits the
+// node's own domain and, when the node is that domain's gateway, also the
+// parent. Touched domains heal deepest level first, then ascending index, so
+// local damage is resolved before the levels above react to agent changes.
+func (s *NLevelSession) attribute(fs []failure.Failure) ([]domainBatch, error) {
+	type attribution struct {
+		dom   int
+		local failure.Failure
 	}
-}
-
-// down reports whether the domain's own root — the stub's agent, or the
-// source relay for the level-0 domain — is blocked by the domain's
-// accumulated failure mask. A down domain suspends recovery: its members are
-// degraded as a group until a repair revives the root.
-func (d *domainSession) down() bool {
-	return d.session.FailedMask().NodeBlocked(d.session.Tree().Source())
-}
-
-// domainByID resolves a recovery-domain ID (-1 = level-0 core).
-func (s *Session) domainByID(id int) *domainSession {
-	if id == -1 {
-		return s.top
-	}
-	return s.stubs[id]
-}
-
-// domainSize is the number of routers that must react when domain id heals.
-func (s *Session) domainSize(id int) int {
-	if id == -1 {
-		return len(s.ts.Transit.Nodes) + len(s.ts.Stubs)
-	}
-	return len(s.ts.Stubs[indexOfStub(s.ts, id)].Nodes)
-}
-
-// sortDomainIDs orders recovery domains deterministically: stubs ascending,
-// the level-0 core (-1) last, so stub-local damage is resolved before the
-// core reacts to agent changes.
-func sortDomainIDs(ids []int) {
-	slices.SortFunc(ids, func(a, b int) int {
-		switch {
-		case a == b:
-			return 0
-		case a == -1:
-			return 1
-		case b == -1:
-			return -1
-		case a < b:
-			return -1
-		default:
-			return 1
-		}
-	})
-}
-
-// groupByDomain attributes every failure and groups the translated failures
-// per recovery domain, returning the touched domain IDs in heal order.
-func (s *Session) groupByDomain(fs []failure.Failure) (map[int][]failure.Failure, []int, error) {
-	per := make(map[int][]failure.Failure)
+	atts := make([]attribution, 0, len(fs))
 	for _, f := range fs {
-		atts, err := s.attribute(f)
-		if err != nil {
-			return nil, nil, err
+		var doms []int
+		switch f.Kind {
+		case failure.LinkFailure:
+			du, dv := s.topo.DomainOf(f.Edge.A), s.topo.DomainOf(f.Edge.B)
+			switch {
+			case du < 0 || dv < 0:
+				// in no domain: doms stays empty
+			case du == dv || s.topo.Domains[dv].Parent == du:
+				doms = []int{du}
+			case s.topo.Domains[du].Parent == dv:
+				doms = []int{dv}
+			}
+		case failure.NodeFailure:
+			if d := s.topo.DomainOf(f.Node); d >= 0 {
+				doms = []int{d}
+				if dom := &s.topo.Domains[d]; dom.Parent != -1 && f.Node == dom.Gateway {
+					doms = append(doms, dom.Parent)
+				}
+			}
 		}
-		for _, a := range atts {
-			per[a.ds.id] = append(per[a.ds.id], a.local)
+		if len(doms) == 0 {
+			return nil, fmt.Errorf("hierarchy: %v: %w", f, ErrFailureOutsideDomains)
+		}
+		for _, d := range doms {
+			local, ok := s.sessions[d].localize(f)
+			if !ok {
+				return nil, fmt.Errorf("hierarchy: %v not inside domain %d's session: %w", f, d, ErrFailureOutsideDomains)
+			}
+			atts = append(atts, attribution{d, local})
 		}
 	}
-	ids := make([]int, 0, len(per))
-	for id := range per {
-		ids = append(ids, id)
+	slices.SortStableFunc(atts, func(a, b attribution) int {
+		if c := cmp.Compare(s.topo.Domains[b.dom].Level, s.topo.Domains[a.dom].Level); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.dom, b.dom)
+	})
+	var batches []domainBatch
+	for _, a := range atts {
+		if n := len(batches); n == 0 || batches[n-1].dom != a.dom {
+			batches = append(batches, domainBatch{dom: a.dom})
+		}
+		b := &batches[len(batches)-1]
+		b.local = append(b.local, a.local)
 	}
-	sortDomainIDs(ids)
-	return per, ids, nil
+	return batches, nil
+}
+
+// localize translates f into the domain session's ID space; ok is false when
+// the session does not hold every node f names.
+func (d *domainSession) localize(f failure.Failure) (failure.Failure, bool) {
+	if f.Kind == failure.NodeFailure {
+		n, ok := d.nm.ToSub(f.Node)
+		return failure.NodeDown(n), ok
+	}
+	a, okA := d.nm.ToSub(f.Edge.A)
+	b, okB := d.nm.ToSub(f.Edge.B)
+	return failure.LinkDown(a, b), okA && okB
+}
+
+// down reports whether the domain session's own root — the domain's agent,
+// the relaying agent of the chain child, or the true source — is blocked by
+// the domain's accumulated failure mask. A down domain suspends recovery:
+// everything it delivers to is degraded as a group until a repair revives
+// the root.
+func (d *domainSession) down() bool { return d.session.SourceFailed() }
+
+// Recover handles one failure: RecoverSet of that failure alone. When the
+// failure touches two domains (a gateway crash) the deeper domain's report is
+// returned; RecoverSet exposes both.
+func (s *NLevelSession) Recover(f failure.Failure) (*RecoveryReport, error) {
+	reports, err := s.RecoverSet([]failure.Failure{f})
+	if err != nil {
+		return nil, err
+	}
+	return reports[0], nil
 }
 
 // RecoverSet handles a correlated failure batch (an SRLG cut): each failure
 // is attributed to the recovery domain(s) it touches, and every touched
 // domain heals its own sub-tree — all other domains are untouched, which is
-// the scalability argument of §3.3.3. Domains whose agent is (or goes) down
+// the scalability argument of §3.3.3. Domains whose root is (or goes) down
 // degrade gracefully: recovery there is suspended, the failures keep
 // accumulating in the domain's mask, and the report carries DomainDown; a
-// later Repair that revives the agent reconciles the domain automatically.
-func (s *Session) RecoverSet(fs []failure.Failure) ([]*RecoveryReport, error) {
+// later Repair that revives the root reconciles the domain automatically.
+func (s *NLevelSession) RecoverSet(fs []failure.Failure) ([]*RecoveryReport, error) {
 	if len(fs) == 0 {
 		return nil, fmt.Errorf("hierarchy: recover: %w: empty failure set", failure.ErrBadSchedule)
 	}
-	per, ids, err := s.groupByDomain(fs)
+	batches, err := s.attribute(fs)
 	if err != nil {
 		return nil, err
 	}
-	var reports []*RecoveryReport
-	for _, id := range ids {
-		ds := s.domainByID(id)
-		rep := &RecoveryReport{DomainID: id, Level: 1, NodesInDomain: s.domainSize(id)}
-		if id == -1 {
-			rep.Level = 0
-		}
-		if ds.down() {
-			// Agent already down: recovery stays suspended, but the failures
-			// must still accumulate so revival reconciles against all of them.
-			ds.session.ApplyFailure(per[id]...)
+	reports := make([]*RecoveryReport, 0, len(batches))
+	for _, b := range batches {
+		ds, d := s.sessions[b.dom], &s.topo.Domains[b.dom]
+		rep := &RecoveryReport{DomainID: b.dom, Level: d.Level, NodesInDomain: len(d.Nodes) + len(d.Children)}
+		rep.Heal, err = ds.session.Recover(b.local...)
+		switch {
+		case errors.Is(err, failure.ErrSourceFailed):
+			// The domain's root just failed, or was down already. Either way
+			// core rejects the batch before it touches the tree, and in the
+			// first case before it touches the mask (so servers can't be
+			// corrupted by a rejected request) — fold it in explicitly: the
+			// domain degrades as a group (see Parked) and revival must
+			// reconcile against every accumulated failure.
+			ds.session.ApplyFailure(b.local...)
 			rep.DomainDown = true
-			reports = append(reports, rep)
-			continue
+		case err != nil:
+			return nil, fmt.Errorf("hierarchy: heal domain %d: %w", b.dom, err)
 		}
-		heal, err := ds.session.Recover(per[id]...)
-		if err != nil {
-			if errors.Is(err, failure.ErrSourceFailed) {
-				// The domain's own agent just failed. Recover rejects the
-				// batch without touching the mask (so servers can't be
-				// corrupted by a rejected request), so fold it in
-				// explicitly here: the domain degrades as a group (see
-				// Parked) and revival must reconcile against every
-				// accumulated failure.
-				ds.session.ApplyFailure(per[id]...)
-				rep.DomainDown = true
-				reports = append(reports, rep)
-				continue
-			}
-			return nil, fmt.Errorf("hierarchy: heal domain %d: %w", id, err)
-		}
-		rep.Heal = heal
 		reports = append(reports, rep)
 	}
 	return reports, nil
@@ -205,12 +179,13 @@ func (s *Session) RecoverSet(fs []failure.Failure) ([]*RecoveryReport, error) {
 type RepairSummary struct {
 	// Repaired lists the components restored.
 	Repaired []failure.Failure
-	// Revived lists recovery domains whose agent came back up (and whose
+	// Revived lists recovery domains whose root came back up (and whose
 	// sub-tree was reconciled against everything that failed while it was
-	// down), stub IDs ascending, -1 (the core) last.
+	// down), deepest level first, then ascending index.
 	Revived []int
-	// Readmitted lists receivers re-admitted somewhere in the hierarchy by
-	// this repair, ascending (full-graph IDs).
+	// Readmitted lists receivers this repair brought back from the degraded
+	// state, wherever in the hierarchy their delivery was cut, ascending
+	// (full-graph IDs).
 	Readmitted []graph.NodeID
 	// StillParked lists receivers that remain degraded afterwards.
 	StillParked []graph.NodeID
@@ -218,67 +193,50 @@ type RepairSummary struct {
 
 // Repair restores failed components across the hierarchy. Each touched
 // domain lifts the repairs from its mask and automatically re-admits the
-// members the repair reconnects; a domain whose agent comes back is
+// members the repair reconnects; a domain whose root comes back is
 // reconciled against every failure that accumulated while it was down.
-func (s *Session) Repair(fs ...failure.Failure) (*RepairSummary, error) {
-	sum := &RepairSummary{Repaired: fs}
-	per, ids, err := s.groupByDomain(fs)
+func (s *NLevelSession) Repair(fs ...failure.Failure) (*RepairSummary, error) {
+	batches, err := s.attribute(fs)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range ids {
-		ds := s.domainByID(id)
+	sum := &RepairSummary{Repaired: fs}
+	before := s.Parked()
+	for _, b := range batches {
+		ds := s.sessions[b.dom]
 		wasDown := ds.down()
-		rep, err := ds.session.Repair(per[id]...)
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy: repair domain %d: %w", id, err)
-		}
-		for _, m := range rep.Readmitted {
-			if full, ok := ds.nm.ToFull(m); ok && s.members[full] {
-				sum.Readmitted = append(sum.Readmitted, full)
-			}
+		if _, err := ds.session.Repair(b.local...); err != nil {
+			return nil, fmt.Errorf("hierarchy: repair domain %d: %w", b.dom, err)
 		}
 		if wasDown && !ds.down() {
-			// The agent is back: reconcile the domain tree against whatever
+			// The root is back: reconcile the domain tree against whatever
 			// else failed while it was suspended.
 			if _, err := ds.session.Reconcile(); err != nil {
-				return nil, fmt.Errorf("hierarchy: revive domain %d: %w", id, err)
+				return nil, fmt.Errorf("hierarchy: revive domain %d: %w", b.dom, err)
 			}
-			sum.Revived = append(sum.Revived, id)
+			sum.Revived = append(sum.Revived, b.dom)
 		}
 	}
-	slices.Sort(sum.Readmitted)
 	sum.StillParked = s.Parked()
+	for _, m := range before {
+		if _, still := slices.BinarySearch(sum.StillParked, m); !still {
+			sum.Readmitted = append(sum.Readmitted, m)
+		}
+	}
 	return sum, nil
 }
 
-// Parked lists the receivers currently degraded, ascending: members parked
-// inside their stub session, members of a down domain, and members whose
-// cross-domain delivery is cut because their agent is unreachable at
-// level 0 (or the level-0 domain itself is down).
-func (s *Session) Parked() []graph.NodeID {
-	srcDomain := s.ts.DomainOf(s.source)
-	topDown := s.top.down()
+// Parked lists the receivers currently degraded, ascending: those whose
+// delivery route crosses a down domain, or on whose route a domain session
+// has parked the next hop (the receiver itself in its own domain, or the
+// gateway that carries it in a domain above).
+func (s *NLevelSession) Parked() []graph.NodeID {
 	out := make([]graph.NodeID, 0)
 	for m := range s.members {
-		d := s.ts.DomainOf(m)
-		ds := s.stubs[d.ID]
-		switch {
-		case ds.down():
-			out = append(out, m)
-		case parkedIn(ds, m):
-			out = append(out, m)
-		case d.ID != srcDomain.ID && (topDown || parkedIn(s.top, ds.agent)):
+		if _, err := s.EndToEndDelay(m); errors.Is(err, core.ErrPartitioned) {
 			out = append(out, m)
 		}
 	}
 	slices.Sort(out)
 	return out
-}
-
-// parkedIn reports whether full-graph node n is parked inside domain d's
-// sub-session.
-func parkedIn(d *domainSession, n graph.NodeID) bool {
-	sub, ok := d.nm.ToSub(n)
-	return ok && d.session.IsParked(sub)
 }

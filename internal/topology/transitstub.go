@@ -307,3 +307,28 @@ func (ts *TransitStub) DomainOf(n graph.NodeID) *Domain {
 	}
 	return nil
 }
+
+// NLevel views ts as the two-level NLevelTopology it is: domain 0 is the
+// transit core and domain i is Stubs[i-1], which is how Domain.ID is already
+// numbered. The graph and the node slices are shared with ts, not copied.
+func (ts *TransitStub) NLevel() *NLevelTopology {
+	t := &NLevelTopology{Graph: ts.Graph, domainOf: make([]int32, ts.Graph.NumNodes())}
+	for n := range t.domainOf {
+		t.domainOf[n] = -1
+	}
+	t.Domains = append(t.Domains, NLevelDomain{
+		Nodes: ts.Transit.Nodes, Gateway: ts.Transit.Gateway, Attach: graph.Invalid, Parent: -1,
+	})
+	for i, d := range ts.Stubs {
+		t.Domains[0].Children = append(t.Domains[0].Children, i+1)
+		t.Domains = append(t.Domains, NLevelDomain{
+			ID: i + 1, Level: 1, Nodes: d.Nodes, Gateway: d.Gateway, Attach: d.Attach, Parent: 0,
+		})
+	}
+	for i, d := range t.Domains {
+		for _, n := range d.Nodes {
+			t.domainOf[n] = int32(i)
+		}
+	}
+	return t
+}
