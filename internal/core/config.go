@@ -224,7 +224,8 @@ type Stats struct {
 	EnumSettled int
 
 	// HealSettled tallies nodes settled by the failure-recovery sweeps
-	// (nearest-survivor searches during Recover/Reconcile/RecoverMember). It is
+	// (nearest-survivor scans during Recover/Reconcile/RecoverMember; a scan
+	// re-taken to a larger radius counts every node it settles again). It is
 	// the per-recovery-event analogue of EnumSettled: the CI-stable measure
 	// of how much of the network a recovery touches, which the megascale
 	// study compares between the flat and hierarchical architectures.

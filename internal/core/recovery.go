@@ -67,7 +67,7 @@ func (s *Session) FlushDead(mask *graph.Mask) ([]graph.NodeID, error) {
 	if len(surviving) == 0 {
 		return nil, failure.ErrSourceFailed
 	}
-	disconnected := failure.DisconnectedMembers(s.tree, mask)
+	disconnected := failure.DisconnectedAmong(s.tree, mask, surviving)
 	var deadRoots []graph.NodeID
 	for _, n := range s.tree.Nodes() {
 		if surviving[n] || n == s.tree.Source() {
@@ -163,9 +163,27 @@ func (s *Session) Reconcile() (*HealReport, error) {
 	return s.dispatchRecover(nil)
 }
 
-// reconcile is the shared heal engine: flush dead state under the
-// accumulated mask, then reconnect nearest-first.
-func (s *Session) reconcile(fs []failure.Failure) (*HealReport, error) {
+// heal is the state one recovery pass carries from its prologue (beginHeal)
+// through its reconnect loop to its epilogue (endHeal). The built-in engine
+// (reconcile) and the baselines' skeleton (RecoverScaffold) differ only in
+// the loop between the two.
+type heal struct {
+	rep  *HealReport
+	mask *graph.Mask
+	// todo lists the members to reconnect, ascending: the newly disconnected
+	// that did not fail themselves, and the previously parked that are up —
+	// a recovery graft may bring an on-tree node back within their reach
+	// (automatic re-admission). wasParked marks the latter.
+	todo      []graph.NodeID
+	wasParked map[graph.NodeID]bool
+	// dirty collects the top-level branch of every regraft for one batched
+	// SHR repair.
+	dirty []graph.NodeID
+}
+
+// beginHeal flushes the tree state dead under the accumulated mask, opens the
+// report and works out who has to reconnect.
+func (s *Session) beginHeal(fs []failure.Failure) (*heal, error) {
 	mask := s.maskOrNil()
 	// Members that failed themselves are flushed with their branches and
 	// parked below: they are gone until repaired, then re-admitted like any
@@ -188,95 +206,210 @@ func (s *Session) reconcile(fs []failure.Failure) (*HealReport, error) {
 		disconnected = append(disconnected, selfFailed...)
 		slices.Sort(disconnected)
 	}
-	rep := &HealReport{
-		Failures:         fs,
-		Disconnected:     disconnected,
-		RecoveryDistance: make(map[graph.NodeID]float64),
-		Detours:          make(map[graph.NodeID]graph.Path),
+	h := &heal{
+		rep: &HealReport{
+			Failures:         fs,
+			Disconnected:     disconnected,
+			RecoveryDistance: make(map[graph.NodeID]float64),
+			Detours:          make(map[graph.NodeID]graph.Path),
+		},
+		mask:      mask,
+		wasParked: make(map[graph.NodeID]bool, len(s.parked)),
 	}
 	if len(fs) > 0 {
-		rep.Failure = fs[0]
+		h.rep.Failure = fs[0]
 	}
-
-	// Reconnect nearest-first, letting the live tree grow. Previously
-	// parked members compete too: a recovery graft may bring an on-tree
-	// node back within their reach (automatic re-admission).
-	remaining := make(map[graph.NodeID]bool, len(rep.Disconnected)+len(s.parked))
-	wasParked := make(map[graph.NodeID]bool, len(s.parked))
-	for _, m := range rep.Disconnected {
+	for m := range s.parked {
+		if !mask.NodeBlocked(m) && !s.tree.IsMember(m) {
+			h.todo = append(h.todo, m)
+			h.wasParked[m] = true
+		}
+	}
+	for _, m := range disconnected {
 		if mask.NodeBlocked(m) {
 			// The member itself failed: it cannot reconnect while down, so it
 			// parks immediately and re-joins when repaired.
 			s.park(m)
-			rep.Unrecovered = append(rep.Unrecovered, m)
+			h.rep.Unrecovered = append(h.rep.Unrecovered, m)
 			continue
 		}
-		remaining[m] = true
+		h.todo = append(h.todo, m)
 	}
-	for m := range s.parked {
-		if !mask.NodeBlocked(m) && !s.tree.IsMember(m) {
-			remaining[m] = true
-			wasParked[m] = true
-		}
+	slices.Sort(h.todo)
+	return h, nil
+}
+
+// regraft reconnects member m along detour (m→…→survivor, rd its weight);
+// graft is the same path in the survivor→…→m orientation Tree.Graft takes.
+func (s *Session) regraft(h *heal, m graph.NodeID, detour, graft graph.Path, rd float64) error {
+	if err := s.tree.Graft(graft, true); err != nil {
+		return fmt.Errorf("heal: regraft %d: %w", m, err)
 	}
-	accept := func(n graph.NodeID) bool {
-		return s.tree.OnTree(n) && !mask.NodeBlocked(n)
+	if h.wasParked[m] {
+		delete(s.parked, m)
+		s.stats.Readmissions++
+		h.rep.Readmitted = append(h.rep.Readmitted, m)
 	}
-	var dirty []graph.NodeID
-	for len(remaining) > 0 {
-		bestD := math.Inf(1)
-		var bestM graph.NodeID = graph.Invalid
-		var bestPath graph.Path
-		for m := range remaining {
-			p, d := graph.Path(nil), math.Inf(1)
-			var settled int
-			_, p, d, settled = s.g.NearestOfCounted(m, mask, accept)
-			s.stats.HealSettled += settled
-			if p != nil && (d < bestD || (d == bestD && m < bestM)) {
-				bestD, bestM, bestPath = d, m, p
-			}
-		}
-		if bestM == graph.Invalid {
-			// Everyone left is genuinely partitioned: park the newly
-			// disconnected; the already-parked stay parked.
-			for m := range remaining {
-				if wasParked[m] {
-					continue
-				}
-				s.park(m)
-				rep.Unrecovered = append(rep.Unrecovered, m)
-			}
-			break
-		}
-		delete(remaining, bestM)
-		// bestPath runs member→…→survivor; graft wants survivor→…→member.
-		if err := s.tree.Graft(bestPath.Reverse(), true); err != nil {
-			return nil, fmt.Errorf("heal: regraft %d: %w", bestM, err)
-		}
-		if wasParked[bestM] {
-			delete(s.parked, bestM)
-			s.stats.Readmissions++
-			rep.Readmitted = append(rep.Readmitted, bestM)
-		}
-		dirty = append(dirty, s.tree.TopAncestor(bestM))
-		rep.RecoveryDistance[bestM] = bestD
-		rep.Detours[bestM] = bestPath
+	h.dirty = append(h.dirty, s.tree.TopAncestor(m))
+	h.rep.RecoveryDistance[m] = rd
+	h.rep.Detours[m] = detour
+	return nil
+}
+
+// unrecovered parks a member the reconnect loop found no residual path for;
+// one that was parked already stays so without being reported again.
+func (s *Session) unrecovered(h *heal, m graph.NodeID) {
+	if h.wasParked[m] {
+		return
 	}
+	s.park(m)
+	h.rep.Unrecovered = append(h.rep.Unrecovered, m)
+}
+
+// endHeal closes a recovery pass: stale relays go, SHR is repaired once for
+// every regrafted branch, Condition-I baselines are re-taken.
+func (s *Session) endHeal(h *heal) *HealReport {
+	rep := h.rep
 	slices.Sort(rep.Unrecovered)
 	slices.Sort(rep.Readmitted)
-
 	// Stale relays are childless non-members (N_R = 0), so pruning them
 	// never changes a survivor's SHR — only the regrafted branches are
 	// dirty. One batched repair covers every regraft.
 	rep.Pruned = s.tree.PruneStale()
-	s.shr.refresh(s.tree, dirty...)
+	s.shr.refresh(s.tree, h.dirty...)
 	for _, m := range s.tree.Members() {
 		if _, ok := s.lastUpSHR[m]; !ok {
 			s.recordUpSHR(m)
 		}
 	}
 	s.notifyStrategy()
-	return rep, nil
+	return rep
+}
+
+// reconnecting is one member's state inside reconcile's loop.
+type reconnecting struct {
+	m graph.NodeID
+	// scan is the member's nearest-survivor sweep as far as it has been
+	// taken; every node within radius of m is in it (-1 before the first
+	// sweep).
+	scan   graph.NearestScan
+	radius float64
+	// cur is the earliest position of scan that is on-tree now — the
+	// member's reattachment point if it reconnects next — or -1 while no
+	// node of scan is.
+	cur int
+	// done: grafted, or proven unreachable.
+	done bool
+}
+
+// scanRef is one entry of reconcile's node → (member, position) index: a
+// singly linked list per node, threaded through one slice. next, like the
+// list heads, is 1 + the index of the following entry, 0 at the end.
+type scanRef struct {
+	member, pos, next int32
+}
+
+// reconcile is the built-in heal engine: flush dead state under the
+// accumulated mask, then reconnect nearest-first, letting the live tree grow.
+//
+// Each round grafts the member nearest to the tree, ties to the smaller ID.
+// What makes that affordable is that a member's sweep — settle order,
+// distances, parents — depends on the graph, the mask and the member alone;
+// the tree decides only where it stops, and through one reconcile the mask
+// stands still and the tree only grows. So every member keeps the record of
+// its sweep, its answer in any later round is the earliest recorded node that
+// is on-tree by then, and a graft updates the answers it changes through an
+// index from node to the records that hold it. A sweep is taken only as far
+// as the round's best distance (a member farther out can neither win nor tie)
+// and re-taken, to at least twice its radius, when a later round's best lies
+// beyond it. DESIGN.md §11.6 has the exactness arguments;
+// TestReconcileMatchesRoundwiseReference holds the loop to the round-wise
+// re-sweep it replaced.
+func (s *Session) reconcile(fs []failure.Failure) (*HealReport, error) {
+	h, err := s.beginHeal(fs)
+	if err != nil {
+		return nil, err
+	}
+	mask := h.mask
+	accept := func(n graph.NodeID) bool {
+		return s.tree.OnTree(n) && !mask.NodeBlocked(n)
+	}
+	todo := make([]reconnecting, len(h.todo))
+	for i, m := range h.todo {
+		todo[i] = reconnecting{m: m, radius: -1, cur: -1}
+	}
+	// A lone member is one unbounded sweep and one graft; nobody else's
+	// answer can change, so nothing is indexed.
+	var head map[graph.NodeID]int32
+	var refs []scanRef
+	if len(todo) > 1 {
+		head = make(map[graph.NodeID]int32)
+	}
+	var graft graph.Path
+	for {
+		// todo ascends, so strict comparison leaves ties with the smaller ID.
+		best, bestD := -1, math.Inf(1)
+		for i := range todo {
+			if t := &todo[i]; !t.done && t.cur >= 0 && t.scan[t.cur].Dist < bestD {
+				best, bestD = i, t.scan[t.cur].Dist
+			}
+		}
+		for i := range todo {
+			t := &todo[i]
+			if t.done || t.cur >= 0 || t.radius >= bestD {
+				continue
+			}
+			budget := max(bestD, 2*t.radius)
+			known := len(t.scan)
+			if known > 0 {
+				s.healRescans++
+			}
+			var hit, exhausted bool
+			t.scan, hit, exhausted = s.g.ScanNearest(t.scan, t.m, mask, accept, budget)
+			s.stats.HealSettled += len(t.scan)
+			if head != nil {
+				for pos := known; pos < len(t.scan); pos++ {
+					n := t.scan[pos].Node
+					refs = append(refs, scanRef{member: int32(i), pos: int32(pos), next: head[n]})
+					head[n] = int32(len(refs))
+				}
+			}
+			switch {
+			case hit:
+				t.cur = len(t.scan) - 1
+				if d := t.scan[t.cur].Dist; d < bestD || (d == bestD && i < best) {
+					best, bestD = i, d
+				}
+			case exhausted:
+				// Its whole component holds no on-tree node, and no graft
+				// can enter it: genuinely partitioned.
+				t.done = true
+				s.unrecovered(h, t.m)
+			default:
+				t.radius = budget
+			}
+		}
+		if best < 0 {
+			// Nobody was resolved, so every sweep above ran unbounded and
+			// everybody left has been parked.
+			break
+		}
+		t := &todo[best]
+		t.done = true
+		graft = t.scan.AppendPathFrom(graft[:0], t.cur)
+		if err := s.regraft(h, t.m, graft.Reverse(), graft, bestD); err != nil {
+			return nil, err
+		}
+		for _, n := range graft {
+			for i := head[n]; i > 0; i = refs[i-1].next {
+				r := refs[i-1]
+				if o := &todo[r.member]; o.cur < 0 || int(r.pos) < o.cur {
+					o.cur = int(r.pos)
+				}
+			}
+		}
+	}
+	return s.endHeal(h), nil
 }
 
 // RecoverMember attempts a local-detour re-admission of a single off-tree

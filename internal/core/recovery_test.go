@@ -283,3 +283,28 @@ func TestRecoverEmptySet(t *testing.T) {
 		t.Errorf("Recover() error = %v, want ErrBadSchedule", err)
 	}
 }
+
+// TestRecoverSettledPerMember gates the restoration's work where the clock
+// cannot be trusted: on the paper's regime (N=100, 30 members, worst-case
+// cuts) the recovery scans of one event settle at most N nodes per
+// disconnected member — each member's sweep, re-extensions included, stays
+// within one pass over the graph. The round-wise loop this replaced read
+// ≈275 per member: a branch of k members swept k(k+1)/2 times.
+func TestRecoverSettledPerMember(t *testing.T) {
+	s := branchCutSession(t)
+	n := s.g.NumNodes()
+	var settled, cut int
+	for _, m := range s.tree.Members() {
+		rep, got := branchCut(t, s, m)
+		if len(rep.Disconnected) == 0 || len(rep.Unrecovered) > 0 {
+			t.Fatalf("cut above %d: disconnected %v, unrecovered %v", m, rep.Disconnected, rep.Unrecovered)
+		}
+		if got > n*len(rep.Disconnected) {
+			t.Errorf("cut above %d: %d nodes settled reconnecting %d members, want ≤ %d each",
+				m, got, len(rep.Disconnected), n)
+		}
+		settled += got
+		cut += len(rep.Disconnected)
+	}
+	t.Logf("%d settled ÷ %d disconnected = %.1f per member", settled, cut, float64(settled)/float64(cut))
+}

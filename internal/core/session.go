@@ -69,6 +69,9 @@ type Session struct {
 	parked map[graph.NodeID]bool
 
 	stats Stats
+	// healRescans counts the recovery sweeps reconcile re-took to a larger
+	// radius. Nothing reads it but the tests, which must show that path ran.
+	healRescans int
 }
 
 // NewSession creates an SMRP session on g rooted at source.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"smrp/internal/failure"
 	"smrp/internal/graph"
@@ -127,98 +126,31 @@ type ReconnectFunc func(m graph.NodeID, mask *graph.Mask) (p graph.Path, ok bool
 // baselines, stale-relay pruning, park/readmit accounting) matches the
 // built-in reconcile engine exactly.
 func (s *Session) RecoverScaffold(fs []failure.Failure, reconnect ReconnectFunc) (*HealReport, error) {
-	mask := s.maskOrNil()
-	var selfFailed []graph.NodeID
-	if mask != nil {
-		for _, m := range s.tree.Members() {
-			if mask.NodeBlocked(m) {
-				selfFailed = append(selfFailed, m)
-			}
-		}
-	}
-	disconnected, err := s.FlushDead(mask)
+	h, err := s.beginHeal(fs)
 	if err != nil {
 		return nil, err
 	}
-	if len(selfFailed) > 0 {
-		disconnected = append(disconnected, selfFailed...)
-		slices.Sort(disconnected)
-	}
-	rep := &HealReport{
-		Failures:         fs,
-		Disconnected:     disconnected,
-		RecoveryDistance: make(map[graph.NodeID]float64),
-		Detours:          make(map[graph.NodeID]graph.Path),
-	}
-	if len(fs) > 0 {
-		rep.Failure = fs[0]
-	}
-
-	remaining := make(map[graph.NodeID]bool, len(rep.Disconnected)+len(s.parked))
-	wasParked := make(map[graph.NodeID]bool, len(s.parked))
-	for _, m := range rep.Disconnected {
-		if mask.NodeBlocked(m) {
-			s.park(m)
-			rep.Unrecovered = append(rep.Unrecovered, m)
-			continue
-		}
-		remaining[m] = true
-	}
-	for m := range s.parked {
-		if !mask.NodeBlocked(m) && !s.tree.IsMember(m) {
-			remaining[m] = true
-			wasParked[m] = true
-		}
-	}
-
-	var dirty, order []graph.NodeID
-	for progress := true; progress && len(remaining) > 0; {
+	left := h.todo
+	for progress := true; progress && len(left) > 0; {
 		progress = false
-		order = order[:0]
-		for m := range remaining {
-			order = append(order, m)
-		}
-		slices.Sort(order)
-		for _, m := range order {
-			p, rd, ok := s.tryReconnect(m, mask, reconnect)
+		kept := left[:0]
+		for _, m := range left {
+			p, rd, ok := s.tryReconnect(m, h.mask, reconnect)
 			if !ok {
+				kept = append(kept, m)
 				continue
 			}
-			// p runs member→…→survivor; graft wants survivor→…→member.
-			if err := s.tree.Graft(p.Reverse(), true); err != nil {
-				return nil, fmt.Errorf("recover: regraft %d: %w", m, err)
+			if err := s.regraft(h, m, p, p.Reverse(), rd); err != nil {
+				return nil, err
 			}
-			if wasParked[m] {
-				delete(s.parked, m)
-				s.stats.Readmissions++
-				rep.Readmitted = append(rep.Readmitted, m)
-			}
-			dirty = append(dirty, s.tree.TopAncestor(m))
-			rep.RecoveryDistance[m] = rd
-			rep.Detours[m] = p
-			delete(remaining, m)
 			progress = true
 		}
+		left = kept
 	}
-	for m := range remaining {
-		if wasParked[m] {
-			continue // already parked; stays parked
-		}
-		s.park(m)
-		rep.Unrecovered = append(rep.Unrecovered, m)
+	for _, m := range left {
+		s.unrecovered(h, m)
 	}
-	slices.Sort(rep.Unrecovered)
-	slices.Sort(rep.Readmitted)
-
-	rep.Pruned = s.tree.PruneStale()
-	s.shr.refresh(s.tree, dirty...)
-	for _, m := range s.tree.Members() {
-		if _, ok := s.lastUpSHR[m]; !ok {
-			s.recordUpSHR(m)
-		}
-	}
-	s.notifyStrategy()
-	return rep, nil
+	return s.endHeal(h), nil
 }
 
 // tryReconnect resolves one member inside RecoverScaffold: an already

@@ -154,7 +154,12 @@ func SurvivingNodes(t *multicast.Tree, mask *graph.Mask) map[graph.NodeID]bool {
 // failure, in ascending order. Members that failed themselves (node
 // failures) are excluded — they are gone, not disconnected.
 func DisconnectedMembers(t *multicast.Tree, mask *graph.Mask) []graph.NodeID {
-	surviving := SurvivingNodes(t, mask)
+	return DisconnectedAmong(t, mask, SurvivingNodes(t, mask))
+}
+
+// DisconnectedAmong is DisconnectedMembers for a caller that already holds
+// SurvivingNodes(t, mask).
+func DisconnectedAmong(t *multicast.Tree, mask *graph.Mask, surviving map[graph.NodeID]bool) []graph.NodeID {
 	var out []graph.NodeID
 	for _, m := range t.Members() {
 		if !surviving[m] && !mask.NodeBlocked(m) {

@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Unreachable is the distance reported for nodes that cannot be reached.
 var Unreachable = math.Inf(1)
@@ -106,6 +109,76 @@ func (g *Graph) ShortestPath(src, dst NodeID, mask *Mask) (Path, float64) {
 	return s.PathTo(dst), s.dist[dst]
 }
 
+// ScanNode is one settled node of a NearestScan.
+type ScanNode struct {
+	Node NodeID
+	// Parent is the position in the scan of Node's shortest-path
+	// predecessor, -1 at the source.
+	Parent int32
+	// Dist is the shortest distance from the source to Node.
+	Dist float64
+}
+
+// NearestScan is the record of a nearest-of sweep: the nodes it settled, in
+// settle order, the source first. Order, distances and parents depend only
+// on (graph, mask, source) — what the sweep accepts and the budget it runs
+// under decide where the record ends, never what it holds — so the scan of a
+// smaller budget or an earlier-accepting set is a prefix of the scan of a
+// larger or later one (FuzzNearestScanPrefix), and "the nearest accepted node
+// under a grown accept set" is the earliest accepted position of the record
+// already taken.
+type NearestScan []ScanNode
+
+// AppendPathFrom appends the path r[pos]→…→source to buf and returns it,
+// growing buf at most once.
+func (r NearestScan) AppendPathFrom(buf Path, pos int) Path {
+	n := 0
+	for i := int32(pos); i >= 0; i = r[i].Parent {
+		n++
+	}
+	buf = slices.Grow(buf, n)
+	for i := int32(pos); i >= 0; i = r[i].Parent {
+		buf = append(buf, r[i].Node)
+	}
+	return buf
+}
+
+// ScanNearest sweeps outward from src over the graph minus the mask until
+// the first settled node accept holds for (src included) and returns the
+// sweep's record, written over rec's storage. Relaxations to a distance
+// beyond budget are skipped (Unreachable: none are), so the record holds
+// every node within budget that settles before the accepted one.
+//
+// hit reports that the record's last node is the accepted one. Otherwise
+// exhausted tells the two ways of running dry apart: true when the sweep
+// settled src's whole component — no accepted node is reachable at any
+// budget — false when the budget kept it from a node it would have gone on
+// to.
+func (g *Graph) ScanNearest(rec NearestScan, src NodeID, mask *Mask, accept func(NodeID) bool, budget float64) (scan NearestScan, hit, exhausted bool) {
+	s := g.NewSweep()
+	defer s.Release()
+	hit = s.run(src, mask, Invalid, nil, accept, nil, budget) != Invalid
+	return append(rec[:0], s.scan...), hit, !hit && !(budget < Unreachable && s.budgetCut(mask))
+}
+
+// budgetCut reports whether the last nearest-of run, having run dry, left a
+// node of the source's component unsettled, which only its budget can have
+// done (a node once queued settles before the queue empties): some settled
+// node then has a live arc to an unsettled one. The frontier settled last,
+// so the record is read backwards.
+func (s *Sweep) budgetCut(mask *Mask) bool {
+	cs := s.g.csrNow()
+	for k := len(s.scan) - 1; k >= 0; k-- {
+		u := s.scan[k].Node
+		for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
+			if v := cs.to[i]; s.settled[v] != s.epoch && !mask.NodeBlocked(v) && !mask.EdgeBlocked(u, v) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // NearestOf runs Dijkstra from src and returns the closest node for which
 // accept returns true, along with the path to it and its distance. src itself
 // is considered if accept(src) holds. It returns (Invalid, nil, Unreachable)
@@ -117,10 +190,12 @@ func (g *Graph) ShortestPath(src, dst NodeID, mask *Mask) (Path, float64) {
 // steady-state call allocation-free apart from the returned path.
 //
 // NearestOf deliberately bypasses the SPF cache even when one is attached:
-// the nearest survivor is almost always a few hops out, so the early-exit
-// sweep settles a handful of nodes, far less than the full (src, mask) tree
-// a cache entry would require — memoizing here would cost more settled work
-// than it saves (the sources are disconnected members, rarely re-queried).
+// the sweep stops at the nearest survivor — a few hops out for a member that
+// lost only its own uplink, the whole dead branch and its surroundings for a
+// member deep inside one — which is less than the full (src, mask) tree a
+// cache entry would require, and the sources are disconnected members,
+// rarely re-queried. A caller that asks again while its accept set only
+// grows should keep the record instead (ScanNearest).
 func (g *Graph) NearestOf(src NodeID, mask *Mask, accept func(NodeID) bool) (NodeID, Path, float64) {
 	n, p, d, _ := g.NearestOfCounted(src, mask, accept)
 	return n, p, d

@@ -113,6 +113,11 @@ type Sweep struct {
 	// nearest-of sweeps and raw Sweep users (candidate enumeration, test
 	// oracles) deliberately do not contribute (see metrics.SPFStats).
 	settledCount int
+	// scan is the record of the last nearest-of run (accept != nil): every
+	// settled node in settle order, pos[v] being v's position in it — what
+	// turns a parent node into a parent position.
+	scan NearestScan
+	pos  []int32
 }
 
 // NewSweep acquires a pooled sweep bound to g. Release it when done.
@@ -150,6 +155,7 @@ func (s *Sweep) begin() {
 	}
 	s.heap.Reset()
 	s.settledCount = 0
+	s.scan = s.scan[:0]
 }
 
 // Run executes a full deterministic Dijkstra sweep from src over the graph
@@ -198,7 +204,7 @@ func (s *Sweep) SettledCount() int { return s.settledCount }
 //     never re-relaxed).
 //   - absorbing != nil: absorbing nodes settle but do not relax outward.
 //   - accept != nil: stop at the first settled node for which accept holds
-//     (including src) and return it.
+//     (including src) and return it; the run is recorded in s.scan.
 //   - budget < Unreachable: skip relaxations that leave the budget's region
 //     (see RunPruned); lower may be nil.
 //
@@ -226,6 +232,9 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 		mbits, mnodes = mask.bits, mask.nodes
 	}
 	prune := budget < Unreachable
+	if accept != nil && len(s.pos) < s.n {
+		s.pos = make([]int32, s.n)
+	}
 
 	s.seen[src] = s.epoch
 	s.dist[src] = 0
@@ -243,8 +252,17 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 		}
 		s.settled[u] = s.epoch
 		s.settledCount++
-		if accept != nil && accept(u) {
-			return u
+		if accept != nil {
+			// u's parent settled before u, so its pos is of this run.
+			par := int32(-1)
+			if p := s.parent[u]; p != Invalid {
+				par = s.pos[p]
+			}
+			s.pos[u] = int32(len(s.scan))
+			s.scan = append(s.scan, ScanNode{Node: u, Parent: par, Dist: s.dist[u]})
+			if accept(u) {
+				return u
+			}
 		}
 		if u == target {
 			return u

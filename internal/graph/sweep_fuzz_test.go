@@ -1,6 +1,62 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// sweepInput is what the sweep fuzz targets decode their bytes into: a small
+// graph with weights in 1…8, a node/edge mask that spares src, a node set
+// (absorbing for one target, accepted for the other), an integer budget, and
+// the root and kind of FuzzSweepPruned's lower bound. Integer weights and
+// budget make every sum exact, so a region's edge is not blurred by rounding.
+type sweepInput struct {
+	g         *Graph
+	mask      *Mask
+	src, root NodeID
+	lowerKind int // 0: none, 1: unmasked distances, 2: masked distances
+	budget    float64
+	set       func(NodeID) bool
+}
+
+func decodeSweepInput(data []byte) sweepInput {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 2 + next()%30
+	in := sweepInput{src: NodeID(next() % n), root: NodeID(next() % n), lowerKind: next() % 3, budget: float64(next() % 64)}
+	maskBits := next() | next()<<8
+	setBits := next() | next()<<8
+	nodeBlocks, edgeBlocks := next()%4, next()%4
+
+	in.g = New(n)
+	var edges []EdgeID
+	for len(data) >= 3 {
+		u, v, w := NodeID(next()%n), NodeID(next()%n), float64(1+next()%8)
+		if u != v && in.g.AddEdge(u, v, w) == nil {
+			edges = append(edges, MakeEdgeID(u, v))
+		}
+	}
+	if nodeBlocks+edgeBlocks > 0 {
+		in.mask = NewMask()
+		for i := 0; i < nodeBlocks; i++ {
+			if v := NodeID((maskBits >> (4 * i)) % n); v != in.src {
+				in.mask.BlockNode(v)
+			}
+		}
+		for i := 0; i < edgeBlocks && len(edges) > 0; i++ {
+			e := edges[(maskBits>>(3*i))%len(edges)]
+			in.mask.BlockEdge(e.A, e.B)
+		}
+	}
+	in.set = func(v NodeID) bool { return setBits>>(uint(v)%16)&1 != 0 }
+	return in
+}
 
 // FuzzSweepPruned holds RunPruned to its contract against the exhaustive Run
 // on byte-decoded inputs: a small graph, a node/edge mask, an absorbing set, a
@@ -18,51 +74,14 @@ func FuzzSweepPruned(f *testing.F) {
 	f.Add([]byte{20, 3, 19, 1, 30, 2, 0x55, 0xAA, 1, 5, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 5, 1, 5, 6, 1, 6, 7, 1, 7, 8, 1, 8, 9, 1, 9, 10, 1,
 		10, 11, 1, 11, 12, 1, 12, 13, 1, 13, 14, 1, 14, 15, 1, 15, 16, 1, 16, 17, 1, 17, 18, 1, 18, 19, 1, 19, 0, 1, 0, 10, 4, 5, 15, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		n := 2 + next()%30
-		src := NodeID(next() % n)
-		root := NodeID(next() % n)
-		lowerKind := next() % 3 // 0: none, 1: unmasked distances, 2: masked distances
-		budget := float64(next() % 64)
-		maskBits := next() | next()<<8
-		absorbBits := next() | next()<<8
-		nodeBlocks, edgeBlocks := next()%4, next()%4
-
-		g := New(n)
-		var edges []EdgeID
-		for len(data) >= 3 {
-			u, v, w := NodeID(next()%n), NodeID(next()%n), float64(1+next()%8)
-			if u != v && g.AddEdge(u, v, w) == nil {
-				edges = append(edges, MakeEdgeID(u, v))
-			}
-		}
-		var mask *Mask
-		if nodeBlocks+edgeBlocks > 0 {
-			mask = NewMask()
-			for i := 0; i < nodeBlocks; i++ {
-				if v := NodeID((maskBits >> (4 * i)) % n); v != src {
-					mask.BlockNode(v)
-				}
-			}
-			for i := 0; i < edgeBlocks && len(edges) > 0; i++ {
-				e := edges[(maskBits>>(3*i))%len(edges)]
-				mask.BlockEdge(e.A, e.B)
-			}
-		}
-		absorbing := func(v NodeID) bool { return absorbBits>>(uint(v)%16)&1 != 0 }
+		in := decodeSweepInput(data)
+		g, mask, src, budget, absorbing := in.g, in.mask, in.src, in.budget, in.set
 		var lower []float64
-		switch lowerKind {
+		switch in.lowerKind {
 		case 1:
-			lower = g.dijkstra(root, nil).Dist
+			lower = g.dijkstra(in.root, nil).Dist
 		case 2:
-			lower = g.dijkstra(root, mask).Dist
+			lower = g.dijkstra(in.root, mask).Dist
 		}
 
 		full, pruned := g.NewSweep(), g.NewSweep()
@@ -74,7 +93,7 @@ func FuzzSweepPruned(f *testing.F) {
 		if pruned.SettledCount() > full.SettledCount() {
 			t.Fatalf("pruned run settled %d nodes, exhaustive %d", pruned.SettledCount(), full.SettledCount())
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < g.NumNodes(); i++ {
 			v := NodeID(i)
 			if pruned.Reached(v) {
 				if !full.Reached(v) || pruned.Dist(v) != full.Dist(v) || pruned.Parent(v) != full.Parent(v) {
@@ -93,6 +112,86 @@ func FuzzSweepPruned(f *testing.F) {
 			if full.Reached(v) && reach <= budget {
 				t.Fatalf("node %d: dist %v + lower = %v within budget %v, not reached", v, full.Dist(v), reach, budget)
 			}
+		}
+	})
+}
+
+// FuzzNearestScanPrefix holds ScanNearest to what reconcile's reconnect loop
+// relies on, for a byte-decoded (graph, mask, source, accepted set, budget):
+//
+//   - the unbounded record reads as the plain sweep does — distances, parents
+//     and paths — and NearestOfCounted returns its last node;
+//   - the budgeted record is a prefix of it, node for node, and lacks no node
+//     within the budget that settles before the accepted one;
+//   - the budgeted scan hits exactly when the unbounded hit lies within the
+//     budget, and reports exhaustion exactly when the unbounded scan found
+//     nothing and the budget hid none of the component.
+func FuzzNearestScanPrefix(f *testing.F) {
+	f.Add([]byte{})
+	// A ring of 20 with two chords; 0x0100 accepts node 8 alone, at distance
+	// 9, budget 3.
+	f.Add([]byte{18, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 5, 1, 5, 6, 1, 6, 7, 1, 7, 8, 1, 8, 9, 1, 9, 10, 1,
+		10, 11, 1, 11, 12, 1, 12, 13, 1, 13, 14, 1, 14, 15, 1, 15, 16, 1, 16, 17, 1, 17, 18, 1, 18, 19, 1, 19, 0, 1, 0, 10, 4, 5, 15, 4})
+	// Nothing accepted, a node and an edge masked: exhaustion with and
+	// without the budget in the way.
+	f.Add([]byte{7, 2, 0, 0, 9, 0x35, 0x01, 0, 0, 1, 1, 0, 1, 2, 1, 2, 3, 2, 3, 8, 3, 4, 1, 4, 5, 1, 5, 6, 7, 6, 7, 1, 7, 8, 2, 8, 0, 1, 2, 6, 8})
+	// A far edge relaxed over budget first and reached cheaply later: the
+	// budget refuses a relaxation yet hides nothing.
+	f.Add([]byte{2, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 3, 7, 0, 1, 0, 1, 2, 0, 2, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := decodeSweepInput(data)
+		g, mask, src, accept := in.g, in.mask, in.src, in.set
+
+		full, hitF, exhaustedF := g.ScanNearest(nil, src, mask, accept, Unreachable)
+		if exhaustedF == hitF {
+			t.Fatalf("unbounded scan: hit=%v exhausted=%v, want exactly one", hitF, exhaustedF)
+		}
+		tree := g.dijkstra(src, mask)
+		for i, sn := range full {
+			par := Invalid
+			if sn.Parent >= 0 {
+				par = full[sn.Parent].Node
+			}
+			if sn.Dist != tree.Dist[sn.Node] || par != tree.Parent[sn.Node] {
+				t.Fatalf("position %d: node %d (dist, parent) = (%v, %d), Dijkstra (%v, %d)",
+					i, sn.Node, sn.Dist, par, tree.Dist[sn.Node], tree.Parent[sn.Node])
+			}
+			if i > 0 && !(heapItem{full[i-1].Node, full[i-1].Dist}).Before(heapItem{sn.Node, sn.Dist}) {
+				t.Fatalf("position %d: (%v, %d) settled after (%v, %d)", i, sn.Dist, sn.Node, full[i-1].Dist, full[i-1].Node)
+			}
+			if accept(sn.Node) != (hitF && i == len(full)-1) {
+				t.Fatalf("position %d of %d: node %d accepted=%v, hit=%v", i, len(full), sn.Node, accept(sn.Node), hitF)
+			}
+			if p, q := full.AppendPathFrom(nil, i), tree.PathTo(sn.Node).Reverse(); !slices.Equal(p, q) {
+				t.Fatalf("position %d: path %v, Dijkstra %v", i, p, q)
+			}
+		}
+		node, p, d, settled := g.NearestOfCounted(src, mask, accept)
+		if settled != len(full) || (node != Invalid) != hitF {
+			t.Fatalf("NearestOfCounted: node %d after %d settled; scan hit=%v after %d", node, settled, hitF, len(full))
+		}
+		if last := len(full) - 1; hitF && (node != full[last].Node || d != full[last].Dist || !slices.Equal(p.Reverse(), full.AppendPathFrom(nil, last))) {
+			t.Fatalf("NearestOfCounted = (%d, %v, %v), scan ends at %+v by %v", node, p, d, full[last], full.AppendPathFrom(nil, last))
+		}
+
+		// The record is written over the storage handed in, whatever it held.
+		scan, hit, exhausted := g.ScanNearest(append(NearestScan(nil), full...), src, mask, accept, in.budget)
+		if len(scan) > len(full) {
+			t.Fatalf("budget %v: %d nodes recorded, unbounded %d", in.budget, len(scan), len(full))
+		}
+		for i := range scan {
+			if scan[i] != full[i] {
+				t.Fatalf("budget %v, position %d: %+v, unbounded %+v", in.budget, i, scan[i], full[i])
+			}
+		}
+		if len(scan) < len(full) && full[len(scan)].Dist <= in.budget {
+			t.Fatalf("budget %v: record stops at %d, before %+v", in.budget, len(scan), full[len(scan)])
+		}
+		if want := hitF && full[len(full)-1].Dist <= in.budget; hit != want {
+			t.Fatalf("budget %v: hit=%v, unbounded hit=%v at %+v", in.budget, hit, hitF, full[len(full)-1])
+		}
+		if want := !hitF && len(scan) == len(full); exhausted != want {
+			t.Fatalf("budget %v: exhausted=%v with %d of %d nodes recorded, unbounded hit=%v", in.budget, exhausted, len(scan), len(full), hitF)
 		}
 	})
 }

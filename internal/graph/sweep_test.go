@@ -106,7 +106,8 @@ func TestShortestPathEarlyExitMatchesFullTree(t *testing.T) {
 // TestSweepSteadyStateAllocs is the allocation-regression guard from the PR 2
 // issue: once warm, a full sweep plus path extraction performs zero heap
 // allocations, and so does a delay-bound-pruned sweep plus scoring a node off
-// it. GC is disabled so a collection cannot clear the sweep pool or shrink
+// it, and a recorded nearest-of scan into storage that has held one. GC is
+// disabled so a collection cannot clear the sweep pool or shrink
 // the pooled arrays mid-measurement.
 func TestSweepSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -143,6 +144,23 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state pruned sweep allocated %.1f times per run, want 0", allocs)
+	}
+
+	// ScanNearest's body on the sweep held here: going through the pool would
+	// measure the pool, which drops sweeps at random under the race detector.
+	accept := func(n NodeID) bool { return n == 199 }
+	s.run(0, nil, Invalid, nil, accept, nil, Unreachable)
+	scan := append(NearestScan(nil), s.scan...)
+	allocs = testing.AllocsPerRun(50, func() {
+		hit := s.run(0, nil, Invalid, nil, accept, nil, budget) != Invalid
+		scan = append(scan[:0], s.scan...)
+		if hit || !s.budgetCut(nil) {
+			buf = scan.AppendPathFrom(buf[:0], len(scan)-1)
+		}
+		sink += scan[len(scan)-1].Dist
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state recorded scan allocated %.1f times per run, want 0", allocs)
 	}
 	_ = sink
 }
