@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"smrp/internal/failure"
@@ -132,4 +134,107 @@ func BenchmarkRecoverBranchCut(b *testing.B) {
 	}
 	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 	b.ReportMetric(float64(cut)/float64(b.N), "members/op")
+}
+
+// leafCutSession is the large-plane regime of the benchmark's mega_admit
+// workload in one session: FlatMegascale(8192), sparse tree storage, a few
+// members whose tree nevertheless spans hundreds of relays.
+func leafCutSession(tb testing.TB, members int) *Session {
+	tb.Helper()
+	g, _, err := topology.FlatMegascale(8192, 2005)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.TreeStorage = StorageSparse
+	s, err := NewSession(g, 0, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, m := range topology.NewRNG(uint64(members)).Sample(g.NumNodes(), members+1) {
+		if m != 0 && s.tree.NumMembers() < members {
+			if _, err := s.Join(graph.NodeID(m)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return s
+}
+
+// leafCut cuts member m's own uplink, recovers and repairs.
+func leafCut(tb testing.TB, s *Session, m graph.NodeID) *HealReport {
+	tb.Helper()
+	p, _ := s.tree.Parent(m)
+	f := failure.LinkDown(m, p)
+	rep, err := s.Recover(f)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := s.Repair(f); err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
+
+// BenchmarkRecoverLeafCut measures the smallest restoration there is — one
+// member's own uplink cut — on trees large enough for any work that follows
+// the tree instead of the cut to show: flush steps (Stats.FlushVisited) and
+// allocations are reported beside the clock, with the tree size they must not
+// depend on.
+func BenchmarkRecoverLeafCut(b *testing.B) {
+	for _, members := range []int{4, 24} {
+		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
+			s := leafCutSession(b, members)
+			ms := s.tree.Members()
+			visited := s.stats.FlushVisited
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				leafCut(b, s, ms[i%len(ms)])
+			}
+			b.ReportMetric(float64(s.stats.FlushVisited-visited)/float64(b.N), "visited/op")
+			b.ReportMetric(float64(s.tree.NumNodes()), "tree-nodes")
+		})
+	}
+}
+
+// TestLeafCutRestoreAllocs pins a warm single-member restoration to a handful
+// of allocations whatever the size of the tree: the report and its maps, the
+// scan record, the graft. Anything sized to the tree (a surviving-node set, a
+// member list, a node list) would show as the tree grows fourfold. Skipped
+// with -short, which is how the race detector runs over this package: under it
+// the sweep pool drops sweeps at random and the count is the pool's. GC is off
+// so a collection cannot empty that pool mid-measurement.
+func TestLeafCutRestoreAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts belong to the sweep pool under -race -short")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, members := range []int{4, 24} {
+		s := leafCutSession(t, members)
+		// A member with nobody below it: its uplink takes down itself alone.
+		m := graph.Invalid
+		for _, c := range s.tree.Members() {
+			if len(s.tree.ChildList(c)) == 0 {
+				m = c
+				break
+			}
+		}
+		if m == graph.Invalid {
+			t.Fatalf("%d members: no leaf member", members)
+		}
+		for i := 0; i < 4; i++ { // let the scratch buffers and the mask grow
+			leafCut(t, s, m)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if rep := leafCut(t, s, m); len(rep.Disconnected) != 1 {
+				t.Fatalf("cut disconnected %v, want [%d]", rep.Disconnected, m)
+			}
+		})
+		t.Logf("%d members, %d tree nodes: %.0f allocs per restore", members, s.tree.NumNodes(), allocs)
+		if allocs > 24 {
+			t.Errorf("%d members (%d tree nodes): %.0f allocs per single-member restore, want ≤ 24",
+				members, s.tree.NumNodes(), allocs)
+		}
+	}
 }

@@ -230,4 +230,11 @@ type Stats struct {
 	// of how much of the network a recovery touches, which the megascale
 	// study compares between the flat and hierarchical architectures.
 	HealSettled int
+
+	// FlushVisited tallies the steps recovery spends finding and removing
+	// dead tree state: failed components examined, tree hops walked from a
+	// cut towards the source, nodes detached, and nodes looked at while
+	// pruning stale relays. It is proportional to the accumulated failures
+	// and the damage, never to the surviving tree.
+	FlushVisited int
 }

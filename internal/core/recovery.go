@@ -63,43 +63,51 @@ type RepairReport struct {
 // not expired and they remain local-detour targets. The protocol layer calls
 // this at failure-detection time and re-grafts members individually.
 func (s *Session) FlushDead(mask *graph.Mask) ([]graph.NodeID, error) {
-	surviving := failure.SurvivingNodes(s.tree, mask)
-	if len(surviving) == 0 {
-		return nil, failure.ErrSourceFailed
+	flushed, err := s.flush(mask)
+	if err != nil {
+		return nil, err
 	}
-	disconnected := failure.DisconnectedAmong(s.tree, mask, surviving)
-	var deadRoots []graph.NodeID
-	for _, n := range s.tree.Nodes() {
-		if surviving[n] || n == s.tree.Source() {
-			continue
+	// Members that failed themselves are gone, not disconnected.
+	return slices.DeleteFunc(flushed, mask.NodeBlocked), nil
+}
+
+// flush is FlushDead that returns every member flushed, ascending, those the
+// mask blocks included. Its cost follows the cut, not the tree: the dead
+// subtrees are found from the mask (failure.DeadRoots), the members come back
+// from the detach that removes them, and the detach points are kept for
+// endHeal to prune from (Stats.FlushVisited counts the steps).
+func (s *Session) flush(mask *graph.Mask) ([]graph.NodeID, error) {
+	var flushed []graph.NodeID
+	dirty := s.dirty[:0]
+	onTree := s.tree.NumNodes()
+	cand, visited, err := failure.DeadRoots(s.tree, mask, s.cand, func(root, top graph.NodeID) (err error) {
+		// Each detached subtree dirties the top-level branch it hung from:
+		// ancestors between the source and the detachment point lose N_R, so
+		// every surviving node in that branch needs its SHR repaired. When
+		// the dead root is itself a source child the whole branch disappears
+		// and no surviving SHR changes (refresh skips the then-off-tree top).
+		dirty = append(dirty, top)
+		p, _ := s.tree.Parent(root)
+		s.stale = append(s.stale, p)
+		if flushed, err = s.tree.DetachSubtree(root, flushed); err != nil {
+			return fmt.Errorf("flush dead: %w", err)
 		}
-		p, ok := s.tree.Parent(n)
-		if ok && (p == graph.Invalid || surviving[p]) {
-			deadRoots = append(deadRoots, n)
-		}
+		return nil
+	})
+	s.cand = cand
+	if err != nil {
+		return nil, err
 	}
-	// Each detached subtree dirties the top-level branch it hung from:
-	// ancestors between the source and the detachment point lose N_R, so
-	// every surviving node in that branch needs its SHR repaired. The dirty
-	// top is captured *before* the detach (afterwards the root may be
-	// off-tree); when the dead root is itself a source child the whole
-	// branch disappears and no surviving SHR changes (refresh skips the
-	// then-off-tree top).
-	var dirty []graph.NodeID
-	for _, r := range deadRoots {
-		if !s.tree.OnTree(r) {
-			continue
+	s.stats.FlushVisited += visited + onTree - s.tree.NumNodes()
+	slices.Sort(flushed)
+	for _, m := range flushed {
+		if !mask.NodeBlocked(m) {
+			delete(s.lastUpSHR, m)
 		}
-		dirty = append(dirty, s.tree.TopAncestor(r))
-		if err := s.tree.DetachSubtree(r); err != nil {
-			return nil, fmt.Errorf("flush dead: %w", err)
-		}
-	}
-	for _, m := range disconnected {
-		delete(s.lastUpSHR, m)
 	}
 	s.shr.refresh(s.tree, dirty...)
-	return disconnected, nil
+	s.dirty = dirty
+	return flushed, nil
 }
 
 // RecoverGraft grafts a local-detour path (reattachment point → … → member)
@@ -173,48 +181,35 @@ type heal struct {
 	// todo lists the members to reconnect, ascending: the newly disconnected
 	// that did not fail themselves, and the previously parked that are up —
 	// a recovery graft may bring an on-tree node back within their reach
-	// (automatic re-admission). wasParked marks the latter.
+	// (automatic re-admission). wasParked marks the latter; it stays nil
+	// while nobody is parked.
 	todo      []graph.NodeID
 	wasParked map[graph.NodeID]bool
-	// dirty collects the top-level branch of every regraft for one batched
-	// SHR repair.
-	dirty []graph.NodeID
+	// regrafted lists the members reconnected so far.
+	regrafted []graph.NodeID
 }
 
 // beginHeal flushes the tree state dead under the accumulated mask, opens the
 // report and works out who has to reconnect.
 func (s *Session) beginHeal(fs []failure.Failure) (*heal, error) {
 	mask := s.maskOrNil()
-	// Members that failed themselves are flushed with their branches and
-	// parked below: they are gone until repaired, then re-admitted like any
-	// other parked member. (DisconnectedMembers excludes them by design —
-	// they are not *disconnected* — but the degraded-member state machine
-	// must still account for them.)
-	var selfFailed []graph.NodeID
-	if mask != nil {
-		for _, m := range s.tree.Members() {
-			if mask.NodeBlocked(m) {
-				selfFailed = append(selfFailed, m)
-			}
-		}
-	}
-	disconnected, err := s.FlushDead(mask)
+	// The flush hands back every member it removed. Members that failed
+	// themselves are among them: flushed with their branches and parked
+	// below, they are gone until repaired, then re-admitted like any other
+	// parked member. (They are not *disconnected* in FlushDead's sense, but
+	// the degraded-member state machine must still account for them.)
+	flushed, err := s.flush(mask)
 	if err != nil {
 		return nil, err
-	}
-	if len(selfFailed) > 0 {
-		disconnected = append(disconnected, selfFailed...)
-		slices.Sort(disconnected)
 	}
 	h := &heal{
 		rep: &HealReport{
 			Failures:         fs,
-			Disconnected:     disconnected,
+			Disconnected:     flushed,
 			RecoveryDistance: make(map[graph.NodeID]float64),
 			Detours:          make(map[graph.NodeID]graph.Path),
 		},
-		mask:      mask,
-		wasParked: make(map[graph.NodeID]bool, len(s.parked)),
+		mask: mask,
 	}
 	if len(fs) > 0 {
 		h.rep.Failure = fs[0]
@@ -222,10 +217,13 @@ func (s *Session) beginHeal(fs []failure.Failure) (*heal, error) {
 	for m := range s.parked {
 		if !mask.NodeBlocked(m) && !s.tree.IsMember(m) {
 			h.todo = append(h.todo, m)
+			if h.wasParked == nil {
+				h.wasParked = make(map[graph.NodeID]bool)
+			}
 			h.wasParked[m] = true
 		}
 	}
-	for _, m := range disconnected {
+	for _, m := range flushed {
 		if mask.NodeBlocked(m) {
 			// The member itself failed: it cannot reconnect while down, so it
 			// parks immediately and re-joins when repaired.
@@ -250,7 +248,7 @@ func (s *Session) regraft(h *heal, m graph.NodeID, detour, graft graph.Path, rd 
 		s.stats.Readmissions++
 		h.rep.Readmitted = append(h.rep.Readmitted, m)
 	}
-	h.dirty = append(h.dirty, s.tree.TopAncestor(m))
+	h.regrafted = append(h.regrafted, m)
 	h.rep.RecoveryDistance[m] = rd
 	h.rep.Detours[m] = detour
 	return nil
@@ -267,20 +265,30 @@ func (s *Session) unrecovered(h *heal, m graph.NodeID) {
 }
 
 // endHeal closes a recovery pass: stale relays go, SHR is repaired once for
-// every regrafted branch, Condition-I baselines are re-taken.
+// every regrafted branch, Condition-I baselines are taken for the regrafted.
 func (s *Session) endHeal(h *heal) *HealReport {
 	rep := h.rep
 	slices.Sort(rep.Unrecovered)
 	slices.Sort(rep.Readmitted)
-	// Stale relays are childless non-members (N_R = 0), so pruning them
-	// never changes a survivor's SHR — only the regrafted branches are
-	// dirty. One batched repair covers every regraft.
-	rep.Pruned = s.tree.PruneStale()
-	s.shr.refresh(s.tree, h.dirty...)
-	for _, m := range s.tree.Members() {
-		if _, ok := s.lastUpSHR[m]; !ok {
-			s.recordUpSHR(m)
-		}
+	// A relay goes stale only where a flush took its last child away, and
+	// every heal ends here: pruning upward from the detach points recorded
+	// since the last one removes what a sweep of the tree would. Stale relays
+	// are childless non-members (N_R = 0), so pruning them never changes a
+	// survivor's SHR — only the regrafted branches are dirty. One batched
+	// repair covers every regraft.
+	rep.Pruned = s.tree.PruneFrom(s.stale)
+	s.stats.FlushVisited += len(s.stale) + len(rep.Pruned)
+	s.stale = s.stale[:0]
+	dirty := s.dirty[:0]
+	for _, m := range h.regrafted {
+		dirty = append(dirty, s.tree.TopAncestor(m))
+	}
+	s.shr.refresh(s.tree, dirty...)
+	s.dirty = dirty
+	// The regrafted are the members without a baseline: the flush (or the
+	// park before it) dropped theirs, everybody else kept it.
+	for _, m := range h.regrafted {
+		s.recordUpSHR(m)
 	}
 	s.notifyStrategy()
 	return rep
@@ -330,6 +338,14 @@ func (s *Session) reconcile(fs []failure.Failure) (*HealReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := s.reconnect(h); err != nil {
+		return nil, err
+	}
+	return s.endHeal(h), nil
+}
+
+// reconnect is reconcile's loop: it regrafts or parks everybody in h.todo.
+func (s *Session) reconnect(h *heal) error {
 	mask := h.mask
 	accept := func(n graph.NodeID) bool {
 		return s.tree.OnTree(n) && !mask.NodeBlocked(n)
@@ -398,7 +414,7 @@ func (s *Session) reconcile(fs []failure.Failure) (*HealReport, error) {
 		t.done = true
 		graft = t.scan.AppendPathFrom(graft[:0], t.cur)
 		if err := s.regraft(h, t.m, graft.Reverse(), graft, bestD); err != nil {
-			return nil, err
+			return err
 		}
 		for _, n := range graft {
 			for i := head[n]; i > 0; i = refs[i-1].next {
@@ -409,7 +425,7 @@ func (s *Session) reconcile(fs []failure.Failure) (*HealReport, error) {
 			}
 		}
 	}
-	return s.endHeal(h), nil
+	return nil
 }
 
 // RecoverMember attempts a local-detour re-admission of a single off-tree

@@ -67,6 +67,12 @@ type Session struct {
 	// re-admitted automatically by Repair or by a later Recover whose grafts
 	// bring an on-tree node back within reach.
 	parked map[graph.NodeID]bool
+	// Buffers recovery reuses from one event to the next: FlushDead's
+	// candidate dead roots, the top-level branches one batched SHR repair
+	// covers, and the parent of every subtree detached since endHeal last
+	// pruned (a flush from the protocol layer leaves its points here for the
+	// next heal).
+	cand, dirty, stale []graph.NodeID
 
 	stats Stats
 	// healRescans counts the recovery sweeps reconcile re-took to a larger

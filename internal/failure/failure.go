@@ -127,7 +127,8 @@ func WorstCaseFor(t *multicast.Tree, m graph.NodeID) (Failure, error) {
 
 // SurvivingNodes returns the set of on-tree nodes still connected to the
 // source over tree edges after applying the failure mask. The source is
-// surviving unless it failed itself, in which case the set is empty.
+// surviving unless it failed itself, in which case the set is empty. It walks
+// the whole surviving tree; recovery itself goes by DeadRoots.
 func SurvivingNodes(t *multicast.Tree, mask *graph.Mask) map[graph.NodeID]bool {
 	out := make(map[graph.NodeID]bool, t.NumNodes())
 	src := t.Source()
@@ -139,7 +140,7 @@ func SurvivingNodes(t *multicast.Tree, mask *graph.Mask) map[graph.NodeID]bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, k := range t.Children(n) {
+		for _, k := range t.ChildList(n) {
 			if mask.NodeBlocked(k) || mask.EdgeBlocked(n, k) {
 				continue
 			}
@@ -150,21 +151,98 @@ func SurvivingNodes(t *multicast.Tree, mask *graph.Mask) map[graph.NodeID]bool {
 	return out
 }
 
+// DeadRoots finds the maximal subtrees of t that mask cuts off from the
+// source, working from the mask instead of the tree. Wherever a subtree is
+// dead, the hop into its root is broken, and a broken hop is named by the
+// mask: its lower end is an on-tree node the mask blocks, or the child end of
+// a tree edge the mask blocks. Those are the candidates, taken in ascending
+// order; from each one that is still on the tree a walk to the source finds
+// the broken hop nearest the source — its lower end is the root of the dead
+// subtree the candidate lies in — and the source's child the walk passes
+// through, the root's top-level branch. visit is called with both.
+//
+// visit may detach root's subtree (and change nothing else): the candidates
+// that went with it are then skipped, so each dead subtree costs one walk. A
+// visit that leaves the tree alone sees a root again for every candidate
+// below it. An error from visit ends the search and is returned.
+//
+// cand is scratch for the candidate list, returned for reuse. visited counts
+// the mask elements examined plus the tree hops walked. ErrSourceFailed is
+// returned when the mask blocks the source.
+func DeadRoots(t *multicast.Tree, mask *graph.Mask, cand []graph.NodeID, visit func(root, top graph.NodeID) error) (scratch []graph.NodeID, visited int, err error) {
+	src := t.Source()
+	if mask.NodeBlocked(src) {
+		return cand, 0, ErrSourceFailed
+	}
+	cand = cand[:0]
+	mask.Each(func(e graph.MaskElem) {
+		visited++
+		// An off-tree node has no parent, so neither test below passes for
+		// an edge the tree does not use.
+		switch a, b := e.Edge.A, e.Edge.B; {
+		case !e.IsEdge:
+			if t.OnTree(e.Node) {
+				cand = append(cand, e.Node)
+			}
+		case parentIs(t, a, b):
+			cand = append(cand, a)
+		case parentIs(t, b, a):
+			cand = append(cand, b)
+		}
+	})
+	slices.Sort(cand)
+	for _, c := range cand {
+		root, top := graph.Invalid, graph.Invalid
+		for n := c; n != src; {
+			p, ok := t.Parent(n)
+			if !ok {
+				break
+			}
+			if mask.EdgeBlocked(n, p) {
+				root = n
+			}
+			top, n = n, p
+			visited++
+		}
+		if root == graph.Invalid {
+			continue // off the tree: c went with a subtree visit detached
+		}
+		if err := visit(root, top); err != nil {
+			return cand, visited, err
+		}
+	}
+	return cand, visited, nil
+}
+
+// parentIs reports whether n is on the tree directly below p.
+func parentIs(t *multicast.Tree, n, p graph.NodeID) bool {
+	up, ok := t.Parent(n)
+	return ok && up == p
+}
+
 // DisconnectedMembers returns the members cut off from the source by the
 // failure, in ascending order. Members that failed themselves (node
 // failures) are excluded — they are gone, not disconnected.
 func DisconnectedMembers(t *multicast.Tree, mask *graph.Mask) []graph.NodeID {
-	return DisconnectedAmong(t, mask, SurvivingNodes(t, mask))
-}
-
-// DisconnectedAmong is DisconnectedMembers for a caller that already holds
-// SurvivingNodes(t, mask).
-func DisconnectedAmong(t *multicast.Tree, mask *graph.Mask, surviving map[graph.NodeID]bool) []graph.NodeID {
-	var out []graph.NodeID
-	for _, m := range t.Members() {
-		if !surviving[m] && !mask.NodeBlocked(m) {
-			out = append(out, m)
+	var out, stack []graph.NodeID
+	_, _, err := DeadRoots(t, mask, nil, func(root, _ graph.NodeID) error {
+		stack = append(stack, root)
+		return nil
+	})
+	if err != nil {
+		stack = append(stack, t.Source()) // nothing survives a failed source
+	}
+	// Nested candidates report their root once each; the subtrees below
+	// distinct roots are disjoint, so sorted roots compact to the set.
+	slices.Sort(stack)
+	stack = slices.Compact(stack)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if t.IsMember(n) && !mask.NodeBlocked(n) {
+			out = append(out, n)
 		}
+		stack = append(stack, t.ChildList(n)...)
 	}
 	slices.Sort(out)
 	return out

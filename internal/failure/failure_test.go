@@ -127,6 +127,61 @@ func TestDisconnectedMembers(t *testing.T) {
 	}
 }
 
+// TestDeadRoots walks the primitive through its cases on Figure 1's tree
+// S(0)→A(1)→{C(3), D(4)}: a cut that misses the tree, one dead subtree, a
+// candidate nested under another (reported under the same root while the tree
+// is left alone, skipped once the root's subtree is detached), and a failed
+// source.
+func TestDeadRoots(t *testing.T) {
+	type pair struct{ root, top graph.NodeID }
+	roots := func(tr *multicast.Tree, mask *graph.Mask, detach bool) ([]pair, int) {
+		t.Helper()
+		var got []pair
+		_, visited, err := DeadRoots(tr, mask, nil, func(root, top graph.NodeID) (err error) {
+			got = append(got, pair{root, top})
+			if detach {
+				_, err = tr.DetachSubtree(root, nil)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, visited
+	}
+
+	tr := fig1SPFTree(t)
+	if got, visited := roots(tr, LinkDown(0, 2).Mask(), false); len(got) != 0 || visited != 1 {
+		t.Errorf("off-tree cut: roots %v, visited %d; want none, 1", got, visited)
+	}
+	// L_AD: D is the dead root, two hops below the source, in A's branch.
+	if got, visited := roots(tr, LinkDown(1, 4).Mask(), false); len(got) != 1 || got[0] != (pair{4, 1}) || visited != 1+2 {
+		t.Errorf("L_AD: roots %v, visited %d; want [{4 1}], 3", got, visited)
+	}
+	// L_SA and node D: D lies under A, both candidates resolve to A.
+	nested := LinkDown(0, 1).Mask().BlockNode(4)
+	if got, _ := roots(tr, nested, false); len(got) != 2 || got[0] != (pair{1, 1}) || got[1] != (pair{1, 1}) {
+		t.Errorf("nested cut, tree left alone: roots %v, want [{1 1} {1 1}]", got)
+	}
+	// Detaching A takes D along: one visit, one walk (1 hop) for two elements.
+	if got, visited := roots(tr, nested, true); len(got) != 1 || got[0] != (pair{1, 1}) || visited != 2+1 {
+		t.Errorf("nested cut, detaching: roots %v, visited %d; want [{1 1}], 3", got, visited)
+	}
+	if tr.NumNodes() != 1 {
+		t.Errorf("after the flush %d nodes stand, want the source alone", tr.NumNodes())
+	}
+	if _, _, err := DeadRoots(tr, NodeDown(0).Mask(), nil, func(_, _ graph.NodeID) error {
+		t.Error("visit called although the source failed")
+		return nil
+	}); !errors.Is(err, ErrSourceFailed) {
+		t.Errorf("source failure: err = %v", err)
+	}
+	// With the source down every member that is up counts as disconnected.
+	if got := DisconnectedMembers(fig1SPFTree(t), NodeDown(0).Mask().BlockNode(3)); len(got) != 1 || got[0] != 4 {
+		t.Errorf("disconnected after source failure = %v, want [4]", got)
+	}
+}
+
 // TestFigure1Detours checks the paper's motivating numbers: after L_AD,
 // D's local detour is D→C (RD 2) while the SPF global detour is D→B→S
 // (RD 4, all links new).

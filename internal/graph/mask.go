@@ -250,6 +250,22 @@ func (m *Mask) eachBlockedNode(fn func(NodeID)) {
 	}
 }
 
+// Each invokes fn for every blocked element, nodes first and then the edges
+// blocked directly (an edge dead only through a blocked endpoint is not
+// listed on its own). The order within each kind is unspecified, as for
+// eachBlockedNode. A nil mask has no elements.
+func (m *Mask) Each(fn func(MaskElem)) {
+	if m == nil {
+		return
+	}
+	if m.nnodes > 0 { // a bitset mask without node blocks has words but nothing in them
+		m.eachBlockedNode(func(n NodeID) { fn(MaskElem{Node: n}) })
+	}
+	for e := range m.edges {
+		fn(MaskElem{Edge: e, IsEdge: true})
+	}
+}
+
 // Clone returns a deep copy of the mask, preserving its node representation.
 // Cloning a nil mask yields an empty map-backed mask. Cloning a bitset mask
 // is a single word-array copy — the per-event cost of the SPF cache's

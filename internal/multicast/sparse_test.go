@@ -43,6 +43,9 @@ func TestSparseDenseEquivalence(t *testing.T) {
 			t.Fatal("backend selection broken")
 		}
 
+		// hints holds the parent of every subtree detached since the trees were
+		// last pruned: what PruneFrom needs to stand in for PruneStale.
+		var hints []graph.NodeID
 		for op := 0; op < 300; op++ {
 			r := rng.Float64()
 			switch {
@@ -77,15 +80,26 @@ func TestSparseDenseEquivalence(t *testing.T) {
 					mustBoth(t, trial, op, "remove-subtree",
 						dense.RemoveSubtree(v), sparse.RemoveSubtree(v))
 				} else {
-					mustBoth(t, trial, op, "detach-subtree",
-						dense.DetachSubtree(v), sparse.DetachSubtree(v))
+					p, _ := dense.Parent(v)
+					hints = append(hints, p)
+					df, errDense := dense.DetachSubtree(v, nil)
+					sf, errSparse := sparse.DetachSubtree(v, nil)
+					mustBoth(t, trial, op, "detach-subtree", errDense, errSparse)
+					slices.Sort(df)
+					slices.Sort(sf)
+					if !slices.Equal(df, sf) {
+						t.Fatalf("trial %d op %d: flushed members %v != %v", trial, op, df, sf)
+					}
 				}
 			case r < 0.92:
-				dr := dense.PruneStale()
-				sr := sparse.PruneStale()
-				if !slices.Equal(dr, sr) {
-					t.Fatalf("trial %d op %d: PruneStale %v != %v", trial, op, dr, sr)
+				want := staleByFixpoint(dense)
+				swept, sweptSparse := dense.Clone().PruneStale(), sparse.Clone().PruneStale()
+				dr := dense.PruneFrom(hints)
+				sr := sparse.PruneFrom(hints)
+				if !slices.Equal(dr, want) || !slices.Equal(sr, want) || !slices.Equal(swept, want) || !slices.Equal(sweptSparse, want) {
+					t.Fatalf("trial %d op %d: PruneFrom %v and %v, PruneStale %v and %v, want %v", trial, op, dr, sr, swept, sweptSparse, want)
 				}
+				hints = hints[:0]
 			default:
 				// Clone both and continue the run on the clones: clone
 				// lineage must preserve equivalence (reshaping works on
@@ -94,6 +108,30 @@ func TestSparseDenseEquivalence(t *testing.T) {
 			}
 			compareTrees(t, trial, op, dense, sparse)
 		}
+	}
+}
+
+// staleByFixpoint is what stale pruning must remove, by its definition: on a
+// copy of t, drop every childless non-member relay, again and again until
+// none is left.
+func staleByFixpoint(t *Tree) []graph.NodeID {
+	c := t.Clone()
+	var removed []graph.NodeID
+	for {
+		var victims []graph.NodeID
+		for _, n := range c.Nodes() {
+			if n != c.Source() && len(c.ChildList(n)) == 0 && !c.IsMember(n) {
+				victims = append(victims, n)
+			}
+		}
+		if len(victims) == 0 {
+			slices.Sort(removed)
+			return removed
+		}
+		for _, n := range victims {
+			c.detach(n)
+		}
+		removed = append(removed, victims...)
 	}
 }
 

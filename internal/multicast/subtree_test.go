@@ -2,6 +2,7 @@ package multicast
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"smrp/internal/graph"
@@ -61,8 +62,12 @@ func TestRemoveSubtreeErrors(t *testing.T) {
 
 func TestDetachSubtreeKeepsRelays(t *testing.T) {
 	tr := chainTree(t)
-	if err := tr.DetachSubtree(2); err != nil {
+	flushed, err := tr.DetachSubtree(2, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if slices.Sort(flushed); !slices.Equal(flushed, []graph.NodeID{2, 3}) {
+		t.Errorf("flushed members %v, want [2 3]", flushed)
 	}
 	if tr.OnTree(2) || tr.OnTree(3) {
 		t.Error("detached nodes should be gone")
@@ -73,10 +78,12 @@ func TestDetachSubtreeKeepsRelays(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// PruneStale then reclaims the leftover relay.
-	removed := tr.PruneStale()
-	if len(removed) != 1 || removed[0] != 1 {
-		t.Errorf("PruneStale removed %v, want [1]", removed)
+	// Pruning from the detach point then reclaims the leftover relay, as a
+	// sweep of the whole tree does.
+	swept := tr.Clone().PruneStale()
+	removed := tr.PruneFrom([]graph.NodeID{1})
+	if len(removed) != 1 || removed[0] != 1 || !slices.Equal(removed, swept) {
+		t.Errorf("PruneFrom removed %v, PruneStale %v, want [1]", removed, swept)
 	}
 	if tr.NumNodes() != 1 {
 		t.Errorf("nodes = %v", tr.Nodes())
@@ -85,10 +92,10 @@ func TestDetachSubtreeKeepsRelays(t *testing.T) {
 
 func TestDetachSubtreeErrors(t *testing.T) {
 	tr := chainTree(t)
-	if err := tr.DetachSubtree(0); err == nil {
+	if _, err := tr.DetachSubtree(0, nil); err == nil {
 		t.Error("detaching the source must fail")
 	}
-	if err := tr.DetachSubtree(4); !errors.Is(err, ErrNotOnTree) {
+	if _, err := tr.DetachSubtree(4, nil); !errors.Is(err, ErrNotOnTree) {
 		t.Errorf("off-tree err = %v", err)
 	}
 }
@@ -112,11 +119,16 @@ func TestPruneStaleChain(t *testing.T) {
 	tr := chainTree(t)
 	// Manually orphan the chain: unmark members without pruning by
 	// detaching the deepest member only.
-	if err := tr.DetachSubtree(3); err != nil {
+	if _, err := tr.DetachSubtree(3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.DetachSubtree(2); err != nil {
+	if _, err := tr.DetachSubtree(2, nil); err != nil {
 		t.Fatal(err)
+	}
+	// The first detach point (2) is off the tree by now: a hint that is gone
+	// is skipped, the live one (1) prunes the chain.
+	if swept, hinted := tr.Clone().PruneStale(), tr.Clone().PruneFrom([]graph.NodeID{2, 1}); !slices.Equal(swept, hinted) {
+		t.Errorf("PruneFrom removed %v, PruneStale %v", hinted, swept)
 	}
 	removed := tr.PruneStale()
 	if len(removed) != 1 || removed[0] != 1 {

@@ -70,11 +70,12 @@ type Tree struct {
 	nr []int32
 
 	// Sparse backend: slotOf maps a touched node to its slot, nodeOf is the
-	// inverse. nil slotOf selects dense storage. scratch is a reusable
-	// buffer for ascending-NodeID iteration (slot order is touch order, so
-	// ordered walks collect and sort into it).
-	slotOf  map[graph.NodeID]int32
-	nodeOf  []graph.NodeID
+	// inverse. nil slotOf selects dense storage.
+	slotOf map[graph.NodeID]int32
+	nodeOf []graph.NodeID
+	// scratch is a reusable buffer: the stack of subtree removal, and under
+	// sparse storage the ascending-NodeID iteration order (slot order is
+	// touch order, so ordered walks collect and sort into it).
 	scratch []graph.NodeID
 
 	nNodes   int
@@ -528,15 +529,16 @@ func (t *Tree) Leave(m graph.NodeID) error {
 	t.members.clear(graph.NodeID(i))
 	t.nMembers--
 	t.bumpNR(m, -1)
-	t.pruneUpward(m)
+	t.pruneUpward(m, nil)
 	t.epoch++
 	return nil
 }
 
 // pruneUpward removes n and its ancestors while they are leaf relays
-// (no children, not a member, not the source). Pruned nodes carry N_R = 0,
-// so removal never perturbs ancestor counts.
-func (t *Tree) pruneUpward(n graph.NodeID) {
+// (no children, not a member, not the source), appending them to *removed
+// when the caller wants them. Pruned nodes carry N_R = 0, so removal never
+// perturbs ancestor counts.
+func (t *Tree) pruneUpward(n graph.NodeID, removed *[]graph.NodeID) {
 	for n != graph.Invalid && n != t.source {
 		i := t.idx(n)
 		if !t.onTree.has(graph.NodeID(i)) || len(t.children[i]) != 0 ||
@@ -545,6 +547,9 @@ func (t *Tree) pruneUpward(n graph.NodeID) {
 		}
 		par := t.parent[i]
 		t.detach(n)
+		if removed != nil {
+			*removed = append(*removed, n)
+		}
 		n = par
 	}
 }
@@ -652,7 +657,7 @@ func (t *Tree) Reroute(m graph.NodeID, newPath graph.Path) error {
 	// The moved members now count along the new root path (the fresh chain
 	// nodes were attached with N_R = 0 and pick up the subtree here).
 	t.bumpNR(t.parent[t.idx(m)], sub)
-	t.pruneUpward(oldParent)
+	t.pruneUpward(oldParent, nil)
 	t.epoch++
 	return nil
 }
@@ -670,8 +675,8 @@ func (t *Tree) RemoveSubtree(r graph.NodeID) error {
 		return errors.New("multicast: cannot remove the source's subtree")
 	}
 	oldParent := t.parent[t.idx(r)]
-	t.dropSubtree(r)
-	t.pruneUpward(oldParent)
+	t.dropSubtree(r, nil)
+	t.pruneUpward(oldParent, nil)
 	t.epoch++
 	return nil
 }
@@ -680,22 +685,25 @@ func (t *Tree) RemoveSubtree(r graph.NodeID) error {
 // leaves the relay chain above r in place even if it no longer serves any
 // member. Failure recovery uses this to flush dead state while keeping
 // surviving relays (whose soft state has not yet expired) available as
-// local-detour targets; PruneStale reclaims them afterwards.
-func (t *Tree) DetachSubtree(r graph.NodeID) error {
+// local-detour targets; PruneFrom, given r's parent, reclaims them afterwards.
+// The members removed with the subtree are appended to flushed, in no
+// particular order.
+func (t *Tree) DetachSubtree(r graph.NodeID, flushed []graph.NodeID) ([]graph.NodeID, error) {
 	if !t.OnTree(r) {
-		return fmt.Errorf("detach subtree %d: %w", r, ErrNotOnTree)
+		return flushed, fmt.Errorf("detach subtree %d: %w", r, ErrNotOnTree)
 	}
 	if r == t.source {
-		return errors.New("multicast: cannot detach the source's subtree")
+		return flushed, errors.New("multicast: cannot detach the source's subtree")
 	}
-	t.dropSubtree(r)
+	t.dropSubtree(r, &flushed)
 	t.epoch++
-	return nil
+	return flushed, nil
 }
 
 // dropSubtree unlinks r from its parent, deducts the subtree's member count
-// from the surviving root path, and clears all state below r.
-func (t *Tree) dropSubtree(r graph.NodeID) {
+// from the surviving root path, and clears all state below r, appending the
+// members it clears to *flushed when the caller wants them.
+func (t *Tree) dropSubtree(r graph.NodeID, flushed *[]graph.NodeID) {
 	ri := t.idx(r)
 	oldParent := t.parent[ri]
 	sub := t.nr[ri]
@@ -703,7 +711,7 @@ func (t *Tree) dropSubtree(r graph.NodeID) {
 		t.removeChild(oldParent, r)
 		t.bumpNR(oldParent, -sub)
 	}
-	stack := []graph.NodeID{r}
+	stack := append(t.scratch[:0], r)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -717,41 +725,40 @@ func (t *Tree) dropSubtree(r graph.NodeID) {
 		if t.members.has(graph.NodeID(i)) {
 			t.members.clear(graph.NodeID(i))
 			t.nMembers--
+			if flushed != nil {
+				*flushed = append(*flushed, n)
+			}
 		}
 	}
+	t.scratch = stack
 }
 
 // PruneStale removes every relay chain that serves no member (childless,
 // non-member, non-source nodes, applied to fixpoint), modeling soft-state
-// expiry of branches left behind by recovery. It returns the nodes removed.
+// expiry of branches left behind by recovery. It returns the nodes removed,
+// ascending. It looks at every on-tree node; a caller that knows where
+// subtrees were detached prunes with PruneFrom instead.
 func (t *Tree) PruneStale() []graph.NodeID {
+	return t.PruneFrom(t.Nodes())
+}
+
+// PruneFrom removes, from each hint upward, the chain of relays that serves
+// no member, stopping at a node with a child, a member or the source; a hint
+// that is off the tree or still in use is skipped. Relays go stale only where
+// DetachSubtree took their last child away, so given the parent of every
+// subtree detached since the tree was last pruned it removes exactly what
+// PruneStale would, in time proportional to the hints and the nodes removed.
+// It returns the nodes removed, ascending.
+func (t *Tree) PruneFrom(hints []graph.NodeID) []graph.NodeID {
 	var removed []graph.NodeID
-	var victims []graph.NodeID
-	for {
-		victims = victims[:0]
-		for wi, w := range t.onTree {
-			base := wi << 6
-			for w != 0 {
-				i := int32(base + trailingZeros(w))
-				w &= w - 1
-				n := t.nodeAt(i)
-				if n != t.source && len(t.children[i]) == 0 && !t.members.has(graph.NodeID(i)) {
-					victims = append(victims, n)
-				}
-			}
-		}
-		if len(victims) == 0 {
-			if len(removed) > 0 {
-				t.epoch++
-			}
-			slices.Sort(removed)
-			return removed
-		}
-		for _, n := range victims {
-			t.detach(n)
-			removed = append(removed, n)
-		}
+	for _, n := range hints {
+		t.pruneUpward(n, &removed)
 	}
+	if len(removed) > 0 {
+		t.epoch++
+		slices.Sort(removed)
+	}
+	return removed
 }
 
 // Clone returns a deep copy of the tree sharing the same graph (and the same

@@ -107,29 +107,19 @@ func (s *Session) Leave(m graph.NodeID) error {
 // this at failure time and rejoins members individually after their routers
 // reconverge.
 func (s *Session) FlushDead(mask *graph.Mask) ([]graph.NodeID, error) {
-	surviving := failure.SurvivingNodes(s.tree, mask)
-	if len(surviving) == 0 {
-		return nil, failure.ErrSourceFailed
+	var flushed []graph.NodeID
+	_, _, err := failure.DeadRoots(s.tree, mask, nil, func(root, _ graph.NodeID) (err error) {
+		if flushed, err = s.tree.DetachSubtree(root, flushed); err != nil {
+			return fmt.Errorf("flush dead: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	disconnected := failure.DisconnectedMembers(s.tree, mask)
-	var deadRoots []graph.NodeID
-	for _, n := range s.tree.Nodes() {
-		if surviving[n] || n == s.tree.Source() {
-			continue
-		}
-		p, ok := s.tree.Parent(n)
-		if ok && (p == graph.Invalid || surviving[p]) {
-			deadRoots = append(deadRoots, n)
-		}
-	}
-	for _, r := range deadRoots {
-		if !s.tree.OnTree(r) {
-			continue
-		}
-		if err := s.tree.DetachSubtree(r); err != nil {
-			return nil, fmt.Errorf("flush dead: %w", err)
-		}
-	}
+	// Members that failed themselves are gone, not disconnected.
+	disconnected := slices.DeleteFunc(flushed, mask.NodeBlocked)
+	slices.Sort(disconnected)
 	return disconnected, nil
 }
 
@@ -157,8 +147,7 @@ type HealReport struct {
 // per-member accounting of the paper's evaluation.
 func (s *Session) Heal(f failure.Failure) (*HealReport, error) {
 	mask := f.Mask()
-	surviving := failure.SurvivingNodes(s.tree, mask)
-	if len(surviving) == 0 {
+	if mask.NodeBlocked(s.tree.Source()) {
 		return nil, failure.ErrSourceFailed
 	}
 	rep := &HealReport{
@@ -180,24 +169,8 @@ func (s *Session) Heal(f failure.Failure) (*HealReport, error) {
 	}
 	slices.Sort(rep.Unrecovered)
 
-	// Flush dead state.
-	var deadRoots []graph.NodeID
-	for _, n := range s.tree.Nodes() {
-		if surviving[n] || n == s.tree.Source() {
-			continue
-		}
-		p, ok := s.tree.Parent(n)
-		if ok && (p == graph.Invalid || surviving[p]) {
-			deadRoots = append(deadRoots, n)
-		}
-	}
-	for _, r := range deadRoots {
-		if !s.tree.OnTree(r) {
-			continue
-		}
-		if err := s.tree.DetachSubtree(r); err != nil {
-			return nil, fmt.Errorf("heal: flush %d: %w", r, err)
-		}
+	if _, err := s.FlushDead(mask); err != nil {
+		return nil, fmt.Errorf("heal: %w", err)
 	}
 
 	// Reconverged routing: new SPT over the residual network.
