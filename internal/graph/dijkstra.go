@@ -154,6 +154,10 @@ func (r NearestScan) AppendPathFrom(buf Path, pos int) Path {
 // settled src's whole component — no accepted node is reachable at any
 // budget — false when the budget kept it from a node it would have gone on
 // to.
+//
+// accept must be a pure predicate: the sweep also asks it about nodes it
+// relaxes, some of which never settle, to stop relaxing past the closest
+// accepted node seen so far. The record is the same either way.
 func (g *Graph) ScanNearest(rec NearestScan, src NodeID, mask *Mask, accept func(NodeID) bool, budget float64) (scan NearestScan, hit, exhausted bool) {
 	s := g.NewSweep()
 	defer s.Release()
@@ -168,12 +172,16 @@ func (g *Graph) ScanNearest(rec NearestScan, src NodeID, mask *Mask, accept func
 // so the record is read backwards.
 func (s *Sweep) budgetCut(mask *Mask) bool {
 	cs := s.g.csrNow()
+	checkEdges := mask.hasEdgeBlocks()
 	for k := len(s.scan) - 1; k >= 0; k-- {
 		u := s.scan[k].Node
+		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
 		for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
-			if v := cs.to[i]; s.settled[v] != s.epoch && !mask.NodeBlocked(v) && !mask.EdgeBlocked(u, v) {
-				return true
+			v := cs.to[i]
+			if s.settled[v] == s.epoch || mask.NodeBlocked(v) || (rowEdges && mask.edges[MakeEdgeID(u, v)]) {
+				continue
 			}
+			return true
 		}
 	}
 	return false
@@ -196,6 +204,9 @@ func (s *Sweep) budgetCut(mask *Mask) bool {
 // cache entry would require, and the sources are disconnected members,
 // rarely re-queried. A caller that asks again while its accept set only
 // grows should keep the record instead (ScanNearest).
+//
+// accept must be a pure predicate and may be asked about nodes that never
+// settle (see ScanNearest).
 func (g *Graph) NearestOf(src NodeID, mask *Mask, accept func(NodeID) bool) (NodeID, Path, float64) {
 	n, p, d, _ := g.NearestOfCounted(src, mask, accept)
 	return n, p, d

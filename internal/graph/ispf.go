@@ -292,12 +292,13 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 		// boundary.
 		for _, v := range sc.orphans {
 			dv, pv := Unreachable, Invalid
+			rowEdges := checkEdges && mask.touchesBlockedEdge(v)
 			for i, end := cs.rowStart[v], cs.rowStart[v+1]; i < end; i++ {
 				u := cs.to[i]
 				if sc.state[u] != ispfAlive || sc.stamp[u] != sc.epoch {
 					continue
 				}
-				if e := MakeEdgeID(u, v); (checkEdges && mask.edges[e]) ||
+				if e := MakeEdgeID(u, v); (rowEdges && mask.edges[e]) ||
 					(checkRevived && edgeListHas(sc.remEdges, e)) {
 					continue
 				}
@@ -326,12 +327,13 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			sc.state[u] = ispfAlive // settled: distance is final
 			settled++
 			du := t.Dist[u]
+			rowEdges := checkEdges && mask.touchesBlockedEdge(u)
 			for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
 				v := cs.to[i]
 				if sc.state[v] != ispfOrphan || sc.stamp[v] != sc.epoch {
 					continue // alive nodes are final; gone nodes stay gone
 				}
-				if e := MakeEdgeID(u, v); (checkEdges && mask.edges[e]) ||
+				if e := MakeEdgeID(u, v); (rowEdges && mask.edges[e]) ||
 					(checkRevived && edgeListHas(sc.remEdges, e)) {
 					continue
 				}
@@ -371,8 +373,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			if e.IsEdge {
 				u, v := e.Edge.A, e.Edge.B
 				w, exists := g.edgeWeightByID(e.Edge)
-				if !exists || mask.NodeBlocked(u) || mask.NodeBlocked(v) ||
-					(checkEdges && mask.edges[e.Edge]) {
+				if !exists || mask.EdgeBlocked(u, v) {
 					continue
 				}
 				if t.Dist[u] != Unreachable {
@@ -389,6 +390,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			if !g.valid(v) || mask.NodeBlocked(v) {
 				continue
 			}
+			rowEdges := checkEdges && mask.touchesBlockedEdge(v)
 			for i, end := cs.rowStart[v], cs.rowStart[v+1]; i < end; i++ {
 				u := cs.to[i]
 				if t.Dist[u] == Unreachable {
@@ -397,7 +399,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 				if checkNodes && mask.nodeBlocked(u) {
 					continue
 				}
-				if checkEdges && mask.edges[MakeEdgeID(u, v)] {
+				if rowEdges && mask.edges[MakeEdgeID(u, v)] {
 					continue
 				}
 				relax(u, v, cs.wt[i])
@@ -415,6 +417,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			sc.setB[u] = sc.epoch
 			settled++
 			du := t.Dist[u]
+			rowEdges := checkEdges && mask.touchesBlockedEdge(u)
 			for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
 				v := cs.to[i]
 				if sc.setB[v] == sc.epoch {
@@ -423,7 +426,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 				if checkNodes && mask.nodeBlocked(v) {
 					continue
 				}
-				if checkEdges && mask.edges[MakeEdgeID(u, v)] {
+				if rowEdges && mask.edges[MakeEdgeID(u, v)] {
 					continue
 				}
 				nd := du + cs.wt[i]

@@ -30,9 +30,12 @@ import (
 // Node IDs are dense and non-negative by package contract; blocking a
 // negative ID is a no-op.
 //
-// Edge blocks always stay map-backed: the edge universe is quadratic, edge
-// blocks are rare (most failure masks block nodes or a handful of links), and
-// EdgeBlocked is already off the sweep fast path unless edges are blocked.
+// Edge blocks always stay map-backed: the edge universe is quadratic and edge
+// blocks are rare (most failure masks block nodes or a handful of links). What
+// keeps the map off the relaxation loops is the endpoint index beside it: the
+// number of directly blocked edges at each node, so a loop over u's arcs asks
+// once whether u touches a blocked edge at all and hashes only in the rows
+// that do — two rows for one cut link.
 type Mask struct {
 	// nodes is the map representation of blocked nodes; nil once promoted.
 	nodes map[NodeID]bool
@@ -43,6 +46,10 @@ type Mask struct {
 	nnodes int
 
 	edges map[EdgeID]bool
+	// ends[n] counts the directly blocked edges with n as an endpoint (nodes
+	// past its length touch none). Nil until the first BlockEdge, so a mask
+	// that only ever blocks nodes allocates nothing for it.
+	ends []int32
 	// fp is the running XOR of per-element mixes; count the number of
 	// blocked elements folded into it.
 	fp    uint64
@@ -183,14 +190,20 @@ func (m *Mask) UnblockNode(n NodeID) *Mask {
 }
 
 // BlockEdge marks the undirected edge (u, v) as unusable and returns the mask
-// for chaining.
+// for chaining. Like BlockNode, it ignores negative IDs.
 func (m *Mask) BlockEdge(u, v NodeID) *Mask {
 	e := MakeEdgeID(u, v)
-	if !m.edges[e] {
-		m.edges[e] = true
-		m.fp ^= edgeMix(e)
-		m.count++
+	if e.A < 0 || m.edges[e] {
+		return m
 	}
+	m.edges[e] = true
+	if int(e.B) >= len(m.ends) { // A < B: covers both endpoints
+		m.ends = append(m.ends, make([]int32, int(e.B)+1-len(m.ends))...)
+	}
+	m.ends[e.A]++
+	m.ends[e.B]++
+	m.fp ^= edgeMix(e)
+	m.count++
 	return m
 }
 
@@ -201,6 +214,8 @@ func (m *Mask) UnblockEdge(u, v NodeID) *Mask {
 	e := MakeEdgeID(u, v)
 	if m.edges[e] {
 		delete(m.edges, e)
+		m.ends[e.A]--
+		m.ends[e.B]--
 		m.fp ^= edgeMix(e)
 		m.count--
 	}
@@ -218,6 +233,13 @@ func (m *Mask) hasNodeBlocks() bool { return m != nil && m.nnodes > 0 }
 // endpoints are covered by hasNodeBlocks).
 func (m *Mask) hasEdgeBlocks() bool { return m != nil && len(m.edges) > 0 }
 
+// touchesBlockedEdge reports whether some directly blocked edge has n as an
+// endpoint; m must be non-nil. The arc loops ask it once per row and probe
+// the edge map only in the rows it admits.
+func (m *Mask) touchesBlockedEdge(n NodeID) bool {
+	return uint(n) < uint(len(m.ends)) && m.ends[n] != 0
+}
+
 // NodeBlocked reports whether node n is excluded. A nil mask blocks nothing.
 func (m *Mask) NodeBlocked(n NodeID) bool {
 	return m != nil && m.nodeBlocked(n)
@@ -229,7 +251,8 @@ func (m *Mask) EdgeBlocked(u, v NodeID) bool {
 	if m == nil {
 		return false
 	}
-	return m.edges[MakeEdgeID(u, v)] || m.nodeBlocked(u) || m.nodeBlocked(v)
+	return m.nodeBlocked(u) || m.nodeBlocked(v) ||
+		(m.touchesBlockedEdge(u) && m.touchesBlockedEdge(v) && m.edges[MakeEdgeID(u, v)])
 }
 
 // eachBlockedNode invokes fn for every blocked node. Bitset masks iterate in
@@ -292,9 +315,12 @@ func (m *Mask) Clone() *Mask {
 			}
 		}
 	}
-	for e, v := range m.edges {
-		if v {
-			c.edges[e] = true
+	if len(m.edges) > 0 {
+		c.ends = slices.Clone(m.ends)
+		for e, v := range m.edges {
+			if v {
+				c.edges[e] = true
+			}
 		}
 	}
 	return c
@@ -469,10 +495,8 @@ func (m *Mask) Union(other *Mask) *Mask {
 	}
 	other.eachBlockedNode(func(n NodeID) { c.BlockNode(n) })
 	for e, v := range other.edges {
-		if v && !c.edges[e] {
-			c.edges[e] = true
-			c.fp ^= edgeMix(e)
-			c.count++
+		if v {
+			c.BlockEdge(e.A, e.B)
 		}
 	}
 	return c

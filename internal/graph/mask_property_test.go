@@ -76,6 +76,9 @@ func (r *refMaskModel) diff(other *refMaskModel) (added, removed []MaskElem) {
 type maskUnderTest struct {
 	m   *Mask
 	ref *refMaskModel
+	// edgeEver records that an edge was blocked on m or on a mask it was
+	// cloned or united from: until then m must not have an endpoint index.
+	edgeEver bool
 }
 
 // checkAgainstRef compares every observable of ut.m against the oracle over
@@ -107,6 +110,26 @@ func (ut *maskUnderTest) checkAgainstRef(t *testing.T, universe int, label strin
 			}
 		}
 	}
+	// The endpoint index is a recount of the blocked edges, and a mask that
+	// has none (its own or inherited through Clone/Union) never allocated it.
+	ends := make([]int32, max(universe, len(ut.m.ends)))
+	for e := range ut.m.edges {
+		ends[e.A]++
+		ends[e.B]++
+	}
+	for n, want := range ends {
+		got := int32(0)
+		if n < len(ut.m.ends) {
+			got = ut.m.ends[n]
+		}
+		if got != want || ut.m.touchesBlockedEdge(NodeID(n)) != (want > 0) {
+			t.Fatalf("%s: node %d is an endpoint of %d blocked edges, index says %d (touches=%v)",
+				label, n, want, got, ut.m.touchesBlockedEdge(NodeID(n)))
+		}
+	}
+	if !ut.edgeEver && ut.m.ends != nil {
+		t.Fatalf("%s: endpoint index allocated (%d entries) though no edge was ever blocked", label, len(ut.m.ends))
+	}
 	var blocked []NodeID
 	ut.m.eachBlockedNode(func(n NodeID) { blocked = append(blocked, n) })
 	if len(blocked) != len(ut.ref.nodes) {
@@ -125,7 +148,9 @@ func (ut *maskUnderTest) checkAgainstRef(t *testing.T, universe int, label strin
 // NewMaskWithCapacity, and one born bitset-backed with a deliberately tiny
 // capacity (so the grow-on-demand path is exercised). All observables —
 // Block/Unblock, Clone, Union, Fingerprint, DiffElements — must be
-// representation-independent.
+// representation-independent, and after every step the endpoint index of the
+// blocked edges equals a recount of them. The first round blocks no edge at
+// all: promotion, Clone and Union must then leave the index unallocated.
 func TestMaskBitsetEquivalence(t *testing.T) {
 	const universe = 200 // > 3×maskPromoteThreshold so promotion is guaranteed reachable
 	rounds := 40
@@ -168,10 +193,11 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 					delete(ut.ref.nodes, n)
 				}
 			case op < 8:
-				if n != v {
+				if n != v && round > 0 {
 					for _, ut := range target {
 						ut.m.BlockEdge(n, v)
 						ut.ref.edges[MakeEdgeID(n, v)] = true
+						ut.edgeEver = true
 					}
 				}
 			case op < 9:
@@ -193,7 +219,7 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 					other.checkAgainstRef(t, universe, "other")
 
 					// Clone: deep, representation-preserving, independent.
-					cl := &maskUnderTest{m: ut.m.Clone(), ref: ut.ref.clone()}
+					cl := &maskUnderTest{m: ut.m.Clone(), ref: ut.ref.clone(), edgeEver: len(ut.ref.edges) > 0}
 					if (cl.m.bits != nil) != (ut.m.bits != nil) {
 						t.Fatalf("Clone changed representation")
 					}
@@ -203,7 +229,7 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 					ut.checkAgainstRef(t, universe, "original after clone mutate")
 
 					// Union across representations.
-					un := &maskUnderTest{m: ut.m.Union(other.m), ref: ut.ref.clone()}
+					un := &maskUnderTest{m: ut.m.Union(other.m), ref: ut.ref.clone(), edgeEver: len(ut.ref.edges)+len(other.ref.edges) > 0}
 					for nn := range other.ref.nodes {
 						un.ref.nodes[nn] = true
 					}

@@ -48,7 +48,9 @@ type spfMap = map[spfKey]*spfEntry
 // no mutex, no atomic read-modify-write, nothing a concurrent writer can
 // contend on. The mutex serializes writers only (clone → insert → publish);
 // readers racing a publish see either the old or the new snapshot, both of
-// which are internally consistent.
+// which are internally consistent. A shard has no map until its first insert
+// (and none again after a flush), so a cache nobody has asked anything yet —
+// one per recovery domain in a hierarchy — is its struct and nothing more.
 type spfShard struct {
 	m  atomic.Pointer[spfMap]
 	mu sync.Mutex // serializes writers; the read path never touches it
@@ -89,9 +91,9 @@ type SPFCache struct {
 	shards  [spfShardCount]spfShard
 	// recent tracks, per source, the most recently touched entry — the
 	// clone-on-write lineage head that delta repairs start from. The slice is
-	// indexed by NodeID and republished wholesale on flush (the pointer
-	// indirection keeps a concurrent reader of the old slice safe while a
-	// flush installs the new one).
+	// indexed by NodeID, created by the first entry and dropped wholesale on
+	// flush (the pointer indirection keeps a concurrent reader of the old
+	// slice safe while a flush retires it).
 	recent atomic.Pointer[[]atomic.Pointer[spfEntry]]
 	cap    int
 
@@ -110,28 +112,26 @@ func NewSPFCache(g *Graph, capPerShard int) *SPFCache {
 	}
 	c := &SPFCache{g: g, cap: capPerShard}
 	c.version.Store(g.version)
-	for i := range c.shards {
-		m := make(spfMap)
-		c.shards[i].m.Store(&m)
-	}
-	rs := make([]atomic.Pointer[spfEntry], g.NumNodes())
-	c.recent.Store(&rs)
 	return c
 }
 
 // noteRecent records e as the lineage head for src (lock-free publish).
 func (c *SPFCache) noteRecent(src NodeID, e *spfEntry) {
-	rs := *c.recent.Load()
-	if int(src) < len(rs) {
-		rs[src].Store(e)
+	p := c.recent.Load()
+	if p == nil {
+		rs := make([]atomic.Pointer[spfEntry], c.g.NumNodes())
+		c.recent.CompareAndSwap(nil, &rs)
+		p = c.recent.Load() // ours, a racing first entry's, or nil again after a flush
+	}
+	if p != nil && int(src) < len(*p) {
+		(*p)[src].Store(e)
 	}
 }
 
 // recentOf returns the lineage head for src, or nil (lock-free load).
 func (c *SPFCache) recentOf(src NodeID) *spfEntry {
-	rs := *c.recent.Load()
-	if int(src) < len(rs) {
-		return rs[src].Load()
+	if p := c.recent.Load(); p != nil && int(src) < len(*p) {
+		return (*p)[src].Load()
 	}
 	return nil
 }
@@ -243,8 +243,8 @@ var ispfCrosscheck = os.Getenv("SMRP_ISPF_CHECK") == "1"
 func (c *SPFCache) Flush() { c.flushTo(c.g.version) }
 
 // flushTo clears all shards (including the delta-repair lineage index, whose
-// trees are just as stale as the mapped ones) by publishing fresh empty
-// snapshots, and records the graph version the cache now reflects. Flushes
+// trees are just as stale as the mapped ones) by retiring their snapshots,
+// and records the graph version the cache now reflects. Flushes
 // serialize against each other and against shard writers; concurrent readers
 // simply observe the swap. The version is recorded before the snapshots are
 // replaced so a reader racing the flush can never re-publish a stale hit
@@ -258,12 +258,10 @@ func (c *SPFCache) flushTo(v uint64) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		m := make(spfMap)
-		sh.m.Store(&m)
+		sh.m.Store(nil)
 		sh.mu.Unlock()
 	}
-	rs := make([]atomic.Pointer[spfEntry], c.g.NumNodes())
-	c.recent.Store(&rs)
+	c.recent.Store(nil)
 	c.version.Store(v)
 	c.flushMu.Unlock()
 }

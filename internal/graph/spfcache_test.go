@@ -86,6 +86,42 @@ func TestSPFCacheInvalidatesOnMutation(t *testing.T) {
 	}
 }
 
+// TestSPFCacheIdleHoldsNothing pins what lets every recovery domain of a
+// hierarchy carry a cache of its own: a cache nobody has asked anything has no
+// shard map and no lineage index, the first entry creates exactly what it
+// needs, and a flush gives it all back.
+func TestSPFCacheIdleHoldsNothing(t *testing.T) {
+	g := cacheTestGraph(t)
+	c := g.EnableSPFCache()
+	idle := func(when string) {
+		t.Helper()
+		for i := range c.shards {
+			if c.shards[i].m.Load() != nil {
+				t.Fatalf("%s: shard %d holds a map", when, i)
+			}
+		}
+		if c.recent.Load() != nil {
+			t.Fatalf("%s: lineage index allocated", when)
+		}
+		if c.Len() != 0 || c.recentOf(0) != nil {
+			t.Fatalf("%s: cache not empty", when)
+		}
+	}
+	idle("new")
+	g.Dijkstra(0, nil)
+	maps := 0
+	for i := range c.shards {
+		if c.shards[i].m.Load() != nil {
+			maps++
+		}
+	}
+	if maps != 1 || c.Len() != 1 || c.recentOf(0) == nil {
+		t.Fatalf("after one lookup: %d shard maps, %d entries, lineage head %v", maps, c.Len(), c.recentOf(0))
+	}
+	c.Flush()
+	idle("flushed")
+}
+
 func TestSPFCacheConcurrentLookups(t *testing.T) {
 	g := cacheTestGraph(t)
 	g.EnableSPFCache()

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 
 	"smrp/internal/pqueue"
@@ -23,11 +24,17 @@ func (a heapItem) Before(b heapItem) bool {
 }
 
 // csrView is a compressed-sparse-row snapshot of the graph's adjacency:
-// node u's arcs occupy to[rowStart[u]:rowStart[u+1]] (same order as
-// Graph.Neighbors(u)), with weights in wt at the same indices. The flat
-// layout keeps the Dijkstra relaxation loop on two contiguous arrays instead
-// of chasing per-node slice headers, which is measurably friendlier to the
-// cache on evaluation-scale graphs.
+// node u's arcs occupy to[rowStart[u]:rowStart[u+1]], with weights in wt at
+// the same indices. The flat layout keeps the Dijkstra relaxation loop on two
+// contiguous arrays instead of chasing per-node slice headers, which is
+// measurably friendlier to the cache on evaluation-scale graphs.
+//
+// Each row is sorted by (weight, neighbour) — Graph.Neighbors keeps insertion
+// order — so a loop that relaxes from u under a distance bound stops at the
+// first arc that overshoots it: every later arc of the row does too. Row
+// order is free to choose because no result depends on it: every tie-break
+// of the sweep and of the delta repair is explicit in (dist, node, parent
+// ID) (DESIGN.md §9.1).
 //
 // A view is immutable once built; Graph.csrNow rebuilds lazily whenever the
 // graph's structural version moves.
@@ -58,9 +65,12 @@ func (g *Graph) csrNow() *csrView {
 		to:       make([]NodeID, 0, arcs),
 		wt:       make([]float64, 0, arcs),
 	}
+	var row []Arc // one scratch row for the whole build
 	for u, as := range g.adj {
 		c.rowStart[u] = int32(len(c.to))
-		for _, a := range as {
+		row = append(row[:0], as...)
+		sortRow(row)
+		for _, a := range row {
 			c.to = append(c.to, a.To)
 			c.wt = append(c.wt, a.Weight)
 		}
@@ -68,6 +78,39 @@ func (g *Graph) csrNow() *csrView {
 	c.rowStart[n] = int32(len(c.to))
 	g.csr.Store(c)
 	return c
+}
+
+// arcBefore is the CSR row order: by weight, then by neighbour.
+func arcBefore(a, b Arc) bool {
+	return a.Weight < b.Weight || (a.Weight == b.Weight && a.To < b.To)
+}
+
+// sortRow sorts one row into CSR order. Rows are short — six arcs on the
+// sparse planes, under a hundred in a dense domain — and there are as many
+// as nodes, so the comparison has to inline: an insertion sort does that,
+// the library sort (a call through a func value per comparison, three times
+// the build time of a dense hierarchy) takes over where quadratic would hurt.
+func sortRow(row []Arc) {
+	if len(row) > 128 {
+		slices.SortFunc(row, func(a, b Arc) int {
+			switch {
+			case arcBefore(a, b):
+				return -1
+			case arcBefore(b, a):
+				return 1
+			}
+			return 0
+		})
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		a := row[i]
+		j := i
+		for ; j > 0 && arcBefore(a, row[j-1]); j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = a
+	}
 }
 
 // sweepPool recycles Sweep scratch state across calls and goroutines. A
@@ -113,6 +156,10 @@ type Sweep struct {
 	// nearest-of sweeps and raw Sweep users (candidate enumeration, test
 	// oracles) deliberately do not contribute (see metrics.SPFStats).
 	settledCount int
+	// arcsScanned tallies the arcs the last run's relaxation loop looked at
+	// (one add per row): the deterministic measure of what the row cut and
+	// the nearest bound save, read by the tests that gate it.
+	arcsScanned int
 	// scan is the record of the last nearest-of run (accept != nil): every
 	// settled node in settle order, pos[v] being v's position in it — what
 	// turns a parent node into a parent position.
@@ -155,6 +202,7 @@ func (s *Sweep) begin() {
 	}
 	s.heap.Reset()
 	s.settledCount = 0
+	s.arcsScanned = 0
 	s.scan = s.scan[:0]
 }
 
@@ -177,8 +225,8 @@ func (s *Sweep) Run(src NodeID, mask *Mask, absorbing func(NodeID) bool) {
 
 // RunPruned is Run confined to the region a delay budget can use: the
 // relaxation u→v is skipped when dist(src,v) + lower[v] > budget, where
-// lower[v] bounds from below whatever a caller will add to a path ending at
-// v (nil reads as all zeros: a plain radius cut). lower must be consistent
+// lower[v] ≥ 0 bounds from below whatever a caller will add to a path ending
+// at v (nil reads as all zeros: a plain radius cut). lower must be consistent
 // over every arc the sweep may take — lower[u] ≤ w(u,v) + lower[v] — which
 // shortest-path distances from any fixed node are. Then every node on a
 // shortest path to an in-region node is itself in-region, so each node v
@@ -204,9 +252,19 @@ func (s *Sweep) SettledCount() int { return s.settledCount }
 //     never re-relaxed).
 //   - absorbing != nil: absorbing nodes settle but do not relax outward.
 //   - accept != nil: stop at the first settled node for which accept holds
-//     (including src) and return it; the run is recorded in s.scan.
+//     (including src) and return it; the run is recorded in s.scan. accept
+//     is also asked about nodes as they are relaxed (see bound below), so it
+//     must be a pure predicate.
 //   - budget < Unreachable: skip relaxations that leave the budget's region
 //     (see RunPruned); lower may be nil.
+//
+// bound is the distance past which a relaxation cannot matter: the budget,
+// tightened in nearest-of mode to the tentative distance of the closest
+// accepted node relaxed so far. A node farther than that can never settle
+// before the accepted one does, so dropping it changes neither the node
+// returned nor one entry of the record; a node exactly at the bound is kept,
+// because a smaller ID at the same distance settles first. Rows are sorted
+// by weight, so the first arc past the bound ends the row.
 //
 // It returns the settled accept/target node, or Invalid when the sweep ran
 // to exhaustion (or src was invalid/blocked).
@@ -220,7 +278,9 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 	// Hoist the mask shape checks out of the relaxation loop: most sweeps
 	// run against a nil/empty mask (plain SPF) or a node-only mask
 	// (candidate enumeration), and the map probes are the loop's only
-	// non-array memory traffic.
+	// non-array memory traffic. The edge probe, a hashed struct key, is
+	// further confined to the rows that touch a blocked edge (rowEdges below):
+	// for one cut link, two rows.
 	checkNodes := mask.hasNodeBlocks()
 	checkEdges := mask.hasEdgeBlocks()
 	// Hoist the node-block representation too: on bitset-backed masks the
@@ -231,7 +291,8 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 	if checkNodes {
 		mbits, mnodes = mask.bits, mask.nodes
 	}
-	prune := budget < Unreachable
+	prune := lower != nil && budget < Unreachable
+	bound := budget
 	if accept != nil && len(s.pos) < s.n {
 		s.pos = make([]int32, s.n)
 	}
@@ -271,7 +332,10 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 			continue // settled as an endpoint; never relax through
 		}
 		du := s.dist[u]
-		for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
+		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
+		start, end := cs.rowStart[u], cs.rowStart[u+1]
+		i := start
+		for ; i < end; i++ {
 			v := cs.to[i]
 			if s.settled[v] == s.epoch {
 				continue
@@ -285,23 +349,25 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 					continue
 				}
 			}
-			if checkEdges && mask.edges[MakeEdgeID(u, v)] {
+			if rowEdges && mask.edges[MakeEdgeID(u, v)] {
 				continue
 			}
 			nd := du + cs.wt[i]
+			if nd > bound {
+				i++ // scanned, like the arcs before it
+				break
+			}
 			// Deterministic tie-breaking on parent ID keeps shortest-path
 			// trees stable when multiple equal-length paths exist.
 			if s.seen[v] == s.epoch && !(nd < s.dist[v] || (nd == s.dist[v] && u < s.parent[v])) {
 				continue
 			}
-			if prune { // after the test above: only improvements pay for it
-				reach := nd
-				if lower != nil {
-					reach += lower[v]
-				}
-				if reach > budget {
-					continue
-				}
+			// After the test above: only improvements pay for these two.
+			if prune && nd+lower[v] > budget {
+				continue
+			}
+			if accept != nil && nd < bound && accept(v) {
+				bound = nd
 			}
 			s.seen[v] = s.epoch
 			s.dist[v] = nd
@@ -309,6 +375,7 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 			s.pw[v] = cs.wt[i]
 			s.heap.Push(heapItem{node: v, dist: nd})
 		}
+		s.arcsScanned += int(i - start)
 	}
 }
 

@@ -1,0 +1,515 @@
+package graph
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// csrInsertionOrder is the CSR view the reference loop runs over: rows in
+// Graph.Neighbors order, as csrNow built them before it sorted rows.
+func csrInsertionOrder(g *Graph) *csrView {
+	n := len(g.adj)
+	c := &csrView{version: g.version, rowStart: make([]int32, n+1)}
+	for u, as := range g.adj {
+		c.rowStart[u] = int32(len(c.to))
+		for _, a := range as {
+			c.to = append(c.to, a.To)
+			c.wt = append(c.wt, a.Weight)
+		}
+	}
+	c.rowStart[n] = int32(len(c.to))
+	return c
+}
+
+// runReference is Sweep.run as it stood before rows were sorted and cut at
+// the bound, kept verbatim (but for taking its CSR view as an argument) as
+// the oracle of TestSweepMatchesReference: rows in insertion order, one map
+// probe per arc whenever the mask blocks any edge at all, no endpoint index,
+// no nearest bound — every arc of every settled row is relaxed.
+func (s *Sweep) runReference(cs *csrView, src NodeID, mask *Mask, target NodeID, absorbing func(NodeID) bool, accept func(NodeID) bool, lower []float64, budget float64) NodeID {
+	s.begin()
+	g := s.g
+	if !g.valid(src) || mask.NodeBlocked(src) {
+		return Invalid
+	}
+	checkNodes := mask.hasNodeBlocks()
+	checkEdges := mask.hasEdgeBlocks()
+	var mbits []uint64
+	var mnodes map[NodeID]bool
+	if checkNodes {
+		mbits, mnodes = mask.bits, mask.nodes
+	}
+	prune := budget < Unreachable
+	if accept != nil && len(s.pos) < s.n {
+		s.pos = make([]int32, s.n)
+	}
+
+	s.seen[src] = s.epoch
+	s.dist[src] = 0
+	s.parent[src] = Invalid
+	s.heap.Push(heapItem{node: src, dist: 0})
+
+	for {
+		item, ok := s.heap.Pop()
+		if !ok {
+			return Invalid
+		}
+		u := item.node
+		if s.settled[u] == s.epoch || item.dist > s.dist[u] {
+			continue // stale heap entry (superseded by a better relaxation)
+		}
+		s.settled[u] = s.epoch
+		s.settledCount++
+		if accept != nil {
+			// u's parent settled before u, so its pos is of this run.
+			par := int32(-1)
+			if p := s.parent[u]; p != Invalid {
+				par = s.pos[p]
+			}
+			s.pos[u] = int32(len(s.scan))
+			s.scan = append(s.scan, ScanNode{Node: u, Parent: par, Dist: s.dist[u]})
+			if accept(u) {
+				return u
+			}
+		}
+		if u == target {
+			return u
+		}
+		if absorbing != nil && u != src && absorbing(u) {
+			continue // settled as an endpoint; never relax through
+		}
+		du := s.dist[u]
+		for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
+			v := cs.to[i]
+			if s.settled[v] == s.epoch {
+				continue
+			}
+			if checkNodes {
+				if mbits != nil {
+					if w := uint(v) >> 6; w < uint(len(mbits)) && mbits[w]>>(uint(v)&63)&1 != 0 {
+						continue
+					}
+				} else if mnodes[v] {
+					continue
+				}
+			}
+			if checkEdges && mask.edges[MakeEdgeID(u, v)] {
+				continue
+			}
+			nd := du + cs.wt[i]
+			// Deterministic tie-breaking on parent ID keeps shortest-path
+			// trees stable when multiple equal-length paths exist.
+			if s.seen[v] == s.epoch && !(nd < s.dist[v] || (nd == s.dist[v] && u < s.parent[v])) {
+				continue
+			}
+			if prune { // after the test above: only improvements pay for it
+				reach := nd
+				if lower != nil {
+					reach += lower[v]
+				}
+				if reach > budget {
+					continue
+				}
+			}
+			s.seen[v] = s.epoch
+			s.dist[v] = nd
+			s.parent[v] = u
+			s.pw[v] = cs.wt[i]
+			s.heap.Push(heapItem{node: v, dist: nd})
+		}
+	}
+}
+
+// rowsRelaxed lists the nodes the last run relaxed outward from: every
+// settled node but the absorbed ones and the one the run stopped at.
+func (s *Sweep) rowsRelaxed(src, stop NodeID, absorbing func(NodeID) bool) []NodeID {
+	var rows []NodeID
+	for v := NodeID(0); int(v) < s.n; v++ {
+		if s.settled[v] != s.epoch || v == stop {
+			continue
+		}
+		if absorbing != nil && v != src && absorbing(v) {
+			continue
+		}
+		rows = append(rows, v)
+	}
+	return rows
+}
+
+// referenceArcs is what the reference loop scanned in its last run: every arc
+// of every row it relaxed.
+func (s *Sweep) referenceArcs(cs *csrView, src, stop NodeID, absorbing func(NodeID) bool) int {
+	arcs := 0
+	for _, u := range s.rowsRelaxed(src, stop, absorbing) {
+		arcs += int(cs.rowStart[u+1] - cs.rowStart[u])
+	}
+	return arcs
+}
+
+// waxmanDomain generates one dense recovery domain as the megascale topology
+// does: n points in the unit square, each pair linked with probability
+// α·exp(−d/(β·L)), weights Euclidean. (internal/topology imports this
+// package, so the generator cannot be borrowed.) α = 0.9, β = 0.6 gives an
+// average degree of 47 at n = 100.
+func waxmanDomain(rng *rand.Rand, n int, alpha, beta float64) *Graph {
+	g := New(n)
+	for i := 0; i < n; i++ {
+		g.SetPos(NodeID(i), Point{X: rng.Float64(), Y: rng.Float64()})
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			d := g.Pos(NodeID(u)).Dist(g.Pos(NodeID(v)))
+			if v == u+1 || rng.Float64() < alpha*math.Exp(-d/(beta*math.Sqrt2)) { // the chain keeps it connected
+				_ = g.AddEdge(NodeID(u), NodeID(v), d)
+			}
+		}
+	}
+	return g
+}
+
+// tiedPlane generates a sparse connected plane with weights 1…4: equal-weight
+// arcs within a row, equal-length paths and nodes tied at a bound are the
+// rule on it, where Euclidean weights never produce one.
+func tiedPlane(rng *rand.Rand, n, extra int) *Graph {
+	g := New(n)
+	for i := 1; i < n; i++ {
+		_ = g.AddEdge(NodeID(i), NodeID(rng.Intn(i)), float64(1+rng.Intn(4)))
+	}
+	for i := 0; i < extra; i++ {
+		if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v && !g.HasEdge(u, v) {
+			_ = g.AddEdge(u, v, float64(1+rng.Intn(4)))
+		}
+	}
+	return g
+}
+
+// randomSweepMask draws one of the mask shapes the sweep has to read
+// identically: nil, nodes only (map or bitset from birth, or promoted past
+// the threshold), edges, two blocked edges sharing an endpoint with one
+// unblocked again, a clone, a union. src is spared.
+func randomSweepMask(rng *rand.Rand, g *Graph, src NodeID) *Mask {
+	n := g.NumNodes()
+	edges := g.Edges()
+	m := NewMask()
+	if rng.Intn(3) == 0 {
+		m = NewMaskWithCapacity(n)
+	}
+	blockNodes := func(m *Mask, k int) {
+		for i := 0; i < k; i++ {
+			if v := NodeID(rng.Intn(n)); v != src {
+				m.BlockNode(v)
+			}
+		}
+	}
+	blockEdges := func(m *Mask, k int) {
+		for i := 0; i < k; i++ {
+			e := edges[rng.Intn(len(edges))]
+			m.BlockEdge(e.A, e.B)
+		}
+	}
+	switch rng.Intn(8) {
+	case 0:
+		return nil
+	case 1:
+		blockNodes(m, 1+rng.Intn(5))
+	case 2:
+		blockEdges(m, 1+rng.Intn(4))
+	case 3: // two cut links at one node, one repaired: the node still touches a blocked edge
+		u := NodeID(rng.Intn(n))
+		if as := g.Neighbors(u); len(as) >= 2 {
+			i := rng.Intn(len(as))
+			j := (i + 1 + rng.Intn(len(as)-1)) % len(as)
+			m.BlockEdge(u, as[i].To).BlockEdge(as[j].To, u).UnblockEdge(as[i].To, u)
+		}
+	case 4:
+		blockNodes(m, 1+rng.Intn(3))
+		blockEdges(m, 1+rng.Intn(3))
+		m = m.Clone()
+	case 5:
+		other := NewMask()
+		blockEdges(other, 1+rng.Intn(3))
+		blockNodes(other, rng.Intn(3))
+		blockEdges(m, rng.Intn(3))
+		m = m.Union(other)
+	case 6: // past the promotion threshold
+		blockNodes(m, maskPromoteThreshold+10)
+		blockEdges(m, 2)
+	case 7: // every link of one node cut: the node is unreachable, by edges alone
+		u := NodeID(rng.Intn(n))
+		for _, a := range g.Neighbors(u) {
+			m.BlockEdge(u, a.To)
+		}
+	}
+	return m
+}
+
+// sweepCoverage counts what TestSweepMatchesReference has to have seen for
+// its comparison to mean anything.
+type sweepCoverage struct {
+	runs, rowsCutShort, boundTightened, tiesAtBound, equalWeightRows, blockedEdgeRows int
+}
+
+// TestSweepMatchesReference holds the arc loop — rows sorted by weight and cut
+// at the bound, the endpoint-indexed edge test, the nearest bound — to the
+// loop it replaced, on dense domains and on sparse planes full of ties, under
+// every shape of mask, in every mode: distances, parents, parent-arc weights
+// and the settled set of a sweep; the record, the node returned, hit and
+// exhausted of a nearest-of scan; SettledCount of both. The work counter may
+// only fall.
+func TestSweepMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1717))
+	trials := 60
+	if testing.Short() {
+		trials = 15
+	}
+	var cov sweepCoverage
+	for trial := 0; trial < trials; trial++ {
+		var g *Graph
+		if trial%2 == 0 {
+			g = waxmanDomain(rng, 100, 0.9, 0.6)
+		} else {
+			g = tiedPlane(rng, 40+rng.Intn(40), 60)
+		}
+		if trial%4 >= 2 {
+			g.Freeze()
+		}
+		ref := csrInsertionOrder(g)
+		cs := g.csrNow()
+		for u := 0; u < g.NumNodes(); u++ {
+			tied := false
+			for i := cs.rowStart[u] + 1; i < cs.rowStart[u+1]; i++ {
+				a, b := Arc{cs.to[i-1], cs.wt[i-1]}, Arc{cs.to[i], cs.wt[i]}
+				if !arcBefore(a, b) {
+					t.Fatalf("trial %d: row %d holds %+v before %+v", trial, u, a, b)
+				}
+				tied = tied || a.Weight == b.Weight
+			}
+			if tied {
+				cov.equalWeightRows++
+			}
+			if got, want := cs.rowStart[u+1]-cs.rowStart[u], len(g.Neighbors(NodeID(u))); int(got) != want {
+				t.Fatalf("trial %d: row %d has %d arcs, node has %d", trial, u, got, want)
+			}
+		}
+		for rep := 0; rep < 12; rep++ {
+			src := NodeID(rng.Intn(g.NumNodes()))
+			mask := randomSweepMask(rng, g, src)
+			compareSweeps(t, rng, g, ref, src, mask, &cov)
+		}
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.rowsCutShort == 0 || cov.boundTightened == 0 || cov.tiesAtBound == 0 || cov.equalWeightRows == 0 || cov.blockedEdgeRows == 0 {
+		t.Fatalf("a class of input was never exercised: %+v", cov)
+	}
+}
+
+// compareSweeps runs one (graph, source, mask) through every mode of the arc
+// loop and of its reference.
+func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, ref *csrView, src NodeID, mask *Mask, cov *sweepCoverage) {
+	t.Helper()
+	n := g.NumNodes()
+	set := make([]bool, n)
+	for i := 0; i < 1+rng.Intn(6); i++ {
+		set[rng.Intn(n)] = true
+	}
+	inSet := func(v NodeID) bool { return set[v] }
+	lower := g.dijkstra(NodeID(rng.Intn(n)), nil).Dist
+	full := g.dijkstra(src, mask)
+	far := 0.0
+	for _, d := range full.Dist {
+		if d != Unreachable && d > far {
+			far = d
+		}
+	}
+	budget := far * (0.2 + 0.6*rng.Float64())
+
+	a, b := g.NewSweep(), g.NewSweep()
+	defer a.Release()
+	defer b.Release()
+
+	type mode struct {
+		name      string
+		target    NodeID
+		absorbing func(NodeID) bool
+		accept    func(NodeID) bool
+		lower     []float64
+		budget    float64
+	}
+	modes := []mode{
+		{"plain", Invalid, nil, nil, nil, Unreachable},
+		{"target", NodeID(rng.Intn(n)), nil, nil, nil, Unreachable},
+		{"absorbing", Invalid, inSet, nil, nil, Unreachable},
+		{"pruned radius", Invalid, inSet, nil, nil, budget},
+		{"pruned ellipse", Invalid, inSet, nil, lower, budget + lower[src]},
+		{"nearest", Invalid, nil, inSet, nil, Unreachable},
+		{"nearest budget", Invalid, nil, inSet, nil, budget},
+		{"nearest none", Invalid, nil, func(NodeID) bool { return false }, nil, budget},
+		// No exported call combines these two, but the loop takes both: the
+		// bound may tighten only on a relaxation the ellipse lets through.
+		{"nearest ellipse", Invalid, nil, inSet, lower, budget + lower[src]},
+	}
+	for _, m := range modes {
+		want := b.runReference(ref, src, mask, m.target, m.absorbing, m.accept, m.lower, m.budget)
+		got := a.run(src, mask, m.target, m.absorbing, m.accept, m.lower, m.budget)
+		cov.runs++
+		what := func() string { return fmt.Sprintf("%s from %d", m.name, src) }
+		if got != want || a.settledCount != b.settledCount {
+			t.Fatalf("%s: stopped at %d after %d settled, reference at %d after %d", what(), got, a.settledCount, want, b.settledCount)
+		}
+		refArcs := b.referenceArcs(ref, src, want, m.absorbing)
+		if a.arcsScanned > refArcs {
+			t.Fatalf("%s: %d arcs scanned, reference %d", what(), a.arcsScanned, refArcs)
+		}
+		if a.arcsScanned < refArcs {
+			cov.rowsCutShort++
+		}
+		for _, u := range b.rowsRelaxed(src, want, m.absorbing) {
+			if mask != nil && mask.touchesBlockedEdge(u) {
+				cov.blockedEdgeRows++
+			}
+		}
+		if m.accept != nil {
+			// What a nearest-of run leaves behind is its record; past the
+			// bound the two loops have, on purpose, not seen the same nodes.
+			if !slices.Equal(a.scan, b.scan) {
+				t.Fatalf("%s: record\n  %v\nreference\n  %v", what(), a.scan, b.scan)
+			}
+			hit := got != Invalid
+			if ex, exRef := !hit && !(m.budget < Unreachable && a.budgetCut(mask)), !hit && !(m.budget < Unreachable && b.budgetCut(mask)); ex != exRef {
+				t.Fatalf("%s: exhausted=%v, reference %v", what(), ex, exRef)
+			}
+			if hit && m.budget == Unreachable && a.arcsScanned < refArcs {
+				cov.boundTightened++ // nothing else cuts a row of an unbudgeted scan
+			}
+			if k := len(a.scan); hit && k >= 2 && a.scan[k-2].Dist == a.scan[k-1].Dist {
+				cov.tiesAtBound++
+			}
+			continue
+		}
+		for v := NodeID(0); int(v) < n; v++ {
+			if a.Reached(v) != b.Reached(v) || (a.settled[v] == a.epoch) != (b.settled[v] == b.epoch) {
+				t.Fatalf("%s: node %d reached=%v settled=%v, reference %v %v", what(), v,
+					a.Reached(v), a.settled[v] == a.epoch, b.Reached(v), b.settled[v] == b.epoch)
+			}
+			if a.Reached(v) && (a.dist[v] != b.dist[v] || a.parent[v] != b.parent[v] || (a.parent[v] != Invalid && a.pw[v] != b.pw[v])) {
+				t.Fatalf("%s: node %d (dist, parent, arc) = (%v, %d, %v), reference (%v, %d, %v)", what(), v,
+					a.dist[v], a.parent[v], a.pw[v], b.dist[v], b.parent[v], b.pw[v])
+			}
+		}
+	}
+}
+
+// denseDomainFixture is the regime the hierarchy's domain sessions run in: a
+// 100-node α = 0.9 domain and a multicast tree of node 0's shortest paths to
+// a dozen members.
+func denseDomainFixture() (g *Graph, spt *SPTree, onTree []bool) {
+	rng := rand.New(rand.NewSource(307))
+	g = waxmanDomain(rng, 100, 0.9, 0.6).Freeze()
+	spt = g.dijkstra(0, nil)
+	onTree = make([]bool, g.NumNodes())
+	onTree[0] = true
+	for i := 0; i < 12; i++ {
+		for v := NodeID(1 + rng.Intn(99)); v != Invalid; v = spt.Parent[v] {
+			onTree[v] = true
+		}
+	}
+	return g, spt, onTree
+}
+
+// TestDenseDomainArcWork gates the work counter where the end-to-end gain
+// comes from. A member that lost its uplink finds the tree again having
+// scanned at most a quarter of the arcs the reference loop scans, with the
+// same record (so the same SettledCount); a join whose candidate sweep is
+// confined by the source's distances scans at most half of what the same
+// sweep scans on the delay budget's radius alone, which is all a domain
+// session without an SPF cache had.
+func TestDenseDomainArcWork(t *testing.T) {
+	g, spt, onTree := denseDomainFixture()
+	ref := csrInsertionOrder(g)
+	a, b := g.NewSweep(), g.NewSweep()
+	defer a.Release()
+	defer b.Release()
+
+	var scanArcs, scanRef, joinArcs, joinRef int
+	for v := NodeID(1); int(v) < g.NumNodes(); v++ {
+		if onTree[v] && spt.Parent[v] != Invalid {
+			// v's uplink is cut: everything below it is gone with it, the
+			// rest of the tree is what it may re-attach to.
+			below := func(x NodeID) bool {
+				for ; x != Invalid; x = spt.Parent[x] {
+					if x == v {
+						return true
+					}
+				}
+				return false
+			}
+			mask := NewMask().BlockEdge(v, spt.Parent[v])
+			accept := func(x NodeID) bool { return onTree[x] && !below(x) }
+			want := b.runReference(ref, v, mask, Invalid, nil, accept, nil, Unreachable)
+			got := a.run(v, mask, Invalid, nil, accept, nil, Unreachable)
+			if got != want || !slices.Equal(a.scan, b.scan) || a.SettledCount() != b.SettledCount() {
+				t.Fatalf("scan from %d: (%d, %d settled), reference (%d, %d settled)", v, got, a.SettledCount(), want, b.SettledCount())
+			}
+			scanArcs += a.arcsScanned
+			scanRef += b.referenceArcs(ref, v, want, nil)
+			continue
+		}
+		if onTree[v] {
+			continue
+		}
+		absorbing := func(x NodeID) bool { return onTree[x] }
+		budget := 1.3 * spt.Dist[v]
+		b.runReference(ref, v, nil, Invalid, absorbing, nil, nil, budget)
+		a.run(v, nil, Invalid, absorbing, nil, spt.Dist, budget)
+		joinArcs += a.arcsScanned
+		joinRef += b.referenceArcs(ref, v, Invalid, absorbing)
+	}
+	t.Logf("nearest scans: %d arcs, reference %d; joins: %d arcs, reference %d", scanArcs, scanRef, joinArcs, joinRef)
+	if scanRef == 0 || joinRef == 0 {
+		t.Fatal("fixture has no scans or no joins")
+	}
+	if 4*scanArcs > scanRef {
+		t.Errorf("nearest scans looked at %d arcs, more than a quarter of the reference's %d", scanArcs, scanRef)
+	}
+	if 2*joinArcs > joinRef {
+		t.Errorf("joins looked at %d arcs, more than half of the reference's %d", joinArcs, joinRef)
+	}
+}
+
+// BenchmarkScanNearestDenseDomain measures the lone-member restoration scan
+// of a dense domain: each on-tree node in turn loses its uplink and looks for
+// the nearest node of the tree that is not below it.
+func BenchmarkScanNearestDenseDomain(b *testing.B) {
+	g, spt, onTree := denseDomainFixture()
+	var cut []NodeID
+	for v := NodeID(1); int(v) < g.NumNodes(); v++ {
+		if onTree[v] {
+			cut = append(cut, v)
+		}
+	}
+	var v NodeID
+	accept := func(x NodeID) bool {
+		if !onTree[x] {
+			return false
+		}
+		for ; x != Invalid; x = spt.Parent[x] {
+			if x == v {
+				return false
+			}
+		}
+		return true
+	}
+	mask := NewMask()
+	var rec NearestScan
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v = cut[i%len(cut)]
+		mask.BlockEdge(v, spt.Parent[v])
+		rec, _, _ = g.ScanNearest(rec, v, mask, accept, Unreachable)
+		mask.UnblockEdge(v, spt.Parent[v])
+	}
+}

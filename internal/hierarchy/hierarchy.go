@@ -52,6 +52,11 @@ func newDomainSession(g *graph.Graph, nodes []graph.NodeID, root graph.NodeID, c
 	// at megascale the per-domain copies are the hierarchy's dominant memory
 	// term, and the sorted-pair form halves their edge storage.
 	sub.Freeze()
+	// The domain's own SPF cache: joins read the unicast delay and the
+	// candidate sweep's lower bound off the session root's cached tree
+	// instead of running a Dijkstra each, and degraded joins get the delta
+	// repair. It holds nothing until the domain sees its first join.
+	sub.EnableSPFCache()
 	subRoot, ok := nm.ToSub(root)
 	if !ok {
 		return nil, fmt.Errorf("root %d not in domain", root)

@@ -219,7 +219,7 @@ func (s *Server) postFail(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	fs, err := req.failures()
+	fs, err := req.failures(s.reg.Graph().NumNodes())
 	if err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))
 		return
@@ -249,7 +249,7 @@ func (s *Server) postRepair(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	fs, err := req.failures()
+	fs, err := req.failures(s.reg.Graph().NumNodes())
 	if err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))
 		return

@@ -161,6 +161,11 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"fail self-loop link", http.MethodPost, base + "/fail",
 			FailRequest{FailureSpec: FailureSpec{Links: []LinkWire{{U: 1, V: 1}}}}, "",
 			http.StatusBadRequest, "bad_request"},
+		{"fail link to unknown node", http.MethodPost, base + "/fail",
+			FailRequest{FailureSpec: FailureSpec{Links: []LinkWire{{U: 1, V: 1 << 40}}}}, "",
+			http.StatusBadRequest, "bad_request"},
+		{"repair unknown node", http.MethodPost, base + "/repair",
+			FailureSpec{Nodes: []graph.NodeID{-1}}, "", http.StatusBadRequest, "bad_request"},
 		{"fail the source", http.MethodPost, base + "/fail",
 			FailRequest{FailureSpec: FailureSpec{Nodes: []graph.NodeID{0}}}, "",
 			http.StatusConflict, "source_failed"},
