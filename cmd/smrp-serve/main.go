@@ -69,6 +69,13 @@ func run(ctx context.Context, args []string, ready func(addr string)) (err error
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Every session is created from this configuration: refuse a bad one here,
+	// before listening, rather than on every session create.
+	sessCfg := core.DefaultConfig()
+	sessCfg.DThresh = *dthresh
+	if err := sessCfg.Validate(); err != nil {
+		return fmt.Errorf("-dthresh: %w", err)
+	}
 
 	// Profiles cover the daemon's whole lifetime and flush on graceful
 	// shutdown — profile a serving window by sending SIGINT when done.
@@ -94,8 +101,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) (err error
 	}
 	ts := topology.Describe(g)
 
-	sessCfg := core.DefaultConfig()
-	sessCfg.DThresh = *dthresh
 	reg := server.NewRegistry(g, server.RegistryConfig{
 		Generation:    *generation,
 		MailboxCap:    *mailbox,

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
 	"testing"
 	"time"
+
+	"smrp/internal/core"
 )
 
 // postJSON posts a JSON body and returns the status code.
@@ -161,5 +164,23 @@ func TestServeSmoke(t *testing.T) {
 				baseline, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestServeRefusesBadDThresh: a -dthresh no session can be created from
+// (negative) or that flag.Float64 parses but the bound cannot use (NaN) is
+// refused at start-up, before the daemon listens.
+func TestServeRefusesBadDThresh(t *testing.T) {
+	for _, v := range []string{"-1", "NaN"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-nodes", "20", "-dthresh", v},
+			func(addr string) {
+				t.Errorf("-dthresh %s: listening on %s", v, addr)
+				cancel() // drain, so that the test fails instead of hanging
+			})
+		cancel()
+		if !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("-dthresh %s: err = %v, want ErrBadConfig", v, err)
+		}
 	}
 }

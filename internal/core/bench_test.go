@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 	"testing"
 
@@ -26,8 +27,11 @@ func benchGraph(tb testing.TB, seed uint64) *graph.Graph {
 	return g
 }
 
-// BenchmarkEnumerateCandidates measures one full candidate enumeration (the
-// per-join hot path) against a ~25-member tree on a 100-node topology.
+// BenchmarkEnumerateCandidates measures one pass of the selection engine
+// (sweep, score, materialize the winner — the per-join hot path) against a
+// ~25-member tree on a 100-node topology: bounded, as every join and reshape
+// runs it first, and unbounded, the second pass of a join with nothing within
+// its bound.
 func BenchmarkEnumerateCandidates(b *testing.B) {
 	g := benchGraph(b, 2005)
 	rng := topology.NewRNG(2005)
@@ -45,11 +49,28 @@ func BenchmarkEnumerateCandidates(b *testing.B) {
 	if joiner == graph.Invalid {
 		b.Fatal("no off-tree joiner")
 	}
+	spt := g.Dijkstra(tr.Source(), nil)
+	sw := g.NewSweep()
+	defer sw.Release()
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = enumerateFull(tr, joiner, shr, nil, nil)
+	for _, bc := range []struct {
+		name       string
+		bound      float64
+		delayFirst bool
+	}{
+		{"bounded", (1 + DefaultConfig().DThresh) * spt.Dist[joiner], false},
+		{"unbounded", math.Inf(1), true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var st Stats
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := selectBySweep(sw, tr, joiner, shr, nil, spt.Dist, bc.bound, bc.delayFirst, &st); !ok {
+					b.Fatal("no candidate")
+				}
+			}
+			b.ReportMetric(float64(st.EnumSettled)/float64(b.N), "settled/op")
+		})
 	}
 }
 

@@ -28,68 +28,6 @@ type Candidate struct {
 // delayEps absorbs floating-point noise in delay-bound comparisons.
 const delayEps = 1e-9
 
-// enumerateFull generates one candidate per on-tree node R: the shortest
-// path from R to joiner that avoids every *other* on-tree node (so the
-// candidate genuinely merges at R), realizing the paper's "all possible
-// paths connecting to the current tree" under footnote 4 (only the shortest
-// connection per merger is considered).
-//
-// It runs as a single absorbing Dijkstra sweep rooted at the joiner: on-tree
-// nodes settle as path endpoints but are never relaxed through, so one
-// O(E log V) pass yields, for every merger simultaneously, the shortest
-// connection whose interior avoids the tree. On an undirected graph this is
-// exactly the per-merger formulation above — a connection's interior is
-// off-tree in both views, and Dijkstra's optimality applies per endpoint —
-// but without the old per-merger full Dijkstra plus O(|tree|) mask clone
-// (O(|tree|·E log V) per join).
-//
-// ConnDelay is recomputed from the materialized merger→joiner path with
-// Path.Weight rather than read off the sweep's joiner-rooted accumulation,
-// keeping the float left-to-right summation order — and therefore every
-// downstream selection decision — bit-identical to the per-merger version.
-//
-// extraMask additionally blocks nodes/edges (used by reshaping to keep the
-// member's own subtree out of the new path). The joiner must be off-tree.
-//
-// Exhaustive, every connection materialized: joins come here only when
-// selectInBudget found nothing within the bound, and tests use it as the
-// reference for that pass.
-func enumerateFull(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMask *graph.Mask, stats *Stats) []Candidate {
-	g := t.Graph()
-	sw := g.NewSweep()
-	defer sw.Release()
-	treeNodes := t.Nodes()
-	out := make([]Candidate, 0, len(treeNodes))
-
-	sw.Run(joiner, extraMask, t.OnTree)
-	if stats != nil {
-		stats.EnumSettled += sw.SettledCount()
-	}
-
-	for _, merger := range treeNodes {
-		if extraMask.NodeBlocked(merger) || !sw.Reached(merger) {
-			continue
-		}
-		conn := sw.PathFrom(merger) // merger → … → joiner
-		d, err := conn.Weight(g)
-		if err != nil {
-			continue
-		}
-		treeDelay, err := t.DelayTo(merger)
-		if err != nil {
-			continue
-		}
-		out = append(out, Candidate{
-			Merger:     merger,
-			Connection: conn,
-			ConnDelay:  d,
-			TotalDelay: treeDelay + d,
-			SHR:        shr.at(merger),
-		})
-	}
-	return out
-}
-
 // pruneSlack widens the sweep budget relative to the delay bound so float
 // rounding can never prune a node an admissible connection uses: the sweep
 // sums distances joiner-outward, TotalDelay sums tree delay plus connection
@@ -97,31 +35,73 @@ func enumerateFull(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMas
 // orders of magnitude above that; admissibility is still tested exactly.
 const pruneSlack = 1e-9
 
-// selectInBudget is enumeration and the Path Selection Criterion in one
-// pass, confined to where an admissible candidate can be. Merger m is
-// admissible when treeDelay(m) + conn(m, joiner) ≤ bound = (1+dThresh)·
-// spfDelay. lower holds SPF distances from the source on the unmasked graph,
-// so lower[m] ≤ treeDelay(m) and lower[w] ≤ lower[m] + conn(m, w) for every
-// w on the connection: dist(joiner, w) + lower[w] ≤ bound all along it, the
-// sweep need not leave that region (graph.Sweep.RunPruned), and inside it
-// everything reads as in the exhaustive sweep. The winner is therefore the
-// one selectCandidate picks from enumerateFull's output, bit for bit
-// (TestPrunedSelectionMatchesExhaustive; DESIGN.md §9.1). A nil lower prunes
-// on radius alone.
+// selection is the Path Selection Criterion (§3.2.2) as a running minimum:
+// of the candidates offered, the least among those whose TotalDelay is within
+// bound. The order is SHR, then delay, then merger ID; delayFirst drops SHR
+// from it, which with bound = +Inf picks the fastest candidate there is — what
+// a join takes when nothing is within its bound (the paper leaves that corner
+// unspecified; the fastest available path is the SPF-like behaviour).
+type selection struct {
+	bound      float64
+	delayFirst bool
+	best       Candidate
+	found      bool
+}
+
+func (p *selection) offer(c Candidate) {
+	if c.TotalDelay <= p.bound+delayEps && (!p.found || less(c, p.best, p.delayFirst)) {
+		p.best, p.found = c, true
+	}
+}
+
+// less orders candidates by SHR, then delay, then merger ID; delayFirst leaves
+// SHR out.
+func less(a, b Candidate, delayFirst bool) bool {
+	if !delayFirst && a.SHR != b.SHR {
+		return a.SHR < b.SHR
+	}
+	if a.TotalDelay != b.TotalDelay {
+		return a.TotalDelay < b.TotalDelay
+	}
+	return a.Merger < b.Merger
+}
+
+// selectAmong runs the criterion over candidates already in hand (the query
+// scheme's replies).
+func selectAmong(cands []Candidate, bound float64, delayFirst bool) (Candidate, bool) {
+	pick := selection{bound: bound, delayFirst: delayFirst}
+	for _, c := range cands {
+		pick.offer(c)
+	}
+	return pick.best, pick.found
+}
+
+// selectBySweep is full-topology enumeration and the criterion in one pass,
+// confined to where a candidate within bound can be. One absorbing sweep
+// rooted at the joiner — on-tree nodes settle as path endpoints but are never
+// relaxed through — yields, for every merger it reaches, the shortest
+// connection whose interior avoids the tree: the paper's "all possible paths
+// connecting to the current tree" under footnote 4 (only the shortest
+// connection per merger is considered). Merger m is within bound when
+// treeDelay(m) + conn(m, joiner) ≤ bound. lower holds SPF distances from the
+// source on the unmasked graph, so lower[m] ≤ treeDelay(m) and lower[w] ≤
+// lower[m] + conn(m, w) for every w on the connection: dist(joiner, w) +
+// lower[w] ≤ bound all along it, the sweep need not leave that region
+// (graph.Sweep.RunPruned), and inside it everything reads as in the exhaustive
+// sweep (DESIGN.md §9.1). A nil lower prunes on radius alone; bound = +Inf
+// prunes nothing and the sweep is the exhaustive one. Either way the winner
+// is the one the reference — every connection materialized, then the
+// criterion — picks, bit for bit (TestPrunedSelectionMatchesExhaustive).
 //
 // Candidates are scored off the sweep — Sweep.WeightFrom is the same float
-// as Path.Weight of the materialized connection — and only the winner's
-// Connection is built. found is false when nothing is within the bound; the
-// caller decides what that means (join: exhaustive min-delay fallback;
-// reshape: stay put). A nil sw is acquired here.
-func selectInBudget(sw *graph.Sweep, t *multicast.Tree, joiner graph.NodeID, shr shrVals, mask *graph.Mask, lower []float64, spfDelay, dThresh float64, stats *Stats) (best Candidate, found bool) {
-	if sw == nil {
-		sw = t.Graph().NewSweep()
-		defer sw.Release()
-	}
-	bound := (1 + dThresh) * spfDelay
+// as Path.Weight of the materialized merger→joiner connection — and only the
+// winner's Connection is built. mask additionally blocks nodes/edges (the
+// accumulated failures; for a reshape, the member's own subtree). The joiner
+// must be off-tree. A second pass for the same joiner reuses sw.
+func selectBySweep(sw *graph.Sweep, t *multicast.Tree, joiner graph.NodeID, shr shrVals, mask *graph.Mask, lower []float64, bound float64, delayFirst bool, stats *Stats) (Candidate, bool) {
 	sw.RunPruned(joiner, mask, t.OnTree, lower, bound*(1+pruneSlack)+2*delayEps)
 	stats.EnumSettled += sw.SettledCount()
+	pick := selection{bound: bound, delayFirst: delayFirst}
 	for _, merger := range t.Nodes() {
 		if !sw.Reached(merger) {
 			continue
@@ -132,15 +112,12 @@ func selectInBudget(sw *graph.Sweep, t *multicast.Tree, joiner graph.NodeID, shr
 		}
 		stats.CandidatesSeen++
 		d := sw.WeightFrom(merger)
-		c := Candidate{Merger: merger, ConnDelay: d, TotalDelay: treeDelay + d, SHR: shr.at(merger)}
-		if c.TotalDelay <= bound+delayEps && (!found || less(c, best, false)) {
-			best, found = c, true
-		}
+		pick.offer(Candidate{Merger: merger, ConnDelay: d, TotalDelay: treeDelay + d, SHR: shr.at(merger)})
 	}
-	if found {
-		best.Connection = sw.PathFrom(best.Merger) // merger → … → joiner
+	if pick.found {
+		pick.best.Connection = sw.PathFrom(pick.best.Merger) // merger → … → joiner
 	}
-	return best, found
+	return pick.best, pick.found
 }
 
 // enumerateQuery generates candidates via the query scheme of §3.3.1: the
@@ -207,49 +184,4 @@ func enumerateQuery(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMa
 	}
 	slices.SortFunc(out, func(a, b Candidate) int { return int(a.Merger - b.Merger) })
 	return out
-}
-
-// selectCandidate applies the paper's Path Selection Criterion: among
-// candidates whose TotalDelay is within (1+DThresh)·spfDelay, pick the one
-// with minimum SHR; break ties on TotalDelay, then on merger ID for
-// determinism. When no candidate meets the bound the minimum-delay candidate
-// is returned with withinBound=false — a member must still be able to join
-// (the paper leaves this corner unspecified; falling back to the fastest
-// available path is the SPF-like behaviour).
-func selectCandidate(cands []Candidate, spfDelay, dThresh float64) (Candidate, bool) {
-	bound := (1 + dThresh) * spfDelay
-	bestFeasible, haveFeasible := Candidate{}, false
-	bestAny, haveAny := Candidate{}, false
-	for _, c := range cands {
-		if !haveAny || less(c, bestAny, true) {
-			bestAny, haveAny = c, true
-		}
-		if c.TotalDelay <= bound+delayEps {
-			if !haveFeasible || less(c, bestFeasible, false) {
-				bestFeasible, haveFeasible = c, true
-			}
-		}
-	}
-	if haveFeasible {
-		return bestFeasible, true
-	}
-	return bestAny, false
-}
-
-// less orders candidates: by delay first when delayFirst (used by the
-// fallback), otherwise by SHR, then delay, then merger ID.
-func less(a, b Candidate, delayFirst bool) bool {
-	if delayFirst {
-		if a.TotalDelay != b.TotalDelay {
-			return a.TotalDelay < b.TotalDelay
-		}
-		return a.Merger < b.Merger
-	}
-	if a.SHR != b.SHR {
-		return a.SHR < b.SHR
-	}
-	if a.TotalDelay != b.TotalDelay {
-		return a.TotalDelay < b.TotalDelay
-	}
-	return a.Merger < b.Merger
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"smrp/internal/graph"
@@ -15,6 +16,21 @@ func denseSHRFor(t *multicast.Tree) shrVals {
 	return vals
 }
 
+// criterion puts cands to the production criterion the way a join does —
+// within the bound, then, if nothing is, with the bound lifted and delay first
+// — and requires the reference selectCandidate to agree.
+func criterion(t *testing.T, cands []Candidate, spfDelay, dThresh float64) (Candidate, bool) {
+	t.Helper()
+	got, within := selectAmong(cands, (1+dThresh)*spfDelay, false)
+	if !within {
+		got, _ = selectAmong(cands, math.Inf(1), true)
+	}
+	if want, wantWithin := selectCandidate(cands, spfDelay, dThresh); got.Merger != want.Merger || within != wantWithin {
+		t.Fatalf("criterion chose merger %d (within=%v), reference %d (%v)", got.Merger, within, want.Merger, wantWithin)
+	}
+	return got, within
+}
+
 func TestSelectCandidateCriterion(t *testing.T) {
 	cands := []Candidate{
 		{Merger: 1, TotalDelay: 10, SHR: 3},
@@ -22,7 +38,7 @@ func TestSelectCandidateCriterion(t *testing.T) {
 		{Merger: 3, TotalDelay: 11, SHR: 1},
 		{Merger: 4, TotalDelay: 30, SHR: 0}, // outside the bound
 	}
-	got, ok := selectCandidate(cands, 10, 0.3) // bound = 13
+	got, ok := criterion(t, cands, 10, 0.3) // bound = 13
 	if !ok {
 		t.Fatal("feasible candidates exist")
 	}
@@ -37,7 +53,7 @@ func TestSelectCandidateTieOnMergerID(t *testing.T) {
 		{Merger: 7, TotalDelay: 10, SHR: 2},
 		{Merger: 4, TotalDelay: 10, SHR: 2},
 	}
-	got, ok := selectCandidate(cands, 10, 0.5)
+	got, ok := criterion(t, cands, 10, 0.5)
 	if !ok || got.Merger != 4 {
 		t.Errorf("tie break by merger ID failed: %+v, %v", got, ok)
 	}
@@ -48,11 +64,11 @@ func TestSelectCandidateFallback(t *testing.T) {
 		{Merger: 1, TotalDelay: 20, SHR: 5},
 		{Merger: 2, TotalDelay: 18, SHR: 9},
 	}
-	got, ok := selectCandidate(cands, 10, 0.3) // bound 13: nothing feasible
+	got, ok := criterion(t, cands, 10, 0.3) // bound 13: nothing feasible
 	if ok {
 		t.Fatal("no candidate should be within bound")
 	}
-	// Fallback picks the fastest, regardless of SHR.
+	// With the bound lifted the fastest wins, regardless of SHR.
 	if got.Merger != 2 {
 		t.Errorf("fallback merger = %d, want 2", got.Merger)
 	}

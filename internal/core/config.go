@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrBadConfig is wrapped by every Config.Validate error, so callers can
@@ -172,8 +173,10 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.DThresh < 0 {
-		return fmt.Errorf("%w: DThresh = %v must be non-negative", ErrBadConfig, c.DThresh)
+	// +Inf is legal and means no bound; NaN would make every comparison with
+	// the bound false and send every join to the fastest path.
+	if c.DThresh < 0 || math.IsNaN(c.DThresh) {
+		return fmt.Errorf("%w: DThresh = %v must be a non-negative number", ErrBadConfig, c.DThresh)
 	}
 	switch c.Knowledge {
 	case FullTopology, QueryScheme:
@@ -216,12 +219,14 @@ type Stats struct {
 
 	// BatchJoins counts members admitted through JoinBatch (a subset of
 	// Joins). EnumSettled tallies nodes settled by candidate sweeps (the
-	// delay-bound-pruned pass of every join and reshape, plus the exhaustive
-	// re-run of a join that found nothing within the bound) — the
+	// delay-bound-pruned pass of every join and reshape, plus the unbounded
+	// second pass of a join that found nothing within the bound) — the
 	// settled-node counter is the repository's CI-stable unit of SPF work
-	// (wall-clock is noise on shared single-core runners).
-	BatchJoins  int
-	EnumSettled int
+	// (wall-clock is noise on shared single-core runners). SelectRescans
+	// counts the joins that took that second pass.
+	BatchJoins    int
+	EnumSettled   int
+	SelectRescans int
 
 	// HealSettled tallies nodes settled by the failure-recovery sweeps
 	// (nearest-survivor scans during Recover/Reconcile/RecoverMember; a scan

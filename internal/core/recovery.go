@@ -346,10 +346,7 @@ func (s *Session) reconcile(fs []failure.Failure) (*HealReport, error) {
 
 // reconnect is reconcile's loop: it regrafts or parks everybody in h.todo.
 func (s *Session) reconnect(h *heal) error {
-	mask := h.mask
-	accept := func(n graph.NodeID) bool {
-		return s.tree.OnTree(n) && !mask.NodeBlocked(n)
-	}
+	mask, accept := h.mask, s.survivor(h.mask)
 	todo := make([]reconnecting, len(h.todo))
 	for i, m := range h.todo {
 		todo[i] = reconnecting{m: m, radius: -1, cur: -1}
@@ -428,6 +425,23 @@ func (s *Session) reconnect(h *heal) error {
 	return nil
 }
 
+// survivor is the accept predicate of every recovery search under mask: an
+// on-tree node that is up.
+func (s *Session) survivor(mask *graph.Mask) func(graph.NodeID) bool {
+	return func(n graph.NodeID) bool {
+		return s.tree.OnTree(n) && !mask.NodeBlocked(n)
+	}
+}
+
+// nearestSurvivor is the one-shot search for m's local detour: the shortest
+// residual path m → … → nearest survivor and its weight; ok is false when
+// m's component holds none.
+func (s *Session) nearestSurvivor(m graph.NodeID, mask *graph.Mask) (p graph.Path, d float64, ok bool) {
+	node, p, d, settled := s.g.NearestOfCounted(m, mask, s.survivor(mask))
+	s.stats.HealSettled += settled
+	return p, d, node != graph.Invalid
+}
+
 // RecoverMember attempts a local-detour re-admission of a single off-tree
 // node (typically a parked member): the shortest residual path to the
 // nearest live on-tree node is grafted. It returns ErrPartitioned — and
@@ -449,12 +463,8 @@ func (s *Session) RecoverMember(m graph.NodeID) (graph.Path, float64, error) {
 		}
 		return graph.Path{m}, 0, nil
 	}
-	accept := func(n graph.NodeID) bool {
-		return s.tree.OnTree(n) && !mask.NodeBlocked(n)
-	}
-	node, p, d, settled := s.g.NearestOfCounted(m, mask, accept)
-	s.stats.HealSettled += settled
-	if node == graph.Invalid {
+	p, d, ok := s.nearestSurvivor(m, mask)
+	if !ok {
 		s.park(m)
 		return nil, 0, fmt.Errorf("recover %d: %w", m, ErrPartitioned)
 	}

@@ -220,13 +220,13 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, sw *graph.Sweep) (*Jo
 		res.Merger = nr
 		res.Connection = graph.Path{nr}
 	} else {
-		cand, ok, err := s.selectJoinPath(nr, spfDelay, lower, sw)
-		if err != nil {
-			if mask != nil && errors.Is(err, ErrNoPath) {
+		cand, within, ok := s.selectPath(sw, s.tree, nr, s.shr.table(s.tree), mask, lower, spfDelay, true)
+		if !ok {
+			if mask != nil {
 				s.park(nr)
 				return nil, fmt.Errorf("join %d: %w", nr, ErrPartitioned)
 			}
-			return nil, fmt.Errorf("join %d: %w", nr, err)
+			return nil, fmt.Errorf("join %d: %w", nr, ErrNoCandidate)
 		}
 		if err := s.tree.Graft(cand.Connection, true); err != nil {
 			return nil, fmt.Errorf("join %d: graft: %w", nr, err)
@@ -234,7 +234,7 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, sw *graph.Sweep) (*Jo
 		res.Merger = cand.Merger
 		res.Connection = cand.Connection
 		res.MergerSHR = cand.SHR
-		res.WithinBound = ok
+		res.WithinBound = within
 	}
 
 	delete(s.parked, nr)
@@ -257,7 +257,7 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, sw *graph.Sweep) (*Jo
 // sourceSPF returns nr's SPF delay from the source under the accumulated
 // failure mask (Unreachable when cut off; read off spt when the caller holds
 // that tree) and the lower bound the candidate sweep prunes with (see
-// selectInBudget): SPF distances from the source on the *unmasked* graph.
+// selectBySweep): SPF distances from the source on the *unmasked* graph.
 // Masked distances would prune harder, but the tree keeps its dead edges
 // between ApplyFailure and Recover, and a node's delay along them can
 // undercut its masked SPF distance. Degraded, the unmasked tree is the cache
@@ -284,29 +284,36 @@ func (s *Session) sourceSPF(nr graph.NodeID, spt *graph.SPTree) (spfDelay float6
 	return spt.Dist[nr], lower
 }
 
-// selectJoinPath picks joiner's connection per the configured knowledge
-// mode and the Path Selection Criterion, under the accumulated failure mask.
-// Full knowledge tries the delay-bound-pruned pass first; only when nothing
-// is within the bound does it pay for the exhaustive enumeration, whose
-// minimum-delay candidate is the (paper-unspecified) fallback.
-func (s *Session) selectJoinPath(joiner graph.NodeID, spfDelay float64, lower []float64, sw *graph.Sweep) (Candidate, bool, error) {
-	shr := s.shr.table(s.tree)
-	mask := s.maskOrNil()
-	var cands []Candidate
-	if s.cfg.Knowledge == QueryScheme {
-		cands = enumerateQuery(s.tree, joiner, shr, mask, &s.stats)
-	} else {
-		if best, ok := selectInBudget(sw, s.tree, joiner, shr, mask, lower, spfDelay, s.cfg.DThresh, &s.stats); ok {
-			return best, true, nil
+// selectPath is path selection for joiner against tree t — the session's own
+// for a join, the hypothetical one for a reshape — under mask: the candidates
+// the configured knowledge mode can see, put to the Path Selection Criterion
+// with bound (1+DThresh)·spfDelay. When nothing is within the bound a caller
+// that must land (a join; a reshape stays put) gets the fastest candidate
+// there is, within = false: the query scheme's replies are judged again with
+// the bound lifted, full knowledge sweeps again, unbounded, on the same arena
+// (sw; nil acquires one here). ok is false when there is no candidate at all.
+func (s *Session) selectPath(sw *graph.Sweep, t *multicast.Tree, joiner graph.NodeID, shr shrVals, mask *graph.Mask, lower []float64, spfDelay float64, mustLand bool) (best Candidate, within, ok bool) {
+	var replies []Candidate
+	query := s.cfg.Knowledge == QueryScheme
+	if query {
+		replies = enumerateQuery(t, joiner, shr, mask, &s.stats)
+		s.stats.CandidatesSeen += len(replies)
+	} else if sw == nil {
+		sw = s.g.NewSweep()
+		defer sw.Release()
+	}
+	pass := func(bound float64, delayFirst bool) (Candidate, bool) {
+		if query {
+			return selectAmong(replies, bound, delayFirst)
 		}
-		cands = enumerateFull(s.tree, joiner, shr, mask, &s.stats)
+		return selectBySweep(sw, t, joiner, shr, mask, lower, bound, delayFirst, &s.stats)
 	}
-	s.stats.CandidatesSeen += len(cands)
-	if len(cands) == 0 {
-		return Candidate{}, false, ErrNoCandidate
+	if best, ok = pass((1+s.cfg.DThresh)*spfDelay, false); ok || !mustLand {
+		return best, ok, ok
 	}
-	best, ok := selectCandidate(cands, spfDelay, s.cfg.DThresh)
-	return best, ok, nil
+	s.stats.SelectRescans++
+	best, ok = pass(math.Inf(1), true)
+	return best, false, ok
 }
 
 // maskOrNil returns the accumulated failure mask, or nil while healthy (the
@@ -508,15 +515,7 @@ func (s *Session) reshapeMember(m graph.NodeID) (bool, error) {
 	// m itself — m is the joiner, not an obstacle.
 	mask := s.opMask(graph.NewMask().BlockNodes(subNodes...).UnblockNode(m))
 	spfDelay, lower := s.sourceSPF(m, nil)
-	var best Candidate
-	var ok bool
-	if s.cfg.Knowledge == QueryScheme {
-		cands := enumerateQuery(hypo, m, hypoSHR, mask, &s.stats)
-		s.stats.CandidatesSeen += len(cands)
-		best, ok = selectCandidate(cands, spfDelay, s.cfg.DThresh)
-	} else {
-		best, ok = selectInBudget(nil, hypo, m, hypoSHR, mask, lower, spfDelay, s.cfg.DThresh, &s.stats)
-	}
+	best, _, ok := s.selectPath(nil, hypo, m, hypoSHR, mask, lower, spfDelay, false)
 	if !ok {
 		return false, nil // no admissible alternative; stay put
 	}

@@ -50,6 +50,42 @@ func TestNewSessionValidation(t *testing.T) {
 	}
 }
 
+func TestConfigValidate(t *testing.T) {
+	with := func(edit func(*Config)) Config {
+		c := DefaultConfig()
+		edit(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"default", DefaultConfig(), true},
+		{"DThresh 0 (pure SPF)", with(func(c *Config) { c.DThresh = 0 }), true},
+		{"DThresh +Inf (no bound)", with(func(c *Config) { c.DThresh = math.Inf(1) }), true},
+		{"DThresh negative", with(func(c *Config) { c.DThresh = -1 }), false},
+		{"DThresh -Inf", with(func(c *Config) { c.DThresh = math.Inf(-1) }), false},
+		{"DThresh NaN", with(func(c *Config) { c.DThresh = math.NaN() }), false},
+		{"query scheme, deferred SHR, sparse", with(func(c *Config) {
+			c.Knowledge, c.SHRMode, c.TreeStorage = QueryScheme, DeferredSHR, StorageSparse
+		}), true},
+		{"Knowledge unset", with(func(c *Config) { c.Knowledge = 0 }), false},
+		{"Knowledge out of range", with(func(c *Config) { c.Knowledge = QueryScheme + 1 }), false},
+		{"SHRMode unset", with(func(c *Config) { c.SHRMode = 0 }), false},
+		{"TreeStorage out of range", with(func(c *Config) { c.TreeStorage = StorageSparse + 1 }), false},
+		{"zero value", Config{}, false},
+	} {
+		err := tc.cfg.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v, want valid", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", tc.name, err)
+		}
+	}
+}
+
 func TestConfigStringers(t *testing.T) {
 	if FullTopology.String() != "full-topology" || QueryScheme.String() != "query-scheme" {
 		t.Error("Knowledge String mismatch")

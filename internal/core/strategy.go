@@ -167,16 +167,11 @@ func (s *Session) tryReconnect(m graph.NodeID, mask *graph.Mask, reconnect Recon
 			return sp, rd, true
 		}
 	}
-	accept := func(n graph.NodeID) bool {
-		return s.tree.OnTree(n) && !mask.NodeBlocked(n)
+	p, d, ok := s.nearestSurvivor(m, mask)
+	if ok {
+		s.stats.StrategyFallbacks++
 	}
-	node, p, d, settled := s.g.NearestOfCounted(m, mask, accept)
-	s.stats.HealSettled += settled
-	if node == graph.Invalid {
-		return nil, 0, false
-	}
-	s.stats.StrategyFallbacks++
-	return p, d, true
+	return p, d, ok
 }
 
 // sanitizeDetour validates a strategy-proposed detour for member m against

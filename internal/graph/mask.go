@@ -70,9 +70,11 @@ func NewMask() *Mask {
 
 // NewMaskWithCapacity returns an empty mask whose node blocks are bitset-
 // backed from birth, sized for node IDs 0..n-1 (the bitset grows if a larger
-// ID is blocked later). Use it when the graph size is known at construction —
-// sessions over megascale topologies bind their failure masks this way so
-// every relaxation-loop probe is dense from the first blocked element.
+// ID is blocked later). Use it when the graph size is known at construction
+// and the mask will be probed on relaxation loops from its first element on:
+// the mrc and detour baselines pre-size their per-configuration and per-node
+// masks this way. (A session's failure mask starts as NewMask and is promoted
+// at maskPromoteThreshold like any other.)
 func NewMaskWithCapacity(n int) *Mask {
 	if n < 1 {
 		n = 1
