@@ -16,10 +16,10 @@ import (
 // without a cache, k cache probes with one, when joining one at a time — and
 // while healthy its distances are also the candidate sweep's lower bound
 // (Session.sourceSPF), which a cacheless sequential join has to do without.
-// One sweep arena serves every candidate sweep. Both are value-identical to
-// the per-call machinery (TestJoinBatchBitIdentical). The intended use is k
-// simultaneous joiners of one group, as queued by the server actor's mailbox
-// or a flash-crowd workload.
+// One arena serves every candidate sweep and reshape check. Both are
+// value-identical to the per-call machinery (TestJoinBatchBitIdentical). The
+// intended use is k simultaneous joiners of one group, as queued by the server
+// actor's mailbox or a flash-crowd workload.
 //
 // Per-joiner failures do not abort the batch: results[i] and errs[i] report
 // joiner i's outcome, and a failed joiner leaves exactly the state a failed
@@ -30,11 +30,11 @@ func (s *Session) JoinBatch(joiners []graph.NodeID) (results []*JoinResult, errs
 	if len(joiners) == 0 {
 		return results, errs
 	}
-	sw := s.g.NewSweep()
-	defer sw.Release()
+	a := s.newArena()
+	defer a.release()
 	spt := s.g.Dijkstra(s.tree.Source(), s.maskOrNil())
 	for i, nr := range joiners {
-		results[i], errs[i] = s.join(nr, spt, sw)
+		results[i], errs[i] = s.join(nr, spt, a)
 		if errs[i] == nil {
 			s.stats.BatchJoins++
 		}

@@ -36,7 +36,6 @@ func BenchmarkEnumerateCandidates(b *testing.B) {
 	g := benchGraph(b, 2005)
 	rng := topology.NewRNG(2005)
 	tr := growRandomTree(b, g, 0, 25, rng)
-	shr := denseSHRFor(tr)
 
 	// A deterministic off-tree joiner.
 	joiner := graph.Invalid
@@ -50,8 +49,9 @@ func BenchmarkEnumerateCandidates(b *testing.B) {
 		b.Fatal("no off-tree joiner")
 	}
 	spt := g.Dijkstra(tr.Source(), nil)
-	sw := g.NewSweep()
-	defer sw.Release()
+	a := &arena{sw: g.NewSweep()}
+	defer a.sw.Release()
+	a.view.whole(tr, denseSHRFor(tr))
 
 	for _, bc := range []struct {
 		name       string
@@ -65,7 +65,7 @@ func BenchmarkEnumerateCandidates(b *testing.B) {
 			var st Stats
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, ok := selectBySweep(sw, tr, joiner, shr, nil, spt.Dist, bc.bound, bc.delayFirst, &st); !ok {
+				if _, ok := selectBySweep(a, joiner, nil, spt.Dist, bc.bound, bc.delayFirst, &st); !ok {
 					b.Fatal("no candidate")
 				}
 			}
@@ -103,11 +103,18 @@ func BenchmarkJoinSession(b *testing.B) {
 // times and TestRecoverSettledPerMember gates.
 func branchCutSession(tb testing.TB) *Session {
 	tb.Helper()
-	s, err := NewSession(benchGraph(tb, 2005), 0, DefaultConfig())
+	return paperSession(tb, benchGraph(tb, 2005), DefaultConfig())
+}
+
+// paperSession admits the 30 members of the paper's regime to a new session
+// on g, source 0.
+func paperSession(tb testing.TB, g *graph.Graph, cfg Config) *Session {
+	tb.Helper()
+	s, err := NewSession(g, 0, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, m := range topology.NewRNG(77).Sample(s.g.NumNodes(), 31) {
+	for _, m := range topology.NewRNG(77).Sample(g.NumNodes(), 31) {
 		if m != 0 && s.tree.NumMembers() < 30 {
 			if _, err := s.Join(graph.NodeID(m)); err != nil {
 				tb.Fatal(err)
@@ -256,6 +263,113 @@ func TestLeafCutRestoreAllocs(t *testing.T) {
 		if allocs > 24 {
 			t.Errorf("%d members (%d tree nodes): %.0f allocs per single-member restore, want ≤ 24",
 				members, s.tree.NumNodes(), allocs)
+		}
+	}
+}
+
+// settledSession is the paper's regime (branchCutSession's topology and
+// members, with the SPF cache a served session has) on the given tree
+// storage, reshaped until no member's check moves it any more; degraded, it
+// stands on an unrepaired link and node failure off the tree. What is left is
+// the reshape check as most joins pay for it: triggered, evaluated, staying
+// put.
+func settledSession(tb testing.TB, storage TreeStorage, degraded bool) *Session {
+	tb.Helper()
+	g := benchGraph(tb, 2005)
+	g.EnableSPFCache()
+	cfg := DefaultConfig()
+	cfg.TreeStorage = storage
+	s := paperSession(tb, g, cfg)
+	if degraded {
+		var fs []failure.Failure
+		for _, e := range g.Edges() {
+			if !s.tree.OnTree(e.A) && !s.tree.OnTree(e.B) {
+				fs = append(fs, failure.LinkDown(e.A, e.B), failure.NodeDown(e.A))
+				break
+			}
+		}
+		if len(fs) == 0 {
+			tb.Fatal("no link off the tree")
+		}
+		s.ApplyFailure(fs...)
+	}
+	a := s.newArena()
+	defer a.release()
+	for moves := 1; moves > 0; {
+		moves = 0
+		for _, m := range s.tree.Members() {
+			if moved, _ := s.reshapeMember(a, m); moved {
+				moves++
+			}
+		}
+	}
+	return s
+}
+
+// BenchmarkReshapeCheck measures one reshape check that stays put (§3.2.3:
+// the view of the tree without the member's subtree, one selection pass
+// through it, the comparison with the current attachment), over the members of
+// a 30-member session in turn.
+func BenchmarkReshapeCheck(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		storage  TreeStorage
+		degraded bool
+	}{
+		{"dense", StorageDense, false},
+		{"sparse", StorageSparse, false},
+		{"dense-degraded", StorageDense, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := settledSession(b, bc.storage, bc.degraded)
+			ms := s.tree.Members()
+			a := s.newArena()
+			defer a.release()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if moved, _ := s.reshapeMember(a, ms[i%len(ms)]); moved {
+					b.Fatal("a settled member moved")
+				}
+			}
+		})
+	}
+}
+
+// TestReshapeCheckAllocs pins a warm reshape check that stays put at zero
+// allocations, on dense and on sparse tree storage, healthy and degraded (the
+// marks are NodeID-indexed and pooled with the sweep, so sparse storage costs
+// no map): nothing is copied, and the subtree list, the marks, the mask, the
+// node list and the sweep all come out of the arena. The member checked is the
+// one with the most nodes below it. Skipped with -short and run with GC off
+// for the reason TestLeafCutRestoreAllocs gives.
+func TestReshapeCheckAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts belong to the sweep pool under -race -short")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, storage := range []TreeStorage{StorageDense, StorageSparse} {
+		for _, degraded := range []bool{false, true} {
+			s := settledSession(t, storage, degraded)
+			m, below := graph.Invalid, 0
+			for _, c := range s.tree.Members() {
+				if sub, _ := s.tree.SubtreeNodes(c); len(sub) > below {
+					m, below = c, len(sub)
+				}
+			}
+			check := func() {
+				a := s.newArena()
+				defer a.release()
+				if moved, err := s.reshapeMember(a, m); moved || err != nil {
+					t.Fatalf("check of settled member %d: moved = %v, err = %v", m, moved, err)
+				}
+			}
+			check() // let the arena's buffers grow
+			allocs := testing.AllocsPerRun(100, check)
+			t.Logf("%v degraded=%v: member %d with %d nodes below it, %.0f allocs per check", storage, degraded, m, below-1, allocs)
+			if allocs != 0 {
+				t.Errorf("%v degraded=%v: %.0f allocs per warm reshape check, want 0", storage, degraded, allocs)
+			}
 		}
 	}
 }

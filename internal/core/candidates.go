@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"smrp/internal/graph"
-	"smrp/internal/multicast"
 )
 
 // Candidate is one admissible way for a joining node to connect to the
@@ -95,27 +94,33 @@ func selectAmong(cands []Candidate, bound float64, delayFirst bool) (Candidate, 
 //
 // Candidates are scored off the sweep — Sweep.WeightFrom is the same float
 // as Path.Weight of the materialized merger→joiner connection — and only the
-// winner's Connection is built. mask additionally blocks nodes/edges (the
+// winner's Connection is built, in the view's buffer: it is the caller's until
+// the next selection in a, and a caller that keeps it copies it. mask
+// additionally blocks nodes/edges (the
 // accumulated failures; for a reshape, the member's own subtree). The joiner
-// must be off-tree. A second pass for the same joiner reuses sw.
-func selectBySweep(sw *graph.Sweep, t *multicast.Tree, joiner graph.NodeID, shr shrVals, mask *graph.Mask, lower []float64, bound float64, delayFirst bool, stats *Stats) (Candidate, bool) {
-	sw.RunPruned(joiner, mask, t.OnTree, lower, bound*(1+pruneSlack)+2*delayEps)
+// must be off the tree a's view stands for. A second pass for the same joiner
+// reuses a's sweep.
+func selectBySweep(a *arena, joiner graph.NodeID, mask *graph.Mask, lower []float64, bound float64, delayFirst bool, stats *Stats) (Candidate, bool) {
+	sw, v := a.sw, &a.view
+	sw.RunPruned(joiner, mask, v.onTree, lower, bound*(1+pruneSlack)+2*delayEps)
 	stats.EnumSettled += sw.SettledCount()
 	pick := selection{bound: bound, delayFirst: delayFirst}
-	for _, merger := range t.Nodes() {
-		if !sw.Reached(merger) {
+	v.nodes = v.t.AppendNodes(v.nodes[:0])
+	for _, merger := range v.nodes {
+		if !sw.Reached(merger) || v.left(merger) {
 			continue
 		}
-		treeDelay, err := t.DelayTo(merger)
+		treeDelay, err := v.t.DelayTo(merger)
 		if err != nil {
 			continue
 		}
 		stats.CandidatesSeen++
 		d := sw.WeightFrom(merger)
-		pick.offer(Candidate{Merger: merger, ConnDelay: d, TotalDelay: treeDelay + d, SHR: shr.at(merger)})
+		pick.offer(Candidate{Merger: merger, ConnDelay: d, TotalDelay: treeDelay + d, SHR: v.shrAt(merger)})
 	}
 	if pick.found {
-		pick.best.Connection = sw.PathFrom(pick.best.Merger) // merger → … → joiner
+		v.conn = sw.AppendPathFrom(v.conn[:0], pick.best.Merger) // merger → … → joiner
+		pick.best.Connection = v.conn
 	}
 	return pick.best, pick.found
 }
@@ -126,18 +131,19 @@ func selectBySweep(sw *graph.Sweep, t *multicast.Tree, joiner graph.NodeID, shr 
 // met answers with its SHR and becomes a candidate merger. Coverage is
 // partial by design — the scheme trades optimality for not needing topology
 // knowledge. Each relayed query increments stats.QueryMessages.
-func enumerateQuery(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMask *graph.Mask, stats *Stats) []Candidate {
+func enumerateQuery(v *treeView, joiner graph.NodeID, extraMask *graph.Mask, stats *Stats) []Candidate {
+	t := v.t
 	g := t.Graph()
 	src := t.Source()
 	best := make(map[graph.NodeID]Candidate)
 	for _, arc := range g.Neighbors(joiner) {
-		v := arc.To
-		if extraMask.NodeBlocked(v) || extraMask.EdgeBlocked(joiner, v) {
+		nb := arc.To
+		if extraMask.NodeBlocked(nb) || extraMask.EdgeBlocked(joiner, nb) {
 			continue
 		}
 		stats.QueryMessages++
 		// The neighbor's own unicast shortest path toward the source.
-		spf, _ := g.ShortestPath(v, src, extraMask)
+		spf, _ := g.ShortestPath(nb, src, extraMask)
 		if spf == nil {
 			continue
 		}
@@ -146,7 +152,7 @@ func enumerateQuery(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMa
 		var relay graph.Path
 		for _, n := range spf {
 			relay = append(relay, n)
-			if t.OnTree(n) {
+			if v.onTree(n) {
 				merger = n
 				break
 			}
@@ -172,7 +178,7 @@ func enumerateQuery(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMa
 			Connection: conn,
 			ConnDelay:  cd,
 			TotalDelay: treeDelay + cd,
-			SHR:        shr.at(merger),
+			SHR:        v.shrAt(merger),
 		}
 		if prev, ok := best[merger]; !ok || cand.TotalDelay < prev.TotalDelay {
 			best[merger] = cand

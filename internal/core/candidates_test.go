@@ -161,9 +161,8 @@ func TestEnumerateQueryCoverageSubset(t *testing.T) {
 	if err := tr.Graft(graph.Path{0, 1, 3, 4}, true); err != nil {
 		t.Fatal(err)
 	}
-	shr := denseSHRFor(tr)
 	var st Stats
-	cands := enumerateQuery(tr, f4G, shr, nil, &st)
+	cands := enumerateQuery(new(treeView).whole(tr, denseSHRFor(tr)), f4G, nil, &st)
 	if len(cands) == 0 {
 		t.Fatal("query scheme found nothing")
 	}

@@ -197,7 +197,10 @@ func (c Config) Validate() error {
 }
 
 // Stats counts protocol work performed by a session; the overhead ablations
-// (§3.3.2) compare these across configurations.
+// (§3.3.2) compare these across configurations. SHRComputes counts one per
+// node of each table computed; a reshape check reads the live table, so it
+// forces (and counts) a stale one before it counts the table of the tree its
+// member has left.
 type Stats struct {
 	Joins          int // successful member joins
 	Leaves         int // successful member departures

@@ -20,15 +20,15 @@ const (
 
 // MemoryFootprint returns the deterministic byte accounting of the
 // session's standing state: the tree (dense arrays or the sparse
-// touched-node remap), the SHR table and its reshaping scratch twin, the
-// per-member Condition-I baselines, and parked members. With sparse tree
+// touched-node remap), the SHR table, the per-member Condition-I baselines,
+// and parked members (reshape checks work in a pooled arena and leave
+// nothing standing). With sparse tree
 // storage every term is O(|tree| + |members|); with dense storage the tree
 // and SHR terms are O(topology) — the ratio between the two is what the
 // megascale CI gate pins.
 func (s *Session) MemoryFootprint() int64 {
 	return s.tree.MemoryFootprint() +
 		s.shr.vals.footprint() +
-		s.hypoVals.footprint() +
 		int64(len(s.lastUpSHR))*bytesPerBaselineEntry +
 		int64(len(s.parked))*bytesPerParkedEntry
 }

@@ -35,6 +35,13 @@ type pruneOracle struct {
 	// bounded sweep never reached, and those whose fastest candidate is not
 	// the one of least SHR.
 	ties, beyond, reordered int
+	// What the reshape checks went through: checks whose view pruned a relay
+	// chain above the member, and of those the ones the chain stopped at a
+	// member relay (no other child, spared for being a receiver); winners
+	// Reroute refused because they cross a pruned relay the real tree still
+	// holds; admissible winners inside the member's own top-level branch, where
+	// the view's SHR differs from the table's, and outside it.
+	chains, memberStops, refused, inside, outside int
 	// probed takes the counters of the oracle's own selectPath calls, so that
 	// the session's read as if only its operations had run.
 	probed Stats
@@ -50,7 +57,11 @@ func (o *pruneOracle) probe(tr *multicast.Tree, joiner graph.NodeID, shr shrVals
 	s := o.s
 	before, own := o.probed, s.stats
 	s.stats = o.probed
-	got, within, ok = s.selectPath(nil, tr, joiner, shr, mask, lower, spfDelay, mustLand)
+	a := s.newArena()
+	defer a.release()
+	a.view.whole(tr, shr)
+	got, within, ok = s.selectPath(a, joiner, mask, lower, spfDelay, mustLand)
+	got.Connection = slices.Clone(got.Connection) // the arena's, and the arena goes back
 	o.probed, s.stats = s.stats, own
 	return got, within, ok, Stats{
 		EnumSettled:    o.probed.EnumSettled - before.EnumSettled,
@@ -77,8 +88,19 @@ func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *g
 		o.t.Fatalf("%s: sourceSPF delay %v, reference %v", what, spfDelay, spf)
 	}
 
+	// Full knowledge is held to the exhaustive enumeration. The query scheme's
+	// replies are what they are — the same relayed queries, asked of tr as it
+	// stands; what they check is the view a reshape asks them through — and a
+	// second pass over them neither sweeps nor counts them again.
 	var full Stats
-	cands := enumerateFull(tr, joiner, shr, mask, &full)
+	var cands []Candidate
+	query := s.cfg.Knowledge == QueryScheme
+	if query {
+		cands = enumerateQuery(new(treeView).whole(tr, shr), joiner, mask, new(Stats))
+	} else {
+		cands = enumerateFull(tr, joiner, shr, mask, &full)
+		full.CandidatesSeen = len(cands)
+	}
 	want, admissible = selectCandidate(cands, spf, s.cfg.DThresh)
 	same := func(got Candidate) bool {
 		return got.Merger == want.Merger && got.ConnDelay == want.ConnDelay && got.TotalDelay == want.TotalDelay &&
@@ -115,14 +137,14 @@ func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *g
 	if found && !same(got) {
 		o.t.Fatalf("%s: second pass chose %+v, reference %+v", what, got, want)
 	}
-	if both.EnumSettled != bounded.EnumSettled+full.EnumSettled || both.CandidatesSeen != bounded.CandidatesSeen+len(cands) || both.SelectRescans != 1 {
+	if both.EnumSettled != bounded.EnumSettled+full.EnumSettled || both.CandidatesSeen != bounded.CandidatesSeen+full.CandidatesSeen || both.SelectRescans != 1 {
 		o.t.Fatalf("%s: both passes counted %+v; bounded pass %+v, the exhaustive sweep settles %d and has %d candidates", what, both, bounded, full.EnumSettled, len(cands))
 	}
 	// What makes the second pass more than the first one repeated: a winner
 	// the bounded sweep stopped short of, and an order that disagrees with the
 	// bounded pass's.
 	sw.RunPruned(joiner, mask, tr.OnTree, lower, (1+s.cfg.DThresh)*spf*(1+pruneSlack)+2*delayEps)
-	if found && !sw.Reached(want.Merger) {
+	if found && !query && !sw.Reached(want.Merger) {
 		o.beyond++
 	}
 	if bySHR, _ := selectCandidate(cands, math.Inf(1), 0); bySHR.Merger != want.Merger {
@@ -131,7 +153,7 @@ func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *g
 	if isJoin {
 		o.rescans++
 		o.want.EnumSettled += full.EnumSettled
-		o.want.CandidatesSeen += len(cands)
+		o.want.CandidatesSeen += full.CandidatesSeen
 	}
 	return want, false, len(cands) > 0
 }
@@ -242,15 +264,19 @@ func (o *pruneOracle) join(nr graph.NodeID) {
 	}
 }
 
-// reshape re-selects member m's path (§3.2.3) and checks the selection made
-// on the hypothetical tree, under the subtree extra-mask, against the
-// reference's: a member that moves lands on the reference's connection, a
-// member with no admissible alternative stays put.
+// reshape re-selects member m's path (§3.2.3) and checks it against the
+// hypothetical tree of the paper built the slow way — a clone of the tree with
+// m's subtree removed, its SHR table computed from scratch, the subtree
+// extra-mask built anew. The view reshapeMember reads the real tree through
+// must agree with that clone node by node; the selection made through it must
+// be the reference's on the clone; and the member moves exactly when the
+// reference's winner beats its current attachment as the clone reads it.
 func (o *pruneOracle) reshape(m graph.NodeID) {
 	o.t.Helper()
 	s := o.s
 	what := fmt.Sprintf("reshape %d", m)
-	if p, _ := s.tree.Parent(m); p == graph.Invalid {
+	parent, _ := s.tree.Parent(m)
+	if parent == graph.Invalid {
 		return
 	}
 	exp := s.tree.Clone()
@@ -262,33 +288,107 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 	if err := hypo.RemoveSubtree(m); err != nil {
 		o.t.Fatal(err)
 	}
-	mask := s.opMask(graph.NewMask().BlockNodes(sub...).UnblockNode(m))
-	want, admissible, _ := o.reference(hypo, m, mask, false, what)
+	hypoSHR := denseSHRFor(hypo)
+	mask := graph.NewMask().BlockNodes(sub...).UnblockNode(m).Union(s.failed)
+	curMerger := parent
+	for !hypo.OnTree(curMerger) {
+		curMerger, _ = s.tree.Parent(curMerger)
+	}
 
-	moved, err := s.reshapeMember(m)
+	// The view, set up as reshapeMember sets it up (on a table computed here,
+	// so that the session's deferred one stays as stale as it is).
+	a := s.newArena()
+	v := &a.view
+	if got := v.without(s.tree, denseSHRFor(s.tree), m, s.maskOrNil()); got != curMerger {
+		o.t.Fatalf("%s: the view's current merger is %d, the hypothetical tree's %d", what, got, curMerger)
+	}
+	if v.numNodes() != hypo.NumNodes() {
+		o.t.Fatalf("%s: the view counts %d nodes, the hypothetical tree has %d", what, v.numNodes(), hypo.NumNodes())
+	}
+	for n := graph.NodeID(0); int(n) < s.g.NumNodes(); n++ {
+		if v.onTree(n) != hypo.OnTree(n) {
+			o.t.Fatalf("%s: the view has node %d on the tree = %v, the hypothetical tree %v", what, n, v.onTree(n), hypo.OnTree(n))
+		}
+		if hypo.OnTree(n) && v.shrAt(n) != hypoSHR.at(n) {
+			o.t.Fatalf("%s: the view reads SHR[%d] = %d, the hypothetical tree's table %d", what, n, v.shrAt(n), hypoSHR.at(n))
+		}
+	}
+	if added, removed, ok := v.avoid.DiffElements(mask); !ok || len(added)+len(removed) != 0 {
+		o.t.Fatalf("%s: the view's mask differs from subtree ∪ failed: +%v −%v", what, added, removed)
+	}
+	if v.cut > v.sub {
+		o.chains++
+		if curMerger != s.tree.Source() && len(s.tree.ChildList(curMerger)) == 1 {
+			o.memberStops++ // nothing but being a receiver spared it
+		}
+	}
+	v.restore()
+	if !v.avoid.IsEmpty() || slices.ContainsFunc(v.marks, func(k int32) bool { return k != 0 }) || v.onTree(m) != s.tree.OnTree(m) {
+		o.t.Fatalf("%s: the view keeps marks or blocks after restore", what)
+	}
+	a.release()
+
+	want, admissible, _ := o.reference(hypo, m, mask, false, what)
+	curSHR := hypoSHR.at(curMerger)
+	curDelay, _ := s.tree.DelayTo(m)
+	wantMove := admissible && (want.SHR < curSHR || (want.SHR == curSHR && want.TotalDelay < curDelay-delayEps))
+	if admissible {
+		if top := s.tree.TopAncestor(m); s.tree.TopAncestor(want.Merger) == top {
+			o.inside++
+		} else {
+			o.outside++
+		}
+	}
+	// Under deferred maintenance a check needs the table of the tree as it
+	// stands (computed if stale) and pays for the hypothetical tree's; a move
+	// makes the session read the new tree's for the member's baseline.
+	wantComputes := 0
+	if s.cfg.SHRMode == DeferredSHR {
+		if !s.shr.valid || s.shr.epoch != s.tree.Epoch() {
+			wantComputes += s.tree.NumNodes()
+		}
+		wantComputes += hypo.NumNodes()
+	}
+	computes := s.stats.SHRComputes
+
+	a = s.newArena()
+	defer a.release()
+	moved, err := s.reshapeMember(a, m)
 	if err != nil {
 		// The winner crosses a relay above m that the hypothetical tree
 		// pruned and the real one still holds; Reroute refuses it and the
 		// member stays. The reference's winner must be refused alike.
-		if !admissible || exp.Reroute(m, want.Connection) == nil {
+		interior := want.Connection[1 : len(want.Connection)-1]
+		if !wantMove || exp.Clone().Reroute(m, want.Connection) == nil ||
+			!slices.ContainsFunc(interior, func(n graph.NodeID) bool { return s.tree.OnTree(n) && !hypo.OnTree(n) }) {
 			o.t.Fatalf("%s: %v, but the reference's %v is accepted", what, err, want.Connection)
 		}
+		o.refused++
+		wantMove = false
+	}
+	if moved != wantMove {
+		o.t.Fatalf("%s: moved = %v; the reference's winner %+v against merger %d (SHR %d, delay %v) says %v",
+			what, moved, want, curMerger, curSHR, curDelay, wantMove)
 	}
 	if moved {
 		o.moves++
-		if !admissible {
-			o.t.Fatalf("%s: moved with no admissible alternative", what)
-		}
 		if err := exp.Reroute(m, want.Connection); err != nil {
 			o.t.Fatalf("%s: reference reroute: %v", what, err)
 		}
+		if s.cfg.SHRMode == DeferredSHR {
+			wantComputes += exp.NumNodes()
+		}
+	}
+	if got := s.stats.SHRComputes - computes; got != wantComputes {
+		o.t.Fatalf("%s: counted %d SHR computes, want %d (moved = %v)", what, got, wantComputes, moved)
 	}
 	o.sameTree(exp, what)
 }
 
 // TestPrunedSelectionMatchesExhaustive is the equivalence property of the
 // selection engine: over 60 random Waxman topologies × {SPF cache, none} ×
-// D_thresh ∈ {0, 0.3, 5} × both SHR modes, through healthy joins, joins on a
+// D_thresh ∈ {0, 0.3, 5} × both SHR modes, every fifth on sparse tree storage,
+// and 12 more under the query scheme, through healthy joins, joins on a
 // folded-but-unflushed failure (dead edges still on the tree), joins on an
 // accumulated flushed mask, joins under a bound tighter than the one the tree
 // grew under, and a reshape of every member in each of those states (the
@@ -302,11 +402,17 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 // twice. The run must hold at least 40 second passes (Stats.SelectRescans of
 // the oracle's calls counts them), some of them the sessions' own joins, some
 // whose winner the bounded sweep stopped short of, and some where least SHR
-// and least delay disagree.
+// and least delay disagree. Every reshape is also the check of the view it
+// reads the tree through against the hypothetical tree of §3.2.3 built by
+// Clone and RemoveSubtree (pruneOracle.reshape), and the run must hold the
+// cases that make the two differ: relay chains pruned above the member, chains
+// stopped by a member relay, winners that cross a pruned relay and are
+// refused, winners inside and outside the member's top-level branch.
 func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
-	const topologies = 60
+	const topologies, queried = 60, 12
 	var selections, secondPasses, rescans, beyond, reordered int
-	for trial := 0; trial < topologies; trial++ {
+	var chains, memberStops, refused, inside, outside int
+	for trial := 0; trial < topologies+queried; trial++ {
 		rng := topology.NewRNG(0x9E11195E + uint64(trial))
 		n := 20 + rng.Intn(41) // 20..60 nodes
 		g, err := topology.Waxman(topology.WaxmanConfig{
@@ -325,6 +431,12 @@ func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 		cfg.DThresh = []float64{0, 0.3, 5}[trial/2%3]
 		if trial/6%2 == 1 {
 			cfg.SHRMode = DeferredSHR
+		}
+		if trial%5 == 3 {
+			cfg.TreeStorage = StorageSparse
+		}
+		if trial >= topologies {
+			cfg.Knowledge = QueryScheme
 		}
 		// Condition I is off so that every reshape is one the oracle drives
 		// (and checks); it reaches the same reshapeMember.
@@ -398,11 +510,21 @@ func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 		rescans += st.SelectRescans
 		beyond += o.beyond
 		reordered += o.reordered
+		chains += o.chains
+		memberStops += o.memberStops
+		refused += o.refused
+		inside += o.inside
+		outside += o.outside
 	}
 	t.Logf("%d selections, %d found nothing within the bound (%.1f%%): %d joins that swept again, %d winners beyond the bounded sweep, %d where SHR and delay disagree",
 		selections, secondPasses, 100*float64(secondPasses)/float64(selections), rescans, beyond, reordered)
 	if secondPasses < 40 || rescans == 0 || beyond == 0 || reordered == 0 {
 		t.Fatal("the second pass went untested: want at least 40 of them, and some of each kind")
+	}
+	t.Logf("reshape checks: %d pruned a relay chain (%d stopped by a member relay), %d winners refused for crossing one, %d winners inside the member's top-level branch, %d outside",
+		chains, memberStops, refused, inside, outside)
+	if chains == 0 || memberStops == 0 || refused == 0 || inside == 0 || outside == 0 {
+		t.Fatal("the reshape view went untested where it differs from the tree: want some of each kind")
 	}
 }
 

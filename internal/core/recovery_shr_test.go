@@ -170,3 +170,44 @@ func TestDeferredSHRMemoizesOnEpoch(t *testing.T) {
 		t.Fatalf("post-mutation read did not recount SHRComputes (still %d)", got)
 	}
 }
+
+// TestDeferredReshapeCheckForcesLiveTable pins what a reshape check costs in
+// SHRComputes when it finds the deferred table stale: the check adjusts the
+// live table instead of computing the hypothetical tree's from scratch, so it
+// brings the live one up to date first, and that compute is counted even if a
+// later mutation invalidates it unread.
+func TestDeferredReshapeCheckForcesLiveTable(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SHRMode = DeferredSHR
+	cfg.PeriodicReshape = true
+	g := graph.New(4)
+	for _, e := range []struct{ u, v graph.NodeID }{{0, 1}, {1, 2}, {2, 3}} {
+		if err := g.AddEdge(e.u, e.v, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewSession(g, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []graph.NodeID{3, 2, 1} {
+		if _, err := s.Join(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := s.Stats().SHRComputes
+	if err := s.Leave(3); err != nil { // tree 0→1→2, table stale
+		t.Fatal(err)
+	}
+	if moved := s.ReshapeAll(); len(moved) != 0 {
+		t.Fatalf("ReshapeAll moved %v on a line", moved)
+	}
+	if err := s.Leave(2); err != nil {
+		t.Fatal(err)
+	}
+	// The check of 1 forces the 3-node live table and counts the 1 node left
+	// without sub(1); the check of 2 finds the table fresh and counts 2.
+	if got, want := s.Stats().SHRComputes-base, 3+1+2; got != want {
+		t.Fatalf("SHRComputes grew by %d over Leave, ReshapeAll, Leave; want %d", got, want)
+	}
+}

@@ -44,6 +44,12 @@ func decodeSelectCase(data []byte) selectCase {
 		in.cfg.SHRMode = DeferredSHR
 	}
 	in.flush = flags&16 != 0
+	if flags&32 != 0 {
+		in.cfg.TreeStorage = StorageSparse
+	}
+	if flags&64 != 0 {
+		in.cfg.Knowledge = QueryScheme
+	}
 	// Condition I is off so that every reshape is one the oracle drives.
 	in.cfg.ReshapeDelta = 0
 	for i, k := 0, next()%6; i < k; i++ {
@@ -116,10 +122,13 @@ func runSelectCase(t *testing.T, in selectCase) *pruneOracle {
 // (selection_reference_test.go) on byte-decoded sessions: for the join of a
 // node and for the reshape of every member under its subtree mask, healthy,
 // on a folded-but-unflushed failure and on a flushed one, at D_thresh ∈
-// {0, 0.3, 8}, Session.selectPath picks the reference's candidate, bit for
-// bit — within the bound and, when nothing is, with the bound lifted — the
-// session lands where the reference does, and Stats.EnumSettled,
-// CandidatesSeen and SelectRescans read what the reference's sweeps cost.
+// {0, 0.3, 8}, on dense and sparse trees, Session.selectPath picks the
+// reference's candidate, bit for bit — within the bound and, when nothing is,
+// with the bound lifted — the session lands where the reference does, and
+// Stats.EnumSettled, CandidatesSeen and SelectRescans read what the
+// reference's sweeps cost. A reshape reads the tree through a view, which is
+// held to the hypothetical tree built by Clone and RemoveSubtree, under the
+// query scheme too.
 func FuzzSelectPath(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -173,5 +182,18 @@ func TestSelectPathSeedsCoverTheirCase(t *testing.T) {
 	if p, _ := o.s.tree.Parent(in.joiner); in.flush || len(in.fails) != 1 || o.s.Stats().SelectRescans != 0 || p != 1 {
 		t.Errorf("merger-over-unflushed-dead-edge: flush=%v, %d failures, %d joins swept twice, joiner below %d; want it below 1 in one pass",
 			in.flush, len(in.fails), o.s.Stats().SelectRescans, p)
+	}
+	// S→1→2→3→4 with member 5 below 1: the reshape of 4 reads relays 3 and 2
+	// as pruned and stops at 1 for its second child, and nobody moves.
+	if _, o := seed("relay-chain-pruned-above-member"); o.chains != 1 || o.memberStops != 0 || o.refused != 0 || o.moves != 0 {
+		t.Errorf("relay-chain-pruned-above-member: %d checks pruned a chain (%d stopped by a member), %d refused, %d moves; want 1, 0, 0, 0",
+			o.chains, o.memberStops, o.refused, o.moves)
+	}
+	// S→1→2→3, members 1 and 3, link S–1 down and not flushed: with relay 2
+	// read as pruned (member 1 stops the chain) the source is within 3's
+	// loosened bound through 2, wins on SHR, and Reroute refuses the path.
+	if in, o := seed("winner-crosses-pruned-relay"); in.flush || len(in.fails) != 1 || o.refused != 1 || o.memberStops != 1 || o.moves != 0 {
+		t.Errorf("winner-crosses-pruned-relay: flush=%v, %d failures, %d winners refused, %d chains stopped by a member, %d moves; want 1 unflushed failure, 1, 1, 0",
+			in.flush, len(in.fails), o.refused, o.memberStops, o.moves)
 	}
 }

@@ -53,11 +53,6 @@ type Session struct {
 	// (SHR^old_{S,Ru} in the paper).
 	lastUpSHR map[graph.NodeID]int
 
-	// hypoVals/hypoStack are reusable buffers for the hypothetical-tree SHR
-	// computation inside reshapeMember.
-	hypoVals  shrVals
-	hypoStack []graph.NodeID
-
 	// failed accumulates every persistent failure applied to the session
 	// (ApplyFailure/Recover); nil while the network is healthy. Path selection,
 	// reshaping, and recovery all avoid the accumulated mask.
@@ -180,14 +175,17 @@ type JoinResult struct {
 // reshaping triggers. It fails if nr is already a member or cannot reach the
 // tree.
 func (s *Session) Join(nr graph.NodeID) (*JoinResult, error) {
-	return s.join(nr, nil, nil)
+	a := s.newArena()
+	defer a.release()
+	return s.join(nr, nil, a)
 }
 
-// join is the shared admission engine behind Join and JoinBatch. A batch
-// lends its source-rooted SPF tree and its sweep arena (nil otherwise); both
-// are value-identical substitutions for the per-call machinery (see
-// JoinBatch), so the two paths produce bit-identical sessions.
-func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, sw *graph.Sweep) (*JoinResult, error) {
+// join is the shared admission engine behind Join and JoinBatch, working in
+// the caller's arena. A batch lends its source-rooted SPF tree (nil otherwise)
+// and one arena for all its joins; both are value-identical substitutions for
+// the per-call machinery (see JoinBatch), so the two paths produce
+// bit-identical sessions.
+func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, a *arena) (*JoinResult, error) {
 	if nr < 0 || int(nr) >= s.g.NumNodes() {
 		return nil, fmt.Errorf("join %d: %w", nr, ErrUnknownNode)
 	}
@@ -220,7 +218,8 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, sw *graph.Sweep) (*Jo
 		res.Merger = nr
 		res.Connection = graph.Path{nr}
 	} else {
-		cand, within, ok := s.selectPath(sw, s.tree, nr, s.shr.table(s.tree), mask, lower, spfDelay, true)
+		a.view.whole(s.tree, s.shr.table(s.tree))
+		cand, within, ok := s.selectPath(a, nr, mask, lower, spfDelay, true)
 		if !ok {
 			if mask != nil {
 				s.park(nr)
@@ -232,7 +231,7 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, sw *graph.Sweep) (*Jo
 			return nil, fmt.Errorf("join %d: graft: %w", nr, err)
 		}
 		res.Merger = cand.Merger
-		res.Connection = cand.Connection
+		res.Connection = slices.Clone(cand.Connection) // the sweep's winner lives in the arena
 		res.MergerSHR = cand.SHR
 		res.WithinBound = within
 	}
@@ -245,7 +244,7 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, sw *graph.Sweep) (*Jo
 	s.recordUpSHR(nr)
 
 	if s.cfg.ReshapeDelta > 0 {
-		res.Reshaped = s.checkConditionI(nr)
+		res.Reshaped = s.checkConditionI(a, nr)
 	}
 	if d, err := s.tree.DelayTo(nr); err == nil {
 		res.Delay = d
@@ -284,29 +283,27 @@ func (s *Session) sourceSPF(nr graph.NodeID, spt *graph.SPTree) (spfDelay float6
 	return spt.Dist[nr], lower
 }
 
-// selectPath is path selection for joiner against tree t — the session's own
-// for a join, the hypothetical one for a reshape — under mask: the candidates
-// the configured knowledge mode can see, put to the Path Selection Criterion
-// with bound (1+DThresh)·spfDelay. When nothing is within the bound a caller
-// that must land (a join; a reshape stays put) gets the fastest candidate
-// there is, within = false: the query scheme's replies are judged again with
-// the bound lifted, full knowledge sweeps again, unbounded, on the same arena
-// (sw; nil acquires one here). ok is false when there is no candidate at all.
-func (s *Session) selectPath(sw *graph.Sweep, t *multicast.Tree, joiner graph.NodeID, shr shrVals, mask *graph.Mask, lower []float64, spfDelay float64, mustLand bool) (best Candidate, within, ok bool) {
+// selectPath is path selection for joiner against the tree a's view stands for
+// — the session's own for a join, for a reshape the one the member's subtree
+// has left — under mask: the candidates the configured knowledge mode can see, put
+// to the Path Selection Criterion with bound (1+DThresh)·spfDelay. When
+// nothing is within the bound a caller that must land (a join; a reshape stays
+// put) gets the fastest candidate there is, within = false: the query scheme's
+// replies are judged again with the bound lifted, full knowledge sweeps again,
+// unbounded, on the arena's same sweep. ok is false when there is no
+// candidate at all.
+func (s *Session) selectPath(a *arena, joiner graph.NodeID, mask *graph.Mask, lower []float64, spfDelay float64, mustLand bool) (best Candidate, within, ok bool) {
 	var replies []Candidate
 	query := s.cfg.Knowledge == QueryScheme
 	if query {
-		replies = enumerateQuery(t, joiner, shr, mask, &s.stats)
+		replies = enumerateQuery(&a.view, joiner, mask, &s.stats)
 		s.stats.CandidatesSeen += len(replies)
-	} else if sw == nil {
-		sw = s.g.NewSweep()
-		defer sw.Release()
 	}
 	pass := func(bound float64, delayFirst bool) (Candidate, bool) {
 		if query {
 			return selectAmong(replies, bound, delayFirst)
 		}
-		return selectBySweep(sw, t, joiner, shr, mask, lower, bound, delayFirst, &s.stats)
+		return selectBySweep(a, joiner, mask, lower, bound, delayFirst, &s.stats)
 	}
 	if best, ok = pass((1+s.cfg.DThresh)*spfDelay, false); ok || !mustLand {
 		return best, ok, ok
@@ -324,18 +321,6 @@ func (s *Session) maskOrNil() *graph.Mask {
 		return nil
 	}
 	return s.failed
-}
-
-// opMask combines an operation-specific extra mask with the accumulated
-// failure mask, avoiding allocation whenever either side is empty.
-func (s *Session) opMask(extra *graph.Mask) *graph.Mask {
-	if s.failed.IsEmpty() {
-		return extra
-	}
-	if extra.IsEmpty() {
-		return s.failed
-	}
-	return extra.Union(s.failed)
 }
 
 // park records m as degraded out of the session (no residual path).
@@ -426,9 +411,10 @@ func (s *Session) recordUpSHR(m graph.NodeID) {
 // Condition-I triggers and reshapes those that fire. A single pass is made
 // per join — reshaping refreshes baselines, so cascades settle across
 // subsequent joins rather than looping here.
-func (s *Session) checkConditionI(justJoined graph.NodeID) []graph.NodeID {
+func (s *Session) checkConditionI(a *arena, justJoined graph.NodeID) []graph.NodeID {
 	var reshaped []graph.NodeID
-	for _, m := range s.tree.Members() {
+	a.members = s.tree.AppendMembers(a.members[:0])
+	for _, m := range a.members {
 		if m == justJoined {
 			continue
 		}
@@ -441,7 +427,7 @@ func (s *Session) checkConditionI(justJoined graph.NodeID) []graph.NodeID {
 			continue
 		}
 		s.stats.ReshapeChecks++
-		moved, err := s.reshapeMember(m)
+		moved, err := s.reshapeMember(a, m)
 		if err != nil {
 			continue // a failed reshape leaves the member on its old path
 		}
@@ -464,10 +450,13 @@ func (s *Session) ReshapeAll() []graph.NodeID {
 	if !s.cfg.PeriodicReshape {
 		return nil
 	}
+	a := s.newArena()
+	defer a.release()
 	var reshaped []graph.NodeID
-	for _, m := range s.tree.Members() {
+	a.members = s.tree.AppendMembers(a.members[:0])
+	for _, m := range a.members {
 		s.stats.ReshapeChecks++
-		moved, err := s.reshapeMember(m)
+		moved, err := s.reshapeMember(a, m)
 		if err != nil {
 			continue
 		}
@@ -479,58 +468,38 @@ func (s *Session) ReshapeAll() []graph.NodeID {
 }
 
 // reshapeMember evaluates a new path for member m per §3.2.3 and switches if
-// the new path is strictly better. The evaluation removes m's subtree from a
-// hypothetical copy of the tree so SHR values are adjusted for m's own
-// contribution before comparison (the paper's "should be adjusted" note).
-// It reports whether a switch happened.
-func (s *Session) reshapeMember(m graph.NodeID) (bool, error) {
+// the new path is strictly better. The evaluation reads the tree as if m's
+// subtree had left it (treeView.without), so SHR values are adjusted for m's
+// own contribution before comparison (the paper's "should be adjusted" note).
+// It works in the caller's arena and reports whether a switch happened.
+func (s *Session) reshapeMember(a *arena, m graph.NodeID) (bool, error) {
 	if !s.tree.OnTree(m) {
 		return false, fmt.Errorf("reshape %d: %w", m, multicast.ErrNotOnTree)
 	}
 	if m == s.tree.Source() {
 		return false, nil
 	}
-	parent, _ := s.tree.Parent(m)
-	if parent == graph.Invalid {
+	if parent, _ := s.tree.Parent(m); parent == graph.Invalid {
 		return false, nil
 	}
 
-	// Hypothetical tree without m's subtree.
-	hypo := s.tree.Clone()
-	subNodes, err := s.tree.SubtreeNodes(m)
-	if err != nil {
-		return false, err
-	}
-	if err := hypo.RemoveSubtree(m); err != nil {
-		return false, err
-	}
-	s.hypoVals, s.hypoStack = computeSHRInto(hypo, s.hypoVals, s.hypoStack)
-	hypoSHR := s.hypoVals
+	// The current attachment, on the tree without m's subtree: the deepest
+	// ancestor of m that survives m's departure is the current merger.
+	v := &a.view
+	curMerger := v.without(s.tree, s.shr.table(s.tree), m, s.maskOrNil())
 	if s.cfg.SHRMode == DeferredSHR {
-		s.stats.SHRComputes += hypo.NumNodes()
+		s.stats.SHRComputes += v.numNodes() // the table of the tree m has left
 	}
 
-	// New-path candidates must avoid m's own subtree (cycle prevention) and
-	// every failed component. Block the whole subtree in one call, then lift
-	// m itself — m is the joiner, not an obstacle.
-	mask := s.opMask(graph.NewMask().BlockNodes(subNodes...).UnblockNode(m))
+	// New-path candidates must avoid m's own subtree (cycle prevention; m
+	// itself is the joiner, not an obstacle) and every failed component.
 	spfDelay, lower := s.sourceSPF(m, nil)
-	best, _, ok := s.selectPath(nil, hypo, m, hypoSHR, mask, lower, spfDelay, false)
+	best, _, ok := s.selectPath(a, m, v.avoid, lower, spfDelay, false)
+	curSHR := v.shrAt(curMerger)
+	v.restore()
 	if !ok {
 		return false, nil // no admissible alternative; stay put
 	}
-
-	// Current attachment, viewed on the hypothetical tree: the deepest
-	// ancestor of m that survives m's departure is the current merger.
-	curMerger := parent
-	for !hypo.OnTree(curMerger) {
-		p, okp := s.tree.Parent(curMerger)
-		if !okp || p == graph.Invalid {
-			break
-		}
-		curMerger = p
-	}
-	curSHR := hypoSHR.at(curMerger)
 	curDelay, err := s.tree.DelayTo(m)
 	if err != nil {
 		return false, err

@@ -1,0 +1,187 @@
+package core
+
+import (
+	"sync"
+
+	"smrp/internal/graph"
+	"smrp/internal/multicast"
+)
+
+// arena is the scratch the path selections of one operation run in — a join
+// and the reshape checks it triggers, a batch, a reshape pass: the sweep, the
+// view of the tree the selection reads, and the members a reshape pass goes
+// over. Arenas are pooled like the sweeps they hold, so a session stands on
+// none of this between operations and a warm operation allocates none of it.
+type arena struct {
+	sw      *graph.Sweep
+	view    treeView
+	members []graph.NodeID
+}
+
+var arenaPool = sync.Pool{New: func() any { return new(arena) }}
+
+// newArena acquires a pooled arena with a sweep bound to the session's graph.
+// Release it when the operation is done.
+func (s *Session) newArena() *arena {
+	a := arenaPool.Get().(*arena)
+	a.sw = s.g.NewSweep()
+	return a
+}
+
+func (a *arena) release() {
+	a.sw.Release()
+	a.sw = nil
+	a.view.t, a.view.shr = nil, shrVals{}
+	arenaPool.Put(a)
+}
+
+// treeView is the tree as one path selection reads it: which nodes are on it,
+// what a merger's delay is, and SHR(S, R) for each of them. A join reads the
+// session's tree and SHR table as they stand (whole). A reshape of member m
+// (§3.2.3) must read them as if m's subtree had left, and it reads the same
+// tree and the same table through what that departure changes (without):
+//
+//   - gone from the tree are sub(m) and the relay chain above m that the
+//     leave would prune — the ancestors that are no member, not the source, and
+//     have no child but the one being removed (Tree.RemoveSubtree's
+//     pruneUpward). The first ancestor that stays is the current merger.
+//
+//   - every node that stays keeps its parent, so its tree delay is unchanged.
+//
+//   - N_R' falls by N_m at exactly the ancestors of m that stay, the current
+//     merger and everything above it. By Eq. 2, SHR(S,R) sums N_R' over the
+//     R' ≠ S on S→R, so for a node R that stays
+//
+//     SHR'(S,R) = SHR(S,R) − N_m · |{R' ≠ S on S→R : R' is the current merger or above it}|
+//
+//     and that count is the depth of the deepest such R', the first one met
+//     walking up from R.
+//
+// A check therefore marks O(|sub(m)| + depth(m)) nodes and walks O(depth) per
+// candidate; the tree is neither copied nor its SHR table recomputed.
+type treeView struct {
+	t   *multicast.Tree
+	shr shrVals
+
+	// Of a reshape view only (cut > 0). marks is NodeID-indexed, like the
+	// arrays of the sweep it is pooled with: markGone for the nodes that left,
+	// the depth k ≥ 1 for the current merger and its ancestors below the
+	// source, 0 everywhere else and everywhere between checks. marked lists
+	// every node with a mark: the sub nodes of sub(m), m first, then the
+	// pruned chain, cut nodes that left in all, then the ancestors that stay.
+	// nm is N_m. avoid blocks what a new path for m must keep out of: sub(m)
+	// but m itself, and the session's failed components (empty between
+	// checks).
+	marks    []int32
+	marked   []graph.NodeID
+	sub, cut int
+	nm       int
+	avoid    *graph.Mask
+	failed   *graph.Mask
+
+	// nodes is the candidate loop's list of on-tree nodes, conn the winner's
+	// connection.
+	nodes []graph.NodeID
+	conn  graph.Path
+}
+
+const markGone = -1
+
+// whole makes v the view of t as it stands, under SHR table shr.
+func (v *treeView) whole(t *multicast.Tree, shr shrVals) *treeView {
+	v.t, v.shr = t, shr
+	return v
+}
+
+// without makes v the view of t, under its SHR table shr, as if the subtree of
+// the on-tree non-source node m had left, with v.avoid for the mask m's new
+// path is selected under (failed is the session's own, nil while healthy), and
+// returns the current merger: the deepest ancestor of m that stays. restore
+// must be called before the view is set up again.
+func (v *treeView) without(t *multicast.Tree, shr shrVals, m graph.NodeID, failed *graph.Mask) (curMerger graph.NodeID) {
+	v.t, v.shr, v.failed = t, shr, failed
+	v.nm, _ = t.MemberCount(m)
+	if n := t.Graph().NumNodes(); len(v.marks) < n {
+		v.marks = make([]int32, n)
+	}
+	if v.avoid == nil {
+		v.avoid = graph.NewMask()
+	}
+
+	src := t.Source()
+	v.marked = t.AppendSubtree(v.marked[:0], m)
+	v.sub = len(v.marked)
+	up, _ := t.Parent(m)
+	for up != src && !t.IsMember(up) && len(t.ChildList(up)) == 1 {
+		v.marked = append(v.marked, up)
+		up, _ = t.Parent(up)
+	}
+	v.cut = len(v.marked)
+	for _, n := range v.marked {
+		v.marks[n] = markGone
+	}
+	v.avoid.BlockNodes(v.marked[1:v.sub]...)
+	failed.Each(v.block)
+	curMerger = up
+	for ; up != src; up, _ = t.Parent(up) {
+		v.marked = append(v.marked, up)
+	}
+	for i, n := range v.marked[v.cut:] {
+		v.marks[n] = int32(len(v.marked) - v.cut - i)
+	}
+	return curMerger
+}
+
+// restore takes the marks and blocks of without back, leaving v a view of the
+// whole tree.
+func (v *treeView) restore() {
+	for _, n := range v.marked[1:v.sub] {
+		v.avoid.UnblockNode(n)
+	}
+	v.failed.Each(v.unblock)
+	for _, n := range v.marked {
+		v.marks[n] = 0
+	}
+	v.marked, v.sub, v.cut, v.failed = v.marked[:0], 0, 0, nil
+}
+
+func (v *treeView) block(e graph.MaskElem) {
+	if e.IsEdge {
+		v.avoid.BlockEdge(e.Edge.A, e.Edge.B)
+	} else {
+		v.avoid.BlockNode(e.Node)
+	}
+}
+
+func (v *treeView) unblock(e graph.MaskElem) {
+	if e.IsEdge {
+		v.avoid.UnblockEdge(e.Edge.A, e.Edge.B)
+	} else {
+		v.avoid.UnblockNode(e.Node)
+	}
+}
+
+// left reports whether n is one of the nodes the view reads as departed.
+func (v *treeView) left(n graph.NodeID) bool { return v.cut > 0 && v.marks[n] == markGone }
+
+// onTree reports whether n is on the tree the view stands for.
+func (v *treeView) onTree(n graph.NodeID) bool { return v.t.OnTree(n) && !v.left(n) }
+
+// numNodes is the number of nodes on the tree the view stands for.
+func (v *treeView) numNodes() int { return v.t.NumNodes() - v.cut }
+
+// shrAt returns SHR(S, r) on the tree the view stands for; r must be on it.
+func (v *treeView) shrAt(r graph.NodeID) int {
+	shr := v.shr.at(r)
+	if v.cut == 0 {
+		return shr
+	}
+	// Nothing above a node that stays has left, so the first mark met is the
+	// depth of the deepest ancestor-or-self of the current merger on S→r.
+	for src := v.t.Source(); r != src; r, _ = v.t.Parent(r) {
+		if k := v.marks[r]; k != 0 {
+			return shr - v.nm*int(k)
+		}
+	}
+	return shr
+}

@@ -192,10 +192,32 @@ func compareTrees(t *testing.T, trial, op int, a, b *Tree) {
 		if math.Float64bits(ad) != math.Float64bits(bd) {
 			fail("delay(%d) %v != %v", node, ad, bd)
 		}
+		// DelayTo walks the parent pointers; the path it stands for, weighed
+		// link by link from the node upward, is the same float.
+		up, _ := a.PathToSource(node)
+		if w, err := up.Weight(a.Graph()); err != nil || math.Float64bits(w) != math.Float64bits(ad) {
+			fail("delay(%d) %v, its path %v weighs %v (%v)", node, ad, up, w, err)
+		}
 		as, _ := a.SubtreeNodes(node)
 		bs, _ := b.SubtreeNodes(node)
 		if !slices.Equal(as, bs) {
 			fail("subtree(%d) diverges", node)
+		}
+		// The unsorted walk lists the same nodes, the root first and every
+		// node after its parent, behind whatever the buffer held.
+		for _, tr := range []*Tree{a, b} {
+			walk := tr.AppendSubtree([]graph.NodeID{graph.Invalid}, node)
+			if walk[0] != graph.Invalid || walk[1] != node {
+				fail("AppendSubtree(%d) starts %v", node, walk[:2])
+			}
+			for i, v := range walk[2:] {
+				if p, _ := tr.Parent(v); !slices.Contains(walk[1:i+2], p) {
+					fail("AppendSubtree(%d) lists %d before its parent %d", node, v, p)
+				}
+			}
+			if slices.Sort(walk[1:]); !slices.Equal(walk[1:], as) {
+				fail("AppendSubtree(%d) = %v, SubtreeNodes %v", node, walk[1:], as)
+			}
 		}
 	}
 	if err := a.Validate(); err != nil {

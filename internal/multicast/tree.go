@@ -264,7 +264,13 @@ func (t *Tree) ChildList(n graph.NodeID) []graph.NodeID {
 
 // Members returns the current receivers in ascending order.
 func (t *Tree) Members() []graph.NodeID {
-	return t.appendNodeIDs(t.members, make([]graph.NodeID, 0, t.nMembers))
+	return t.AppendMembers(make([]graph.NodeID, 0, t.nMembers))
+}
+
+// AppendMembers appends the current receivers to buf in ascending order: the
+// form of Members for a caller that asks on every operation and keeps buf.
+func (t *Tree) AppendMembers(buf []graph.NodeID) []graph.NodeID {
+	return t.appendNodeIDs(t.members, buf)
 }
 
 // NumMembers returns the number of receivers.
@@ -273,7 +279,13 @@ func (t *Tree) NumMembers() int { return t.nMembers }
 // Nodes returns all on-tree nodes in ascending order (the source is always
 // included).
 func (t *Tree) Nodes() []graph.NodeID {
-	return t.appendNodeIDs(t.onTree, make([]graph.NodeID, 0, t.nNodes))
+	return t.AppendNodes(make([]graph.NodeID, 0, t.nNodes))
+}
+
+// AppendNodes appends all on-tree nodes to buf in ascending order: Nodes for
+// a caller that keeps buf.
+func (t *Tree) AppendNodes(buf []graph.NodeID) []graph.NodeID {
+	return t.appendNodeIDs(t.onTree, buf)
 }
 
 // NumNodes returns the number of on-tree nodes.
@@ -356,13 +368,29 @@ func (t *Tree) TopAncestor(n graph.NodeID) graph.NodeID {
 }
 
 // DelayTo returns the total weight of the on-tree path from the source to n
-// (the end-to-end delay D_{S,R} of the paper).
+// (the end-to-end delay D_{S,R} of the paper). The uplinks are summed from n
+// upward, the order of PathToSource(n).Weight, so the float is that one's.
 func (t *Tree) DelayTo(n graph.NodeID) (float64, error) {
-	p, err := t.PathToSource(n)
-	if err != nil {
-		return 0, err
+	if !t.OnTree(n) {
+		return 0, fmt.Errorf("path to source from %d: %w", n, ErrNotOnTree)
 	}
-	return p.Weight(t.g)
+	var total float64
+	hops := 0
+	for cur := n; ; hops++ {
+		p := t.parent[t.idx(cur)]
+		if p == graph.Invalid {
+			return total, nil
+		}
+		if hops+1 >= t.g.NumNodes() { // more uplinks than a tree on this graph can have
+			return 0, fmt.Errorf("path to source from %d: cycle in tree", n)
+		}
+		w, ok := t.g.EdgeWeight(cur, p)
+		if !ok {
+			return 0, fmt.Errorf("path weight: %d-%d is not an edge", cur, p)
+		}
+		total += w
+		cur = p
+	}
 }
 
 // Cost returns the sum of all tree-edge weights (the paper's Cost_T).
@@ -560,16 +588,22 @@ func (t *Tree) SubtreeNodes(r graph.NodeID) ([]graph.NodeID, error) {
 	if !t.OnTree(r) {
 		return nil, fmt.Errorf("subtree of %d: %w", r, ErrNotOnTree)
 	}
-	var out []graph.NodeID
-	stack := []graph.NodeID{r}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, n)
-		stack = append(stack, t.children[t.idx(n)]...)
-	}
+	out := t.AppendSubtree(nil, r)
 	slices.Sort(out)
 	return out, nil
+}
+
+// AppendSubtree appends the nodes of the subtree rooted at the on-tree node r
+// to buf, r first and every node after its parent, in no further order:
+// SubtreeNodes without the sort, for a caller that keeps buf. The appended
+// stretch doubles as the walk's queue, so nothing else is allocated.
+func (t *Tree) AppendSubtree(buf []graph.NodeID, r graph.NodeID) []graph.NodeID {
+	start := len(buf)
+	buf = append(buf, r)
+	for i := start; i < len(buf); i++ {
+		buf = append(buf, t.children[t.idx(buf[i])]...)
+	}
+	return buf
 }
 
 // MemberCount returns N_R, the number of members in the subtree rooted at

@@ -3,6 +3,7 @@ package multicast
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"smrp/internal/graph"
@@ -158,6 +159,16 @@ func TestPathDelayCost(t *testing.T) {
 	if _, err := tr.PathToSource(2); !errors.Is(err, ErrNotOnTree) {
 		t.Errorf("PathToSource(off-tree) err = %v", err)
 	}
+	if _, err := tr.DelayTo(2); !errors.Is(err, ErrNotOnTree) {
+		t.Errorf("DelayTo(off-tree) err = %v", err)
+	}
+	// A corrupted parent vector (3 and 1 each other's parent) must end the
+	// walk with an error, as it ends PathToSource.
+	tr.parent[1] = 3
+	if _, err := tr.DelayTo(3); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Errorf("DelayTo on a parent cycle: err = %v", err)
+	}
+	tr.parent[1] = 0
 }
 
 func TestMemberCounts(t *testing.T) {

@@ -241,8 +241,7 @@ func (a *Actor) run() {
 				case c := <-a.mbox:
 					a.dispatch(c)
 				default:
-					snap := a.sess.Snapshot()
-					a.emit(Event{Kind: EventClosed, Detail: marshalDetail(snap)})
+					a.emit(Event{Kind: EventClosed}, func() any { return a.sess.Snapshot() })
 					a.hub.close()
 					return
 				}
@@ -303,31 +302,38 @@ func (a *Actor) handleJoins(batch []*command) {
 	results, errs := a.sess.JoinBatch(nodes)
 	for i, c := range batch {
 		a.handled.Add(1)
-		r, err := results[i], errs[i]
-		if err == nil {
-			joinsTotal.Add(1)
-			a.emit(Event{Kind: EventJoin, Node: c.node, Detail: marshalDetail(joinWire(r))})
-			for _, m := range r.Reshaped {
-				a.emit(Event{Kind: EventReshape, Node: m})
-			}
-		} else if errors.Is(err, core.ErrPartitioned) {
-			a.emit(Event{Kind: EventPark, Node: c.node})
-		}
-		c.reply <- cmdResult{val: r, err: err} // buffered: never blocks
+		a.emitJoin(c.node, results[i], errs[i])
+		c.reply <- cmdResult{val: results[i], err: errs[i]} // buffered: never blocks
 	}
 	a.members.Store(int64(a.sess.Tree().NumMembers()))
 	a.parked.Store(int64(a.sess.NumParked()))
 	a.standing.Store(a.sess.MemoryFootprint())
 }
 
-// emit assigns the next sequence number and publishes ev to the hub.
+// emitJoin publishes what one join came to: the join and the reshapes it
+// triggered, or the park of a joiner the failures cut off (graceful
+// degradation); any other refusal is the caller's reply alone.
+func (a *Actor) emitJoin(node graph.NodeID, r *core.JoinResult, err error) {
+	if err == nil {
+		joinsTotal.Add(1)
+		a.emit(Event{Kind: EventJoin, Node: node}, func() any { return joinWire(r) })
+		for _, m := range r.Reshaped {
+			a.emit(Event{Kind: EventReshape, Node: m}, nil)
+		}
+	} else if errors.Is(err, core.ErrPartitioned) {
+		a.emit(Event{Kind: EventPark, Node: node}, nil)
+	}
+}
+
+// emit assigns the next sequence number and publishes ev to the hub, with
+// what detail returns (nil: none) for its payload if anyone is listening.
 // Actor goroutine only.
-func (a *Actor) emit(ev Event) {
+func (a *Actor) emit(ev Event, detail func() any) {
 	a.seq++
 	ev.Seq = a.seq
 	ev.Session = a.ID
 	a.lastSeq.Store(a.seq)
-	a.hub.publish(ev)
+	a.hub.publish(ev, detail)
 }
 
 // handle executes one command against the owned session and publishes the
@@ -339,21 +345,12 @@ func (a *Actor) handle(c *command) {
 	case cmdJoin:
 		r, err := a.sess.Join(c.node)
 		res = cmdResult{val: r, err: err}
-		if err == nil {
-			joinsTotal.Add(1)
-			a.emit(Event{Kind: EventJoin, Node: c.node, Detail: marshalDetail(joinWire(r))})
-			for _, m := range r.Reshaped {
-				a.emit(Event{Kind: EventReshape, Node: m})
-			}
-		} else if errors.Is(err, core.ErrPartitioned) {
-			// The join parked the member (graceful degradation).
-			a.emit(Event{Kind: EventPark, Node: c.node})
-		}
+		a.emitJoin(c.node, r, err)
 	case cmdLeave:
 		err := a.sess.Leave(c.node)
 		res = cmdResult{err: err}
 		if err == nil {
-			a.emit(Event{Kind: EventLeave, Node: c.node})
+			a.emit(Event{Kind: EventLeave, Node: c.node}, nil)
 		}
 	case cmdFail:
 		if !c.recover {
@@ -366,34 +363,34 @@ func (a *Actor) handle(c *command) {
 			}
 			a.sess.ApplyFailure(c.failures...)
 			res = cmdResult{val: (*core.HealReport)(nil)}
-			a.emit(Event{Kind: EventFail, Detail: marshalDetail(failuresWire(c.failures))})
+			a.emit(Event{Kind: EventFail}, func() any { return failuresWire(c.failures) })
 			break
 		}
 		rep, err := a.sess.Recover(c.failures...)
 		res = cmdResult{val: rep, err: err}
 		if err == nil {
-			a.emit(Event{Kind: EventFail, Detail: marshalDetail(healWire(rep))})
+			a.emit(Event{Kind: EventFail}, func() any { return healWire(rep) })
 			for _, m := range rep.Unrecovered {
-				a.emit(Event{Kind: EventPark, Node: m})
+				a.emit(Event{Kind: EventPark, Node: m}, nil)
 			}
 			for _, m := range rep.Readmitted {
-				a.emit(Event{Kind: EventReadmit, Node: m})
+				a.emit(Event{Kind: EventReadmit, Node: m}, nil)
 			}
 		}
 	case cmdRepair:
 		rep, err := a.sess.Repair(c.failures...)
 		res = cmdResult{val: rep, err: err}
 		if err == nil {
-			a.emit(Event{Kind: EventRepair, Detail: marshalDetail(repairWire(rep))})
+			a.emit(Event{Kind: EventRepair}, func() any { return repairWire(rep) })
 			for _, m := range rep.Readmitted {
-				a.emit(Event{Kind: EventReadmit, Node: m})
+				a.emit(Event{Kind: EventReadmit, Node: m}, nil)
 			}
 		}
 	case cmdReshape:
 		moved := a.sess.ReshapeAll()
 		res = cmdResult{val: moved}
 		for _, m := range moved {
-			a.emit(Event{Kind: EventReshape, Node: m})
+			a.emit(Event{Kind: EventReshape, Node: m}, nil)
 		}
 	case cmdStats:
 		res = cmdResult{val: statsReply{

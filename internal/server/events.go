@@ -48,8 +48,8 @@ type Event struct {
 	// Node is set for member-scoped events (join/leave/park/readmit/reshape).
 	Node graph.NodeID `json:"node,omitempty"`
 	// Detail carries the kind-specific payload (join result, heal report,
-	// repair report, snapshot, ...), pre-marshaled by the actor so
-	// subscribers share one immutable copy.
+	// repair report, snapshot, ...), marshaled once as the event is published
+	// (hub.publish) so subscribers share one immutable copy.
 	Detail json.RawMessage `json:"detail,omitempty"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"smrp/internal/core"
@@ -75,6 +76,8 @@ func writeErr(w http.ResponseWriter, err error) {
 		status, code = http.StatusBadRequest, "bad_config"
 	case errors.Is(err, failure.ErrBadSchedule):
 		status, code = http.StatusBadRequest, "bad_failures"
+	case errors.As(err, new(*http.MaxBytesError)):
+		status, code = http.StatusRequestEntityTooLarge, "body_too_large"
 	case errors.Is(err, errBadRequest):
 		status, code = http.StatusBadRequest, "bad_request"
 	}
@@ -84,12 +87,23 @@ func writeErr(w http.ResponseWriter, err error) {
 // errBadRequest tags body-decode and validation failures for writeErr.
 var errBadRequest = errors.New("bad request")
 
-// decodeBody strictly decodes the request body into v.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a request body: the largest legitimate one, a failure
+// set naming every link of a topology, is far below it.
+const maxBodyBytes = 1 << 20
+
+// decodeBody strictly decodes the request body into v: one JSON value of at
+// most maxBodyBytes, known fields only, nothing but white space after it.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
+	if err := dec.Decode(v); err != nil { // an empty body's io.EOF included
+		return fmt.Errorf("%w: %w", errBadRequest, err)
+	}
+	if _, err := dec.Token(); err != io.EOF { // EOF: the one value was all there is
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		}
+		return fmt.Errorf("%w: %w", errBadRequest, err)
 	}
 	return nil
 }
@@ -117,7 +131,7 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CreateSessionRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -190,7 +204,7 @@ func (s *Server) memberOp(op func(*Actor, context.Context, graph.NodeID) (*core.
 			return
 		}
 		var req NodeRequest
-		if err := decodeBody(r, &req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			writeErr(w, err)
 			return
 		}
@@ -215,7 +229,7 @@ func (s *Server) postFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FailRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -245,7 +259,7 @@ func (s *Server) postRepair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FailureSpec
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -412,7 +426,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	streamEvents(r.Context(), a, sub, writeSSE)
 }
 
-// / streamEvents is the feed pump shared by the SSE handler and its tests:
+// streamEvents is the feed pump shared by the SSE handler and its tests:
 // emit a baseline snapshot, then replay live events in actor order, healing
 // any lag gap (dropped events) with a fresh coalesced snapshot. writeSSE
 // returns false to stop (client gone, write error).

@@ -154,6 +154,18 @@ func TestHTTPErrorPaths(t *testing.T) {
 			NodeRequest{Node: 6}, "", http.StatusUnprocessableEntity, "no_path"},
 		{"join malformed body", http.MethodPost, base + "/join",
 			nil, "{", http.StatusBadRequest, "bad_request"},
+		{"create empty body", http.MethodPost, ts.URL + "/v1/sessions",
+			nil, "", http.StatusBadRequest, "bad_request"},
+		{"join empty body", http.MethodPost, base + "/join",
+			nil, "", http.StatusBadRequest, "bad_request"},
+		{"join whitespace body", http.MethodPost, base + "/join",
+			nil, " \n", http.StatusBadRequest, "bad_request"},
+		{"join second JSON value", http.MethodPost, base + "/join",
+			nil, `{"node":4}{"node":5}`, http.StatusBadRequest, "bad_request"},
+		{"join trailing garbage", http.MethodPost, base + "/join",
+			nil, `{"node":4} x`, http.StatusBadRequest, "bad_request"},
+		{"fail oversized body", http.MethodPost, base + "/fail",
+			nil, `{"nodes":[` + strings.Repeat("1,", maxBodyBytes/2) + `1]}`, http.StatusRequestEntityTooLarge, "body_too_large"},
 		{"leave non-member", http.MethodPost, base + "/leave",
 			NodeRequest{Node: 4}, "", http.StatusNotFound, "not_member"},
 		{"fail empty set", http.MethodPost, base + "/fail",

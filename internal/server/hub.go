@@ -52,11 +52,17 @@ func (h *hub) unsubscribe(s *subscriber) {
 // whose buffer is full simply misses the event, which the SSE writer
 // observes as a sequence gap and repairs with a coalesced snapshot. Called
 // only from the actor goroutine, so subscribers see events in actor order.
-func (h *hub) publish(ev Event) {
+// The event's Detail is what detail returns (nil: none), built and marshalled
+// here, once for all subscribers and only if there is one: a session nobody
+// listens to spends nothing on payloads nobody reads.
+func (h *hub) publish(ev Event, detail func() any) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
+	if h.closed || len(h.subs) == 0 {
 		return
+	}
+	if detail != nil {
+		ev.Detail = marshalDetail(detail())
 	}
 	for s := range h.subs {
 		select {

@@ -241,3 +241,30 @@ func TestSSEFeedEndsOnSessionDelete(t *testing.T) {
 		}
 	}
 }
+
+// TestEventDetailBuiltOnlyForSubscribers pins where an event's payload is
+// built: not at all while nobody listens (sequence numbers advance all the
+// same), and once, shared by every subscriber, when somebody does.
+func TestEventDetailBuiltOnlyForSubscribers(t *testing.T) {
+	a := &Actor{ID: "s", hub: newHub()}
+	built := 0
+	detail := func() any { built++; return map[string]int{"n": built} }
+
+	a.emit(Event{Kind: EventJoin, Node: 1}, detail)
+	if built != 0 || a.EventSeq() != 1 {
+		t.Fatalf("no subscriber: detail built %d times, seq %d; want 0 and 1", built, a.EventSeq())
+	}
+	s1, s2 := a.hub.subscribe(), a.hub.subscribe()
+	a.emit(Event{Kind: EventJoin, Node: 2}, detail)
+	a.emit(Event{Kind: EventLeave, Node: 2}, nil)
+	if built != 1 {
+		t.Fatalf("two subscribers: detail built %d times, want once", built)
+	}
+	e1, e2 := <-s1.ch, <-s2.ch
+	if e1.Seq != 2 || e2.Seq != 2 || string(e1.Detail) != `{"n":1}` || &e1.Detail[0] != &e2.Detail[0] {
+		t.Fatalf("subscribers got %+v and %+v; want seq 2 and one shared payload", e1, e2)
+	}
+	if e := <-s1.ch; e.Seq != 3 || e.Kind != EventLeave || e.Detail != nil {
+		t.Fatalf("event without a payload arrived as %+v", e)
+	}
+}
