@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"smrp/internal/experiment"
 	"smrp/internal/server"
 	"smrp/internal/topology"
 )
@@ -62,19 +63,21 @@ type BenchEntry struct {
 	StateBytes       int64   `json:"state_bytes,omitempty"`
 }
 
-// benchFigures are the figure regenerations the summary times. Scenario
-// counts are the number of independent trials the parallel runner dispatches.
+// benchFigures are the rows of the study table the summary times for wall
+// clock alone, each with the size it runs at. Scenario counts are the number
+// of independent trials the parallel runner dispatches.
 var benchFigures = []struct {
-	name      string
+	name      string // "figure" in the record
+	study     string // the row of experiment.Studies, as -fig takes it
 	scenarios int
-	run       func() error
+	args      experiment.Args
 }{
-	{"fig7", 5, func() error { _, err := RunFig7(benchSeed); return err }},
-	{"fig8", 100, func() error { _, err := RunFig8(5, 5, benchSeed); return err }}, // 25 scenarios × 4 sweep points
-	{"latency", 10, func() error { _, err := RunLatency(10, benchSeed); return err }},
-	{"hierarchy", 10, func() error { _, err := RunHierarchy(10, benchSeed); return err }},
-	{"churn", 5, func() error { _, err := RunChurn(5, benchSeed); return err }},
-	{"chaos", 50, func() error { _, err := RunChaos(50, benchSeed); return err }},
+	{"fig7", "7", 5, experiment.Args{}},
+	{"fig8", "8", 100, experiment.Args{Topos: 5, Sets: 5}}, // 25 scenarios × 4 sweep points
+	{"latency", "latency", 10, experiment.Args{Runs: 10}},
+	{"hierarchy", "hierarchy", 10, experiment.Args{Runs: 10}},
+	{"churn", "churn", 5, experiment.Args{Runs: 5}},
+	{"chaos", "chaos", 50, experiment.Args{Trials: 50}},
 }
 
 // TestWriteBenchSummary regenerates BENCH_SUMMARY.json. It is gated behind
@@ -97,18 +100,19 @@ func TestWriteBenchSummary(t *testing.T) {
 	if path == "1" {
 		path = "BENCH_SUMMARY.json"
 	}
-	defer SetExperimentParallelism(0)
-
 	sum := BenchSummary{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		CPUs:      runtime.NumCPU(),
 		GoVersion: runtime.Version(),
 	}
 	for _, fig := range benchFigures {
+		studies := experiment.Select(fig.study)
+		if len(studies) != 1 {
+			t.Fatalf("%s: no study %q in the table", fig.name, fig.study)
+		}
 		for _, workers := range []int{1, 4} {
-			SetExperimentParallelism(workers)
 			start := time.Now()
-			if err := fig.run(); err != nil {
+			if _, err := studies[0].Run(bg, RunConfig{Seed: benchSeed, Workers: workers}, fig.args); err != nil {
 				t.Fatalf("%s (workers=%d): %v", fig.name, workers, err)
 			}
 			sum.Entries = append(sum.Entries, BenchEntry{
@@ -129,9 +133,8 @@ func TestWriteBenchSummary(t *testing.T) {
 	// admission-work evidence (gated by the study's own test).
 	const throughputSessions = 10
 	for _, workers := range []int{1, 4} {
-		SetExperimentParallelism(workers)
 		start := time.Now()
-		tr, err := RunThroughput(throughputSessions, benchSeed)
+		tr, err := RunThroughput(bg, RunConfig{Seed: benchSeed, Workers: workers}, throughputSessions)
 		if err != nil {
 			t.Fatalf("throughput (workers=%d): %v", workers, err)
 		}
@@ -156,9 +159,8 @@ func TestWriteBenchSummary(t *testing.T) {
 	// CI gate asserts ratios over.
 	megaSizes := []int{2000, 8000}
 	for _, workers := range []int{1, 4} {
-		SetExperimentParallelism(workers)
 		start := time.Now()
-		mr, err := RunMegascale(megaSizes, 16, benchSeed)
+		mr, err := RunMegascale(bg, RunConfig{Seed: benchSeed, Workers: workers}, megaSizes, 16, false)
 		if err != nil {
 			t.Fatalf("megascale (workers=%d): %v", workers, err)
 		}
@@ -188,9 +190,8 @@ func TestWriteBenchSummary(t *testing.T) {
 	// full generate/freeze/admit/recover cycle on a million-node graph
 	// costs on this machine.
 	{
-		SetExperimentParallelism(4)
 		start := time.Now()
-		hr, err := RunMegascaleHier([]int{1_000_000}, 8, benchSeed)
+		hr, err := RunMegascale(bg, RunConfig{Seed: benchSeed, Workers: 4}, []int{1_000_000}, 8, true)
 		if err != nil {
 			t.Fatalf("megascale-1m: %v", err)
 		}
@@ -212,9 +213,8 @@ func TestWriteBenchSummary(t *testing.T) {
 	// clock; the standing-bytes mean is deterministic.
 	const mgGroups, mgMax, mgNodes = 200, 32, 5000
 	for _, workers := range []int{1, 4} {
-		SetExperimentParallelism(workers)
 		start := time.Now()
-		mg, err := RunMultigroup(mgGroups, mgMax, mgNodes, benchSeed)
+		mg, err := RunMultigroup(bg, RunConfig{Seed: benchSeed, Workers: workers}, mgGroups, mgMax, mgNodes)
 		if err != nil {
 			t.Fatalf("multigroup (workers=%d): %v", workers, err)
 		}
@@ -239,9 +239,8 @@ func TestWriteBenchSummary(t *testing.T) {
 	// the same numbers the strategies CI gate asserts over.
 	const strategyTrials = 50
 	for _, workers := range []int{1, 4} {
-		SetExperimentParallelism(workers)
 		start := time.Now()
-		sr, err := RunStrategies(strategyTrials, benchSeed)
+		sr, err := RunStrategies(bg, RunConfig{Seed: benchSeed, Workers: workers}, strategyTrials)
 		if err != nil {
 			t.Fatalf("strategies (workers=%d): %v", workers, err)
 		}

@@ -12,6 +12,7 @@ package smrp
 // EXPERIMENTS.md can record paper-vs-measured values.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -25,12 +26,14 @@ const (
 	benchSeed       = 2005 // the paper's year; fixed for reproducibility
 )
 
+var bg = context.Background()
+
 // BenchmarkFig7 regenerates Figure 7: the local-vs-global detour scatter
 // over five random topologies (N=100, N_G=30, α=0.2, D_thresh=0.3) and the
 // in-text ≈33% average reduction.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunFig7(benchSeed)
+		res, err := RunFig7(bg, RunConfig{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +49,7 @@ func BenchmarkFig7(b *testing.B) {
 // 100 scenarios per point.
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunFig8(paperTopologies, paperMemberSets, benchSeed)
+		res, err := RunFig8(bg, RunConfig{Seed: benchSeed}, paperTopologies, paperMemberSets)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +63,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates Figure 9: the α / average-node-degree sweep.
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunFig9(paperTopologies, paperMemberSets, benchSeed)
+		res, err := RunFig9(bg, RunConfig{Seed: benchSeed}, paperTopologies, paperMemberSets)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +77,7 @@ func BenchmarkFig9(b *testing.B) {
 // BenchmarkFig10 regenerates Figure 10: the group-size sweep.
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunFig10(paperTopologies, paperMemberSets, benchSeed)
+		res, err := RunFig10(bg, RunConfig{Seed: benchSeed}, paperTopologies, paperMemberSets)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +92,7 @@ func BenchmarkFig10(b *testing.B) {
 // reduction persists when the average node degree approaches 10.
 func BenchmarkDegree10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunDegree10(paperTopologies, paperMemberSets/2, benchSeed)
+		res, err := RunDegree10(bg, RunConfig{Seed: benchSeed}, paperTopologies, paperMemberSets/2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +110,7 @@ func BenchmarkDegree10(b *testing.B) {
 // the event-driven protocol implementations.
 func BenchmarkLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunLatency(10, benchSeed)
+		res, err := RunLatency(bg, RunConfig{Seed: benchSeed}, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +125,7 @@ func BenchmarkLatency(b *testing.B) {
 // recovery scope confined to one domain vs. the whole network.
 func BenchmarkHierarchy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunHierarchy(10, benchSeed)
+		res, err := RunHierarchy(bg, RunConfig{Seed: benchSeed}, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +142,7 @@ func BenchmarkHierarchy(b *testing.B) {
 // measured on identical scenario sets.
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunAblations(5, 4, benchSeed)
+		res, err := RunAblations(bg, RunConfig{Seed: benchSeed}, 5, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +161,7 @@ func BenchmarkAblations(b *testing.B) {
 // (§3.2.3's motivation measured end to end).
 func BenchmarkChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunChurn(5, benchSeed)
+		res, err := RunChurn(bg, RunConfig{Seed: benchSeed}, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +176,7 @@ func BenchmarkChurn(b *testing.B) {
 // grows (the §3.3.3 N-level generalization).
 func BenchmarkNLevel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunNLevel(10, benchSeed)
+		res, err := RunNLevel(bg, RunConfig{Seed: benchSeed}, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +192,7 @@ func BenchmarkNLevel(b *testing.B) {
 // Han-Shin dependable connections) on biconnected topologies.
 func BenchmarkProtection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunProtection(10, benchSeed)
+		res, err := RunProtection(bg, RunConfig{Seed: benchSeed}, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +213,7 @@ func BenchmarkProtection(b *testing.B) {
 func BenchmarkThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		res, err := RunThroughput(10, benchSeed)
+		res, err := RunThroughput(bg, RunConfig{Seed: benchSeed}, 10)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,13 +8,15 @@
 //	smrp-sim -fig 9 -workers 4         # Figure 9 on 4 worker goroutines
 //	smrp-sim -fig all                  # everything, EXPERIMENTS.md style
 //
-// Figures: 7, 8, 9, 10, degree10, latency, hierarchy, ablations, all.
-// The multi-failure chaos harness runs via -fig chaos, the three-way
-// recovery-strategy testbed via -fig strategies, the sharded
-// session-throughput study via -fig throughput, the flat-vs-hierarchical
-// scaling study via -fig megascale (-hieronly skips the flat arm, admitting
-// the N=10⁶ tier), and the thousands-of-groups shared-topology study via
-// -fig multigroup (none are part of "all").
+// The studies are the rows of experiment.Studies; -fig takes a row's name in
+// any letter case. "all" runs 7, 8, 9, 10, degree10, latency, hierarchy,
+// ablations (on -topos/2 × -sets/2), churn, nlevel and protection. Five run
+// only when named: chaos (the multi-failure invariant-oracle harness),
+// strategies (the three-way recovery-strategy testbed), throughput (sharded
+// session throughput), megascale (flat vs hierarchical scaling; -hieronly
+// skips the flat arm, admitting the N=10⁶ tier) and multigroup (thousands of
+// groups on one shared topology). A study that checks an oracle exits
+// non-zero when its report lists violations.
 //
 // Scenarios within a figure execute on a deterministic parallel runner
 // (-workers, default GOMAXPROCS). Output is bit-identical for every worker
@@ -29,78 +31,50 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
+	"slices"
 
 	"smrp/internal/experiment"
 	"smrp/internal/graph"
 	"smrp/internal/prof"
 )
 
-// parseSizes parses the -sizes flag: a comma-separated list of node counts.
-func parseSizes(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("-sizes: %q is not a node count", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-sizes: no sizes given")
-	}
-	return out, nil
-}
-
 func main() {
 	// Ctrl-C cancels the context; in-flight trials stop dispatching and the
 	// run exits with ctx.Err() instead of being killed mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := runCtx(ctx, os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "smrp-sim:", err)
 		os.Exit(1)
 	}
 }
 
-// run executes the CLI without external cancellation (kept for tests).
-func run(args []string) error {
-	return runCtx(context.Background(), args)
-}
-
-func runCtx(ctx context.Context, args []string) (err error) {
+func run(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("smrp-sim", flag.ContinueOnError)
 	profFlags := prof.Register(fs)
 	var (
-		fig      = fs.String("fig", "all", "which experiment to run: 7|8|9|10|degree10|latency|hierarchy|ablations|churn|protection|nlevel|chaos|strategies|throughput|megascale|multigroup|all (chaos, strategies, throughput, megascale and multigroup run only when named)")
-		topos    = fs.Int("topos", 10, "random topologies per sweep point")
-		sets     = fs.Int("sets", 10, "member sets per topology")
-		runs     = fs.Int("runs", 10, "runs for the latency/hierarchy studies")
-		trials   = fs.Int("trials", 200, "seeded failure schedules for the chaos study")
-		sessions = fs.Int("sessions", 10, "concurrent sessions for the throughput study")
-		sizes    = fs.String("sizes", "10000,50000,100000", "comma-separated network sizes for the megascale study")
-		groups   = fs.Int("groups", 32, "receivers per arm in the megascale study")
-		hieronly = fs.Bool("hieronly", false, "megascale study: skip the flat control arm (admits sizes up to 1000000)")
-		mgroups  = fs.Int("mgroups", experiment.DefaultMultigroupGroups, "concurrent groups for the multigroup study")
-		mgsize   = fs.Int("mgsize", experiment.DefaultMultigroupMax, "largest (rank-0) group size on the multigroup Zipf profile")
-		mgnodes  = fs.Int("mgnodes", experiment.DefaultMultigroupNodes, "shared-topology size for the multigroup study")
-		seed     = fs.Uint64("seed", 2005, "base RNG seed")
-		csv      = fs.String("csv", "", "also write machine-readable results to this file (figs 7-10, degree10, ablations)")
-		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel trial workers (output is identical for any value)")
+		a        experiment.Args
+		rc       experiment.RunConfig
+		fig      = fs.String("fig", "all", "which study to run: "+experiment.FigUsage())
+		csv      = fs.String("csv", "", "also write machine-readable results to this file (-fig "+experiment.CSVUsage()+")")
 		spfstats = fs.Bool("spfstats", false, "print per-study SPF cache/delta-repair counters after each study")
 	)
+	a.Register(fs)
+	fs.Uint64Var(&rc.Seed, "seed", 2005, "base RNG seed")
+	fs.IntVar(&rc.Workers, "workers", runtime.GOMAXPROCS(0), "parallel trial workers (output is identical for any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *workers < 1 {
-		return fmt.Errorf("-workers must be >= 1 (got %d)", *workers)
+	if rc.Workers < 1 {
+		return fmt.Errorf("-workers must be >= 1 (got %d)", rc.Workers)
 	}
-	experiment.SetParallelism(*workers)
+	studies := experiment.Select(*fig)
+	if studies == nil {
+		return fmt.Errorf("unknown figure %q", *fig)
+	}
+	if *csv != "" && !slices.ContainsFunc(studies, func(s experiment.Study) bool { return s.CSV }) {
+		return fmt.Errorf("-csv: -fig %s has no CSV form (those that have: %s)", *fig, experiment.CSVUsage())
+	}
 
 	// Profilers cover the full study run; Stop flushes them even when the
 	// study itself fails, and a profile-write failure surfaces unless the
@@ -116,218 +90,45 @@ func runCtx(ctx context.Context, args []string) (err error) {
 
 	var csvOut *os.File
 	if *csv != "" {
-		f, err := os.Create(*csv)
-		if err != nil {
+		if csvOut, err = os.Create(*csv); err != nil {
 			return err
 		}
-		defer f.Close()
-		csvOut = f
+		defer func() {
+			if cerr := csvOut.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
-
-	want := func(name string) bool {
-		return *fig == "all" || strings.EqualFold(*fig, name)
-	}
-	ran := false
 
 	// With -spfstats each study is followed by the delta of the process-wide
 	// SPF counters it consumed: full sweeps vs incremental delta repairs,
 	// nodes settled, and cache hit/miss traffic. Off by default so the
 	// blessed study outputs stay byte-stable.
 	spfPrev := graph.SPFCounters()
-	printSPF := func(study string) {
-		if !*spfstats {
-			return
-		}
-		now := graph.SPFCounters()
-		d := now.Sub(spfPrev)
-		spfPrev = now
-		fmt.Printf("spfstats %s: full=%d delta=%d settled=%d hits=%d misses=%d\n",
-			study, d.FullRuns, d.DeltaRuns, d.NodesSettled, d.CacheHits, d.CacheMisses)
-	}
-
-	if want("7") {
-		ran = true
-		res, err := experiment.RunFig7Ctx(ctx, *seed)
+	for _, s := range studies {
+		rep, err := s.Run(ctx, rc, a)
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.Render())
-		printSPF("7")
-		if csvOut != nil {
-			if err := res.WriteCSV(csvOut); err != nil {
+		fmt.Print(rep.Render())
+		if *spfstats {
+			now := graph.SPFCounters()
+			d := now.Sub(spfPrev)
+			spfPrev = now
+			fmt.Printf("spfstats %s: full=%d delta=%d settled=%d hits=%d misses=%d\n",
+				s.Name, d.FullRuns, d.DeltaRuns, d.NodesSettled, d.CacheHits, d.CacheMisses)
+		}
+		if c, ok := rep.(experiment.CSVReport); ok && csvOut != nil {
+			if err := c.WriteCSV(csvOut); err != nil {
 				return err
 			}
 		}
-	}
-	type sweep struct {
-		name string
-		run  func(context.Context, int, int, uint64) (*experiment.SweepResult, error)
-	}
-	for _, s := range []sweep{
-		{name: "8", run: experiment.RunFig8Ctx},
-		{name: "9", run: experiment.RunFig9Ctx},
-		{name: "10", run: experiment.RunFig10Ctx},
-		{name: "degree10", run: experiment.RunDegree10Ctx},
-	} {
-		if !want(s.name) {
-			continue
-		}
-		ran = true
-		res, err := s.run(ctx, *topos, *sets, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF(s.name)
-		if csvOut != nil {
-			if err := res.WriteCSV(csvOut); err != nil {
+		// An oracle-gated study fails the run after its report is printed.
+		if gated, ok := rep.(interface{ Err() error }); ok {
+			if err := gated.Err(); err != nil {
 				return err
 			}
 		}
-	}
-	if want("latency") {
-		ran = true
-		res, err := experiment.RunLatencyCtx(ctx, *runs, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("latency")
-	}
-	if want("hierarchy") {
-		ran = true
-		res, err := experiment.RunHierarchyCtx(ctx, *runs, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("hierarchy")
-	}
-	if want("ablations") {
-		ran = true
-		res, err := experiment.RunAblationsCtx(ctx, *topos/2, *sets/2, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("ablations")
-		if csvOut != nil {
-			if err := res.WriteCSV(csvOut); err != nil {
-				return err
-			}
-		}
-	}
-	if want("churn") {
-		ran = true
-		res, err := experiment.RunChurnCtx(ctx, *runs, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("churn")
-	}
-	if want("nlevel") {
-		ran = true
-		res, err := experiment.RunNLevelCtx(ctx, *runs, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("nlevel")
-	}
-	if want("protection") {
-		ran = true
-		res, err := experiment.RunProtectionCtx(ctx, *runs, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("protection")
-	}
-	// The sharded throughput study runs only when explicitly requested: like
-	// chaos it is an engineering harness, not one of the paper's figures, and
-	// keeping it out of "all" keeps the blessed -fig all output stable.
-	if strings.EqualFold(*fig, "throughput") {
-		ran = true
-		res, err := experiment.RunThroughputCtx(ctx, *sessions, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("throughput")
-		if len(res.Violations) > 0 {
-			return fmt.Errorf("throughput: %d integrity violations", len(res.Violations))
-		}
-	}
-	// The megascale study runs only when explicitly requested: it builds
-	// topologies orders of magnitude beyond the paper's figures, and keeping
-	// it out of "all" keeps the blessed -fig all output stable.
-	if strings.EqualFold(*fig, "megascale") {
-		ran = true
-		ns, err := parseSizes(*sizes)
-		if err != nil {
-			return err
-		}
-		run := experiment.RunMegascaleCtx
-		if *hieronly {
-			run = experiment.RunMegascaleHierCtx
-		}
-		res, err := run(ctx, ns, *groups, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("megascale")
-	}
-	// The multigroup study runs only when explicitly requested: thousands of
-	// sparse-storage sessions with Zipf-profiled memberships on one shared
-	// megascale topology and one shared SPF cache. Like megascale it stays
-	// out of "all" to keep the blessed -fig all output stable.
-	if strings.EqualFold(*fig, "multigroup") {
-		ran = true
-		res, err := experiment.RunMultigroupCtx(ctx, *mgroups, *mgsize, *mgnodes, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("multigroup")
-		if len(res.Violations) > 0 {
-			return fmt.Errorf("multigroup: %d integrity violations", len(res.Violations))
-		}
-	}
-	// The chaos study runs only when explicitly requested: it is a
-	// correctness harness, not one of the paper's figures, and keeping it
-	// out of "all" keeps the blessed -fig all output stable.
-	if strings.EqualFold(*fig, "chaos") {
-		ran = true
-		res, err := experiment.RunChaosCtx(ctx, *trials, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("chaos")
-		if len(res.Violations) > 0 {
-			return fmt.Errorf("chaos: %d invariant violations", len(res.Violations))
-		}
-	}
-	// The comparative restoration testbed runs only when explicitly
-	// requested: it plays the chaos workload three-way (SMRP vs MRC backup
-	// configurations vs precomputed detours) and, like chaos, stays out of
-	// "all" to keep the blessed -fig all output stable.
-	if strings.EqualFold(*fig, "strategies") {
-		ran = true
-		res, err := experiment.RunStrategiesCtx(ctx, *trials, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-		printSPF("strategies")
-		if len(res.Violations) > 0 {
-			return fmt.Errorf("strategies: %d invariant violations", len(res.Violations))
-		}
-	}
-	if !ran {
-		return fmt.Errorf("unknown figure %q", *fig)
 	}
 	return nil
 }

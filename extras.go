@@ -132,117 +132,70 @@ type (
 	MultigroupResult = experiment.MultigroupResult
 )
 
-// RunFig7 reproduces Figure 7 (5 topologies, default parameters).
-func RunFig7(seed uint64) (*Fig7Result, error) { return experiment.RunFig7(seed) }
+// RunConfig is how a study executes: the base RNG seed and the number of
+// parallel trial workers (values < 1 select GOMAXPROCS). Results depend on
+// Seed alone and are bit-identical for any worker count; only wall-clock
+// time changes.
+type RunConfig = experiment.RunConfig
 
-// RunFig7Ctx is RunFig7 under a caller-supplied context: a cancelled ctx
-// stops trial dispatch promptly and returns ctx.Err(). The same contract
-// holds for every Run*Ctx variant below.
-func RunFig7Ctx(ctx context.Context, seed uint64) (*Fig7Result, error) {
-	return experiment.RunFig7Ctx(ctx, seed)
+// RunFig7 reproduces Figure 7 (5 topologies, default parameters). A
+// cancelled ctx stops trial dispatch promptly and returns ctx.Err(); the
+// same contract holds for every Run* study below.
+func RunFig7(ctx context.Context, rc RunConfig) (*Fig7Result, error) {
+	return experiment.RunFig7(ctx, rc)
 }
 
 // RunFig8 reproduces Figure 8 (the D_thresh sweep).
-func RunFig8(nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return experiment.RunFig8(nTopo, nSets, seed)
-}
-
-// RunFig8Ctx is RunFig8 under a caller-supplied context.
-func RunFig8Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return experiment.RunFig8Ctx(ctx, nTopo, nSets, seed)
+func RunFig8(ctx context.Context, rc RunConfig, nTopo, nSets int) (*SweepResult, error) {
+	return experiment.RunFig8(ctx, rc, nTopo, nSets)
 }
 
 // RunFig9 reproduces Figure 9 (the α / node-degree sweep).
-func RunFig9(nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return experiment.RunFig9(nTopo, nSets, seed)
-}
-
-// RunFig9Ctx is RunFig9 under a caller-supplied context.
-func RunFig9Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return experiment.RunFig9Ctx(ctx, nTopo, nSets, seed)
+func RunFig9(ctx context.Context, rc RunConfig, nTopo, nSets int) (*SweepResult, error) {
+	return experiment.RunFig9(ctx, rc, nTopo, nSets)
 }
 
 // RunFig10 reproduces Figure 10 (the group-size sweep).
-func RunFig10(nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return experiment.RunFig10(nTopo, nSets, seed)
-}
-
-// RunFig10Ctx is RunFig10 under a caller-supplied context.
-func RunFig10Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return experiment.RunFig10Ctx(ctx, nTopo, nSets, seed)
+func RunFig10(ctx context.Context, rc RunConfig, nTopo, nSets int) (*SweepResult, error) {
+	return experiment.RunFig10(ctx, rc, nTopo, nSets)
 }
 
 // RunDegree10 reproduces the §4.3.3 in-text high-connectivity study.
-func RunDegree10(nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return experiment.RunDegree10(nTopo, nSets, seed)
-}
-
-// RunDegree10Ctx is RunDegree10 under a caller-supplied context.
-func RunDegree10Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return experiment.RunDegree10Ctx(ctx, nTopo, nSets, seed)
+func RunDegree10(ctx context.Context, rc RunConfig, nTopo, nSets int) (*SweepResult, error) {
+	return experiment.RunDegree10(ctx, rc, nTopo, nSets)
 }
 
 // RunAblations executes the design ablations from DESIGN.md.
-func RunAblations(nTopo, nSets int, seed uint64) (*AblationResult, error) {
-	return experiment.RunAblations(nTopo, nSets, seed)
-}
-
-// RunAblationsCtx is RunAblations under a caller-supplied context.
-func RunAblationsCtx(ctx context.Context, nTopo, nSets int, seed uint64) (*AblationResult, error) {
-	return experiment.RunAblationsCtx(ctx, nTopo, nSets, seed)
+func RunAblations(ctx context.Context, rc RunConfig, nTopo, nSets int) (*AblationResult, error) {
+	return experiment.RunAblations(ctx, rc, nTopo, nSets)
 }
 
 // RunLatency measures restoration latency on the event-driven protocols.
-func RunLatency(runs int, seed uint64) (*LatencyResult, error) {
-	return experiment.RunLatency(runs, seed)
-}
-
-// RunLatencyCtx is RunLatency under a caller-supplied context.
-func RunLatencyCtx(ctx context.Context, runs int, seed uint64) (*LatencyResult, error) {
-	return experiment.RunLatencyCtx(ctx, runs, seed)
+func RunLatency(ctx context.Context, rc RunConfig, runs int) (*LatencyResult, error) {
+	return experiment.RunLatency(ctx, rc, runs)
 }
 
 // RunHierarchy compares hierarchical and flat recovery scope.
-func RunHierarchy(runs int, seed uint64) (*HierResult, error) {
-	return experiment.RunHierarchy(runs, seed)
-}
-
-// RunHierarchyCtx is RunHierarchy under a caller-supplied context.
-func RunHierarchyCtx(ctx context.Context, runs int, seed uint64) (*HierResult, error) {
-	return experiment.RunHierarchyCtx(ctx, runs, seed)
+func RunHierarchy(ctx context.Context, rc RunConfig, runs int) (*HierResult, error) {
+	return experiment.RunHierarchy(ctx, rc, runs)
 }
 
 // RunChurn studies reshaping under membership churn (§3.2.3).
-func RunChurn(runs int, seed uint64) (*ChurnResult, error) {
-	return experiment.RunChurn(runs, seed)
-}
-
-// RunChurnCtx is RunChurn under a caller-supplied context.
-func RunChurnCtx(ctx context.Context, runs int, seed uint64) (*ChurnResult, error) {
-	return experiment.RunChurnCtx(ctx, runs, seed)
+func RunChurn(ctx context.Context, rc RunConfig, runs int) (*ChurnResult, error) {
+	return experiment.RunChurn(ctx, rc, runs)
 }
 
 // RunNLevel measures recovery-scope shrink under N-level hierarchies.
-func RunNLevel(runs int, seed uint64) (*NLevelResult, error) {
-	return experiment.RunNLevel(runs, seed)
-}
-
-// RunNLevelCtx is RunNLevel under a caller-supplied context.
-func RunNLevelCtx(ctx context.Context, runs int, seed uint64) (*NLevelResult, error) {
-	return experiment.RunNLevelCtx(ctx, runs, seed)
+func RunNLevel(ctx context.Context, rc RunConfig, runs int) (*NLevelResult, error) {
+	return experiment.RunNLevel(ctx, rc, runs)
 }
 
 // RunChaos replays seeded multi-failure schedules (overlapping failures,
 // SRLG bursts, full partitions, repairs) through both the algorithmic
 // session and the message-level protocol, checking a structural-invariant
 // oracle after every event. A healthy build reports zero violations.
-func RunChaos(trials int, seed uint64) (*ChaosResult, error) {
-	return experiment.RunChaos(trials, seed)
-}
-
-// RunChaosCtx is RunChaos under a caller-supplied context.
-func RunChaosCtx(ctx context.Context, trials int, seed uint64) (*ChaosResult, error) {
-	return experiment.RunChaosCtx(ctx, trials, seed)
+func RunChaos(ctx context.Context, rc RunConfig, trials int) (*ChaosResult, error) {
+	return experiment.RunChaos(ctx, rc, trials)
 }
 
 // RunStrategies plays seeded chaos schedules three-way — SMRP local detours
@@ -251,27 +204,16 @@ func RunChaosCtx(ctx context.Context, trials int, seed uint64) (*ChaosResult, er
 // after every event for every arm, and reports recovery distance,
 // disruption, settled-node work (precompute vs recovery time) and
 // precomputed-state bytes per strategy.
-func RunStrategies(trials int, seed uint64) (*StrategiesResult, error) {
-	return experiment.RunStrategies(trials, seed)
-}
-
-// RunStrategiesCtx is RunStrategies under a caller-supplied context.
-func RunStrategiesCtx(ctx context.Context, trials int, seed uint64) (*StrategiesResult, error) {
-	return experiment.RunStrategiesCtx(ctx, trials, seed)
+func RunStrategies(ctx context.Context, rc RunConfig, trials int) (*StrategiesResult, error) {
+	return experiment.RunStrategies(ctx, rc, trials)
 }
 
 // RunThroughput advances many independent sessions concurrently on one
 // shared topology with one shared SPF cache: each shard admits a flash
 // crowd through the batched join path (against a one-at-a-time reference
-// twin) and then plays a high-rate join/leave churn schedule. Output is
-// byte-identical for any worker count.
-func RunThroughput(sessions int, seed uint64) (*ThroughputResult, error) {
-	return experiment.RunThroughput(sessions, seed)
-}
-
-// RunThroughputCtx is RunThroughput under a caller-supplied context.
-func RunThroughputCtx(ctx context.Context, sessions int, seed uint64) (*ThroughputResult, error) {
-	return experiment.RunThroughputCtx(ctx, sessions, seed)
+// twin) and then plays a high-rate join/leave churn schedule.
+func RunThroughput(ctx context.Context, rc RunConfig, sessions int) (*ThroughputResult, error) {
+	return experiment.RunThroughput(ctx, rc, sessions)
 }
 
 // RunMegascale compares flat against N-level hierarchical session
@@ -279,52 +221,21 @@ func RunThroughputCtx(ctx context.Context, sessions int, seed uint64) (*Throughp
 // recovery schedule on both arms, reported in deterministic settled-node
 // counters and exact per-component byte accounting (never wall-clock). The
 // headline: per-recovery-event work in the hierarchy is bounded by the
-// domain size while the flat arm's grows with N.
-func RunMegascale(sizes []int, groups int, seed uint64) (*MegascaleResult, error) {
-	return experiment.RunMegascale(sizes, groups, seed)
-}
-
-// RunMegascaleCtx is RunMegascale under a caller-supplied context.
-func RunMegascaleCtx(ctx context.Context, sizes []int, groups int, seed uint64) (*MegascaleResult, error) {
-	return experiment.RunMegascaleCtx(ctx, sizes, groups, seed)
-}
-
-// RunMegascaleHier is the hierarchical-only megascale tier: the same
-// membership and branch-cut schedule with the flat control arm skipped,
-// which is what admits sizes up to N=10⁶ within a CI-sized budget (the
-// hierarchy's per-event work stays domain-bounded at any N).
-func RunMegascaleHier(sizes []int, groups int, seed uint64) (*MegascaleResult, error) {
-	return experiment.RunMegascaleHier(sizes, groups, seed)
-}
-
-// RunMegascaleHierCtx is RunMegascaleHier under a caller-supplied context.
-func RunMegascaleHierCtx(ctx context.Context, sizes []int, groups int, seed uint64) (*MegascaleResult, error) {
-	return experiment.RunMegascaleHierCtx(ctx, sizes, groups, seed)
+// domain size while the flat arm's grows with N. hierOnly skips the flat
+// control arm, which is what admits sizes up to N=10⁶ within a CI-sized
+// budget (the hierarchy's per-event work stays domain-bounded at any N).
+func RunMegascale(ctx context.Context, rc RunConfig, sizes []int, groups int, hierOnly bool) (*MegascaleResult, error) {
+	return experiment.RunMegascale(ctx, rc, sizes, groups, hierOnly)
 }
 
 // RunMultigroup drives thousands of concurrent multicast groups — one
 // sparse-storage session each, membership sizes on a Zipf popularity profile
 // — over ONE shared megascale topology and ONE shared SPF cache, reporting
 // deterministic per-group standing bytes, settled work per recovery event,
-// and an in-study dense-twin comparison. Output is byte-identical for any
-// worker count.
-func RunMultigroup(groups, maxMembers, nodes int, seed uint64) (*MultigroupResult, error) {
-	return experiment.RunMultigroup(groups, maxMembers, nodes, seed)
-}
-
-// RunMultigroupCtx is RunMultigroup under a caller-supplied context.
-func RunMultigroupCtx(ctx context.Context, groups, maxMembers, nodes int, seed uint64) (*MultigroupResult, error) {
-	return experiment.RunMultigroupCtx(ctx, groups, maxMembers, nodes, seed)
+// and an in-study dense-twin comparison.
+func RunMultigroup(ctx context.Context, rc RunConfig, groups, maxMembers, nodes int) (*MultigroupResult, error) {
+	return experiment.RunMultigroup(ctx, rc, groups, maxMembers, nodes)
 }
 
 // DefaultExperimentBase returns the paper's default evaluation setup.
 func DefaultExperimentBase() ExperimentBase { return experiment.DefaultBase() }
-
-// SetExperimentParallelism fixes the worker count the experiment runners use
-// (n < 1 restores the GOMAXPROCS default) and returns the effective value.
-// Results are bit-identical for any worker count; only wall-clock time
-// changes.
-func SetExperimentParallelism(n int) int { return experiment.SetParallelism(n) }
-
-// ExperimentParallelism returns the worker count studies currently use.
-func ExperimentParallelism() int { return experiment.Parallelism() }

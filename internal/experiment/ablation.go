@@ -49,8 +49,8 @@ func (r *AblationResult) Render() string {
 // the parallel runner and summarizes metrics plus overhead counters. The
 // scenario set is shared between variants, so the per-topology SPF caches
 // attached by GenScenarios serve hits across the whole study.
-func ablationVariant(ctx context.Context, name string, scenarios []Scenario, cfg core.Config, useLocalOnSPF bool, seed uint64) (AblationRow, error) {
-	results, err := evaluateAll(ctx, scenarios, cfg, seed)
+func ablationVariant(ctx context.Context, rc RunConfig, name string, scenarios []Scenario, cfg core.Config, useLocalOnSPF bool) (AblationRow, error) {
+	results, err := evaluateAll(ctx, rc, scenarios, cfg)
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -104,14 +104,9 @@ func ablationVariant(ctx context.Context, name string, scenarios []Scenario, cfg
 //   - deferred-shr: §3.3.2 lazy SHR maintenance (identical metrics, very
 //     different overhead profile);
 //   - no-reshaping / condition-I-only: §3.2.3 contribution of reshaping.
-func RunAblations(nTopo, nSets int, seed uint64) (*AblationResult, error) {
-	return RunAblationsCtx(context.Background(), nTopo, nSets, seed)
-}
-
-// RunAblationsCtx is RunAblations under a caller-supplied context.
-func RunAblationsCtx(ctx context.Context, nTopo, nSets int, seed uint64) (*AblationResult, error) {
+func RunAblations(ctx context.Context, rc RunConfig, nTopo, nSets int) (*AblationResult, error) {
 	base := DefaultBase()
-	scenarios, err := GenScenarios(base, nTopo, nSets, seed)
+	scenarios, err := GenScenarios(base, nTopo, nSets, rc.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +143,7 @@ func RunAblationsCtx(ctx context.Context, nTopo, nSets int, seed uint64) (*Ablat
 		{name: "no-reshaping", cfg: noReshape},
 		{name: "condition-I-only", cfg: condIOnly},
 	} {
-		row, err := ablationVariant(ctx, v.name, scenarios, v.cfg, v.localOnSPF, seed)
+		row, err := ablationVariant(ctx, rc, v.name, scenarios, v.cfg, v.localOnSPF)
 		if err != nil {
 			return nil, err
 		}

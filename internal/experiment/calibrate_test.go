@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"testing"
 
 	"smrp/internal/topology"
@@ -18,7 +17,7 @@ func TestCalibrateBeta(t *testing.T) {
 	for _, beta := range []float64{0.10, 0.15, 0.20, 0.25} {
 		base := DefaultBase()
 		base.Beta = beta
-		row, err := sweepPoint(context.Background(), "b", beta, base, 4, 2, 99)
+		row, err := sweepPoint(bg, RunConfig{Seed: 99}, "b", beta, base, 4, 2)
 		if err != nil {
 			t.Fatalf("beta %v: %v", beta, err)
 		}
@@ -51,7 +50,7 @@ func TestCalibrateReshape(t *testing.T) {
 		base.Beta = 0.15
 		base.SMRP.ReshapeDelta = v.delta
 		base.SMRP.PeriodicReshape = v.periodic
-		row, err := sweepPoint(context.Background(), v.name, 0, base, 4, 2, 99)
+		row, err := sweepPoint(bg, RunConfig{Seed: 99}, v.name, 0, base, 4, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}

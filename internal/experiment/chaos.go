@@ -40,6 +40,9 @@ type ChaosResult struct {
 	Violations []string
 }
 
+// Err is nil on a clean run, else an error counting the invariant violations.
+func (r *ChaosResult) Err() error { return violationsErr("chaos", "invariant", r.Violations) }
+
 // Render prints the chaos summary.
 func (r *ChaosResult) Render() string {
 	var b strings.Builder
@@ -49,14 +52,7 @@ func (r *ChaosResult) Render() string {
 		r.Disconnections, r.Recovered, r.Parks, r.Readmissions)
 	fmt.Fprintf(&b, "  protocol: restorations=%d parked-at-horizon=%d fully-restored-trials=%d\n",
 		r.Restorations, r.ParkedAtEnd, r.FullyRestored)
-	fmt.Fprintf(&b, "  invariant violations: %d\n", len(r.Violations))
-	for i, v := range r.Violations {
-		if i == 10 {
-			fmt.Fprintf(&b, "    … %d more\n", len(r.Violations)-10)
-			break
-		}
-		fmt.Fprintf(&b, "    %s\n", v)
-	}
+	renderViolations(&b, "invariant", r.Violations)
 	return b.String()
 }
 
@@ -129,7 +125,7 @@ func chaosInvariants(s *core.Session, members []graph.NodeID, when string) []str
 	return v
 }
 
-// RunChaosCtx executes trials seeded multi-failure schedules. Each trial
+// RunChaos executes trials seeded multi-failure schedules. Each trial
 // draws a random topology and schedule, plays the schedule against a core
 // session event by event (checking the invariant oracle after every event),
 // then replays it at the message level through the protocol instance —
@@ -138,14 +134,17 @@ func chaosInvariants(s *core.Session, members []graph.NodeID, when string) []str
 // run on the parallel runner and fold in trial order, so the result is
 // bit-identical for any worker count. A cancelled ctx stops dispatch and
 // returns ctx.Err().
-func RunChaosCtx(ctx context.Context, trials int, seed uint64) (*ChaosResult, error) {
+func RunChaos(ctx context.Context, rc RunConfig, trials int) (*ChaosResult, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("experiment: chaos: trials = %d must be >= 1", trials)
+	}
 	base := DefaultBase()
 	base.N = 60
 	base.NG = 12
 	pcfg := protocol.DefaultConfig()
 	pcfg.SMRP = base.SMRP
 
-	results, err := mapTrialsCtx(ctx, seed, trials, func(_ context.Context, t runner.Trial) (chaosTrial, error) {
+	results, err := runner.Map(ctx, rc.pool(), trials, func(_ context.Context, t runner.Trial) (chaosTrial, error) {
 		rng := t.RNG
 		g, err := topology.Waxman(topology.WaxmanConfig{
 			N: base.N, Alpha: base.Alpha, Beta: base.Beta, EnsureConnected: true,
@@ -286,9 +285,4 @@ func RunChaosCtx(ctx context.Context, trials int, seed uint64) (*ChaosResult, er
 		res.Violations = append(res.Violations, tr.violations...)
 	}
 	return res, nil
-}
-
-// RunChaos is RunChaosCtx without cancellation.
-func RunChaos(trials int, seed uint64) (*ChaosResult, error) {
-	return RunChaosCtx(context.Background(), trials, seed)
 }

@@ -7,31 +7,21 @@ import (
 	"smrp/internal/graph"
 )
 
-// TestChaosAcceptance is the PR's acceptance gate: 200 seeded multi-failure
-// schedules must produce zero invariant violations, and the aggregate must be
-// byte-identical between 1 worker and 8 workers.
+// TestChaosAcceptance is the harness's acceptance gate: 200 seeded
+// multi-failure schedules must produce zero invariant violations and
+// exercise the multi-failure machinery. (That the aggregate is byte-identical
+// on 1 worker and 8 is the chaos row of
+// TestStudiesDeterministicAcrossWorkerCounts, at the same size and seed.)
 func TestChaosAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos acceptance is a long test")
 	}
-	const trials, seed = 200, 2005
-
-	prev := Parallelism()
-	defer SetParallelism(prev)
-
-	SetParallelism(1)
-	seq, err := RunChaos(trials, seed)
+	seq, err := RunChaos(bg, RunConfig{Seed: 2005}, 200)
 	if err != nil {
-		t.Fatalf("RunChaos(workers=1): %v", err)
+		t.Fatalf("RunChaos: %v", err)
 	}
-	SetParallelism(8)
-	par, err := RunChaos(trials, seed)
-	if err != nil {
-		t.Fatalf("RunChaos(workers=8): %v", err)
-	}
-
 	if len(seq.Violations) > 0 {
-		t.Errorf("invariant violations with 1 worker: %d", len(seq.Violations))
+		t.Errorf("invariant violations: %d", len(seq.Violations))
 		for i, v := range seq.Violations {
 			if i == 10 {
 				t.Errorf("… %d more", len(seq.Violations)-10)
@@ -39,9 +29,6 @@ func TestChaosAcceptance(t *testing.T) {
 			}
 			t.Error(v)
 		}
-	}
-	if a, b := seq.Render(), par.Render(); a != b {
-		t.Errorf("chaos output differs between 1 and 8 workers:\n--- workers=1 ---\n%s--- workers=8 ---\n%s", a, b)
 	}
 
 	// Sanity: the schedules actually exercised the multi-failure machinery.
@@ -59,10 +46,10 @@ func TestChaosAcceptance(t *testing.T) {
 // TestChaosCancellation verifies that a cancelled context aborts the sweep
 // with ctx.Err() instead of running all trials.
 func TestChaosCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	if _, err := RunChaosCtx(ctx, 50, 2005); err != context.Canceled {
-		t.Fatalf("RunChaosCtx(cancelled) error = %v, want context.Canceled", err)
+	if _, err := RunChaos(ctx, RunConfig{Seed: 2005}, 50); err != context.Canceled {
+		t.Fatalf("RunChaos(cancelled) error = %v, want context.Canceled", err)
 	}
 }
 
@@ -81,14 +68,12 @@ func TestChaosSPFDeltaReduction(t *testing.T) {
 	}
 	const trials, seed = 20, 2005
 
-	prevWorkers := Parallelism()
-	defer SetParallelism(prevWorkers)
-	SetParallelism(1)
+	rc := RunConfig{Seed: seed, Workers: 1}
 	defer graph.SetSPFDelta(true)
 
 	graph.SetSPFDelta(false)
 	before := graph.SPFCounters()
-	base, err := RunChaos(trials, seed)
+	base, err := RunChaos(bg, rc, trials)
 	if err != nil {
 		t.Fatalf("RunChaos(delta off): %v", err)
 	}
@@ -96,7 +81,7 @@ func TestChaosSPFDeltaReduction(t *testing.T) {
 
 	graph.SetSPFDelta(true)
 	before = graph.SPFCounters()
-	fast, err := RunChaos(trials, seed)
+	fast, err := RunChaos(bg, rc, trials)
 	if err != nil {
 		t.Fatalf("RunChaos(delta on): %v", err)
 	}

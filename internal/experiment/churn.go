@@ -85,20 +85,15 @@ type churnRun struct {
 // reshapeEvery events for the full variant. Runs are independent and execute
 // on the parallel runner; per-run results fold in run order, so output is
 // identical for any worker count.
-func RunChurn(runs int, seed uint64) (*ChurnResult, error) {
-	return RunChurnCtx(context.Background(), runs, seed)
-}
-
-// RunChurnCtx is RunChurn under a caller-supplied context.
-func RunChurnCtx(ctx context.Context, runs int, seed uint64) (*ChurnResult, error) {
+func RunChurn(ctx context.Context, rc RunConfig, runs int) (*ChurnResult, error) {
 	const reshapeEvery = 10
 	base := DefaultBase()
 	out := &ChurnResult{}
 	variants := churnVariants()
 
-	runResults, err := mapTrialsCtx(ctx, seed, runs, func(_ context.Context, t runner.Trial) (*churnRun, error) {
+	runResults, err := runner.Map(ctx, rc.pool(), runs, func(_ context.Context, t runner.Trial) (*churnRun, error) {
 		r := t.Index
-		rng := topology.NewRNG(seed + uint64(r)*6151)
+		rng := topology.NewRNG(rc.Seed + uint64(r)*6151)
 		g, err := topology.Waxman(topology.WaxmanConfig{
 			N: base.N, Alpha: base.Alpha, Beta: base.Beta, EnsureConnected: true,
 		}, rng)

@@ -3,7 +3,7 @@ package experiment
 import "testing"
 
 func TestChurnExperiment(t *testing.T) {
-	res, err := RunChurn(2, 101)
+	res, err := RunChurn(bg, RunConfig{Seed: 101}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSweepWriteCSV(t *testing.T) {
-	res, err := RunFig8(1, 1, 5)
+	res, err := RunFig8(bg, RunConfig{Seed: 5}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,22 +32,17 @@ type Fig7Result struct {
 
 // RunFig7 executes the Figure 7 experiment: N=100, N_G=30, α=0.2,
 // D_thresh=0.3, five random topologies, worst-case failure per member.
-// Scenarios are evaluated on the parallel runner (see SetParallelism);
-// per-scenario results fold in trial order, so the output is identical for
-// any worker count.
-func RunFig7(seed uint64) (*Fig7Result, error) {
-	return RunFig7Ctx(context.Background(), seed)
-}
-
-// RunFig7Ctx is RunFig7 under a caller-supplied context: a cancelled ctx
-// stops trial dispatch promptly and returns ctx.Err().
-func RunFig7Ctx(ctx context.Context, seed uint64) (*Fig7Result, error) {
+// Scenarios are evaluated on rc.Workers workers; per-scenario results fold
+// in trial order, so the output is identical for any worker count. A
+// cancelled ctx stops trial dispatch promptly and returns ctx.Err(); the
+// same holds for every Run* study of this package.
+func RunFig7(ctx context.Context, rc RunConfig) (*Fig7Result, error) {
 	base := DefaultBase()
-	scenarios, err := GenScenarios(base, 5, 1, seed)
+	scenarios, err := GenScenarios(base, 5, 1, rc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	results, err := evaluateAll(ctx, scenarios, base.SMRP, seed)
+	results, err := evaluateAll(ctx, rc, scenarios, base.SMRP)
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +123,8 @@ func (r *SweepResult) Render() string {
 
 // evaluateAll measures every scenario on the parallel runner and returns the
 // results ordered by scenario index.
-func evaluateAll(ctx context.Context, scenarios []Scenario, cfg core.Config, seed uint64) ([]*Result, error) {
-	return mapTrialsCtx(ctx, seed, len(scenarios), func(_ context.Context, t runner.Trial) (*Result, error) {
+func evaluateAll(ctx context.Context, rc RunConfig, scenarios []Scenario, cfg core.Config) ([]*Result, error) {
+	return runner.Map(ctx, rc.pool(), len(scenarios), func(_ context.Context, t runner.Trial) (*Result, error) {
 		return Evaluate(scenarios[t.Index], cfg)
 	})
 }
@@ -138,12 +133,12 @@ func evaluateAll(ctx context.Context, scenarios []Scenario, cfg core.Config, see
 // produces a row. Scenario evaluation fans out across the worker pool;
 // accumulation happens afterwards in scenario order, keeping the row
 // bit-identical for any worker count.
-func sweepPoint(ctx context.Context, label string, x float64, base Base, nTopo, nSets int, seed uint64) (SweepRow, error) {
-	scenarios, err := GenScenarios(base, nTopo, nSets, seed)
+func sweepPoint(ctx context.Context, rc RunConfig, label string, x float64, base Base, nTopo, nSets int) (SweepRow, error) {
+	scenarios, err := GenScenarios(base, nTopo, nSets, rc.Seed)
 	if err != nil {
 		return SweepRow{}, err
 	}
-	results, err := evaluateAll(ctx, scenarios, base.SMRP, seed)
+	results, err := evaluateAll(ctx, rc, scenarios, base.SMRP)
 	if err != nil {
 		return SweepRow{}, err
 	}
@@ -181,12 +176,7 @@ var Fig8DThreshValues = []float64{0.1, 0.2, 0.3, 0.4}
 // RunFig8 reproduces Figure 8 (§4.3.2): the effect of D_thresh with
 // N=100, N_G=30, α=0.2, over 10 topologies × 10 member sets, with 95% CIs.
 // The same 100 scenarios are reused across the sweep (paired comparison).
-func RunFig8(nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return RunFig8Ctx(context.Background(), nTopo, nSets, seed)
-}
-
-// RunFig8Ctx is RunFig8 under a caller-supplied context.
-func RunFig8Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResult, error) {
+func RunFig8(ctx context.Context, rc RunConfig, nTopo, nSets int) (*SweepResult, error) {
 	out := &SweepResult{
 		Title: fmt.Sprintf("Figure 8: effect of D_thresh (N=100 NG=30 alpha=0.2, %d scenarios)", nTopo*nSets),
 		XName: "D_thresh",
@@ -194,7 +184,7 @@ func RunFig8Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResul
 	for _, dt := range Fig8DThreshValues {
 		base := DefaultBase()
 		base.SMRP.DThresh = dt
-		row, err := sweepPoint(ctx, fmt.Sprintf("%.1f", dt), dt, base, nTopo, nSets, seed)
+		row, err := sweepPoint(ctx, rc, fmt.Sprintf("%.1f", dt), dt, base, nTopo, nSets)
 		if err != nil {
 			return nil, err
 		}
@@ -209,12 +199,7 @@ var Fig9AlphaValues = []float64{0.15, 0.2, 0.25, 0.3}
 // RunFig9 reproduces Figure 9 (§4.3.3): the effect of the average node
 // degree (tuned through α) with N=100, N_G=30, D_thresh=0.3. Each row also
 // reports the measured average node degree, as the figure annotates.
-func RunFig9(nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return RunFig9Ctx(context.Background(), nTopo, nSets, seed)
-}
-
-// RunFig9Ctx is RunFig9 under a caller-supplied context.
-func RunFig9Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResult, error) {
+func RunFig9(ctx context.Context, rc RunConfig, nTopo, nSets int) (*SweepResult, error) {
 	out := &SweepResult{
 		Title: fmt.Sprintf("Figure 9: effect of alpha / node degree (N=100 NG=30 Dthresh=0.3, %d scenarios)", nTopo*nSets),
 		XName: "alpha",
@@ -222,7 +207,7 @@ func RunFig9Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResul
 	for _, a := range Fig9AlphaValues {
 		base := DefaultBase()
 		base.Alpha = a
-		row, err := sweepPoint(ctx, fmt.Sprintf("%.2f", a), a, base, nTopo, nSets, seed)
+		row, err := sweepPoint(ctx, rc, fmt.Sprintf("%.2f", a), a, base, nTopo, nSets)
 		if err != nil {
 			return nil, err
 		}
@@ -236,12 +221,7 @@ var Fig10GroupSizes = []int{20, 30, 40, 50}
 
 // RunFig10 reproduces Figure 10 (§4.3.4): the effect of the group size N_G
 // with N=100, α=0.2, D_thresh=0.3.
-func RunFig10(nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return RunFig10Ctx(context.Background(), nTopo, nSets, seed)
-}
-
-// RunFig10Ctx is RunFig10 under a caller-supplied context.
-func RunFig10Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResult, error) {
+func RunFig10(ctx context.Context, rc RunConfig, nTopo, nSets int) (*SweepResult, error) {
 	out := &SweepResult{
 		Title: fmt.Sprintf("Figure 10: effect of group size (N=100 alpha=0.2 Dthresh=0.3, %d scenarios)", nTopo*nSets),
 		XName: "N_G",
@@ -249,7 +229,7 @@ func RunFig10Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResu
 	for _, ng := range Fig10GroupSizes {
 		base := DefaultBase()
 		base.NG = ng
-		row, err := sweepPoint(ctx, fmt.Sprintf("%d", ng), float64(ng), base, nTopo, nSets, seed)
+		row, err := sweepPoint(ctx, rc, fmt.Sprintf("%d", ng), float64(ng), base, nTopo, nSets)
 		if err != nil {
 			return nil, err
 		}
@@ -261,12 +241,7 @@ func RunFig10Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResu
 // RunDegree10 reproduces the §4.3.3 in-text claim: even at an average node
 // degree around 10, SMRP still shortens recovery paths (the paper reports
 // ≈12% at ≈5% penalty). α is raised until the measured degree approaches 10.
-func RunDegree10(nTopo, nSets int, seed uint64) (*SweepResult, error) {
-	return RunDegree10Ctx(context.Background(), nTopo, nSets, seed)
-}
-
-// RunDegree10Ctx is RunDegree10 under a caller-supplied context.
-func RunDegree10Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepResult, error) {
+func RunDegree10(ctx context.Context, rc RunConfig, nTopo, nSets int) (*SweepResult, error) {
 	out := &SweepResult{
 		Title: fmt.Sprintf("§4.3.3 in-text: high-connectivity study (N=100 NG=30 Dthresh=0.3, %d scenarios)", nTopo*nSets),
 		XName: "alpha",
@@ -274,7 +249,7 @@ func RunDegree10Ctx(ctx context.Context, nTopo, nSets int, seed uint64) (*SweepR
 	for _, a := range []float64{0.5, 0.65} {
 		base := DefaultBase()
 		base.Alpha = a
-		row, err := sweepPoint(ctx, fmt.Sprintf("%.2f", a), a, base, nTopo, nSets, seed)
+		row, err := sweepPoint(ctx, rc, fmt.Sprintf("%.2f", a), a, base, nTopo, nSets)
 		if err != nil {
 			return nil, err
 		}

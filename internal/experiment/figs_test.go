@@ -108,7 +108,7 @@ func TestEvaluateProducesConsistentObservations(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res, err := RunFig7(21)
+	res, err := RunFig7(bg, RunConfig{Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	res, err := RunFig8(testTopo, testSets, 33)
+	res, err := RunFig8(bg, RunConfig{Seed: 33}, testTopo, testSets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	res, err := RunFig9(testTopo, testSets, 44)
+	res, err := RunFig9(bg, RunConfig{Seed: 44}, testTopo, testSets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	res, err := RunFig10(testTopo, testSets, 55)
+	res, err := RunFig10(bg, RunConfig{Seed: 55}, testTopo, testSets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestDegree10Shape(t *testing.T) {
-	res, err := RunDegree10(2, 1, 66)
+	res, err := RunDegree10(bg, RunConfig{Seed: 66}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestDegree10Shape(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	res, err := RunAblations(2, 1, 77)
+	res, err := RunAblations(bg, RunConfig{Seed: 77}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestLatencyExperiment(t *testing.T) {
-	res, err := RunLatency(3, 88)
+	res, err := RunLatency(bg, RunConfig{Seed: 88}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestLatencyExperiment(t *testing.T) {
 }
 
 func TestHierarchyExperiment(t *testing.T) {
-	res, err := RunHierarchy(3, 99)
+	res, err := RunHierarchy(bg, RunConfig{Seed: 99}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

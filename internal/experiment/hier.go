@@ -60,19 +60,14 @@ type hierRun struct {
 // stub domain, and compares recovery scope and distance. Runs execute on the
 // parallel runner and fold in run order (bit-identical for any worker
 // count).
-func RunHierarchy(runs int, seed uint64) (*HierResult, error) {
-	return RunHierarchyCtx(context.Background(), runs, seed)
-}
-
-// RunHierarchyCtx is RunHierarchy under a caller-supplied context.
-func RunHierarchyCtx(ctx context.Context, runs int, seed uint64) (*HierResult, error) {
+func RunHierarchy(ctx context.Context, rc RunConfig, runs int) (*HierResult, error) {
 	cfg := core.DefaultConfig()
 	out := &HierResult{}
 
-	runResults, err := mapTrialsCtx(ctx, seed, runs, func(_ context.Context, t runner.Trial) (*hierRun, error) {
+	runResults, err := runner.Map(ctx, rc.pool(), runs, func(_ context.Context, t runner.Trial) (*hierRun, error) {
 		r := t.Index
 		hr := &hierRun{}
-		rng := topology.NewRNG(seed + uint64(r)*104729)
+		rng := topology.NewRNG(rc.Seed + uint64(r)*104729)
 		ts, err := topology.GenerateTransitStub(topology.DefaultTransitStubConfig(), rng)
 		if err != nil {
 			return nil, err

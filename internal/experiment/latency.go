@@ -54,20 +54,15 @@ type latencyRun struct {
 // member joins, injects each protocol's worst-case failure for a victim
 // member, and measures restoration latency. Runs execute on the parallel
 // runner and fold in run order (bit-identical for any worker count).
-func RunLatency(runs int, seed uint64) (*LatencyResult, error) {
-	return RunLatencyCtx(context.Background(), runs, seed)
-}
-
-// RunLatencyCtx is RunLatency under a caller-supplied context.
-func RunLatencyCtx(ctx context.Context, runs int, seed uint64) (*LatencyResult, error) {
+func RunLatency(ctx context.Context, rc RunConfig, runs int) (*LatencyResult, error) {
 	base := DefaultBase()
 	pcfg := protocol.DefaultConfig()
 	pcfg.SMRP = base.SMRP
 
 	out := &LatencyResult{}
-	runResults, err := mapTrialsCtx(ctx, seed, runs, func(_ context.Context, t runner.Trial) (latencyRun, error) {
+	runResults, err := runner.Map(ctx, rc.pool(), runs, func(_ context.Context, t runner.Trial) (latencyRun, error) {
 		r := t.Index
-		rng := topology.NewRNG(seed + uint64(r)*7919)
+		rng := topology.NewRNG(rc.Seed + uint64(r)*7919)
 		g, err := topology.Waxman(topology.WaxmanConfig{
 			N: base.N, Alpha: base.Alpha, Beta: base.Beta, EnsureConnected: true,
 		}, rng)

@@ -303,26 +303,19 @@ func runMegascaleHier(n int, t runner.Trial, groups int) (MegascaleArm, error) {
 	return arm, nil
 }
 
-// RunMegascaleCtx executes the study: for every size, one flat trial and one
+// RunMegascale executes the study: for every size, one flat trial and one
 // hierarchical trial, fanned out on the worker pool as independent trials and
 // folded in order (byte-identical output for any worker count — each trial's
 // topology and schedule derive from (seed, trial index) alone).
-func RunMegascaleCtx(ctx context.Context, sizes []int, groups int, seed uint64) (*MegascaleResult, error) {
-	return runMegascale(ctx, sizes, groups, seed, false)
-}
-
-// RunMegascaleHierCtx is the hierarchical-only tier of the study: the same
-// membership and branch-cut schedule with the flat control arm skipped,
-// which is what admits sizes up to N=10⁶ — the hierarchy's work per event
-// stays domain-bounded while a flat arm at that size would sweep the million
-// nodes on every recovery. Trial seeds differ from the two-arm study (one
-// trial per size instead of two), so hier numbers are comparable within a
-// mode, not across modes.
-func RunMegascaleHierCtx(ctx context.Context, sizes []int, groups int, seed uint64) (*MegascaleResult, error) {
-	return runMegascale(ctx, sizes, groups, seed, true)
-}
-
-func runMegascale(ctx context.Context, sizes []int, groups int, seed uint64, hierOnly bool) (*MegascaleResult, error) {
+//
+// hierOnly selects the hierarchical-only tier: the same membership and
+// branch-cut schedule with the flat control arm skipped, which is what admits
+// sizes up to N=10⁶ — the hierarchy's work per event stays domain-bounded
+// while a flat arm at that size would sweep the million nodes on every
+// recovery. Trial seeds differ from the two-arm study (one trial per size
+// instead of two), so hier numbers are comparable within a mode, not across
+// modes.
+func RunMegascale(ctx context.Context, rc RunConfig, sizes []int, groups int, hierOnly bool) (*MegascaleResult, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultMegascaleSizes
 	}
@@ -338,7 +331,7 @@ func runMegascale(ctx context.Context, sizes []int, groups int, seed uint64, hie
 	if hierOnly {
 		perSize = 1
 	}
-	arms, err := mapTrialsCtx(ctx, seed, perSize*len(sizes), func(_ context.Context, t runner.Trial) (MegascaleArm, error) {
+	arms, err := runner.Map(ctx, rc.pool(), perSize*len(sizes), func(_ context.Context, t runner.Trial) (MegascaleArm, error) {
 		n := sizes[t.Index/perSize]
 		if !hierOnly && t.Index%2 == 0 {
 			return runMegascaleFlat(n, t, groups)
@@ -359,14 +352,4 @@ func runMegascale(ctx context.Context, sizes []int, groups int, seed uint64, hie
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// RunMegascale is RunMegascaleCtx without cancellation.
-func RunMegascale(sizes []int, groups int, seed uint64) (*MegascaleResult, error) {
-	return RunMegascaleCtx(context.Background(), sizes, groups, seed)
-}
-
-// RunMegascaleHier is RunMegascaleHierCtx without cancellation.
-func RunMegascaleHier(sizes []int, groups int, seed uint64) (*MegascaleResult, error) {
-	return RunMegascaleHierCtx(context.Background(), sizes, groups, seed)
 }

@@ -132,6 +132,9 @@ func (r *MultigroupResult) DenseSavings() float64 {
 	return float64(r.DenseTwinBytes) / float64(r.Rank0Bytes)
 }
 
+// Err is nil on a clean run, else an error counting the integrity violations.
+func (r *MultigroupResult) Err() error { return violationsErr("multigroup", "integrity", r.Violations) }
+
 // Render prints the study. Counters and byte accounting only — no clocks.
 func (r *MultigroupResult) Render() string {
 	var b strings.Builder
@@ -147,14 +150,7 @@ func (r *MultigroupResult) Render() string {
 		fmtBytes(r.BytesMean()), fmtBytes(r.BytesP50), fmtBytes(r.BytesMax), fmtBytes(r.BytesTotal))
 	fmt.Fprintf(&b, "  dense twin (rank-0 group): %s vs sparse %s (%.0fx less)\n",
 		fmtBytes(r.DenseTwinBytes), fmtBytes(r.Rank0Bytes), r.DenseSavings())
-	fmt.Fprintf(&b, "  integrity violations: %d\n", len(r.Violations))
-	for i, v := range r.Violations {
-		if i == 10 {
-			fmt.Fprintf(&b, "    … %d more\n", len(r.Violations)-10)
-			break
-		}
-		fmt.Fprintf(&b, "    %s\n", v)
-	}
+	renderViolations(&b, "integrity", r.Violations)
 	return b.String()
 }
 
@@ -271,10 +267,10 @@ func runMultigroupGroup(g *graph.Graph, t runner.Trial, maxMembers int, denseTwi
 	return out, nil
 }
 
-// RunMultigroupCtx executes the multigroup study: groups sessions with
+// RunMultigroup executes the multigroup study: groups sessions with
 // Zipf-profiled memberships over one shared n-node megascale plane and one
 // shared SPF cache, fanned out on the worker pool and folded in rank order.
-func RunMultigroupCtx(ctx context.Context, groups, maxMembers, n int, seed uint64) (*MultigroupResult, error) {
+func RunMultigroup(ctx context.Context, rc RunConfig, groups, maxMembers, n int) (*MultigroupResult, error) {
 	if groups < 1 {
 		return nil, fmt.Errorf("experiment: multigroup: groups = %d must be >= 1", groups)
 	}
@@ -292,13 +288,13 @@ func RunMultigroupCtx(ctx context.Context, groups, maxMembers, n int, seed uint6
 	// One shared frozen topology for every group, from its own RNG stream
 	// (distinct from every group stream by DeriveSeed's avalanche), and one
 	// shared SPF cache under genuine cross-goroutine read pressure.
-	g, _, err := topology.FlatMegascale(n, runner.DeriveSeed(seed, -1))
+	g, _, err := topology.FlatMegascale(n, runner.DeriveSeed(rc.Seed, -1))
 	if err != nil {
 		return nil, err
 	}
 	g.EnableSPFCache()
 
-	gs, err := mapTrialsCtx(ctx, seed, groups, func(_ context.Context, t runner.Trial) (multigroupGroup, error) {
+	gs, err := runner.Map(ctx, rc.pool(), groups, func(_ context.Context, t runner.Trial) (multigroupGroup, error) {
 		return runMultigroupGroup(g, t, maxMembers, t.Index == 0)
 	})
 	if err != nil {
@@ -330,9 +326,4 @@ func RunMultigroupCtx(ctx context.Context, groups, maxMembers, n int, seed uint6
 	slices.Sort(bytes)
 	res.BytesP50 = bytes[len(bytes)/2]
 	return res, nil
-}
-
-// RunMultigroup is RunMultigroupCtx without cancellation.
-func RunMultigroup(groups, maxMembers, n int, seed uint64) (*MultigroupResult, error) {
-	return RunMultigroupCtx(context.Background(), groups, maxMembers, n, seed)
 }

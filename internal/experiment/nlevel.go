@@ -53,19 +53,14 @@ type nlevelRun struct {
 // domains, and compares the domain-confined scope against a flat session's
 // whole-network scope. Runs execute on the parallel runner and fold in run
 // order (bit-identical for any worker count).
-func RunNLevel(runs int, seed uint64) (*NLevelResult, error) {
-	return RunNLevelCtx(context.Background(), runs, seed)
-}
-
-// RunNLevelCtx is RunNLevel under a caller-supplied context.
-func RunNLevelCtx(ctx context.Context, runs int, seed uint64) (*NLevelResult, error) {
+func RunNLevel(ctx context.Context, rc RunConfig, runs int) (*NLevelResult, error) {
 	cfg := topology.DefaultNLevelConfig()
 	out := &NLevelResult{Levels: cfg.Levels}
 
-	runResults, err := mapTrialsCtx(ctx, seed, runs, func(_ context.Context, t runner.Trial) (*nlevelRun, error) {
+	runResults, err := runner.Map(ctx, rc.pool(), runs, func(_ context.Context, t runner.Trial) (*nlevelRun, error) {
 		r := t.Index
 		nr := &nlevelRun{}
-		rng := topology.NewRNG(seed + uint64(r)*32452843)
+		rng := topology.NewRNG(rc.Seed + uint64(r)*32452843)
 		nt, err := topology.GenerateNLevel(cfg, rng)
 		if err != nil {
 			return nil, err

@@ -3,7 +3,7 @@ package experiment
 import "testing"
 
 func TestNLevelExperiment(t *testing.T) {
-	res, err := RunNLevel(4, 55)
+	res, err := RunNLevel(bg, RunConfig{Seed: 55}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,18 +79,13 @@ type protRun struct {
 // RunProtection executes the comparison on biconnected Waxman samples. Runs
 // execute on the parallel runner and fold in run order (bit-identical for any
 // worker count).
-func RunProtection(runs int, seed uint64) (*ProtectionResult, error) {
-	return RunProtectionCtx(context.Background(), runs, seed)
-}
-
-// RunProtectionCtx is RunProtection under a caller-supplied context.
-func RunProtectionCtx(ctx context.Context, runs int, seed uint64) (*ProtectionResult, error) {
+func RunProtection(ctx context.Context, rc RunConfig, runs int) (*ProtectionResult, error) {
 	out := &ProtectionResult{}
 
-	runResults, err := mapTrialsCtx(ctx, seed, runs, func(_ context.Context, t runner.Trial) (*protRun, error) {
+	runResults, err := runner.Map(ctx, rc.pool(), runs, func(_ context.Context, t runner.Trial) (*protRun, error) {
 		r := t.Index
 		pr := &protRun{}
-		rng := topology.NewRNG(seed + uint64(r)*15485863)
+		rng := topology.NewRNG(rc.Seed + uint64(r)*15485863)
 		g := sampleBiconnected(rng, 60)
 		if g == nil {
 			return pr, nil

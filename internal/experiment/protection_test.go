@@ -3,7 +3,7 @@ package experiment
 import "testing"
 
 func TestProtectionExperiment(t *testing.T) {
-	res, err := RunProtection(3, 77)
+	res, err := RunProtection(bg, RunConfig{Seed: 77}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,3 +246,16 @@ func (a *Aggregate) Accumulate(r *Result) error {
 	}
 	return nil
 }
+
+// Merge folds other into a, preserving other's internal sample order after
+// a's (exactly associative, see metrics.Sample.Merge). Folding per-trial
+// aggregates in trial order reproduces the sequential accumulation
+// bit-for-bit.
+func (a *Aggregate) Merge(other *Aggregate) {
+	a.RDRel.Merge(&other.RDRel)
+	a.DelayRel.Merge(&other.DelayRel)
+	a.CostRel.Merge(&other.CostRel)
+	a.RDRelLocalOnSPF.Merge(&other.RDRelLocalOnSPF)
+	a.Unrecoverable += other.Unrecoverable
+	a.AvgDegree.Merge(&other.AvgDegree)
+}

@@ -11,12 +11,12 @@ func TestSmokeShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke test")
 	}
-	res, err := RunFig8(3, 2, 42)
+	res, err := RunFig8(bg, RunConfig{Seed: 42}, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Render())
-	f7, err := RunFig7(42)
+	f7, err := RunFig7(bg, RunConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

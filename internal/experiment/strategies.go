@@ -71,6 +71,9 @@ type StrategiesResult struct {
 	Violations []string
 }
 
+// Err is nil on a clean run, else an error counting the invariant violations.
+func (r *StrategiesResult) Err() error { return violationsErr("strategies", "invariant", r.Violations) }
+
 // Render prints the three-way comparison.
 func (r *StrategiesResult) Render() string {
 	var b strings.Builder
@@ -84,14 +87,7 @@ func (r *StrategiesResult) Render() string {
 			a.Parks, a.Readmitted, a.Disruption, a.Fallbacks,
 			a.PrecomputeSettled, a.RecoverySettled, a.StateBytes)
 	}
-	fmt.Fprintf(&b, "  invariant violations: %d\n", len(r.Violations))
-	for i, v := range r.Violations {
-		if i == 10 {
-			fmt.Fprintf(&b, "    … %d more\n", len(r.Violations)-10)
-			break
-		}
-		fmt.Fprintf(&b, "    %s\n", v)
-	}
+	renderViolations(&b, "invariant", r.Violations)
 	return b.String()
 }
 
@@ -128,7 +124,7 @@ type stratTrial struct {
 // implement it).
 type preSettler interface{ PrecomputeSettled() int }
 
-// RunStrategiesCtx executes trials seeded chaos schedules three-way. Each
+// RunStrategies executes trials seeded chaos schedules three-way. Each
 // trial draws one random topology and failure schedule (the same generation
 // as the chaos harness: 60-node Waxman, 12 members, overlapping link/node
 // failures, SRLG bursts, partitions, repairs) and plays it against three
@@ -137,12 +133,15 @@ type preSettler interface{ PrecomputeSettled() int }
 // a baseline that parks a reachable member or routes over a failed
 // component fails loudly. Trials run on the parallel runner and fold in
 // trial order: the result is bit-identical for any worker count.
-func RunStrategiesCtx(ctx context.Context, trials int, seed uint64) (*StrategiesResult, error) {
+func RunStrategies(ctx context.Context, rc RunConfig, trials int) (*StrategiesResult, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("experiment: strategies: trials = %d must be >= 1", trials)
+	}
 	base := DefaultBase()
 	base.N = 60
 	base.NG = 12
 
-	results, err := mapTrialsCtx(ctx, seed, trials, func(_ context.Context, t runner.Trial) (stratTrial, error) {
+	results, err := runner.Map(ctx, rc.pool(), trials, func(_ context.Context, t runner.Trial) (stratTrial, error) {
 		rng := t.RNG
 		g, err := topology.Waxman(topology.WaxmanConfig{
 			N: base.N, Alpha: base.Alpha, Beta: base.Beta, EnsureConnected: true,
@@ -274,9 +273,4 @@ func RunStrategiesCtx(ctx context.Context, trials int, seed uint64) (*Strategies
 	}
 	res.Arms = arms
 	return res, nil
-}
-
-// RunStrategies is RunStrategiesCtx without cancellation.
-func RunStrategies(trials int, seed uint64) (*StrategiesResult, error) {
-	return RunStrategiesCtx(context.Background(), trials, seed)
 }

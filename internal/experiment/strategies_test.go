@@ -5,33 +5,22 @@ import (
 	"testing"
 )
 
-// TestStrategiesAcceptance is the PR's acceptance gate for the comparative
+// TestStrategiesAcceptance is the acceptance gate for the comparative
 // restoration testbed: 200 seeded chaos schedules played three-way (SMRP,
 // MRC backup configurations, precomputed detours) must produce zero
-// invariant violations in every arm, and the aggregate must be
-// byte-identical between 1 worker and 8 workers.
+// invariant violations in every arm. (That the aggregate is byte-identical
+// on 1 worker and 8 is the strategies row of
+// TestStudiesDeterministicAcrossWorkerCounts, at the same size and seed.)
 func TestStrategiesAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("strategies acceptance is a long test")
 	}
-	const trials, seed = 200, 2005
-
-	prev := Parallelism()
-	defer SetParallelism(prev)
-
-	SetParallelism(1)
-	seq, err := RunStrategies(trials, seed)
+	seq, err := RunStrategies(bg, RunConfig{Seed: 2005}, 200)
 	if err != nil {
-		t.Fatalf("RunStrategies(workers=1): %v", err)
+		t.Fatalf("RunStrategies: %v", err)
 	}
-	SetParallelism(8)
-	par, err := RunStrategies(trials, seed)
-	if err != nil {
-		t.Fatalf("RunStrategies(workers=8): %v", err)
-	}
-
 	if len(seq.Violations) > 0 {
-		t.Errorf("invariant violations with 1 worker: %d", len(seq.Violations))
+		t.Errorf("invariant violations: %d", len(seq.Violations))
 		for i, v := range seq.Violations {
 			if i == 10 {
 				t.Errorf("… %d more", len(seq.Violations)-10)
@@ -40,9 +29,6 @@ func TestStrategiesAcceptance(t *testing.T) {
 			t.Error(v)
 		}
 	}
-	if a, b := seq.Render(), par.Render(); a != b {
-		t.Errorf("strategies output differs between 1 and 8 workers:\n--- workers=1 ---\n%s--- workers=8 ---\n%s", a, b)
-	}
 
 	checkStrategiesSanity(t, seq)
 }
@@ -50,7 +36,7 @@ func TestStrategiesAcceptance(t *testing.T) {
 // TestStrategiesSmoke is the short-mode gate: a reduced three-way run must
 // stay violation-free and exhibit each strategy's defining signature.
 func TestStrategiesSmoke(t *testing.T) {
-	res, err := RunStrategies(15, 2005)
+	res, err := RunStrategies(bg, RunConfig{Seed: 2005}, 15)
 	if err != nil {
 		t.Fatalf("RunStrategies: %v", err)
 	}
@@ -116,9 +102,9 @@ func checkStrategiesSanity(t *testing.T, res *StrategiesResult) {
 // TestStrategiesCancellation verifies that a cancelled context aborts the
 // sweep with ctx.Err() instead of running all trials.
 func TestStrategiesCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	if _, err := RunStrategiesCtx(ctx, 50, 2005); err != context.Canceled {
-		t.Fatalf("RunStrategiesCtx(cancelled) error = %v, want context.Canceled", err)
+	if _, err := RunStrategies(ctx, RunConfig{Seed: 2005}, 50); err != context.Canceled {
+		t.Fatalf("RunStrategies(cancelled) error = %v, want context.Canceled", err)
 	}
 }

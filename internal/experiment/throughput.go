@@ -67,6 +67,9 @@ func (r *ThroughputResult) SettledPerJoin() float64 {
 	return float64(r.EnumSettled) / float64(r.Joins)
 }
 
+// Err is nil on a clean run, else an error counting the integrity violations.
+func (r *ThroughputResult) Err() error { return violationsErr("throughput", "integrity", r.Violations) }
+
 // Render prints the throughput summary. Deliberately free of wall-clock
 // numbers: the rendered report is byte-stable for any worker count, and
 // timing (joins/sec, events/sec) is layered on by the bench harness, which
@@ -79,14 +82,7 @@ func (r *ThroughputResult) Render() string {
 		r.Events, r.Joins, r.BatchJoins, r.Leaves)
 	fmt.Fprintf(&b, "  candidate sweeps (flash crowds of %d per batch, then churn): settled %d nodes, %.1f per join\n",
 		r.FlashCrowd, r.EnumSettled, r.SettledPerJoin())
-	fmt.Fprintf(&b, "  integrity violations: %d\n", len(r.Violations))
-	for i, v := range r.Violations {
-		if i == 10 {
-			fmt.Fprintf(&b, "    … %d more\n", len(r.Violations)-10)
-			break
-		}
-		fmt.Fprintf(&b, "    %s\n", v)
-	}
+	renderViolations(&b, "integrity", r.Violations)
 	return b.String()
 }
 
@@ -97,11 +93,11 @@ type throughputShard struct {
 	violations                        []string
 }
 
-// RunThroughputCtx executes the sharded throughput study with the given
+// RunThroughput executes the sharded throughput study with the given
 // number of sessions. All sessions share one topology (drawn from seed) and
 // one SPF cache; each session derives its own source, flash crowd, and churn
 // schedule from (seed, shard index) and advances on the worker pool.
-func RunThroughputCtx(ctx context.Context, sessions int, seed uint64) (*ThroughputResult, error) {
+func RunThroughput(ctx context.Context, rc RunConfig, sessions int) (*ThroughputResult, error) {
 	if sessions < 1 {
 		return nil, fmt.Errorf("experiment: throughput: sessions = %d must be >= 1", sessions)
 	}
@@ -116,7 +112,7 @@ func RunThroughputCtx(ctx context.Context, sessions int, seed uint64) (*Throughp
 
 	// One shared topology for every shard, from its own RNG stream (distinct
 	// from every shard stream by DeriveSeed's avalanche).
-	topoRNG := topology.NewRNG(runner.DeriveSeed(seed, -1))
+	topoRNG := topology.NewRNG(runner.DeriveSeed(rc.Seed, -1))
 	g, err := topology.Waxman(topology.WaxmanConfig{
 		N: base.N, Alpha: base.Alpha, Beta: base.Beta, EnsureConnected: true,
 	}, topoRNG)
@@ -125,7 +121,7 @@ func RunThroughputCtx(ctx context.Context, sessions int, seed uint64) (*Throughp
 	}
 	g.EnableSPFCache()
 
-	shards, err := mapTrialsCtx(ctx, seed, sessions, func(_ context.Context, t runner.Trial) (throughputShard, error) {
+	shards, err := runner.Map(ctx, rc.pool(), sessions, func(_ context.Context, t runner.Trial) (throughputShard, error) {
 		rng := t.RNG
 		source := graph.NodeID(rng.Intn(base.N))
 
@@ -241,9 +237,4 @@ func RunThroughputCtx(ctx context.Context, sessions int, seed uint64) (*Throughp
 		res.Violations = append(res.Violations, sh.violations...)
 	}
 	return res, nil
-}
-
-// RunThroughput is RunThroughputCtx without cancellation.
-func RunThroughput(sessions int, seed uint64) (*ThroughputResult, error) {
-	return RunThroughputCtx(context.Background(), sessions, seed)
 }

@@ -82,11 +82,6 @@ func GenerateChurn(cfg ChurnConfig, rng *RNG) (*ChurnSchedule, error) {
 type ProtectionResult = experiment.ProtectionResult
 
 // RunProtection executes the reactive-vs-preplanned comparison.
-func RunProtection(runs int, seed uint64) (*ProtectionResult, error) {
-	return experiment.RunProtection(runs, seed)
-}
-
-// RunProtectionCtx is RunProtection under a caller-supplied context.
-func RunProtectionCtx(ctx context.Context, runs int, seed uint64) (*ProtectionResult, error) {
-	return experiment.RunProtectionCtx(ctx, runs, seed)
+func RunProtection(ctx context.Context, rc RunConfig, runs int) (*ProtectionResult, error) {
+	return experiment.RunProtection(ctx, rc, runs)
 }
