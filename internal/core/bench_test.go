@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -226,13 +227,14 @@ func BenchmarkRecoverLeafCut(b *testing.B) {
 	}
 }
 
-// TestLeafCutRestoreAllocs pins a warm single-member restoration to a handful
-// of allocations whatever the size of the tree: the report and its maps, the
-// scan record, the graft. Anything sized to the tree (a surviving-node set, a
-// member list, a node list) would show as the tree grows fourfold. Skipped
-// with -short, which is how the race detector runs over this package: under it
-// the sweep pool drops sweeps at random and the count is the pool's. GC is off
-// so a collection cannot empty that pool mid-measurement.
+// TestLeafCutRestoreAllocs pins a warm single-member restoration (and its
+// repair) to a handful of allocations whatever the size of the tree: the two
+// reports, the heal report's lists and maps, the detour (11 measured).
+// Anything sized to the tree (a surviving-node set, a member list, a node
+// list) would show as the tree grows fourfold. Skipped with -short, which is
+// how the race detector runs over this package: under it the sweep pool drops
+// sweeps at random and the count is the pool's. GC is off so a collection
+// cannot empty that pool mid-measurement.
 func TestLeafCutRestoreAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts belong to the sweep pool under -race -short")
@@ -260,8 +262,8 @@ func TestLeafCutRestoreAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("%d members, %d tree nodes: %.0f allocs per restore", members, s.tree.NumNodes(), allocs)
-		if allocs > 24 {
-			t.Errorf("%d members (%d tree nodes): %.0f allocs per single-member restore, want ≤ 24",
+		if allocs > 12 {
+			t.Errorf("%d members (%d tree nodes): %.0f allocs per single-member restore, want ≤ 12",
 				members, s.tree.NumNodes(), allocs)
 		}
 	}
@@ -370,6 +372,54 @@ func TestReshapeCheckAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%v degraded=%v: %.0f allocs per warm reshape check, want 0", storage, degraded, allocs)
 			}
+		}
+	}
+}
+
+// TestBranchCutRestoreAllocs pins what a warm multi-member restoration
+// allocates to what it hands back. On branchCutSession a worst-case cut takes
+// the whole tree but the source, so all k = 30 members reconnect from the tree
+// side, and Recover allocates k + 11 times: the k detour paths the report
+// keeps, the report, its failure list, its Disconnected list, and four
+// allocations inside each of its two maps (this toolchain's count for a map
+// made with room for 30). The field, the contenders, the confined sweeps,
+// their path buffer and the heal's own lists are scratch. Recover alone is
+// counted, not the Repair that follows it. Skipped with -short and run with GC
+// off for the reason TestLeafCutRestoreAllocs gives.
+func TestBranchCutRestoreAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts belong to the sweep pool under -race -short")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := branchCutSession(t)
+	m := s.tree.Members()[0]
+	const warmup = 8 // the first cuts take a branch, not the tree; then the scratch grows
+	for i := 0; i < warmup+4; i++ {
+		f, err := failure.WorstCaseFor(s.tree, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromTree := s.healTally.fieldEvents
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := s.Recover(f)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Repair(f); err != nil {
+			t.Fatal(err)
+		}
+		if i < warmup {
+			continue
+		}
+		allocs, k := int(after.Mallocs-before.Mallocs), len(rep.Detours)
+		if k != s.tree.NumMembers() || s.healTally.fieldEvents == fromTree {
+			t.Fatalf("cut above %d regrafted %d of %d members, from the tree side: %v", m, k, s.tree.NumMembers(), s.healTally.fieldEvents > fromTree)
+		}
+		if allocs > k+11 {
+			t.Errorf("%d allocs restoring %d members, want ≤ %d", allocs, k, k+11)
 		}
 	}
 }

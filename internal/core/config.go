@@ -217,8 +217,13 @@ type Stats struct {
 	// precomputed answer was missing or invalidated by the accumulated
 	// failures and RecoverScaffold's live nearest-survivor search stood in
 	// — the strategies study's "table miss" column. Always 0 for the
-	// default (SMRP) recovery, which is reactive by design.
+	// default (SMRP) recovery, which is reactive by design. FallbackSettled
+	// tallies the nodes those stand-in searches settled, whether or not they
+	// found a survivor: the part of HealSettled a strategy's table did not
+	// displace — all of it, for a strategy on RecoverScaffold, where a table
+	// hit sweeps nothing.
 	StrategyFallbacks int
+	FallbackSettled   int
 
 	// BatchJoins counts members admitted through JoinBatch (a subset of
 	// Joins). EnumSettled tallies nodes settled by candidate sweeps (the
@@ -231,12 +236,15 @@ type Stats struct {
 	EnumSettled   int
 	SelectRescans int
 
-	// HealSettled tallies nodes settled by the failure-recovery sweeps
-	// (nearest-survivor scans during Recover/Reconcile/RecoverMember; a scan
-	// re-taken to a larger radius counts every node it settles again). It is
-	// the per-recovery-event analogue of EnumSettled: the CI-stable measure
-	// of how much of the network a recovery touches, which the megascale
-	// study compares between the flat and hierarchical architectures.
+	// HealSettled tallies nodes settled by the failure-recovery sweeps of
+	// Recover/Reconcile/RecoverMember: member-rooted nearest-survivor scans (a
+	// scan re-taken to a larger radius counts every node it settles again)
+	// and, when a heal reconnects from the tree side, the nodes its distance
+	// field hands out (one handed out again at a lower value counts again)
+	// plus what each contender's confined sweep settles. It is the
+	// per-recovery-event analogue of EnumSettled: the CI-stable measure of how
+	// much of the network a recovery touches, which the megascale study
+	// compares between the flat and hierarchical architectures.
 	HealSettled int
 
 	// FlushVisited tallies the steps recovery spends finding and removing

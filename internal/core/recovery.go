@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -89,7 +90,8 @@ func (s *Session) flush(mask *graph.Mask) ([]graph.NodeID, error) {
 		dirty = append(dirty, top)
 		p, _ := s.tree.Parent(root)
 		s.stale = append(s.stale, p)
-		if flushed, err = s.tree.DetachSubtree(root, flushed); err != nil {
+		below, _ := s.tree.MemberCount(root)
+		if flushed, err = s.tree.DetachSubtree(root, slices.Grow(flushed, below)); err != nil {
 			return fmt.Errorf("flush dead: %w", err)
 		}
 		return nil
@@ -174,7 +176,8 @@ func (s *Session) Reconcile() (*HealReport, error) {
 // heal is the state one recovery pass carries from its prologue (beginHeal)
 // through its reconnect loop to its epilogue (endHeal). The built-in engine
 // (reconcile) and the baselines' skeleton (RecoverScaffold) differ only in
-// the loop between the two.
+// the loop between the two. A session has one, and the next pass reuses its
+// storage.
 type heal struct {
 	rep  *HealReport
 	mask *graph.Mask
@@ -182,7 +185,7 @@ type heal struct {
 	// that did not fail themselves, and the previously parked that are up —
 	// a recovery graft may bring an on-tree node back within their reach
 	// (automatic re-admission). wasParked marks the latter; it stays nil
-	// while nobody is parked.
+	// until somebody is parked.
 	todo      []graph.NodeID
 	wasParked map[graph.NodeID]bool
 	// regrafted lists the members reconnected so far.
@@ -202,14 +205,19 @@ func (s *Session) beginHeal(fs []failure.Failure) (*heal, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &heal{
+	h := &s.heal
+	clear(h.wasParked)
+	*h = heal{
 		rep: &HealReport{
 			Failures:         fs,
 			Disconnected:     flushed,
-			RecoveryDistance: make(map[graph.NodeID]float64),
-			Detours:          make(map[graph.NodeID]graph.Path),
+			RecoveryDistance: make(map[graph.NodeID]float64, len(flushed)),
+			Detours:          make(map[graph.NodeID]graph.Path, len(flushed)),
 		},
-		mask: mask,
+		mask:      mask,
+		todo:      h.todo[:0],
+		wasParked: h.wasParked,
+		regrafted: h.regrafted[:0],
 	}
 	if len(fs) > 0 {
 		h.rep.Failure = fs[0]
@@ -268,6 +276,7 @@ func (s *Session) unrecovered(h *heal, m graph.NodeID) {
 // every regrafted branch, Condition-I baselines are taken for the regrafted.
 func (s *Session) endHeal(h *heal) *HealReport {
 	rep := h.rep
+	h.rep = nil // the caller's from here on; the session keeps only the buffers
 	slices.Sort(rep.Unrecovered)
 	slices.Sort(rep.Readmitted)
 	// A relay goes stale only where a flush took its last child away, and
@@ -294,45 +303,33 @@ func (s *Session) endHeal(h *heal) *HealReport {
 	return rep
 }
 
-// reconnecting is one member's state inside reconcile's loop.
+// reconnecting is one member's state inside reconnect.
 type reconnecting struct {
 	m graph.NodeID
-	// scan is the member's nearest-survivor sweep as far as it has been
-	// taken; every node within radius of m is in it (-1 before the first
-	// sweep).
-	scan   graph.NearestScan
-	radius float64
-	// cur is the earliest position of scan that is on-tree now — the
-	// member's reattachment point if it reconnects next — or -1 while no
-	// node of scan is.
-	cur int
 	// done: grafted, or proven unreachable.
 	done bool
+	// Of the member-side engine. scan is the member's nearest-survivor sweep
+	// as far as it has been taken; every node within radius of m is in it (-1
+	// before the first sweep). cur is the earliest position of scan that is
+	// on-tree now — the member's reattachment point if it reconnects next — or
+	// -1 while no node of scan is.
+	scan   graph.NearestScan
+	radius float64
+	cur    int
+	// Of the tree-side engine: the field value the member last contended at,
+	// -1 before it has.
+	at float64
 }
 
-// scanRef is one entry of reconcile's node → (member, position) index: a
-// singly linked list per node, threaded through one slice. next, like the
-// list heads, is 1 + the index of the following entry, 0 at the end.
+// scanRef is one entry of the member-side engine's node → (member, position)
+// index: a singly linked list per node, threaded through one slice. next, like
+// the list heads, is 1 + the index of the following entry, 0 at the end.
 type scanRef struct {
 	member, pos, next int32
 }
 
 // reconcile is the built-in heal engine: flush dead state under the
 // accumulated mask, then reconnect nearest-first, letting the live tree grow.
-//
-// Each round grafts the member nearest to the tree, ties to the smaller ID.
-// What makes that affordable is that a member's sweep — settle order,
-// distances, parents — depends on the graph, the mask and the member alone;
-// the tree decides only where it stops, and through one reconcile the mask
-// stands still and the tree only grows. So every member keeps the record of
-// its sweep, its answer in any later round is the earliest recorded node that
-// is on-tree by then, and a graft updates the answers it changes through an
-// index from node to the records that hold it. A sweep is taken only as far
-// as the round's best distance (a member farther out can neither win nor tie)
-// and re-taken, to at least twice its radius, when a later round's best lies
-// beyond it. DESIGN.md §11.6 has the exactness arguments;
-// TestReconcileMatchesRoundwiseReference holds the loop to the round-wise
-// re-sweep it replaced.
 func (s *Session) reconcile(fs []failure.Failure) (*HealReport, error) {
 	h, err := s.beginHeal(fs)
 	if err != nil {
@@ -344,21 +341,55 @@ func (s *Session) reconcile(fs []failure.Failure) (*HealReport, error) {
 	return s.endHeal(h), nil
 }
 
-// reconnect is reconcile's loop: it regrafts or parks everybody in h.todo.
+// reconnect regrafts or parks everybody in h.todo. Each round grafts the
+// member nearest to the tree as it stands, ties to the smaller ID, and the
+// tree grows by the graft. Two engines find that member, to the same bits
+// (DESIGN.md §11.6; TestReconcileMatchesRoundwiseReference holds both to the
+// round-wise re-sweep they replaced), and which one runs follows from the two
+// counts the flush has just settled. Sweeping from the members costs the i-th
+// of k a ball of about N/(|T|+i) nodes, N·ln(1 + k/|T|) in all; sweeping from
+// the tree costs one pass over the members' surroundings whatever k is, but a
+// pass that pays for every arc of every row it pops and comes round again
+// beside every graft. More than twice as many members as surviving tree nodes
+// is where the first passes the second: a lone member, a pair below the
+// source's only link, a cut that leaves more tree than it took members all
+// stay on the member side.
 func (s *Session) reconnect(h *heal) error {
-	mask, accept := h.mask, s.survivor(h.mask)
-	todo := make([]reconnecting, len(h.todo))
-	for i, m := range h.todo {
-		todo[i] = reconnecting{m: m, radius: -1, cur: -1}
+	if len(h.todo) == 0 {
+		return nil
 	}
+	a := s.newArena()
+	defer a.release()
+	todo := a.reconnecting(h.todo)
+	if len(todo) > 2*s.tree.NumNodes() {
+		return s.reconnectFromTree(h, a, todo)
+	}
+	return s.reconnectFromMembers(h, a, todo)
+}
+
+// reconnectFromMembers is the member-side engine: one recorded scan per
+// member. A member's sweep — settle order, distances, parents — depends on the
+// graph, the mask and the member alone; the tree decides only where it stops,
+// and through one heal the mask stands still and the tree only grows. So every
+// member keeps the record of its sweep, its answer in any later round is the
+// earliest recorded node that is on-tree by then, and a graft updates the
+// answers it changes through an index from node to the records that hold it. A
+// sweep is taken only as far as the round's best distance (a member farther
+// out can neither win nor tie) and re-taken, to at least twice its radius,
+// when a later round's best lies beyond it.
+func (s *Session) reconnectFromMembers(h *heal, a *arena, todo []reconnecting) error {
+	mask, accept := h.mask, s.survivor(h.mask)
 	// A lone member is one unbounded sweep and one graft; nobody else's
 	// answer can change, so nothing is indexed.
 	var head map[graph.NodeID]int32
-	var refs []scanRef
 	if len(todo) > 1 {
-		head = make(map[graph.NodeID]int32)
+		if a.head == nil {
+			a.head = make(map[graph.NodeID]int32)
+		}
+		clear(a.head)
+		head = a.head
 	}
-	var graft graph.Path
+	a.refs = a.refs[:0]
 	for {
 		// todo ascends, so strict comparison leaves ties with the smaller ID.
 		best, bestD := -1, math.Inf(1)
@@ -375,7 +406,7 @@ func (s *Session) reconnect(h *heal) error {
 			budget := max(bestD, 2*t.radius)
 			known := len(t.scan)
 			if known > 0 {
-				s.healRescans++
+				s.healTally.rescans++
 			}
 			var hit, exhausted bool
 			t.scan, hit, exhausted = s.g.ScanNearest(t.scan, t.m, mask, accept, budget)
@@ -383,8 +414,8 @@ func (s *Session) reconnect(h *heal) error {
 			if head != nil {
 				for pos := known; pos < len(t.scan); pos++ {
 					n := t.scan[pos].Node
-					refs = append(refs, scanRef{member: int32(i), pos: int32(pos), next: head[n]})
-					head[n] = int32(len(refs))
+					a.refs = append(a.refs, scanRef{member: int32(i), pos: int32(pos), next: head[n]})
+					head[n] = int32(len(a.refs))
 				}
 			}
 			switch {
@@ -405,24 +436,110 @@ func (s *Session) reconnect(h *heal) error {
 		if best < 0 {
 			// Nobody was resolved, so every sweep above ran unbounded and
 			// everybody left has been parked.
-			break
+			return nil
 		}
 		t := &todo[best]
 		t.done = true
-		graft = t.scan.AppendPathFrom(graft[:0], t.cur)
-		if err := s.regraft(h, t.m, graft.Reverse(), graft, bestD); err != nil {
+		a.graft = t.scan.AppendPathFrom(a.graft[:0], t.cur)
+		if err := s.regraft(h, t.m, a.graft.Reverse(), a.graft, bestD); err != nil {
 			return err
 		}
-		for _, n := range graft {
-			for i := head[n]; i > 0; i = refs[i-1].next {
-				r := refs[i-1]
+		for _, n := range a.graft {
+			for i := head[n]; i > 0; i = a.refs[i-1].next {
+				r := a.refs[i-1]
 				if o := &todo[r.member]; o.cur < 0 || int(r.pos) < o.cur {
 					o.cur = int(r.pos)
 				}
 			}
 		}
 	}
-	return nil
+}
+
+// reconnectFromTree is the tree-side engine: one distance field grown from the
+// surviving tree (graph.Field) orders and confines every regraft. The field
+// reaches the disconnected members nearest first, and when a graft puts new
+// nodes on the tree they are seeded at 0 and the field corrects itself from
+// there, so its order stays the order of the rounds. What it cannot give is
+// the blessed RecoveryDistance: it sums a path's weights tree-outward, the
+// reports carry the member-outward sum, and the two floats differ in their last
+// bits. So the field only nominates. The first pending member it hands out, at
+// D, and every other one within D·(1+TieSlack) are the round's contenders;
+// each runs its own sweep, confined by the field to the neighbourhood of its
+// shortest paths (Sweep.NearestWithin: same survivor, path and distance bits
+// as the unconfined sweep); the least (distance, ID) is grafted and the losers
+// go back into the field's queue. A member farther out than the slack cannot
+// win or tie the round; one the field never reaches shares a component with
+// no on-tree node, and no graft can enter it.
+func (s *Session) reconnectFromTree(h *heal, a *arena, todo []reconnecting) error {
+	accept := s.survivor(h.mask)
+	f := s.g.NewField(h.mask)
+	defer func() {
+		s.stats.HealSettled += f.Pops()
+		f.Release()
+	}()
+	a.members = s.tree.AppendNodes(a.members[:0])
+	for _, n := range a.members {
+		f.Seed(n)
+	}
+	s.healTally.fieldEvents++
+	for {
+		cont, limit := a.contenders[:0], math.Inf(1)
+		for {
+			n, d, ok := f.Next(limit)
+			if !ok {
+				break
+			}
+			i, found := slices.BinarySearchFunc(todo, n, func(t reconnecting, n graph.NodeID) int { return cmp.Compare(t.m, n) })
+			if !found || todo[i].done {
+				continue
+			}
+			if len(cont) == 0 {
+				limit = d * (1 + graph.TieSlack)
+			}
+			cont = append(cont, int32(i))
+			if d < todo[i].at {
+				s.healTally.fell++
+			}
+			todo[i].at = d
+		}
+		a.contenders = cont
+		if len(cont) == 0 {
+			for i := range todo {
+				if !todo[i].done {
+					s.unrecovered(h, todo[i].m)
+				}
+			}
+			return nil
+		}
+		if len(cont) > 1 {
+			s.healTally.contended++
+		}
+		best, bestD := int32(-1), math.Inf(1)
+		for _, i := range cont {
+			m := todo[i].m
+			node := a.sw.NearestWithin(f, m, accept)
+			s.stats.HealSettled += a.sw.SettledCount()
+			if node == graph.Invalid {
+				return fmt.Errorf("heal: reconnect %d: the tree is %v away and its sweep found none", m, f.Dist(m))
+			}
+			if d := a.sw.Dist(node); d < bestD || (d == bestD && i < best) {
+				best, bestD = i, d
+				a.graft = a.sw.AppendPathFrom(a.graft[:0], node)
+			}
+		}
+		todo[best].done = true
+		if err := s.regraft(h, todo[best].m, a.graft.Reverse(), a.graft, bestD); err != nil {
+			return err
+		}
+		for _, n := range a.graft[1:] { // graft[0] was on the tree already
+			f.Seed(n)
+		}
+		for _, i := range cont {
+			if i != best {
+				f.Requeue(todo[i].m)
+			}
+		}
+	}
 }
 
 // survivor is the accept predicate of every recovery search under mask: an

@@ -66,13 +66,17 @@ type Session struct {
 	// candidate dead roots, the top-level branches one batched SHR repair
 	// covers, and the parent of every subtree detached since endHeal last
 	// pruned (a flush from the protocol layer leaves its points here for the
-	// next heal).
+	// next heal). heal is the recovery pass in progress, or the last one's
+	// storage.
 	cand, dirty, stale []graph.NodeID
+	heal               heal
 
 	stats Stats
-	// healRescans counts the recovery sweeps reconcile re-took to a larger
-	// radius. Nothing reads it but the tests, which must show that path ran.
-	healRescans int
+	// healTally counts what only the tests read, which must show each path of
+	// reconnect ran: member-side sweeps re-taken to a larger radius; heals that
+	// went to the tree-side engine, its rounds with more than one contender,
+	// and its contenders handed out again at a lower field value.
+	healTally struct{ rescans, fieldEvents, contended, fell int }
 }
 
 // NewSession creates an SMRP session on g rooted at source.

@@ -157,7 +157,8 @@ func (s *Session) RecoverScaffold(fs []failure.Failure, reconnect ReconnectFunc)
 // re-attached relay becomes a member in place; otherwise the strategy's
 // proposal is sanitized and used, and a live nearest-survivor search covers
 // strategy misses (counted in Stats.StrategyFallbacks when it succeeds where
-// the strategy had no valid answer).
+// the strategy had no valid answer; its work, found or not, in
+// Stats.FallbackSettled).
 func (s *Session) tryReconnect(m graph.NodeID, mask *graph.Mask, reconnect ReconnectFunc) (graph.Path, float64, bool) {
 	if s.tree.OnTree(m) {
 		return graph.Path{m}, 0, true
@@ -167,7 +168,9 @@ func (s *Session) tryReconnect(m graph.NodeID, mask *graph.Mask, reconnect Recon
 			return sp, rd, true
 		}
 	}
+	before := s.stats.HealSettled
 	p, d, ok := s.nearestSurvivor(m, mask)
+	s.stats.FallbackSettled += s.stats.HealSettled - before
 	if ok {
 		s.stats.StrategyFallbacks++
 	}

@@ -7,15 +7,26 @@ import (
 	"smrp/internal/multicast"
 )
 
-// arena is the scratch the path selections of one operation run in — a join
-// and the reshape checks it triggers, a batch, a reshape pass: the sweep, the
-// view of the tree the selection reads, and the members a reshape pass goes
-// over. Arenas are pooled like the sweeps they hold, so a session stands on
-// none of this between operations and a warm operation allocates none of it.
+// arena is the scratch one operation runs in — a join and the reshape checks
+// it triggers, a batch, a reshape pass, a heal's reconnect loop: the sweep, the
+// view of the tree a selection reads, and the members a reshape pass goes over
+// (the surviving nodes a heal seeds its field with). Arenas are pooled like
+// the sweeps they hold, so a session stands on none of this between operations
+// and a warm operation allocates none of it.
 type arena struct {
 	sw      *graph.Sweep
 	view    treeView
 	members []graph.NodeID
+
+	// Of reconnect: one entry per member (the scan records keep their storage
+	// from heal to heal), the member-side engine's node → record index, the
+	// tree-side engine's contenders of a round as positions in todo, and the
+	// path being grafted.
+	todo       []reconnecting
+	head       map[graph.NodeID]int32
+	refs       []scanRef
+	contenders []int32
+	graft      graph.Path
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
@@ -26,6 +37,18 @@ func (s *Session) newArena() *arena {
 	a := arenaPool.Get().(*arena)
 	a.sw = s.g.NewSweep()
 	return a
+}
+
+// reconnecting returns a's entries for the members of a heal, reset.
+func (a *arena) reconnecting(members []graph.NodeID) []reconnecting {
+	if k := len(members); k > cap(a.todo) {
+		a.todo = append(a.todo[:cap(a.todo)], make([]reconnecting, k-cap(a.todo))...)
+	}
+	todo := a.todo[:len(members)]
+	for i, m := range members {
+		todo[i] = reconnecting{m: m, scan: todo[i].scan[:0], radius: -1, cur: -1, at: -1}
+	}
+	return todo
 }
 
 func (a *arena) release() {

@@ -45,8 +45,11 @@ type StrategyArm struct {
 
 	// Fallbacks counts recoveries where the strategy's precomputed answer
 	// was missing or invalidated and the scaffold's live search stood in
-	// (always 0 for SMRP, which has no table to miss).
-	Fallbacks int
+	// (always 0 for SMRP, which has no table to miss). FallbackSettled is the
+	// share of RecoverySettled those searches cost, the ones that found
+	// nothing included: what the strategy's table did not displace.
+	Fallbacks       int
+	FallbackSettled int
 
 	// StateBytes is the mean precomputed-state footprint per trial at the
 	// schedule horizon, deterministic per-element accounting.
@@ -108,7 +111,7 @@ type stratArmTrial struct {
 	recovered, parks, readmitted int
 	disruption                   int
 	precompSettled, recovSettled int
-	fallbacks                    int
+	fallbacks, fallbackSettled   int
 	stateBytes                   int64
 	violations                   []string
 }
@@ -223,7 +226,7 @@ func RunStrategies(ctx context.Context, rc RunConfig, trials int) (*StrategiesRe
 			}
 			stats := sess.Stats()
 			arm.recovSettled = stats.HealSettled
-			arm.fallbacks = stats.StrategyFallbacks
+			arm.fallbacks, arm.fallbackSettled = stats.StrategyFallbacks, stats.FallbackSettled
 			arm.stateBytes = strat.StateBytes()
 			if ps, ok := strat.(preSettler); ok {
 				arm.precompSettled = ps.PrecomputeSettled()
@@ -254,6 +257,7 @@ func RunStrategies(ctx context.Context, rc RunConfig, trials int) (*StrategiesRe
 			arms[ai].PrecomputeSettled += at.precompSettled
 			arms[ai].RecoverySettled += at.recovSettled
 			arms[ai].Fallbacks += at.fallbacks
+			arms[ai].FallbackSettled += at.fallbackSettled
 			arms[ai].StateBytes += at.stateBytes
 			samples[ai].AddAll(at.rd...)
 			res.Violations = append(res.Violations, at.violations...)

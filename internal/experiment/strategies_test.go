@@ -77,9 +77,9 @@ func checkStrategiesSanity(t *testing.T, res *StrategiesResult) {
 		}
 	}
 	smrp, mrc, detour := res.Arms[0], res.Arms[1], res.Arms[2]
-	if smrp.StateBytes != 0 || smrp.PrecomputeSettled != 0 || smrp.Fallbacks != 0 {
-		t.Errorf("smrp arm must be all-reactive: state=%d precompute=%d fallbacks=%d",
-			smrp.StateBytes, smrp.PrecomputeSettled, smrp.Fallbacks)
+	if smrp.StateBytes != 0 || smrp.PrecomputeSettled != 0 || smrp.Fallbacks != 0 || smrp.FallbackSettled != 0 {
+		t.Errorf("smrp arm must be all-reactive: state=%d precompute=%d fallbacks=%d (settled %d)",
+			smrp.StateBytes, smrp.PrecomputeSettled, smrp.Fallbacks, smrp.FallbackSettled)
 	}
 	if smrp.RecoverySettled == 0 {
 		t.Error("smrp arm settled no nodes at recovery time")
@@ -92,9 +92,17 @@ func checkStrategiesSanity(t *testing.T, res *StrategiesResult) {
 			t.Errorf("%s: no precompute-time settled work accounted", a.Name)
 		}
 		// The baselines' point: precomputation displaces recovery-time work.
-		if a.RecoverySettled >= smrp.RecoverySettled {
-			t.Errorf("%s: recovery-time settled %d not below smrp's %d",
-				a.Name, a.RecoverySettled, smrp.RecoverySettled)
+		// A recovery answered from the table sweeps nothing, so all that is
+		// settled at recovery time is settled by the searches standing in for a
+		// missing answer — and the table did answer. (How that total compares
+		// with SMRP's is a matter of the two search engines, one unbounded
+		// sweep per miss against reconnect's, not of the strategies.)
+		if a.RecoverySettled != a.FallbackSettled {
+			t.Errorf("%s: %d nodes settled at recovery time, %d of them by fallback searches: a table hit swept",
+				a.Name, a.RecoverySettled, a.FallbackSettled)
+		}
+		if a.Fallbacks >= a.Recovered {
+			t.Errorf("%s: %d recoveries, %d of them fallbacks: the table answered none", a.Name, a.Recovered, a.Fallbacks)
 		}
 	}
 }

@@ -62,7 +62,7 @@ func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 		Parent: make([]NodeID, n),
 	}
 	s := g.NewSweep()
-	s.run(src, mask, Invalid, nil, nil, nil, Unreachable)
+	s.run(src, mask, Invalid, nil, nil, nil, Unreachable, Unreachable)
 	spfFullRuns.Add(1)
 	spfNodesSettled.Add(uint64(s.settledCount))
 	for i := 0; i < n; i++ {
@@ -103,7 +103,7 @@ func (g *Graph) ShortestPath(src, dst NodeID, mask *Mask) (Path, float64) {
 	}
 	s := g.NewSweep()
 	defer s.Release()
-	if s.run(src, mask, dst, nil, nil, nil, Unreachable) == Invalid {
+	if s.run(src, mask, dst, nil, nil, nil, Unreachable, Unreachable) == Invalid {
 		return nil, Unreachable
 	}
 	return s.PathTo(dst), s.dist[dst]
@@ -161,7 +161,7 @@ func (r NearestScan) AppendPathFrom(buf Path, pos int) Path {
 func (g *Graph) ScanNearest(rec NearestScan, src NodeID, mask *Mask, accept func(NodeID) bool, budget float64) (scan NearestScan, hit, exhausted bool) {
 	s := g.NewSweep()
 	defer s.Release()
-	hit = s.run(src, mask, Invalid, nil, accept, nil, budget) != Invalid
+	hit = s.run(src, mask, Invalid, nil, accept, nil, Unreachable, budget) != Invalid
 	return append(rec[:0], s.scan...), hit, !hit && !(budget < Unreachable && s.budgetCut(mask))
 }
 
@@ -220,7 +220,7 @@ func (g *Graph) NearestOf(src NodeID, mask *Mask, accept func(NodeID) bool) (Nod
 func (g *Graph) NearestOfCounted(src NodeID, mask *Mask, accept func(NodeID) bool) (NodeID, Path, float64, int) {
 	s := g.NewSweep()
 	defer s.Release()
-	got := s.run(src, mask, Invalid, nil, accept, nil, Unreachable)
+	got := s.run(src, mask, Invalid, nil, accept, nil, Unreachable, Unreachable)
 	settled := s.SettledCount()
 	if got == Invalid {
 		return Invalid, nil, Unreachable, settled

@@ -220,7 +220,7 @@ func (s *Sweep) begin() {
 // settle in ascending node order, and among equal-length relaxations the
 // smallest parent ID wins, so results are byte-stable across runs.
 func (s *Sweep) Run(src NodeID, mask *Mask, absorbing func(NodeID) bool) {
-	s.run(src, mask, Invalid, absorbing, nil, nil, Unreachable)
+	s.run(src, mask, Invalid, absorbing, nil, nil, Unreachable, Unreachable)
 }
 
 // RunPruned is Run confined to the region a delay budget can use: the
@@ -236,7 +236,7 @@ func (s *Sweep) Run(src NodeID, mask *Mask, absorbing func(NodeID) bool) {
 // lower = SPF distance from the session source and budget = the join's delay
 // bound, the ellipse with foci source and joiner.
 func (s *Sweep) RunPruned(src NodeID, mask *Mask, absorbing func(NodeID) bool, lower []float64, budget float64) {
-	s.run(src, mask, Invalid, absorbing, nil, lower, budget)
+	s.run(src, mask, Invalid, absorbing, nil, lower, Unreachable, budget)
 }
 
 // SettledCount reports how many nodes the last run settled — the unit of SPF
@@ -256,7 +256,8 @@ func (s *Sweep) SettledCount() int { return s.settledCount }
 //     is also asked about nodes as they are relaxed (see bound below), so it
 //     must be a pure predicate.
 //   - budget < Unreachable: skip relaxations that leave the budget's region
-//     (see RunPruned); lower may be nil.
+//     (see RunPruned); lower may be nil, and reads as min(lower[v], ceil) — the
+//     cap a potential needs whose far values are not final (NearestWithin).
 //
 // bound is the distance past which a relaxation cannot matter: the budget,
 // tightened in nearest-of mode to the tentative distance of the closest
@@ -268,7 +269,7 @@ func (s *Sweep) SettledCount() int { return s.settledCount }
 //
 // It returns the settled accept/target node, or Invalid when the sweep ran
 // to exhaustion (or src was invalid/blocked).
-func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID) bool, accept func(NodeID) bool, lower []float64, budget float64) NodeID {
+func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID) bool, accept func(NodeID) bool, lower []float64, ceil, budget float64) NodeID {
 	s.begin()
 	g := s.g
 	if !g.valid(src) || mask.NodeBlocked(src) {
@@ -363,8 +364,14 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 				continue
 			}
 			// After the test above: only improvements pay for these two.
-			if prune && nd+lower[v] > budget {
-				continue
+			if prune {
+				lv := lower[v]
+				if lv > ceil {
+					lv = ceil
+				}
+				if nd+lv > budget {
+					continue
+				}
 			}
 			if accept != nil && nd < bound && accept(v) {
 				bound = nd

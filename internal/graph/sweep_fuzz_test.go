@@ -195,3 +195,125 @@ func FuzzNearestScanPrefix(f *testing.F) {
 		}
 	})
 }
+
+// multiSourceReference is the from-scratch field FuzzFieldReseed holds the
+// incremental one to: distances from the nearest unblocked seed under mask,
+// by the quadratic textbook loop.
+func multiSourceReference(g *Graph, mask *Mask, seeds []bool) []float64 {
+	dist, done := make([]float64, g.NumNodes()), make([]bool, g.NumNodes())
+	for v := range dist {
+		dist[v] = Unreachable
+		if seeds[v] && !mask.NodeBlocked(NodeID(v)) {
+			dist[v] = 0
+		}
+	}
+	for {
+		u := -1
+		for v := range dist {
+			if !done[v] && dist[v] < Unreachable && (u < 0 || dist[v] < dist[u]) {
+				u = v
+			}
+		}
+		if u < 0 {
+			return dist
+		}
+		done[u] = true
+		for _, a := range g.Neighbors(NodeID(u)) {
+			if nd := dist[u] + a.Weight; nd < dist[a.To] && !mask.EdgeBlocked(NodeID(u), a.To) {
+				dist[a.To] = nd
+			}
+		}
+	}
+}
+
+// FuzzFieldReseed holds Field and the sweep it confines to what recovery's
+// tree-side engine relies on. The decoded set is seeded node by node, in ring
+// order from root, and between seeds the field is advanced — a few pops, or
+// out to the budget as a radius, or one pop after re-queueing the node handed
+// out last. After every step:
+//
+//   - no value lies below the from-scratch multi-source distance over the
+//     seeds so far, and every node nearer than the horizon holds exactly it
+//     (float addition is monotone, so the label-correcting queue and the
+//     textbook loop minimise the same sums);
+//   - nodes are handed out in (distance, node) order between seeds;
+//   - NearestWithin from src, accepting the seeds so far, returns the node,
+//     the path and the distance bits of NearestOfCounted and settles no more.
+func FuzzFieldReseed(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := decodeSweepInput(data)
+		g, mask, src, n := in.g, in.mask, in.src, in.g.NumNodes()
+		fld, sw := g.NewField(mask), g.NewSweep()
+		defer fld.Release()
+		defer sw.Release()
+
+		seeded := make([]bool, n)
+		accept := func(v NodeID) bool { return seeded[v] }
+		last := heapItem{node: Invalid}
+		pop := func(limit float64) bool {
+			u, d, ok := fld.Next(limit)
+			if !ok {
+				return false
+			}
+			if d > limit || d != fld.Dist(u) {
+				t.Fatalf("Next(%v) = (%d, %v), field holds %v", limit, u, d, fld.Dist(u))
+			}
+			if now := (heapItem{u, d}); last.node != Invalid && now.Before(last) {
+				t.Fatalf("(%v, %d) handed out after (%v, %d)", d, u, last.dist, last.node)
+			} else {
+				last = now
+			}
+			return true
+		}
+		check := func(step int) {
+			want, horizon := multiSourceReference(g, mask, seeded), fld.Horizon()
+			for i, w := range want {
+				if d := fld.Dist(NodeID(i)); d < w || (w < horizon && d != w) {
+					t.Fatalf("step %d, horizon %v: node %d holds %v, from scratch %v", step, horizon, i, d, w)
+				}
+			}
+			got := sw.NearestWithin(fld, src, accept)
+			node, p, d, settled := g.NearestOfCounted(src, mask, accept)
+			if got != node || sw.SettledCount() > settled {
+				t.Fatalf("step %d: confined sweep from %d found %d settling %d, unconfined %d settling %d", step, src, got, sw.SettledCount(), node, settled)
+			}
+			if got != Invalid && (sw.Dist(got) != d || !slices.Equal(sw.PathTo(got), p)) {
+				t.Fatalf("step %d: confined sweep from %d: %v by %v, unconfined %v by %v", step, src, sw.Dist(got), sw.PathTo(got), d, p)
+			}
+		}
+
+		step := 0
+		for i := 0; i < n; i++ {
+			v := NodeID((int(in.root) + i) % n)
+			if !in.set(v) {
+				continue
+			}
+			fld.Seed(v)
+			seeded[v] = true
+			redo := last.node
+			last.node = Invalid // a new seed restarts the order
+			switch step % 3 {
+			case 0:
+				for k := 0; k <= in.lowerKind && pop(Unreachable); k++ {
+				}
+			case 1:
+				for pop(in.budget) {
+				}
+			case 2:
+				if redo != Invalid {
+					fld.Requeue(redo)
+				}
+				pop(Unreachable)
+			}
+			check(step)
+			step++
+		}
+		for pop(Unreachable) {
+		}
+		if h := fld.Horizon(); h != Unreachable {
+			t.Fatalf("drained field has horizon %v", h)
+		}
+		check(step)
+	})
+}

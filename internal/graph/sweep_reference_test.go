@@ -353,7 +353,7 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, ref *csrView, src Nod
 	}
 	for _, m := range modes {
 		want := b.runReference(ref, src, mask, m.target, m.absorbing, m.accept, m.lower, m.budget)
-		got := a.run(src, mask, m.target, m.absorbing, m.accept, m.lower, m.budget)
+		got := a.run(src, mask, m.target, m.absorbing, m.accept, m.lower, Unreachable, m.budget)
 		cov.runs++
 		what := func() string { return fmt.Sprintf("%s from %d", m.name, src) }
 		if got != want || a.settledCount != b.settledCount {
@@ -449,7 +449,7 @@ func TestDenseDomainArcWork(t *testing.T) {
 			mask := NewMask().BlockEdge(v, spt.Parent[v])
 			accept := func(x NodeID) bool { return onTree[x] && !below(x) }
 			want := b.runReference(ref, v, mask, Invalid, nil, accept, nil, Unreachable)
-			got := a.run(v, mask, Invalid, nil, accept, nil, Unreachable)
+			got := a.run(v, mask, Invalid, nil, accept, nil, Unreachable, Unreachable)
 			if got != want || !slices.Equal(a.scan, b.scan) || a.SettledCount() != b.SettledCount() {
 				t.Fatalf("scan from %d: (%d, %d settled), reference (%d, %d settled)", v, got, a.SettledCount(), want, b.SettledCount())
 			}
@@ -463,7 +463,7 @@ func TestDenseDomainArcWork(t *testing.T) {
 		absorbing := func(x NodeID) bool { return onTree[x] }
 		budget := 1.3 * spt.Dist[v]
 		b.runReference(ref, v, nil, Invalid, absorbing, nil, nil, budget)
-		a.run(v, nil, Invalid, absorbing, nil, spt.Dist, budget)
+		a.run(v, nil, Invalid, absorbing, nil, spt.Dist, Unreachable, budget)
 		joinArcs += a.arcsScanned
 		joinRef += b.referenceArcs(ref, v, Invalid, absorbing)
 	}

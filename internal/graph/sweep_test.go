@@ -149,10 +149,10 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 	// ScanNearest's body on the sweep held here: going through the pool would
 	// measure the pool, which drops sweeps at random under the race detector.
 	accept := func(n NodeID) bool { return n == 199 }
-	s.run(0, nil, Invalid, nil, accept, nil, Unreachable)
+	s.run(0, nil, Invalid, nil, accept, nil, Unreachable, Unreachable)
 	scan := append(NearestScan(nil), s.scan...)
 	allocs = testing.AllocsPerRun(50, func() {
-		hit := s.run(0, nil, Invalid, nil, accept, nil, budget) != Invalid
+		hit := s.run(0, nil, Invalid, nil, accept, nil, Unreachable, budget) != Invalid
 		scan = append(scan[:0], s.scan...)
 		if hit || !s.budgetCut(nil) {
 			buf = scan.AppendPathFrom(buf[:0], len(scan)-1)
