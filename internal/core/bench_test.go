@@ -81,6 +81,7 @@ func BenchmarkJoinSession(b *testing.B) {
 	g := benchGraph(b, 2005)
 	members := topology.NewRNG(77).Sample(g.NumNodes(), 30)
 
+	settled := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -96,7 +97,9 @@ func BenchmarkJoinSession(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		settled += s.stats.EnumSettled
 	}
+	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 }
 
 // branchCutSession is the paper's regime in one session: a 100-node Waxman

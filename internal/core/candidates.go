@@ -92,6 +92,16 @@ func selectAmong(cands []Candidate, bound float64, delayFirst bool) (Candidate, 
 // is the one the reference — every connection materialized, then the
 // criterion — picks, bit for bit (TestPrunedSelectionMatchesExhaustive).
 //
+// The source is the one node of the tree with SHR 0 (Eq. 2 adds N_R ≥ 1 at
+// every other; the test harnesses' checkSourceAloneAtZero holds every state
+// and every reshape view to it), so when SHR comes first a source within
+// bound wins whatever else the region holds. That pass names it the sweep's
+// goal: once its connection is final and within bound — offer's test, handed
+// to the sweep as the weight it may stop at — the selection is decided and the
+// tree is not listed at all. A source the sweep reaches inside the prune slack
+// but beyond the bound stops nothing; the same sweep runs on to exhaustion and
+// the candidates are listed as they are when it never settles.
+//
 // Candidates are scored off the sweep — Sweep.WeightFrom is the same float
 // as Path.Weight of the materialized merger→joiner connection — and only the
 // winner's Connection is built, in the view's buffer: it is the caller's until
@@ -102,21 +112,34 @@ func selectAmong(cands []Candidate, bound float64, delayFirst bool) (Candidate, 
 // reuses a's sweep.
 func selectBySweep(a *arena, joiner graph.NodeID, mask *graph.Mask, lower []float64, bound float64, delayFirst bool, stats *Stats) (Candidate, bool) {
 	sw, v := a.sw, &a.view
-	sw.RunPruned(joiner, mask, v.onTree, lower, bound*(1+pruneSlack)+2*delayEps)
-	stats.EnumSettled += sw.SettledCount()
 	pick := selection{bound: bound, delayFirst: delayFirst}
-	v.nodes = v.t.AppendNodes(v.nodes[:0])
+	src, goal := v.t.Source(), graph.Invalid
+	if !delayFirst {
+		goal = src
+	}
+	atSource := sw.RunPruned(joiner, mask, v.onTree, lower, bound*(1+pruneSlack)+2*delayEps, goal, bound+delayEps)
+	stats.EnumSettled += sw.SettledCount()
+	if atSource {
+		stats.SelectSourceExits++
+		v.nodes = append(v.nodes[:0], src)
+	} else {
+		v.nodes = v.t.AppendNodes(v.nodes[:0])
+	}
 	for _, merger := range v.nodes {
 		if !sw.Reached(merger) || v.left(merger) {
 			continue
+		}
+		stats.CandidatesSeen++
+		shr := v.shrAt(merger)
+		if !delayFirst && pick.found && shr > pick.best.SHR {
+			continue // cannot win whatever its delay: spare the walk up the tree
 		}
 		treeDelay, err := v.t.DelayTo(merger)
 		if err != nil {
 			continue
 		}
-		stats.CandidatesSeen++
 		d := sw.WeightFrom(merger)
-		pick.offer(Candidate{Merger: merger, ConnDelay: d, TotalDelay: treeDelay + d, SHR: v.shrAt(merger)})
+		pick.offer(Candidate{Merger: merger, ConnDelay: d, TotalDelay: treeDelay + d, SHR: shr})
 	}
 	if pick.found {
 		v.conn = sw.AppendPathFrom(v.conn[:0], pick.best.Merger) // merger → … → joiner

@@ -227,14 +227,19 @@ type Stats struct {
 
 	// BatchJoins counts members admitted through JoinBatch (a subset of
 	// Joins). EnumSettled tallies nodes settled by candidate sweeps (the
-	// delay-bound-pruned pass of every join and reshape, plus the unbounded
-	// second pass of a join that found nothing within the bound) — the
-	// settled-node counter is the repository's CI-stable unit of SPF work
-	// (wall-clock is noise on shared single-core runners). SelectRescans
-	// counts the joins that took that second pass.
-	BatchJoins    int
-	EnumSettled   int
-	SelectRescans int
+	// delay-bound-pruned pass of every join and reshape, whose goal-directed
+	// order counts a node it settles again after lowering it once more, plus
+	// the unbounded second pass of a join that found nothing within the bound)
+	// — the settled-node counter is the repository's CI-stable unit of SPF
+	// work (wall-clock is noise on shared single-core runners). SelectRescans
+	// counts the joins that took that second pass, SelectSourceExits the
+	// selections decided at the source: their sweep stopped when the source —
+	// within the bound, and the one candidate with SHR 0 — was final, and
+	// their share is what EnumSettled per selection has to be read against.
+	BatchJoins        int
+	EnumSettled       int
+	SelectRescans     int
+	SelectSourceExits int
 
 	// HealSettled tallies nodes settled by the failure-recovery sweeps of
 	// Recover/Reconcile/RecoverMember: member-rooted nearest-survivor scans (a

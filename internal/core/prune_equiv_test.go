@@ -42,6 +42,8 @@ type pruneOracle struct {
 	// holds; admissible winners inside the member's own top-level branch, where
 	// the view's SHR differs from the table's, and outside it.
 	chains, memberStops, refused, inside, outside int
+	// What the sweep's run toward the source went through.
+	goal goalCoverage
 	// probed takes the counters of the oracle's own selectPath calls, so that
 	// the session's read as if only its operations had run.
 	probed Stats
@@ -51,8 +53,34 @@ type pruneOracle struct {
 	want Stats
 }
 
+// goalCoverage counts what the bounded passes decided at the source ran under
+// — a whole view (a join's, and the oracle's own of a hypothetical tree) or a
+// reshape's view of the real tree, a failure or subtree mask, no lower bound to
+// prune with but the radius — and what the sweeps toward it did that a sweep
+// in distance order never does: exits whose level held more than the source,
+// sources reached inside the prune slack and declined for lying over the
+// bound, nodes queued again after settling, settled nodes that took a smaller
+// parent.
+type goalCoverage struct {
+	whole, view, masked, radius             int
+	drained, declined, requeued, reparented int
+}
+
+func (c *goalCoverage) add(d goalCoverage) {
+	c.whole += d.whole
+	c.view += d.view
+	c.masked += d.masked
+	c.radius += d.radius
+	c.drained += d.drained
+	c.declined += d.declined
+	c.requeued += d.requeued
+	c.reparented += d.reparented
+}
+
 // probe runs selectPath as the session would, counting into o.probed instead
-// of the session's counters, and hands back what the call added.
+// of the session's counters, and hands back what the call added. A bounded
+// pass (mustLand false) under full knowledge is one sweep, and o.goal takes
+// what it did.
 func (o *pruneOracle) probe(tr *multicast.Tree, joiner graph.NodeID, shr shrVals, mask *graph.Mask, lower []float64, spfDelay float64, mustLand bool) (got Candidate, within, ok bool, counted Stats) {
 	s := o.s
 	before, own := o.probed, s.stats
@@ -63,11 +91,26 @@ func (o *pruneOracle) probe(tr *multicast.Tree, joiner graph.NodeID, shr shrVals
 	got, within, ok = s.selectPath(a, joiner, mask, lower, spfDelay, mustLand)
 	got.Connection = slices.Clone(got.Connection) // the arena's, and the arena goes back
 	o.probed, s.stats = s.stats, own
-	return got, within, ok, Stats{
-		EnumSettled:    o.probed.EnumSettled - before.EnumSettled,
-		CandidatesSeen: o.probed.CandidatesSeen - before.CandidatesSeen,
-		SelectRescans:  o.probed.SelectRescans - before.SelectRescans,
+	counted = Stats{
+		EnumSettled:       o.probed.EnumSettled - before.EnumSettled,
+		CandidatesSeen:    o.probed.CandidatesSeen - before.CandidatesSeen,
+		SelectRescans:     o.probed.SelectRescans - before.SelectRescans,
+		SelectSourceExits: o.probed.SelectSourceExits - before.SelectSourceExits,
 	}
+	if !mustLand && s.cfg.Knowledge != QueryScheme {
+		requeued, reparented, drained := a.sw.Relabels()
+		o.goal.requeued += requeued
+		o.goal.reparented += reparented
+		switch {
+		case counted.SelectSourceExits == 0:
+			if a.sw.Reached(tr.Source()) {
+				o.goal.declined++
+			}
+		case drained > 0:
+			o.goal.drained++
+		}
+	}
+	return got, within, ok, counted
 }
 
 // reference runs the exhaustive enumeration and the selection criterion for
@@ -119,11 +162,48 @@ func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *g
 	if found && !same(got) {
 		o.t.Fatalf("%s: bounded pass chose %+v, reference %+v", what, got, want)
 	}
-	if bounded.EnumSettled > full.EnumSettled || bounded.CandidatesSeen > len(cands) || bounded.SelectRescans != 0 {
-		o.t.Fatalf("%s: bounded pass counted %+v; the exhaustive sweep settles %d and has %d candidates", what, bounded, full.EnumSettled, len(cands))
+	if bounded.CandidatesSeen > len(cands) || bounded.SelectRescans != 0 {
+		o.t.Fatalf("%s: bounded pass counted %+v; the exhaustive sweep has %d candidates", what, bounded, len(cands))
+	}
+	if !query {
+		// A pass that stops at the source has the source win, having listed
+		// nothing else; any other is the sweep of the whole region, as one with
+		// no goal runs it — also past a source it reached and declined.
+		sw.RunPruned(joiner, mask, tr.OnTree, lower, (1+s.cfg.DThresh)*spf*(1+pruneSlack)+2*delayEps, graph.Invalid, 0)
+		requeued, _, _ := sw.Relabels()
+		reached := 0
+		for _, n := range tr.Nodes() {
+			if sw.Reached(n) {
+				reached++
+			}
+		}
+		if sw.SettledCount()-requeued > full.EnumSettled {
+			o.t.Fatalf("%s: the region's sweep settles %d nodes (%d of them again), the exhaustive one %d", what, sw.SettledCount(), requeued, full.EnumSettled)
+		}
+		switch bounded.SelectSourceExits {
+		case 0:
+			if bounded.EnumSettled != sw.SettledCount() || bounded.CandidatesSeen != reached {
+				o.t.Fatalf("%s: bounded pass counted %+v; the region's sweep settles %d and reaches %d mergers", what, bounded, sw.SettledCount(), reached)
+			}
+		case 1:
+			if !found || got.Merger != tr.Source() || bounded.CandidatesSeen != 1 || bounded.EnumSettled > sw.SettledCount() {
+				o.t.Fatalf("%s: bounded pass stopped at the source counting %+v and chose %+v (found=%v); the region's sweep settles %d",
+					what, bounded, got, found, sw.SettledCount())
+			}
+			o.goal.whole++
+			if mask != nil {
+				o.goal.masked++
+			}
+			if lower == nil {
+				o.goal.radius++
+			}
+		default:
+			o.t.Fatalf("%s: one bounded pass counted %d exits at the source", what, bounded.SelectSourceExits)
+		}
 	}
 	o.want.EnumSettled += bounded.EnumSettled
 	o.want.CandidatesSeen += bounded.CandidatesSeen
+	o.want.SelectSourceExits += bounded.SelectSourceExits
 	if found {
 		return want, true, true
 	}
@@ -137,13 +217,12 @@ func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *g
 	if found && !same(got) {
 		o.t.Fatalf("%s: second pass chose %+v, reference %+v", what, got, want)
 	}
-	if both.EnumSettled != bounded.EnumSettled+full.EnumSettled || both.CandidatesSeen != bounded.CandidatesSeen+full.CandidatesSeen || both.SelectRescans != 1 {
+	if both.EnumSettled != bounded.EnumSettled+full.EnumSettled || both.CandidatesSeen != bounded.CandidatesSeen+full.CandidatesSeen || both.SelectRescans != 1 || both.SelectSourceExits != 0 {
 		o.t.Fatalf("%s: both passes counted %+v; bounded pass %+v, the exhaustive sweep settles %d and has %d candidates", what, both, bounded, full.EnumSettled, len(cands))
 	}
 	// What makes the second pass more than the first one repeated: a winner
-	// the bounded sweep stopped short of, and an order that disagrees with the
-	// bounded pass's.
-	sw.RunPruned(joiner, mask, tr.OnTree, lower, (1+s.cfg.DThresh)*spf*(1+pruneSlack)+2*delayEps)
+	// the bounded sweep (sw still holds the region's) stopped short of, and an
+	// order that disagrees with the bounded pass's.
 	if found && !query && !sw.Reached(want.Merger) {
 		o.beyond++
 	}
@@ -162,9 +241,9 @@ func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *g
 // reference's accounting says its operations cost.
 func (o *pruneOracle) checkCounters(what string) {
 	o.t.Helper()
-	if st := o.s.Stats(); st.EnumSettled != o.want.EnumSettled || st.CandidatesSeen != o.want.CandidatesSeen || st.SelectRescans != o.rescans {
-		o.t.Fatalf("%s: session counted settled=%d candidates=%d rescans=%d, the reference's accounting is %d / %d / %d",
-			what, st.EnumSettled, st.CandidatesSeen, st.SelectRescans, o.want.EnumSettled, o.want.CandidatesSeen, o.rescans)
+	if st := o.s.Stats(); st.EnumSettled != o.want.EnumSettled || st.CandidatesSeen != o.want.CandidatesSeen || st.SelectRescans != o.rescans || st.SelectSourceExits != o.want.SelectSourceExits {
+		o.t.Fatalf("%s: session counted settled=%d candidates=%d rescans=%d exits at the source=%d, the reference's accounting is %d / %d / %d / %d",
+			what, st.EnumSettled, st.CandidatesSeen, st.SelectRescans, st.SelectSourceExits, o.want.EnumSettled, o.want.CandidatesSeen, o.rescans, o.want.SelectSourceExits)
 	}
 }
 
@@ -189,6 +268,7 @@ func (o *pruneOracle) sameTree(exp *multicast.Tree, what string) {
 		}
 	}
 	ref := computeSHRReference(exp)
+	checkSourceAloneAtZero(o.t, what, exp.Source(), ref)
 	for n, v := range o.s.SHRSnapshot() {
 		if v != ref[n] {
 			o.t.Fatalf("%s: SHR[%d] = %d, reference %d", what, n, v, ref[n])
@@ -309,8 +389,9 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 		if v.onTree(n) != hypo.OnTree(n) {
 			o.t.Fatalf("%s: the view has node %d on the tree = %v, the hypothetical tree %v", what, n, v.onTree(n), hypo.OnTree(n))
 		}
-		if hypo.OnTree(n) && v.shrAt(n) != hypoSHR.at(n) {
-			o.t.Fatalf("%s: the view reads SHR[%d] = %d, the hypothetical tree's table %d", what, n, v.shrAt(n), hypoSHR.at(n))
+		if hypo.OnTree(n) && (v.shrAt(n) != hypoSHR.at(n) || (v.shrAt(n) == 0) != (n == hypo.Source())) {
+			o.t.Fatalf("%s: the view reads SHR[%d] = %d, the hypothetical tree's table %d; the source, %d, is to be the one node at 0",
+				what, n, v.shrAt(n), hypoSHR.at(n), hypo.Source())
 		}
 	}
 	if added, removed, ok := v.avoid.DiffElements(mask); !ok || len(added)+len(removed) != 0 {
@@ -353,7 +434,9 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 
 	a = s.newArena()
 	defer a.release()
+	exits := s.stats.SelectSourceExits
 	moved, err := s.reshapeMember(a, m)
+	o.goal.view += s.stats.SelectSourceExits - exits
 	if err != nil {
 		// The winner crosses a relay above m that the hypothetical tree
 		// pruned and the real one still holds; Reroute refuses it and the
@@ -388,7 +471,8 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 // TestPrunedSelectionMatchesExhaustive is the equivalence property of the
 // selection engine: over 60 random Waxman topologies × {SPF cache, none} ×
 // D_thresh ∈ {0, 0.3, 5} × both SHR modes, every fifth on sparse tree storage,
-// and 12 more under the query scheme, through healthy joins, joins on a
+// 12 more under the query scheme, and 24 denser planes whose links weigh 0.1,
+// 0.2 or 0.3, through healthy joins, joins on a
 // folded-but-unflushed failure (dead edges still on the tree), joins on an
 // accumulated flushed mask, joins under a bound tighter than the one the tree
 // grew under, and a reshape of every member in each of those states (the
@@ -407,22 +491,47 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 // Clone and RemoveSubtree (pruneOracle.reshape), and the run must hold the
 // cases that make the two differ: relay chains pruned above the member, chains
 // stopped by a member relay, winners that cross a pruned relay and are
-// refused, winners inside and outside the member's top-level branch.
+// refused, winners inside and outside the member's top-level branch. A bounded
+// pass stops at the source or is the sweep of its whole region, settled count
+// and mergers reached included (pruneOracle.reference), and the run must hold
+// stops through whole views and reshape views, under a mask and with no lower
+// bound, stops whose level held more than the source, settled nodes queued
+// again and settled nodes re-parented; the source reached and declined is
+// TestSourceInsidePruneSlackIsDeclined's.
 func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
-	const topologies, queried = 60, 12
+	const topologies, queried, tenths = 60, 12, 24
 	var selections, secondPasses, rescans, beyond, reordered int
 	var chains, memberStops, refused, inside, outside int
-	for trial := 0; trial < topologies+queried; trial++ {
+	var goal goalCoverage
+	for trial := 0; trial < topologies+queried+tenths; trial++ {
 		rng := topology.NewRNG(0x9E11195E + uint64(trial))
 		n := 20 + rng.Intn(41) // 20..60 nodes
-		g, err := topology.Waxman(topology.WaxmanConfig{
-			N:               n,
-			Alpha:           0.15 + 0.2*rng.Float64(),
-			Beta:            topology.DefaultBeta,
-			EnsureConnected: true,
-		}, rng)
-		if err != nil {
-			t.Fatal(err)
+		var g *graph.Graph
+		if trial < topologies+queried {
+			var err error
+			g, err = topology.Waxman(topology.WaxmanConfig{
+				N:               n,
+				Alpha:           0.15 + 0.2*rng.Float64(),
+				Beta:            topology.DefaultBeta,
+				EnsureConnected: true,
+			}, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			// A denser plane whose links weigh 0.1, 0.2 or 0.3: paths tie but
+			// for the order their weights are summed in, (0.1+0.2)+0.3 ≠
+			// 0.1+(0.2+0.3), so the potential is consistent to a rounding only
+			// and the sweep has settled nodes to lower.
+			g = graph.New(n)
+			for i := 1; i < n; i++ {
+				_ = g.AddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)), 0.1*float64(1+rng.Intn(3)))
+			}
+			for i := 0; i < 2*n; i++ {
+				if u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)); u != v && !g.HasEdge(u, v) {
+					_ = g.AddEdge(u, v, 0.1*float64(1+rng.Intn(3)))
+				}
+			}
 		}
 		if trial%2 == 0 {
 			g.EnableSPFCache()
@@ -435,7 +544,7 @@ func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 		if trial%5 == 3 {
 			cfg.TreeStorage = StorageSparse
 		}
-		if trial >= topologies {
+		if trial >= topologies && trial < topologies+queried {
 			cfg.Knowledge = QueryScheme
 		}
 		// Condition I is off so that every reshape is one the oracle drives
@@ -515,6 +624,7 @@ func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 		refused += o.refused
 		inside += o.inside
 		outside += o.outside
+		goal.add(o.goal)
 	}
 	t.Logf("%d selections, %d found nothing within the bound (%.1f%%): %d joins that swept again, %d winners beyond the bounded sweep, %d where SHR and delay disagree",
 		selections, secondPasses, 100*float64(secondPasses)/float64(selections), rescans, beyond, reordered)
@@ -525,6 +635,11 @@ func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 		chains, memberStops, refused, inside, outside)
 	if chains == 0 || memberStops == 0 || refused == 0 || inside == 0 || outside == 0 {
 		t.Fatal("the reshape view went untested where it differs from the tree: want some of each kind")
+	}
+	t.Logf("decided at the source: %d through a whole view (%d under a mask, %d with no lower bound), %d through a reshape's view, %d with more than the source at its level; %d sources reached and declined; %d nodes queued again after settling, %d settled nodes re-parented",
+		goal.whole, goal.masked, goal.radius, goal.view, goal.drained, goal.declined, goal.requeued, goal.reparented)
+	if goal.whole == 0 || goal.masked == 0 || goal.radius == 0 || goal.view == 0 || goal.drained == 0 || goal.requeued == 0 || goal.reparented == 0 {
+		t.Fatal("the sweep's run toward the source went untested: want some of each kind")
 	}
 }
 
@@ -574,5 +689,55 @@ func TestJoinOnUnflushedFailureKeepsDeadEdgeCandidate(t *testing.T) {
 	}
 	if o.probed.SelectRescans != 0 || s.Stats().SelectRescans != 0 {
 		t.Fatal("the join swept a second time; the bounded pass should have reached a")
+	}
+}
+
+// TestSourceInsidePruneSlackIsDeclined pins the one way a sweep reaches the
+// source and does not stop there: its connection lies inside the slack the
+// prune allows over the bound, where the sweep goes so that rounding cuts no
+// admissible path, and beyond bound + delayEps, where no candidate is
+// admissible.
+//
+//	S —1— a —1— j             member: a; D_thresh 0, SPF(S, j) = 2 = the bound
+//	S —1— b —(1+1.5e-9)— j    the source through b: 2.0000000015, over the bound
+//	S —1— c —(1+3.8e-9)— j    c is keyed 2.0000000038: past the source's level,
+//	                          inside the budget 2·(1+1e-9) + 2e-9
+//
+// The sweep settles the source, finds it over the bound and runs on, through c:
+// it is the sweep of the region, and j lands below a.
+func TestSourceInsidePruneSlackIsDeclined(t *testing.T) {
+	const S, a, b, c, j = 0, 1, 2, 3, 4
+	g := graph.New(5)
+	for _, ed := range []struct {
+		u, v graph.NodeID
+		w    float64
+	}{{S, a, 1}, {a, j, 1}, {S, b, 1}, {b, j, 1 + 1.5e-9}, {S, c, 1}, {c, j, 1 + 3.8e-9}} {
+		if err := g.AddEdge(ed.u, ed.v, ed.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.EnableSPFCache()
+	cfg := DefaultConfig()
+	cfg.DThresh, cfg.ReshapeDelta = 0, 0
+	s, err := NewSession(g, S, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Join(a); err != nil {
+		t.Fatal(err)
+	}
+
+	o := &pruneOracle{t: t, s: s}
+	o.join(j) // holds the pass to the region's sweep, settled count included
+	if p, _ := s.tree.Parent(j); p != a {
+		t.Fatalf("j attached below %d, want %d", p, a)
+	}
+	if st := s.Stats(); o.goal.declined != 1 || o.goal.whole != 0 || st.SelectSourceExits != 1 || st.SelectRescans != 0 {
+		t.Fatalf("%d sources declined, %d selections stopped at one, the session counts %d (a's join) and %d second passes; want 1, 0, 1, 0",
+			o.goal.declined, o.goal.whole, st.SelectSourceExits, st.SelectRescans)
+	}
+	// Five settled: j, a, b, the source, and — after it was declined — c.
+	if got := o.probed.EnumSettled; got != 5 {
+		t.Fatalf("the bounded pass settled %d nodes, want 5", got)
 	}
 }

@@ -12,10 +12,12 @@ import (
 )
 
 // selectCase is what FuzzSelectPath decodes its bytes into: a small graph with
-// weights in 1…8 (integer, so that delays tie exactly), a session
-// configuration, the joins that grow the tree, failures to fold in afterwards
-// (flushed by a Reconcile or left on the tree), and the joiner whose selection
-// is the case's subject.
+// weights in 1…8 (integer, so that delays tie exactly) or, on the top flag
+// bit, tenths of that (so that they tie but for the order they are summed in,
+// and the candidate sweep's potential is consistent to a rounding only), a
+// session configuration, the joins that grow the tree, failures to fold in
+// afterwards (flushed by a Reconcile or left on the tree), and the joiner
+// whose selection is the case's subject.
 type selectCase struct {
 	g      *graph.Graph
 	src    graph.NodeID
@@ -50,6 +52,10 @@ func decodeSelectCase(data []byte) selectCase {
 	if flags&64 != 0 {
 		in.cfg.Knowledge = QueryScheme
 	}
+	unit := 1.0
+	if flags&128 != 0 {
+		unit = 0.1
+	}
 	// Condition I is off so that every reshape is one the oracle drives.
 	in.cfg.ReshapeDelta = 0
 	for i, k := 0, next()%6; i < k; i++ {
@@ -68,7 +74,7 @@ func decodeSelectCase(data []byte) selectCase {
 
 	in.g = graph.New(n)
 	for len(data) >= 3 {
-		u, v, w := node(), node(), float64(1+next()%8)
+		u, v, w := node(), node(), unit*float64(1+next()%8)
 		if u != v {
 			_ = in.g.AddEdge(u, v, w) // a repeated edge keeps its first weight
 		}
@@ -125,10 +131,11 @@ func runSelectCase(t *testing.T, in selectCase) *pruneOracle {
 // {0, 0.3, 8}, on dense and sparse trees, Session.selectPath picks the
 // reference's candidate, bit for bit — within the bound and, when nothing is,
 // with the bound lifted — the session lands where the reference does, and
-// Stats.EnumSettled, CandidatesSeen and SelectRescans read what the
-// reference's sweeps cost. A reshape reads the tree through a view, which is
-// held to the hypothetical tree built by Clone and RemoveSubtree, under the
-// query scheme too.
+// Stats.EnumSettled, CandidatesSeen, SelectRescans and SelectSourceExits read
+// what the reference's sweeps cost: a bounded pass either stops at the source,
+// which then is the reference's winner, or is the sweep of its whole region. A
+// reshape reads the tree through a view, which is held to the hypothetical
+// tree built by Clone and RemoveSubtree, under the query scheme too.
 func FuzzSelectPath(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -195,5 +202,47 @@ func TestSelectPathSeedsCoverTheirCase(t *testing.T) {
 	if in, o := seed("winner-crosses-pruned-relay"); in.flush || len(in.fails) != 1 || o.refused != 1 || o.memberStops != 1 || o.moves != 0 {
 		t.Errorf("winner-crosses-pruned-relay: flush=%v, %d failures, %d winners refused, %d chains stopped by a member, %d moves; want 1 unflushed failure, 1, 1, 0",
 			in.flush, len(in.fails), o.refused, o.memberStops, o.moves)
+	}
+
+	// The sweep's run toward the source. S–1–2 with links of 1 and S–2 of 3,
+	// member 1, D_thresh 8: merger 1 gives joiner 2 a delay of 2, the source
+	// one of 3 and wins on SHR; the sweep stops there, as it does for both
+	// members' reshape checks, through their views.
+	in, o = seed("source-wins-on-shr-over-a-faster-merger")
+	if d, _ := o.s.tree.DelayTo(in.joiner); o.s.Stats().SelectSourceExits != 4 || o.goal.whole != 4 || o.goal.view != 2 || d != 3 {
+		t.Errorf("source-wins-on-shr-over-a-faster-merger: %d selections stopped at the source, the oracle's %d, %d through a view, joiner at delay %v; want 4, 4, 2, 3",
+			o.s.Stats().SelectSourceExits, o.goal.whole, o.goal.view, d)
+	}
+	// S–2 of 2 instead, D_thresh 0.3: merger 1 is keyed where the source is
+	// and settles after it, while its level drains.
+	if _, o := seed("source-tied-with-a-merger-drains-its-level"); o.goal.whole != 4 || o.goal.drained != 2 {
+		t.Errorf("source-tied-with-a-merger-drains-its-level: %d selections stopped at the source, %d with more at its level; want 4, 2", o.goal.whole, o.goal.drained)
+	}
+	// The same without an SPF cache: no lower bound, distance order, and the
+	// sweep stops at the source's radius instead of the budget's.
+	if in, o := seed("source-decides-with-no-lower-bound"); in.g.SPFCacheOf() != nil || o.goal.radius != 4 {
+		t.Errorf("source-decides-with-no-lower-bound: cache=%v, %d selections stopped at the source with no lower bound; want none, 4", in.g.SPFCacheOf() != nil, o.goal.radius)
+	}
+	// And with a third way S–3–2 whose node 3 is down, not flushed: joiner
+	// 2's selection runs under the failure mask (the reshape checks' two
+	// run under a subtree mask anyway).
+	if in, o := seed("source-decides-under-a-failed-node"); in.flush || len(in.fails) != 1 || o.goal.whole != 4 || o.goal.masked != 3 {
+		t.Errorf("source-decides-under-a-failed-node: flush=%v, %d failures, %d selections stopped at the source, %d of them under a mask; want 1 unflushed failure, 4, 3",
+			in.flush, len(in.fails), o.goal.whole, o.goal.masked)
+	}
+	// S–1 of 1, 1–5 of 2, S–5 of 3: joining 5, the source settles off 5 itself,
+	// keyed 3 like node 1, which settles after it and is its smaller parent at
+	// the same distance. A sweep that stops at the source's first pop connects
+	// 5 directly.
+	in, o = seed("source-reparented-while-its-level-drains")
+	if p, _ := o.s.tree.Parent(in.grow[0]); o.goal.reparented != 2 || p != 1 {
+		t.Errorf("source-reparented-while-its-level-drains: %d settled nodes re-parented, member %d below %d; want 2 and 1", o.goal.reparented, in.grow[0], p)
+	}
+	// S–1–{2, 3–2}–4 with links of 0.1 to 0.3: the ways from 4 to the source
+	// tie but for the order their weights are summed in, and a node settles off
+	// one before the sweep comes by the other.
+	in, o = seed("settled-node-lowered-by-a-rounding")
+	if w, _ := in.g.EdgeWeight(0, 1); o.goal.requeued == 0 || w != 0.1*2 {
+		t.Errorf("settled-node-lowered-by-a-rounding: %d nodes queued again after settling, link S–1 weighs %v; want some, and 0.1·2", o.goal.requeued, w)
 	}
 }

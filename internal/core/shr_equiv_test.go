@@ -48,9 +48,23 @@ func computeSHRReference(t *multicast.Tree) map[graph.NodeID]int {
 	return shr
 }
 
+// checkSourceAloneAtZero asserts what lets a selection stop at the source
+// (selectBySweep): of the nodes of a tree — shr is its table, from the
+// definitions — the source alone has SHR 0. Eq. 2 adds N_R at every other, and
+// a node that is neither a member nor above one does not stay on the tree.
+func checkSourceAloneAtZero(t *testing.T, what string, src graph.NodeID, shr map[graph.NodeID]int) {
+	t.Helper()
+	for n, v := range shr {
+		if (v == 0) != (n == src) {
+			t.Fatalf("%s: SHR[%d] = %d with the source at %d: the source is to be the one node at 0", what, n, v, src)
+		}
+	}
+}
+
 // checkSHRState asserts, after an arbitrary session mutation, that
 //   - the tree's structural invariants and its cached N_R values hold
 //     (Tree.Validate recounts N_R from scratch),
+//   - the source is the only node with SHR 0,
 //   - ComputeSHR matches the independent reference oracle, and
 //   - the eager session's incrementally repaired dense table matches too.
 func checkSHRState(t *testing.T, s *Session, op string) {
@@ -60,6 +74,7 @@ func checkSHRState(t *testing.T, s *Session, op string) {
 		t.Fatalf("%s: tree invalid: %v", op, err)
 	}
 	ref := computeSHRReference(tr)
+	checkSourceAloneAtZero(t, op, tr.Source(), ref)
 	got := ComputeSHR(tr)
 	if len(got) != len(ref) {
 		t.Fatalf("%s: ComputeSHR has %d entries, reference %d", op, len(got), len(ref))

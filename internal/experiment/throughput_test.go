@@ -5,9 +5,10 @@ import (
 )
 
 // TestThroughputSettledPerJoin is the admission-work gate: on the blessed
-// seed a join's candidate sweeps settle 34 nodes of the 300 on average under
-// the delay-bound prune (the exhaustive sweeps it replaced settled 231 per
-// flash-crowd join), and the gate is a ceiling of 60. Settled-node counts
+// seed a join's candidate sweeps settle 30 nodes of the 300 on average under
+// the delay-bound prune, run toward the source (34 in distance order; the
+// exhaustive sweeps before that settled 231 per flash-crowd join), and the
+// gate is a ceiling of 60. Settled-node counts
 // are exact and deterministic, so this is a stable CI gate where wall-clock
 // on a shared single-core runner is not.
 func TestThroughputSettledPerJoin(t *testing.T) {

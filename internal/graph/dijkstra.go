@@ -62,7 +62,7 @@ func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 		Parent: make([]NodeID, n),
 	}
 	s := g.NewSweep()
-	s.run(src, mask, Invalid, nil, nil, nil, Unreachable, Unreachable)
+	s.run(src, mask, nil, nil, nil, Unreachable, Unreachable, Invalid, 0)
 	spfFullRuns.Add(1)
 	spfNodesSettled.Add(uint64(s.settledCount))
 	for i := 0; i < n; i++ {
@@ -86,10 +86,10 @@ func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 // memoized — the cache deliberately stores only complete trees, because a
 // tree truncated at one destination would silently under-serve the next
 // caller asking the same (src, mask) about a different destination. Without
-// a cache there is nobody to share a full tree with, so the sweep exits
-// early the moment dst settles: settled nodes are never re-relaxed, hence
-// dst's distance and parent chain are already final and identical to the
-// full run's.
+// a cache there is nobody to share a full tree with, so the sweep runs with
+// dst as its goal: it stops when dst settles, having relaxed nothing beyond
+// dst's tentative distance, with dst's distance, parent chain and tie-breaks
+// those of the full run (Sweep.run).
 func (g *Graph) ShortestPath(src, dst NodeID, mask *Mask) (Path, float64) {
 	if !g.valid(dst) {
 		return nil, Unreachable
@@ -103,7 +103,7 @@ func (g *Graph) ShortestPath(src, dst NodeID, mask *Mask) (Path, float64) {
 	}
 	s := g.NewSweep()
 	defer s.Release()
-	if s.run(src, mask, dst, nil, nil, nil, Unreachable, Unreachable) == Invalid {
+	if s.run(src, mask, nil, nil, nil, Unreachable, Unreachable, dst, Unreachable) == Invalid {
 		return nil, Unreachable
 	}
 	return s.PathTo(dst), s.dist[dst]
@@ -161,7 +161,7 @@ func (r NearestScan) AppendPathFrom(buf Path, pos int) Path {
 func (g *Graph) ScanNearest(rec NearestScan, src NodeID, mask *Mask, accept func(NodeID) bool, budget float64) (scan NearestScan, hit, exhausted bool) {
 	s := g.NewSweep()
 	defer s.Release()
-	hit = s.run(src, mask, Invalid, nil, accept, nil, Unreachable, budget) != Invalid
+	hit = s.run(src, mask, nil, accept, nil, Unreachable, budget, Invalid, 0) != Invalid
 	return append(rec[:0], s.scan...), hit, !hit && !(budget < Unreachable && s.budgetCut(mask))
 }
 
@@ -220,7 +220,7 @@ func (g *Graph) NearestOf(src NodeID, mask *Mask, accept func(NodeID) bool) (Nod
 func (g *Graph) NearestOfCounted(src NodeID, mask *Mask, accept func(NodeID) bool) (NodeID, Path, float64, int) {
 	s := g.NewSweep()
 	defer s.Release()
-	got := s.run(src, mask, Invalid, nil, accept, nil, Unreachable, Unreachable)
+	got := s.run(src, mask, nil, accept, nil, Unreachable, Unreachable, Invalid, 0)
 	settled := s.SettledCount()
 	if got == Invalid {
 		return Invalid, nil, Unreachable, settled

@@ -173,5 +173,5 @@ func (f *Field) Pops() int { return f.pops }
 //
 // It returns the accepted node, or Invalid when src is unreached by f.
 func (s *Sweep) NearestWithin(f *Field, src NodeID, accept func(NodeID) bool) NodeID {
-	return s.run(src, f.mask, Invalid, nil, accept, f.dist, f.Horizon(), f.dist[src]*(1+TieSlack))
+	return s.run(src, f.mask, nil, accept, f.dist, f.Horizon(), f.dist[src]*(1+TieSlack), Invalid, 0)
 }

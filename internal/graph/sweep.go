@@ -7,9 +7,10 @@ import (
 	"smrp/internal/pqueue"
 )
 
-// heapItem is one priority-queue entry of a sweep: a node and its tentative
-// distance. Ordering is (dist, node) — the node tie-break keeps settle order,
-// and therefore every sweep result, deterministic.
+// heapItem is one priority-queue entry of a sweep: a node and the value it is
+// queued at — its tentative distance, plus its potential in a goal-directed
+// run (RunPruned). Ordering is (dist, node) — the node tie-break keeps settle
+// order, and therefore every sweep result, deterministic.
 type heapItem struct {
 	node NodeID
 	dist float64
@@ -139,8 +140,9 @@ type Sweep struct {
 	g *Graph
 	n int
 	// epoch stamps validity: seen[v] == epoch means dist/parent hold values
-	// for the current run; settled[v] == epoch means v left the queue. The
-	// stamps make per-run initialization O(1) instead of O(V) clears.
+	// for the current run; settled[v] == epoch means v left the queue at the
+	// distance it holds. The stamps make per-run initialization O(1) instead
+	// of O(V) clears.
 	epoch   uint32
 	seen    []uint32
 	settled []uint32
@@ -165,6 +167,9 @@ type Sweep struct {
 	// turns a parent node into a parent position.
 	scan NearestScan
 	pos  []int32
+	// What Relabels reports of the last run, counted where the relabelling
+	// is done and nowhere else; goalAt is settledCount as the goal settled.
+	requeued, reparented, goalAt int
 }
 
 // NewSweep acquires a pooled sweep bound to g. Release it when done.
@@ -203,6 +208,7 @@ func (s *Sweep) begin() {
 	s.heap.Reset()
 	s.settledCount = 0
 	s.arcsScanned = 0
+	s.requeued, s.reparented, s.goalAt = 0, 0, 0
 	s.scan = s.scan[:0]
 }
 
@@ -220,36 +226,62 @@ func (s *Sweep) begin() {
 // settle in ascending node order, and among equal-length relaxations the
 // smallest parent ID wins, so results are byte-stable across runs.
 func (s *Sweep) Run(src NodeID, mask *Mask, absorbing func(NodeID) bool) {
-	s.run(src, mask, Invalid, absorbing, nil, nil, Unreachable, Unreachable)
+	s.run(src, mask, absorbing, nil, nil, Unreachable, Unreachable, Invalid, 0)
 }
 
-// RunPruned is Run confined to the region a delay budget can use: the
-// relaxation u→v is skipped when dist(src,v) + lower[v] > budget, where
-// lower[v] ≥ 0 bounds from below whatever a caller will add to a path ending
-// at v (nil reads as all zeros: a plain radius cut). lower must be consistent
-// over every arc the sweep may take — lower[u] ≤ w(u,v) + lower[v] — which
-// shortest-path distances from any fixed node are. Then every node on a
-// shortest path to an in-region node is itself in-region, so each node v
+// RunPruned is Run confined to the region a delay budget can use, grown toward
+// a goal. The relaxation u→v is skipped when dist(src,v) + lower[v] > budget,
+// where lower[v] ≥ 0 bounds from below whatever a caller will add to a path
+// ending at v (nil reads as all zeros: a plain radius cut). lower must be
+// consistent over every arc the sweep may take — lower[u] ≤ w(u,v) + lower[v]
+// — which shortest-path distances from any fixed node are. Then every node on
+// a shortest path to an in-region node is itself in-region, so each node v
 // with dist(src,v) + lower[v] ≤ budget is reached with exactly the distance,
-// parent and tie-break Run gives it, and no other node is reached at all
-// (DESIGN.md §9.1). The candidate sweep of a join runs in this mode with
-// lower = SPF distance from the session source and budget = the join's delay
-// bound, the ellipse with foci source and joiner.
-func (s *Sweep) RunPruned(src NodeID, mask *Mask, absorbing func(NodeID) bool, lower []float64, budget float64) {
-	s.run(src, mask, Invalid, absorbing, nil, lower, Unreachable, budget)
+// parent and tie-break Run gives it, and no other node is reached at all.
+//
+// The queue is keyed by that same sum, dist(src,v) + lower[v] — A* under the
+// potential the region is cut by — so the sweep grows ellipse by ellipse
+// instead of ball by ball. lower is consistent only up to a rounding per arc,
+// hence the queue is label-correcting: a settled node a later relaxation
+// lowers is queued again, and one it reaches at the same distance from a
+// smaller parent ID takes that parent where it stands. Run to exhaustion the
+// fixpoint is the one above, whatever the order. The candidate sweep of a join
+// runs in this mode with lower = SPF distance from the session source and
+// budget = the join's delay bound, the ellipse with foci source and joiner.
+//
+// With a goal, the sweep stops once goal has settled, at key K, and the queue
+// holds nothing at or below K·(1+TieSlack): every node on a shortest path to
+// goal, and every equal-distance parent of one, has a key of at most K but for
+// the rounding TieSlack covers, so goal's distance, parent chain and
+// tie-breaks are final, as is everything else keyed at or below K. The stop
+// is taken, and reported, only if WeightFrom(goal) ≤ within — a caller's own
+// admissibility test, which sums the path the other way round and so cannot be
+// folded into the budget; declined, the same sweep runs on to exhaustion
+// (DESIGN.md §9.1). goal = Invalid asks for no stop.
+func (s *Sweep) RunPruned(src NodeID, mask *Mask, absorbing func(NodeID) bool, lower []float64, budget float64, goal NodeID, within float64) bool {
+	return s.run(src, mask, absorbing, nil, lower, Unreachable, budget, goal, within) != Invalid
 }
 
-// SettledCount reports how many nodes the last run settled — the unit of SPF
-// work this repository uses as its CI-stable performance evidence (wall-clock
-// is noise on a single-core container; settled nodes are exact and
-// deterministic).
+// SettledCount reports how many nodes the last run settled, one settled again
+// after a relaxation lowered it counted again — the unit of SPF work this
+// repository uses as its CI-stable performance evidence (wall-clock is noise
+// on a single-core container; settled nodes are exact and deterministic).
 func (s *Sweep) SettledCount() int { return s.settledCount }
+
+// Relabels reports where the last goal-directed run left label-setting
+// order: nodes queued again after they had settled, settled nodes that took a
+// smaller parent at the distance they held, and — after a stop at the goal —
+// nodes settled behind it while its level drained. The harnesses of the sweep
+// and of the selection assert that their inputs reach all three.
+func (s *Sweep) Relabels() (requeued, reparented, drained int) {
+	if s.goalAt > 0 {
+		drained = s.settledCount - s.goalAt
+	}
+	return s.requeued, s.reparented, drained
+}
 
 // run is the shared sweep core. Knobs:
 //
-//   - target != Invalid: stop as soon as target settles (early exit; its
-//     dist/parent chain is final at that point because settled nodes are
-//     never re-relaxed).
 //   - absorbing != nil: absorbing nodes settle but do not relax outward.
 //   - accept != nil: stop at the first settled node for which accept holds
 //     (including src) and return it; the run is recorded in s.scan. accept
@@ -258,18 +290,25 @@ func (s *Sweep) SettledCount() int { return s.settledCount }
 //   - budget < Unreachable: skip relaxations that leave the budget's region
 //     (see RunPruned); lower may be nil, and reads as min(lower[v], ceil) — the
 //     cap a potential needs whose far values are not final (NearestWithin).
+//     Unless the run is a nearest-of scan, whose record is its settle order
+//     by distance, a potential also keys the queue and makes it
+//     label-correcting (directed below).
+//   - goal != Invalid: stop once goal is final and weighs at most within (see
+//     RunPruned), and return it.
 //
 // bound is the distance past which a relaxation cannot matter: the budget,
 // tightened in nearest-of mode to the tentative distance of the closest
-// accepted node relaxed so far. A node farther than that can never settle
-// before the accepted one does, so dropping it changes neither the node
-// returned nor one entry of the record; a node exactly at the bound is kept,
-// because a smaller ID at the same distance settles first. Rows are sorted
-// by weight, so the first arc past the bound ends the row.
+// accepted node relaxed so far, and likewise to the goal's when the queue is
+// in distance order and nothing can decline the goal (within = +Inf), so that
+// only the goal will be read (the cacheless ShortestPath). A node farther than
+// that can never settle before the accepted one does, so dropping it changes
+// neither the node returned nor one entry of the record; a node exactly at
+// the bound is kept, because a smaller ID at the same distance settles first.
+// Rows are sorted by weight, so the first arc past the bound ends the row.
 //
-// It returns the settled accept/target node, or Invalid when the sweep ran
-// to exhaustion (or src was invalid/blocked).
-func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID) bool, accept func(NodeID) bool, lower []float64, ceil, budget float64) NodeID {
+// It returns the settled accept/goal node, or Invalid when the sweep ran to
+// exhaustion without one (or src was invalid/blocked).
+func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept func(NodeID) bool, lower []float64, ceil, budget float64, goal NodeID, within float64) NodeID {
 	s.begin()
 	g := s.g
 	if !g.valid(src) || mask.NodeBlocked(src) {
@@ -293,7 +332,12 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 		mbits, mnodes = mask.bits, mask.nodes
 	}
 	prune := lower != nil && budget < Unreachable
+	directed := prune && accept == nil
+	tighten := !directed && within == Unreachable
 	bound := budget
+	// level is the key the queue must drain to before the goal is final:
+	// Unreachable until it settles.
+	level := Unreachable
 	if accept != nil && len(s.pos) < s.n {
 		s.pos = make([]int32, s.n)
 	}
@@ -301,16 +345,30 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 	s.seen[src] = s.epoch
 	s.dist[src] = 0
 	s.parent[src] = Invalid
-	s.heap.Push(heapItem{node: src, dist: 0})
+	key := 0.0
+	if directed {
+		key = min(lower[src], ceil)
+	}
+	s.heap.Push(heapItem{node: src, dist: key})
 
 	for {
 		item, ok := s.heap.Pop()
-		if !ok {
-			return Invalid
+		if !ok || item.dist > level {
+			// Exhausted, whatever was reached has settled; past a level, the
+			// goal has.
+			if s.Reached(goal) && s.WeightFrom(goal) <= within {
+				return goal
+			}
+			if !ok {
+				return Invalid
+			}
+			goal, level = Invalid, Unreachable // declined: on to exhaustion
 		}
 		u := item.node
-		if s.settled[u] == s.epoch || item.dist > s.dist[u] {
-			continue // stale heap entry (superseded by a better relaxation)
+		if s.settled[u] == s.epoch {
+			// A stale entry: u settled off one at least as low, and nothing
+			// has lowered it since, or the stamp would be gone.
+			continue
 		}
 		s.settled[u] = s.epoch
 		s.settledCount++
@@ -326,8 +384,9 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 				return u
 			}
 		}
-		if u == target {
-			return u
+		if u == goal {
+			level = item.dist * (1 + TieSlack)
+			s.goalAt = s.settledCount
 		}
 		if absorbing != nil && u != src && absorbing(u) {
 			continue // settled as an endpoint; never relax through
@@ -338,7 +397,10 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 		i := start
 		for ; i < end; i++ {
 			v := cs.to[i]
-			if s.settled[v] == s.epoch {
+			// In distance order a settled node is final. Under a potential it
+			// may yet be lowered, or take a smaller parent — which the two
+			// array reads rule out before the mask is asked.
+			if s.settled[v] == s.epoch && (!directed || du+cs.wt[i] > s.dist[v]) {
 				continue
 			}
 			if checkNodes {
@@ -358,12 +420,21 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 				i++ // scanned, like the arcs before it
 				break
 			}
-			// Deterministic tie-breaking on parent ID keeps shortest-path
-			// trees stable when multiple equal-length paths exist.
-			if s.seen[v] == s.epoch && !(nd < s.dist[v] || (nd == s.dist[v] && u < s.parent[v])) {
+			if s.seen[v] == s.epoch && nd >= s.dist[v] {
+				// Deterministic tie-breaking on parent ID keeps shortest-path
+				// trees stable when multiple equal-length paths exist. v keeps
+				// its distance, so the entry it has, or settled off, stands.
+				if nd == s.dist[v] && u < s.parent[v] {
+					s.parent[v] = u
+					s.pw[v] = cs.wt[i]
+					if s.settled[v] == s.epoch {
+						s.reparented++
+					}
+				}
 				continue
 			}
-			// After the test above: only improvements pay for these two.
+			// After the test above: only improvements pay for these.
+			key = nd
 			if prune {
 				lv := lower[v]
 				if lv > ceil {
@@ -372,22 +443,30 @@ func (s *Sweep) run(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID
 				if nd+lv > budget {
 					continue
 				}
+				if directed {
+					key = nd + lv
+				}
 			}
-			if accept != nil && nd < bound && accept(v) {
+			if nd < bound && ((accept != nil && accept(v)) || (tighten && v == goal)) {
 				bound = nd
+			}
+			if s.settled[v] == s.epoch {
+				s.settled[v] = 0 // no run's stamp: begin never hands out epoch 0
+				s.requeued++
 			}
 			s.seen[v] = s.epoch
 			s.dist[v] = nd
 			s.parent[v] = u
 			s.pw[v] = cs.wt[i]
-			s.heap.Push(heapItem{node: v, dist: nd})
+			s.heap.Push(heapItem{node: v, dist: key})
 		}
 		s.arcsScanned += int(i - start)
 	}
 }
 
-// Reached reports whether n was reached by the last run. (For early-exit
-// runs only nodes settled before the exit are meaningful.)
+// Reached reports whether n was reached by the last run: relaxed to, settled
+// or not. (After an early exit only the node the run stopped at, and what
+// its contract says is final with it, is meaningful.)
 func (s *Sweep) Reached(n NodeID) bool {
 	return n >= 0 && int(n) < s.n && s.seen[n] == s.epoch
 }

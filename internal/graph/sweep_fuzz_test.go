@@ -10,6 +10,8 @@ import (
 // (absorbing for one target, accepted for the other), an integer budget, and
 // the root and kind of FuzzSweepPruned's lower bound. Integer weights and
 // budget make every sum exact, so a region's edge is not blurred by rounding.
+// What the edge triples leave over names FuzzSweepPruned's goal and how it
+// runs toward it.
 type sweepInput struct {
 	g         *Graph
 	mask      *Mask
@@ -17,6 +19,8 @@ type sweepInput struct {
 	lowerKind int // 0: none, 1: unmasked distances, 2: masked distances
 	budget    float64
 	set       func(NodeID) bool
+	goal      NodeID
+	goalKind  int
 }
 
 func decodeSweepInput(data []byte) sweepInput {
@@ -42,6 +46,7 @@ func decodeSweepInput(data []byte) sweepInput {
 			edges = append(edges, MakeEdgeID(u, v))
 		}
 	}
+	in.goal, in.goalKind = NodeID(next()%n), next()
 	if nodeBlocks+edgeBlocks > 0 {
 		in.mask = NewMask()
 		for i := 0; i < nodeBlocks; i++ {
@@ -63,11 +68,21 @@ func decodeSweepInput(data []byte) sweepInput {
 // source, a budget, and a consistent lower bound — shortest-path distances
 // from some node, on the unmasked graph or under the same mask, or none.
 // Weights and the budget are small integers, so every sum is exact and the
-// region's edge is not blurred by rounding.
+// region's edge is not blurred by rounding — or, on a bit of goalKind, tenths
+// of them: then sums of the same weights differ with the order they are taken
+// in, the potential is consistent to a rounding only, the queue has settled
+// nodes to lower, and the region is held to its contract a TieSlack inside its
+// edge. Run to exhaustion:
 //
 //   - every node the pruned run reaches has the Dist and Parent Run gives it
 //     (and WeightFrom is the weight of its materialized path);
 //   - every node Run reaches with dist + lower ≤ budget is reached.
+//
+// Run toward the decoded goal — stopped at whatever it weighs, only at its
+// own weight or below, or never below half of it — the sweep stops exactly
+// when the exhaustive one reaches the goal at such a weight; then every node
+// keyed at or below the goal reads as it does there, and otherwise every node
+// does.
 func FuzzSweepPruned(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{9, 0, 7, 0, 12, 0, 1, 2, 1, 2, 3, 2, 3, 0, 1, 0, 2, 5, 4, 5, 1, 5, 6, 1, 6, 7, 3, 7, 8, 2, 8, 4, 2})
@@ -76,6 +91,16 @@ func FuzzSweepPruned(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := decodeSweepInput(data)
 		g, mask, src, budget, absorbing := in.g, in.mask, in.src, in.budget, in.set
+		inside := budget
+		if in.goalKind&4 != 0 {
+			g = New(in.g.NumNodes())
+			for _, e := range in.g.Edges() {
+				w, _ := in.g.EdgeWeight(e.A, e.B)
+				_ = g.AddEdge(e.A, e.B, w/10)
+			}
+			budget /= 10
+			inside = budget / (1 + TieSlack)
+		}
 		var lower []float64
 		switch in.lowerKind {
 		case 1:
@@ -83,34 +108,72 @@ func FuzzSweepPruned(f *testing.F) {
 		case 2:
 			lower = g.dijkstra(in.root, mask).Dist
 		}
+		key := func(s *Sweep, v NodeID) float64 {
+			if lower != nil {
+				return s.Dist(v) + lower[v]
+			}
+			return s.Dist(v)
+		}
 
 		full, pruned := g.NewSweep(), g.NewSweep()
 		defer full.Release()
 		defer pruned.Release()
 		full.Run(src, mask, absorbing)
-		pruned.RunPruned(src, mask, absorbing, lower, budget)
+		if pruned.RunPruned(src, mask, absorbing, lower, budget, Invalid, 0) {
+			t.Fatal("stopped at a goal, given none")
+		}
 
-		if pruned.SettledCount() > full.SettledCount() {
-			t.Fatalf("pruned run settled %d nodes, exhaustive %d", pruned.SettledCount(), full.SettledCount())
+		if requeued, _, _ := pruned.Relabels(); pruned.SettledCount()-requeued > full.SettledCount() {
+			t.Fatalf("pruned run settled %d nodes (%d of them again), exhaustive %d", pruned.SettledCount(), requeued, full.SettledCount())
 		}
 		for i := 0; i < g.NumNodes(); i++ {
 			v := NodeID(i)
 			if pruned.Reached(v) {
+				if w, err := pruned.PathFrom(v).Weight(g); err != nil || w != pruned.WeightFrom(v) {
+					t.Fatalf("node %d: WeightFrom = %v, path weight %v (%v)", v, pruned.WeightFrom(v), w, err)
+				}
+				if key(pruned, v) > inside {
+					continue
+				}
 				if !full.Reached(v) || pruned.Dist(v) != full.Dist(v) || pruned.Parent(v) != full.Parent(v) {
 					t.Fatalf("node %d: pruned (dist, parent) = (%v, %d), exhaustive (%v, %d), reached=%v",
 						v, pruned.Dist(v), pruned.Parent(v), full.Dist(v), full.Parent(v), full.Reached(v))
 				}
-				if w, err := pruned.PathFrom(v).Weight(g); err != nil || w != pruned.WeightFrom(v) {
-					t.Fatalf("node %d: WeightFrom = %v, path weight %v (%v)", v, pruned.WeightFrom(v), w, err)
+				continue
+			}
+			if full.Reached(v) && key(full, v) <= inside {
+				t.Fatalf("node %d: dist %v + lower = %v within budget %v, not reached", v, full.Dist(v), key(full, v), budget)
+			}
+		}
+
+		goal, within := in.goal, Unreachable
+		switch in.goalKind & 3 {
+		case 1:
+			within = pruned.WeightFrom(goal)
+		case 2:
+			within = pruned.WeightFrom(goal) / 2
+		}
+		toGoal := g.NewSweep()
+		defer toGoal.Release()
+		hit := toGoal.RunPruned(src, mask, absorbing, lower, budget, goal, within)
+		if want := pruned.Reached(goal) && pruned.WeightFrom(goal) <= within; hit != want {
+			t.Fatalf("goal %d within %v: stopped=%v, the exhaustive run reaches it: %v, weighing %v", goal, within, hit, pruned.Reached(goal), pruned.WeightFrom(goal))
+		}
+		level := Unreachable
+		if hit {
+			level = key(pruned, goal)
+		}
+		for i := 0; i < g.NumNodes(); i++ {
+			v := NodeID(i)
+			if !pruned.Reached(v) || key(pruned, v) > level {
+				if !hit && toGoal.Reached(v) {
+					t.Fatalf("goal %d declined: node %d reached, not by the exhaustive run", goal, v)
 				}
 				continue
 			}
-			reach := full.Dist(v)
-			if lower != nil {
-				reach += lower[v]
-			}
-			if full.Reached(v) && reach <= budget {
-				t.Fatalf("node %d: dist %v + lower = %v within budget %v, not reached", v, full.Dist(v), reach, budget)
+			if !toGoal.Reached(v) || toGoal.Dist(v) != pruned.Dist(v) || toGoal.Parent(v) != pruned.Parent(v) || toGoal.WeightFrom(v) != pruned.WeightFrom(v) {
+				t.Fatalf("goal %d at level %v: node %d (dist, parent, weight) = (%v, %d, %v), exhaustive (%v, %d, %v)", goal, level, v,
+					toGoal.Dist(v), toGoal.Parent(v), toGoal.WeightFrom(v), pruned.Dist(v), pruned.Parent(v), pruned.WeightFrom(v))
 			}
 		}
 	})

@@ -170,17 +170,19 @@ func waxmanDomain(rng *rand.Rand, n int, alpha, beta float64) *Graph {
 	return g
 }
 
-// tiedPlane generates a sparse connected plane with weights 1…4: equal-weight
-// arcs within a row, equal-length paths and nodes tied at a bound are the
-// rule on it, where Euclidean weights never produce one.
-func tiedPlane(rng *rand.Rand, n, extra int) *Graph {
+// tiedPlane generates a sparse connected plane with weights 1…4 times unit:
+// equal-weight arcs within a row, equal-length paths and nodes tied at a bound
+// are the rule on it, where Euclidean weights never produce one. With unit =
+// 0.1 the ties are there but for a rounding — (0.1+0.2)+0.3 ≠ 0.1+(0.2+0.3) —
+// which is what has a goal-directed queue lower a node it has settled.
+func tiedPlane(rng *rand.Rand, n, extra int, unit float64) *Graph {
 	g := New(n)
 	for i := 1; i < n; i++ {
-		_ = g.AddEdge(NodeID(i), NodeID(rng.Intn(i)), float64(1+rng.Intn(4)))
+		_ = g.AddEdge(NodeID(i), NodeID(rng.Intn(i)), unit*float64(1+rng.Intn(4)))
 	}
 	for i := 0; i < extra; i++ {
 		if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v && !g.HasEdge(u, v) {
-			_ = g.AddEdge(u, v, float64(1+rng.Intn(4)))
+			_ = g.AddEdge(u, v, unit*float64(1+rng.Intn(4)))
 		}
 	}
 	return g
@@ -250,6 +252,11 @@ func randomSweepMask(rng *rand.Rand, g *Graph, src NodeID) *Mask {
 // its comparison to mean anything.
 type sweepCoverage struct {
 	runs, rowsCutShort, boundTightened, tiesAtBound, equalWeightRows, blockedEdgeRows int
+	// Of the goal-directed runs: goals stopped at, of those the ones that
+	// settled less than the exhaustive run and the ones whose level held more
+	// than the goal; goals reached and declined; nodes queued again after
+	// settling and settled nodes that took a smaller parent.
+	goalHits, goalSaved, goalDrained, goalDeclined, requeued, reparented int
 }
 
 // TestSweepMatchesReference holds the arc loop — rows sorted by weight and cut
@@ -268,10 +275,13 @@ func TestSweepMatchesReference(t *testing.T) {
 	var cov sweepCoverage
 	for trial := 0; trial < trials; trial++ {
 		var g *Graph
-		if trial%2 == 0 {
+		switch {
+		case trial%2 == 0:
 			g = waxmanDomain(rng, 100, 0.9, 0.6)
-		} else {
-			g = tiedPlane(rng, 40+rng.Intn(40), 60)
+		case trial%3 == 0:
+			g = tiedPlane(rng, 40+rng.Intn(40), 60, 0.1)
+		default:
+			g = tiedPlane(rng, 40+rng.Intn(40), 60, 1)
 		}
 		if trial%4 >= 2 {
 			g.Freeze()
@@ -301,7 +311,8 @@ func TestSweepMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("coverage: %+v", cov)
-	if cov.rowsCutShort == 0 || cov.boundTightened == 0 || cov.tiesAtBound == 0 || cov.equalWeightRows == 0 || cov.blockedEdgeRows == 0 {
+	if cov.rowsCutShort == 0 || cov.boundTightened == 0 || cov.tiesAtBound == 0 || cov.equalWeightRows == 0 || cov.blockedEdgeRows == 0 ||
+		cov.goalHits == 0 || cov.goalSaved == 0 || cov.goalDrained == 0 || cov.goalDeclined == 0 || cov.requeued == 0 || cov.reparented == 0 {
 		t.Fatalf("a class of input was never exercised: %+v", cov)
 	}
 }
@@ -332,39 +343,105 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, ref *csrView, src Nod
 
 	type mode struct {
 		name      string
-		target    NodeID
+		goal      NodeID
+		within    float64
 		absorbing func(NodeID) bool
 		accept    func(NodeID) bool
 		lower     []float64
 		budget    float64
 	}
+	// A goal is stopped at when it weighs at most within: always, or on the
+	// toss of a coin — over its weight it is declined and the run has to be the
+	// exhaustive one.
+	goal := NodeID(rng.Intn(n))
+	within := Unreachable
+	if full.Dist[goal] != Unreachable && rng.Intn(2) == 0 {
+		within = full.Dist[goal] * (0.5 + float64(rng.Intn(2)))
+	}
 	modes := []mode{
-		{"plain", Invalid, nil, nil, nil, Unreachable},
-		{"target", NodeID(rng.Intn(n)), nil, nil, nil, Unreachable},
-		{"absorbing", Invalid, inSet, nil, nil, Unreachable},
-		{"pruned radius", Invalid, inSet, nil, nil, budget},
-		{"pruned ellipse", Invalid, inSet, nil, lower, budget + lower[src]},
-		{"nearest", Invalid, nil, inSet, nil, Unreachable},
-		{"nearest budget", Invalid, nil, inSet, nil, budget},
-		{"nearest none", Invalid, nil, func(NodeID) bool { return false }, nil, budget},
+		{"plain", Invalid, 0, nil, nil, nil, Unreachable},
+		{"goal", goal, Unreachable, nil, nil, nil, Unreachable},
+		{"goal absorbing", goal, within, inSet, nil, nil, Unreachable},
+		{"absorbing", Invalid, 0, inSet, nil, nil, Unreachable},
+		{"pruned radius", Invalid, 0, inSet, nil, nil, budget},
+		{"pruned ellipse", Invalid, 0, inSet, nil, lower, budget + lower[src]},
+		{"goal radius", goal, within, inSet, nil, nil, budget},
+		{"goal ellipse", goal, within, inSet, nil, lower, budget + lower[src]},
+		{"nearest", Invalid, 0, nil, inSet, nil, Unreachable},
+		{"nearest budget", Invalid, 0, nil, inSet, nil, budget},
+		{"nearest none", Invalid, 0, nil, func(NodeID) bool { return false }, nil, budget},
 		// No exported call combines these two, but the loop takes both: the
 		// bound may tighten only on a relaxation the ellipse lets through.
-		{"nearest ellipse", Invalid, nil, inSet, lower, budget + lower[src]},
+		{"nearest ellipse", Invalid, 0, nil, inSet, lower, budget + lower[src]},
 	}
 	for _, m := range modes {
-		want := b.runReference(ref, src, mask, m.target, m.absorbing, m.accept, m.lower, m.budget)
-		got := a.run(src, mask, m.target, m.absorbing, m.accept, m.lower, Unreachable, m.budget)
+		// The reference knows no goal: it runs on, and says what is final.
+		want := b.runReference(ref, src, mask, Invalid, m.absorbing, m.accept, m.lower, m.budget)
+		got := a.run(src, mask, m.absorbing, m.accept, m.lower, Unreachable, m.budget, m.goal, m.within)
 		cov.runs++
 		what := func() string { return fmt.Sprintf("%s from %d", m.name, src) }
-		if got != want || a.settledCount != b.settledCount {
-			t.Fatalf("%s: stopped at %d after %d settled, reference at %d after %d", what(), got, a.settledCount, want, b.settledCount)
+		// Under a potential the queue is label-correcting, and a node settled
+		// again is counted again.
+		directed := m.lower != nil && m.accept == nil
+		if !directed && a.requeued+a.reparented != 0 {
+			t.Fatalf("%s: %d nodes queued again, %d settled ones re-parented, in distance order", what(), a.requeued, a.reparented)
+		}
+		cov.requeued += a.requeued
+		cov.reparented += a.reparented
+		if m.goal != Invalid {
+			// level is what the goal's key bounds: everything at or below it
+			// reads as in the exhaustive run, and so does everything when the
+			// run found no goal to stop at, or one over its weight.
+			level := Unreachable
+			if hit := b.Reached(m.goal) && b.WeightFrom(m.goal) <= m.within; hit != (got == m.goal) || (!hit && got != Invalid) {
+				t.Fatalf("%s: goal %d within %v: stopped at %d, reference reaches it: %v, weighing %v", what(), m.goal, m.within, got, b.Reached(m.goal), b.WeightFrom(m.goal))
+			} else if hit {
+				level = b.dist[m.goal]
+				if directed {
+					level += m.lower[m.goal]
+				}
+				cov.goalHits++
+				if a.settledCount < b.settledCount {
+					cov.goalSaved++
+				}
+				if _, _, drained := a.Relabels(); drained > 0 {
+					cov.goalDrained++
+				}
+			} else if b.Reached(m.goal) {
+				cov.goalDeclined++
+			}
+			for v := NodeID(0); int(v) < n; v++ {
+				key := b.dist[v]
+				if directed && b.Reached(v) {
+					key += m.lower[v]
+				}
+				if !b.Reached(v) || key > level {
+					if level == Unreachable && a.Reached(v) {
+						t.Fatalf("%s: node %d reached, not by the reference", what(), v)
+					}
+					continue
+				}
+				if !a.Reached(v) || a.settled[v] != a.epoch || a.dist[v] != b.dist[v] || a.parent[v] != b.parent[v] || a.WeightFrom(v) != b.WeightFrom(v) {
+					t.Fatalf("%s: goal %d at level %v: node %d (dist, parent, weight) = (%v, %d, %v), reference (%v, %d, %v)", what(), m.goal, level, v,
+						a.dist[v], a.parent[v], a.WeightFrom(v), b.dist[v], b.parent[v], b.WeightFrom(v))
+				}
+			}
+			if level == Unreachable && a.settledCount-a.requeued != b.settledCount {
+				t.Fatalf("%s: %d settled (%d of them again), reference %d", what(), a.settledCount, a.requeued, b.settledCount)
+			}
+			continue
+		}
+		if got != want || a.settledCount-a.requeued != b.settledCount {
+			t.Fatalf("%s: stopped at %d after %d settled (%d of them again), reference at %d after %d", what(), got, a.settledCount, a.requeued, want, b.settledCount)
 		}
 		refArcs := b.referenceArcs(ref, src, want, m.absorbing)
-		if a.arcsScanned > refArcs {
-			t.Fatalf("%s: %d arcs scanned, reference %d", what(), a.arcsScanned, refArcs)
-		}
-		if a.arcsScanned < refArcs {
-			cov.rowsCutShort++
+		if !directed {
+			if a.arcsScanned > refArcs {
+				t.Fatalf("%s: %d arcs scanned, reference %d", what(), a.arcsScanned, refArcs)
+			}
+			if a.arcsScanned < refArcs {
+				cov.rowsCutShort++
+			}
 		}
 		for _, u := range b.rowsRelaxed(src, want, m.absorbing) {
 			if mask != nil && mask.touchesBlockedEdge(u) {
@@ -449,7 +526,7 @@ func TestDenseDomainArcWork(t *testing.T) {
 			mask := NewMask().BlockEdge(v, spt.Parent[v])
 			accept := func(x NodeID) bool { return onTree[x] && !below(x) }
 			want := b.runReference(ref, v, mask, Invalid, nil, accept, nil, Unreachable)
-			got := a.run(v, mask, Invalid, nil, accept, nil, Unreachable, Unreachable)
+			got := a.run(v, mask, nil, accept, nil, Unreachable, Unreachable, Invalid, 0)
 			if got != want || !slices.Equal(a.scan, b.scan) || a.SettledCount() != b.SettledCount() {
 				t.Fatalf("scan from %d: (%d, %d settled), reference (%d, %d settled)", v, got, a.SettledCount(), want, b.SettledCount())
 			}
@@ -463,7 +540,7 @@ func TestDenseDomainArcWork(t *testing.T) {
 		absorbing := func(x NodeID) bool { return onTree[x] }
 		budget := 1.3 * spt.Dist[v]
 		b.runReference(ref, v, nil, Invalid, absorbing, nil, nil, budget)
-		a.run(v, nil, Invalid, absorbing, nil, spt.Dist, Unreachable, budget)
+		a.RunPruned(v, nil, absorbing, spt.Dist, budget, Invalid, 0)
 		joinArcs += a.arcsScanned
 		joinRef += b.referenceArcs(ref, v, Invalid, absorbing)
 	}
