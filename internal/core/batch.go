@@ -41,41 +41,3 @@ func (s *Session) JoinBatch(joiners []graph.NodeID) (results []*JoinResult, errs
 	}
 	return results, errs
 }
-
-// RecoverGraftSet grafts a batch of local-detour paths (each reattachment
-// point → … → member, as accepted by RecoverGraft) and restores the session
-// bookkeeping with a single SHR repair pass over every dirtied branch instead
-// of one pass per graft. The final tree and SHR table are identical to
-// sequential RecoverGraft calls — the repair recomputes from tree state, and
-// the final tree is the same either way. The one observable difference is
-// deliberate: the Condition-I baselines recorded for the batch's members are
-// read from the post-batch tree rather than mid-batch, which is the right
-// reading for a correlated recovery event (the members came back together;
-// their baselines should reflect the tree they all landed on).
-//
-// A graft error aborts the batch: grafts applied so far stay applied and the
-// SHR table is repaired for them before the error is returned, so the
-// session is never left with a stale table.
-func (s *Session) RecoverGraftSet(paths []graph.Path) error {
-	if len(paths) == 0 {
-		return nil
-	}
-	dirty := make([]graph.NodeID, 0, len(paths))
-	members := make([]graph.NodeID, 0, len(paths))
-	var graftErr error
-	for _, p := range paths {
-		if err := s.tree.Graft(p, true); err != nil {
-			graftErr = err
-			break
-		}
-		m := p.Last()
-		delete(s.parked, m)
-		members = append(members, m)
-		dirty = append(dirty, s.tree.TopAncestor(m))
-	}
-	s.shr.refresh(s.tree, dirty...)
-	for _, m := range members {
-		s.recordUpSHR(m)
-	}
-	return graftErr
-}

@@ -242,83 +242,3 @@ func TestJoinBatchEmpty(t *testing.T) {
 		t.Fatalf("empty batch did work: %+v", st)
 	}
 }
-
-// TestRecoverGraftSetMatchesSequential verifies that the batched recovery
-// graft leaves the same tree and SHR table as sequential RecoverGraft calls
-// (the documented equivalence: the final tree is identical and the SHR
-// repair recomputes from it).
-func TestRecoverGraftSetMatchesSequential(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		rng := topology.NewRNG(0x6AF7 + uint64(trial))
-		n := 20 + rng.Intn(21)
-		g, err := topology.Waxman(topology.WaxmanConfig{
-			N: n, Alpha: 0.2, Beta: topology.DefaultBeta, EnsureConnected: true,
-		}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := graph.NodeID(0)
-		mk := func() *Session {
-			s, err := NewSession(g, src, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, idx := range rng.Sample(n, 4) {
-				if graph.NodeID(idx) != src {
-					s.Join(graph.NodeID(idx)) //nolint:errcheck // unreachable seeds are fine
-				}
-			}
-			return s
-		}
-		rngState := *rng // mk consumes rng; replay for the twin sessions
-		probe := mk()
-		*rng = rngState
-		seq := mk()
-		*rng = rngState
-		bat := mk()
-
-		// Recovery paths: nearest-attachment detours for a few off-tree
-		// nodes, computed incrementally against a probe session so each path
-		// is valid at its position in the batch (its interior stays off-tree
-		// given the preceding grafts — the shape reconcile produces).
-		var paths []graph.Path
-		for v := 0; v < n && len(paths) < 4; v++ {
-			m := graph.NodeID(v)
-			if probe.Tree().OnTree(m) {
-				continue
-			}
-			node, p, _ := g.NearestOf(m, nil, probe.Tree().OnTree)
-			if node == graph.Invalid {
-				continue
-			}
-			rp := p.Reverse()
-			if err := probe.RecoverGraft(rp); err != nil {
-				t.Fatal(err)
-			}
-			paths = append(paths, rp)
-		}
-
-		for _, p := range paths {
-			if err := seq.RecoverGraft(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := bat.RecoverGraftSet(paths); err != nil {
-			t.Fatal(err)
-		}
-
-		if fmt.Sprint(seq.Tree().Members()) != fmt.Sprint(bat.Tree().Members()) {
-			t.Fatalf("members diverged: %v vs %v", seq.Tree().Members(), bat.Tree().Members())
-		}
-		for _, nd := range seq.Tree().Nodes() {
-			sp, _ := seq.Tree().Parent(nd)
-			bp, _ := bat.Tree().Parent(nd)
-			if sp != bp {
-				t.Fatalf("node %d parent %d vs %d", nd, sp, bp)
-			}
-		}
-		if fmt.Sprint(seq.SHRSnapshot()) != fmt.Sprint(bat.SHRSnapshot()) {
-			t.Fatalf("SHR diverged:\nseq   %v\nbatch %v", seq.SHRSnapshot(), bat.SHRSnapshot())
-		}
-	}
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"smrp/internal/failure"
@@ -138,6 +139,45 @@ func TestHealSourceFailureLeavesSessionIntact(t *testing.T) {
 	}
 	if err := s.Tree().Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// A failure naming a node outside the graph is refused before anything is
+// mutated: the mask sizes its words by node ID, so before the check
+// LinkDown(0, 1<<40) ran the process out of memory. The whole batch is
+// refused, its valid sibling included, and the mask, tree and parked set stay
+// as they were.
+func TestRecoverRefusesUnknownNode(t *testing.T) {
+	// S(0)-1-2 line plus 0-3: failing 1-2 parks member 2.
+	g := graph.New(4)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}, {0, 3}} {
+		if err := g.AddEdge(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewSession(g, 0, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []graph.NodeID{2, 3} {
+		if _, err := s.Join(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Recover(failure.LinkDown(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	mask, nodes, parked := s.FailedMask().Fingerprint(), s.Tree().Nodes(), s.Parked()
+	if !slices.Equal(parked, []graph.NodeID{2}) {
+		t.Fatalf("parked = %v, want [2]", parked)
+	}
+	for _, f := range []failure.Failure{failure.LinkDown(0, 1<<40), failure.NodeDown(1 << 40), failure.NodeDown(-1)} {
+		if _, err := s.Recover(failure.LinkDown(0, 3), f); !errors.Is(err, ErrUnknownNode) {
+			t.Fatalf("Recover(%v) err = %v, want ErrUnknownNode", f, err)
+		}
+		if s.FailedMask().Fingerprint() != mask || !slices.Equal(s.Tree().Nodes(), nodes) || !slices.Equal(s.Parked(), parked) {
+			t.Fatalf("Recover(%v) mutated the session: nodes %v parked %v", f, s.Tree().Nodes(), s.Parked())
+		}
 	}
 }
 

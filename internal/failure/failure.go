@@ -110,6 +110,21 @@ func TakesDownNode(fs []Failure, n graph.NodeID) bool {
 	return false
 }
 
+// CheckNodes returns an error wrapping graph.ErrUnknownNode when a failure in
+// fs names a node outside the n nodes of the topology. Masks index by node ID,
+// so every entry point that takes failures from outside checks the whole
+// batch with it before folding any of it into a mask.
+func CheckNodes(fs []Failure, n int) error {
+	known := func(v graph.NodeID) bool { return v >= 0 && int(v) < n }
+	for _, f := range fs {
+		if (f.Kind == LinkFailure && !(known(f.Edge.A) && known(f.Edge.B))) ||
+			(f.Kind == NodeFailure && !known(f.Node)) {
+			return fmt.Errorf("%v: %w", f, graph.ErrUnknownNode)
+		}
+	}
+	return nil
+}
+
 // WorstCaseFor returns the paper's worst-case failure for member m on tree
 // t: the on-tree link incident to the source on m's multicast path. This
 // failure disables the largest possible portion of m's path.

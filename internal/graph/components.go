@@ -1,59 +1,5 @@
 package graph
 
-// UnionFind is a disjoint-set structure over dense node IDs with union by
-// rank and path compression.
-type UnionFind struct {
-	parent []int
-	rank   []int
-	sets   int
-}
-
-// NewUnionFind returns a UnionFind over n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{
-		parent: make([]int, n),
-		rank:   make([]int, n),
-		sets:   n,
-	}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
-	return uf
-}
-
-// Find returns the representative of x's set.
-func (u *UnionFind) Find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]] // path halving
-		x = u.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets containing a and b, reporting whether a merge
-// actually happened (false if they were already joined).
-func (u *UnionFind) Union(a, b int) bool {
-	ra, rb := u.Find(a), u.Find(b)
-	if ra == rb {
-		return false
-	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
-	u.sets--
-	return true
-}
-
-// Sets returns the current number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.sets }
-
-// Same reports whether a and b are in the same set.
-func (u *UnionFind) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
-
 // Components returns the connected components of g (minus the mask) as
 // slices of node IDs. Masked-out nodes are omitted entirely. Components and
 // their members are in ascending ID order, so output is deterministic.
@@ -97,30 +43,6 @@ func (g *Graph) Components(mask *Mask) [][]NodeID {
 // unmasked nodes (an empty graph counts as connected).
 func (g *Graph) Connected(mask *Mask) bool {
 	return len(g.Components(mask)) <= 1
-}
-
-// ReachableFrom returns the set of nodes reachable from src in g minus the
-// mask, including src itself. The result is indexed by NodeID.
-func (g *Graph) ReachableFrom(src NodeID, mask *Mask) []bool {
-	seen := make([]bool, g.NumNodes())
-	if !g.valid(src) || mask.NodeBlocked(src) {
-		return seen
-	}
-	stack := []NodeID{src}
-	seen[src] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, arc := range g.adj[u] {
-			v := arc.To
-			if seen[v] || mask.NodeBlocked(v) || mask.EdgeBlocked(u, v) {
-				continue
-			}
-			seen[v] = true
-			stack = append(stack, v)
-		}
-	}
-	return seen
 }
 
 // sortNodeIDs sorts a NodeID slice in ascending order (insertion sort: the

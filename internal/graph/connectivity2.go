@@ -1,75 +1,5 @@
 package graph
 
-import "slices"
-
-// Bridges returns the bridge edges (cut edges) of g minus the mask, in
-// canonical order, using Tarjan's low-point algorithm. An edge is a bridge
-// when removing it disconnects its component.
-func (g *Graph) Bridges(mask *Mask) []EdgeID {
-	n := g.NumNodes()
-	disc := make([]int, n)
-	low := make([]int, n)
-	for i := range disc {
-		disc[i] = -1
-	}
-	var out []EdgeID
-	timer := 0
-
-	// Iterative DFS to keep deep random graphs from blowing the stack.
-	type frame struct {
-		node, parent NodeID
-		idx          int
-	}
-	for start := 0; start < n; start++ {
-		s := NodeID(start)
-		if disc[start] != -1 || mask.NodeBlocked(s) {
-			continue
-		}
-		stack := []frame{{node: s, parent: Invalid}}
-		disc[start], low[start] = timer, timer
-		timer++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			adj := g.adj[f.node]
-			advanced := false
-			for f.idx < len(adj) {
-				arc := adj[f.idx]
-				f.idx++
-				v := arc.To
-				if v == f.parent || mask.NodeBlocked(v) || mask.EdgeBlocked(f.node, v) {
-					continue
-				}
-				if disc[v] == -1 {
-					disc[v], low[v] = timer, timer
-					timer++
-					stack = append(stack, frame{node: v, parent: f.node})
-					advanced = true
-					break
-				}
-				if disc[v] < low[f.node] {
-					low[f.node] = disc[v]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// Post-visit: propagate low to parent, detect bridge.
-			done := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if done.parent != Invalid {
-				if low[done.node] < low[done.parent] {
-					low[done.parent] = low[done.node]
-				}
-				if low[done.node] > disc[done.parent] {
-					out = append(out, MakeEdgeID(done.parent, done.node))
-				}
-			}
-		}
-	}
-	slices.SortFunc(out, edgeIDCompare)
-	return out
-}
-
 // ArticulationPoints returns the cut vertices of g minus the mask, in
 // ascending order, using Tarjan's low-point rules: a non-root vertex p is
 // an articulation point if some DFS child c has low[c] ≥ disc[p]; a DFS
@@ -147,12 +77,6 @@ func (g *Graph) ArticulationPoints(mask *Mask) []NodeID {
 		}
 	}
 	return out
-}
-
-// TwoEdgeConnected reports whether g minus the mask is connected and
-// bridge-free over its unmasked nodes.
-func (g *Graph) TwoEdgeConnected(mask *Mask) bool {
-	return g.Connected(mask) && len(g.Bridges(mask)) == 0
 }
 
 // Biconnected reports whether g minus the mask is connected and has no

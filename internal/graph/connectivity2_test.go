@@ -5,29 +5,8 @@ import (
 	"testing"
 )
 
-func TestBridgesLine(t *testing.T) {
-	g := line(t, 4) // every edge is a bridge
-	br := g.Bridges(nil)
-	if len(br) != 3 {
-		t.Fatalf("bridges = %v", br)
-	}
-}
-
-func TestBridgesCycleHasNone(t *testing.T) {
-	g := New(4)
-	for i := 0; i < 4; i++ {
-		mustEdge(t, g, NodeID(i), NodeID((i+1)%4), 1)
-	}
-	if br := g.Bridges(nil); len(br) != 0 {
-		t.Errorf("cycle bridges = %v", br)
-	}
-	if !g.TwoEdgeConnected(nil) {
-		t.Error("cycle should be 2-edge-connected")
-	}
-}
-
-func TestBridgesBarbell(t *testing.T) {
-	// Two triangles joined by a single edge 2-3: that edge is the bridge.
+func TestArticulationPointsBarbell(t *testing.T) {
+	// Two triangles joined by a single edge 2-3: its endpoints are the cuts.
 	g := New(6)
 	mustEdge(t, g, 0, 1, 1)
 	mustEdge(t, g, 1, 2, 1)
@@ -36,13 +15,6 @@ func TestBridgesBarbell(t *testing.T) {
 	mustEdge(t, g, 4, 5, 1)
 	mustEdge(t, g, 5, 3, 1)
 	mustEdge(t, g, 2, 3, 1)
-	br := g.Bridges(nil)
-	if len(br) != 1 || br[0] != MakeEdgeID(2, 3) {
-		t.Errorf("bridges = %v, want [(2-3)]", br)
-	}
-	if g.TwoEdgeConnected(nil) {
-		t.Error("barbell is not 2-edge-connected")
-	}
 	arts := g.ArticulationPoints(nil)
 	if len(arts) != 2 || arts[0] != 2 || arts[1] != 3 {
 		t.Errorf("articulations = %v, want [2 3]", arts)
@@ -82,32 +54,6 @@ func TestBiconnectedCycle(t *testing.T) {
 	}
 }
 
-func TestBridgesWithMask(t *testing.T) {
-	g := New(4)
-	for i := 0; i < 4; i++ {
-		mustEdge(t, g, NodeID(i), NodeID((i+1)%4), 1)
-	}
-	// Masking one cycle edge turns the rest into a path of bridges.
-	mask := NewMask().BlockEdge(0, 3)
-	br := g.Bridges(mask)
-	if len(br) != 3 {
-		t.Errorf("masked bridges = %v", br)
-	}
-}
-
-// bruteForceBridges removes each edge and checks connectivity.
-func bruteForceBridges(g *Graph) map[EdgeID]bool {
-	out := map[EdgeID]bool{}
-	base := len(g.Components(nil))
-	for _, e := range g.Edges() {
-		mask := NewMask().BlockEdge(e.A, e.B)
-		if len(g.Components(mask)) > base {
-			out[e] = true
-		}
-	}
-	return out
-}
-
 // bruteForceArticulations removes each node and checks connectivity.
 func bruteForceArticulations(g *Graph) map[NodeID]bool {
 	out := map[NodeID]bool{}
@@ -121,21 +67,11 @@ func bruteForceArticulations(g *Graph) map[NodeID]bool {
 	return out
 }
 
-func TestBridgesAndArticulationsMatchBruteForce(t *testing.T) {
+func TestArticulationPointsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
 		n := 6 + rng.Intn(20)
 		g := randomConnectedGraph(rng, n, rng.Intn(2*n))
-		want := bruteForceBridges(g)
-		got := g.Bridges(nil)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: bridges %v, brute force %v", trial, got, want)
-		}
-		for _, e := range got {
-			if !want[e] {
-				t.Fatalf("trial %d: false bridge %v", trial, e)
-			}
-		}
 		wantArts := bruteForceArticulations(g)
 		gotArts := g.ArticulationPoints(nil)
 		if len(gotArts) != len(wantArts) {

@@ -1,6 +1,6 @@
 // Package graph provides the weighted undirected graph substrate used by the
-// SMRP reproduction: adjacency storage, shortest paths (Dijkstra), k-shortest
-// paths (Yen), connectivity queries, and path utilities.
+// SMRP reproduction: adjacency storage, shortest paths (Dijkstra),
+// connectivity queries, and path utilities.
 //
 // Graphs are node-indexed with dense integer identifiers, which keeps the
 // simulator and the routing layer allocation-light. All algorithms accept an

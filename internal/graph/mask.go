@@ -13,36 +13,25 @@ import (
 // commutative), so fingerprint queries on the SPF-cache hot path are O(1)
 // regardless of how many elements are blocked.
 //
-// Node blocks have two interchangeable representations:
+// Node blocks are a dense bitset over node IDs: on the Dijkstra/sweep/iSPF
+// relaxation loops a probe is a shift+and on a contiguous word array rather
+// than a hash lookup. The words are allocated on the first BlockNode and grow
+// to cover the largest blocked ID, so a mask that blocks only links holds none.
+// Node IDs are dense and non-negative by package contract: blocking a
+// negative ID is a no-op, and the caller checks an ID against its graph before
+// blocking it (the words are sized by the ID, see failure.CheckNodes).
 //
-//   - a map (the historical default), cheap for the tiny masks the paper-scale
-//     studies use;
-//   - a dense bitset, promoted to automatically once the blocked-node count
-//     crosses maskPromoteThreshold, or from birth via NewMaskWithCapacity.
-//     On the Dijkstra/sweep/iSPF relaxation loop a bitset probe is a
-//     shift+and on a contiguous array instead of a hash lookup — the
-//     difference between megascale sweeps being memory-bound on useful data
-//     versus on map buckets.
-//
-// The representation is invisible to callers: Fingerprint, DiffElements,
-// Clone, Union and all blocking queries behave identically (property-tested
-// by TestMaskBitsetEquivalence), so promoting never changes any study output.
-// Node IDs are dense and non-negative by package contract; blocking a
-// negative ID is a no-op.
-//
-// Edge blocks always stay map-backed: the edge universe is quadratic and edge
-// blocks are rare (most failure masks block nodes or a handful of links). What
-// keeps the map off the relaxation loops is the endpoint index beside it: the
-// number of directly blocked edges at each node, so a loop over u's arcs asks
-// once whether u touches a blocked edge at all and hashes only in the rows
-// that do — two rows for one cut link.
+// Edge blocks stay map-backed: NewMask has no graph to index edges by, the
+// edge universe is quadratic, and edge blocks are rare (most failure masks
+// block nodes or a handful of links). What keeps the map off the relaxation
+// loops is the endpoint index beside it: the number of directly blocked edges
+// at each node, so a loop over u's arcs asks once whether u touches a blocked
+// edge at all and hashes only in the rows that do — two rows for one cut link.
 type Mask struct {
-	// nodes is the map representation of blocked nodes; nil once promoted.
-	nodes map[NodeID]bool
-	// bits is the dense bitset representation; non-nil exactly when promoted
-	// (the two node representations are mutually exclusive).
+	// bits is the blocked-node bitset; nil until a node is blocked (or the
+	// mask is pre-sized by NewMaskWithCapacity).
 	bits []uint64
-	// nnodes counts blocked nodes regardless of representation.
+	// nnodes counts blocked nodes.
 	nnodes int
 
 	edges map[EdgeID]bool
@@ -56,25 +45,16 @@ type Mask struct {
 	count int
 }
 
-// maskPromoteThreshold is the blocked-node count past which a map-backed mask
-// switches to the bitset representation. Paper-scale masks (a failed link or
-// node, a blocked subtree of a 100-node graph) stay comfortably below it;
-// chaos schedules and megascale subtree blocks cross it and get the dense
-// probes.
-const maskPromoteThreshold = 64
-
-// NewMask returns an empty, map-backed mask.
+// NewMask returns an empty mask. Its node words are allocated on the first
+// BlockNode.
 func NewMask() *Mask {
-	return &Mask{nodes: make(map[NodeID]bool), edges: make(map[EdgeID]bool)}
+	return &Mask{edges: make(map[EdgeID]bool)}
 }
 
-// NewMaskWithCapacity returns an empty mask whose node blocks are bitset-
-// backed from birth, sized for node IDs 0..n-1 (the bitset grows if a larger
-// ID is blocked later). Use it when the graph size is known at construction
-// and the mask will be probed on relaxation loops from its first element on:
-// the mrc and detour baselines pre-size their per-configuration and per-node
-// masks this way. (A session's failure mask starts as NewMask and is promoted
-// at maskPromoteThreshold like any other.)
+// NewMaskWithCapacity returns an empty mask whose node words are pre-sized
+// for node IDs 0..n-1 (they grow if a larger ID is blocked later), so blocking
+// node after node never reallocates: the mrc and detour baselines pre-size
+// their per-configuration and per-node masks this way.
 func NewMaskWithCapacity(n int) *Mask {
 	if n < 1 {
 		n = 1
@@ -92,38 +72,12 @@ func edgeMix(e EdgeID) uint64 {
 	return mix64(uint64(uint32(e.A))<<32 | uint64(uint32(e.B)))
 }
 
-// nodeBlocked is the representation dispatch behind every node-block query;
-// m must be non-nil. Negative IDs are never blocked (uint conversion turns
-// them into out-of-range words).
+// nodeBlocked is the bitset probe behind every node-block query; m must be
+// non-nil. Negative IDs are never blocked (uint conversion turns them into
+// out-of-range words).
 func (m *Mask) nodeBlocked(n NodeID) bool {
-	if m.bits != nil {
-		w := uint(n) >> 6
-		return w < uint(len(m.bits)) && m.bits[w]>>(uint(n)&63)&1 != 0
-	}
-	return m.nodes[n]
-}
-
-// promote switches a map-backed mask to the bitset representation sized for
-// the largest blocked ID (or n-1 if larger). Fingerprint and counts are
-// untouched: the blocked set is identical, only its storage changes.
-func (m *Mask) promote(n int) {
-	maxID := NodeID(n - 1)
-	for id := range m.nodes {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if maxID < 0 {
-		maxID = 0
-	}
-	bits := make([]uint64, (int(maxID)+64)/64)
-	for id := range m.nodes {
-		if id >= 0 {
-			bits[uint(id)>>6] |= 1 << (uint(id) & 63)
-		}
-	}
-	m.bits = bits
-	m.nodes = nil
+	w := uint(n) >> 6
+	return w < uint(len(m.bits)) && m.bits[w]>>(uint(n)&63)&1 != 0
 }
 
 // ensureBits grows the bitset to cover node n (amortized doubling).
@@ -141,20 +95,14 @@ func (m *Mask) ensureBits(n NodeID) {
 }
 
 // BlockNode marks node n as unusable and returns the mask for chaining.
-// Blocking a negative ID is a no-op (node IDs are dense and non-negative).
+// Blocking a negative ID is a no-op; n must otherwise be a node of the graph
+// the mask is used with, because the bitset grows to cover it.
 func (m *Mask) BlockNode(n NodeID) *Mask {
 	if n < 0 || m.nodeBlocked(n) {
 		return m
 	}
-	if m.bits != nil {
-		m.ensureBits(n)
-		m.bits[uint(n)>>6] |= 1 << (uint(n) & 63)
-	} else {
-		m.nodes[n] = true
-		if len(m.nodes) > maskPromoteThreshold {
-			m.promote(0)
-		}
-	}
+	m.ensureBits(n)
+	m.bits[uint(n)>>6] |= 1 << (uint(n) & 63)
 	m.nnodes++
 	m.fp ^= nodeMix(n)
 	m.count++
@@ -180,11 +128,7 @@ func (m *Mask) UnblockNode(n NodeID) *Mask {
 	if !m.nodeBlocked(n) {
 		return m
 	}
-	if m.bits != nil {
-		m.bits[uint(n)>>6] &^= 1 << (uint(n) & 63)
-	} else {
-		delete(m.nodes, n)
-	}
+	m.bits[uint(n)>>6] &^= 1 << (uint(n) & 63)
 	m.nnodes--
 	m.fp ^= nodeMix(n)
 	m.count--
@@ -192,7 +136,8 @@ func (m *Mask) UnblockNode(n NodeID) *Mask {
 }
 
 // BlockEdge marks the undirected edge (u, v) as unusable and returns the mask
-// for chaining. Like BlockNode, it ignores negative IDs.
+// for chaining. Like BlockNode, it ignores negative IDs and otherwise expects
+// nodes of the graph: the endpoint index grows to cover both.
 func (m *Mask) BlockEdge(u, v NodeID) *Mask {
 	e := MakeEdgeID(u, v)
 	if e.A < 0 || m.edges[e] {
@@ -257,33 +202,25 @@ func (m *Mask) EdgeBlocked(u, v NodeID) bool {
 		(m.touchesBlockedEdge(u) && m.touchesBlockedEdge(v) && m.edges[MakeEdgeID(u, v)])
 }
 
-// eachBlockedNode invokes fn for every blocked node. Bitset masks iterate in
-// ascending ID order; map masks in map order. Callers must not rely on the
-// order (everything order-sensitive sorts afterwards, see AppendDiff).
+// eachBlockedNode invokes fn for every blocked node in ascending ID order.
 func (m *Mask) eachBlockedNode(fn func(NodeID)) {
-	if m.bits != nil {
-		for w, word := range m.bits {
-			for word != 0 {
-				fn(NodeID(w<<6 + bits.TrailingZeros64(word)))
-				word &= word - 1
-			}
+	for w, word := range m.bits {
+		for word != 0 {
+			fn(NodeID(w<<6 + bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
-		return
-	}
-	for n := range m.nodes {
-		fn(n)
 	}
 }
 
-// Each invokes fn for every blocked element, nodes first and then the edges
-// blocked directly (an edge dead only through a blocked endpoint is not
-// listed on its own). The order within each kind is unspecified, as for
-// eachBlockedNode. A nil mask has no elements.
+// Each invokes fn for every blocked element: the nodes in ascending ID order,
+// then the edges blocked directly (an edge dead only through a blocked
+// endpoint is not listed on its own) in unspecified order. A nil mask has no
+// elements.
 func (m *Mask) Each(fn func(MaskElem)) {
 	if m == nil {
 		return
 	}
-	if m.nnodes > 0 { // a bitset mask without node blocks has words but nothing in them
+	if m.nnodes > 0 { // a pre-sized mask without node blocks has words but nothing in them
 		m.eachBlockedNode(func(n NodeID) { fn(MaskElem{Node: n}) })
 	}
 	for e := range m.edges {
@@ -291,11 +228,9 @@ func (m *Mask) Each(fn func(MaskElem)) {
 	}
 }
 
-// Clone returns a deep copy of the mask, preserving its node representation.
-// Cloning a nil mask yields an empty map-backed mask. Cloning a bitset mask
-// is a single word-array copy — the per-event cost of the SPF cache's
-// clone-per-entry masks stays O(N/64) flat at megascale instead of a
-// per-element map rebuild.
+// Clone returns a deep copy of the mask; cloning a nil mask yields an empty
+// one. The node words are one array copy, made only when a node is blocked,
+// so the SPF cache's clone of a link-only failure mask holds no node words.
 func (m *Mask) Clone() *Mask {
 	if m == nil {
 		return NewMask()
@@ -306,16 +241,8 @@ func (m *Mask) Clone() *Mask {
 		fp:     m.fp,
 		count:  m.count,
 	}
-	if m.bits != nil {
-		c.bits = make([]uint64, len(m.bits))
-		copy(c.bits, m.bits)
-	} else {
-		c.nodes = make(map[NodeID]bool, len(m.nodes))
-		for n, v := range m.nodes {
-			if v {
-				c.nodes[n] = true
-			}
-		}
+	if m.nnodes > 0 {
+		c.bits = slices.Clone(m.bits)
 	}
 	if len(m.edges) > 0 {
 		c.ends = slices.Clone(m.ends)
@@ -372,35 +299,24 @@ func (m *Mask) DiffElements(other *Mask) (added, removed []MaskElem, ok bool) {
 }
 
 // appendNodeDiff appends to out (under the shared budget) every node blocked
-// by m but not by other; it reports the remaining budget and false on budget
-// exhaustion. Works across any representation pairing: bitset-vs-bitset
-// diffs compare whole words and only decode IDs for set difference bits.
+// by m but not by other, in ascending ID order, comparing whole words and
+// decoding IDs only for set-difference bits; it reports the remaining budget
+// and false on budget exhaustion.
 func (m *Mask) appendNodeDiff(out []MaskElem, other *Mask, budget int) ([]MaskElem, int, bool) {
-	if m.bits != nil {
-		for w, word := range m.bits {
-			if other != nil && other.bits != nil && w < len(other.bits) {
-				word &^= other.bits[w] // word-level set difference
-			}
-			for word != 0 {
-				n := NodeID(w<<6 + bits.TrailingZeros64(word))
-				word &= word - 1
-				if other.NodeBlocked(n) { // other may be map-backed
-					continue
-				}
-				if budget--; budget < 0 {
-					return out, budget, false
-				}
-				out = append(out, MaskElem{Node: n})
-			}
-		}
-		return out, budget, true
+	var ob []uint64
+	if other != nil {
+		ob = other.bits
 	}
-	for n := range m.nodes {
-		if !other.NodeBlocked(n) {
+	for w, word := range m.bits {
+		if w < len(ob) {
+			word &^= ob[w]
+		}
+		for word != 0 {
 			if budget--; budget < 0 {
 				return out, budget, false
 			}
-			out = append(out, MaskElem{Node: n})
+			out = append(out, MaskElem{Node: NodeID(w<<6 + bits.TrailingZeros64(word))})
+			word &= word - 1
 		}
 	}
 	return out, budget, true
@@ -452,10 +368,9 @@ func (m *Mask) AppendDiff(added, removed []MaskElem, other *Mask, limit int) ([]
 			}
 		}
 	}
-	// Map iteration order is randomized; sort so the diff (and everything
-	// derived from it, like delta-repair settle counters) is deterministic.
-	// (Bitset node diffs are already ascending, but the sort is cheap on
-	// bounded diffs and keeps one code path.)
+	// Edge-map iteration order is randomized; sort so the diff (and
+	// everything derived from it, like delta-repair settle counters) is
+	// deterministic.
 	slices.SortFunc(added[a0:], maskElemCompare)
 	slices.SortFunc(removed[r0:], maskElemCompare)
 	return added, removed, true
@@ -475,8 +390,7 @@ func mix64(x uint64) uint64 {
 // Fingerprint returns a deterministic 64-bit digest of the blocked set.
 // Blocked elements are combined commutatively (XOR of per-element mixes,
 // maintained incrementally as elements are blocked), so the fingerprint is
-// independent of insertion order — and of the node-block representation —
-// and costs O(1) to query. A nil or empty mask fingerprints to 0. Masks with
+// independent of insertion order and costs O(1) to query. A nil or empty mask fingerprints to 0. Masks with
 // equal fingerprints are treated as equal by the SPF cache; the per-element
 // mixing keeps accidental collisions vanishingly unlikely at cache scale.
 func (m *Mask) Fingerprint() uint64 {
@@ -487,9 +401,7 @@ func (m *Mask) Fingerprint() uint64 {
 	return mix64(m.fp ^ uint64(m.count)<<1 ^ 0x9E3779B97F4A7C15)
 }
 
-// Union returns a new mask blocking everything blocked by m or other. The
-// result keeps m's node representation (promoting on the way if the combined
-// blocked-node count crosses the threshold).
+// Union returns a new mask blocking everything blocked by m or other.
 func (m *Mask) Union(other *Mask) *Mask {
 	c := m.Clone()
 	if other == nil {

@@ -71,14 +71,23 @@ func (r *refMaskModel) diff(other *refMaskModel) (added, removed []MaskElem) {
 	return added, removed
 }
 
-// maskUnderTest pairs a Mask (in whichever representation its op history has
-// driven it to) with the oracle model.
+// maskUnderTest pairs a Mask with the oracle model.
 type maskUnderTest struct {
 	m   *Mask
 	ref *refMaskModel
 	// edgeEver records that an edge was blocked on m or on a mask it was
 	// cloned or united from: until then m must not have an endpoint index.
 	edgeEver bool
+	// noWords records that m must hold no node words: it was born by NewMask
+	// and no node was blocked on it, or it is the Clone or Union of masks
+	// that blocked no node when it was taken.
+	noWords bool
+}
+
+func (ut *maskUnderTest) blockNode(n NodeID) {
+	ut.m.BlockNode(n)
+	ut.ref.nodes[n] = true
+	ut.noWords = false
 }
 
 // checkAgainstRef compares every observable of ut.m against the oracle over
@@ -86,7 +95,7 @@ type maskUnderTest struct {
 func (ut *maskUnderTest) checkAgainstRef(t *testing.T, universe int, label string) {
 	t.Helper()
 	if got, want := ut.m.Fingerprint(), ut.ref.fingerprint(); got != want {
-		t.Fatalf("%s: Fingerprint=%#x want %#x (repr bits=%v)", label, got, want, ut.m.bits != nil)
+		t.Fatalf("%s: Fingerprint=%#x want %#x", label, got, want)
 	}
 	if got, want := ut.m.IsEmpty(), len(ut.ref.nodes)+len(ut.ref.edges) == 0; got != want {
 		t.Fatalf("%s: IsEmpty=%v want %v", label, got, want)
@@ -94,11 +103,14 @@ func (ut *maskUnderTest) checkAgainstRef(t *testing.T, universe int, label strin
 	if ut.m.nnodes != len(ut.ref.nodes) {
 		t.Fatalf("%s: nnodes=%d want %d", label, ut.m.nnodes, len(ut.ref.nodes))
 	}
+	if ut.noWords && ut.m.bits != nil {
+		t.Fatalf("%s: %d node words allocated though no node was blocked", label, len(ut.m.bits))
+	}
 	// Probe slightly outside the universe too (and a negative ID) to catch
 	// out-of-range bitset reads.
 	for n := NodeID(-1); n < NodeID(universe+65); n++ {
 		if got, want := ut.m.NodeBlocked(n), ut.ref.nodes[n]; got != want {
-			t.Fatalf("%s: NodeBlocked(%d)=%v want %v (repr bits=%v)", label, n, got, want, ut.m.bits != nil)
+			t.Fatalf("%s: NodeBlocked(%d)=%v want %v", label, n, got, want)
 		}
 	}
 	for u := NodeID(0); u < NodeID(universe); u += 3 {
@@ -130,29 +142,49 @@ func (ut *maskUnderTest) checkAgainstRef(t *testing.T, universe int, label strin
 	if !ut.edgeEver && ut.m.ends != nil {
 		t.Fatalf("%s: endpoint index allocated (%d entries) though no edge was ever blocked", label, len(ut.m.ends))
 	}
-	var blocked []NodeID
-	ut.m.eachBlockedNode(func(n NodeID) { blocked = append(blocked, n) })
-	if len(blocked) != len(ut.ref.nodes) {
-		t.Fatalf("%s: eachBlockedNode visited %d nodes, want %d", label, len(blocked), len(ut.ref.nodes))
+	// Each lists the blocked set: nodes first, in ascending ID order, then
+	// the directly blocked edges.
+	var nodes []NodeID
+	edges := map[EdgeID]bool{}
+	ut.m.Each(func(el MaskElem) {
+		if el.IsEdge {
+			edges[el.Edge] = true
+		} else if len(edges) > 0 {
+			t.Fatalf("%s: Each listed node %d after an edge", label, el.Node)
+		} else {
+			nodes = append(nodes, el.Node)
+		}
+	})
+	if !slices.IsSorted(nodes) || len(slices.Compact(slices.Clone(nodes))) != len(nodes) {
+		t.Fatalf("%s: Each listed nodes out of ascending order: %v", label, nodes)
 	}
-	for _, n := range blocked {
+	if len(nodes) != len(ut.ref.nodes) || len(edges) != len(ut.ref.edges) {
+		t.Fatalf("%s: Each listed %d nodes and %d edges, want %d and %d",
+			label, len(nodes), len(edges), len(ut.ref.nodes), len(ut.ref.edges))
+	}
+	for _, n := range nodes {
 		if !ut.ref.nodes[n] {
-			t.Fatalf("%s: eachBlockedNode visited unblocked node %d", label, n)
+			t.Fatalf("%s: Each listed unblocked node %d", label, n)
+		}
+	}
+	for e := range edges {
+		if !ut.ref.edges[e] {
+			t.Fatalf("%s: Each listed unblocked edge %v", label, e)
 		}
 	}
 }
 
 // TestMaskBitsetEquivalence drives randomized op sequences against three Mask
-// instances sharing one oracle: one born map-backed (promoting mid-sequence
-// once the threshold is crossed), one born bitset-backed via
-// NewMaskWithCapacity, and one born bitset-backed with a deliberately tiny
-// capacity (so the grow-on-demand path is exercised). All observables —
-// Block/Unblock, Clone, Union, Fingerprint, DiffElements — must be
-// representation-independent, and after every step the endpoint index of the
-// blocked edges equals a recount of them. The first round blocks no edge at
-// all: promotion, Clone and Union must then leave the index unallocated.
+// instances sharing one oracle: one born by NewMask (its node words grow on
+// demand), one pre-sized for the universe by NewMaskWithCapacity, and one
+// pre-sized deliberately tiny (so growth past a capacity is exercised). All
+// observables — Block/Unblock, Clone, Union, Fingerprint, DiffElements, Each
+// — must match the oracle, and after every step the endpoint index of the
+// blocked edges equals a recount of them. Round 0 blocks no edge: Clone and
+// Union must then leave the index unallocated. Round 1 blocks no node: the
+// NewMask-born masks, their clones and their unions must hold no node words.
 func TestMaskBitsetEquivalence(t *testing.T) {
-	const universe = 200 // > 3×maskPromoteThreshold so promotion is guaranteed reachable
+	const universe = 200 // several bitset words
 	rounds := 40
 	ops := 400
 	if testing.Short() {
@@ -161,17 +193,14 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		r := rand.New(rand.NewSource(int64(7919*round + 13)))
 		variants := []*maskUnderTest{
-			{m: NewMask(), ref: newRefMaskModel()},
+			{m: NewMask(), ref: newRefMaskModel(), noWords: true},
 			{m: NewMaskWithCapacity(universe), ref: newRefMaskModel()},
 			{m: NewMaskWithCapacity(1), ref: newRefMaskModel()},
 		}
-		if variants[0].m.bits != nil || variants[1].m.bits == nil || variants[2].m.bits == nil {
-			t.Fatal("constructor representations not as expected")
-		}
 		// A second op stream builds the "other" mask for Union/Diff probes.
-		other := &maskUnderTest{m: NewMask(), ref: newRefMaskModel()}
+		other := &maskUnderTest{m: NewMask(), ref: newRefMaskModel(), noWords: true}
 		if r.Intn(2) == 0 {
-			other.m = NewMaskWithCapacity(universe / 2)
+			other = &maskUnderTest{m: NewMaskWithCapacity(universe / 2), ref: newRefMaskModel()}
 		}
 
 		for i := 0; i < ops; i++ {
@@ -183,9 +212,10 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 			}
 			switch op := r.Intn(10); {
 			case op < 4: // block node (weighted: grow the sets)
-				for _, ut := range target {
-					ut.m.BlockNode(n)
-					ut.ref.nodes[n] = true
+				if round != 1 {
+					for _, ut := range target {
+						ut.blockNode(n)
+					}
 				}
 			case op < 6:
 				for _, ut := range target {
@@ -193,7 +223,7 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 					delete(ut.ref.nodes, n)
 				}
 			case op < 8:
-				if n != v && round > 0 {
+				if n != v && round != 0 {
 					for _, ut := range target {
 						ut.m.BlockEdge(n, v)
 						ut.ref.edges[MakeEdgeID(n, v)] = true
@@ -218,18 +248,18 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 					ut.checkAgainstRef(t, universe, "variant")
 					other.checkAgainstRef(t, universe, "other")
 
-					// Clone: deep, representation-preserving, independent.
-					cl := &maskUnderTest{m: ut.m.Clone(), ref: ut.ref.clone(), edgeEver: len(ut.ref.edges) > 0}
-					if (cl.m.bits != nil) != (ut.m.bits != nil) {
-						t.Fatalf("Clone changed representation")
-					}
-					cl.m.BlockNode(NodeID(universe + vi)) // mutate the clone only
-					cl.ref.nodes[NodeID(universe+vi)] = true
+					// Clone: deep and independent; node words only if a node
+					// is blocked.
+					cl := &maskUnderTest{m: ut.m.Clone(), ref: ut.ref.clone(),
+						edgeEver: len(ut.ref.edges) > 0, noWords: len(ut.ref.nodes) == 0}
+					cl.checkAgainstRef(t, universe, "clone")
+					cl.blockNode(NodeID(universe + vi)) // mutate the clone only
 					cl.checkAgainstRef(t, universe+8, "clone+mutate")
 					ut.checkAgainstRef(t, universe, "original after clone mutate")
 
-					// Union across representations.
-					un := &maskUnderTest{m: ut.m.Union(other.m), ref: ut.ref.clone(), edgeEver: len(ut.ref.edges)+len(other.ref.edges) > 0}
+					un := &maskUnderTest{m: ut.m.Union(other.m), ref: ut.ref.clone(),
+						edgeEver: len(ut.ref.edges)+len(other.ref.edges) > 0,
+						noWords:  len(ut.ref.nodes)+len(other.ref.nodes) == 0}
 					for nn := range other.ref.nodes {
 						un.ref.nodes[nn] = true
 					}
@@ -238,7 +268,7 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 					}
 					un.checkAgainstRef(t, universe, "union")
 
-					// DiffElements across representations, both directions.
+					// DiffElements, both directions.
 					wantA, wantR := ut.ref.diff(other.ref)
 					gotA, gotR, ok := ut.m.DiffElements(other.m)
 					if wantOK := len(wantA)+len(wantR) <= DefaultDiffLimit; ok != wantOK {
@@ -252,23 +282,20 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 	}
 }
 
-// TestMaskCrossRepresentationFingerprint checks that the same blocked set
-// fingerprints identically whether reached via map, promoted map, or
-// capacity-bound bitset, and that block/unblock round-trips restore the
-// empty fingerprint exactly.
-func TestMaskCrossRepresentationFingerprint(t *testing.T) {
-	const n = 150 // crosses maskPromoteThreshold
+// TestMaskFingerprintInsertionOrder checks that the same blocked set
+// fingerprints identically whether built forward or in reverse, into a
+// pre-sized mask or one whose words grow, and that unblocking everything
+// restores the empty fingerprint exactly.
+func TestMaskFingerprintInsertionOrder(t *testing.T) {
+	const n = 150 // several bitset words
 	a := NewMask()
 	b := NewMaskWithCapacity(n)
 	for i := 0; i < n; i++ {
 		a.BlockNode(NodeID(i))
 		b.BlockNode(NodeID(n - 1 - i)) // reverse order: XOR must not care
 	}
-	if a.bits == nil {
-		t.Fatal("map mask did not promote past threshold")
-	}
 	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("fingerprints differ across representations: %#x vs %#x", a.Fingerprint(), b.Fingerprint())
+		t.Fatalf("fingerprints differ by insertion order: %#x vs %#x", a.Fingerprint(), b.Fingerprint())
 	}
 	for i := 0; i < n; i++ {
 		a.UnblockNode(NodeID(i))
@@ -280,27 +307,20 @@ func TestMaskCrossRepresentationFingerprint(t *testing.T) {
 }
 
 // TestMaskBitsetISPFLineage runs the SPF cache's delta-repair path with
-// bitset-backed masks under the crosscheck oracle (the same verification
-// SMRP_ISPF_CHECK=1 enables in production): every delta-repaired tree is
-// compared bit-for-bit against a from-scratch sweep. This pins the
-// lineage-diff path — AppendDiff over mixed/bitset representations feeding
-// ispfRepair — to full-recompute ground truth.
+// evolving masks and compares every tree it returns bit-for-bit against a
+// from-scratch sweep. This pins the lineage-diff path — AppendDiff feeding
+// ispfRepair — to full-recompute ground truth, and asserts that small mask
+// diffs do take it.
 func TestMaskBitsetISPFLineage(t *testing.T) {
-	prev := ispfCrosscheck
-	ispfCrosscheck = true
-	defer func() { ispfCrosscheck = prev }()
-
 	g := ispfTestGraph(t)
 	c := g.EnableSPFCache()
 	defer g.DisableSPFCache()
 
 	r := rand.New(rand.NewSource(99))
 	edges := g.Edges()
-	// The session mask: bitset-backed from birth, evolving by small deltas so
-	// the cache's tryDelta lineage path (prev entry → AppendDiff → repair)
-	// fires. The cache clones the mask per entry, so every stored lineage
-	// mask is bitset-backed too.
-	mask := NewMaskWithCapacity(g.NumNodes())
+	// The session mask, evolving by small deltas so the cache's tryDelta
+	// lineage path (prev entry → AppendDiff → repair) fires.
+	mask := NewMask()
 	src := NodeID(0)
 	deltasBefore := c.DeltaRepairs()
 	for step := 0; step < 120; step++ {
@@ -319,7 +339,7 @@ func TestMaskBitsetISPFLineage(t *testing.T) {
 		if mask.NodeBlocked(src) {
 			mask.UnblockNode(src)
 		}
-		got := c.Dijkstra(src, mask) // panics inside crosscheck on any divergence
+		got := c.Dijkstra(src, mask)
 		want := g.dijkstra(src, mask)
 		if !slices.Equal(got.Parent, want.Parent) || !slices.Equal(got.Dist, want.Dist) {
 			t.Fatalf("step %d: cached tree diverges from fresh sweep", step)

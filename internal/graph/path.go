@@ -9,14 +9,6 @@ import (
 // at least one node; a single-node path has zero length.
 type Path []NodeID
 
-// Len returns the number of edges (hops) in the path.
-func (p Path) Len() int {
-	if len(p) == 0 {
-		return 0
-	}
-	return len(p) - 1
-}
-
 // First returns the first node of the path; it panics on an empty path.
 func (p Path) First() NodeID { return p[0] }
 
@@ -77,24 +69,6 @@ func (p Path) Reverse() Path {
 		out[len(p)-1-i] = n
 	}
 	return out
-}
-
-// Concat joins p with q, where p's last node must equal q's first node. The
-// shared node appears once in the result.
-func (p Path) Concat(q Path) (Path, error) {
-	if len(p) == 0 {
-		return append(Path(nil), q...), nil
-	}
-	if len(q) == 0 {
-		return append(Path(nil), p...), nil
-	}
-	if p.Last() != q.First() {
-		return nil, fmt.Errorf("concat: paths do not share a junction (%d vs %d)", p.Last(), q.First())
-	}
-	out := make(Path, 0, len(p)+len(q)-1)
-	out = append(out, p...)
-	out = append(out, q[1:]...)
-	return out, nil
 }
 
 // IsSimple reports whether no node repeats on the path.

@@ -7,9 +7,6 @@ import (
 func TestPathBasics(t *testing.T) {
 	g := line(t, 5)
 	p := Path{0, 1, 2, 3}
-	if p.Len() != 3 {
-		t.Errorf("Len = %d, want 3", p.Len())
-	}
 	if p.First() != 0 || p.Last() != 3 {
 		t.Errorf("First/Last = %d/%d, want 0/3", p.First(), p.Last())
 	}
@@ -66,31 +63,6 @@ func TestPathReverse(t *testing.T) {
 	}
 	if p.String() != "0→1→2" {
 		t.Error("Reverse mutated the original")
-	}
-}
-
-func TestPathConcat(t *testing.T) {
-	tests := []struct {
-		name    string
-		a, b    Path
-		want    string
-		wantErr bool
-	}{
-		{name: "joined", a: Path{0, 1}, b: Path{1, 2}, want: "0→1→2"},
-		{name: "mismatch", a: Path{0, 1}, b: Path{2, 3}, wantErr: true},
-		{name: "empty left", a: nil, b: Path{4, 5}, want: "4→5"},
-		{name: "empty right", a: Path{4, 5}, b: nil, want: "4→5"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := tt.a.Concat(tt.b)
-			if (err != nil) != tt.wantErr {
-				t.Fatalf("Concat error = %v, wantErr %v", err, tt.wantErr)
-			}
-			if err == nil && got.String() != tt.want {
-				t.Errorf("Concat = %v, want %v", got, tt.want)
-			}
-		})
 	}
 }
 
@@ -151,103 +123,5 @@ func TestComponentsWithMask(t *testing.T) {
 				t.Error("blocked node appeared in a component")
 			}
 		}
-	}
-}
-
-func TestReachableFrom(t *testing.T) {
-	g := line(t, 5)
-	mask := NewMask().BlockEdge(2, 3)
-	seen := g.ReachableFrom(0, mask)
-	want := []bool{true, true, true, false, false}
-	for i, w := range want {
-		if seen[i] != w {
-			t.Errorf("ReachableFrom[%d] = %v, want %v", i, seen[i], w)
-		}
-	}
-	// Blocked source reaches nothing.
-	none := g.ReachableFrom(0, NewMask().BlockNode(0))
-	for i, s := range none {
-		if s {
-			t.Errorf("ReachableFrom blocked source: node %d reported reachable", i)
-		}
-	}
-}
-
-func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(5)
-	if uf.Sets() != 5 {
-		t.Fatalf("initial Sets = %d", uf.Sets())
-	}
-	if !uf.Union(0, 1) || !uf.Union(1, 2) {
-		t.Fatal("unions should merge")
-	}
-	if uf.Union(0, 2) {
-		t.Error("repeated union should report false")
-	}
-	if uf.Sets() != 3 {
-		t.Errorf("Sets = %d, want 3", uf.Sets())
-	}
-	if !uf.Same(0, 2) || uf.Same(0, 3) {
-		t.Error("Same mismatch")
-	}
-}
-
-func TestKShortestPaths(t *testing.T) {
-	g := diamond(t)
-	paths := g.KShortestPaths(0, 3, 3, nil)
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2 (diamond has exactly two simple paths)", len(paths))
-	}
-	if paths[0].Weight != 2 || paths[0].Path.String() != "0→1→3" {
-		t.Errorf("first path = %v (%v)", paths[0].Path, paths[0].Weight)
-	}
-	if paths[1].Weight != 4 || paths[1].Path.String() != "0→2→3" {
-		t.Errorf("second path = %v (%v)", paths[1].Path, paths[1].Weight)
-	}
-}
-
-func TestKShortestPathsOrderingAndSimplicity(t *testing.T) {
-	g := New(6)
-	mustEdge(t, g, 0, 1, 1)
-	mustEdge(t, g, 1, 5, 1)
-	mustEdge(t, g, 0, 2, 1)
-	mustEdge(t, g, 2, 5, 2)
-	mustEdge(t, g, 0, 3, 2)
-	mustEdge(t, g, 3, 5, 2)
-	mustEdge(t, g, 1, 2, 1)
-	mustEdge(t, g, 2, 3, 1)
-	paths := g.KShortestPaths(0, 5, 6, nil)
-	if len(paths) < 3 {
-		t.Fatalf("got %d paths, want at least 3", len(paths))
-	}
-	for i := 1; i < len(paths); i++ {
-		if paths[i].Weight < paths[i-1].Weight {
-			t.Errorf("paths out of order at %d: %v then %v", i, paths[i-1].Weight, paths[i].Weight)
-		}
-	}
-	seen := map[string]bool{}
-	for _, wp := range paths {
-		if !wp.Path.IsSimple() {
-			t.Errorf("non-simple path %v", wp.Path)
-		}
-		if seen[wp.Path.String()] {
-			t.Errorf("duplicate path %v", wp.Path)
-		}
-		seen[wp.Path.String()] = true
-		w, err := wp.Path.Weight(g)
-		if err != nil || w != wp.Weight {
-			t.Errorf("path %v weight %v reported %v (%v)", wp.Path, w, wp.Weight, err)
-		}
-	}
-}
-
-func TestKShortestPathsEdgeCases(t *testing.T) {
-	g := diamond(t)
-	if got := g.KShortestPaths(0, 3, 0, nil); got != nil {
-		t.Error("k=0 should return nil")
-	}
-	g2 := New(2)
-	if got := g2.KShortestPaths(0, 1, 3, nil); got != nil {
-		t.Error("disconnected pair should return nil")
 	}
 }

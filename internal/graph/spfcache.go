@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -27,8 +26,7 @@ type spfKey struct {
 }
 
 // spfEntry is one memoized tree together with the mask it was computed under
-// (a private clone — callers reuse and mutate their masks, notably the KSP
-// scratch mask). The mask is what makes an entry usable as a delta-repair
+// (a private clone — callers reuse and mutate their masks). The mask is what makes an entry usable as a delta-repair
 // ancestor: a later miss for the same source diffs its mask against this one
 // and, when the diff is small, clones the tree and repairs it in place
 // instead of re-sweeping the whole topology (see ispf.go). Entries are
@@ -223,21 +221,8 @@ func (c *SPFCache) tryDelta(src NodeID, mask *Mask) *SPTree {
 	c.deltas.Add(1)
 	spfDeltaRuns.Add(1)
 	spfNodesSettled.Add(uint64(settled))
-	if ispfCrosscheck {
-		ref := c.g.dijkstra(src, mask)
-		for v := range ref.Dist {
-			if nt.Dist[v] != ref.Dist[v] || nt.Parent[v] != ref.Parent[v] {
-				panic(fmt.Sprintf("ispf mismatch src=%d node=%d got=(%v,%v) want=(%v,%v) added=%v removed=%v",
-					src, v, nt.Dist[v], nt.Parent[v], ref.Dist[v], ref.Parent[v], added, removed))
-			}
-		}
-	}
 	return nt
 }
-
-// ispfCrosscheck, when set via SMRP_ISPF_CHECK=1, verifies every delta repair
-// against a full sweep (debugging aid; defeats the optimization).
-var ispfCrosscheck = os.Getenv("SMRP_ISPF_CHECK") == "1"
 
 // Flush drops every memoized tree.
 func (c *SPFCache) Flush() { c.flushTo(c.g.version) }

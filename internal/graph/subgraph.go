@@ -58,16 +58,3 @@ func (m *NodeMap) ToFull(n NodeID) (NodeID, bool) {
 	}
 	return m.toFull[n], true
 }
-
-// PathToFull translates a subgraph path into full-graph IDs.
-func (m *NodeMap) PathToFull(p Path) (Path, error) {
-	out := make(Path, len(p))
-	for i, n := range p {
-		f, ok := m.ToFull(n)
-		if !ok {
-			return nil, fmt.Errorf("node map: %d not in subgraph", n)
-		}
-		out[i] = f
-	}
-	return out, nil
-}

@@ -59,24 +59,3 @@ func TestSubgraphErrors(t *testing.T) {
 		t.Error("duplicate node should fail")
 	}
 }
-
-func TestNodeMapPathToFull(t *testing.T) {
-	g := New(4)
-	mustEdge(t, g, 1, 2, 1)
-	mustEdge(t, g, 2, 3, 1)
-	sub, nm, err := g.Subgraph([]NodeID{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := sub.ShortestPath(0, 2, nil) // sub IDs: 1→3 in full terms
-	full, err := nm.PathToFull(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.String() != "1→2→3" {
-		t.Errorf("full path = %v", full)
-	}
-	if _, err := nm.PathToFull(Path{99}); err == nil {
-		t.Error("out-of-range path should fail")
-	}
-}

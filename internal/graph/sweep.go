@@ -317,19 +317,16 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 	cs := g.csrNow()
 	// Hoist the mask shape checks out of the relaxation loop: most sweeps
 	// run against a nil/empty mask (plain SPF) or a node-only mask
-	// (candidate enumeration), and the map probes are the loop's only
-	// non-array memory traffic. The edge probe, a hashed struct key, is
-	// further confined to the rows that touch a blocked edge (rowEdges below):
-	// for one cut link, two rows.
-	checkNodes := mask.hasNodeBlocks()
+	// (candidate enumeration), and the edge map is the loop's only
+	// non-array memory traffic. Its probe, a hashed struct key, is confined
+	// to the rows that touch a blocked edge (rowEdges below): for one cut
+	// link, two rows. The node probe is a shift+and on the mask's word
+	// array; with no node blocked mbits is nil and its bounds test fails at
+	// once.
 	checkEdges := mask.hasEdgeBlocks()
-	// Hoist the node-block representation too: on bitset-backed masks the
-	// per-arc probe below is a shift+and on a contiguous word array (mbits),
-	// with the map probe (mnodes) only as the small-mask fallback.
 	var mbits []uint64
-	var mnodes map[NodeID]bool
-	if checkNodes {
-		mbits, mnodes = mask.bits, mask.nodes
+	if mask.hasNodeBlocks() {
+		mbits = mask.bits
 	}
 	prune := lower != nil && budget < Unreachable
 	directed := prune && accept == nil
@@ -403,14 +400,8 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 			if s.settled[v] == s.epoch && (!directed || du+cs.wt[i] > s.dist[v]) {
 				continue
 			}
-			if checkNodes {
-				if mbits != nil {
-					if w := uint(v) >> 6; w < uint(len(mbits)) && mbits[w]>>(uint(v)&63)&1 != 0 {
-						continue
-					}
-				} else if mnodes[v] {
-					continue
-				}
+			if w := uint(v) >> 6; w < uint(len(mbits)) && mbits[w]>>(uint(v)&63)&1 != 0 {
+				continue
 			}
 			if rowEdges && mask.edges[MakeEdgeID(u, v)] {
 				continue

@@ -25,23 +25,18 @@ func csrInsertionOrder(g *Graph) *csrView {
 }
 
 // runReference is Sweep.run as it stood before rows were sorted and cut at
-// the bound, kept verbatim (but for taking its CSR view as an argument) as
-// the oracle of TestSweepMatchesReference: rows in insertion order, one map
-// probe per arc whenever the mask blocks any edge at all, no endpoint index,
-// no nearest bound — every arc of every settled row is relaxed.
+// the bound, kept verbatim (but for taking its CSR view as an argument and
+// asking the mask's own NodeBlocked per arc) as the oracle of
+// TestSweepMatchesReference: rows in insertion order, one map probe per arc
+// whenever the mask blocks any edge at all, no endpoint index, no nearest
+// bound — every arc of every settled row is relaxed.
 func (s *Sweep) runReference(cs *csrView, src NodeID, mask *Mask, target NodeID, absorbing func(NodeID) bool, accept func(NodeID) bool, lower []float64, budget float64) NodeID {
 	s.begin()
 	g := s.g
 	if !g.valid(src) || mask.NodeBlocked(src) {
 		return Invalid
 	}
-	checkNodes := mask.hasNodeBlocks()
 	checkEdges := mask.hasEdgeBlocks()
-	var mbits []uint64
-	var mnodes map[NodeID]bool
-	if checkNodes {
-		mbits, mnodes = mask.bits, mask.nodes
-	}
 	prune := budget < Unreachable
 	if accept != nil && len(s.pos) < s.n {
 		s.pos = make([]int32, s.n)
@@ -87,14 +82,8 @@ func (s *Sweep) runReference(cs *csrView, src NodeID, mask *Mask, target NodeID,
 			if s.settled[v] == s.epoch {
 				continue
 			}
-			if checkNodes {
-				if mbits != nil {
-					if w := uint(v) >> 6; w < uint(len(mbits)) && mbits[w]>>(uint(v)&63)&1 != 0 {
-						continue
-					}
-				} else if mnodes[v] {
-					continue
-				}
+			if mask.NodeBlocked(v) {
+				continue
 			}
 			if checkEdges && mask.edges[MakeEdgeID(u, v)] {
 				continue
@@ -189,8 +178,8 @@ func tiedPlane(rng *rand.Rand, n, extra int, unit float64) *Graph {
 }
 
 // randomSweepMask draws one of the mask shapes the sweep has to read
-// identically: nil, nodes only (map or bitset from birth, or promoted past
-// the threshold), edges, two blocked edges sharing an endpoint with one
+// identically: nil, nodes only (grown or pre-sized, a few or more than a
+// word's worth), edges, two blocked edges sharing an endpoint with one
 // unblocked again, a clone, a union. src is spared.
 func randomSweepMask(rng *rand.Rand, g *Graph, src NodeID) *Mask {
 	n := g.NumNodes()
@@ -236,8 +225,8 @@ func randomSweepMask(rng *rand.Rand, g *Graph, src NodeID) *Mask {
 		blockNodes(other, rng.Intn(3))
 		blockEdges(m, rng.Intn(3))
 		m = m.Union(other)
-	case 6: // past the promotion threshold
-		blockNodes(m, maskPromoteThreshold+10)
+	case 6: // more than one bitset word's worth of nodes
+		blockNodes(m, 74)
 		blockEdges(m, 2)
 	case 7: // every link of one node cut: the node is unreachable, by edges alone
 		u := NodeID(rng.Intn(n))

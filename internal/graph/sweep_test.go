@@ -269,52 +269,31 @@ func megascaleLattice(w, h int) *Graph {
 
 // BenchmarkSweepMaskedMegascale measures the full relaxation sweep over a
 // ~10⁵-node graph with a few thousand blocked nodes — the megascale-study hot
-// path — comparing the map-backed mask representation against the dense
-// bitset. The per-arc NodeBlocked probe is the only difference between the
-// sub-benchmarks.
+// path, one bitset probe per arc.
 func BenchmarkSweepMaskedMegascale(b *testing.B) {
 	const w, h = 320, 320 // 102,400 nodes
 	g := megascaleLattice(w, h)
 	s := g.NewSweep()
 	defer s.Release()
 
-	// Block a dispersed ~2% of nodes (never the source), same set for both
-	// representations.
+	// Block a dispersed ~2% of nodes (never the source).
 	blocked := make([]NodeID, 0, w*h/50)
 	for n := 51; n < w*h; n += 50 {
 		blocked = append(blocked, NodeID(n))
 	}
-	mapMask := &Mask{nodes: make(map[NodeID]bool), edges: map[EdgeID]bool{}}
-	for _, n := range blocked { // bypass promotion: keep the map representation
-		mapMask.nodes[n] = true
-		mapMask.nnodes++
-		mapMask.fp ^= nodeMix(n)
-		mapMask.count++
-	}
-	bitMask := NewMaskWithCapacity(w * h).BlockNodes(blocked...)
-	if mapMask.bits != nil || bitMask.bits == nil {
-		b.Fatal("benchmark masks not in the intended representations")
-	}
-	if mapMask.Fingerprint() != bitMask.Fingerprint() {
-		b.Fatal("benchmark masks disagree")
-	}
+	mask := NewMaskWithCapacity(w * h).BlockNodes(blocked...)
 
-	for _, bc := range []struct {
-		name string
-		mask *Mask
-	}{{"map", mapMask}, {"bitset", bitMask}} {
-		b.Run(bc.name, func(b *testing.B) {
-			s.Run(0, bc.mask, nil) // warm CSR + arena outside the timer
-			want := s.SettledCount()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Run(0, bc.mask, nil)
-			}
-			b.StopTimer()
-			if s.SettledCount() != want {
-				b.Fatalf("settled count drifted: %d vs %d", s.SettledCount(), want)
-			}
-		})
-	}
+	b.Run("bitset", func(b *testing.B) {
+		s.Run(0, mask, nil) // warm CSR + arena outside the timer
+		want := s.SettledCount()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Run(0, mask, nil)
+		}
+		b.StopTimer()
+		if s.SettledCount() != want {
+			b.Fatalf("settled count drifted: %d vs %d", s.SettledCount(), want)
+		}
+	})
 }

@@ -110,6 +110,30 @@ func TestInjectErrorsTyped(t *testing.T) {
 		t.Errorf("InjectFailureSet(empty) = %v, want ErrBadSchedule", err)
 	}
 
+	// A node outside the topology is refused at injection, so it never
+	// reaches a mask (whose words are sized by node ID): nothing is
+	// scheduled, not even a schedule's valid first event.
+	pending := inst.Engine().Pending()
+	for _, f := range []failure.Failure{failure.LinkDown(0, 1<<40), failure.NodeDown(1 << 40)} {
+		sched := failure.Schedule{Events: []failure.Event{
+			{At: 10, Failures: []failure.Failure{failure.LinkDown(0, 1)}},
+			{At: 20, Failures: []failure.Failure{f}},
+		}}
+		for name, err := range map[string]error{
+			"InjectFailure":    inst.InjectFailure(10, f),
+			"InjectFailureSet": inst.InjectFailureSet(10, failure.LinkDown(0, 1), f),
+			"InjectRepair":     inst.InjectRepair(10, f),
+			"InjectSchedule":   inst.InjectSchedule(sched),
+		} {
+			if !errors.Is(err, graph.ErrUnknownNode) {
+				t.Errorf("%s(%v) = %v, want ErrUnknownNode", name, f, err)
+			}
+		}
+	}
+	if inst.Engine().Pending() != pending {
+		t.Errorf("refused injections scheduled %d events", inst.Engine().Pending()-pending)
+	}
+
 	bad := DefaultConfig()
 	bad.HoldTime = bad.RefreshInterval // needs HoldTime > RefreshInterval
 	if err := bad.Validate(); !errors.Is(err, ErrBadConfig) {

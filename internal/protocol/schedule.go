@@ -26,6 +26,9 @@ func (i *SMRPInstance) InjectFailureSet(at eventsim.Time, fs ...failure.Failure)
 	if len(fs) == 0 {
 		return fmt.Errorf("protocol: %w: empty failure set", failure.ErrBadSchedule)
 	}
+	if err := failure.CheckNodes(fs, i.net.Graph().NumNodes()); err != nil {
+		return fmt.Errorf("protocol: failure set: %w", err)
+	}
 	batch := slices.Clone(fs)
 	_, err := i.engine.Schedule(at-i.engine.Now(), func() { i.onFailureSet(batch) })
 	return err
@@ -41,6 +44,9 @@ func (i *SMRPInstance) InjectRepair(at eventsim.Time, fs ...failure.Failure) err
 	if len(fs) == 0 {
 		return fmt.Errorf("protocol: %w: empty repair set", failure.ErrBadSchedule)
 	}
+	if err := failure.CheckNodes(fs, i.net.Graph().NumNodes()); err != nil {
+		return fmt.Errorf("protocol: repair: %w", err)
+	}
 	batch := slices.Clone(fs)
 	_, err := i.engine.Schedule(at-i.engine.Now(), func() { i.onRepair(batch) })
 	return err
@@ -53,6 +59,13 @@ func (i *SMRPInstance) InjectRepair(at eventsim.Time, fs ...failure.Failure) err
 func (i *SMRPInstance) InjectSchedule(s failure.Schedule) error {
 	if err := s.Validate(); err != nil {
 		return err
+	}
+	// Check every event before scheduling any, so a refused schedule
+	// installs nothing.
+	for _, ev := range s.Events {
+		if err := failure.CheckNodes(slices.Concat(ev.Failures, ev.Repairs), i.net.Graph().NumNodes()); err != nil {
+			return fmt.Errorf("protocol: schedule: %w", err)
+		}
 	}
 	for _, ev := range s.Events {
 		at := eventsim.Time(ev.At)

@@ -30,25 +30,21 @@ type FailureSpec struct {
 // must be one of the topology's n: failure masks index by node ID, so an ID
 // from outside must not reach one.
 func (s FailureSpec) failures(n int) ([]failure.Failure, error) {
-	known := func(v graph.NodeID) bool { return v >= 0 && int(v) < n }
 	fs := make([]failure.Failure, 0, len(s.Links)+len(s.Nodes))
 	for _, l := range s.Links {
 		if l.U == l.V {
 			return nil, fmt.Errorf("link (%d,%d): self-loop", l.U, l.V)
 		}
-		if !known(l.U) || !known(l.V) {
-			return nil, fmt.Errorf("link (%d,%d): unknown node", l.U, l.V)
-		}
 		fs = append(fs, failure.LinkDown(l.U, l.V))
 	}
 	for _, v := range s.Nodes {
-		if !known(v) {
-			return nil, fmt.Errorf("node %d: unknown node", v)
-		}
 		fs = append(fs, failure.NodeDown(v))
 	}
 	if len(fs) == 0 {
 		return nil, fmt.Errorf("empty failure set")
+	}
+	if err := failure.CheckNodes(fs, n); err != nil {
+		return nil, err
 	}
 	return fs, nil
 }
