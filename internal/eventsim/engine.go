@@ -53,8 +53,8 @@ func (e *Event) At() Time { return e.at }
 
 // Before orders events by time, breaking ties by scheduling sequence so
 // simultaneous events fire in FIFO order (determinism). It implements
-// pqueue.Ordered, letting the engine's queue run on the shared generic
-// min-heap instead of container/heap's `any`-boxed interface (which
+// pqueue.Ordered, letting the engine's queue run on the generic min-heap
+// instead of container/heap's `any`-boxed interface (which
 // allocated on every Push and type-asserted on every Pop).
 func (e *Event) Before(other *Event) bool {
 	if e.at != other.at {

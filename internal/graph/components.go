@@ -9,16 +9,19 @@ func (g *Graph) Components(mask *Mask) [][]NodeID {
 	for i := range comp {
 		comp[i] = -1
 	}
-	var out [][]NodeID
+	// Label each component by a DFS from its lowest node, counting members;
+	// then one ascending pass over the IDs lists each component's members in
+	// order, all carved from one backing array.
+	var sizes []int
 	var stack []NodeID
 	for start := 0; start < n; start++ {
 		s := NodeID(start)
 		if comp[start] != -1 || mask.NodeBlocked(s) {
 			continue
 		}
-		id := len(out)
+		id := len(sizes)
 		comp[start] = id
-		members := []NodeID{s}
+		size := 1
 		stack = append(stack[:0], s)
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
@@ -29,12 +32,23 @@ func (g *Graph) Components(mask *Mask) [][]NodeID {
 					continue
 				}
 				comp[v] = id
-				members = append(members, v)
+				size++
 				stack = append(stack, v)
 			}
 		}
-		sortNodeIDs(members)
-		out = append(out, members)
+		sizes = append(sizes, size)
+	}
+	out := make([][]NodeID, len(sizes))
+	backing := make([]NodeID, n)
+	off := 0
+	for id, size := range sizes {
+		out[id] = backing[off : off : off+size]
+		off += size
+	}
+	for v, id := range comp {
+		if id >= 0 {
+			out[id] = append(out[id], NodeID(v))
+		}
 	}
 	return out
 }
@@ -43,14 +57,4 @@ func (g *Graph) Components(mask *Mask) [][]NodeID {
 // unmasked nodes (an empty graph counts as connected).
 func (g *Graph) Connected(mask *Mask) bool {
 	return len(g.Components(mask)) <= 1
-}
-
-// sortNodeIDs sorts a NodeID slice in ascending order (insertion sort: the
-// slices here are small and this avoids an interface allocation per call).
-func sortNodeIDs(s []NodeID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -3,8 +3,6 @@ package graph
 import (
 	"math"
 	"sync"
-
-	"smrp/internal/pqueue"
 )
 
 // TieSlack is the relative margin within which two distances count as a
@@ -42,7 +40,7 @@ type Field struct {
 	// final[v]: Next has handed v out at dist[v] and nothing has lowered it
 	// since.
 	final []bool
-	heap  pqueue.Heap[heapItem]
+	queue radixQueue
 	pops  int
 }
 
@@ -50,6 +48,7 @@ type Field struct {
 func (g *Graph) NewField(mask *Mask) *Field {
 	f := fieldPool.Get().(*Field)
 	f.g, f.mask = g, mask
+	f.queue.Reset()
 	if n := g.NumNodes(); n > len(f.dist) {
 		f.dist = make([]float64, n)
 		for i := range f.dist {
@@ -68,7 +67,6 @@ func (f *Field) Release() {
 		f.final[v] = false
 	}
 	f.touched = f.touched[:0]
-	f.heap.Reset()
 	f.g, f.mask, f.pops = nil, nil, 0
 	fieldPool.Put(f)
 }
@@ -80,7 +78,7 @@ func (f *Field) lower(v NodeID, d float64) {
 	}
 	f.dist[v] = d
 	f.final[v] = false
-	f.heap.Push(heapItem{node: v, dist: d})
+	f.queue.Push(heapItem{node: v, dist: d})
 }
 
 // Seed puts v at distance 0. A node the mask blocks, like one outside the
@@ -97,11 +95,11 @@ func (f *Field) Seed(v NodeID) {
 // every node the seeds' components hold is final.
 func (f *Field) Next(limit float64) (u NodeID, d float64, ok bool) {
 	for {
-		top, any := f.heap.Peek()
+		top, any := f.queue.Peek()
 		if !any || top.dist > limit {
 			return Invalid, Unreachable, false
 		}
-		f.heap.Pop()
+		f.queue.Pop()
 		u, d = top.node, top.dist
 		if d != f.dist[u] || f.final[u] {
 			continue // superseded by a lower value, or handed out already
@@ -132,7 +130,7 @@ func (f *Field) Next(limit float64) (u NodeID, d float64, ok bool) {
 func (f *Field) Requeue(v NodeID) {
 	if f.final[v] {
 		f.final[v] = false
-		f.heap.Push(heapItem{node: v, dist: f.dist[v]})
+		f.queue.Push(heapItem{node: v, dist: f.dist[v]})
 	}
 }
 
@@ -144,7 +142,7 @@ func (f *Field) Dist(v NodeID) float64 { return f.dist[v] }
 // Horizon returns the distance below which every value is final: the least
 // key queued, Unreachable when the queue is empty.
 func (f *Field) Horizon() float64 {
-	if top, ok := f.heap.Peek(); ok {
+	if top, ok := f.queue.Peek(); ok {
 		return top.dist
 	}
 	return Unreachable

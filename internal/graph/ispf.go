@@ -13,7 +13,7 @@
 //     dead element) with one O(V) memoized parent-chain walk; reset the
 //     orphans, seed each from its frontier of still-valid neighbors, and run
 //     Dijkstra over the orphan set only.
-//   - Elements *removed* from the mask (repairs): seed the heap with the
+//   - Elements *removed* from the mask (repairs): seed the queue with the
 //     revived node/edge endpoints and ripple strict distance improvements
 //     outward; equal-distance relaxations update only the parent (smaller ID
 //     wins) and provably never need to propagate.
@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"smrp/internal/metrics"
-	"smrp/internal/pqueue"
 )
 
 // Package-wide SPF work counters (see metrics.SPFStats for field meaning).
@@ -99,7 +98,7 @@ const (
 )
 
 // ispfScratch is the pooled per-repair arena: epoch-stamped classification
-// state, the phase-B settled stamps, the walk/orphan work lists, the heap,
+// state, the phase-B settled stamps, the walk/orphan work lists, the queue,
 // and the diff buffers. Steady-state repairs allocate nothing
 // (TestISPFRepairSteadyStateAllocs).
 type ispfScratch struct {
@@ -109,7 +108,7 @@ type ispfScratch struct {
 	setB    []uint32 // setB[v] == epoch: v settled in the improvement ripple
 	stk     []NodeID
 	orphans []NodeID
-	heap    pqueue.Heap[heapItem]
+	queue   radixQueue
 	added   []MaskElem
 	removed []MaskElem
 	// split views of added/removed, rebuilt per repair
@@ -134,7 +133,7 @@ func (sc *ispfScratch) begin(n int) {
 		clear(sc.setB)
 		sc.epoch = 1
 	}
-	sc.heap.Reset()
+	sc.queue.Reset()
 	sc.stk = sc.stk[:0]
 	sc.orphans = sc.orphans[:0]
 	sc.addNodes = sc.addNodes[:0]
@@ -158,7 +157,7 @@ func cloneTree(t *SPTree) *SPTree {
 // ispfRepair repairs t — a private clone of a tree computed under some old
 // mask — so that it equals the full Dijkstra tree under the new mask, where
 // added/removed is the (sorted, bounded) element diff new-minus-old. It
-// returns the number of heap-settled nodes and whether the repair applied;
+// returns the number of queue-settled nodes and whether the repair applied;
 // ok=false means the caller must fall back to a full sweep (t may be
 // partially modified and must be discarded). The repair gives up only on
 // degenerate sources: the new mask blocks the source, or the old tree never
@@ -309,20 +308,20 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			if pv != Invalid {
 				t.Dist[v] = dv
 				t.Parent[v] = pv
-				sc.heap.Push(heapItem{node: v, dist: dv})
+				sc.queue.Push(heapItem{node: v, dist: dv})
 			}
 		}
 		// Dijkstra restricted to the orphan set. Orphans settle in global
 		// distance order (alive frontier contributions are all seeded), so
 		// tie-breaking matches the full sweep exactly.
 		for {
-			item, popped := sc.heap.Pop()
+			item, popped := sc.queue.Pop()
 			if !popped {
 				break
 			}
 			u := item.node
 			if sc.state[u] != ispfOrphan || item.dist > t.Dist[u] {
-				continue // settled already, or a stale heap entry
+				continue // settled already, or a stale queue entry
 			}
 			sc.state[u] = ispfAlive // settled: distance is final
 			settled++
@@ -341,7 +340,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 				if nd < t.Dist[v] || (nd == t.Dist[v] && u < t.Parent[v]) {
 					t.Dist[v] = nd
 					t.Parent[v] = u
-					sc.heap.Push(heapItem{node: v, dist: nd})
+					sc.queue.Push(heapItem{node: v, dist: nd})
 				}
 			}
 		}
@@ -357,14 +356,14 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 	// (seeded here) or a node whose own distance improved (settled by the
 	// ripple, which then re-relaxes its neighbors).
 	if len(removed) > 0 {
-		sc.heap.Reset()
+		sc.queue.Reset()
 		relax := func(u, v NodeID, w float64) {
 			// caller guarantees u reachable and (u,v) usable under mask
 			nd := t.Dist[u] + w
 			if nd < t.Dist[v] {
 				t.Dist[v] = nd
 				t.Parent[v] = u
-				sc.heap.Push(heapItem{node: v, dist: nd})
+				sc.queue.Push(heapItem{node: v, dist: nd})
 			} else if nd == t.Dist[v] && u < t.Parent[v] {
 				t.Parent[v] = u // parent-only repair; never propagates
 			}
@@ -406,7 +405,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			}
 		}
 		for {
-			item, popped := sc.heap.Pop()
+			item, popped := sc.queue.Pop()
 			if !popped {
 				break
 			}
@@ -433,7 +432,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 				if nd < t.Dist[v] {
 					t.Dist[v] = nd
 					t.Parent[v] = u
-					sc.heap.Push(heapItem{node: v, dist: nd})
+					sc.queue.Push(heapItem{node: v, dist: nd})
 				} else if nd == t.Dist[v] && u < t.Parent[v] {
 					t.Parent[v] = u
 				}

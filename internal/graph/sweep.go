@@ -3,26 +3,7 @@ package graph
 import (
 	"slices"
 	"sync"
-
-	"smrp/internal/pqueue"
 )
-
-// heapItem is one priority-queue entry of a sweep: a node and the value it is
-// queued at — its tentative distance, plus its potential in a goal-directed
-// run (RunPruned). Ordering is (dist, node) — the node tie-break keeps settle
-// order, and therefore every sweep result, deterministic.
-type heapItem struct {
-	node NodeID
-	dist float64
-}
-
-// Before implements pqueue.Ordered.
-func (a heapItem) Before(b heapItem) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.node < b.node
-}
 
 // csrView is a compressed-sparse-row snapshot of the graph's adjacency:
 // node u's arcs occupy to[rowStart[u]:rowStart[u+1]], with weights in wt at
@@ -115,14 +96,14 @@ func sortRow(row []Arc) {
 }
 
 // sweepPool recycles Sweep scratch state across calls and goroutines. A
-// pooled sweep keeps its epoch-stamped arrays and heap storage, so the
+// pooled sweep keeps its epoch-stamped arrays and queue storage, so the
 // steady-state cost of a sweep is zero heap allocations (see
 // TestSweepSteadyStateAllocs).
 var sweepPool = sync.Pool{New: func() any { return new(Sweep) }}
 
 // Sweep is a reusable single-source shortest-path computation (the
 // repository's Dijkstra core). One Sweep holds the per-run scratch arena —
-// epoch-stamped dist/parent/settled arrays plus the binary heap — so that
+// epoch-stamped dist/parent/settled arrays plus the radix queue — so that
 // repeated runs allocate nothing once warm. Graph.Dijkstra, ShortestPath,
 // NearestOf and the candidate enumeration in internal/core all execute on
 // this engine.
@@ -150,8 +131,8 @@ type Sweep struct {
 	parent  []NodeID
 	// pw[v] is the weight of the arc parent[v]→v, kept so a path's weight
 	// can be summed in path order without materializing it (WeightFrom).
-	pw   []float64
-	heap pqueue.Heap[heapItem]
+	pw    []float64
+	queue radixQueue
 	// settledCount tallies nodes settled by the last run. Graph.dijkstra
 	// feeds it into the package-wide SPFNodesSettled counter so full builds
 	// and incremental delta repairs are comparable; early-exit point queries,
@@ -205,7 +186,7 @@ func (s *Sweep) begin() {
 		clear(s.settled)
 		s.epoch = 1
 	}
-	s.heap.Reset()
+	s.queue.Reset()
 	s.settledCount = 0
 	s.arcsScanned = 0
 	s.requeued, s.reparented, s.goalAt = 0, 0, 0
@@ -222,7 +203,7 @@ func (s *Sweep) begin() {
 // is always relaxed outward even if absorbing(src) holds (it is the path
 // start, not an endpoint).
 //
-// Tie-breaking matches Graph.Dijkstra exactly: equal-distance heap entries
+// Tie-breaking matches Graph.Dijkstra exactly: equal-distance queue entries
 // settle in ascending node order, and among equal-length relaxations the
 // smallest parent ID wins, so results are byte-stable across runs.
 func (s *Sweep) Run(src NodeID, mask *Mask, absorbing func(NodeID) bool) {
@@ -346,10 +327,10 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 	if directed {
 		key = min(lower[src], ceil)
 	}
-	s.heap.Push(heapItem{node: src, dist: key})
+	s.queue.Push(heapItem{node: src, dist: key})
 
 	for {
-		item, ok := s.heap.Pop()
+		item, ok := s.queue.Pop()
 		if !ok || item.dist > level {
 			// Exhausted, whatever was reached has settled; past a level, the
 			// goal has.
@@ -449,7 +430,7 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 			s.dist[v] = nd
 			s.parent[v] = u
 			s.pw[v] = cs.wt[i]
-			s.heap.Push(heapItem{node: v, dist: key})
+			s.queue.Push(heapItem{node: v, dist: key})
 		}
 		s.arcsScanned += int(i - start)
 	}

@@ -72,7 +72,9 @@ func decodeSweepInput(data []byte) sweepInput {
 // of them: then sums of the same weights differ with the order they are taken
 // in, the potential is consistent to a rounding only, the queue has settled
 // nodes to lower, and the region is held to its contract a TieSlack inside its
-// edge. Run to exhaustion:
+// edge. The exhaustive Run reads, node for node and in its settled count, as
+// the reference loop on the generic binary heap does (runReference), so the
+// radix queue answers to the heap through whole sweeps. Run to exhaustion:
 //
 //   - every node the pruned run reaches has the Dist and Parent Run gives it
 //     (and WeightFrom is the weight of its materialized path);
@@ -115,10 +117,20 @@ func FuzzSweepPruned(f *testing.F) {
 			return s.Dist(v)
 		}
 
-		full, pruned := g.NewSweep(), g.NewSweep()
+		full, pruned, ref := g.NewSweep(), g.NewSweep(), g.NewSweep()
 		defer full.Release()
 		defer pruned.Release()
+		defer ref.Release()
 		full.Run(src, mask, absorbing)
+		ref.runReference(csrInsertionOrder(g), src, mask, Invalid, absorbing, nil, nil, Unreachable)
+		if full.SettledCount() != ref.SettledCount() {
+			t.Fatalf("exhaustive run settled %d nodes, reference %d", full.SettledCount(), ref.SettledCount())
+		}
+		for i := 0; i < g.NumNodes(); i++ {
+			if v := NodeID(i); full.Reached(v) != ref.Reached(v) || full.Dist(v) != ref.Dist(v) || full.Parent(v) != ref.Parent(v) {
+				t.Fatalf("node %d: exhaustive (dist, parent) = (%v, %d), reference (%v, %d)", v, full.Dist(v), full.Parent(v), ref.Dist(v), ref.Parent(v))
+			}
+		}
 		if pruned.RunPruned(src, mask, absorbing, lower, budget, Invalid, 0) {
 			t.Fatal("stopped at a goal, given none")
 		}
@@ -182,8 +194,10 @@ func FuzzSweepPruned(f *testing.F) {
 // FuzzNearestScanPrefix holds ScanNearest to what reconcile's reconnect loop
 // relies on, for a byte-decoded (graph, mask, source, accepted set, budget):
 //
-//   - the unbounded record reads as the plain sweep does — distances, parents
-//     and paths — and NearestOfCounted returns its last node;
+//   - the unbounded record is the reference loop's on the generic binary heap
+//     (runReference), entry for entry, and reads as the plain sweep does —
+//     distances, parents and paths — and NearestOfCounted returns its last
+//     node;
 //   - the budgeted record is a prefix of it, node for node, and lacks no node
 //     within the budget that settles before the accepted one;
 //   - the budgeted scan hits exactly when the unbounded hit lies within the
@@ -208,6 +222,11 @@ func FuzzNearestScanPrefix(f *testing.F) {
 		full, hitF, exhaustedF := g.ScanNearest(nil, src, mask, accept, Unreachable)
 		if exhaustedF == hitF {
 			t.Fatalf("unbounded scan: hit=%v exhausted=%v, want exactly one", hitF, exhaustedF)
+		}
+		ref := g.NewSweep()
+		defer ref.Release()
+		if got := ref.runReference(csrInsertionOrder(g), src, mask, Invalid, nil, accept, nil, Unreachable); (got != Invalid) != hitF || !slices.Equal(full, ref.scan) {
+			t.Fatalf("unbounded scan: hit=%v, record\n  %v\nreference stops at %d, record\n  %v", hitF, full, got, ref.scan)
 		}
 		tree := g.dijkstra(src, mask)
 		for i, sn := range full {
@@ -300,16 +319,20 @@ func multiSourceReference(g *Graph, mask *Mask, seeds []bool) []float64 {
 //     (float addition is monotone, so the label-correcting queue and the
 //     textbook loop minimise the same sums);
 //   - nodes are handed out in (distance, node) order between seeds;
-//   - NearestWithin from src, accepting the seeds so far, returns the node,
-//     the path and the distance bits of NearestOfCounted and settles no more.
+//   - NearestOfCounted from src, accepting the seeds so far, stops where the
+//     reference loop on the generic binary heap does (runReference), after as
+//     many settled; NearestWithin returns its node, path and distance bits and
+//     settles no more.
 func FuzzFieldReseed(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := decodeSweepInput(data)
 		g, mask, src, n := in.g, in.mask, in.src, in.g.NumNodes()
-		fld, sw := g.NewField(mask), g.NewSweep()
+		fld, sw, ref := g.NewField(mask), g.NewSweep(), g.NewSweep()
 		defer fld.Release()
 		defer sw.Release()
+		defer ref.Release()
+		refCSR := csrInsertionOrder(g)
 
 		seeded := make([]bool, n)
 		accept := func(v NodeID) bool { return seeded[v] }
@@ -338,6 +361,9 @@ func FuzzFieldReseed(f *testing.F) {
 			}
 			got := sw.NearestWithin(fld, src, accept)
 			node, p, d, settled := g.NearestOfCounted(src, mask, accept)
+			if want := ref.runReference(refCSR, src, mask, Invalid, nil, accept, nil, Unreachable); node != want || settled != ref.SettledCount() {
+				t.Fatalf("step %d: nearest-of from %d found %d settling %d, reference %d settling %d", step, src, node, settled, want, ref.SettledCount())
+			}
 			if got != node || sw.SettledCount() > settled {
 				t.Fatalf("step %d: confined sweep from %d found %d settling %d, unconfined %d settling %d", step, src, got, sw.SettledCount(), node, settled)
 			}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"smrp/internal/pqueue"
 )
 
 // csrInsertionOrder is the CSR view the reference loop runs over: rows in
@@ -27,10 +29,12 @@ func csrInsertionOrder(g *Graph) *csrView {
 // runReference is Sweep.run as it stood before rows were sorted and cut at
 // the bound, kept verbatim (but for taking its CSR view as an argument and
 // asking the mask's own NodeBlocked per arc) as the oracle of
-// TestSweepMatchesReference: rows in insertion order, one map probe per arc
-// whenever the mask blocks any edge at all, no endpoint index, no nearest
-// bound — every arc of every settled row is relaxed.
+// TestSweepMatchesReference and the sweep fuzzers: rows in insertion order,
+// one map probe per arc whenever the mask blocks any edge at all, no endpoint
+// index, no nearest bound — every arc of every settled row is relaxed — and
+// its own generic binary heap in place of the sweep's radix queue.
 func (s *Sweep) runReference(cs *csrView, src NodeID, mask *Mask, target NodeID, absorbing func(NodeID) bool, accept func(NodeID) bool, lower []float64, budget float64) NodeID {
+	var heap pqueue.Heap[heapItem]
 	s.begin()
 	g := s.g
 	if !g.valid(src) || mask.NodeBlocked(src) {
@@ -45,10 +49,10 @@ func (s *Sweep) runReference(cs *csrView, src NodeID, mask *Mask, target NodeID,
 	s.seen[src] = s.epoch
 	s.dist[src] = 0
 	s.parent[src] = Invalid
-	s.heap.Push(heapItem{node: src, dist: 0})
+	heap.Push(heapItem{node: src, dist: 0})
 
 	for {
-		item, ok := s.heap.Pop()
+		item, ok := heap.Pop()
 		if !ok {
 			return Invalid
 		}
@@ -107,7 +111,7 @@ func (s *Sweep) runReference(cs *csrView, src NodeID, mask *Mask, target NodeID,
 			s.dist[v] = nd
 			s.parent[v] = u
 			s.pw[v] = cs.wt[i]
-			s.heap.Push(heapItem{node: v, dist: nd})
+			heap.Push(heapItem{node: v, dist: nd})
 		}
 	}
 }

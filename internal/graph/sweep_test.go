@@ -190,6 +190,48 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 	_ = sink
 }
 
+// TestSweepFreshAllocs pins what a sweep that is not from the pool pays on its
+// first run — what set-ups pay after every GC has emptied the pool: the radix
+// queue grows its slab and bucket 0, not one slice per bucket, so the run
+// allocates no more than the same run on the generic binary heap does (the
+// reference loop: the same scratch arrays, one growing heap). Graphs: a dense
+// 100-node domain, a unit-weight lattice whose ties fill bucket 0, and a
+// sparse 8 192-node graph.
+func TestSweepFreshAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	dense, _, _ := denseDomainFixture()
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"dense domain", dense},
+		{"lattice", megascaleLattice(91, 90)},
+		{"sparse", randomConnectedGraph(rand.New(rand.NewSource(5)), 8192, 16384)},
+	} {
+		g, ref := c.g, csrInsertionOrder(c.g)
+		g.csrNow()
+		got := testing.AllocsPerRun(5, func() {
+			s := &Sweep{g: g}
+			s.Run(0, nil, nil)
+		})
+		// The reference runs on a heap of its own: the queue storage its
+		// sweeps' begin reserves is reserved before the count.
+		refs := make([]*Sweep, 6) // AllocsPerRun(5, f) calls f six times
+		for i := range refs {
+			refs[i] = &Sweep{g: g}
+			refs[i].queue.Reset()
+		}
+		want := testing.AllocsPerRun(5, func() {
+			refs[0].runReference(ref, 0, nil, Invalid, nil, nil, nil, Unreachable)
+			refs = refs[1:]
+		})
+		t.Logf("%s: %v allocations, %v on the binary heap", c.name, got, want)
+		if got > want {
+			t.Errorf("%s: a fresh sweep allocates %v times, %v on the binary heap", c.name, got, want)
+		}
+	}
+}
+
 // BenchmarkDijkstra measures the full shortest-path-tree computation (sweep +
 // copy-out) on an evaluation-scale graph.
 func BenchmarkDijkstra(b *testing.B) {
