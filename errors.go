@@ -22,6 +22,9 @@ var (
 	// ErrUnknownNode is returned when an operation names a node outside the
 	// network graph.
 	ErrUnknownNode = graph.ErrUnknownNode
+	// ErrUnknownEdge is returned when a link failure or repair names two
+	// nodes no edge of the network graph joins (or a node and itself).
+	ErrUnknownEdge = graph.ErrUnknownEdge
 	// ErrAlreadyMember is returned when a join names an existing member.
 	ErrAlreadyMember = core.ErrAlreadyMember
 	// ErrNotMember is returned when a member operation names a non-member.

@@ -29,6 +29,9 @@ func TestPublicSentinels(t *testing.T) {
 	if _, err := sess.Join(3); !errors.Is(err, smrp.ErrAlreadyMember) {
 		t.Errorf("re-Join = %v, want ErrAlreadyMember", err)
 	}
+	if _, err := sess.Recover(smrp.LinkDown(3, 3)); !errors.Is(err, smrp.ErrUnknownEdge) {
+		t.Errorf("Recover(self-link) = %v, want ErrUnknownEdge", err)
+	}
 
 	// Cut every link around member 4's would-be attachment: joining it under
 	// the accumulated mask degrades gracefully to the parked state.

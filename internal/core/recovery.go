@@ -158,9 +158,10 @@ func (s *Session) Recover(fs ...failure.Failure) (*HealReport, error) {
 	if failure.TakesDownNode(fs, s.tree.Source()) {
 		return nil, failure.ErrSourceFailed
 	}
-	// So is a batch that names a node outside the graph: the mask would
-	// size its words by the ID.
-	if err := failure.CheckNodes(fs, s.g.NumNodes()); err != nil {
+	// So is a batch that names a node outside the graph (the mask would size
+	// its words by the ID) or a link the graph lacks (it would leave the
+	// session degraded over nothing).
+	if err := failure.Check(fs, s.g); err != nil {
 		return nil, fmt.Errorf("core: recover: %w", err)
 	}
 	s.ApplyFailure(fs...)

@@ -181,6 +181,37 @@ func TestRecoverRefusesUnknownNode(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesUnknownEdge: a link failure whose endpoints no edge joins
+// (a node and itself included) is refused whole, so it cannot leave the
+// session's mask non-empty and every later join on the degraded path.
+func TestRecoverRefusesUnknownEdge(t *testing.T) {
+	s := branchCutSession(t)
+	g := s.Graph()
+	e := g.Edges()[0]
+	absent := graph.Invalid
+	for v := graph.NodeID(0); absent == graph.Invalid; v++ {
+		if v != 7 && !g.HasEdge(7, v) {
+			absent = v
+		}
+	}
+	nodes := s.Tree().Nodes()
+	for _, fs := range [][]failure.Failure{
+		{failure.LinkDown(7, absent)},
+		{failure.LinkDown(7, 7)},
+		{failure.LinkDown(e.A, e.B), failure.LinkDown(absent, 7)},
+	} {
+		if _, err := s.Recover(fs...); !errors.Is(err, graph.ErrUnknownEdge) {
+			t.Fatalf("Recover(%v) err = %v, want ErrUnknownEdge", fs, err)
+		}
+		if !s.FailedMask().IsEmpty() || !slices.Equal(s.Tree().Nodes(), nodes) {
+			t.Fatalf("Recover(%v) mutated the session: mask %v nodes %v", fs, s.FailedMask(), s.Tree().Nodes())
+		}
+	}
+	if s.maskOrNil() != nil {
+		t.Fatal("refused link failures left later joins on the degraded path")
+	}
+}
+
 func TestHealUnrecoverableMember(t *testing.T) {
 	// S(0)-1-2 line, member at 2; failing 1-2 with no alternative strands 2.
 	g := graph.New(3)

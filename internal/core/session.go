@@ -367,10 +367,10 @@ func (s *Session) SourceFailed() bool { return s.failed.NodeBlocked(s.tree.Sourc
 
 // ApplyFailure folds persistent failures into the session's accumulated
 // mask without healing. Recover applies its failures itself; use this when the
-// protocol layer detects a failure before recovery begins. Every node the
-// failures name must be a node of the session's graph (the mask is indexed by
-// node ID); callers holding failures from outside check them with
-// failure.CheckNodes first, as Recover does.
+// protocol layer detects a failure before recovery begins. Every node and
+// link the failures name must be in the session's graph (the mask is indexed
+// by node ID); callers holding failures from outside check them with
+// failure.Check first, as Recover does.
 func (s *Session) ApplyFailure(fs ...failure.Failure) {
 	if len(fs) == 0 {
 		return

@@ -110,16 +110,22 @@ func TakesDownNode(fs []Failure, n graph.NodeID) bool {
 	return false
 }
 
-// CheckNodes returns an error wrapping graph.ErrUnknownNode when a failure in
-// fs names a node outside the n nodes of the topology. Masks index by node ID,
-// so every entry point that takes failures from outside checks the whole
-// batch with it before folding any of it into a mask.
-func CheckNodes(fs []Failure, n int) error {
-	known := func(v graph.NodeID) bool { return v >= 0 && int(v) < n }
+// Check returns an error when a failure in fs names something topology g does
+// not have: a node outside it (wrapping graph.ErrUnknownNode), or a link
+// whose endpoints no edge joins, a node paired with itself included
+// (wrapping graph.ErrUnknownEdge). Masks index by node ID, and a link that
+// does not exist cuts nobody off yet leaves the session degraded, so every
+// entry point that takes failures from outside checks the whole batch with it
+// before folding any of it into a mask.
+func Check(fs []Failure, g *graph.Graph) error {
+	known := func(v graph.NodeID) bool { return v >= 0 && int(v) < g.NumNodes() }
 	for _, f := range fs {
-		if (f.Kind == LinkFailure && !(known(f.Edge.A) && known(f.Edge.B))) ||
-			(f.Kind == NodeFailure && !known(f.Node)) {
+		switch {
+		case f.Kind == LinkFailure && !(known(f.Edge.A) && known(f.Edge.B)),
+			f.Kind == NodeFailure && !known(f.Node):
 			return fmt.Errorf("%v: %w", f, graph.ErrUnknownNode)
+		case f.Kind == LinkFailure && !g.HasEdge(f.Edge.A, f.Edge.B):
+			return fmt.Errorf("%v: %w", f, graph.ErrUnknownEdge)
 		}
 	}
 	return nil

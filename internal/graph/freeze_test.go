@@ -11,7 +11,7 @@ import (
 // buildRandomPair replays one random build sequence (AddNode/AddEdge, with
 // occasional Clone swaps so clone lineage is exercised mid-build) into two
 // graphs and returns them. The caller freezes one and keeps the other as the
-// map-backed reference.
+// build-phase reference.
 func buildRandomPair(rng *rand.Rand) (ref, froze *Graph) {
 	ref, froze = New(0), New(0)
 	steps := 40 + rng.Intn(120)
@@ -39,8 +39,8 @@ func buildRandomPair(rng *rand.Rand) (ref, froze *Graph) {
 }
 
 // TestFrozenGraphEquivalence is the frozen-graph property test: random build
-// sequences of AddNode/AddEdge/Clone, then every read API of the frozen CSR
-// representation checked bit-identical against the map-backed reference —
+// sequences of AddNode/AddEdge/Clone, then every read API of the frozen graph
+// checked bit-identical against its still-building twin —
 // Edges, HasEdge, EdgeWeight, AvgDegree, Neighbors order, NumEdges, the
 // deterministic footprint delta, and full Dijkstra trees from several
 // sources (distances and parents compared exactly).
@@ -99,9 +99,8 @@ func TestFrozenGraphEquivalence(t *testing.T) {
 				}
 			}
 		}
-		// Footprint: freezing must only ever shrink the accounting (the map
-		// entry costs more than a sorted-pair entry), by exactly the
-		// per-edge delta plus any adjacency slack released by re-packing.
+		// Footprint: freezing re-packs the rows and adds no edge index, so
+		// the accounting must never grow.
 		if froze.MemoryFootprint() > ref.MemoryFootprint() {
 			t.Fatalf("trial %d: frozen footprint %d exceeds build-phase %d",
 				trial, froze.MemoryFootprint(), ref.MemoryFootprint())
@@ -126,7 +125,7 @@ func TestFrozenGraphEquivalence(t *testing.T) {
 
 // TestFrozenGraphMaskedSweeps pins the frozen representation under the
 // failure machinery: masked Dijkstra and iSPF-cached lookups answer
-// identically on the frozen and map-backed twins.
+// identically on the frozen and still-building twins.
 func TestFrozenGraphMaskedSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	ref, froze := buildRandomPair(rng)
@@ -151,10 +150,10 @@ func TestFrozenGraphMaskedSweeps(t *testing.T) {
 	}
 }
 
-// BenchmarkEdgeWeightLookup measures the steady-state edge-weight probe:
-// the build-phase map against the frozen graph's sorted-array binary search,
-// on an evaluation-scale edge set with a uniform query mix of present and
-// absent edges.
+// BenchmarkEdgeWeightLookup measures the edge-weight probe, a scan of the
+// shorter endpoint row, on a building and on a frozen graph: an
+// evaluation-scale edge set with a uniform query mix of present and absent
+// edges.
 func BenchmarkEdgeWeightLookup(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	g := New(2000)
@@ -186,6 +185,6 @@ func BenchmarkEdgeWeightLookup(b *testing.B) {
 		}
 	}
 	frozen := g.Clone().Freeze()
-	b.Run("map", func(b *testing.B) { run(b, g) })
-	b.Run("sorted-array", func(b *testing.B) { run(b, frozen) })
+	b.Run("building", func(b *testing.B) { run(b, g) })
+	b.Run("frozen", func(b *testing.B) { run(b, frozen) })
 }

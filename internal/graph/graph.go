@@ -78,15 +78,15 @@ func (p Point) Dist(q Point) float64 {
 // it. Graph methods are not safe for concurrent mutation; concurrent
 // read-only use is safe.
 type Graph struct {
-	adj     [][]Arc
-	pos     []Point
-	weights map[EdgeID]float64
-	// frozen marks the graph immutable (see Freeze). Once set, edge lookups
-	// are served from the sorted flat pair below and the weights map is
-	// dropped from steady state entirely.
-	frozen  bool
-	edgeIDs []EdgeID  // canonical (A,B)-sorted edge list; frozen graphs only
-	edgeW   []float64 // weights parallel to edgeIDs
+	// adj is the graph's one edge store: edge (u, v) is the arc to v in u's
+	// row and the arc to u in v's row, both carrying its weight, and rows
+	// keep insertion order. Lookups scan the shorter of the two rows.
+	adj [][]Arc
+	pos []Point
+	// edges counts the undirected edges in adj.
+	edges int
+	// frozen marks the graph immutable (see Freeze).
+	frozen bool
 	// version counts structural mutations (nodes, edges, positions). The
 	// SPF cache uses it to invalidate memoized shortest-path trees when the
 	// topology changes. Mutation is single-threaded by contract (see
@@ -106,6 +106,10 @@ type Graph struct {
 // errors.Is(err, graph.ErrUnknownNode) matches across the whole stack.
 var ErrUnknownNode = errors.New("graph: unknown node")
 
+// ErrUnknownEdge is returned when an operation names a link the graph does
+// not contain: two nodes no edge joins, or a node paired with itself.
+var ErrUnknownEdge = errors.New("graph: unknown edge")
+
 // ErrFrozen is returned (or carried by the panic message of error-less
 // mutators) when a mutation reaches a graph after Freeze.
 var ErrFrozen = errors.New("graph: graph is frozen")
@@ -114,9 +118,8 @@ var ErrFrozen = errors.New("graph: graph is frozen")
 // default to the origin.
 func New(n int) *Graph {
 	return &Graph{
-		adj:     make([][]Arc, n),
-		pos:     make([]Point, n),
-		weights: make(map[EdgeID]float64, n*2),
+		adj: make([][]Arc, n),
+		pos: make([]Point, n),
 	}
 }
 
@@ -124,75 +127,44 @@ func New(n int) *Graph {
 func (g *Graph) NumNodes() int { return len(g.adj) }
 
 // NumEdges returns the number of undirected edges in the graph.
-func (g *Graph) NumEdges() int {
-	if g.frozen {
-		return len(g.edgeIDs)
-	}
-	return len(g.weights)
-}
+func (g *Graph) NumEdges() int { return g.edges }
 
-// Freeze ends the graph's build phase: the edge set is compacted into a
-// canonically sorted flat []EdgeID/[]float64 pair (binary-searched by
-// HasEdge/EdgeWeight), the per-node adjacency slices are re-packed onto one
-// flat backing array, the CSR sweep view is materialized eagerly, and the
-// weights map is dropped from steady state entirely — on a megascale
-// topology that map is the single largest resident structure, and it buys
-// nothing once construction ends. A frozen graph is immutable: AddEdge
-// returns ErrFrozen, and the error-less mutators (AddNode, SetPos) panic.
-// Freeze is idempotent and returns g for chaining.
-//
-// All read APIs answer bit-identically to the map-backed build phase (see
-// TestFrozenGraphEquivalence); Clone of a frozen graph shares the immutable
-// storage instead of deep-copying it.
+// Freeze ends the graph's build phase: the per-node adjacency rows are
+// re-packed onto one flat backing array, releasing the build's append slack,
+// and the CSR sweep view is materialized eagerly. A frozen graph is
+// immutable: AddEdge returns ErrFrozen, and the error-less mutators (AddNode,
+// SetPos) panic. Freeze is idempotent and returns g for chaining. Clone of a
+// frozen graph shares the immutable storage instead of deep-copying it.
 func (g *Graph) Freeze() *Graph {
 	if g.frozen {
 		return g
 	}
-	g.edgeIDs = make([]EdgeID, 0, len(g.weights))
-	for id := range g.weights {
-		g.edgeIDs = append(g.edgeIDs, id)
-	}
-	slices.SortFunc(g.edgeIDs, edgeIDCompare)
-	g.edgeW = make([]float64, len(g.edgeIDs))
-	for i, id := range g.edgeIDs {
-		g.edgeW[i] = g.weights[id]
-	}
-	// Re-pack adjacency onto one flat backing (same layout Clone builds), so
-	// the per-node append slack from the build phase is released.
-	total := 0
-	for _, arcs := range g.adj {
-		total += len(arcs)
-	}
-	backing := make([]Arc, 0, total)
-	packed := make([][]Arc, len(g.adj))
-	for i, arcs := range g.adj {
-		start := len(backing)
-		backing = append(backing, arcs...)
-		packed[i] = backing[start:len(backing):len(backing)]
-	}
-	g.adj = packed
-	g.weights = nil
+	g.adj = packRows(g.adj)
 	g.frozen = true
 	g.csrNow() // materialize the serving view while the build is still warm
 	return g
 }
 
+// packRows copies rows onto one flat backing array (2·|E| arcs, one
+// allocation). Every returned row is full (len == cap), so an append to one
+// reallocates instead of clobbering its neighbour's arcs.
+func packRows(rows [][]Arc) [][]Arc {
+	total := 0
+	for _, arcs := range rows {
+		total += len(arcs)
+	}
+	backing := make([]Arc, 0, total)
+	packed := make([][]Arc, len(rows))
+	for i, arcs := range rows {
+		start := len(backing)
+		backing = append(backing, arcs...)
+		packed[i] = backing[start:len(backing):len(backing)]
+	}
+	return packed
+}
+
 // Frozen reports whether Freeze has ended the graph's build phase.
 func (g *Graph) Frozen() bool { return g.frozen }
-
-// edgeWeightByID returns the weight of the canonical edge id and whether it
-// exists, from whichever representation is live (sorted pair when frozen,
-// map during the build phase).
-func (g *Graph) edgeWeightByID(id EdgeID) (float64, bool) {
-	if g.frozen {
-		if i, ok := slices.BinarySearchFunc(g.edgeIDs, id, edgeIDCompare); ok {
-			return g.edgeW[i], true
-		}
-		return 0, false
-	}
-	w, ok := g.weights[id]
-	return w, ok
-}
 
 // AddNode appends a node at position p and returns its ID. It panics on a
 // frozen graph (construction has ended).
@@ -202,9 +174,6 @@ func (g *Graph) AddNode(p Point) NodeID {
 	}
 	g.adj = append(g.adj, nil)
 	g.pos = append(g.pos, p)
-	if g.weights == nil {
-		g.weights = make(map[EdgeID]float64)
-	}
 	g.version++
 	return NodeID(len(g.adj) - 1)
 }
@@ -245,29 +214,37 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) error {
 	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
 		return fmt.Errorf("add edge %d-%d: weight %v must be positive and finite", u, v, w)
 	}
-	id := MakeEdgeID(u, v)
-	if _, ok := g.weights[id]; ok {
+	if g.HasEdge(u, v) {
 		return fmt.Errorf("add edge %d-%d: already present", u, v)
 	}
-	if g.weights == nil {
-		g.weights = make(map[EdgeID]float64)
-	}
-	g.weights[id] = w
 	g.adj[u] = append(g.adj[u], Arc{To: v, Weight: w})
 	g.adj[v] = append(g.adj[v], Arc{To: u, Weight: w})
+	g.edges++
 	g.version++
 	return nil
 }
 
 // HasEdge reports whether the undirected edge (u, v) exists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	_, ok := g.edgeWeightByID(MakeEdgeID(u, v))
+	_, ok := g.EdgeWeight(u, v)
 	return ok
 }
 
-// EdgeWeight returns the weight of edge (u, v) and whether it exists.
+// EdgeWeight returns the weight of edge (u, v) and whether it exists. It
+// scans the shorter of the two endpoint rows: O(min degree).
 func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
-	return g.edgeWeightByID(MakeEdgeID(u, v))
+	if !g.valid(u) || !g.valid(v) {
+		return 0, false
+	}
+	if len(g.adj[v]) < len(g.adj[u]) {
+		u, v = v, u
+	}
+	for _, a := range g.adj[u] {
+		if a.To == v {
+			return a.Weight, true
+		}
+	}
+	return 0, false
 }
 
 // Neighbors returns the adjacency list of n. The returned slice is owned by
@@ -286,18 +263,20 @@ func (g *Graph) AvgDegree() float64 {
 	return 2 * float64(g.NumEdges()) / float64(len(g.adj))
 }
 
-// Edges returns all undirected edges sorted canonically (deterministic order
-// regardless of insertion sequence). On a frozen graph this is a copy of the
-// resident sorted edge list.
+// Edges returns all undirected edges in canonical (A, B) order, whatever the
+// insertion sequence. It walks the rows in ascending node order, taking each
+// row's arcs to higher-numbered neighbours sorted by neighbour.
 func (g *Graph) Edges() []EdgeID {
-	if g.frozen {
-		return slices.Clone(g.edgeIDs)
+	out := make([]EdgeID, 0, g.edges)
+	for u, arcs := range g.adj {
+		start := len(out)
+		for _, a := range arcs {
+			if a.To > NodeID(u) {
+				out = append(out, EdgeID{A: NodeID(u), B: a.To})
+			}
+		}
+		slices.SortFunc(out[start:], edgeIDCompare)
 	}
-	out := make([]EdgeID, 0, len(g.weights))
-	for id := range g.weights {
-		out = append(out, id)
-	}
-	slices.SortFunc(out, edgeIDCompare)
 	return out
 }
 
@@ -311,22 +290,19 @@ func edgeIDCompare(a, b EdgeID) int {
 }
 
 // Clone returns a deep copy of the graph. All per-node adjacency slices of
-// the clone share one flat backing array (2·|E| arcs total), so cloning a
-// 10⁵-node graph costs three allocations plus the weight map — not one make
-// per node. The clone's slices are full (len == cap per node), so appends on
-// the clone reallocate instead of clobbering a neighbor's arcs.
+// the clone share one flat backing array (see packRows), so cloning a
+// 10⁵-node graph costs three allocations, not one make per node.
 //
 // Cloning a frozen graph is O(1): the clone is frozen too and shares the
-// immutable CSR adjacency, positions, and sorted edge arrays — no per-clone
-// copy of megascale state. (The SPF cache, as always, is not cloned.)
+// immutable adjacency, positions and CSR view — no per-clone copy of
+// megascale state. (The SPF cache, as always, is not cloned.)
 func (g *Graph) Clone() *Graph {
 	if g.frozen {
 		c := &Graph{
 			adj:     g.adj,
 			pos:     g.pos,
+			edges:   g.edges,
 			frozen:  true,
-			edgeIDs: g.edgeIDs,
-			edgeW:   g.edgeW,
 			version: g.version,
 		}
 		if v := g.csr.Load(); v != nil {
@@ -334,26 +310,11 @@ func (g *Graph) Clone() *Graph {
 		}
 		return c
 	}
-	c := &Graph{
-		adj:     make([][]Arc, len(g.adj)),
-		pos:     make([]Point, len(g.pos)),
-		weights: make(map[EdgeID]float64, len(g.weights)),
+	return &Graph{
+		adj:   packRows(g.adj),
+		pos:   slices.Clone(g.pos),
+		edges: g.edges,
 	}
-	copy(c.pos, g.pos)
-	total := 0
-	for _, arcs := range g.adj {
-		total += len(arcs)
-	}
-	backing := make([]Arc, 0, total)
-	for i, arcs := range g.adj {
-		start := len(backing)
-		backing = append(backing, arcs...)
-		c.adj[i] = backing[start:len(backing):len(backing)]
-	}
-	for id, w := range g.weights {
-		c.weights[id] = w
-	}
-	return c
 }
 
 // Mask (node/edge exclusion sets, fingerprints, bounded diffs) lives in

@@ -371,7 +371,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 		for _, e := range removed {
 			if e.IsEdge {
 				u, v := e.Edge.A, e.Edge.B
-				w, exists := g.edgeWeightByID(e.Edge)
+				w, exists := g.EdgeWeight(u, v)
 				if !exists || mask.EdgeBlocked(u, v) {
 					continue
 				}

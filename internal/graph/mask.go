@@ -19,7 +19,7 @@ import (
 // to cover the largest blocked ID, so a mask that blocks only links holds none.
 // Node IDs are dense and non-negative by package contract: blocking a
 // negative ID is a no-op, and the caller checks an ID against its graph before
-// blocking it (the words are sized by the ID, see failure.CheckNodes).
+// blocking it (the words are sized by the ID, see failure.Check).
 //
 // Edge blocks stay map-backed: NewMask has no graph to index edges by, the
 // edge universe is quadratic, and edge blocks are rare (most failure masks

@@ -7,38 +7,23 @@ package graph
 // per-component memory as a CI-stable metric.
 
 // Per-element sizes of the graph's resident structures on a 64-bit platform.
-// The map constant folds the bucket overhead Go's runtime adds per occupied
-// entry (~1.4 slots of key+value+tophash at default load factor) into one
-// fixed per-entry figure, keeping the accounting deterministic where a live
-// heap measurement would not be.
 const (
 	bytesPerArc      = 16 // Arc{To NodeID(8), Weight float64(8)}
 	bytesPerPoint    = 16 // Point{X, Y float64}
 	bytesSliceHeader = 24 // ptr + len + cap
-	bytesPerMapEntry = 48 // EdgeID(16) + float64(8) + bucket overhead
-	// bytesPerSortedEdge is one entry of a frozen graph's flat edge pair:
-	// EdgeID(16) in edgeIDs plus float64(8) in edgeW — no bucket overhead,
-	// which is exactly the saving Freeze banks over the build-phase map.
-	bytesPerSortedEdge = 24
 )
 
 // MemoryFootprint returns the deterministic byte accounting of the graph's
-// core structures: adjacency lists (headers plus arcs), node positions, and
-// the edge store — the weight map during the build phase, or the sorted flat
-// edge pair once frozen. Lazily materialized caches (the CSR sweep view, the
-// SPF cache) are deliberately excluded — they are rebuildable derivatives
+// core structures: adjacency rows (headers plus arcs), which are its one edge
+// store, and node positions. Lazily materialized caches (the CSR sweep view,
+// the SPF cache) are deliberately excluded — they are rebuildable derivatives
 // whose presence depends on query history, not on the topology itself.
 func (g *Graph) MemoryFootprint() int64 {
 	arcs := 0
 	for _, a := range g.adj {
 		arcs += len(a)
 	}
-	edgeBytes := int64(len(g.weights)) * bytesPerMapEntry
-	if g.frozen {
-		edgeBytes = int64(len(g.edgeIDs)) * bytesPerSortedEdge
-	}
 	return int64(len(g.adj))*bytesSliceHeader +
 		int64(arcs)*bytesPerArc +
-		int64(len(g.pos))*bytesPerPoint +
-		edgeBytes
+		int64(len(g.pos))*bytesPerPoint
 }

@@ -318,3 +318,43 @@ func TestJoinRefusedBehindCrashedAgent(t *testing.T) {
 		t.Errorf("refused joiner left state behind: members %v, parked in stub %v", s.Members(), sess.Parked())
 	}
 }
+
+// TestRecoverSetRefusesUnknownEdge: a batch naming a link no edge joins is
+// refused whole before any domain heals. The batch's real link lies in a leaf
+// domain, which heals first, and the absent one in the root domain, which
+// heals last; every domain's mask must stay empty.
+func TestRecoverSetRefusesUnknownEdge(t *testing.T) {
+	nt, src := buildNLevel(t, 11)
+	s, err := NewNLevel(nt, src, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := nt.Graph
+	leaf := nt.Domains[nt.DomainOf(src)]
+	cut := failure.Failure{}
+	for _, a := range g.Neighbors(src) {
+		if nt.DomainOf(a.To) == leaf.ID {
+			cut = failure.LinkDown(src, a.To)
+			break
+		}
+	}
+	root := nt.Domains[nt.Root].Nodes
+	absent := failure.Failure{}
+	for _, v := range root[1:] {
+		if !g.HasEdge(root[0], v) {
+			absent = failure.LinkDown(root[0], v)
+			break
+		}
+	}
+	if cut.Kind == 0 || absent.Kind == 0 {
+		t.Fatal("topology has no intra-leaf link at the source or no absent root link")
+	}
+	if _, err := s.RecoverSet([]failure.Failure{cut, absent}); !errors.Is(err, graph.ErrUnknownEdge) {
+		t.Fatalf("RecoverSet(%v, %v) = %v, want ErrUnknownEdge", cut, absent, err)
+	}
+	for i, ds := range s.sessions {
+		if !ds.session.FailedMask().IsEmpty() {
+			t.Fatalf("domain %d healed part of a refused batch", i)
+		}
+	}
+}

@@ -48,9 +48,9 @@ func newDomainSession(g *graph.Graph, nodes []graph.NodeID, root graph.NodeID, c
 		return nil, err
 	}
 	// Sub-sessions route over the induced subgraph but never mutate it
-	// (failures are mask-based), so freeze it into the CSR representation:
-	// at megascale the per-domain copies are the hierarchy's dominant memory
-	// term, and the sorted-pair form halves their edge storage.
+	// (failures are mask-based), so freeze it: at megascale the per-domain
+	// copies are the hierarchy's dominant memory term, and packed rows carry
+	// no append slack.
 	sub.Freeze()
 	// The domain's own SPF cache: joins read the unicast delay and the
 	// candidate sweep's lower bound off the session root's cached tree

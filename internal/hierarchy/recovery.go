@@ -151,6 +151,11 @@ func (s *NLevelSession) RecoverSet(fs []failure.Failure) ([]*RecoveryReport, err
 	if err != nil {
 		return nil, err
 	}
+	// Every node is in a domain now; refuse a link no edge joins before any
+	// domain heals, so a refused batch leaves every domain as it was.
+	if err := failure.Check(fs, s.topo.Graph); err != nil {
+		return nil, fmt.Errorf("hierarchy: recover: %w", err)
+	}
 	reports := make([]*RecoveryReport, 0, len(batches))
 	for _, b := range batches {
 		ds, d := s.sessions[b.dom], &s.topo.Domains[b.dom]

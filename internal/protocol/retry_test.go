@@ -111,23 +111,49 @@ func TestInjectErrorsTyped(t *testing.T) {
 	}
 
 	// A node outside the topology is refused at injection, so it never
-	// reaches a mask (whose words are sized by node ID): nothing is
-	// scheduled, not even a schedule's valid first event.
+	// reaches a mask (whose words are sized by node ID), and so is a link
+	// the topology lacks, which would leave the session degraded over
+	// nothing: nothing is scheduled, not even a schedule's valid first event.
+	g := inst.net.Graph()
+	e := g.Edges()[0]
+	cut := failure.LinkDown(e.A, e.B)
+	absent := graph.Invalid
+	for v := graph.NodeID(0); absent == graph.Invalid; v++ {
+		if v != e.A && !g.HasEdge(e.A, v) {
+			absent = v
+		}
+	}
 	pending := inst.Engine().Pending()
-	for _, f := range []failure.Failure{failure.LinkDown(0, 1<<40), failure.NodeDown(1 << 40)} {
+	for _, tc := range []struct {
+		f    failure.Failure
+		want error
+	}{
+		{failure.LinkDown(0, 1<<40), graph.ErrUnknownNode},
+		{failure.NodeDown(1 << 40), graph.ErrUnknownNode},
+		{failure.LinkDown(e.A, absent), graph.ErrUnknownEdge},
+		{failure.LinkDown(7, 7), graph.ErrUnknownEdge},
+	} {
+		f := tc.f
 		sched := failure.Schedule{Events: []failure.Event{
-			{At: 10, Failures: []failure.Failure{failure.LinkDown(0, 1)}},
+			{At: 10, Failures: []failure.Failure{cut}},
 			{At: 20, Failures: []failure.Failure{f}},
 		}}
 		for name, err := range map[string]error{
 			"InjectFailure":    inst.InjectFailure(10, f),
-			"InjectFailureSet": inst.InjectFailureSet(10, failure.LinkDown(0, 1), f),
+			"InjectFailureSet": inst.InjectFailureSet(10, cut, f),
 			"InjectRepair":     inst.InjectRepair(10, f),
 			"InjectSchedule":   inst.InjectSchedule(sched),
 		} {
-			if !errors.Is(err, graph.ErrUnknownNode) {
-				t.Errorf("%s(%v) = %v, want ErrUnknownNode", name, f, err)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s(%v) = %v, want %v", name, f, err, tc.want)
 			}
+		}
+		spf, err := NewSPFInstance(g, 0, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spf.InjectFailure(10, f); !errors.Is(err, tc.want) {
+			t.Errorf("SPFInstance.InjectFailure(%v) = %v, want %v", f, err, tc.want)
 		}
 	}
 	if inst.Engine().Pending() != pending {

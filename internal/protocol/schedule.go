@@ -26,7 +26,7 @@ func (i *SMRPInstance) InjectFailureSet(at eventsim.Time, fs ...failure.Failure)
 	if len(fs) == 0 {
 		return fmt.Errorf("protocol: %w: empty failure set", failure.ErrBadSchedule)
 	}
-	if err := failure.CheckNodes(fs, i.net.Graph().NumNodes()); err != nil {
+	if err := failure.Check(fs, i.net.Graph()); err != nil {
 		return fmt.Errorf("protocol: failure set: %w", err)
 	}
 	batch := slices.Clone(fs)
@@ -44,7 +44,7 @@ func (i *SMRPInstance) InjectRepair(at eventsim.Time, fs ...failure.Failure) err
 	if len(fs) == 0 {
 		return fmt.Errorf("protocol: %w: empty repair set", failure.ErrBadSchedule)
 	}
-	if err := failure.CheckNodes(fs, i.net.Graph().NumNodes()); err != nil {
+	if err := failure.Check(fs, i.net.Graph()); err != nil {
 		return fmt.Errorf("protocol: repair: %w", err)
 	}
 	batch := slices.Clone(fs)
@@ -63,7 +63,7 @@ func (i *SMRPInstance) InjectSchedule(s failure.Schedule) error {
 	// Check every event before scheduling any, so a refused schedule
 	// installs nothing.
 	for _, ev := range s.Events {
-		if err := failure.CheckNodes(slices.Concat(ev.Failures, ev.Repairs), i.net.Graph().NumNodes()); err != nil {
+		if err := failure.Check(slices.Concat(ev.Failures, ev.Repairs), i.net.Graph()); err != nil {
 			return fmt.Errorf("protocol: schedule: %w", err)
 		}
 	}

@@ -386,7 +386,7 @@ func (i *SMRPInstance) InjectFailure(at eventsim.Time, f failure.Failure) error 
 	if at < i.engine.Now() {
 		return fmt.Errorf("failure: %w", ErrPastEvent)
 	}
-	if err := failure.CheckNodes([]failure.Failure{f}, i.net.Graph().NumNodes()); err != nil {
+	if err := failure.Check([]failure.Failure{f}, i.net.Graph()); err != nil {
 		return fmt.Errorf("protocol: failure: %w", err)
 	}
 	_, err := i.engine.Schedule(at-i.engine.Now(), func() { i.onFailureSet([]failure.Failure{f}) })

@@ -153,7 +153,7 @@ func (i *SPFInstance) InjectFailure(at eventsim.Time, f failure.Failure) error {
 	if at < i.engine.Now() {
 		return errors.New("protocol: failure scheduled in the past")
 	}
-	if err := failure.CheckNodes([]failure.Failure{f}, i.net.Graph().NumNodes()); err != nil {
+	if err := failure.Check([]failure.Failure{f}, i.net.Graph()); err != nil {
 		return fmt.Errorf("protocol: failure: %w", err)
 	}
 	_, err := i.engine.Schedule(at-i.engine.Now(), func() { i.onFailure(f) })

@@ -67,8 +67,10 @@ func writeErr(w http.ResponseWriter, err error) {
 		status, code = http.StatusConflict, "source_failed"
 	case errors.Is(err, core.ErrNotMember):
 		status, code = http.StatusNotFound, "not_member"
-	case errors.Is(err, core.ErrUnknownNode):
-		status, code = http.StatusBadRequest, "unknown_node"
+	case errors.Is(err, graph.ErrUnknownEdge):
+		// A fail or repair body naming a link the topology lacks: its own
+		// code, ahead of the body's bad_request.
+		status, code = http.StatusBadRequest, "unknown_edge"
 	case errors.Is(err, core.ErrNoPath):
 		// Includes ErrNoCandidate (it wraps ErrNoPath).
 		status, code = http.StatusUnprocessableEntity, "no_path"
@@ -80,6 +82,10 @@ func writeErr(w http.ResponseWriter, err error) {
 		status, code = http.StatusRequestEntityTooLarge, "body_too_large"
 	case errors.Is(err, errBadRequest):
 		status, code = http.StatusBadRequest, "bad_request"
+	case errors.Is(err, core.ErrUnknownNode):
+		// After errBadRequest: a fail or repair body naming an unknown node
+		// stays bad_request.
+		status, code = http.StatusBadRequest, "unknown_node"
 	}
 	writeJSON(w, status, ErrorWire{Error: err.Error(), Code: code})
 }
@@ -233,9 +239,9 @@ func (s *Server) postFail(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	fs, err := req.failures(s.reg.Graph().NumNodes())
+	fs, err := req.failures(s.reg.Graph())
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))
+		writeErr(w, fmt.Errorf("%w: %w", errBadRequest, err))
 		return
 	}
 	recover := req.Recover == nil || *req.Recover
@@ -263,9 +269,9 @@ func (s *Server) postRepair(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	fs, err := req.failures(s.reg.Graph().NumNodes())
+	fs, err := req.failures(s.reg.Graph())
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))
+		writeErr(w, fmt.Errorf("%w: %w", errBadRequest, err))
 		return
 	}
 	ctx, cancel := s.opCtx(r)

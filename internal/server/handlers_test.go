@@ -382,3 +382,36 @@ func TestFailSourceRejectedCleanly(t *testing.T) {
 		t.Fatalf("session after rejected source fail: status %d degraded=%v, want 200 false", code, snap.Degraded)
 	}
 }
+
+// TestFailUnknownLinkRefused: a fail or repair naming a link the topology
+// lacks (0-3 is no edge of testGraph), alone or beside a real one, is refused
+// with unknown_edge before it reaches the session, which stays healthy.
+func TestFailUnknownLinkRefused(t *testing.T) {
+	_, ts := testServer(t, testGraph(t))
+	c := ts.Client()
+	id := createSession(t, c, ts.URL, 0)
+	base := ts.URL + "/v1/sessions/" + id
+	doJSON(t, c, http.MethodPost, base+"/join", NodeRequest{Node: 3}, nil)
+
+	absent := []LinkWire{{U: 0, V: 3}}
+	withReal := []LinkWire{{U: 1, V: 2}, {U: 3, V: 0}}
+	for _, recover := range []bool{true, false} {
+		for _, links := range [][]LinkWire{absent, withReal} {
+			var ew ErrorWire
+			req := FailRequest{FailureSpec: FailureSpec{Links: links}, Recover: &recover}
+			if code := doJSON(t, c, http.MethodPost, base+"/fail", req, &ew); code != http.StatusBadRequest || ew.Code != "unknown_edge" {
+				t.Fatalf("fail %v (recover=%v): %d %q, want 400 unknown_edge", links, recover, code, ew.Code)
+			}
+		}
+	}
+	var ew ErrorWire
+	if code := doJSON(t, c, http.MethodPost, base+"/repair", FailureSpec{Links: absent}, &ew); code != http.StatusBadRequest || ew.Code != "unknown_edge" {
+		t.Fatalf("repair %v: %d %q, want 400 unknown_edge", absent, code, ew.Code)
+	}
+	var snap struct {
+		Degraded bool `json:"degraded"`
+	}
+	if code := doJSON(t, c, http.MethodGet, base, nil, &snap); code != http.StatusOK || snap.Degraded {
+		t.Fatalf("session after refused link failures: status %d degraded=%v, want 200 false", code, snap.Degraded)
+	}
+}

@@ -26,10 +26,11 @@ type FailureSpec struct {
 	Nodes []graph.NodeID `json:"nodes,omitempty"`
 }
 
-// failures converts the spec into the core failure list. Every node it names
-// must be one of the topology's n: failure masks index by node ID, so an ID
-// from outside must not reach one.
-func (s FailureSpec) failures(n int) ([]failure.Failure, error) {
+// failures converts the spec into the core failure list. Every node and link
+// it names must be in topology g: failure masks index by node ID, so an ID
+// from outside must not reach one, and a link g lacks would degrade the
+// session over nothing.
+func (s FailureSpec) failures(g *graph.Graph) ([]failure.Failure, error) {
 	fs := make([]failure.Failure, 0, len(s.Links)+len(s.Nodes))
 	for _, l := range s.Links {
 		if l.U == l.V {
@@ -43,7 +44,7 @@ func (s FailureSpec) failures(n int) ([]failure.Failure, error) {
 	if len(fs) == 0 {
 		return nil, fmt.Errorf("empty failure set")
 	}
-	if err := failure.CheckNodes(fs, n); err != nil {
+	if err := failure.Check(fs, g); err != nil {
 		return nil, err
 	}
 	return fs, nil

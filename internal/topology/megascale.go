@@ -199,9 +199,8 @@ func GenerateMegascale(cfg MegascaleConfig, seed uint64) (*NLevelTopology, error
 		}
 	}
 	// The composed hierarchy is immutable from here on (sessions mutate trees
-	// and masks, never the topology), so freeze into the CSR-first
-	// representation: the per-edge weights map collapses into the sorted
-	// flat pair and the steady-state footprint halves.
+	// and masks, never the topology), so freeze it: the rows are re-packed
+	// without their append slack and the CSR sweep view is built once.
 	g.Freeze()
 	return t, nil
 }
@@ -230,8 +229,7 @@ func FlatMegascale(n int, seed uint64) (*graph.Graph, GridStats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	// Megascale graphs are never mutated after generation; freeze into the
-	// sorted-pair edge representation so the flat arm's standing graph bytes
-	// reflect the CSR steady state the study reports.
+	// Megascale graphs are never mutated after generation; freeze so the
+	// flat arm's standing graph is the packed steady state the study reports.
 	return g.Freeze(), st, nil
 }
