@@ -213,6 +213,14 @@ type Stats struct {
 	Parks          int // members degraded to the parked state (partitioned)
 	Readmissions   int // parked members automatically re-admitted
 
+	// ReshapesRefused counts reshapes the selection picked but Tree.Reroute
+	// refused. The selection reads the tree as if m's departing relay chain
+	// had already left it, so it may route m's new path through one of those
+	// relays, which the live tree still holds; the member then stays on its
+	// old path and keeps its Condition-I baseline, so the same check fires
+	// again on the next join. A known defect, counted until it is fixed.
+	ReshapesRefused int
+
 	// StrategyFallbacks counts recoveries where the configured strategy's
 	// precomputed answer was missing or invalidated by the accumulated
 	// failures and RecoverScaffold's live nearest-survivor search stood in

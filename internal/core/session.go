@@ -520,6 +520,7 @@ func (s *Session) reshapeMember(a *arena, m graph.NodeID) (bool, error) {
 	// The switch dirties both the branch m leaves and the branch it joins.
 	oldTop := s.tree.TopAncestor(m)
 	if err := s.tree.Reroute(m, best.Connection); err != nil {
+		s.stats.ReshapesRefused++
 		return false, fmt.Errorf("reshape %d: %w", m, err)
 	}
 	s.stats.Reshapes++

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"smrp/internal/graph"
@@ -187,6 +188,66 @@ func TestPaperFigure4Sequence(t *testing.T) {
 	st := s.Stats()
 	if st.Joins != 3 || st.Reshapes != 1 {
 		t.Errorf("stats = %+v, want 3 joins / 1 reshape", st)
+	}
+}
+
+// TestReshapeRefusedThroughDepartingRelay pins a known defect: the reshape
+// selection reads the tree as if m's departing relay chain had left, so it can
+// pick a path through one of those relays, which Tree.Reroute, reading the
+// live tree, refuses. Member M hangs off relay R below member X, and R is M's
+// only neighbour. Members A and B join below X, SHR(S,R) grows by 2 and
+// Condition I fires for M. Without M, X's SHR is 3 and Y's is 1, so the
+// selection picks Y→R→M, and R is still on the tree. The refusal is counted
+// and the tree stays as the joins built it.
+func TestReshapeRefusedThroughDepartingRelay(t *testing.T) {
+	const (
+		S, X, Y, R, M, A, B = 0, 1, 2, 3, 4, 5, 6
+	)
+	g := graph.New(7)
+	for _, e := range []struct {
+		u, v graph.NodeID
+		w    float64
+	}{{S, X, 1}, {S, Y, 1}, {X, R, 1}, {Y, R, 1.5}, {R, M, 1}, {X, A, 1}, {X, B, 1}} {
+		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewSession(g, S, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []graph.NodeID{X, Y, M, A, B} {
+		if _, err := s.Join(n); err != nil {
+			t.Fatalf("join %d: %v", n, err)
+		}
+	}
+	parents := func() []graph.NodeID {
+		out := make([]graph.NodeID, g.NumNodes())
+		for n := range out {
+			out[n], _ = s.Tree().Parent(graph.NodeID(n))
+		}
+		return out
+	}
+	want := []graph.NodeID{graph.Invalid, S, S, X, R, X, X}
+	if got := parents(); !slices.Equal(got, want) {
+		t.Fatalf("parents after the joins = %v, want %v", got, want)
+	}
+	st := s.Stats()
+	if st.ReshapeChecks == 0 || st.ReshapesRefused == 0 || st.Reshapes != 0 {
+		t.Fatalf("stats = %+v, want a Condition-I check whose reshape was refused", st)
+	}
+	// Condition II asks again, and is refused again.
+	if moved := s.ReshapeAll(); len(moved) != 0 {
+		t.Fatalf("ReshapeAll moved %v", moved)
+	}
+	if got := parents(); !slices.Equal(got, want) {
+		t.Fatalf("parents after ReshapeAll = %v, want %v", got, want)
+	}
+	if again := s.Stats().ReshapesRefused; again <= st.ReshapesRefused {
+		t.Fatalf("ReshapeAll refused %d reshapes, want more than the %d before", again-st.ReshapesRefused, st.ReshapesRefused)
+	}
+	if err := s.Tree().Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

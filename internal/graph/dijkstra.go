@@ -171,13 +171,12 @@ func (g *Graph) ScanNearest(rec NearestScan, src NodeID, mask *Mask, accept func
 // node then has a live arc to an unsettled one. The frontier settled last,
 // so the record is read backwards.
 func (s *Sweep) budgetCut(mask *Mask) bool {
-	cs := s.g.csrNow()
 	checkEdges := mask.hasEdgeBlocks()
 	for k := len(s.scan) - 1; k >= 0; k-- {
 		u := s.scan[k].Node
 		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
-		for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
-			v := cs.to[i]
+		for _, a := range s.g.adj[u] {
+			v := a.To
 			if s.settled[v] == s.epoch || mask.NodeBlocked(v) || (rowEdges && mask.edges[MakeEdgeID(u, v)]) {
 				continue
 			}

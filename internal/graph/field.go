@@ -109,12 +109,12 @@ func (f *Field) Next(limit float64) (u NodeID, d float64, ok bool) {
 		// The mask is read as Sweep.run reads it: blocked nodes are never
 		// entered, and the edge map is asked only in rows that touch a
 		// blocked edge.
-		cs, mask := f.g.csrNow(), f.mask
+		mask := f.mask
 		checkNodes := mask.hasNodeBlocks()
 		rowEdges := mask.hasEdgeBlocks() && mask.touchesBlockedEdge(u)
-		for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
-			v := cs.to[i]
-			nd := d + cs.wt[i]
+		for _, a := range f.g.adj[u] {
+			v := a.To
+			nd := d + a.Weight
 			if nd >= f.dist[v] || (checkNodes && mask.nodeBlocked(v)) || (rowEdges && mask.edges[MakeEdgeID(u, v)]) {
 				continue
 			}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 )
 
 // NodeID identifies a node in a Graph. IDs are dense: 0..NumNodes()-1.
@@ -79,8 +78,9 @@ func (p Point) Dist(q Point) float64 {
 // read-only use is safe.
 type Graph struct {
 	// adj is the graph's one edge store: edge (u, v) is the arc to v in u's
-	// row and the arc to u in v's row, both carrying its weight, and rows
-	// keep insertion order. Lookups scan the shorter of the two rows.
+	// row and the arc to u in v's row, both carrying its weight. Rows keep
+	// insertion order until Freeze sorts each by (weight, neighbour); the
+	// sweeps read them in place. Lookups scan the shorter of the two rows.
 	adj [][]Arc
 	pos []Point
 	// edges counts the undirected edges in adj.
@@ -95,10 +95,6 @@ type Graph struct {
 	// spf, when non-nil, memoizes Dijkstra results keyed by (source,
 	// mask fingerprint). See EnableSPFCache.
 	spf *SPFCache
-	// csr lazily caches the flat compressed-sparse-row adjacency view the
-	// sweep engine relaxes over; it is rebuilt (via the version counter)
-	// whenever the topology changes. See csrNow.
-	csr atomic.Pointer[csrView]
 }
 
 // ErrUnknownNode is returned when an operation names a node the graph does
@@ -131,7 +127,8 @@ func (g *Graph) NumEdges() int { return g.edges }
 
 // Freeze ends the graph's build phase: the per-node adjacency rows are
 // re-packed onto one flat backing array, releasing the build's append slack,
-// and the CSR sweep view is materialized eagerly. A frozen graph is
+// and each row is sorted by (weight, neighbour), so that a sweep relaxing
+// under a distance bound stops at the first arc past it. A frozen graph is
 // immutable: AddEdge returns ErrFrozen, and the error-less mutators (AddNode,
 // SetPos) panic. Freeze is idempotent and returns g for chaining. Clone of a
 // frozen graph shares the immutable storage instead of deep-copying it.
@@ -140,9 +137,44 @@ func (g *Graph) Freeze() *Graph {
 		return g
 	}
 	g.adj = packRows(g.adj)
+	for _, row := range g.adj {
+		sortRow(row)
+	}
 	g.frozen = true
-	g.csrNow() // materialize the serving view while the build is still warm
 	return g
+}
+
+// arcBefore is the frozen row order: by weight, then by neighbour.
+func arcBefore(a, b Arc) bool {
+	return a.Weight < b.Weight || (a.Weight == b.Weight && a.To < b.To)
+}
+
+// sortRow sorts one row into frozen order. Rows are short — six arcs on the
+// sparse planes, under a hundred in a dense domain — and there are as many
+// as nodes, so the comparison has to inline: an insertion sort does that,
+// the library sort (a call through a func value per comparison, three times
+// the build time of a dense hierarchy) takes over where quadratic would hurt.
+func sortRow(row []Arc) {
+	if len(row) > 128 {
+		slices.SortFunc(row, func(a, b Arc) int {
+			switch {
+			case arcBefore(a, b):
+				return -1
+			case arcBefore(b, a):
+				return 1
+			}
+			return 0
+		})
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		a := row[i]
+		j := i
+		for ; j > 0 && arcBefore(a, row[j-1]); j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = a
+	}
 }
 
 // packRows copies rows onto one flat backing array (2·|E| arcs, one
@@ -247,8 +279,9 @@ func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 	return 0, false
 }
 
-// Neighbors returns the adjacency list of n. The returned slice is owned by
-// the graph and must not be modified.
+// Neighbors returns the adjacency list of n: in insertion order while the
+// graph is being built, by (weight, neighbour) once it is frozen. The
+// returned slice is owned by the graph and must not be modified.
 func (g *Graph) Neighbors(n NodeID) []Arc { return g.adj[n] }
 
 // Degree returns the number of edges incident to n.
@@ -294,21 +327,17 @@ func edgeIDCompare(a, b EdgeID) int {
 // 10⁵-node graph costs three allocations, not one make per node.
 //
 // Cloning a frozen graph is O(1): the clone is frozen too and shares the
-// immutable adjacency, positions and CSR view — no per-clone copy of
-// megascale state. (The SPF cache, as always, is not cloned.)
+// immutable adjacency and positions — no per-clone copy of megascale state.
+// (The SPF cache, as always, is not cloned.)
 func (g *Graph) Clone() *Graph {
 	if g.frozen {
-		c := &Graph{
+		return &Graph{
 			adj:     g.adj,
 			pos:     g.pos,
 			edges:   g.edges,
 			frozen:  true,
 			version: g.version,
 		}
-		if v := g.csr.Load(); v != nil {
-			c.csr.Store(v)
-		}
-		return c
 	}
 	return &Graph{
 		adj:   packRows(g.adj),

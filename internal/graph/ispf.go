@@ -169,7 +169,6 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 		return 0, false
 	}
 	sc.begin(n)
-	cs := g.csrNow()
 	checkEdges := mask.hasEdgeBlocks()
 	checkNodes := mask.hasNodeBlocks()
 
@@ -292,8 +291,8 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 		for _, v := range sc.orphans {
 			dv, pv := Unreachable, Invalid
 			rowEdges := checkEdges && mask.touchesBlockedEdge(v)
-			for i, end := cs.rowStart[v], cs.rowStart[v+1]; i < end; i++ {
-				u := cs.to[i]
+			for _, a := range g.adj[v] {
+				u := a.To
 				if sc.state[u] != ispfAlive || sc.stamp[u] != sc.epoch {
 					continue
 				}
@@ -301,7 +300,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 					(checkRevived && edgeListHas(sc.remEdges, e)) {
 					continue
 				}
-				if nd := t.Dist[u] + cs.wt[i]; nd < dv || (nd == dv && u < pv) {
+				if nd := t.Dist[u] + a.Weight; nd < dv || (nd == dv && u < pv) {
 					dv, pv = nd, u
 				}
 			}
@@ -327,8 +326,8 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			settled++
 			du := t.Dist[u]
 			rowEdges := checkEdges && mask.touchesBlockedEdge(u)
-			for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
-				v := cs.to[i]
+			for _, a := range g.adj[u] {
+				v := a.To
 				if sc.state[v] != ispfOrphan || sc.stamp[v] != sc.epoch {
 					continue // alive nodes are final; gone nodes stay gone
 				}
@@ -336,7 +335,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 					(checkRevived && edgeListHas(sc.remEdges, e)) {
 					continue
 				}
-				nd := du + cs.wt[i]
+				nd := du + a.Weight
 				if nd < t.Dist[v] || (nd == t.Dist[v] && u < t.Parent[v]) {
 					t.Dist[v] = nd
 					t.Parent[v] = u
@@ -390,8 +389,8 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 				continue
 			}
 			rowEdges := checkEdges && mask.touchesBlockedEdge(v)
-			for i, end := cs.rowStart[v], cs.rowStart[v+1]; i < end; i++ {
-				u := cs.to[i]
+			for _, a := range g.adj[v] {
+				u := a.To
 				if t.Dist[u] == Unreachable {
 					continue
 				}
@@ -401,7 +400,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 				if rowEdges && mask.edges[MakeEdgeID(u, v)] {
 					continue
 				}
-				relax(u, v, cs.wt[i])
+				relax(u, v, a.Weight)
 			}
 		}
 		for {
@@ -417,8 +416,8 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			settled++
 			du := t.Dist[u]
 			rowEdges := checkEdges && mask.touchesBlockedEdge(u)
-			for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
-				v := cs.to[i]
+			for _, a := range g.adj[u] {
+				v := a.To
 				if sc.setB[v] == sc.epoch {
 					continue // settled in distance order: final
 				}
@@ -428,7 +427,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 				if rowEdges && mask.edges[MakeEdgeID(u, v)] {
 					continue
 				}
-				nd := du + cs.wt[i]
+				nd := du + a.Weight
 				if nd < t.Dist[v] {
 					t.Dist[v] = nd
 					t.Parent[v] = u

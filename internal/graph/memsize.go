@@ -15,9 +15,9 @@ const (
 
 // MemoryFootprint returns the deterministic byte accounting of the graph's
 // core structures: adjacency rows (headers plus arcs), which are its one edge
-// store, and node positions. Lazily materialized caches (the CSR sweep view,
-// the SPF cache) are deliberately excluded — they are rebuildable derivatives
-// whose presence depends on query history, not on the topology itself.
+// store in every phase (the sweeps read the rows in place), and node
+// positions. The SPF cache is deliberately excluded: it is a rebuildable
+// derivative whose presence depends on query history, not on the topology.
 func (g *Graph) MemoryFootprint() int64 {
 	arcs := 0
 	for _, a := range g.adj {

@@ -1,99 +1,6 @@
 package graph
 
-import (
-	"slices"
-	"sync"
-)
-
-// csrView is a compressed-sparse-row snapshot of the graph's adjacency:
-// node u's arcs occupy to[rowStart[u]:rowStart[u+1]], with weights in wt at
-// the same indices. The flat layout keeps the Dijkstra relaxation loop on two
-// contiguous arrays instead of chasing per-node slice headers, which is
-// measurably friendlier to the cache on evaluation-scale graphs.
-//
-// Each row is sorted by (weight, neighbour) — Graph.Neighbors keeps insertion
-// order — so a loop that relaxes from u under a distance bound stops at the
-// first arc that overshoots it: every later arc of the row does too. Row
-// order is free to choose because no result depends on it: every tie-break
-// of the sweep and of the delta repair is explicit in (dist, node, parent
-// ID) (DESIGN.md §9.1).
-//
-// A view is immutable once built; Graph.csrNow rebuilds lazily whenever the
-// graph's structural version moves.
-type csrView struct {
-	version  uint64
-	rowStart []int32
-	to       []NodeID
-	wt       []float64
-}
-
-// csrNow returns a CSR view current for the graph's structural version,
-// building one on first use. Safe for concurrent readers under the package's
-// standard contract (mutate single-threaded, then share read-only): racing
-// builders produce identical views and the atomic pointer keeps loads and
-// stores well-ordered.
-func (g *Graph) csrNow() *csrView {
-	if c := g.csr.Load(); c != nil && c.version == g.version {
-		return c
-	}
-	n := len(g.adj)
-	arcs := 0
-	for _, a := range g.adj {
-		arcs += len(a)
-	}
-	c := &csrView{
-		version:  g.version,
-		rowStart: make([]int32, n+1),
-		to:       make([]NodeID, 0, arcs),
-		wt:       make([]float64, 0, arcs),
-	}
-	var row []Arc // one scratch row for the whole build
-	for u, as := range g.adj {
-		c.rowStart[u] = int32(len(c.to))
-		row = append(row[:0], as...)
-		sortRow(row)
-		for _, a := range row {
-			c.to = append(c.to, a.To)
-			c.wt = append(c.wt, a.Weight)
-		}
-	}
-	c.rowStart[n] = int32(len(c.to))
-	g.csr.Store(c)
-	return c
-}
-
-// arcBefore is the CSR row order: by weight, then by neighbour.
-func arcBefore(a, b Arc) bool {
-	return a.Weight < b.Weight || (a.Weight == b.Weight && a.To < b.To)
-}
-
-// sortRow sorts one row into CSR order. Rows are short — six arcs on the
-// sparse planes, under a hundred in a dense domain — and there are as many
-// as nodes, so the comparison has to inline: an insertion sort does that,
-// the library sort (a call through a func value per comparison, three times
-// the build time of a dense hierarchy) takes over where quadratic would hurt.
-func sortRow(row []Arc) {
-	if len(row) > 128 {
-		slices.SortFunc(row, func(a, b Arc) int {
-			switch {
-			case arcBefore(a, b):
-				return -1
-			case arcBefore(b, a):
-				return 1
-			}
-			return 0
-		})
-		return
-	}
-	for i := 1; i < len(row); i++ {
-		a := row[i]
-		j := i
-		for ; j > 0 && arcBefore(a, row[j-1]); j-- {
-			row[j] = row[j-1]
-		}
-		row[j] = a
-	}
-}
+import "sync"
 
 // sweepPool recycles Sweep scratch state across calls and goroutines. A
 // pooled sweep keeps its epoch-stamped arrays and queue storage, so the
@@ -295,7 +202,7 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 	if !g.valid(src) || mask.NodeBlocked(src) {
 		return Invalid
 	}
-	cs := g.csrNow()
+	sorted := g.frozen
 	// Hoist the mask shape checks out of the relaxation loop: most sweeps
 	// run against a nil/empty mask (plain SPF) or a node-only mask
 	// (candidate enumeration), and the edge map is the loop's only
@@ -371,14 +278,22 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 		}
 		du := s.dist[u]
 		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
-		start, end := cs.rowStart[u], cs.rowStart[u+1]
-		i := start
-		for ; i < end; i++ {
-			v := cs.to[i]
+		row := g.adj[u]
+		scanned := len(row)
+		for i, a := range row {
+			v := a.To
+			nd := du + a.Weight
+			if nd > bound {
+				if sorted {
+					scanned = i + 1 // scanned, like the arcs before it
+					break
+				}
+				continue
+			}
 			// In distance order a settled node is final. Under a potential it
 			// may yet be lowered, or take a smaller parent — which the two
 			// array reads rule out before the mask is asked.
-			if s.settled[v] == s.epoch && (!directed || du+cs.wt[i] > s.dist[v]) {
+			if s.settled[v] == s.epoch && (!directed || nd > s.dist[v]) {
 				continue
 			}
 			if w := uint(v) >> 6; w < uint(len(mbits)) && mbits[w]>>(uint(v)&63)&1 != 0 {
@@ -387,18 +302,13 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 			if rowEdges && mask.edges[MakeEdgeID(u, v)] {
 				continue
 			}
-			nd := du + cs.wt[i]
-			if nd > bound {
-				i++ // scanned, like the arcs before it
-				break
-			}
 			if s.seen[v] == s.epoch && nd >= s.dist[v] {
 				// Deterministic tie-breaking on parent ID keeps shortest-path
 				// trees stable when multiple equal-length paths exist. v keeps
 				// its distance, so the entry it has, or settled off, stands.
 				if nd == s.dist[v] && u < s.parent[v] {
 					s.parent[v] = u
-					s.pw[v] = cs.wt[i]
+					s.pw[v] = a.Weight
 					if s.settled[v] == s.epoch {
 						s.reparented++
 					}
@@ -429,10 +339,10 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 			s.seen[v] = s.epoch
 			s.dist[v] = nd
 			s.parent[v] = u
-			s.pw[v] = cs.wt[i]
+			s.pw[v] = a.Weight
 			s.queue.Push(heapItem{node: v, dist: key})
 		}
-		s.arcsScanned += int(i - start)
+		s.arcsScanned += scanned
 	}
 }
 

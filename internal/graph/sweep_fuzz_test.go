@@ -122,7 +122,7 @@ func FuzzSweepPruned(f *testing.F) {
 		defer pruned.Release()
 		defer ref.Release()
 		full.Run(src, mask, absorbing)
-		ref.runReference(csrInsertionOrder(g), src, mask, Invalid, absorbing, nil, nil, Unreachable)
+		ref.runReference(src, mask, Invalid, absorbing, nil, nil, Unreachable)
 		if full.SettledCount() != ref.SettledCount() {
 			t.Fatalf("exhaustive run settled %d nodes, reference %d", full.SettledCount(), ref.SettledCount())
 		}
@@ -225,7 +225,7 @@ func FuzzNearestScanPrefix(f *testing.F) {
 		}
 		ref := g.NewSweep()
 		defer ref.Release()
-		if got := ref.runReference(csrInsertionOrder(g), src, mask, Invalid, nil, accept, nil, Unreachable); (got != Invalid) != hitF || !slices.Equal(full, ref.scan) {
+		if got := ref.runReference(src, mask, Invalid, nil, accept, nil, Unreachable); (got != Invalid) != hitF || !slices.Equal(full, ref.scan) {
 			t.Fatalf("unbounded scan: hit=%v, record\n  %v\nreference stops at %d, record\n  %v", hitF, full, got, ref.scan)
 		}
 		tree := g.dijkstra(src, mask)
@@ -332,7 +332,6 @@ func FuzzFieldReseed(f *testing.F) {
 		defer fld.Release()
 		defer sw.Release()
 		defer ref.Release()
-		refCSR := csrInsertionOrder(g)
 
 		seeded := make([]bool, n)
 		accept := func(v NodeID) bool { return seeded[v] }
@@ -361,7 +360,7 @@ func FuzzFieldReseed(f *testing.F) {
 			}
 			got := sw.NearestWithin(fld, src, accept)
 			node, p, d, settled := g.NearestOfCounted(src, mask, accept)
-			if want := ref.runReference(refCSR, src, mask, Invalid, nil, accept, nil, Unreachable); node != want || settled != ref.SettledCount() {
+			if want := ref.runReference(src, mask, Invalid, nil, accept, nil, Unreachable); node != want || settled != ref.SettledCount() {
 				t.Fatalf("step %d: nearest-of from %d found %d settling %d, reference %d settling %d", step, src, node, settled, want, ref.SettledCount())
 			}
 			if got != node || sw.SettledCount() > settled {

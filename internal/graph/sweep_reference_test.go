@@ -10,30 +10,14 @@ import (
 	"smrp/internal/pqueue"
 )
 
-// csrInsertionOrder is the CSR view the reference loop runs over: rows in
-// Graph.Neighbors order, as csrNow built them before it sorted rows.
-func csrInsertionOrder(g *Graph) *csrView {
-	n := len(g.adj)
-	c := &csrView{version: g.version, rowStart: make([]int32, n+1)}
-	for u, as := range g.adj {
-		c.rowStart[u] = int32(len(c.to))
-		for _, a := range as {
-			c.to = append(c.to, a.To)
-			c.wt = append(c.wt, a.Weight)
-		}
-	}
-	c.rowStart[n] = int32(len(c.to))
-	return c
-}
-
-// runReference is Sweep.run as it stood before rows were sorted and cut at
-// the bound, kept verbatim (but for taking its CSR view as an argument and
-// asking the mask's own NodeBlocked per arc) as the oracle of
-// TestSweepMatchesReference and the sweep fuzzers: rows in insertion order,
-// one map probe per arc whenever the mask blocks any edge at all, no endpoint
-// index, no nearest bound — every arc of every settled row is relaxed — and
-// its own generic binary heap in place of the sweep's radix queue.
-func (s *Sweep) runReference(cs *csrView, src NodeID, mask *Mask, target NodeID, absorbing func(NodeID) bool, accept func(NodeID) bool, lower []float64, budget float64) NodeID {
+// runReference is Sweep.run as it stood before rows were cut at the bound,
+// kept verbatim (but for reading rows through Graph.Neighbors and asking the
+// mask's own NodeBlocked per arc) as the oracle of TestSweepMatchesReference
+// and the sweep fuzzers: rows in whatever order the graph keeps them, one map
+// probe per arc whenever the mask blocks any edge at all, no endpoint index,
+// no nearest bound — every arc of every settled row is relaxed — and its own
+// generic binary heap in place of the sweep's radix queue.
+func (s *Sweep) runReference(src NodeID, mask *Mask, target NodeID, absorbing func(NodeID) bool, accept func(NodeID) bool, lower []float64, budget float64) NodeID {
 	var heap pqueue.Heap[heapItem]
 	s.begin()
 	g := s.g
@@ -81,8 +65,8 @@ func (s *Sweep) runReference(cs *csrView, src NodeID, mask *Mask, target NodeID,
 			continue // settled as an endpoint; never relax through
 		}
 		du := s.dist[u]
-		for i, end := cs.rowStart[u], cs.rowStart[u+1]; i < end; i++ {
-			v := cs.to[i]
+		for _, a := range g.Neighbors(u) {
+			v := a.To
 			if s.settled[v] == s.epoch {
 				continue
 			}
@@ -92,7 +76,7 @@ func (s *Sweep) runReference(cs *csrView, src NodeID, mask *Mask, target NodeID,
 			if checkEdges && mask.edges[MakeEdgeID(u, v)] {
 				continue
 			}
-			nd := du + cs.wt[i]
+			nd := du + a.Weight
 			// Deterministic tie-breaking on parent ID keeps shortest-path
 			// trees stable when multiple equal-length paths exist.
 			if s.seen[v] == s.epoch && !(nd < s.dist[v] || (nd == s.dist[v] && u < s.parent[v])) {
@@ -110,7 +94,7 @@ func (s *Sweep) runReference(cs *csrView, src NodeID, mask *Mask, target NodeID,
 			s.seen[v] = s.epoch
 			s.dist[v] = nd
 			s.parent[v] = u
-			s.pw[v] = cs.wt[i]
+			s.pw[v] = a.Weight
 			heap.Push(heapItem{node: v, dist: nd})
 		}
 	}
@@ -134,21 +118,33 @@ func (s *Sweep) rowsRelaxed(src, stop NodeID, absorbing func(NodeID) bool) []Nod
 
 // referenceArcs is what the reference loop scanned in its last run: every arc
 // of every row it relaxed.
-func (s *Sweep) referenceArcs(cs *csrView, src, stop NodeID, absorbing func(NodeID) bool) int {
+func (s *Sweep) referenceArcs(src, stop NodeID, absorbing func(NodeID) bool) int {
 	arcs := 0
 	for _, u := range s.rowsRelaxed(src, stop, absorbing) {
-		arcs += int(cs.rowStart[u+1] - cs.rowStart[u])
+		arcs += s.g.Degree(u)
 	}
 	return arcs
+}
+
+// insertionLog records, row by row, the arcs AddEdge appended in the order it
+// appended them: what the rows of a graph not yet frozen must read as.
+type insertionLog [][]Arc
+
+// addEdge adds the edge (u, v) to g and logs its two arcs if AddEdge took it.
+func (l insertionLog) addEdge(g *Graph, u, v NodeID, w float64) {
+	if g.AddEdge(u, v, w) == nil {
+		l[u] = append(l[u], Arc{To: v, Weight: w})
+		l[v] = append(l[v], Arc{To: u, Weight: w})
+	}
 }
 
 // waxmanDomain generates one dense recovery domain as the megascale topology
 // does: n points in the unit square, each pair linked with probability
 // α·exp(−d/(β·L)), weights Euclidean. (internal/topology imports this
 // package, so the generator cannot be borrowed.) α = 0.9, β = 0.6 gives an
-// average degree of 47 at n = 100.
-func waxmanDomain(rng *rand.Rand, n int, alpha, beta float64) *Graph {
-	g := New(n)
+// average degree of 47 at n = 100. It returns the graph and its insertion log.
+func waxmanDomain(rng *rand.Rand, n int, alpha, beta float64) (*Graph, insertionLog) {
+	g, log := New(n), make(insertionLog, n)
 	for i := 0; i < n; i++ {
 		g.SetPos(NodeID(i), Point{X: rng.Float64(), Y: rng.Float64()})
 	}
@@ -156,29 +152,66 @@ func waxmanDomain(rng *rand.Rand, n int, alpha, beta float64) *Graph {
 		for v := u + 1; v < n; v++ {
 			d := g.Pos(NodeID(u)).Dist(g.Pos(NodeID(v)))
 			if v == u+1 || rng.Float64() < alpha*math.Exp(-d/(beta*math.Sqrt2)) { // the chain keeps it connected
-				_ = g.AddEdge(NodeID(u), NodeID(v), d)
+				log.addEdge(g, NodeID(u), NodeID(v), d)
 			}
 		}
 	}
-	return g
+	return g, log
 }
 
 // tiedPlane generates a sparse connected plane with weights 1…4 times unit:
 // equal-weight arcs within a row, equal-length paths and nodes tied at a bound
 // are the rule on it, where Euclidean weights never produce one. With unit =
 // 0.1 the ties are there but for a rounding — (0.1+0.2)+0.3 ≠ 0.1+(0.2+0.3) —
-// which is what has a goal-directed queue lower a node it has settled.
-func tiedPlane(rng *rand.Rand, n, extra int, unit float64) *Graph {
-	g := New(n)
+// which is what has a goal-directed queue lower a node it has settled. It
+// returns the graph and its insertion log.
+func tiedPlane(rng *rand.Rand, n, extra int, unit float64) (*Graph, insertionLog) {
+	g, log := New(n), make(insertionLog, n)
 	for i := 1; i < n; i++ {
-		_ = g.AddEdge(NodeID(i), NodeID(rng.Intn(i)), unit*float64(1+rng.Intn(4)))
+		log.addEdge(g, NodeID(i), NodeID(rng.Intn(i)), unit*float64(1+rng.Intn(4)))
 	}
 	for i := 0; i < extra; i++ {
 		if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v && !g.HasEdge(u, v) {
-			_ = g.AddEdge(u, v, unit*float64(1+rng.Intn(4)))
+			log.addEdge(g, u, v, unit*float64(1+rng.Intn(4)))
 		}
 	}
-	return g
+	return g, log
+}
+
+// checkRowOrder asserts the one row order g may hold: each row of a frozen
+// graph strictly increasing in (weight, neighbour) and holding the arcs of
+// its logged row, each row of a graph still being built equal to its logged
+// row. It reports how many rows hold two arcs of equal weight.
+func checkRowOrder(t *testing.T, g *Graph, log insertionLog) (tiedRows int) {
+	t.Helper()
+	for u := NodeID(0); int(u) < g.NumNodes(); u++ {
+		row, want := g.Neighbors(u), log[u]
+		if !g.Frozen() {
+			if !slices.Equal(row, want) {
+				t.Fatalf("row %d of a graph being built is %v, inserted as %v", u, row, want)
+			}
+			continue
+		}
+		tied := false
+		for i := 1; i < len(row); i++ {
+			a, b := row[i-1], row[i]
+			if a.Weight > b.Weight || (a.Weight == b.Weight && a.To >= b.To) {
+				t.Fatalf("frozen row %d holds %+v before %+v", u, a, b)
+			}
+			tied = tied || a.Weight == b.Weight
+		}
+		if tied {
+			tiedRows++
+		}
+		byNode := func(a, b Arc) int { return int(a.To - b.To) }
+		got, want := slices.Clone(row), slices.Clone(want)
+		slices.SortFunc(got, byNode)
+		slices.SortFunc(want, byNode)
+		if !slices.Equal(got, want) {
+			t.Fatalf("frozen row %d holds %v, inserted as %v", u, row, log[u])
+		}
+	}
+	return tiedRows
 }
 
 // randomSweepMask draws one of the mask shapes the sweep has to read
@@ -252,13 +285,16 @@ type sweepCoverage struct {
 	goalHits, goalSaved, goalDrained, goalDeclined, requeued, reparented int
 }
 
-// TestSweepMatchesReference holds the arc loop — rows sorted by weight and cut
-// at the bound, the endpoint-indexed edge test, the nearest bound — to the
-// loop it replaced, on dense domains and on sparse planes full of ties, under
-// every shape of mask, in every mode: distances, parents, parent-arc weights
-// and the settled set of a sweep; the record, the node returned, hit and
-// exhausted of a nearest-of scan; SettledCount of both. The work counter may
-// only fall.
+// TestSweepMatchesReference holds the arc loop — rows cut at the bound where
+// Freeze has sorted them by weight, the endpoint-indexed edge test, the
+// nearest bound — to the loop it replaced, on dense domains and on sparse
+// planes full of ties, frozen and still being built, under every shape of
+// mask, in every mode: distances, parents, parent-arc weights and the settled
+// set of a sweep; the record, the node returned, hit and exhausted of a
+// nearest-of scan; SettledCount of both. The work counter may only fall, and
+// only on a frozen graph: the rows of one being built are in insertion order
+// and nothing cuts them. Every class of input a cut row meets is reached on
+// the frozen trials.
 func TestSweepMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1717))
 	trials := 60
@@ -268,39 +304,23 @@ func TestSweepMatchesReference(t *testing.T) {
 	var cov sweepCoverage
 	for trial := 0; trial < trials; trial++ {
 		var g *Graph
+		var log insertionLog
 		switch {
 		case trial%2 == 0:
-			g = waxmanDomain(rng, 100, 0.9, 0.6)
+			g, log = waxmanDomain(rng, 100, 0.9, 0.6)
 		case trial%3 == 0:
-			g = tiedPlane(rng, 40+rng.Intn(40), 60, 0.1)
+			g, log = tiedPlane(rng, 40+rng.Intn(40), 60, 0.1)
 		default:
-			g = tiedPlane(rng, 40+rng.Intn(40), 60, 1)
+			g, log = tiedPlane(rng, 40+rng.Intn(40), 60, 1)
 		}
 		if trial%4 >= 2 {
 			g.Freeze()
 		}
-		ref := csrInsertionOrder(g)
-		cs := g.csrNow()
-		for u := 0; u < g.NumNodes(); u++ {
-			tied := false
-			for i := cs.rowStart[u] + 1; i < cs.rowStart[u+1]; i++ {
-				a, b := Arc{cs.to[i-1], cs.wt[i-1]}, Arc{cs.to[i], cs.wt[i]}
-				if !arcBefore(a, b) {
-					t.Fatalf("trial %d: row %d holds %+v before %+v", trial, u, a, b)
-				}
-				tied = tied || a.Weight == b.Weight
-			}
-			if tied {
-				cov.equalWeightRows++
-			}
-			if got, want := cs.rowStart[u+1]-cs.rowStart[u], len(g.Neighbors(NodeID(u))); int(got) != want {
-				t.Fatalf("trial %d: row %d has %d arcs, node has %d", trial, u, got, want)
-			}
-		}
+		cov.equalWeightRows += checkRowOrder(t, g, log)
 		for rep := 0; rep < 12; rep++ {
 			src := NodeID(rng.Intn(g.NumNodes()))
 			mask := randomSweepMask(rng, g, src)
-			compareSweeps(t, rng, g, ref, src, mask, &cov)
+			compareSweeps(t, rng, g, src, mask, &cov)
 		}
 	}
 	t.Logf("coverage: %+v", cov)
@@ -312,7 +332,7 @@ func TestSweepMatchesReference(t *testing.T) {
 
 // compareSweeps runs one (graph, source, mask) through every mode of the arc
 // loop and of its reference.
-func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, ref *csrView, src NodeID, mask *Mask, cov *sweepCoverage) {
+func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, src NodeID, mask *Mask, cov *sweepCoverage) {
 	t.Helper()
 	n := g.NumNodes()
 	set := make([]bool, n)
@@ -369,7 +389,7 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, ref *csrView, src Nod
 	}
 	for _, m := range modes {
 		// The reference knows no goal: it runs on, and says what is final.
-		want := b.runReference(ref, src, mask, Invalid, m.absorbing, m.accept, m.lower, m.budget)
+		want := b.runReference(src, mask, Invalid, m.absorbing, m.accept, m.lower, m.budget)
 		got := a.run(src, mask, m.absorbing, m.accept, m.lower, Unreachable, m.budget, m.goal, m.within)
 		cov.runs++
 		what := func() string { return fmt.Sprintf("%s from %d", m.name, src) }
@@ -427,10 +447,10 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, ref *csrView, src Nod
 		if got != want || a.settledCount-a.requeued != b.settledCount {
 			t.Fatalf("%s: stopped at %d after %d settled (%d of them again), reference at %d after %d", what(), got, a.settledCount, a.requeued, want, b.settledCount)
 		}
-		refArcs := b.referenceArcs(ref, src, want, m.absorbing)
+		refArcs := b.referenceArcs(src, want, m.absorbing)
 		if !directed {
-			if a.arcsScanned > refArcs {
-				t.Fatalf("%s: %d arcs scanned, reference %d", what(), a.arcsScanned, refArcs)
+			if a.arcsScanned > refArcs || (!g.Frozen() && a.arcsScanned != refArcs) {
+				t.Fatalf("%s: %d arcs scanned, reference %d (frozen: %v)", what(), a.arcsScanned, refArcs, g.Frozen())
 			}
 			if a.arcsScanned < refArcs {
 				cov.rowsCutShort++
@@ -454,7 +474,7 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, ref *csrView, src Nod
 			if hit && m.budget == Unreachable && a.arcsScanned < refArcs {
 				cov.boundTightened++ // nothing else cuts a row of an unbudgeted scan
 			}
-			if k := len(a.scan); hit && k >= 2 && a.scan[k-2].Dist == a.scan[k-1].Dist {
+			if k := len(a.scan); g.Frozen() && hit && k >= 2 && a.scan[k-2].Dist == a.scan[k-1].Dist {
 				cov.tiesAtBound++
 			}
 			continue
@@ -477,7 +497,8 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, ref *csrView, src Nod
 // a dozen members.
 func denseDomainFixture() (g *Graph, spt *SPTree, onTree []bool) {
 	rng := rand.New(rand.NewSource(307))
-	g = waxmanDomain(rng, 100, 0.9, 0.6).Freeze()
+	g, _ = waxmanDomain(rng, 100, 0.9, 0.6)
+	g.Freeze()
 	spt = g.dijkstra(0, nil)
 	onTree = make([]bool, g.NumNodes())
 	onTree[0] = true
@@ -498,7 +519,6 @@ func denseDomainFixture() (g *Graph, spt *SPTree, onTree []bool) {
 // session without an SPF cache had.
 func TestDenseDomainArcWork(t *testing.T) {
 	g, spt, onTree := denseDomainFixture()
-	ref := csrInsertionOrder(g)
 	a, b := g.NewSweep(), g.NewSweep()
 	defer a.Release()
 	defer b.Release()
@@ -518,13 +538,13 @@ func TestDenseDomainArcWork(t *testing.T) {
 			}
 			mask := NewMask().BlockEdge(v, spt.Parent[v])
 			accept := func(x NodeID) bool { return onTree[x] && !below(x) }
-			want := b.runReference(ref, v, mask, Invalid, nil, accept, nil, Unreachable)
+			want := b.runReference(v, mask, Invalid, nil, accept, nil, Unreachable)
 			got := a.run(v, mask, nil, accept, nil, Unreachable, Unreachable, Invalid, 0)
 			if got != want || !slices.Equal(a.scan, b.scan) || a.SettledCount() != b.SettledCount() {
 				t.Fatalf("scan from %d: (%d, %d settled), reference (%d, %d settled)", v, got, a.SettledCount(), want, b.SettledCount())
 			}
 			scanArcs += a.arcsScanned
-			scanRef += b.referenceArcs(ref, v, want, nil)
+			scanRef += b.referenceArcs(v, want, nil)
 			continue
 		}
 		if onTree[v] {
@@ -532,10 +552,10 @@ func TestDenseDomainArcWork(t *testing.T) {
 		}
 		absorbing := func(x NodeID) bool { return onTree[x] }
 		budget := 1.3 * spt.Dist[v]
-		b.runReference(ref, v, nil, Invalid, absorbing, nil, nil, budget)
+		b.runReference(v, nil, Invalid, absorbing, nil, nil, budget)
 		a.RunPruned(v, nil, absorbing, spt.Dist, budget, Invalid, 0)
 		joinArcs += a.arcsScanned
-		joinRef += b.referenceArcs(ref, v, Invalid, absorbing)
+		joinRef += b.referenceArcs(v, Invalid, absorbing)
 	}
 	t.Logf("nearest scans: %d arcs, reference %d; joins: %d arcs, reference %d", scanArcs, scanRef, joinArcs, joinRef)
 	if scanRef == 0 || joinRef == 0 {

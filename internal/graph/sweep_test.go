@@ -94,9 +94,9 @@ func TestShortestPathEarlyExitMatchesFullTree(t *testing.T) {
 		case 0:
 			g = randomConnectedGraph(rng, 40, 90)
 		case 1:
-			g = tiedPlane(rng, 40, 60, 1)
+			g, _ = tiedPlane(rng, 40, 60, 1)
 		case 2:
-			g = tiedPlane(rng, 40, 60, 0.1)
+			g, _ = tiedPlane(rng, 40, 60, 0.1)
 		}
 		src := NodeID(rng.Intn(40))
 		var mask *Mask
@@ -146,8 +146,8 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 	buf := make(Path, 0, 256)
 	var sink float64
 
-	// Warm everything outside the measurement: CSR view, scratch arrays,
-	// heap capacity, path buffer.
+	// Warm everything outside the measurement: scratch arrays, queue
+	// capacity, path buffer.
 	s.Run(0, nil, absorbing)
 	buf = s.AppendPathFrom(buf[:0], NodeID(199))
 
@@ -208,8 +208,7 @@ func TestSweepFreshAllocs(t *testing.T) {
 		{"lattice", megascaleLattice(91, 90)},
 		{"sparse", randomConnectedGraph(rand.New(rand.NewSource(5)), 8192, 16384)},
 	} {
-		g, ref := c.g, csrInsertionOrder(c.g)
-		g.csrNow()
+		g := c.g
 		got := testing.AllocsPerRun(5, func() {
 			s := &Sweep{g: g}
 			s.Run(0, nil, nil)
@@ -222,7 +221,7 @@ func TestSweepFreshAllocs(t *testing.T) {
 			refs[i].queue.Reset()
 		}
 		want := testing.AllocsPerRun(5, func() {
-			refs[0].runReference(ref, 0, nil, Invalid, nil, nil, nil, Unreachable)
+			refs[0].runReference(0, nil, Invalid, nil, nil, nil, Unreachable)
 			refs = refs[1:]
 		})
 		t.Logf("%s: %v allocations, %v on the binary heap", c.name, got, want)
@@ -258,22 +257,21 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkShortestPathEarlyExit measures the uncached single-target path,
-// which stops when the destination settles and relaxes nothing beyond its
-// tentative distance. arcs/op is what its relaxation loop looks at, ref-arcs/op
+// BenchmarkShortestPathEarlyExit measures the uncached single-target path on a
+// frozen graph, which stops when the destination settles and relaxes nothing
+// beyond its tentative distance. arcs/op is what its relaxation loop looks at, ref-arcs/op
 // what the loop it replaced does (runReference, stopped at its target's pop).
 func BenchmarkShortestPathEarlyExit(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
-	g := randomConnectedGraph(rng, 200, 600)
-	ref := csrInsertionOrder(g)
+	g := randomConnectedGraph(rng, 200, 600).Freeze()
 	s := g.NewSweep()
 	var arcs, refArcs int
 	for i := 0; i < 200; i++ {
 		src, dst := NodeID(i), NodeID((i+1)%200)
 		s.run(src, nil, nil, nil, nil, Unreachable, Unreachable, dst, Unreachable) // ShortestPath's sweep
 		arcs += s.arcsScanned
-		s.runReference(ref, src, nil, dst, nil, nil, nil, Unreachable)
-		refArcs += s.referenceArcs(ref, src, dst, nil)
+		s.runReference(src, nil, dst, nil, nil, nil, Unreachable)
+		refArcs += s.referenceArcs(src, dst, nil)
 	}
 	s.Release()
 	b.ReportAllocs()
@@ -326,7 +324,7 @@ func BenchmarkSweepMaskedMegascale(b *testing.B) {
 	mask := NewMaskWithCapacity(w * h).BlockNodes(blocked...)
 
 	b.Run("bitset", func(b *testing.B) {
-		s.Run(0, mask, nil) // warm CSR + arena outside the timer
+		s.Run(0, mask, nil) // warm the arena outside the timer
 		want := s.SettledCount()
 		b.ReportAllocs()
 		b.ResetTimer()

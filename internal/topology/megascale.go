@@ -200,7 +200,7 @@ func GenerateMegascale(cfg MegascaleConfig, seed uint64) (*NLevelTopology, error
 	}
 	// The composed hierarchy is immutable from here on (sessions mutate trees
 	// and masks, never the topology), so freeze it: the rows are re-packed
-	// without their append slack and the CSR sweep view is built once.
+	// without their append slack and sorted by weight for the sweeps.
 	g.Freeze()
 	return t, nil
 }
