@@ -48,8 +48,8 @@ func TestPublicSentinels(t *testing.T) {
 	if !sess.IsParked(4) {
 		t.Fatal("member 4 should be parked")
 	}
-	if _, _, err := sess.RecoverMember(4); !errors.Is(err, smrp.ErrPartitioned) {
-		t.Errorf("RecoverMember(parked) = %v, want ErrPartitioned", err)
+	if _, err := sess.Join(4); !errors.Is(err, smrp.ErrPartitioned) {
+		t.Errorf("Join(parked) = %v, want ErrPartitioned", err)
 	}
 
 	// Repair re-admits automatically.

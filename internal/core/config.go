@@ -250,7 +250,7 @@ type Stats struct {
 	SelectSourceExits int
 
 	// HealSettled tallies nodes settled by the failure-recovery sweeps of
-	// Recover/Reconcile/RecoverMember: member-rooted nearest-survivor scans (a
+	// Recover/Reconcile and RecoverScaffold: member-rooted nearest-survivor scans (a
 	// scan re-taken to a larger radius counts every node it settles again)
 	// and, when a heal reconnects from the tree side, the nodes its distance
 	// field hands out (one handed out again at a lower value counts again)

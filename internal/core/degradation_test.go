@@ -177,11 +177,6 @@ func TestDegradationErrorIdentity(t *testing.T) {
 		t.Fatalf("Join of failed node = %v, want ErrMemberFailed", err)
 	}
 
-	// RecoverMember of a failed node → failure.ErrMemberFailed.
-	if _, _, err := s.RecoverMember(5); !errors.Is(err, failure.ErrMemberFailed) {
-		t.Fatalf("RecoverMember of failed node = %v, want ErrMemberFailed", err)
-	}
-
 	// Out-of-range member → graph.ErrUnknownNode via the core alias.
 	if _, err := s.Join(99); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("Join(99) = %v, want ErrUnknownNode", err)
@@ -198,6 +193,9 @@ func TestDegradationErrorIdentity(t *testing.T) {
 	}
 	if !slices.Equal(rr.Readmitted, []graph.NodeID{4}) {
 		t.Fatalf("Readmitted = %v, want [4]", rr.Readmitted)
+	}
+	if len(rr.Connections) != 1 || rr.Connections[0].Last() != 4 || !s.Tree().OnTree(rr.Connections[0][0]) {
+		t.Fatalf("Connections = %v, want one path from the tree to 4", rr.Connections)
 	}
 	if len(rr.StillParked) != 0 {
 		t.Fatalf("StillParked = %v, want empty", rr.StillParked)

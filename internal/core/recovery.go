@@ -54,6 +54,10 @@ type RepairReport struct {
 	// Readmitted lists parked members re-admitted by this repair, in
 	// re-admission order (ascending).
 	Readmitted []graph.NodeID
+	// Connections holds, index for index with Readmitted, the path each
+	// re-admission grafted (merger first, member last; a single node when the
+	// member was an on-tree relay).
+	Connections []graph.Path
 	// StillParked lists members that remain partitioned afterwards.
 	StillParked []graph.NodeID
 }
@@ -565,38 +569,6 @@ func (s *Session) nearestSurvivor(m graph.NodeID, mask *graph.Mask) (p graph.Pat
 	return p, d, node != graph.Invalid
 }
 
-// RecoverMember attempts a local-detour re-admission of a single off-tree
-// node (typically a parked member): the shortest residual path to the
-// nearest live on-tree node is grafted. It returns ErrPartitioned — and
-// parks the member — when no residual path exists.
-func (s *Session) RecoverMember(m graph.NodeID) (graph.Path, float64, error) {
-	if m < 0 || int(m) >= s.g.NumNodes() {
-		return nil, 0, fmt.Errorf("recover %d: %w", m, ErrUnknownNode)
-	}
-	if s.tree.IsMember(m) {
-		return nil, 0, fmt.Errorf("recover %d: %w", m, ErrAlreadyMember)
-	}
-	mask := s.maskOrNil()
-	if mask.NodeBlocked(m) {
-		return nil, 0, fmt.Errorf("recover %d: %w", m, failure.ErrMemberFailed)
-	}
-	if s.tree.OnTree(m) {
-		if err := s.RecoverGraft(graph.Path{m}); err != nil {
-			return nil, 0, err
-		}
-		return graph.Path{m}, 0, nil
-	}
-	p, d, ok := s.nearestSurvivor(m, mask)
-	if !ok {
-		s.park(m)
-		return nil, 0, fmt.Errorf("recover %d: %w", m, ErrPartitioned)
-	}
-	if err := s.RecoverGraft(p.Reverse()); err != nil {
-		return nil, 0, err
-	}
-	return p, d, nil
-}
-
 // Repair restores failed components and automatically re-admits every
 // parked member the repair reconnects, ascending (each re-admission runs the
 // full SMRP path selection, so re-admitted members land on low-SHR paths,
@@ -614,13 +586,15 @@ func (s *Session) Repair(fs ...failure.Failure) (*RepairReport, error) {
 			continue // component still down; stays parked
 		}
 		delete(s.parked, m) // Join must not see it as parked
-		if _, err := s.Join(m); err != nil {
+		res, err := s.Join(m)
+		if err != nil {
 			// Still partitioned (or worse): back to parked.
 			s.park(m)
 			continue
 		}
 		s.stats.Readmissions++
 		rep.Readmitted = append(rep.Readmitted, m)
+		rep.Connections = append(rep.Connections, res.Connection)
 	}
 	rep.StillParked = s.Parked()
 	return rep, nil

@@ -231,21 +231,8 @@ func RunChaos(ctx context.Context, rc RunConfig, trials int) (*ChaosResult, erro
 		if err := inst.Run(5000); err != nil {
 			return chaosTrial{}, err
 		}
-		if err := inst.Session().Tree().Validate(); err != nil {
-			out.violations = append(out.violations,
-				fmt.Sprintf("seed %d protocol: tree invalid at horizon: %v", t.Seed, err))
-		}
-		endMask := inst.Network().Failed()
-		for _, n := range inst.Session().Tree().Nodes() {
-			if endMask.NodeBlocked(n) {
-				out.violations = append(out.violations,
-					fmt.Sprintf("seed %d protocol: failed node %d on tree at horizon", t.Seed, n))
-			}
-			if p, ok := inst.Session().Tree().Parent(n); ok && p != graph.Invalid && endMask.EdgeBlocked(p, n) {
-				out.violations = append(out.violations,
-					fmt.Sprintf("seed %d protocol: failed link %d-%d on tree at horizon", t.Seed, p, n))
-			}
-		}
+		out.violations = append(out.violations,
+			chaosInvariants(inst.Session(), members, fmt.Sprintf("seed %d protocol at horizon", t.Seed))...)
 		out.restorations = len(inst.Restorations())
 		out.parkedEnd = len(inst.Parked())
 

@@ -82,20 +82,6 @@ func TestRetryDelayJitterDeterministic(t *testing.T) {
 	}
 }
 
-// TestScheduleRetryExhaustionParks verifies that a member whose retry budget
-// is spent degrades to the parked state instead of retrying forever.
-func TestScheduleRetryExhaustionParks(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxRetries = 3
-	inst := testInstance(t, cfg)
-
-	m := graph.NodeID(5)
-	inst.scheduleRetry(m, 0, cfg.MaxRetries) // budget already spent
-	if got := inst.Parked(); !slices.Equal(got, []graph.NodeID{m}) {
-		t.Fatalf("Parked() = %v, want [%d]", got, m)
-	}
-}
-
 // TestInjectErrorsTyped pins the typed sentinels of the event-injection API.
 func TestInjectErrorsTyped(t *testing.T) {
 	inst := testInstance(t, DefaultConfig())

@@ -11,10 +11,9 @@ import (
 )
 
 // This file is the protocol layer's multi-failure machinery: correlated
-// failure batches, repairs, whole failure schedules, the parked-member
-// degraded state, and the bounded-backoff retry timers that re-detour a
-// member whose Join_Req was lost on a link that died while the request was
-// in flight.
+// failure batches, repairs, whole failure schedules, and the bounded-backoff
+// retry delay of a member whose Join_Req a later failure cut while the
+// request was in flight. The parked-member degraded state is the session's.
 
 // InjectFailureSet schedules a correlated failure batch (an SRLG cut): every
 // component in fs fails at the same instant, and recovery runs once against
@@ -34,9 +33,9 @@ func (i *SMRPInstance) InjectFailureSet(at eventsim.Time, fs ...failure.Failure)
 	return err
 }
 
-// InjectRepair schedules the restoration of failed components. Parked
-// members re-run local-detour recovery (discovery, Join_Req, graft) as soon
-// as the repair lands.
+// InjectRepair schedules the restoration of failed components. The session
+// re-admits every parked member the repair reconnects as soon as it lands;
+// each then pays discovery and its Join_Req like a joiner.
 func (i *SMRPInstance) InjectRepair(at eventsim.Time, fs ...failure.Failure) error {
 	if at < i.engine.Now() {
 		return fmt.Errorf("repair: %w", ErrPastEvent)
@@ -83,11 +82,14 @@ func (i *SMRPInstance) InjectSchedule(s failure.Schedule) error {
 	return nil
 }
 
-// onRepair restores components in the network and routing views, then
-// restarts recovery for every parked member (ascending, deterministic).
+// onRepair restores components in the network and routing views, then lets
+// core.Session.Repair re-admit the parked members it reconnects, ascending.
+// Each is timed like a join: the discovery it would run now, then its
+// Join_Req along the connection the session grafted.
 func (i *SMRPInstance) onRepair(fs []failure.Failure) {
+	now := i.engine.Now()
 	for _, f := range fs {
-		i.trace.Add(i.engine.Now(), trace.CatRepair, graph.Invalid, "%v repaired", f)
+		i.trace.Add(now, trace.CatRepair, graph.Invalid, "%v repaired", f)
 		switch f.Kind {
 		case failure.LinkFailure:
 			i.net.RepairLink(f.Edge.A, f.Edge.B)
@@ -97,61 +99,31 @@ func (i *SMRPInstance) onRepair(fs []failure.Failure) {
 		i.domain.RemoveFailure(f)
 	}
 	mask := i.net.Failed()
-	for _, m := range i.Parked() {
-		if mask.NodeBlocked(m) {
-			continue // the member itself is still down
+	discovery := make(map[graph.NodeID]eventsim.Time)
+	for _, m := range i.session.Parked() {
+		if !mask.NodeBlocked(m) {
+			discovery[m] = i.queryLatency(m)
 		}
-		i.recoverMember(m, mask)
 	}
-}
-
-// park moves a member into the degraded state: its recovery found no
-// residual path (or ran out of retries) and it now waits for a repair.
-func (i *SMRPInstance) park(m graph.NodeID) {
-	if i.parked[m] {
+	rep, err := i.session.Repair(fs...)
+	if err != nil {
 		return
 	}
-	i.parked[m] = true
-	i.trace.Add(i.engine.Now(), trace.CatPark, m, "no residual path: parked pending repair")
+	for k, m := range rep.Readmitted {
+		conn := rep.Connections[k]
+		rd, _ := conn.Weight(i.net.Graph()) // a grafted path is made of edges
+		g := pendingGraft{path: conn.Reverse()}
+		g.DetectedAt = now + discovery[m]
+		g.RecoveryDistance = rd
+		g.RestoredAt = g.DetectedAt + eventsim.Time(rd)
+		i.pending[m] = g
+		i.schedule(m, trace.CatRepair, "re-admitted: join_req sent")
+	}
 }
 
 // Parked returns the members currently degraded (waiting for a repair),
 // ascending.
-func (i *SMRPInstance) Parked() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(i.parked))
-	for m := range i.parked {
-		out = append(out, m)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// detourCut reports whether any hop of the detour (or any node past the
-// first) is currently failed — i.e. the Join_Req that was sent along it has
-// been lost.
-func (i *SMRPInstance) detourCut(detour graph.Path) bool {
-	mask := i.net.Failed()
-	for j := 0; j+1 < len(detour); j++ {
-		if mask.EdgeBlocked(detour[j], detour[j+1]) || mask.NodeBlocked(detour[j+1]) {
-			return true
-		}
-	}
-	return false
-}
-
-// scheduleRetry arms the re-detour timer for a member whose Join_Req was
-// lost: bounded exponential backoff (RetryTimeout · RetryBackoff^attempt,
-// capped at HoldTime) plus deterministic jitter. The retry budget is
-// capped at MaxRetries; an exhausted member parks.
-func (i *SMRPInstance) scheduleRetry(m graph.NodeID, detectedAt eventsim.Time, attempt int) {
-	if attempt >= i.cfg.MaxRetries {
-		i.park(m)
-		return
-	}
-	i.engine.MustSchedule(i.retryDelay(attempt), func() {
-		i.completeRecovery(m, detectedAt, i.net.Failed(), attempt+1)
-	})
-}
+func (i *SMRPInstance) Parked() []graph.NodeID { return i.session.Parked() }
 
 // retryDelay computes the backoff delay for the given attempt. The jitter
 // stream is consumed here and only here, so runs without lost Join_Reqs are

@@ -33,15 +33,12 @@ type Config struct {
 	HoldTime        eventsim.Time
 
 	// RetryTimeout is how long a recovering member waits before re-detouring
-	// after its Join_Req is lost on a link that died while the request was in
+	// after its Join_Req is lost to a later failure while the request was in
 	// flight (the multi-failure case). 0 defaults to RefreshInterval.
 	RetryTimeout eventsim.Time
 	// RetryBackoff is the per-attempt multiplier of RetryTimeout (bounded
 	// exponential backoff, capped at HoldTime). Values < 1 default to 2.
 	RetryBackoff float64
-	// MaxRetries caps re-detour attempts per recovery episode; an exhausted
-	// member parks until a repair. 0 defaults to 10.
-	MaxRetries int
 	// RetryJitter is the maximum deterministic jitter added to each retry
 	// delay, drawn from a stream seeded by JitterSeed. The stream is consumed
 	// only on actual retries, so failure-free runs are byte-identical
@@ -61,7 +58,6 @@ func DefaultConfig() Config {
 		HoldTime:        16,
 		RetryTimeout:    5,
 		RetryBackoff:    2,
-		MaxRetries:      10,
 		RetryJitter:     0.5,
 		JitterSeed:      1,
 	}
@@ -75,9 +71,6 @@ func (c Config) withRecoveryDefaults() Config {
 	}
 	if c.RetryBackoff < 1 {
 		c.RetryBackoff = 2
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 10
 	}
 	if c.JitterSeed == 0 {
 		c.JitterSeed = 1
@@ -96,7 +89,7 @@ func (c Config) Validate() error {
 	if c.RefreshInterval <= 0 || c.HoldTime <= c.RefreshInterval {
 		return fmt.Errorf("%w: need 0 < RefreshInterval < HoldTime", ErrBadConfig)
 	}
-	if c.RetryTimeout < 0 || c.RetryBackoff < 0 || c.MaxRetries < 0 || c.RetryJitter < 0 {
+	if c.RetryTimeout < 0 || c.RetryBackoff < 0 || c.RetryJitter < 0 {
 		return fmt.Errorf("%w: retry knobs must be non-negative", ErrBadConfig)
 	}
 	return nil
@@ -106,9 +99,11 @@ func (c Config) Validate() error {
 type Restoration struct {
 	Member graph.NodeID
 	// DetectedAt is when the member learned of the failure (notification
-	// down the dead subtree for SMRP; routing convergence for SPF).
+	// down the dead subtree, a retry timeout or a repair for SMRP; routing
+	// convergence for SPF).
 	DetectedAt eventsim.Time
-	// RestoredAt is when the member's new branch was grafted.
+	// RestoredAt is when the member's Join_Req landed and its new branch
+	// went live.
 	RestoredAt eventsim.Time
 	// Latency is RestoredAt minus the failure instant.
 	Latency eventsim.Time
@@ -135,10 +130,9 @@ type SMRPInstance struct {
 	failedAt     eventsim.Time
 	auditArmed   bool
 	trace        *trace.Log
-	// parked holds members whose recovery exhausted its options (no residual
-	// path, or retries ran out): they degrade gracefully and wait for a
-	// repair to re-admit them.
-	parked map[graph.NodeID]bool
+	// pending holds the restorations the session has committed and the
+	// network has not carried out yet.
+	pending map[graph.NodeID]pendingGraft
 	// jitter is the deterministic retry-jitter stream; it is consumed only
 	// when a retry actually fires.
 	jitter *topology.RNG
@@ -176,7 +170,7 @@ func NewSMRPInstance(g *graph.Graph, source graph.NodeID, cfg Config) (*SMRPInst
 		refreshGen:   make(map[graph.NodeID]int),
 		silenced:     make(map[graph.NodeID]bool),
 		restorations: make(map[graph.NodeID]Restoration),
-		parked:       make(map[graph.NodeID]bool),
+		pending:      make(map[graph.NodeID]pendingGraft),
 		jitter:       topology.NewRNG(cfg.JitterSeed),
 	}
 	// Every node accepts control messages; decisions are delegated to the
@@ -315,7 +309,7 @@ func (i *SMRPInstance) armAudit() {
 		now := i.engine.Now()
 		for _, m := range i.session.Tree().Members() {
 			last, ok := i.lastRefresh[m]
-			if !ok || now-last <= i.cfg.HoldTime {
+			if _, restoring := i.pending[m]; !ok || restoring || now-last <= i.cfg.HoldTime {
 				continue
 			}
 			// The branch's soft state expires hop by hop; the oracle
@@ -374,14 +368,16 @@ func (i *SMRPInstance) ScheduleLeave(at eventsim.Time, m graph.NodeID) error {
 		}
 		_ = i.session.Leave(m)
 		delete(i.lastRefresh, m)
+		delete(i.pending, m)
 		i.trace.Add(i.engine.Now(), trace.CatLeave, m, "leave_req completed")
 	})
 	return err
 }
 
 // InjectFailure schedules a persistent failure. Detection, notification of
-// the dead subtree, local detour discovery, and re-grafting all play out in
-// virtual time; per-member restoration latencies are recorded.
+// the dead subtree, local detour discovery, and the Join_Reqs along the
+// detours all play out in virtual time; per-member restoration latencies are
+// recorded.
 func (i *SMRPInstance) InjectFailure(at eventsim.Time, f failure.Failure) error {
 	if at < i.engine.Now() {
 		return fmt.Errorf("failure: %w", ErrPastEvent)
@@ -393,13 +389,16 @@ func (i *SMRPInstance) InjectFailure(at eventsim.Time, f failure.Failure) error 
 	return err
 }
 
-// onFailureSet applies a correlated failure batch atomically and starts
-// SMRP's recovery machinery against the accumulated mask, so detours never
-// route over a sibling cut discovered one step later.
+// onFailureSet applies a correlated failure batch atomically. The session
+// recovers at once through core.Session.Recover, against the accumulated
+// mask; what plays out in virtual time is each regrafted member's share of
+// that report: the failure notice (or a retry timeout), the query round trip
+// to its survivor, and the Join_Req along its detour.
 func (i *SMRPInstance) onFailureSet(fs []failure.Failure) {
-	i.failedAt = i.engine.Now()
+	now := i.engine.Now()
+	i.failedAt = now
 	for _, f := range fs {
-		i.trace.Add(i.engine.Now(), trace.CatFailure, graph.Invalid, "%v injected", f)
+		i.trace.Add(now, trace.CatFailure, graph.Invalid, "%v injected", f)
 		switch f.Kind {
 		case failure.LinkFailure:
 			i.net.FailLink(f.Edge.A, f.Edge.B)
@@ -408,38 +407,56 @@ func (i *SMRPInstance) onFailureSet(fs []failure.Failure) {
 		}
 		i.domain.ApplyFailure(f)
 	}
-
-	mask := i.net.Failed()
-	tr := i.session.Tree()
-	disconnected := failure.DisconnectedMembers(tr, mask)
-	if len(disconnected) == 0 {
-		return
-	}
 	// Notice propagation times must be measured on the pre-flush tree (the
 	// FailureNotice travels the still-intact dead branch).
-	delays := make(map[graph.NodeID]eventsim.Time, len(disconnected))
-	for _, m := range disconnected {
+	mask := i.net.Failed()
+	notice := make(map[graph.NodeID]eventsim.Time)
+	for _, m := range failure.DisconnectedMembers(i.session.Tree(), mask) {
 		if d, ok := i.noticeDelay(m, mask); ok {
-			delays[m] = d
+			notice[m] = d
 		}
 	}
-	// Flush dead control state; members re-graft individually below.
-	if _, err := i.session.FlushDead(mask); err != nil {
+	rep, err := i.session.Recover(fs...)
+	if err != nil {
+		// Only a batch that takes the source down is refused; the session
+		// still learns of it, so later joins park instead of grafting.
+		i.session.ApplyFailure(fs...)
 		return
 	}
+	for _, m := range rep.Unrecovered {
+		delete(i.pending, m)
+		i.trace.Add(now, trace.CatPark, m, "no residual path: parked pending repair")
+	}
+	members := make([]graph.NodeID, 0, len(rep.Detours))
+	for m := range rep.Detours {
+		members = append(members, m)
+	}
+	slices.Sort(members)
 	// The cut is detected after the hello timeout; the downstream endpoint
-	// then floods a FailureNotice down the (still intact) dead subtree.
+	// then floods a FailureNotice down the (still intact) dead subtree. A
+	// member this batch cut while its own Join_Req was in flight hears no
+	// notice: the request was lost, and the member retries after a backoff.
 	detect := i.domain.DetectionTime()
-	for _, m := range disconnected {
-		m := m
-		notifyDelay, ok := delays[m]
-		if !ok {
-			continue
+	for _, m := range members {
+		g := pendingGraft{path: rep.Detours[m]}
+		if old, ok := i.pending[m]; ok {
+			g.DetectedAt, g.retries = now+i.retryDelay(old.retries), old.retries+1
+		} else {
+			g.DetectedAt = now + detect + notice[m]
 		}
-		i.engine.MustSchedule(detect+notifyDelay, func() {
-			i.trace.Add(i.engine.Now(), trace.CatNotice, m, "failure notice received")
-			i.recoverMember(m, mask)
-		})
+		i.net.Sent++ // the query to the survivor
+		g.RecoveryDistance = rep.RecoveryDistance[m]
+		// Discovery is a query round trip along the detour, then the Join_Req
+		// travels it once more.
+		g.RestoredAt = g.DetectedAt + eventsim.Time(3*g.RecoveryDistance)
+		i.pending[m] = g
+	}
+	for _, m := range members {
+		why := "failure notice received"
+		if r := i.pending[m].retries; r > 0 {
+			why = fmt.Sprintf("join_req lost: retry %d", r)
+		}
+		i.schedule(m, trace.CatNotice, why)
 	}
 }
 
@@ -465,114 +482,73 @@ func (i *SMRPInstance) noticeDelay(m graph.NodeID, mask *graph.Mask) (eventsim.T
 	return 0, false // not actually cut on its own path
 }
 
-// detourFor resolves the member's current local detour: the shortest
-// residual path from m to the nearest live on-tree node (the tree has been
-// flushed, so every on-tree node is live).
-func (i *SMRPInstance) detourFor(m graph.NodeID, mask *graph.Mask) (graph.Path, float64, bool) {
-	tr := i.session.Tree()
-	target, p, d := i.net.Graph().NearestOf(m, mask, func(n graph.NodeID) bool {
-		return tr.OnTree(n) && !mask.NodeBlocked(n)
-	})
-	if target == graph.Invalid {
-		return nil, 0, false
-	}
-	return p, d, true
+// pendingGraft is one restoration the session has committed and the network
+// has not carried out yet: its timing, the path its Join_Req travels (member
+// first, survivor last) and how many of its Join_Reqs later failures cut.
+// landed is set once RestoredAt allows for the graft the survivor sits on.
+type pendingGraft struct {
+	Restoration
+	path    graph.Path
+	retries int
+	landed  bool
 }
 
-// recoverMember runs the member's local-detour recovery: discovery (query
-// round trip to the nearest survivor), then a Join_Req along the detour.
-func (i *SMRPInstance) recoverMember(m graph.NodeID, mask *graph.Mask) {
-	if i.session.Tree().IsMember(m) {
-		return // already re-grafted
+// land returns when m's pending Join_Req lands. It stops at m's survivor, so
+// when another pending graft put that node on the tree, m is live no earlier
+// than that graft is.
+func (i *SMRPInstance) land(m graph.NodeID) eventsim.Time {
+	g := i.pending[m]
+	if g.landed {
+		return g.RestoredAt
 	}
-	detectedAt := i.engine.Now()
-	_, rd, ok := i.detourFor(m, mask)
-	if !ok {
-		i.park(m) // unrecoverable until a repair
-		return
+	g.landed = true
+	i.pending[m] = g
+	for o, og := range i.pending {
+		if slices.Contains(og.path[:len(og.path)-1], g.path.Last()) {
+			g.RestoredAt = max(g.RestoredAt, i.land(o))
+		}
 	}
-	// Discovery: query out + response back along the detour.
-	i.net.Sent++ // query message
-	i.engine.MustSchedule(eventsim.Time(2*rd), func() {
-		i.completeRecovery(m, detectedAt, mask, 0)
-	})
+	i.pending[m] = g
+	return g.RestoredAt
 }
 
-// maxRecoveryRetries bounds re-resolution when concurrent grafts collide
-// (the SPF baseline's fixed cap; SMRP instances use Config.MaxRetries).
-const maxRecoveryRetries = 10
-
-// completeRecovery re-resolves the detour (the tree may have grown through
-// other members' recoveries) and grafts the member when the Join_Req lands.
-func (i *SMRPInstance) completeRecovery(m graph.NodeID, detectedAt eventsim.Time, mask *graph.Mask, attempt int) {
-	tr := i.session.Tree()
-	if tr.IsMember(m) {
-		return
+// schedule plays member m's pending restoration out in virtual time: m learns
+// it must reconnect at DetectedAt, its Join_Req leaves RecoveryDistance
+// before it lands, and then m is back in service and refreshes again. Steps
+// of a restoration that is no longer pending, or was re-timed, are dropped.
+func (i *SMRPInstance) schedule(m graph.NodeID, cat trace.Category, why string) {
+	i.land(m)
+	g := i.pending[m]
+	g.Member = m
+	g.Latency = g.RestoredAt - i.failedAt
+	i.pending[m] = g
+	i.refreshGen[m]++ // the refresh loop of m's old branch stops
+	gen := i.refreshGen[m]
+	live := func() bool {
+		_, ok := i.pending[m]
+		return ok && i.refreshGen[m] == gen
 	}
-	if attempt > i.cfg.MaxRetries {
-		i.park(m) // retry budget exhausted; wait for a repair
-		return
-	}
-	if tr.OnTree(m) {
-		// m came back as a relay on someone else's detour; become a member
-		// in place — service is already flowing through m.
-		if err := i.session.RecoverGraft(graph.Path{m}); err != nil {
+	now := i.engine.Now()
+	i.engine.MustSchedule(g.DetectedAt-now, func() {
+		if live() {
+			i.trace.Add(i.engine.Now(), cat, m, "%s", why)
+		}
+	})
+	i.engine.MustSchedule(max(g.RestoredAt-eventsim.Time(g.RecoveryDistance)-now, 0), func() {
+		if live() && len(g.path) >= 2 {
+			_ = i.net.SendAlong(g.path, JoinReq{Member: m, Path: g.path.Reverse()})
+		}
+	})
+	i.engine.MustSchedule(g.RestoredAt-now, func() {
+		if !live() {
 			return
 		}
-		delete(i.parked, m)
-		i.restorations[m] = Restoration{
-			Member:     m,
-			DetectedAt: detectedAt,
-			RestoredAt: i.engine.Now(),
-			Latency:    i.engine.Now() - i.failedAt,
-		}
+		delete(i.pending, m)
+		i.restorations[m] = g.Restoration
+		i.trace.Add(i.engine.Now(), trace.CatRecovery, m,
+			"restored rd=%.3f latency=%.3f", g.RecoveryDistance, float64(g.Latency))
 		i.armRefresh(m)
-		return
-	}
-	detour, rd, ok := i.detourFor(m, mask)
-	if !ok {
-		i.park(m) // no residual path left
-		return
-	}
-	i.engine.MustSchedule(eventsim.Time(rd), func() {
-		i.graftDetour(m, detour, rd, detectedAt, attempt)
 	})
-	_ = i.net.SendAlong(detour, JoinReq{Member: m, Path: detour.Reverse()})
-}
-
-// graftDetour applies the detour graft on the oracle tree and records the
-// restoration. If a concurrent graft invalidated the path, the recovery is
-// re-resolved immediately against the current tree. If the detour itself was
-// cut while the Join_Req was in flight (a later failure of the multi-failure
-// regime), the request was lost on the dead link: the member re-detours
-// after a bounded-exponential-backoff timeout with deterministic jitter.
-func (i *SMRPInstance) graftDetour(m graph.NodeID, detour graph.Path, rd float64, detectedAt eventsim.Time, attempt int) {
-	tr := i.session.Tree()
-	if tr.IsMember(m) {
-		return
-	}
-	if i.detourCut(detour) {
-		i.scheduleRetry(m, detectedAt, attempt)
-		return
-	}
-	// detour runs m→…→survivor; grafting wants survivor→…→m.
-	if err := i.session.RecoverGraft(detour.Reverse()); err != nil {
-		if tr.OnTree(m) || attempt < i.cfg.MaxRetries {
-			i.completeRecovery(m, detectedAt, i.net.Failed(), attempt+1)
-		}
-		return
-	}
-	delete(i.parked, m)
-	i.restorations[m] = Restoration{
-		Member:           m,
-		DetectedAt:       detectedAt,
-		RestoredAt:       i.engine.Now(),
-		Latency:          i.engine.Now() - i.failedAt,
-		RecoveryDistance: rd,
-	}
-	i.trace.Add(i.engine.Now(), trace.CatRecovery, m,
-		"local detour grafted rd=%.3f latency=%.3f", rd, float64(i.engine.Now()-i.failedAt))
-	i.armRefresh(m)
 }
 
 // Restorations returns the recorded per-member recoveries, sorted by member.
@@ -587,8 +563,12 @@ func (i *SMRPInstance) Restorations() []Restoration {
 
 // Multicast delivers one data packet from the source over the current tree,
 // returning each reachable member's delivery time offset. Members whose
-// branch is currently cut receive nothing — the service disruption the
-// recovery machinery exists to shorten.
+// branch is currently cut, or whose restoration is still in flight, receive
+// nothing — the service disruption the recovery machinery exists to shorten.
 func (i *SMRPInstance) Multicast() map[graph.NodeID]eventsim.Time {
-	return multicastOver(i.session.Tree(), i.net.Failed())
+	out := multicastOver(i.session.Tree(), i.net.Failed())
+	for m := range i.pending {
+		delete(out, m)
+	}
+	return out
 }

@@ -181,10 +181,12 @@ func (i *SPFInstance) onFailure(f failure.Failure) {
 		}
 	}
 
-	// Flush dead control state; members rejoin individually below.
+	// Flush dead control state and reroute later joins around the failure;
+	// members rejoin individually below.
 	if _, err := i.session.FlushDead(mask); err != nil {
 		return
 	}
+	i.session.Reroute(mask)
 
 	i.domain.ApplyFailure(f)
 	for _, m := range disconnected {
@@ -202,6 +204,10 @@ func (i *SPFInstance) onFailure(f failure.Failure) {
 		})
 	}
 }
+
+// maxRecoveryRetries bounds re-resolution when concurrent rejoin grafts
+// collide.
+const maxRecoveryRetries = 10
 
 // rejoin sends the member's Join_Req along its reconverged unicast route;
 // the branch is live when the request reaches the first on-tree node.

@@ -36,7 +36,8 @@ var (
 type Session struct {
 	g    *graph.Graph
 	tree *multicast.Tree
-	// spt caches the source's shortest-path tree over the healthy network.
+	// spt caches the source's shortest-path tree over the network as the
+	// session last heard of it (healthy until Reroute or Heal says otherwise).
 	// It may be shared with the graph's SPF cache and must not be mutated.
 	spt *graph.SPTree
 }
@@ -95,6 +96,13 @@ func mergeSegment(t *multicast.Tree, p graph.Path) graph.Path {
 		}
 	}
 	return p[start:]
+}
+
+// Reroute recomputes the source's shortest-path tree over the network mask
+// leaves — unicast routing reconverging after a failure or a repair — so later
+// joins follow routes that exist.
+func (s *Session) Reroute(mask *graph.Mask) {
+	s.spt = s.g.Dijkstra(s.tree.Source(), mask)
 }
 
 // Leave removes member m, pruning its unused branch.
@@ -174,7 +182,7 @@ func (s *Session) Heal(f failure.Failure) (*HealReport, error) {
 	}
 
 	// Reconverged routing: new SPT over the residual network.
-	s.spt = s.g.Dijkstra(s.tree.Source(), mask)
+	s.Reroute(mask)
 
 	// Rejoin each recoverable member along its new unicast path.
 	for _, m := range rep.Disconnected {
