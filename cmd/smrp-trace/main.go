@@ -19,6 +19,7 @@ import (
 	"smrp/internal/eventsim"
 	"smrp/internal/failure"
 	"smrp/internal/graph"
+	"smrp/internal/multicast"
 	"smrp/internal/protocol"
 	"smrp/internal/topology"
 	"smrp/internal/trace"
@@ -73,21 +74,43 @@ func run(args []string) error {
 	cfg.SMRP = core.DefaultConfig()
 	cfg.SMRP.DThresh = *dthresh
 
+	var (
+		inst arm
+		tree *multicast.Tree
+	)
 	switch *proto {
 	case "smrp":
-		return traceSMRP(g, source, members, cfg)
+		i, err := protocol.NewSMRPInstance(g, source, cfg)
+		if err != nil {
+			return err
+		}
+		inst, tree = i, i.Session().Tree()
 	case "spf":
-		return traceSPF(g, source, members, cfg)
+		i, err := protocol.NewSPFInstance(g, source, cfg)
+		if err != nil {
+			return err
+		}
+		inst, tree = i, i.Session().Tree()
 	default:
 		return fmt.Errorf("unknown protocol %q", *proto)
 	}
+	return traceArm(inst, tree, members)
 }
 
-func traceSMRP(g *graph.Graph, source graph.NodeID, members []graph.NodeID, cfg protocol.Config) error {
-	inst, err := protocol.NewSMRPInstance(g, source, cfg)
-	if err != nil {
-		return err
-	}
+// arm is what both message-level protocol instances offer a trace.
+type arm interface {
+	SetTrace(*trace.Log)
+	ScheduleJoin(eventsim.Time, graph.NodeID) error
+	InjectFailure(eventsim.Time, failure.Failure) error
+	Run(eventsim.Time) error
+	Restorations() []protocol.Restoration
+	Multicast() map[graph.NodeID]eventsim.Time
+	Network() *eventsim.Network
+}
+
+// traceArm joins the members, cuts the first one's worst-case link and
+// prints what inst, whose multicast tree is tree, did about it.
+func traceArm(inst arm, tree *multicast.Tree, members []graph.NodeID) error {
 	log := trace.New(0)
 	inst.SetTrace(log)
 	for k, m := range members {
@@ -98,16 +121,15 @@ func traceSMRP(g *graph.Graph, source graph.NodeID, members []graph.NodeID, cfg 
 	if err := inst.Run(100); err != nil {
 		return err
 	}
-	fmt.Printf("t=100  tree built: %d nodes, %d members\n",
-		inst.Session().Tree().NumNodes(), inst.Session().Tree().NumMembers())
+	fmt.Printf("t=100  tree built: %d nodes, %d members\n", tree.NumNodes(), tree.NumMembers())
 	printDelivery("      pre-failure delivery", inst.Multicast())
 
 	victim := members[0]
-	f, err := failure.WorstCaseFor(inst.Session().Tree(), victim)
+	f, err := failure.WorstCaseFor(tree, victim)
 	if err != nil {
 		return err
 	}
-	disconnected := failure.DisconnectedMembers(inst.Session().Tree(), f.Mask())
+	disconnected := failure.DisconnectedMembers(tree, f.Mask())
 	fmt.Printf("t=150  inject worst-case failure for member %d: %v (disconnects %v)\n", victim, f, disconnected)
 	if err := inst.InjectFailure(150, f); err != nil {
 		return err
@@ -119,46 +141,7 @@ func traceSMRP(g *graph.Graph, source graph.NodeID, members []graph.NodeID, cfg 
 	printDelivery("      post-recovery delivery", inst.Multicast())
 	fmt.Printf("      control messages sent: %d\n", inst.Network().Sent)
 	fmt.Printf("\nprotocol event log (%s):\n%s", log.Summary(), log.String())
-	return inst.Session().Tree().Validate()
-}
-
-func traceSPF(g *graph.Graph, source graph.NodeID, members []graph.NodeID, cfg protocol.Config) error {
-	inst, err := protocol.NewSPFInstance(g, source, cfg)
-	if err != nil {
-		return err
-	}
-	log := trace.New(0)
-	inst.SetTrace(log)
-	for k, m := range members {
-		if err := inst.ScheduleJoin(eventsim.Time(k+1), m); err != nil {
-			return err
-		}
-	}
-	if err := inst.Run(100); err != nil {
-		return err
-	}
-	fmt.Printf("t=100  tree built: %d nodes, %d members\n",
-		inst.Session().Tree().NumNodes(), inst.Session().Tree().NumMembers())
-	printDelivery("      pre-failure delivery", inst.Multicast())
-
-	victim := members[0]
-	f, err := failure.WorstCaseFor(inst.Session().Tree(), victim)
-	if err != nil {
-		return err
-	}
-	disconnected := failure.DisconnectedMembers(inst.Session().Tree(), f.Mask())
-	fmt.Printf("t=150  inject worst-case failure for member %d: %v (disconnects %v)\n", victim, f, disconnected)
-	if err := inst.InjectFailure(150, f); err != nil {
-		return err
-	}
-	if err := inst.Run(1000); err != nil {
-		return err
-	}
-	printRestorations(inst.Restorations(), len(disconnected))
-	printDelivery("      post-recovery delivery", inst.Multicast())
-	fmt.Printf("      control messages sent: %d\n", inst.Network().Sent)
-	fmt.Printf("\nprotocol event log (%s):\n%s", log.Summary(), log.String())
-	return inst.Session().Tree().Validate()
+	return tree.Validate()
 }
 
 func printRestorations(rs []protocol.Restoration, disconnected int) {

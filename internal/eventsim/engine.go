@@ -45,9 +45,6 @@ type runnable interface{ run() }
 // Cancel prevents the event from firing (safe to call multiple times).
 func (e *Event) Cancel() { e.cancel = true }
 
-// Cancelled reports whether the event was cancelled.
-func (e *Event) Cancelled() bool { return e.cancel }
-
 // At returns the time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
@@ -70,7 +67,6 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	queue  pqueue.Heap[*Event]
-	fired  uint64
 	budget uint64   // max events per Run, guards against livelock
 	free   []*Event // recycled Events for scheduleRunnable (no handle escapes)
 }
@@ -85,16 +81,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Pending returns the number of events still queued (including cancelled
-// ones not yet popped).
-func (e *Engine) Pending() int { return e.queue.Len() }
-
-// Fired returns the total number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// SetEventBudget overrides the per-Run event cap (for tests).
-func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 
 // Schedule queues fn to run after delay; it returns the event handle so the
 // caller may cancel it. Negative delays are rejected.
@@ -174,7 +160,6 @@ func (e *Engine) Run(until Time) error {
 		} else {
 			fn()
 		}
-		e.fired++
 		processed++
 	}
 	// Advance the clock to the horizon if it is finite and ahead.
@@ -183,6 +168,3 @@ func (e *Engine) Run(until Time) error {
 	}
 	return nil
 }
-
-// RunAll processes every queued event (no horizon).
-func (e *Engine) RunAll() error { return e.Run(Infinity) }

@@ -12,7 +12,7 @@ func TestScheduleOrdering(t *testing.T) {
 	e.MustSchedule(3, func() { order = append(order, 3) })
 	e.MustSchedule(1, func() { order = append(order, 1) })
 	e.MustSchedule(2, func() { order = append(order, 2) })
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
@@ -21,8 +21,8 @@ func TestScheduleOrdering(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("Now = %v, want 3", e.Now())
 	}
-	if e.Fired() != 3 {
-		t.Errorf("Fired = %d", e.Fired())
+	if n := e.queue.Len(); n != 0 {
+		t.Errorf("%d events left queued", n)
 	}
 }
 
@@ -33,7 +33,7 @@ func TestSimultaneousEventsAreFIFO(t *testing.T) {
 		i := i
 		e.MustSchedule(5, func() { order = append(order, i) })
 	}
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {
@@ -52,7 +52,7 @@ func TestNestedScheduling(t *testing.T) {
 			times = append(times, e.Now())
 		})
 	})
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
@@ -65,10 +65,10 @@ func TestCancel(t *testing.T) {
 	fired := false
 	ev := e.MustSchedule(1, func() { fired = true })
 	ev.Cancel()
-	if !ev.Cancelled() {
-		t.Error("Cancelled should report true")
+	if !ev.cancel {
+		t.Error("Cancel should mark the event")
 	}
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
@@ -97,10 +97,10 @@ func TestRunHorizon(t *testing.T) {
 	if len(fired) != 1 || e.Now() != 3 {
 		t.Errorf("fired=%v now=%v", fired, e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
+	if n := e.queue.Len(); n != 1 {
+		t.Errorf("%d events queued, want 1", n)
 	}
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 2 || e.Now() != 5 {
@@ -110,11 +110,11 @@ func TestRunHorizon(t *testing.T) {
 
 func TestEventBudget(t *testing.T) {
 	e := NewEngine()
-	e.SetEventBudget(100)
+	e.budget = 100
 	var loop func()
 	loop = func() { e.MustSchedule(1, loop) }
 	e.MustSchedule(1, loop)
-	if err := e.RunAll(); err == nil {
+	if err := e.Run(Infinity); err == nil {
 		t.Error("livelock should exhaust the budget and error")
 	}
 }
@@ -160,7 +160,7 @@ func TestNetworkSendDelay(t *testing.T) {
 	if err := n.Send(0, 1, "hello"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != "hello" || at != 1 {
@@ -189,7 +189,7 @@ func TestNetworkFailedLinkLosesMessages(t *testing.T) {
 	if err := n.Send(0, 1, "x"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if delivered {
@@ -206,7 +206,7 @@ func TestNetworkMidFlightFailure(t *testing.T) {
 	}
 	// The cut happens while the message is in flight (at t=0.5 < delay 1).
 	e.MustSchedule(0.5, func() { n.FailLink(0, 1) })
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if delivered {
@@ -222,7 +222,7 @@ func TestNetworkFailNode(t *testing.T) {
 	if err := n.Send(0, 1, "x"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if delivered {
@@ -246,7 +246,7 @@ func TestSendAlong(t *testing.T) {
 	if err := n.SendAlong(graph.Path{0, 1, 2}, "j"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if midDelivered {
@@ -279,7 +279,7 @@ func TestSendAlongCutMidPath(t *testing.T) {
 	}
 	// Cut the second hop while the message is on the first.
 	e.MustSchedule(0.5, func() { n.FailLink(1, 2) })
-	if err := e.RunAll(); err != nil {
+	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if delivered {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"smrp/internal/eventsim"
 	"smrp/internal/failure"
 	"smrp/internal/graph"
 	"smrp/internal/topology"
@@ -86,7 +87,6 @@ func TestInjectErrorsTyped(t *testing.T) {
 			absent = v
 		}
 	}
-	pending := inst.Engine().Pending()
 	for _, tc := range []struct {
 		f    failure.Failure
 		want error
@@ -119,8 +119,13 @@ func TestInjectErrorsTyped(t *testing.T) {
 			t.Errorf("SPFInstance.InjectFailure(%v) = %v, want %v", f, err, tc.want)
 		}
 	}
-	if inst.Engine().Pending() != pending {
-		t.Errorf("refused injections scheduled %d events", inst.Engine().Pending()-pending)
+	// Nothing was queued: running to the end fires no event, so the clock
+	// stays put and no component is down.
+	if err := inst.Run(eventsim.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if now := inst.Engine().Now(); now != 0 || !inst.Network().Failed().IsEmpty() {
+		t.Errorf("refused injections scheduled events: clock at %v, failed %v", now, inst.Network().Failed())
 	}
 
 	bad := DefaultConfig()

@@ -19,36 +19,14 @@ import (
 // component in fs fails at the same instant, and recovery runs once against
 // the combined mask.
 func (i *SMRPInstance) InjectFailureSet(at eventsim.Time, fs ...failure.Failure) error {
-	if at < i.engine.Now() {
-		return fmt.Errorf("failure set: %w", ErrPastEvent)
-	}
-	if len(fs) == 0 {
-		return fmt.Errorf("protocol: %w: empty failure set", failure.ErrBadSchedule)
-	}
-	if err := failure.Check(fs, i.net.Graph()); err != nil {
-		return fmt.Errorf("protocol: failure set: %w", err)
-	}
-	batch := slices.Clone(fs)
-	_, err := i.engine.Schedule(at-i.engine.Now(), func() { i.onFailureSet(batch) })
-	return err
+	return i.inject(at, "failure set", fs, i.onFailureSet)
 }
 
 // InjectRepair schedules the restoration of failed components. The session
 // re-admits every parked member the repair reconnects as soon as it lands;
 // each then pays discovery and its Join_Req like a joiner.
 func (i *SMRPInstance) InjectRepair(at eventsim.Time, fs ...failure.Failure) error {
-	if at < i.engine.Now() {
-		return fmt.Errorf("repair: %w", ErrPastEvent)
-	}
-	if len(fs) == 0 {
-		return fmt.Errorf("protocol: %w: empty repair set", failure.ErrBadSchedule)
-	}
-	if err := failure.Check(fs, i.net.Graph()); err != nil {
-		return fmt.Errorf("protocol: repair: %w", err)
-	}
-	batch := slices.Clone(fs)
-	_, err := i.engine.Schedule(at-i.engine.Now(), func() { i.onRepair(batch) })
-	return err
+	return i.inject(at, "repair set", fs, i.onRepair)
 }
 
 // InjectSchedule installs a whole multi-failure schedule: each event's

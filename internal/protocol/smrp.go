@@ -77,83 +77,31 @@ type Restoration struct {
 // SMRPInstance is a message-level SMRP session running on the event
 // simulator.
 type SMRPInstance struct {
-	cfg     Config
-	engine  *eventsim.Engine
-	net     *eventsim.Network
-	domain  *routing.Domain
+	driver
 	session *core.Session
-
-	lastRefresh map[graph.NodeID]eventsim.Time
-	// refreshGen invalidates a member's old refresh loop when a new one is
-	// armed (e.g. after recovery re-grafts the member).
-	refreshGen   map[graph.NodeID]int
-	silenced     map[graph.NodeID]bool
-	restorations map[graph.NodeID]Restoration
-	expired      []graph.NodeID
-	failedAt     eventsim.Time
-	auditArmed   bool
-	trace        *trace.Log
-	// pending holds the restorations the session has committed and the
-	// network has not carried out yet.
-	pending map[graph.NodeID]pendingGraft
 	// jitter is the deterministic retry-jitter stream; it is consumed only
 	// when a retry actually fires.
 	jitter *topology.RNG
-	// scratch is the reusable root-path buffer for refresh ticks, leaves and
-	// notice-delay walks — the hottest periodic paths. Safe because SendAlong
-	// copies its path before returning and the engine is single-threaded.
-	scratch graph.Path
 }
-
-// SetTrace installs an event log (nil disables tracing).
-func (i *SMRPInstance) SetTrace(l *trace.Log) { i.trace = l }
 
 // NewSMRPInstance builds an SMRP protocol instance over g rooted at source.
 func NewSMRPInstance(g *graph.Graph, source graph.NodeID, cfg Config) (*SMRPInstance, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	engine := eventsim.NewEngine()
-	dom, err := routing.NewDomain(g, cfg.Routing)
-	if err != nil {
-		return nil, err
-	}
 	sess, err := core.NewSession(g, source, cfg.SMRP)
 	if err != nil {
 		return nil, err
 	}
-	inst := &SMRPInstance{
-		cfg:          cfg,
-		engine:       engine,
-		net:          eventsim.NewNetwork(engine, g),
-		domain:       dom,
-		session:      sess,
-		lastRefresh:  make(map[graph.NodeID]eventsim.Time),
-		refreshGen:   make(map[graph.NodeID]int),
-		silenced:     make(map[graph.NodeID]bool),
-		restorations: make(map[graph.NodeID]Restoration),
-		pending:      make(map[graph.NodeID]pendingGraft),
-		jitter:       topology.NewRNG(jitterSeed),
-	}
-	// Every node accepts control messages; decisions are delegated to the
-	// control-plane oracle, so handlers only account for delivery.
-	for n := 0; n < g.NumNodes(); n++ {
-		inst.net.Register(graph.NodeID(n), func(graph.NodeID, eventsim.Message) {})
+	inst := &SMRPInstance{session: sess, jitter: topology.NewRNG(jitterSeed)}
+	if err := inst.init(g, cfg, sess); err != nil {
+		return nil, err
 	}
 	return inst, nil
 }
 
-// Engine exposes the driving engine (for scheduling and Run).
-func (i *SMRPInstance) Engine() *eventsim.Engine { return i.engine }
-
-// Network exposes the message layer (for overhead counters).
-func (i *SMRPInstance) Network() *eventsim.Network { return i.net }
-
 // Session exposes the control-plane state (read-only use).
 func (i *SMRPInstance) Session() *core.Session { return i.session }
-
-// Run drives the simulation until the horizon.
-func (i *SMRPInstance) Run(until eventsim.Time) error { return i.engine.Run(until) }
 
 // ScheduleJoin enqueues a member join at the given time. The join decision
 // happens at that time (after query round-trips when the query scheme is
@@ -233,60 +181,6 @@ func (i *SMRPInstance) startJoin(m graph.NodeID) {
 	})
 }
 
-// armRefresh starts the member's periodic soft-state refresh and (once per
-// instance) the expiry audit that reclaims branches of members that fell
-// silent — the soft-state robustness mechanism of §3.2.
-func (i *SMRPInstance) armRefresh(m graph.NodeID) {
-	i.lastRefresh[m] = i.engine.Now()
-	i.refreshGen[m]++
-	gen := i.refreshGen[m]
-	var tick func()
-	tick = func() {
-		if i.refreshGen[m] != gen {
-			return // superseded by a newer loop
-		}
-		if !i.session.Tree().IsMember(m) || i.silenced[m] {
-			return // left, lost, or crashed
-		}
-		p, err := i.session.Tree().AppendPathToSource(i.scratch[:0], m)
-		i.scratch = p[:0]
-		if err == nil && len(p) >= 2 {
-			_ = i.net.SendAlong(p, Refresh{Member: m})
-		}
-		i.lastRefresh[m] = i.engine.Now()
-		i.engine.MustSchedule(i.cfg.RefreshInterval, tick)
-	}
-	i.engine.MustSchedule(i.cfg.RefreshInterval, tick)
-	i.armAudit()
-}
-
-// armAudit starts the periodic soft-state expiry scan.
-func (i *SMRPInstance) armAudit() {
-	if i.auditArmed {
-		return
-	}
-	i.auditArmed = true
-	var audit func()
-	audit = func() {
-		now := i.engine.Now()
-		for _, m := range i.session.Tree().Members() {
-			last, ok := i.lastRefresh[m]
-			if _, restoring := i.pending[m]; !ok || restoring || now-last <= i.cfg.HoldTime {
-				continue
-			}
-			// The branch's soft state expires hop by hop; the oracle
-			// reclaims it at once.
-			if err := i.session.Leave(m); err == nil {
-				i.expired = append(i.expired, m)
-				delete(i.lastRefresh, m)
-				i.trace.Add(now, trace.CatExpiry, m, "soft state expired (last refresh t=%.3f)", float64(last))
-			}
-		}
-		i.engine.MustSchedule(i.cfg.RefreshInterval, audit)
-	}
-	i.engine.MustSchedule(i.cfg.RefreshInterval, audit)
-}
-
 // SilenceMember makes member m stop refreshing at the given time without a
 // Leave_Req — a receiver crash. Its branch is reclaimed once HoldTime
 // passes without a refresh.
@@ -306,49 +200,12 @@ func (i *SMRPInstance) Expired() []graph.NodeID {
 	return out
 }
 
-// LastRefresh returns when member m last refreshed its branch.
-func (i *SMRPInstance) LastRefresh(m graph.NodeID) (eventsim.Time, bool) {
-	t, ok := i.lastRefresh[m]
-	return t, ok
-}
-
-// ScheduleLeave enqueues a member departure; the Leave_Req travels the
-// member's branch before state is released.
-func (i *SMRPInstance) ScheduleLeave(at eventsim.Time, m graph.NodeID) error {
-	if at < i.engine.Now() {
-		return fmt.Errorf("leave of %d: %w", m, ErrPastEvent)
-	}
-	_, err := i.engine.Schedule(at-i.engine.Now(), func() {
-		tr := i.session.Tree()
-		if !tr.IsMember(m) {
-			return
-		}
-		p, err := tr.AppendPathToSource(i.scratch[:0], m)
-		i.scratch = p[:0]
-		if err == nil && len(p) >= 2 {
-			_ = i.net.SendAlong(p, LeaveReq{Member: m})
-		}
-		_ = i.session.Leave(m)
-		delete(i.lastRefresh, m)
-		delete(i.pending, m)
-		i.trace.Add(i.engine.Now(), trace.CatLeave, m, "leave_req completed")
-	})
-	return err
-}
-
 // InjectFailure schedules a persistent failure. Detection, notification of
 // the dead subtree, local detour discovery, and the Join_Reqs along the
 // detours all play out in virtual time; per-member restoration latencies are
 // recorded.
 func (i *SMRPInstance) InjectFailure(at eventsim.Time, f failure.Failure) error {
-	if at < i.engine.Now() {
-		return fmt.Errorf("failure: %w", ErrPastEvent)
-	}
-	if err := failure.Check([]failure.Failure{f}, i.net.Graph()); err != nil {
-		return fmt.Errorf("protocol: failure: %w", err)
-	}
-	_, err := i.engine.Schedule(at-i.engine.Now(), func() { i.onFailureSet([]failure.Failure{f}) })
-	return err
+	return i.inject(at, "failure", []failure.Failure{f}, i.onFailureSet)
 }
 
 // onFailureSet applies a correlated failure batch atomically. The session
@@ -358,17 +215,7 @@ func (i *SMRPInstance) InjectFailure(at eventsim.Time, f failure.Failure) error 
 // to its survivor, and the Join_Req along its detour.
 func (i *SMRPInstance) onFailureSet(fs []failure.Failure) {
 	now := i.engine.Now()
-	i.failedAt = now
-	for _, f := range fs {
-		i.trace.Add(now, trace.CatFailure, graph.Invalid, "%v injected", f)
-		switch f.Kind {
-		case failure.LinkFailure:
-			i.net.FailLink(f.Edge.A, f.Edge.B)
-		case failure.NodeFailure:
-			i.net.FailNode(f.Node)
-		}
-		i.domain.ApplyFailure(f)
-	}
+	i.fail(fs)
 	// Notice propagation times must be measured on the pre-flush tree (the
 	// FailureNotice travels the still-intact dead branch).
 	mask := i.net.Failed()
@@ -444,17 +291,6 @@ func (i *SMRPInstance) noticeDelay(m graph.NodeID, mask *graph.Mask) (eventsim.T
 	return 0, false // not actually cut on its own path
 }
 
-// pendingGraft is one restoration the session has committed and the network
-// has not carried out yet: its timing, the path its Join_Req travels (member
-// first, survivor last) and how many of its Join_Reqs later failures cut.
-// landed is set once RestoredAt allows for the graft the survivor sits on.
-type pendingGraft struct {
-	Restoration
-	path    graph.Path
-	retries int
-	landed  bool
-}
-
 // land returns when m's pending Join_Req lands. It stops at m's survivor, so
 // when another pending graft put that node on the tree, m is live no earlier
 // than that graft is.
@@ -502,35 +338,8 @@ func (i *SMRPInstance) schedule(m graph.NodeID, cat trace.Category, why string) 
 		}
 	})
 	i.engine.MustSchedule(g.RestoredAt-now, func() {
-		if !live() {
-			return
+		if live() {
+			i.restored(m, g.Restoration)
 		}
-		delete(i.pending, m)
-		i.restorations[m] = g.Restoration
-		i.trace.Add(i.engine.Now(), trace.CatRecovery, m,
-			"restored rd=%.3f latency=%.3f", g.RecoveryDistance, float64(g.Latency))
-		i.armRefresh(m)
 	})
-}
-
-// Restorations returns the recorded per-member recoveries, sorted by member.
-func (i *SMRPInstance) Restorations() []Restoration {
-	out := make([]Restoration, 0, len(i.restorations))
-	for _, r := range i.restorations {
-		out = append(out, r)
-	}
-	slices.SortFunc(out, func(a, b Restoration) int { return int(a.Member - b.Member) })
-	return out
-}
-
-// Multicast delivers one data packet from the source over the current tree,
-// returning each reachable member's delivery time offset. Members whose
-// branch is currently cut, or whose restoration is still in flight, receive
-// nothing — the service disruption the recovery machinery exists to shorten.
-func (i *SMRPInstance) Multicast() map[graph.NodeID]eventsim.Time {
-	out := multicastOver(i.session.Tree(), i.net.Failed())
-	for m := range i.pending {
-		delete(out, m)
-	}
-	return out
 }

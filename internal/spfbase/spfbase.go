@@ -37,9 +37,12 @@ type Session struct {
 	g    *graph.Graph
 	tree *multicast.Tree
 	// spt caches the source's shortest-path tree over the network as the
-	// session last heard of it (healthy until Reroute or Heal says otherwise).
-	// It may be shared with the graph's SPF cache and must not be mutated.
+	// session last heard of it (around failed, once Fail has run). It may be
+	// shared with the graph's SPF cache and must not be mutated.
 	spt *graph.SPTree
+	// failed accumulates every component Fail took down; nil while the
+	// network is healthy.
+	failed *graph.Mask
 }
 
 // NewSession creates an SPF multicast session on g rooted at source.
@@ -62,24 +65,34 @@ func (s *Session) Tree() *multicast.Tree { return s.tree }
 // Join admits nr along the source's shortest path, merging at the deepest
 // node already on the tree (PIM-style join toward the source).
 func (s *Session) Join(nr graph.NodeID) error {
-	if nr < 0 || int(nr) >= s.g.NumNodes() {
-		return fmt.Errorf("join %d: %w", nr, graph.ErrUnknownNode)
+	seg, err := s.JoinSegment(nr)
+	if err != nil {
+		return err
 	}
-	if s.tree.IsMember(nr) {
-		return fmt.Errorf("join %d: %w", nr, ErrAlreadyMember)
-	}
-	if s.tree.OnTree(nr) {
-		return s.tree.Graft(graph.Path{nr}, true)
-	}
-	p := s.spt.PathTo(nr) // source → … → nr
-	if p == nil {
-		return fmt.Errorf("join %d: %w", nr, ErrNoPath)
-	}
-	seg := mergeSegment(s.tree, p)
 	if err := s.tree.Graft(seg, true); err != nil {
 		return fmt.Errorf("join %d: graft: %w", nr, err)
 	}
 	return nil
+}
+
+// JoinSegment returns the segment Join(nr) would graft now, merger first and
+// nr last — the new links nr's Join_Req travels. It changes nothing; an
+// on-tree relay's segment is nr alone.
+func (s *Session) JoinSegment(nr graph.NodeID) (graph.Path, error) {
+	if nr < 0 || int(nr) >= s.g.NumNodes() {
+		return nil, fmt.Errorf("join %d: %w", nr, graph.ErrUnknownNode)
+	}
+	if s.tree.IsMember(nr) {
+		return nil, fmt.Errorf("join %d: %w", nr, ErrAlreadyMember)
+	}
+	if s.tree.OnTree(nr) {
+		return graph.Path{nr}, nil
+	}
+	p := s.spt.PathTo(nr) // source → … → nr
+	if p == nil {
+		return nil, fmt.Errorf("join %d: %w", nr, ErrNoPath)
+	}
+	return mergeSegment(s.tree, p), nil
 }
 
 // mergeSegment trims a source-rooted path to its suffix starting at the
@@ -98,76 +111,67 @@ func mergeSegment(t *multicast.Tree, p graph.Path) graph.Path {
 	return p[start:]
 }
 
-// Reroute recomputes the source's shortest-path tree over the network mask
-// leaves — unicast routing reconverging after a failure or a repair — so later
-// joins follow routes that exist.
-func (s *Session) Reroute(mask *graph.Mask) {
-	s.spt = s.g.Dijkstra(s.tree.Source(), mask)
-}
-
 // Leave removes member m, pruning its unused branch.
 func (s *Session) Leave(m graph.NodeID) error {
 	return s.tree.Leave(m)
 }
 
-// FlushDead removes all tree state cut off from the source by the mask,
-// returning the members that lost their branch. The protocol layer calls
-// this at failure time and rejoins members individually after their routers
-// reconverge.
-func (s *Session) FlushDead(mask *graph.Mask) ([]graph.NodeID, error) {
-	var flushed []graph.NodeID
-	_, _, err := failure.DeadRoots(s.tree, mask, nil, func(root, _ graph.NodeID) (err error) {
-		if flushed, err = s.tree.DetachSubtree(root, flushed); err != nil {
-			return fmt.Errorf("flush dead: %w", err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Members that failed themselves are gone, not disconnected.
-	disconnected := slices.DeleteFunc(flushed, mask.NodeBlocked)
-	slices.Sort(disconnected)
-	return disconnected, nil
-}
-
 // HealReport describes an SPF (global-detour) recovery.
 type HealReport struct {
+	// Failure is the component Heal recovered from; Fail leaves it unset.
 	Failure      failure.Failure
 	Disconnected []graph.NodeID
-	// RecoveryDistance maps each recovered member to the weight of the new
-	// links its rejoin brought into the tree (the global-detour RD).
+	// RecoveryDistance maps each recoverable member to the weight of the new
+	// links its rejoin brings into the tree (the global-detour RD).
 	RecoveryDistance map[graph.NodeID]float64
-	// NewPaths maps each recovered member to its post-reconvergence unicast
+	// NewPaths maps each recoverable member to its post-reconvergence unicast
 	// path to the source (member → … → source).
 	NewPaths map[graph.NodeID]graph.Path
 	// Unrecovered lists members partitioned from the source.
 	Unrecovered []graph.NodeID
-	// Pruned lists stale relays reclaimed after recovery.
+	// Pruned lists stale relays Heal reclaimed after recovery.
 	Pruned []graph.NodeID
 }
 
-// Heal restores the session after the failure using global detours: the
-// unicast routing reconverges (modeled by recomputing the source SPT on the
-// residual network), dead tree state is flushed, and every disconnected
-// member rejoins along its new shortest path. Recovery distances are
-// measured against the surviving tree before any rejoin, matching the
-// per-member accounting of the paper's evaluation.
-func (s *Session) Heal(f failure.Failure) (*HealReport, error) {
-	mask := f.Mask()
-	if mask.NodeBlocked(s.tree.Source()) {
+// Fail takes the components in fs down for good. It flushes the tree state
+// they cut off from the source, reports the members that lost their branch
+// with each one's global-detour recovery distance (measured against the
+// surviving tree, before anyone rejoins), and reroutes later joins around
+// every component failed so far — unicast routing reconverging. The members
+// rejoin by Join. A batch that takes the source down, or names a component
+// the topology lacks, is refused before anything changes.
+func (s *Session) Fail(fs ...failure.Failure) (*HealReport, error) {
+	if failure.TakesDownNode(fs, s.tree.Source()) {
 		return nil, failure.ErrSourceFailed
 	}
+	if err := failure.Check(fs, s.g); err != nil {
+		return nil, fmt.Errorf("spfbase: fail: %w", err)
+	}
+	if s.failed == nil {
+		s.failed = graph.NewMask()
+	}
+	for _, f := range fs {
+		f.ApplyTo(s.failed)
+	}
+	var flushed []graph.NodeID
+	_, _, err := failure.DeadRoots(s.tree, s.failed, nil, func(root, _ graph.NodeID) (err error) {
+		flushed, err = s.tree.DetachSubtree(root, flushed)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("spfbase: flush dead: %w", err)
+	}
+	// Members that failed themselves are gone, not disconnected.
 	rep := &HealReport{
-		Failure:          f,
-		Disconnected:     failure.DisconnectedMembers(s.tree, mask),
+		Disconnected:     slices.DeleteFunc(flushed, s.failed.NodeBlocked),
 		RecoveryDistance: make(map[graph.NodeID]float64),
 		NewPaths:         make(map[graph.NodeID]graph.Path),
 	}
-
-	// Measure RDs against the pre-recovery surviving tree.
+	slices.Sort(rep.Disconnected)
+	// The flush kept every surviving node, so the detours measure as they
+	// would have before it.
 	for _, m := range rep.Disconnected {
-		p, rd, err := failure.GlobalDetour(s.tree, mask, m)
+		p, rd, err := failure.GlobalDetour(s.tree, s.failed, m)
 		if err != nil {
 			rep.Unrecovered = append(rep.Unrecovered, m)
 			continue
@@ -175,34 +179,28 @@ func (s *Session) Heal(f failure.Failure) (*HealReport, error) {
 		rep.RecoveryDistance[m] = rd
 		rep.NewPaths[m] = p
 	}
-	slices.Sort(rep.Unrecovered)
+	s.spt = s.g.Dijkstra(s.tree.Source(), s.failed)
+	return rep, nil
+}
 
-	if _, err := s.FlushDead(mask); err != nil {
-		return nil, fmt.Errorf("heal: %w", err)
+// Heal restores the session after the failure using global detours: Fail
+// flushes the dead state and reconverges routing, every recoverable member
+// rejoins along its new shortest path, ascending, and the relays no member
+// uses any more are pruned.
+func (s *Session) Heal(f failure.Failure) (*HealReport, error) {
+	rep, err := s.Fail(f)
+	if err != nil {
+		return nil, err
 	}
-
-	// Reconverged routing: new SPT over the residual network.
-	s.Reroute(mask)
-
-	// Rejoin each recoverable member along its new unicast path.
+	rep.Failure = f
 	for _, m := range rep.Disconnected {
-		if _, ok := rep.NewPaths[m]; !ok {
+		if _, ok := rep.RecoveryDistance[m]; !ok {
 			continue
 		}
-		p := s.spt.PathTo(m)
-		if p == nil {
-			rep.Unrecovered = append(rep.Unrecovered, m)
-			delete(rep.RecoveryDistance, m)
-			delete(rep.NewPaths, m)
-			continue
-		}
-		seg := mergeSegment(s.tree, p)
-		if err := s.tree.Graft(seg, true); err != nil {
-			return nil, fmt.Errorf("heal: regraft %d: %w", m, err)
+		if err := s.Join(m); err != nil {
+			return nil, fmt.Errorf("heal: %w", err)
 		}
 	}
-	slices.Sort(rep.Unrecovered)
-
 	rep.Pruned = s.tree.PruneStale()
 	return rep, nil
 }

@@ -242,6 +242,8 @@ func TestHealRandom(t *testing.T) {
 	}
 }
 
+// TestFlushDeadDirect: Fail flushes the dead state at once and leaves the
+// rejoins to the caller.
 func TestFlushDeadDirect(t *testing.T) {
 	s := fig1Session(t)
 	for _, m := range []graph.NodeID{3, 4} {
@@ -250,12 +252,12 @@ func TestFlushDeadDirect(t *testing.T) {
 		}
 	}
 	// L_SA failure kills both branches.
-	disc, err := s.FlushDead(failure.LinkDown(0, 1).Mask())
+	rep, err := s.Fail(failure.LinkDown(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(disc) != 2 {
-		t.Errorf("disconnected = %v", disc)
+	if len(rep.Disconnected) != 2 || len(rep.RecoveryDistance) != 2 {
+		t.Errorf("disconnected = %v, RDs = %v", rep.Disconnected, rep.RecoveryDistance)
 	}
 	if s.Tree().NumMembers() != 0 || s.Tree().NumNodes() != 1 {
 		t.Errorf("dead state not flushed: %v", s.Tree().Nodes())
@@ -263,8 +265,28 @@ func TestFlushDeadDirect(t *testing.T) {
 	if err := s.Tree().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Source failure is unrecoverable.
-	if _, err := s.FlushDead(failure.NodeDown(0).Mask()); !errors.Is(err, failure.ErrSourceFailed) {
+	// Source failure is unrecoverable, and refused before it accumulates.
+	if _, err := s.Fail(failure.NodeDown(0)); !errors.Is(err, failure.ErrSourceFailed) {
 		t.Errorf("err = %v", err)
+	}
+	if err := s.Join(3); err != nil {
+		t.Fatalf("join after a refused source failure: %v", err)
+	}
+	// Failures accumulate: C's rejoin after L_CD goes around L_SA too.
+	rep, err = s.Fail(failure.LinkDown(3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Disconnected) != 1 || rep.Disconnected[0] != 3 {
+		t.Errorf("disconnected = %v, want [3]", rep.Disconnected)
+	}
+	if err := s.Join(3); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := s.Tree().PathToSource(3); p.String() != "3→1→4→2→0" {
+		t.Errorf("C rejoined along %v, want C→A→D→B→S", p)
+	}
+	if _, err := s.Fail(failure.LinkDown(0, 99)); !errors.Is(err, graph.ErrUnknownNode) {
+		t.Errorf("unknown node err = %v", err)
 	}
 }
