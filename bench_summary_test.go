@@ -2,10 +2,11 @@ package smrp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"sync"
@@ -304,19 +305,26 @@ func runServeCapacity(sessions, joinsPer int) error {
 	}
 	reg := server.NewRegistry(g, server.RegistryConfig{})
 	srv := server.New(reg, server.Config{})
-	ts := httptest.NewServer(srv.Handler())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
 	defer func() {
-		srv.Drain()
-		ts.Close()
+		stop()
+		<-served
 	}()
-	client := ts.Client()
+	base := "http://" + ln.Addr().String()
+	client := &http.Client{}
 
 	post := func(path string, body any) (int, string, error) {
 		b, err := json.Marshal(body)
 		if err != nil {
 			return 0, "", err
 		}
-		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+		resp, err := client.Post(base+path, "application/json", bytes.NewReader(b))
 		if err != nil {
 			return 0, "", err
 		}

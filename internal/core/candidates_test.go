@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"smrp/internal/graph"
@@ -140,7 +141,7 @@ func TestEnumerateFullRespectsExtraMask(t *testing.T) {
 	shr := denseSHRFor(tr)
 	mask := graph.NewMask().BlockNode(f4D)
 	for _, c := range enumerateFull(tr, f4F, shr, mask, nil) {
-		if c.Merger == f4D || c.Connection.ContainsNode(f4D) {
+		if c.Merger == f4D || slices.Contains(c.Connection, f4D) {
 			t.Errorf("masked node appeared in candidate %v", c.Connection)
 		}
 	}

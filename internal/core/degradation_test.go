@@ -241,3 +241,73 @@ func TestLeaveParkedMember(t *testing.T) {
 		t.Errorf("second Leave = %v, want ErrNotMember", err)
 	}
 }
+
+// TestRepairCountsParkOnce: a member a repair cannot reconnect stays parked
+// and is not counted as parked again. (Regression: every Repair took it out
+// of the parked set before re-trying its join, so the failed join's park
+// counted a new one.)
+func TestRepairCountsParkOnce(t *testing.T) {
+	s, err := NewSession(lineGraph(t, 4), 0, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Join(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(failure.LinkDown(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Parks; got != 1 {
+		t.Fatalf("Parks after the cut = %d, want 1", got)
+	}
+	for i := 0; i < 3; i++ {
+		rr, err := s.Repair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rr.StillParked, []graph.NodeID{3}) {
+			t.Fatalf("repair %d: StillParked = %v, want [3]", i, rr.StillParked)
+		}
+		if got := s.Stats().Parks; got != 1 {
+			t.Fatalf("repair %d: Parks = %d, want 1", i, got)
+		}
+	}
+}
+
+// TestRepairRefusesUnknownComponents: Repair refuses a node or link the
+// graph lacks, as Recover does, and changes nothing; repairing a real
+// component that never failed is a no-op.
+func TestRepairRefusesUnknownComponents(t *testing.T) {
+	s, err := NewSession(lineGraph(t, 4), 0, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Join(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(failure.LinkDown(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		fs   []failure.Failure
+		want error
+	}{
+		{[]failure.Failure{failure.NodeDown(999)}, graph.ErrUnknownNode},
+		{[]failure.Failure{failure.LinkDown(1, 2), failure.LinkDown(7, 900)}, graph.ErrUnknownNode},
+		{[]failure.Failure{failure.LinkDown(0, 2)}, graph.ErrUnknownEdge},
+	} {
+		if rr, err := s.Repair(tc.fs...); !errors.Is(err, tc.want) {
+			t.Errorf("Repair(%v) = %+v, %v; want %v", tc.fs, rr, err, tc.want)
+		}
+	}
+	if !s.IsParked(3) || s.FailedMask().IsEmpty() {
+		t.Fatalf("a refused repair changed the session: parked %v, mask empty %v", s.IsParked(3), s.FailedMask().IsEmpty())
+	}
+	rr, err := s.Repair(failure.LinkDown(2, 3))
+	if err != nil {
+		t.Fatalf("Repair(never-failed link) = %v", err)
+	}
+	if len(rr.Readmitted) != 0 || !slices.Equal(rr.StillParked, []graph.NodeID{3}) {
+		t.Errorf("Repair(never-failed link): Readmitted %v, StillParked %v; want none, [3]", rr.Readmitted, rr.StillParked)
+	}
+}

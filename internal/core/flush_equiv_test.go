@@ -188,13 +188,13 @@ func inspectFlush(t *testing.T, s *Session, mask *graph.Mask) flushCase {
 		n := e.Node
 		if e.IsEdge {
 			switch {
-			case !s.tree.UsesEdge(e.Edge):
-				c.offTree++
-				return
 			case parentOf(s, e.Edge.A) == e.Edge.B:
 				n = e.Edge.A
-			default:
+			case parentOf(s, e.Edge.B) == e.Edge.A:
 				n = e.Edge.B
+			default: // not a tree edge
+				c.offTree++
+				return
 			}
 		}
 		if !s.tree.OnTree(n) {

@@ -365,9 +365,10 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	if err := hypo.RemoveSubtree(m); err != nil {
+	if _, err := hypo.DetachSubtree(m, nil); err != nil {
 		o.t.Fatal(err)
 	}
+	hypo.PruneFrom([]graph.NodeID{parent})
 	hypoSHR := denseSHRFor(hypo)
 	mask := graph.NewMask().BlockNodes(sub...).UnblockNode(m).Union(s.failed)
 	curMerger := parent
@@ -394,7 +395,7 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 				what, n, v.shrAt(n), hypoSHR.at(n), hypo.Source())
 		}
 	}
-	if added, removed, ok := v.avoid.DiffElements(mask); !ok || len(added)+len(removed) != 0 {
+	if added, removed, ok := v.avoid.AppendDiff(nil, nil, mask, graph.DefaultDiffLimit); !ok || len(added)+len(removed) != 0 {
 		o.t.Fatalf("%s: the view's mask differs from subtree ∪ failed: +%v −%v", what, added, removed)
 	}
 	if v.cut > v.sub {
@@ -483,7 +484,7 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 // whose winner the bounded sweep stopped short of, and some where least SHR
 // and least delay disagree. Every reshape is also the check of the view it
 // reads the tree through against the hypothetical tree of §3.2.3 built by
-// Clone and RemoveSubtree (pruneOracle.reshape), and the run must hold the
+// Clone, DetachSubtree and PruneFrom (pruneOracle.reshape), and the run must hold the
 // cases that make the two differ: relay chains pruned above the member, chains
 // stopped by a member relay, winners that cross a pruned relay and are
 // refused, winners inside and outside the member's top-level branch. A bounded

@@ -548,8 +548,12 @@ func (s *Session) nearestSurvivor(m graph.NodeID, mask *graph.Mask) (p graph.Pat
 // parked member the repair reconnects, ascending (each re-admission runs the
 // full SMRP path selection, so re-admitted members land on low-SHR paths,
 // not merely the nearest survivor). Repairing a component that was never
-// failed is a no-op.
+// failed is a no-op; naming a node or link the graph lacks is refused before
+// anything changes, as Recover refuses it.
 func (s *Session) Repair(fs ...failure.Failure) (*RepairReport, error) {
+	if err := failure.Check(fs, s.g); err != nil {
+		return nil, fmt.Errorf("core: repair: %w", err)
+	}
 	rep := &RepairReport{Repaired: fs}
 	if s.failed != nil {
 		for _, f := range fs {
@@ -560,11 +564,10 @@ func (s *Session) Repair(fs ...failure.Failure) (*RepairReport, error) {
 		if s.maskOrNil().NodeBlocked(m) {
 			continue // component still down; stays parked
 		}
-		delete(s.parked, m) // Join must not see it as parked
+		// A member Join cannot reconnect stays parked, and park does not
+		// count it again.
 		res, err := s.Join(m)
 		if err != nil {
-			// Still partitioned (or worse): back to parked.
-			s.park(m)
 			continue
 		}
 		s.stats.Readmissions++

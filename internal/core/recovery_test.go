@@ -59,7 +59,7 @@ func TestHealSingleMember(t *testing.T) {
 		t.Errorf("D's new parent = %d, want C", p)
 	}
 	// The healed tree must not use the failed link.
-	if s.Tree().UsesEdge(graph.MakeEdgeID(1, 4)) {
+	if slices.Contains(s.Tree().Edges(), graph.MakeEdgeID(1, 4)) {
 		t.Error("healed tree still uses the failed link")
 	}
 }
@@ -99,7 +99,7 @@ func TestHealCascadedRecovery(t *testing.T) {
 	if err := s.Tree().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Tree().UsesEdge(graph.MakeEdgeID(0, 1)) {
+	if slices.Contains(s.Tree().Edges(), graph.MakeEdgeID(0, 1)) {
 		t.Error("healed tree uses failed link")
 	}
 }
@@ -270,7 +270,7 @@ func TestHealNodeFailure(t *testing.T) {
 		t.Error("failed node still on tree")
 	}
 	// F's detour must avoid D: F→G (0.8) reaching the live B branch.
-	if rep.Detours[f4F].ContainsNode(f4D) {
+	if slices.Contains(rep.Detours[f4F], f4D) {
 		t.Errorf("detour %v passes through failed node", rep.Detours[f4F])
 	}
 }
@@ -310,7 +310,7 @@ func TestHealRandomWorstCases(t *testing.T) {
 		if err := s.Tree().Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if s.Tree().UsesEdge(f.Edge) {
+		if slices.Contains(s.Tree().Edges(), f.Edge) {
 			t.Errorf("seed %d: healed tree uses failed link", seed)
 		}
 		if got := s.Tree().NumMembers() + len(rep.Unrecovered); got != before {

@@ -132,7 +132,8 @@ func runSelectCase(t *testing.T, in selectCase) *pruneOracle {
 // what the reference's sweeps cost: a bounded pass either stops at the source,
 // which then is the reference's winner, or is the sweep of its whole region. A
 // reshape reads the tree through a view, which is held to the hypothetical
-// tree built by Clone and RemoveSubtree, under the query scheme too.
+// tree built by Clone, DetachSubtree and PruneFrom, under the query scheme
+// too.
 func FuzzSelectPath(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -53,7 +53,7 @@ func enumerateFull(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMas
 		if extraMask.NodeBlocked(merger) || !sw.Reached(merger) {
 			continue
 		}
-		conn := sw.PathFrom(merger) // merger → … → joiner
+		conn := sw.AppendPathFrom(nil, merger) // merger → … → joiner
 		d, err := conn.Weight(g)
 		if err != nil {
 			continue

@@ -122,23 +122,12 @@ func (s *Session) Strategy() RecoveryStrategy {
 // directly; use Join/Leave/Reshape.
 func (s *Session) Tree() *multicast.Tree { return s.tree }
 
-// Config returns the session configuration.
-func (s *Session) Config() Config { return s.cfg }
-
 // Graph returns the graph the session routes over (for a domain sub-session,
 // the induced subgraph it was built on). Callers must not mutate it.
 func (s *Session) Graph() *graph.Graph { return s.g }
 
 // Stats returns a copy of the session's work counters.
 func (s *Session) Stats() Stats { return s.stats }
-
-// SHR returns the current SHR value of on-tree node n (0 for the source).
-func (s *Session) SHR(n graph.NodeID) (int, error) {
-	if !s.tree.OnTree(n) {
-		return 0, fmt.Errorf("SHR of %d: %w", n, multicast.ErrNotOnTree)
-	}
-	return s.shr.at(s.tree, n), nil
-}
 
 // SHRSnapshot returns SHR values for all on-tree nodes.
 func (s *Session) SHRSnapshot() map[graph.NodeID]int {

@@ -425,7 +425,6 @@ func TestSHRRecurrenceInvariant(t *testing.T) {
 		}
 		tr := s.Tree()
 		shr := s.SHRSnapshot()
-		counts := tr.MemberCounts()
 		for _, n := range tr.Nodes() {
 			if n == tr.Source() {
 				if shr[n] != 0 {
@@ -434,9 +433,9 @@ func TestSHRRecurrenceInvariant(t *testing.T) {
 				continue
 			}
 			p, _ := tr.Parent(n)
-			if shr[n] != shr[p]+counts[n] {
+			if nr, _ := tr.MemberCount(n); shr[n] != shr[p]+nr {
 				t.Errorf("seed %d: SHR(%d)=%d != SHR(%d)=%d + N=%d",
-					seed, n, shr[n], p, shr[p], counts[n])
+					seed, n, shr[n], p, shr[p], nr)
 			}
 		}
 	}

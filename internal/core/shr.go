@@ -66,9 +66,9 @@ func (v shrVals) footprint() int64 {
 // member, because a failure above R disconnects fewer receivers.
 //
 // N_R values come from the tree's incrementally maintained cache, so the
-// computation is a single top-down pass with no intermediate MemberCounts
-// map. This is the exported, map-shaped convenience API; the session's hot
-// path uses the backend-matched shrTable below instead.
+// computation is a single top-down pass with no intermediate map of N_R.
+// This is the exported, map-shaped convenience API; the session's hot path
+// uses the backend-matched shrTable below instead.
 func ComputeSHR(t *multicast.Tree) map[graph.NodeID]int {
 	shr := make(map[graph.NodeID]int, t.NumNodes())
 	src := t.Source()

@@ -66,8 +66,8 @@ func (a *arena) release() {
 //
 //   - gone from the tree are sub(m) and the relay chain above m that the
 //     leave would prune — the ancestors that are no member, not the source, and
-//     have no child but the one being removed (Tree.RemoveSubtree's
-//     pruneUpward). The first ancestor that stays is the current merger.
+//     have no child but the one being removed (what Tree.PruneFrom removes
+//     from m's parent). The first ancestor that stays is the current merger.
 //
 //   - every node that stays keeps its parent, so its tree delay is unchanged.
 //

@@ -171,7 +171,3 @@ func (st *Strategy) StateBytes() int64 {
 // work the strategies study reports (the counterpart of Stats.HealSettled,
 // which stays near zero here by design).
 func (st *Strategy) PrecomputeSettled() int { return st.precompSettled }
-
-// TableSize returns the number of table entries (including negative
-// entries), for tests and diagnostics.
-func (st *Strategy) TableSize() int { return len(st.table) }

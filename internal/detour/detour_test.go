@@ -38,8 +38,8 @@ func TestRecoverPaperFig1(t *testing.T) {
 	}
 	// One entry per on-tree non-source node: A (negative — its parent is the
 	// source, and no survivor exists outside the source's subtree), C, D.
-	if st.TableSize() != 3 {
-		t.Fatalf("table size = %d, want 3", st.TableSize())
+	if len(st.table) != 3 {
+		t.Fatalf("table size = %d, want 3", len(st.table))
 	}
 	if e := st.table[1]; e.path != nil {
 		t.Errorf("source child A should hold a negative entry, got path %v", e.path)
@@ -73,8 +73,8 @@ func TestRecoverPaperFig1(t *testing.T) {
 	}
 	// The post-recovery notification rebuilt the table for the regrafted
 	// tree (S→B→D→C): parents changed, entries follow.
-	if st.TableSize() != 3 {
-		t.Errorf("table size after recovery = %d, want 3", st.TableSize())
+	if len(st.table) != 3 {
+		t.Errorf("table size after recovery = %d, want 3", len(st.table))
 	}
 	if e := st.table[3]; e.parent != 4 {
 		t.Errorf("C's entry parent = %d, want 4 after regraft", e.parent)
@@ -118,9 +118,9 @@ func TestTableMaintenance(t *testing.T) {
 			t.Fatalf("join %d: %v", m, err)
 		}
 		members = append(members, m)
-		if st.TableSize() != covered() {
+		if len(st.table) != covered() {
 			t.Fatalf("after join %d: table size %d, want %d (every on-tree non-source node)",
-				m, st.TableSize(), covered())
+				m, len(st.table), covered())
 		}
 	}
 	settled := st.PrecomputeSettled()
@@ -141,8 +141,8 @@ func TestTableMaintenance(t *testing.T) {
 		if err := s.Leave(m); err != nil {
 			t.Fatalf("leave %d: %v", m, err)
 		}
-		if st.TableSize() != covered() {
-			t.Fatalf("after leave %d: table size %d, want %d", m, st.TableSize(), covered())
+		if len(st.table) != covered() {
+			t.Fatalf("after leave %d: table size %d, want %d", m, len(st.table), covered())
 		}
 	}
 }

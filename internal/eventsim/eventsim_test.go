@@ -21,8 +21,8 @@ func TestScheduleOrdering(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("Now = %v, want 3", e.Now())
 	}
-	if n := e.queue.Len(); n != 0 {
-		t.Errorf("%d events left queued", n)
+	if ev, ok := e.queue.Peek(); ok {
+		t.Errorf("event at %v left queued", ev.at)
 	}
 }
 
@@ -97,8 +97,8 @@ func TestRunHorizon(t *testing.T) {
 	if len(fired) != 1 || e.Now() != 3 {
 		t.Errorf("fired=%v now=%v", fired, e.Now())
 	}
-	if n := e.queue.Len(); n != 1 {
-		t.Errorf("%d events queued, want 1", n)
+	if ev, ok := e.queue.Peek(); !ok || ev.at != 5 {
+		t.Errorf("next queued event %v, %v; want the one at 5", ev, ok)
 	}
 	if err := e.Run(Infinity); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func TestFrozenGraphEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(9000 + trial)))
 		ref, froze := buildRandomPair(rng)
 		froze.Freeze()
-		if !froze.Frozen() {
+		if !froze.frozen {
 			t.Fatal("Freeze did not mark the graph frozen")
 		}
 		froze.Freeze() // idempotent
@@ -90,7 +90,7 @@ func TestFrozenGraphEquivalence(t *testing.T) {
 		// Dijkstra output bit-identical from a few sources (and from the
 		// frozen clone, which shares the immutable storage).
 		fc := froze.Clone()
-		if !fc.Frozen() {
+		if !fc.frozen {
 			t.Fatal("clone of frozen graph is not frozen")
 		}
 		for s := 0; s < 3 && s < n; s++ {

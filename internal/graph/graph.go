@@ -35,19 +35,6 @@ func MakeEdgeID(u, v NodeID) EdgeID {
 	return EdgeID{A: u, B: v}
 }
 
-// Other returns the endpoint of e opposite to n, and reports whether n is an
-// endpoint of e at all.
-func (e EdgeID) Other(n NodeID) (NodeID, bool) {
-	switch n {
-	case e.A:
-		return e.B, true
-	case e.B:
-		return e.A, true
-	default:
-		return Invalid, false
-	}
-}
-
 // String implements fmt.Stringer.
 func (e EdgeID) String() string {
 	return fmt.Sprintf("(%d-%d)", e.A, e.B)
@@ -73,9 +60,8 @@ func (p Point) Dist(q Point) float64 {
 
 // Graph is a weighted undirected graph with dense node IDs.
 //
-// The zero value is an empty graph; use New or AddNode/AddEdge to populate
-// it. Graph methods are not safe for concurrent mutation; concurrent
-// read-only use is safe.
+// Build one with New and AddEdge. Graph methods are not safe for concurrent
+// mutation; concurrent read-only use is safe.
 type Graph struct {
 	// adj is the graph's one edge store: edge (u, v) is the arc to v in u's
 	// row and the arc to u in v's row, both carrying its weight. Rows keep
@@ -129,8 +115,8 @@ func (g *Graph) NumEdges() int { return g.edges }
 // re-packed onto one flat backing array, releasing the build's append slack,
 // and each row is sorted by (weight, neighbour), so that a sweep relaxing
 // under a distance bound stops at the first arc past it. A frozen graph is
-// immutable: AddEdge returns ErrFrozen, and the error-less mutators (AddNode,
-// SetPos) panic. Freeze is idempotent and returns g for chaining. Clone of a
+// immutable: AddEdge returns ErrFrozen, and the error-less mutator SetPos
+// panics. Freeze is idempotent and returns g for chaining. Clone of a
 // frozen graph shares the immutable storage instead of deep-copying it.
 func (g *Graph) Freeze() *Graph {
 	if g.frozen {
@@ -193,21 +179,6 @@ func packRows(rows [][]Arc) [][]Arc {
 		packed[i] = backing[start:len(backing):len(backing)]
 	}
 	return packed
-}
-
-// Frozen reports whether Freeze has ended the graph's build phase.
-func (g *Graph) Frozen() bool { return g.frozen }
-
-// AddNode appends a node at position p and returns its ID. It panics on a
-// frozen graph (construction has ended).
-func (g *Graph) AddNode(p Point) NodeID {
-	if g.frozen {
-		panic(ErrFrozen)
-	}
-	g.adj = append(g.adj, nil)
-	g.pos = append(g.pos, p)
-	g.version++
-	return NodeID(len(g.adj) - 1)
 }
 
 // SetPos sets the position of node n. It panics on a frozen graph.

@@ -36,19 +36,6 @@ func TestMakeEdgeIDCanonical(t *testing.T) {
 	}
 }
 
-func TestEdgeIDOther(t *testing.T) {
-	e := MakeEdgeID(3, 7)
-	if got, ok := e.Other(3); !ok || got != 7 {
-		t.Errorf("Other(3) = %v,%v, want 7,true", got, ok)
-	}
-	if got, ok := e.Other(7); !ok || got != 3 {
-		t.Errorf("Other(7) = %v,%v, want 3,true", got, ok)
-	}
-	if _, ok := e.Other(5); ok {
-		t.Error("Other(5) should report false for non-endpoint")
-	}
-}
-
 func TestAddEdgeValidation(t *testing.T) {
 	g := New(3)
 	tests := []struct {

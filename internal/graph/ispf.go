@@ -51,10 +51,8 @@ var (
 )
 
 // SPFCounters returns a snapshot of the process-wide SPF work counters.
-// The counters are atomics: snapshotting, resetting, and incrementing may
-// all race freely (e.g. a /metrics scrape during live traffic), though a
-// snapshot taken concurrently with a reset can mix pre- and post-reset
-// fields.
+// The counters are atomics: snapshotting and incrementing may race freely
+// (e.g. a /metrics scrape during live traffic).
 func SPFCounters() metrics.SPFStats {
 	return metrics.SPFStats{
 		FullRuns:     spfFullRuns.Load(),
@@ -63,15 +61,6 @@ func SPFCounters() metrics.SPFStats {
 		CacheHits:    spfCacheHits.Load(),
 		CacheMisses:  spfCacheMisses.Load(),
 	}
-}
-
-// ResetSPFCounters zeroes the process-wide SPF work counters.
-func ResetSPFCounters() {
-	spfFullRuns.Store(0)
-	spfDeltaRuns.Store(0)
-	spfNodesSettled.Store(0)
-	spfCacheHits.Store(0)
-	spfCacheMisses.Store(0)
 }
 
 // SetSPFDelta enables (default) or disables the incremental-SPF path. With

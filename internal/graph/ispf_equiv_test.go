@@ -136,7 +136,7 @@ func TestISPFDiffElements(t *testing.T) {
 	old := graph.NewMask().BlockNode(3).BlockEdge(1, 2)
 	cur := graph.NewMask().BlockNode(3).BlockNode(7).BlockEdge(4, 5)
 
-	added, removed, ok := cur.DiffElements(old)
+	added, removed, ok := cur.AppendDiff(nil, nil, old, graph.DefaultDiffLimit)
 	if !ok {
 		t.Fatal("small diff reported as oversized")
 	}
@@ -149,13 +149,13 @@ func TestISPFDiffElements(t *testing.T) {
 	}
 
 	// Nil other: everything in cur is "added".
-	added, removed, ok = cur.DiffElements(nil)
+	added, removed, ok = cur.AppendDiff(nil, nil, nil, graph.DefaultDiffLimit)
 	if !ok || len(added) != 3 || len(removed) != 0 {
 		t.Fatalf("diff vs nil: added=%d removed=%d ok=%v", len(added), len(removed), ok)
 	}
 
 	// Identical masks diff to nothing.
-	added, removed, ok = cur.DiffElements(cur.Clone())
+	added, removed, ok = cur.AppendDiff(nil, nil, cur.Clone(), graph.DefaultDiffLimit)
 	if !ok || len(added)+len(removed) != 0 {
 		t.Fatalf("self diff: added=%d removed=%d ok=%v", len(added), len(removed), ok)
 	}
@@ -165,11 +165,11 @@ func TestISPFDiffElements(t *testing.T) {
 	for i := 0; i <= graph.DefaultDiffLimit; i++ {
 		big.BlockNode(graph.NodeID(100 + i))
 	}
-	if _, _, ok := big.DiffElements(graph.NewMask()); ok {
+	if _, _, ok := big.AppendDiff(nil, nil, graph.NewMask(), graph.DefaultDiffLimit); ok {
 		t.Fatal("oversized diff not rejected")
 	}
 	// Quick reject must also trigger on the count difference alone.
-	if _, _, ok := graph.NewMask().DiffElements(big); ok {
+	if _, _, ok := graph.NewMask().AppendDiff(nil, nil, big, graph.DefaultDiffLimit); ok {
 		t.Fatal("oversized reverse diff not rejected")
 	}
 }

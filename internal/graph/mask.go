@@ -257,7 +257,7 @@ func (m *Mask) Clone() *Mask {
 
 // MaskElem is one blocked element of a Mask: a node when IsEdge is false,
 // an undirected edge otherwise. It is the unit of Mask set-difference used by
-// the incremental-SPF delta path (see DiffElements and internal/graph/ispf.go).
+// the incremental-SPF delta path (see AppendDiff and internal/graph/ispf.go).
 type MaskElem struct {
 	Node   NodeID // valid when !IsEdge
 	Edge   EdgeID // valid when IsEdge
@@ -265,7 +265,7 @@ type MaskElem struct {
 }
 
 // maskElemCompare orders MaskElems deterministically: nodes (by ID) before
-// edges (by canonical endpoint pair). DiffElements sorts its output with it so
+// edges (by canonical endpoint pair). AppendDiff sorts its output with it so
 // the diff is independent of map iteration order.
 func maskElemCompare(a, b MaskElem) int {
 	if a.IsEdge != b.IsEdge {
@@ -280,23 +280,11 @@ func maskElemCompare(a, b MaskElem) int {
 	return edgeIDCompare(a.Edge, b.Edge)
 }
 
-// DefaultDiffLimit bounds DiffElements: diffs larger than this are reported as
-// "not small" (ok=false). The incremental-SPF repair is only a win when the
-// mask changed by a handful of elements; past that a full sweep is both
-// simpler and comparably fast, so the cache falls back to it.
+// DefaultDiffLimit bounds the SPF cache's AppendDiff: diffs larger than this
+// are reported as "not small" (ok=false). The incremental-SPF repair is only
+// a win when the mask changed by a handful of elements; past that a full
+// sweep is both simpler and comparably fast, so the cache falls back to it.
 const DefaultDiffLimit = 32
-
-// DiffElements computes the bounded set difference between m and other:
-// added lists elements blocked by m but not by other, removed lists elements
-// blocked by other but not by m. Both slices are sorted deterministically
-// (nodes by ID, then edges by endpoint pair). When the total diff exceeds
-// DefaultDiffLimit the function gives up early and returns ok=false with nil
-// slices — the fast path that lets the SPF cache probe "is this mask a small
-// delta of one I already solved?" without unbounded work. A nil mask is
-// treated as empty.
-func (m *Mask) DiffElements(other *Mask) (added, removed []MaskElem, ok bool) {
-	return m.AppendDiff(nil, nil, other, DefaultDiffLimit)
-}
 
 // appendNodeDiff appends to out (under the shared budget) every node blocked
 // by m but not by other, in ascending ID order, comparing whole words and
@@ -322,11 +310,15 @@ func (m *Mask) appendNodeDiff(out []MaskElem, other *Mask, budget int) ([]MaskEl
 	return out, budget, true
 }
 
-// AppendDiff is the allocation-aware core of DiffElements: it appends the
-// diff to the provided slices (reusing their capacity) under an explicit
-// element limit, returning the grown slices and whether the diff stayed
-// within the limit. On ok=false the returned slices are the inputs truncated
-// to their original contents' prefix and must not be interpreted as a diff.
+// AppendDiff computes the bounded set difference between m and other: it
+// appends to added the elements blocked by m but not by other, and to
+// removed those blocked by other but not by m, each sorted (nodes by ID,
+// then edges by endpoint pair), reusing the slices' capacity. When the diff
+// exceeds limit elements it gives up early with ok=false — the fast path
+// that lets the SPF cache ask "is this mask a small delta of one I already
+// solved?" without unbounded work — and the returned slices are the inputs
+// truncated to their original contents, not a diff. A nil mask is treated
+// as empty.
 func (m *Mask) AppendDiff(added, removed []MaskElem, other *Mask, limit int) ([]MaskElem, []MaskElem, bool) {
 	a0, r0 := len(added), len(removed)
 	mc, oc := 0, 0

@@ -178,7 +178,7 @@ func (ut *maskUnderTest) checkAgainstRef(t *testing.T, universe int, label strin
 // instances sharing one oracle: one born by NewMask (its node words grow on
 // demand), one pre-sized for the universe by NewMaskWithCapacity, and one
 // pre-sized deliberately tiny (so growth past a capacity is exercised). All
-// observables — Block/Unblock, Clone, Union, Fingerprint, DiffElements, Each
+// observables — Block/Unblock, Clone, Union, Fingerprint, AppendDiff, Each
 // — must match the oracle, and after every step the endpoint index of the
 // blocked edges equals a recount of them. Round 0 blocks no edge: Clone and
 // Union must then leave the index unallocated. Round 1 blocks no node: the
@@ -268,13 +268,13 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 					}
 					un.checkAgainstRef(t, universe, "union")
 
-					// DiffElements, both directions.
+					// AppendDiff, both directions.
 					wantA, wantR := ut.ref.diff(other.ref)
-					gotA, gotR, ok := ut.m.DiffElements(other.m)
+					gotA, gotR, ok := ut.m.AppendDiff(nil, nil, other.m, DefaultDiffLimit)
 					if wantOK := len(wantA)+len(wantR) <= DefaultDiffLimit; ok != wantOK {
-						t.Fatalf("DiffElements ok=%v want %v (|added|=%d |removed|=%d)", ok, wantOK, len(wantA), len(wantR))
+						t.Fatalf("AppendDiff ok=%v want %v (|added|=%d |removed|=%d)", ok, wantOK, len(wantA), len(wantR))
 					} else if ok && (!slices.Equal(gotA, wantA) || !slices.Equal(gotR, wantR)) {
-						t.Fatalf("DiffElements mismatch:\n got  %v / %v\n want %v / %v", gotA, gotR, wantA, wantR)
+						t.Fatalf("AppendDiff mismatch:\n got  %v / %v\n want %v / %v", gotA, gotR, wantA, wantR)
 					}
 				}
 			}
@@ -314,7 +314,6 @@ func TestMaskFingerprintInsertionOrder(t *testing.T) {
 func TestMaskBitsetISPFLineage(t *testing.T) {
 	g := ispfTestGraph(t)
 	c := g.EnableSPFCache()
-	defer g.DisableSPFCache()
 
 	r := rand.New(rand.NewSource(99))
 	edges := g.Edges()
@@ -322,7 +321,7 @@ func TestMaskBitsetISPFLineage(t *testing.T) {
 	// lineage path (prev entry → AppendDiff → repair) fires.
 	mask := NewMask()
 	src := NodeID(0)
-	deltasBefore := c.DeltaRepairs()
+	deltasBefore := c.deltas.Load()
 	for step := 0; step < 120; step++ {
 		switch r.Intn(4) {
 		case 0:
@@ -345,7 +344,7 @@ func TestMaskBitsetISPFLineage(t *testing.T) {
 			t.Fatalf("step %d: cached tree diverges from fresh sweep", step)
 		}
 	}
-	if c.DeltaRepairs() == deltasBefore {
+	if c.deltas.Load() == deltasBefore {
 		t.Fatal("delta-repair path never exercised; lineage diff over bitset masks untested")
 	}
 }

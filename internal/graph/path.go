@@ -41,27 +41,6 @@ func (p Path) Edges() []EdgeID {
 	return out
 }
 
-// ContainsNode reports whether n appears on the path.
-func (p Path) ContainsNode(n NodeID) bool {
-	for _, v := range p {
-		if v == n {
-			return true
-		}
-	}
-	return false
-}
-
-// ContainsEdge reports whether the undirected edge e is traversed by the
-// path.
-func (p Path) ContainsEdge(e EdgeID) bool {
-	for i := 0; i+1 < len(p); i++ {
-		if MakeEdgeID(p[i], p[i+1]) == e {
-			return true
-		}
-	}
-	return false
-}
-
 // Reverse returns a new path with the node order reversed.
 func (p Path) Reverse() Path {
 	out := make(Path, len(p))

@@ -42,19 +42,6 @@ func TestPathEdges(t *testing.T) {
 	}
 }
 
-func TestPathContains(t *testing.T) {
-	p := Path{0, 1, 2}
-	if !p.ContainsNode(1) || p.ContainsNode(9) {
-		t.Error("ContainsNode mismatch")
-	}
-	if !p.ContainsEdge(MakeEdgeID(2, 1)) {
-		t.Error("ContainsEdge should be orientation-insensitive")
-	}
-	if p.ContainsEdge(MakeEdgeID(0, 2)) {
-		t.Error("ContainsEdge false positive")
-	}
-}
-
 func TestPathReverse(t *testing.T) {
 	p := Path{0, 1, 2}
 	r := p.Reverse()

@@ -79,7 +79,7 @@ func (sh *spfShard) load() spfMap {
 // lookups only).
 //
 // Invalidation: the cache snapshots the graph's structural version and
-// flushes itself whenever the graph mutates (AddNode/AddEdge/SetPos bump the
+// flushes itself whenever the graph mutates (AddEdge/SetPos bump the
 // version). Mutating the graph while other goroutines query the cache is not
 // supported — the contract is "mutate single-threaded, then share read-only",
 // which is how every topology in this repository is built.
@@ -265,10 +265,6 @@ func (c *SPFCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// DeltaRepairs returns how many misses this cache served by incremental
-// delta repair instead of a full sweep.
-func (c *SPFCache) DeltaRepairs() uint64 { return c.deltas.Load() }
-
 // String describes the cache state.
 func (c *SPFCache) String() string {
 	h, m := c.Stats()
@@ -290,10 +286,6 @@ func (g *Graph) EnableSPFCache() *SPFCache {
 	}
 	return g.spf
 }
-
-// DisableSPFCache detaches the memoizing SPF cache, returning Dijkstra to
-// uncached per-call computation.
-func (g *Graph) DisableSPFCache() { g.spf = nil }
 
 // SPFCacheOf returns the graph's attached SPF cache, or nil when disabled.
 func (g *Graph) SPFCacheOf() *SPFCache { return g.spf }

@@ -384,10 +384,10 @@ func (s *Sweep) chainLen(n NodeID) int {
 	return ln
 }
 
-// WeightFrom returns the weight of PathFrom(n) without materializing it:
-// the parent-arc weights summed from n toward the source, the same terms in
-// the same order as PathFrom(n).Weight, hence the same float. Unreachable
-// when n was not reached.
+// WeightFrom returns the weight of AppendPathFrom(nil, n) without
+// materializing it: the parent-arc weights summed from n toward the source,
+// the same terms in the same order as that path's Weight, hence the same
+// float. Unreachable when n was not reached.
 func (s *Sweep) WeightFrom(n NodeID) float64 {
 	if !s.Reached(n) {
 		return Unreachable
@@ -412,20 +412,11 @@ func (s *Sweep) PathTo(n NodeID) Path {
 	return p
 }
 
-// PathFrom returns the shortest path in n→…→source orientation, or nil when
-// unreached. The candidate enumeration uses this to materialize
-// merger→…→joiner connections directly from a joiner-rooted sweep.
-func (s *Sweep) PathFrom(n NodeID) Path {
-	ln := s.chainLen(n)
-	if ln == 0 {
-		return nil
-	}
-	return s.AppendPathFrom(make(Path, 0, ln), n)
-}
-
-// AppendPathFrom appends the n→…→source path to buf and returns it,
-// allocating only if buf lacks capacity — the zero-allocation variant of
-// PathFrom for steady-state hot loops.
+// AppendPathFrom appends the shortest path in n→…→source orientation to buf
+// and returns it, allocating only if buf lacks capacity; buf comes back
+// unchanged when n is unreached. The candidate enumeration uses this to
+// materialize merger→…→joiner connections directly from a joiner-rooted
+// sweep.
 func (s *Sweep) AppendPathFrom(buf Path, n NodeID) Path {
 	if !s.Reached(n) {
 		return buf

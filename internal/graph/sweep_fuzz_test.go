@@ -141,7 +141,7 @@ func FuzzSweepPruned(f *testing.F) {
 		for i := 0; i < g.NumNodes(); i++ {
 			v := NodeID(i)
 			if pruned.Reached(v) {
-				if w, err := pruned.PathFrom(v).Weight(g); err != nil || w != pruned.WeightFrom(v) {
+				if w, err := pruned.AppendPathFrom(nil, v).Weight(g); err != nil || w != pruned.WeightFrom(v) {
 					t.Fatalf("node %d: WeightFrom = %v, path weight %v (%v)", v, pruned.WeightFrom(v), w, err)
 				}
 				if key(pruned, v) > inside {

@@ -186,7 +186,7 @@ func checkRowOrder(t *testing.T, g *Graph, log insertionLog) (tiedRows int) {
 	t.Helper()
 	for u := NodeID(0); int(u) < g.NumNodes(); u++ {
 		row, want := g.Neighbors(u), log[u]
-		if !g.Frozen() {
+		if !g.frozen {
 			if !slices.Equal(row, want) {
 				t.Fatalf("row %d of a graph being built is %v, inserted as %v", u, row, want)
 			}
@@ -449,8 +449,8 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, src NodeID, mask *Mas
 		}
 		refArcs := b.referenceArcs(src, want, m.absorbing)
 		if !directed {
-			if a.arcsScanned > refArcs || (!g.Frozen() && a.arcsScanned != refArcs) {
-				t.Fatalf("%s: %d arcs scanned, reference %d (frozen: %v)", what(), a.arcsScanned, refArcs, g.Frozen())
+			if a.arcsScanned > refArcs || (!g.frozen && a.arcsScanned != refArcs) {
+				t.Fatalf("%s: %d arcs scanned, reference %d (frozen: %v)", what(), a.arcsScanned, refArcs, g.frozen)
 			}
 			if a.arcsScanned < refArcs {
 				cov.rowsCutShort++
@@ -474,7 +474,7 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, src NodeID, mask *Mas
 			if hit && m.budget == Unreachable && a.arcsScanned < refArcs {
 				cov.boundTightened++ // nothing else cuts a row of an unbudgeted scan
 			}
-			if k := len(a.scan); g.Frozen() && hit && k >= 2 && a.scan[k-2].Dist == a.scan[k-1].Dist {
+			if k := len(a.scan); g.frozen && hit && k >= 2 && a.scan[k-2].Dist == a.scan[k-1].Dist {
 				cov.tiesAtBound++
 			}
 			continue

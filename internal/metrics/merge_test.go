@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func sampleOf(vs ...float64) *Sample {
 	s := &Sample{}
@@ -12,8 +9,8 @@ func sampleOf(vs ...float64) *Sample {
 }
 
 // TestSampleMergeAssociativity: (a⊕b)⊕c and a⊕(b⊕c) must agree exactly —
-// concatenation is exactly associative, which is what lets runner.Reduce
-// reproduce sequential accumulation bit-for-bit.
+// concatenation is exactly associative, which is what lets per-worker
+// samples reproduce sequential accumulation bit-for-bit.
 func TestSampleMergeAssociativity(t *testing.T) {
 	mk := func() (*Sample, *Sample, *Sample) {
 		return sampleOf(1, 2, 3), sampleOf(4.5, -1), sampleOf(0.25, 9, 7, 11)
@@ -33,7 +30,7 @@ func TestSampleMergeAssociativity(t *testing.T) {
 	right.Merge(a2)
 	right.Merge(bc) // a ⊕ (b ⊕ c)
 
-	lv, rv := left.Values(), right.Values()
+	lv, rv := left.values, right.values
 	if len(lv) != 9 || len(rv) != 9 {
 		t.Fatalf("merged lengths = %d, %d, want 9", len(lv), len(rv))
 	}
@@ -69,117 +66,5 @@ func TestSampleMergeMatchesSequential(t *testing.T) {
 	}
 	if merged.Merge(nil); merged.N() != 9 {
 		t.Error("nil merge must be a no-op")
-	}
-}
-
-// TestSummaryMergeMatchesPooled: merging summaries must agree with
-// summarizing the pooled raw sample.
-func TestSummaryMergeMatchesPooled(t *testing.T) {
-	a := sampleOf(1, 2, 3, 4)
-	b := sampleOf(10, 20, 30)
-	sa, _ := a.Summarize()
-	sb, _ := b.Summarize()
-
-	pooled := sampleOf(1, 2, 3, 4, 10, 20, 30)
-	want, _ := pooled.Summarize()
-	got := sa.Merge(sb)
-
-	const tol = 1e-12
-	if got.N != want.N || got.Min != want.Min || got.Max != want.Max {
-		t.Errorf("merged = %+v, want %+v", got, want)
-	}
-	for _, c := range []struct {
-		name     string
-		got, www float64
-	}{
-		{"mean", got.Mean, want.Mean},
-		{"std", got.Std, want.Std},
-		{"ci95", got.CI95, want.CI95},
-	} {
-		if math.Abs(c.got-c.www) > tol {
-			t.Errorf("%s = %v, want %v", c.name, c.got, c.www)
-		}
-	}
-}
-
-// TestSummaryMergeAssociativity: associative up to round-off; identity on
-// empty summaries.
-func TestSummaryMergeAssociativity(t *testing.T) {
-	sa, _ := sampleOf(0.5, 1.5, 2.25).Summarize()
-	sb, _ := sampleOf(-3, 4).Summarize()
-	sc, _ := sampleOf(7, 8, 9, 10, 11).Summarize()
-
-	left := sa.Merge(sb).Merge(sc)
-	right := sa.Merge(sb.Merge(sc))
-	const tol = 1e-9
-	if left.N != right.N ||
-		math.Abs(left.Mean-right.Mean) > tol ||
-		math.Abs(left.Std-right.Std) > tol ||
-		math.Abs(left.CI95-right.CI95) > tol ||
-		left.Min != right.Min || left.Max != right.Max {
-		t.Errorf("associativity violated:\n (a⊕b)⊕c = %+v\n a⊕(b⊕c) = %+v", left, right)
-	}
-
-	var empty Summary
-	if got := empty.Merge(sa); got != sa {
-		t.Errorf("empty⊕a = %+v, want %+v", got, sa)
-	}
-	if got := sa.Merge(empty); got != sa {
-		t.Errorf("a⊕empty = %+v, want %+v", got, sa)
-	}
-}
-
-// TestSummaryMergeSingletons: merging single-observation summaries must
-// still produce a usable pooled variance.
-func TestSummaryMergeSingletons(t *testing.T) {
-	s1, _ := sampleOf(2).Summarize()
-	s2, _ := sampleOf(4).Summarize()
-	got := s1.Merge(s2)
-	want, _ := sampleOf(2, 4).Summarize()
-	if got.N != 2 || math.Abs(got.Mean-3) > 1e-15 || math.Abs(got.Std-want.Std) > 1e-12 {
-		t.Errorf("singleton merge = %+v, want %+v", got, want)
-	}
-}
-
-// TestHistogramMerge: same-shape histograms add counts; shape mismatches and
-// clamping are handled.
-func TestHistogramMerge(t *testing.T) {
-	h1, err := NewFixedHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := NewFixedHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{1, 3, 5} {
-		h1.Observe(v)
-	}
-	for _, v := range []float64{5, 9, 42, -1} { // 42 clamps to last bin, -1 to first
-		h2.Observe(v)
-	}
-	if err := h1.Merge(h2); err != nil {
-		t.Fatal(err)
-	}
-	wantCounts := []int{2, 1, 2, 0, 2}
-	for i, w := range wantCounts {
-		if h1.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d (all: %v)", i, h1.Counts[i], w, h1.Counts)
-		}
-	}
-
-	bad, _ := NewFixedHistogram(0, 10, 4)
-	if err := h1.Merge(bad); err == nil {
-		t.Error("shape mismatch must error")
-	}
-	if err := h1.Merge(nil); err != nil {
-		t.Errorf("nil merge errored: %v", err)
-	}
-
-	if _, err := NewFixedHistogram(3, 3, 4); err == nil {
-		t.Error("empty range must error")
-	}
-	if _, err := NewFixedHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins must error")
 	}
 }

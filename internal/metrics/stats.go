@@ -23,15 +23,19 @@ func (s *Sample) Add(v float64) { s.values = append(s.values, v) }
 // AddAll appends many observations.
 func (s *Sample) AddAll(vs ...float64) { s.values = append(s.values, vs...) }
 
+// Merge appends all of other's observations to s, preserving their order.
+// Concatenation is exactly associative, so merging per-worker samples in
+// trial order reproduces the sequential accumulation bit-for-bit. A nil
+// other is a no-op.
+func (s *Sample) Merge(other *Sample) {
+	if other == nil {
+		return
+	}
+	s.values = append(s.values, other.values...)
+}
+
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.values) }
-
-// Values returns a copy of the observations.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.values))
-	copy(out, s.values)
-	return out
-}
 
 // Mean returns the arithmetic mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {

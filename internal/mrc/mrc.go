@@ -79,9 +79,6 @@ func New(k int) *Strategy {
 // Name implements core.RecoveryStrategy.
 func (st *Strategy) Name() string { return "mrc" }
 
-// Configurations returns the backup-configuration count k.
-func (st *Strategy) Configurations() int { return st.k }
-
 // Precompute implements core.RecoveryStrategy: it binds the session and
 // builds the isolation classes and per-configuration SPF trees once (the
 // state depends only on the topology, so later calls — the session notifies

@@ -31,8 +31,8 @@ func TestClassPartition(t *testing.T) {
 		if _, err := core.NewSession(g, source, cfg); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if st.Configurations() != DefaultConfigurations {
-			t.Fatalf("seed %d: k = %d, want %d", seed, st.Configurations(), DefaultConfigurations)
+		if st.k != DefaultConfigurations {
+			t.Fatalf("seed %d: k = %d, want %d", seed, st.k, DefaultConfigurations)
 		}
 		assigned := 0
 		for id, c := range st.classOf {

@@ -76,20 +76,19 @@ func TestSparseDenseEquivalence(t *testing.T) {
 				if v == dense.Source() {
 					continue
 				}
+				p, _ := dense.Parent(v)
+				df, errDense := dense.DetachSubtree(v, nil)
+				sf, errSparse := sparse.DetachSubtree(v, nil)
+				mustBoth(t, trial, op, "detach-subtree", errDense, errSparse)
+				slices.Sort(df)
+				slices.Sort(sf)
+				if !slices.Equal(df, sf) {
+					t.Fatalf("trial %d op %d: flushed members %v != %v", trial, op, df, sf)
+				}
 				if rng.Intn(2) == 0 {
-					mustBoth(t, trial, op, "remove-subtree",
-						dense.RemoveSubtree(v), sparse.RemoveSubtree(v))
-				} else {
-					p, _ := dense.Parent(v)
 					hints = append(hints, p)
-					df, errDense := dense.DetachSubtree(v, nil)
-					sf, errSparse := sparse.DetachSubtree(v, nil)
-					mustBoth(t, trial, op, "detach-subtree", errDense, errSparse)
-					slices.Sort(df)
-					slices.Sort(sf)
-					if !slices.Equal(df, sf) {
-						t.Fatalf("trial %d op %d: flushed members %v != %v", trial, op, df, sf)
-					}
+				} else if dr, sr := dense.PruneFrom([]graph.NodeID{p}), sparse.PruneFrom([]graph.NodeID{p}); !slices.Equal(dr, sr) {
+					t.Fatalf("trial %d op %d: pruned %v != %v", trial, op, dr, sr)
 				}
 			case r < 0.92:
 				want := staleByFixpoint(dense)

@@ -31,11 +31,14 @@ func chainTree(t *testing.T) *Tree {
 	return tr
 }
 
+// TestRemoveSubtree: detaching a subtree and pruning from its parent removes
+// it the way a leave of all its members would.
 func TestRemoveSubtree(t *testing.T) {
 	tr := chainTree(t)
-	if err := tr.RemoveSubtree(2); err != nil {
+	if _, err := tr.DetachSubtree(2, nil); err != nil {
 		t.Fatal(err)
 	}
+	tr.PruneFrom([]graph.NodeID{1})
 	// 2 and 3 gone; relay 1 pruned because nothing remains below it.
 	for _, n := range []graph.NodeID{1, 2, 3} {
 		if tr.OnTree(n) {
@@ -47,16 +50,6 @@ func TestRemoveSubtree(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRemoveSubtreeErrors(t *testing.T) {
-	tr := chainTree(t)
-	if err := tr.RemoveSubtree(4); !errors.Is(err, ErrNotOnTree) {
-		t.Errorf("off-tree err = %v", err)
-	}
-	if err := tr.RemoveSubtree(0); err == nil {
-		t.Error("removing the source must fail")
 	}
 }
 

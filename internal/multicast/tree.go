@@ -314,17 +314,6 @@ func (t *Tree) Edges() []graph.EdgeID {
 	return out
 }
 
-// UsesEdge reports whether the tree traverses the undirected edge e.
-func (t *Tree) UsesEdge(e graph.EdgeID) bool {
-	if t.OnTree(e.A) && t.parent[t.idx(e.A)] == e.B {
-		return true
-	}
-	if t.OnTree(e.B) && t.parent[t.idx(e.B)] == e.A {
-		return true
-	}
-	return false
-}
-
 // PathToSource returns the on-tree path from n up to the source (n first).
 func (t *Tree) PathToSource(n graph.NodeID) (graph.Path, error) {
 	return t.AppendPathToSource(nil, n)
@@ -617,23 +606,6 @@ func (t *Tree) MemberCount(r graph.NodeID) (int, error) {
 	return int(t.nr[i]), nil
 }
 
-// MemberCounts returns N_R for every on-tree node, keyed by node ID. The
-// values come straight from the incrementally maintained cache; the map is
-// built only for the caller's convenience (hot paths should use MemberCount
-// per node instead).
-func (t *Tree) MemberCounts() map[graph.NodeID]int {
-	counts := make(map[graph.NodeID]int, t.nNodes)
-	for wi, w := range t.onTree {
-		base := wi << 6
-		for w != 0 {
-			i := int32(base + trailingZeros(w))
-			w &= w - 1
-			counts[t.nodeAt(i)] = int(t.nr[i])
-		}
-	}
-	return counts
-}
-
 // Reroute moves member m (together with its whole subtree) onto newPath,
 // which must run from an on-tree merger (newPath.First()) to m
 // (newPath.Last()); intermediates must be off-tree, and the merger must not
@@ -696,32 +668,13 @@ func (t *Tree) Reroute(m graph.NodeID, newPath graph.Path) error {
 	return nil
 }
 
-// RemoveSubtree deletes r and every node below it from the tree (members
-// included) and prunes the now-unneeded relay chain above r. Removing the
-// source is rejected. SMRP's reshaping uses this on a clone to evaluate SHR
-// values "as if" the reshaping member's subtree had left (the adjustment
-// step of §3.2.3).
-func (t *Tree) RemoveSubtree(r graph.NodeID) error {
-	if !t.OnTree(r) {
-		return fmt.Errorf("remove subtree %d: %w", r, ErrNotOnTree)
-	}
-	if r == t.source {
-		return errors.New("multicast: cannot remove the source's subtree")
-	}
-	oldParent := t.parent[t.idx(r)]
-	t.dropSubtree(r, nil)
-	t.pruneUpward(oldParent, nil)
-	t.epoch++
-	return nil
-}
-
-// DetachSubtree removes r and every node below it like RemoveSubtree, but
-// leaves the relay chain above r in place even if it no longer serves any
-// member. Failure recovery uses this to flush dead state while keeping
-// surviving relays (whose soft state has not yet expired) available as
-// local-detour targets; PruneFrom, given r's parent, reclaims them afterwards.
-// The members removed with the subtree are appended to flushed, in no
-// particular order.
+// DetachSubtree removes r and every node below it (members included) from
+// the tree, but leaves the relay chain above r in place even if it no longer
+// serves any member. Failure recovery uses this to flush dead state while
+// keeping surviving relays (whose soft state has not yet expired) available
+// as local-detour targets; PruneFrom, given r's parent, reclaims them
+// afterwards. The members removed with the subtree are appended to flushed,
+// in no particular order.
 func (t *Tree) DetachSubtree(r graph.NodeID, flushed []graph.NodeID) ([]graph.NodeID, error) {
 	if !t.OnTree(r) {
 		return flushed, fmt.Errorf("detach subtree %d: %w", r, ErrNotOnTree)
@@ -729,22 +682,12 @@ func (t *Tree) DetachSubtree(r graph.NodeID, flushed []graph.NodeID) ([]graph.No
 	if r == t.source {
 		return flushed, errors.New("multicast: cannot detach the source's subtree")
 	}
-	t.dropSubtree(r, &flushed)
-	t.epoch++
-	return flushed, nil
-}
-
-// dropSubtree unlinks r from its parent, deducts the subtree's member count
-// from the surviving root path, and clears all state below r, appending the
-// members it clears to *flushed when the caller wants them.
-func (t *Tree) dropSubtree(r graph.NodeID, flushed *[]graph.NodeID) {
+	// Unlink r, deduct its member count from the surviving root path, and
+	// clear all state below it.
 	ri := t.idx(r)
 	oldParent := t.parent[ri]
-	sub := t.nr[ri]
-	if oldParent != graph.Invalid {
-		t.removeChild(oldParent, r)
-		t.bumpNR(oldParent, -sub)
-	}
+	t.removeChild(oldParent, r)
+	t.bumpNR(oldParent, -t.nr[ri])
 	stack := append(t.scratch[:0], r)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -759,12 +702,12 @@ func (t *Tree) dropSubtree(r graph.NodeID, flushed *[]graph.NodeID) {
 		if t.members.has(graph.NodeID(i)) {
 			t.members.clear(graph.NodeID(i))
 			t.nMembers--
-			if flushed != nil {
-				*flushed = append(*flushed, n)
-			}
+			flushed = append(flushed, n)
 		}
 	}
 	t.scratch = stack
+	t.epoch++
+	return flushed, nil
 }
 
 // PruneStale removes every relay chain that serves no member (childless,

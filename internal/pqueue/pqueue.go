@@ -32,28 +32,6 @@ type Heap[E Ordered[E]] struct {
 	a []E
 }
 
-// Len returns the number of queued elements.
-func (h *Heap[E]) Len() int { return len(h.a) }
-
-// Reset empties the heap while keeping its storage for reuse.
-func (h *Heap[E]) Reset() {
-	var zero E
-	for i := range h.a {
-		h.a[i] = zero
-	}
-	h.a = h.a[:0]
-}
-
-// Grow ensures capacity for at least n elements (pre-warming for
-// allocation-free steady state).
-func (h *Heap[E]) Grow(n int) {
-	if cap(h.a) < n {
-		a := make([]E, len(h.a), n)
-		copy(a, h.a)
-		h.a = a
-	}
-}
-
 // Push inserts x.
 func (h *Heap[E]) Push(x E) {
 	h.a = append(h.a, x)

@@ -32,8 +32,8 @@ func TestHeapOrdersRandomInput(t *testing.T) {
 			want = append(want, it)
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i].Before(want[j]) })
-		if h.Len() != n {
-			t.Fatalf("Len = %d, want %d", h.Len(), n)
+		if len(h.a) != n {
+			t.Fatalf("%d queued, want %d", len(h.a), n)
 		}
 		for i := 0; i < n; i++ {
 			if peek, ok := h.Peek(); !ok || peek != want[i] {
@@ -66,34 +66,18 @@ func TestHeapFIFOAtEqualKeys(t *testing.T) {
 	}
 }
 
-func TestHeapReset(t *testing.T) {
-	var h Heap[item]
-	for i := 0; i < 10; i++ {
-		h.Push(item{key: float64(i)})
-	}
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", h.Len())
-	}
-	h.Push(item{key: 3})
-	h.Push(item{key: 1})
-	if got, _ := h.Pop(); got.key != 1 {
-		t.Fatalf("heap unusable after Reset: popped %v", got)
-	}
-}
-
 // TestHeapSteadyStateAllocs verifies the heap's reason for existing: a
 // warmed-up push/pop cycle performs zero heap allocations (container/heap
 // boxes every element into an `any`, costing one allocation per Push).
 func TestHeapSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var h Heap[item]
-	h.Grow(64)
+	h.a = make([]item, 0, 64)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
 			h.Push(item{key: float64(64 - i), seq: i})
 		}
-		for h.Len() > 0 {
+		for len(h.a) > 0 {
 			h.Pop()
 		}
 	})
@@ -104,14 +88,14 @@ func TestHeapSteadyStateAllocs(t *testing.T) {
 
 func BenchmarkHeapPushPop(b *testing.B) {
 	var h Heap[item]
-	h.Grow(256)
+	h.a = make([]item, 0, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 256; j++ {
 			h.Push(item{key: float64((j * 2654435761) % 997), seq: j})
 		}
-		for h.Len() > 0 {
+		for len(h.a) > 0 {
 			h.Pop()
 		}
 	}

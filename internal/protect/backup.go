@@ -108,12 +108,6 @@ func (s *DependableSession) Members() []graph.NodeID {
 	return out
 }
 
-// Connection returns m's channel pair.
-func (s *DependableSession) Connection(m graph.NodeID) (*DependableConnection, bool) {
-	c, ok := s.conns[m]
-	return c, ok
-}
-
 // FailoverOutcome describes how a member weathers a failure.
 type FailoverOutcome int
 

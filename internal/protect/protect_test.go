@@ -29,10 +29,23 @@ func biconnWaxman(t *testing.T, n int, seed uint64) *graph.Graph {
 	return nil
 }
 
+// line builds 0—1—…—(n-1) with unit weights.
+func line(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	g := graph.New(n)
+	for i := 0; i < n-1; i++ {
+		if err := g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// ring closes the line into a cycle.
 func ring(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	g, err := topology.Ring(n)
-	if err != nil {
+	g := line(t, n)
+	if err := g.AddEdge(0, graph.NodeID(n-1), 1); err != nil {
 		t.Fatal(err)
 	}
 	return g
@@ -107,10 +120,7 @@ func TestRedundantTreesSurviveEverySingleFailure(t *testing.T) {
 }
 
 func TestBuildRedundantTreesRejectsNonBiconnected(t *testing.T) {
-	g, err := topology.Line(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := line(t, 5)
 	if _, err := BuildRedundantTrees(g, 0); !errors.Is(err, graph.ErrNotBiconnected) {
 		t.Errorf("err = %v", err)
 	}
@@ -142,7 +152,7 @@ func TestDependableSessionBasics(t *testing.T) {
 	if got := s.Members(); len(got) != 1 || got[0] != 3 {
 		t.Errorf("members = %v", got)
 	}
-	if _, ok := s.Connection(3); !ok {
+	if s.conns[3] == nil {
 		t.Error("connection lookup failed")
 	}
 	cost, err := s.ReservedCost()
@@ -163,10 +173,10 @@ func TestDependableFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Join(2); err != nil {
+	conn, err := s.Join(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	conn, _ := s.Connection(2)
 
 	// A failure missing both paths.
 	out, err := s.Failover(graph.NewMask(), 2)
@@ -194,10 +204,7 @@ func TestDependableFailover(t *testing.T) {
 func TestDependableBackupOnBridgyGraph(t *testing.T) {
 	// Line graph: no disjoint backup exists; the fallback reuses primary
 	// links (Disjoint = false) rather than failing.
-	g, err := topology.Line(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := line(t, 4)
 	s, err := NewDependableSession(g, 0)
 	if err != nil {
 		t.Fatal(err)

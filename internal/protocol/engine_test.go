@@ -51,7 +51,7 @@ func TestJoinAfterFailureAvoidsFailedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := inst.Session().Tree()
-	if tr.UsesEdge(dead.Edge) {
+	if slices.Contains(tr.Edges(), dead.Edge) {
 		t.Fatalf("join after the failure grafted across it: %v", tr.Edges())
 	}
 	if got := inst.Multicast(); len(got) != 2 {
@@ -70,7 +70,7 @@ func TestJoinAfterFailureAvoidsFailedLink(t *testing.T) {
 	if err := inst.Run(200); err != nil {
 		t.Fatal(err)
 	}
-	if tr := inst.Session().Tree(); !tr.IsMember(4) || !tr.UsesEdge(dead.Edge) {
+	if tr := inst.Session().Tree(); !tr.IsMember(4) || !slices.Contains(tr.Edges(), dead.Edge) {
 		t.Fatalf("join after the repair avoids the repaired link: %v", tr.Edges())
 	}
 }
@@ -99,7 +99,7 @@ func TestSPFJoinAfterFailureAvoidsFailedLink(t *testing.T) {
 	if err := inst.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if tr := inst.Session().Tree(); tr.UsesEdge(dead.Edge) {
+	if tr := inst.Session().Tree(); slices.Contains(tr.Edges(), dead.Edge) {
 		t.Fatalf("join after the failure grafted across it: %v", tr.Edges())
 	}
 	if got := inst.Multicast(); len(got) != 2 {

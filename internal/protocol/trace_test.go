@@ -35,16 +35,16 @@ func TestSMRPInstanceTracing(t *testing.T) {
 	if err := inst.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(log.Filter(trace.CatJoin)); got != 2 {
+	if got := len(ofCategory(log, trace.CatJoin)); got != 2 {
 		t.Errorf("join events = %d, want 2", got)
 	}
-	if got := len(log.Filter(trace.CatFailure)); got != 1 {
+	if got := len(ofCategory(log, trace.CatFailure)); got != 1 {
 		t.Errorf("failure events = %d, want 1", got)
 	}
-	if got := len(log.Filter(trace.CatNotice)); got != 1 {
+	if got := len(ofCategory(log, trace.CatNotice)); got != 1 {
 		t.Errorf("notice events = %d, want 1", got)
 	}
-	recov := log.Filter(trace.CatRecovery)
+	recov := ofCategory(log, trace.CatRecovery)
 	if len(recov) != 1 || recov[0].Node != 4 {
 		t.Errorf("recovery events = %v", recov)
 	}
@@ -80,10 +80,10 @@ func TestSPFInstanceTracing(t *testing.T) {
 	if err := inst.Run(200); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(log.Filter(trace.CatJoin)); got != 2 {
+	if got := len(ofCategory(log, trace.CatJoin)); got != 2 {
 		t.Errorf("join events = %d", got)
 	}
-	if got := len(log.Filter(trace.CatRecovery)); got != 1 {
+	if got := len(ofCategory(log, trace.CatRecovery)); got != 1 {
 		t.Errorf("recovery events = %d", got)
 	}
 }
@@ -107,4 +107,15 @@ func TestTracingOffByDefault(t *testing.T) {
 	if !inst.Session().Tree().IsMember(3) {
 		t.Error("join failed without trace")
 	}
+}
+
+// ofCategory returns the entries of log in category cat, in order.
+func ofCategory(log *trace.Log, cat trace.Category) []trace.Entry {
+	var out []trace.Entry
+	for _, e := range log.Entries() {
+		if e.Category == cat {
+			out = append(out, e)
+		}
+	}
+	return out
 }

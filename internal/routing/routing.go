@@ -67,7 +67,7 @@ func (c Config) Validate() error {
 // the earlier tables, and paired protocol instances over the same graph share
 // one table store.
 //
-// Read queries (PathTo, Dist, NextHop, ConvergenceTime) are safe for
+// Read queries (PathTo, Dist, ConvergenceTime) are safe for
 // concurrent use. ApplyFailure mutates the domain's topology view and must be
 // externally synchronized with readers — the usual pattern (one event-driven
 // simulation owning the domain, or parallel trials each owning a private
@@ -150,16 +150,6 @@ func (d *Domain) PathTo(from, to graph.NodeID) graph.Path {
 // Dist returns the converged unicast distance from → to.
 func (d *Domain) Dist(from, to graph.NodeID) float64 {
 	return d.table(from).Dist[to]
-}
-
-// NextHop returns from's converged next hop toward dst and whether a route
-// exists.
-func (d *Domain) NextHop(from, to graph.NodeID) (graph.NodeID, bool) {
-	p := d.PathTo(from, to)
-	if len(p) < 2 {
-		return graph.Invalid, false
-	}
-	return p[1], true
 }
 
 // DetectionTime returns when routers adjacent to the failure declare it

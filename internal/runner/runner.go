@@ -9,11 +9,7 @@
 //     (baseSeed, trialIndex) via splitmix64 (see DeriveSeed), so no trial's
 //     randomness depends on which worker ran it or in which order;
 //   - Map collects results into a slice indexed by trial index, so callers
-//     fold them in trial order — byte-identical output for any worker count;
-//   - Reduce partitions trials into contiguous index blocks (one per worker)
-//     and merges per-worker accumulators in block order, so any merge that is
-//     exactly associative (e.g. metrics.Sample.Merge, which concatenates)
-//     reproduces the sequential fold bit-for-bit.
+//     fold them in trial order — byte-identical output for any worker count.
 //
 // Failure semantics are deterministic too: a worker panic is converted into
 // a per-trial *PanicError instead of crashing the sweep, and when trials

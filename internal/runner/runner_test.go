@@ -129,60 +129,6 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestReduceMatchesSequentialFold: contiguous-block Reduce with an exactly
-// associative merge (slice concatenation) must reproduce the sequential fold
-// for every worker count.
-func TestReduceMatchesSequentialFold(t *testing.T) {
-	const n = 41
-	fn := func(_ context.Context, tr Trial) (uint64, error) {
-		return tr.RNG.Uint64(), nil
-	}
-	newAcc := func() []uint64 { return nil }
-	fold := func(a []uint64, v uint64) []uint64 { return append(a, v) }
-	merge := func(a, b []uint64) []uint64 { return append(a, b...) }
-
-	want, err := Reduce(context.Background(), Config{Workers: 1, BaseSeed: 7}, n, fn, newAcc, fold, merge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != n {
-		t.Fatalf("sequential fold has %d entries, want %d", len(want), n)
-	}
-	for _, workers := range []int{2, 3, 5, 8, 64} {
-		got, err := Reduce(context.Background(), Config{Workers: workers, BaseSeed: 7}, n, fn, newAcc, fold, merge)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d position %d: got %x want %x", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestReduceErrorPolicy mirrors Map's lowest-index error guarantee.
-func TestReduceErrorPolicy(t *testing.T) {
-	fn := func(_ context.Context, tr Trial) (int, error) {
-		if tr.Index >= 6 {
-			return 0, fmt.Errorf("late failure %d", tr.Index)
-		}
-		return 1, nil
-	}
-	_, err := Reduce(context.Background(), Config{Workers: 4, BaseSeed: 1}, 10, fn,
-		func() int { return 0 },
-		func(a, v int) int { return a + v },
-		func(a, b int) int { return a + b },
-	)
-	var te *TrialError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v, want *TrialError", err)
-	}
-	if te.Index != 6 {
-		t.Errorf("reported trial %d, want 6", te.Index)
-	}
-}
-
 // TestZeroTrials: degenerate sweeps succeed and return empty results.
 func TestZeroTrials(t *testing.T) {
 	res, err := Map(context.Background(), Config{}, 0, func(context.Context, Trial) (int, error) {
@@ -191,15 +137,6 @@ func TestZeroTrials(t *testing.T) {
 	})
 	if err != nil || len(res) != 0 {
 		t.Errorf("Map(0) = (%v, %v)", res, err)
-	}
-	sum, err := Reduce(context.Background(), Config{}, 0,
-		func(context.Context, Trial) (int, error) { return 1, nil },
-		func() int { return 0 },
-		func(a, v int) int { return a + v },
-		func(a, b int) int { return a + b },
-	)
-	if err != nil || sum != 0 {
-		t.Errorf("Reduce(0) = (%v, %v)", sum, err)
 	}
 }
 

@@ -97,7 +97,7 @@ func TestGracefulDrainUnderJoinStorm(t *testing.T) {
 	stopStorm()
 	wg.Wait()
 
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Fatal("server not marked draining after shutdown")
 	}
 

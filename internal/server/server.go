@@ -58,21 +58,11 @@ func New(reg *Registry, cfg Config) *Server {
 	return s
 }
 
-// Registry returns the server's session registry.
-func (s *Server) Registry() *Registry { return s.reg }
-
-// Handler returns the control-plane HTTP handler (all /v1, /healthz and
-// /metrics routes).
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Draining reports whether graceful shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain runs the graceful-shutdown sequence on the registry side: flip the
 // draining flag (healthz turns 503, creates are refused), then close every
 // actor — each stops accepting, flushes its queued commands, publishes a
-// final snapshot event, and ends its feeds. It is idempotent and also usable
-// without Serve (e.g. handler-only deployments under httptest).
+// final snapshot event, and ends its feeds. Serve calls it when its context
+// ends; it is idempotent.
 func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.reg.Close()

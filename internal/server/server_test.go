@@ -61,7 +61,7 @@ func testServer(t testing.TB, g *graph.Graph) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := NewRegistry(g, RegistryConfig{Generation: 7})
 	srv := New(reg, Config{})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.mux)
 	t.Cleanup(func() {
 		srv.Drain()
 		ts.Close()

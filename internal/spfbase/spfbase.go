@@ -118,8 +118,6 @@ func (s *Session) Leave(m graph.NodeID) error {
 
 // HealReport describes an SPF (global-detour) recovery.
 type HealReport struct {
-	// Failure is the component Heal recovered from; Fail leaves it unset.
-	Failure      failure.Failure
 	Disconnected []graph.NodeID
 	// RecoveryDistance maps each recoverable member to the weight of the new
 	// links its rejoin brings into the tree (the global-detour RD).
@@ -129,8 +127,6 @@ type HealReport struct {
 	NewPaths map[graph.NodeID]graph.Path
 	// Unrecovered lists members partitioned from the source.
 	Unrecovered []graph.NodeID
-	// Pruned lists stale relays Heal reclaimed after recovery.
-	Pruned []graph.NodeID
 }
 
 // Fail takes the components in fs down for good. It flushes the tree state
@@ -180,27 +176,5 @@ func (s *Session) Fail(fs ...failure.Failure) (*HealReport, error) {
 		rep.NewPaths[m] = p
 	}
 	s.spt = s.g.Dijkstra(s.tree.Source(), s.failed)
-	return rep, nil
-}
-
-// Heal restores the session after the failure using global detours: Fail
-// flushes the dead state and reconverges routing, every recoverable member
-// rejoins along its new shortest path, ascending, and the relays no member
-// uses any more are pruned.
-func (s *Session) Heal(f failure.Failure) (*HealReport, error) {
-	rep, err := s.Fail(f)
-	if err != nil {
-		return nil, err
-	}
-	rep.Failure = f
-	for _, m := range rep.Disconnected {
-		if _, ok := rep.RecoveryDistance[m]; !ok {
-			continue
-		}
-		if err := s.Join(m); err != nil {
-			return nil, fmt.Errorf("heal: %w", err)
-		}
-	}
-	rep.Pruned = s.tree.PruneStale()
 	return rep, nil
 }

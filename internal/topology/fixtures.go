@@ -99,61 +99,3 @@ func PaperFig4() (*graph.Graph, error) {
 	g.SetPos(5, graph.Point{X: 0.85, Y: 0.25})
 	return g, nil
 }
-
-// Line returns the path graph 0-1-...-(n-1) with unit weights; a convenient
-// deterministic fixture for protocol tests.
-func Line(n int) (*graph.Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("line: %w: n = %d, need at least 2", ErrBadConfig, n)
-	}
-	g := graph.New(n)
-	for i := 0; i < n-1; i++ {
-		g.SetPos(graph.NodeID(i), graph.Point{X: float64(i) / float64(n-1)})
-		if err := g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1); err != nil {
-			return nil, err
-		}
-	}
-	g.SetPos(graph.NodeID(n-1), graph.Point{X: 1})
-	return g, nil
-}
-
-// Ring returns the cycle graph over n nodes with unit weights.
-func Ring(n int) (*graph.Graph, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("ring: %w: n = %d, need at least 3", ErrBadConfig, n)
-	}
-	g, err := Line(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.AddEdge(0, graph.NodeID(n-1), 1); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Grid returns the rows×cols grid graph with unit weights; node ID is
-// r*cols + c.
-func Grid(rows, cols int) (*graph.Graph, error) {
-	if rows < 1 || cols < 1 || rows*cols < 2 {
-		return nil, fmt.Errorf("grid: %w: %dx%d too small", ErrBadConfig, rows, cols)
-	}
-	g := graph.New(rows * cols)
-	id := func(r, c int) graph.NodeID { return graph.NodeID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			g.SetPos(id(r, c), graph.Point{X: float64(c), Y: float64(r)})
-			if c+1 < cols {
-				if err := g.AddEdge(id(r, c), id(r, c+1), 1); err != nil {
-					return nil, err
-				}
-			}
-			if r+1 < rows {
-				if err := g.AddEdge(id(r, c), id(r+1, c), 1); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return g, nil
-}

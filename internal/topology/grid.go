@@ -211,16 +211,10 @@ func (d *waxmanDecider) accept(u, d2 float64) bool {
 }
 
 // GridWaxman generates a truncated Waxman graph using spatial-grid bucketing:
-// O(N·avg-degree) pair probes on a constant-density plane. See
-// GridWaxmanConfig for the model. The result is byte-identical to
-// pairwiseGridWaxman on the same config and RNG.
-func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, error) {
-	g, _, err := GridWaxmanWithStats(cfg, rng)
-	return g, err
-}
-
-// GridWaxmanWithStats is GridWaxman, additionally reporting probe counters.
-func GridWaxmanWithStats(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error) {
+// O(N·avg-degree) pair probes on a constant-density plane, counted in the
+// returned GridStats. See GridWaxmanConfig for the model. The result is
+// byte-identical to the O(N²) scan of every pair on the same config and RNG.
+func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, GridStats{}, err
 	}
@@ -336,44 +330,6 @@ func GridWaxmanWithStats(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStat
 		return nil, st, err
 	}
 	return g, st, nil
-}
-
-// pairwiseGridWaxman is the O(N²) reference for the same truncated model:
-// identical placement, identical keyed per-pair randomness, all N(N−1)/2
-// pairs scanned. Tests pin GridWaxman byte-identical to it; the megascale
-// generation benchmark measures the gap.
-func pairwiseGridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	g, pairSeed := placeNodes(cfg, rng)
-	cut := cfg.cutoff()
-	cut2 := cut * cut
-	dec := newWaxmanDecider(cfg.Alpha, cfg.Beta*cfg.L, cut2)
-	edges := make([]graph.EdgeID, 0, cfg.N*4)
-	pos := make([]graph.Point, cfg.N)
-	for n := range pos {
-		pos[n] = g.Pos(graph.NodeID(n))
-	}
-	for u := 0; u < cfg.N; u++ {
-		pu := pos[u]
-		for v := u + 1; v < cfg.N; v++ {
-			pv := pos[v]
-			dx, dy := pu.X-pv.X, pu.Y-pv.Y
-			d2 := dx*dx + dy*dy
-			if d2 > cut2 {
-				continue
-			}
-			if dec.accept(pairUniform(pairSeed, graph.NodeID(u), graph.NodeID(v)), d2) {
-				edges = append(edges, graph.MakeEdgeID(graph.NodeID(u), graph.NodeID(v)))
-			}
-		}
-	}
-	if err := insertSortedEdges(g, edges, cfg.EnsureConnected); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // placeNodes draws node positions from the RNG stream (in node-ID order) and

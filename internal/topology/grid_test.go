@@ -61,7 +61,7 @@ func TestGridWaxmanMatchesPairwise(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
-				gg, st, err := GridWaxmanWithStats(tc.cfg, NewRNG(seed))
+				gg, st, err := GridWaxman(tc.cfg, NewRNG(seed))
 				if err != nil {
 					t.Fatalf("grid: %v", err)
 				}
@@ -101,7 +101,7 @@ func TestGridWaxmanDistributionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gg, err := GridWaxman(gridCfg, NewRNG(seed))
+		gg, _, err := GridWaxman(gridCfg, NewRNG(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestGridProbeReduction(t *testing.T) {
 }
 
 // TestMegascaleComposer checks the sized hierarchy: realized node count
-// matches NumNodesFor, the graph is connected, domain attribution is dense
+// is a whole tree of domains, the graph is connected, domain attribution is dense
 // and consistent, and regenerating with the same seed is byte-identical
 // while a different seed is not.
 func TestMegascaleComposer(t *testing.T) {
@@ -161,8 +161,9 @@ func TestMegascaleComposer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := topo.Graph.NumNodes(), cfg.NumNodesFor(); got != want {
-		t.Fatalf("realized %d nodes, NumNodesFor says %d", got, want)
+	c := cfg.withDefaults()
+	if got, want := topo.Graph.NumNodes(), domainTreeSize(c.fanoutFor(), c.Levels)*c.NodesPerDomain; got != want {
+		t.Fatalf("realized %d nodes, %d domains of %d make %d", got, domainTreeSize(c.fanoutFor(), c.Levels), c.NodesPerDomain, want)
 	}
 	if got := topo.Graph.NumNodes(); got < cfg.TargetNodes {
 		t.Fatalf("realized %d nodes, below target %d", got, cfg.TargetNodes)
@@ -267,7 +268,7 @@ func BenchmarkMegascaleGeneration(b *testing.B) {
 	}
 	b.Run("grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := GridWaxman(cfg, NewRNG(uint64(i))); err != nil {
+			if _, _, err := GridWaxman(cfg, NewRNG(uint64(i))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -279,4 +280,42 @@ func BenchmarkMegascaleGeneration(b *testing.B) {
 			}
 		}
 	})
+}
+
+// pairwiseGridWaxman is the O(N²) reference for the same truncated model:
+// identical placement, identical keyed per-pair randomness, all N(N−1)/2
+// pairs scanned. Tests pin GridWaxman byte-identical to it; the megascale
+// generation benchmark measures the gap.
+func pairwiseGridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	g, pairSeed := placeNodes(cfg, rng)
+	cut := cfg.cutoff()
+	cut2 := cut * cut
+	dec := newWaxmanDecider(cfg.Alpha, cfg.Beta*cfg.L, cut2)
+	edges := make([]graph.EdgeID, 0, cfg.N*4)
+	pos := make([]graph.Point, cfg.N)
+	for n := range pos {
+		pos[n] = g.Pos(graph.NodeID(n))
+	}
+	for u := 0; u < cfg.N; u++ {
+		pu := pos[u]
+		for v := u + 1; v < cfg.N; v++ {
+			pv := pos[v]
+			dx, dy := pu.X-pv.X, pu.Y-pv.Y
+			d2 := dx*dx + dy*dy
+			if d2 > cut2 {
+				continue
+			}
+			if dec.accept(pairUniform(pairSeed, graph.NodeID(u), graph.NodeID(v)), d2) {
+				edges = append(edges, graph.MakeEdgeID(graph.NodeID(u), graph.NodeID(v)))
+			}
+		}
+	}
+	if err := insertSortedEdges(g, edges, cfg.EnsureConnected); err != nil {
+		return nil, err
+	}
+	return g, nil
 }

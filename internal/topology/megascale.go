@@ -15,8 +15,7 @@ import (
 type MegascaleConfig struct {
 	// TargetNodes is the approximate total size. The composer picks the
 	// fanout whose complete Levels-deep tree of NodesPerDomain-node domains
-	// lands closest to (and not far below) this target; NumNodesFor reports
-	// the exact count.
+	// lands closest to (and not far below) this target.
 	TargetNodes int
 	// NodesPerDomain is the size of every domain (default 100 — the paper's
 	// evaluation scale, which is the whole point: per-event recovery work
@@ -99,13 +98,6 @@ func (c MegascaleConfig) fanoutFor() int {
 		f++
 	}
 	return f
-}
-
-// NumNodesFor reports the exact node count GenerateMegascale will realize for
-// this configuration.
-func (c MegascaleConfig) NumNodesFor() int {
-	c = c.withDefaults()
-	return domainTreeSize(c.fanoutFor(), c.Levels) * c.NodesPerDomain
 }
 
 // GenerateMegascale builds an N-level hierarchy sized to cfg.TargetNodes.
@@ -225,7 +217,7 @@ func FlatMegascale(n int, seed uint64) (*graph.Graph, GridStats, error) {
 		L:               math.Sqrt2,
 		EnsureConnected: true,
 	}
-	g, st, err := GridWaxmanWithStats(cfg, NewRNG(seed))
+	g, st, err := GridWaxman(cfg, NewRNG(seed))
 	if err != nil {
 		return nil, st, err
 	}

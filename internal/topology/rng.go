@@ -7,8 +7,6 @@
 // in the repository is reproducible bit-for-bit.
 package topology
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256**, seeded via splitmix64). It is intentionally independent of
 // math/rand so that generated topologies stay stable across Go releases.
@@ -119,19 +117,6 @@ func (r *RNG) Sample(n, k int) []int {
 		panic("topology: Sample k > n")
 	}
 	return r.Perm(n)[:k]
-}
-
-// NormFloat64 returns a standard normal variate (Box–Muller). Provided for
-// jittered workload generators.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
 }
 
 // Split derives an independent child generator; useful to give each scenario

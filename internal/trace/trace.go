@@ -77,14 +77,6 @@ func (l *Log) Add(at eventsim.Time, cat Category, node graph.NodeID, format stri
 	}
 }
 
-// Len returns the number of recorded entries. Nil-safe.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.entries)
-}
-
 // Entries returns a copy of all entries in insertion order. Nil-safe.
 func (l *Log) Entries() []Entry {
 	if l == nil {
@@ -92,34 +84,6 @@ func (l *Log) Entries() []Entry {
 	}
 	out := make([]Entry, len(l.entries))
 	copy(out, l.entries)
-	return out
-}
-
-// Filter returns entries matching the category, in order. Nil-safe.
-func (l *Log) Filter(cat Category) []Entry {
-	if l == nil {
-		return nil
-	}
-	var out []Entry
-	for _, e := range l.entries {
-		if e.Category == cat {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ForNode returns entries whose subject is the given node. Nil-safe.
-func (l *Log) ForNode(n graph.NodeID) []Entry {
-	if l == nil {
-		return nil
-	}
-	var out []Entry
-	for _, e := range l.entries {
-		if e.Node == n {
-			out = append(out, e)
-		}
-	}
 	return out
 }
 

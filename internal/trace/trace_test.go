@@ -12,10 +12,10 @@ func TestLogBasics(t *testing.T) {
 	l := New(0)
 	l.Add(1, CatJoin, 5, "merger=%d", 2)
 	l.Add(2, CatFailure, graph.Invalid, "link down")
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
-	}
 	es := l.Entries()
+	if len(es) != 2 {
+		t.Fatalf("%d entries, want 2", len(es))
+	}
 	if es[0].Category != CatJoin || es[0].Node != 5 || es[0].Message != "merger=2" {
 		t.Errorf("entry = %+v", es[0])
 	}
@@ -29,8 +29,7 @@ func TestLogBasics(t *testing.T) {
 func TestLogNilSafe(t *testing.T) {
 	var l *Log
 	l.Add(1, CatJoin, 0, "x")
-	if l.Len() != 0 || l.Entries() != nil || l.Filter(CatJoin) != nil ||
-		l.ForNode(0) != nil || l.Summary() != "" {
+	if l.Entries() != nil || l.Summary() != "" {
 		t.Error("nil log must be inert")
 	}
 }
@@ -40,24 +39,11 @@ func TestLogCapacity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Add(0, CatJoin, graph.NodeID(i), "e%d", i)
 	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want capped 3", l.Len())
+	if n := len(l.Entries()); n != 3 {
+		t.Fatalf("%d entries, want capped 3", n)
 	}
 	if l.Entries()[0].Node != 2 {
 		t.Errorf("oldest surviving entry = %+v, want node 2", l.Entries()[0])
-	}
-}
-
-func TestLogFilterAndForNode(t *testing.T) {
-	l := New(0)
-	l.Add(1, CatJoin, 1, "a")
-	l.Add(2, CatLeave, 1, "b")
-	l.Add(3, CatJoin, 2, "c")
-	if got := l.Filter(CatJoin); len(got) != 2 {
-		t.Errorf("Filter = %v", got)
-	}
-	if got := l.ForNode(1); len(got) != 2 {
-		t.Errorf("ForNode = %v", got)
 	}
 }
 

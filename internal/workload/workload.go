@@ -174,40 +174,3 @@ func flushDepartures(pending []departure, cutoff float64, events *[]Event, relea
 	}
 	return rest
 }
-
-// Stats summarizes a schedule.
-type Stats struct {
-	Joins, Leaves int
-	PeakMembers   int
-	FinalMembers  int
-}
-
-// Describe computes schedule statistics.
-func (s *Schedule) Describe() Stats {
-	var st Stats
-	cur := 0
-	// Events are time-sorted; same-time events apply in emitted order.
-	sorted := append([]Event(nil), s.Events...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	for _, e := range sorted {
-		switch e.Kind {
-		case Join:
-			st.Joins++
-			cur++
-		case Leave:
-			st.Leaves++
-			cur--
-		}
-		if cur > st.PeakMembers {
-			st.PeakMembers = cur
-		}
-	}
-	st.FinalMembers = cur
-	return st
-}
-
-// String implements fmt.Stringer.
-func (s Stats) String() string {
-	return fmt.Sprintf("joins=%d leaves=%d peak=%d final=%d",
-		s.Joins, s.Leaves, s.PeakMembers, s.FinalMembers)
-}

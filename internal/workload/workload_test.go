@@ -50,9 +50,8 @@ func TestGenerateInitialOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Describe()
-	if st.Joins != 8 || st.Leaves != 0 || st.FinalMembers != 8 {
-		t.Errorf("stats = %v", st)
+	if len(s.Events) != 8 {
+		t.Errorf("%d events, want the 8 initial joins", len(s.Events))
 	}
 	for _, e := range s.Events {
 		if e.At != 0 || e.Kind != Join {
@@ -81,6 +80,7 @@ func TestGenerateChurnInvariants(t *testing.T) {
 	}
 	// No node is double-joined and no leave without join.
 	active := map[graph.NodeID]bool{}
+	joins, leaves := 0, 0
 	for _, e := range s.Events {
 		switch e.Kind {
 		case Join:
@@ -88,22 +88,17 @@ func TestGenerateChurnInvariants(t *testing.T) {
 				t.Fatalf("node %d joined twice while active", e.Node)
 			}
 			active[e.Node] = true
+			joins++
 		case Leave:
 			if !active[e.Node] {
 				t.Fatalf("node %d left without being a member", e.Node)
 			}
 			delete(active, e.Node)
+			leaves++
 		}
 	}
-	st := s.Describe()
-	if st.Joins == 0 || st.Leaves == 0 {
-		t.Errorf("expected churn, got %v", st)
-	}
-	if st.FinalMembers != len(active) {
-		t.Errorf("FinalMembers %d != tracked %d", st.FinalMembers, len(active))
-	}
-	if st.String() == "" {
-		t.Error("Stats String empty")
+	if joins == 0 || leaves == 0 {
+		t.Errorf("expected churn, got %d joins and %d leaves", joins, leaves)
 	}
 }
 

@@ -57,8 +57,14 @@ func TestFacadeBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := LinkDown(0, spf.Tree().Children(0)[0])
-	if _, err := spf.Heal(f); err != nil {
+	rep, err := spf.Fail(f)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for m := range rep.RecoveryDistance { // the recoverable members rejoin
+		if err := spf.Join(m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := spf.Tree().Validate(); err != nil {
 		t.Fatal(err)
