@@ -2,10 +2,15 @@ package smrp_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	pathpkg "path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -23,79 +28,132 @@ var testOnlyAllowed = map[string]string{
 	"protocol.SMRPInstance.Expired":       "the soft-state rework of the DES replaces it",
 	"protocol.SMRPInstance.SilenceMember": "the soft-state rework of the DES replaces it",
 	"graph.SetSPFDelta":                   "test hook that turns the SPF cache's delta repair off",
+	"graph.Graph.Clone":                   "tests in multicast, core and protect copy a graph before they mutate or freeze it",
 	"graph.Sweep.Relabels":                "core's prune oracle asserts coverage of the label-correcting re-queue through it",
 	"runner.MapSeq":                       "the sequential reference that runner.Map is tested against",
 	"runner.TrialError.Unwrap":            "errors.Is and errors.As call it through the unwrap interface",
 }
 
 // TestNoTestOnlyExports fails when an exported function or method declared
-// in a non-test file under internal/ is named nowhere in the non-test code
-// of the module (root, cmd/, examples/, internal/) or of the nested bench/
+// in a non-test file under internal/ is used nowhere in the non-test code of
+// the module (root, cmd/, examples/, internal/) or of the nested bench/
 // module. Such a function exists only for tests: delete it and rewrite its
 // tests on the API that remains, move it into the package's export_test.go,
 // or, when another package's test needs internal state that no production
 // accessor exposes, allowlist it above with a reason.
 //
-// The match is by name, not by type: a method whose name another function
-// or method uses in non-test code (a test-only Summary.Merge beside a used
-// Sample.Merge) passes unnoticed, and has to be found by hand.
+// Uses are resolved by go/types, so a method does not pass because some
+// other method shares its name. A method also counts as used when non-test
+// code calls it through an interface declared in the module — a recovery
+// strategy, a study report, the trace tool's protocol arm, a generic
+// constraint — on a type that declares or embeds it, and when it is an
+// Error or String method, which fmt and errors call on whatever they are
+// handed. Fitting a standard-library interface is not enough: nothing says
+// the value ever reaches the code that calls through it.
 func TestNoTestOnlyExports(t *testing.T) {
-	used := make(map[string]bool)
-	type decl struct{ key, name, pos string }
-	var decls []decl
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+	l := newLoader()
+	if err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		matches, _ := filepath.Glob(filepath.Join(path, "*.go"))
+		if slices.ContainsFunc(matches, func(f string) bool { return !strings.HasSuffix(f, "_test.go") }) {
+			l.dirs[pathpkg.Join("smrp", filepath.ToSlash(path))] = path
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		declared := make(map[*ast.Ident]bool)
-		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
-		for _, dl := range f.Decls {
-			fn, ok := dl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fn.Name] = true
-			if !internal || !fn.Name.IsExported() {
-				continue
-			}
-			key := f.Name.Name + "."
-			if fn.Recv != nil {
-				key += recvName(fn.Recv.List[0].Type) + "."
-			}
-			decls = append(decls, decl{key + fn.Name.Name, fn.Name.Name, fset.Position(fn.Pos()).String()})
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
+	}
+	var paths []string
+	for path := range l.dirs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := l.Import(path); err != nil {
+			t.Fatalf("type-check %s: %v", path, err)
+		}
+	}
+
+	used := make(map[*types.Func]bool)
+	viaIface := make(map[*types.Func]bool) // interface methods of the module non-test code calls
+	for _, obj := range l.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		used[fn] = true
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && fn.Pkg() != nil && l.pkgs[fn.Pkg().Path()] != nil {
+			viaIface[fn] = true
+		}
+	}
+	// What such a call reaches is used too: the method of every module type
+	// that implements the interface, declared on the type or promoted from
+	// one it embeds.
+	var concrete []types.Type
+	for _, pkg := range l.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+					concrete = append(concrete, n, types.NewPointer(n))
+				}
+			}
+		}
+	}
+	for m := range viaIface {
+		recv := m.Type().(*types.Signature).Recv().Type()
+		for _, c := range concrete {
+			iface := recv
+			if n, ok := recv.(*types.Named); ok && n.TypeParams().Len() == 1 {
+				// A self-referential constraint such as pqueue.Ordered[E].
+				var err error
+				if iface, err = types.Instantiate(nil, n, []types.Type{c}, true); err != nil {
+					continue
+				}
+			}
+			if types.Implements(c, iface.Underlying().(*types.Interface)) {
+				if obj, _, _ := types.LookupFieldOrMethod(c, false, m.Pkg(), m.Name()); obj != nil {
+					if fn, ok := obj.(*types.Func); ok {
+						used[fn.Origin()] = true
+					}
+				}
+			}
+		}
 	}
 
 	seen := make(map[string]bool)
 	var bad []string
-	for _, d := range decls {
-		seen[d.key] = true
-		if !used[d.name] && testOnlyAllowed[d.key] == "" {
-			bad = append(bad, d.pos+": "+d.key)
+	for _, path := range paths {
+		if !strings.HasPrefix(path, "smrp/internal/") {
+			continue
+		}
+		pkg := l.pkgs[path]
+		check := func(fn *types.Func, key string) {
+			seen[key] = true
+			method := fn.Type().(*types.Signature).Recv() != nil
+			if !fn.Exported() || used[fn] || testOnlyAllowed[key] != "" || method && (fn.Name() == "String" || fn.Name() == "Error") {
+				return
+			}
+			bad = append(bad, l.fset.Position(fn.Pos()).String()+": "+key)
+		}
+		for _, name := range pkg.Scope().Names() {
+			switch obj := pkg.Scope().Lookup(name).(type) {
+			case *types.Func:
+				check(obj, pkg.Name()+"."+name)
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					check(m, pkg.Name()+"."+name+"."+m.Name())
+				}
+			}
 		}
 	}
 	sort.Strings(bad)
@@ -109,21 +167,58 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// recvName returns the type name of a method receiver: T for T, *T, T[P]
-// and *T[P].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
-		}
+// loader type-checks the module's packages, non-test files only, each once,
+// resolving imports among them to its own results and every other import
+// (the standard library) from source, so all uses meet one set of objects.
+type loader struct {
+	fset *token.FileSet
+	std  types.ImporterFrom
+	dirs map[string]string // import path → directory
+	pkgs map[string]*types.Package
+	info *types.Info
+}
+
+func newLoader() *loader {
+	fset := token.NewFileSet()
+	return &loader{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		dirs: make(map[string]string),
+		pkgs: make(map[string]*types.Package),
+		info: &types.Info{Uses: make(map[*ast.Ident]types.Object)},
 	}
+}
+
+func (l *loader) Import(path string) (*types.Package, error) { return l.ImportFrom(path, "", 0) }
+
+func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg := l.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	src, ok := l.dirs[path]
+	if !ok {
+		return l.std.ImportFrom(path, dir, mode)
+	}
+	abs, err := filepath.Abs(src)
+	if err != nil {
+		return nil, err
+	}
+	bp, err := build.ImportDir(abs, 0) // GoFiles: build constraints applied, tests left out
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(abs, name), nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	pkg, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
 }

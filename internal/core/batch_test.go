@@ -79,7 +79,7 @@ func equalJoinResults(a, b *JoinResult) bool {
 // across randomized topologies, configurations, failure masks, and joiner
 // lists (including duplicates, already-members, failed and partitioned
 // joiners), JoinBatch must leave the session in exactly the state sequential
-// Join calls do — same tree, same delays, same SHR table, same parked set,
+// Join calls do — same tree, same delays, same SHR values, same parked set,
 // same per-joiner results and errors, and the same outcome counters (apart
 // from BatchJoins, which only the batch counts). The sweep-work counters
 // EnumSettled and CandidatesSeen are compared exactly where both arms prune

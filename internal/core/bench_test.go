@@ -52,7 +52,7 @@ func BenchmarkEnumerateCandidates(b *testing.B) {
 	spt := g.Dijkstra(tr.Source(), nil)
 	a := &arena{sw: g.NewSweep()}
 	defer a.sw.Release()
-	a.view.whole(tr, denseSHRFor(tr))
+	a.view.whole(tr)
 
 	for _, bc := range []struct {
 		name       string

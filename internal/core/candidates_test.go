@@ -10,13 +10,6 @@ import (
 	"smrp/internal/topology"
 )
 
-// denseSHRFor computes a fresh dense SHR table for t, the shape the
-// enumerators consume since the map-based table was retired.
-func denseSHRFor(t *multicast.Tree) shrVals {
-	vals, _ := computeSHRInto(t, shrVals{}, nil)
-	return vals
-}
-
 // criterion puts cands to the production criterion the way a join does —
 // within the bound, then, if nothing is, with the bound lifted and delay first
 // — and requires the reference selectCandidate to agree.
@@ -91,7 +84,7 @@ func TestEnumerateFullMergersAreExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	shr := ComputeSHR(tr)
-	cands := enumerateFull(tr, f4F, denseSHRFor(tr), nil, nil)
+	cands := enumerateFull(tr, f4F, shr, nil, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -138,7 +131,7 @@ func TestEnumerateFullRespectsExtraMask(t *testing.T) {
 	if err := tr.Graft(graph.Path{0, 1, 3, 4}, true); err != nil {
 		t.Fatal(err)
 	}
-	shr := denseSHRFor(tr)
+	shr := ComputeSHR(tr)
 	mask := graph.NewMask().BlockNode(f4D)
 	for _, c := range enumerateFull(tr, f4F, shr, mask, nil) {
 		if c.Merger == f4D || slices.Contains(c.Connection, f4D) {
@@ -163,7 +156,7 @@ func TestEnumerateQueryCoverageSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	cands := enumerateQuery(new(treeView).whole(tr, denseSHRFor(tr)), f4G, nil, &st)
+	cands := enumerateQuery(new(treeView).whole(tr), f4G, nil, &st)
 	if len(cands) == 0 {
 		t.Fatal("query scheme found nothing")
 	}

@@ -6,11 +6,6 @@ package core
 // per-group standing-bytes column is CI-stable across runs, machines, and
 // worker counts.
 const (
-	// bytesPerSHRDenseEntry is one slot of a dense SHR table (int32).
-	bytesPerSHRDenseEntry = 4
-	// bytesPerSHRMapEntry is one entry of a sparse SHR table:
-	// NodeID key (8) + int32 value (4) + map bucket overhead.
-	bytesPerSHRMapEntry = 24
 	// bytesPerBaselineEntry is one lastUpSHR entry (NodeID key + int value
 	// + bucket overhead) — the Condition-I baseline kept per member.
 	bytesPerBaselineEntry = 32
@@ -20,15 +15,13 @@ const (
 
 // MemoryFootprint returns the deterministic byte accounting of the
 // session's standing state: the tree (dense arrays or the sparse
-// touched-node remap), the SHR table, the per-member Condition-I baselines,
-// and parked members (reshape checks work in a pooled arena and leave
-// nothing standing). With sparse tree
-// storage every term is O(|tree| + |members|); with dense storage the tree
-// and SHR terms are O(topology) — the ratio between the two is what the
-// megascale CI gate pins.
+// touched-node remap, SHR column included), the per-member Condition-I
+// baselines, and parked members (reshape checks work in a pooled arena and
+// leave nothing standing). With sparse tree storage every term is
+// O(|tree| + |members|); with dense storage the tree term is O(topology) —
+// the ratio between the two is what the megascale CI gate pins.
 func (s *Session) MemoryFootprint() int64 {
 	return s.tree.MemoryFootprint() +
-		s.shr.vals.footprint() +
 		int64(len(s.lastUpSHR))*bytesPerBaselineEntry +
 		int64(len(s.parked))*bytesPerParkedEntry
 }

@@ -81,13 +81,13 @@ func (c *goalCoverage) add(d goalCoverage) {
 // of the session's counters, and hands back what the call added. A bounded
 // pass (mustLand false) under full knowledge is one sweep, and o.goal takes
 // what it did.
-func (o *pruneOracle) probe(tr *multicast.Tree, joiner graph.NodeID, shr shrVals, mask *graph.Mask, lower []float64, spfDelay float64, mustLand bool) (got Candidate, within, ok bool, counted Stats) {
+func (o *pruneOracle) probe(tr *multicast.Tree, joiner graph.NodeID, mask *graph.Mask, lower []float64, spfDelay float64, mustLand bool) (got Candidate, within, ok bool, counted Stats) {
 	s := o.s
 	before, own := o.probed, s.stats
 	s.stats = o.probed
 	a := s.newArena()
 	defer a.release()
-	a.view.whole(tr, shr)
+	a.view.whole(tr)
 	got, within, ok = s.selectPath(a, joiner, mask, lower, spfDelay, mustLand)
 	got.Connection = slices.Clone(got.Connection) // the arena's, and the arena goes back
 	o.probed, s.stats = s.stats, own
@@ -121,7 +121,7 @@ func (o *pruneOracle) probe(tr *multicast.Tree, joiner graph.NodeID, shr shrVals
 func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *graph.Mask, isJoin bool, what string) (want Candidate, admissible, reachable bool) {
 	o.t.Helper()
 	s := o.s
-	shr := denseSHRFor(tr)
+	shr := ComputeSHR(tr)
 	sw := s.g.NewSweep() // the reference asks no cache
 	defer sw.Release()
 	sw.Run(tr.Source(), s.maskOrNil(), nil)
@@ -139,7 +139,7 @@ func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *g
 	var cands []Candidate
 	query := s.cfg.Knowledge == QueryScheme
 	if query {
-		cands = enumerateQuery(new(treeView).whole(tr, shr), joiner, mask, new(Stats))
+		cands = enumerateQuery(new(treeView).whole(tr), joiner, mask, new(Stats))
 	} else {
 		cands = enumerateFull(tr, joiner, shr, mask, &full)
 		full.CandidatesSeen = len(cands)
@@ -154,7 +154,7 @@ func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *g
 		o.ties++
 	}
 
-	got, within, found, bounded := o.probe(tr, joiner, shr, mask, lower, spfDelay, false)
+	got, within, found, bounded := o.probe(tr, joiner, mask, lower, spfDelay, false)
 	o.selections++
 	if found != admissible || within != found {
 		o.t.Fatalf("%s: bounded pass found=%v within=%v, reference admissible=%v (%d candidates)", what, found, within, admissible, len(cands))
@@ -210,7 +210,7 @@ func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *g
 
 	// A join sweeps again with the bound lifted: the reference's fastest
 	// candidate, and on top of the bounded pass exactly the reference's work.
-	got, within, found, both := o.probe(tr, joiner, shr, mask, lower, spfDelay, true)
+	got, within, found, both := o.probe(tr, joiner, mask, lower, spfDelay, true)
 	if found != (len(cands) > 0) || within {
 		o.t.Fatalf("%s: second pass found=%v within=%v, reference has %d candidates, none within the bound", what, found, within, len(cands))
 	}
@@ -346,7 +346,7 @@ func (o *pruneOracle) join(nr graph.NodeID) {
 
 // reshape re-selects member m's path (§3.2.3) and checks it against the
 // hypothetical tree of the paper built the slow way — a clone of the tree with
-// m's subtree removed, its SHR table computed from scratch, the subtree
+// m's subtree removed, its SHR computed from scratch, the subtree
 // extra-mask built anew. The view reshapeMember reads the real tree through
 // must agree with that clone node by node; the selection made through it must
 // be the reference's on the clone; and the member moves exactly when the
@@ -369,18 +369,18 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 		o.t.Fatal(err)
 	}
 	hypo.PruneFrom([]graph.NodeID{parent})
-	hypoSHR := denseSHRFor(hypo)
+	hypoSHR := ComputeSHR(hypo)
 	mask := graph.NewMask().BlockNodes(sub...).UnblockNode(m).Union(s.failed)
 	curMerger := parent
 	for !hypo.OnTree(curMerger) {
 		curMerger, _ = s.tree.Parent(curMerger)
 	}
 
-	// The view, set up as reshapeMember sets it up (on a table computed here,
-	// so that the session's last-read epoch stays as it is).
+	// The view, set up as reshapeMember sets it up (on the tree itself, not
+	// through shrTree, so that the session's last-read epoch stays as it is).
 	a := s.newArena()
 	v := &a.view
-	if got := v.without(s.tree, denseSHRFor(s.tree), m, s.maskOrNil()); got != curMerger {
+	if got := v.without(s.tree, m, s.maskOrNil()); got != curMerger {
 		o.t.Fatalf("%s: the view's current merger is %d, the hypothetical tree's %d", what, got, curMerger)
 	}
 	if v.numNodes() != hypo.NumNodes() {
@@ -390,9 +390,9 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 		if v.onTree(n) != hypo.OnTree(n) {
 			o.t.Fatalf("%s: the view has node %d on the tree = %v, the hypothetical tree %v", what, n, v.onTree(n), hypo.OnTree(n))
 		}
-		if hypo.OnTree(n) && (v.shrAt(n) != hypoSHR.at(n) || (v.shrAt(n) == 0) != (n == hypo.Source())) {
+		if hypo.OnTree(n) && (v.shrAt(n) != hypoSHR[n] || (v.shrAt(n) == 0) != (n == hypo.Source())) {
 			o.t.Fatalf("%s: the view reads SHR[%d] = %d, the hypothetical tree's table %d; the source, %d, is to be the one node at 0",
-				what, n, v.shrAt(n), hypoSHR.at(n), hypo.Source())
+				what, n, v.shrAt(n), hypoSHR[n], hypo.Source())
 		}
 	}
 	if added, removed, ok := v.avoid.AppendDiff(nil, nil, mask, graph.DefaultDiffLimit); !ok || len(added)+len(removed) != 0 {
@@ -411,7 +411,7 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 	a.release()
 
 	want, admissible, _ := o.reference(hypo, m, mask, false, what)
-	curSHR := hypoSHR.at(curMerger)
+	curSHR := hypoSHR[curMerger]
 	curDelay, _ := s.tree.DelayTo(m)
 	wantMove := admissible && (want.SHR < curSHR || (want.SHR == curSHR && want.TotalDelay < curDelay-delayEps))
 	if admissible {
@@ -425,7 +425,7 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 	// as it stands (if stale) and pay for the hypothetical tree's; a move
 	// makes the session read the new tree's for the member's baseline.
 	wantComputes := hypo.NumNodes()
-	if !s.shr.valid || s.shr.epoch != s.tree.Epoch() {
+	if s.shrSeen != s.tree.Epoch()+1 {
 		wantComputes += s.tree.NumNodes()
 	}
 	computes := s.stats.SHRComputes
@@ -473,7 +473,7 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 // accumulated flushed mask, joins under a bound tighter than the one the tree
 // grew under, and a reshape of every member in each of those states (the
 // subtree extra-mask), every selection the session makes is the exhaustive
-// reference's, bit for bit, and the session's tree, SHR table, parked set and
+// reference's, bit for bit, and the session's tree, SHR column, parked set and
 // outcome counters follow. A join that finds nothing within the bound sweeps
 // again, unbounded: that pass is held to the reference's fastest candidate the
 // same way wherever the bounded one finds nothing, on a reshape's hypothetical

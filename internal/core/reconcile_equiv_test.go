@@ -80,7 +80,6 @@ func (st *roundwise) Recover(fs []failure.Failure) (*HealReport, error) {
 	accept := func(n graph.NodeID) bool {
 		return s.tree.OnTree(n) && !mask.NodeBlocked(n)
 	}
-	var dirty []graph.NodeID
 	for len(remaining) > 0 {
 		bestD := math.Inf(1)
 		var bestM graph.NodeID = graph.Invalid
@@ -120,7 +119,6 @@ func (st *roundwise) Recover(fs []failure.Failure) (*HealReport, error) {
 			s.stats.Readmissions++
 			rep.Readmitted = append(rep.Readmitted, bestM)
 		}
-		dirty = append(dirty, s.tree.TopAncestor(bestM))
 		rep.RecoveryDistance[bestM] = bestD
 		rep.Detours[bestM] = bestPath
 	}
@@ -128,7 +126,7 @@ func (st *roundwise) Recover(fs []failure.Failure) (*HealReport, error) {
 	slices.Sort(rep.Readmitted)
 
 	rep.Pruned = s.tree.PruneStale()
-	s.shr.refresh(s.tree, dirty...)
+	s.repairSHR()
 	for _, m := range s.tree.Members() {
 		if _, ok := s.lastUpSHR[m]; !ok {
 			s.recordUpSHR(m)

@@ -72,15 +72,8 @@ type RepairReport struct {
 // endHeal to prune from (Stats.FlushVisited counts the steps).
 func (s *Session) flush(mask *graph.Mask) ([]graph.NodeID, error) {
 	var flushed []graph.NodeID
-	dirty := s.dirty[:0]
 	onTree := s.tree.NumNodes()
-	cand, visited, err := failure.DeadRoots(s.tree, mask, s.cand, func(root, top graph.NodeID) (err error) {
-		// Each detached subtree dirties the top-level branch it hung from:
-		// ancestors between the source and the detachment point lose N_R, so
-		// every surviving node in that branch needs its SHR repaired. When
-		// the dead root is itself a source child the whole branch disappears
-		// and no surviving SHR changes (refresh skips the then-off-tree top).
-		dirty = append(dirty, top)
+	cand, visited, err := failure.DeadRoots(s.tree, mask, s.cand, func(root graph.NodeID) (err error) {
 		p, _ := s.tree.Parent(root)
 		s.stale = append(s.stale, p)
 		below, _ := s.tree.MemberCount(root)
@@ -100,8 +93,9 @@ func (s *Session) flush(mask *graph.Mask) ([]graph.NodeID, error) {
 			delete(s.lastUpSHR, m)
 		}
 	}
-	s.shr.refresh(s.tree, dirty...)
-	s.dirty = dirty
+	// Each detach marked the branch it hung from, whose survivors above it
+	// lost N_R; a dead source child takes its whole branch and marks none.
+	s.repairSHR()
 	return flushed, nil
 }
 
@@ -273,12 +267,7 @@ func (s *Session) endHeal(h *heal) *HealReport {
 	rep.Pruned = s.tree.PruneFrom(s.stale)
 	s.stats.FlushVisited += len(s.stale) + len(rep.Pruned)
 	s.stale = s.stale[:0]
-	dirty := s.dirty[:0]
-	for _, m := range h.regrafted {
-		dirty = append(dirty, s.tree.TopAncestor(m))
-	}
-	s.shr.refresh(s.tree, dirty...)
-	s.dirty = dirty
+	s.repairSHR()
 	// The regrafted are the members without a baseline: the flush (or the
 	// park before it) dropped theirs, everybody else kept it.
 	for _, m := range h.regrafted {

@@ -46,7 +46,7 @@ func twoBranchSession(t *testing.T) *Session {
 	return s
 }
 
-// assertTableMatchesScratch asserts that the session's maintained SHR table
+// assertTableMatchesScratch asserts that the session's maintained SHR column
 // is exactly the from-scratch Eq. 2 recompute of the current tree.
 func assertTableMatchesScratch(t *testing.T, s *Session, op string) {
 	t.Helper()

@@ -37,7 +37,7 @@ import (
 // member's own subtree out of the new path). The joiner must be off-tree.
 //
 // Exhaustive, every connection materialized.
-func enumerateFull(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMask *graph.Mask, stats *Stats) []Candidate {
+func enumerateFull(t *multicast.Tree, joiner graph.NodeID, shr map[graph.NodeID]int, extraMask *graph.Mask, stats *Stats) []Candidate {
 	g := t.Graph()
 	sw := g.NewSweep()
 	defer sw.Release()
@@ -67,7 +67,7 @@ func enumerateFull(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMas
 			Connection: conn,
 			ConnDelay:  d,
 			TotalDelay: treeDelay + d,
-			SHR:        shr.at(merger),
+			SHR:        shr[merger],
 		})
 	}
 	return out

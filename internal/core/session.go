@@ -36,8 +36,8 @@ var (
 )
 
 // Session is a synchronous SMRP multicast session: a tree under
-// construction plus the SHR bookkeeping and reshaping state the protocol
-// maintains. It is the algorithmic heart of the reproduction; the
+// construction (which keeps SHR beside N_R) plus the reshaping state the
+// protocol maintains. It is the algorithmic heart of the reproduction; the
 // message-level protocol in internal/protocol drives the same logic through
 // simulated packets.
 //
@@ -46,7 +46,8 @@ type Session struct {
 	cfg  Config
 	g    *graph.Graph
 	tree *multicast.Tree
-	shr  *shrTable
+	// shrSeen is 1 + the tree epoch of the last SHR read (see shrTree).
+	shrSeen uint64
 
 	// lastUpSHR implements Condition I (§3.2.3): for each member, the SHR of
 	// its upstream node as of the member's last path (re)selection
@@ -63,12 +64,11 @@ type Session struct {
 	// bring an on-tree node back within reach.
 	parked map[graph.NodeID]bool
 	// Buffers recovery reuses from one event to the next: the flush's
-	// candidate dead roots, the top-level branches one batched SHR repair
-	// covers, and the parent of every subtree detached since endHeal last
-	// pruned. heal is the recovery pass in progress, or the last one's
-	// storage.
-	cand, dirty, stale []graph.NodeID
-	heal               heal
+	// candidate dead roots and the parent of every subtree detached since
+	// endHeal last pruned. heal is the recovery pass in progress, or the last
+	// one's storage.
+	cand, stale []graph.NodeID
+	heal        heal
 
 	stats Stats
 	// healTally counts what only the tests read, which must show each path of
@@ -98,24 +98,12 @@ func NewSession(g *graph.Graph, source graph.NodeID, cfg Config) (*Session, erro
 		tree:      tree,
 		lastUpSHR: make(map[graph.NodeID]int),
 	}
-	s.shr = newSHRTable(&s.stats)
-	s.shr.init(tree)
 	if cfg.Strategy != nil {
 		if err := cfg.Strategy.Precompute(s); err != nil {
 			return nil, fmt.Errorf("core: strategy %s precompute: %w", cfg.Strategy.Name(), err)
 		}
 	}
 	return s, nil
-}
-
-// Strategy returns the session's active recovery strategy: the configured
-// one, or a fresh SMRP (local-detour) strategy bound to this session when
-// none was set.
-func (s *Session) Strategy() RecoveryStrategy {
-	if s.cfg.Strategy != nil {
-		return s.cfg.Strategy
-	}
-	return &smrpStrategy{s: s}
 }
 
 // Tree returns the session's multicast tree. Callers must not mutate it
@@ -131,10 +119,10 @@ func (s *Session) Stats() Stats { return s.stats }
 
 // SHRSnapshot returns SHR values for all on-tree nodes.
 func (s *Session) SHRSnapshot() map[graph.NodeID]int {
-	vals := s.shr.table(s.tree)
-	out := make(map[graph.NodeID]int, s.tree.NumNodes())
-	for _, n := range s.tree.Nodes() {
-		out[n] = vals.at(n)
+	t := s.shrTree()
+	out := make(map[graph.NodeID]int, t.NumNodes())
+	for _, n := range t.Nodes() {
+		out[n] = t.SHR(n)
 	}
 	return out
 }
@@ -210,7 +198,7 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, a *arena) (*JoinResul
 		res.Merger = nr
 		res.Connection = graph.Path{nr}
 	} else {
-		a.view.whole(s.tree, s.shr.table(s.tree))
+		a.view.whole(s.shrTree())
 		cand, within, ok := s.selectPath(a, nr, mask, lower, spfDelay, true)
 		if !ok {
 			if mask != nil {
@@ -230,9 +218,7 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, a *arena) (*JoinResul
 
 	delete(s.parked, nr)
 	s.stats.Joins++
-	// The join perturbs N_R (and therefore SHR) only inside the member's
-	// top-level branch — repair exactly that dirty subtree.
-	s.shr.refresh(s.tree, s.tree.TopAncestor(nr))
+	s.repairSHR()
 	s.recordUpSHR(nr)
 
 	if s.cfg.ReshapeDelta > 0 {
@@ -379,15 +365,12 @@ func (s *Session) Leave(m graph.NodeID) error {
 		s.stats.Leaves++
 		return nil
 	}
-	// The dirty subtree root must be captured before the leave: the prune
-	// may remove part (or all) of the branch.
-	top := s.tree.TopAncestor(m)
 	if err := s.tree.Leave(m); err != nil {
 		return err
 	}
 	delete(s.lastUpSHR, m)
 	s.stats.Leaves++
-	s.shr.refresh(s.tree, top)
+	s.repairSHR()
 	s.notifyStrategy()
 	return nil
 }
@@ -399,7 +382,7 @@ func (s *Session) recordUpSHR(m graph.NodeID) {
 		s.lastUpSHR[m] = 0
 		return
 	}
-	s.lastUpSHR[m] = s.shr.at(s.tree, p)
+	s.lastUpSHR[m] = s.shrAt(p)
 }
 
 // checkConditionI scans members (except the one that just joined) for
@@ -417,7 +400,7 @@ func (s *Session) checkConditionI(a *arena, justJoined graph.NodeID) []graph.Nod
 		if !ok || p == graph.Invalid {
 			continue
 		}
-		cur := s.shr.at(s.tree, p)
+		cur := s.shrAt(p)
 		if cur-s.lastUpSHR[m] < s.cfg.ReshapeDelta {
 			continue
 		}
@@ -481,7 +464,7 @@ func (s *Session) reshapeMember(a *arena, m graph.NodeID) (bool, error) {
 	// The current attachment, on the tree without m's subtree: the deepest
 	// ancestor of m that survives m's departure is the current merger.
 	v := &a.view
-	curMerger := v.without(s.tree, s.shr.table(s.tree), m, s.maskOrNil())
+	curMerger := v.without(s.shrTree(), m, s.maskOrNil())
 	s.stats.SHRComputes += v.numNodes() // deferred maintenance computes the table of the tree m has left
 
 	// New-path candidates must avoid m's own subtree (cycle prevention; m
@@ -503,14 +486,12 @@ func (s *Session) reshapeMember(a *arena, m graph.NodeID) (bool, error) {
 	if !improves {
 		return false, nil
 	}
-	// The switch dirties both the branch m leaves and the branch it joins.
-	oldTop := s.tree.TopAncestor(m)
 	if err := s.tree.Reroute(m, best.Connection); err != nil {
 		s.stats.ReshapesRefused++
 		return false, fmt.Errorf("reshape %d: %w", m, err)
 	}
 	s.stats.Reshapes++
-	s.shr.refresh(s.tree, oldTop, s.tree.TopAncestor(m))
+	s.repairSHR()
 	s.recordUpSHR(m)
 	s.notifyStrategy()
 	return true, nil

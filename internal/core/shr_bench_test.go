@@ -16,7 +16,7 @@ func graftDetour(s *Session, p graph.Path) error {
 	}
 	m := p.Last()
 	delete(s.parked, m)
-	s.shr.refresh(s.tree, s.tree.TopAncestor(m))
+	s.repairSHR()
 	s.recordUpSHR(m)
 	s.notifyStrategy()
 	return nil
@@ -97,7 +97,7 @@ func TestEagerChurnSteadyStateAllocs(t *testing.T) {
 // BenchmarkEagerSHRChurn measures one warm membership churn event under
 // eager SHR maintenance: a leaf member leaves and regrafts (graftDetour, no
 // candidate enumeration), so the timing isolates tree-state mutation plus
-// SHR table maintenance — the per-event cost §3.3.2's update-message analysis
+// SHR column maintenance — the per-event cost §3.3.2's update-message analysis
 // is about.
 func BenchmarkEagerSHRChurn(b *testing.B) {
 	s, leaf, regraft := eagerChurnFixture(b)

@@ -14,7 +14,7 @@ import (
 // oracle: it derives subtree member counts itself (bottom-up over Children,
 // never touching the tree's incrementally maintained N_R cache) and then
 // applies Eq. 2 top-down. The property test below holds both the cached N_R
-// values and the session's incrementally repaired SHR table to exact
+// values and the tree's incrementally repaired SHR column to exact
 // equality against it after every mutation.
 func computeSHRReference(t *multicast.Tree) map[graph.NodeID]int {
 	// Bottom-up member counts via explicit post-order traversal.
@@ -65,8 +65,9 @@ func checkSourceAloneAtZero(t *testing.T, what string, src graph.NodeID, shr map
 //   - the tree's structural invariants and its cached N_R values hold
 //     (Tree.Validate recounts N_R from scratch),
 //   - the source is the only node with SHR 0,
-//   - ComputeSHR matches the independent reference oracle, and
-//   - the session's incrementally repaired table matches too.
+//   - ComputeSHR matches the independent reference oracle,
+//   - the session left no SHR repair pending, and
+//   - the tree's incrementally repaired SHR column matches too.
 func checkSHRState(t *testing.T, s *Session, op string) {
 	t.Helper()
 	tr := s.Tree()
@@ -84,8 +85,11 @@ func checkSHRState(t *testing.T, s *Session, op string) {
 			t.Fatalf("%s: ComputeSHR[%d] = %d, reference %d", op, n, got[n], want)
 		}
 	}
+	if w := tr.RepairSHR(); w != 0 {
+		t.Fatalf("%s: the session left %d SHR writes unrepaired", op, w)
+	}
 	for n, want := range ref {
-		if got := s.shr.vals.at(n); got != want {
+		if got := tr.SHR(n); got != want {
 			t.Fatalf("%s: incremental SHR[%d] = %d, reference %d", op, n, got, want)
 		}
 	}
@@ -156,7 +160,7 @@ func TestIncrementalSHREquivalence(t *testing.T) {
 			}
 
 			// Heal a random failure (exercises the flush's batched
-			// dirty-root refresh, regraft repairs, and PruneStale).
+			// branch repair, regraft repairs, and PruneStale).
 			if s.Tree().NumMembers() > 1 {
 				var f failure.Failure
 				if rng.Intn(2) == 0 {

@@ -60,7 +60,7 @@ func (s *Session) Snapshot() Snapshot {
 			ms.Delay = d
 		}
 		if p, ok := s.tree.Parent(m); ok && p != graph.Invalid {
-			ms.SHR = s.shr.at(s.tree, p)
+			ms.SHR = s.shrAt(p)
 		}
 		snap.Members = append(snap.Members, ms)
 	}

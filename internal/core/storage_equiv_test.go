@@ -16,7 +16,7 @@ import (
 // with forced storage backends run the same randomized sequence of joins,
 // batched joins, leaves, reshaping, persistent failures, recovery, and
 // repair over identical Waxman topologies, and after every event all
-// observable state — snapshots, SHR tables, work counters, tree cost bits,
+// observable state — snapshots, SHR values, work counters, tree cost bits,
 // parked sets — must be identical. This is what licenses StorageAuto to flip
 // backends by topology size without perturbing any study output.
 func TestStorageEquivalence(t *testing.T) {

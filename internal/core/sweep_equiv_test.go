@@ -14,7 +14,7 @@ import (
 // The property test below holds the sweep-based enumerator to exact equality
 // against it; keep this in sync with the enumerateFull doc comment, not with
 // its implementation.
-func bruteEnumerate(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMask *graph.Mask) []Candidate {
+func bruteEnumerate(t *multicast.Tree, joiner graph.NodeID, shr map[graph.NodeID]int, extraMask *graph.Mask) []Candidate {
 	g := t.Graph()
 	treeNodes := t.Nodes()
 	out := make([]Candidate, 0, len(treeNodes))
@@ -41,7 +41,7 @@ func bruteEnumerate(t *multicast.Tree, joiner graph.NodeID, shr shrVals, extraMa
 			Connection: conn,
 			ConnDelay:  d,
 			TotalDelay: treeDelay + d,
-			SHR:        shr.at(merger),
+			SHR:        shr[merger],
 		})
 	}
 	return out
@@ -109,7 +109,7 @@ func TestEnumerateFullMatchesBruteForce(t *testing.T) {
 			}
 			src := graph.NodeID(rng.Intn(n))
 			tr := growRandomTree(t, g, src, 3+rng.Intn(6), rng)
-			shr := denseSHRFor(tr)
+			shr := ComputeSHR(tr)
 
 			// Off-tree joiners: every off-tree node gets checked on small
 			// graphs; cap the work on larger ones.

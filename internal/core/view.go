@@ -54,15 +54,15 @@ func (a *arena) reconnecting(members []graph.NodeID) []reconnecting {
 func (a *arena) release() {
 	a.sw.Release()
 	a.sw = nil
-	a.view.t, a.view.shr = nil, shrVals{}
+	a.view.t = nil
 	arenaPool.Put(a)
 }
 
 // treeView is the tree as one path selection reads it: which nodes are on it,
 // what a merger's delay is, and SHR(S, R) for each of them. A join reads the
-// session's tree and SHR table as they stand (whole). A reshape of member m
-// (§3.2.3) must read them as if m's subtree had left, and it reads the same
-// tree and the same table through what that departure changes (without):
+// session's tree and its SHR column as they stand (whole). A reshape of
+// member m (§3.2.3) must read them as if m's subtree had left, and it reads
+// the same tree through what that departure changes (without):
 //
 //   - gone from the tree are sub(m) and the relay chain above m that the
 //     leave would prune — the ancestors that are no member, not the source, and
@@ -81,10 +81,9 @@ func (a *arena) release() {
 //     walking up from R.
 //
 // A check therefore marks O(|sub(m)| + depth(m)) nodes and walks O(depth) per
-// candidate; the tree is neither copied nor its SHR table recomputed.
+// candidate; the tree is neither copied nor its SHR recomputed.
 type treeView struct {
-	t   *multicast.Tree
-	shr shrVals
+	t *multicast.Tree
 
 	// Of a reshape view only (cut > 0). marks is NodeID-indexed, like the
 	// arrays of the sweep it is pooled with: markGone for the nodes that left,
@@ -110,19 +109,19 @@ type treeView struct {
 
 const markGone = -1
 
-// whole makes v the view of t as it stands, under SHR table shr.
-func (v *treeView) whole(t *multicast.Tree, shr shrVals) *treeView {
-	v.t, v.shr = t, shr
+// whole makes v the view of t as it stands.
+func (v *treeView) whole(t *multicast.Tree) *treeView {
+	v.t = t
 	return v
 }
 
-// without makes v the view of t, under its SHR table shr, as if the subtree of
-// the on-tree non-source node m had left, with v.avoid for the mask m's new
-// path is selected under (failed is the session's own, nil while healthy), and
-// returns the current merger: the deepest ancestor of m that stays. restore
-// must be called before the view is set up again.
-func (v *treeView) without(t *multicast.Tree, shr shrVals, m graph.NodeID, failed *graph.Mask) (curMerger graph.NodeID) {
-	v.t, v.shr, v.failed = t, shr, failed
+// without makes v the view of t as if the subtree of the on-tree non-source
+// node m had left, with v.avoid for the mask m's new path is selected under
+// (failed is the session's own, nil while healthy), and returns the current
+// merger: the deepest ancestor of m that stays. restore must be called before
+// the view is set up again.
+func (v *treeView) without(t *multicast.Tree, m graph.NodeID, failed *graph.Mask) (curMerger graph.NodeID) {
+	v.t, v.failed = t, failed
 	v.nm, _ = t.MemberCount(m)
 	if n := t.Graph().NumNodes(); len(v.marks) < n {
 		v.marks = make([]int32, n)
@@ -195,7 +194,7 @@ func (v *treeView) numNodes() int { return v.t.NumNodes() - v.cut }
 
 // shrAt returns SHR(S, r) on the tree the view stands for; r must be on it.
 func (v *treeView) shrAt(r graph.NodeID) int {
-	shr := v.shr.at(r)
+	shr := v.t.SHR(r)
 	if v.cut == 0 {
 		return shr
 	}

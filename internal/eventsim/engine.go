@@ -45,9 +45,6 @@ type runnable interface{ run() }
 // Cancel prevents the event from firing (safe to call multiple times).
 func (e *Event) Cancel() { e.cancel = true }
 
-// At returns the time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Before orders events by time, breaking ties by scheduling sequence so
 // simultaneous events fire in FIFO order (determinism). It implements
 // pqueue.Ordered, letting the engine's queue run on the generic min-heap

@@ -121,9 +121,6 @@ func NewNetwork(engine *Engine, g *graph.Graph) *Network {
 	}
 }
 
-// Engine returns the driving engine.
-func (n *Network) Engine() *Engine { return n.engine }
-
 // Graph returns the underlying topology.
 func (n *Network) Graph() *graph.Graph { return n.g }
 

@@ -178,9 +178,8 @@ func SurvivingNodes(t *multicast.Tree, mask *graph.Mask) map[graph.NodeID]bool {
 // mask: its lower end is an on-tree node the mask blocks, or the child end of
 // a tree edge the mask blocks. Those are the candidates, taken in ascending
 // order; from each one that is still on the tree a walk to the source finds
-// the broken hop nearest the source — its lower end is the root of the dead
-// subtree the candidate lies in — and the source's child the walk passes
-// through, the root's top-level branch. visit is called with both.
+// the broken hop nearest the source, whose lower end is the root of the dead
+// subtree the candidate lies in. visit is called with that root.
 //
 // visit may detach root's subtree (and change nothing else): the candidates
 // that went with it are then skipped, so each dead subtree costs one walk. A
@@ -190,7 +189,7 @@ func SurvivingNodes(t *multicast.Tree, mask *graph.Mask) map[graph.NodeID]bool {
 // cand is scratch for the candidate list, returned for reuse. visited counts
 // the mask elements examined plus the tree hops walked. ErrSourceFailed is
 // returned when the mask blocks the source.
-func DeadRoots(t *multicast.Tree, mask *graph.Mask, cand []graph.NodeID, visit func(root, top graph.NodeID) error) (scratch []graph.NodeID, visited int, err error) {
+func DeadRoots(t *multicast.Tree, mask *graph.Mask, cand []graph.NodeID, visit func(root graph.NodeID) error) (scratch []graph.NodeID, visited int, err error) {
 	src := t.Source()
 	if mask.NodeBlocked(src) {
 		return cand, 0, ErrSourceFailed
@@ -213,7 +212,7 @@ func DeadRoots(t *multicast.Tree, mask *graph.Mask, cand []graph.NodeID, visit f
 	})
 	slices.Sort(cand)
 	for _, c := range cand {
-		root, top := graph.Invalid, graph.Invalid
+		root := graph.Invalid
 		for n := c; n != src; {
 			p, ok := t.Parent(n)
 			if !ok {
@@ -222,13 +221,13 @@ func DeadRoots(t *multicast.Tree, mask *graph.Mask, cand []graph.NodeID, visit f
 			if mask.EdgeBlocked(n, p) {
 				root = n
 			}
-			top, n = n, p
+			n = p
 			visited++
 		}
 		if root == graph.Invalid {
 			continue // off the tree: c went with a subtree visit detached
 		}
-		if err := visit(root, top); err != nil {
+		if err := visit(root); err != nil {
 			return cand, visited, err
 		}
 	}
@@ -246,7 +245,7 @@ func parentIs(t *multicast.Tree, n, p graph.NodeID) bool {
 // failures) are excluded — they are gone, not disconnected.
 func DisconnectedMembers(t *multicast.Tree, mask *graph.Mask) []graph.NodeID {
 	var out, stack []graph.NodeID
-	_, _, err := DeadRoots(t, mask, nil, func(root, _ graph.NodeID) error {
+	_, _, err := DeadRoots(t, mask, nil, func(root graph.NodeID) error {
 		stack = append(stack, root)
 		return nil
 	})

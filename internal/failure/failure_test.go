@@ -133,12 +133,11 @@ func TestDisconnectedMembers(t *testing.T) {
 // is left alone, skipped once the root's subtree is detached), and a failed
 // source.
 func TestDeadRoots(t *testing.T) {
-	type pair struct{ root, top graph.NodeID }
-	roots := func(tr *multicast.Tree, mask *graph.Mask, detach bool) ([]pair, int) {
+	roots := func(tr *multicast.Tree, mask *graph.Mask, detach bool) ([]graph.NodeID, int) {
 		t.Helper()
-		var got []pair
-		_, visited, err := DeadRoots(tr, mask, nil, func(root, top graph.NodeID) (err error) {
-			got = append(got, pair{root, top})
+		var got []graph.NodeID
+		_, visited, err := DeadRoots(tr, mask, nil, func(root graph.NodeID) (err error) {
+			got = append(got, root)
 			if detach {
 				_, err = tr.DetachSubtree(root, nil)
 			}
@@ -154,23 +153,23 @@ func TestDeadRoots(t *testing.T) {
 	if got, visited := roots(tr, LinkDown(0, 2).Mask(), false); len(got) != 0 || visited != 1 {
 		t.Errorf("off-tree cut: roots %v, visited %d; want none, 1", got, visited)
 	}
-	// L_AD: D is the dead root, two hops below the source, in A's branch.
-	if got, visited := roots(tr, LinkDown(1, 4).Mask(), false); len(got) != 1 || got[0] != (pair{4, 1}) || visited != 1+2 {
-		t.Errorf("L_AD: roots %v, visited %d; want [{4 1}], 3", got, visited)
+	// L_AD: D is the dead root, two hops below the source.
+	if got, visited := roots(tr, LinkDown(1, 4).Mask(), false); len(got) != 1 || got[0] != 4 || visited != 1+2 {
+		t.Errorf("L_AD: roots %v, visited %d; want [4], 3", got, visited)
 	}
 	// L_SA and node D: D lies under A, both candidates resolve to A.
 	nested := LinkDown(0, 1).Mask().BlockNode(4)
-	if got, _ := roots(tr, nested, false); len(got) != 2 || got[0] != (pair{1, 1}) || got[1] != (pair{1, 1}) {
-		t.Errorf("nested cut, tree left alone: roots %v, want [{1 1} {1 1}]", got)
+	if got, _ := roots(tr, nested, false); len(got) != 2 || got[0] != 1 || got[1] != 1 {
+		t.Errorf("nested cut, tree left alone: roots %v, want [1 1]", got)
 	}
 	// Detaching A takes D along: one visit, one walk (1 hop) for two elements.
-	if got, visited := roots(tr, nested, true); len(got) != 1 || got[0] != (pair{1, 1}) || visited != 2+1 {
-		t.Errorf("nested cut, detaching: roots %v, visited %d; want [{1 1}], 3", got, visited)
+	if got, visited := roots(tr, nested, true); len(got) != 1 || got[0] != 1 || visited != 2+1 {
+		t.Errorf("nested cut, detaching: roots %v, visited %d; want [1], 3", got, visited)
 	}
 	if tr.NumNodes() != 1 {
 		t.Errorf("after the flush %d nodes stand, want the source alone", tr.NumNodes())
 	}
-	if _, _, err := DeadRoots(tr, NodeDown(0).Mask(), nil, func(_, _ graph.NodeID) error {
+	if _, _, err := DeadRoots(tr, NodeDown(0).Mask(), nil, func(graph.NodeID) error {
 		t.Error("visit called although the source failed")
 		return nil
 	}); !errors.Is(err, ErrSourceFailed) {

@@ -3,7 +3,6 @@ package failure
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"smrp/internal/graph"
@@ -91,20 +90,6 @@ func (s Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Sort orders the events by time (stable, preserving same-instant order).
-func (s *Schedule) Sort() {
-	slices.SortStableFunc(s.Events, func(a, b Event) int {
-		switch {
-		case a.At < b.At:
-			return -1
-		case a.At > b.At:
-			return 1
-		default:
-			return 0
-		}
-	})
 }
 
 // NumFailures counts the individual component failures across all events.

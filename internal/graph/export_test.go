@@ -11,3 +11,12 @@ func (g *Graph) AddNode(p Point) NodeID {
 	g.version++
 	return NodeID(len(g.adj) - 1)
 }
+
+// Parent returns n's predecessor on its shortest path (Invalid at the source
+// or when unreached).
+func (s *Sweep) Parent(n NodeID) NodeID {
+	if !s.Reached(n) {
+		return Invalid
+	}
+	return s.parent[n]
+}

@@ -190,11 +190,6 @@ func (g *Graph) SetPos(n NodeID, p Point) {
 	g.version++
 }
 
-// Version returns the structural-mutation counter. It increases whenever a
-// node, edge, or position changes, and is what invalidates memoized SPF
-// state (see SPFCache).
-func (g *Graph) Version() uint64 { return g.version }
-
 // Pos returns the position of node n.
 func (g *Graph) Pos(n NodeID) Point { return g.pos[n] }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrNotBiconnected is returned when an st-numbering is requested on a
@@ -15,7 +16,9 @@ var ErrNotBiconnected = errors.New("graph: not biconnected")
 // This is Tarjan's streamlined list-based algorithm (1986): DFS from s with
 // (s, t) as the first tree edge, then insert each vertex into an ordered
 // list before or after its DFS parent according to the sign of its
-// low-point.
+// low-point. The DFS takes each vertex's neighbours in ascending ID, so the
+// numbering depends on the graph alone, not on the order its rows are stored
+// in (Freeze re-sorts them by weight).
 //
 // st-numberings are the backbone of Médard et al.'s redundant trees: the
 // increasing-order tree and the decreasing-order tree are internally
@@ -35,6 +38,15 @@ func (g *Graph) STNumbering(s, t NodeID) (map[NodeID]int, error) {
 	for i := range pre {
 		pre[i] = -1
 		parent[i] = Invalid
+	}
+
+	nbrs := make([][]NodeID, n)
+	for v, row := range g.adj {
+		nbrs[v] = make([]NodeID, len(row))
+		for i, arc := range row {
+			nbrs[v][i] = arc.To
+		}
+		slices.Sort(nbrs[v])
 	}
 
 	// DFS from s traversing (s, t) first; record preorder and low-points
@@ -65,12 +77,11 @@ func (g *Graph) STNumbering(s, t NodeID) (map[NodeID]int, error) {
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		adj := g.adj[f.node]
+		adj := nbrs[f.node]
 		advanced := false
 		for f.idx < len(adj) {
-			arc := adj[f.idx]
+			v := adj[f.idx]
 			f.idx++
-			v := arc.To
 			if v == parent[f.node] {
 				continue
 			}

@@ -362,15 +362,6 @@ func (s *Sweep) Dist(n NodeID) float64 {
 	return s.dist[n]
 }
 
-// Parent returns n's predecessor on its shortest path (Invalid at the source
-// or when unreached).
-func (s *Sweep) Parent(n NodeID) NodeID {
-	if !s.Reached(n) {
-		return Invalid
-	}
-	return s.parent[n]
-}
-
 // chainLen returns the number of nodes on the parent chain from n to the
 // source, or 0 when unreached.
 func (s *Sweep) chainLen(n NodeID) int {

@@ -11,6 +11,7 @@ const (
 	bytesPerKidsHeader  = 24 // slice header of one children list
 	bytesPerKidEntry    = 8  // one child NodeID
 	bytesPerNREntry     = 4  // int32
+	bytesPerSHREntry    = 4  // int32
 	bytesPerWord        = 8  // one bitset word
 	// bytesPerSlotEntry is the sparse backend's per-slot remap overhead: one
 	// map[NodeID]int32 entry (key 8 + value 4 + bucket overhead) plus the
@@ -20,7 +21,7 @@ const (
 
 // MemoryFootprint returns the deterministic byte accounting of the tree's
 // standing state: parent vector, children list headers and elements, the N_R
-// column, the on-tree/member bitsets, and (under sparse storage) the
+// and SHR columns, the on-tree/member bitsets, and (under sparse storage) the
 // touched-node remap. Dense trees cost O(graph nodes); sparse trees cost
 // O(nodes ever touched). The reusable iteration scratch is excluded — it is
 // a rebuildable derivative, not tree state.
@@ -31,7 +32,7 @@ func (t *Tree) MemoryFootprint() int64 {
 		kidElems = 0
 	}
 	words := int64(len(t.onTree) + len(t.members))
-	b := slots*(bytesPerParentEntry+bytesPerKidsHeader+bytesPerNREntry) +
+	b := slots*(bytesPerParentEntry+bytesPerKidsHeader+bytesPerNREntry+bytesPerSHREntry) +
 		kidElems*bytesPerKidEntry +
 		words*bytesPerWord
 	if t.slotOf != nil {

@@ -158,6 +158,9 @@ func compareTrees(t *testing.T, trial, op int, a, b *Tree) {
 	if !slices.Equal(an, bn) {
 		fail("nodes %v != %v", an, bn)
 	}
+	if wa, wb := a.RepairSHR(), b.RepairSHR(); wa != wb {
+		fail("SHR repair wrote %d != %d", wa, wb)
+	}
 	if !slices.Equal(a.Members(), b.Members()) {
 		fail("members %v != %v", a.Members(), b.Members())
 	}
@@ -182,6 +185,9 @@ func compareTrees(t *testing.T, trial, op int, a, b *Tree) {
 		bnr, _ := b.MemberCount(node)
 		if anr != bnr {
 			fail("N_%d %d != %d", node, anr, bnr)
+		}
+		if a.SHR(node) != b.SHR(node) {
+			fail("SHR_%d %d != %d", node, a.SHR(node), b.SHR(node))
 		}
 		if a.TopAncestor(node) != b.TopAncestor(node) {
 			fail("top ancestor(%d) diverges", node)

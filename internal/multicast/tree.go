@@ -8,17 +8,17 @@
 // S; "members" are receivers (which may be interior nodes); N_R is the
 // number of members in the subtree rooted at R.
 //
-// Storage comes in two backends behind one Tree type. The dense backend
-// (New) exploits that graph.NodeID is a compact integer in 0..NumNodes()-1:
-// tree state lives in NodeID-indexed arrays (parent vector, per-node
-// children lists kept in ascending order, member and on-tree bitsets, and a
-// cached N_R column maintained incrementally along the O(depth) root path of
-// every mutation). The sparse backend (NewSparse) stores the same arrays
-// indexed by a compact touched-node remap instead, so a tree's standing
-// bytes are O(nodes ever touched) rather than O(topology) — the
+// Storage comes in two backends behind one Tree type. The dense backend (New)
+// exploits that graph.NodeID is a compact integer in 0..NumNodes()-1: tree
+// state lives in NodeID-indexed arrays (parent vector, per-node children lists
+// kept in ascending order, member and on-tree bitsets, a cached N_R column
+// maintained incrementally along the O(depth) root path of every mutation, and
+// the SHR column derived from it). The sparse backend (NewSparse) stores the
+// same arrays indexed by a compact touched-node remap instead, so a tree's
+// standing bytes are O(nodes ever touched) rather than O(topology) — the
 // megascale/multigroup regime where thousands of trees each cover a tiny
-// fraction of a million-node graph. Slots are never freed (a node that
-// leaves keeps its slot as a tombstone), which is what preserves the
+// fraction of a million-node graph. Slots are never freed (a node that leaves
+// keeps its slot as a tombstone), which is what preserves the
 // zero-steady-state-allocation guarantee under membership churn in both
 // backends. Every observable output — node/member/edge enumeration order,
 // Cost's float summation order, epochs — is bit-identical between the two.
@@ -68,6 +68,13 @@ type Tree struct {
 	// attachment change walks the O(depth) root path applying ±δ instead
 	// of recounting the tree.
 	nr []int32
+	// shr holds SHR(S, R) by Eq. 2's recurrence SHR(S,R) = SHR(S,R_u) + N_R,
+	// repaired lazily: every mutation queues in dirty the top-level branches
+	// (source children) whose values it may have changed, and RepairSHR
+	// recomputes exactly those. A slot keeps its last value when its node
+	// leaves the tree, so a regraft at the same value needs no write.
+	shr   []int32
+	dirty []graph.NodeID
 
 	// Sparse backend: slotOf maps a touched node to its slot, nodeOf is the
 	// inverse. nil slotOf selects dense storage.
@@ -80,8 +87,8 @@ type Tree struct {
 
 	nNodes   int
 	nMembers int
-	// epoch counts successful mutations; readers (e.g. the SHR table in
-	// internal/core) use it to skip re-reads when the tree is unchanged.
+	// epoch counts successful mutations; readers (e.g. core's charge for
+	// deferred SHR maintenance) use it to tell whether the tree changed.
 	epoch uint64
 }
 
@@ -118,6 +125,7 @@ func newTree(g *graph.Graph, source graph.NodeID, sparse bool) (*Tree, error) {
 		t.onTree = newBitset(n)
 		t.members = newBitset(n)
 		t.nr = make([]int32, n)
+		t.shr = make([]int32, n)
 		t.parent[source] = graph.Invalid
 		t.onTree.set(source)
 	}
@@ -167,6 +175,7 @@ func (t *Tree) ensureSlot(n graph.NodeID) int32 {
 			t.parent = append(t.parent, graph.Invalid)
 			t.children = append(t.children, nil)
 			t.nr = append(t.nr, 0)
+			t.shr = append(t.shr, 0)
 		}
 		t.onTree = t.onTree.grown(want)
 		t.members = t.members.grown(want)
@@ -181,6 +190,7 @@ func (t *Tree) ensureSlot(n graph.NodeID) int32 {
 	t.parent = append(t.parent, graph.Invalid)
 	t.children = append(t.children, nil)
 	t.nr = append(t.nr, 0)
+	t.shr = append(t.shr, 0)
 	t.onTree = t.onTree.grownCap(int(i) + 1)
 	t.members = t.members.grownCap(int(i) + 1)
 	return i
@@ -222,8 +232,8 @@ func (t *Tree) Graph() *graph.Graph { return t.g }
 func (t *Tree) Source() graph.NodeID { return t.source }
 
 // Epoch returns a counter that increases on every successful mutation.
-// Callers can compare epochs to skip re-reading tree state that has not
-// changed (e.g. memoized SHR tables).
+// Callers can compare epochs to tell whether the tree changed between two
+// reads.
 func (t *Tree) Epoch() uint64 { return t.epoch }
 
 // OnTree reports whether n currently has tree state.
@@ -340,9 +350,8 @@ func (t *Tree) AppendPathToSource(buf graph.Path, n graph.NodeID) (graph.Path, e
 
 // TopAncestor returns the child of the source on n's root path — the root
 // of the top-level branch containing n — or Invalid when n is the source or
-// off the tree. Incremental SHR maintenance uses this as the dirty-subtree
-// root: a membership change at n can only perturb SHR values inside n's
-// top-level branch.
+// off the tree. A membership change at n can only perturb SHR values inside
+// n's top-level branch.
 func (t *Tree) TopAncestor(n graph.NodeID) graph.NodeID {
 	if !t.OnTree(n) || n == t.source {
 		return graph.Invalid
@@ -449,13 +458,16 @@ func (t *Tree) Graft(p graph.Path, markMember bool) error {
 	for i := 1; i < len(p); i++ {
 		t.attach(p[i], p[i-1])
 	}
+	var delta int32
 	if last := t.idx(p.Last()); !t.members.has(graph.NodeID(last)) && markMember {
 		t.members.set(graph.NodeID(last))
 		t.nMembers++
-		t.bumpNR(p.Last(), 1)
-		changed = true
+		delta, changed = 1, true
 	}
 	if changed {
+		// A relay-only graft bumps by zero: the walk still marks the branch
+		// the new chain hangs in, whose fresh nodes need their SHR.
+		t.bumpNR(p.Last(), delta)
 		t.epoch++
 	}
 	return nil
@@ -463,13 +475,63 @@ func (t *Tree) Graft(p graph.Path, markMember bool) error {
 
 // bumpNR applies δ to the cached N_R of every node on the root path
 // starting at from (inclusive) — the O(depth) incremental maintenance of
-// Eq. 2's N_R terms.
+// Eq. 2's N_R terms — and marks the top-level branch the walk came up
+// through for RepairSHR.
 func (t *Tree) bumpNR(from graph.NodeID, delta int32) {
+	top := graph.Invalid
 	for cur := from; cur != graph.Invalid; {
 		i := t.idx(cur)
 		t.nr[i] += delta
+		if t.parent[i] == t.source {
+			top = cur
+		}
 		cur = t.parent[i]
 	}
+	t.markSHR(top)
+}
+
+// markSHR queues the branch rooted at r for RepairSHR; Invalid queues
+// nothing.
+func (t *Tree) markSHR(r graph.NodeID) {
+	if r != graph.Invalid && !slices.Contains(t.dirty, r) {
+		t.dirty = append(t.dirty, r)
+	}
+}
+
+// RepairSHR brings the SHR column up to date: it recomputes, top down, every
+// branch a mutation marked since the last repair, in marking order, and
+// returns the writes that changed a value — the per-event update messages
+// of §3.3.2's eager maintenance. A marked branch that has left the tree is
+// skipped.
+func (t *Tree) RepairSHR() int {
+	writes := 0
+	for _, r := range t.dirty {
+		if !t.OnTree(r) {
+			continue
+		}
+		stack := append(t.scratch[:0], r)
+		for len(stack) > 0 {
+			i := t.idx(stack[len(stack)-1])
+			stack = stack[:len(stack)-1]
+			if want := t.shr[t.idx(t.parent[i])] + t.nr[i]; t.shr[i] != want {
+				t.shr[i] = want
+				writes++
+			}
+			stack = append(stack, t.children[i]...)
+		}
+		t.scratch = stack
+	}
+	t.dirty = t.dirty[:0]
+	return writes
+}
+
+// SHR returns SHR(S, n) for the on-tree node n (0 for the source), repairing
+// the column first when a mutation has left it stale.
+func (t *Tree) SHR(n graph.NodeID) int {
+	if len(t.dirty) > 0 {
+		t.RepairSHR()
+	}
+	return int(t.shr[t.idx(n)])
 }
 
 // attach links the off-tree node child under on-tree node par, inserting it
@@ -647,6 +709,11 @@ func (t *Tree) Reroute(m graph.NodeID, newPath graph.Path) error {
 	mi := t.idx(m)
 	oldParent := t.parent[mi]
 	sub := t.nr[mi] // members moving with m's subtree
+	// The move dirties the branch m leaves and the one it joins, marked in
+	// that order. Either is m's own when m hangs from the source; left from
+	// there, m's subtree is repaired once from its new parent's value as it
+	// stands and again inside the branch it joins, and both repairs count.
+	t.markSHR(t.TopAncestor(m))
 	if oldParent != graph.Invalid {
 		t.removeChild(oldParent, m)
 		t.parent[mi] = graph.Invalid
@@ -663,6 +730,7 @@ func (t *Tree) Reroute(m graph.NodeID, newPath graph.Path) error {
 	// The moved members now count along the new root path (the fresh chain
 	// nodes were attached with N_R = 0 and pick up the subtree here).
 	t.bumpNR(t.parent[t.idx(m)], sub)
+	t.markSHR(t.TopAncestor(m))
 	t.pruneUpward(oldParent, nil)
 	t.epoch++
 	return nil
@@ -749,6 +817,8 @@ func (t *Tree) Clone() *Tree {
 		onTree:   t.onTree.clone(),
 		members:  t.members.clone(),
 		nr:       slices.Clone(t.nr),
+		shr:      slices.Clone(t.shr),
+		dirty:    slices.Clone(t.dirty),
 		nNodes:   t.nNodes,
 		nMembers: t.nMembers,
 		epoch:    t.epoch,
@@ -767,9 +837,10 @@ func (t *Tree) Clone() *Tree {
 
 // Validate checks the tree's structural invariants: every non-source node
 // has a parent reachable from the source, parent/children lists agree, every
-// tree edge exists in the graph, members are on the tree, and the cached
-// N_R column matches a from-scratch recount. It returns the first violation
-// found.
+// tree edge exists in the graph, members are on the tree, the cached N_R
+// column matches a from-scratch recount, and the SHR column obeys Eq. 2 in
+// every branch no mutation has marked since the last repair. It returns the
+// first violation found.
 func (t *Tree) Validate() error {
 	if !t.OnTree(t.source) {
 		return errors.New("multicast: source missing from tree")
@@ -852,6 +923,19 @@ func (t *Tree) Validate() error {
 		}
 		if p := t.parent[t.idx(n)]; p != graph.Invalid {
 			counts[p] += counts[n]
+		}
+	}
+	// Pre-order visits a parent before its children; seen is reused to flag
+	// the nodes of marked branches, whose SHR is stale until RepairSHR.
+	for _, n := range order[1:] {
+		i := t.idx(n)
+		p := t.parent[i]
+		if p == t.source && slices.Contains(t.dirty, n) || !seen.has(p) {
+			seen.clear(n)
+			continue
+		}
+		if want := t.shr[t.idx(p)] + t.nr[i]; t.shr[i] != want {
+			return fmt.Errorf("multicast: SHR_%d = %d, Eq. 2 gives %d", n, t.shr[i], want)
 		}
 	}
 	for _, m := range t.Members() {

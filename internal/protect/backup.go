@@ -3,7 +3,6 @@ package protect
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"smrp/internal/graph"
 )
@@ -87,25 +86,6 @@ func (s *DependableSession) Join(m graph.NodeID) (*DependableConnection, error) 
 	}
 	s.conns[m] = conn
 	return conn, nil
-}
-
-// Leave releases m's channels.
-func (s *DependableSession) Leave(m graph.NodeID) error {
-	if _, ok := s.conns[m]; !ok {
-		return fmt.Errorf("protect: %d is not joined", m)
-	}
-	delete(s.conns, m)
-	return nil
-}
-
-// Members lists joined receivers in ascending order.
-func (s *DependableSession) Members() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(s.conns))
-	for m := range s.conns {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // FailoverOutcome describes how a member weathers a failure.

@@ -2,6 +2,8 @@ package protect
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"testing"
 
 	"smrp/internal/failure"
@@ -73,6 +75,38 @@ func TestBuildRedundantTreesRing(t *testing.T) {
 	}
 	if c < 6 {
 		t.Errorf("combined cost %v suspiciously low for a 6-ring", c)
+	}
+}
+
+// TestRedundantTreesIgnoreRowOrder: Freeze re-sorts every adjacency row by
+// weight, and the trees built on a frozen copy of a graph must be the ones
+// built on the graph itself — same st-numbering, same red and blue edges —
+// over biconnected Waxman samples of the protection study's shape.
+func TestRedundantTreesIgnoreRowOrder(t *testing.T) {
+	rng := topology.NewRNG(2005)
+	for sample := 0; sample < 40; {
+		g, err := topology.Waxman(topology.WaxmanConfig{N: 60, Alpha: 0.6, Beta: 0.4, EnsureConnected: true}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.Biconnected(nil) {
+			continue
+		}
+		sample++
+		a, err := BuildRedundantTrees(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := BuildRedundantTrees(g.Clone().Freeze(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(a.Numbering, b.Numbering) {
+			t.Fatalf("sample %d: st-numbering differs on the frozen copy", sample)
+		}
+		if !slices.Equal(a.Red.Edges(), b.Red.Edges()) || !slices.Equal(a.Blue.Edges(), b.Blue.Edges()) {
+			t.Fatalf("sample %d: tree edges differ on the frozen copy", sample)
+		}
 	}
 }
 

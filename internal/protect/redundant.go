@@ -44,7 +44,7 @@ type RedundantTrees struct {
 }
 
 // BuildRedundantTrees constructs the red/blue pair on a biconnected graph:
-// take an st-numbering with s = source and t = a neighbor of s; in the red
+// take an st-numbering with s = source and t = its lowest-ID neighbor; in the red
 // tree every vertex attaches to a lower-numbered neighbor (paths descend to
 // s), in the blue tree every vertex except t attaches to a higher-numbered
 // neighbor and t attaches directly to s (paths ascend to t, then hop to s).
@@ -58,7 +58,10 @@ func BuildRedundantTrees(g *graph.Graph, source graph.NodeID) (*RedundantTrees, 
 	if len(neighbors) == 0 {
 		return nil, ErrNotRedundant
 	}
-	tEnd := neighbors[0].To
+	tEnd := neighbors[0].To // by ID, not row order: Freeze re-sorts rows by weight
+	for _, arc := range neighbors[1:] {
+		tEnd = min(tEnd, arc.To)
+	}
 	num, err := g.STNumbering(source, tEnd)
 	if err != nil {
 		return nil, fmt.Errorf("protect: %w", err)
@@ -177,20 +180,6 @@ func treeDelivers(t *multicast.Tree, mask *graph.Mask, m graph.NodeID) bool {
 	return !mask.NodeBlocked(p[len(p)-1])
 }
 
-// Cost returns the combined standing resource usage of both trees — the
-// price of preplanned protection.
-func (rt *RedundantTrees) Cost() (float64, error) {
-	r, err := rt.Red.Cost()
-	if err != nil {
-		return 0, err
-	}
-	b, err := rt.Blue.Cost()
-	if err != nil {
-		return 0, err
-	}
-	return r + b, nil
-}
-
 // PrunedCost returns the combined cost of the two trees with every branch
 // that serves no member removed — the resources a deployment would actually
 // reserve (the spanning construction is pruned to the subscribed subtrees,
@@ -209,35 +198,4 @@ func (rt *RedundantTrees) PrunedCost() (float64, error) {
 		return 0, err
 	}
 	return rc + bc, nil
-}
-
-// Validate checks both trees' structural invariants plus the disjointness
-// property for every member: red and blue paths share no interior vertex.
-func (rt *RedundantTrees) Validate() error {
-	if err := rt.Red.Validate(); err != nil {
-		return fmt.Errorf("protect: red: %w", err)
-	}
-	if err := rt.Blue.Validate(); err != nil {
-		return fmt.Errorf("protect: blue: %w", err)
-	}
-	for _, m := range rt.Red.Members() {
-		rp, err := rt.Red.PathToSource(m)
-		if err != nil {
-			return err
-		}
-		bp, err := rt.Blue.PathToSource(m)
-		if err != nil {
-			return err
-		}
-		interior := make(map[graph.NodeID]bool)
-		for _, n := range rp[1 : len(rp)-1] {
-			interior[n] = true
-		}
-		for _, n := range bp[1 : len(bp)-1] {
-			if interior[n] {
-				return fmt.Errorf("protect: member %d: paths share interior vertex %d", m, n)
-			}
-		}
-	}
-	return nil
 }

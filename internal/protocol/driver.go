@@ -79,9 +79,6 @@ func (d *driver) init(g *graph.Graph, cfg Config, plane controlPlane) error {
 // SetTrace installs an event log (nil disables tracing).
 func (d *driver) SetTrace(l *trace.Log) { d.trace = l }
 
-// Engine exposes the driving engine (for scheduling and Run).
-func (d *driver) Engine() *eventsim.Engine { return d.engine }
-
 // Network exposes the message layer (for overhead counters).
 func (d *driver) Network() *eventsim.Network { return d.net }
 

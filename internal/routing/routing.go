@@ -104,13 +104,6 @@ func NewDomain(g *graph.Graph, cfg Config) (*Domain, error) {
 	}, nil
 }
 
-// Graph returns the underlying topology.
-func (d *Domain) Graph() *graph.Graph { return d.g }
-
-// Mask returns the currently applied failure mask (shared; callers must not
-// mutate it).
-func (d *Domain) Mask() *graph.Mask { return d.mask }
-
 // ApplyFailure folds a failure into the domain's view of the topology.
 // Routing tables need no explicit invalidation: the SPF cache keys on the
 // failure-mask fingerprint, so the next table query under the new mask is a
@@ -145,11 +138,6 @@ func (d *Domain) PathTo(from, to graph.NodeID) graph.Path {
 		return nil
 	}
 	return p
-}
-
-// Dist returns the converged unicast distance from → to.
-func (d *Domain) Dist(from, to graph.NodeID) float64 {
-	return d.table(from).Dist[to]
 }
 
 // DetectionTime returns when routers adjacent to the failure declare it

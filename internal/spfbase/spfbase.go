@@ -150,7 +150,7 @@ func (s *Session) Fail(fs ...failure.Failure) (*HealReport, error) {
 		f.ApplyTo(s.failed)
 	}
 	var flushed []graph.NodeID
-	_, _, err := failure.DeadRoots(s.tree, s.failed, nil, func(root, _ graph.NodeID) (err error) {
+	_, _, err := failure.DeadRoots(s.tree, s.failed, nil, func(root graph.NodeID) (err error) {
 		flushed, err = s.tree.DetachSubtree(root, flushed)
 		return err
 	})
