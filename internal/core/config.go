@@ -63,8 +63,9 @@ const (
 	// StorageDense forces NodeID-indexed arrays: O(topology) standing bytes
 	// per session, single-load state access.
 	StorageDense
-	// StorageSparse forces the compact touched-node remap: O(|tree| +
-	// |members|) standing bytes per session, a hash probe per state access.
+	// StorageSparse forces slots in touch order behind an open-addressed
+	// index: O(|tree| + |members|) standing bytes per session, an index
+	// probe per state access.
 	// Behaviour is pinned bit-identical to dense by the equivalence oracles.
 	StorageSparse
 )
@@ -114,7 +115,7 @@ type Config struct {
 
 	// TreeStorage selects the tree-state backend. The zero value
 	// (StorageAuto) chooses dense arrays below SparseNodeThreshold nodes
-	// and the O(|tree|) sparse remap above it; StorageDense/StorageSparse
+	// and O(|tree|) sparse slots above it; StorageDense/StorageSparse
 	// force a backend. Both backends are bit-identical in behaviour — the
 	// choice only moves the standing-memory/access-cost tradeoff.
 	TreeStorage TreeStorage

@@ -82,7 +82,7 @@ func (st *walkFlush) flushDead(mask *graph.Mask) ([]graph.NodeID, error) {
 		}
 	}
 	for _, m := range disconnected {
-		delete(s.lastUpSHR, m)
+		s.tree.ClearBaseline(m)
 	}
 	s.repairSHR()
 	return disconnected, nil
@@ -149,7 +149,7 @@ func (st *walkFlush) endHeal(h *heal) *HealReport {
 	rep.Pruned = s.tree.PruneStale()
 	s.repairSHR()
 	for _, m := range s.tree.Members() {
-		if _, ok := s.lastUpSHR[m]; !ok {
+		if _, ok := s.tree.Baseline(m); !ok {
 			s.recordUpSHR(m)
 		}
 	}
@@ -230,6 +230,17 @@ func shrColumn(t *multicast.Tree) []int64 {
 	out := make([]int64, col.Len())
 	for i := range out {
 		out[i] = col.Index(i).Int()
+	}
+	return out
+}
+
+// baselines returns the Condition-I baselines s stores, by node.
+func baselines(s *Session) map[graph.NodeID]int {
+	out := map[graph.NodeID]int{}
+	for n := range graph.NodeID(s.g.NumNodes()) {
+		if v, ok := s.tree.Baseline(n); ok {
+			out[n] = v
+		}
 	}
 	return out
 }
@@ -495,8 +506,8 @@ func TestFlushMatchesTreeWalk(t *testing.T) {
 			if a, b := sut.tree.Epoch(), ref.tree.Epoch(); a != b {
 				t.Fatalf("%s: tree epoch %d, reference %d", where, a, b)
 			}
-			if !reflect.DeepEqual(sut.lastUpSHR, ref.lastUpSHR) {
-				t.Fatalf("%s: Condition-I baselines diverge:\n got  %v\n want %v", where, sut.lastUpSHR, ref.lastUpSHR)
+			if a, b := baselines(sut), baselines(ref); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: Condition-I baselines diverge:\n got  %v\n want %v", where, a, b)
 			}
 			if a, b := shrColumn(sut.tree), shrColumn(ref.tree); !slices.Equal(a, b) {
 				t.Fatalf("%s: SHR columns diverge:\n got  %v\n want %v", where, a, b)

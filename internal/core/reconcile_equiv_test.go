@@ -128,7 +128,7 @@ func (st *roundwise) Recover(fs []failure.Failure) (*HealReport, error) {
 	rep.Pruned = s.tree.PruneStale()
 	s.repairSHR()
 	for _, m := range s.tree.Members() {
-		if _, ok := s.lastUpSHR[m]; !ok {
+		if _, ok := s.tree.Baseline(m); !ok {
 			s.recordUpSHR(m)
 		}
 	}

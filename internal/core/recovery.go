@@ -90,7 +90,7 @@ func (s *Session) flush(mask *graph.Mask) ([]graph.NodeID, error) {
 	slices.Sort(flushed)
 	for _, m := range flushed {
 		if !mask.NodeBlocked(m) {
-			delete(s.lastUpSHR, m)
+			s.tree.ClearBaseline(m)
 		}
 	}
 	// Each detach marked the branch it hung from, whose survivors above it

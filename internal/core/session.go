@@ -49,11 +49,6 @@ type Session struct {
 	// shrSeen is 1 + the tree epoch of the last SHR read (see shrTree).
 	shrSeen uint64
 
-	// lastUpSHR implements Condition I (§3.2.3): for each member, the SHR of
-	// its upstream node as of the member's last path (re)selection
-	// (SHR^old_{S,Ru} in the paper).
-	lastUpSHR map[graph.NodeID]int
-
 	// failed accumulates every persistent failure applied to the session
 	// (ApplyFailure/Recover); nil while the network is healthy. Path selection,
 	// reshaping, and recovery all avoid the accumulated mask.
@@ -92,12 +87,7 @@ func NewSession(g *graph.Graph, source graph.NodeID, cfg Config) (*Session, erro
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		cfg:       cfg,
-		g:         g,
-		tree:      tree,
-		lastUpSHR: make(map[graph.NodeID]int),
-	}
+	s := &Session{cfg: cfg, g: g, tree: tree}
 	if cfg.Strategy != nil {
 		if err := cfg.Strategy.Precompute(s); err != nil {
 			return nil, fmt.Errorf("core: strategy %s precompute: %w", cfg.Strategy.Name(), err)
@@ -310,7 +300,7 @@ func (s *Session) park(m graph.NodeID) {
 		s.parked[m] = true
 		s.stats.Parks++
 	}
-	delete(s.lastUpSHR, m)
+	s.tree.ClearBaseline(m)
 }
 
 // Parked returns the members currently degraded out of the tree because the
@@ -368,21 +358,23 @@ func (s *Session) Leave(m graph.NodeID) error {
 	if err := s.tree.Leave(m); err != nil {
 		return err
 	}
-	delete(s.lastUpSHR, m)
+	s.tree.ClearBaseline(m)
 	s.stats.Leaves++
 	s.repairSHR()
 	s.notifyStrategy()
 	return nil
 }
 
-// recordUpSHR stores SHR(S, parent(m)) as m's Condition-I baseline.
+// recordUpSHR stores SHR(S, parent(m)) as m's Condition-I baseline (§3.2.3):
+// SHR^old_{S,Ru} as of m's last path (re)selection, kept in the tree's
+// baseline column and cleared wherever m leaves the tree.
 func (s *Session) recordUpSHR(m graph.NodeID) {
 	p, ok := s.tree.Parent(m)
 	if !ok || p == graph.Invalid {
-		s.lastUpSHR[m] = 0
+		s.tree.SetBaseline(m, 0)
 		return
 	}
-	s.lastUpSHR[m] = s.shrAt(p)
+	s.tree.SetBaseline(m, s.shrAt(p))
 }
 
 // checkConditionI scans members (except the one that just joined) for
@@ -400,8 +392,8 @@ func (s *Session) checkConditionI(a *arena, justJoined graph.NodeID) []graph.Nod
 		if !ok || p == graph.Invalid {
 			continue
 		}
-		cur := s.shrAt(p)
-		if cur-s.lastUpSHR[m] < s.cfg.ReshapeDelta {
+		old, _ := s.tree.Baseline(m)
+		if s.shrAt(p)-old < s.cfg.ReshapeDelta {
 			continue
 		}
 		s.stats.ReshapeChecks++

@@ -38,8 +38,8 @@ func (t *SPTree) PathTo(n NodeID) Path {
 }
 
 // Dijkstra computes the shortest-path tree from src over the graph minus the
-// mask. It runs on the pooled sweep engine (see Sweep); ties are broken on
-// node ID, so the resulting tree is deterministic.
+// mask. Nodes settle in (distance, node) order and an equal distance takes
+// the smaller parent ID, so the resulting tree is deterministic.
 //
 // When an SPF cache is attached (EnableSPFCache) the result is memoized by
 // (src, mask fingerprint) and shared between callers, which also makes the
@@ -51,9 +51,10 @@ func (g *Graph) Dijkstra(src NodeID, mask *Mask) *SPTree {
 	return g.dijkstra(src, mask)
 }
 
-// dijkstra is the uncached shortest-path-tree computation: a full sweep
-// copied out into a freshly allocated SPTree (the result escapes — it may be
-// memoized and shared — so it cannot borrow pooled scratch arrays).
+// dijkstra is the uncached shortest-path-tree computation: the source seeded
+// into a repair's phase-B ripple on a freshly allocated SPTree, which escapes
+// (it may be memoized and shared). A blocked or invalid source leaves every
+// node unreachable.
 func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 	n := g.NumNodes()
 	t := &SPTree{
@@ -61,20 +62,19 @@ func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 		Dist:   make([]float64, n),
 		Parent: make([]NodeID, n),
 	}
-	s := g.NewSweep()
-	s.run(src, mask, nil, nil, nil, Unreachable, Unreachable, Invalid, 0)
-	spfFullRuns.Add(1)
-	spfNodesSettled.Add(uint64(s.settledCount))
-	for i := 0; i < n; i++ {
-		if s.seen[i] == s.epoch {
-			t.Dist[i] = s.dist[i]
-			t.Parent[i] = s.parent[i]
-		} else {
-			t.Dist[i] = Unreachable
-			t.Parent[i] = Invalid
-		}
+	for i := range n {
+		t.Dist[i], t.Parent[i] = Unreachable, Invalid
 	}
-	s.Release()
+	spfFullRuns.Add(1)
+	if !g.valid(src) || mask.NodeBlocked(src) {
+		return t
+	}
+	sc := ispfPool.Get().(*ispfScratch)
+	sc.begin(n)
+	t.Dist[src] = 0
+	sc.queue.Push(heapItem{node: src})
+	spfNodesSettled.Add(uint64(sc.ripple(g, t, mask)))
+	ispfPool.Put(sc)
 	return t
 }
 

@@ -82,10 +82,10 @@ const (
 	ispfGone                    // newly blocked, or already unreachable
 )
 
-// ispfScratch is the pooled per-repair arena: epoch-stamped classification
-// state, the phase-B settled stamps, the walk/orphan work lists, the queue,
-// and the diff buffers. Steady-state repairs allocate nothing
-// (TestISPFRepairSteadyStateAllocs).
+// ispfScratch is the pooled arena of a repair or a full run: epoch-stamped
+// classification state, the phase-B settled stamps, the walk/orphan work
+// lists, the queue, and the diff buffers. Steady-state repairs allocate
+// nothing (TestISPFRepairSteadyStateAllocs).
 type ispfScratch struct {
 	epoch   uint32
 	stamp   []uint32 // stamp[v] == epoch: state[v] is valid for this repair
@@ -388,42 +388,53 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 				relax(u, v, a.Weight)
 			}
 		}
-		for {
-			item, popped := sc.queue.Pop()
-			if !popped {
-				break
+		settled += sc.ripple(g, t, mask)
+	}
+	return settled, true
+}
+
+// ripple settles the queued nodes of t in (distance, node) order, each once,
+// relaxing its live arcs: a strict improvement queues the neighbour, an equal
+// distance from a smaller ID takes the parent in place. It is phase B of a
+// repair and the whole of a full run (Graph.dijkstra), and returns the nodes
+// it settled.
+func (sc *ispfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
+	checkEdges := mask.hasEdgeBlocks()
+	checkNodes := mask.hasNodeBlocks()
+	for {
+		item, popped := sc.queue.Pop()
+		if !popped {
+			return settled
+		}
+		u := item.node
+		if sc.setB[u] == sc.epoch || item.dist > t.Dist[u] {
+			continue
+		}
+		sc.setB[u] = sc.epoch
+		settled++
+		du := t.Dist[u]
+		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
+		for _, a := range g.adj[u] {
+			v := a.To
+			if sc.setB[v] == sc.epoch {
+				continue // settled in distance order: final
 			}
-			u := item.node
-			if sc.setB[u] == sc.epoch || item.dist > t.Dist[u] {
+			if checkNodes && mask.nodeBlocked(v) {
 				continue
 			}
-			sc.setB[u] = sc.epoch
-			settled++
-			du := t.Dist[u]
-			rowEdges := checkEdges && mask.touchesBlockedEdge(u)
-			for _, a := range g.adj[u] {
-				v := a.To
-				if sc.setB[v] == sc.epoch {
-					continue // settled in distance order: final
-				}
-				if checkNodes && mask.nodeBlocked(v) {
-					continue
-				}
-				if rowEdges && mask.edges[MakeEdgeID(u, v)] {
-					continue
-				}
-				nd := du + a.Weight
-				if nd < t.Dist[v] {
-					t.Dist[v] = nd
-					t.Parent[v] = u
-					sc.queue.Push(heapItem{node: v, dist: nd})
-				} else if nd == t.Dist[v] && u < t.Parent[v] {
-					t.Parent[v] = u
-				}
+			if rowEdges && mask.edges[MakeEdgeID(u, v)] {
+				continue
+			}
+			nd := du + a.Weight
+			if nd < t.Dist[v] {
+				t.Dist[v] = nd
+				t.Parent[v] = u
+				sc.queue.Push(heapItem{node: v, dist: nd})
+			} else if nd == t.Dist[v] && u < t.Parent[v] {
+				t.Parent[v] = u
 			}
 		}
 	}
-	return settled, true
 }
 
 // nodeListHas reports whether n occurs in list (linear scan; diff lists are

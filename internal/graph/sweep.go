@@ -11,9 +11,9 @@ var sweepPool = sync.Pool{New: func() any { return new(Sweep) }}
 // Sweep is a reusable single-source shortest-path computation (the
 // repository's Dijkstra core). One Sweep holds the per-run scratch arena —
 // epoch-stamped dist/parent/settled arrays plus the radix queue — so that
-// repeated runs allocate nothing once warm. Graph.Dijkstra, ShortestPath,
-// NearestOf and the candidate enumeration in internal/core all execute on
-// this engine.
+// repeated runs allocate nothing once warm. ShortestPath, NearestOf and the
+// candidate enumeration in internal/core execute on this engine; full SPF
+// trees are rippled out on SPTree arrays instead (Graph.dijkstra).
 //
 // Usage:
 //
@@ -40,11 +40,9 @@ type Sweep struct {
 	// can be summed in path order without materializing it (WeightFrom).
 	pw    []float64
 	queue radixQueue
-	// settledCount tallies nodes settled by the last run. Graph.dijkstra
-	// feeds it into the package-wide SPFNodesSettled counter so full builds
-	// and incremental delta repairs are comparable; early-exit point queries,
-	// nearest-of sweeps and raw Sweep users (candidate enumeration, test
-	// oracles) deliberately do not contribute (see metrics.SPFStats).
+	// settledCount tallies nodes settled by the last run. Sweeps do not
+	// feed the package-wide SPFNodesSettled counter, which counts only full
+	// SPF builds and delta repairs (see metrics.SPFStats).
 	settledCount int
 	// arcsScanned tallies the arcs the last run's relaxation loop looked at
 	// (one add per row): the deterministic measure of what the row cut and

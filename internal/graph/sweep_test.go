@@ -231,8 +231,8 @@ func TestSweepFreshAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDijkstra measures the full shortest-path-tree computation (sweep +
-// copy-out) on an evaluation-scale graph.
+// BenchmarkDijkstra measures the full shortest-path-tree computation, rippled
+// out into a fresh SPTree, on an evaluation-scale graph.
 func BenchmarkDijkstra(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	g := randomConnectedGraph(rng, 200, 600)
@@ -243,8 +243,8 @@ func BenchmarkDijkstra(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep measures the raw pooled sweep without the SPTree copy-out —
-// the primitive under candidate enumeration and NearestOf.
+// BenchmarkSweep measures the raw pooled sweep, which builds no SPTree — the
+// primitive under candidate enumeration and NearestOf.
 func BenchmarkSweep(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomConnectedGraph(rng, 200, 600)

@@ -103,7 +103,7 @@ func BenchmarkTreeGraftLeave(b *testing.B) {
 
 // BenchmarkTreeChurnBackends is the sparse-vs-dense churn comparison at
 // megascale (N = 10⁵): the same warm leave/regraft cycle on both storage
-// backends over an identical topology. The sparse backend pays hash probes
+// backends over an identical topology. The sparse backend pays index probes
 // along the O(depth) walks; the payoff is the standing-bytes column reported
 // by each sub-benchmark (dense O(N) arrays vs O(|tree|) slots).
 func BenchmarkTreeChurnBackends(b *testing.B) {

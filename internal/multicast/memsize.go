@@ -7,24 +7,24 @@ package multicast
 // multigroup studies publish these as CI-stable per-session standing-state
 // metrics.
 const (
-	bytesPerParentEntry = 8  // graph.NodeID
+	bytesPerParentEntry = 4  // int32
 	bytesPerKidsHeader  = 24 // slice header of one children list
 	bytesPerKidEntry    = 8  // one child NodeID
 	bytesPerNREntry     = 4  // int32
 	bytesPerSHREntry    = 4  // int32
+	bytesPerBaseEntry   = 4  // int32
 	bytesPerWord        = 8  // one bitset word
-	// bytesPerSlotEntry is the sparse backend's per-slot remap overhead: one
-	// map[NodeID]int32 entry (key 8 + value 4 + bucket overhead) plus the
-	// 8-byte nodeOf inverse entry.
-	bytesPerSlotEntry = 24 + 8
+	bytesPerIndexEntry  = 4  // one slotIndex entry, int32
+	bytesPerNodeOfEntry = 8  // graph.NodeID
 )
 
 // MemoryFootprint returns the deterministic byte accounting of the tree's
-// standing state: parent vector, children list headers and elements, the N_R
-// and SHR columns, the on-tree/member bitsets, and (under sparse storage) the
-// touched-node remap. Dense trees cost O(graph nodes); sparse trees cost
-// O(nodes ever touched). The reusable iteration scratch is excluded — it is
-// a rebuildable derivative, not tree state.
+// standing state: parent vector, children list headers and elements, the
+// N_R, SHR and baseline columns, the on-tree/member bitsets, and (under
+// sparse storage) the slot index and its nodeOf inverse. Dense trees cost
+// O(graph nodes); sparse trees cost O(nodes ever touched). The reusable
+// iteration scratch is excluded — it is a rebuildable derivative, not tree
+// state.
 func (t *Tree) MemoryFootprint() int64 {
 	slots := int64(len(t.parent))
 	kidElems := int64(t.nNodes - 1)
@@ -32,11 +32,9 @@ func (t *Tree) MemoryFootprint() int64 {
 		kidElems = 0
 	}
 	words := int64(len(t.onTree) + len(t.members))
-	b := slots*(bytesPerParentEntry+bytesPerKidsHeader+bytesPerNREntry+bytesPerSHREntry) +
+	return slots*(bytesPerParentEntry+bytesPerKidsHeader+bytesPerNREntry+bytesPerSHREntry+bytesPerBaseEntry) +
 		kidElems*bytesPerKidEntry +
-		words*bytesPerWord
-	if t.slotOf != nil {
-		b += slots * bytesPerSlotEntry
-	}
-	return b
+		words*bytesPerWord +
+		int64(len(t.slots.tab))*bytesPerIndexEntry +
+		int64(len(t.nodeOf))*bytesPerNodeOfEntry
 }

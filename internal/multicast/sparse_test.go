@@ -15,11 +15,15 @@ import (
 // through a dense and a sparse tree on the same graph, checking after every
 // operation that all observable state is bit-identical. This is the
 // equivalence oracle that lets the sparse backend stand in for the dense one
-// anywhere without perturbing a single study output.
+// anywhere without perturbing a single study output. The last trial runs on
+// 2 000 nodes, where the sparse slot index grows several times under churn.
 func TestSparseDenseEquivalence(t *testing.T) {
-	for trial := 0; trial < 8; trial++ {
+	for trial := 0; trial < 9; trial++ {
 		rng := rand.New(rand.NewSource(int64(5100 + trial)))
 		n := 40 + rng.Intn(40)
+		if trial == 8 {
+			n = 2000
+		}
 		g := graph.New(n)
 		perm := rng.Perm(n)
 		for i := 1; i < n; i++ {
@@ -106,6 +110,9 @@ func TestSparseDenseEquivalence(t *testing.T) {
 				dense, sparse = dense.Clone(), sparse.Clone()
 			}
 			compareTrees(t, trial, op, dense, sparse)
+		}
+		if trial == 8 && len(sparse.slots.tab) < minSlotTable<<4 {
+			t.Fatalf("slot index of %d entries grew fewer than 4 times", len(sparse.slots.tab))
 		}
 	}
 }

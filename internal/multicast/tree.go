@@ -14,20 +14,24 @@
 // kept in ascending order, member and on-tree bitsets, a cached N_R column
 // maintained incrementally along the O(depth) root path of every mutation, and
 // the SHR column derived from it). The sparse backend (NewSparse) stores the
-// same arrays indexed by a compact touched-node remap instead, so a tree's
-// standing bytes are O(nodes ever touched) rather than O(topology) — the
-// megascale/multigroup regime where thousands of trees each cover a tiny
-// fraction of a million-node graph. Slots are never freed (a node that leaves
-// keeps its slot as a tombstone), which is what preserves the
-// zero-steady-state-allocation guarantee under membership churn in both
-// backends. Every observable output — node/member/edge enumeration order,
-// Cost's float summation order, epochs — is bit-identical between the two.
+// same arrays indexed by slots handed out in touch order, found through an
+// open-addressed index (slotIndex), so a tree's standing bytes are O(nodes
+// ever touched) rather than O(topology) — the megascale/multigroup regime
+// where thousands of trees each cover a tiny fraction of a million-node
+// graph. A probe costs an out-of-line call where dense storage indexes
+// directly; measured, sparse storage everywhere would cost paper-sized
+// sessions a third of their throughput and dense storage everywhere would
+// triple a large topology's heap, so both backends stay (DESIGN.md §17.2).
+// Slots are never freed (a node that leaves keeps its slot as a tombstone),
+// which is what preserves the zero-steady-state-allocation guarantee under
+// membership churn in both backends. Every observable output —
+// node/member/edge enumeration order, Cost's float summation order, epochs —
+// is bit-identical between the two.
 package multicast
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"smrp/internal/graph"
@@ -55,11 +59,12 @@ type Tree struct {
 
 	// Slot-indexed state. Under dense storage the slot of node n is n
 	// itself; under sparse storage slots are assigned in touch order and
-	// translated through slotOf/nodeOf. parent and nr are meaningful only
-	// for slots whose onTree bit is set; children lists hold NodeIDs (not
-	// slots) in ascending order so accessors never re-sort, and keep their
-	// backing capacity when a node leaves so warm churn does not allocate.
-	parent   []graph.NodeID
+	// translated through slots/nodeOf. parent holds NodeIDs as int32, read
+	// through up. parent and nr are meaningful only for slots whose onTree
+	// bit is set; children lists hold NodeIDs (not slots) in ascending order
+	// so accessors never re-sort, and keep their backing capacity when a
+	// node leaves so warm churn does not allocate.
+	parent   []int32
 	children [][]graph.NodeID
 	onTree   bitset
 	members  bitset
@@ -75,10 +80,14 @@ type Tree struct {
 	// leaves the tree, so a regraft at the same value needs no write.
 	shr   []int32
 	dirty []graph.NodeID
+	// baseline holds, plus one, the value the owner last stored for the node
+	// with SetBaseline; 0 is none. core keeps Condition I's SHR^old_{S,Ru}
+	// (§3.2.3) here.
+	baseline []int32
 
-	// Sparse backend: slotOf maps a touched node to its slot, nodeOf is the
-	// inverse. nil slotOf selects dense storage.
-	slotOf map[graph.NodeID]int32
+	// Sparse backend: slots finds a touched node's slot, nodeOf is the
+	// inverse. A nil slots table selects dense storage.
+	slots  slotIndex
 	nodeOf []graph.NodeID
 	// scratch is a reusable buffer: the stack of subtree removal, and under
 	// sparse storage the ascending-NodeID iteration order (slot order is
@@ -102,7 +111,7 @@ func New(g *graph.Graph, source graph.NodeID) (*Tree, error) {
 
 // NewSparse returns an empty sparse-storage tree on g rooted at source:
 // standing bytes are O(nodes ever touched) instead of O(NumNodes), at the
-// price of a hash probe per state access. Behaviour is bit-identical to the
+// price of an index probe per state access. Behaviour is bit-identical to the
 // dense backend. Use it when many trees share a very large topology.
 func NewSparse(g *graph.Graph, source graph.NodeID) (*Tree, error) {
 	return newTree(g, source, true)
@@ -114,19 +123,20 @@ func newTree(g *graph.Graph, source graph.NodeID, sparse bool) (*Tree, error) {
 	}
 	t := &Tree{g: g, source: source}
 	if sparse {
-		t.slotOf = make(map[graph.NodeID]int32)
+		t.slots.resize(minSlotTable, nil)
 		i := t.ensureSlot(source)
-		t.parent[i] = graph.Invalid
+		t.parent[i] = int32(graph.Invalid)
 		t.onTree.set(graph.NodeID(i))
 	} else {
 		n := g.NumNodes()
-		t.parent = make([]graph.NodeID, n)
+		t.parent = make([]int32, n)
 		t.children = make([][]graph.NodeID, n)
 		t.onTree = newBitset(n)
 		t.members = newBitset(n)
 		t.nr = make([]int32, n)
 		t.shr = make([]int32, n)
-		t.parent[source] = graph.Invalid
+		t.baseline = make([]int32, n)
+		t.parent[source] = int32(graph.Invalid)
 		t.onTree.set(source)
 	}
 	t.nNodes = 1
@@ -135,25 +145,22 @@ func newTree(g *graph.Graph, source graph.NodeID, sparse bool) (*Tree, error) {
 
 // SparseStorage reports whether the tree uses the sparse (touched-node)
 // backend.
-func (t *Tree) SparseStorage() bool { return t.slotOf != nil }
+func (t *Tree) SparseStorage() bool { return t.slots.tab != nil }
 
 // idx returns the storage slot of n, or -1 when n has no slot yet. Under
 // dense storage the slot is n itself (which may lie beyond the allocated
 // arrays if the graph grew — callers guard with the bitsets, whose has()
 // treats out-of-range slots as absent).
 func (t *Tree) idx(n graph.NodeID) int32 {
-	if t.slotOf == nil {
+	if t.slots.tab == nil {
 		return int32(n)
 	}
-	if i, ok := t.slotOf[n]; ok {
-		return i
-	}
-	return -1
+	return t.slots.find(n, t.nodeOf)
 }
 
 // nodeAt translates a slot back to its NodeID.
 func (t *Tree) nodeAt(i int32) graph.NodeID {
-	if t.slotOf == nil {
+	if t.slots.tab == nil {
 		return graph.NodeID(i)
 	}
 	return t.nodeOf[i]
@@ -163,7 +170,7 @@ func (t *Tree) nodeAt(i int32) graph.NodeID {
 // storage grows the arrays to cover node id n (the graph may have gained
 // nodes after the tree was created); sparse storage appends a fresh slot.
 func (t *Tree) ensureSlot(n graph.NodeID) int32 {
-	if t.slotOf == nil {
+	if t.slots.tab == nil {
 		if int(n) < len(t.parent) {
 			return int32(n)
 		}
@@ -172,29 +179,34 @@ func (t *Tree) ensureSlot(n graph.NodeID) int32 {
 			want = g
 		}
 		for len(t.parent) < want {
-			t.parent = append(t.parent, graph.Invalid)
+			t.parent = append(t.parent, int32(graph.Invalid))
 			t.children = append(t.children, nil)
 			t.nr = append(t.nr, 0)
 			t.shr = append(t.shr, 0)
+			t.baseline = append(t.baseline, 0)
 		}
 		t.onTree = t.onTree.grown(want)
 		t.members = t.members.grown(want)
 		return int32(n)
 	}
-	if i, ok := t.slotOf[n]; ok {
+	if i := t.slots.find(n, t.nodeOf); i >= 0 {
 		return i
 	}
 	i := int32(len(t.nodeOf))
-	t.slotOf[n] = i
 	t.nodeOf = append(t.nodeOf, n)
-	t.parent = append(t.parent, graph.Invalid)
+	t.slots.add(t.nodeOf)
+	t.parent = append(t.parent, int32(graph.Invalid))
 	t.children = append(t.children, nil)
 	t.nr = append(t.nr, 0)
 	t.shr = append(t.shr, 0)
+	t.baseline = append(t.baseline, 0)
 	t.onTree = t.onTree.grownCap(int(i) + 1)
 	t.members = t.members.grownCap(int(i) + 1)
 	return i
 }
+
+// up returns the recorded parent of slot i.
+func (t *Tree) up(i int32) graph.NodeID { return graph.NodeID(t.parent[i]) }
 
 // parentOf returns n's recorded parent, Invalid when n has no storage.
 // Meaningful only for on-tree nodes (as with the raw parent vector).
@@ -203,14 +215,14 @@ func (t *Tree) parentOf(n graph.NodeID) graph.NodeID {
 	if i < 0 || int(i) >= len(t.parent) {
 		return graph.Invalid
 	}
-	return t.parent[i]
+	return t.up(i)
 }
 
 // appendNodeIDs converts the slot-bitset b to NodeIDs appended to dst in
 // ascending NodeID order. Dense slots are NodeIDs already in ascending bit
 // order; sparse slots are in touch order and get sorted.
 func (t *Tree) appendNodeIDs(b bitset, dst []graph.NodeID) []graph.NodeID {
-	if t.slotOf == nil {
+	if t.slots.tab == nil {
 		return b.appendIDs(dst)
 	}
 	start := len(dst)
@@ -248,7 +260,7 @@ func (t *Tree) Parent(n graph.NodeID) (graph.NodeID, bool) {
 	if !t.OnTree(n) {
 		return graph.Invalid, false
 	}
-	return t.parent[t.idx(n)], true
+	return t.up(t.idx(n)), true
 }
 
 // Children returns a copy of n's downstream neighbors, in ascending order.
@@ -310,7 +322,7 @@ func (t *Tree) Edges() []graph.EdgeID {
 		for w != 0 {
 			i := int32(base + trailingZeros(w))
 			w &= w - 1
-			if p := t.parent[i]; p != graph.Invalid {
+			if p := t.up(i); p != graph.Invalid {
 				out = append(out, graph.MakeEdgeID(t.nodeAt(i), p))
 			}
 		}
@@ -339,7 +351,7 @@ func (t *Tree) AppendPathToSource(buf graph.Path, n graph.NodeID) (graph.Path, e
 		return buf, fmt.Errorf("path to source from %d: %w", n, ErrNotOnTree)
 	}
 	start := len(buf)
-	for cur := n; cur != graph.Invalid; cur = t.parent[t.idx(cur)] {
+	for cur := n; cur != graph.Invalid; cur = t.up(t.idx(cur)) {
 		buf = append(buf, cur)
 		if len(buf)-start > t.g.NumNodes() {
 			return buf[:start], fmt.Errorf("path to source from %d: cycle in tree", n)
@@ -357,7 +369,7 @@ func (t *Tree) TopAncestor(n graph.NodeID) graph.NodeID {
 		return graph.Invalid
 	}
 	for {
-		p := t.parent[t.idx(n)]
+		p := t.up(t.idx(n))
 		if p == t.source {
 			return n
 		}
@@ -375,7 +387,7 @@ func (t *Tree) DelayTo(n graph.NodeID) (float64, error) {
 	var total float64
 	hops := 0
 	for cur := n; ; hops++ {
-		p := t.parent[t.idx(cur)]
+		p := t.up(t.idx(cur))
 		if p == graph.Invalid {
 			return total, nil
 		}
@@ -395,38 +407,18 @@ func (t *Tree) DelayTo(n graph.NodeID) (float64, error) {
 // Summation runs in ascending NodeID order in both storage backends, so the
 // float result is bit-identical regardless of backend.
 func (t *Tree) Cost() (float64, error) {
-	if t.slotOf != nil {
-		t.scratch = t.appendNodeIDs(t.onTree, t.scratch[:0])
-		var total float64
-		for _, n := range t.scratch {
-			p := t.parent[t.slotOf[n]]
-			if p == graph.Invalid {
-				continue
-			}
-			ew, ok := t.g.EdgeWeight(n, p)
-			if !ok {
-				return 0, fmt.Errorf("tree cost: %d-%d is not a graph edge", n, p)
-			}
-			total += ew
-		}
-		return total, nil
-	}
+	t.scratch = t.appendNodeIDs(t.onTree, t.scratch[:0])
 	var total float64
-	for wi, w := range t.onTree {
-		base := graph.NodeID(wi << 6)
-		for w != 0 {
-			n := base + graph.NodeID(trailingZeros(w))
-			w &= w - 1
-			p := t.parent[n]
-			if p == graph.Invalid {
-				continue
-			}
-			ew, ok := t.g.EdgeWeight(n, p)
-			if !ok {
-				return 0, fmt.Errorf("tree cost: %d-%d is not a graph edge", n, p)
-			}
-			total += ew
+	for _, n := range t.scratch {
+		p := t.up(t.idx(n))
+		if p == graph.Invalid {
+			continue
 		}
+		ew, ok := t.g.EdgeWeight(n, p)
+		if !ok {
+			return 0, fmt.Errorf("tree cost: %d-%d is not a graph edge", n, p)
+		}
+		total += ew
 	}
 	return total, nil
 }
@@ -482,10 +474,10 @@ func (t *Tree) bumpNR(from graph.NodeID, delta int32) {
 	for cur := from; cur != graph.Invalid; {
 		i := t.idx(cur)
 		t.nr[i] += delta
-		if t.parent[i] == t.source {
+		if t.up(i) == t.source {
 			top = cur
 		}
-		cur = t.parent[i]
+		cur = t.up(i)
 	}
 	t.markSHR(top)
 }
@@ -513,7 +505,7 @@ func (t *Tree) RepairSHR() int {
 		for len(stack) > 0 {
 			i := t.idx(stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
-			if want := t.shr[t.idx(t.parent[i])] + t.nr[i]; t.shr[i] != want {
+			if want := t.shr[t.idx(t.up(i))] + t.nr[i]; t.shr[i] != want {
 				t.shr[i] = want
 				writes++
 			}
@@ -534,11 +526,33 @@ func (t *Tree) SHR(n graph.NodeID) int {
 	return int(t.shr[t.idx(n)])
 }
 
+// Baseline returns the value SetBaseline last stored for n, and false when
+// none is stored (never set, or cleared since).
+func (t *Tree) Baseline(n graph.NodeID) (int, bool) {
+	i := t.idx(n)
+	if i < 0 || int(i) >= len(t.baseline) || t.baseline[i] == 0 {
+		return 0, false
+	}
+	return int(t.baseline[i] - 1), true
+}
+
+// SetBaseline stores v (at least 0) for n, giving n storage if it has none.
+func (t *Tree) SetBaseline(n graph.NodeID, v int) {
+	t.baseline[t.ensureSlot(n)] = int32(v + 1)
+}
+
+// ClearBaseline removes the value stored for n, if any.
+func (t *Tree) ClearBaseline(n graph.NodeID) {
+	if i := t.idx(n); i >= 0 && int(i) < len(t.baseline) {
+		t.baseline[i] = 0
+	}
+}
+
 // attach links the off-tree node child under on-tree node par, inserting it
 // into par's ascending children list.
 func (t *Tree) attach(child, par graph.NodeID) {
 	i := t.ensureSlot(child)
-	t.parent[i] = par
+	t.parent[i] = int32(par)
 	t.insertChild(par, child)
 	t.onTree.set(graph.NodeID(i))
 	t.nr[i] = 0
@@ -548,7 +562,7 @@ func (t *Tree) attach(child, par graph.NodeID) {
 // link re-parents the already-on-tree node child under par (Reroute's move
 // of an existing subtree root) without touching node counts.
 func (t *Tree) link(child, par graph.NodeID) {
-	t.parent[t.idx(child)] = par
+	t.parent[t.idx(child)] = int32(par)
 	t.insertChild(par, child)
 }
 
@@ -586,12 +600,12 @@ func (t *Tree) removeChild(par, child graph.NodeID) {
 // storage, its slot) for reuse.
 func (t *Tree) detach(child graph.NodeID) {
 	i := t.idx(child)
-	par := t.parent[i]
+	par := t.up(i)
 	if par != graph.Invalid {
 		t.removeChild(par, child)
 	}
 	t.onTree.clear(graph.NodeID(i))
-	t.parent[i] = graph.Invalid
+	t.parent[i] = int32(graph.Invalid)
 	t.nr[i] = 0
 	t.nNodes--
 }
@@ -624,7 +638,7 @@ func (t *Tree) pruneUpward(n graph.NodeID, removed *[]graph.NodeID) {
 			t.members.has(graph.NodeID(i)) {
 			return
 		}
-		par := t.parent[i]
+		par := t.up(i)
 		t.detach(n)
 		if removed != nil {
 			*removed = append(*removed, n)
@@ -696,7 +710,7 @@ func (t *Tree) Reroute(m graph.NodeID, newPath graph.Path) error {
 	}
 	// The merger lies inside m's subtree exactly when m is an ancestor of
 	// it — an O(depth) root-path walk instead of materializing the subtree.
-	for cur := merger; cur != graph.Invalid; cur = t.parent[t.idx(cur)] {
+	for cur := merger; cur != graph.Invalid; cur = t.up(t.idx(cur)) {
 		if cur == m {
 			return fmt.Errorf("reroute: merger %d is inside %d's subtree", merger, m)
 		}
@@ -707,7 +721,7 @@ func (t *Tree) Reroute(m graph.NodeID, newPath graph.Path) error {
 		}
 	}
 	mi := t.idx(m)
-	oldParent := t.parent[mi]
+	oldParent := t.up(mi)
 	sub := t.nr[mi] // members moving with m's subtree
 	// The move dirties the branch m leaves and the one it joins, marked in
 	// that order. Either is m's own when m hangs from the source; left from
@@ -716,7 +730,7 @@ func (t *Tree) Reroute(m graph.NodeID, newPath graph.Path) error {
 	t.markSHR(t.TopAncestor(m))
 	if oldParent != graph.Invalid {
 		t.removeChild(oldParent, m)
-		t.parent[mi] = graph.Invalid
+		t.parent[mi] = int32(graph.Invalid)
 		t.bumpNR(oldParent, -sub)
 	}
 	// Attach the new chain from the merger down to m.
@@ -729,7 +743,7 @@ func (t *Tree) Reroute(m graph.NodeID, newPath graph.Path) error {
 	}
 	// The moved members now count along the new root path (the fresh chain
 	// nodes were attached with N_R = 0 and pick up the subtree here).
-	t.bumpNR(t.parent[t.idx(m)], sub)
+	t.bumpNR(t.up(t.idx(m)), sub)
 	t.markSHR(t.TopAncestor(m))
 	t.pruneUpward(oldParent, nil)
 	t.epoch++
@@ -753,7 +767,7 @@ func (t *Tree) DetachSubtree(r graph.NodeID, flushed []graph.NodeID) ([]graph.No
 	// Unlink r, deduct its member count from the surviving root path, and
 	// clear all state below it.
 	ri := t.idx(r)
-	oldParent := t.parent[ri]
+	oldParent := t.up(ri)
 	t.removeChild(oldParent, r)
 	t.bumpNR(oldParent, -t.nr[ri])
 	stack := append(t.scratch[:0], r)
@@ -764,7 +778,7 @@ func (t *Tree) DetachSubtree(r graph.NodeID, flushed []graph.NodeID) ([]graph.No
 		stack = append(stack, t.children[i]...)
 		t.children[i] = t.children[i][:0]
 		t.onTree.clear(graph.NodeID(i))
-		t.parent[i] = graph.Invalid
+		t.parent[i] = int32(graph.Invalid)
 		t.nr[i] = 0
 		t.nNodes--
 		if t.members.has(graph.NodeID(i)) {
@@ -819,13 +833,12 @@ func (t *Tree) Clone() *Tree {
 		nr:       slices.Clone(t.nr),
 		shr:      slices.Clone(t.shr),
 		dirty:    slices.Clone(t.dirty),
+		baseline: slices.Clone(t.baseline),
+		slots:    slotIndex{tab: slices.Clone(t.slots.tab), shift: t.slots.shift},
+		nodeOf:   slices.Clone(t.nodeOf),
 		nNodes:   t.nNodes,
 		nMembers: t.nMembers,
 		epoch:    t.epoch,
-	}
-	if t.slotOf != nil {
-		c.slotOf = maps.Clone(t.slotOf)
-		c.nodeOf = slices.Clone(t.nodeOf)
 	}
 	for i, kids := range t.children {
 		if len(kids) > 0 {
@@ -845,7 +858,7 @@ func (t *Tree) Validate() error {
 	if !t.OnTree(t.source) {
 		return errors.New("multicast: source missing from tree")
 	}
-	if t.parent[t.idx(t.source)] != graph.Invalid {
+	if t.up(t.idx(t.source)) != graph.Invalid {
 		return errors.New("multicast: source has a parent")
 	}
 	// children↔parent agreement and edge existence.
@@ -854,7 +867,7 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("multicast: node count %d does not match on-tree set %d", t.nNodes, len(nodes))
 	}
 	for _, n := range nodes {
-		p := t.parent[t.idx(n)]
+		p := t.up(t.idx(n))
 		if p == graph.Invalid {
 			if n != t.source {
 				return fmt.Errorf("multicast: node %d has no parent but is not the source", n)
@@ -877,7 +890,7 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("multicast: children of %d not in ascending order", p)
 		}
 		for _, k := range kids {
-			if !t.OnTree(k) || t.parent[t.idx(k)] != p {
+			if !t.OnTree(k) || t.up(t.idx(k)) != p {
 				return fmt.Errorf("multicast: child %d of %d has parent %v", k, p, t.parentOf(k))
 			}
 		}
@@ -921,7 +934,7 @@ func (t *Tree) Validate() error {
 		if counts[n] != t.nr[t.idx(n)] {
 			return fmt.Errorf("multicast: cached N_%d = %d, recount = %d", n, t.nr[t.idx(n)], counts[n])
 		}
-		if p := t.parent[t.idx(n)]; p != graph.Invalid {
+		if p := t.up(t.idx(n)); p != graph.Invalid {
 			counts[p] += counts[n]
 		}
 	}
@@ -929,7 +942,7 @@ func (t *Tree) Validate() error {
 	// the nodes of marked branches, whose SHR is stale until RepairSHR.
 	for _, n := range order[1:] {
 		i := t.idx(n)
-		p := t.parent[i]
+		p := t.up(i)
 		if p == t.source && slices.Contains(t.dirty, n) || !seen.has(p) {
 			seen.clear(n)
 			continue
