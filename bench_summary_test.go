@@ -51,8 +51,8 @@ type BenchEntry struct {
 	// per join by the candidate sweeps ("throughput").
 	SettledPerEvent float64 `json:"settled_per_event,omitempty"`
 	// MemBytes is the arm's deterministic memory accounting at the largest
-	// N: the routed-over graph plus, for the hierarchy, its per-domain
-	// subgraph copies ("megascale-*"), or the fleet's mean per-group
+	// N: the routed-over graph plus, for the hierarchy, what its per-domain
+	// views own ("megascale-*"), or the fleet's mean per-group
 	// standing bytes ("multigroup").
 	MemBytes int64 `json:"mem_bytes,omitempty"`
 

@@ -81,18 +81,10 @@ func run() error {
 			break
 		}
 	}
-	stubSess, nm, err := sess.DomainSession(victimDomain)
+	f, err := sess.WorstCaseFor(victim)
 	if err != nil {
 		return err
 	}
-	sub, _ := nm.ToSub(victim)
-	fSub, err := smrp.WorstCaseFor(stubSess.Tree(), sub)
-	if err != nil {
-		return err
-	}
-	a, _ := nm.ToFull(fSub.Edge.A)
-	b, _ := nm.ToFull(fSub.Edge.B)
-	f := smrp.LinkDown(a, b)
 	fmt.Printf("\ninjecting %v inside stub domain %d (victim receiver %d)\n", f, victimDomain, victim)
 
 	rep, err := sess.Recover(f)

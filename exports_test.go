@@ -28,7 +28,6 @@ var testOnlyAllowed = map[string]string{
 	"protocol.SMRPInstance.Expired":       "the soft-state rework of the DES replaces it",
 	"protocol.SMRPInstance.SilenceMember": "the soft-state rework of the DES replaces it",
 	"graph.SetSPFDelta":                   "test hook that turns the SPF cache's delta repair off",
-	"graph.Graph.Clone":                   "tests in multicast, core and protect copy a graph before they mutate or freeze it",
 	"graph.Sweep.Relabels":                "core's prune oracle asserts coverage of the label-correcting re-queue through it",
 	"runner.MapSeq":                       "the sequential reference that runner.Map is tested against",
 	"runner.TrialError.Unwrap":            "errors.Is and errors.As call it through the unwrap interface",

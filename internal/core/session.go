@@ -101,7 +101,7 @@ func NewSession(g *graph.Graph, source graph.NodeID, cfg Config) (*Session, erro
 func (s *Session) Tree() *multicast.Tree { return s.tree }
 
 // Graph returns the graph the session routes over (for a domain sub-session,
-// the induced subgraph it was built on). Callers must not mutate it.
+// the view of the domain it was built on). Callers must not mutate it.
 func (s *Session) Graph() *graph.Graph { return s.g }
 
 // Stats returns a copy of the session's work counters.

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"smrp/internal/core"
-	"smrp/internal/failure"
 	"smrp/internal/graph"
 	"smrp/internal/hierarchy"
 	"smrp/internal/metrics"
@@ -134,29 +133,20 @@ func RunHierarchy(ctx context.Context, rc RunConfig, runs int) (*HierResult, err
 
 		// Worst-case failure for a member in a non-source stub, inside its
 		// own stub domain.
-		victim, victimDomain := graph.Invalid, -1
+		victim := graph.Invalid
 		for _, m := range members {
-			if d := ts.DomainOf(m); d.ID != ts.DomainOf(src).ID {
-				victim, victimDomain = m, d.ID
+			if ts.DomainOf(m).ID != ts.DomainOf(src).ID {
+				victim = m
 				break
 			}
 		}
 		if victim == graph.Invalid {
 			return hr, nil
 		}
-		sess, nm, err := hier.DomainSession(victimDomain)
-		if err != nil {
-			return nil, err
-		}
-		sub, _ := nm.ToSub(victim)
-		fSub, err := failure.WorstCaseFor(sess.Tree(), sub)
+		f, err := hier.WorstCaseFor(victim)
 		if err != nil {
 			return hr, nil
 		}
-		fullA, _ := nm.ToFull(fSub.Edge.A)
-		fullB, _ := nm.ToFull(fSub.Edge.B)
-		f := failure.LinkDown(fullA, fullB)
-
 		hrep, err := hier.Recover(f)
 		if err != nil {
 			return hr, nil // failure may be unrecoverable inside the domain

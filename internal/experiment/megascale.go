@@ -4,8 +4,8 @@
 // concrete: per-recovery-event settled work (the CI-stable unit of SPF
 // effort) stays bounded by the domain size in the hierarchy while it grows
 // with N on the flat topology — and the price is memory, accounted here
-// deterministically per component (shared full graph vs per-domain induced
-// subgraphs).
+// deterministically per component (the shared full graph, and what the
+// per-domain views of it own).
 //
 // Wall-clock appears nowhere in the result: every number is an exact counter
 // or a byte count computed from element sizes, so the rendered report is
@@ -16,6 +16,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -49,8 +50,8 @@ type MegascaleArm struct {
 
 	// GraphBytes is the deterministic footprint of the full topology;
 	// SessionBytes is what the architecture adds on top (zero for the flat
-	// session, which routes over the shared graph; the per-domain induced
-	// subgraphs for the hierarchy). Domains is 1 for the flat arm.
+	// session, which routes over the shared graph; what the per-domain views
+	// of it own for the hierarchy). Domains is 1 for the flat arm.
 	GraphBytes   int64
 	SessionBytes int64
 	Domains      int
@@ -98,7 +99,7 @@ func (r *MegascaleResult) Render() string {
 			row.Flat.SettledPerEvent(), row.Hier.SettledPerEvent(),
 			ratioOf(row.Flat.RecoverSettled*row.Hier.Events, row.Hier.RecoverSettled*row.Flat.Events),
 			row.Flat.Events, row.Hier.Events, row.Flat.Parked, row.Hier.Parked)
-		fmt.Fprintf(&b, "    memory:              flat graph=%s; hier graph=%s + domain subgraphs=%s\n",
+		fmt.Fprintf(&b, "    memory:              flat graph=%s; hier graph=%s + domain views=%s\n",
 			fmtBytes(row.Flat.GraphBytes), fmtBytes(row.Hier.GraphBytes), fmtBytes(row.Hier.SessionBytes))
 	}
 	return b.String()
@@ -118,7 +119,7 @@ func (r *MegascaleResult) renderHierOnly() string {
 		fmt.Fprintf(&b, "    join settled:        %d\n", row.Hier.JoinSettled)
 		fmt.Fprintf(&b, "    settled/event:       %.1f (%d events, parked %d)\n",
 			row.Hier.SettledPerEvent(), row.Hier.Events, row.Hier.Parked)
-		fmt.Fprintf(&b, "    memory:              graph=%s + domain subgraphs=%s\n",
+		fmt.Fprintf(&b, "    memory:              graph=%s + domain views=%s\n",
 			fmtBytes(row.Hier.GraphBytes), fmtBytes(row.Hier.SessionBytes))
 	}
 	return b.String()
@@ -267,28 +268,19 @@ func runMegascaleHier(n int, t runner.Trial, groups int) (MegascaleArm, error) {
 	// heal and repair touch exactly one paper-sized domain per event.
 	for e := 0; e < megascaleEvents; e++ {
 		m := members[e%len(members)]
-		di := topo.DomainOf(m)
-		ds, nm, err := sess.DomainSession(di)
-		if err != nil {
-			return arm, err
-		}
-		sub, ok := nm.ToSub(m)
-		if !ok {
-			return arm, fmt.Errorf("megascale hier: member %d not in domain %d", m, di)
-		}
-		ta := ds.Tree().TopAncestor(sub)
-		if ta == graph.Invalid {
+		f, err := sess.WorstCaseFor(m)
+		if errors.Is(err, core.ErrPartitioned) {
 			continue // parked inside its domain; a later heal re-admits it
 		}
-		root := ds.Tree().Source()
-		a, _ := nm.ToFull(ta)
-		b, _ := nm.ToFull(root)
-		if _, err := sess.Recover(failure.LinkDown(a, b)); err != nil {
-			return arm, fmt.Errorf("megascale hier recover (%d-%d): %w", a, b, err)
+		if err != nil {
+			return arm, fmt.Errorf("megascale hier: %w", err)
+		}
+		if _, err := sess.Recover(f); err != nil {
+			return arm, fmt.Errorf("megascale hier recover %v: %w", f, err)
 		}
 		arm.Events++
-		if _, err := ds.Repair(failure.LinkDown(ta, root)); err != nil {
-			return arm, fmt.Errorf("megascale hier repair (%d-%d): %w", a, b, err)
+		if _, err := sess.Repair(f); err != nil {
+			return arm, fmt.Errorf("megascale hier repair %v: %w", f, err)
 		}
 	}
 	enum, heal := sess.SettledWork()

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"smrp/internal/core"
-	"smrp/internal/failure"
 	"smrp/internal/graph"
 	"smrp/internal/hierarchy"
 	"smrp/internal/metrics"
@@ -88,7 +87,6 @@ func RunNLevel(ctx context.Context, rc RunConfig, runs int) (*NLevelResult, erro
 		}
 		// One member per leaf domain.
 		var victim graph.NodeID = graph.Invalid
-		victimDomain := -1
 		for _, li := range leaves[1:] {
 			d := nt.Domains[li]
 			for _, n := range d.Nodes {
@@ -97,7 +95,7 @@ func RunNLevel(ctx context.Context, rc RunConfig, runs int) (*NLevelResult, erro
 						return nil, err
 					}
 					if victim == graph.Invalid {
-						victim, victimDomain = n, li
+						victim = n
 					}
 					break
 				}
@@ -106,18 +104,11 @@ func RunNLevel(ctx context.Context, rc RunConfig, runs int) (*NLevelResult, erro
 		if victim == graph.Invalid {
 			return nr, nil
 		}
-		ds, nm, err := sess.DomainSession(victimDomain)
-		if err != nil {
-			return nil, err
-		}
-		sub, _ := nm.ToSub(victim)
-		fSub, err := failure.WorstCaseFor(ds.Tree(), sub)
+		f, err := sess.WorstCaseFor(victim)
 		if err != nil {
 			return nr, nil
 		}
-		a, _ := nm.ToFull(fSub.Edge.A)
-		b, _ := nm.ToFull(fSub.Edge.B)
-		rep, err := sess.Recover(failure.LinkDown(a, b))
+		rep, err := sess.Recover(f)
 		if err != nil {
 			return nr, nil
 		}

@@ -27,7 +27,7 @@ func (g *Graph) Components(mask *Mask) [][]NodeID {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, arc := range g.adj[u] {
-				v := arc.To
+				v := arc.To - g.base
 				if comp[v] != -1 || mask.NodeBlocked(v) || mask.EdgeBlocked(u, v) {
 					continue
 				}

@@ -33,7 +33,7 @@ func (g *Graph) ArticulationPoints(mask *Mask) []NodeID {
 			for f.idx < len(adj) {
 				arc := adj[f.idx]
 				f.idx++
-				v := arc.To
+				v := arc.To - g.base
 				if v == f.parent || mask.NodeBlocked(v) || mask.EdgeBlocked(f.node, v) {
 					continue
 				}

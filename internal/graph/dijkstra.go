@@ -176,7 +176,7 @@ func (s *Sweep) budgetCut(mask *Mask) bool {
 		u := s.scan[k].Node
 		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
 		for _, a := range s.g.adj[u] {
-			v := a.To
+			v := a.To - s.g.base
 			if s.settled[v] == s.epoch || mask.NodeBlocked(v) || (rowEdges && mask.edges[MakeEdgeID(u, v)]) {
 				continue
 			}

@@ -112,8 +112,9 @@ func (f *Field) Next(limit float64) (u NodeID, d float64, ok bool) {
 		mask := f.mask
 		checkNodes := mask.hasNodeBlocks()
 		rowEdges := mask.hasEdgeBlocks() && mask.touchesBlockedEdge(u)
+		base := f.g.base
 		for _, a := range f.g.adj[u] {
-			v := a.To
+			v := a.To - base
 			nd := d + a.Weight
 			if nd >= f.dist[v] || (checkNodes && mask.nodeBlocked(v)) || (rowEdges && mask.edges[MakeEdgeID(u, v)]) {
 				continue

@@ -81,6 +81,12 @@ type Graph struct {
 	// spf, when non-nil, memoizes Dijkstra results keyed by (source,
 	// mask fingerprint). See EnableSPFCache.
 	spf *SPFCache
+	// A view (see View) reads an arc as leading to node To − base, Pos
+	// through ids, and allocates only the owned arcs of its private rows.
+	// base is zero and ids nil on an ordinary graph.
+	base  NodeID
+	ids   *NodeMap
+	owned int
 }
 
 // ErrUnknownNode is returned when an operation names a node the graph does
@@ -191,7 +197,12 @@ func (g *Graph) SetPos(n NodeID, p Point) {
 }
 
 // Pos returns the position of node n.
-func (g *Graph) Pos(n NodeID) Point { return g.pos[n] }
+func (g *Graph) Pos(n NodeID) Point {
+	if g.ids != nil {
+		n, _ = g.ids.ToFull(n)
+	}
+	return g.pos[n]
+}
 
 // valid reports whether n is a node of g.
 func (g *Graph) valid(n NodeID) bool { return n >= 0 && int(n) < len(g.adj) }
@@ -237,8 +248,9 @@ func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 	if len(g.adj[v]) < len(g.adj[u]) {
 		u, v = v, u
 	}
+	to := v + g.base
 	for _, a := range g.adj[u] {
-		if a.To == v {
+		if a.To == to {
 			return a.Weight, true
 		}
 	}
@@ -247,8 +259,18 @@ func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 
 // Neighbors returns the adjacency list of n: in insertion order while the
 // graph is being built, by (weight, neighbour) once it is frozen. The
-// returned slice is owned by the graph and must not be modified.
-func (g *Graph) Neighbors(n NodeID) []Arc { return g.adj[n] }
+// returned slice is owned by the graph and must not be modified. On a view
+// whose rows are offset from its parent's IDs it is a translated copy.
+func (g *Graph) Neighbors(n NodeID) []Arc {
+	row := g.adj[n]
+	if g.base != 0 {
+		row = slices.Clone(row)
+		for i := range row {
+			row[i].To -= g.base
+		}
+	}
+	return row
+}
 
 // Degree returns the number of edges incident to n.
 func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
@@ -270,8 +292,8 @@ func (g *Graph) Edges() []EdgeID {
 	for u, arcs := range g.adj {
 		start := len(out)
 		for _, a := range arcs {
-			if a.To > NodeID(u) {
-				out = append(out, EdgeID{A: NodeID(u), B: a.To})
+			if v := a.To - g.base; v > NodeID(u) {
+				out = append(out, EdgeID{A: NodeID(u), B: v})
 			}
 		}
 		slices.SortFunc(out[start:], edgeIDCompare)
@@ -297,13 +319,9 @@ func edgeIDCompare(a, b EdgeID) int {
 // (The SPF cache, as always, is not cloned.)
 func (g *Graph) Clone() *Graph {
 	if g.frozen {
-		return &Graph{
-			adj:     g.adj,
-			pos:     g.pos,
-			edges:   g.edges,
-			frozen:  true,
-			version: g.version,
-		}
+		c := *g
+		c.spf = nil
+		return &c
 	}
 	return &Graph{
 		adj:   packRows(g.adj),

@@ -156,6 +156,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 	sc.begin(n)
 	checkEdges := mask.hasEdgeBlocks()
 	checkNodes := mask.hasNodeBlocks()
+	base := g.base
 
 	// Phase A must compute exactly the tree under (old mask ∪ added) — the
 	// pure-deletion step its correctness argument is about — so edges revived
@@ -277,7 +278,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			dv, pv := Unreachable, Invalid
 			rowEdges := checkEdges && mask.touchesBlockedEdge(v)
 			for _, a := range g.adj[v] {
-				u := a.To
+				u := a.To - base
 				if sc.state[u] != ispfAlive || sc.stamp[u] != sc.epoch {
 					continue
 				}
@@ -312,7 +313,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			du := t.Dist[u]
 			rowEdges := checkEdges && mask.touchesBlockedEdge(u)
 			for _, a := range g.adj[u] {
-				v := a.To
+				v := a.To - base
 				if sc.state[v] != ispfOrphan || sc.stamp[v] != sc.epoch {
 					continue // alive nodes are final; gone nodes stay gone
 				}
@@ -375,7 +376,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			}
 			rowEdges := checkEdges && mask.touchesBlockedEdge(v)
 			for _, a := range g.adj[v] {
-				u := a.To
+				u := a.To - base
 				if t.Dist[u] == Unreachable {
 					continue
 				}
@@ -401,6 +402,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 func (sc *ispfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
 	checkEdges := mask.hasEdgeBlocks()
 	checkNodes := mask.hasNodeBlocks()
+	base := g.base
 	for {
 		item, popped := sc.queue.Pop()
 		if !popped {
@@ -415,7 +417,7 @@ func (sc *ispfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
 		du := t.Dist[u]
 		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
 		for _, a := range g.adj[u] {
-			v := a.To
+			v := a.To - base
 			if sc.setB[v] == sc.epoch {
 				continue // settled in distance order: final
 			}

@@ -14,16 +14,16 @@ const (
 )
 
 // MemoryFootprint returns the deterministic byte accounting of the graph's
-// core structures: adjacency rows (headers plus arcs), which are its one edge
-// store in every phase (the sweeps read the rows in place), and node
-// positions. The SPF cache is deliberately excluded: it is a rebuildable
+// core structures: adjacency rows (headers plus two arcs per edge), which are
+// its one edge store in every phase (the sweeps read the rows in place), and
+// node positions. A view counts only what it owns: its row headers and the
+// arcs of its private rows; the aliased rows and the positions are its
+// parent's. The SPF cache is deliberately excluded: it is a rebuildable
 // derivative whose presence depends on query history, not on the topology.
 func (g *Graph) MemoryFootprint() int64 {
-	arcs := 0
-	for _, a := range g.adj {
-		arcs += len(a)
+	arcs, points := 2*g.edges, len(g.pos)
+	if g.ids != nil {
+		arcs, points = g.owned, 0
 	}
-	return int64(len(g.adj))*bytesSliceHeader +
-		int64(arcs)*bytesPerArc +
-		int64(len(g.pos))*bytesPerPoint
+	return int64(len(g.adj))*bytesSliceHeader + int64(arcs)*bytesPerArc + int64(points)*bytesPerPoint
 }

@@ -44,7 +44,7 @@ func (g *Graph) STNumbering(s, t NodeID) (map[NodeID]int, error) {
 	for v, row := range g.adj {
 		nbrs[v] = make([]NodeID, len(row))
 		for i, arc := range row {
-			nbrs[v][i] = arc.To
+			nbrs[v][i] = arc.To - g.base
 		}
 		slices.Sort(nbrs[v])
 	}
@@ -171,10 +171,10 @@ func (g *Graph) STNumbering(s, t NodeID) (map[NodeID]int, error) {
 		}
 		lower, higher := false, false
 		for _, arc := range g.adj[v] {
-			if num[arc.To] < nv {
+			if num[arc.To-g.base] < nv {
 				lower = true
 			}
-			if num[arc.To] > nv {
+			if num[arc.To-g.base] > nv {
 				higher = true
 			}
 		}

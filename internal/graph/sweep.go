@@ -201,6 +201,7 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 		return Invalid
 	}
 	sorted := g.frozen
+	base := g.base
 	// Hoist the mask shape checks out of the relaxation loop: most sweeps
 	// run against a nil/empty mask (plain SPF) or a node-only mask
 	// (candidate enumeration), and the edge map is the loop's only
@@ -279,7 +280,7 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 		row := g.adj[u]
 		scanned := len(row)
 		for i, a := range row {
-			v := a.To
+			v := a.To - base
 			nd := du + a.Weight
 			if nd > bound {
 				if sorted {

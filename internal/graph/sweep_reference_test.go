@@ -493,12 +493,13 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, src NodeID, mask *Mas
 }
 
 // denseDomainFixture is the regime the hierarchy's domain sessions run in: a
-// 100-node α = 0.9 domain and a multicast tree of node 0's shortest paths to
-// a dozen members.
-func denseDomainFixture() (g *Graph, spt *SPTree, onTree []bool) {
+// 100-node α = 0.9 domain, viewed inside a larger graph as a domain session
+// sees it, and a multicast tree of node 0's shortest paths to a dozen
+// members.
+func denseDomainFixture(tb testing.TB) (g *Graph, spt *SPTree, onTree []bool) {
 	rng := rand.New(rand.NewSource(307))
 	g, _ = waxmanDomain(rng, 100, 0.9, 0.6)
-	g.Freeze()
+	g = embed(tb, g.Freeze(), 0, rand.New(rand.NewSource(308)))
 	spt = g.dijkstra(0, nil)
 	onTree = make([]bool, g.NumNodes())
 	onTree[0] = true
@@ -518,7 +519,7 @@ func denseDomainFixture() (g *Graph, spt *SPTree, onTree []bool) {
 // sweep scans on the delay budget's radius alone, which is all a domain
 // session without an SPF cache had.
 func TestDenseDomainArcWork(t *testing.T) {
-	g, spt, onTree := denseDomainFixture()
+	g, spt, onTree := denseDomainFixture(t)
 	a, b := g.NewSweep(), g.NewSweep()
 	defer a.Release()
 	defer b.Release()
@@ -573,7 +574,7 @@ func TestDenseDomainArcWork(t *testing.T) {
 // of a dense domain: each on-tree node in turn loses its uplink and looks for
 // the nearest node of the tree that is not below it.
 func BenchmarkScanNearestDenseDomain(b *testing.B) {
-	g, spt, onTree := denseDomainFixture()
+	g, spt, onTree := denseDomainFixture(b)
 	var cut []NodeID
 	for v := NodeID(1); int(v) < g.NumNodes(); v++ {
 		if onTree[v] {

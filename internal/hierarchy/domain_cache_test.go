@@ -44,7 +44,7 @@ func outcomes(st core.Stats) core.Stats {
 // carries changes what its operations cost and nothing of what they answer:
 // joins, link cuts, recoveries, degraded joins and repairs driven through the
 // hierarchy are replayed on a bare core.Session over an uncached induced
-// subgraph of the same domain, and join results, heal and repair reports,
+// copy of the same domain, and join results, heal and repair reports,
 // trees, parked sets and outcome counters must be the same at every step —
 // with strictly fewer nodes settled by the cached side's candidate sweeps.
 func TestDomainJoinMatchesUncachedFlat(t *testing.T) {
@@ -64,11 +64,7 @@ func TestDomainJoinMatchesUncachedFlat(t *testing.T) {
 		for i := range nodes {
 			nodes[i], _ = nm.ToFull(graph.NodeID(i))
 		}
-		sub, _, err := topo.Graph.Subgraph(nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		twin, err := core.NewSession(sub.Freeze(), cached.Tree().Source(), core.DefaultConfig())
+		twin, err := core.NewSession(inducedCopy(t, topo.Graph, nodes), cached.Tree().Source(), core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"smrp/internal/core"
+	"smrp/internal/failure"
 	"smrp/internal/graph"
 	"smrp/internal/topology"
 )
@@ -31,78 +32,53 @@ var (
 	// attributed to a domain: an end in no domain, a link between unrelated
 	// domains, or an unknown failure kind.
 	ErrFailureOutsideDomains = errors.New("hierarchy: failure outside all recovery domains")
+	// ErrDomainNotContiguous is returned when a domain's nodes are not one
+	// ascending run of consecutive IDs, the shape a domain view needs.
+	ErrDomainNotContiguous = errors.New("hierarchy: domain nodes are not one contiguous ascending ID range")
 )
 
-// domainSession is one recovery domain's sub-multicast tree, built over the
-// induced subgraph of the domain's nodes plus its children's gateways.
+// domainSession is one recovery domain's sub-multicast tree, built over a
+// view of the topology's frozen graph: the domain's nodes plus its
+// children's gateways.
 type domainSession struct {
 	session *core.Session
 	nm      *graph.NodeMap
 }
 
-// newDomainSession builds a sub-session over the induced subgraph of nodes,
-// rooted at root (a full-graph ID).
-func newDomainSession(g *graph.Graph, nodes []graph.NodeID, root graph.NodeID, cfg core.Config) (*domainSession, error) {
-	sub, nm, err := g.Subgraph(nodes)
+// newDomainSession builds domain d's sub-session over a view of the frozen
+// graph g, rooted at root (a full-graph ID).
+func newDomainSession(g *graph.Graph, t *topology.NLevelTopology, d *topology.NLevelDomain, root graph.NodeID, cfg core.Config) (*domainSession, error) {
+	base := d.Nodes[0]
+	for i, n := range d.Nodes {
+		if n != base+graph.NodeID(i) {
+			return nil, fmt.Errorf("node %d at position %d: %w", n, i, ErrDomainNotContiguous)
+		}
+	}
+	gateways := make([]graph.NodeID, len(d.Children))
+	for j, c := range d.Children {
+		gateways[j] = t.Domains[c].Gateway
+	}
+	sub, nm, err := g.View(base, len(d.Nodes), gateways)
 	if err != nil {
 		return nil, err
 	}
-	// Sub-sessions route over the induced subgraph but never mutate it
-	// (failures are mask-based), so freeze it: at megascale the per-domain
-	// copies are the hierarchy's dominant memory term, and packed rows carry
-	// no append slack.
-	sub.Freeze()
 	// The domain's own SPF cache: joins read the unicast delay and the
 	// candidate sweep's lower bound off the session root's cached tree
 	// instead of running a Dijkstra each, and degraded joins get the delta
 	// repair. It holds nothing until the domain sees its first join.
 	sub.EnableSPFCache()
-	subRoot, ok := nm.ToSub(root)
-	if !ok {
-		return nil, fmt.Errorf("root %d not in domain", root)
-	}
-	sess, err := core.NewSession(sub, subRoot, cfg)
-	if err != nil {
+	ds := &domainSession{nm: nm}
+	if ds.session, err = core.NewSession(sub, ds.local(root), cfg); err != nil {
 		return nil, err
 	}
-	return &domainSession{session: sess, nm: nm}, nil
+	return ds, nil
 }
 
-// join admits a full-graph node into the domain's sub-session.
-func (d *domainSession) join(n graph.NodeID) error {
-	sub, ok := d.nm.ToSub(n)
-	if !ok {
-		return fmt.Errorf("join %d: %w", n, ErrUnknownNode)
-	}
-	_, err := d.session.Join(sub)
-	return err
-}
-
-// leave removes a full-graph node from the domain's sub-session.
-func (d *domainSession) leave(n graph.NodeID) error {
-	sub, ok := d.nm.ToSub(n)
-	if !ok {
-		return fmt.Errorf("leave %d: %w", n, ErrUnknownNode)
-	}
-	return d.session.Leave(sub)
-}
-
-// isMember reports membership of a full-graph node.
-func (d *domainSession) isMember(n graph.NodeID) bool {
-	sub, ok := d.nm.ToSub(n)
-	return ok && d.session.Tree().IsMember(sub)
-}
-
-// isParked reports whether a full-graph node is parked in the sub-session.
-func (d *domainSession) isParked(n graph.NodeID) bool {
-	sub, ok := d.nm.ToSub(n)
-	return ok && d.session.IsParked(sub)
-}
-
-// root returns the sub-session's root in full-graph IDs.
-func (d *domainSession) root() graph.NodeID {
-	full, _ := d.nm.ToFull(d.session.Tree().Source())
-	return full
+// local returns full-graph node n's ID in the domain's session, Invalid when
+// the session does not hold n.
+func (d *domainSession) local(n graph.NodeID) graph.NodeID {
+	l, _ := d.nm.ToSub(n)
+	return l
 }
 
 // NLevelSession is a hierarchical SMRP session over an N-level domain tree
@@ -138,20 +114,20 @@ func NewNLevel(t *topology.NLevelTopology, src graph.NodeID, cfg core.Config) (*
 		s.onChain[d] = true
 	}
 
-	// Build every domain's sub-session. The session graph covers the
-	// domain's nodes plus its children's gateways. The root of the session:
+	// Build every domain's sub-session. The session graph is a view of the
+	// frozen topology covering the domain's nodes plus its children's
+	// gateways. Clone shares a frozen graph's rows and copies one still being
+	// built, which is then frozen: the views alias the one frozen graph.
+	// The root of the session:
 	//   - the true source, in the source's own domain;
 	//   - the gateway of the chain child, in ancestors of the source domain
 	//     (the relaying agent, Figure 6's A₁ generalized);
 	//   - the domain's own gateway everywhere else (data arrives from the
 	//     parent through it).
+	g := t.Graph.Clone().Freeze()
 	s.sessions = make([]*domainSession, len(t.Domains))
 	for i := range t.Domains {
 		d := &t.Domains[i]
-		nodes := append([]graph.NodeID(nil), d.Nodes...)
-		for _, c := range d.Children {
-			nodes = append(nodes, t.Domains[c].Gateway)
-		}
 		root := d.Gateway
 		switch {
 		case i == srcDom:
@@ -159,7 +135,7 @@ func NewNLevel(t *topology.NLevelTopology, src graph.NodeID, cfg core.Config) (*
 		case s.onChain[i]:
 			root = t.Domains[s.chainChild(i)].Gateway
 		}
-		ds, err := newDomainSession(t.Graph, nodes, root, cfg)
+		ds, err := newDomainSession(g, t, d, root, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("hierarchy: domain %d: %w", i, err)
 		}
@@ -175,8 +151,8 @@ func NewNLevel(t *topology.NLevelTopology, src graph.NodeID, cfg core.Config) (*
 			continue
 		}
 		ds := s.sessions[i]
-		if !ds.isMember(d.Gateway) {
-			if err := ds.join(d.Gateway); err != nil {
+		if gw := ds.local(d.Gateway); !ds.session.Tree().IsMember(gw) {
+			if _, err := ds.session.Join(gw); err != nil {
 				return nil, fmt.Errorf("hierarchy: relay agent of domain %d: %w", i, err)
 			}
 		}
@@ -208,10 +184,10 @@ func (s *NLevelSession) Join(n graph.NodeID) error {
 	if di < 0 {
 		return fmt.Errorf("hierarchy: join %d: %w", n, ErrUnknownNode)
 	}
-	ds := s.sessions[di]
+	ds, l := s.sessions[di], s.sessions[di].local(n)
 	var degraded error
-	if !ds.isMember(n) { // a source-chain gateway is already a relay member
-		err := ds.join(n)
+	if !ds.session.Tree().IsMember(l) { // a source-chain gateway is already a relay member
+		_, err := ds.session.Join(l)
 		if err != nil && !errors.Is(err, core.ErrPartitioned) {
 			return fmt.Errorf("hierarchy: join %d in domain %d: %w", n, di, err)
 		}
@@ -224,17 +200,18 @@ func (s *NLevelSession) Join(n graph.NodeID) error {
 	for d := di; !s.onChain[d]; d = s.topo.Domains[d].Parent {
 		gw := s.topo.Domains[d].Gateway
 		ps := s.sessions[s.topo.Domains[d].Parent]
-		if ps.isMember(gw) || ps.isParked(gw) || gw == ps.root() {
+		pgw, pt := ps.local(gw), ps.session.Tree()
+		if pt.IsMember(pgw) || ps.session.IsParked(pgw) || pgw == pt.Source() {
 			break // already delivered (or waiting for a repair) here
 		}
-		err := ps.join(gw)
+		_, err := ps.session.Join(pgw)
 		if err != nil && !errors.Is(err, core.ErrPartitioned) {
 			// The agent itself is down and the parent never carried it: no
 			// repair would bring the stream here, so refuse the receiver.
 			// (Only off-chain domains get here, and there n was joined or
 			// parked just above.)
 			delete(s.members, n)
-			_ = ds.leave(n)
+			_ = ds.session.Leave(l)
 			return fmt.Errorf("hierarchy: join %d: agent %d join domain %d: %w", n, gw, s.topo.Domains[d].Parent, err)
 		}
 		if degraded == nil {
@@ -257,7 +234,7 @@ func (s *NLevelSession) Leave(n graph.NodeID) error {
 	// A source-chain gateway stays connected as the relay agent even when it
 	// stops being a receiver itself.
 	if !(s.onChain[di] && n == s.topo.Domains[di].Gateway) {
-		if err := s.sessions[di].leave(n); err != nil {
+		if err := s.sessions[di].session.Leave(s.sessions[di].local(n)); err != nil {
 			return err
 		}
 	}
@@ -281,6 +258,30 @@ func (s *NLevelSession) DomainSession(i int) (*core.Session, *graph.NodeMap, err
 		return nil, nil, fmt.Errorf("hierarchy: no domain %d", i)
 	}
 	return s.sessions[i].session, s.sessions[i].nm, nil
+}
+
+// WorstCaseFor returns the paper's worst-case failure for receiver m confined
+// to m's own recovery domain, in full-graph IDs: failure.WorstCaseFor on the
+// domain's sub-tree, the link from the domain session's root to the top of
+// m's branch there. It fails with core.ErrPartitioned while m is parked in
+// its domain, and as failure.WorstCaseFor does when m is that session's root.
+func (s *NLevelSession) WorstCaseFor(m graph.NodeID) (failure.Failure, error) {
+	di := s.topo.DomainOf(m)
+	if di < 0 {
+		return failure.Failure{}, fmt.Errorf("hierarchy: worst case for %d: %w", m, ErrUnknownNode)
+	}
+	ds := s.sessions[di]
+	sub := ds.local(m)
+	if ds.session.IsParked(sub) {
+		return failure.Failure{}, fmt.Errorf("hierarchy: worst case for %d: %w", m, core.ErrPartitioned)
+	}
+	f, err := failure.WorstCaseFor(ds.session.Tree(), sub)
+	if err != nil {
+		return failure.Failure{}, fmt.Errorf("hierarchy: domain %d: %w", di, err)
+	}
+	a, _ := ds.nm.ToFull(f.Edge.A)
+	b, _ := ds.nm.ToFull(f.Edge.B)
+	return failure.LinkDown(a, b), nil
 }
 
 // EndToEndDelay computes the delivery delay to member m across the domain
@@ -333,10 +334,7 @@ func (s *NLevelSession) EndToEndDelay(m graph.NodeID) (float64, error) {
 // is parked in it.
 func (s *NLevelSession) delayIn(d int, n graph.NodeID) (float64, error) {
 	ds := s.sessions[d]
-	sub, ok := ds.nm.ToSub(n)
-	if !ok {
-		return 0, fmt.Errorf("hierarchy: node %d not in domain %d", n, d)
-	}
+	sub := ds.local(n)
 	if ds.session.IsParked(sub) || ds.down() {
 		return 0, fmt.Errorf("hierarchy: node %d in domain %d: %w", n, d, core.ErrPartitioned)
 	}
@@ -357,11 +355,10 @@ func (s *NLevelSession) SettledWork() (enum, heal int) {
 }
 
 // SubgraphBytes reports the deterministic memory footprint of the per-domain
-// induced subgraphs the sub-sessions route over — the memory the hierarchy
-// pays on top of the shared full topology in exchange for domain-confined
-// recovery. The sum is O(N·avg-degree) total because every node belongs to
-// exactly one domain (gateways additionally appear in their parent's
-// session).
+// views the sub-sessions route over — the memory the hierarchy pays on top
+// of the shared full topology in exchange for domain-confined recovery: a row
+// header per node and gateway, and the arcs of the rows that cross a domain
+// boundary. Every other row is the topology's own, aliased.
 func (s *NLevelSession) SubgraphBytes() int64 {
 	var total int64
 	for _, ds := range s.sessions {

@@ -5,7 +5,7 @@
 //
 //   - cpu: where the cycles go (Dijkstra sweeps vs heap ops vs GC);
 //   - mem: what retains heap at exit (megascale graphs, per-domain
-//     subgraphs, SPF caches) — the check on the deterministic byte
+//     views, SPF caches) — the check on the deterministic byte
 //     accounting the megascale study reports;
 //   - mutex: who waits on contended locks — the proof surface for the
 //     lock-free SPF cache read path, which must not appear here at all;
