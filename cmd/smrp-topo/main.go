@@ -61,8 +61,8 @@ func run(args []string) error {
 		}
 		fmt.Printf("transit–stub: %v\n", topology.Describe(tsg.Graph))
 		fmt.Printf("  transit domain: %d nodes, gateway %d\n",
-			len(tsg.Transit.Nodes), tsg.Transit.Gateway)
-		for _, s := range tsg.Stubs {
+			len(tsg.Domains[0].Nodes), tsg.Domains[0].Gateway)
+		for _, s := range tsg.Domains[1:] {
 			fmt.Printf("  stub %d: %d nodes, gateway %d attached to transit %d\n",
 				s.ID, len(s.Nodes), s.Gateway, s.Attach)
 		}

@@ -35,4 +35,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-bogus-flag"}); err == nil {
 		t.Error("bad flag should error")
 	}
+	// NaN fails every comparison, so a range check written as
+	// alpha <= 0 || alpha > 1 would wire a spanning tree instead of refusing.
+	for _, bad := range [][]string{{"-alpha", "NaN"}, {"-beta", "NaN"}} {
+		if err := run(append([]string{"-n", "50"}, bad...)); err == nil {
+			t.Errorf("%v should error", bad)
+		}
+	}
 }

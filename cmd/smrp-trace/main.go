@@ -17,6 +17,7 @@ import (
 
 	"smrp/internal/core"
 	"smrp/internal/eventsim"
+	"smrp/internal/experiment"
 	"smrp/internal/failure"
 	"smrp/internal/graph"
 	"smrp/internal/multicast"
@@ -46,28 +47,13 @@ func run(args []string) error {
 		return err
 	}
 
-	rng := topology.NewRNG(*seed)
-	g, err := topology.Waxman(topology.WaxmanConfig{
-		N: *n, Alpha: *alpha, Beta: topology.DefaultBeta, EnsureConnected: true,
-	}, rng)
+	g, source, members, err := experiment.FlatTrial(experiment.Base{
+		N: *n, NG: *nMembers, Alpha: *alpha, Beta: topology.DefaultBeta,
+	}, topology.NewRNG(*seed))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("topology: %v\n", topology.Describe(g))
-
-	// Root at a well-connected node.
-	source := graph.NodeID(0)
-	for i := 1; i < g.NumNodes(); i++ {
-		if g.Degree(graph.NodeID(i)) > g.Degree(source) {
-			source = graph.NodeID(i)
-		}
-	}
-	var members []graph.NodeID
-	for _, id := range rng.Sample(*n, *nMembers+1) {
-		if graph.NodeID(id) != source && len(members) < *nMembers {
-			members = append(members, graph.NodeID(id))
-		}
-	}
 	fmt.Printf("source: %d, members: %v\n\n", source, members)
 
 	cfg := protocol.DefaultConfig()

@@ -82,13 +82,13 @@ func TestPublicSentinels(t *testing.T) {
 }
 
 // TestHierarchySentinels: the one hierarchical session type answers with the
-// same typed sentinels whichever constructor built it.
+// same typed sentinels whichever generator built its topology.
 func TestHierarchySentinels(t *testing.T) {
 	ts, err := smrp.GenerateTransitStub(smrp.DefaultTransitStubConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := smrp.NewHierarchicalSession(ts, ts.Stubs[0].Nodes[0], smrp.DefaultConfig())
+	two, err := smrp.NewNLevelSession(ts, ts.Domains[1].Nodes[0], smrp.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestHierarchySentinels(t *testing.T) {
 		receiver smrp.NodeID
 		outside  smrp.NodeID
 	}{
-		{"NewHierarchicalSession", two, ts.Stubs[1].Nodes[0], smrp.NodeID(ts.Graph.NumNodes())},
-		{"NewNLevelSession", three, nt.Domains[nt.Leaves()[1]].Nodes[0], smrp.NodeID(nt.Graph.NumNodes())},
+		{"GenerateTransitStub", two, ts.Domains[2].Nodes[0], smrp.NodeID(ts.Graph.NumNodes())},
+		{"GenerateNLevel", three, nt.Domains[nt.Leaves()[1]].Nodes[0], smrp.NodeID(nt.Graph.NumNodes())},
 	} {
 		if err := tc.s.Join(tc.outside); !errors.Is(err, smrp.ErrNoDomain) {
 			t.Errorf("%s: Join(node in no domain) = %v, want ErrNoDomain", tc.name, err)

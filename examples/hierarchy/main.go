@@ -27,28 +27,29 @@ func run() error {
 		return err
 	}
 	fmt.Printf("transit–stub network: %s\n", smrp.DescribeTopology(ts.Graph))
+	transit, stubs := ts.Domains[0], ts.Domains[1:]
 	fmt.Printf("  %d-node transit core, %d stub domains of %d nodes each\n",
-		len(ts.Transit.Nodes), len(ts.Stubs), len(ts.Stubs[0].Nodes))
+		len(transit.Nodes), len(stubs), len(stubs[0].Nodes))
 
 	// Source inside the first stub domain.
 	var src smrp.NodeID = smrp.Invalid
-	for _, n := range ts.Stubs[0].Nodes {
-		if n != ts.Stubs[0].Gateway {
+	for _, n := range stubs[0].Nodes {
+		if n != stubs[0].Gateway {
 			src = n
 			break
 		}
 	}
-	sess, err := smrp.NewHierarchicalSession(ts, src, smrp.DefaultConfig())
+	sess, err := smrp.NewNLevelSession(ts, src, smrp.DefaultConfig())
 	if err != nil {
 		return err
 	}
 
 	// Two receivers per stub domain.
 	joined := 0
-	for i := range ts.Stubs {
+	for _, stub := range stubs {
 		count := 0
-		for _, n := range ts.Stubs[i].Nodes {
-			if n == ts.Stubs[i].Gateway || n == src {
+		for _, n := range stub.Nodes {
+			if n == stub.Gateway || n == src {
 				continue
 			}
 			if err := sess.Join(n); err != nil {
@@ -61,7 +62,7 @@ func run() error {
 		}
 	}
 	fmt.Printf("source %d (stub %d), %d receivers across %d domains\n\n",
-		src, ts.Stubs[0].ID, joined, len(ts.Stubs))
+		src, stubs[0].ID, joined, len(stubs))
 
 	for _, m := range sess.Members() {
 		d, err := sess.EndToEndDelay(m)
@@ -69,15 +70,15 @@ func run() error {
 			return err
 		}
 		fmt.Printf("  receiver %-4d domain %-2d end-to-end delay %.3f\n",
-			m, ts.DomainOf(m).ID, d)
+			m, ts.DomainOf(m), d)
 	}
 
 	// Fail the worst-case link for a receiver in a non-source stub.
 	var victim smrp.NodeID = smrp.Invalid
 	var victimDomain int
 	for _, m := range sess.Members() {
-		if d := ts.DomainOf(m); d.ID != ts.Stubs[0].ID {
-			victim, victimDomain = m, d.ID
+		if d := ts.DomainOf(m); d != stubs[0].ID {
+			victim, victimDomain = m, d
 			break
 		}
 	}
@@ -104,7 +105,7 @@ func run() error {
 	// Crash the victim domain's agent (its gateway router): the domain is
 	// suspended and its receivers degrade as a group, the core heals around
 	// the lost agent, and repairing the router brings everyone back.
-	crash := smrp.NodeDown(ts.Stubs[victimDomain-1].Gateway)
+	crash := smrp.NodeDown(ts.Domains[victimDomain].Gateway)
 	reports, err := sess.RecoverSet([]smrp.Failure{crash})
 	if err != nil {
 		return err

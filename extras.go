@@ -68,14 +68,6 @@ type (
 	NLevelConfig = topology.NLevelConfig
 )
 
-// NewHierarchicalSession builds a hierarchical SMRP session over the
-// transit–stub topology ts — the two-level case of NewNLevelSession: domain 0
-// is the transit core, domain i is ts.Stubs[i-1] — with the true multicast
-// source at src.
-func NewHierarchicalSession(ts *TransitStub, src NodeID, cfg Config) (*NLevelSession, error) {
-	return hierarchy.NewNLevel(ts.NLevel(), src, cfg)
-}
-
 // GenerateNLevel builds an N-level hierarchical network.
 func GenerateNLevel(cfg NLevelConfig, seed uint64) (*NLevelTopology, error) {
 	return topology.GenerateNLevel(cfg, topology.NewRNG(seed))

@@ -11,7 +11,6 @@ import (
 	"smrp/internal/graph"
 	"smrp/internal/protocol"
 	"smrp/internal/runner"
-	"smrp/internal/topology"
 )
 
 // ChaosResult aggregates the multi-failure chaos harness: seeded random
@@ -146,25 +145,11 @@ func RunChaos(ctx context.Context, rc RunConfig, trials int) (*ChaosResult, erro
 
 	results, err := runner.Map(ctx, rc.pool(), trials, func(_ context.Context, t runner.Trial) (chaosTrial, error) {
 		rng := t.RNG
-		g, err := topology.Waxman(topology.WaxmanConfig{
-			N: base.N, Alpha: base.Alpha, Beta: base.Beta, EnsureConnected: true,
-		}, rng)
+		g, source, members, err := FlatTrial(base, rng)
 		if err != nil {
 			return chaosTrial{}, err
 		}
 		g.EnableSPFCache()
-		source := graph.NodeID(0)
-		for n := 1; n < g.NumNodes(); n++ {
-			if g.Degree(graph.NodeID(n)) > g.Degree(source) {
-				source = graph.NodeID(n)
-			}
-		}
-		var members []graph.NodeID
-		for _, id := range rng.Sample(base.N, base.NG+1) {
-			if graph.NodeID(id) != source && len(members) < base.NG {
-				members = append(members, graph.NodeID(id))
-			}
-		}
 
 		ccfg := failure.DefaultChaosConfig()
 		sched, err := failure.RandomSchedule(g, source, members, ccfg, rng)

@@ -74,10 +74,11 @@ func RunHierarchy(ctx context.Context, rc RunConfig, runs int) (*HierResult, err
 		// Stub sessions and worst-case probes re-query shortest paths on the
 		// shared full topology; memoize them for this run.
 		ts.Graph.EnableSPFCache()
-		// Source: first non-gateway node of stub 0.
+		// Source: first non-gateway node of the first stub, domain 1.
+		stubs := ts.Domains[1:]
 		var src graph.NodeID = graph.Invalid
-		for _, n := range ts.Stubs[0].Nodes {
-			if n != ts.Stubs[0].Gateway {
+		for _, n := range stubs[0].Nodes {
+			if n != stubs[0].Gateway {
 				src = n
 				break
 			}
@@ -87,10 +88,10 @@ func RunHierarchy(ctx context.Context, rc RunConfig, runs int) (*HierResult, err
 		}
 		// Members: two non-gateway nodes from every stub.
 		var members []graph.NodeID
-		for i := range ts.Stubs {
+		for _, stub := range stubs {
 			count := 0
-			for _, n := range ts.Stubs[i].Nodes {
-				if n != ts.Stubs[i].Gateway && n != src {
+			for _, n := range stub.Nodes {
+				if n != stub.Gateway && n != src {
 					members = append(members, n)
 					if count++; count == 2 {
 						break
@@ -99,7 +100,7 @@ func RunHierarchy(ctx context.Context, rc RunConfig, runs int) (*HierResult, err
 			}
 		}
 
-		hier, err := hierarchy.NewNLevel(ts.NLevel(), src, cfg)
+		hier, err := hierarchy.NewNLevel(ts, src, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +136,7 @@ func RunHierarchy(ctx context.Context, rc RunConfig, runs int) (*HierResult, err
 		// own stub domain.
 		victim := graph.Invalid
 		for _, m := range members {
-			if ts.DomainOf(m).ID != ts.DomainOf(src).ID {
+			if ts.DomainOf(m) != ts.DomainOf(src) {
 				victim = m
 				break
 			}

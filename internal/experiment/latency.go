@@ -7,7 +7,6 @@ import (
 
 	"smrp/internal/eventsim"
 	"smrp/internal/failure"
-	"smrp/internal/graph"
 	"smrp/internal/metrics"
 	"smrp/internal/protocol"
 	"smrp/internal/runner"
@@ -63,29 +62,13 @@ func RunLatency(ctx context.Context, rc RunConfig, runs int) (*LatencyResult, er
 	runResults, err := runner.Map(ctx, rc.pool(), runs, func(_ context.Context, t runner.Trial) (latencyRun, error) {
 		r := t.Index
 		rng := topology.NewRNG(rc.Seed + uint64(r)*7919)
-		g, err := topology.Waxman(topology.WaxmanConfig{
-			N: base.N, Alpha: base.Alpha, Beta: base.Beta, EnsureConnected: true,
-		}, rng)
+		g, source, members, err := FlatTrial(base, rng)
 		if err != nil {
 			return latencyRun{}, err
 		}
 		// Reconvergence modeling re-runs Dijkstra from every LSA detector;
 		// memoize them for this run's private topology.
 		g.EnableSPFCache()
-		// Root at a well-connected node so single failures cannot partition
-		// the source itself.
-		source := graph.NodeID(0)
-		for n := 1; n < g.NumNodes(); n++ {
-			if g.Degree(graph.NodeID(n)) > g.Degree(source) {
-				source = graph.NodeID(n)
-			}
-		}
-		var members []graph.NodeID
-		for _, id := range rng.Sample(base.N, base.NG+1) {
-			if graph.NodeID(id) != source && len(members) < base.NG {
-				members = append(members, graph.NodeID(id))
-			}
-		}
 		smrp, err := protocol.NewSMRPInstance(g, source, pcfg)
 		if err != nil {
 			return latencyRun{}, err

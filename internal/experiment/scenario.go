@@ -110,6 +110,32 @@ func GenScenarios(b Base, nTopo, nSets int, seed uint64) ([]Scenario, error) {
 	return out, nil
 }
 
+// FlatTrial draws one trial of the flat-Waxman studies from rng: a connected
+// b.N-node topology, the source at its highest-degree node (the lowest ID on
+// a tie), so that a single failure cannot cut the source off, and b.NG
+// members other than the source, sampled from the same stream.
+func FlatTrial(b Base, rng *topology.RNG) (*graph.Graph, graph.NodeID, []graph.NodeID, error) {
+	g, err := topology.Waxman(topology.WaxmanConfig{
+		N: b.N, Alpha: b.Alpha, Beta: b.Beta, EnsureConnected: true,
+	}, rng)
+	if err != nil {
+		return nil, graph.Invalid, nil, err
+	}
+	source := graph.NodeID(0)
+	for n := 1; n < g.NumNodes(); n++ {
+		if g.Degree(graph.NodeID(n)) > g.Degree(source) {
+			source = graph.NodeID(n)
+		}
+	}
+	var members []graph.NodeID
+	for _, id := range rng.Sample(b.N, b.NG+1) {
+		if graph.NodeID(id) != source && len(members) < b.NG {
+			members = append(members, graph.NodeID(id))
+		}
+	}
+	return g, source, members, nil
+}
+
 // MemberObs is the paired per-member measurement of one scenario.
 type MemberObs struct {
 	Member graph.NodeID

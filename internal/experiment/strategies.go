@@ -13,7 +13,6 @@ import (
 	"smrp/internal/metrics"
 	"smrp/internal/mrc"
 	"smrp/internal/runner"
-	"smrp/internal/topology"
 )
 
 // StrategyArm is one recovery strategy's aggregate outcome across every
@@ -146,25 +145,11 @@ func RunStrategies(ctx context.Context, rc RunConfig, trials int) (*StrategiesRe
 
 	results, err := runner.Map(ctx, rc.pool(), trials, func(_ context.Context, t runner.Trial) (stratTrial, error) {
 		rng := t.RNG
-		g, err := topology.Waxman(topology.WaxmanConfig{
-			N: base.N, Alpha: base.Alpha, Beta: base.Beta, EnsureConnected: true,
-		}, rng)
+		g, source, members, err := FlatTrial(base, rng)
 		if err != nil {
 			return stratTrial{}, err
 		}
 		g.EnableSPFCache()
-		source := graph.NodeID(0)
-		for n := 1; n < g.NumNodes(); n++ {
-			if g.Degree(graph.NodeID(n)) > g.Degree(source) {
-				source = graph.NodeID(n)
-			}
-		}
-		var members []graph.NodeID
-		for _, id := range rng.Sample(base.N, base.NG+1) {
-			if graph.NodeID(id) != source && len(members) < base.NG {
-				members = append(members, graph.NodeID(id))
-			}
-		}
 
 		ccfg := failure.DefaultChaosConfig()
 		sched, err := failure.RandomSchedule(g, source, members, ccfg, rng)

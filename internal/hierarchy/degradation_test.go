@@ -28,7 +28,7 @@ func TestDomainDownRepairRevive(t *testing.T) {
 	srcDom := ts.DomainOf(src)
 	var victim graph.NodeID = graph.Invalid
 	for _, m := range members {
-		if d := ts.DomainOf(m); d.ID != srcDom.ID && m != d.Gateway {
+		if d := ts.DomainOf(m); d != srcDom && m != ts.Domains[d].Gateway {
 			victim = m
 			break
 		}
@@ -36,7 +36,7 @@ func TestDomainDownRepairRevive(t *testing.T) {
 	if victim == graph.Invalid {
 		t.Fatal("no member outside the source domain")
 	}
-	dom := ts.DomainOf(victim)
+	dom := &ts.Domains[ts.DomainOf(victim)]
 	agent := dom.Gateway
 
 	reports, err := s.RecoverSet([]failure.Failure{failure.NodeDown(agent)})
@@ -55,7 +55,7 @@ func TestDomainDownRepairRevive(t *testing.T) {
 	// Every member of the down domain is degraded as a group.
 	parked := s.Parked()
 	for _, m := range members {
-		if ts.DomainOf(m).ID == dom.ID {
+		if ts.DomainOf(m) == dom.ID {
 			if !slices.Contains(parked, m) {
 				t.Errorf("member %d of down domain %d not parked (parked = %v)", m, dom.ID, parked)
 			}
@@ -114,7 +114,7 @@ func TestHierarchyErrorIdentity(t *testing.T) {
 		receiver graph.NodeID
 		nodes    int
 	}{
-		{"transit-stub", two, ts.Stubs[1].Nodes[0], ts.Graph.NumNodes()},
+		{"transit-stub", two, ts.Domains[2].Nodes[0], ts.Graph.NumNodes()},
 		{"3-level", three, nt.Domains[nt.Leaves()[1]].Nodes[0], nt.Graph.NumNodes()},
 	} {
 		s, outside := tc.s, graph.NodeID(tc.nodes+5)
@@ -152,7 +152,7 @@ func TestHierarchyErrorIdentity(t *testing.T) {
 // tree carried a member the hierarchy refused to Leave.)
 func TestPartitionedJoinIsRecorded(t *testing.T) {
 	ts, _, s := newTS(t, 4)
-	stub := ts.Stubs[1]
+	stub := ts.Domains[2]
 	n := stub.Nodes[0]
 	if n == stub.Gateway {
 		n = stub.Nodes[1]
@@ -191,7 +191,7 @@ func TestPartitionedJoinIsRecorded(t *testing.T) {
 // re-admit it.
 func TestLeaveWhileDomainDown(t *testing.T) {
 	ts, _, s := newTS(t, 3)
-	stub := ts.Stubs[2]
+	stub := ts.Domains[3]
 	var stay, goes graph.NodeID = graph.Invalid, graph.Invalid
 	for _, n := range stub.Nodes {
 		if n == stub.Gateway {
@@ -302,7 +302,7 @@ func TestLeafGatewayCrashThreeLevel(t *testing.T) {
 // a joiner is refused outright and leaves no state behind.
 func TestJoinRefusedBehindCrashedAgent(t *testing.T) {
 	ts, _, s := newTS(t, 4)
-	stub := ts.Stubs[3]
+	stub := ts.Domains[4]
 	n := stub.Nodes[0]
 	if n == stub.Gateway {
 		n = stub.Nodes[1]
@@ -338,7 +338,7 @@ func TestRecoverSetRefusesUnknownEdge(t *testing.T) {
 			break
 		}
 	}
-	root := nt.Domains[nt.Root].Nodes
+	root := nt.Domains[0].Nodes
 	absent := failure.Failure{}
 	for _, v := range root[1:] {
 		if !g.HasEdge(root[0], v) {

@@ -6,9 +6,10 @@
 // touches. This bounds the scope of tree reconfiguration and makes SMRP
 // scale to large networks.
 //
-// A transit–stub topology is the two-level case (topology.TransitStub.NLevel):
-// every stub is a level-1 domain whose agent is its gateway router, and the
-// transit core plus those agents is the level-0 domain. The gateway of the
+// A transit–stub topology is the two-level case, and GenerateTransitStub
+// builds it as one: every stub is a level-1 domain whose agent is its
+// gateway router, and the transit core plus those agents is the level-0
+// domain. The gateway of the
 // domain holding the true source relays the stream up into its parent's
 // session (A₁ in Figure 6), and so on up the source's chain of domains.
 package hierarchy

@@ -13,28 +13,27 @@ import (
 
 // buildTS generates the default 4-transit/4-stub topology and returns it
 // with a source placed inside the first stub domain.
-func buildTS(t *testing.T, seed uint64) (*topology.TransitStub, graph.NodeID) {
+func buildTS(t *testing.T, seed uint64) (*topology.NLevelTopology, graph.NodeID) {
 	t.Helper()
 	ts, err := topology.GenerateTransitStub(topology.DefaultTransitStubConfig(), topology.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Source: a non-gateway node of stub 1.
-	for _, n := range ts.Stubs[0].Nodes {
-		if n != ts.Stubs[0].Gateway {
+	// Source: a non-gateway node of the first stub, domain 1.
+	for _, n := range ts.Domains[1].Nodes {
+		if n != ts.Domains[1].Gateway {
 			return ts, n
 		}
 	}
-	t.Fatal("no non-gateway node in stub 0")
+	t.Fatal("no non-gateway node in domain 1")
 	return nil, 0
 }
 
-// newTS builds the hierarchical session over buildTS's topology, seen as the
-// two-level domain tree it is.
-func newTS(t *testing.T, seed uint64) (*topology.TransitStub, graph.NodeID, *NLevelSession) {
+// newTS builds the hierarchical session over buildTS's two-level topology.
+func newTS(t *testing.T, seed uint64) (*topology.NLevelTopology, graph.NodeID, *NLevelSession) {
 	t.Helper()
 	ts, src := buildTS(t, seed)
-	s, err := NewNLevel(ts.NLevel(), src, core.DefaultConfig())
+	s, err := NewNLevel(ts, src, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +42,17 @@ func newTS(t *testing.T, seed uint64) (*topology.TransitStub, graph.NodeID, *NLe
 
 // pickMembers returns up to k non-gateway, non-source receivers spread over
 // all stub domains.
-func pickMembers(ts *topology.TransitStub, src graph.NodeID, k int) []graph.NodeID {
+func pickMembers(ts *topology.NLevelTopology, src graph.NodeID, k int) []graph.NodeID {
 	var out []graph.NodeID
 	for round := 0; len(out) < k && round < 16; round++ {
-		for i := range ts.Stubs {
+		for _, stub := range ts.Domains[1:] {
 			if len(out) >= k {
 				break
 			}
-			nodes := ts.Stubs[i].Nodes
+			nodes := stub.Nodes
 			if round < len(nodes) {
 				n := nodes[round]
-				if n != src && n != ts.Stubs[i].Gateway {
+				if n != src && n != stub.Gateway {
 					out = append(out, n)
 				}
 			}
@@ -63,18 +62,17 @@ func pickMembers(ts *topology.TransitStub, src graph.NodeID, k int) []graph.Node
 }
 
 func TestNewValidation(t *testing.T) {
-	ts, _ := buildTS(t, 1)
-	nt := ts.NLevel()
-	if _, err := NewNLevel(nt, graph.NodeID(ts.Graph.NumNodes()+1), core.DefaultConfig()); !errors.Is(err, ErrUnknownNode) {
+	nt, _ := buildTS(t, 1)
+	if _, err := NewNLevel(nt, graph.NodeID(nt.Graph.NumNodes()+1), core.DefaultConfig()); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("source in no domain = %v, want ErrUnknownNode", err)
 	}
 	// The source may live in any domain, the transit core included.
-	if _, err := NewNLevel(nt, ts.Transit.Nodes[0], core.DefaultConfig()); err != nil {
+	if _, err := NewNLevel(nt, nt.Domains[0].Nodes[0], core.DefaultConfig()); err != nil {
 		t.Errorf("source in the transit domain: %v", err)
 	}
 	bad := core.DefaultConfig()
 	bad.DThresh = -1
-	if _, err := NewNLevel(nt, ts.Stubs[0].Nodes[0], bad); err == nil {
+	if _, err := NewNLevel(nt, nt.Domains[1].Nodes[0], bad); err == nil {
 		t.Error("bad config should be rejected")
 	}
 }
@@ -96,7 +94,7 @@ func TestJoinAcrossDomains(t *testing.T) {
 	// Every member domain's agent sits on the level-0 tree.
 	topSess, topNM, _ := s.DomainSession(0)
 	for _, m := range members {
-		d := ts.DomainOf(m)
+		d := ts.Domains[ts.DomainOf(m)]
 		agentSub, ok := topNM.ToSub(d.Gateway)
 		if !ok {
 			t.Fatalf("agent of domain %d not in top session", d.ID)
@@ -125,8 +123,8 @@ func TestLeaveEmptiesDomain(t *testing.T) {
 	ts, _, s := newTS(t, 3)
 	// One member in a non-source domain.
 	var m graph.NodeID = graph.Invalid
-	for _, n := range ts.Stubs[1].Nodes {
-		if n != ts.Stubs[1].Gateway {
+	for _, n := range ts.Domains[2].Nodes {
+		if n != ts.Domains[2].Gateway {
 			m = n
 			break
 		}
@@ -138,7 +136,7 @@ func TestLeaveEmptiesDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	topSess, topNM, _ := s.DomainSession(0)
-	agentSub, _ := topNM.ToSub(ts.Stubs[1].Gateway)
+	agentSub, _ := topNM.ToSub(ts.Domains[2].Gateway)
 	if !topSess.Tree().IsMember(agentSub) {
 		t.Fatal("agent should be on top tree while domain has members")
 	}
@@ -174,8 +172,8 @@ func TestDomainConfinedRecovery(t *testing.T) {
 	var victim graph.NodeID = graph.Invalid
 	var victimDomain int
 	for _, m := range members {
-		if d := ts.DomainOf(m); d.ID != ts.DomainOf(src).ID {
-			victim, victimDomain = m, d.ID
+		if d := ts.DomainOf(m); d != ts.DomainOf(src) {
+			victim, victimDomain = m, d
 			break
 		}
 	}
@@ -264,7 +262,7 @@ func TestCoreRecoveryLevel0(t *testing.T) {
 func TestRecoverNodeFailure(t *testing.T) {
 	ts, _, s := newTS(t, 6)
 	// A transit-node failure is attributed to the level-0 domain.
-	rep, err := s.Recover(failure.NodeDown(ts.Transit.Nodes[len(ts.Transit.Nodes)-1]))
+	rep, err := s.Recover(failure.NodeDown(ts.Domains[0].Nodes[len(ts.Domains[0].Nodes)-1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +277,13 @@ func TestRecoverNodeFailure(t *testing.T) {
 func TestJoinErrors(t *testing.T) {
 	ts, _, s := newTS(t, 7)
 	// Receivers may live in any domain, the transit core included.
-	if err := s.Join(ts.Transit.Nodes[0]); err != nil {
+	if err := s.Join(ts.Domains[0].Nodes[0]); err != nil {
 		t.Errorf("join of a transit node: %v", err)
 	}
 	if err := s.Join(graph.NodeID(ts.Graph.NumNodes() + 4)); err == nil {
 		t.Error("unknown node should fail")
 	}
-	if err := s.Leave(ts.Stubs[0].Nodes[0]); err == nil {
+	if err := s.Leave(ts.Domains[1].Nodes[0]); err == nil {
 		t.Error("leave of non-member should fail")
 	}
 }

@@ -50,7 +50,7 @@ func TestGenerateNLevelShape(t *testing.T) {
 	// Parent/child wiring and levels.
 	for _, d := range nt.Domains {
 		if d.Parent == -1 {
-			if d.Level != 0 || d.ID != nt.Root {
+			if d.Level != 0 || d.ID != 0 {
 				t.Errorf("root domain mis-wired: %+v", d)
 			}
 			continue

@@ -133,16 +133,12 @@ func (o hierOracle) check(what string, before []core.Stats, touched map[int]bool
 // TestChaosOracle replays seeded multi-failure schedules — overlapping link
 // cuts, node crashes (gateways included), SRLG batches, partial repairs,
 // receivers joining and leaving while degraded — against the hierarchical
-// session on the two-level view of a transit–stub topology and on a generated
+// session on a transit–stub topology and on a generated
 // 3-level one, checking the invariants after every event. The final event
 // repairs everything, after which every member must be delivered again.
 func TestChaosOracle(t *testing.T) {
 	twoLevel := func(seed uint64) (*topology.NLevelTopology, error) {
-		ts, err := topology.GenerateTransitStub(topology.DefaultTransitStubConfig(), topology.NewRNG(seed))
-		if err != nil {
-			return nil, err
-		}
-		return ts.NLevel(), nil
+		return topology.GenerateTransitStub(topology.DefaultTransitStubConfig(), topology.NewRNG(seed))
 	}
 	threeLevel := func(seed uint64) (*topology.NLevelTopology, error) {
 		return topology.GenerateNLevel(topology.DefaultNLevelConfig(), topology.NewRNG(seed))

@@ -62,7 +62,7 @@ func TestDomainViewMatchesInducedCopy(t *testing.T) {
 		topo *topology.NLevelTopology
 		src  graph.NodeID
 	}{
-		{"transit-stub", ts.NLevel(), tsSrc},
+		{"transit-stub", ts, tsSrc},
 		{"3-level", nt, ntSrc},
 		{"megascale", mega, 1},
 	} {

@@ -82,10 +82,10 @@ func (c GridWaxmanConfig) Validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("grid waxman: %w: N = %d, need at least 2 nodes", ErrBadConfig, c.N)
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
+	if !inRange(c.Alpha, 0, 1) {
 		return fmt.Errorf("grid waxman: %w: Alpha = %v out of (0, 1]", ErrBadConfig, c.Alpha)
 	}
-	if c.Beta <= 0 || c.Beta > 1 {
+	if !inRange(c.Beta, 0, 1) {
 		return fmt.Errorf("grid waxman: %w: Beta = %v out of (0, 1]", ErrBadConfig, c.Beta)
 	}
 	if c.Side < 0 || math.IsInf(c.Side, 0) || math.IsNaN(c.Side) {
@@ -94,7 +94,7 @@ func (c GridWaxmanConfig) Validate() error {
 	if c.L < 0 || math.IsInf(c.L, 0) || math.IsNaN(c.L) {
 		return fmt.Errorf("grid waxman: %w: L = %v", ErrBadConfig, c.L)
 	}
-	if c.PMin <= 0 || c.PMin >= c.Alpha {
+	if !inRange(c.PMin, 0, c.Alpha) || c.PMin == c.Alpha {
 		return fmt.Errorf("grid waxman: %w: PMin = %v must be in (0, Alpha)", ErrBadConfig, c.PMin)
 	}
 	return nil

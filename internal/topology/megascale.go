@@ -55,36 +55,27 @@ func (c MegascaleConfig) withDefaults() MegascaleConfig {
 	return c
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable: the hierarchy's
+// shape is checked as NLevelConfig checks it, and TargetNodes must hold at
+// least one domain per level.
 func (c MegascaleConfig) Validate() error {
 	c = c.withDefaults()
-	if c.NodesPerDomain < 2 {
-		return fmt.Errorf("megascale: %w: NodesPerDomain = %d, need at least 2", ErrBadConfig, c.NodesPerDomain)
-	}
-	if c.Levels < 2 {
-		return fmt.Errorf("megascale: %w: Levels = %d, need at least 2", ErrBadConfig, c.Levels)
+	if err := c.shape(1).check("megascale"); err != nil {
+		return err
 	}
 	if c.TargetNodes < c.NodesPerDomain*c.Levels {
 		return fmt.Errorf("megascale: %w: TargetNodes = %d too small for %d levels of %d-node domains",
 			ErrBadConfig, c.TargetNodes, c.Levels, c.NodesPerDomain)
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 || c.Beta <= 0 || c.Beta > 1 {
-		return fmt.Errorf("megascale: %w: Waxman parameters out of (0, 1]", ErrBadConfig)
-	}
-	if c.Extent <= 0 || c.Shrink <= 0 || c.Shrink >= 1 {
-		return fmt.Errorf("megascale: %w: need Extent > 0 and Shrink in (0, 1)", ErrBadConfig)
-	}
 	return nil
 }
 
-// domainTreeSize returns 1 + f + f² + … + f^(levels−1).
-func domainTreeSize(fanout, levels int) int {
-	total, pow := 0, 1
-	for l := 0; l < levels; l++ {
-		total += pow
-		pow *= fanout
+// shape returns the NLevelConfig of c's hierarchy at the given fanout.
+func (c MegascaleConfig) shape(fanout int) NLevelConfig {
+	return NLevelConfig{
+		Levels: c.Levels, Fanout: fanout, NodesPerDomain: c.NodesPerDomain,
+		Alpha: c.Alpha, Beta: c.Beta, Extent: c.Extent, Shrink: c.Shrink,
 	}
-	return total
 }
 
 // fanoutFor picks the smallest fanout whose complete tree reaches the
@@ -112,88 +103,18 @@ func GenerateMegascale(cfg MegascaleConfig, seed uint64) (*NLevelTopology, error
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	fanout := cfg.fanoutFor()
-	totalDomains := domainTreeSize(fanout, cfg.Levels)
-
-	g := graph.New(totalDomains * cfg.NodesPerDomain)
-	t := &NLevelTopology{
-		Graph:    g,
-		Root:     0,
-		domainOf: make([]int32, g.NumNodes()),
-	}
-
-	next := 0
-	type job struct {
-		parent int
-		attach graph.NodeID
-		level  int
-		center graph.Point
-		extent float64
-	}
-	queue := []job{{
-		parent: -1,
-		attach: graph.Invalid,
-		level:  0,
-		center: graph.Point{X: cfg.Extent / 2, Y: cfg.Extent / 2},
-		extent: cfg.Extent,
-	}}
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-		id := len(t.Domains)
+	t, err := buildTree(cfg.shape(cfg.fanoutFor()), func(id int) *RNG {
 		// Independent per-domain stream: the golden-ratio stride decorrelates
 		// consecutive domain IDs before the splitmix finalizer.
-		rng := NewRNG(mixSplit(seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15))
-
-		nodes := make([]graph.NodeID, cfg.NodesPerDomain)
-		for i := range nodes {
-			n := graph.NodeID(next)
-			next++
-			g.SetPos(n, graph.Point{
-				X: j.center.X + (rng.Float64()-0.5)*j.extent,
-				Y: j.center.Y + (rng.Float64()-0.5)*j.extent,
-			})
-			nodes[i] = n
-			t.domainOf[n] = int32(id)
-		}
-		if err := wireWaxman(g, nodes, cfg.Alpha, cfg.Beta, rng); err != nil {
-			return nil, fmt.Errorf("megascale: domain %d wiring: %w", id, err)
-		}
-		d := NLevelDomain{
-			ID:     id,
-			Level:  j.level,
-			Nodes:  nodes,
-			Parent: j.parent,
-			Attach: j.attach,
-		}
-		if j.parent == -1 {
-			d.Gateway = nodes[0]
-		} else {
-			d.Gateway = nearestTo(g, nodes, g.Pos(j.attach))
-			if err := addDistEdge(g, d.Gateway, j.attach); err != nil {
-				return nil, fmt.Errorf("megascale: domain %d uplink: %w", id, err)
-			}
-			t.Domains[j.parent].Children = append(t.Domains[j.parent].Children, id)
-		}
-		t.Domains = append(t.Domains, d)
-
-		if j.level+1 < cfg.Levels {
-			for c := 0; c < fanout; c++ {
-				attach := nodes[(c+1)%len(nodes)]
-				queue = append(queue, job{
-					parent: id,
-					attach: attach,
-					level:  j.level + 1,
-					center: g.Pos(attach),
-					extent: j.extent * cfg.Shrink,
-				})
-			}
-		}
+		return NewRNG(mixSplit(seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("megascale: %w", err)
 	}
 	// The composed hierarchy is immutable from here on (sessions mutate trees
 	// and masks, never the topology), so freeze it: the rows are re-packed
 	// without their append slack and sorted by weight for the sweeps.
-	g.Freeze()
+	t.Graph.Freeze()
 	return t, nil
 }
 

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -304,25 +305,32 @@ func TestTransitStub(t *testing.T) {
 	if !ts.Graph.Connected(nil) {
 		t.Error("transit-stub graph must be connected")
 	}
-	if len(ts.Stubs) != cfg.TransitNodes*cfg.StubsPerNode {
-		t.Errorf("stub domains = %d", len(ts.Stubs))
+	transit, stubs := ts.Domains[0], ts.Domains[1:]
+	if len(stubs) != cfg.TransitNodes*cfg.StubsPerNode {
+		t.Errorf("stub domains = %d", len(stubs))
 	}
-	for _, stub := range ts.Stubs {
-		if stub.Kind != StubDomain {
-			t.Errorf("stub %d kind = %v", stub.ID, stub.Kind)
+	if len(transit.Nodes) != cfg.TransitNodes || transit.Level != 0 || transit.Parent != -1 {
+		t.Errorf("transit domain = %+v", transit)
+	}
+	for _, stub := range stubs {
+		if stub.Level != 1 || stub.Parent != 0 || len(stub.Nodes) != cfg.StubNodes {
+			t.Errorf("stub %d = %+v", stub.ID, stub)
+		}
+		if ts.DomainOf(stub.Attach) != 0 {
+			t.Errorf("stub %d attached to %d outside the transit domain", stub.ID, stub.Attach)
 		}
 		if !ts.Graph.HasEdge(stub.Gateway, stub.Attach) {
 			t.Errorf("stub %d gateway %d not linked to attach %d", stub.ID, stub.Gateway, stub.Attach)
 		}
-		if got := ts.DomainOf(stub.Nodes[1]); got == nil || got.ID != stub.ID {
-			t.Errorf("DomainOf(stub node) = %+v", got)
+		if got := ts.DomainOf(stub.Nodes[1]); got != stub.ID {
+			t.Errorf("DomainOf(stub %d node) = %d", stub.ID, got)
 		}
 	}
-	if got := ts.DomainOf(ts.Transit.Nodes[0]); got == nil || got.Kind != TransitDomain {
-		t.Errorf("DomainOf(transit node) = %+v", got)
+	if got := ts.DomainOf(transit.Nodes[0]); got != 0 {
+		t.Errorf("DomainOf(transit node) = %d, want 0", got)
 	}
-	if got := ts.DomainOf(graph.NodeID(wantNodes + 5)); got != nil {
-		t.Errorf("DomainOf(unknown) = %+v, want nil", got)
+	if got := ts.DomainOf(graph.NodeID(wantNodes + 5)); got != -1 {
+		t.Errorf("DomainOf(unknown) = %d, want -1", got)
 	}
 }
 
@@ -339,12 +347,76 @@ func TestTransitStubValidation(t *testing.T) {
 	}
 }
 
-func TestDomainKindString(t *testing.T) {
-	if TransitDomain.String() != "transit" || StubDomain.String() != "stub" {
-		t.Error("DomainKind String mismatch")
+// TestValidationRefusesNaN: every generator configuration refuses a NaN in
+// any of its real-valued parameters, and an infinite extent. A check written
+// as x <= 0 || x > 1 lets NaN through, and the generator then wires a graph
+// whose every Waxman draw compares false.
+func TestValidationRefusesNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	wax := func(f func(*WaxmanConfig)) interface{ Validate() error } {
+		c := WaxmanConfig{N: 50, Alpha: 0.2, Beta: DefaultBeta}
+		f(&c)
+		return c
 	}
-	if DomainKind(0).String() == "" {
-		t.Error("unknown kind should still render")
+	grid := func(f func(*GridWaxmanConfig)) interface{ Validate() error } {
+		c := GridWaxmanConfig{N: 50, Alpha: 0.2, Beta: DefaultBeta}
+		f(&c)
+		return c
+	}
+	ts := func(f func(*TransitStubConfig)) interface{ Validate() error } {
+		c := DefaultTransitStubConfig()
+		f(&c)
+		return c
+	}
+	nl := func(f func(*NLevelConfig)) interface{ Validate() error } {
+		c := DefaultNLevelConfig()
+		f(&c)
+		return c
+	}
+	mega := func(f func(*MegascaleConfig)) interface{ Validate() error } {
+		c := MegascaleConfig{TargetNodes: 2000}
+		f(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  interface{ Validate() error }
+	}{
+		{"waxman Alpha NaN", wax(func(c *WaxmanConfig) { c.Alpha = nan })},
+		{"waxman Beta NaN", wax(func(c *WaxmanConfig) { c.Beta = nan })},
+		{"grid Alpha NaN", grid(func(c *GridWaxmanConfig) { c.Alpha = nan })},
+		{"grid Beta NaN", grid(func(c *GridWaxmanConfig) { c.Beta = nan })},
+		{"grid PMin NaN", grid(func(c *GridWaxmanConfig) { c.PMin = nan })},
+		{"transit-stub TransitAlpha NaN", ts(func(c *TransitStubConfig) { c.TransitAlpha = nan })},
+		{"transit-stub StubAlpha NaN", ts(func(c *TransitStubConfig) { c.StubAlpha = nan })},
+		{"transit-stub Beta NaN", ts(func(c *TransitStubConfig) { c.Beta = nan })},
+		{"transit-stub TransitExtent NaN", ts(func(c *TransitStubConfig) { c.TransitExtent = nan })},
+		{"transit-stub StubExtent NaN", ts(func(c *TransitStubConfig) { c.StubExtent = nan })},
+		{"transit-stub TransitExtent +Inf", ts(func(c *TransitStubConfig) { c.TransitExtent = inf })},
+		{"transit-stub StubExtent +Inf", ts(func(c *TransitStubConfig) { c.StubExtent = inf })},
+		{"nlevel Alpha NaN", nl(func(c *NLevelConfig) { c.Alpha = nan })},
+		{"nlevel Beta NaN", nl(func(c *NLevelConfig) { c.Beta = nan })},
+		{"nlevel Extent NaN", nl(func(c *NLevelConfig) { c.Extent = nan })},
+		{"nlevel Extent +Inf", nl(func(c *NLevelConfig) { c.Extent = inf })},
+		{"nlevel Shrink NaN", nl(func(c *NLevelConfig) { c.Shrink = nan })},
+		{"megascale Alpha NaN", mega(func(c *MegascaleConfig) { c.Alpha = nan })},
+		{"megascale Beta NaN", mega(func(c *MegascaleConfig) { c.Beta = nan })},
+		{"megascale Extent NaN", mega(func(c *MegascaleConfig) { c.Extent = nan })},
+		{"megascale Extent +Inf", mega(func(c *MegascaleConfig) { c.Extent = inf })},
+		{"megascale Shrink NaN", mega(func(c *MegascaleConfig) { c.Shrink = nan })},
+	} {
+		if err := tc.cfg.Validate(); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: Validate() = %v, want ErrBadConfig", tc.name, err)
+		}
+	}
+	// The defaults those cases start from are themselves valid.
+	for _, cfg := range []interface{ Validate() error }{
+		wax(func(*WaxmanConfig) {}), grid(func(*GridWaxmanConfig) {}),
+		ts(func(*TransitStubConfig) {}), nl(func(*NLevelConfig) {}), mega(func(*MegascaleConfig) {}),
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%T: %v", cfg, err)
+		}
 	}
 }
 

@@ -40,10 +40,10 @@ func (c WaxmanConfig) Validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("waxman: %w: N = %d, need at least 2 nodes", ErrBadConfig, c.N)
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
+	if !inRange(c.Alpha, 0, 1) {
 		return fmt.Errorf("waxman: %w: Alpha = %v out of (0, 1]", ErrBadConfig, c.Alpha)
 	}
-	if c.Beta <= 0 || c.Beta > 1 {
+	if !inRange(c.Beta, 0, 1) {
 		return fmt.Errorf("waxman: %w: Beta = %v out of (0, 1]", ErrBadConfig, c.Beta)
 	}
 	return nil

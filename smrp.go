@@ -60,8 +60,6 @@ const Invalid = graph.Invalid
 type (
 	// WaxmanConfig parameterizes the Waxman random-graph model.
 	WaxmanConfig = topology.WaxmanConfig
-	// TransitStub is a 2-level transit–stub topology.
-	TransitStub = topology.TransitStub
 	// TransitStubConfig parameterizes the transit–stub generator.
 	TransitStubConfig = topology.TransitStubConfig
 	// RNG is the deterministic random generator all generation uses.
@@ -86,8 +84,9 @@ func GenerateWaxman(n int, alpha, beta float64, seed uint64) (*Network, error) {
 	}, topology.NewRNG(seed))
 }
 
-// GenerateTransitStub builds a 2-level transit–stub network.
-func GenerateTransitStub(cfg TransitStubConfig, seed uint64) (*TransitStub, error) {
+// GenerateTransitStub builds a 2-level transit–stub network: the two-level
+// NLevelTopology whose domain 0 is the transit core and domain i ≥ 1 a stub.
+func GenerateTransitStub(cfg TransitStubConfig, seed uint64) (*NLevelTopology, error) {
 	return topology.GenerateTransitStub(cfg, topology.NewRNG(seed))
 }
 

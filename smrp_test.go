@@ -203,21 +203,22 @@ func TestFacadeHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stubs := ts.Domains[1:]
 	var src NodeID = Invalid
-	for _, n := range ts.Stubs[0].Nodes {
-		if n != ts.Stubs[0].Gateway {
+	for _, n := range stubs[0].Nodes {
+		if n != stubs[0].Gateway {
 			src = n
 			break
 		}
 	}
-	hs, err := NewHierarchicalSession(ts, src, DefaultConfig())
+	hs, err := NewNLevelSession(ts, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	joined := 0
-	for i := range ts.Stubs {
-		for _, n := range ts.Stubs[i].Nodes {
-			if n != ts.Stubs[i].Gateway && n != src {
+	for _, stub := range stubs {
+		for _, n := range stub.Nodes {
+			if n != stub.Gateway && n != src {
 				if err := hs.Join(n); err != nil {
 					t.Fatal(err)
 				}
