@@ -234,13 +234,13 @@ func BenchmarkRecoverLeafCut(b *testing.B) {
 // repair) to a handful of allocations whatever the size of the tree: the two
 // reports, the heal report's lists and maps, the detour (11 measured).
 // Anything sized to the tree (a surviving-node set, a member list, a node
-// list) would show as the tree grows fourfold. Skipped with -short, which is
-// how the race detector runs over this package: under it the sweep pool drops
-// sweeps at random and the count is the pool's. GC is off so a collection
-// cannot empty that pool mid-measurement.
+// list) would show as the tree grows fourfold. Skipped under the race
+// detector, which has the sweep and arena pools drop items at random so that
+// the count is the pools'. GC is off so a collection cannot empty those pools
+// mid-measurement.
 func TestLeafCutRestoreAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counts belong to the sweep pool under -race -short")
+	if raceEnabled {
+		t.Skip("allocation counts belong to the pools under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, members := range []int{4, 24} {
@@ -344,13 +344,14 @@ func BenchmarkReshapeCheck(b *testing.B) {
 // TestReshapeCheckAllocs pins a warm reshape check that stays put at zero
 // allocations, on dense and on sparse tree storage, healthy and degraded (the
 // marks are NodeID-indexed and pooled with the sweep, so sparse storage costs
-// no map): nothing is copied, and the subtree list, the marks, the mask, the
-// node list and the sweep all come out of the arena. The member checked is the
-// one with the most nodes below it. Skipped with -short and run with GC off
-// for the reason TestLeafCutRestoreAllocs gives.
+// no map): nothing is copied, and the subtree list, the marks, the mask and
+// the sweep, with its list of the mergers it absorbed, all come out of the
+// arena. The member checked is the
+// one with the most nodes below it. Skipped under the race detector and run
+// with GC off for the reasons TestLeafCutRestoreAllocs gives.
 func TestReshapeCheckAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counts belong to the sweep pool under -race -short")
+	if raceEnabled {
+		t.Skip("allocation counts belong to the pools under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, storage := range []TreeStorage{StorageDense, StorageSparse} {
@@ -387,11 +388,11 @@ func TestReshapeCheckAllocs(t *testing.T) {
 // allocations inside each of its two maps (this toolchain's count for a map
 // made with room for 30). The field, the contenders, the confined sweeps,
 // their path buffer and the heal's own lists are scratch. Recover alone is
-// counted, not the Repair that follows it. Skipped with -short and run with GC
-// off for the reason TestLeafCutRestoreAllocs gives.
+// counted, not the Repair that follows it. Skipped under the race detector and
+// run with GC off for the reasons TestLeafCutRestoreAllocs gives.
 func TestBranchCutRestoreAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counts belong to the sweep pool under -race -short")
+	if raceEnabled {
+		t.Skip("allocation counts belong to the pools under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -98,9 +98,13 @@ func selectAmong(cands []Candidate, bound float64, delayFirst bool) (Candidate, 
 // bound wins whatever else the region holds. That pass names it the sweep's
 // goal: once its connection is final and within bound — offer's test, handed
 // to the sweep as the weight it may stop at — the selection is decided and the
-// tree is not listed at all. A source the sweep reaches inside the prune slack
-// but beyond the bound stops nothing; the same sweep runs on to exhaustion and
-// the candidates are listed as they are when it never settles.
+// source is the one candidate offered. A source the sweep reaches inside the
+// prune slack but beyond the bound stops nothing; the same sweep runs on to
+// exhaustion as it does when it never settles. Then the candidates are the
+// on-tree nodes it absorbed (Sweep.Absorbed), each once, in settle order: the
+// tree is never listed. The criterion's order is total and the SHR skip below
+// passes over only candidates that cannot win, so the order they come in does
+// not change the winner.
 //
 // Candidates are scored off the sweep — Sweep.WeightFrom is the same float
 // as Path.Weight of the materialized merger→joiner connection — and only the
@@ -119,16 +123,12 @@ func selectBySweep(a *arena, joiner graph.NodeID, mask *graph.Mask, lower []floa
 	}
 	atSource := sw.RunPruned(joiner, mask, v.onTree, lower, bound*(1+pruneSlack)+2*delayEps, goal, bound+delayEps)
 	stats.EnumSettled += sw.SettledCount()
+	mergers := sw.Absorbed()
 	if atSource {
 		stats.SelectSourceExits++
-		v.nodes = append(v.nodes[:0], src)
-	} else {
-		v.nodes = v.t.AppendNodes(v.nodes[:0])
+		mergers = []graph.NodeID{src}
 	}
-	for _, merger := range v.nodes {
-		if !sw.Reached(merger) || v.left(merger) {
-			continue
-		}
+	for _, merger := range mergers {
 		stats.CandidatesSeen++
 		shr := v.shrAt(merger)
 		if !delayFirst && pick.found && shr > pick.best.SHR {

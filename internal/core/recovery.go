@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -355,15 +354,16 @@ func (s *Session) reconnectFromMembers(h *heal, a *arena, todo []reconnecting) e
 	mask, accept := h.mask, s.survivor(h.mask)
 	// A lone member is one unbounded sweep and one graft; nobody else's
 	// answer can change, so nothing is indexed.
-	var head map[graph.NodeID]int32
-	if len(todo) > 1 {
-		if a.head == nil {
-			a.head = make(map[graph.NodeID]int32)
-		}
-		clear(a.head)
-		head = a.head
-	}
+	var head []int32
 	a.refs = a.refs[:0]
+	if len(todo) > 1 {
+		head = a.slots(s.g.NumNodes())
+		defer func() {
+			for _, r := range a.refs {
+				head[todo[r.member].scan[r.pos].Node] = 0
+			}
+		}()
+	}
 	for {
 		// todo ascends, so strict comparison leaves ties with the smaller ID.
 		best, bestD := -1, math.Inf(1)
@@ -418,6 +418,9 @@ func (s *Session) reconnectFromMembers(h *heal, a *arena, todo []reconnecting) e
 		if err := s.regraft(h, t.m, a.graft.Reverse(), a.graft, bestD); err != nil {
 			return err
 		}
+		if head == nil {
+			continue
+		}
 		for _, n := range a.graft {
 			for i := head[n]; i > 0; i = a.refs[i-1].next {
 				r := a.refs[i-1]
@@ -447,7 +450,14 @@ func (s *Session) reconnectFromMembers(h *heal, a *arena, todo []reconnecting) e
 func (s *Session) reconnectFromTree(h *heal, a *arena, todo []reconnecting) error {
 	accept := s.survivor(h.mask)
 	f := s.g.NewField(h.mask)
+	slot := a.slots(s.g.NumNodes())
+	for i := range todo {
+		slot[todo[i].m] = int32(i) + 1
+	}
 	defer func() {
+		for i := range todo {
+			slot[todo[i].m] = 0
+		}
 		s.stats.HealSettled += f.Pops()
 		f.Release()
 	}()
@@ -463,8 +473,8 @@ func (s *Session) reconnectFromTree(h *heal, a *arena, todo []reconnecting) erro
 			if !ok {
 				break
 			}
-			i, found := slices.BinarySearchFunc(todo, n, func(t reconnecting, n graph.NodeID) int { return cmp.Compare(t.m, n) })
-			if !found || todo[i].done {
+			i := slot[n] - 1
+			if i < 0 || todo[i].done {
 				continue
 			}
 			if len(cont) == 0 {

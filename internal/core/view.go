@@ -19,11 +19,15 @@ type arena struct {
 	members []graph.NodeID
 
 	// Of reconnect: one entry per member (the scan records keep their storage
-	// from heal to heal), the member-side engine's node → record index, the
+	// from heal to heal), the member-side engine's scan references, the
 	// tree-side engine's contenders of a round as positions in todo, and the
-	// path being grafted.
+	// path being grafted. slot is NodeID-indexed and zero between heals: the
+	// tree-side engine keeps 1 + each pending member's position in todo in
+	// it, the member-side engine the head of each node's list of references.
+	// Each engine zeroes the entries it set, so a heal pays for what it
+	// touched, never for the size of the graph.
 	todo       []reconnecting
-	head       map[graph.NodeID]int32
+	slot       []int32
 	refs       []scanRef
 	contenders []int32
 	graft      graph.Path
@@ -49,6 +53,14 @@ func (a *arena) reconnecting(members []graph.NodeID) []reconnecting {
 		todo[i] = reconnecting{m: m, scan: todo[i].scan[:0], radius: -1, cur: -1, at: -1}
 	}
 	return todo
+}
+
+// slots returns a's slot array for a graph of n nodes, zero everywhere.
+func (a *arena) slots(n int) []int32 {
+	if len(a.slot) < n {
+		a.slot = make([]int32, n)
+	}
+	return a.slot
 }
 
 func (a *arena) release() {
@@ -101,10 +113,8 @@ type treeView struct {
 	avoid    *graph.Mask
 	failed   *graph.Mask
 
-	// nodes is the candidate loop's list of on-tree nodes, conn the winner's
-	// connection.
-	nodes []graph.NodeID
-	conn  graph.Path
+	// conn is the winner's connection.
+	conn graph.Path
 }
 
 const markGone = -1

@@ -41,13 +41,22 @@ func DefaultBase() Base {
 
 // Validate reports whether the base is usable.
 func (b Base) Validate() error {
+	if err := b.checkSize(); err != nil {
+		return err
+	}
+	return b.SMRP.Validate()
+}
+
+// checkSize reports whether a group of b.NG members and a source fit in b.N
+// nodes: the part of Validate a trial draw needs.
+func (b Base) checkSize() error {
 	if b.N < 3 {
 		return fmt.Errorf("experiment: N = %d too small", b.N)
 	}
 	if b.NG < 1 || b.NG >= b.N {
 		return fmt.Errorf("experiment: NG = %d out of [1, N)", b.NG)
 	}
-	return b.SMRP.Validate()
+	return nil
 }
 
 // Scenario is one concrete experiment instance: a topology plus a source and
@@ -113,8 +122,12 @@ func GenScenarios(b Base, nTopo, nSets int, seed uint64) ([]Scenario, error) {
 // FlatTrial draws one trial of the flat-Waxman studies from rng: a connected
 // b.N-node topology, the source at its highest-degree node (the lowest ID on
 // a tie), so that a single failure cannot cut the source off, and b.NG
-// members other than the source, sampled from the same stream.
+// members other than the source, sampled from the same stream. A size
+// Validate refuses is refused before anything is drawn; b.SMRP is not read.
 func FlatTrial(b Base, rng *topology.RNG) (*graph.Graph, graph.NodeID, []graph.NodeID, error) {
+	if err := b.checkSize(); err != nil {
+		return nil, graph.Invalid, nil, err
+	}
 	g, err := topology.Waxman(topology.WaxmanConfig{
 		N: b.N, Alpha: b.Alpha, Beta: b.Beta, EnsureConnected: true,
 	}, rng)

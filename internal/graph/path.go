@@ -50,8 +50,27 @@ func (p Path) Reverse() Path {
 	return out
 }
 
+// simpleByPairs is the longest path IsSimple checks pair by pair. Comparing
+// every pair of a simple path allocates nothing and, on one core of a 2-vCPU
+// x86-64 VM, took 0.4 µs at 32 nodes and 1.5 µs at 64 against 1.3 and 2.6 µs
+// for hashing them, the two meeting near 90 nodes. Grafts and detours in the
+// paper's regime stay under 13 nodes; the longest paths in the benchmark's
+// workloads, joins on an 8 192-node flat graph, reach 65. Beyond the cutoff the
+// map keeps a long caller-supplied path from costing its length squared.
+const simpleByPairs = 64
+
 // IsSimple reports whether no node repeats on the path.
 func (p Path) IsSimple() bool {
+	if len(p) <= simpleByPairs {
+		for i, n := range p {
+			for _, o := range p[i+1:] {
+				if o == n {
+					return false
+				}
+			}
+		}
+		return true
+	}
 	seen := make(map[NodeID]bool, len(p))
 	for _, n := range p {
 		if seen[n] {

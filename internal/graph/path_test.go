@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -54,11 +55,60 @@ func TestPathReverse(t *testing.T) {
 }
 
 func TestPathIsSimple(t *testing.T) {
-	if !(Path{0, 1, 2}).IsSimple() {
-		t.Error("simple path misreported")
+	// run returns the path 0, 1, …, n-1.
+	run := func(n int) Path {
+		p := make(Path, n)
+		for i := range p {
+			p[i] = NodeID(i)
+		}
+		return p
 	}
-	if (Path{0, 1, 0}).IsSimple() {
-		t.Error("looping path misreported as simple")
+	for _, tc := range []struct {
+		name string
+		p    Path
+		want bool
+	}{
+		{"empty", Path{}, true},
+		{"single node", Path{7}, true},
+		{"simple", Path{0, 1, 2}, true},
+		{"loop", Path{0, 1, 0}, false},
+		{"repeat at both ends", Path{4, 2, 9, 3, 4}, false},
+		{"adjacent repeat", Path{4, 2, 2, 3}, false},
+		{"at the cutoff, simple", run(simpleByPairs), true},
+		{"at the cutoff, ends repeat", append(run(simpleByPairs-1), 0), false},
+		{"past the cutoff, simple", run(simpleByPairs + 1), true},
+		{"past the cutoff, ends repeat", append(run(simpleByPairs), 0), false},
+		{"past the cutoff, repeat at the tail", append(run(3*simpleByPairs), 3*simpleByPairs-1), false},
+	} {
+		if got := tc.p.IsSimple(); got != tc.want {
+			t.Errorf("%s: %v.IsSimple() = %v, want %v", tc.name, tc.p, got, tc.want)
+		}
+	}
+}
+
+// TestPathIsSimpleMatchesMap holds IsSimple to a set of the nodes seen, on
+// generated paths of 0–200 nodes on either side of the pairwise cutoff, drawn
+// from alphabets small enough that about two in three of them repeat a node.
+func TestPathIsSimpleMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for n := 0; n <= 200; n++ {
+		for trial := 0; trial < 8; trial++ {
+			p := make(Path, n)
+			alphabet := n*n/2 + 1
+			for i := range p {
+				p[i] = NodeID(rng.Intn(alphabet))
+			}
+			seen, want := make(map[NodeID]bool, n), true
+			for _, v := range p {
+				if seen[v] {
+					want = false
+				}
+				seen[v] = true
+			}
+			if got := p.IsSimple(); got != want {
+				t.Fatalf("%v.IsSimple() = %v, want %v", p, got, want)
+			}
+		}
 	}
 }
 

@@ -53,6 +53,11 @@ type Sweep struct {
 	// turns a parent node into a parent position.
 	scan NearestScan
 	pos  []int32
+	// absorbed lists the absorbing nodes the last run settled, each once:
+	// listed[v] == epoch once v is in it, so that a node a directed run
+	// settles again is not listed again. Only an absorbing run allocates it.
+	absorbed []NodeID
+	listed   []uint32
 	// What Relabels reports of the last run, counted where the relabelling
 	// is done and nowhere else; goalAt is settledCount as the goal settled.
 	requeued, reparented, goalAt int
@@ -82,6 +87,7 @@ func (s *Sweep) begin() {
 		s.dist = make([]float64, n)
 		s.parent = make([]NodeID, n)
 		s.pw = make([]float64, n)
+		s.listed = nil // its stamps are of the epochs being reset
 		s.epoch = 0
 	}
 	s.n = n
@@ -89,6 +95,7 @@ func (s *Sweep) begin() {
 	if s.epoch == 0 { // epoch counter wrapped: stamps are ambiguous, reset
 		clear(s.seen)
 		clear(s.settled)
+		clear(s.listed)
 		s.epoch = 1
 	}
 	s.queue.Reset()
@@ -96,6 +103,7 @@ func (s *Sweep) begin() {
 	s.arcsScanned = 0
 	s.requeued, s.reparented, s.goalAt = 0, 0, 0
 	s.scan = s.scan[:0]
+	s.absorbed = s.absorbed[:0]
 }
 
 // Run executes a full deterministic Dijkstra sweep from src over the graph
@@ -153,6 +161,12 @@ func (s *Sweep) RunPruned(src NodeID, mask *Mask, absorbing func(NodeID) bool, l
 // repository uses as its CI-stable performance evidence (wall-clock is noise
 // on a single-core container; settled nodes are exact and deterministic).
 func (s *Sweep) SettledCount() int { return s.settledCount }
+
+// Absorbed lists the absorbing nodes the last run settled, in the order they
+// first settled, each once however often a directed run settled it. After a
+// run to exhaustion these are exactly the absorbing nodes it reached. The
+// slice is the sweep's own, valid until the next run.
+func (s *Sweep) Absorbed() []NodeID { return s.absorbed }
 
 // Relabels reports where the last goal-directed run left label-setting
 // order: nodes queued again after they had settled, settled nodes that took a
@@ -225,6 +239,9 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 	if accept != nil && len(s.pos) < s.n {
 		s.pos = make([]int32, s.n)
 	}
+	if absorbing != nil && len(s.listed) < s.n {
+		s.listed = make([]uint32, s.n)
+	}
 
 	s.seen[src] = s.epoch
 	s.dist[src] = 0
@@ -273,6 +290,10 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 			s.goalAt = s.settledCount
 		}
 		if absorbing != nil && u != src && absorbing(u) {
+			if s.listed[u] != s.epoch {
+				s.listed[u] = s.epoch
+				s.absorbed = append(s.absorbed, u)
+			}
 			continue // settled as an endpoint; never relax through
 		}
 		du := s.dist[u]

@@ -78,7 +78,10 @@ func decodeSweepInput(data []byte) sweepInput {
 //
 //   - every node the pruned run reaches has the Dist and Parent Run gives it
 //     (and WeightFrom is the weight of its materialized path);
-//   - every node Run reaches with dist + lower ≤ budget is reached.
+//   - every node Run reaches with dist + lower ≤ budget is reached;
+//   - Absorbed lists each absorbing node but src that the run reached, once
+//     (for the exhaustive Run, those the reference loop reached), however
+//     often a directed run settled it.
 //
 // Run toward the decoded goal — stopped at whatever it weighs, only at its
 // own weight or below, or never below half of it — the sweep stops exactly
@@ -131,9 +134,11 @@ func FuzzSweepPruned(f *testing.F) {
 				t.Fatalf("node %d: exhaustive (dist, parent) = (%v, %d), reference (%v, %d)", v, full.Dist(v), full.Parent(v), ref.Dist(v), ref.Parent(v))
 			}
 		}
+		checkAbsorbed(t, "exhaustive", full, src, ref.Reached, absorbing)
 		if pruned.RunPruned(src, mask, absorbing, lower, budget, Invalid, 0) {
 			t.Fatal("stopped at a goal, given none")
 		}
+		checkAbsorbed(t, "pruned", pruned, src, pruned.Reached, absorbing)
 
 		if requeued, _, _ := pruned.Relabels(); pruned.SettledCount()-requeued > full.SettledCount() {
 			t.Fatalf("pruned run settled %d nodes (%d of them again), exhaustive %d", pruned.SettledCount(), requeued, full.SettledCount())
@@ -189,6 +194,23 @@ func FuzzSweepPruned(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkAbsorbed fails t unless s.Absorbed() lists every node but src that
+// reached and absorbing both hold, each once.
+func checkAbsorbed(t *testing.T, what string, s *Sweep, src NodeID, reached, absorbing func(NodeID) bool) {
+	t.Helper()
+	var want []NodeID
+	for i := 0; i < s.g.NumNodes(); i++ {
+		if v := NodeID(i); v != src && reached(v) && absorbing(v) {
+			want = append(want, v)
+		}
+	}
+	got := slices.Clone(s.Absorbed())
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s run: absorbed %v, want %v", what, s.Absorbed(), want)
+	}
 }
 
 // FuzzNearestScanPrefix holds ScanNearest to what reconcile's reconnect loop

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"slices"
@@ -77,6 +78,66 @@ func TestSweepAbsorbing(t *testing.T) {
 			t.Fatalf("absorbing %d: dist %v, masked SPF %v", a, s.Dist(a), d)
 		}
 	}
+}
+
+// TestSweepAbsorbed holds Absorbed to the absorbing nodes a run to exhaustion
+// reaches, each listed once: the source never (it is relaxed, not absorbed),
+// and a node a directed run settles again not twice. The directed runs are
+// keyed by SPF distances from another node on planes whose paths tie but for
+// a rounding (tiedPlane with unit 0.1), a potential consistent only to that
+// rounding, and the test asserts that some of them settle an absorbing node
+// again.
+func TestSweepAbsorbed(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	resettled := 0
+	for trial := 0; trial < 200; trial++ {
+		g, _ := tiedPlane(rng, 40, 60, 0.1)
+		src, root := NodeID(rng.Intn(40)), NodeID(rng.Intn(40))
+		absorbing := func(n NodeID) bool { return n%3 == 0 }
+		settles := 0
+		counting := func(n NodeID) bool {
+			if absorbing(n) {
+				settles++
+				return true
+			}
+			return false
+		}
+		full, directed := g.NewSweep(), g.NewSweep()
+		full.Run(src, nil, absorbing)
+		directed.RunPruned(src, nil, counting, g.Dijkstra(root, nil).Dist, math.MaxFloat64, Invalid, 0)
+		if settles > len(directed.Absorbed()) {
+			resettled++
+		}
+		checkAbsorbed(t, "exhaustive", full, src, full.Reached, absorbing)
+		checkAbsorbed(t, "directed", directed, src, full.Reached, absorbing)
+		full.Release()
+		directed.Release()
+	}
+	if resettled == 0 {
+		t.Fatal("no directed run settled an absorbing node twice")
+	}
+	t.Logf("%d of 200 directed runs settled an absorbing node again", resettled)
+}
+
+// TestSweepAbsorbedAfterGrowth runs one sweep three times on a small graph,
+// leaving its absorbing nodes stamped with epoch 3, then on a larger graph,
+// which grows the arrays and restarts the epochs at 1, then on the small graph
+// again without and with absorbing nodes, at epochs 2 and 3: the old stamps
+// must not hide any absorbing node from the last run's list.
+func TestSweepAbsorbedAfterGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	small, large := randomConnectedGraph(rng, 30, 60), randomConnectedGraph(rng, 90, 200)
+	absorbing := func(n NodeID) bool { return n%2 == 1 }
+	s := &Sweep{g: small}
+	for i := 0; i < 3; i++ {
+		s.Run(0, nil, absorbing)
+	}
+	s.g = large
+	s.Run(0, nil, nil)
+	s.g = small
+	s.Run(0, nil, nil)
+	s.Run(0, nil, absorbing)
+	checkAbsorbed(t, "after growth", s, 0, s.Reached, absorbing)
 }
 
 // TestShortestPathEarlyExitMatchesFullTree verifies the uncached early-exit

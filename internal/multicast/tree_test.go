@@ -109,6 +109,41 @@ func TestGraftErrors(t *testing.T) {
 	}
 }
 
+// TestNonSimplePathsRefused holds Graft and Reroute to refusing a path that
+// passes every other check but visits an off-tree node twice, and to leaving
+// the tree as it was; the same path without the detour is accepted.
+func TestNonSimplePathsRefused(t *testing.T) {
+	tr, err := New(testGraph(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Graft(graph.Path{0, 1, 3, 1, 4}, true); err == nil || !strings.Contains(err.Error(), "not simple") {
+		t.Errorf("graft through 1 twice: err = %v, want the path refused as not simple", err)
+	}
+	if tr.NumNodes() != 1 || tr.NumMembers() != 0 {
+		t.Errorf("refused graft left %d nodes, %d members", tr.NumNodes(), tr.NumMembers())
+	}
+	if err := tr.Clone().Graft(graph.Path{0, 1, 4}, true); err != nil {
+		t.Errorf("graft of the simple path: %v", err)
+	}
+
+	if err := tr.Graft(graph.Path{0, 2, 4}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Reroute(4, graph.Path{0, 1, 3, 1, 4}); err == nil || !strings.Contains(err.Error(), "not simple") {
+		t.Errorf("reroute through 1 twice: err = %v, want the path refused as not simple", err)
+	}
+	if p, _ := tr.Parent(4); p != 2 || tr.OnTree(1) || tr.OnTree(3) {
+		t.Errorf("refused reroute moved 4 under %d (1 on tree: %v, 3: %v)", p, tr.OnTree(1), tr.OnTree(3))
+	}
+	if err := tr.Validate(); err != nil {
+		t.Errorf("refused reroute corrupted the tree: %v", err)
+	}
+	if err := tr.Clone().Reroute(4, graph.Path{0, 1, 4}); err != nil {
+		t.Errorf("reroute along the simple path: %v", err)
+	}
+}
+
 func TestGraftSingleNodeMakesMember(t *testing.T) {
 	tr := fig1Tree(t)
 	// Node A (1) is an on-tree relay; it can become a member in place.
