@@ -162,8 +162,10 @@ func TestMegascaleComposer(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cfg.withDefaults()
-	if got, want := topo.Graph.NumNodes(), domainTreeSize(c.fanoutFor(), c.Levels)*c.NodesPerDomain; got != want {
-		t.Fatalf("realized %d nodes, %d domains of %d make %d", got, domainTreeSize(c.fanoutFor(), c.Levels), c.NodesPerDomain, want)
+	f, _ := c.fanoutFor()
+	domains, _ := treeDomains(f, c.Levels, c.NodesPerDomain)
+	if got, want := topo.Graph.NumNodes(), domains*c.NodesPerDomain; got != want {
+		t.Fatalf("realized %d nodes, %d domains of %d make %d", got, domains, c.NodesPerDomain, want)
 	}
 	if got := topo.Graph.NumNodes(); got < cfg.TargetNodes {
 		t.Fatalf("realized %d nodes, below target %d", got, cfg.TargetNodes)
@@ -280,6 +282,35 @@ func BenchmarkMegascaleGeneration(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestMegascaleGenerationAllocs holds GenerateMegascale(10 000) to at most
+// 2 000 allocations: a handful per domain (its stream and its edge buffer)
+// plus one block each for the rows, positions and indexes. Rows grown by
+// append, or a map per domain, take tens of thousands.
+func TestMegascaleGenerationAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := GenerateMegascale(MegascaleConfig{TargetNodes: 10_000}, 2005); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("GenerateMegascale(10 000): %.0f allocations", allocs)
+	if allocs > 2000 {
+		t.Errorf("GenerateMegascale(10 000): %.0f allocations, want at most 2 000", allocs)
+	}
+}
+
+// BenchmarkGenerateHierarchy is the hierarchical arm's wall-clock
+// companion: GenerateMegascale at 30 000 nodes (307 domains of 100), the
+// build whose domains are wired on GOMAXPROCS workers, so -cpu 1,2 shows
+// what the workers buy.
+func BenchmarkGenerateHierarchy(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateMegascale(MegascaleConfig{TargetNodes: 30_000}, 2005); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // pairwiseGridWaxman is the O(N²) reference for the same truncated model:

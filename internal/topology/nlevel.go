@@ -3,6 +3,10 @@ package topology
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"smrp/internal/graph"
 )
@@ -59,6 +63,10 @@ func (c NLevelConfig) check(who string) error {
 	if !inRange(c.Extent, 0, math.MaxFloat64) || !inRange(c.Shrink, 0, 1) || c.Shrink == 1 {
 		return fmt.Errorf("%s: %w: need finite Extent > 0 and Shrink in (0, 1)", who, ErrBadConfig)
 	}
+	if _, ok := treeDomains(c.Fanout, c.Levels, c.NodesPerDomain); !ok {
+		return fmt.Errorf("%s: %w: %d levels of fanout %d make more than %d nodes of %d-node domains",
+			who, ErrBadConfig, c.Levels, c.Fanout, maxNodes, c.NodesPerDomain)
+	}
 	return nil
 }
 
@@ -107,7 +115,7 @@ func GenerateNLevel(cfg NLevelConfig, rng *RNG) (*NLevelTopology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t, err := buildTree(cfg, func(int) *RNG { return rng })
+	t, err := buildTree(cfg, func(int) *RNG { return rng }, false)
 	if err != nil {
 		return nil, fmt.Errorf("nlevel: %w", err)
 	}
@@ -118,69 +126,128 @@ func GenerateNLevel(cfg NLevelConfig, rng *RNG) (*NLevelTopology, error) {
 // domain 0 is centred on the extent square, and the c-th child of a domain
 // is centred on that domain's node c+1 (mod its size), which it attaches to,
 // with the parent's extent times Shrink. Domain id draws its placement and
-// wiring from rngOf(id).
-func buildTree(cfg NLevelConfig, rngOf func(id int) *RNG) (*NLevelTopology, error) {
-	t := newHierarchy(domainTreeSize(cfg.Fanout, cfg.Levels) * cfg.NodesPerDomain)
+// then its wiring from rngOf(id); ownStreams says that no two ids share a
+// stream.
+func buildTree(cfg NLevelConfig, rngOf func(id int) *RNG, ownStreams bool) (*NLevelTopology, error) {
+	domains, _ := treeDomains(cfg.Fanout, cfg.Levels, cfg.NodesPerDomain)
+	b := newBuilder(domains*cfg.NodesPerDomain, domains)
 	type job struct {
 		parent int // domain index; -1 for the root
 		attach graph.NodeID
 		center graph.Point
 		extent float64
 	}
-	queue := []job{{
+	queue := make([]job, 0, domains)
+	queue = append(queue, job{
 		parent: -1,
 		attach: graph.Invalid,
 		center: graph.Point{X: cfg.Extent / 2, Y: cfg.Extent / 2},
 		extent: cfg.Extent,
-	}}
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-		id := len(t.Domains)
+	})
+	var streams []*RNG
+	var s wireScratch
+	for id := 0; id < len(queue); id++ {
+		j := queue[id]
 		rng := rngOf(id)
-		nodes := t.place(id*cfg.NodesPerDomain, cfg.NodesPerDomain, j.center, j.extent, rng)
-		if err := t.addDomain(nodes, j.parent, j.attach, cfg.Alpha, cfg.Beta, rng); err != nil {
-			return nil, err
+		nodes := b.place(id*cfg.NodesPerDomain, cfg.NodesPerDomain, j.center, j.extent, rng)
+		b.addDomain(nodes, j.parent, j.attach)
+		// A child is centred on its attach node's position, so placement
+		// runs here, breadth first. Wiring reads only the domain's own
+		// positions and stream: with a stream per domain it waits for the
+		// workers, but on one shared stream the next domain's placement
+		// draws after this domain's wiring, so it runs now.
+		if ownStreams {
+			streams = append(streams, rng)
+		} else {
+			b.wire(id, cfg.Alpha, cfg.Beta, rng, &s)
 		}
-		if t.Domains[id].Level+1 == cfg.Levels {
+		if b.t.Domains[id].Level+1 == cfg.Levels {
 			continue
 		}
+		b.t.Domains[id].Children = make([]int, 0, cfg.Fanout)
 		for c := 0; c < cfg.Fanout; c++ {
 			attach := nodes[(c+1)%len(nodes)]
 			queue = append(queue, job{
 				parent: id,
 				attach: attach,
-				center: t.Graph.Pos(attach),
+				center: b.t.Graph.Pos(attach),
 				extent: j.extent * cfg.Shrink,
 			})
 		}
 	}
-	return t, nil
-}
-
-// domainTreeSize returns 1 + f + f² + … + f^(levels−1).
-func domainTreeSize(fanout, levels int) int {
-	total, pow := 0, 1
-	for l := 0; l < levels; l++ {
-		total += pow
-		pow *= fanout
+	if ownStreams {
+		b.wireAll(streams, cfg.Alpha, cfg.Beta)
 	}
-	return total
+	return b.finish()
 }
 
-// newHierarchy returns a hierarchy of n unplaced, unwired nodes and no
-// domains.
-func newHierarchy(n int) *NLevelTopology {
-	return &NLevelTopology{Graph: graph.New(n), domainOf: make([]int32, n)}
+// maxNodes is the most nodes a generated topology may have: further down
+// the stack node IDs are stored in 32 bits (graph's radix queue slots,
+// multicast's tree columns).
+const maxNodes = math.MaxInt32
+
+// mulNodes returns a·b for a, b ≥ 1, or false when it exceeds maxNodes.
+func mulNodes(a, b int) (int, bool) {
+	if a > maxNodes/b {
+		return 0, false
+	}
+	return a * b, true
+}
+
+// treeDomains returns the domain count 1 + f + f² + … + f^(levels−1) of the
+// complete hierarchy, or false when its perDomain-node domains would exceed
+// maxNodes (fanout, levels, perDomain ≥ 1).
+func treeDomains(fanout, levels, perDomain int) (int, bool) {
+	if levels > maxNodes/perDomain {
+		return 0, false
+	}
+	total, pow := 1, 1
+	for l := 1; l < levels && total <= maxNodes/perDomain; l++ {
+		var ok bool
+		if pow, ok = mulNodes(pow, fanout); !ok {
+			return 0, false
+		}
+		total += pow
+	}
+	return total, total <= maxNodes/perDomain
+}
+
+// builder assembles a hierarchy in phases (DESIGN.md §4.1): the domains are
+// placed and recorded, each is wired into an edge buffer of its own, and
+// finish inserts the buffers into rows reserved at their final size.
+type builder struct {
+	t *NLevelTopology
+	// ids holds every node ID once; each domain's Nodes is a window of it.
+	ids []graph.NodeID
+	// wired[id] is domain id's edges in insertion order, until finish
+	// inserts them.
+	wired [][]pair
+}
+
+// pair is one intra-domain edge, its endpoints named by their index in the
+// domain's Nodes.
+type pair struct{ u, v int32 }
+
+// newBuilder returns a builder of n unplaced nodes with room for the given
+// number of domains.
+func newBuilder(n, domains int) *builder {
+	b := &builder{
+		t:     &NLevelTopology{Graph: graph.New(n), Domains: make([]NLevelDomain, 0, domains), domainOf: make([]int32, n)},
+		ids:   make([]graph.NodeID, n),
+		wired: make([][]pair, 0, domains),
+	}
+	for i := range b.ids {
+		b.ids[i] = graph.NodeID(i)
+	}
+	return b
 }
 
 // place positions the count nodes from ID first on, uniformly over the
 // extent-sided square centred on center, X then Y from rng, and returns them.
-func (t *NLevelTopology) place(first, count int, center graph.Point, extent float64, rng *RNG) []graph.NodeID {
-	nodes := make([]graph.NodeID, count)
-	for i := range nodes {
-		nodes[i] = graph.NodeID(first + i)
-		t.Graph.SetPos(nodes[i], graph.Point{
+func (b *builder) place(first, count int, center graph.Point, extent float64, rng *RNG) []graph.NodeID {
+	nodes := b.ids[first : first+count : first+count]
+	for _, n := range nodes {
+		b.t.Graph.SetPos(n, graph.Point{
 			X: center.X + (rng.Float64()-0.5)*extent,
 			Y: center.Y + (rng.Float64()-0.5)*extent,
 		})
@@ -188,29 +255,88 @@ func (t *NLevelTopology) place(first, count int, center graph.Point, extent floa
 	return nodes
 }
 
-// addDomain makes the placed nodes domain len(t.Domains), a child of domain
-// parent (-1 for the root). It wires them as a Waxman graph from rng,
-// connectified, and picks the gateway: the node nearest attach, linked to it,
+// addDomain makes the placed nodes domain len(Domains), a child of domain
+// parent (-1 for the root), and picks its gateway: the node nearest attach,
 // or for the root its first node, which has no uplink.
-func (t *NLevelTopology) addDomain(nodes []graph.NodeID, parent int, attach graph.NodeID, alpha, beta float64, rng *RNG) error {
-	g, id := t.Graph, len(t.Domains)
-	if err := wireWaxman(g, nodes, alpha, beta, rng); err != nil {
-		return fmt.Errorf("domain %d wiring: %w", id, err)
-	}
+func (b *builder) addDomain(nodes []graph.NodeID, parent int, attach graph.NodeID) {
+	t := b.t
+	id := len(t.Domains)
 	d := NLevelDomain{ID: id, Nodes: nodes, Gateway: nodes[0], Attach: attach, Parent: parent}
 	if parent >= 0 {
 		d.Level = t.Domains[parent].Level + 1
-		d.Gateway = nearestTo(g, nodes, g.Pos(attach))
-		if err := addDistEdge(g, d.Gateway, attach); err != nil {
-			return fmt.Errorf("domain %d uplink: %w", id, err)
-		}
+		d.Gateway = nearestTo(t.Graph.Pos, nodes, t.Graph.Pos(attach))
 		t.Domains[parent].Children = append(t.Domains[parent].Children, id)
 	}
 	for _, n := range nodes {
 		t.domainOf[n] = int32(id)
 	}
 	t.Domains = append(t.Domains, d)
-	return nil
+	b.wired = append(b.wired, nil)
+}
+
+// wire draws domain id's edges from rng into its buffer (see
+// wireScratch.wire). It reads positions only, so domains with streams of
+// their own may be wired concurrently.
+func (b *builder) wire(id int, alpha, beta float64, rng *RNG, s *wireScratch) {
+	s.pts = s.pts[:0]
+	for _, n := range b.t.Domains[id].Nodes {
+		s.pts = append(s.pts, b.t.Graph.Pos(n))
+	}
+	b.wired[id] = s.wire(alpha, beta, rng)
+}
+
+// wireAll wires every domain, domain id from streams[id], on up to
+// GOMAXPROCS workers. A domain's edges depend on its positions and stream
+// alone, so the worker count cannot change them.
+func (b *builder) wireAll(streams []*RNG, alpha, beta float64) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(streams)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s wireScratch
+			for id := int(next.Add(1)) - 1; id < len(streams); id = int(next.Add(1)) - 1 {
+				b.wire(id, alpha, beta, streams[id], &s)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// finish inserts the edges, domain by domain, each domain's wiring and then
+// its uplink, into rows reserved at their final size: intra-domain degree,
+// plus the uplink, plus one arc per child. Each buffer is dropped once
+// copied.
+func (b *builder) finish() (*NLevelTopology, error) {
+	t := b.t
+	g := t.Graph
+	extra := make([]int32, g.NumNodes())
+	for id, d := range t.Domains {
+		for _, e := range b.wired[id] {
+			extra[d.Nodes[e.u]]++
+			extra[d.Nodes[e.v]]++
+		}
+		if d.Parent >= 0 {
+			extra[d.Gateway]++
+			extra[d.Attach]++
+		}
+	}
+	g.Reserve(extra)
+	for id, d := range t.Domains {
+		for _, e := range b.wired[id] {
+			if err := addDistEdge(g, d.Nodes[e.u], d.Nodes[e.v]); err != nil {
+				return nil, fmt.Errorf("domain %d wiring: %w", id, err)
+			}
+		}
+		b.wired[id] = nil
+		if d.Parent >= 0 {
+			if err := addDistEdge(g, d.Gateway, d.Attach); err != nil {
+				return nil, fmt.Errorf("domain %d uplink: %w", id, err)
+			}
+		}
+	}
+	return t, nil
 }
 
 // Leaves returns the indices of the deepest-level domains.
@@ -230,25 +356,48 @@ func (t *NLevelTopology) Leaves() []int {
 	return out
 }
 
-// wireWaxman adds Waxman-model edges among the given node subset and then
-// joins any leftover components within the subset.
-func wireWaxman(g *graph.Graph, nodes []graph.NodeID, alpha, beta float64, rng *RNG) error {
-	maxDist := maxPairDist(g, nodes)
+// wireScratch is one worker's reusable space for wiring domains.
+type wireScratch struct {
+	pts   []graph.Point
+	edges []pair
+	root  []int32
+}
+
+// wire draws the Waxman edges among the domain placed at s.pts, testing the
+// pairs i < j in order against rng, and joins the domain's components: by
+// the nearest pair between the first component and the rest, one edge at a
+// time, or past connectifyExactCap nodes by one centroid pass. It returns the
+// edges in insertion order, in a buffer of exactly their size.
+func (s *wireScratch) wire(alpha, beta float64, rng *RNG) []pair {
+	pts := s.pts
+	maxDist := maxPairDist(pts)
 	if maxDist <= 0 {
 		maxDist = 1
 	}
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			d := g.Pos(nodes[i]).Dist(g.Pos(nodes[j]))
-			p := alpha * waxmanExp(d, beta, maxDist)
+	s.edges = s.edges[:0]
+	for i := range pts {
+		for j := i + 1; j < len(pts); j++ {
+			p := alpha * waxmanExp(pts[i].Dist(pts[j]), beta, maxDist)
 			if rng.Float64() < p {
-				if err := addDistEdge(g, nodes[i], nodes[j]); err != nil {
-					return err
-				}
+				s.edges = append(s.edges, pair{int32(i), int32(j)})
 			}
 		}
 	}
-	return connectifySubset(g, nodes)
+	if !s.connected() {
+		pos := func(n graph.NodeID) graph.Point { return pts[n] }
+		link := func(u, v graph.NodeID) error {
+			s.edges = append(s.edges, pair{int32(u), int32(v)})
+			return nil
+		}
+		if len(pts) > connectifyExactCap {
+			_ = joinComponentsCentroid(s.components(), pos, link) // link cannot fail
+		} else {
+			for comps := s.components(); len(comps) > 1; comps = s.components() {
+				_ = link(nearestPair(comps, pos))
+			}
+		}
+	}
+	return slices.Clone(s.edges)
 }
 
 // waxmanExp computes exp(−d/(β·L)).
@@ -256,65 +405,58 @@ func waxmanExp(d, beta, l float64) float64 {
 	return math.Exp(-d / (beta * l))
 }
 
-// connectifySubset joins the components induced by the node subset, adding
-// geometric shortest edges, ignoring the rest of the graph.
-func connectifySubset(g *graph.Graph, nodes []graph.NodeID) error {
-	inSet := make(map[graph.NodeID]bool, len(nodes))
-	for _, n := range nodes {
-		inSet[n] = true
+// connected reports, by union-find over s.edges, whether they connect all
+// the domain's nodes.
+func (s *wireScratch) connected() bool {
+	s.root = s.root[:0]
+	for i := range s.pts {
+		s.root = append(s.root, int32(i))
 	}
-	// Same large-subset escape hatch as Connectify: past the cap the exact
-	// nearest-pair scan gives way to the deterministic centroid pick.
-	if len(nodes) > connectifyExactCap {
-		return joinComponentsCentroid(g, subsetComponents(g, nodes, inSet))
+	find := func(x int32) int32 {
+		for s.root[x] != x {
+			s.root[x] = s.root[s.root[x]]
+			x = s.root[x]
+		}
+		return x
 	}
-	for {
-		comps := subsetComponents(g, nodes, inSet)
-		if len(comps) <= 1 {
-			return nil
-		}
-		bestD := -1.0
-		var bu, bv graph.NodeID = graph.Invalid, graph.Invalid
-		for _, u := range comps[0] {
-			for ci := 1; ci < len(comps); ci++ {
-				for _, v := range comps[ci] {
-					d := g.Pos(u).Dist(g.Pos(v))
-					if bestD < 0 || d < bestD {
-						bestD, bu, bv = d, u, v
-					}
-				}
-			}
-		}
-		if bu == graph.Invalid {
-			return fmt.Errorf("connectify subset: no joining pair")
-		}
-		if err := addDistEdge(g, bu, bv); err != nil {
-			return err
+	comps := len(s.pts)
+	for _, e := range s.edges {
+		if a, b := find(e.u), find(e.v); a != b {
+			s.root[a] = b
+			comps--
 		}
 	}
+	return comps == 1
 }
 
-// subsetComponents computes connected components restricted to the subset.
-func subsetComponents(g *graph.Graph, nodes []graph.NodeID, inSet map[graph.NodeID]bool) [][]graph.NodeID {
-	seen := make(map[graph.NodeID]bool, len(nodes))
+// components lists the domain's connected components under s.edges, named
+// by node index: a depth-first search from each unseen node in index order,
+// neighbours taken in insertion order, which is the order the graph's rows
+// would hold them in.
+func (s *wireScratch) components() [][]graph.NodeID {
+	adj := make([][]int32, len(s.pts))
+	for _, e := range s.edges {
+		adj[e.u] = append(adj[e.u], e.v)
+		adj[e.v] = append(adj[e.v], e.u)
+	}
+	seen := make([]bool, len(s.pts))
 	var comps [][]graph.NodeID
-	for _, start := range nodes {
-		if seen[start] {
+	for root := range seen {
+		if seen[root] {
 			continue
 		}
 		var comp []graph.NodeID
-		stack := []graph.NodeID{start}
-		seen[start] = true
+		stack := []int32{int32(root)}
+		seen[root] = true
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for _, arc := range g.Neighbors(u) {
-				if !inSet[arc.To] || seen[arc.To] {
-					continue
+			comp = append(comp, graph.NodeID(u))
+			for _, v := range adj[u] {
+				if !seen[v] {
+					seen[v] = true
+					stack = append(stack, v)
 				}
-				seen[arc.To] = true
-				stack = append(stack, arc.To)
 			}
 		}
 		comps = append(comps, comp)
@@ -322,24 +464,42 @@ func subsetComponents(g *graph.Graph, nodes []graph.NodeID, inSet map[graph.Node
 	return comps
 }
 
-// nearestTo returns the node of the subset closest to point p.
-func nearestTo(g *graph.Graph, nodes []graph.NodeID, p graph.Point) graph.NodeID {
+// nearestPair returns the closest pair of nodes between the first component
+// and any other, the first found winning ties.
+func nearestPair(comps [][]graph.NodeID, pos func(graph.NodeID) graph.Point) (graph.NodeID, graph.NodeID) {
+	bestD := -1.0
+	var bu, bv graph.NodeID
+	for _, u := range comps[0] {
+		for _, c := range comps[1:] {
+			for _, v := range c {
+				if d := pos(u).Dist(pos(v)); bestD < 0 || d < bestD {
+					bestD, bu, bv = d, u, v
+				}
+			}
+		}
+	}
+	return bu, bv
+}
+
+// nearestTo returns the node of nodes closest to point p, the first found
+// winning ties.
+func nearestTo(pos func(graph.NodeID) graph.Point, nodes []graph.NodeID, p graph.Point) graph.NodeID {
 	best := nodes[0]
-	bestD := g.Pos(best).Dist(p)
+	bestD := pos(best).Dist(p)
 	for _, n := range nodes[1:] {
-		if d := g.Pos(n).Dist(p); d < bestD {
+		if d := pos(n).Dist(p); d < bestD {
 			best, bestD = n, d
 		}
 	}
 	return best
 }
 
-// maxPairDist returns the maximum pairwise distance within the subset.
-func maxPairDist(g *graph.Graph, nodes []graph.NodeID) float64 {
+// maxPairDist returns the maximum pairwise distance among pts.
+func maxPairDist(pts []graph.Point) float64 {
 	var maxD float64
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			if d := g.Pos(nodes[i]).Dist(g.Pos(nodes[j])); d > maxD {
+	for i := range pts {
+		for j := i + 1; j < len(pts); j++ {
+			if d := pts[i].Dist(pts[j]); d > maxD {
 				maxD = d
 			}
 		}

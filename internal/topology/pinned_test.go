@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"smrp/internal/graph"
@@ -60,8 +61,11 @@ func hierarchyDigest(t *NLevelTopology) string {
 
 // TestGeneratedHierarchiesPinned holds every hierarchical generator's output
 // byte for byte: the transit–stub model at its default and at a non-default
-// configuration, GenerateNLevel on three seeds and GenerateMegascale at two
-// sizes. A refactor of the domain builder must leave every digest alone.
+// configuration, GenerateNLevel on three seeds, GenerateMegascale at two
+// sizes, on domains sparse enough that most need their components joined,
+// and on domains past connectifyExactCap, which are joined through their
+// centroids. A refactor of the domain builder must leave every digest alone,
+// at every GOMAXPROCS: megascale domains are wired on that many workers.
 func TestGeneratedHierarchiesPinned(t *testing.T) {
 	wideTS := TransitStubConfig{
 		TransitNodes: 6, StubsPerNode: 2, StubNodes: 9,
@@ -86,14 +90,24 @@ func TestGeneratedHierarchiesPinned(t *testing.T) {
 		}, "e63d7d46dc898f0474583a6d"},
 		{"megascale/2000", func() (*NLevelTopology, error) { return GenerateMegascale(MegascaleConfig{TargetNodes: 2000}, 2005) }, "b08ff71c626bb2a7b6f15808"},
 		{"megascale/10000", func() (*NLevelTopology, error) { return GenerateMegascale(MegascaleConfig{TargetNodes: 10000}, 2005) }, "1204e6f54dd658d0e7f58476"},
+		{"megascale/sparse", func() (*NLevelTopology, error) {
+			return GenerateMegascale(MegascaleConfig{TargetNodes: 3000, Alpha: 0.05, Beta: 0.15}, 2005)
+		}, "ca030de952494434997dd1fd"},
+		{"megascale/past-exact-cap", func() (*NLevelTopology, error) {
+			return GenerateMegascale(MegascaleConfig{TargetNodes: 8200, Levels: 2, NodesPerDomain: connectifyExactCap + 4, Alpha: 0.02, Beta: 0.05}, 2005)
+		}, "c225863542520a2f375726e3"},
 	}
-	for _, c := range cases {
-		topo, err := c.gen()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := hierarchyDigest(topo); got != c.want {
-			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			topo, err := c.gen()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got := hierarchyDigest(topo); got != c.want {
+				t.Errorf("%s at GOMAXPROCS %d: digest %s, want %s", c.name, procs, got, c.want)
+			}
 		}
 	}
 }

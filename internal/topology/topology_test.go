@@ -420,6 +420,37 @@ func TestValidationRefusesNaN(t *testing.T) {
 	}
 }
 
+// TestGeneratorsRefuseOversizedConfigs: a hierarchy whose node count does
+// not fit the 32-bit node IDs the stack stores is refused with ErrBadConfig
+// before anything is allocated, including counts whose product wraps int.
+// Each of these once panicked in makeslice or ran out of memory.
+func TestGeneratorsRefuseOversizedConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gen  func() error
+	}{
+		{"nlevel 64 levels of fanout 2", func() error {
+			_, err := GenerateNLevel(NLevelConfig{Levels: 64, Fanout: 2, NodesPerDomain: 4, Alpha: .5, Beta: .5, Extent: 1, Shrink: .5}, NewRNG(1))
+			return err
+		}},
+		{"megascale 64 levels", func() error {
+			_, err := GenerateMegascale(MegascaleConfig{TargetNodes: 10000, Levels: 64}, 1)
+			return err
+		}},
+		{"transit-stub product wraps", func() error {
+			_, err := GenerateTransitStub(TransitStubConfig{
+				TransitNodes: 2, StubsPerNode: 1 << 32, StubNodes: 1 << 31,
+				TransitAlpha: .5, StubAlpha: .5, Beta: .5, TransitExtent: 1, StubExtent: 1,
+			}, NewRNG(1))
+			return err
+		}},
+	} {
+		if err := tc.gen(); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: %v, want ErrBadConfig", tc.name, err)
+		}
+	}
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	cfg := WaxmanConfig{N: 40, Alpha: 0.25, Beta: DefaultBeta, EnsureConnected: true}
 	g, err := Waxman(cfg, NewRNG(17))

@@ -64,7 +64,23 @@ func (c TransitStubConfig) Validate() error {
 	if !inRange(c.TransitExtent, 0, math.MaxFloat64) || !inRange(c.StubExtent, 0, math.MaxFloat64) {
 		return fmt.Errorf("transit-stub: %w: extents must be positive and finite", ErrBadConfig)
 	}
+	if _, _, ok := c.size(); !ok {
+		return fmt.Errorf("transit-stub: %w: more than %d nodes", ErrBadConfig, maxNodes)
+	}
 	return nil
+}
+
+// size returns the number of stub domains and of nodes c describes, or
+// false when the nodes would exceed maxNodes.
+func (c TransitStubConfig) size() (stubs, nodes int, ok bool) {
+	stubs, ok = mulNodes(c.TransitNodes, c.StubsPerNode)
+	if ok {
+		nodes, ok = mulNodes(stubs, c.StubNodes)
+	}
+	if !ok || nodes > maxNodes-c.TransitNodes {
+		return 0, 0, false
+	}
+	return stubs, c.TransitNodes + nodes, true
 }
 
 // GenerateTransitStub builds the two-level hierarchy the paper's recovery
@@ -77,30 +93,33 @@ func GenerateTransitStub(cfg TransitStubConfig, rng *RNG) (*NLevelTopology, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := newHierarchy(cfg.TransitNodes + cfg.TransitNodes*cfg.StubsPerNode*cfg.StubNodes)
+	stubs, n, _ := cfg.size()
+	b := newBuilder(n, 1+stubs)
 	// The core is drawn as rng·extent, not through place: centre ±
 	// half-extent rounds differently for some extents, and the generated
 	// topologies are pinned.
-	core := make([]graph.NodeID, cfg.TransitNodes)
-	for i := range core {
-		core[i] = graph.NodeID(i)
-		t.Graph.SetPos(core[i], graph.Point{
+	core := b.ids[:cfg.TransitNodes:cfg.TransitNodes]
+	for _, node := range core {
+		b.t.Graph.SetPos(node, graph.Point{
 			X: rng.Float64() * cfg.TransitExtent,
 			Y: rng.Float64() * cfg.TransitExtent,
 		})
 	}
-	if err := t.addDomain(core, -1, graph.Invalid, cfg.TransitAlpha, cfg.Beta, rng); err != nil {
-		return nil, fmt.Errorf("transit-stub: %w", err)
-	}
+	b.addDomain(core, -1, graph.Invalid)
+	var ws wireScratch
+	b.wire(0, cfg.TransitAlpha, cfg.Beta, rng, &ws)
 	next := len(core)
 	for _, attach := range core {
 		for s := 0; s < cfg.StubsPerNode; s++ {
-			stub := t.place(next, cfg.StubNodes, t.Graph.Pos(attach), cfg.StubExtent, rng)
+			stub := b.place(next, cfg.StubNodes, b.t.Graph.Pos(attach), cfg.StubExtent, rng)
 			next += len(stub)
-			if err := t.addDomain(stub, 0, attach, cfg.StubAlpha, cfg.Beta, rng); err != nil {
-				return nil, fmt.Errorf("transit-stub: %w", err)
-			}
+			b.addDomain(stub, 0, attach)
+			b.wire(len(b.t.Domains)-1, cfg.StubAlpha, cfg.Beta, rng, &ws)
 		}
+	}
+	t, err := b.finish()
+	if err != nil {
+		return nil, fmt.Errorf("transit-stub: %w", err)
 	}
 	return t, nil
 }

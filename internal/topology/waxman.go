@@ -145,12 +145,15 @@ func Connectify(g *graph.Graph) error {
 // minority node to that anchor). One Components pass, one linear scan per
 // join, fully deterministic (ties break on lower node ID via scan order).
 func connectifyCentroid(g *graph.Graph) error {
-	return joinComponentsCentroid(g, g.Components(nil))
+	return joinComponentsCentroid(g.Components(nil), g.Pos, func(u, v graph.NodeID) error {
+		return addDistEdge(g, u, v)
+	})
 }
 
 // joinComponentsCentroid implements the centroid-guided join over an
-// explicit component list (shared by Connectify and connectifySubset).
-func joinComponentsCentroid(g *graph.Graph, comps [][]graph.NodeID) error {
+// explicit component list, reading positions through pos and adding each
+// joining edge through link (shared by Connectify and the domain wiring).
+func joinComponentsCentroid(comps [][]graph.NodeID, pos func(graph.NodeID) graph.Point, link func(u, v graph.NodeID) error) error {
 	if len(comps) <= 1 {
 		return nil
 	}
@@ -168,14 +171,14 @@ func joinComponentsCentroid(g *graph.Graph, comps [][]graph.NodeID) error {
 		}
 		var cx, cy float64
 		for _, n := range c {
-			p := g.Pos(n)
+			p := pos(n)
 			cx += p.X
 			cy += p.Y
 		}
 		centroid := graph.Point{X: cx / float64(len(c)), Y: cy / float64(len(c))}
-		anchor := nearestTo(g, comps[main], centroid)
-		v := nearestTo(g, c, g.Pos(anchor))
-		if err := addDistEdge(g, anchor, v); err != nil {
+		anchor := nearestTo(pos, comps[main], centroid)
+		v := nearestTo(pos, c, pos(anchor))
+		if err := link(anchor, v); err != nil {
 			return fmt.Errorf("connectify (centroid): %w", err)
 		}
 	}
