@@ -10,25 +10,22 @@ import (
 )
 
 // lineGraph builds 0—1—…—(n-1) with unit weights.
-func lineGraph(t *testing.T, n int) *graph.Graph {
+func lineGraph(t *testing.T, n int) *graph.Graph { return chainGraph(t, n, n-1) }
+
+// ringGraph closes the line into a cycle.
+func ringGraph(t *testing.T, n int) *graph.Graph { return chainGraph(t, n, n) }
+
+// chainGraph links node i to node (i+1) mod n at unit weight, for i below
+// links.
+func chainGraph(t *testing.T, n, links int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
-	for i := 0; i < n-1; i++ {
-		if err := g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1); err != nil {
+	b := graph.New(n)
+	for i := 0; i < links; i++ {
+		if err := b.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g
-}
-
-// ringGraph closes the line into a cycle.
-func ringGraph(t *testing.T, n int) *graph.Graph {
-	t.Helper()
-	g := lineGraph(t, n)
-	if err := g.AddEdge(graph.NodeID(n-1), 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return b.Freeze()
 }
 
 // TestDegradationPartitionRepair is the table-driven degraded-member state

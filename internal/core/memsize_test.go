@@ -20,20 +20,24 @@ func TestSparseSessionFootprintGate(t *testing.T) {
 		members = 64
 	)
 	rng := rand.New(rand.NewSource(2005))
-	g := graph.New(n)
+	b := graph.New(n)
+	linked := map[graph.EdgeID]bool{}
 	// Random-attachment spanning structure (expected depth O(log n)) plus
 	// uniform extra edges: a small-diameter random topology, the regime the
 	// megascale studies run in.
 	for i := 1; i < n; i++ {
-		_ = g.AddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)), 1+rng.Float64())
+		u := graph.NodeID(rng.Intn(i))
+		linked[graph.MakeEdgeID(graph.NodeID(i), u)] = true
+		_ = b.AddEdge(graph.NodeID(i), u, 1+rng.Float64())
 	}
 	for i := 0; i < extra; i++ {
 		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-		if u != v && !g.HasEdge(u, v) {
-			_ = g.AddEdge(u, v, 1+rng.Float64())
+		if e := graph.MakeEdgeID(u, v); u != v && !linked[e] {
+			linked[e] = true
+			_ = b.AddEdge(u, v, 1+rng.Float64())
 		}
 	}
-	g.Freeze()
+	g := b.Freeze()
 
 	joiners := make([]graph.NodeID, 0, members)
 	seen := map[graph.NodeID]bool{0: true}

@@ -519,15 +519,20 @@ func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 			// for the order their weights are summed in, (0.1+0.2)+0.3 ≠
 			// 0.1+(0.2+0.3), so the potential is consistent to a rounding only
 			// and the sweep has settled nodes to lower.
-			g = graph.New(n)
+			b := graph.New(n)
+			linked := map[graph.EdgeID]bool{}
 			for i := 1; i < n; i++ {
-				_ = g.AddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)), 0.1*float64(1+rng.Intn(3)))
+				u := graph.NodeID(rng.Intn(i))
+				linked[graph.MakeEdgeID(graph.NodeID(i), u)] = true
+				_ = b.AddEdge(graph.NodeID(i), u, 0.1*float64(1+rng.Intn(3)))
 			}
 			for i := 0; i < 2*n; i++ {
-				if u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)); u != v && !g.HasEdge(u, v) {
-					_ = g.AddEdge(u, v, 0.1*float64(1+rng.Intn(3)))
+				if u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)); u != v && !linked[graph.MakeEdgeID(u, v)] {
+					linked[graph.MakeEdgeID(u, v)] = true
+					_ = b.AddEdge(u, v, 0.1*float64(1+rng.Intn(3)))
 				}
 			}
+			g = b.Freeze()
 		}
 		if trial%2 == 0 {
 			g.EnableSPFCache()
@@ -652,15 +657,16 @@ func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 // the join lands on c instead.
 func TestJoinOnUnflushedFailureKeepsDeadEdgeCandidate(t *testing.T) {
 	const S, a, b, c, d, e, j = 0, 1, 2, 3, 4, 5, 6
-	g := graph.New(7)
+	build := graph.New(7)
 	for _, ed := range []struct {
 		u, v graph.NodeID
 		w    float64
 	}{{S, a, 1}, {a, j, 1}, {S, c, 1}, {c, j, 1}, {S, b, 5}, {b, a, 5}, {c, d, 1}, {c, e, 1}} {
-		if err := g.AddEdge(ed.u, ed.v, ed.w); err != nil {
+		if err := build.AddEdge(ed.u, ed.v, ed.w); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := build.Freeze()
 	g.EnableSPFCache() // the prune takes its lower bound from the cache
 	cfg := DefaultConfig()
 	cfg.ReshapeDelta = 0
@@ -700,15 +706,16 @@ func TestJoinOnUnflushedFailureKeepsDeadEdgeCandidate(t *testing.T) {
 // it is the sweep of the region, and j lands below a.
 func TestSourceInsidePruneSlackIsDeclined(t *testing.T) {
 	const S, a, b, c, j = 0, 1, 2, 3, 4
-	g := graph.New(5)
+	build := graph.New(5)
 	for _, ed := range []struct {
 		u, v graph.NodeID
 		w    float64
 	}{{S, a, 1}, {a, j, 1}, {S, b, 1}, {b, j, 1 + 1.5e-9}, {S, c, 1}, {c, j, 1 + 3.8e-9}} {
-		if err := g.AddEdge(ed.u, ed.v, ed.w); err != nil {
+		if err := build.AddEdge(ed.u, ed.v, ed.w); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := build.Freeze()
 	g.EnableSPFCache()
 	cfg := DefaultConfig()
 	cfg.DThresh, cfg.ReshapeDelta = 0, 0

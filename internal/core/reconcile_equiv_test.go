@@ -144,13 +144,13 @@ func (st *roundwise) Recover(fs []failure.Failure) (*HealReport, error) {
 // which is what the tree-side engine's contenders are for.
 func tiedWeights(t *testing.T, g *graph.Graph, rng *topology.RNG, unit float64) *graph.Graph {
 	t.Helper()
-	out := graph.New(g.NumNodes())
+	b := graph.New(g.NumNodes())
 	for _, e := range g.Edges() {
-		if err := out.AddEdge(e.A, e.B, float64(1+rng.Intn(3))*unit); err != nil {
+		if err := b.AddEdge(e.A, e.B, float64(1+rng.Intn(3))*unit); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return out
+	return b.Freeze()
 }
 
 // fieldCoverage is what TestReconcileMatchesRoundwiseReference saw of the heals
@@ -434,7 +434,7 @@ func compareHeals(t *testing.T, where string, got, want *HealReport) {
 // float and wins on ID, as the round-wise reference has it — and with 3's path
 // on the tree, 5 reconnects to node 2 instead of the source.
 func TestReconnectSettlesNearTiesOnTheMembersFloat(t *testing.T) {
-	g := graph.New(10)
+	b := graph.New(10)
 	for _, e := range []struct {
 		u, v graph.NodeID
 		w    float64
@@ -444,11 +444,12 @@ func TestReconnectSettlesNearTiesOnTheMembersFloat(t *testing.T) {
 		{0, 4, 0.3}, {4, 5, 0.3}, {5, 2, 0.4}, // 5's two ways back
 		{0, 9, 0.5}, {9, 8, 0.5}, // 8's
 	} {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cfg := DefaultConfig()
+	g := b.Freeze()
 	sut, err := NewSession(g, 0, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 // with SHR = {1:2, 2:4, 3:6, 4:7, 5:1, 6:2}.
 func twoBranchSession(t *testing.T) *Session {
 	t.Helper()
-	g := graph.New(7)
+	b := graph.New(7)
 	for _, e := range []struct {
 		u, v graph.NodeID
 		w    float64
@@ -30,10 +30,11 @@ func twoBranchSession(t *testing.T) *Session {
 		{0, 5, 1}, {5, 6, 1},
 		{3, 6, 5},
 	} {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Freeze()
 	s, err := NewSession(g, 0, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -132,12 +133,13 @@ func TestEagerSHRUpdateCountsDirtyNodesOnly(t *testing.T) {
 // recount SHRComputes — only reads that observe a new tree epoch do.
 func TestDeferredSHRMemoizesOnEpoch(t *testing.T) {
 	cfg := DefaultConfig()
-	g := graph.New(4)
+	b := graph.New(4)
 	for _, e := range []struct{ u, v graph.NodeID }{{0, 1}, {1, 2}, {2, 3}} {
-		if err := g.AddEdge(e.u, e.v, 1); err != nil {
+		if err := b.AddEdge(e.u, e.v, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Freeze()
 	s, err := NewSession(g, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -178,12 +180,13 @@ func TestDeferredSHRMemoizesOnEpoch(t *testing.T) {
 func TestDeferredReshapeCheckForcesLiveTable(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PeriodicReshape = true
-	g := graph.New(4)
+	b := graph.New(4)
 	for _, e := range []struct{ u, v graph.NodeID }{{0, 1}, {1, 2}, {2, 3}} {
-		if err := g.AddEdge(e.u, e.v, 1); err != nil {
+		if err := b.AddEdge(e.u, e.v, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Freeze()
 	s, err := NewSession(g, 0, cfg)
 	if err != nil {
 		t.Fatal(err)

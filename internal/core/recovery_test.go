@@ -149,12 +149,13 @@ func TestHealSourceFailureLeavesSessionIntact(t *testing.T) {
 // as they were.
 func TestRecoverRefusesUnknownNode(t *testing.T) {
 	// S(0)-1-2 line plus 0-3: failing 1-2 parks member 2.
-	g := graph.New(4)
+	b := graph.New(4)
 	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}, {0, 3}} {
-		if err := g.AddEdge(e[0], e[1], 1); err != nil {
+		if err := b.AddEdge(e[0], e[1], 1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Freeze()
 	s, err := NewSession(g, 0, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -214,13 +215,14 @@ func TestRecoverRefusesUnknownEdge(t *testing.T) {
 
 func TestHealUnrecoverableMember(t *testing.T) {
 	// S(0)-1-2 line, member at 2; failing 1-2 with no alternative strands 2.
-	g := graph.New(3)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.New(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(1, 2, 1); err != nil {
+	if err := b.AddEdge(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	s, err := NewSession(g, 0, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

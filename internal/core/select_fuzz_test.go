@@ -69,13 +69,14 @@ func decodeSelectCase(data []byte) selectCase {
 		downLinks = append(downLinks, next())
 	}
 
-	in.g = graph.New(n)
+	b := graph.New(n)
 	for len(data) >= 3 {
 		u, v, w := node(), node(), unit*float64(1+next()%8)
 		if u != v {
-			_ = in.g.AddEdge(u, v, w) // a repeated edge keeps its first weight
+			_ = b.AddEdge(u, v, w) // a repeated edge keeps its first weight
 		}
 	}
+	in.g = b.Freeze()
 	if flags&4 != 0 {
 		in.g.EnableSPFCache()
 	}

@@ -199,15 +199,16 @@ func TestReshapeRefusedThroughDepartingRelay(t *testing.T) {
 	const (
 		S, X, Y, R, M, A, B = 0, 1, 2, 3, 4, 5, 6
 	)
-	g := graph.New(7)
+	b := graph.New(7)
 	for _, e := range []struct {
 		u, v graph.NodeID
 		w    float64
 	}{{S, X, 1}, {S, Y, 1}, {X, R, 1}, {Y, R, 1.5}, {R, M, 1}, {X, A, 1}, {X, B, 1}} {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Freeze()
 	s, err := NewSession(g, S, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -318,10 +319,11 @@ func TestJoinErrors(t *testing.T) {
 }
 
 func TestJoinDisconnectedNode(t *testing.T) {
-	g := graph.New(3)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.New(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	s, err := NewSession(g, 0, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -130,14 +130,15 @@ func TestEventAt(t *testing.T) {
 // lineNet builds a 3-node line network 0-1-2 with weights 1 and 2.
 func lineNet(t *testing.T) (*Engine, *Network) {
 	t.Helper()
-	g := graph.New(3)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.New(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(1, 2, 2); err != nil {
+	if err := b.AddEdge(1, 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	e := NewEngine()
+	g := b.Freeze()
 	return e, NewNetwork(e, g)
 }
 

@@ -109,18 +109,26 @@ func TestStudiesRejectZeroSizes(t *testing.T) {
 }
 
 // TestStudiesGolden renders every study of "-fig all" at smallArgs (seed
-// 2005, one worker) and compares the bytes with the checked-in golden: the
-// blessed output every refactor must leave unchanged. After an intended
-// change of the numbers, SMRP_UPDATE_GOLDEN=1 rewrites the file.
+// 2005, one worker), then the chaos and strategies studies, which run only
+// when named, at 60 trials, and compares the bytes with the checked-in
+// golden: the blessed output every refactor must leave unchanged. After an
+// intended change of the numbers, SMRP_UPDATE_GOLDEN=1 rewrites the file.
 func TestStudiesGolden(t *testing.T) {
 	const path = "testdata/studies_seed2005.golden"
+	named := smallArgs()
+	named.Trials = 60 // under -short too: the golden holds one size
 	var b strings.Builder
-	for _, s := range Select("all") {
-		rep, err := s.Run(bg, RunConfig{Seed: testSeed, Workers: 1}, smallArgs())
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
+	for _, run := range []struct {
+		fig  string
+		args Args
+	}{{"all", smallArgs()}, {"chaos", named}, {"strategies", named}} {
+		for _, s := range Select(run.fig) {
+			rep, err := s.Run(bg, RunConfig{Seed: testSeed, Workers: 1}, run.args)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+			b.WriteString(rep.Render())
 		}
-		b.WriteString(rep.Render())
 	}
 	if os.Getenv("SMRP_UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {

@@ -212,17 +212,18 @@ func TestFigure1Detours(t *testing.T) {
 // surviving tree do not count toward the global recovery distance.
 func TestGlobalDetourReusesSurvivingTree(t *testing.T) {
 	// Line S(0)-1-2-3 with member at 3 and a shortcut 3-4-1 back to node 1.
-	g := graph.New(5)
+	b := graph.New(5)
 	for _, e := range []struct {
 		u, v graph.NodeID
 		w    float64
 	}{
 		{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 1, 1},
 	} {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Freeze()
 	tr, err := multicast.New(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -275,10 +276,11 @@ func TestDetourErrors(t *testing.T) {
 
 func TestDetourUnrecoverable(t *testing.T) {
 	// S(0)-1 with member 1 and no alternative path.
-	g := graph.New(2)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.New(2)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	tr, err := multicast.New(g, 0)
 	if err != nil {
 		t.Fatal(err)

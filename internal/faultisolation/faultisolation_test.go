@@ -97,12 +97,13 @@ func TestIsolateInconsistent(t *testing.T) {
 
 func TestIsolateMultipleFailures(t *testing.T) {
 	// Star tree: S with three member branches; two branches cut.
-	g := graph.New(4)
+	b := graph.New(4)
 	for i := 1; i < 4; i++ {
-		if err := g.AddEdge(0, graph.NodeID(i), 1); err != nil {
+		if err := b.AddEdge(0, graph.NodeID(i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Freeze()
 	tr, err := multicast.New(g, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -7,14 +7,15 @@ import (
 
 func TestArticulationPointsBarbell(t *testing.T) {
 	// Two triangles joined by a single edge 2-3: its endpoints are the cuts.
-	g := New(6)
-	mustEdge(t, g, 0, 1, 1)
-	mustEdge(t, g, 1, 2, 1)
-	mustEdge(t, g, 2, 0, 1)
-	mustEdge(t, g, 3, 4, 1)
-	mustEdge(t, g, 4, 5, 1)
-	mustEdge(t, g, 5, 3, 1)
-	mustEdge(t, g, 2, 3, 1)
+	b := New(6)
+	mustEdge(t, b, 0, 1, 1)
+	mustEdge(t, b, 1, 2, 1)
+	mustEdge(t, b, 2, 0, 1)
+	mustEdge(t, b, 3, 4, 1)
+	mustEdge(t, b, 4, 5, 1)
+	mustEdge(t, b, 5, 3, 1)
+	mustEdge(t, b, 2, 3, 1)
+	g := b.Freeze()
 	arts := g.ArticulationPoints(nil)
 	if len(arts) != 2 || arts[0] != 2 || arts[1] != 3 {
 		t.Errorf("articulations = %v, want [2 3]", arts)
@@ -22,10 +23,11 @@ func TestArticulationPointsBarbell(t *testing.T) {
 }
 
 func TestArticulationPointsStar(t *testing.T) {
-	g := New(4)
+	b := New(4)
 	for i := 1; i < 4; i++ {
-		mustEdge(t, g, 0, NodeID(i), 1)
+		mustEdge(t, b, 0, NodeID(i), 1)
 	}
+	g := b.Freeze()
 	arts := g.ArticulationPoints(nil)
 	if len(arts) != 1 || arts[0] != 0 {
 		t.Errorf("articulations = %v, want [0]", arts)
@@ -36,10 +38,11 @@ func TestArticulationPointsStar(t *testing.T) {
 }
 
 func TestBiconnectedCycle(t *testing.T) {
-	g := New(5)
+	b := New(5)
 	for i := 0; i < 5; i++ {
-		mustEdge(t, g, NodeID(i), NodeID((i+1)%5), 1)
+		mustEdge(t, b, NodeID(i), NodeID((i+1)%5), 1)
 	}
+	g := b.Freeze()
 	if !g.Biconnected(nil) {
 		t.Error("cycle should be biconnected")
 	}
@@ -47,8 +50,9 @@ func TestBiconnectedCycle(t *testing.T) {
 		t.Errorf("articulations = %v", arts)
 	}
 	// A two-node graph is not biconnected by convention.
-	g2 := New(2)
-	mustEdge(t, g2, 0, 1, 1)
+	b2 := New(2)
+	mustEdge(t, b2, 0, 1, 1)
+	g2 := b2.Freeze()
 	if g2.Biconnected(nil) {
 		t.Error("K2 should not count as biconnected")
 	}
@@ -100,10 +104,11 @@ func randomBiconnectedGraph(t *testing.T, rng *rand.Rand, n int) *Graph {
 }
 
 func TestSTNumberingOnCycle(t *testing.T) {
-	g := New(5)
+	b := New(5)
 	for i := 0; i < 5; i++ {
-		mustEdge(t, g, NodeID(i), NodeID((i+1)%5), 1)
+		mustEdge(t, b, NodeID(i), NodeID((i+1)%5), 1)
 	}
+	g := b.Freeze()
 	num, err := g.STNumbering(0, 1)
 	if err != nil {
 		t.Fatal(err)

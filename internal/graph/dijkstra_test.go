@@ -15,12 +15,12 @@ import (
 // where 0→3 via 1 costs 2 and via 2 costs 4.
 func diamond(t *testing.T) *Graph {
 	t.Helper()
-	g := New(4)
-	mustEdge(t, g, 0, 1, 1)
-	mustEdge(t, g, 1, 3, 1)
-	mustEdge(t, g, 0, 2, 2)
-	mustEdge(t, g, 2, 3, 2)
-	return g
+	b := New(4)
+	mustEdge(t, b, 0, 1, 1)
+	mustEdge(t, b, 1, 3, 1)
+	mustEdge(t, b, 0, 2, 2)
+	mustEdge(t, b, 2, 3, 2)
+	return b.Freeze()
 }
 
 func TestDijkstraBasic(t *testing.T) {
@@ -52,8 +52,9 @@ func TestDijkstraWithMask(t *testing.T) {
 }
 
 func TestDijkstraUnreachable(t *testing.T) {
-	g := New(3)
-	mustEdge(t, g, 0, 1, 1)
+	b := New(3)
+	mustEdge(t, b, 0, 1, 1)
+	g := b.Freeze()
 	tr := g.Dijkstra(0, nil)
 	if tr.Reachable(2) {
 		t.Error("node 2 should be unreachable")
@@ -116,10 +117,11 @@ func TestNearestOfNoneReachable(t *testing.T) {
 
 func TestNearestOfTiesAreNearest(t *testing.T) {
 	// Star: center 0 with arms of different lengths.
-	g := New(4)
-	mustEdge(t, g, 0, 1, 5)
-	mustEdge(t, g, 0, 2, 3)
-	mustEdge(t, g, 0, 3, 4)
+	b := New(4)
+	mustEdge(t, b, 0, 1, 5)
+	mustEdge(t, b, 0, 2, 3)
+	mustEdge(t, b, 0, 3, 4)
+	g := b.Freeze()
 	node, _, d := g.NearestOf(0, nil, func(n NodeID) bool { return n != 0 })
 	if node != 2 || d != 3 {
 		t.Errorf("NearestOf = %d (%v), want 2 (3)", node, d)
@@ -129,22 +131,27 @@ func TestNearestOfTiesAreNearest(t *testing.T) {
 // randomConnectedGraph builds a connected random graph: a random spanning
 // tree plus extra random edges, with weights in (0, 10].
 func randomConnectedGraph(rng *rand.Rand, n, extraEdges int) *Graph {
-	g := New(n)
+	return randomConnectedBuild(rng, n, extraEdges).Freeze()
+}
+
+// randomConnectedBuild is randomConnectedGraph up to, not including, Freeze.
+func randomConnectedBuild(rng *rand.Rand, n, extraEdges int) *Builder {
+	b := New(n)
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
 		u := NodeID(perm[i])
 		v := NodeID(perm[rng.Intn(i)])
-		_ = g.AddEdge(u, v, 1+rng.Float64()*9)
+		_ = b.AddEdge(u, v, 1+rng.Float64()*9)
 	}
 	for i := 0; i < extraEdges; i++ {
 		u := NodeID(rng.Intn(n))
 		v := NodeID(rng.Intn(n))
-		if u == v || g.HasEdge(u, v) {
+		if u == v || b.HasEdge(u, v) {
 			continue
 		}
-		_ = g.AddEdge(u, v, 1+rng.Float64()*9)
+		_ = b.AddEdge(u, v, 1+rng.Float64()*9)
 	}
-	return g
+	return b
 }
 
 // bellmanFord is an independent O(V·E) reference implementation used to

@@ -87,41 +87,38 @@ func checkStore(t *testing.T, what string, g *Graph, r *refStore) {
 	}
 }
 
-// checkFrozenAndClones repeats checkStore on an unfrozen clone, on g frozen,
-// and on a clone of the frozen g, and checks that a frozen graph refuses an
-// edge with ErrFrozen.
-func checkFrozenAndClones(t *testing.T, what string, g *Graph, r *refStore) {
+// checkFrozen freezes b, repeats checkStore on the graph it hands over, and
+// checks that the builder is left empty.
+func checkFrozen(t *testing.T, what string, b *Builder, r *refStore) *Graph {
 	t.Helper()
-	checkStore(t, what+" (clone)", g.Clone(), r)
-	g.Freeze()
+	g := b.Freeze()
 	checkStore(t, what+" (frozen)", g, r)
-	checkStore(t, what+" (frozen clone)", g.Clone(), r)
-	want := fmt.Sprintf("add edge 0-1: %v", ErrFrozen)
-	if got := errText(g.AddEdge(0, 1, 1)); got != want {
-		t.Fatalf("%s: AddEdge on a frozen graph = %q, want %q", what, got, want)
+	if b.NumNodes() != 0 {
+		t.Fatalf("%s: the builder holds %d nodes after Freeze", what, b.NumNodes())
 	}
+	return g
 }
 
 // TestEdgeStoreMatchesReference drives random build sequences against a plain
 // map kept beside the graph: AddNode midway, duplicates in both
 // orientations, self-loops, unknown and negative IDs, and zero, negative,
-// NaN and infinite weights, comparing every read and every error after each
-// step, then after Freeze and on both kinds of Clone. Two fixed shapes follow
-// at the sizes where the row scan is longest: a complete K₂₀₀ and a 500-leaf
-// star, both wired in shuffled order so no row is built sorted.
+// NaN and infinite weights, comparing every read of the rows being built and
+// every error after each step, then every read after Freeze. Two fixed shapes
+// follow at the sizes where the row scan is longest: a complete K₂₀₀ and a
+// 500-leaf star, both wired in shuffled order so no row is built sorted.
 func TestEdgeStoreMatchesReference(t *testing.T) {
 	weights := []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1, 0.5}
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(2700 + trial)))
 		n := 2 + rng.Intn(10)
-		g, r := New(n), newRefStore(n)
-		checkStore(t, "empty", g, r)
+		b, r := New(n), newRefStore(n)
+		checkStore(t, "empty", &b.g, r)
 		for step := 0; step < 150; step++ {
 			what := fmt.Sprintf("trial %d step %d", trial, step)
 			pick := func() NodeID { return NodeID(rng.Intn(r.n+4) - 2) }
 			switch op := rng.Intn(10); {
 			case op == 0 && r.n < 40:
-				g.AddNode(Point{X: rng.Float64()})
+				b.AddNode(Point{X: rng.Float64()})
 				r.n++
 			case op <= 2 && len(r.w) > 0:
 				// A duplicate, in either orientation, with any weight.
@@ -132,7 +129,7 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 					u, v = v, u
 				}
 				w := 0.1 + rng.Float64()
-				if got, want := errText(g.AddEdge(u, v, w)), r.add(u, v, w); got != want {
+				if got, want := errText(b.AddEdge(u, v, w)), r.add(u, v, w); got != want {
 					t.Fatalf("%s: AddEdge(%d,%d) = %q, want %q", what, u, v, got, want)
 				}
 			default:
@@ -144,18 +141,18 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					w = weights[rng.Intn(len(weights))]
 				}
-				if got, want := errText(g.AddEdge(u, v, w)), r.add(u, v, w); got != want {
+				if got, want := errText(b.AddEdge(u, v, w)), r.add(u, v, w); got != want {
 					t.Fatalf("%s: AddEdge(%d,%d,%v) = %q, want %q", what, u, v, w, got, want)
 				}
 			}
-			checkStore(t, what, g, r)
+			checkStore(t, what, &b.g, r)
 		}
-		checkFrozenAndClones(t, fmt.Sprintf("trial %d", trial), g, r)
+		checkFrozen(t, fmt.Sprintf("trial %d", trial), b, r)
 	}
 
 	rng := rand.New(rand.NewSource(27))
-	wire := func(n int, pairs []EdgeID) (*Graph, *refStore) {
-		g, r := New(n), newRefStore(n)
+	wire := func(n int, pairs []EdgeID) (*Builder, *refStore) {
+		b, r := New(n), newRefStore(n)
 		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 		for _, e := range pairs {
 			u, v := e.A, e.B
@@ -163,11 +160,11 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 				u, v = v, u
 			}
 			w := 0.1 + rng.Float64()
-			if got, want := errText(g.AddEdge(u, v, w)), r.add(u, v, w); got != want {
+			if got, want := errText(b.AddEdge(u, v, w)), r.add(u, v, w); got != want {
 				t.Fatalf("AddEdge(%d,%d) = %q, want %q", u, v, got, want)
 			}
 		}
-		return g, r
+		return b, r
 	}
 
 	var complete []EdgeID
@@ -177,8 +174,8 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 		}
 	}
 	k200, rk := wire(200, complete)
-	checkStore(t, "K200", k200, rk)
-	checkFrozenAndClones(t, "K200", k200, rk)
+	checkStore(t, "K200", &k200.g, rk)
+	checkFrozen(t, "K200", k200, rk)
 
 	// The hub sits mid-range, so its row holds arcs to lower and higher IDs.
 	const hub = 250
@@ -189,12 +186,16 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 		}
 	}
 	star, rs := wire(501, spokes)
-	checkStore(t, "star", star, rs)
+	checkStore(t, "star", &star.g, rs)
+	frozen := checkFrozen(t, "star", star, rs)
 
 	// A lookup scans the shorter row. On a copy whose hub row carries
 	// different weights, every hub–leaf lookup must still answer with the
 	// leaf row's weight, in either argument order.
-	probe := star.Clone()
+	probe := &Graph{adj: make([][]Arc, len(frozen.adj)), pos: frozen.pos, edges: frozen.edges}
+	for u, row := range frozen.adj {
+		probe.adj[u] = slices.Clone(row)
+	}
 	for i := range probe.adj[hub] {
 		probe.adj[hub][i].Weight = -1
 	}
@@ -209,5 +210,4 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	checkFrozenAndClones(t, "star", star, rs)
 }

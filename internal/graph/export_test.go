@@ -1,15 +1,11 @@
 package graph
 
 // AddNode appends a node at position p and returns its ID, so tests can
-// grow a graph between edges. It panics on a frozen graph.
-func (g *Graph) AddNode(p Point) NodeID {
-	if g.frozen {
-		panic(ErrFrozen)
-	}
-	g.adj = append(g.adj, nil)
-	g.pos = append(g.pos, p)
-	g.version++
-	return NodeID(len(g.adj) - 1)
+// grow a graph between edges.
+func (b *Builder) AddNode(p Point) NodeID {
+	b.g.adj = append(b.g.adj, nil)
+	b.g.pos = append(b.g.pos, p)
+	return NodeID(len(b.g.adj) - 1)
 }
 
 // Parent returns n's predecessor on its shortest path (Invalid at the source
@@ -20,3 +16,7 @@ func (s *Sweep) Parent(n NodeID) NodeID {
 	}
 	return s.parent[n]
 }
+
+// HasEdge reports whether the edge (u, v) has been inserted, so tests can
+// draw random edge sets without duplicates.
+func (b *Builder) HasEdge(u, v NodeID) bool { return b.g.HasEdge(u, v) }

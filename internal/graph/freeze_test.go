@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,52 +9,98 @@ import (
 	"time"
 )
 
-// buildRandomPair replays one random build sequence (AddNode/AddEdge, with
-// occasional Clone swaps so clone lineage is exercised mid-build) into two
-// graphs and returns them. The caller freezes one and keeps the other as the
-// build-phase reference.
-func buildRandomPair(rng *rand.Rand) (ref, froze *Graph) {
-	ref, froze = New(0), New(0)
+// buildRandom replays one random build sequence (AddNode/AddEdge) into a
+// builder and returns it with its insertion log.
+func buildRandom(rng *rand.Rand) (*Builder, insertionLog) {
+	b, log := New(0), insertionLog{}
 	steps := 40 + rng.Intn(120)
 	for i := 0; i < steps; i++ {
-		switch {
-		case ref.NumNodes() < 2 || rng.Intn(4) == 0:
-			p := Point{X: rng.Float64(), Y: rng.Float64()}
-			ref.AddNode(p)
-			froze.AddNode(p)
-		case rng.Intn(8) == 0:
-			// Continue the build on a mid-sequence clone of each side.
-			ref, froze = ref.Clone(), froze.Clone()
-		default:
-			u := NodeID(rng.Intn(ref.NumNodes()))
-			v := NodeID(rng.Intn(ref.NumNodes()))
-			w := 0.1 + rng.Float64()
-			errA := ref.AddEdge(u, v, w)
-			errB := froze.AddEdge(u, v, w)
-			if (errA == nil) != (errB == nil) {
-				panic("build divergence")
+		if b.NumNodes() < 2 || rng.Intn(4) == 0 {
+			b.AddNode(Point{X: rng.Float64(), Y: rng.Float64()})
+			log = append(log, nil)
+			continue
+		}
+		u := NodeID(rng.Intn(b.NumNodes()))
+		v := NodeID(rng.Intn(b.NumNodes()))
+		log.addEdge(b, u, v, 0.1+rng.Float64())
+	}
+	return b, log
+}
+
+// snapshot copies the rows b has built so far, in insertion order, into a
+// graph of their own that Freeze cannot reorder.
+func snapshot(b *Builder) *Graph {
+	s := b.g
+	s.adj = make([][]Arc, len(b.g.adj))
+	for u, row := range b.g.adj {
+		s.adj[u] = slices.Clone(row)
+	}
+	return &s
+}
+
+// checkTree holds a shortest-path tree to a reference that reads no row
+// order: Bellman-Ford distances under the mask, and as each reached node's
+// parent the least-numbered neighbour whose distance plus the arc is exactly
+// the node's.
+func checkTree(t *testing.T, what string, g *Graph, tr *SPTree, mask *Mask) {
+	t.Helper()
+	n := g.NumNodes()
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	if !mask.NodeBlocked(tr.Source) {
+		dist[tr.Source] = 0
+	}
+	edges := g.Edges()
+	for changed := true; changed; {
+		changed = false
+		for _, e := range edges {
+			if mask.EdgeBlocked(e.A, e.B) {
+				continue
+			}
+			w, _ := g.EdgeWeight(e.A, e.B)
+			for _, d := range [][2]NodeID{{e.A, e.B}, {e.B, e.A}} {
+				if nd := dist[d[0]] + w; nd < dist[d[1]] {
+					dist[d[1]], changed = nd, true
+				}
 			}
 		}
 	}
-	return ref, froze
+	for v := NodeID(0); int(v) < n; v++ {
+		parent := Invalid
+		if v != tr.Source && dist[v] < Unreachable {
+			for _, e := range edges {
+				u := e.A
+				if u == v {
+					u = e.B
+				} else if e.B != v {
+					continue
+				}
+				if w, _ := g.EdgeWeight(u, v); !mask.EdgeBlocked(u, v) && dist[u]+w == dist[v] && (parent == Invalid || u < parent) {
+					parent = u
+				}
+			}
+		}
+		if tr.Dist[v] != dist[v] || tr.Parent[v] != parent {
+			t.Fatalf("%s: node %d at (%v, parent %d), reference (%v, parent %d)", what, v, tr.Dist[v], tr.Parent[v], dist[v], parent)
+		}
+	}
 }
 
 // TestFrozenGraphEquivalence is the frozen-graph property test: random build
-// sequences of AddNode/AddEdge/Clone, then every read API of the frozen graph
-// checked bit-identical against its still-building twin — Edges, HasEdge,
-// EdgeWeight, AvgDegree, NumEdges, the deterministic footprint delta, and
-// full Dijkstra trees from several sources (distances and parents compared
-// exactly) — and each frozen row holding its twin's arcs, sorted by (weight,
-// neighbour).
+// sequences of AddNode/AddEdge, then every read API of the frozen graph
+// checked bit-identical against the rows as built — Edges, HasEdge,
+// EdgeWeight, AvgDegree, NumEdges, the deterministic footprint — each frozen
+// row holding the arcs inserted into it, sorted by (weight, neighbour), and
+// full Dijkstra trees from several sources against a reference that reads no
+// row order.
 func TestFrozenGraphEquivalence(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(9000 + trial)))
-		ref, froze := buildRandomPair(rng)
-		froze.Freeze()
-		if !froze.frozen {
-			t.Fatal("Freeze did not mark the graph frozen")
-		}
-		froze.Freeze() // idempotent
+		b, log := buildRandom(rng)
+		ref := snapshot(b)
+		froze := b.Freeze()
 
 		if got, want := froze.NumNodes(), ref.NumNodes(); got != want {
 			t.Fatalf("trial %d: NumNodes %d != %d", trial, got, want)
@@ -68,12 +114,8 @@ func TestFrozenGraphEquivalence(t *testing.T) {
 		if !slices.Equal(froze.Edges(), ref.Edges()) {
 			t.Fatalf("trial %d: Edges diverge", trial)
 		}
+		checkRowOrder(t, froze, log)
 		n := ref.NumNodes()
-		inserted := make(insertionLog, n)
-		for u := range inserted {
-			inserted[u] = ref.Neighbors(NodeID(u))
-		}
-		checkRowOrder(t, froze, inserted)
 		for u := NodeID(0); u < NodeID(n); u++ {
 			for v := NodeID(0); v < NodeID(n); v++ {
 				hw, hok := froze.EdgeWeight(u, v)
@@ -87,70 +129,37 @@ func TestFrozenGraphEquivalence(t *testing.T) {
 				}
 			}
 		}
-		// Dijkstra output bit-identical from a few sources (and from the
-		// frozen clone, which shares the immutable storage).
-		fc := froze.Clone()
-		if !fc.frozen {
-			t.Fatal("clone of frozen graph is not frozen")
-		}
 		for s := 0; s < 3 && s < n; s++ {
 			src := NodeID(rng.Intn(n))
-			rt := ref.Dijkstra(src, nil)
-			for _, g2 := range []*Graph{froze, fc} {
-				ft := g2.Dijkstra(src, nil)
-				if !slices.Equal(ft.Dist, rt.Dist) || !slices.Equal(ft.Parent, rt.Parent) {
-					t.Fatalf("trial %d: Dijkstra(%d) diverges on frozen graph", trial, src)
-				}
-			}
+			checkTree(t, fmt.Sprintf("trial %d: Dijkstra(%d)", trial, src), froze, froze.Dijkstra(src, nil), nil)
 		}
-		// Footprint: freezing re-packs the rows and adds no edge index, so
-		// the accounting must never grow.
-		if froze.MemoryFootprint() > ref.MemoryFootprint() {
-			t.Fatalf("trial %d: frozen footprint %d exceeds build-phase %d",
-				trial, froze.MemoryFootprint(), ref.MemoryFootprint())
+		if froze.MemoryFootprint() != ref.MemoryFootprint() {
+			t.Fatalf("trial %d: frozen footprint %d, built %d", trial, froze.MemoryFootprint(), ref.MemoryFootprint())
 		}
-
-		// Immutability contract.
-		if err := froze.AddEdge(0, 1, 1); !errors.Is(err, ErrFrozen) {
-			t.Fatalf("trial %d: AddEdge on frozen graph: %v, want ErrFrozen", trial, err)
-		}
-		mustPanic := func(f func()) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("trial %d: mutator on frozen graph did not panic", trial)
-				}
-			}()
-			f()
-		}
-		mustPanic(func() { froze.AddNode(Point{}) })
-		mustPanic(func() { froze.SetPos(0, Point{X: 1}) })
 	}
 }
 
 // TestFrozenGraphMaskedSweeps pins the frozen representation under the
-// failure machinery: masked Dijkstra and iSPF-cached lookups answer
-// identically on the frozen and still-building twins.
+// failure machinery: masked Dijkstra, cold and through the SPF cache's delta
+// repairs, answers as the order-free reference does.
 func TestFrozenGraphMaskedSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
-	ref, froze := buildRandomPair(rng)
-	froze.Freeze()
-	ref.EnableSPFCache()
-	froze.EnableSPFCache()
-	n := ref.NumNodes()
+	b, _ := buildRandom(rng)
+	g := b.Freeze()
+	g.EnableSPFCache()
+	n := g.NumNodes()
 	mask := NewMask()
 	for round := 0; round < 20; round++ {
 		if rng.Intn(2) == 0 {
 			mask.BlockNode(NodeID(rng.Intn(n)))
-		} else if es := ref.Edges(); len(es) > 0 {
+		} else if es := g.Edges(); len(es) > 0 {
 			e := es[rng.Intn(len(es))]
 			mask.BlockEdge(e.A, e.B)
 		}
 		src := NodeID(rng.Intn(n))
-		rt := ref.Dijkstra(src, mask)
-		ft := froze.Dijkstra(src, mask)
-		if !slices.Equal(ft.Dist, rt.Dist) || !slices.Equal(ft.Parent, rt.Parent) {
-			t.Fatalf("round %d: masked Dijkstra(%d) diverges", round, src)
-		}
+		what := fmt.Sprintf("round %d: masked Dijkstra(%d)", round, src)
+		checkTree(t, what, g, g.dijkstra(src, mask), mask)
+		checkTree(t, what+" cached", g, g.Dijkstra(src, mask), mask)
 	}
 }
 
@@ -163,20 +172,20 @@ func TestFrozenGraphMaskedSweeps(t *testing.T) {
 // row about 350 times.
 func TestFrozenHubRows(t *testing.T) {
 	const leaves = 20000
-	build := func(star bool) (*Graph, insertionLog) {
+	build := func(star bool) (*Builder, insertionLog) {
 		rng := rand.New(rand.NewSource(2020))
-		g, log := New(leaves+1), make(insertionLog, leaves+1)
+		b, log := New(leaves+1), make(insertionLog, leaves+1)
 		for i := 1; i <= leaves; i++ {
 			u := NodeID(i - 1)
 			if star {
 				u = 0
 			}
-			log.addEdge(g, u, NodeID(i), float64(1+rng.Intn(50)))
+			log.addEdge(b, u, NodeID(i), float64(1+rng.Intn(50)))
 		}
-		return g, log
+		return b, log
 	}
-	g, log := build(true)
-	g.Freeze()
+	b, log := build(true)
+	g := b.Freeze()
 	if tied := checkRowOrder(t, g, log); tied == 0 {
 		t.Fatal("the hub's row holds no two equal weights")
 	}
@@ -195,9 +204,9 @@ func TestFrozenHubRows(t *testing.T) {
 	fastest := func(star bool) time.Duration {
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 5; i++ {
-			g, _ := build(star)
+			b, _ := build(star)
 			start := time.Now()
-			g.Freeze()
+			b.Freeze()
 			best = min(best, time.Since(start))
 		}
 		return best
@@ -210,17 +219,19 @@ func TestFrozenHubRows(t *testing.T) {
 }
 
 // BenchmarkEdgeWeightLookup measures the edge-weight probe, a scan of the
-// shorter endpoint row, on a building and on a frozen graph: an
-// evaluation-scale edge set with a uniform query mix of present and absent
-// edges.
+// shorter endpoint row: an evaluation-scale edge set with a uniform query mix
+// of present and absent edges.
 func BenchmarkEdgeWeightLookup(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	g := New(2000)
-	for g.NumEdges() < 8000 {
+	build := New(2000)
+	for edges := 0; edges < 8000; {
 		u := NodeID(rng.Intn(2000))
 		v := NodeID(rng.Intn(2000))
-		_ = g.AddEdge(u, v, 0.1+rng.Float64())
+		if build.AddEdge(u, v, 0.1+rng.Float64()) == nil {
+			edges++
+		}
 	}
+	g := build.Freeze()
 	queries := make([]EdgeID, 4096)
 	edges := g.Edges()
 	for i := range queries {
@@ -230,20 +241,15 @@ func BenchmarkEdgeWeightLookup(b *testing.B) {
 			queries[i] = MakeEdgeID(NodeID(rng.Intn(2000)), NodeID(rng.Intn(2000)))
 		}
 	}
-	run := func(b *testing.B, g *Graph) {
-		b.ReportAllocs()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			q := queries[i&(len(queries)-1)]
-			if w, ok := g.EdgeWeight(q.A, q.B); ok {
-				sink += w
-			}
-		}
-		if math.IsNaN(sink) {
-			b.Fatal("unreachable")
+	b.ReportAllocs()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		q := queries[i&(len(queries)-1)]
+		if w, ok := g.EdgeWeight(q.A, q.B); ok {
+			sink += w
 		}
 	}
-	frozen := g.Clone().Freeze()
-	b.Run("building", func(b *testing.B) { run(b, g) })
-	b.Run("frozen", func(b *testing.B) { run(b, frozen) })
+	if math.IsNaN(sink) {
+		b.Fatal("unreachable")
+	}
 }

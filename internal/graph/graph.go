@@ -60,27 +60,19 @@ func (p Point) Dist(q Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// Graph is a weighted undirected graph with dense node IDs.
-//
-// Build one with New and AddEdge, after Reserve when the degrees are known
-// in advance. Graph methods are not safe for concurrent mutation;
-// concurrent read-only use is safe.
+// Graph is a weighted undirected graph with dense node IDs, immutable once
+// built: a Builder assembles it and Freeze hands it over. Its one write is
+// EnableSPFCache, made before the graph is shared; every other method only
+// reads, so concurrent use is safe.
 type Graph struct {
 	// adj is the graph's one edge store: edge (u, v) is the arc to v in u's
-	// row and the arc to u in v's row, both carrying its weight. Rows keep
-	// insertion order until Freeze sorts each by (weight, neighbour); the
-	// sweeps read them in place. Lookups scan the shorter of the two rows.
+	// row and the arc to u in v's row, both carrying its weight. Every row is
+	// sorted by (weight, neighbour), and the sweeps read the rows in place.
+	// Lookups scan the shorter of the two rows.
 	adj [][]Arc
 	pos []Point
 	// edges counts the undirected edges in adj.
 	edges int
-	// frozen marks the graph immutable (see Freeze).
-	frozen bool
-	// version counts structural mutations (nodes, edges, positions). The
-	// SPF cache uses it to invalidate memoized shortest-path trees when the
-	// topology changes. Mutation is single-threaded by contract (see
-	// EnableSPFCache), so no atomicity is needed.
-	version uint64
 	// spf, when non-nil, memoizes Dijkstra results keyed by (source,
 	// mask fingerprint). See EnableSPFCache.
 	spf *SPFCache
@@ -101,44 +93,94 @@ var ErrUnknownNode = errors.New("graph: unknown node")
 // not contain: two nodes no edge joins, or a node paired with itself.
 var ErrUnknownEdge = errors.New("graph: unknown edge")
 
-// ErrFrozen is returned (or carried by the panic message of error-less
-// mutators) when a mutation reaches a graph after Freeze.
-var ErrFrozen = errors.New("graph: graph is frozen")
+// Builder assembles a Graph: New gives it the nodes, SetPos places them,
+// AddEdge inserts the edges, after Reserve when the degrees are known in
+// advance, and Freeze hands the result over. Its reads are the Graph's own,
+// over rows still in insertion order. A Builder is not safe for concurrent
+// use.
+type Builder struct {
+	g Graph
+}
 
-// New returns a graph with n nodes (IDs 0..n-1) and no edges. Node positions
+// New returns a builder of n nodes (IDs 0..n-1) and no edges. Node positions
 // default to the origin.
-func New(n int) *Graph {
-	return &Graph{
+func New(n int) *Builder {
+	return &Builder{g: Graph{
 		adj: make([][]Arc, n),
 		pos: make([]Point, n),
+	}}
+}
+
+// NumNodes returns the number of nodes being built.
+func (b *Builder) NumNodes() int { return b.g.NumNodes() }
+
+// Pos returns the position of node n.
+func (b *Builder) Pos(n NodeID) Point { return b.g.Pos(n) }
+
+// Components lists the connected components of the edges inserted so far
+// (see Graph.Components).
+func (b *Builder) Components() [][]NodeID { return b.g.Components(nil) }
+
+// Reserve grows every row once, making room at node n for extra[n] more
+// arcs, and carves all rows from one new block that holds exactly their arcs
+// plus the reserve, the arcs already there copied in order. A build that
+// reserves each row's final degree and then inserts it with AddEdge ends
+// with rows that have no slack, which Freeze then holds in the one block. No
+// count may be negative. It panics when extra does not hold one count per
+// node.
+func (b *Builder) Reserve(extra []int32) {
+	adj := b.g.adj
+	if len(extra) != len(adj) {
+		panic(fmt.Sprintf("graph: reserve of %d rows on %d nodes", len(extra), len(adj)))
+	}
+	total := 0
+	for n, row := range adj {
+		total += len(row) + int(extra[n])
+	}
+	block := make([]Arc, total)
+	for n, row := range adj {
+		size := len(row) + int(extra[n])
+		adj[n] = append(block[:0:size], row...)
+		block = block[size:]
 	}
 }
 
-// NumNodes returns the number of nodes in the graph.
-func (g *Graph) NumNodes() int { return len(g.adj) }
+// SetPos sets the position of node n.
+func (b *Builder) SetPos(n NodeID, p Point) { b.g.pos[n] = p }
 
-// NumEdges returns the number of undirected edges in the graph.
-func (g *Graph) NumEdges() int { return g.edges }
+// AddEdge inserts the undirected edge (u, v) with weight w. It returns an
+// error if either endpoint is unknown, the endpoints coincide, the weight is
+// not a positive finite number, or the edge already exists.
+func (b *Builder) AddEdge(u, v NodeID, w float64) error {
+	g := &b.g
+	if !g.valid(u) || !g.valid(v) {
+		return fmt.Errorf("add edge %d-%d: %w", u, v, ErrUnknownNode)
+	}
+	if u == v {
+		return fmt.Errorf("add edge: self-loop at node %d", u)
+	}
+	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
+		return fmt.Errorf("add edge %d-%d: weight %v must be positive and finite", u, v, w)
+	}
+	if g.HasEdge(u, v) {
+		return fmt.Errorf("add edge %d-%d: already present", u, v)
+	}
+	g.adj[u] = append(g.adj[u], Arc{To: v, Weight: w})
+	g.adj[v] = append(g.adj[v], Arc{To: u, Weight: w})
+	g.edges++
+	return nil
+}
 
-// Freeze ends the graph's build phase: each row is sorted by (weight,
-// neighbour), so that a sweep relaxing under a distance bound stops at the
-// first arc past it. Rows are sorted in place when none has slack, as after
-// Reserve with exact counts or Clone; otherwise they are first re-packed onto
-// one flat backing array, releasing the build's append slack. Large graphs
-// sort their rows on up to GOMAXPROCS goroutines. A frozen graph is
-// immutable: AddEdge returns ErrFrozen, and the error-less mutators SetPos
-// and Reserve panic. Freeze is idempotent and returns g for chaining. Clone
-// of a frozen graph shares the immutable storage instead of deep-copying it.
-func (g *Graph) Freeze() *Graph {
-	if g.frozen {
-		return g
-	}
-	if slices.ContainsFunc(g.adj, func(row []Arc) bool { return len(row) < cap(row) }) {
-		g.adj = packRows(g.adj)
-	}
+// Freeze ends the build: each row is sorted by (weight, neighbour) where it
+// lies, so that a sweep relaxing under a distance bound stops at the first
+// arc past it, and the rows are handed to the returned Graph without a copy.
+// Large graphs sort their rows on up to GOMAXPROCS goroutines. The builder is
+// left empty.
+func (b *Builder) Freeze() *Graph {
+	g := b.g
+	b.g = Graph{}
 	sortRows(g.adj, 2*g.edges)
-	g.frozen = true
-	return g
+	return &g
 }
 
 // sortArcsPerWorker is the fewest arcs Freeze gives a goroutine. It is the
@@ -207,58 +249,11 @@ func sortRow(row []Arc) {
 	}
 }
 
-// packRows copies rows onto one flat backing array (2·|E| arcs, one
-// allocation). Every returned row is full (len == cap), so an append to one
-// reallocates instead of clobbering its neighbour's arcs.
-func packRows(rows [][]Arc) [][]Arc {
-	total := 0
-	for _, arcs := range rows {
-		total += len(arcs)
-	}
-	backing := make([]Arc, 0, total)
-	packed := make([][]Arc, len(rows))
-	for i, arcs := range rows {
-		start := len(backing)
-		backing = append(backing, arcs...)
-		packed[i] = backing[start:len(backing):len(backing)]
-	}
-	return packed
-}
+// NumNodes returns the number of nodes in the graph.
+func (g *Graph) NumNodes() int { return len(g.adj) }
 
-// Reserve grows every row once, making room at node n for extra[n] more
-// arcs, and carves all rows from one new block that holds exactly their arcs
-// plus the reserve, the arcs already there copied in order. A build that
-// reserves each row's final degree and then inserts it with AddEdge ends
-// with rows that have no slack, which Freeze sorts where they lie. No count
-// may be negative. It panics on a frozen graph or when extra does not hold
-// one count per node.
-func (g *Graph) Reserve(extra []int32) {
-	if g.frozen {
-		panic(ErrFrozen)
-	}
-	if len(extra) != len(g.adj) {
-		panic(fmt.Sprintf("graph: reserve of %d rows on %d nodes", len(extra), len(g.adj)))
-	}
-	total := 0
-	for n, row := range g.adj {
-		total += len(row) + int(extra[n])
-	}
-	block := make([]Arc, total)
-	for n, row := range g.adj {
-		size := len(row) + int(extra[n])
-		g.adj[n] = append(block[:0:size], row...)
-		block = block[size:]
-	}
-}
-
-// SetPos sets the position of node n. It panics on a frozen graph.
-func (g *Graph) SetPos(n NodeID, p Point) {
-	if g.frozen {
-		panic(ErrFrozen)
-	}
-	g.pos[n] = p
-	g.version++
-}
+// NumEdges returns the number of undirected edges in the graph.
+func (g *Graph) NumEdges() int { return g.edges }
 
 // Pos returns the position of node n.
 func (g *Graph) Pos(n NodeID) Point {
@@ -270,32 +265,6 @@ func (g *Graph) Pos(n NodeID) Point {
 
 // valid reports whether n is a node of g.
 func (g *Graph) valid(n NodeID) bool { return n >= 0 && int(n) < len(g.adj) }
-
-// AddEdge inserts the undirected edge (u, v) with weight w. It returns an
-// error if either endpoint is unknown, the endpoints coincide, the weight is
-// not a positive finite number, or the edge already exists.
-func (g *Graph) AddEdge(u, v NodeID, w float64) error {
-	if g.frozen {
-		return fmt.Errorf("add edge %d-%d: %w", u, v, ErrFrozen)
-	}
-	if !g.valid(u) || !g.valid(v) {
-		return fmt.Errorf("add edge %d-%d: %w", u, v, ErrUnknownNode)
-	}
-	if u == v {
-		return fmt.Errorf("add edge: self-loop at node %d", u)
-	}
-	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
-		return fmt.Errorf("add edge %d-%d: weight %v must be positive and finite", u, v, w)
-	}
-	if g.HasEdge(u, v) {
-		return fmt.Errorf("add edge %d-%d: already present", u, v)
-	}
-	g.adj[u] = append(g.adj[u], Arc{To: v, Weight: w})
-	g.adj[v] = append(g.adj[v], Arc{To: u, Weight: w})
-	g.edges++
-	g.version++
-	return nil
-}
 
 // HasEdge reports whether the undirected edge (u, v) exists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
@@ -321,8 +290,7 @@ func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 	return 0, false
 }
 
-// Neighbors returns the adjacency list of n: in insertion order while the
-// graph is being built, by (weight, neighbour) once it is frozen. The
+// Neighbors returns the adjacency list of n, by (weight, neighbour). The
 // returned slice is owned by the graph and must not be modified. On a view
 // whose rows are offset from its parent's IDs it is a translated copy.
 func (g *Graph) Neighbors(n NodeID) []Arc {
@@ -372,26 +340,6 @@ func edgeIDCompare(a, b EdgeID) int {
 		return int(a.A - b.A)
 	}
 	return int(a.B - b.B)
-}
-
-// Clone returns a deep copy of the graph. All per-node adjacency slices of
-// the clone share one flat backing array (see packRows), so cloning a
-// 10⁵-node graph costs three allocations, not one make per node.
-//
-// Cloning a frozen graph is O(1): the clone is frozen too and shares the
-// immutable adjacency and positions — no per-clone copy of megascale state.
-// (The SPF cache, as always, is not cloned.)
-func (g *Graph) Clone() *Graph {
-	if g.frozen {
-		c := *g
-		c.spf = nil
-		return &c
-	}
-	return &Graph{
-		adj:   packRows(g.adj),
-		pos:   slices.Clone(g.pos),
-		edges: g.edges,
-	}
 }
 
 // Mask (node/edge exclusion sets, fingerprints, bounded diffs) lives in

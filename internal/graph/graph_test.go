@@ -8,13 +8,13 @@ import (
 // line builds the path graph 0-1-2-...-(n-1) with unit weights.
 func line(t *testing.T, n int) *Graph {
 	t.Helper()
-	g := New(n)
+	b := New(n)
 	for i := 0; i < n-1; i++ {
-		if err := g.AddEdge(NodeID(i), NodeID(i+1), 1); err != nil {
+		if err := b.AddEdge(NodeID(i), NodeID(i+1), 1); err != nil {
 			t.Fatalf("add edge: %v", err)
 		}
 	}
-	return g
+	return b.Freeze()
 }
 
 func TestMakeEdgeIDCanonical(t *testing.T) {
@@ -37,7 +37,7 @@ func TestMakeEdgeIDCanonical(t *testing.T) {
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := New(3)
+	b := New(3)
 	tests := []struct {
 		name    string
 		u, v    NodeID
@@ -56,7 +56,7 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := g.AddEdge(tt.u, tt.v, tt.w)
+			err := b.AddEdge(tt.u, tt.v, tt.w)
 			if (err != nil) != tt.wantErr {
 				t.Errorf("AddEdge(%d,%d,%v) error = %v, wantErr %v", tt.u, tt.v, tt.w, err, tt.wantErr)
 			}
@@ -65,11 +65,12 @@ func TestAddEdgeValidation(t *testing.T) {
 }
 
 func TestGraphAccessors(t *testing.T) {
-	g := New(4)
-	mustEdge(t, g, 0, 1, 2)
-	mustEdge(t, g, 1, 2, 3)
-	mustEdge(t, g, 2, 3, 4)
+	b := New(4)
+	mustEdge(t, b, 0, 1, 2)
+	mustEdge(t, b, 1, 2, 3)
+	mustEdge(t, b, 2, 3, 4)
 
+	g := b.Freeze()
 	if got := g.NumNodes(); got != 4 {
 		t.Errorf("NumNodes = %d, want 4", got)
 	}
@@ -91,32 +92,37 @@ func TestGraphAccessors(t *testing.T) {
 }
 
 func TestAvgDegreeEmpty(t *testing.T) {
-	g := New(0)
+	g := New(0).Freeze()
 	if got := g.AvgDegree(); got != 0 {
 		t.Errorf("AvgDegree of empty graph = %v, want 0", got)
 	}
 }
 
 func TestAddNodeAndPos(t *testing.T) {
-	g := New(1)
-	id := g.AddNode(Point{X: 3, Y: 4})
+	b := New(1)
+	id := b.AddNode(Point{X: 3, Y: 4})
 	if id != 1 {
 		t.Fatalf("AddNode returned %d, want 1", id)
 	}
-	if p := g.Pos(id); p.X != 3 || p.Y != 4 {
+	if p := b.Pos(id); p.X != 3 || p.Y != 4 {
 		t.Errorf("Pos(%d) = %+v, want {3 4}", id, p)
 	}
-	g.SetPos(0, Point{X: 0, Y: 0})
+	b.SetPos(0, Point{X: 6, Y: 8})
+	g := b.Freeze()
 	if d := g.Pos(0).Dist(g.Pos(1)); d != 5 {
 		t.Errorf("Dist = %v, want 5", d)
+	}
+	if g.NumNodes() != 2 || b.NumNodes() != 0 {
+		t.Errorf("after Freeze: graph has %d nodes, builder %d; want 2 and 0", g.NumNodes(), b.NumNodes())
 	}
 }
 
 func TestEdgesDeterministicOrder(t *testing.T) {
-	g := New(4)
-	mustEdge(t, g, 3, 2, 1)
-	mustEdge(t, g, 1, 0, 1)
-	mustEdge(t, g, 2, 0, 1)
+	b := New(4)
+	mustEdge(t, b, 3, 2, 1)
+	mustEdge(t, b, 1, 0, 1)
+	mustEdge(t, b, 2, 0, 1)
+	g := b.Freeze()
 	got := g.Edges()
 	want := []EdgeID{{0, 1}, {0, 2}, {2, 3}}
 	if len(got) != len(want) {
@@ -126,18 +132,6 @@ func TestEdgesDeterministicOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("Edges[%d] = %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := line(t, 3)
-	c := g.Clone()
-	mustEdge(t, c, 0, 2, 9)
-	if g.HasEdge(0, 2) {
-		t.Error("mutating the clone leaked into the original")
-	}
-	if !c.HasEdge(0, 1) || !c.HasEdge(1, 2) {
-		t.Error("clone missing original edges")
 	}
 }
 
@@ -184,9 +178,9 @@ func TestMaskUnion(t *testing.T) {
 	}
 }
 
-func mustEdge(t *testing.T, g *Graph, u, v NodeID, w float64) {
+func mustEdge(t *testing.T, b *Builder, u, v NodeID, w float64) {
 	t.Helper()
-	if err := g.AddEdge(u, v, w); err != nil {
+	if err := b.AddEdge(u, v, w); err != nil {
 		t.Fatalf("AddEdge(%d,%d,%v): %v", u, v, w, err)
 	}
 }

@@ -10,24 +10,24 @@ import (
 func ispfTestGraph(t *testing.T) *Graph {
 	t.Helper()
 	const n = 64
-	g := New(n)
+	b := New(n)
 	r := rand.New(rand.NewSource(42))
 	for i := 1; i < n; i++ {
 		// spanning chain with varied weights keeps everything reachable
-		if err := g.AddEdge(NodeID(i-1), NodeID(i), 1+float64(i%7)); err != nil {
+		if err := b.AddEdge(NodeID(i-1), NodeID(i), 1+float64(i%7)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := 0; k < 3*n; k++ {
 		u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
-		if u == v || g.HasEdge(u, v) {
+		if u == v || b.HasEdge(u, v) {
 			continue
 		}
-		if err := g.AddEdge(u, v, 1+float64(r.Intn(9))); err != nil {
+		if err := b.AddEdge(u, v, 1+float64(r.Intn(9))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g
+	return b.Freeze()
 }
 
 // TestISPFRepairSteadyStateAllocs pins the delta-repair core at zero heap

@@ -122,10 +122,11 @@ func TestPathString(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := New(6)
-	mustEdge(t, g, 0, 1, 1)
-	mustEdge(t, g, 1, 2, 1)
-	mustEdge(t, g, 3, 4, 1)
+	b := New(6)
+	mustEdge(t, b, 0, 1, 1)
+	mustEdge(t, b, 1, 2, 1)
+	mustEdge(t, b, 3, 4, 1)
+	g := b.Freeze()
 	comps := g.Components(nil)
 	if len(comps) != 3 {
 		t.Fatalf("Components = %d, want 3", len(comps))

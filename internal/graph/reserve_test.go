@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -40,11 +39,11 @@ func randomAdds(rng *rand.Rand, n int) []addOp {
 	return ops
 }
 
-// apply runs ops on g and returns each call's error text.
-func apply(g *Graph, ops []addOp) []string {
+// apply runs ops on b and returns each call's error text.
+func apply(b *Builder, ops []addOp) []string {
 	out := make([]string, len(ops))
 	for i, op := range ops {
-		out[i] = errText(g.AddEdge(op.u, op.v, op.w))
+		out[i] = errText(b.AddEdge(op.u, op.v, op.w))
 	}
 	return out
 }
@@ -69,14 +68,14 @@ func TestReserveMatchesAddEdge(t *testing.T) {
 			g, done := New(n), 0
 			extra := make([]int32, n)
 			for u := range extra {
-				extra[u] = int32(plain.Degree(NodeID(u)))
+				extra[u] = int32(plain.g.Degree(NodeID(u)))
 				switch mode {
 				case "short":
 					extra[u] /= 2
 				case "spare":
 					extra[u] += int32(rng.Intn(3))
 				case "midway":
-					extra[u] -= int32(half.Degree(NodeID(u)))
+					extra[u] -= int32(half.g.Degree(NodeID(u)))
 				}
 			}
 			if mode == "midway" {
@@ -85,20 +84,20 @@ func TestReserveMatchesAddEdge(t *testing.T) {
 			}
 			g.Reserve(extra)
 			for u := 0; u < n && mode == "midway"; u++ {
-				if !slices.Equal(g.adj[u], half.adj[u]) {
+				if !slices.Equal(g.g.adj[u], half.g.adj[u]) {
 					t.Fatalf("%s: Reserve changed row %d", what, u)
 				}
 			}
 			if got := apply(g, ops[done:]); !slices.Equal(got, wantErrs[done:]) {
 				t.Fatalf("%s: errors %q, want %q", what, got, wantErrs[done:])
 			}
-			if g.NumEdges() != plain.NumEdges() {
-				t.Fatalf("%s: %d edges, want %d", what, g.NumEdges(), plain.NumEdges())
+			if g.g.NumEdges() != plain.g.NumEdges() {
+				t.Fatalf("%s: %d edges, want %d", what, g.g.NumEdges(), plain.g.NumEdges())
 			}
 			for u := 0; u < n; u++ {
-				row := g.adj[u]
-				if !slices.Equal(row, plain.adj[u]) {
-					t.Fatalf("%s: row %d is %v, want %v", what, u, row, plain.adj[u])
+				row := g.g.adj[u]
+				if !slices.Equal(row, plain.g.adj[u]) {
+					t.Fatalf("%s: row %d is %v, want %v", what, u, row, plain.g.adj[u])
 				}
 				if (mode == "exact" || mode == "midway") && len(row) != cap(row) {
 					t.Fatalf("%s: row %d has %d arcs in room for %d", what, u, len(row), cap(row))
@@ -108,39 +107,30 @@ func TestReserveMatchesAddEdge(t *testing.T) {
 	}
 }
 
-// TestReserveRefusals: Reserve panics with ErrFrozen on a frozen graph and
-// refuses a count list that does not match the nodes.
+// TestReserveRefusals: Reserve refuses a count list that does not match the
+// nodes.
 func TestReserveRefusals(t *testing.T) {
-	recovered := func(f func()) (r any) {
-		defer func() { r = recover() }()
-		f()
-		return nil
-	}
-	g := line(t, 4)
-	if r := recovered(func() { g.Reserve(make([]int32, 3)) }); r == nil {
-		t.Error("Reserve with 3 counts on 4 nodes did not panic")
-	}
-	g.Freeze()
-	if r := recovered(func() { g.Reserve(make([]int32, 4)) }); r == nil || !errors.Is(r.(error), ErrFrozen) {
-		t.Errorf("Reserve on a frozen graph: panic %v, want ErrFrozen", r)
-	}
-	if err := g.AddEdge(0, 3, 1); !errors.Is(err, ErrFrozen) {
-		t.Errorf("AddEdge on a frozen graph: %v, want ErrFrozen", err)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reserve with 3 counts on 4 nodes did not panic")
+		}
+	}()
+	New(4).Reserve(make([]int32, 3))
 }
 
-// TestFreezeInPlace: Freeze sorts rows that have no slack where they lie,
-// keeping their backing arrays, and re-packs rows grown by append onto one
-// new block, as it always has; either way every row ends in frozen order
-// holding the arcs it was built with. A graph large enough to sort on
-// several goroutines freezes to the same rows as on one.
+// TestFreezeInPlace: Freeze sorts every row where it lies, rows reserved at
+// their final size and rows grown by append alike, and hands the very rows to
+// the graph: no arc moves to another array, and the builder is left empty.
+// Every row ends in frozen order holding the arcs it was built with. A graph
+// large enough to sort on several goroutines freezes to the same rows as on
+// one.
 func TestFreezeInPlace(t *testing.T) {
-	build := func(reserve bool) (*Graph, insertionLog) {
-		g, log := waxmanDomain(rand.New(rand.NewSource(7)), 300, 0.9, 0.6)
+	build := func(reserve bool) (*Builder, insertionLog) {
+		b, log := waxmanBuild(rand.New(rand.NewSource(7)), 300, 0.9, 0.6)
 		if !reserve {
-			return g, log
+			return b, log
 		}
-		r, extra := New(g.NumNodes()), make([]int32, g.NumNodes())
+		r, extra := New(b.NumNodes()), make([]int32, b.NumNodes())
 		for u := range extra {
 			extra[u] = int32(len(log[u]))
 		}
@@ -156,46 +146,44 @@ func TestFreezeInPlace(t *testing.T) {
 		}
 		return r, nil
 	}
-	grown, log := build(false)
-	exact, _ := build(true)
-	first := func(g *Graph) []*Arc {
-		out := make([]*Arc, g.NumNodes())
-		for u, row := range g.adj {
-			if len(row) > 0 {
-				out[u] = &row[0]
+	arrays := func(rows [][]Arc) []*Arc {
+		out := make([]*Arc, len(rows))
+		for u, row := range rows {
+			if cap(row) > 0 {
+				out[u] = &row[:cap(row)][cap(row)-1]
 			}
 		}
 		return out
 	}
-	if !slices.ContainsFunc(grown.adj, func(row []Arc) bool { return len(row) < cap(row) }) {
-		t.Fatal("no row grown by append has slack; the repack branch goes untested")
+	grownB, log := build(false)
+	exactB, _ := build(true)
+	if !slices.ContainsFunc(grownB.g.adj, func(row []Arc) bool { return len(row) < cap(row) }) {
+		t.Fatal("no row grown by append has slack")
 	}
-	beforeGrown, beforeExact := first(grown), first(exact)
+	beforeGrown, beforeExact := arrays(grownB.g.adj), arrays(exactB.g.adj)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	if 2*exact.NumEdges() < 2*sortArcsPerWorker {
-		t.Fatalf("%d arcs sort on one goroutine; the parallel branch goes untested", 2*exact.NumEdges())
+	if 2*exactB.g.NumEdges() < 2*sortArcsPerWorker {
+		t.Fatalf("%d arcs sort on one goroutine; the parallel branch goes untested", 2*exactB.g.NumEdges())
 	}
-	grown.Freeze()
-	exact.Freeze()
+	grown, exact := grownB.Freeze(), exactB.Freeze()
+	if grownB.NumNodes() != 0 || exactB.NumNodes() != 0 {
+		t.Fatal("a builder holds nodes after Freeze")
+	}
 	checkRowOrder(t, grown, log)
 	checkRowOrder(t, exact, log)
-	afterGrown, afterExact := first(grown), first(exact)
-	for u := range afterExact {
-		if afterExact[u] != beforeExact[u] {
-			t.Fatalf("row %d without slack moved", u)
-		}
-		if afterGrown[u] == beforeGrown[u] || len(grown.adj[u]) != cap(grown.adj[u]) {
-			t.Fatalf("grown row %d was not re-packed", u)
-		}
+	if !slices.Equal(arrays(grown.adj), beforeGrown) || !slices.Equal(arrays(exact.adj), beforeExact) {
+		t.Fatal("Freeze moved a row")
+	}
+	for u := range exact.adj {
 		if !slices.Equal(exact.adj[u], grown.adj[u]) {
 			t.Fatalf("row %d differs between the two builds", u)
 		}
 	}
 
 	runtime.GOMAXPROCS(1)
-	one, _ := build(true)
-	one.Freeze()
+	oneB, _ := build(true)
+	one := oneB.Freeze()
 	for u := range one.adj {
 		if !slices.Equal(one.adj[u], exact.adj[u]) {
 			t.Fatalf("row %d frozen on one goroutine differs from four", u)

@@ -76,17 +76,10 @@ func (sh *spfShard) load() spfMap {
 //
 // Cached *SPTree values are shared between callers and MUST be treated as
 // read-only; every consumer in this repository already does (PathTo and Dist
-// lookups only).
-//
-// Invalidation: the cache snapshots the graph's structural version and
-// flushes itself whenever the graph mutates (AddEdge/SetPos bump the
-// version). Mutating the graph while other goroutines query the cache is not
-// supported — the contract is "mutate single-threaded, then share read-only",
-// which is how every topology in this repository is built.
+// lookups only). The graph is immutable, so a memoized tree never goes stale.
 type SPFCache struct {
-	g       *Graph
-	version atomic.Uint64
-	shards  [spfShardCount]spfShard
+	g      *Graph
+	shards [spfShardCount]spfShard
 	// recent tracks, per source, the most recently touched entry — the
 	// clone-on-write lineage head that delta repairs start from. The slice is
 	// indexed by NodeID, created by the first entry and dropped wholesale on
@@ -108,9 +101,7 @@ func NewSPFCache(g *Graph, capPerShard int) *SPFCache {
 	if capPerShard < 1 {
 		capPerShard = defaultSPFShardCap
 	}
-	c := &SPFCache{g: g, cap: capPerShard}
-	c.version.Store(g.version)
-	return c
+	return &SPFCache{g: g, cap: capPerShard}
 }
 
 // noteRecent records e as the lineage head for src (lock-free publish).
@@ -140,9 +131,6 @@ func (c *SPFCache) recentOf(src NodeID) *spfEntry {
 // returned tree is shared: callers
 // must not mutate it.
 func (c *SPFCache) Dijkstra(src NodeID, mask *Mask) *SPTree {
-	if c.g.version != c.version.Load() {
-		c.flushTo(c.g.version)
-	}
 	key := spfKey{src: src, fp: mask.Fingerprint()}
 	sh := &c.shards[mix64(uint64(uint32(key.src))^key.fp)%spfShardCount]
 
@@ -224,21 +212,11 @@ func (c *SPFCache) tryDelta(src NodeID, mask *Mask) *SPTree {
 	return nt
 }
 
-// Flush drops every memoized tree.
-func (c *SPFCache) Flush() { c.flushTo(c.g.version) }
-
-// flushTo clears all shards (including the delta-repair lineage index, whose
-// trees are just as stale as the mapped ones) by retiring their snapshots,
-// and records the graph version the cache now reflects. Flushes
-// serialize against each other and against shard writers; concurrent readers
-// simply observe the swap. The version is recorded before the snapshots are
-// replaced so a reader racing the flush can never re-publish a stale hit
-// under the new version's key space (keys carry the mask fingerprint, which
-// is version-independent — a racing reader may see an old entry for a
-// heartbeat, which is exactly as stale as the tree it had already been
-// handed; the single-threaded-mutation contract makes this unreachable in
-// practice).
-func (c *SPFCache) flushTo(v uint64) {
+// Flush drops every memoized tree (including the delta-repair lineage
+// index) by retiring the shards' snapshots. Flushes serialize against each
+// other and against shard writers; concurrent readers simply observe the
+// swap.
+func (c *SPFCache) Flush() {
 	c.flushMu.Lock()
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -247,7 +225,6 @@ func (c *SPFCache) flushTo(v uint64) {
 		sh.mu.Unlock()
 	}
 	c.recent.Store(nil)
-	c.version.Store(v)
 	c.flushMu.Unlock()
 }
 
@@ -277,9 +254,8 @@ func (c *SPFCache) String() string {
 // faster on repeated queries and safe for concurrent use. Idempotent — the
 // existing cache is kept if one is already attached. Returns the cache.
 //
-// Call this after topology generation is complete. The graph may still be
-// mutated afterwards (the cache flushes itself via the version counter), but
-// never concurrently with readers.
+// It is the graph's one write: call it before sharing the graph between
+// goroutines.
 func (g *Graph) EnableSPFCache() *SPFCache {
 	if g.spf == nil {
 		g.spf = NewSPFCache(g, 0)

@@ -14,18 +14,18 @@ import (
 func lockFreeTestGraph(t testing.TB) *Graph {
 	t.Helper()
 	const n = 40
-	g := New(n)
+	b := New(n)
 	for i := NodeID(0); i < n-1; i++ {
-		if err := g.AddEdge(i, i+1, 1+float64(i%5)); err != nil {
+		if err := b.AddEdge(i, i+1, 1+float64(i%5)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := NodeID(0); i < n-7; i += 3 {
-		if err := g.AddEdge(i, i+7, 2+float64(i%3)); err != nil {
+		if err := b.AddEdge(i, i+7, 2+float64(i%3)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g
+	return b.Freeze()
 }
 
 // TestSPFCacheHitZeroAlloc pins that a cache hit allocates nothing: the read

@@ -18,7 +18,7 @@ var ErrNotBiconnected = errors.New("graph: not biconnected")
 // list before or after its DFS parent according to the sign of its
 // low-point. The DFS takes each vertex's neighbours in ascending ID, so the
 // numbering depends on the graph alone, not on the order its rows are stored
-// in (Freeze re-sorts them by weight).
+// in (by weight).
 //
 // st-numberings are the backbone of Médard et al.'s redundant trees: the
 // increasing-order tree and the decreasing-order tree are internally

@@ -214,7 +214,6 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 	if !g.valid(src) || mask.NodeBlocked(src) {
 		return Invalid
 	}
-	sorted := g.frozen
 	base := g.base
 	// Hoist the mask shape checks out of the relaxation loop: most sweeps
 	// run against a nil/empty mask (plain SPF) or a node-only mask
@@ -304,11 +303,8 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 			v := a.To - base
 			nd := du + a.Weight
 			if nd > bound {
-				if sorted {
-					scanned = i + 1 // scanned, like the arcs before it
-					break
-				}
-				continue
+				scanned = i + 1 // scanned, like the arcs before it
+				break
 			}
 			// In distance order a settled node is final. Under a potential it
 			// may yet be lowered, or take a smaller parent — which the two

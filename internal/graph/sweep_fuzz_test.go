@@ -38,14 +38,15 @@ func decodeSweepInput(data []byte) sweepInput {
 	setBits := next() | next()<<8
 	nodeBlocks, edgeBlocks := next()%4, next()%4
 
-	in.g = New(n)
+	b := New(n)
 	var edges []EdgeID
 	for len(data) >= 3 {
 		u, v, w := NodeID(next()%n), NodeID(next()%n), float64(1+next()%8)
-		if u != v && in.g.AddEdge(u, v, w) == nil {
+		if u != v && b.AddEdge(u, v, w) == nil {
 			edges = append(edges, MakeEdgeID(u, v))
 		}
 	}
+	in.g = b.Freeze()
 	in.goal, in.goalKind = NodeID(next()%n), next()
 	if nodeBlocks+edgeBlocks > 0 {
 		in.mask = NewMask()
@@ -98,11 +99,12 @@ func FuzzSweepPruned(f *testing.F) {
 		g, mask, src, budget, absorbing := in.g, in.mask, in.src, in.budget, in.set
 		inside := budget
 		if in.goalKind&4 != 0 {
-			g = New(in.g.NumNodes())
+			b := New(in.g.NumNodes())
 			for _, e := range in.g.Edges() {
 				w, _ := in.g.EdgeWeight(e.A, e.B)
-				_ = g.AddEdge(e.A, e.B, w/10)
+				_ = b.AddEdge(e.A, e.B, w/10)
 			}
+			g = b.Freeze()
 			budget /= 10
 			inside = budget / (1 + TieSlack)
 		}

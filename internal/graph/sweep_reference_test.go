@@ -127,12 +127,12 @@ func (s *Sweep) referenceArcs(src, stop NodeID, absorbing func(NodeID) bool) int
 }
 
 // insertionLog records, row by row, the arcs AddEdge appended in the order it
-// appended them: what the rows of a graph not yet frozen must read as.
+// appended them: what each frozen row must hold, sorted.
 type insertionLog [][]Arc
 
-// addEdge adds the edge (u, v) to g and logs its two arcs if AddEdge took it.
-func (l insertionLog) addEdge(g *Graph, u, v NodeID, w float64) {
-	if g.AddEdge(u, v, w) == nil {
+// addEdge adds the edge (u, v) to b and logs its two arcs if AddEdge took it.
+func (l insertionLog) addEdge(b *Builder, u, v NodeID, w float64) {
+	if b.AddEdge(u, v, w) == nil {
 		l[u] = append(l[u], Arc{To: v, Weight: w})
 		l[v] = append(l[v], Arc{To: u, Weight: w})
 	}
@@ -144,19 +144,25 @@ func (l insertionLog) addEdge(g *Graph, u, v NodeID, w float64) {
 // package, so the generator cannot be borrowed.) α = 0.9, β = 0.6 gives an
 // average degree of 47 at n = 100. It returns the graph and its insertion log.
 func waxmanDomain(rng *rand.Rand, n int, alpha, beta float64) (*Graph, insertionLog) {
-	g, log := New(n), make(insertionLog, n)
+	b, log := waxmanBuild(rng, n, alpha, beta)
+	return b.Freeze(), log
+}
+
+// waxmanBuild is waxmanDomain up to, not including, Freeze.
+func waxmanBuild(rng *rand.Rand, n int, alpha, beta float64) (*Builder, insertionLog) {
+	b, log := New(n), make(insertionLog, n)
 	for i := 0; i < n; i++ {
-		g.SetPos(NodeID(i), Point{X: rng.Float64(), Y: rng.Float64()})
+		b.SetPos(NodeID(i), Point{X: rng.Float64(), Y: rng.Float64()})
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			d := g.Pos(NodeID(u)).Dist(g.Pos(NodeID(v)))
+			d := b.Pos(NodeID(u)).Dist(b.Pos(NodeID(v)))
 			if v == u+1 || rng.Float64() < alpha*math.Exp(-d/(beta*math.Sqrt2)) { // the chain keeps it connected
-				log.addEdge(g, NodeID(u), NodeID(v), d)
+				log.addEdge(b, NodeID(u), NodeID(v), d)
 			}
 		}
 	}
-	return g, log
+	return b, log
 }
 
 // tiedPlane generates a sparse connected plane with weights 1…4 times unit:
@@ -166,32 +172,25 @@ func waxmanDomain(rng *rand.Rand, n int, alpha, beta float64) (*Graph, insertion
 // which is what has a goal-directed queue lower a node it has settled. It
 // returns the graph and its insertion log.
 func tiedPlane(rng *rand.Rand, n, extra int, unit float64) (*Graph, insertionLog) {
-	g, log := New(n), make(insertionLog, n)
+	b, log := New(n), make(insertionLog, n)
 	for i := 1; i < n; i++ {
-		log.addEdge(g, NodeID(i), NodeID(rng.Intn(i)), unit*float64(1+rng.Intn(4)))
+		log.addEdge(b, NodeID(i), NodeID(rng.Intn(i)), unit*float64(1+rng.Intn(4)))
 	}
 	for i := 0; i < extra; i++ {
-		if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v && !g.HasEdge(u, v) {
-			log.addEdge(g, u, v, unit*float64(1+rng.Intn(4)))
+		if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v && !b.HasEdge(u, v) {
+			log.addEdge(b, u, v, unit*float64(1+rng.Intn(4)))
 		}
 	}
-	return g, log
+	return b.Freeze(), log
 }
 
-// checkRowOrder asserts the one row order g may hold: each row of a frozen
-// graph strictly increasing in (weight, neighbour) and holding the arcs of
-// its logged row, each row of a graph still being built equal to its logged
-// row. It reports how many rows hold two arcs of equal weight.
+// checkRowOrder asserts the one row order g holds: each row strictly
+// increasing in (weight, neighbour) and holding the arcs of its logged row. It
+// reports how many rows hold two arcs of equal weight.
 func checkRowOrder(t *testing.T, g *Graph, log insertionLog) (tiedRows int) {
 	t.Helper()
 	for u := NodeID(0); int(u) < g.NumNodes(); u++ {
 		row, want := g.Neighbors(u), log[u]
-		if !g.frozen {
-			if !slices.Equal(row, want) {
-				t.Fatalf("row %d of a graph being built is %v, inserted as %v", u, row, want)
-			}
-			continue
-		}
 		tied := false
 		for i := 1; i < len(row); i++ {
 			a, b := row[i-1], row[i]
@@ -288,13 +287,11 @@ type sweepCoverage struct {
 // TestSweepMatchesReference holds the arc loop — rows cut at the bound where
 // Freeze has sorted them by weight, the endpoint-indexed edge test, the
 // nearest bound — to the loop it replaced, on dense domains and on sparse
-// planes full of ties, frozen and still being built, under every shape of
-// mask, in every mode: distances, parents, parent-arc weights and the settled
-// set of a sweep; the record, the node returned, hit and exhausted of a
-// nearest-of scan; SettledCount of both. The work counter may only fall, and
-// only on a frozen graph: the rows of one being built are in insertion order
-// and nothing cuts them. Every class of input a cut row meets is reached on
-// the frozen trials.
+// planes full of ties, under every shape of mask, in every mode: distances,
+// parents, parent-arc weights and the settled set of a sweep; the record, the
+// node returned, hit and exhausted of a nearest-of scan; SettledCount of both.
+// The work counter may only fall. Every class of input a cut row meets is
+// reached.
 func TestSweepMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1717))
 	trials := 60
@@ -312,9 +309,6 @@ func TestSweepMatchesReference(t *testing.T) {
 			g, log = tiedPlane(rng, 40+rng.Intn(40), 60, 0.1)
 		default:
 			g, log = tiedPlane(rng, 40+rng.Intn(40), 60, 1)
-		}
-		if trial%4 >= 2 {
-			g.Freeze()
 		}
 		cov.equalWeightRows += checkRowOrder(t, g, log)
 		for rep := 0; rep < 12; rep++ {
@@ -449,8 +443,8 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, src NodeID, mask *Mas
 		}
 		refArcs := b.referenceArcs(src, want, m.absorbing)
 		if !directed {
-			if a.arcsScanned > refArcs || (!g.frozen && a.arcsScanned != refArcs) {
-				t.Fatalf("%s: %d arcs scanned, reference %d (frozen: %v)", what(), a.arcsScanned, refArcs, g.frozen)
+			if a.arcsScanned > refArcs {
+				t.Fatalf("%s: %d arcs scanned, reference %d", what(), a.arcsScanned, refArcs)
 			}
 			if a.arcsScanned < refArcs {
 				cov.rowsCutShort++
@@ -474,7 +468,7 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, src NodeID, mask *Mas
 			if hit && m.budget == Unreachable && a.arcsScanned < refArcs {
 				cov.boundTightened++ // nothing else cuts a row of an unbudgeted scan
 			}
-			if k := len(a.scan); g.frozen && hit && k >= 2 && a.scan[k-2].Dist == a.scan[k-1].Dist {
+			if k := len(a.scan); hit && k >= 2 && a.scan[k-2].Dist == a.scan[k-1].Dist {
 				cov.tiesAtBound++
 			}
 			continue
@@ -499,7 +493,7 @@ func compareSweeps(t *testing.T, rng *rand.Rand, g *Graph, src NodeID, mask *Mas
 func denseDomainFixture(tb testing.TB) (g *Graph, spt *SPTree, onTree []bool) {
 	rng := rand.New(rand.NewSource(307))
 	g, _ = waxmanDomain(rng, 100, 0.9, 0.6)
-	g = embed(tb, g.Freeze(), 0, rand.New(rand.NewSource(308)))
+	g = embed(tb, g, 0, rand.New(rand.NewSource(308)))
 	spt = g.dijkstra(0, nil)
 	onTree = make([]bool, g.NumNodes())
 	onTree[0] = true

@@ -267,7 +267,7 @@ func TestSweepFreshAllocs(t *testing.T) {
 		name string
 		g    *Graph
 	}{
-		{"dense domain", dense.Freeze()},
+		{"dense domain", dense},
 		{"lattice", megascaleLattice(91, 90)},
 		{"sparse", randomConnectedGraph(rand.New(rand.NewSource(5)), 8192, 16384)},
 	} {
@@ -326,7 +326,7 @@ func BenchmarkSweep(b *testing.B) {
 // what the loop it replaced does (runReference, stopped at its target's pop).
 func BenchmarkShortestPathEarlyExit(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
-	g := randomConnectedGraph(rng, 200, 600).Freeze()
+	g := randomConnectedGraph(rng, 200, 600)
 	s := g.NewSweep()
 	var arcs, refArcs int
 	for i := 0; i < 200; i++ {
@@ -351,23 +351,23 @@ func BenchmarkShortestPathEarlyExit(b *testing.B) {
 // spatially local edges) that costs O(N) to construct, so benchmarks don't
 // pay Waxman generation to measure sweep relaxation.
 func megascaleLattice(w, h int) *Graph {
-	g := New(w * h)
+	b := New(w * h)
 	id := func(x, y int) NodeID { return NodeID(y*w + x) }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			g.SetPos(id(x, y), Point{X: float64(x), Y: float64(y)})
+			b.SetPos(id(x, y), Point{X: float64(x), Y: float64(y)})
 			if x+1 < w {
-				_ = g.AddEdge(id(x, y), id(x+1, y), 1)
+				_ = b.AddEdge(id(x, y), id(x+1, y), 1)
 			}
 			if y+1 < h {
-				_ = g.AddEdge(id(x, y), id(x, y+1), 1)
+				_ = b.AddEdge(id(x, y), id(x, y+1), 1)
 			}
 			if x+1 < w && y+1 < h && (x+y)%3 == 0 {
-				_ = g.AddEdge(id(x, y), id(x+1, y+1), 1.5)
+				_ = b.AddEdge(id(x, y), id(x+1, y+1), 1.5)
 			}
 		}
 	}
-	return g
+	return b.Freeze()
 }
 
 // BenchmarkSweepMaskedMegascale measures the full relaxation sweep over a

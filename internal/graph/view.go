@@ -1,24 +1,20 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 )
 
-// View returns the subgraph of the frozen graph g induced by the ID range
-// [base, base+n) and the nodes in gateways, frozen, without copying g: local
-// node i < n is g's node base+i, local node n+j is gateways[j], and the rows
-// are the induced subgraph's in frozen order. A row whose every arc stays in
-// the range is g's own, aliased. The others (a row losing an arc that leaves
+// View returns the subgraph of g induced by the ID range [base, base+n) and
+// the nodes in gateways, without copying g: local node i < n is g's node
+// base+i, local node n+j is gateways[j], and the rows are the induced
+// subgraph's in frozen order. A row whose every arc stays in the range is
+// g's own, aliased. The others (a row losing an arc that leaves
 // the view or holding one to a gateway, and the gateways' own) are private,
 // filtered copies, which store a far end at its local ID + base: every row of
 // the view reads local = To − base.
 func (g *Graph) View(base NodeID, n int, gateways []NodeID) (*Graph, *NodeMap, error) {
-	switch {
-	case !g.frozen:
-		return nil, nil, errors.New("view: graph still being built")
-	case base < 0 || n < 0 || int(base)+n > len(g.adj) || slices.ContainsFunc(gateways, func(v NodeID) bool { return !g.valid(v) }):
+	if base < 0 || n < 0 || int(base)+n > len(g.adj) || slices.ContainsFunc(gateways, func(v NodeID) bool { return !g.valid(v) }) {
 		return nil, nil, fmt.Errorf("view of [%d, %d) and %v: %w", base, int(base)+n, gateways, ErrUnknownNode)
 	}
 	nm := &NodeMap{base: base, n: n, gateways: gateways}
@@ -27,7 +23,7 @@ func (g *Graph) View(base NodeID, n int, gateways []NodeID) (*Graph, *NodeMap, e
 			return nil, nil, fmt.Errorf("view: gateway %d inside the range or listed twice", gw)
 		}
 	}
-	v := &Graph{adj: make([][]Arc, n+len(gateways)), pos: g.pos, frozen: true, base: base, ids: nm}
+	v := &Graph{adj: make([][]Arc, n+len(gateways)), pos: g.pos, base: base, ids: nm}
 	outside := func(a Arc) bool { return a.To < base || a.To >= base+NodeID(n) }
 	var private [][]Arc
 	var at []int
@@ -82,4 +78,20 @@ func (m *NodeMap) ToFull(n NodeID) (NodeID, bool) {
 		return m.gateways[int(n)-m.n], true
 	}
 	return Invalid, false
+}
+
+// packRows copies rows onto one flat backing array (one allocation).
+func packRows(rows [][]Arc) [][]Arc {
+	total := 0
+	for _, arcs := range rows {
+		total += len(arcs)
+	}
+	backing := make([]Arc, 0, total)
+	packed := make([][]Arc, len(rows))
+	for i, arcs := range rows {
+		start := len(backing)
+		backing = append(backing, arcs...)
+		packed[i] = backing[start:len(backing):len(backing)]
+	}
+	return packed
 }

@@ -39,16 +39,16 @@ var (
 )
 
 // domainSession is one recovery domain's sub-multicast tree, built over a
-// view of the topology's frozen graph: the domain's nodes plus its
-// children's gateways.
+// view of the topology's graph: the domain's nodes plus its children's
+// gateways.
 type domainSession struct {
 	session *core.Session
 	nm      *graph.NodeMap
 }
 
-// newDomainSession builds domain d's sub-session over a view of the frozen
-// graph g, rooted at root (a full-graph ID).
-func newDomainSession(g *graph.Graph, t *topology.NLevelTopology, d *topology.NLevelDomain, root graph.NodeID, cfg core.Config) (*domainSession, error) {
+// newDomainSession builds domain d's sub-session over a view of t's graph,
+// rooted at root (a full-graph ID).
+func newDomainSession(t *topology.NLevelTopology, d *topology.NLevelDomain, root graph.NodeID, cfg core.Config) (*domainSession, error) {
 	base := d.Nodes[0]
 	for i, n := range d.Nodes {
 		if n != base+graph.NodeID(i) {
@@ -59,7 +59,7 @@ func newDomainSession(g *graph.Graph, t *topology.NLevelTopology, d *topology.NL
 	for j, c := range d.Children {
 		gateways[j] = t.Domains[c].Gateway
 	}
-	sub, nm, err := g.View(base, len(d.Nodes), gateways)
+	sub, nm, err := t.Graph.View(base, len(d.Nodes), gateways)
 	if err != nil {
 		return nil, err
 	}
@@ -116,16 +116,13 @@ func NewNLevel(t *topology.NLevelTopology, src graph.NodeID, cfg core.Config) (*
 	}
 
 	// Build every domain's sub-session. The session graph is a view of the
-	// frozen topology covering the domain's nodes plus its children's
-	// gateways. Clone shares a frozen graph's rows and copies one still being
-	// built, which is then frozen: the views alias the one frozen graph.
-	// The root of the session:
+	// topology covering the domain's nodes plus its children's gateways,
+	// aliasing the topology's own rows. The root of the session:
 	//   - the true source, in the source's own domain;
 	//   - the gateway of the chain child, in ancestors of the source domain
 	//     (the relaying agent, Figure 6's A₁ generalized);
 	//   - the domain's own gateway everywhere else (data arrives from the
 	//     parent through it).
-	g := t.Graph.Clone().Freeze()
 	s.sessions = make([]*domainSession, len(t.Domains))
 	for i := range t.Domains {
 		d := &t.Domains[i]
@@ -136,7 +133,7 @@ func NewNLevel(t *topology.NLevelTopology, src graph.NodeID, cfg core.Config) (*
 		case s.onChain[i]:
 			root = t.Domains[s.chainChild(i)].Gateway
 		}
-		ds, err := newDomainSession(g, t, d, root, cfg)
+		ds, err := newDomainSession(t, d, root, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("hierarchy: domain %d: %w", i, err)
 		}

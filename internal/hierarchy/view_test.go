@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -12,26 +13,25 @@ import (
 
 // inducedCopy is a domain graph as domain sessions once built it: the
 // subgraph of g induced by nodes, copied into a graph of its own numbered in
-// the order given, then frozen. It is the reference the domain views are
-// held to.
+// the order given. It is the reference the domain views are held to.
 func inducedCopy(tb testing.TB, g *graph.Graph, nodes []graph.NodeID) *graph.Graph {
 	tb.Helper()
-	sub := graph.New(len(nodes))
+	b := graph.New(len(nodes))
 	local := make(map[graph.NodeID]graph.NodeID, len(nodes))
 	for i, n := range nodes {
 		local[n] = graph.NodeID(i)
-		sub.SetPos(graph.NodeID(i), g.Pos(n))
+		b.SetPos(graph.NodeID(i), g.Pos(n))
 	}
 	for i, n := range nodes {
 		for _, a := range g.Neighbors(n) {
 			if j, ok := local[a.To]; ok && graph.NodeID(i) < j {
-				if err := sub.AddEdge(graph.NodeID(i), j, a.Weight); err != nil {
+				if err := b.AddEdge(graph.NodeID(i), j, a.Weight); err != nil {
 					tb.Fatal(err)
 				}
 			}
 		}
 	}
-	return sub.Freeze()
+	return b.Freeze()
 }
 
 // sessionNodes lists domain i's session graph in full IDs: the domain's
@@ -111,6 +111,43 @@ func TestDomainViewMatchesInducedCopy(t *testing.T) {
 		}
 		t.Logf("%s: %d domain views match their induced copies", c.name, views)
 	}
+}
+
+// rowAt returns the address row n of g's edge store starts at, read through
+// reflection because the store is unexported.
+func rowAt(g *graph.Graph, n graph.NodeID) uintptr {
+	return reflect.ValueOf(g).Elem().FieldByName("adj").Index(int(n)).Pointer()
+}
+
+// TestDomainViewsShareTopologyRows: NewNLevel over a transit–stub topology
+// builds its domain views on the topology graph's own rows, neither copying
+// them nor sorting a copy: the row of every domain node whose arcs all stay
+// in its domain is, in the view, the very row t.Graph holds.
+func TestDomainViewsShareTopologyRows(t *testing.T) {
+	ts, src := buildTS(t, 11)
+	s, err := NewNLevel(ts, src, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for i, ds := range s.sessions {
+		d := &ts.Domains[i]
+		lo, hi := d.Nodes[0], d.Nodes[len(d.Nodes)-1]
+		v := ds.session.Graph()
+		for k, full := range d.Nodes {
+			if slices.ContainsFunc(ts.Graph.Neighbors(full), func(a graph.Arc) bool { return a.To < lo || a.To > hi }) {
+				continue // a private, filtered row of the view
+			}
+			if rowAt(v, graph.NodeID(k)) != rowAt(ts.Graph, full) {
+				t.Fatalf("domain %d: the view's row of node %d is not the topology's", i, full)
+			}
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no row stays inside its domain; nothing was checked")
+	}
+	t.Logf("%d rows shared with the topology", shared)
 }
 
 // TestNewNLevelRefusesScatteredDomain: a domain whose nodes are not one

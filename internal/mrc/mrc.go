@@ -141,8 +141,8 @@ func (st *Strategy) Precompute(s *core.Session) error {
 
 // Recover implements core.RecoveryStrategy: flush dead state, then offer
 // each disconnected member its backup-configuration route — the
-// configuration isolating the failed component first, then the remaining
-// configurations in ascending order.
+// configurations isolating a failed component first, then the remaining
+// ones, each group in ascending order.
 func (st *Strategy) Recover(fs []failure.Failure) (*core.HealReport, error) {
 	if st.s == nil || !st.built {
 		return nil, fmt.Errorf("mrc: %w", core.ErrUnboundStrategy)
@@ -173,32 +173,31 @@ func (st *Strategy) Recover(fs []failure.Failure) (*core.HealReport, error) {
 
 // preferredConfigs orders the configurations for one recovery: those
 // isolating a component of fs first (node failures by the node's class,
-// link failures by either endpoint's class), then every other configuration
-// ascending. The order is deterministic in fs.
+// link failures by either endpoint's class), then every other
+// configuration, each group ascending. The order depends on the set of
+// failures alone, not on the order fs lists them in.
 func (st *Strategy) preferredConfigs(fs []failure.Failure) []int {
-	prefs := make([]int, 0, st.k)
-	seen := make([]bool, st.k)
-	add := func(v graph.NodeID) {
-		if v < 0 || int(v) >= len(st.classOf) {
-			return
-		}
-		if c := st.classOf[v]; c >= 0 && !seen[c] {
-			seen[c] = true
-			prefs = append(prefs, int(c))
+	isolating := make([]bool, st.k)
+	mark := func(v graph.NodeID) {
+		if v >= 0 && int(v) < len(st.classOf) && st.classOf[v] >= 0 {
+			isolating[st.classOf[v]] = true
 		}
 	}
 	for _, f := range fs {
 		switch f.Kind {
 		case failure.NodeFailure:
-			add(f.Node)
+			mark(f.Node)
 		case failure.LinkFailure:
-			add(f.Edge.A)
-			add(f.Edge.B)
+			mark(f.Edge.A)
+			mark(f.Edge.B)
 		}
 	}
-	for c := 0; c < st.k; c++ {
-		if !seen[c] {
-			prefs = append(prefs, c)
+	prefs := make([]int, 0, st.k)
+	for _, first := range []bool{true, false} {
+		for c, iso := range isolating {
+			if iso == first {
+				prefs = append(prefs, c)
+			}
 		}
 	}
 	return prefs

@@ -128,3 +128,70 @@ func TestUnbound(t *testing.T) {
 		t.Errorf("Recover on unbound strategy = %v, want ErrUnboundStrategy", err)
 	}
 }
+
+// TestRecoverIgnoresBatchOrder: a correlated batch names a set of failures,
+// and the order it lists them in (a node's links come in the order of its
+// adjacency row) must not reach the recovery. Each SRLG batch is healed by
+// two sessions, one given the batch as listed and one given it reversed;
+// RecoveryDistance, Detours, Unrecovered and Stats must come out identical.
+// Batches whose links fall in two or more isolation classes are the ones an
+// order could decide, and some must occur.
+func TestRecoverIgnoresBatchOrder(t *testing.T) {
+	multiClass := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := topology.NewRNG(seed)
+		g, err := topology.Waxman(topology.WaxmanConfig{
+			N: 50, Alpha: 0.25, Beta: topology.DefaultBeta, EnsureConnected: true,
+		}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := rng.Sample(g.NumNodes()-1, 15)
+		hub := graph.NodeID(1 + rng.Intn(g.NumNodes()-1))
+		batch := failure.SRLG(g, hub)
+		reversed := make([]failure.Failure, len(batch))
+		for i, f := range batch {
+			reversed[len(batch)-1-i] = f
+		}
+		heal := func(fs []failure.Failure) (*core.HealReport, core.Stats, *Strategy) {
+			st := New(0)
+			cfg := core.DefaultConfig()
+			cfg.Strategy = st
+			s, err := core.NewSession(g, 0, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range members {
+				if _, err := s.Join(graph.NodeID(m + 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := s.Recover(fs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep, s.Stats(), st
+		}
+		a, aStats, st := heal(batch)
+		b, bStats, _ := heal(reversed)
+		classes := map[int32]bool{}
+		for _, f := range batch {
+			for _, v := range []graph.NodeID{f.Edge.A, f.Edge.B} {
+				if c := st.classOf[v]; c >= 0 {
+					classes[c] = true
+				}
+			}
+		}
+		if len(classes) > 1 {
+			multiClass++
+		}
+		if !reflect.DeepEqual(a.RecoveryDistance, b.RecoveryDistance) || !reflect.DeepEqual(a.Detours, b.Detours) ||
+			!reflect.DeepEqual(a.Unrecovered, b.Unrecovered) || aStats != bStats {
+			t.Errorf("seed %d, links of node %d: listed order heals to RD %v detours %v unrecovered %v stats %+v;\nreversed to RD %v detours %v unrecovered %v stats %+v",
+				seed, hub, a.RecoveryDistance, a.Detours, a.Unrecovered, aStats, b.RecoveryDistance, b.Detours, b.Unrecovered, bStats)
+		}
+	}
+	if multiClass == 0 {
+		t.Fatal("no batch spans two isolation classes; the order went untested")
+	}
+}

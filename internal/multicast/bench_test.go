@@ -15,21 +15,26 @@ import (
 func benchChurnFixture(tb testing.TB, n, extraEdges, k int, sparse bool) (*Tree, graph.NodeID, graph.Path) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(2005))
-	g := graph.New(n)
+	b := graph.New(n)
+	linked := map[graph.EdgeID]bool{}
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
-		if err := g.AddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)]), 1+rng.Float64()); err != nil {
+		u, v := graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)])
+		linked[graph.MakeEdgeID(u, v)] = true
+		if err := b.AddEdge(u, v, 1+rng.Float64()); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < extraEdges; i++ {
 		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-		if u != v && !g.HasEdge(u, v) {
-			if err := g.AddEdge(u, v, 1+rng.Float64()); err != nil {
+		if e := graph.MakeEdgeID(u, v); u != v && !linked[e] {
+			linked[e] = true
+			if err := b.AddEdge(u, v, 1+rng.Float64()); err != nil {
 				tb.Fatal(err)
 			}
 		}
 	}
+	g := b.Freeze()
 	newFn := New
 	if sparse {
 		newFn = NewSparse

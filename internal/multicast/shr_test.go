@@ -13,13 +13,13 @@ import (
 //	S(0)-A(1):1  S-B(2):4  A-C(3):2  A-D(4):1  C-D:2  B-D:3  D-E(5):1  S-D:5
 func shrGraph(t *testing.T) *graph.Graph {
 	t.Helper()
-	g := graph.New(6)
+	b := graph.New(6)
 	for _, e := range [][3]float64{{0, 1, 1}, {0, 2, 4}, {1, 3, 2}, {1, 4, 1}, {3, 4, 2}, {2, 4, 3}, {4, 5, 1}, {0, 4, 5}} {
-		if err := g.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), e[2]); err != nil {
+		if err := b.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), e[2]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g
+	return b.Freeze()
 }
 
 // TestSHRColumn drives every kind of tree mutation on both backends and

@@ -64,10 +64,11 @@ func TestSlotIndexMatchesMap(t *testing.T) {
 // and checks neither tree sees the other's slots.
 func TestSparseCloneIndependent(t *testing.T) {
 	const n = 300
-	g := graph.New(n)
+	b := graph.New(n)
 	for i := 1; i < n; i++ {
-		_ = g.AddEdge(graph.NodeID(i-1), graph.NodeID(i), 1)
+		_ = b.AddEdge(graph.NodeID(i-1), graph.NodeID(i), 1)
 	}
+	g := b.Freeze()
 	orig, err := NewSparse(g, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -24,17 +24,22 @@ func TestSparseDenseEquivalence(t *testing.T) {
 		if trial == 8 {
 			n = 2000
 		}
-		g := graph.New(n)
+		b := graph.New(n)
+		linked := map[graph.EdgeID]bool{}
 		perm := rng.Perm(n)
 		for i := 1; i < n; i++ {
-			_ = g.AddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)]), 1+rng.Float64())
+			u, v := graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)])
+			linked[graph.MakeEdgeID(u, v)] = true
+			_ = b.AddEdge(u, v, 1+rng.Float64())
 		}
 		for i := 0; i < 2*n; i++ {
 			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-			if u != v && !g.HasEdge(u, v) {
-				_ = g.AddEdge(u, v, 1+rng.Float64())
+			if e := graph.MakeEdgeID(u, v); u != v && !linked[e] {
+				linked[e] = true
+				_ = b.AddEdge(u, v, 1+rng.Float64())
 			}
 		}
+		g := b.Freeze()
 		dense, err := New(g, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -12,12 +12,13 @@ import (
 // 0-1-2-3-4.
 func chainTree(t *testing.T) *Tree {
 	t.Helper()
-	g := graph.New(5)
+	b := graph.New(5)
 	for i := 0; i < 4; i++ {
-		if err := g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1); err != nil {
+		if err := b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g := b.Freeze()
 	tr, err := New(g, 0)
 	if err != nil {
 		t.Fatal(err)

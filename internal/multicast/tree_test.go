@@ -15,7 +15,7 @@ import (
 //	S(0)-A(1):1  S-B(2):4  A-C(3):2  A-D(4):1  C-D:2  B-D:3
 func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
-	g := graph.New(5)
+	b := graph.New(5)
 	edges := []struct {
 		u, v graph.NodeID
 		w    float64
@@ -23,11 +23,11 @@ func testGraph(t *testing.T) *graph.Graph {
 		{0, 1, 1}, {0, 2, 4}, {1, 3, 2}, {1, 4, 1}, {3, 4, 2}, {2, 4, 3},
 	}
 	for _, e := range edges {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g
+	return b.Freeze()
 }
 
 // fig1Tree grafts the SPF tree for members {C=3, D=4}: S→A→C, S→A→D.
@@ -391,18 +391,23 @@ func TestRandomChurnInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
 		n := 30
-		g := graph.New(n)
+		b := graph.New(n)
+		linked := map[graph.EdgeID]bool{}
 		// Random connected graph: spanning tree + extras.
 		perm := rng.Perm(n)
 		for i := 1; i < n; i++ {
-			_ = g.AddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)]), 1+rng.Float64())
+			u, v := graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)])
+			linked[graph.MakeEdgeID(u, v)] = true
+			_ = b.AddEdge(u, v, 1+rng.Float64())
 		}
 		for i := 0; i < n; i++ {
 			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-			if u != v && !g.HasEdge(u, v) {
-				_ = g.AddEdge(u, v, 1+rng.Float64())
+			if e := graph.MakeEdgeID(u, v); u != v && !linked[e] {
+				linked[e] = true
+				_ = b.AddEdge(u, v, 1+rng.Float64())
 			}
 		}
+		g := b.Freeze()
 		tr, err := New(g, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -32,25 +32,21 @@ func biconnWaxman(t *testing.T, n int, seed uint64) *graph.Graph {
 }
 
 // line builds 0—1—…—(n-1) with unit weights.
-func line(t *testing.T, n int) *graph.Graph {
+func line(t *testing.T, n int) *graph.Graph { return chain(t, n, n-1) }
+
+// ring closes the line into a cycle.
+func ring(t *testing.T, n int) *graph.Graph { return chain(t, n, n) }
+
+// chain links node i to node (i+1) mod n at unit weight, for i below links.
+func chain(t *testing.T, n, links int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
-	for i := 0; i < n-1; i++ {
-		if err := g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1); err != nil {
+	b := graph.New(n)
+	for i := 0; i < links; i++ {
+		if err := b.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g
-}
-
-// ring closes the line into a cycle.
-func ring(t *testing.T, n int) *graph.Graph {
-	t.Helper()
-	g := line(t, n)
-	if err := g.AddEdge(0, graph.NodeID(n-1), 1); err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return b.Freeze()
 }
 
 func TestBuildRedundantTreesRing(t *testing.T) {
@@ -78,10 +74,10 @@ func TestBuildRedundantTreesRing(t *testing.T) {
 	}
 }
 
-// TestRedundantTreesIgnoreRowOrder: Freeze re-sorts every adjacency row by
-// weight, and the trees built on a frozen copy of a graph must be the ones
-// built on the graph itself — same st-numbering, same red and blue edges —
-// over biconnected Waxman samples of the protection study's shape.
+// TestRedundantTreesIgnoreRowOrder: the order a graph's edges were inserted
+// in leaves no trace in its trees — a copy built with the edges in reverse
+// gives the same st-numbering and the same red and blue edges — over
+// biconnected Waxman samples of the protection study's shape.
 func TestRedundantTreesIgnoreRowOrder(t *testing.T) {
 	rng := topology.NewRNG(2005)
 	for sample := 0; sample < 40; {
@@ -97,15 +93,23 @@ func TestRedundantTreesIgnoreRowOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := BuildRedundantTrees(g.Clone().Freeze(), 0)
+		reversed := graph.New(g.NumNodes())
+		edges := g.Edges()
+		for i := len(edges) - 1; i >= 0; i-- {
+			w, _ := g.EdgeWeight(edges[i].A, edges[i].B)
+			if err := reversed.AddEdge(edges[i].B, edges[i].A, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := BuildRedundantTrees(reversed.Freeze(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !maps.Equal(a.Numbering, b.Numbering) {
-			t.Fatalf("sample %d: st-numbering differs on the frozen copy", sample)
+			t.Fatalf("sample %d: st-numbering differs on the reversed copy", sample)
 		}
 		if !slices.Equal(a.Red.Edges(), b.Red.Edges()) || !slices.Equal(a.Blue.Edges(), b.Blue.Edges()) {
-			t.Fatalf("sample %d: tree edges differ on the frozen copy", sample)
+			t.Fatalf("sample %d: tree edges differ on the reversed copy", sample)
 		}
 	}
 }
@@ -263,10 +267,11 @@ func TestFailoverOutcomeString(t *testing.T) {
 }
 
 func TestDependableUnreachableMember(t *testing.T) {
-	g := graph.New(3)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.New(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	s, err := NewDependableSession(g, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func BuildRedundantTrees(g *graph.Graph, source graph.NodeID) (*RedundantTrees, 
 	if len(neighbors) == 0 {
 		return nil, ErrNotRedundant
 	}
-	tEnd := neighbors[0].To // by ID, not row order: Freeze re-sorts rows by weight
+	tEnd := neighbors[0].To // by ID, not row order: rows are sorted by weight
 	for _, arc := range neighbors[1:] {
 		tEnd = min(tEnd, arc.To)
 	}

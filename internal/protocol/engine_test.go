@@ -195,19 +195,20 @@ func TestProtocolRecoveryMatchesCore(t *testing.T) {
 // would be live at 30 + 2 (detection) + 1 (notice) + 3·1, but it cannot be
 // live before 2 is, at 30 + 2 + 1 + 3·6.
 func TestRestorationWaitsForSurvivorGraft(t *testing.T) {
-	g := graph.New(5)
+	b := graph.New(5)
 	for _, e := range []struct {
 		u, v graph.NodeID
 		w    float64
 	}{
 		{0, 1, 1}, {1, 2, 1}, {1, 3, 1}, {2, 3, 1}, {2, 4, 5}, {0, 4, 1},
 	} {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cfg := DefaultConfig()
 	cfg.SMRP.DThresh = 0
+	g := b.Freeze()
 	inst, err := NewSMRPInstance(g, 0, cfg)
 	if err != nil {
 		t.Fatal(err)

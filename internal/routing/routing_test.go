@@ -71,10 +71,11 @@ func TestReconvergenceAfterFailure(t *testing.T) {
 }
 
 func TestPathToUnreachable(t *testing.T) {
-	g := graph.New(3)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.New(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	d, err := NewDomain(g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -122,13 +123,14 @@ func TestConvergenceTimeNodeFailure(t *testing.T) {
 }
 
 func TestConvergenceTimePartitioned(t *testing.T) {
-	g := graph.New(3)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.New(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(1, 2, 1); err != nil {
+	if err := b.AddEdge(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	d, err := NewDomain(g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -140,16 +142,17 @@ func TestConvergenceTimePartitioned(t *testing.T) {
 		t.Errorf("node 2 detects directly, got +Inf")
 	}
 	// A genuinely unreachable bystander: extend with an isolated node 3…
-	g2 := graph.New(4)
-	if err := g2.AddEdge(0, 1, 1); err != nil {
+	b2 := graph.New(4)
+	if err := b2.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g2.AddEdge(1, 2, 1); err != nil {
+	if err := b2.AddEdge(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g2.AddEdge(2, 3, 1); err != nil {
+	if err := b2.AddEdge(2, 3, 1); err != nil {
 		t.Fatal(err)
 	}
+	g2 := b2.Freeze()
 	d2, err := NewDomain(g2, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

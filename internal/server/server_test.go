@@ -27,7 +27,7 @@ import (
 // unambiguous.
 func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
-	g := graph.New(7)
+	b := graph.New(7)
 	type e struct {
 		u, v graph.NodeID
 		w    float64
@@ -35,11 +35,11 @@ func testGraph(t testing.TB) *graph.Graph {
 	for _, ed := range []e{
 		{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {1, 4, 1}, {4, 3, 2}, {2, 5, 1},
 	} {
-		if err := g.AddEdge(ed.u, ed.v, ed.w); err != nil {
+		if err := b.AddEdge(ed.u, ed.v, ed.w); err != nil {
 			t.Fatalf("AddEdge(%d,%d): %v", ed.u, ed.v, err)
 		}
 	}
-	return g
+	return b.Freeze()
 }
 
 // waxmanGraph builds a connected evaluation-scale topology for concurrency

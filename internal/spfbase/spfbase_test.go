@@ -104,10 +104,11 @@ func TestJoinErrors(t *testing.T) {
 }
 
 func TestJoinUnreachable(t *testing.T) {
-	g := graph.New(3)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.New(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	s, err := NewSession(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -179,13 +180,14 @@ func TestHealSourceFailure(t *testing.T) {
 }
 
 func TestHealUnrecoverable(t *testing.T) {
-	g := graph.New(3)
-	if err := g.AddEdge(0, 1, 1); err != nil {
+	b := graph.New(3)
+	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(1, 2, 1); err != nil {
+	if err := b.AddEdge(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	s, err := NewSession(g, 0)
 	if err != nil {
 		t.Fatal(err)

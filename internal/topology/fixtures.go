@@ -24,7 +24,7 @@ var Fig1Nodes = []string{"S", "A", "B", "C", "D"}
 // Failing L_SA instead disconnects both C and D simultaneously (the
 // motivation for reducing path sharing, Figure 2).
 func PaperFig1() (*graph.Graph, error) {
-	g := graph.New(5)
+	b := graph.New(5)
 	edges := []struct {
 		u, v graph.NodeID
 		w    float64
@@ -37,17 +37,17 @@ func PaperFig1() (*graph.Graph, error) {
 		{u: 2, v: 4, w: 2}, // B-D
 	}
 	for _, e := range edges {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
 			return nil, fmt.Errorf("fig1: %w", err)
 		}
 	}
 	// Lay the nodes out roughly as drawn, for visualization tools.
-	g.SetPos(0, graph.Point{X: 0.5, Y: 1.0})
-	g.SetPos(1, graph.Point{X: 0.3, Y: 0.6})
-	g.SetPos(2, graph.Point{X: 0.8, Y: 0.6})
-	g.SetPos(3, graph.Point{X: 0.2, Y: 0.2})
-	g.SetPos(4, graph.Point{X: 0.6, Y: 0.2})
-	return g, nil
+	b.SetPos(0, graph.Point{X: 0.5, Y: 1.0})
+	b.SetPos(1, graph.Point{X: 0.3, Y: 0.6})
+	b.SetPos(2, graph.Point{X: 0.8, Y: 0.6})
+	b.SetPos(3, graph.Point{X: 0.2, Y: 0.2})
+	b.SetPos(4, graph.Point{X: 0.6, Y: 0.2})
+	return b.Freeze(), nil
 }
 
 // Fig4Nodes gives symbolic names to the nodes of the Figure 4/5 topology,
@@ -68,7 +68,7 @@ var Fig4Nodes = []string{"S", "A", "B", "D", "E", "G", "F", "C"}
 //
 // Node IDs: S=0 A=1 B=2 D=3 E=4 G=5 F=6 C=7.
 func PaperFig4() (*graph.Graph, error) {
-	g := graph.New(8)
+	b := graph.New(8)
 	edges := []struct {
 		u, v graph.NodeID
 		w    float64
@@ -85,17 +85,17 @@ func PaperFig4() (*graph.Graph, error) {
 		{u: 2, v: 6, w: 2.6}, // B-F
 	}
 	for _, e := range edges {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
 			return nil, fmt.Errorf("fig4: %w", err)
 		}
 	}
-	g.SetPos(0, graph.Point{X: 0.5, Y: 1.0})
-	g.SetPos(1, graph.Point{X: 0.3, Y: 0.7})
-	g.SetPos(2, graph.Point{X: 0.8, Y: 0.7})
-	g.SetPos(3, graph.Point{X: 0.25, Y: 0.4})
-	g.SetPos(7, graph.Point{X: 0.45, Y: 0.45})
-	g.SetPos(4, graph.Point{X: 0.35, Y: 0.15})
-	g.SetPos(6, graph.Point{X: 0.6, Y: 0.3})
-	g.SetPos(5, graph.Point{X: 0.85, Y: 0.25})
-	return g, nil
+	b.SetPos(0, graph.Point{X: 0.5, Y: 1.0})
+	b.SetPos(1, graph.Point{X: 0.3, Y: 0.7})
+	b.SetPos(2, graph.Point{X: 0.8, Y: 0.7})
+	b.SetPos(3, graph.Point{X: 0.25, Y: 0.4})
+	b.SetPos(7, graph.Point{X: 0.45, Y: 0.45})
+	b.SetPos(4, graph.Point{X: 0.35, Y: 0.15})
+	b.SetPos(6, graph.Point{X: 0.6, Y: 0.3})
+	b.SetPos(5, graph.Point{X: 0.85, Y: 0.25})
+	return b.Freeze(), nil
 }

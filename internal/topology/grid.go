@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"smrp/internal/graph"
 )
@@ -219,7 +218,7 @@ func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error)
 		return nil, GridStats{}, err
 	}
 	cfg = cfg.withDefaults()
-	g, pairSeed := placeNodes(cfg, rng)
+	b, pairSeed := placeNodes(cfg, rng)
 	cut := cfg.cutoff()
 	cut2 := cut * cut
 	dec := newWaxmanDecider(cfg.Alpha, cfg.Beta*cfg.L, cut2)
@@ -247,7 +246,7 @@ func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error)
 	ncells := cols * cols
 	counts := make([]int32, ncells+1)
 	for n := 0; n < cfg.N; n++ {
-		cx, cy := cellOf(g.Pos(graph.NodeID(n)))
+		cx, cy := cellOf(b.Pos(graph.NodeID(n)))
 		counts[cy*cols+cx+1]++
 	}
 	for i := 1; i <= ncells; i++ {
@@ -256,7 +255,7 @@ func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error)
 	bucketed := make([]graph.NodeID, cfg.N)
 	fill := make([]int32, ncells)
 	for n := 0; n < cfg.N; n++ {
-		cx, cy := cellOf(g.Pos(graph.NodeID(n)))
+		cx, cy := cellOf(b.Pos(graph.NodeID(n)))
 		c := cy*cols + cx
 		bucketed[counts[c]+fill[c]] = graph.NodeID(n)
 		fill[c]++
@@ -275,7 +274,7 @@ func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error)
 	// call per endpoint at ~10⁷ probes.
 	pos := make([]graph.Point, cfg.N)
 	for n := range pos {
-		pos[n] = g.Pos(graph.NodeID(n))
+		pos[n] = b.Pos(graph.NodeID(n))
 	}
 	var probed, within, accepted int64
 	// Canonical half neighborhood: each unordered cell pair within Chebyshev
@@ -326,46 +325,22 @@ func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error)
 		}
 	}
 	st.Probed, st.Within, st.Edges = probed, within, accepted
-	if err := insertSortedEdges(g, edges, cfg.EnsureConnected); err != nil {
+	if err := insertEdges(b, edges, cfg.EnsureConnected); err != nil {
 		return nil, st, err
 	}
-	return g, st, nil
+	return b.Freeze(), st, nil
 }
 
 // placeNodes draws node positions from the RNG stream (in node-ID order) and
 // then the pair seed, so every generator over the same config and RNG state
 // sees identical placement and identical keyed randomness.
-func placeNodes(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, uint64) {
-	g := graph.New(cfg.N)
+func placeNodes(cfg GridWaxmanConfig, rng *RNG) (*graph.Builder, uint64) {
+	b := graph.New(cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		g.SetPos(graph.NodeID(i), graph.Point{
+		b.SetPos(graph.NodeID(i), graph.Point{
 			X: rng.Float64() * cfg.Side,
 			Y: rng.Float64() * cfg.Side,
 		})
 	}
-	return g, rng.Uint64()
-}
-
-// insertSortedEdges adds the candidate edges in canonical EdgeID order —
-// probe order never leaks into adjacency-list order, so structurally equal
-// candidate sets yield structurally identical graphs — then optionally
-// connectifies.
-func insertSortedEdges(g *graph.Graph, edges []graph.EdgeID, ensureConnected bool) error {
-	// Sort packed uint64 keys: canonical (A, B) order without a comparator
-	// call per comparison. Node IDs are dense and non-negative, so the pack
-	// is order-preserving.
-	keys := make([]uint64, len(edges))
-	for i, e := range edges {
-		keys[i] = uint64(e.A)<<32 | uint64(uint32(e.B))
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		if err := addDistEdge(g, graph.NodeID(k>>32), graph.NodeID(uint32(k))); err != nil {
-			return err
-		}
-	}
-	if ensureConnected {
-		return Connectify(g)
-	}
-	return nil
+	return b, rng.Uint64()
 }

@@ -227,34 +227,31 @@ func TestMegascaleComposer(t *testing.T) {
 func TestConnectifyCentroidLargeGraph(t *testing.T) {
 	const n = connectifyExactCap + 1000
 	build := func() *graph.Graph {
-		g := graph.New(n)
+		b := graph.New(n)
 		rng := NewRNG(42)
 		for i := 0; i < n; i++ {
-			g.SetPos(graph.NodeID(i), graph.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})
+			b.SetPos(graph.NodeID(i), graph.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})
 		}
 		// 50 disjoint chains.
 		const chains = 50
 		per := n / chains
 		for c := 0; c < chains; c++ {
 			for i := c * per; i+1 < (c+1)*per && i+1 < n; i++ {
-				if err := g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1); err != nil {
+				if err := b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		return g
+		if err := Connectify(b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Freeze()
 	}
 	g := build()
-	if err := Connectify(g); err != nil {
-		t.Fatal(err)
-	}
 	if !g.Connected(nil) {
 		t.Fatal("centroid connectify left graph disconnected")
 	}
 	h := build()
-	if err := Connectify(h); err != nil {
-		t.Fatal(err)
-	}
 	graphsIdentical(t, g, h, "centroid connectify determinism")
 }
 
@@ -322,14 +319,14 @@ func pairwiseGridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	g, pairSeed := placeNodes(cfg, rng)
+	b, pairSeed := placeNodes(cfg, rng)
 	cut := cfg.cutoff()
 	cut2 := cut * cut
 	dec := newWaxmanDecider(cfg.Alpha, cfg.Beta*cfg.L, cut2)
 	edges := make([]graph.EdgeID, 0, cfg.N*4)
 	pos := make([]graph.Point, cfg.N)
 	for n := range pos {
-		pos[n] = g.Pos(graph.NodeID(n))
+		pos[n] = b.Pos(graph.NodeID(n))
 	}
 	for u := 0; u < cfg.N; u++ {
 		pu := pos[u]
@@ -345,8 +342,8 @@ func pairwiseGridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, error) {
 			}
 		}
 	}
-	if err := insertSortedEdges(g, edges, cfg.EnsureConnected); err != nil {
+	if err := insertEdges(b, edges, cfg.EnsureConnected); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return b.Freeze(), nil
 }

@@ -121,11 +121,6 @@ func GenerateMegascale(cfg MegascaleConfig, seed uint64) (*NLevelTopology, error
 	if err != nil {
 		return nil, fmt.Errorf("megascale: %w", err)
 	}
-	// The composed hierarchy is immutable from here on (sessions mutate trees
-	// and masks, never the topology), so freeze it: the rows were reserved at
-	// their final size, so Freeze sorts them by weight where they lie, with no
-	// repack (DESIGN.md §4.1, §17.1).
-	t.Graph.Freeze()
 	return t, nil
 }
 
@@ -149,11 +144,5 @@ func FlatMegascale(n int, seed uint64) (*graph.Graph, GridStats, error) {
 		L:               math.Sqrt2,
 		EnsureConnected: true,
 	}
-	g, st, err := GridWaxman(cfg, NewRNG(seed))
-	if err != nil {
-		return nil, st, err
-	}
-	// Megascale graphs are never mutated after generation; freeze so the
-	// flat arm's standing graph is the packed steady state the study reports.
-	return g.Freeze(), st, nil
+	return GridWaxman(cfg, NewRNG(seed))
 }

@@ -170,7 +170,7 @@ func buildTree(cfg NLevelConfig, rngOf func(id int) *RNG, ownStreams bool) (*NLe
 			queue = append(queue, job{
 				parent: id,
 				attach: attach,
-				center: b.t.Graph.Pos(attach),
+				center: b.g.Pos(attach),
 				extent: j.extent * cfg.Shrink,
 			})
 		}
@@ -214,9 +214,12 @@ func treeDomains(fanout, levels, perDomain int) (int, bool) {
 
 // builder assembles a hierarchy in phases (DESIGN.md §4.1): the domains are
 // placed and recorded, each is wired into an edge buffer of its own, and
-// finish inserts the buffers into rows reserved at their final size.
+// finish inserts the buffers into rows reserved at their final size and
+// freezes the graph.
 type builder struct {
 	t *NLevelTopology
+	// g is the graph being built, t.Graph once finished.
+	g *graph.Builder
 	// ids holds every node ID once; each domain's Nodes is a window of it.
 	ids []graph.NodeID
 	// wired[id] is domain id's edges in insertion order, until finish
@@ -232,7 +235,8 @@ type pair struct{ u, v int32 }
 // number of domains.
 func newBuilder(n, domains int) *builder {
 	b := &builder{
-		t:     &NLevelTopology{Graph: graph.New(n), Domains: make([]NLevelDomain, 0, domains), domainOf: make([]int32, n)},
+		t:     &NLevelTopology{Domains: make([]NLevelDomain, 0, domains), domainOf: make([]int32, n)},
+		g:     graph.New(n),
 		ids:   make([]graph.NodeID, n),
 		wired: make([][]pair, 0, domains),
 	}
@@ -247,7 +251,7 @@ func newBuilder(n, domains int) *builder {
 func (b *builder) place(first, count int, center graph.Point, extent float64, rng *RNG) []graph.NodeID {
 	nodes := b.ids[first : first+count : first+count]
 	for _, n := range nodes {
-		b.t.Graph.SetPos(n, graph.Point{
+		b.g.SetPos(n, graph.Point{
 			X: center.X + (rng.Float64()-0.5)*extent,
 			Y: center.Y + (rng.Float64()-0.5)*extent,
 		})
@@ -264,7 +268,7 @@ func (b *builder) addDomain(nodes []graph.NodeID, parent int, attach graph.NodeI
 	d := NLevelDomain{ID: id, Nodes: nodes, Gateway: nodes[0], Attach: attach, Parent: parent}
 	if parent >= 0 {
 		d.Level = t.Domains[parent].Level + 1
-		d.Gateway = nearestTo(t.Graph.Pos, nodes, t.Graph.Pos(attach))
+		d.Gateway = nearestTo(b.g.Pos, nodes, b.g.Pos(attach))
 		t.Domains[parent].Children = append(t.Domains[parent].Children, id)
 	}
 	for _, n := range nodes {
@@ -280,7 +284,7 @@ func (b *builder) addDomain(nodes []graph.NodeID, parent int, attach graph.NodeI
 func (b *builder) wire(id int, alpha, beta float64, rng *RNG, s *wireScratch) {
 	s.pts = s.pts[:0]
 	for _, n := range b.t.Domains[id].Nodes {
-		s.pts = append(s.pts, b.t.Graph.Pos(n))
+		s.pts = append(s.pts, b.g.Pos(n))
 	}
 	b.wired[id] = s.wire(alpha, beta, rng)
 }
@@ -307,10 +311,9 @@ func (b *builder) wireAll(streams []*RNG, alpha, beta float64) {
 // finish inserts the edges, domain by domain, each domain's wiring and then
 // its uplink, into rows reserved at their final size: intra-domain degree,
 // plus the uplink, plus one arc per child. Each buffer is dropped once
-// copied.
+// copied. Freeze then sorts the rows where they lie.
 func (b *builder) finish() (*NLevelTopology, error) {
-	t := b.t
-	g := t.Graph
+	t, g := b.t, b.g
 	extra := make([]int32, g.NumNodes())
 	for id, d := range t.Domains {
 		for _, e := range b.wired[id] {
@@ -336,6 +339,7 @@ func (b *builder) finish() (*NLevelTopology, error) {
 			}
 		}
 	}
+	t.Graph = g.Freeze()
 	return t, nil
 }
 
@@ -431,7 +435,7 @@ func (s *wireScratch) connected() bool {
 
 // components lists the domain's connected components under s.edges, named
 // by node index: a depth-first search from each unseen node in index order,
-// neighbours taken in insertion order, which is the order the graph's rows
+// neighbours taken in insertion order, which is the order the builder's rows
 // would hold them in.
 func (s *wireScratch) components() [][]graph.NodeID {
 	adj := make([][]int32, len(s.pts))

@@ -79,15 +79,15 @@ func TestGeneratedHierarchiesPinned(t *testing.T) {
 	}{
 		{"transit-stub/default", func() (*NLevelTopology, error) {
 			return GenerateTransitStub(DefaultTransitStubConfig(), NewRNG(42))
-		}, "fd4349453cf4259c3a00fa01"},
+		}, "03d3e54c735d028f3024338d"},
 		{"transit-stub/wide", func() (*NLevelTopology, error) {
 			return GenerateTransitStub(wideTS, NewRNG(7))
-		}, "81e46f0b63aefe0571768649"},
-		{"nlevel/seed1", func() (*NLevelTopology, error) { return GenerateNLevel(DefaultNLevelConfig(), NewRNG(1)) }, "4a0def59f2e04ba02b5bc6d0"},
-		{"nlevel/seed5", func() (*NLevelTopology, error) { return GenerateNLevel(DefaultNLevelConfig(), NewRNG(5)) }, "4bcdadb2ca2165264c601c4c"},
+		}, "258dd62b98393baf54f0e379"},
+		{"nlevel/seed1", func() (*NLevelTopology, error) { return GenerateNLevel(DefaultNLevelConfig(), NewRNG(1)) }, "d3b968bd1f3da97def88cacb"},
+		{"nlevel/seed5", func() (*NLevelTopology, error) { return GenerateNLevel(DefaultNLevelConfig(), NewRNG(5)) }, "170531ad14e41ac0589cd679"},
 		{"nlevel/4-level-seed2005", func() (*NLevelTopology, error) {
 			return GenerateNLevel(NLevelConfig{Levels: 4, Fanout: 3, NodesPerDomain: 6, Alpha: 0.8, Beta: 0.5, Extent: 1.5, Shrink: 0.4}, NewRNG(2005))
-		}, "e63d7d46dc898f0474583a6d"},
+		}, "b7d900b41849e729dc39fec3"},
 		{"megascale/2000", func() (*NLevelTopology, error) { return GenerateMegascale(MegascaleConfig{TargetNodes: 2000}, 2005) }, "b08ff71c626bb2a7b6f15808"},
 		{"megascale/10000", func() (*NLevelTopology, error) { return GenerateMegascale(MegascaleConfig{TargetNodes: 10000}, 2005) }, "1204e6f54dd658d0e7f58476"},
 		{"megascale/sparse", func() (*NLevelTopology, error) {

@@ -60,14 +60,14 @@ func ReadJSON(r io.Reader) (*graph.Graph, error) {
 			return nil, fmt.Errorf("decode topology: node IDs must be dense, got %d at index %d", n.ID, i)
 		}
 	}
-	g := graph.New(len(jt.Nodes))
+	b := graph.New(len(jt.Nodes))
 	for _, n := range jt.Nodes {
-		g.SetPos(graph.NodeID(n.ID), graph.Point{X: n.X, Y: n.Y})
+		b.SetPos(graph.NodeID(n.ID), graph.Point{X: n.X, Y: n.Y})
 	}
 	for _, e := range jt.Edges {
-		if err := g.AddEdge(graph.NodeID(e.U), graph.NodeID(e.V), e.Weight); err != nil {
+		if err := b.AddEdge(graph.NodeID(e.U), graph.NodeID(e.V), e.Weight); err != nil {
 			return nil, fmt.Errorf("decode topology: %w", err)
 		}
 	}
-	return g, nil
+	return b.Freeze(), nil
 }

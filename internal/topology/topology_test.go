@@ -218,20 +218,21 @@ func TestWaxmanWeightsAreEuclidean(t *testing.T) {
 }
 
 func TestConnectify(t *testing.T) {
-	g := graph.New(4)
-	g.SetPos(0, graph.Point{X: 0})
-	g.SetPos(1, graph.Point{X: 0.1})
-	g.SetPos(2, graph.Point{X: 5})
-	g.SetPos(3, graph.Point{X: 5.1})
-	if err := g.AddEdge(0, 1, 0.1); err != nil {
+	b := graph.New(4)
+	b.SetPos(0, graph.Point{X: 0})
+	b.SetPos(1, graph.Point{X: 0.1})
+	b.SetPos(2, graph.Point{X: 5})
+	b.SetPos(3, graph.Point{X: 5.1})
+	if err := b.AddEdge(0, 1, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(2, 3, 0.1); err != nil {
+	if err := b.AddEdge(2, 3, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if err := Connectify(g); err != nil {
+	if err := Connectify(b); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	if !g.Connected(nil) {
 		t.Fatal("graph still disconnected")
 	}
@@ -242,13 +243,13 @@ func TestConnectify(t *testing.T) {
 }
 
 func TestDescribe(t *testing.T) {
-	g := graph.New(4) // the path 0—1—2—3
+	b := graph.New(4) // the path 0—1—2—3
 	for i := graph.NodeID(0); i < 3; i++ {
-		if err := g.AddEdge(i, i+1, 1); err != nil {
+		if err := b.AddEdge(i, i+1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := Describe(g)
+	s := Describe(b.Freeze())
 	if s.Nodes != 4 || s.Edges != 3 || s.Components != 1 {
 		t.Errorf("stats = %+v", s)
 	}

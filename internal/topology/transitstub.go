@@ -100,7 +100,7 @@ func GenerateTransitStub(cfg TransitStubConfig, rng *RNG) (*NLevelTopology, erro
 	// topologies are pinned.
 	core := b.ids[:cfg.TransitNodes:cfg.TransitNodes]
 	for _, node := range core {
-		b.t.Graph.SetPos(node, graph.Point{
+		b.g.SetPos(node, graph.Point{
 			X: rng.Float64() * cfg.TransitExtent,
 			Y: rng.Float64() * cfg.TransitExtent,
 		})
@@ -111,7 +111,7 @@ func GenerateTransitStub(cfg TransitStubConfig, rng *RNG) (*NLevelTopology, erro
 	next := len(core)
 	for _, attach := range core {
 		for s := 0; s < cfg.StubsPerNode; s++ {
-			stub := b.place(next, cfg.StubNodes, b.t.Graph.Pos(attach), cfg.StubExtent, rng)
+			stub := b.place(next, cfg.StubNodes, b.g.Pos(attach), cfg.StubExtent, rng)
 			next += len(stub)
 			b.addDomain(stub, 0, attach)
 			b.wire(len(b.t.Domains)-1, cfg.StubAlpha, cfg.Beta, rng, &ws)

@@ -57,39 +57,56 @@ func Waxman(cfg WaxmanConfig, rng *RNG) (*graph.Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := graph.New(cfg.N)
+	b := graph.New(cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		g.SetPos(graph.NodeID(i), graph.Point{X: rng.Float64(), Y: rng.Float64()})
+		b.SetPos(graph.NodeID(i), graph.Point{X: rng.Float64(), Y: rng.Float64()})
 	}
 	maxDist := math.Sqrt2 // diagonal of the unit square
+	var edges []graph.EdgeID
 	for u := 0; u < cfg.N; u++ {
 		for v := u + 1; v < cfg.N; v++ {
-			d := g.Pos(graph.NodeID(u)).Dist(g.Pos(graph.NodeID(v)))
+			d := b.Pos(graph.NodeID(u)).Dist(b.Pos(graph.NodeID(v)))
 			p := cfg.Alpha * math.Exp(-d/(cfg.Beta*maxDist))
 			if rng.Float64() < p {
-				if err := addDistEdge(g, graph.NodeID(u), graph.NodeID(v)); err != nil {
-					return nil, err
-				}
+				edges = append(edges, graph.EdgeID{A: graph.NodeID(u), B: graph.NodeID(v)})
 			}
 		}
 	}
-	if cfg.EnsureConnected {
-		if err := Connectify(g); err != nil {
-			return nil, err
+	if err := insertEdges(b, edges, cfg.EnsureConnected); err != nil {
+		return nil, err
+	}
+	return b.Freeze(), nil
+}
+
+// insertEdges reserves every row at its final degree, inserts the edges in
+// order, weighted by distance, and then optionally connectifies.
+func insertEdges(b *graph.Builder, edges []graph.EdgeID, ensureConnected bool) error {
+	extra := make([]int32, b.NumNodes())
+	for _, e := range edges {
+		extra[e.A]++
+		extra[e.B]++
+	}
+	b.Reserve(extra)
+	for _, e := range edges {
+		if err := addDistEdge(b, e.A, e.B); err != nil {
+			return err
 		}
 	}
-	return g, nil
+	if ensureConnected {
+		return Connectify(b)
+	}
+	return nil
 }
 
 // addDistEdge inserts edge (u, v) weighted by the Euclidean distance between
 // the endpoint positions, with a small floor so coincident points still get
 // a positive weight.
-func addDistEdge(g *graph.Graph, u, v graph.NodeID) error {
-	d := g.Pos(u).Dist(g.Pos(v))
+func addDistEdge(b *graph.Builder, u, v graph.NodeID) error {
+	d := b.Pos(u).Dist(b.Pos(v))
 	if d < 1e-9 {
 		d = 1e-9
 	}
-	return g.AddEdge(u, v, d)
+	return b.AddEdge(u, v, d)
 }
 
 // connectifyExactCap bounds the exact all-pairs Connectify scan: graphs
@@ -100,18 +117,18 @@ func addDistEdge(g *graph.Graph, u, v graph.NodeID) error {
 // whole O(N·deg) generation.
 const connectifyExactCap = 4096
 
-// Connectify joins the connected components of g by repeatedly adding the
+// Connectify joins the connected components of b by repeatedly adding the
 // geometrically shortest edge between the largest component and another
 // component. This mirrors the connectivity post-processing used with random
 // topology generators so that every generated sample is usable. Past
 // connectifyExactCap nodes the exact nearest-pair scan is replaced by a
 // centroid-guided pick (still deterministic, O(N) per component joined).
-func Connectify(g *graph.Graph) error {
-	if g.NumNodes() > connectifyExactCap {
-		return connectifyCentroid(g)
+func Connectify(b *graph.Builder) error {
+	if b.NumNodes() > connectifyExactCap {
+		return connectifyCentroid(b)
 	}
 	for {
-		comps := g.Components(nil)
+		comps := b.Components()
 		if len(comps) <= 1 {
 			return nil
 		}
@@ -122,7 +139,7 @@ func Connectify(g *graph.Graph) error {
 			for cj := ci + 1; cj < len(comps); cj++ {
 				for _, u := range comps[ci] {
 					for _, v := range comps[cj] {
-						d := g.Pos(u).Dist(g.Pos(v))
+						d := b.Pos(u).Dist(b.Pos(v))
 						if d < bestD {
 							bestD, bestU, bestV = d, u, v
 						}
@@ -133,7 +150,7 @@ func Connectify(g *graph.Graph) error {
 		if bestU == graph.Invalid {
 			return fmt.Errorf("connectify: no joining pair found across %d components", len(comps))
 		}
-		if err := addDistEdge(g, bestU, bestV); err != nil {
+		if err := addDistEdge(b, bestU, bestV); err != nil {
 			return fmt.Errorf("connectify: %w", err)
 		}
 	}
@@ -144,9 +161,9 @@ func Connectify(g *graph.Graph) error {
 // via (nearest main-component node to the minority centroid) ↔ (nearest
 // minority node to that anchor). One Components pass, one linear scan per
 // join, fully deterministic (ties break on lower node ID via scan order).
-func connectifyCentroid(g *graph.Graph) error {
-	return joinComponentsCentroid(g.Components(nil), g.Pos, func(u, v graph.NodeID) error {
-		return addDistEdge(g, u, v)
+func connectifyCentroid(b *graph.Builder) error {
+	return joinComponentsCentroid(b.Components(), b.Pos, func(u, v graph.NodeID) error {
+		return addDistEdge(b, u, v)
 	})
 }
 
