@@ -11,12 +11,11 @@ import (
 // the sequential reference exactly.
 //
 // What the batch buys is amortization, not reordering. One source-rooted SPF
-// tree under the failure mask, computed once (joins never move the mask),
-// answers every joiner's delay-bound query — k early-exit point queries
-// without a cache, k cache probes with one, when joining one at a time — and
-// while healthy its distances are also the candidate sweep's lower bound
-// (Session.sourceSPF), which a cacheless sequential join has to do without.
-// One arena serves every candidate sweep and reshape check. Both are
+// tree under the failure mask, looked up once (joins never move the mask),
+// answers every joiner's delay-bound query — k cache probes when joining one
+// at a time — and while healthy its distances are also the candidate sweep's
+// lower bound (Session.sourceSPF). One arena serves every candidate sweep and
+// reshape check. Both are
 // value-identical to the per-call machinery (TestJoinBatchBitIdentical). The
 // intended use is k simultaneous joiners of one group, as queued by the server
 // actor's mailbox or a flash-crowd workload.

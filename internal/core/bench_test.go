@@ -281,7 +281,6 @@ func TestLeafCutRestoreAllocs(t *testing.T) {
 func settledSession(tb testing.TB, storage TreeStorage, degraded bool) *Session {
 	tb.Helper()
 	g := benchGraph(tb, 2005)
-	g.EnableSPFCache()
 	cfg := DefaultConfig()
 	cfg.TreeStorage = storage
 	s := paperSession(tb, g, cfg)

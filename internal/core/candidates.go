@@ -87,10 +87,10 @@ func selectAmong(cands []Candidate, bound float64, delayFirst bool) (Candidate, 
 // lower[m] + conn(m, w) for every w on the connection: dist(joiner, w) +
 // lower[w] ≤ bound all along it, the sweep need not leave that region
 // (graph.Sweep.RunPruned), and inside it everything reads as in the exhaustive
-// sweep (DESIGN.md §9.1). A nil lower prunes on radius alone; bound = +Inf
-// prunes nothing and the sweep is the exhaustive one. Either way the winner
-// is the one the reference — every connection materialized, then the
-// criterion — picks, bit for bit (TestPrunedSelectionMatchesExhaustive).
+// sweep (DESIGN.md §9.1). bound = +Inf prunes nothing and the sweep is the
+// exhaustive one. Either way the winner is the one the reference — every
+// connection materialized, then the criterion — picks, bit for bit
+// (TestPrunedSelectionMatchesExhaustive).
 //
 // The source is the one node of the tree with SHR 0 (Eq. 2 adds N_R ≥ 1 at
 // every other; the test harnesses' checkSourceAloneAtZero holds every state

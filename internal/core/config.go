@@ -122,9 +122,8 @@ type Config struct {
 
 	// Strategy selects the failure-recovery implementation. nil (the
 	// default) is SMRP's local-detour recovery, unchanged from every prior
-	// release; NewSMRPStrategy pins the same behavior explicitly through
-	// the strategy seam, and the comparative baselines (MRC backup
-	// configurations, Bhosle–Gonzalez precomputed detours) plug in here.
+	// release; the comparative baselines (MRC backup configurations,
+	// Bhosle–Gonzalez precomputed detours) plug in here.
 	// A strategy instance is bound to one session: NewSession calls
 	// Strategy.Precompute and the session re-invokes it after every tree
 	// mutation, so do not share an instance between sessions.

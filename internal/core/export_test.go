@@ -14,13 +14,3 @@ func (s *Session) SHR(n graph.NodeID) (int, error) {
 	}
 	return s.shrAt(n), nil
 }
-
-// Strategy returns the session's active recovery strategy: the configured
-// one, or a fresh SMRP (local-detour) strategy bound to this session when
-// none was set.
-func (s *Session) Strategy() RecoveryStrategy {
-	if s.cfg.Strategy != nil {
-		return s.cfg.Strategy
-	}
-	return &smrpStrategy{s: s}
-}

@@ -55,14 +55,13 @@ type pruneOracle struct {
 
 // goalCoverage counts what the bounded passes decided at the source ran under
 // — a whole view (a join's, and the oracle's own of a hypothetical tree) or a
-// reshape's view of the real tree, a failure or subtree mask, no lower bound to
-// prune with but the radius — and what the sweeps toward it did that a sweep
-// in distance order never does: exits whose level held more than the source,
-// sources reached inside the prune slack and declined for lying over the
-// bound, nodes queued again after settling, settled nodes that took a smaller
-// parent.
+// reshape's view of the real tree, a failure or subtree mask — and what the
+// sweeps toward it did that a sweep in distance order never does: exits whose
+// level held more than the source, sources reached inside the prune slack and
+// declined for lying over the bound, nodes queued again after settling,
+// settled nodes that took a smaller parent.
 type goalCoverage struct {
-	whole, view, masked, radius             int
+	whole, view, masked                     int
 	drained, declined, requeued, reparented int
 }
 
@@ -70,7 +69,6 @@ func (c *goalCoverage) add(d goalCoverage) {
 	c.whole += d.whole
 	c.view += d.view
 	c.masked += d.masked
-	c.radius += d.radius
 	c.drained += d.drained
 	c.declined += d.declined
 	c.requeued += d.requeued
@@ -193,9 +191,6 @@ func (o *pruneOracle) reference(tr *multicast.Tree, joiner graph.NodeID, mask *g
 			o.goal.whole++
 			if mask != nil {
 				o.goal.masked++
-			}
-			if lower == nil {
-				o.goal.radius++
 			}
 		default:
 			o.t.Fatalf("%s: one bounded pass counted %d exits at the source", what, bounded.SelectSourceExits)
@@ -490,9 +485,9 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 // refused, winners inside and outside the member's top-level branch. A bounded
 // pass stops at the source or is the sweep of its whole region, settled count
 // and mergers reached included (pruneOracle.reference), and the run must hold
-// stops through whole views and reshape views, under a mask and with no lower
-// bound, stops whose level held more than the source, settled nodes queued
-// again and settled nodes re-parented; the source reached and declined is
+// stops through whole views and reshape views and under a mask, stops whose
+// level held more than the source, settled nodes queued again and settled
+// nodes re-parented; the source reached and declined is
 // TestSourceInsidePruneSlackIsDeclined's.
 func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 	const topologies, queried, tenths = 60, 12, 24
@@ -533,9 +528,6 @@ func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 				}
 			}
 			g = b.Freeze()
-		}
-		if trial%2 == 0 {
-			g.EnableSPFCache()
 		}
 		cfg := DefaultConfig()
 		cfg.DThresh = []float64{0, 0.3, 5}[trial/2%3]
@@ -634,9 +626,9 @@ func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 	if chains == 0 || memberStops == 0 || refused == 0 || inside == 0 || outside == 0 {
 		t.Fatal("the reshape view went untested where it differs from the tree: want some of each kind")
 	}
-	t.Logf("decided at the source: %d through a whole view (%d under a mask, %d with no lower bound), %d through a reshape's view, %d with more than the source at its level; %d sources reached and declined; %d nodes queued again after settling, %d settled nodes re-parented",
-		goal.whole, goal.masked, goal.radius, goal.view, goal.drained, goal.declined, goal.requeued, goal.reparented)
-	if goal.whole == 0 || goal.masked == 0 || goal.radius == 0 || goal.view == 0 || goal.drained == 0 || goal.requeued == 0 || goal.reparented == 0 {
+	t.Logf("decided at the source: %d through a whole view (%d under a mask), %d through a reshape's view, %d with more than the source at its level; %d sources reached and declined; %d nodes queued again after settling, %d settled nodes re-parented",
+		goal.whole, goal.masked, goal.view, goal.drained, goal.declined, goal.requeued, goal.reparented)
+	if goal.whole == 0 || goal.masked == 0 || goal.view == 0 || goal.drained == 0 || goal.requeued == 0 || goal.reparented == 0 {
 		t.Fatal("the sweep's run toward the source went untested: want some of each kind")
 	}
 }
@@ -667,7 +659,6 @@ func TestJoinOnUnflushedFailureKeepsDeadEdgeCandidate(t *testing.T) {
 		}
 	}
 	g := build.Freeze()
-	g.EnableSPFCache() // the prune takes its lower bound from the cache
 	cfg := DefaultConfig()
 	cfg.ReshapeDelta = 0
 	s, err := NewSession(g, S, cfg)
@@ -716,7 +707,6 @@ func TestSourceInsidePruneSlackIsDeclined(t *testing.T) {
 		}
 	}
 	g := build.Freeze()
-	g.EnableSPFCache()
 	cfg := DefaultConfig()
 	cfg.DThresh, cfg.ReshapeDelta = 0, 0
 	s, err := NewSession(g, S, cfg)

@@ -479,3 +479,27 @@ func TestReconnectSettlesNearTiesOnTheMembersFloat(t *testing.T) {
 		t.Errorf("member 5 reconnected by %v, want %v: member 3 goes first", got, want)
 	}
 }
+
+// sessionDiff compares the externally observable state of two sessions and
+// describes the first divergence ("" when identical).
+func sessionDiff(a, b *Session) string {
+	ta, tb := a.Tree(), b.Tree()
+	na, nb := ta.Nodes(), tb.Nodes()
+	if !reflect.DeepEqual(na, nb) {
+		return fmt.Sprintf("tree nodes %v vs %v", na, nb)
+	}
+	if ma, mb := ta.Members(), tb.Members(); !reflect.DeepEqual(ma, mb) {
+		return fmt.Sprintf("members %v vs %v", ma, mb)
+	}
+	for _, n := range na {
+		pa, oka := ta.Parent(n)
+		pb, okb := tb.Parent(n)
+		if pa != pb || oka != okb {
+			return fmt.Sprintf("parent of %d: %d vs %d", n, pa, pb)
+		}
+	}
+	if pa, pb := a.Parked(), b.Parked(); !reflect.DeepEqual(pa, pb) {
+		return fmt.Sprintf("parked %v vs %v", pa, pb)
+	}
+	return ""
+}

@@ -77,9 +77,6 @@ func decodeSelectCase(data []byte) selectCase {
 		}
 	}
 	in.g = b.Freeze()
-	if flags&4 != 0 {
-		in.g.EnableSPFCache()
-	}
 	for _, v := range downNodes {
 		if v != in.src {
 			in.fails = append(in.fails, failure.NodeDown(v))
@@ -216,11 +213,6 @@ func TestSelectPathSeedsCoverTheirCase(t *testing.T) {
 	// and settles after it, while its level drains.
 	if _, o := seed("source-tied-with-a-merger-drains-its-level"); o.goal.whole != 4 || o.goal.drained != 2 {
 		t.Errorf("source-tied-with-a-merger-drains-its-level: %d selections stopped at the source, %d with more at its level; want 4, 2", o.goal.whole, o.goal.drained)
-	}
-	// The same without an SPF cache: no lower bound, distance order, and the
-	// sweep stops at the source's radius instead of the budget's.
-	if in, o := seed("source-decides-with-no-lower-bound"); in.g.SPFCacheOf() != nil || o.goal.radius != 4 {
-		t.Errorf("source-decides-with-no-lower-bound: cache=%v, %d selections stopped at the source with no lower bound; want none, 4", in.g.SPFCacheOf() != nil, o.goal.radius)
 	}
 	// And with a third way S–3–2 whose node 3 is down, not flushed: joiner
 	// 2's selection runs under the failure mask (the reshape checks' two

@@ -229,21 +229,14 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, a *arena) (*JoinResul
 // between ApplyFailure and Recover, and a node's delay along them can
 // undercut its masked SPF distance. Degraded, the unmasked tree is the cache
 // entry healthy joins keep warm; it is asked for first, so the masked entry
-// stays the delta-repair lineage head. Without a cache only a healthy batch
-// has a tree to lend; otherwise lower is nil and the sweep prunes on radius
-// alone.
+// stays the delta-repair lineage head.
 func (s *Session) sourceSPF(nr graph.NodeID, spt *graph.SPTree) (spfDelay float64, lower []float64) {
 	src, mask := s.tree.Source(), s.maskOrNil()
-	cached := s.g.SPFCacheOf() != nil
-	if cached && mask != nil {
+	if mask != nil {
 		lower = s.g.Dijkstra(src, nil).Dist
 	}
-	if cached && spt == nil {
-		spt = s.g.Dijkstra(src, mask)
-	}
 	if spt == nil {
-		_, spfDelay = s.g.ShortestPath(src, nr, mask)
-		return spfDelay, nil
+		spt = s.g.Dijkstra(src, mask)
 	}
 	if mask == nil {
 		lower = spt.Dist // healthy: the masked tree is the unmasked one

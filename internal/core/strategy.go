@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"smrp/internal/failure"
 	"smrp/internal/graph"
@@ -10,7 +9,7 @@ import (
 
 // RecoveryStrategy is the pluggable restoration seam: it decides how a
 // session reconnects members after persistent failures. SMRP's local-detour
-// recovery (the paper's protocol) is the default implementation; the
+// recovery (the paper's protocol) is what a session without one runs; the
 // comparative-testbed baselines — MRC backup routing configurations
 // (internal/mrc) and Bhosle–Gonzalez precomputed detours (internal/detour) —
 // plug in through Config.Strategy.
@@ -41,42 +40,6 @@ type RecoveryStrategy interface {
 	// strategies study can publish state overhead as a CI-stable metric.
 	StateBytes() int64
 }
-
-// smrpStrategy adapts the session's built-in local-detour recovery to the
-// RecoveryStrategy interface. It keeps no state of its own: Recover simply
-// runs the same reconcile engine a strategy-less session uses, so a session
-// configured with NewSMRPStrategy is bit-identical to the default.
-type smrpStrategy struct {
-	s *Session
-}
-
-// NewSMRPStrategy returns the paper's local-detour recovery as an explicit
-// strategy. Sessions without a configured strategy use this behavior
-// implicitly; configuring it pins the dispatch path without changing any
-// output.
-func NewSMRPStrategy() RecoveryStrategy { return &smrpStrategy{} }
-
-// Name implements RecoveryStrategy.
-func (st *smrpStrategy) Name() string { return "smrp" }
-
-// Precompute binds the session. SMRP precomputes nothing: every detour is
-// found reactively by the nearest-survivor search at recovery time.
-func (st *smrpStrategy) Precompute(s *Session) error {
-	st.s = s
-	return nil
-}
-
-// Recover implements RecoveryStrategy by delegating to the built-in
-// nearest-first reconcile engine.
-func (st *smrpStrategy) Recover(fs []failure.Failure) (*HealReport, error) {
-	if st.s == nil {
-		return nil, fmt.Errorf("core: smrp strategy: %w", ErrUnboundStrategy)
-	}
-	return st.s.reconcile(fs)
-}
-
-// StateBytes implements RecoveryStrategy: SMRP holds no precomputed state.
-func (st *smrpStrategy) StateBytes() int64 { return 0 }
 
 // ErrUnboundStrategy is returned when a strategy's Recover runs before
 // Precompute bound it to a session.

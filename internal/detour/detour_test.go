@@ -91,7 +91,6 @@ func TestTableMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EnableSPFCache()
 	st := New()
 	cfg := core.DefaultConfig()
 	cfg.Strategy = st

@@ -149,7 +149,6 @@ func RunChaos(ctx context.Context, rc RunConfig, trials int) (*ChaosResult, erro
 		if err != nil {
 			return chaosTrial{}, err
 		}
-		g.EnableSPFCache()
 
 		ccfg := failure.DefaultChaosConfig()
 		sched, err := failure.RandomSchedule(g, source, members, ccfg, rng)

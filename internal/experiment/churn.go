@@ -100,9 +100,6 @@ func RunChurn(ctx context.Context, rc RunConfig, runs int) (*ChurnResult, error)
 		if err != nil {
 			return nil, err
 		}
-		// Worst-case evaluation below re-queries many (member, mask) pairs;
-		// memoize SPF trees for the run's private topology.
-		g.EnableSPFCache()
 		source := graph.NodeID(0)
 		pop := make([]graph.NodeID, 0, base.N-1)
 		for n := 1; n < base.N; n++ {

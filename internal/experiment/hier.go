@@ -71,9 +71,6 @@ func RunHierarchy(ctx context.Context, rc RunConfig, runs int) (*HierResult, err
 		if err != nil {
 			return nil, err
 		}
-		// Stub sessions and worst-case probes re-query shortest paths on the
-		// shared full topology; memoize them for this run.
-		ts.Graph.EnableSPFCache()
 		// Source: first non-gateway node of the first stub, domain 1.
 		stubs := ts.Domains[1:]
 		var src graph.NodeID = graph.Invalid

@@ -66,9 +66,6 @@ func RunLatency(ctx context.Context, rc RunConfig, runs int) (*LatencyResult, er
 		if err != nil {
 			return latencyRun{}, err
 		}
-		// Reconvergence modeling re-runs Dijkstra from every LSA detector;
-		// memoize them for this run's private topology.
-		g.EnableSPFCache()
 		smrp, err := protocol.NewSMRPInstance(g, source, pcfg)
 		if err != nil {
 			return latencyRun{}, err

@@ -162,7 +162,6 @@ func runMegascaleFlat(n int, t runner.Trial, groups int) (MegascaleArm, error) {
 	if err != nil {
 		return arm, err
 	}
-	g.EnableSPFCache()
 	arm.Nodes, arm.Edges = g.NumNodes(), g.NumEdges()
 	arm.GraphBytes = g.MemoryFootprint()
 	arm.Domains = 1

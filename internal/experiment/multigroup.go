@@ -292,7 +292,6 @@ func RunMultigroup(ctx context.Context, rc RunConfig, groups, maxMembers, n int)
 	if err != nil {
 		return nil, err
 	}
-	g.EnableSPFCache()
 
 	gs, err := runner.Map(ctx, rc.pool(), groups, func(_ context.Context, t runner.Trial) (multigroupGroup, error) {
 		return runMultigroupGroup(g, t, maxMembers, t.Index == 0)

@@ -64,9 +64,6 @@ func RunNLevel(ctx context.Context, rc RunConfig, runs int) (*NLevelResult, erro
 		if err != nil {
 			return nil, err
 		}
-		// Domain sessions and worst-case probes re-query shortest paths on
-		// the shared full topology; memoize them for this run.
-		nt.Graph.EnableSPFCache()
 		nr.domains = len(nt.Domains)
 		nr.nodes = nt.Graph.NumNodes()
 		leaves := nt.Leaves()

@@ -90,9 +90,6 @@ func RunProtection(ctx context.Context, rc RunConfig, runs int) (*ProtectionResu
 		if g == nil {
 			return pr, nil
 		}
-		// Four schemes plus worst-case probes all re-query shortest paths on
-		// this run's private topology; memoize them.
-		g.EnableSPFCache()
 		source := graph.NodeID(0)
 		var members []graph.NodeID
 		for _, id := range rng.Sample(g.NumNodes(), 13) {

@@ -93,10 +93,6 @@ func GenScenarios(b Base, nTopo, nSets int, seed uint64) ([]Scenario, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: topology %d: %w", ti, err)
 		}
-		// The nSets scenarios built below share this topology; parallel
-		// trials evaluating them memoize shortest-path trees in a shared
-		// concurrency-safe cache instead of re-running Dijkstra.
-		g.EnableSPFCache()
 		deg := g.AvgDegree()
 		for mi := 0; mi < nSets; mi++ {
 			memberSeed := seed + 0xABCDEF + uint64(ti)*1000 + uint64(mi)

@@ -95,11 +95,13 @@ func (r *StrategiesResult) Render() string {
 
 // strategyArms defines the study's three arms. Factories return a fresh
 // strategy per session — instances are session-bound and must not be shared.
+// The smrp arm has none: a session with no strategy runs the paper's
+// local-detour recovery.
 var strategyArms = []struct {
 	name string
 	make func() core.RecoveryStrategy
 }{
-	{"smrp", core.NewSMRPStrategy},
+	{"smrp", nil},
 	{"mrc", func() core.RecoveryStrategy { return mrc.New(0) }},
 	{"detour", func() core.RecoveryStrategy { return detour.New() }},
 }
@@ -149,7 +151,6 @@ func RunStrategies(ctx context.Context, rc RunConfig, trials int) (*StrategiesRe
 		if err != nil {
 			return stratTrial{}, err
 		}
-		g.EnableSPFCache()
 
 		ccfg := failure.DefaultChaosConfig()
 		sched, err := failure.RandomSchedule(g, source, members, ccfg, rng)
@@ -165,7 +166,10 @@ func RunStrategies(ctx context.Context, rc RunConfig, trials int) (*StrategiesRe
 		}
 		for ai, armDef := range strategyArms {
 			arm := &out.arms[ai]
-			strat := armDef.make()
+			var strat core.RecoveryStrategy
+			if armDef.make != nil {
+				strat = armDef.make()
+			}
 			cfg := base.SMRP
 			cfg.Strategy = strat
 			sess, err := core.NewSession(g, source, cfg)
@@ -212,7 +216,9 @@ func RunStrategies(ctx context.Context, rc RunConfig, trials int) (*StrategiesRe
 			stats := sess.Stats()
 			arm.recovSettled = stats.HealSettled
 			arm.fallbacks, arm.fallbackSettled = stats.StrategyFallbacks, stats.FallbackSettled
-			arm.stateBytes = strat.StateBytes()
+			if strat != nil {
+				arm.stateBytes = strat.StateBytes()
+			}
 			if ps, ok := strat.(preSettler); ok {
 				arm.precompSettled = ps.PrecomputeSettled()
 			}

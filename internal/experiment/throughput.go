@@ -119,7 +119,6 @@ func RunThroughput(ctx context.Context, rc RunConfig, sessions int) (*Throughput
 	if err != nil {
 		return nil, err
 	}
-	g.EnableSPFCache()
 
 	shards, err := runner.Map(ctx, rc.pool(), sessions, func(_ context.Context, t runner.Trial) (throughputShard, error) {
 		rng := t.RNG

@@ -41,20 +41,17 @@ func (t *SPTree) PathTo(n NodeID) Path {
 // mask. Nodes settle in (distance, node) order and an equal distance takes
 // the smaller parent ID, so the resulting tree is deterministic.
 //
-// When an SPF cache is attached (EnableSPFCache) the result is memoized by
-// (src, mask fingerprint) and shared between callers, which also makes the
-// call safe for concurrent use; cached trees must be treated as read-only.
+// The result comes from the graph's SPF cache, memoized by (src, mask
+// fingerprint) and shared between callers, which also makes the call safe for
+// concurrent use; the tree must be treated as read-only.
 func (g *Graph) Dijkstra(src NodeID, mask *Mask) *SPTree {
-	if g.spf != nil {
-		return g.spf.Dijkstra(src, mask)
-	}
-	return g.dijkstra(src, mask)
+	return g.spf.Dijkstra(src, mask)
 }
 
-// dijkstra is the uncached shortest-path-tree computation: the source seeded
-// into a repair's phase-B ripple on a freshly allocated SPTree, which escapes
-// (it may be memoized and shared). A blocked or invalid source leaves every
-// node unreachable.
+// dijkstra is the full shortest-path-tree computation behind a cache miss:
+// the source seeded into a repair's phase-B ripple on a freshly allocated
+// SPTree, which escapes (it is memoized and shared). A blocked or invalid
+// source leaves every node unreachable.
 func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 	n := g.NumNodes()
 	t := &SPTree{
@@ -82,31 +79,18 @@ func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 // together with its length. It returns (nil, Unreachable) when no path
 // exists.
 //
-// With an SPF cache attached the full (src, mask) tree is computed once and
-// memoized — the cache deliberately stores only complete trees, because a
-// tree truncated at one destination would silently under-serve the next
-// caller asking the same (src, mask) about a different destination. Without
-// a cache there is nobody to share a full tree with, so the sweep runs with
-// dst as its goal: it stops when dst settles, having relaxed nothing beyond
-// dst's tentative distance, with dst's distance, parent chain and tie-breaks
-// those of the full run (Sweep.run).
+// It reads the full (src, mask) tree off the SPF cache: the cache stores only
+// complete trees, because a tree truncated at one destination would silently
+// under-serve the next caller asking the same (src, mask) about another.
 func (g *Graph) ShortestPath(src, dst NodeID, mask *Mask) (Path, float64) {
 	if !g.valid(dst) {
 		return nil, Unreachable
 	}
-	if g.spf != nil {
-		t := g.spf.Dijkstra(src, mask)
-		if !t.Reachable(dst) {
-			return nil, Unreachable
-		}
-		return t.PathTo(dst), t.Dist[dst]
-	}
-	s := g.NewSweep()
-	defer s.Release()
-	if s.run(src, mask, nil, nil, nil, Unreachable, Unreachable, dst, Unreachable) == Invalid {
+	t := g.Dijkstra(src, mask)
+	if !t.Reachable(dst) {
 		return nil, Unreachable
 	}
-	return s.PathTo(dst), s.dist[dst]
+	return t.PathTo(dst), t.Dist[dst]
 }
 
 // ScanNode is one settled node of a NearestScan.
@@ -196,13 +180,13 @@ func (s *Sweep) budgetCut(mask *Mask) bool {
 // first settled accepted node, and the pooled scratch arena makes the
 // steady-state call allocation-free apart from the returned path.
 //
-// NearestOf deliberately bypasses the SPF cache even when one is attached:
-// the sweep stops at the nearest survivor — a few hops out for a member that
-// lost only its own uplink, the whole dead branch and its surroundings for a
-// member deep inside one — which is less than the full (src, mask) tree a
-// cache entry would require, and the sources are disconnected members,
-// rarely re-queried. A caller that asks again while its accept set only
-// grows should keep the record instead (ScanNearest).
+// NearestOf deliberately bypasses the graph's SPF cache: the sweep stops at
+// the nearest survivor — a few hops out for a member that lost only its own
+// uplink, the whole dead branch and its surroundings for a member deep inside
+// one — which is less than the full (src, mask) tree a cache entry would
+// require, and the sources are disconnected members, rarely re-queried. A
+// caller that asks again while its accept set only grows should keep the
+// record instead (ScanNearest).
 //
 // accept must be a pure predicate and may be asked about nodes that never
 // settle (see ScanNearest).

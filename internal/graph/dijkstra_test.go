@@ -236,8 +236,8 @@ func TestDijkstraPathsAreConsistent(t *testing.T) {
 func TestDijkstraDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := randomConnectedGraph(rng, 40, 80)
-	a := g.Dijkstra(0, nil)
-	b := g.Dijkstra(0, nil)
+	a := g.dijkstra(0, nil)
+	b := g.dijkstra(0, nil)
 	for i := range a.Parent {
 		if a.Parent[i] != b.Parent[i] || a.Dist[i] != b.Dist[i] {
 			t.Fatalf("non-deterministic Dijkstra at node %d", i)
@@ -250,6 +250,6 @@ func BenchmarkDijkstra100(b *testing.B) {
 	g := randomConnectedGraph(rng, 100, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Dijkstra(NodeID(i%100), nil)
+		_ = g.dijkstra(NodeID(i%100), nil)
 	}
 }

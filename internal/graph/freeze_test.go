@@ -146,7 +146,6 @@ func TestFrozenGraphMaskedSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	b, _ := buildRandom(rng)
 	g := b.Freeze()
-	g.EnableSPFCache()
 	n := g.NumNodes()
 	mask := NewMask()
 	for round := 0; round < 20; round++ {

@@ -61,9 +61,9 @@ func (p Point) Dist(q Point) float64 {
 }
 
 // Graph is a weighted undirected graph with dense node IDs, immutable once
-// built: a Builder assembles it and Freeze hands it over. Its one write is
-// EnableSPFCache, made before the graph is shared; every other method only
-// reads, so concurrent use is safe.
+// built: a Builder assembles it and Freeze hands it over. Every method only
+// reads, so concurrent use is safe; shortest-path trees are memoized in the
+// SPF cache the graph carries (SPFCacheOf), itself safe for concurrent use.
 type Graph struct {
 	// adj is the graph's one edge store: edge (u, v) is the arc to v in u's
 	// row and the arc to u in v's row, both carrying its weight. Every row is
@@ -73,8 +73,9 @@ type Graph struct {
 	pos []Point
 	// edges counts the undirected edges in adj.
 	edges int
-	// spf, when non-nil, memoizes Dijkstra results keyed by (source,
-	// mask fingerprint). See EnableSPFCache.
+	// spf memoizes Dijkstra results keyed by (source, mask fingerprint).
+	// Freeze and View attach it empty; it holds nothing until the first
+	// query.
 	spf *SPFCache
 	// A view (see View) reads an arc as leading to node To − base, Pos
 	// through ids, and allocates only the owned arcs of its private rows.
@@ -174,12 +175,13 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 // Freeze ends the build: each row is sorted by (weight, neighbour) where it
 // lies, so that a sweep relaxing under a distance bound stops at the first
 // arc past it, and the rows are handed to the returned Graph without a copy.
-// Large graphs sort their rows on up to GOMAXPROCS goroutines. The builder is
-// left empty.
+// Large graphs sort their rows on up to GOMAXPROCS goroutines. The graph
+// carries an empty SPF cache, and the builder is left empty.
 func (b *Builder) Freeze() *Graph {
 	g := b.g
 	b.g = Graph{}
 	sortRows(g.adj, 2*g.edges)
+	g.spf = NewSPFCache(&g, 0)
 	return &g
 }
 

@@ -32,7 +32,6 @@ func TestISPFEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("topo %d: %v", ti, err)
 		}
-		g.EnableSPFCache()
 		edges := g.Edges()
 		src := graph.NodeID(0)
 		mask := graph.NewMask()

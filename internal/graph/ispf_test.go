@@ -81,7 +81,6 @@ func TestISPFRepairSteadyStateAllocs(t *testing.T) {
 // every ordered pair from a sample of edges.
 func TestISPFSiblingMaskSwap(t *testing.T) {
 	g := ispfTestGraph(t)
-	g.EnableSPFCache()
 	src := NodeID(0)
 	edges := g.Edges()
 	step := len(edges)/12 + 1
@@ -112,7 +111,6 @@ func TestISPFSiblingMaskSwap(t *testing.T) {
 // every miss is a full sweep, and results are unchanged.
 func TestSPFDeltaToggle(t *testing.T) {
 	g := ispfTestGraph(t)
-	g.EnableSPFCache()
 	src := NodeID(0)
 
 	m := NewMask()

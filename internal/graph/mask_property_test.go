@@ -313,7 +313,7 @@ func TestMaskFingerprintInsertionOrder(t *testing.T) {
 // diffs do take it.
 func TestMaskBitsetISPFLineage(t *testing.T) {
 	g := ispfTestGraph(t)
-	c := g.EnableSPFCache()
+	c := g.SPFCacheOf()
 
 	r := rand.New(rand.NewSource(99))
 	edges := g.Edges()

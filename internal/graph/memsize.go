@@ -19,7 +19,7 @@ const (
 // node positions. A view counts only what it owns: its row headers and the
 // arcs of its private rows; the aliased rows and the positions are its
 // parent's. The SPF cache is deliberately excluded: it is a rebuildable
-// derivative whose presence depends on query history, not on the topology.
+// derivative whose contents depend on query history, not on the topology.
 func (g *Graph) MemoryFootprint() int64 {
 	arcs, points := 2*g.edges, len(g.pos)
 	if g.ids != nil {

@@ -48,7 +48,7 @@ type spfMap = map[spfKey]*spfEntry
 // readers racing a publish see either the old or the new snapshot, both of
 // which are internally consistent. A shard has no map until its first insert
 // (and none again after a flush), so a cache nobody has asked anything yet —
-// one per recovery domain in a hierarchy — is its struct and nothing more.
+// every graph and every view carries one — is its struct and nothing more.
 type spfShard struct {
 	m  atomic.Pointer[spfMap]
 	mu sync.Mutex // serializes writers; the read path never touches it
@@ -62,7 +62,7 @@ func (sh *spfShard) load() spfMap {
 	return nil
 }
 
-// SPFCache is a concurrency-safe memoization layer over Graph.Dijkstra,
+// SPFCache is the concurrency-safe memoization layer behind Graph.Dijkstra,
 // sharded by (source, mask-fingerprint) so parallel scenario trials — and
 // parallel sessions inside one scenario — that share a topology stop
 // recomputing identical shortest-path trees from scratch.
@@ -128,9 +128,13 @@ func (c *SPFCache) recentOf(src NodeID) *spfEntry {
 // Dijkstra returns the shortest-path tree from src under mask, computing and
 // memoizing it on first use. Safe for concurrent use; hits take zero locks
 // (pinned by TestSPFCacheHitZeroAlloc and TestSPFCacheHitMutexProfile). The
-// returned tree is shared: callers
-// must not mutate it.
+// returned tree is shared: callers must not mutate it. A source outside the
+// graph gets a fresh tree with every node unreachable, neither memoized nor
+// a lineage head.
 func (c *SPFCache) Dijkstra(src NodeID, mask *Mask) *SPTree {
+	if !c.g.valid(src) {
+		return c.g.dijkstra(src, mask)
+	}
 	key := spfKey{src: src, fp: mask.Fingerprint()}
 	sh := &c.shards[mix64(uint64(uint32(key.src))^key.fp)%spfShardCount]
 
@@ -249,19 +253,10 @@ func (c *SPFCache) String() string {
 		c.Len(), h, m, c.deltas.Load())
 }
 
-// EnableSPFCache attaches a memoizing SPF cache to the graph: all subsequent
-// Dijkstra and ShortestPath calls consult it transparently, making them both
-// faster on repeated queries and safe for concurrent use. Idempotent — the
-// existing cache is kept if one is already attached. Returns the cache.
-//
-// It is the graph's one write: call it before sharing the graph between
-// goroutines.
-func (g *Graph) EnableSPFCache() *SPFCache {
-	if g.spf == nil {
-		g.spf = NewSPFCache(g, 0)
-	}
-	return g.spf
-}
-
-// SPFCacheOf returns the graph's attached SPF cache, or nil when disabled.
+// SPFCacheOf returns the graph's SPF cache, which Freeze and View attach to
+// every graph they return.
 func (g *Graph) SPFCacheOf() *SPFCache { return g.spf }
+
+// EnableSPFCache is SPFCacheOf under the name the benchmark module still
+// calls; ROADMAP item 1(d), which unpins that module, deletes it.
+func (g *Graph) EnableSPFCache() *SPFCache { return g.spf }

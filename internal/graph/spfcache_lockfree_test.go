@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -33,7 +34,7 @@ func lockFreeTestGraph(t testing.TB) *Graph {
 // lock, no bookkeeping garbage.
 func TestSPFCacheHitZeroAlloc(t *testing.T) {
 	g := lockFreeTestGraph(t)
-	c := g.EnableSPFCache()
+	c := g.SPFCacheOf()
 	g.Dijkstra(0, nil) // warm the entry and its lineage head
 	allocs := testing.AllocsPerRun(200, func() {
 		g.Dijkstra(0, nil)
@@ -57,7 +58,6 @@ func TestSPFCacheHitMutexProfile(t *testing.T) {
 	defer runtime.SetMutexProfileFraction(old)
 
 	g := lockFreeTestGraph(t)
-	g.EnableSPFCache()
 	masks := []*Mask{nil, NewMask().BlockNode(5), NewMask().BlockEdge(2, 3)}
 	for src := NodeID(0); src < 8; src++ {
 		for _, m := range masks {
@@ -93,13 +93,13 @@ func TestSPFCacheHitMutexProfile(t *testing.T) {
 
 // TestSPFCacheParallelReadWrite races readers against writers (misses force
 // clone-on-write publishes and wholesale evictions) and cross-checks every
-// tree a reader observes against an uncached reference. Run under -race in
+// tree a reader observes against a from-scratch reference. Run under -race in
 // CI, this is the memory-safety gate for the snapshot-publish protocol.
 func TestSPFCacheParallelReadWrite(t *testing.T) {
 	g := lockFreeTestGraph(t)
 	ref := make(map[NodeID]*SPTree)
 	for src := NodeID(0); src < 16; src++ {
-		ref[src] = g.Dijkstra(src, nil) // uncached reference trees
+		ref[src] = g.dijkstra(src, nil)
 	}
 	c := NewSPFCache(g, 4) // tiny shards: force eviction churn mid-race
 
@@ -133,12 +133,74 @@ func TestSPFCacheParallelReadWrite(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSPFCacheFirstQueriesRace has goroutines make the first queries on a
+// freshly frozen graph and on a view of it at the same time, so the caches
+// Freeze and View attach meet their first shard maps and lineage index under
+// contention. Every tree must be the from-scratch one. Run under -race in CI.
+func TestSPFCacheFirstQueriesRace(t *testing.T) {
+	g := lockFreeTestGraph(t)
+	v, _, err := g.View(0, 20, []NodeID{27, 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := []*Mask{nil, NewMask().BlockNode(5), NewMask().BlockEdge(2, 3)}
+	type query struct {
+		x    *Graph
+		src  NodeID
+		mask *Mask
+	}
+	var queries []query
+	want := make(map[query]*SPTree)
+	for _, x := range []*Graph{g, v} {
+		for src := NodeID(0); src < 8; src++ {
+			for _, m := range masks {
+				q := query{x, src, m}
+				queries = append(queries, q)
+				want[q] = x.dijkstra(src, m)
+			}
+		}
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make([]string, goroutines)
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := range queries {
+				q := queries[(w*5+i)%len(queries)]
+				got, ref := q.x.Dijkstra(q.src, q.mask), want[q]
+				for n := range ref.Dist {
+					if got.Dist[n] != ref.Dist[n] || got.Parent[n] != ref.Parent[n] {
+						errs[w] = fmt.Sprintf("source %d node %d: (%v, %d), from scratch (%v, %d)", q.src, n, got.Dist[n], got.Parent[n], ref.Dist[n], ref.Parent[n])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for _, e := range errs {
+		if e != "" {
+			t.Fatal(e)
+		}
+	}
+	for _, x := range []*Graph{g, v} {
+		if x.SPFCacheOf().Len() != len(masks)*8 {
+			t.Errorf("cache holds %d trees, want %d", x.SPFCacheOf().Len(), len(masks)*8)
+		}
+	}
+}
+
 // BenchmarkSPFCacheHitParallel measures the lock-free hit path under
 // goroutine pressure (the shape the serving layer and the sharded event-sim
 // mode put on the shared cache).
 func BenchmarkSPFCacheHitParallel(b *testing.B) {
 	g := lockFreeTestGraph(b)
-	g.EnableSPFCache()
 	for src := NodeID(0); src < 8; src++ {
 		g.Dijkstra(src, nil)
 	}

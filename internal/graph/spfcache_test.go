@@ -29,8 +29,8 @@ func cacheTestGraph(t *testing.T) *Graph {
 
 func TestSPFCacheHitsAndEquivalence(t *testing.T) {
 	g := cacheTestGraph(t)
-	want := g.Dijkstra(0, nil) // uncached reference
-	c := g.EnableSPFCache()
+	want := g.dijkstra(0, nil) // from-scratch reference
+	c := g.SPFCacheOf()
 
 	t1 := g.Dijkstra(0, nil)
 	t2 := g.Dijkstra(0, nil)
@@ -43,15 +43,67 @@ func TestSPFCacheHitsAndEquivalence(t *testing.T) {
 	}
 	for n := range want.Dist {
 		if want.Dist[n] != t1.Dist[n] || want.Parent[n] != t1.Parent[n] {
-			t.Errorf("node %d: cached (%v,%v) != uncached (%v,%v)",
+			t.Errorf("node %d: cached (%v,%v) != from scratch (%v,%v)",
 				n, t1.Dist[n], t1.Parent[n], want.Dist[n], want.Parent[n])
+		}
+	}
+}
+
+// TestEveryGraphCarriesACache pins that Freeze and View attach an SPF cache
+// to every graph they return: with no setup call, a first Dijkstra is a miss
+// in the graph's own cache and a second identical one a hit that returns the
+// memoized tree.
+func TestEveryGraphCarriesACache(t *testing.T) {
+	g := cacheTestGraph(t)
+	v, _, err := g.View(1, 3, []NodeID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, x := range map[string]*Graph{"frozen": g, "view": v} {
+		c := x.SPFCacheOf()
+		if c == nil {
+			t.Fatalf("%s graph carries no SPF cache", what)
+		}
+		t1, t2 := x.Dijkstra(0, nil), x.Dijkstra(0, nil)
+		if hits, misses := c.Stats(); hits != 1 || misses != 1 || t1 != t2 || c.Len() != 1 {
+			t.Errorf("%s graph: (%d hits, %d misses, %d entries), same tree %v; want (1, 1, 1), true", what, hits, misses, c.Len(), t1 == t2)
+		}
+	}
+}
+
+// TestSPFCacheSourceOutsideGraph pins that a cached query from a source the
+// graph does not hold answers as a from-scratch run does, every node
+// unreachable, and leaves the cache as it was: nothing memoized, no lineage
+// index.
+func TestSPFCacheSourceOutsideGraph(t *testing.T) {
+	b := New(3)
+	for _, e := range [][2]NodeID{{0, 1}, {1, 2}} {
+		if err := b.AddEdge(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Freeze()
+	c := NewSPFCache(g, 0)
+	for _, src := range []NodeID{-1, 3} {
+		tr := c.Dijkstra(src, nil)
+		for n := range tr.Dist {
+			if tr.Reachable(NodeID(n)) || tr.Parent[n] != Invalid {
+				t.Errorf("source %d: node %d reachable (%v, parent %d)", src, n, tr.Dist[n], tr.Parent[n])
+			}
+		}
+		if p, d := g.ShortestPath(src, 2, nil); p != nil || d != Unreachable {
+			t.Errorf("ShortestPath(%d, 2) = (%v, %v), want (nil, +Inf)", src, p, d)
+		}
+	}
+	for _, x := range []*SPFCache{c, g.SPFCacheOf()} {
+		if x.Len() != 0 || x.recent.Load() != nil {
+			t.Errorf("cache holds %d entries, lineage index %v; want none", x.Len(), x.recent.Load() != nil)
 		}
 	}
 }
 
 func TestSPFCacheDistinguishesMasks(t *testing.T) {
 	g := cacheTestGraph(t)
-	g.EnableSPFCache()
 
 	free := g.Dijkstra(0, nil)
 	masked := g.Dijkstra(0, NewMask().BlockEdge(0, 1))
@@ -72,7 +124,7 @@ func TestSPFCacheDistinguishesMasks(t *testing.T) {
 // needs, and a flush gives it all back.
 func TestSPFCacheIdleHoldsNothing(t *testing.T) {
 	g := cacheTestGraph(t)
-	c := g.EnableSPFCache()
+	c := g.SPFCacheOf()
 	idle := func(when string) {
 		t.Helper()
 		for i := range c.shards {
@@ -104,7 +156,6 @@ func TestSPFCacheIdleHoldsNothing(t *testing.T) {
 
 func TestSPFCacheConcurrentLookups(t *testing.T) {
 	g := cacheTestGraph(t)
-	g.EnableSPFCache()
 	want := g.dijkstra(1, nil)
 
 	var wg sync.WaitGroup

@@ -11,9 +11,10 @@ var sweepPool = sync.Pool{New: func() any { return new(Sweep) }}
 // Sweep is a reusable single-source shortest-path computation (the
 // repository's Dijkstra core). One Sweep holds the per-run scratch arena —
 // epoch-stamped dist/parent/settled arrays plus the radix queue — so that
-// repeated runs allocate nothing once warm. ShortestPath, NearestOf and the
-// candidate enumeration in internal/core execute on this engine; full SPF
-// trees are rippled out on SPTree arrays instead (Graph.dijkstra).
+// repeated runs allocate nothing once warm. NearestOf, the distance fields and
+// the candidate enumeration in internal/core execute on this engine; full SPF
+// trees (Dijkstra, ShortestPath) are rippled out on SPTree arrays instead
+// (Graph.dijkstra).
 //
 // Usage:
 //
@@ -198,12 +199,10 @@ func (s *Sweep) Relabels() (requeued, reparented, drained int) {
 //
 // bound is the distance past which a relaxation cannot matter: the budget,
 // tightened in nearest-of mode to the tentative distance of the closest
-// accepted node relaxed so far, and likewise to the goal's when the queue is
-// in distance order and nothing can decline the goal (within = +Inf), so that
-// only the goal will be read (the cacheless ShortestPath). A node farther than
-// that can never settle before the accepted one does, so dropping it changes
-// neither the node returned nor one entry of the record; a node exactly at
-// the bound is kept, because a smaller ID at the same distance settles first.
+// accepted node relaxed so far. A node farther than that can never settle
+// before the accepted one does, so dropping it changes neither the node
+// returned nor one entry of the record; a node exactly at the bound is kept,
+// because a smaller ID at the same distance settles first.
 // Rows are sorted by weight, so the first arc past the bound ends the row.
 //
 // It returns the settled accept/goal node, or Invalid when the sweep ran to
@@ -230,7 +229,6 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 	}
 	prune := lower != nil && budget < Unreachable
 	directed := prune && accept == nil
-	tighten := !directed && within == Unreachable
 	bound := budget
 	// level is the key the queue must drain to before the goal is final:
 	// Unreachable until it settles.
@@ -345,7 +343,7 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 					key = nd + lv
 				}
 			}
-			if nd < bound && ((accept != nil && accept(v)) || (tighten && v == goal)) {
+			if nd < bound && accept != nil && accept(v) {
 				bound = nd
 			}
 			if s.settled[v] == s.epoch {

@@ -140,12 +140,14 @@ func TestSweepAbsorbedAfterGrowth(t *testing.T) {
 	checkAbsorbed(t, "after growth", s, 0, s.Reached, absorbing)
 }
 
-// TestShortestPathEarlyExitMatchesFullTree verifies the uncached early-exit
-// single-target path — the sweep run toward dst, relaxing nothing beyond
-// dst's tentative distance — is the one read off the full tree, node for node
-// and bit for bit: on Euclidean-ish random graphs, on planes where equal-length
-// paths are the rule and the smallest parent ID has to decide, on planes whose
-// paths tie but for a rounding, each bare and under a node/edge mask.
+// TestShortestPathEarlyExitMatchesFullTree verifies that the path
+// ShortestPath reads off the full tree in the SPF cache is the one the
+// reference loop finds when it stops at dst (runReference, an early exit),
+// node for node and bit for bit: on Euclidean-ish random graphs, on planes
+// where equal-length paths are the rule and the smallest parent ID has to
+// decide, on planes whose paths tie but for a rounding, each bare and under a
+// node/edge mask. The unmasked tree is asked for first, so a masked one is a
+// delta repair of it.
 func TestShortestPathEarlyExitMatchesFullTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tied := 0
@@ -164,14 +166,20 @@ func TestShortestPathEarlyExitMatchesFullTree(t *testing.T) {
 		if trial%2 == 1 {
 			mask = randomSweepMask(rng, g, src)
 		}
+		g.Dijkstra(src, nil)
 		tr := g.Dijkstra(src, mask)
+		s := g.NewSweep()
 		for v := 0; v < 40; v++ {
 			dst := NodeID(v)
 			p, d := g.ShortestPath(src, dst, mask)
-			full := tr.PathTo(dst)
-			if tr.Dist[dst] != d || !slices.Equal(p, full) {
-				t.Fatalf("trial %d %d→%d: early-exit (%v,%v) vs full (%v,%v)",
-					trial, src, dst, p, d, full, tr.Dist[dst])
+			var ref Path
+			refD := Unreachable
+			if s.runReference(src, mask, dst, nil, nil, nil, Unreachable) == dst {
+				ref, refD = s.PathTo(dst), s.dist[dst]
+			}
+			if d != refD || !slices.Equal(p, ref) {
+				t.Fatalf("trial %d %d→%d: full tree (%v,%v) vs early exit (%v,%v)",
+					trial, src, dst, p, d, ref, refD)
 			}
 			// A tie the parent ID broke: another neighbour of some node on the
 			// path reaches it at the same distance.
@@ -183,6 +191,7 @@ func TestShortestPathEarlyExitMatchesFullTree(t *testing.T) {
 				}
 			}
 		}
+		s.Release()
 	}
 	if tied == 0 {
 		t.Fatal("no path had a tie for the parent ID to break")
@@ -302,7 +311,7 @@ func BenchmarkDijkstra(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Dijkstra(NodeID(i%200), nil)
+		_ = g.dijkstra(NodeID(i%200), nil)
 	}
 }
 
@@ -318,32 +327,6 @@ func BenchmarkSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Run(NodeID(i%200), nil, nil)
 	}
-}
-
-// BenchmarkShortestPathEarlyExit measures the uncached single-target path on a
-// frozen graph, which stops when the destination settles and relaxes nothing
-// beyond its tentative distance. arcs/op is what its relaxation loop looks at, ref-arcs/op
-// what the loop it replaced does (runReference, stopped at its target's pop).
-func BenchmarkShortestPathEarlyExit(b *testing.B) {
-	rng := rand.New(rand.NewSource(25))
-	g := randomConnectedGraph(rng, 200, 600)
-	s := g.NewSweep()
-	var arcs, refArcs int
-	for i := 0; i < 200; i++ {
-		src, dst := NodeID(i), NodeID((i+1)%200)
-		s.run(src, nil, nil, nil, nil, Unreachable, Unreachable, dst, Unreachable) // ShortestPath's sweep
-		arcs += s.arcsScanned
-		s.runReference(src, nil, dst, nil, nil, nil, Unreachable)
-		refArcs += s.referenceArcs(src, dst, nil)
-	}
-	s.Release()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = g.ShortestPath(NodeID(i%200), NodeID((i+1)%200), nil)
-	}
-	b.ReportMetric(float64(arcs)/200, "arcs/op")
-	b.ReportMetric(float64(refArcs)/200, "ref-arcs/op")
 }
 
 // megascaleLattice builds a W×H grid graph with diagonal shortcuts — a cheap

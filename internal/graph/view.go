@@ -12,7 +12,8 @@ import (
 // g's own, aliased. The others (a row losing an arc that leaves
 // the view or holding one to a gateway, and the gateways' own) are private,
 // filtered copies, which store a far end at its local ID + base: every row of
-// the view reads local = To − base.
+// the view reads local = To − base. The view carries an SPF cache of its own,
+// empty.
 func (g *Graph) View(base NodeID, n int, gateways []NodeID) (*Graph, *NodeMap, error) {
 	if base < 0 || n < 0 || int(base)+n > len(g.adj) || slices.ContainsFunc(gateways, func(v NodeID) bool { return !g.valid(v) }) {
 		return nil, nil, fmt.Errorf("view of [%d, %d) and %v: %w", base, int(base)+n, gateways, ErrUnknownNode)
@@ -48,6 +49,7 @@ func (g *Graph) View(base NodeID, n int, gateways []NodeID) (*Graph, *NodeMap, e
 		v.owned += len(row)
 	}
 	v.edges = (v.edges + v.owned) / 2
+	v.spf = NewSPFCache(v, 0)
 	return v, nm, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"smrp/internal/core"
 	"smrp/internal/failure"
 	"smrp/internal/graph"
+	"smrp/internal/topology"
 )
 
 // TestDomainDownRepairRevive drives the hierarchy through the degraded-domain
@@ -356,5 +357,61 @@ func TestRecoverSetRefusesUnknownEdge(t *testing.T) {
 		if !ds.session.FailedMask().IsEmpty() {
 			t.Fatalf("domain %d healed part of a refused batch", i)
 		}
+	}
+}
+
+// TestRepairRefusesUnknownEdgeWhole: a repair naming a link no edge joins is
+// refused before any domain lifts a failure. The batch's real link, a
+// member's worst-case cut, lies in a leaf domain, which repairs first, and
+// the absent one between two root-domain nodes, which repairs last; every
+// domain's mask and the parked set must stay as the refused batch found them.
+func TestRepairRefusesUnknownEdgeWhole(t *testing.T) {
+	nt, err := topology.GenerateNLevel(topology.DefaultNLevelConfig(), topology.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := nt.Leaves()
+	s, err := NewNLevel(nt, nt.Domains[leaves[0]].Nodes[1], core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := nt.Domains[leaves[1]].Nodes[1]
+	if err := s.Join(m); err != nil {
+		t.Fatal(err)
+	}
+	cut, err := s.WorstCaseFor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(cut); err != nil {
+		t.Fatal(err)
+	}
+	g := nt.Graph
+	root := nt.Domains[0].Nodes
+	absent := failure.Failure{}
+	for _, v := range root[1:] {
+		if !g.HasEdge(root[0], v) {
+			absent = failure.LinkDown(root[0], v)
+			break
+		}
+	}
+	if nt.DomainOf(cut.Edge.A) == 0 || nt.DomainOf(cut.Edge.B) == 0 || absent.Kind == 0 {
+		t.Fatalf("want a cut outside the root domain and an absent root link; cut %v, absent %v", cut, absent)
+	}
+	masks := make([]uint64, len(s.sessions))
+	for i, ds := range s.sessions {
+		masks[i] = ds.session.FailedMask().Fingerprint()
+	}
+	parked := s.Parked()
+	if _, err := s.Repair(cut, absent); !errors.Is(err, graph.ErrUnknownEdge) {
+		t.Fatalf("Repair(%v, %v) = %v, want ErrUnknownEdge", cut, absent, err)
+	}
+	for i, ds := range s.sessions {
+		if ds.session.FailedMask().Fingerprint() != masks[i] {
+			t.Errorf("domain %d repaired part of a refused batch", i)
+		}
+	}
+	if got := s.Parked(); !slices.Equal(got, parked) {
+		t.Errorf("parked %v after a refused repair, %v before", got, parked)
 	}
 }

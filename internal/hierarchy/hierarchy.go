@@ -47,7 +47,8 @@ type domainSession struct {
 }
 
 // newDomainSession builds domain d's sub-session over a view of t's graph,
-// rooted at root (a full-graph ID).
+// rooted at root (a full-graph ID). The view's own SPF cache serves the
+// session's joins and holds nothing until the first.
 func newDomainSession(t *topology.NLevelTopology, d *topology.NLevelDomain, root graph.NodeID, cfg core.Config) (*domainSession, error) {
 	base := d.Nodes[0]
 	for i, n := range d.Nodes {
@@ -63,11 +64,6 @@ func newDomainSession(t *topology.NLevelTopology, d *topology.NLevelDomain, root
 	if err != nil {
 		return nil, err
 	}
-	// The domain's own SPF cache: joins read the unicast delay and the
-	// candidate sweep's lower bound off the session root's cached tree
-	// instead of running a Dijkstra each, and degraded joins get the delta
-	// repair. It holds nothing until the domain sees its first join.
-	sub.EnableSPFCache()
 	ds := &domainSession{nm: nm}
 	if ds.session, err = core.NewSession(sub, ds.local(root), cfg); err != nil {
 		return nil, err

@@ -51,6 +51,8 @@ type domainBatch struct {
 // node's own domain and, when the node is that domain's gateway, also the
 // parent. Touched domains heal deepest level first, then ascending index, so
 // local damage is resolved before the levels above react to agent changes.
+// A link no edge joins refuses the whole set, so a caller that checks the
+// error before the first domain acts leaves every domain as it was.
 func (s *NLevelSession) attribute(fs []failure.Failure) ([]domainBatch, error) {
 	type attribution struct {
 		dom   int
@@ -88,6 +90,9 @@ func (s *NLevelSession) attribute(fs []failure.Failure) ([]domainBatch, error) {
 			}
 			atts = append(atts, attribution{d, local})
 		}
+	}
+	if err := failure.Check(fs, s.topo.Graph); err != nil {
+		return nil, fmt.Errorf("hierarchy: %w", err)
 	}
 	slices.SortStableFunc(atts, func(a, b attribution) int {
 		if c := cmp.Compare(s.topo.Domains[b.dom].Level, s.topo.Domains[a.dom].Level); c != 0 {
@@ -150,11 +155,6 @@ func (s *NLevelSession) RecoverSet(fs []failure.Failure) ([]*RecoveryReport, err
 	batches, err := s.attribute(fs)
 	if err != nil {
 		return nil, err
-	}
-	// Every node is in a domain now; refuse a link no edge joins before any
-	// domain heals, so a refused batch leaves every domain as it was.
-	if err := failure.Check(fs, s.topo.Graph); err != nil {
-		return nil, fmt.Errorf("hierarchy: recover: %w", err)
 	}
 	reports := make([]*RecoveryReport, 0, len(batches))
 	for _, b := range batches {

@@ -12,8 +12,8 @@
 //   - Precompute partitions the nodes (source excluded) into k isolation
 //     classes, greedily keeping the residual graph connected when a class is
 //     removed, and warms one source-rooted SPF tree per configuration. The
-//     trees are built through graph.Dijkstra, so with an SPF cache attached
-//     they are memoized by (source, config-mask fingerprint) and every
+//     trees are built through graph.Dijkstra, so the graph's SPF cache
+//     memoizes them by (source, config-mask fingerprint) and every
 //     recovery-time lookup is a cache hit riding the iSPF lineage path.
 //   - Recover routes each disconnected member along the backup
 //     configuration isolating the failed component. Configurations isolate

@@ -61,8 +61,8 @@ func (c Config) Validate() error {
 }
 
 // Domain is a link-state routing domain over one graph. Tables are computed
-// lazily per node against the currently-applied failure set and memoized in a
-// concurrency-safe SPF cache keyed by (node, failure-mask fingerprint), so
+// lazily per node against the currently-applied failure set and memoized in
+// the graph's concurrency-safe SPF cache keyed by (node, failure-mask fingerprint), so
 // applying a failure and then rolling back to a previously-seen mask reuses
 // the earlier tables, and paired protocol instances over the same graph share
 // one table store.
@@ -76,31 +76,22 @@ type Domain struct {
 	g    *graph.Graph
 	cfg  Config
 	mask *graph.Mask
-	// spf memoizes per-node shortest-path trees. When the graph has an
-	// attached cache (Graph.EnableSPFCache) that one is shared; otherwise the
-	// domain gets a private cache.
-	spf *graph.SPFCache
 	// lastFailure supports ConvergenceTime queries for the most recent
 	// failure event.
 	lastFailure *failure.Failure
 }
 
-// NewDomain builds a routing domain over g. If g has an attached SPF cache it
-// is reused (sharing memoized trees with every other consumer of the graph);
-// otherwise the domain creates a private cache.
+// NewDomain builds a routing domain over g. Its per-router tables are g's
+// shortest-path trees, memoized in g's SPF cache and shared with every other
+// consumer of the graph.
 func NewDomain(g *graph.Graph, cfg Config) (*Domain, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	spf := g.SPFCacheOf()
-	if spf == nil {
-		spf = graph.NewSPFCache(g, 0)
 	}
 	return &Domain{
 		g:    g,
 		cfg:  cfg,
 		mask: graph.NewMask(),
-		spf:  spf,
 	}, nil
 }
 
@@ -124,10 +115,10 @@ func (d *Domain) RemoveFailure(f failure.Failure) {
 }
 
 // table returns (computing if needed) the node's shortest-path tree over the
-// current topology view. Trees come from the shared SPF cache and must be
+// current topology view. Trees come from the graph's SPF cache and must be
 // treated as read-only.
 func (d *Domain) table(n graph.NodeID) *graph.SPTree {
-	return d.spf.Dijkstra(n, d.mask)
+	return d.g.Dijkstra(n, d.mask)
 }
 
 // PathTo returns from's current unicast route to dst (from → … → dst), or
@@ -182,7 +173,7 @@ func (d *Domain) ConvergenceTime(n graph.NodeID, f failure.Failure) eventsim.Tim
 			best = 0
 			break
 		}
-		t := d.spf.Dijkstra(det, mask)
+		t := d.g.Dijkstra(det, mask)
 		if t.Reachable(n) && t.Dist[n] < best {
 			best = t.Dist[n]
 		}
@@ -195,5 +186,5 @@ func (d *Domain) ConvergenceTime(n graph.NodeID, f failure.Failure) eventsim.Tim
 
 // String describes the domain state.
 func (d *Domain) String() string {
-	return fmt.Sprintf("routing.Domain{nodes=%d cached=%d}", d.g.NumNodes(), d.spf.Len())
+	return fmt.Sprintf("routing.Domain{nodes=%d cached=%d}", d.g.NumNodes(), d.g.SPFCacheOf().Len())
 }

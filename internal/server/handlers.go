@@ -378,7 +378,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "smrp_spf_nodes_settled_total %d\n", spf.NodesSettled)
 	fmt.Fprintf(w, "smrp_spf_cache_hits_total %d\n", spf.CacheHits)
 	fmt.Fprintf(w, "smrp_spf_cache_misses_total %d\n", spf.CacheMisses)
-	fmt.Fprintf(w, "smrp_spf_cache_entries %d\n", s.reg.Cache().Len())
+	fmt.Fprintf(w, "smrp_spf_cache_entries %d\n", s.reg.Graph().SPFCacheOf().Len())
 
 	for _, a := range actors {
 		fmt.Fprintf(w, "smrp_session_mailbox_depth{session=%q} %d\n", a.ID, a.MailboxDepth())

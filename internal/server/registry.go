@@ -25,7 +25,6 @@ import (
 // session.
 type Registry struct {
 	g          *graph.Graph
-	cache      *graph.SPFCache
 	defaultCfg core.Config
 	mailboxCap int
 	generation uint64
@@ -51,9 +50,8 @@ type RegistryConfig struct {
 	DefaultConfig core.Config
 }
 
-// NewRegistry builds a registry over g, attaching (or reusing) the graph's
-// SPF cache. The graph must not be mutated after this point: the registry
-// shares it read-only across every session actor.
+// NewRegistry builds a registry over g, which it shares read-only, SPF cache
+// included, across every session actor.
 func NewRegistry(g *graph.Graph, cfg RegistryConfig) *Registry {
 	if cfg.Generation < 1 {
 		cfg.Generation = 1
@@ -63,7 +61,6 @@ func NewRegistry(g *graph.Graph, cfg RegistryConfig) *Registry {
 	}
 	return &Registry{
 		g:          g,
-		cache:      g.EnableSPFCache(),
 		defaultCfg: cfg.DefaultConfig,
 		mailboxCap: cfg.MailboxCap,
 		generation: cfg.Generation,
@@ -73,9 +70,6 @@ func NewRegistry(g *graph.Graph, cfg RegistryConfig) *Registry {
 
 // Graph returns the shared topology (read-only).
 func (r *Registry) Graph() *graph.Graph { return r.g }
-
-// Cache returns the shared SPF cache.
-func (r *Registry) Cache() *graph.SPFCache { return r.cache }
 
 // Create mints a new session actor rooted at source. Config overrides are
 // applied on top of the registry default.

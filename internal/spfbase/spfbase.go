@@ -29,9 +29,8 @@ var (
 // SMRP is designed to avoid.
 //
 // Session is not safe for concurrent use. Its shortest-path queries go
-// through graph.Graph.Dijkstra, so when the topology has a memoizing SPF
-// cache attached (Graph.EnableSPFCache) sessions over the same graph share
-// memoized trees automatically — including across parallel trials that pair
+// through graph.Graph.Dijkstra, so sessions over the same graph share the
+// trees its SPF cache memoizes — including across parallel trials that pair
 // an SPF baseline with SMRP variants on one topology.
 type Session struct {
 	g    *graph.Graph

@@ -155,10 +155,6 @@ func ComputeSHR(t *Tree) map[NodeID]int { return core.ComputeSHR(t) }
 // bound to a single session.
 type RecoveryStrategy = core.RecoveryStrategy
 
-// NewSMRPStrategy returns the paper's local-detour recovery as an explicit
-// strategy — bit-identical to a session with no strategy configured.
-func NewSMRPStrategy() RecoveryStrategy { return core.NewSMRPStrategy() }
-
 // NewMRCStrategy returns the MRC backup-configurations baseline: k
 // precomputed routing configurations, each isolating a disjoint node class;
 // recovery switches affected members onto the configuration isolating the
