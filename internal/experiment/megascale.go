@@ -67,6 +67,15 @@ func (a MegascaleArm) SettledPerEvent() float64 {
 	return float64(a.RecoverSettled) / float64(a.Events)
 }
 
+// Degree is the arm's average node degree, 2·Edges/Nodes: the arcs per node
+// its memory column pays for.
+func (a MegascaleArm) Degree() float64 {
+	if a.Nodes == 0 {
+		return 0
+	}
+	return 2 * float64(a.Edges) / float64(a.Nodes)
+}
+
 // MegascaleRow pairs the two arms at one target size.
 type MegascaleRow struct {
 	Target int
@@ -91,8 +100,8 @@ func (r *MegascaleResult) Render() string {
 	fmt.Fprintf(&b, "Megascale architecture study (flat vs hierarchical, %d members, %d recovery events per arm)\n",
 		r.Groups, r.Events)
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  N=%d (flat %d nodes / %d edges; hier %d nodes / %d edges in %d domains)\n",
-			row.Target, row.Flat.Nodes, row.Flat.Edges, row.Hier.Nodes, row.Hier.Edges, row.Hier.Domains)
+		fmt.Fprintf(&b, "  N=%d (flat %d nodes / %d edges, degree %.1f; hier %d nodes / %d edges, degree %.1f, in %d domains)\n",
+			row.Target, row.Flat.Nodes, row.Flat.Edges, row.Flat.Degree(), row.Hier.Nodes, row.Hier.Edges, row.Hier.Degree(), row.Hier.Domains)
 		fmt.Fprintf(&b, "    join settled:        flat=%-10d hier=%-10d (%.1fx less)\n",
 			row.Flat.JoinSettled, row.Hier.JoinSettled, ratioOf(row.Flat.JoinSettled, row.Hier.JoinSettled))
 		fmt.Fprintf(&b, "    settled/event:       flat=%-10.1f hier=%-10.1f (%.1fx less, %d/%d events, parked %d/%d)\n",
@@ -114,8 +123,8 @@ func (r *MegascaleResult) renderHierOnly() string {
 	fmt.Fprintf(&b, "Megascale architecture study (hierarchical tier, %d members, %d recovery events per arm)\n",
 		r.Groups, r.Events)
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  N=%d (%d nodes / %d edges in %d domains)\n",
-			row.Target, row.Hier.Nodes, row.Hier.Edges, row.Hier.Domains)
+		fmt.Fprintf(&b, "  N=%d (%d nodes / %d edges, degree %.1f, in %d domains)\n",
+			row.Target, row.Hier.Nodes, row.Hier.Edges, row.Hier.Degree(), row.Hier.Domains)
 		fmt.Fprintf(&b, "    join settled:        %d\n", row.Hier.JoinSettled)
 		fmt.Fprintf(&b, "    settled/event:       %.1f (%d events, parked %d)\n",
 			row.Hier.SettledPerEvent(), row.Hier.Events, row.Hier.Parked)

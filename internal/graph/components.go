@@ -26,8 +26,9 @@ func (g *Graph) Components(mask *Mask) [][]NodeID {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, arc := range g.adj[u] {
-				v := arc.To - g.base
+			to, _ := g.arcs(u)
+			for _, t := range to {
+				v := NodeID(t - g.base)
 				if comp[v] != -1 || mask.NodeBlocked(v) || mask.EdgeBlocked(u, v) {
 					continue
 				}

@@ -28,12 +28,11 @@ func (g *Graph) ArticulationPoints(mask *Mask) []NodeID {
 		timer++
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			adj := g.adj[f.node]
+			to, _ := g.arcs(f.node)
 			advanced := false
-			for f.idx < len(adj) {
-				arc := adj[f.idx]
+			for f.idx < len(to) {
+				v := NodeID(to[f.idx] - g.base)
 				f.idx++
-				v := arc.To - g.base
 				if v == f.parent || mask.NodeBlocked(v) || mask.EdgeBlocked(f.node, v) {
 					continue
 				}

@@ -159,8 +159,9 @@ func (s *Sweep) budgetCut(mask *Mask) bool {
 	for k := len(s.scan) - 1; k >= 0; k-- {
 		u := s.scan[k].Node
 		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
-		for _, a := range s.g.adj[u] {
-			v := a.To - s.g.base
+		to, _ := s.g.arcs(u)
+		for _, t := range to {
+			v := NodeID(t - s.g.base)
 			if s.settled[v] == s.epoch || mask.NodeBlocked(v) || (rowEdges && mask.edges[MakeEdgeID(u, v)]) {
 				continue
 			}

@@ -192,12 +192,10 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 	// A lookup scans the shorter row. On a copy whose hub row carries
 	// different weights, every hub–leaf lookup must still answer with the
 	// leaf row's weight, in either argument order.
-	probe := &Graph{adj: make([][]Arc, len(frozen.adj)), pos: frozen.pos, edges: frozen.edges}
-	for u, row := range frozen.adj {
-		probe.adj[u] = slices.Clone(row)
-	}
-	for i := range probe.adj[hub] {
-		probe.adj[hub][i].Weight = -1
+	probe := *frozen
+	probe.w = slices.Clone(frozen.w)
+	for i := probe.lo[hub]; i < probe.hi[hub]; i++ {
+		probe.w[i] = -1
 	}
 	for leaf := NodeID(0); leaf <= 500; leaf++ {
 		if leaf == hub {

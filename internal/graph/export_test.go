@@ -3,9 +3,10 @@ package graph
 // AddNode appends a node at position p and returns its ID, so tests can
 // grow a graph between edges.
 func (b *Builder) AddNode(p Point) NodeID {
-	b.g.adj = append(b.g.adj, nil)
+	end := int32(len(b.g.to))
+	b.g.lo, b.g.hi, b.end = append(b.g.lo, end), append(b.g.hi, end), append(b.end, end)
 	b.g.pos = append(b.g.pos, p)
-	return NodeID(len(b.g.adj) - 1)
+	return NodeID(len(b.g.lo) - 1)
 }
 
 // Parent returns n's predecessor on its shortest path (Invalid at the source

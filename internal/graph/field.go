@@ -113,9 +113,11 @@ func (f *Field) Next(limit float64) (u NodeID, d float64, ok bool) {
 		checkNodes := mask.hasNodeBlocks()
 		rowEdges := mask.hasEdgeBlocks() && mask.touchesBlockedEdge(u)
 		base := f.g.base
-		for _, a := range f.g.adj[u] {
-			v := a.To - base
-			nd := d + a.Weight
+		to, w := f.g.arcs(u)
+		w = w[:len(to)]
+		for i, t := range to {
+			v := NodeID(t - base)
+			nd := d + w[i]
 			if nd >= f.dist[v] || (checkNodes && mask.nodeBlocked(v)) || (rowEdges && mask.edges[MakeEdgeID(u, v)]) {
 				continue
 			}

@@ -31,10 +31,9 @@ func buildRandom(rng *rand.Rand) (*Builder, insertionLog) {
 // graph of their own that Freeze cannot reorder.
 func snapshot(b *Builder) *Graph {
 	s := b.g
-	s.adj = make([][]Arc, len(b.g.adj))
-	for u, row := range b.g.adj {
-		s.adj[u] = slices.Clone(row)
-	}
+	s.lo, s.hi = slices.Clone(s.lo), slices.Clone(s.hi)
+	s.to, s.w = slices.Clone(s.to), slices.Clone(s.w)
+	s.ownTo, s.ownW = slices.Clone(s.ownTo), slices.Clone(s.ownW)
 	return &s
 }
 

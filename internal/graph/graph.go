@@ -65,24 +65,44 @@ func (p Point) Dist(q Point) float64 {
 // reads, so concurrent use is safe; shortest-path trees are memoized in the
 // SPF cache the graph carries (SPFCacheOf), itself safe for concurrent use.
 type Graph struct {
-	// adj is the graph's one edge store: edge (u, v) is the arc to v in u's
-	// row and the arc to u in v's row, both carrying its weight. Every row is
-	// sorted by (weight, neighbour), and the sweeps read the rows in place.
-	// Lookups scan the shorter of the two rows.
-	adj [][]Arc
-	pos []Point
-	// edges counts the undirected edges in adj.
+	// The edge store is one block in compressed-row form: edge (u, v) is the
+	// arc to v in u's row and the arc to u in v's row, each a far end in to
+	// and its weight at the same index in w. Row u is [lo[u], hi[u]); on a
+	// frozen graph lo and hi are two windows of one offset array, so row u
+	// ends where row u+1 begins. Every row is sorted by (weight, neighbour),
+	// and the sweeps read the rows in place (arcs). Lookups scan the shorter
+	// of the two rows.
+	//
+	// A negative bound ^k indexes ownTo and ownW at k instead: the rows a
+	// view filters, or a builder grows past their reserve, held apart from
+	// the shared block. An ordinary frozen graph owns no such row.
+	lo, hi []int32
+	to     []int32
+	w      []float64
+	ownTo  []int32
+	ownW   []float64
+	pos    []Point
+	// edges counts the undirected edges in the store.
 	edges int
 	// spf memoizes Dijkstra results keyed by (source, mask fingerprint).
 	// Freeze and View attach it empty; it holds nothing until the first
 	// query.
 	spf *SPFCache
-	// A view (see View) reads an arc as leading to node To − base, Pos
-	// through ids, and allocates only the owned arcs of its private rows.
-	// base is zero and ids nil on an ordinary graph.
-	base  NodeID
-	ids   *NodeMap
-	owned int
+	// A view (see View) reads a far end t as local node t − base, in 32-bit
+	// arithmetic, and Pos through ids. base is zero and ids nil on an
+	// ordinary graph.
+	base int32
+	ids  *NodeMap
+}
+
+// arcs returns row u: its far ends (read as local IDs by subtracting g.base)
+// and, index for index, their weights.
+func (g *Graph) arcs(u NodeID) ([]int32, []float64) {
+	lo, hi := g.lo[u], g.hi[u]
+	if lo >= 0 {
+		return g.to[lo:hi], g.w[lo:hi]
+	}
+	return g.ownTo[^lo:^hi], g.ownW[^lo:^hi]
 }
 
 // ErrUnknownNode is returned when an operation names a node the graph does
@@ -101,15 +121,26 @@ var ErrUnknownEdge = errors.New("graph: unknown edge")
 // use.
 type Builder struct {
 	g Graph
+	// end[u] is where row u's room ends, in the encoding of g.hi: a row
+	// that is full when an arc arrives moves to the own block (grow).
+	end []int32
 }
 
 // New returns a builder of n nodes (IDs 0..n-1) and no edges. Node positions
-// default to the origin.
+// default to the origin. It panics, before allocating, when n exceeds
+// math.MaxInt32: far ends are stored in 32 bits.
 func New(n int) *Builder {
-	return &Builder{g: Graph{
-		adj: make([][]Arc, n),
-		pos: make([]Point, n),
-	}}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d nodes exceed the limit of %d", n, math.MaxInt32))
+	}
+	return &Builder{
+		g: Graph{
+			lo:  make([]int32, n, n+1), // Freeze appends the end offset
+			hi:  make([]int32, n),
+			pos: make([]Point, n),
+		},
+		end: make([]int32, n),
+	}
 }
 
 // NumNodes returns the number of nodes being built.
@@ -123,27 +154,36 @@ func (b *Builder) Pos(n NodeID) Point { return b.g.Pos(n) }
 func (b *Builder) Components() [][]NodeID { return b.g.Components(nil) }
 
 // Reserve grows every row once, making room at node n for extra[n] more
-// arcs, and carves all rows from one new block that holds exactly their arcs
-// plus the reserve, the arcs already there copied in order. A build that
-// reserves each row's final degree and then inserts it with AddEdge ends
-// with rows that have no slack, which Freeze then holds in the one block. No
-// count may be negative. It panics when extra does not hold one count per
-// node.
+// arcs, and carves all rows, in node order, from one new block that holds
+// exactly their arcs plus the reserve, the arcs already there copied in
+// order. A build that reserves each row's final degree and then inserts it
+// with AddEdge ends with rows that fill the block, which Freeze then keeps as
+// the graph's store without a copy. No count may be negative. It panics when
+// extra does not hold one count per node, or when the block would pass
+// math.MaxInt32 arcs.
 func (b *Builder) Reserve(extra []int32) {
-	adj := b.g.adj
-	if len(extra) != len(adj) {
-		panic(fmt.Sprintf("graph: reserve of %d rows on %d nodes", len(extra), len(adj)))
+	g := &b.g
+	if len(extra) != len(g.lo) {
+		panic(fmt.Sprintf("graph: reserve of %d rows on %d nodes", len(extra), len(g.lo)))
 	}
-	total := 0
-	for n, row := range adj {
-		total += len(row) + int(extra[n])
+	total := 2 * g.edges
+	for _, x := range extra {
+		total += int(x)
 	}
-	block := make([]Arc, total)
-	for n, row := range adj {
-		size := len(row) + int(extra[n])
-		adj[n] = append(block[:0:size], row...)
-		block = block[size:]
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: reserve of %d arcs exceeds the limit of %d", total, math.MaxInt32))
 	}
+	to, w := make([]int32, total), make([]float64, total)
+	k := int32(0)
+	for u, x := range extra {
+		rt, rw := g.arcs(NodeID(u))
+		copy(to[k:], rt)
+		copy(w[k:], rw)
+		g.lo[u], g.hi[u] = k, k+int32(len(rt))
+		k += int32(len(rt)) + x
+		b.end[u] = k
+	}
+	g.to, g.w, g.ownTo, g.ownW = to, w, nil, nil
 }
 
 // SetPos sets the position of node n.
@@ -166,23 +206,83 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("add edge %d-%d: already present", u, v)
 	}
-	g.adj[u] = append(g.adj[u], Arc{To: v, Weight: w})
-	g.adj[v] = append(g.adj[v], Arc{To: u, Weight: w})
+	b.push(u, int32(v), w)
+	b.push(v, int32(u), w)
 	g.edges++
 	return nil
 }
 
-// Freeze ends the build: each row is sorted by (weight, neighbour) where it
-// lies, so that a sweep relaxing under a distance bound stops at the first
-// arc past it, and the rows are handed to the returned Graph without a copy.
+// push appends the arc (to, w) to row u, growing the row first when it is
+// full.
+func (b *Builder) push(u NodeID, to int32, w float64) {
+	g := &b.g
+	if g.hi[u] == b.end[u] {
+		b.grow(u)
+	}
+	if k := g.hi[u]; k >= 0 {
+		g.to[k], g.w[k] = to, w
+		g.hi[u]++
+	} else {
+		g.ownTo[^k], g.ownW[^k] = to, w
+		g.hi[u]-- // ^(k+1)
+	}
+}
+
+// grow moves row u to the end of the own block with room for twice its arcs
+// (four at least). Its old place stays dead until Freeze packs the rows.
+func (b *Builder) grow(u NodeID) {
+	g := &b.g
+	rt, rw := g.arcs(u)
+	k, room := len(g.ownTo), max(2*len(rt), 4)
+	if k+room > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: builder rows past %d arcs; reserve them", math.MaxInt32))
+	}
+	g.ownTo = append(append(g.ownTo, rt...), make([]int32, room-len(rt))...)
+	g.ownW = append(append(g.ownW, rw...), make([]float64, room-len(rw))...)
+	g.lo[u], g.hi[u], b.end[u] = ^int32(k), ^int32(k+len(rt)), ^int32(k+room)
+}
+
+// Freeze ends the build and hands the rows to the returned Graph. Rows that
+// fill the block Reserve carved, in node order, are that block, kept without
+// a copy; any other build (a row grown past its reserve, room left unused,
+// or no reserve at all) is packed once into a block of exactly its arcs.
+// Each row is then sorted by (weight, neighbour) where it lies, so that a
+// sweep relaxing under a distance bound stops at the first arc past it.
 // Large graphs sort their rows on up to GOMAXPROCS goroutines. The graph
-// carries an empty SPF cache, and the builder is left empty.
+// carries an empty SPF cache, and the builder is left empty. It panics when
+// the graph holds more than math.MaxInt32 arcs.
 func (b *Builder) Freeze() *Graph {
+	if 2*b.g.edges > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d arcs exceed the limit of %d", 2*b.g.edges, math.MaxInt32))
+	}
+	if !b.filled() {
+		b.Reserve(make([]int32, len(b.g.lo)))
+	}
 	g := b.g
-	b.g = Graph{}
-	sortRows(g.adj, 2*g.edges)
+	b.g, b.end = Graph{}, nil
+	n := len(g.lo)
+	off := append(g.lo, int32(len(g.to)))
+	g.lo, g.hi = off[:n:n], off[1:]
+	sortRows(off, g.to, g.w)
 	g.spf = NewSPFCache(&g, 0)
 	return &g
+}
+
+// filled reports whether the rows fill the reserved block exactly, in node
+// order.
+func (b *Builder) filled() bool {
+	g := &b.g
+	if len(g.ownTo) > 0 {
+		return false
+	}
+	next := int32(0)
+	for u, lo := range g.lo {
+		if lo != next || g.hi[u] != b.end[u] {
+			return false
+		}
+		next = b.end[u]
+	}
+	return int(next) == len(g.to)
 }
 
 // sortArcsPerWorker is the fewest arcs Freeze gives a goroutine. It is the
@@ -194,65 +294,78 @@ func (b *Builder) Freeze() *Graph {
 // megascale hierarchy split.
 const sortArcsPerWorker = 1 << 12
 
-// sortRows sorts every row into frozen order, splitting the rows (which hold
-// arcs arcs in all) into contiguous runs, one per goroutine.
-func sortRows(rows [][]Arc, arcs int) {
-	workers := min(runtime.GOMAXPROCS(0), arcs/sortArcsPerWorker)
-	if workers <= 1 {
-		for _, row := range rows {
-			sortRow(row)
+// sortRows sorts every row of the block (to, w), row u at [off[u],
+// off[u+1]), into frozen order, splitting the rows into contiguous runs, one
+// per goroutine.
+func sortRows(off, to []int32, w []float64) {
+	rows := len(off) - 1
+	sortRun := func(first, last int) {
+		for u := first; u < last; u++ {
+			lo, hi := off[u], off[u+1]
+			sortRow(to[lo:hi], w[lo:hi])
 		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(to)/sortArcsPerWorker)
+	if workers <= 1 {
+		sortRun(0, rows)
 		return
 	}
 	var wg sync.WaitGroup
-	size := (len(rows) + workers - 1) / workers
-	for start := 0; start < len(rows); start += size {
+	size := (rows + workers - 1) / workers
+	for start := 0; start < rows; start += size {
 		wg.Add(1)
-		go func(part [][]Arc) {
+		go func(first, last int) {
 			defer wg.Done()
-			for _, row := range part {
-				sortRow(row)
-			}
-		}(rows[start:min(start+size, len(rows))])
+			sortRun(first, last)
+		}(start, min(start+size, rows))
 	}
 	wg.Wait()
 }
 
 // arcBefore is the frozen row order: by weight, then by neighbour.
-func arcBefore(a, b Arc) bool {
-	return a.Weight < b.Weight || (a.Weight == b.Weight && a.To < b.To)
+func arcBefore(at int32, aw float64, bt int32, bw float64) bool {
+	return aw < bw || (aw == bw && at < bt)
 }
 
-// sortRow sorts one row into frozen order. Rows are short — six arcs on the
-// sparse planes, under a hundred in a dense domain — and there are as many
-// as nodes, so the comparison has to inline: an insertion sort does that,
-// the library sort (a call through a func value per comparison, three times
-// the build time of a dense hierarchy) takes over where quadratic would hurt.
-func sortRow(row []Arc) {
-	if len(row) > 128 {
+// sortRow sorts one row, far ends to and weights w index for index, into
+// frozen order. Rows are short — six arcs on the sparse planes, under a
+// hundred in a dense domain — and there are as many as nodes, so the
+// comparison has to inline: an insertion sort does that. Where quadratic
+// would hurt, the library sort (a call through a func value per comparison)
+// takes over on a copy of the row as arcs.
+func sortRow(to []int32, w []float64) {
+	w = w[:len(to)]
+	if len(to) > 128 {
+		row := make([]Arc, len(to))
+		for i, t := range to {
+			row[i] = Arc{To: NodeID(t), Weight: w[i]}
+		}
 		slices.SortFunc(row, func(a, b Arc) int {
 			switch {
-			case arcBefore(a, b):
+			case arcBefore(int32(a.To), a.Weight, int32(b.To), b.Weight):
 				return -1
-			case arcBefore(b, a):
+			case arcBefore(int32(b.To), b.Weight, int32(a.To), a.Weight):
 				return 1
 			}
 			return 0
 		})
+		for i, a := range row {
+			to[i], w[i] = int32(a.To), a.Weight
+		}
 		return
 	}
-	for i := 1; i < len(row); i++ {
-		a := row[i]
+	for i := 1; i < len(to); i++ {
+		at, aw := to[i], w[i]
 		j := i
-		for ; j > 0 && arcBefore(a, row[j-1]); j-- {
-			row[j] = row[j-1]
+		for ; j > 0 && arcBefore(at, aw, to[j-1], w[j-1]); j-- {
+			to[j], w[j] = to[j-1], w[j-1]
 		}
-		row[j] = a
+		to[j], w[j] = at, aw
 	}
 }
 
 // NumNodes returns the number of nodes in the graph.
-func (g *Graph) NumNodes() int { return len(g.adj) }
+func (g *Graph) NumNodes() int { return len(g.lo) }
 
 // NumEdges returns the number of undirected edges in the graph.
 func (g *Graph) NumEdges() int { return g.edges }
@@ -266,7 +379,7 @@ func (g *Graph) Pos(n NodeID) Point {
 }
 
 // valid reports whether n is a node of g.
-func (g *Graph) valid(n NodeID) bool { return n >= 0 && int(n) < len(g.adj) }
+func (g *Graph) valid(n NodeID) bool { return n >= 0 && int(n) < len(g.lo) }
 
 // HasEdge reports whether the undirected edge (u, v) exists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
@@ -280,42 +393,43 @@ func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 	if !g.valid(u) || !g.valid(v) {
 		return 0, false
 	}
-	if len(g.adj[v]) < len(g.adj[u]) {
+	if g.Degree(v) < g.Degree(u) {
 		u, v = v, u
 	}
-	to := v + g.base
-	for _, a := range g.adj[u] {
-		if a.To == to {
-			return a.Weight, true
+	to, w := g.arcs(u)
+	far := int32(v) + g.base
+	for i, t := range to {
+		if t == far {
+			return w[i], true
 		}
 	}
 	return 0, false
 }
 
-// Neighbors returns the adjacency list of n, by (weight, neighbour). The
-// returned slice is owned by the graph and must not be modified. On a view
-// whose rows are offset from its parent's IDs it is a translated copy.
+// Neighbors returns the adjacency list of n, by (weight, neighbour), in a
+// new slice.
 func (g *Graph) Neighbors(n NodeID) []Arc {
-	row := g.adj[n]
-	if g.base != 0 {
-		row = slices.Clone(row)
-		for i := range row {
-			row[i].To -= g.base
-		}
+	to, w := g.arcs(n)
+	out := make([]Arc, len(to))
+	for i, t := range to {
+		out[i] = Arc{To: NodeID(t - g.base), Weight: w[i]}
 	}
-	return row
+	return out
 }
 
 // Degree returns the number of edges incident to n.
-func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
+func (g *Graph) Degree(n NodeID) int {
+	to, _ := g.arcs(n)
+	return len(to)
+}
 
 // AvgDegree returns the average node degree (2·|E| / |V|), or 0 for an empty
 // graph.
 func (g *Graph) AvgDegree() float64 {
-	if len(g.adj) == 0 {
+	if len(g.lo) == 0 {
 		return 0
 	}
-	return 2 * float64(g.NumEdges()) / float64(len(g.adj))
+	return 2 * float64(g.NumEdges()) / float64(len(g.lo))
 }
 
 // Edges returns all undirected edges in canonical (A, B) order, whatever the
@@ -323,10 +437,11 @@ func (g *Graph) AvgDegree() float64 {
 // row's arcs to higher-numbered neighbours sorted by neighbour.
 func (g *Graph) Edges() []EdgeID {
 	out := make([]EdgeID, 0, g.edges)
-	for u, arcs := range g.adj {
+	for u := range g.lo {
 		start := len(out)
-		for _, a := range arcs {
-			if v := a.To - g.base; v > NodeID(u) {
+		to, _ := g.arcs(NodeID(u))
+		for _, t := range to {
+			if v := NodeID(t - g.base); v > NodeID(u) {
 				out = append(out, EdgeID{A: NodeID(u), B: v})
 			}
 		}

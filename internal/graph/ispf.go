@@ -277,8 +277,10 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 		for _, v := range sc.orphans {
 			dv, pv := Unreachable, Invalid
 			rowEdges := checkEdges && mask.touchesBlockedEdge(v)
-			for _, a := range g.adj[v] {
-				u := a.To - base
+			to, w := g.arcs(v)
+			w = w[:len(to)]
+			for i, x := range to {
+				u := NodeID(x - base)
 				if sc.state[u] != ispfAlive || sc.stamp[u] != sc.epoch {
 					continue
 				}
@@ -286,7 +288,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 					(checkRevived && edgeListHas(sc.remEdges, e)) {
 					continue
 				}
-				if nd := t.Dist[u] + a.Weight; nd < dv || (nd == dv && u < pv) {
+				if nd := t.Dist[u] + w[i]; nd < dv || (nd == dv && u < pv) {
 					dv, pv = nd, u
 				}
 			}
@@ -312,8 +314,10 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			settled++
 			du := t.Dist[u]
 			rowEdges := checkEdges && mask.touchesBlockedEdge(u)
-			for _, a := range g.adj[u] {
-				v := a.To - base
+			to, w := g.arcs(u)
+			w = w[:len(to)]
+			for i, x := range to {
+				v := NodeID(x - base)
 				if sc.state[v] != ispfOrphan || sc.stamp[v] != sc.epoch {
 					continue // alive nodes are final; gone nodes stay gone
 				}
@@ -321,7 +325,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 					(checkRevived && edgeListHas(sc.remEdges, e)) {
 					continue
 				}
-				nd := du + a.Weight
+				nd := du + w[i]
 				if nd < t.Dist[v] || (nd == t.Dist[v] && u < t.Parent[v]) {
 					t.Dist[v] = nd
 					t.Parent[v] = u
@@ -375,8 +379,10 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 				continue
 			}
 			rowEdges := checkEdges && mask.touchesBlockedEdge(v)
-			for _, a := range g.adj[v] {
-				u := a.To - base
+			to, w := g.arcs(v)
+			w = w[:len(to)]
+			for i, x := range to {
+				u := NodeID(x - base)
 				if t.Dist[u] == Unreachable {
 					continue
 				}
@@ -386,7 +392,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 				if rowEdges && mask.edges[MakeEdgeID(u, v)] {
 					continue
 				}
-				relax(u, v, a.Weight)
+				relax(u, v, w[i])
 			}
 		}
 		settled += sc.ripple(g, t, mask)
@@ -416,8 +422,10 @@ func (sc *ispfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
 		settled++
 		du := t.Dist[u]
 		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
-		for _, a := range g.adj[u] {
-			v := a.To - base
+		to, w := g.arcs(u)
+		w = w[:len(to)]
+		for i, x := range to {
+			v := NodeID(x - base)
 			if sc.setB[v] == sc.epoch {
 				continue // settled in distance order: final
 			}
@@ -427,7 +435,7 @@ func (sc *ispfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
 			if rowEdges && mask.edges[MakeEdgeID(u, v)] {
 				continue
 			}
-			nd := du + a.Weight
+			nd := du + w[i]
 			if nd < t.Dist[v] {
 				t.Dist[v] = nd
 				t.Parent[v] = u

@@ -84,7 +84,7 @@ func TestReserveMatchesAddEdge(t *testing.T) {
 			}
 			g.Reserve(extra)
 			for u := 0; u < n && mode == "midway"; u++ {
-				if !slices.Equal(g.g.adj[u], half.g.adj[u]) {
+				if !slices.Equal(g.g.Neighbors(NodeID(u)), half.g.Neighbors(NodeID(u))) {
 					t.Fatalf("%s: Reserve changed row %d", what, u)
 				}
 			}
@@ -95,12 +95,12 @@ func TestReserveMatchesAddEdge(t *testing.T) {
 				t.Fatalf("%s: %d edges, want %d", what, g.g.NumEdges(), plain.g.NumEdges())
 			}
 			for u := 0; u < n; u++ {
-				row := g.g.adj[u]
-				if !slices.Equal(row, plain.g.adj[u]) {
-					t.Fatalf("%s: row %d is %v, want %v", what, u, row, plain.g.adj[u])
+				row, want := g.g.Neighbors(NodeID(u)), plain.g.Neighbors(NodeID(u))
+				if !slices.Equal(row, want) {
+					t.Fatalf("%s: row %d is %v, want %v", what, u, row, want)
 				}
-				if (mode == "exact" || mode == "midway") && len(row) != cap(row) {
-					t.Fatalf("%s: row %d has %d arcs in room for %d", what, u, len(row), cap(row))
+				if (mode == "exact" || mode == "midway") && g.g.hi[u] != g.end[u] {
+					t.Fatalf("%s: row %d ends at %d in room up to %d", what, u, g.g.hi[u], g.end[u])
 				}
 			}
 		}
@@ -118,12 +118,14 @@ func TestReserveRefusals(t *testing.T) {
 	New(4).Reserve(make([]int32, 3))
 }
 
-// TestFreezeInPlace: Freeze sorts every row where it lies, rows reserved at
-// their final size and rows grown by append alike, and hands the very rows to
-// the graph: no arc moves to another array, and the builder is left empty.
-// Every row ends in frozen order holding the arcs it was built with. A graph
-// large enough to sort on several goroutines freezes to the same rows as on
-// one.
+// TestFreezeInPlace: a build whose rows fill the block Reserve carved
+// freezes on that very block: the graph's far ends and weights are the
+// reserved arrays, each row sorted where it lies, and the builder is left
+// empty. A build grown by AddEdge alone (rows moved to the builder's own
+// block, room to spare) is packed once into a block of exactly its arcs.
+// Every row ends in frozen order holding the arcs it was built with, the two
+// builds alike. A graph large enough to sort on several goroutines freezes
+// to the same rows as on one.
 func TestFreezeInPlace(t *testing.T) {
 	build := func(reserve bool) (*Builder, insertionLog) {
 		b, log := waxmanBuild(rand.New(rand.NewSource(7)), 300, 0.9, 0.6)
@@ -146,21 +148,12 @@ func TestFreezeInPlace(t *testing.T) {
 		}
 		return r, nil
 	}
-	arrays := func(rows [][]Arc) []*Arc {
-		out := make([]*Arc, len(rows))
-		for u, row := range rows {
-			if cap(row) > 0 {
-				out[u] = &row[:cap(row)][cap(row)-1]
-			}
-		}
-		return out
-	}
 	grownB, log := build(false)
 	exactB, _ := build(true)
-	if !slices.ContainsFunc(grownB.g.adj, func(row []Arc) bool { return len(row) < cap(row) }) {
-		t.Fatal("no row grown by append has slack")
+	if len(grownB.g.ownTo) <= 2*grownB.g.edges {
+		t.Fatalf("the grown build holds %d own arcs for %d: no room to spare", len(grownB.g.ownTo), 2*grownB.g.edges)
 	}
-	beforeGrown, beforeExact := arrays(grownB.g.adj), arrays(exactB.g.adj)
+	reservedTo, reservedW := &exactB.g.to[0], &exactB.g.w[0]
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	if 2*exactB.g.NumEdges() < 2*sortArcsPerWorker {
@@ -172,21 +165,22 @@ func TestFreezeInPlace(t *testing.T) {
 	}
 	checkRowOrder(t, grown, log)
 	checkRowOrder(t, exact, log)
-	if !slices.Equal(arrays(grown.adj), beforeGrown) || !slices.Equal(arrays(exact.adj), beforeExact) {
-		t.Fatal("Freeze moved a row")
+	if &exact.to[0] != reservedTo || &exact.w[0] != reservedW {
+		t.Fatal("Freeze copied the reserved block")
 	}
-	for u := range exact.adj {
-		if !slices.Equal(exact.adj[u], grown.adj[u]) {
-			t.Fatalf("row %d differs between the two builds", u)
+	for _, g := range []*Graph{grown, exact} {
+		if len(g.to) != 2*g.edges || cap(g.to) != len(g.to) || cap(g.w) != len(g.w) || g.ownTo != nil {
+			t.Fatalf("frozen block of %d arcs (room for %d, own %d) for %d edges", len(g.to), cap(g.to), len(g.ownTo), g.edges)
 		}
+	}
+	if !slices.Equal(exact.lo, grown.lo) || !slices.Equal(exact.to, grown.to) || !slices.Equal(exact.w, grown.w) {
+		t.Fatal("the two builds froze to different blocks")
 	}
 
 	runtime.GOMAXPROCS(1)
 	oneB, _ := build(true)
 	one := oneB.Freeze()
-	for u := range one.adj {
-		if !slices.Equal(one.adj[u], exact.adj[u]) {
-			t.Fatalf("row %d frozen on one goroutine differs from four", u)
-		}
+	if !slices.Equal(one.lo, exact.lo) || !slices.Equal(one.to, exact.to) || !slices.Equal(one.w, exact.w) {
+		t.Fatal("rows frozen on one goroutine differ from four")
 	}
 }

@@ -41,10 +41,11 @@ func (g *Graph) STNumbering(s, t NodeID) (map[NodeID]int, error) {
 	}
 
 	nbrs := make([][]NodeID, n)
-	for v, row := range g.adj {
-		nbrs[v] = make([]NodeID, len(row))
-		for i, arc := range row {
-			nbrs[v][i] = arc.To - g.base
+	for v := range nbrs {
+		to, _ := g.arcs(NodeID(v))
+		nbrs[v] = make([]NodeID, len(to))
+		for i, t := range to {
+			nbrs[v][i] = NodeID(t - g.base)
 		}
 		slices.Sort(nbrs[v])
 	}
@@ -170,11 +171,12 @@ func (g *Graph) STNumbering(s, t NodeID) (map[NodeID]int, error) {
 			continue
 		}
 		lower, higher := false, false
-		for _, arc := range g.adj[v] {
-			if num[arc.To-g.base] < nv {
+		to, _ := g.arcs(NodeID(v))
+		for _, t := range to {
+			if num[NodeID(t-g.base)] < nv {
 				lower = true
 			}
-			if num[arc.To-g.base] > nv {
+			if num[NodeID(t-g.base)] > nv {
 				higher = true
 			}
 		}

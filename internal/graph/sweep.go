@@ -295,11 +295,12 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 		}
 		du := s.dist[u]
 		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
-		row := g.adj[u]
-		scanned := len(row)
-		for i, a := range row {
-			v := a.To - base
-			nd := du + a.Weight
+		to, w := g.arcs(u)
+		w = w[:len(to)]
+		scanned := len(to)
+		for i, t := range to {
+			v := NodeID(t - base)
+			nd := du + w[i]
 			if nd > bound {
 				scanned = i + 1 // scanned, like the arcs before it
 				break
@@ -322,7 +323,7 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 				// its distance, so the entry it has, or settled off, stands.
 				if nd == s.dist[v] && u < s.parent[v] {
 					s.parent[v] = u
-					s.pw[v] = a.Weight
+					s.pw[v] = w[i]
 					if s.settled[v] == s.epoch {
 						s.reparented++
 					}
@@ -353,7 +354,7 @@ func (s *Sweep) run(src NodeID, mask *Mask, absorbing func(NodeID) bool, accept 
 			s.seen[v] = s.epoch
 			s.dist[v] = nd
 			s.parent[v] = u
-			s.pw[v] = a.Weight
+			s.pw[v] = w[i]
 			s.queue.Push(heapItem{node: v, dist: key})
 		}
 		s.arcsScanned += scanned

@@ -9,13 +9,14 @@ import (
 // the nodes in gateways, without copying g: local node i < n is g's node
 // base+i, local node n+j is gateways[j], and the rows are the induced
 // subgraph's in frozen order. A row whose every arc stays in the range is
-// g's own, aliased. The others (a row losing an arc that leaves
+// g's own, a span of g's block. The others (a row losing an arc that leaves
 // the view or holding one to a gateway, and the gateways' own) are private,
-// filtered copies, which store a far end at its local ID + base: every row of
-// the view reads local = To − base. The view carries an SPF cache of its own,
-// empty.
+// filtered rows in one block of the view's, which store a far end at its
+// local ID + base: every row of the view reads local = to − base. The view
+// carries an SPF cache of its own, empty. g must be an ordinary graph, not a
+// view.
 func (g *Graph) View(base NodeID, n int, gateways []NodeID) (*Graph, *NodeMap, error) {
-	if base < 0 || n < 0 || int(base)+n > len(g.adj) || slices.ContainsFunc(gateways, func(v NodeID) bool { return !g.valid(v) }) {
+	if base < 0 || n < 0 || int(base)+n > len(g.lo) || slices.ContainsFunc(gateways, func(v NodeID) bool { return !g.valid(v) }) {
 		return nil, nil, fmt.Errorf("view of [%d, %d) and %v: %w", base, int(base)+n, gateways, ErrUnknownNode)
 	}
 	nm := &NodeMap{base: base, n: n, gateways: gateways}
@@ -24,31 +25,47 @@ func (g *Graph) View(base NodeID, n int, gateways []NodeID) (*Graph, *NodeMap, e
 			return nil, nil, fmt.Errorf("view: gateway %d inside the range or listed twice", gw)
 		}
 	}
-	v := &Graph{adj: make([][]Arc, n+len(gateways)), pos: g.pos, base: base, ids: nm}
-	outside := func(a Arc) bool { return a.To < base || a.To >= base+NodeID(n) }
-	var private [][]Arc
-	var at []int
-	for i := range v.adj {
+	rows := n + len(gateways)
+	v := &Graph{lo: make([]int32, rows), hi: make([]int32, rows), to: g.to, w: g.w, pos: g.pos, base: int32(base), ids: nm}
+	first, last := int32(base), int32(base)+int32(n)
+	outside := func(t int32) bool { return t < first || t >= last }
+	// Alias the rows that stay in the range and count the private rows'
+	// arcs, then fill and sort the private rows in a block of that size.
+	owned := 0
+	for i := range rows {
 		full, _ := nm.ToFull(NodeID(i))
-		if row := g.adj[full]; i < n && !slices.ContainsFunc(row, outside) {
-			v.adj[i] = row
-			v.edges += len(row)
+		to, _ := g.arcs(full)
+		if i < n && !slices.ContainsFunc(to, outside) {
+			v.lo[i], v.hi[i] = g.lo[full], g.hi[full]
+			v.edges += len(to)
 			continue
 		}
-		var own []Arc
-		for _, a := range g.adj[full] {
-			if l, ok := nm.ToSub(a.To); ok {
-				own = append(own, Arc{To: l + base, Weight: a.Weight})
+		v.lo[i] = -1 // private, filled below
+		for _, t := range to {
+			if _, ok := nm.ToSub(NodeID(t)); ok {
+				owned++
 			}
 		}
-		sortRow(own)
-		private, at = append(private, own), append(at, i)
 	}
-	for k, row := range packRows(private) {
-		v.adj[at[k]] = row
-		v.owned += len(row)
+	v.ownTo, v.ownW = make([]int32, owned), make([]float64, owned)
+	k := 0
+	for i := range rows {
+		if v.lo[i] >= 0 {
+			continue
+		}
+		full, _ := nm.ToFull(NodeID(i))
+		to, w := g.arcs(full)
+		start := k
+		for j, t := range to {
+			if l, ok := nm.ToSub(NodeID(t)); ok {
+				v.ownTo[k], v.ownW[k] = int32(l)+v.base, w[j]
+				k++
+			}
+		}
+		sortRow(v.ownTo[start:k], v.ownW[start:k])
+		v.lo[i], v.hi[i] = ^int32(start), ^int32(k)
 	}
-	v.edges = (v.edges + v.owned) / 2
+	v.edges = (v.edges + owned) / 2
 	v.spf = NewSPFCache(v, 0)
 	return v, nm, nil
 }
@@ -80,20 +97,4 @@ func (m *NodeMap) ToFull(n NodeID) (NodeID, bool) {
 		return m.gateways[int(n)-m.n], true
 	}
 	return Invalid, false
-}
-
-// packRows copies rows onto one flat backing array (one allocation).
-func packRows(rows [][]Arc) [][]Arc {
-	total := 0
-	for _, arcs := range rows {
-		total += len(arcs)
-	}
-	backing := make([]Arc, 0, total)
-	packed := make([][]Arc, len(rows))
-	for i, arcs := range rows {
-		start := len(backing)
-		backing = append(backing, arcs...)
-		packed[i] = backing[start:len(backing):len(backing)]
-	}
-	return packed
 }

@@ -70,10 +70,10 @@ func TestView(t *testing.T) {
 	}
 	// Node 2's row (local 1) is the parent's, aliased; the other three are
 	// private: 0 lost its uplink, 2 gained the gateway, 3 is the gateway.
-	if &v.adj[1][0] != &g.adj[2][0] {
+	if &v.to[v.lo[1]] != &g.to[g.lo[2]] || &v.w[v.lo[1]] != &g.w[g.lo[2]] {
 		t.Error("the row of node 2 is a copy, not the parent's")
 	}
-	if want := int64(4*bytesSliceHeader + (1+2+1)*bytesPerArc); v.MemoryFootprint() != want {
+	if want := int64(4*2*bytesPerOffset + (1+2+1)*bytesPerArc); v.MemoryFootprint() != want {
 		t.Errorf("MemoryFootprint = %d, want %d", v.MemoryFootprint(), want)
 	}
 }

@@ -11,12 +11,13 @@ import (
 )
 
 // TestGraphFootprintRatchet pins the graph's memory accounting to its one
-// edge store, the adjacency rows. On the flat megascale plane that is a 24 B
-// row header per node, 16 B per arc (two per edge) and 16 B per position,
-// exactly. A hierarchy domain's view owns only its row headers and the arcs
-// of its private rows: the rows of nodes with an arc leaving the domain's ID
-// range, and the children's gateways'. A second edge index, or a view that
-// copied its parent's rows, would add a term and fail it.
+// edge store, the block of rows. On the flat megascale plane that is a 4 B
+// row offset per node and one past the last, 12 B per arc (two per edge) and
+// 16 B per position, exactly. A hierarchy domain's view owns only its rows'
+// two 4 B bounds and the arcs of its private rows: the rows of nodes with an
+// arc leaving the domain's ID range, and the children's gateways'. A second
+// edge index, or a view that copied its parent's rows, would add a term and
+// fail it.
 func TestGraphFootprintRatchet(t *testing.T) {
 	flat, _, err := topology.FlatMegascale(8192, 2005)
 	if err != nil {
@@ -31,7 +32,7 @@ func TestGraphFootprintRatchet(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, e := int64(flat.NumNodes()), int64(flat.NumEdges())
-	if want, got := 24*n+16*2*e+16*n, flat.MemoryFootprint(); got != want {
+	if want, got := 4*(n+1)+12*2*e+16*n, flat.MemoryFootprint(); got != want {
 		t.Errorf("flat megascale (%d nodes, %d edges): footprint %d B, want %d B", n, e, got, want)
 	}
 	// Domain 0 is the root domain: its view carries its children's gateways
@@ -50,7 +51,7 @@ func TestGraphFootprintRatchet(t *testing.T) {
 	if private == 0 || private >= 2*int64(v.NumEdges()) {
 		t.Fatalf("domain 0 view: %d private arcs of %d", private, 2*v.NumEdges())
 	}
-	if want, got := 24*int64(v.NumNodes())+16*private, v.MemoryFootprint(); got != want {
+	if want, got := 8*int64(v.NumNodes())+12*private, v.MemoryFootprint(); got != want {
 		t.Errorf("domain 0 view (%d nodes, %d private arcs): footprint %d B, want %d B", v.NumNodes(), private, got, want)
 	}
 }

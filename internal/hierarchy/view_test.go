@@ -113,16 +113,24 @@ func TestDomainViewMatchesInducedCopy(t *testing.T) {
 	}
 }
 
-// rowAt returns the address row n of g's edge store starts at, read through
-// reflection because the store is unexported.
-func rowAt(g *graph.Graph, n graph.NodeID) uintptr {
-	return reflect.ValueOf(g).Elem().FieldByName("adj").Index(int(n)).Pointer()
+// rowAt returns the addresses row n of g's edge store starts at in the
+// block of far ends and in the block of weights, read through reflection
+// because the store is unexported. A private row (a negative bound) has
+// none.
+func rowAt(g *graph.Graph, n graph.NodeID) (to, w uintptr) {
+	v := reflect.ValueOf(g).Elem()
+	lo := v.FieldByName("lo").Index(int(n)).Int()
+	if lo < 0 {
+		return 0, 0
+	}
+	return v.FieldByName("to").Pointer() + uintptr(4*lo), v.FieldByName("w").Pointer() + uintptr(8*lo)
 }
 
 // TestDomainViewsShareTopologyRows: NewNLevel over a transit–stub topology
 // builds its domain views on the topology graph's own rows, neither copying
 // them nor sorting a copy: the row of every domain node whose arcs all stay
-// in its domain is, in the view, the very row t.Graph holds.
+// in its domain is, in the view, the very span of far ends and weights
+// t.Graph holds.
 func TestDomainViewsShareTopologyRows(t *testing.T) {
 	ts, src := buildTS(t, 11)
 	s, err := NewNLevel(ts, src, core.DefaultConfig())
@@ -138,7 +146,8 @@ func TestDomainViewsShareTopologyRows(t *testing.T) {
 			if slices.ContainsFunc(ts.Graph.Neighbors(full), func(a graph.Arc) bool { return a.To < lo || a.To > hi }) {
 				continue // a private, filtered row of the view
 			}
-			if rowAt(v, graph.NodeID(k)) != rowAt(ts.Graph, full) {
+			vt, vw := rowAt(v, graph.NodeID(k))
+			if gt, gw := rowAt(ts.Graph, full); vt != gt || vw != gw || vt == 0 {
 				t.Fatalf("domain %d: the view's row of node %d is not the topology's", i, full)
 			}
 			shared++

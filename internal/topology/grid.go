@@ -78,8 +78,8 @@ func (c GridWaxmanConfig) withDefaults() GridWaxmanConfig {
 // Validate reports whether the configuration is usable.
 func (c GridWaxmanConfig) Validate() error {
 	c = c.withDefaults()
-	if c.N < 2 {
-		return fmt.Errorf("grid waxman: %w: N = %d, need at least 2 nodes", ErrBadConfig, c.N)
+	if c.N < 2 || c.N > maxNodes {
+		return fmt.Errorf("grid waxman: %w: N = %d, need 2 to %d nodes", ErrBadConfig, c.N, maxNodes)
 	}
 	if !inRange(c.Alpha, 0, 1) {
 		return fmt.Errorf("grid waxman: %w: Alpha = %v out of (0, 1]", ErrBadConfig, c.Alpha)

@@ -182,8 +182,8 @@ func buildTree(cfg NLevelConfig, rngOf func(id int) *RNG, ownStreams bool) (*NLe
 }
 
 // maxNodes is the most nodes a generated topology may have: further down
-// the stack node IDs are stored in 32 bits (graph's radix queue slots,
-// multicast's tree columns).
+// the stack node IDs are stored in 32 bits (graph's far ends and radix queue
+// slots, multicast's tree columns).
 const maxNodes = math.MaxInt32
 
 // mulNodes returns a·b for a, b ≥ 1, or false when it exceeds maxNodes.

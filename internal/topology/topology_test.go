@@ -421,10 +421,11 @@ func TestValidationRefusesNaN(t *testing.T) {
 	}
 }
 
-// TestGeneratorsRefuseOversizedConfigs: a hierarchy whose node count does
+// TestGeneratorsRefuseOversizedConfigs: a topology whose node count does
 // not fit the 32-bit node IDs the stack stores is refused with ErrBadConfig
 // before anything is allocated, including counts whose product wraps int.
-// Each of these once panicked in makeslice or ran out of memory.
+// Each of these once panicked in makeslice or ran out of memory; a flat
+// plane that large would have had its IDs truncated.
 func TestGeneratorsRefuseOversizedConfigs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -437,6 +438,12 @@ func TestGeneratorsRefuseOversizedConfigs(t *testing.T) {
 		{"megascale 64 levels", func() error {
 			_, err := GenerateMegascale(MegascaleConfig{TargetNodes: 10000, Levels: 64}, 1)
 			return err
+		}},
+		{"grid waxman past 2^31 nodes", func() error {
+			return GridWaxmanConfig{N: math.MaxInt32 + 1, Alpha: .5, Beta: .5}.Validate()
+		}},
+		{"waxman past 2^31 nodes", func() error {
+			return WaxmanConfig{N: math.MaxInt32 + 1, Alpha: .5, Beta: .5}.Validate()
 		}},
 		{"transit-stub product wraps", func() error {
 			_, err := GenerateTransitStub(TransitStubConfig{

@@ -37,8 +37,8 @@ const DefaultBeta = 0.15
 
 // Validate reports whether the configuration is usable.
 func (c WaxmanConfig) Validate() error {
-	if c.N < 2 {
-		return fmt.Errorf("waxman: %w: N = %d, need at least 2 nodes", ErrBadConfig, c.N)
+	if c.N < 2 || c.N > maxNodes {
+		return fmt.Errorf("waxman: %w: N = %d, need 2 to %d nodes", ErrBadConfig, c.N, maxNodes)
 	}
 	if !inRange(c.Alpha, 0, 1) {
 		return fmt.Errorf("waxman: %w: Alpha = %v out of (0, 1]", ErrBadConfig, c.Alpha)
