@@ -115,10 +115,10 @@ var ErrUnknownNode = errors.New("graph: unknown node")
 var ErrUnknownEdge = errors.New("graph: unknown edge")
 
 // Builder assembles a Graph: New gives it the nodes, SetPos places them,
-// AddEdge inserts the edges, after Reserve when the degrees are known in
-// advance, and Freeze hands the result over. Its reads are the Graph's own,
-// over rows still in insertion order. A Builder is not safe for concurrent
-// use.
+// AddRuns inserts a build's edges in one call, into rows it reserves at
+// their final size, AddEdge inserts them one at a time, and Freeze hands the
+// result over. Its reads are the Graph's own, over rows still in insertion
+// order. A Builder is not safe for concurrent use.
 type Builder struct {
 	g Graph
 	// end[u] is where row u's room ends, in the encoding of g.hi: a row
@@ -149,19 +149,15 @@ func (b *Builder) NumNodes() int { return b.g.NumNodes() }
 // Pos returns the position of node n.
 func (b *Builder) Pos(n NodeID) Point { return b.g.Pos(n) }
 
-// Components lists the connected components of the edges inserted so far
-// (see Graph.Components).
-func (b *Builder) Components() [][]NodeID { return b.g.Components(nil) }
-
-// Reserve grows every row once, making room at node n for extra[n] more
+// reserve grows every row once, making room at node n for extra[n] more
 // arcs, and carves all rows, in node order, from one new block that holds
 // exactly their arcs plus the reserve, the arcs already there copied in
 // order. A build that reserves each row's final degree and then inserts it
-// with AddEdge ends with rows that fill the block, which Freeze then keeps as
-// the graph's store without a copy. No count may be negative. It panics when
-// extra does not hold one count per node, or when the block would pass
-// math.MaxInt32 arcs.
-func (b *Builder) Reserve(extra []int32) {
+// ends with rows that fill the block, which Freeze then keeps as the graph's
+// store without a copy. No count may be negative. It panics when extra does
+// not hold one count per node, or when the block would pass math.MaxInt32
+// arcs.
+func (b *Builder) reserve(extra []int32) {
 	g := &b.g
 	if len(extra) != len(g.lo) {
 		panic(fmt.Sprintf("graph: reserve of %d rows on %d nodes", len(extra), len(g.lo)))
@@ -170,9 +166,7 @@ func (b *Builder) Reserve(extra []int32) {
 	for _, x := range extra {
 		total += int(x)
 	}
-	if total > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: reserve of %d arcs exceeds the limit of %d", total, math.MaxInt32))
-	}
+	checkArcs(total)
 	to, w := make([]int32, total), make([]float64, total)
 	k := int32(0)
 	for u, x := range extra {
@@ -189,27 +183,56 @@ func (b *Builder) Reserve(extra []int32) {
 // SetPos sets the position of node n.
 func (b *Builder) SetPos(n NodeID, p Point) { b.g.pos[n] = p }
 
+// checkArcs panics when a block of total arcs would pass math.MaxInt32.
+func checkArcs(total int) {
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: reserve of %d arcs exceeds the limit of %d", total, math.MaxInt32))
+	}
+}
+
 // AddEdge inserts the undirected edge (u, v) with weight w. It returns an
 // error if either endpoint is unknown, the endpoints coincide, the weight is
 // not a positive finite number, or the edge already exists.
 func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 	g := &b.g
+	if err := g.checkEnds(u, v); err != nil {
+		return err
+	}
+	if !goodWeight(w) {
+		return weightError(u, v, w)
+	}
+	if g.HasEdge(u, v) {
+		return duplicateError(u, v)
+	}
+	b.push(u, int32(v), w)
+	b.push(v, int32(u), w)
+	g.edges++
+	return nil
+}
+
+// checkEnds refuses an edge (u, v) with an unknown endpoint, or a self-loop.
+func (g *Graph) checkEnds(u, v NodeID) error {
 	if !g.valid(u) || !g.valid(v) {
 		return fmt.Errorf("add edge %d-%d: %w", u, v, ErrUnknownNode)
 	}
 	if u == v {
 		return fmt.Errorf("add edge: self-loop at node %d", u)
 	}
-	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
-		return fmt.Errorf("add edge %d-%d: weight %v must be positive and finite", u, v, w)
-	}
-	if g.HasEdge(u, v) {
-		return fmt.Errorf("add edge %d-%d: already present", u, v)
-	}
-	b.push(u, int32(v), w)
-	b.push(v, int32(u), w)
-	g.edges++
 	return nil
+}
+
+// goodWeight reports whether w is a positive finite number: NaN fails both
+// comparisons and +Inf the second.
+func goodWeight(w float64) bool { return w > 0 && w <= math.MaxFloat64 }
+
+// weightError refuses the edge (u, v) for its weight w.
+func weightError(u, v NodeID, w float64) error {
+	return fmt.Errorf("add edge %d-%d: weight %v must be positive and finite", u, v, w)
+}
+
+// duplicateError refuses the edge (u, v) as one the graph already holds.
+func duplicateError(u, v NodeID) error {
+	return fmt.Errorf("add edge %d-%d: already present", u, v)
 }
 
 // push appends the arc (to, w) to row u, growing the row first when it is
@@ -243,9 +266,10 @@ func (b *Builder) grow(u NodeID) {
 }
 
 // Freeze ends the build and hands the rows to the returned Graph. Rows that
-// fill the block Reserve carved, in node order, are that block, kept without
-// a copy; any other build (a row grown past its reserve, room left unused,
-// or no reserve at all) is packed once into a block of exactly its arcs.
+// fill the block reserved for them, in node order, are that block, kept
+// without a copy; any other build (a row grown past its reserve, room left
+// unused, or no reserve at all) is packed once into a block of exactly its
+// arcs.
 // Each row is then sorted by (weight, neighbour) where it lies, so that a
 // sweep relaxing under a distance bound stops at the first arc past it.
 // Large graphs sort their rows on up to GOMAXPROCS goroutines. The graph
@@ -256,7 +280,7 @@ func (b *Builder) Freeze() *Graph {
 		panic(fmt.Sprintf("graph: %d arcs exceed the limit of %d", 2*b.g.edges, math.MaxInt32))
 	}
 	if !b.filled() {
-		b.Reserve(make([]int32, len(b.g.lo)))
+		b.reserve(make([]int32, len(b.g.lo)))
 	}
 	g := b.g
 	b.g, b.end = Graph{}, nil
@@ -295,29 +319,34 @@ func (b *Builder) filled() bool {
 const sortArcsPerWorker = 1 << 12
 
 // sortRows sorts every row of the block (to, w), row u at [off[u],
-// off[u+1]), into frozen order, splitting the rows into contiguous runs, one
-// per goroutine.
+// off[u+1]), into frozen order.
 func sortRows(off, to []int32, w []float64) {
-	rows := len(off) - 1
-	sortRun := func(first, last int) {
+	forRows(len(off)-1, len(to)/sortArcsPerWorker, func(_, first, last int) {
 		for u := first; u < last; u++ {
 			lo, hi := off[u], off[u+1]
 			sortRow(to[lo:hi], w[lo:hi])
 		}
-	}
-	workers := min(runtime.GOMAXPROCS(0), len(to)/sortArcsPerWorker)
+	})
+}
+
+// forRows splits the rows into contiguous spans [first, last), in order, one
+// per goroutine on up to min(GOMAXPROCS, workers) goroutines, calls fn on
+// each span with the span's index, and waits for them. With one worker or
+// none it calls fn(0, 0, rows) on the caller's goroutine.
+func forRows(rows, workers int, fn func(span, first, last int)) {
+	workers = min(runtime.GOMAXPROCS(0), workers)
 	if workers <= 1 {
-		sortRun(0, rows)
+		fn(0, 0, rows)
 		return
 	}
 	var wg sync.WaitGroup
 	size := (rows + workers - 1) / workers
-	for start := 0; start < rows; start += size {
+	for k, start := 0, 0; start < rows; k, start = k+1, start+size {
 		wg.Add(1)
-		go func(first, last int) {
+		go func(k, first, last int) {
 			defer wg.Done()
-			sortRun(first, last)
-		}(start, min(start+size, rows))
+			fn(k, first, last)
+		}(k, start, min(start+size, rows))
 	}
 	wg.Wait()
 }

@@ -13,7 +13,7 @@ import (
 // no reserve at all — freeze to one block in compressed-row form: the row
 // offsets rise, the last is twice the edge count, every arc has a twin of
 // equal weight in its far end's row, and each row is in (weight, neighbour)
-// order. An exactly reserved build keeps the very arrays Reserve carved.
+// order. An exactly reserved build keeps the very arrays reserve carved.
 // Views of each build hold the same properties; their aliased rows are spans
 // of the parent's arrays, and their private rows fill a block of their own
 // with no arc to spare.
@@ -43,13 +43,13 @@ func TestLayoutProperties(t *testing.T) {
 			b := New(n)
 			switch kind {
 			case "exact":
-				b.Reserve(deg)
+				b.reserve(deg)
 			case "short":
 				short := make([]int32, n)
 				for u, d := range deg {
 					short[u] = d / 2
 				}
-				b.Reserve(short)
+				b.reserve(short)
 			}
 			for _, e := range edges {
 				if err := b.AddEdge(e.u, e.v, e.w); err != nil {
@@ -146,9 +146,10 @@ func checkLayout(t *testing.T, what string, g, parent *Graph) {
 }
 
 // TestLimitsRefusedBeforeAllocation: far ends and row bounds are 32 bits
-// wide, so New refuses more than math.MaxInt32 nodes, and Reserve and Freeze
-// more than math.MaxInt32 arcs, each with a panic before anything that size
-// is allocated. (Freeze is handed an edge count that large; no arc exists.)
+// wide, so New refuses more than math.MaxInt32 nodes, and reserve, AddRuns
+// and Freeze more than math.MaxInt32 arcs, each with a panic before anything
+// that size is allocated. (AddRuns and Freeze are handed an edge count that
+// large; no arc exists.)
 func TestLimitsRefusedBeforeAllocation(t *testing.T) {
 	mustPanic := func(what, want string, f func()) {
 		t.Helper()
@@ -161,8 +162,11 @@ func TestLimitsRefusedBeforeAllocation(t *testing.T) {
 		f()
 	}
 	mustPanic("New", "nodes exceed", func() { New(math.MaxInt32 + 1) })
-	mustPanic("Reserve", "arcs exceeds", func() { New(2).Reserve([]int32{math.MaxInt32, 1}) })
+	mustPanic("reserve", "arcs exceeds", func() { New(2).reserve([]int32{math.MaxInt32, 1}) })
 	b := New(2)
+	b.g.edges = math.MaxInt32 / 2
+	one := []Run{{Ends: [][2]int32{{0, 1}}, Weight: func(int) float64 { return 1 }}}
+	mustPanic("AddRuns", "arcs exceeds", func() { b.AddRuns(one) })
 	b.g.edges = math.MaxInt32/2 + 1
 	mustPanic("Freeze", "arcs exceed", func() { b.Freeze() })
 }

@@ -82,10 +82,10 @@ func TestReserveMatchesAddEdge(t *testing.T) {
 				done = len(ops) / 2
 				apply(g, ops[:done])
 			}
-			g.Reserve(extra)
+			g.reserve(extra)
 			for u := 0; u < n && mode == "midway"; u++ {
 				if !slices.Equal(g.g.Neighbors(NodeID(u)), half.g.Neighbors(NodeID(u))) {
-					t.Fatalf("%s: Reserve changed row %d", what, u)
+					t.Fatalf("%s: reserve changed row %d", what, u)
 				}
 			}
 			if got := apply(g, ops[done:]); !slices.Equal(got, wantErrs[done:]) {
@@ -107,18 +107,18 @@ func TestReserveMatchesAddEdge(t *testing.T) {
 	}
 }
 
-// TestReserveRefusals: Reserve refuses a count list that does not match the
+// TestReserveRefusals: reserve refuses a count list that does not match the
 // nodes.
 func TestReserveRefusals(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Reserve with 3 counts on 4 nodes did not panic")
+			t.Error("reserve with 3 counts on 4 nodes did not panic")
 		}
 	}()
-	New(4).Reserve(make([]int32, 3))
+	New(4).reserve(make([]int32, 3))
 }
 
-// TestFreezeInPlace: a build whose rows fill the block Reserve carved
+// TestFreezeInPlace: a build whose rows fill the block reserve carved
 // freezes on that very block: the graph's far ends and weights are the
 // reserved arrays, each row sorted where it lies, and the builder is left
 // empty. A build grown by AddEdge alone (rows moved to the builder's own
@@ -136,7 +136,7 @@ func TestFreezeInPlace(t *testing.T) {
 		for u := range extra {
 			extra[u] = int32(len(log[u]))
 		}
-		r.Reserve(extra)
+		r.reserve(extra)
 		for u := range log {
 			for _, a := range log[u] {
 				if NodeID(u) < a.To {

@@ -50,7 +50,7 @@ type GridWaxmanConfig struct {
 	// the untruncated model, more pairs probed.
 	PMin float64
 
-	// EnsureConnected applies Connectify post-processing, as in WaxmanConfig.
+	// EnsureConnected joins the components, as in WaxmanConfig.
 	EnsureConnected bool
 }
 
@@ -119,7 +119,8 @@ type GridStats struct {
 	// Within counts probed pairs inside the cutoff radius (those that got a
 	// keyed coin flip).
 	Within int64
-	// Edges counts pairs whose flip succeeded (before Connectify).
+	// Edges counts pairs whose flip succeeded (before the components are
+	// joined).
 	Edges int64
 	// Cells is the grid dimension actually used (Cells × Cells buckets).
 	Cells int
@@ -153,8 +154,8 @@ func pairUniform(seed uint64, u, v graph.NodeID) float64 {
 // alpha·e^(−x) ≤ alpha always, and e^(−x) < 1/(1+x+x²/2+x³/6) strictly for
 // x > 0 (e^x exceeds its truncated Taylor series), with a margin of x⁴/24
 // that dwarfs float rounding once x ≥ 0.01 — so every cheap rejection is one
-// the exp comparison would also make, and both generators calling this
-// shared helper stay byte-identical.
+// the exp comparison would also make, and every Waxman arm calling it
+// decides each pair as the exp comparison alone would.
 func waxmanAccept(u, alpha, x float64) bool {
 	if u >= alpha {
 		return false
@@ -214,6 +215,16 @@ func (d *waxmanDecider) accept(u, d2 float64) bool {
 // returned GridStats. See GridWaxmanConfig for the model. The result is
 // byte-identical to the O(N²) scan of every pair on the same config and RNG.
 func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error) {
+	b, st, err := gridWaxmanBuilder(cfg, rng)
+	if err != nil {
+		return nil, st, err
+	}
+	return b.Freeze(), st, nil
+}
+
+// gridWaxmanBuilder draws GridWaxman's graph into a builder that holds all
+// its edges.
+func gridWaxmanBuilder(cfg GridWaxmanConfig, rng *RNG) (*graph.Builder, GridStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, GridStats{}, err
 	}
@@ -268,7 +279,7 @@ func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error)
 	st := GridStats{Cells: cols}
 	// Reserve for the expected yield (avg degree is single-digit at every
 	// config we run) so append never copies the edge list mid-probe.
-	edges := make([]graph.EdgeID, 0, cfg.N*4)
+	edges := make([][2]int32, 0, cfg.N*4)
 	// Flat local position copy: the probe loops below are the generator's
 	// entire inner-loop budget, and indexing a local slice beats a method
 	// call per endpoint at ~10⁷ probes.
@@ -294,7 +305,7 @@ func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error)
 						within++
 						if dec.accept(pairUniform(pairSeed, u, v), d2) {
 							accepted++
-							edges = append(edges, graph.MakeEdgeID(u, v))
+							edges = append(edges, [2]int32{int32(u), int32(v)})
 						}
 					}
 				}
@@ -315,7 +326,7 @@ func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error)
 							within++
 							if dec.accept(pairUniform(pairSeed, u, v), d2) {
 								accepted++
-								edges = append(edges, graph.MakeEdgeID(u, v))
+								edges = append(edges, [2]int32{int32(u), int32(v)})
 							}
 						}
 					}
@@ -325,10 +336,7 @@ func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error)
 		}
 	}
 	st.Probed, st.Within, st.Edges = probed, within, accepted
-	if err := insertEdges(b, edges, cfg.EnsureConnected); err != nil {
-		return nil, st, err
-	}
-	return b.Freeze(), st, nil
+	return b, st, insertEdges(b, edges, cfg.EnsureConnected)
 }
 
 // placeNodes draws node positions from the RNG stream (in node-ID order) and

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"smrp/internal/graph"
@@ -39,7 +40,7 @@ func graphsIdentical(t *testing.T, a, b *graph.Graph, label string) {
 // generator must produce the exact same graph as an O(N²) scan of the same
 // truncated model — same placement stream, same keyed per-pair randomness —
 // across unit-square and megascale-plane shapes, with and without
-// Connectify.
+// the components joined.
 func TestGridWaxmanMatchesPairwise(t *testing.T) {
 	cases := []struct {
 		name string
@@ -221,9 +222,9 @@ func TestMegascaleComposer(t *testing.T) {
 	}
 }
 
-// TestConnectifyCentroidLargeGraph pins the capped Connectify path: a large
+// TestConnectifyCentroidLargeGraph pins the capped connectify path: a large
 // deliberately fragmented graph must come out connected via the centroid
-// pick, deterministically.
+// pick, deterministically, its rows filling the reserved block.
 func TestConnectifyCentroidLargeGraph(t *testing.T) {
 	const n = connectifyExactCap + 1000
 	build := func() *graph.Graph {
@@ -235,17 +236,16 @@ func TestConnectifyCentroidLargeGraph(t *testing.T) {
 		// 50 disjoint chains.
 		const chains = 50
 		per := n / chains
+		var ends [][2]int32
 		for c := 0; c < chains; c++ {
 			for i := c * per; i+1 < (c+1)*per && i+1 < n; i++ {
-				if err := b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1); err != nil {
-					t.Fatal(err)
-				}
+				ends = append(ends, [2]int32{int32(i), int32(i + 1)})
 			}
 		}
-		if err := Connectify(b); err != nil {
+		if err := insertEdges(b, ends, true); err != nil {
 			t.Fatal(err)
 		}
-		return b.Freeze()
+		return freezeUnpacked(t, b)
 	}
 	g := build()
 	if !g.Connected(nil) {
@@ -253,6 +253,42 @@ func TestConnectifyCentroidLargeGraph(t *testing.T) {
 	}
 	h := build()
 	graphsIdentical(t, g, h, "centroid connectify determinism")
+}
+
+// freezeUnpacked freezes b and fails the test when Freeze allocated as much
+// as a packed copy of the rows, 12 bytes an arc: rows that fill the block
+// AddRuns reserved are kept as the graph's store.
+func freezeUnpacked(t *testing.T, b *graph.Builder) *graph.Graph {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := b.Freeze()
+	runtime.ReadMemStats(&after)
+	if alloc, packed := after.TotalAlloc-before.TotalAlloc, uint64(24*g.NumEdges()); alloc >= packed {
+		t.Errorf("Freeze allocated %d bytes for %d edges: the rows were packed into a new block of %d", alloc, g.NumEdges(), packed)
+	}
+	return g
+}
+
+// TestGeneratorsFreezeUnpacked: the flat generators insert their joining
+// edges with the rest, into rows reserved at their final size, so Freeze
+// keeps the block: a connectified Waxman(100) whose components are joined
+// by the exact rule, and FlatMegascale(8192), joined through centroids.
+func TestGeneratorsFreezeUnpacked(t *testing.T) {
+	wb, err := waxmanBuilder(WaxmanConfig{N: 100, Alpha: 0.15, Beta: DefaultBeta, EnsureConnected: true}, NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := freezeUnpacked(t, wb); !g.Connected(nil) {
+		t.Error("Waxman(100) is not connected")
+	}
+	fb, _, err := gridWaxmanBuilder(flatMegascaleConfig(8192), NewRNG(2005))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := freezeUnpacked(t, fb); !g.Connected(nil) {
+		t.Error("FlatMegascale(8192) is not connected")
+	}
 }
 
 // BenchmarkMegascaleGeneration is the wall-clock companion to
@@ -323,7 +359,7 @@ func pairwiseGridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, error) {
 	cut := cfg.cutoff()
 	cut2 := cut * cut
 	dec := newWaxmanDecider(cfg.Alpha, cfg.Beta*cfg.L, cut2)
-	edges := make([]graph.EdgeID, 0, cfg.N*4)
+	edges := make([][2]int32, 0, cfg.N*4)
 	pos := make([]graph.Point, cfg.N)
 	for n := range pos {
 		pos[n] = b.Pos(graph.NodeID(n))
@@ -338,7 +374,7 @@ func pairwiseGridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, error) {
 				continue
 			}
 			if dec.accept(pairUniform(pairSeed, graph.NodeID(u), graph.NodeID(v)), d2) {
-				edges = append(edges, graph.MakeEdgeID(graph.NodeID(u), graph.NodeID(v)))
+				edges = append(edges, [2]int32{int32(u), int32(v)})
 			}
 		}
 	}

@@ -136,7 +136,12 @@ const megascaleFlatDensity = 1.5
 // with the same α/β the hierarchy uses per domain, connectified. Total
 // generation cost is O(N·avg-degree).
 func FlatMegascale(n int, seed uint64) (*graph.Graph, GridStats, error) {
-	cfg := GridWaxmanConfig{
+	return GridWaxman(flatMegascaleConfig(n), NewRNG(seed))
+}
+
+// flatMegascaleConfig is FlatMegascale's model at n nodes.
+func flatMegascaleConfig(n int) GridWaxmanConfig {
+	return GridWaxmanConfig{
 		N:               n,
 		Alpha:           0.9,
 		Beta:            0.6,
@@ -144,5 +149,4 @@ func FlatMegascale(n int, seed uint64) (*graph.Graph, GridStats, error) {
 		L:               math.Sqrt2,
 		EnsureConnected: true,
 	}
-	return GridWaxman(cfg, NewRNG(seed))
 }

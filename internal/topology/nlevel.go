@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -214,7 +213,7 @@ func treeDomains(fanout, levels, perDomain int) (int, bool) {
 
 // builder assembles a hierarchy in phases (DESIGN.md §4.1): the domains are
 // placed and recorded, each is wired into an edge buffer of its own, and
-// finish inserts the buffers into rows reserved at their final size and
+// finish inserts the buffers, one run per domain and the uplinks last, and
 // freezes the graph.
 type builder struct {
 	t *NLevelTopology
@@ -222,9 +221,8 @@ type builder struct {
 	g *graph.Builder
 	// ids holds every node ID once; each domain's Nodes is a window of it.
 	ids []graph.NodeID
-	// wired[id] is domain id's edges in insertion order, until finish
-	// inserts them.
-	wired [][]pair
+	// wired[id] is domain id's edges, by node ID, until finish inserts them.
+	wired [][][2]int32
 }
 
 // pair is one intra-domain edge, its endpoints named by their index in the
@@ -238,7 +236,7 @@ func newBuilder(n, domains int) *builder {
 		t:     &NLevelTopology{Domains: make([]NLevelDomain, 0, domains), domainOf: make([]int32, n)},
 		g:     graph.New(n),
 		ids:   make([]graph.NodeID, n),
-		wired: make([][]pair, 0, domains),
+		wired: make([][][2]int32, 0, domains),
 	}
 	for i := range b.ids {
 		b.ids[i] = graph.NodeID(i)
@@ -282,11 +280,17 @@ func (b *builder) addDomain(nodes []graph.NodeID, parent int, attach graph.NodeI
 // wireScratch.wire). It reads positions only, so domains with streams of
 // their own may be wired concurrently.
 func (b *builder) wire(id int, alpha, beta float64, rng *RNG, s *wireScratch) {
+	nodes := b.t.Domains[id].Nodes
 	s.pts = s.pts[:0]
-	for _, n := range b.t.Domains[id].Nodes {
+	for _, n := range nodes {
 		s.pts = append(s.pts, b.g.Pos(n))
 	}
-	b.wired[id] = s.wire(alpha, beta, rng)
+	s.wire(alpha, beta, rng)
+	out := make([][2]int32, len(s.edges))
+	for i, e := range s.edges {
+		out[i] = [2]int32{int32(nodes[e.u]), int32(nodes[e.v])}
+	}
+	b.wired[id] = out
 }
 
 // wireAll wires every domain, domain id from streams[id], on up to
@@ -308,38 +312,25 @@ func (b *builder) wireAll(streams []*RNG, alpha, beta float64) {
 	wg.Wait()
 }
 
-// finish inserts the edges, domain by domain, each domain's wiring and then
-// its uplink, into rows reserved at their final size: intra-domain degree,
-// plus the uplink, plus one arc per child. Each buffer is dropped once
-// copied. Freeze then sorts the rows where they lie.
+// finish inserts the edges in one AddRuns: each domain's wiring is a run,
+// and the uplinks, which share their rows with two domains, are the last.
+// Every edge weighs its length (see distWeight), computed on the goroutine
+// that fills its run. Freeze then sorts the rows where they lie.
 func (b *builder) finish() (*NLevelTopology, error) {
-	t, g := b.t, b.g
-	extra := make([]int32, g.NumNodes())
+	t := b.t
+	runs := make([]graph.Run, 0, len(t.Domains)+1)
+	var uplinks [][2]int32
 	for id, d := range t.Domains {
-		for _, e := range b.wired[id] {
-			extra[d.Nodes[e.u]]++
-			extra[d.Nodes[e.v]]++
-		}
+		runs = append(runs, distRun(b.g, b.wired[id]))
 		if d.Parent >= 0 {
-			extra[d.Gateway]++
-			extra[d.Attach]++
+			uplinks = append(uplinks, [2]int32{int32(d.Gateway), int32(d.Attach)})
 		}
 	}
-	g.Reserve(extra)
-	for id, d := range t.Domains {
-		for _, e := range b.wired[id] {
-			if err := addDistEdge(g, d.Nodes[e.u], d.Nodes[e.v]); err != nil {
-				return nil, fmt.Errorf("domain %d wiring: %w", id, err)
-			}
-		}
-		b.wired[id] = nil
-		if d.Parent >= 0 {
-			if err := addDistEdge(g, d.Gateway, d.Attach); err != nil {
-				return nil, fmt.Errorf("domain %d uplink: %w", id, err)
-			}
-		}
+	if err := b.g.AddRuns(append(runs, distRun(b.g, uplinks))); err != nil {
+		return nil, err
 	}
-	t.Graph = g.Freeze()
+	b.wired = nil
+	t.Graph = b.g.Freeze()
 	return t, nil
 }
 
@@ -364,69 +355,49 @@ func (t *NLevelTopology) Leaves() []int {
 type wireScratch struct {
 	pts   []graph.Point
 	edges []pair
-	root  []int32
+	root  forest
 }
 
-// wire draws the Waxman edges among the domain placed at s.pts, testing the
-// pairs i < j in order against rng, and joins the domain's components: by
-// the nearest pair between the first component and the rest, one edge at a
-// time, or past connectifyExactCap nodes by one centroid pass. It returns the
-// edges in insertion order, in a buffer of exactly their size.
-func (s *wireScratch) wire(alpha, beta float64, rng *RNG) []pair {
+// wire draws the Waxman edges among the domain placed at s.pts into
+// s.edges, testing the pairs i < j in order against rng, and joins the
+// domain's components: by the nearest pair between the first component and
+// the rest, one edge at a time, or past connectifyExactCap nodes by one
+// centroid pass.
+func (s *wireScratch) wire(alpha, beta float64, rng *RNG) {
 	pts := s.pts
 	maxDist := maxPairDist(pts)
 	if maxDist <= 0 {
 		maxDist = 1
 	}
+	scale := beta * maxDist
 	s.edges = s.edges[:0]
 	for i := range pts {
 		for j := i + 1; j < len(pts); j++ {
-			p := alpha * waxmanExp(pts[i].Dist(pts[j]), beta, maxDist)
-			if rng.Float64() < p {
+			if waxmanAccept(rng.Float64(), alpha, pts[i].Dist(pts[j])/scale) {
 				s.edges = append(s.edges, pair{int32(i), int32(j)})
 			}
 		}
 	}
 	if !s.connected() {
 		pos := func(n graph.NodeID) graph.Point { return pts[n] }
-		link := func(u, v graph.NodeID) error {
-			s.edges = append(s.edges, pair{int32(u), int32(v)})
-			return nil
-		}
+		link := func(u, v graph.NodeID) { s.edges = append(s.edges, pair{int32(u), int32(v)}) }
 		if len(pts) > connectifyExactCap {
-			_ = joinComponentsCentroid(s.components(), pos, link) // link cannot fail
+			joinComponentsCentroid(s.components(), pos, link)
 		} else {
 			for comps := s.components(); len(comps) > 1; comps = s.components() {
-				_ = link(nearestPair(comps, pos))
+				link(nearestPair(comps, pos))
 			}
 		}
 	}
-	return slices.Clone(s.edges)
-}
-
-// waxmanExp computes exp(−d/(β·L)).
-func waxmanExp(d, beta, l float64) float64 {
-	return math.Exp(-d / (beta * l))
 }
 
 // connected reports, by union-find over s.edges, whether they connect all
 // the domain's nodes.
 func (s *wireScratch) connected() bool {
-	s.root = s.root[:0]
-	for i := range s.pts {
-		s.root = append(s.root, int32(i))
-	}
-	find := func(x int32) int32 {
-		for s.root[x] != x {
-			s.root[x] = s.root[s.root[x]]
-			x = s.root[x]
-		}
-		return x
-	}
+	s.root = s.root.reset(len(s.pts))
 	comps := len(s.pts)
 	for _, e := range s.edges {
-		if a, b := find(e.u), find(e.v); a != b {
-			s.root[a] = b
+		if s.root.union(e.u, e.v) {
 			comps--
 		}
 	}
@@ -498,15 +469,19 @@ func nearestTo(pos func(graph.NodeID) graph.Point, nodes []graph.NodeID, p graph
 	return best
 }
 
-// maxPairDist returns the maximum pairwise distance among pts.
+// maxPairDist returns the maximum pairwise distance among pts: the square
+// root of the largest squared distance, which is the largest distance to the
+// bit, since a correctly rounded square root never decreases as its input
+// grows.
 func maxPairDist(pts []graph.Point) float64 {
-	var maxD float64
+	var max2 float64
 	for i := range pts {
 		for j := i + 1; j < len(pts); j++ {
-			if d := pts[i].Dist(pts[j]); d > maxD {
-				maxD = d
+			dx, dy := pts[i].X-pts[j].X, pts[i].Y-pts[j].Y
+			if d2 := dx*dx + dy*dy; d2 > max2 {
+				max2 = d2
 			}
 		}
 	}
-	return maxD
+	return math.Sqrt(max2)
 }

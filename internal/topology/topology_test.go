@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -217,28 +218,14 @@ func TestWaxmanWeightsAreEuclidean(t *testing.T) {
 	}
 }
 
+// TestConnectify: two far-apart pairs are joined by the geometrically
+// closest pair across them, and the edges already there are kept first.
 func TestConnectify(t *testing.T) {
-	b := graph.New(4)
-	b.SetPos(0, graph.Point{X: 0})
-	b.SetPos(1, graph.Point{X: 0.1})
-	b.SetPos(2, graph.Point{X: 5})
-	b.SetPos(3, graph.Point{X: 5.1})
-	if err := b.AddEdge(0, 1, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(2, 3, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if err := Connectify(b); err != nil {
-		t.Fatal(err)
-	}
-	g := b.Freeze()
-	if !g.Connected(nil) {
-		t.Fatal("graph still disconnected")
-	}
-	// The join should be the geometrically closest inter-component pair, 1-2.
-	if !g.HasEdge(1, 2) {
-		t.Errorf("expected joining edge 1-2, edges: %v", g.Edges())
+	pts := []graph.Point{{X: 0}, {X: 0.1}, {X: 5}, {X: 5.1}}
+	pos := func(n graph.NodeID) graph.Point { return pts[n] }
+	got := connectify(len(pts), pos, [][2]int32{{0, 1}, {2, 3}})
+	if want := [][2]int32{{0, 1}, {2, 3}, {1, 2}}; !slices.Equal(got, want) {
+		t.Errorf("edges %v, want %v", got, want)
 	}
 }
 

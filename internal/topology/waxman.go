@@ -54,6 +54,16 @@ func (c WaxmanConfig) Validate() error {
 // paper's per-link delay labels) is the Euclidean distance between the
 // endpoints.
 func Waxman(cfg WaxmanConfig, rng *RNG) (*graph.Graph, error) {
+	b, err := waxmanBuilder(cfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	return b.Freeze(), nil
+}
+
+// waxmanBuilder draws Waxman's graph into a builder that holds all its
+// edges.
+func waxmanBuilder(cfg WaxmanConfig, rng *RNG) (*graph.Builder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -61,55 +71,48 @@ func Waxman(cfg WaxmanConfig, rng *RNG) (*graph.Graph, error) {
 	for i := 0; i < cfg.N; i++ {
 		b.SetPos(graph.NodeID(i), graph.Point{X: rng.Float64(), Y: rng.Float64()})
 	}
-	maxDist := math.Sqrt2 // diagonal of the unit square
-	var edges []graph.EdgeID
+	scale := cfg.Beta * math.Sqrt2 // β·L, L the diagonal of the unit square
+	var ends [][2]int32
 	for u := 0; u < cfg.N; u++ {
 		for v := u + 1; v < cfg.N; v++ {
 			d := b.Pos(graph.NodeID(u)).Dist(b.Pos(graph.NodeID(v)))
-			p := cfg.Alpha * math.Exp(-d/(cfg.Beta*maxDist))
-			if rng.Float64() < p {
-				edges = append(edges, graph.EdgeID{A: graph.NodeID(u), B: graph.NodeID(v)})
+			if waxmanAccept(rng.Float64(), cfg.Alpha, d/scale) {
+				ends = append(ends, [2]int32{int32(u), int32(v)})
 			}
 		}
 	}
-	if err := insertEdges(b, edges, cfg.EnsureConnected); err != nil {
-		return nil, err
-	}
-	return b.Freeze(), nil
+	return b, insertEdges(b, ends, cfg.EnsureConnected)
 }
 
-// insertEdges reserves every row at its final degree, inserts the edges in
-// order, weighted by distance, and then optionally connectifies.
-func insertEdges(b *graph.Builder, edges []graph.EdgeID, ensureConnected bool) error {
-	extra := make([]int32, b.NumNodes())
-	for _, e := range edges {
-		extra[e.A]++
-		extra[e.B]++
+// insertEdges inserts the edges, joined into one component first when
+// connect is set (see connectify), as one run weighted by length.
+func insertEdges(b *graph.Builder, ends [][2]int32, connect bool) error {
+	if connect {
+		ends = connectify(b.NumNodes(), b.Pos, ends)
 	}
-	b.Reserve(extra)
-	for _, e := range edges {
-		if err := addDistEdge(b, e.A, e.B); err != nil {
-			return err
-		}
-	}
-	if ensureConnected {
-		return Connectify(b)
-	}
-	return nil
+	return b.AddRuns([]graph.Run{distRun(b, ends)})
 }
 
-// addDistEdge inserts edge (u, v) weighted by the Euclidean distance between
-// the endpoint positions, with a small floor so coincident points still get
-// a positive weight.
-func addDistEdge(b *graph.Builder, u, v graph.NodeID) error {
-	d := b.Pos(u).Dist(b.Pos(v))
+// distRun makes the edges a run whose weights are their lengths (see
+// distWeight).
+func distRun(b *graph.Builder, ends [][2]int32) graph.Run {
+	return graph.Run{Ends: ends, Weight: func(i int) float64 {
+		e := ends[i]
+		return distWeight(b.Pos(graph.NodeID(e[0])), b.Pos(graph.NodeID(e[1])))
+	}}
+}
+
+// distWeight is the weight of an edge from p to q: the Euclidean distance,
+// with a small floor so coincident points still get a positive weight.
+func distWeight(p, q graph.Point) float64 {
+	d := p.Dist(q)
 	if d < 1e-9 {
 		d = 1e-9
 	}
-	return b.AddEdge(u, v, d)
+	return d
 }
 
-// connectifyExactCap bounds the exact all-pairs Connectify scan: graphs
+// connectifyExactCap bounds the exact all-pairs scan of connectify: graphs
 // larger than this use the deterministic centroid-based pair pick instead.
 // The cap sits far above every paper-scale study topology (N ≤ 300, which
 // must keep the exact scan so blessed outputs stay byte-identical) and far
@@ -117,65 +120,102 @@ func addDistEdge(b *graph.Builder, u, v graph.NodeID) error {
 // whole O(N·deg) generation.
 const connectifyExactCap = 4096
 
-// Connectify joins the connected components of b by repeatedly adding the
-// geometrically shortest edge between the largest component and another
-// component. This mirrors the connectivity post-processing used with random
-// topology generators so that every generated sample is usable. Past
-// connectifyExactCap nodes the exact nearest-pair scan is replaced by a
-// centroid-guided pick (still deterministic, O(N) per component joined).
-func Connectify(b *graph.Builder) error {
-	if b.NumNodes() > connectifyExactCap {
-		return connectifyCentroid(b)
+// connectify returns the edges among n nodes at positions pos with the edges
+// that join their components appended, so every generated sample is usable
+// (the connectivity post-processing used with random topology generators).
+// Components are listed as Graph.Components lists them: by lowest node,
+// members ascending. Up to connectifyExactCap nodes it adds the
+// geometrically shortest edge between any two components, the first found
+// winning ties, until one component is left; past the cap it joins every
+// component to the largest in one centroid pass (joinComponentsCentroid).
+func connectify(n int, pos func(graph.NodeID) graph.Point, ends [][2]int32) [][2]int32 {
+	f := forest(nil).reset(n)
+	for _, e := range ends {
+		f.union(e[0], e[1])
 	}
-	for {
-		comps := b.Components()
-		if len(comps) <= 1 {
-			return nil
-		}
-		// Find the overall closest pair of nodes in different components.
+	link := func(u, v graph.NodeID) {
+		ends = append(ends, [2]int32{int32(u), int32(v)})
+		f.union(int32(u), int32(v))
+	}
+	if n > connectifyExactCap {
+		joinComponentsCentroid(f.components(), pos, link)
+		return ends
+	}
+	for comps := f.components(); len(comps) > 1; comps = f.components() {
 		bestD := math.Inf(1)
-		var bestU, bestV graph.NodeID = graph.Invalid, graph.Invalid
-		for ci := 0; ci < len(comps); ci++ {
-			for cj := ci + 1; cj < len(comps); cj++ {
+		var bestU, bestV graph.NodeID
+		for ci := range comps {
+			for _, cj := range comps[ci+1:] {
 				for _, u := range comps[ci] {
-					for _, v := range comps[cj] {
-						d := b.Pos(u).Dist(b.Pos(v))
-						if d < bestD {
+					for _, v := range cj {
+						if d := pos(u).Dist(pos(v)); d < bestD {
 							bestD, bestU, bestV = d, u, v
 						}
 					}
 				}
 			}
 		}
-		if bestU == graph.Invalid {
-			return fmt.Errorf("connectify: no joining pair found across %d components", len(comps))
-		}
-		if err := addDistEdge(b, bestU, bestV); err != nil {
-			return fmt.Errorf("connectify: %w", err)
-		}
+		link(bestU, bestV)
 	}
+	return ends
 }
 
-// connectifyCentroid joins components at megascale without the quadratic
-// nearest-pair scan: every minority component attaches to the largest one
-// via (nearest main-component node to the minority centroid) ↔ (nearest
-// minority node to that anchor). One Components pass, one linear scan per
-// join, fully deterministic (ties break on lower node ID via scan order).
-func connectifyCentroid(b *graph.Builder) error {
-	return joinComponentsCentroid(b.Components(), b.Pos, func(u, v graph.NodeID) error {
-		return addDistEdge(b, u, v)
-	})
+// forest is a union-find over nodes 0..len−1: f[x] is x's parent, a root
+// its own.
+type forest []int32
+
+// reset returns a forest of n singletons, in f's storage when it has room.
+func (f forest) reset(n int) forest {
+	f = f[:0]
+	for i := 0; i < n; i++ {
+		f = append(f, int32(i))
+	}
+	return f
 }
 
-// joinComponentsCentroid implements the centroid-guided join over an
-// explicit component list, reading positions through pos and adding each
-// joining edge through link (shared by Connectify and the domain wiring).
-func joinComponentsCentroid(comps [][]graph.NodeID, pos func(graph.NodeID) graph.Point, link func(u, v graph.NodeID) error) error {
+// find returns the root of x's set, halving the path on the way.
+func (f forest) find(x int32) int32 {
+	for f[x] != x {
+		f[x] = f[f[x]]
+		x = f[x]
+	}
+	return x
+}
+
+// union merges the sets of x and y and reports whether they were apart.
+func (f forest) union(x, y int32) bool {
+	a, b := f.find(x), f.find(y)
+	f[a] = b
+	return a != b
+}
+
+// components lists the sets, by lowest node, members ascending.
+func (f forest) components() [][]graph.NodeID {
+	label := make([]int32, len(f)) // label[r] is 1 + the index of root r's set
+	var comps [][]graph.NodeID
+	for x := range f {
+		r := f.find(int32(x))
+		if label[r] == 0 {
+			comps = append(comps, nil)
+			label[r] = int32(len(comps))
+		}
+		comps[label[r]-1] = append(comps[label[r]-1], graph.NodeID(x))
+	}
+	return comps
+}
+
+// joinComponentsCentroid joins components at megascale without the
+// quadratic nearest-pair scan: every minority component attaches to the
+// largest one via (nearest main-component node to the minority centroid) ↔
+// (nearest minority node to that anchor). One linear scan per join, fully
+// deterministic (ties break on scan order). It reads positions through pos
+// and adds each joining edge through link (shared by connectify and the
+// domain wiring).
+func joinComponentsCentroid(comps [][]graph.NodeID, pos func(graph.NodeID) graph.Point, link func(u, v graph.NodeID)) {
 	if len(comps) <= 1 {
-		return nil
+		return
 	}
-	// Largest component hosts the others; first-listed wins ties
-	// (Components orders by lowest contained node ID).
+	// Largest component hosts the others; first-listed wins ties.
 	main := 0
 	for i, c := range comps {
 		if len(c) > len(comps[main]) {
@@ -194,12 +234,8 @@ func joinComponentsCentroid(comps [][]graph.NodeID, pos func(graph.NodeID) graph
 		}
 		centroid := graph.Point{X: cx / float64(len(c)), Y: cy / float64(len(c))}
 		anchor := nearestTo(pos, comps[main], centroid)
-		v := nearestTo(pos, c, pos(anchor))
-		if err := link(anchor, v); err != nil {
-			return fmt.Errorf("connectify (centroid): %w", err)
-		}
+		link(anchor, nearestTo(pos, c, pos(anchor)))
 	}
-	return nil
 }
 
 // Stats summarizes a generated topology.
