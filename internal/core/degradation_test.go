@@ -25,7 +25,11 @@ func chainGraph(t *testing.T, n, links int) *graph.Graph {
 			t.Fatal(err)
 		}
 	}
-	return b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestDegradationPartitionRepair is the table-driven degraded-member state

@@ -37,7 +37,10 @@ func TestSparseSessionFootprintGate(t *testing.T) {
 			_ = b.AddEdge(u, v, 1+rng.Float64())
 		}
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	joiners := make([]graph.NodeID, 0, members)
 	seen := map[graph.NodeID]bool{0: true}

@@ -527,7 +527,10 @@ func TestPrunedSelectionMatchesExhaustive(t *testing.T) {
 					_ = b.AddEdge(u, v, 0.1*float64(1+rng.Intn(3)))
 				}
 			}
-			g = b.Freeze()
+			var err error
+			if g, err = b.Freeze(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		cfg := DefaultConfig()
 		cfg.DThresh = []float64{0, 0.3, 5}[trial/2%3]
@@ -658,7 +661,10 @@ func TestJoinOnUnflushedFailureKeepsDeadEdgeCandidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := build.Freeze()
+	g, err := build.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultConfig()
 	cfg.ReshapeDelta = 0
 	s, err := NewSession(g, S, cfg)
@@ -706,7 +712,10 @@ func TestSourceInsidePruneSlackIsDeclined(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := build.Freeze()
+	g, err := build.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultConfig()
 	cfg.DThresh, cfg.ReshapeDelta = 0, 0
 	s, err := NewSession(g, S, cfg)

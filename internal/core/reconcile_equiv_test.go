@@ -150,7 +150,11 @@ func tiedWeights(t *testing.T, g *graph.Graph, rng *topology.RNG, unit float64) 
 			t.Fatal(err)
 		}
 	}
-	return b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // fieldCoverage is what TestReconcileMatchesRoundwiseReference saw of the heals
@@ -449,7 +453,10 @@ func TestReconnectSettlesNearTiesOnTheMembersFloat(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sut, err := NewSession(g, 0, cfg)
 	if err != nil {
 		t.Fatal(err)

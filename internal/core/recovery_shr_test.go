@@ -34,7 +34,10 @@ func twoBranchSession(t *testing.T) *Session {
 			t.Fatal(err)
 		}
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSession(g, 0, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +142,10 @@ func TestDeferredSHRMemoizesOnEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSession(g, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +192,10 @@ func TestDeferredReshapeCheckForcesLiveTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSession(g, 0, cfg)
 	if err != nil {
 		t.Fatal(err)

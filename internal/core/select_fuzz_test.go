@@ -69,14 +69,19 @@ func decodeSelectCase(data []byte) selectCase {
 		downLinks = append(downLinks, next())
 	}
 
-	b := graph.New(n)
+	b, linked := graph.New(n), map[graph.EdgeID]bool{}
 	for len(data) >= 3 {
 		u, v, w := node(), node(), unit*float64(1+next()%8)
-		if u != v {
-			_ = b.AddEdge(u, v, w) // a repeated edge keeps its first weight
+		if e := graph.MakeEdgeID(u, v); u != v && !linked[e] {
+			linked[e] = true // a repeated edge keeps its first weight
+			_ = b.AddEdge(u, v, w)
 		}
 	}
-	in.g = b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		panic(err) // each edge is recorded once
+	}
+	in.g = g
 	for _, v := range downNodes {
 		if v != in.src {
 			in.fails = append(in.fails, failure.NodeDown(v))

@@ -208,7 +208,10 @@ func TestReshapeRefusedThroughDepartingRelay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSession(g, S, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +326,10 @@ func TestJoinDisconnectedNode(t *testing.T) {
 	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSession(g, 0, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -138,7 +138,10 @@ func lineNet(t *testing.T) (*Engine, *Network) {
 		t.Fatal(err)
 	}
 	e := NewEngine()
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return e, NewNetwork(e, g)
 }
 

@@ -223,7 +223,10 @@ func TestGlobalDetourReusesSurvivingTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr, err := multicast.New(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +283,10 @@ func TestDetourUnrecoverable(t *testing.T) {
 	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr, err := multicast.New(g, 0)
 	if err != nil {
 		t.Fatal(err)

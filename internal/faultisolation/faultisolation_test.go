@@ -103,7 +103,10 @@ func TestIsolateMultipleFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr, err := multicast.New(g, 0)
 	if err != nil {
 		t.Fatal(err)

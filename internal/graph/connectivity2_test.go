@@ -15,7 +15,7 @@ func TestArticulationPointsBarbell(t *testing.T) {
 	mustEdge(t, b, 4, 5, 1)
 	mustEdge(t, b, 5, 3, 1)
 	mustEdge(t, b, 2, 3, 1)
-	g := b.Freeze()
+	g := mustFreeze(b)
 	arts := g.ArticulationPoints(nil)
 	if len(arts) != 2 || arts[0] != 2 || arts[1] != 3 {
 		t.Errorf("articulations = %v, want [2 3]", arts)
@@ -27,7 +27,7 @@ func TestArticulationPointsStar(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		mustEdge(t, b, 0, NodeID(i), 1)
 	}
-	g := b.Freeze()
+	g := mustFreeze(b)
 	arts := g.ArticulationPoints(nil)
 	if len(arts) != 1 || arts[0] != 0 {
 		t.Errorf("articulations = %v, want [0]", arts)
@@ -42,7 +42,7 @@ func TestBiconnectedCycle(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustEdge(t, b, NodeID(i), NodeID((i+1)%5), 1)
 	}
-	g := b.Freeze()
+	g := mustFreeze(b)
 	if !g.Biconnected(nil) {
 		t.Error("cycle should be biconnected")
 	}
@@ -52,7 +52,7 @@ func TestBiconnectedCycle(t *testing.T) {
 	// A two-node graph is not biconnected by convention.
 	b2 := New(2)
 	mustEdge(t, b2, 0, 1, 1)
-	g2 := b2.Freeze()
+	g2 := mustFreeze(b2)
 	if g2.Biconnected(nil) {
 		t.Error("K2 should not count as biconnected")
 	}
@@ -108,7 +108,7 @@ func TestSTNumberingOnCycle(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustEdge(t, b, NodeID(i), NodeID((i+1)%5), 1)
 	}
-	g := b.Freeze()
+	g := mustFreeze(b)
 	num, err := g.STNumbering(0, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func diamond(t *testing.T) *Graph {
 	mustEdge(t, b, 1, 3, 1)
 	mustEdge(t, b, 0, 2, 2)
 	mustEdge(t, b, 2, 3, 2)
-	return b.Freeze()
+	return mustFreeze(b)
 }
 
 func TestDijkstraBasic(t *testing.T) {
@@ -54,7 +54,7 @@ func TestDijkstraWithMask(t *testing.T) {
 func TestDijkstraUnreachable(t *testing.T) {
 	b := New(3)
 	mustEdge(t, b, 0, 1, 1)
-	g := b.Freeze()
+	g := mustFreeze(b)
 	tr := g.Dijkstra(0, nil)
 	if tr.Reachable(2) {
 		t.Error("node 2 should be unreachable")
@@ -121,7 +121,7 @@ func TestNearestOfTiesAreNearest(t *testing.T) {
 	mustEdge(t, b, 0, 1, 5)
 	mustEdge(t, b, 0, 2, 3)
 	mustEdge(t, b, 0, 3, 4)
-	g := b.Freeze()
+	g := mustFreeze(b)
 	node, _, d := g.NearestOf(0, nil, func(n NodeID) bool { return n != 0 })
 	if node != 2 || d != 3 {
 		t.Errorf("NearestOf = %d (%v), want 2 (3)", node, d)
@@ -131,24 +131,26 @@ func TestNearestOfTiesAreNearest(t *testing.T) {
 // randomConnectedGraph builds a connected random graph: a random spanning
 // tree plus extra random edges, with weights in (0, 10].
 func randomConnectedGraph(rng *rand.Rand, n, extraEdges int) *Graph {
-	return randomConnectedBuild(rng, n, extraEdges).Freeze()
+	return mustFreeze(randomConnectedBuild(rng, n, extraEdges))
 }
 
 // randomConnectedBuild is randomConnectedGraph up to, not including, Freeze.
 func randomConnectedBuild(rng *rand.Rand, n, extraEdges int) *Builder {
-	b := New(n)
+	b, seen := New(n), map[EdgeID]bool{}
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
 		u := NodeID(perm[i])
 		v := NodeID(perm[rng.Intn(i)])
+		seen[MakeEdgeID(u, v)] = true
 		_ = b.AddEdge(u, v, 1+rng.Float64()*9)
 	}
 	for i := 0; i < extraEdges; i++ {
 		u := NodeID(rng.Intn(n))
 		v := NodeID(rng.Intn(n))
-		if u == v || b.HasEdge(u, v) {
+		if u == v || seen[MakeEdgeID(u, v)] {
 			continue
 		}
+		seen[MakeEdgeID(u, v)] = true
 		_ = b.AddEdge(u, v, 1+rng.Float64()*9)
 	}
 	return b

@@ -5,53 +5,91 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
 
-// refStore is the plain model the edge store is checked against: the node
-// count and a map from canonical pair to weight, with AddEdge's refusals
-// derived from its contract alone.
+// refStore is the plain model the builder is checked against: the node
+// count and the edges recorded, with the refusals of AddEdge and Freeze
+// derived from their contracts alone.
 type refStore struct {
 	n int
-	w map[EdgeID]float64
+	// adds holds the edges AddEdge took, runs the edges of the runs AddRuns
+	// recorded, in run order.
+	adds, runs []refEdge
 }
 
-func newRefStore(n int) *refStore { return &refStore{n: n, w: map[EdgeID]float64{}} }
+// refEdge is one recorded edge.
+type refEdge struct {
+	u, v NodeID
+	w    float64
+}
 
-// add applies AddEdge(u, v, w) to the model and returns the error text the
-// graph must give ("" for success).
-func (r *refStore) add(u, v NodeID, w float64) string {
+func newRefStore(n int) *refStore { return &refStore{n: n} }
+
+// endsText is the refusal of an edge (u, v) for its endpoints, or "".
+func (r *refStore) endsText(u, v NodeID) string {
 	known := func(x NodeID) bool { return x >= 0 && int(x) < r.n }
 	switch {
 	case !known(u) || !known(v):
 		return fmt.Sprintf("add edge %d-%d: graph: unknown node", u, v)
 	case u == v:
 		return fmt.Sprintf("add edge: self-loop at node %d", u)
-	case !(w > 0) || math.IsInf(w, 1):
-		return fmt.Sprintf("add edge %d-%d: weight %v must be positive and finite", u, v, w)
 	}
-	id := MakeEdgeID(u, v)
-	if _, dup := r.w[id]; dup {
-		return fmt.Sprintf("add edge %d-%d: already present", u, v)
-	}
-	r.w[id] = w
 	return ""
 }
 
-// edges lists the model's edges in canonical (A, B) order.
-func (r *refStore) edges() []EdgeID {
-	out := make([]EdgeID, 0, len(r.w))
-	for id := range r.w {
-		out = append(out, id)
+// weightText is the refusal of an edge (u, v) for its weight w, or "".
+func weightText(u, v NodeID, w float64) string {
+	if !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Sprintf("add edge %d-%d: weight %v must be positive and finite", u, v, w)
 	}
-	slices.SortFunc(out, func(a, b EdgeID) int {
-		return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
-	})
-	return out
+	return ""
 }
 
-// errText renders an error the way refStore.add does.
+// add applies AddEdge(u, v, w) to the model and returns the error text the
+// builder must give ("" for success).
+func (r *refStore) add(u, v NodeID, w float64) string {
+	if msg := cmp.Or(r.endsText(u, v), weightText(u, v, w)); msg != "" {
+		return msg
+	}
+	r.adds = append(r.adds, refEdge{u, v, w})
+	return ""
+}
+
+// freeze returns what Freeze must hand over: the edges by canonical pair,
+// or the text of its first refusal. The runs are checked for their
+// endpoints, then for their weights, each in run order; then every edge for
+// a duplicate, the lowest in (A, B) order.
+func (r *refStore) freeze() (map[EdgeID]float64, string) {
+	for _, e := range r.runs {
+		if msg := r.endsText(e.u, e.v); msg != "" {
+			return nil, msg
+		}
+	}
+	for _, e := range r.runs {
+		if msg := weightText(e.u, e.v, e.w); msg != "" {
+			return nil, msg
+		}
+	}
+	out := map[EdgeID]float64{}
+	var dups []EdgeID
+	for _, e := range append(slices.Clone(r.adds), r.runs...) {
+		id := MakeEdgeID(e.u, e.v)
+		if _, dup := out[id]; dup {
+			dups = append(dups, id)
+		}
+		out[id] = e.w
+	}
+	if len(dups) > 0 {
+		d := slices.MinFunc(dups, edgeIDCompare)
+		return nil, fmt.Sprintf("add edge %d-%d: already present", d.A, d.B)
+	}
+	return out, ""
+}
+
+// errText renders an error the way the model does.
 func errText(err error) string {
 	if err == nil {
 		return ""
@@ -59,26 +97,48 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkStore compares every read of g's edge store with the model: counts,
-// the canonical edge list, and HasEdge/EdgeWeight for every ordered pair of
-// IDs from two below zero to two past the last node.
-func checkStore(t *testing.T, what string, g *Graph, r *refStore) {
+// checkStore compares the reads of g's edge store with the model's edges:
+// counts, the canonical edge list, every node's degree and every edge's
+// weight both ways round; and on up to 256 nodes HasEdge/EdgeWeight for
+// every ordered pair of IDs from two below zero to two past the last node.
+func checkStore(t *testing.T, what string, g *Graph, n int, want map[EdgeID]float64) {
 	t.Helper()
-	if g.NumNodes() != r.n || g.NumEdges() != len(r.w) {
-		t.Fatalf("%s: %d nodes / %d edges, want %d / %d", what, g.NumNodes(), g.NumEdges(), r.n, len(r.w))
+	if g.NumNodes() != n || g.NumEdges() != len(want) {
+		t.Fatalf("%s: %d nodes / %d edges, want %d / %d", what, g.NumNodes(), g.NumEdges(), n, len(want))
 	}
-	if got, want := g.Edges(), r.edges(); !slices.Equal(got, want) {
-		t.Fatalf("%s: Edges() = %v, want %v", what, got, want)
+	ids := make([]EdgeID, 0, len(want))
+	deg := make([]int, n)
+	for id, w := range want {
+		ids = append(ids, id)
+		deg[id.A]++
+		deg[id.B]++
+		for _, q := range [][2]NodeID{{id.A, id.B}, {id.B, id.A}} {
+			if got, ok := g.EdgeWeight(q[0], q[1]); !ok || got != w {
+				t.Fatalf("%s: EdgeWeight(%d,%d) = (%v,%v), want (%v,true)", what, q[0], q[1], got, ok, w)
+			}
+		}
 	}
-	for u := NodeID(-2); u < NodeID(r.n+2); u++ {
-		for v := NodeID(-2); v < NodeID(r.n+2); v++ {
-			want, wantOK := r.w[MakeEdgeID(u, v)]
+	slices.SortFunc(ids, edgeIDCompare)
+	if got := g.Edges(); !slices.Equal(got, ids) {
+		t.Fatalf("%s: Edges() = %v, want %v", what, got, ids)
+	}
+	for u, d := range deg {
+		if g.Degree(NodeID(u)) != d {
+			t.Fatalf("%s: node %d has degree %d, want %d", what, u, g.Degree(NodeID(u)), d)
+		}
+	}
+	if n > 256 {
+		return
+	}
+	for u := NodeID(-2); u < NodeID(n+2); u++ {
+		for v := NodeID(-2); v < NodeID(n+2); v++ {
+			w, wantOK := want[MakeEdgeID(u, v)]
 			if u == v {
 				wantOK = false
 			}
 			got, ok := g.EdgeWeight(u, v)
-			if ok != wantOK || (ok && got != want) {
-				t.Fatalf("%s: EdgeWeight(%d,%d) = (%v,%v), want (%v,%v)", what, u, v, got, ok, want, wantOK)
+			if ok != wantOK || (ok && got != w) {
+				t.Fatalf("%s: EdgeWeight(%d,%d) = (%v,%v), want (%v,%v)", what, u, v, got, ok, w, wantOK)
 			}
 			if g.HasEdge(u, v) != wantOK {
 				t.Fatalf("%s: HasEdge(%d,%d) = %v, want %v", what, u, v, !wantOK, wantOK)
@@ -87,23 +147,33 @@ func checkStore(t *testing.T, what string, g *Graph, r *refStore) {
 	}
 }
 
-// checkFrozen freezes b, repeats checkStore on the graph it hands over, and
-// checks that the builder is left empty.
+// checkFrozen freezes b and holds the result to the model's: the same
+// refusal, or a graph whose every read matches the model's edges. Either
+// way the builder is left empty. It returns the graph, nil on a refusal.
 func checkFrozen(t *testing.T, what string, b *Builder, r *refStore) *Graph {
 	t.Helper()
-	g := b.Freeze()
-	checkStore(t, what+" (frozen)", g, r)
+	g, err := b.Freeze()
+	want, refusal := r.freeze()
+	if got := errText(err); got != refusal {
+		t.Fatalf("%s: Freeze refused %q, want %q", what, got, refusal)
+	}
 	if b.NumNodes() != 0 {
 		t.Fatalf("%s: the builder holds %d nodes after Freeze", what, b.NumNodes())
+	}
+	if refusal == "" {
+		checkStore(t, what+" (frozen)", g, r.n, want)
+	} else if g != nil {
+		t.Fatalf("%s: Freeze refused and handed over a graph", what)
 	}
 	return g
 }
 
-// TestEdgeStoreMatchesReference drives random build sequences against a plain
-// map kept beside the graph: AddNode midway, duplicates in both
+// TestEdgeStoreMatchesReference drives random build sequences against a
+// plain model kept beside the builder: AddNode midway, duplicates in both
 // orientations, self-loops, unknown and negative IDs, and zero, negative,
-// NaN and infinite weights, comparing every read of the rows being built and
-// every error after each step, then every read after Freeze. Two fixed shapes
+// NaN and infinite weights, comparing every AddEdge error, then Freeze's
+// refusal of the duplicates. The same sequence without its duplicates then
+// freezes to a graph whose every read matches the model. Two fixed shapes
 // follow at the sizes where the row scan is longest: a complete K₂₀₀ and a
 // 500-leaf star, both wired in shuffled order so no row is built sorted.
 func TestEdgeStoreMatchesReference(t *testing.T) {
@@ -112,26 +182,35 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(2700 + trial)))
 		n := 2 + rng.Intn(10)
 		b, r := New(n), newRefStore(n)
-		checkStore(t, "empty", &b.g, r)
+		// distinct replays the calls whose edge is new.
+		distinct, rd, seen := New(n), newRefStore(n), map[EdgeID]bool{}
+		call := func(what string, u, v NodeID, w float64) {
+			if got, want := errText(b.AddEdge(u, v, w)), r.add(u, v, w); got != want {
+				t.Fatalf("%s: AddEdge(%d,%d,%v) = %q, want %q", what, u, v, w, got, want)
+			}
+			if id := MakeEdgeID(u, v); !seen[id] {
+				seen[id] = rd.add(u, v, w) == ""
+				distinct.AddEdge(u, v, w)
+			}
+		}
 		for step := 0; step < 150; step++ {
 			what := fmt.Sprintf("trial %d step %d", trial, step)
 			pick := func() NodeID { return NodeID(rng.Intn(r.n+4) - 2) }
 			switch op := rng.Intn(10); {
 			case op == 0 && r.n < 40:
-				b.AddNode(Point{X: rng.Float64()})
+				p := Point{X: rng.Float64()}
+				b.AddNode(p)
+				distinct.AddNode(p)
 				r.n++
-			case op <= 2 && len(r.w) > 0:
+				rd.n++
+			case op <= 2 && len(r.adds) > 0:
 				// A duplicate, in either orientation, with any weight.
-				es := r.edges()
-				e := es[rng.Intn(len(es))]
-				u, v := e.A, e.B
+				e := r.adds[rng.Intn(len(r.adds))]
+				u, v := e.u, e.v
 				if rng.Intn(2) == 0 {
 					u, v = v, u
 				}
-				w := 0.1 + rng.Float64()
-				if got, want := errText(b.AddEdge(u, v, w)), r.add(u, v, w); got != want {
-					t.Fatalf("%s: AddEdge(%d,%d) = %q, want %q", what, u, v, got, want)
-				}
+				call(what, u, v, 0.1+rng.Float64())
 			default:
 				u, v := pick(), pick()
 				if rng.Intn(8) == 0 {
@@ -141,13 +220,13 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					w = weights[rng.Intn(len(weights))]
 				}
-				if got, want := errText(b.AddEdge(u, v, w)), r.add(u, v, w); got != want {
-					t.Fatalf("%s: AddEdge(%d,%d,%v) = %q, want %q", what, u, v, w, got, want)
-				}
+				call(what, u, v, w)
 			}
-			checkStore(t, what, &b.g, r)
 		}
 		checkFrozen(t, fmt.Sprintf("trial %d", trial), b, r)
+		if checkFrozen(t, fmt.Sprintf("trial %d without duplicates", trial), distinct, rd) == nil {
+			t.Fatalf("trial %d: the build without duplicates was refused", trial)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(27))
@@ -174,7 +253,6 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 		}
 	}
 	k200, rk := wire(200, complete)
-	checkStore(t, "K200", &k200.g, rk)
 	checkFrozen(t, "K200", k200, rk)
 
 	// The hub sits mid-range, so its row holds arcs to lower and higher IDs.
@@ -186,8 +264,8 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 		}
 	}
 	star, rs := wire(501, spokes)
-	checkStore(t, "star", &star.g, rs)
 	frozen := checkFrozen(t, "star", star, rs)
+	weightOf, _ := rs.freeze()
 
 	// A lookup scans the shorter row. On a copy whose hub row carries
 	// different weights, every hub–leaf lookup must still answer with the
@@ -201,11 +279,132 @@ func TestEdgeStoreMatchesReference(t *testing.T) {
 		if leaf == hub {
 			continue
 		}
-		want := rs.w[MakeEdgeID(hub, leaf)]
+		want := weightOf[MakeEdgeID(hub, leaf)]
 		for _, q := range [][2]NodeID{{hub, leaf}, {leaf, hub}} {
 			if got, _ := probe.EdgeWeight(q[0], q[1]); got != want {
 				t.Fatalf("EdgeWeight(%d,%d) = %v, want %v from the 1-arc row", q[0], q[1], got, want)
 			}
 		}
 	}
+}
+
+// buildInput is a build sequence decoded from fuzz bytes: the node count and
+// the AddEdge and AddRuns calls, in order.
+type buildInput struct {
+	n     int
+	calls []buildCall
+}
+
+// buildCall is one AddEdge call (runs nil) or one AddRuns call.
+type buildCall struct {
+	edge refEdge
+	runs [][]refEdge
+}
+
+// decodeBuild reads a build sequence from data: two bytes of node count (2
+// to 513), then calls until the bytes run out. An AddEdge or a run's edge
+// takes three bytes, endpoints from one below zero to one past the last node
+// and a weight that is bad one time in eight. A dense run joins every pair
+// of a window of up to 257 nodes, weights tied in threes: two of them make a
+// build that Freeze fills and checks on several goroutines.
+func decodeBuild(data []byte) buildInput {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	in := buildInput{n: 2 + (next()|next()<<8)%512}
+	bad := []float64{0, -1, math.NaN(), math.Inf(1)}
+	edge := func() refEdge {
+		u, v, x := NodeID(next()%(in.n+2)-1), NodeID(next()%(in.n+2)-1), next()
+		w := float64(1+x%5) / 4
+		if x%8 == 7 {
+			w = bad[x/8%len(bad)]
+		}
+		return refEdge{u, v, w}
+	}
+	for len(data) > 0 {
+		switch op := next(); op % 4 {
+		case 0, 1:
+			in.calls = append(in.calls, buildCall{edge: edge()})
+		case 2:
+			runs := make([][]refEdge, 1+next()%3)
+			for r := range runs {
+				for k := next() % 8; k > 0; k-- {
+					runs[r] = append(runs[r], edge())
+				}
+			}
+			in.calls = append(in.calls, buildCall{runs: runs})
+		case 3:
+			lo := next() % in.n
+			hi := min(in.n, lo+2+next()%in.n)
+			var run []refEdge
+			for u := lo; u < hi; u++ {
+				for v := u + 1; v < hi; v++ {
+					run = append(run, refEdge{NodeID(u), NodeID(v), float64(1 + (u+v)%3)})
+				}
+			}
+			in.calls = append(in.calls, buildCall{runs: [][]refEdge{run}})
+		}
+	}
+	return in
+}
+
+// replay makes the calls on a new builder, holding each AddEdge error to
+// the model's, and returns the builder.
+func (in buildInput) replay(t *testing.T, r *refStore) *Builder {
+	b := New(in.n)
+	for i, c := range in.calls {
+		if c.runs == nil {
+			e := c.edge
+			if got, want := errText(b.AddEdge(e.u, e.v, e.w)), r.add(e.u, e.v, e.w); got != want {
+				t.Fatalf("call %d: AddEdge(%d,%d,%v) = %q, want %q", i, e.u, e.v, e.w, got, want)
+			}
+			continue
+		}
+		runs := make([]Run, len(c.runs))
+		for k, es := range c.runs {
+			ends := make([][2]int32, len(es))
+			for j, e := range es {
+				ends[j] = [2]int32{int32(e.u), int32(e.v)}
+			}
+			runs[k] = Run{Ends: ends, Weight: func(j int) float64 { return es[j].w }}
+			r.runs = append(r.runs, es...)
+		}
+		b.AddRuns(runs)
+	}
+	return b
+}
+
+// FuzzBuild holds the builder to the model on byte-decoded sequences of
+// AddEdge and AddRuns calls: every AddEdge error, Freeze's first refusal,
+// and the frozen graph's every read are the model's, at GOMAXPROCS 1 and 4,
+// and the two graphs hold the same block.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{6, 0, 0, 1, 2, 1, 1, 3, 4, 2, 2, 1, 2, 2, 3, 3, 4, 5, 4, 1, 5, 6, 0, 0, 7, 8, 1}) // AddEdge, then two runs, then AddEdge
+	f.Add([]byte{6, 0, 0, 1, 2, 1, 0, 2, 1, 9})                                                    // a duplicate, reversed
+	f.Add([]byte{6, 0, 0, 0, 5, 1, 1, 4, 9, 1})                                                    // AddEdge refuses −1 and a node past the last
+	f.Add([]byte{6, 0, 2, 0, 2, 1, 2, 7, 3, 3, 1})                                                 // a bad weight, then a self-loop, in a run
+	f.Add([]byte{6, 0, 0, 1, 2, 1, 2, 1, 1, 2, 1, 1, 1, 4, 5, 15})                                 // a duplicate, then a bad weight, in runs
+	f.Add([]byte{6, 0, 3, 1, 4, 0, 2, 0, 2, 3, 2, 0, 2, 3, 0})                                     // a dense run, then a run repeating its edge
+	f.Add([]byte{142, 1, 3, 0, 198, 3, 200, 198})                                                  // two dense runs of 19 900 edges
+	f.Add([]byte{142, 1, 3, 0, 198, 3, 190, 198})                                                  // the same, ten nodes shared
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := decodeBuild(data)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		var first *Graph
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			r := newRefStore(in.n)
+			g := checkFrozen(t, fmt.Sprintf("GOMAXPROCS %d", procs), in.replay(t, r), r)
+			if first == nil {
+				first = g
+			} else if g != nil && (!slices.Equal(g.lo, first.lo) || !slices.Equal(g.to, first.to) || !slices.Equal(g.w, first.w)) {
+				t.Fatal("the rows frozen at GOMAXPROCS 4 differ from 1")
+			}
+		}
+	})
 }

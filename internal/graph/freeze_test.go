@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -27,14 +28,20 @@ func buildRandom(rng *rand.Rand) (*Builder, insertionLog) {
 	return b, log
 }
 
-// snapshot copies the rows b has built so far, in insertion order, into a
-// graph of their own that Freeze cannot reorder.
-func snapshot(b *Builder) *Graph {
-	s := b.g
-	s.lo, s.hi = slices.Clone(s.lo), slices.Clone(s.hi)
-	s.to, s.w = slices.Clone(s.to), slices.Clone(s.w)
-	s.ownTo, s.ownW = slices.Clone(s.ownTo), slices.Clone(s.ownW)
-	return &s
+// unsorted lays the log's rows out in the order they were inserted, on the
+// positions pos, as a graph Freeze never sorted: the reference the frozen
+// graph's reads must match.
+func unsorted(log insertionLog, pos []Point) *Graph {
+	g := &Graph{lo: make([]int32, len(log)), hi: make([]int32, len(log)), pos: pos}
+	for u, row := range log {
+		g.lo[u] = int32(len(g.to))
+		for _, a := range row {
+			g.to, g.w = append(g.to, int32(a.To)), append(g.w, a.Weight)
+		}
+		g.hi[u] = int32(len(g.to))
+	}
+	g.edges = len(g.to) / 2
+	return g
 }
 
 // checkTree holds a shortest-path tree to a reference that reads no row
@@ -89,7 +96,7 @@ func checkTree(t *testing.T, what string, g *Graph, tr *SPTree, mask *Mask) {
 
 // TestFrozenGraphEquivalence is the frozen-graph property test: random build
 // sequences of AddNode/AddEdge, then every read API of the frozen graph
-// checked bit-identical against the rows as built — Edges, HasEdge,
+// checked bit-identical against the rows in insertion order — Edges, HasEdge,
 // EdgeWeight, AvgDegree, NumEdges, the deterministic footprint — each frozen
 // row holding the arcs inserted into it, sorted by (weight, neighbour), and
 // full Dijkstra trees from several sources against a reference that reads no
@@ -98,8 +105,8 @@ func TestFrozenGraphEquivalence(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(9000 + trial)))
 		b, log := buildRandom(rng)
-		ref := snapshot(b)
-		froze := b.Freeze()
+		froze := mustFreeze(b)
+		ref := unsorted(log, froze.pos)
 
 		if got, want := froze.NumNodes(), ref.NumNodes(); got != want {
 			t.Fatalf("trial %d: NumNodes %d != %d", trial, got, want)
@@ -138,13 +145,62 @@ func TestFrozenGraphEquivalence(t *testing.T) {
 	}
 }
 
+// TestFreezeInPlace: Freeze lays a build out in one block of exactly its
+// arcs and sorts each row where it lies, the offsets one array whose two
+// windows are the row bounds, and leaves the builder empty. A build recorded
+// edge by edge with AddEdge and the same edges recorded as runs freeze to
+// the same block, each row in frozen order holding the arcs it was built
+// with, and a graph large enough to sort on several goroutines freezes to
+// the same rows as on one.
+func TestFreezeInPlace(t *testing.T) {
+	build := func(runs bool) (*Builder, insertionLog) {
+		b, log := waxmanBuild(rand.New(rand.NewSource(7)), 300, 0.9, 0.6)
+		if !runs {
+			return b, log
+		}
+		r := New(b.NumNodes())
+		var tr testRun
+		for u := range log {
+			for _, a := range log[u] {
+				if NodeID(u) < a.To {
+					tr.ends, tr.w = append(tr.ends, [2]int32{int32(u), int32(a.To)}), append(tr.w, a.Weight)
+				}
+			}
+		}
+		r.AddRuns(runsOf([]testRun{tr}))
+		return r, log
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	edgesB, log := build(false)
+	runsB, _ := build(true)
+	edges, runs := mustFreeze(edgesB), mustFreeze(runsB)
+	if 2*edges.NumEdges() < 2*sortArcsPerWorker {
+		t.Fatalf("%d arcs sort on one goroutine; the parallel branch goes untested", 2*edges.NumEdges())
+	}
+	if edgesB.NumNodes() != 0 || runsB.NumNodes() != 0 {
+		t.Fatal("a builder holds nodes after Freeze")
+	}
+	for _, g := range []*Graph{edges, runs} {
+		checkRowOrder(t, g, log)
+		checkLayout(t, "frozen", g, nil)
+		if cap(g.to) != len(g.to) || cap(g.w) != len(g.w) {
+			t.Fatalf("frozen block of %d arcs has room for %d", len(g.to), cap(g.to))
+		}
+	}
+	sameBlock(t, "runs", runs, edges)
+
+	runtime.GOMAXPROCS(1)
+	oneB, _ := build(true)
+	sameBlock(t, "on one goroutine", mustFreeze(oneB), edges)
+}
+
 // TestFrozenGraphMaskedSweeps pins the frozen representation under the
 // failure machinery: masked Dijkstra, cold and through the SPF cache's delta
 // repairs, answers as the order-free reference does.
 func TestFrozenGraphMaskedSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	b, _ := buildRandom(rng)
-	g := b.Freeze()
+	g := mustFreeze(b)
 	n := g.NumNodes()
 	mask := NewMask()
 	for round := 0; round < 20; round++ {
@@ -183,7 +239,7 @@ func TestFrozenHubRows(t *testing.T) {
 		return b, log
 	}
 	b, log := build(true)
-	g := b.Freeze()
+	g := mustFreeze(b)
 	if tied := checkRowOrder(t, g, log); tied == 0 {
 		t.Fatal("the hub's row holds no two equal weights")
 	}
@@ -204,7 +260,7 @@ func TestFrozenHubRows(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			b, _ := build(star)
 			start := time.Now()
-			b.Freeze()
+			mustFreeze(b)
 			best = min(best, time.Since(start))
 		}
 		return best
@@ -221,15 +277,15 @@ func TestFrozenHubRows(t *testing.T) {
 // of present and absent edges.
 func BenchmarkEdgeWeightLookup(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	build := New(2000)
-	for edges := 0; edges < 8000; {
+	build, seen := New(2000), map[EdgeID]bool{}
+	for len(seen) < 8000 {
 		u := NodeID(rng.Intn(2000))
 		v := NodeID(rng.Intn(2000))
-		if build.AddEdge(u, v, 0.1+rng.Float64()) == nil {
-			edges++
+		if e := MakeEdgeID(u, v); !seen[e] && build.AddEdge(u, v, 0.1+rng.Float64()) == nil {
+			seen[e] = true
 		}
 	}
-	g := build.Freeze()
+	g := mustFreeze(build)
 	queries := make([]EdgeID, 4096)
 	edges := g.Edges()
 	for i := range queries {

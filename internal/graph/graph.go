@@ -61,21 +61,21 @@ func (p Point) Dist(q Point) float64 {
 }
 
 // Graph is a weighted undirected graph with dense node IDs, immutable once
-// built: a Builder assembles it and Freeze hands it over. Every method only
+// built: a Builder collects its edges and Freeze lays it out. Every method only
 // reads, so concurrent use is safe; shortest-path trees are memoized in the
 // SPF cache the graph carries (SPFCacheOf), itself safe for concurrent use.
 type Graph struct {
 	// The edge store is one block in compressed-row form: edge (u, v) is the
 	// arc to v in u's row and the arc to u in v's row, each a far end in to
-	// and its weight at the same index in w. Row u is [lo[u], hi[u]); on a
-	// frozen graph lo and hi are two windows of one offset array, so row u
+	// and its weight at the same index in w. Row u is [lo[u], hi[u]); on an
+	// ordinary graph lo and hi are two windows of one offset array, so row u
 	// ends where row u+1 begins. Every row is sorted by (weight, neighbour),
 	// and the sweeps read the rows in place (arcs). Lookups scan the shorter
 	// of the two rows.
 	//
 	// A negative bound ^k indexes ownTo and ownW at k instead: the rows a
-	// view filters, or a builder grows past their reserve, held apart from
-	// the shared block. An ordinary frozen graph owns no such row.
+	// view filters, held apart from the shared block. An ordinary graph owns
+	// no such row.
 	lo, hi []int32
 	to     []int32
 	w      []float64
@@ -114,16 +114,17 @@ var ErrUnknownNode = errors.New("graph: unknown node")
 // not contain: two nodes no edge joins, or a node paired with itself.
 var ErrUnknownEdge = errors.New("graph: unknown edge")
 
-// Builder assembles a Graph: New gives it the nodes, SetPos places them,
-// AddRuns inserts a build's edges in one call, into rows it reserves at
-// their final size, AddEdge inserts them one at a time, and Freeze hands the
-// result over. Its reads are the Graph's own, over rows still in insertion
-// order. A Builder is not safe for concurrent use.
+// Builder collects a Graph's nodes and edges: New gives it the nodes,
+// SetPos places them, AddEdge records edges one at a time and AddRuns in
+// runs, and Freeze lays the rows out once and hands the graph over. It holds
+// no rows, so nothing reads an edge before Freeze. A Builder is not safe for
+// concurrent use.
 type Builder struct {
-	g Graph
-	// end[u] is where row u's room ends, in the encoding of g.hi: a row
-	// that is full when an arc arrives moves to the own block (grow).
-	end []int32
+	pos []Point
+	// ends and w are the edges AddEdge recorded, index for index.
+	ends [][2]int32
+	w    []float64
+	runs []Run
 }
 
 // New returns a builder of n nodes (IDs 0..n-1) and no edges. Node positions
@@ -133,86 +134,37 @@ func New(n int) *Builder {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: %d nodes exceed the limit of %d", n, math.MaxInt32))
 	}
-	return &Builder{
-		g: Graph{
-			lo:  make([]int32, n, n+1), // Freeze appends the end offset
-			hi:  make([]int32, n),
-			pos: make([]Point, n),
-		},
-		end: make([]int32, n),
-	}
+	return &Builder{pos: make([]Point, n)}
 }
 
 // NumNodes returns the number of nodes being built.
-func (b *Builder) NumNodes() int { return b.g.NumNodes() }
+func (b *Builder) NumNodes() int { return len(b.pos) }
 
 // Pos returns the position of node n.
-func (b *Builder) Pos(n NodeID) Point { return b.g.Pos(n) }
-
-// reserve grows every row once, making room at node n for extra[n] more
-// arcs, and carves all rows, in node order, from one new block that holds
-// exactly their arcs plus the reserve, the arcs already there copied in
-// order. A build that reserves each row's final degree and then inserts it
-// ends with rows that fill the block, which Freeze then keeps as the graph's
-// store without a copy. No count may be negative. It panics when extra does
-// not hold one count per node, or when the block would pass math.MaxInt32
-// arcs.
-func (b *Builder) reserve(extra []int32) {
-	g := &b.g
-	if len(extra) != len(g.lo) {
-		panic(fmt.Sprintf("graph: reserve of %d rows on %d nodes", len(extra), len(g.lo)))
-	}
-	total := 2 * g.edges
-	for _, x := range extra {
-		total += int(x)
-	}
-	checkArcs(total)
-	to, w := make([]int32, total), make([]float64, total)
-	k := int32(0)
-	for u, x := range extra {
-		rt, rw := g.arcs(NodeID(u))
-		copy(to[k:], rt)
-		copy(w[k:], rw)
-		g.lo[u], g.hi[u] = k, k+int32(len(rt))
-		k += int32(len(rt)) + x
-		b.end[u] = k
-	}
-	g.to, g.w, g.ownTo, g.ownW = to, w, nil, nil
-}
+func (b *Builder) Pos(n NodeID) Point { return b.pos[n] }
 
 // SetPos sets the position of node n.
-func (b *Builder) SetPos(n NodeID, p Point) { b.g.pos[n] = p }
+func (b *Builder) SetPos(n NodeID, p Point) { b.pos[n] = p }
 
-// checkArcs panics when a block of total arcs would pass math.MaxInt32.
-func checkArcs(total int) {
-	if total > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: reserve of %d arcs exceeds the limit of %d", total, math.MaxInt32))
-	}
-}
-
-// AddEdge inserts the undirected edge (u, v) with weight w. It returns an
-// error if either endpoint is unknown, the endpoints coincide, the weight is
-// not a positive finite number, or the edge already exists.
+// AddEdge records the undirected edge (u, v) with weight w. It returns an
+// error if either endpoint is unknown, the endpoints coincide, or the weight
+// is not a positive finite number; Freeze refuses a duplicate.
 func (b *Builder) AddEdge(u, v NodeID, w float64) error {
-	g := &b.g
-	if err := g.checkEnds(u, v); err != nil {
+	if err := checkEnds(len(b.pos), u, v); err != nil {
 		return err
 	}
 	if !goodWeight(w) {
 		return weightError(u, v, w)
 	}
-	if g.HasEdge(u, v) {
-		return duplicateError(u, v)
-	}
-	b.push(u, int32(v), w)
-	b.push(v, int32(u), w)
-	g.edges++
+	b.ends = append(b.ends, [2]int32{int32(u), int32(v)})
+	b.w = append(b.w, w)
 	return nil
 }
 
-// checkEnds refuses an edge (u, v) with an unknown endpoint, or a self-loop.
-func (g *Graph) checkEnds(u, v NodeID) error {
-	if !g.valid(u) || !g.valid(v) {
+// checkEnds refuses an edge (u, v) on n nodes with an unknown endpoint, or a
+// self-loop.
+func checkEnds(n int, u, v NodeID) error {
+	if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
 		return fmt.Errorf("add edge %d-%d: %w", u, v, ErrUnknownNode)
 	}
 	if u == v {
@@ -230,83 +182,33 @@ func weightError(u, v NodeID, w float64) error {
 	return fmt.Errorf("add edge %d-%d: weight %v must be positive and finite", u, v, w)
 }
 
-// duplicateError refuses the edge (u, v) as one the graph already holds.
-func duplicateError(u, v NodeID) error {
-	return fmt.Errorf("add edge %d-%d: already present", u, v)
-}
-
-// push appends the arc (to, w) to row u, growing the row first when it is
-// full.
-func (b *Builder) push(u NodeID, to int32, w float64) {
-	g := &b.g
-	if g.hi[u] == b.end[u] {
-		b.grow(u)
+// Freeze ends the build: it lays every recorded edge out in one block of
+// exactly its arcs (see layout), sorts each row by (weight, neighbour) where
+// it lies, so that a sweep relaxing under a distance bound stops at the
+// first arc past it, and hands the rows to the returned Graph. Large graphs
+// are laid out and sorted on up to GOMAXPROCS goroutines. The graph carries
+// an empty SPF cache. Freeze refuses the build with an error naming the
+// edge: an unknown endpoint or a self-loop in a run, then a weight in a run
+// that is not positive and finite, each the first in run order, then a
+// duplicate, the lowest in (A, B) order. It leaves the builder empty either
+// way, and panics when the graph would hold more than math.MaxInt32 arcs.
+func (b *Builder) Freeze() (*Graph, error) {
+	runs := b.runs
+	if len(b.ends) > 0 {
+		w := b.w
+		runs = append(runs, Run{Ends: b.ends, Weight: func(i int) float64 { return w[i] }})
 	}
-	if k := g.hi[u]; k >= 0 {
-		g.to[k], g.w[k] = to, w
-		g.hi[u]++
-	} else {
-		g.ownTo[^k], g.ownW[^k] = to, w
-		g.hi[u]-- // ^(k+1)
+	off, to, w, err := layout(len(b.pos), runs)
+	g := &Graph{pos: b.pos}
+	*b = Builder{} // let go of the runs, and the buffers they hold, before the sort
+	if err != nil {
+		return nil, err
 	}
-}
-
-// grow moves row u to the end of the own block with room for twice its arcs
-// (four at least). Its old place stays dead until Freeze packs the rows.
-func (b *Builder) grow(u NodeID) {
-	g := &b.g
-	rt, rw := g.arcs(u)
-	k, room := len(g.ownTo), max(2*len(rt), 4)
-	if k+room > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: builder rows past %d arcs; reserve them", math.MaxInt32))
-	}
-	g.ownTo = append(append(g.ownTo, rt...), make([]int32, room-len(rt))...)
-	g.ownW = append(append(g.ownW, rw...), make([]float64, room-len(rw))...)
-	g.lo[u], g.hi[u], b.end[u] = ^int32(k), ^int32(k+len(rt)), ^int32(k+room)
-}
-
-// Freeze ends the build and hands the rows to the returned Graph. Rows that
-// fill the block reserved for them, in node order, are that block, kept
-// without a copy; any other build (a row grown past its reserve, room left
-// unused, or no reserve at all) is packed once into a block of exactly its
-// arcs.
-// Each row is then sorted by (weight, neighbour) where it lies, so that a
-// sweep relaxing under a distance bound stops at the first arc past it.
-// Large graphs sort their rows on up to GOMAXPROCS goroutines. The graph
-// carries an empty SPF cache, and the builder is left empty. It panics when
-// the graph holds more than math.MaxInt32 arcs.
-func (b *Builder) Freeze() *Graph {
-	if 2*b.g.edges > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: %d arcs exceed the limit of %d", 2*b.g.edges, math.MaxInt32))
-	}
-	if !b.filled() {
-		b.reserve(make([]int32, len(b.g.lo)))
-	}
-	g := b.g
-	b.g, b.end = Graph{}, nil
-	n := len(g.lo)
-	off := append(g.lo, int32(len(g.to)))
-	g.lo, g.hi = off[:n:n], off[1:]
-	sortRows(off, g.to, g.w)
-	g.spf = NewSPFCache(&g, 0)
-	return &g
-}
-
-// filled reports whether the rows fill the reserved block exactly, in node
-// order.
-func (b *Builder) filled() bool {
-	g := &b.g
-	if len(g.ownTo) > 0 {
-		return false
-	}
-	next := int32(0)
-	for u, lo := range g.lo {
-		if lo != next || g.hi[u] != b.end[u] {
-			return false
-		}
-		next = b.end[u]
-	}
-	return int(next) == len(g.to)
+	n := len(off) - 1
+	g.lo, g.hi, g.to, g.w, g.edges = off[:n:n], off[1:], to, w, len(to)/2
+	sortRows(off, to, w)
+	g.spf = NewSPFCache(g, 0)
+	return g, nil
 }
 
 // sortArcsPerWorker is the fewest arcs Freeze gives a goroutine. It is the

@@ -14,7 +14,7 @@ func line(t *testing.T, n int) *Graph {
 			t.Fatalf("add edge: %v", err)
 		}
 	}
-	return b.Freeze()
+	return mustFreeze(b)
 }
 
 func TestMakeEdgeIDCanonical(t *testing.T) {
@@ -36,15 +36,16 @@ func TestMakeEdgeIDCanonical(t *testing.T) {
 	}
 }
 
+// TestAddEdgeValidation: a build is refused for each bad edge, at the
+// AddEdge call or, for a duplicate, at Freeze.
 func TestAddEdgeValidation(t *testing.T) {
-	b := New(3)
 	tests := []struct {
 		name    string
 		u, v    NodeID
 		w       float64
 		wantErr bool
 	}{
-		{name: "valid", u: 0, v: 1, w: 1.5, wantErr: false},
+		{name: "valid", u: 1, v: 2, w: 1.5, wantErr: false},
 		{name: "duplicate", u: 1, v: 0, w: 2, wantErr: true},
 		{name: "self loop", u: 2, v: 2, w: 1, wantErr: true},
 		{name: "unknown node", u: 0, v: 9, w: 1, wantErr: true},
@@ -56,9 +57,14 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
+			b := New(3)
+			mustEdge(t, b, 0, 1, 1.5)
 			err := b.AddEdge(tt.u, tt.v, tt.w)
+			if err == nil {
+				_, err = b.Freeze()
+			}
 			if (err != nil) != tt.wantErr {
-				t.Errorf("AddEdge(%d,%d,%v) error = %v, wantErr %v", tt.u, tt.v, tt.w, err, tt.wantErr)
+				t.Errorf("AddEdge(%d,%d,%v) then Freeze: error = %v, wantErr %v", tt.u, tt.v, tt.w, err, tt.wantErr)
 			}
 		})
 	}
@@ -70,7 +76,7 @@ func TestGraphAccessors(t *testing.T) {
 	mustEdge(t, b, 1, 2, 3)
 	mustEdge(t, b, 2, 3, 4)
 
-	g := b.Freeze()
+	g := mustFreeze(b)
 	if got := g.NumNodes(); got != 4 {
 		t.Errorf("NumNodes = %d, want 4", got)
 	}
@@ -92,7 +98,7 @@ func TestGraphAccessors(t *testing.T) {
 }
 
 func TestAvgDegreeEmpty(t *testing.T) {
-	g := New(0).Freeze()
+	g := mustFreeze(New(0))
 	if got := g.AvgDegree(); got != 0 {
 		t.Errorf("AvgDegree of empty graph = %v, want 0", got)
 	}
@@ -108,7 +114,7 @@ func TestAddNodeAndPos(t *testing.T) {
 		t.Errorf("Pos(%d) = %+v, want {3 4}", id, p)
 	}
 	b.SetPos(0, Point{X: 6, Y: 8})
-	g := b.Freeze()
+	g := mustFreeze(b)
 	if d := g.Pos(0).Dist(g.Pos(1)); d != 5 {
 		t.Errorf("Dist = %v, want 5", d)
 	}
@@ -122,7 +128,7 @@ func TestEdgesDeterministicOrder(t *testing.T) {
 	mustEdge(t, b, 3, 2, 1)
 	mustEdge(t, b, 1, 0, 1)
 	mustEdge(t, b, 2, 0, 1)
-	g := b.Freeze()
+	g := mustFreeze(b)
 	got := g.Edges()
 	want := []EdgeID{{0, 1}, {0, 2}, {2, 3}}
 	if len(got) != len(want) {

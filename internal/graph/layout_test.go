@@ -8,25 +8,18 @@ import (
 	"testing"
 )
 
-// TestLayoutProperties: random builds of three kinds — every row reserved at
-// its final degree, rows reserved short so that they outgrow their room, and
-// no reserve at all — freeze to one block in compressed-row form: the row
-// offsets rise, the last is twice the edge count, every arc has a twin of
-// equal weight in its far end's row, and each row is in (weight, neighbour)
-// order. An exactly reserved build keeps the very arrays reserve carved.
-// Views of each build hold the same properties; their aliased rows are spans
-// of the parent's arrays, and their private rows fill a block of their own
-// with no arc to spare.
+// TestLayoutProperties: random builds of three kinds — edges recorded by
+// AddEdge, by AddRuns in several runs, and by both — freeze to one block in
+// compressed-row form: the row offsets rise, the last is twice the edge
+// count, every arc has a twin of equal weight in its far end's row, and each
+// row is in (weight, neighbour) order. Views of each build hold the same
+// properties; their aliased rows are spans of the parent's arrays, and their
+// private rows fill a block of their own with no arc to spare.
 func TestLayoutProperties(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(4200 + trial)))
 		n := 2 + rng.Intn(60)
-		type edge struct {
-			u, v NodeID
-			w    float64
-		}
-		var edges []edge
-		deg := make([]int32, n)
+		var edges testRun
 		seen := map[EdgeID]bool{}
 		for k := rng.Intn(4 * n); k > 0; k-- {
 			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
@@ -34,41 +27,22 @@ func TestLayoutProperties(t *testing.T) {
 				continue
 			}
 			seen[MakeEdgeID(u, v)] = true
-			edges = append(edges, edge{u, v, float64(1 + rng.Intn(4))}) // ties on purpose
-			deg[u]++
-			deg[v]++
+			edges.ends = append(edges.ends, [2]int32{int32(u), int32(v)})
+			edges.w = append(edges.w, float64(1+rng.Intn(4))) // ties on purpose
 		}
-		for _, kind := range []string{"exact", "short", "none"} {
-			what := fmt.Sprintf("trial %d, %s reserve", trial, kind)
+		for _, kind := range []string{"AddEdge", "AddRuns", "both"} {
+			what := fmt.Sprintf("trial %d, %s", trial, kind)
 			b := New(n)
-			switch kind {
-			case "exact":
-				b.reserve(deg)
-			case "short":
-				short := make([]int32, n)
-				for u, d := range deg {
-					short[u] = d / 2
-				}
-				b.reserve(short)
-			}
-			for _, e := range edges {
-				if err := b.AddEdge(e.u, e.v, e.w); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if kind == "short" && len(edges) > 1 && len(b.g.ownTo) == 0 {
-				t.Fatalf("%s: no row outgrew its reserve", what)
-			}
-			var reservedTo *int32
-			var reservedW *float64
-			if kind == "exact" && len(edges) > 0 {
-				reservedTo, reservedW = &b.g.to[0], &b.g.w[0]
-			}
-			g := b.Freeze()
+			split := map[string]int{"AddEdge": len(edges.ends), "AddRuns": 0, "both": len(edges.ends) / 2}[kind]
+			addOneByOne(t, b, []testRun{{edges.ends[:split], edges.w[:split]}})
+			rest := testRun{edges.ends[split:], edges.w[split:]}
+			third := len(rest.ends) / 3
+			b.AddRuns(runsOf([]testRun{
+				{rest.ends[:third], rest.w[:third]},
+				{rest.ends[third:], rest.w[third:]},
+			}))
+			g := mustFreeze(b)
 			checkLayout(t, what, g, nil)
-			if reservedTo != nil && (&g.to[0] != reservedTo || &g.w[0] != reservedW) {
-				t.Fatalf("%s: Freeze copied the reserved block", what)
-			}
 
 			base := rng.Intn(n)
 			size := rng.Intn(n - base + 1)
@@ -146,10 +120,10 @@ func checkLayout(t *testing.T, what string, g, parent *Graph) {
 }
 
 // TestLimitsRefusedBeforeAllocation: far ends and row bounds are 32 bits
-// wide, so New refuses more than math.MaxInt32 nodes, and reserve, AddRuns
-// and Freeze more than math.MaxInt32 arcs, each with a panic before anything
-// that size is allocated. (AddRuns and Freeze are handed an edge count that
-// large; no arc exists.)
+// wide, so New refuses more than math.MaxInt32 nodes, and Freeze more than
+// math.MaxInt32 arcs, each with a panic before anything that size is
+// allocated. (Freeze is handed runs that share one edge list, which it never
+// reads.)
 func TestLimitsRefusedBeforeAllocation(t *testing.T) {
 	mustPanic := func(what, want string, f func()) {
 		t.Helper()
@@ -162,11 +136,16 @@ func TestLimitsRefusedBeforeAllocation(t *testing.T) {
 		f()
 	}
 	mustPanic("New", "nodes exceed", func() { New(math.MaxInt32 + 1) })
-	mustPanic("reserve", "arcs exceeds", func() { New(2).reserve([]int32{math.MaxInt32, 1}) })
 	b := New(2)
-	b.g.edges = math.MaxInt32 / 2
-	one := []Run{{Ends: [][2]int32{{0, 1}}, Weight: func(int) float64 { return 1 }}}
-	mustPanic("AddRuns", "arcs exceeds", func() { b.AddRuns(one) })
-	b.g.edges = math.MaxInt32/2 + 1
-	mustPanic("Freeze", "arcs exceed", func() { b.Freeze() })
+	if err := b.AddEdge(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	ends := make([][2]int32, 1<<16)
+	runs := make([]Run, 1<<14) // 2³¹ arcs with the AddEdge edge's two
+	for r := range runs {
+		runs[r] = Run{Ends: ends}
+	}
+	runs[0].Ends = ends[1:]
+	b.AddRuns(runs)
+	mustPanic("Freeze", "2147483648 arcs exceed", func() { b.Freeze() })
 }

@@ -126,7 +126,7 @@ func TestComponents(t *testing.T) {
 	mustEdge(t, b, 0, 1, 1)
 	mustEdge(t, b, 1, 2, 1)
 	mustEdge(t, b, 3, 4, 1)
-	g := b.Freeze()
+	g := mustFreeze(b)
 	comps := g.Components(nil)
 	if len(comps) != 3 {
 		t.Fatalf("Components = %d, want 3", len(comps))

@@ -88,9 +88,9 @@ func sameBlock(t *testing.T, what string, got, want *Graph) {
 }
 
 // TestAddRunsMatchesAddEdge: random runs, some rows shared across them,
-// freeze to the very rows the same edges inserted one by one with AddEdge
-// freeze to, on one goroutine and on four, into a block AddRuns reserved
-// exactly. Runs added after edges AddEdge inserted keep those edges.
+// freeze to the very rows the same edges recorded one by one with AddEdge
+// freeze to, on one goroutine and on four, and so do runs recorded after
+// edges AddEdge recorded.
 func TestAddRunsMatchesAddEdge(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	trials := 4
@@ -101,47 +101,40 @@ func TestAddRunsMatchesAddEdge(t *testing.T) {
 		n, trs := randomRuns(rand.New(rand.NewSource(int64(4300 + trial))))
 		ref := New(n)
 		addOneByOne(t, ref, trs)
-		want := ref.Freeze()
+		want := mustFreeze(ref)
 		if arcs := 2 * want.NumEdges(); arcs < 2*insertArcsPerWorker {
-			t.Fatalf("%d arcs insert on one goroutine; the parallel fill goes untested", arcs)
+			t.Fatalf("%d arcs fill on one goroutine; the parallel fill goes untested", arcs)
 		}
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			what := fmt.Sprintf("trial %d at GOMAXPROCS %d", trial, procs)
 			b := New(n)
-			if err := b.AddRuns(runsOf(trs)); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			if !b.filled() {
-				t.Fatalf("%s: the rows do not fill the reserved block", what)
-			}
-			sameBlock(t, what, b.Freeze(), want)
+			b.AddRuns(runsOf(trs))
+			sameBlock(t, what, mustFreeze(b), want)
 
 			mixed := New(n)
 			addOneByOne(t, mixed, trs[:3])
-			if err := mixed.AddRuns(runsOf(trs[3:])); err != nil {
-				t.Fatalf("%s, after AddEdge: %v", what, err)
-			}
-			sameBlock(t, what+", after AddEdge", mixed.Freeze(), want)
+			mixed.AddRuns(runsOf(trs[3:]))
+			sameBlock(t, what+", after AddEdge", mustFreeze(mixed), want)
 		}
 	}
 }
 
-// TestAddRunsRefusals: AddRuns refuses every edge AddEdge refuses, each
-// planted among runs large enough to fill on several goroutines, with an
-// error naming it, the same at any GOMAXPROCS; and it inserts nothing, so
-// the builder then takes the good runs and freezes to the rows AddEdge
-// builds.
+// TestAddRunsRefusals: Freeze refuses every edge AddEdge refuses, and every
+// duplicate, each planted among runs large enough to fill on several
+// goroutines, with an error naming it, the same at any GOMAXPROCS, and
+// leaves the builder empty; the good runs with the same edge AddEdge
+// recorded freeze to the rows AddEdge builds.
 func TestAddRunsRefusals(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	n, good := randomRuns(rand.New(rand.NewSource(4343)))
-	pre := [2]int32{0, int32(n - 1)} // inserted by AddEdge before the runs
+	pre := [2]int32{0, int32(n - 1)} // recorded by AddEdge before the runs
 	ref := New(n)
 	if err := ref.AddEdge(NodeID(pre[0]), NodeID(pre[1]), 2); err != nil {
 		t.Fatal(err)
 	}
 	addOneByOne(t, ref, good)
-	want := ref.Freeze()
+	want := mustFreeze(ref)
 
 	plant := func(r int, e [2]int32, w float64) func([]testRun) {
 		return func(trs []testRun) {
@@ -164,7 +157,7 @@ func TestAddRunsRefusals(t *testing.T) {
 		{"duplicate in a run, reversed", plant(3, [2]int32{inRun[1], inRun[0]}, 1), edge(inRun) + ": already present"},
 		{"same edge in two runs", plant(9, inRun, 1), edge(inRun) + ": already present"},
 		{"same edge in the last run", plant(len(good)-1, other, 1), edge(other) + ": already present"},
-		{"duplicate of an inserted edge", plant(5, pre, 1), edge(pre) + ": already present"},
+		{"duplicate of an AddEdge edge", plant(5, pre, 1), edge(pre) + ": already present"},
 		{"self-loop", plant(7, [2]int32{7, 7}, 1), "self-loop at node 7"},
 		{"weight 0", setWeight(11, 0), "weight 0 must be positive"},
 		{"weight -1", setWeight(0, -1), "weight -1 must be positive"},
@@ -184,8 +177,9 @@ func TestAddRunsRefusals(t *testing.T) {
 			if err := b.AddEdge(NodeID(pre[0]), NodeID(pre[1]), 2); err != nil {
 				t.Fatal(err)
 			}
-			err := b.AddRuns(runsOf(trs))
-			if err == nil || !strings.Contains(err.Error(), c.want) {
+			b.AddRuns(runsOf(trs))
+			g, err := b.Freeze()
+			if err == nil || g != nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("%s: error %v, want one naming %q", what, err, c.want)
 			}
 			if unknown := strings.HasSuffix(c.name, "node"); errors.Is(err, ErrUnknownNode) != unknown {
@@ -196,13 +190,15 @@ func TestAddRunsRefusals(t *testing.T) {
 			} else if err.Error() != first {
 				t.Errorf("%s: error %q, at GOMAXPROCS 1 %q", what, err, first)
 			}
-			if b.g.NumEdges() != 1 || b.g.Degree(NodeID(pre[0])) != 1 || !b.HasEdge(NodeID(pre[0]), NodeID(pre[1])) {
-				t.Fatalf("%s: the refused runs left %d edges", what, b.g.NumEdges())
+			if b.NumNodes() != 0 {
+				t.Fatalf("%s: the refused build left the builder %d nodes", what, b.NumNodes())
 			}
-			if err := b.AddRuns(runsOf(good)); err != nil {
-				t.Fatalf("%s, then the good runs: %v", what, err)
-			}
-			sameBlock(t, what+", then the good runs", b.Freeze(), want)
 		}
 	}
+	b := New(n)
+	if err := b.AddEdge(NodeID(pre[0]), NodeID(pre[1]), 2); err != nil {
+		t.Fatal(err)
+	}
+	b.AddRuns(runsOf(good))
+	sameBlock(t, "the good runs", mustFreeze(b), want)
 }

@@ -26,7 +26,7 @@ func lockFreeTestGraph(t testing.TB) *Graph {
 			t.Fatal(err)
 		}
 	}
-	return b.Freeze()
+	return mustFreeze(b)
 }
 
 // TestSPFCacheHitZeroAlloc pins that a cache hit allocates nothing: the read

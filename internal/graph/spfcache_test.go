@@ -24,7 +24,7 @@ func cacheTestGraph(t *testing.T) *Graph {
 			t.Fatal(err)
 		}
 	}
-	return b.Freeze()
+	return mustFreeze(b)
 }
 
 func TestSPFCacheHitsAndEquivalence(t *testing.T) {
@@ -82,7 +82,7 @@ func TestSPFCacheSourceOutsideGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := b.Freeze()
+	g := mustFreeze(b)
 	c := NewSPFCache(g, 0)
 	for _, src := range []NodeID{-1, 3} {
 		tr := c.Dijkstra(src, nil)

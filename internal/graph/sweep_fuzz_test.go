@@ -40,13 +40,15 @@ func decodeSweepInput(data []byte) sweepInput {
 
 	b := New(n)
 	var edges []EdgeID
+	seen := map[EdgeID]bool{}
 	for len(data) >= 3 {
 		u, v, w := NodeID(next()%n), NodeID(next()%n), float64(1+next()%8)
-		if u != v && b.AddEdge(u, v, w) == nil {
-			edges = append(edges, MakeEdgeID(u, v))
+		if e := MakeEdgeID(u, v); u != v && !seen[e] && b.AddEdge(u, v, w) == nil {
+			seen[e] = true
+			edges = append(edges, e)
 		}
 	}
-	in.g = b.Freeze()
+	in.g = mustFreeze(b)
 	in.goal, in.goalKind = NodeID(next()%n), next()
 	if nodeBlocks+edgeBlocks > 0 {
 		in.mask = NewMask()
@@ -104,7 +106,7 @@ func FuzzSweepPruned(f *testing.F) {
 				w, _ := in.g.EdgeWeight(e.A, e.B)
 				_ = b.AddEdge(e.A, e.B, w/10)
 			}
-			g = b.Freeze()
+			g = mustFreeze(b)
 			budget /= 10
 			inside = budget / (1 + TieSlack)
 		}

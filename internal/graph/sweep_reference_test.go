@@ -130,9 +130,19 @@ func (s *Sweep) referenceArcs(src, stop NodeID, absorbing func(NodeID) bool) int
 // appended them: what each frozen row must hold, sorted.
 type insertionLog [][]Arc
 
-// addEdge adds the edge (u, v) to b and logs its two arcs if AddEdge took it.
+// has reports whether the log holds the edge (u, v), scanning the shorter of
+// its two rows.
+func (l insertionLog) has(u, v NodeID) bool {
+	if len(l[v]) < len(l[u]) {
+		u, v = v, u
+	}
+	return slices.ContainsFunc(l[u], func(a Arc) bool { return a.To == v })
+}
+
+// addEdge adds the edge (u, v) to b and logs its two arcs, unless the log
+// holds the edge already or AddEdge refuses it.
 func (l insertionLog) addEdge(b *Builder, u, v NodeID, w float64) {
-	if b.AddEdge(u, v, w) == nil {
+	if !l.has(u, v) && b.AddEdge(u, v, w) == nil {
 		l[u] = append(l[u], Arc{To: v, Weight: w})
 		l[v] = append(l[v], Arc{To: u, Weight: w})
 	}
@@ -145,7 +155,7 @@ func (l insertionLog) addEdge(b *Builder, u, v NodeID, w float64) {
 // average degree of 47 at n = 100. It returns the graph and its insertion log.
 func waxmanDomain(rng *rand.Rand, n int, alpha, beta float64) (*Graph, insertionLog) {
 	b, log := waxmanBuild(rng, n, alpha, beta)
-	return b.Freeze(), log
+	return mustFreeze(b), log
 }
 
 // waxmanBuild is waxmanDomain up to, not including, Freeze.
@@ -177,11 +187,11 @@ func tiedPlane(rng *rand.Rand, n, extra int, unit float64) (*Graph, insertionLog
 		log.addEdge(b, NodeID(i), NodeID(rng.Intn(i)), unit*float64(1+rng.Intn(4)))
 	}
 	for i := 0; i < extra; i++ {
-		if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v && !b.HasEdge(u, v) {
+		if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v && !log.has(u, v) {
 			log.addEdge(b, u, v, unit*float64(1+rng.Intn(4)))
 		}
 	}
-	return b.Freeze(), log
+	return mustFreeze(b), log
 }
 
 // checkRowOrder asserts the one row order g holds: each row strictly

@@ -350,7 +350,7 @@ func megascaleLattice(w, h int) *Graph {
 			}
 		}
 	}
-	return b.Freeze()
+	return mustFreeze(b)
 }
 
 // BenchmarkSweepMaskedMegascale measures the full relaxation sweep over a

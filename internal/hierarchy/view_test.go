@@ -31,7 +31,11 @@ func inducedCopy(tb testing.TB, g *graph.Graph, nodes []graph.NodeID) *graph.Gra
 			}
 		}
 	}
-	return b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }
 
 // sessionNodes lists domain i's session graph in full IDs: the domain's

@@ -34,7 +34,10 @@ func benchChurnFixture(tb testing.TB, n, extraEdges, k int, sparse bool) (*Tree,
 			}
 		}
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		tb.Fatal(err)
+	}
 	newFn := New
 	if sparse {
 		newFn = NewSparse

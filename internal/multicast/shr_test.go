@@ -19,7 +19,11 @@ func shrGraph(t *testing.T) *graph.Graph {
 			t.Fatal(err)
 		}
 	}
-	return b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestSHRColumn drives every kind of tree mutation on both backends and

@@ -68,7 +68,10 @@ func TestSparseCloneIndependent(t *testing.T) {
 	for i := 1; i < n; i++ {
 		_ = b.AddEdge(graph.NodeID(i-1), graph.NodeID(i), 1)
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	orig, err := NewSparse(g, 0)
 	if err != nil {
 		t.Fatal(err)

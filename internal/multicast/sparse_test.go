@@ -39,7 +39,10 @@ func TestSparseDenseEquivalence(t *testing.T) {
 				_ = b.AddEdge(u, v, 1+rng.Float64())
 			}
 		}
-		g := b.Freeze()
+		g, err := b.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
 		dense, err := New(g, 0)
 		if err != nil {
 			t.Fatal(err)

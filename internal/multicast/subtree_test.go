@@ -18,7 +18,10 @@ func chainTree(t *testing.T) *Tree {
 			t.Fatal(err)
 		}
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr, err := New(g, 0)
 	if err != nil {
 		t.Fatal(err)

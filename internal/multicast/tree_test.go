@@ -27,7 +27,11 @@ func testGraph(t *testing.T) *graph.Graph {
 			t.Fatal(err)
 		}
 	}
-	return b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // fig1Tree grafts the SPF tree for members {C=3, D=4}: S→A→C, S→A→D.
@@ -407,7 +411,10 @@ func TestRandomChurnInvariant(t *testing.T) {
 				_ = b.AddEdge(u, v, 1+rng.Float64())
 			}
 		}
-		g := b.Freeze()
+		g, err := b.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
 		tr, err := New(g, 0)
 		if err != nil {
 			t.Fatal(err)

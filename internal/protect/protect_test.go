@@ -46,7 +46,11 @@ func chain(t *testing.T, n, links int) *graph.Graph {
 			t.Fatal(err)
 		}
 	}
-	return b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestBuildRedundantTreesRing(t *testing.T) {
@@ -101,7 +105,11 @@ func TestRedundantTreesIgnoreRowOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		b, err := BuildRedundantTrees(reversed.Freeze(), 0)
+		rg, err := reversed.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := BuildRedundantTrees(rg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +279,10 @@ func TestDependableUnreachableMember(t *testing.T) {
 	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewDependableSession(g, 0)
 	if err != nil {
 		t.Fatal(err)

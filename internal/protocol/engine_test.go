@@ -208,7 +208,10 @@ func TestRestorationWaitsForSurvivorGraft(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.SMRP.DThresh = 0
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	inst, err := NewSMRPInstance(g, 0, cfg)
 	if err != nil {
 		t.Fatal(err)

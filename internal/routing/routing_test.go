@@ -75,7 +75,10 @@ func TestPathToUnreachable(t *testing.T) {
 	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := NewDomain(g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +133,10 @@ func TestConvergenceTimePartitioned(t *testing.T) {
 	if err := b.AddEdge(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := NewDomain(g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +158,10 @@ func TestConvergenceTimePartitioned(t *testing.T) {
 	if err := b2.AddEdge(2, 3, 1); err != nil {
 		t.Fatal(err)
 	}
-	g2 := b2.Freeze()
+	g2, err := b2.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	d2, err := NewDomain(g2, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

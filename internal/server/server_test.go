@@ -39,7 +39,11 @@ func testGraph(t testing.TB) *graph.Graph {
 			t.Fatalf("AddEdge(%d,%d): %v", ed.u, ed.v, err)
 		}
 	}
-	return b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // waxmanGraph builds a connected evaluation-scale topology for concurrency

@@ -108,7 +108,10 @@ func TestJoinUnreachable(t *testing.T) {
 	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSession(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +190,10 @@ func TestHealUnrecoverable(t *testing.T) {
 	if err := b.AddEdge(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	g := b.Freeze()
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSession(g, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func PaperFig1() (*graph.Graph, error) {
 	b.SetPos(2, graph.Point{X: 0.8, Y: 0.6})
 	b.SetPos(3, graph.Point{X: 0.2, Y: 0.2})
 	b.SetPos(4, graph.Point{X: 0.6, Y: 0.2})
-	return b.Freeze(), nil
+	return b.Freeze()
 }
 
 // Fig4Nodes gives symbolic names to the nodes of the Figure 4/5 topology,
@@ -97,5 +97,5 @@ func PaperFig4() (*graph.Graph, error) {
 	b.SetPos(4, graph.Point{X: 0.35, Y: 0.15})
 	b.SetPos(6, graph.Point{X: 0.6, Y: 0.3})
 	b.SetPos(5, graph.Point{X: 0.85, Y: 0.25})
-	return b.Freeze(), nil
+	return b.Freeze()
 }

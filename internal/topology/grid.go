@@ -219,11 +219,12 @@ func GridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, GridStats, error)
 	if err != nil {
 		return nil, st, err
 	}
-	return b.Freeze(), st, nil
+	g, err := b.Freeze()
+	return g, st, err
 }
 
-// gridWaxmanBuilder draws GridWaxman's graph into a builder that holds all
-// its edges.
+// gridWaxmanBuilder draws GridWaxman's graph into a builder that has
+// recorded all its edges.
 func gridWaxmanBuilder(cfg GridWaxmanConfig, rng *RNG) (*graph.Builder, GridStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, GridStats{}, err
@@ -336,7 +337,8 @@ func gridWaxmanBuilder(cfg GridWaxmanConfig, rng *RNG) (*graph.Builder, GridStat
 		}
 	}
 	st.Probed, st.Within, st.Edges = probed, within, accepted
-	return b, st, insertEdges(b, edges, cfg.EnsureConnected)
+	addEdges(b, edges, cfg.EnsureConnected)
+	return b, st, nil
 }
 
 // placeNodes draws node positions from the RNG stream (in node-ID order) and

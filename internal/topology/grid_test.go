@@ -224,7 +224,7 @@ func TestMegascaleComposer(t *testing.T) {
 
 // TestConnectifyCentroidLargeGraph pins the capped connectify path: a large
 // deliberately fragmented graph must come out connected via the centroid
-// pick, deterministically, its rows filling the reserved block.
+// pick, deterministically, its rows laid out once.
 func TestConnectifyCentroidLargeGraph(t *testing.T) {
 	const n = connectifyExactCap + 1000
 	build := func() *graph.Graph {
@@ -242,10 +242,8 @@ func TestConnectifyCentroidLargeGraph(t *testing.T) {
 				ends = append(ends, [2]int32{int32(i), int32(i + 1)})
 			}
 		}
-		if err := insertEdges(b, ends, true); err != nil {
-			t.Fatal(err)
-		}
-		return freezeUnpacked(t, b)
+		addEdges(b, ends, true)
+		return freezeOnce(t, b)
 	}
 	g := build()
 	if !g.Connected(nil) {
@@ -255,38 +253,41 @@ func TestConnectifyCentroidLargeGraph(t *testing.T) {
 	graphsIdentical(t, g, h, "centroid connectify determinism")
 }
 
-// freezeUnpacked freezes b and fails the test when Freeze allocated as much
-// as a packed copy of the rows, 12 bytes an arc: rows that fill the block
-// AddRuns reserved are kept as the graph's store.
-func freezeUnpacked(t *testing.T, b *graph.Builder) *graph.Graph {
+// freezeOnce freezes b and fails the test unless Freeze allocated less than
+// two blocks of the rows, 12 bytes an arc: it lays the recorded edges out
+// once, into the graph's store.
+func freezeOnce(t *testing.T, b *graph.Builder) *graph.Graph {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g := b.Freeze()
+	g, err := b.Freeze()
 	runtime.ReadMemStats(&after)
-	if alloc, packed := after.TotalAlloc-before.TotalAlloc, uint64(24*g.NumEdges()); alloc >= packed {
-		t.Errorf("Freeze allocated %d bytes for %d edges: the rows were packed into a new block of %d", alloc, g.NumEdges(), packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc, block := after.TotalAlloc-before.TotalAlloc, uint64(24*g.NumEdges()); alloc >= 2*block {
+		t.Errorf("Freeze allocated %d bytes for %d edges: more than two blocks of %d", alloc, g.NumEdges(), block)
 	}
 	return g
 }
 
-// TestGeneratorsFreezeUnpacked: the flat generators insert their joining
-// edges with the rest, into rows reserved at their final size, so Freeze
-// keeps the block: a connectified Waxman(100) whose components are joined
-// by the exact rule, and FlatMegascale(8192), joined through centroids.
+// TestGeneratorsFreezeUnpacked: the flat generators record their joining
+// edges with the rest, so Freeze lays every row out once, never packing a
+// second block: a connectified Waxman(100) whose components are joined by
+// the exact rule, and FlatMegascale(8192), joined through centroids.
 func TestGeneratorsFreezeUnpacked(t *testing.T) {
 	wb, err := waxmanBuilder(WaxmanConfig{N: 100, Alpha: 0.15, Beta: DefaultBeta, EnsureConnected: true}, NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := freezeUnpacked(t, wb); !g.Connected(nil) {
+	if g := freezeOnce(t, wb); !g.Connected(nil) {
 		t.Error("Waxman(100) is not connected")
 	}
 	fb, _, err := gridWaxmanBuilder(flatMegascaleConfig(8192), NewRNG(2005))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := freezeUnpacked(t, fb); !g.Connected(nil) {
+	if g := freezeOnce(t, fb); !g.Connected(nil) {
 		t.Error("FlatMegascale(8192) is not connected")
 	}
 }
@@ -378,8 +379,6 @@ func pairwiseGridWaxman(cfg GridWaxmanConfig, rng *RNG) (*graph.Graph, error) {
 			}
 		}
 	}
-	if err := insertEdges(b, edges, cfg.EnsureConnected); err != nil {
-		return nil, err
-	}
-	return b.Freeze(), nil
+	addEdges(b, edges, cfg.EnsureConnected)
+	return b.Freeze()
 }

@@ -312,10 +312,11 @@ func (b *builder) wireAll(streams []*RNG, alpha, beta float64) {
 	wg.Wait()
 }
 
-// finish inserts the edges in one AddRuns: each domain's wiring is a run,
-// and the uplinks, which share their rows with two domains, are the last.
-// Every edge weighs its length (see distWeight), computed on the goroutine
-// that fills its run. Freeze then sorts the rows where they lie.
+// finish records the edges in one AddRuns, each domain's wiring a run and
+// the uplinks, which share their rows with two domains, the last, and
+// freezes the graph. Every edge weighs its length (see distWeight), computed
+// on the goroutine that fills its run. The buffers go once Freeze has laid
+// them out.
 func (b *builder) finish() (*NLevelTopology, error) {
 	t := b.t
 	runs := make([]graph.Run, 0, len(t.Domains)+1)
@@ -326,11 +327,13 @@ func (b *builder) finish() (*NLevelTopology, error) {
 			uplinks = append(uplinks, [2]int32{int32(d.Gateway), int32(d.Attach)})
 		}
 	}
-	if err := b.g.AddRuns(append(runs, distRun(b.g, uplinks))); err != nil {
+	b.g.AddRuns(append(runs, distRun(b.g, uplinks)))
+	b.wired = nil
+	g, err := b.g.Freeze()
+	if err != nil {
 		return nil, err
 	}
-	b.wired = nil
-	t.Graph = b.g.Freeze()
+	t.Graph = g
 	return t, nil
 }
 
@@ -360,9 +363,9 @@ type wireScratch struct {
 
 // wire draws the Waxman edges among the domain placed at s.pts into
 // s.edges, testing the pairs i < j in order against rng, and joins the
-// domain's components: by the nearest pair between the first component and
-// the rest, one edge at a time, or past connectifyExactCap nodes by one
-// centroid pass.
+// domain's components, listed by the union-find as connectify lists them: by
+// the nearest pair between the first component and the rest, one edge at a
+// time, or past connectifyExactCap nodes by one centroid pass.
 func (s *wireScratch) wire(alpha, beta float64, rng *RNG) {
 	pts := s.pts
 	maxDist := maxPairDist(pts)
@@ -380,11 +383,14 @@ func (s *wireScratch) wire(alpha, beta float64, rng *RNG) {
 	}
 	if !s.connected() {
 		pos := func(n graph.NodeID) graph.Point { return pts[n] }
-		link := func(u, v graph.NodeID) { s.edges = append(s.edges, pair{int32(u), int32(v)}) }
+		link := func(u, v graph.NodeID) {
+			s.edges = append(s.edges, pair{int32(u), int32(v)})
+			s.root.union(int32(u), int32(v))
+		}
 		if len(pts) > connectifyExactCap {
-			joinComponentsCentroid(s.components(), pos, link)
+			joinComponentsCentroid(s.root.components(), pos, link)
 		} else {
-			for comps := s.components(); len(comps) > 1; comps = s.components() {
+			for comps := s.root.components(); len(comps) > 1; comps = s.root.components() {
 				link(nearestPair(comps, pos))
 			}
 		}
@@ -392,7 +398,7 @@ func (s *wireScratch) wire(alpha, beta float64, rng *RNG) {
 }
 
 // connected reports, by union-find over s.edges, whether they connect all
-// the domain's nodes.
+// the domain's nodes, and leaves their components in s.root.
 func (s *wireScratch) connected() bool {
 	s.root = s.root.reset(len(s.pts))
 	comps := len(s.pts)
@@ -402,41 +408,6 @@ func (s *wireScratch) connected() bool {
 		}
 	}
 	return comps == 1
-}
-
-// components lists the domain's connected components under s.edges, named
-// by node index: a depth-first search from each unseen node in index order,
-// neighbours taken in insertion order, which is the order the builder's rows
-// would hold them in.
-func (s *wireScratch) components() [][]graph.NodeID {
-	adj := make([][]int32, len(s.pts))
-	for _, e := range s.edges {
-		adj[e.u] = append(adj[e.u], e.v)
-		adj[e.v] = append(adj[e.v], e.u)
-	}
-	seen := make([]bool, len(s.pts))
-	var comps [][]graph.NodeID
-	for root := range seen {
-		if seen[root] {
-			continue
-		}
-		var comp []graph.NodeID
-		stack := []int32{int32(root)}
-		seen[root] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, graph.NodeID(u))
-			for _, v := range adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
 }
 
 // nearestPair returns the closest pair of nodes between the first component

@@ -69,5 +69,9 @@ func ReadJSON(r io.Reader) (*graph.Graph, error) {
 			return nil, fmt.Errorf("decode topology: %w", err)
 		}
 	}
-	return b.Freeze(), nil
+	g, err := b.Freeze()
+	if err != nil {
+		return nil, fmt.Errorf("decode topology: %w", err)
+	}
+	return g, nil
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -236,7 +238,11 @@ func TestDescribe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := Describe(b.Freeze())
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Describe(g)
 	if s.Nodes != 4 || s.Edges != 3 || s.Components != 1 {
 		t.Errorf("stats = %+v", s)
 	}
@@ -479,6 +485,33 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadJSON(bytes.NewBufferString(`{"nodes":[{"id":5}],"edges":[]}`)); err == nil {
 		t.Error("non-dense node IDs should error")
+	}
+}
+
+// TestReadJSONRefusesBadEdges: ReadJSON takes topology files from outside
+// the program, so every edge the graph cannot hold is refused with a decode
+// error naming it: a duplicate in either orientation, a self-loop, an
+// endpoint below zero, past the last node or 2³²+1 (node 1 if it were
+// narrowed to 32 bits before the range check), and a weight that is zero or
+// negative.
+func TestReadJSONRefusesBadEdges(t *testing.T) {
+	const nodes = `"nodes":[{"id":0},{"id":1},{"id":2},{"id":3}]`
+	for _, c := range []struct {
+		name, edges, want string
+	}{
+		{"duplicate", `{"u":0,"v":1,"weight":1},{"u":1,"v":2,"weight":1},{"u":0,"v":1,"weight":2}`, "0-1: already present"},
+		{"duplicate reversed", `{"u":2,"v":3,"weight":1},{"u":1,"v":2,"weight":1},{"u":3,"v":2,"weight":1}`, "(2-3|3-2): already present"}, // either orientation names the edge
+		{"self-loop", `{"u":0,"v":1,"weight":1},{"u":2,"v":2,"weight":1}`, "self-loop at node 2"},
+		{"negative endpoint", `{"u":-1,"v":1,"weight":1}`, "add edge -1-1: graph: unknown node"},
+		{"endpoint past the last node", `{"u":0,"v":4,"weight":1}`, "add edge 0-4: graph: unknown node"},
+		{"endpoint 2^32+1", `{"u":0,"v":4294967297,"weight":1}`, "add edge 0-4294967297: graph: unknown node"},
+		{"zero weight", `{"u":0,"v":1,"weight":0}`, "add edge 0-1: weight 0 must be positive"},
+		{"negative weight", `{"u":1,"v":3,"weight":-2.5}`, "add edge 1-3: weight -2.5 must be positive"},
+	} {
+		g, err := ReadJSON(bytes.NewBufferString(`{` + nodes + `,"edges":[` + c.edges + `]}`))
+		if err == nil || g != nil || !strings.HasPrefix(err.Error(), "decode topology: ") || !regexp.MustCompile(c.want).MatchString(err.Error()) {
+			t.Errorf("%s: (%v, %v), want a decode topology error naming %q", c.name, g, err, c.want)
+		}
 	}
 }
 

@@ -58,11 +58,11 @@ func Waxman(cfg WaxmanConfig, rng *RNG) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.Freeze(), nil
+	return b.Freeze()
 }
 
-// waxmanBuilder draws Waxman's graph into a builder that holds all its
-// edges.
+// waxmanBuilder draws Waxman's graph into a builder that has recorded all
+// its edges.
 func waxmanBuilder(cfg WaxmanConfig, rng *RNG) (*graph.Builder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -81,16 +81,17 @@ func waxmanBuilder(cfg WaxmanConfig, rng *RNG) (*graph.Builder, error) {
 			}
 		}
 	}
-	return b, insertEdges(b, ends, cfg.EnsureConnected)
+	addEdges(b, ends, cfg.EnsureConnected)
+	return b, nil
 }
 
-// insertEdges inserts the edges, joined into one component first when
-// connect is set (see connectify), as one run weighted by length.
-func insertEdges(b *graph.Builder, ends [][2]int32, connect bool) error {
+// addEdges records the edges, joined into one component first when connect
+// is set (see connectify), as one run weighted by length.
+func addEdges(b *graph.Builder, ends [][2]int32, connect bool) {
 	if connect {
 		ends = connectify(b.NumNodes(), b.Pos, ends)
 	}
-	return b.AddRuns([]graph.Run{distRun(b, ends)})
+	b.AddRuns([]graph.Run{distRun(b, ends)})
 }
 
 // distRun makes the edges a run whose weights are their lengths (see
