@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"smrp"
 )
@@ -67,8 +68,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for m, rd := range rep.RecoveryDistance {
-		fmt.Printf("  member %-3d recovered via %v (RD %.3f)\n", m, rep.Detours[m], rd)
+	recovered := make([]smrp.NodeID, 0, len(rep.RecoveryDistance))
+	for m := range rep.RecoveryDistance {
+		recovered = append(recovered, m)
+	}
+	slices.Sort(recovered)
+	for _, m := range recovered {
+		fmt.Printf("  member %-3d recovered via %v (RD %.3f)\n", m, rep.Detours[m], rep.RecoveryDistance[m])
 	}
 	if len(rep.Unrecovered) > 0 {
 		fmt.Println("  unrecoverable:", rep.Unrecovered)

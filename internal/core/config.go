@@ -189,15 +189,15 @@ type Stats struct {
 	// again on the next join. A known defect, counted until it is fixed.
 	ReshapesRefused int
 
-	// StrategyFallbacks counts recoveries where the configured strategy's
-	// precomputed answer was missing or invalidated by the accumulated
-	// failures and RecoverScaffold's live nearest-survivor search stood in
-	// — the strategies study's "table miss" column. Always 0 for the
-	// default (SMRP) recovery, which is reactive by design. FallbackSettled
-	// tallies the nodes those stand-in searches settled, whether or not they
-	// found a survivor: the part of HealSettled a strategy's table did not
-	// displace — all of it, for a strategy on RecoverScaffold, where a table
-	// hit sweeps nothing.
+	// StrategyFallbacks counts recoveries where the configured strategy
+	// proposed no detour the accumulated failures left valid and the
+	// session's live nearest-survivor search stood in — the strategies
+	// study's "table miss" column. Always 0 for the default (SMRP)
+	// recovery, which is reactive by design. FallbackSettled tallies the
+	// nodes those stand-in searches settled, whether or not they found a
+	// survivor: the part of HealSettled a strategy's table did not displace
+	// — all of it with a strategy configured, where a table hit sweeps
+	// nothing.
 	StrategyFallbacks int
 	FallbackSettled   int
 
@@ -218,9 +218,9 @@ type Stats struct {
 	SelectSourceExits int
 
 	// HealSettled tallies nodes settled by the failure-recovery sweeps of
-	// Recover/Reconcile and RecoverScaffold: member-rooted nearest-survivor scans (a
-	// scan re-taken to a larger radius counts every node it settles again)
-	// and, when a heal reconnects from the tree side, the nodes its distance
+	// Recover/Reconcile: member-rooted nearest-survivor scans (a scan
+	// re-taken to a larger radius counts every node it settles again) and,
+	// when a heal reconnects from the tree side, the nodes its distance
 	// field hands out (one handed out again at a lower value counts again)
 	// plus what each contender's confined sweep settles. It is the
 	// per-recovery-event analogue of EnumSettled: the CI-stable measure of how

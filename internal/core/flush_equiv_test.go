@@ -16,15 +16,12 @@ import (
 // it is held to: walk the whole surviving tree into a set, list the tree's
 // nodes for the dead roots and its members for the disconnected and the
 // self-failed, sweep the tree for stale relays, list the members again for
-// baselines. It plugs in through the strategy seam; the reconnect loop between
-// its prologue and its epilogue is the production one.
+// baselines. Its Recover stands in for the reference session's own recovery
+// after ApplyFailure; the reconnect loop between its prologue and its epilogue
+// is the production one.
 type walkFlush struct {
 	s *Session
 }
-
-func (st *walkFlush) Name() string                { return "walk-flush" }
-func (st *walkFlush) Precompute(s *Session) error { st.s = s; return nil }
-func (st *walkFlush) StateBytes() int64           { return 0 }
 
 func (st *walkFlush) Recover(fs []failure.Failure) (*HealReport, error) {
 	h, err := st.beginHeal(fs)
@@ -303,12 +300,11 @@ func TestFlushMatchesTreeWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := &walkFlush{}
-		cfg.Strategy = model
 		ref, err := NewSession(g, source, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		model := &walkFlush{s: ref}
 		for _, sess := range []*Session{sut, ref} {
 			_, errs := sess.JoinBatch(members)
 			for i, err := range errs {
@@ -371,8 +367,8 @@ func TestFlushMatchesTreeWalk(t *testing.T) {
 				continue
 			}
 
-			// Recover is ApplyFailure + dispatchRecover; taken apart here so
-			// the tree can be inspected under the folded mask, before the flush.
+			// Recover is ApplyFailure + the heal; taken apart here so the
+			// tree can be inspected under the folded mask, before the flush.
 			sut.ApplyFailure(fs...)
 			ref.ApplyFailure(fs...)
 			down = append(down, fs...)
@@ -423,7 +419,7 @@ func TestFlushMatchesTreeWalk(t *testing.T) {
 			} else {
 				stale := len(sut.tree.Clone().PruneStale())
 				got, errGot := sut.dispatchRecover(fs)
-				want, errWant := ref.dispatchRecover(fs)
+				want, errWant := model.Recover(fs)
 				if errGot != nil || errWant != nil {
 					t.Fatalf("%s: recover %v: error %v, reference %v", where, fs, errGot, errWant)
 				}
@@ -459,7 +455,7 @@ func TestFlushMatchesTreeWalk(t *testing.T) {
 			}
 			if rng.Intn(5) == 0 {
 				got, errGot := sut.Reconcile()
-				want, errWant := ref.Reconcile()
+				want, errWant := model.Recover(nil)
 				if errGot != nil || errWant != nil {
 					t.Fatalf("%s: reconcile: %v, reference %v", where, errGot, errWant)
 				}
@@ -477,7 +473,7 @@ func TestFlushMatchesTreeWalk(t *testing.T) {
 				}
 				down = down[k:]
 				got, errGot := sut.Reconcile()
-				want, errWant := ref.Reconcile()
+				want, errWant := model.Recover(nil)
 				if errGot != nil || errWant != nil {
 					t.Fatalf("%s: reconcile after lifting failures: %v, reference %v", where, errGot, errWant)
 				}

@@ -16,18 +16,24 @@ import (
 // roundwise is the reconnect engine reconcile replaced, kept as the slow
 // model the recorded-scan loop is held to: every round re-sweeps every
 // still-disconnected member against the tree as it stands and grafts the
-// nearest, so a cut that takes down k members runs k(k+1)/2 sweeps. It plugs
-// in through the strategy seam, which routes Recover and Reconcile of its
-// session here and nothing else.
+// nearest, so a cut that takes down k members runs k(k+1)/2 sweeps. Its
+// Recover stands in for the reference session's own recovery after
+// ApplyFailure, and Recover(nil) for its Reconcile.
 type roundwise struct {
 	s *Session
 	// ties counts rounds in which two or more members were equally near.
 	ties int
 }
 
-func (st *roundwise) Name() string                { return "roundwise" }
-func (st *roundwise) Precompute(s *Session) error { st.s = s; return nil }
-func (st *roundwise) StateBytes() int64           { return 0 }
+// recover is Session.Recover with the model in place of the session's heal:
+// a batch that takes the source down is refused before anything changes.
+func (st *roundwise) recover(fs []failure.Failure) (*HealReport, error) {
+	if failure.TakesDownNode(fs, st.s.tree.Source()) {
+		return nil, failure.ErrSourceFailed
+	}
+	st.s.ApplyFailure(fs...)
+	return st.Recover(fs)
+}
 
 // Recover is the parent commit's (*Session).reconcile, verbatim but for the
 // tie counter.
@@ -235,12 +241,11 @@ func TestReconcileMatchesRoundwiseReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := &roundwise{}
-		cfg.Strategy = model
 		ref, err := NewSession(g, source, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		model := &roundwise{s: ref}
 		for _, sess := range []*Session{sut, ref} {
 			_, errs := sess.JoinBatch(members)
 			for i, err := range errs {
@@ -277,7 +282,7 @@ func TestReconcileMatchesRoundwiseReference(t *testing.T) {
 
 			fromTree := sut.healTally.fieldEvents
 			got, errGot := sut.Recover(fs...)
-			want, errWant := ref.Recover(fs...)
+			want, errWant := model.recover(fs)
 			if (errGot == nil) != (errWant == nil) {
 				t.Fatalf("%s: recover %v: error %v, reference %v", where, fs, errGot, errWant)
 			}
@@ -300,7 +305,7 @@ func TestReconcileMatchesRoundwiseReference(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				fromTree := sut.healTally.fieldEvents
 				got, errGot := sut.Reconcile()
-				want, errWant := ref.Reconcile()
+				want, errWant := model.Recover(nil)
 				if errGot != nil || errWant != nil {
 					t.Fatalf("%s: reconcile: %v, reference %v", where, errGot, errWant)
 				}
@@ -364,7 +369,7 @@ func TestReconcileMatchesRoundwiseReference(t *testing.T) {
 					}
 					fromTree := sut.healTally.fieldEvents
 					got, errGot := sut.Reconcile()
-					want, errWant := ref.Reconcile()
+					want, errWant := model.Recover(nil)
 					if errGot != nil || errWant != nil {
 						t.Fatalf("%s: reconcile after a silent repair: %v, reference %v", where, errGot, errWant)
 					}
@@ -461,22 +466,24 @@ func TestReconnectSettlesNearTiesOnTheMembersFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Strategy = &roundwise{}
 	ref, err := NewSession(g, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := []failure.Failure{failure.NodeDown(6), failure.NodeDown(7)}
-	var reps [2]*HealReport
-	for i, sess := range []*Session{sut, ref} {
+	for _, sess := range []*Session{sut, ref} {
 		for _, m := range []graph.NodeID{3, 5, 8} {
 			if _, err := sess.Join(m); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if reps[i], err = sess.Recover(cut...); err != nil {
-			t.Fatal(err)
-		}
+	}
+	cut := []failure.Failure{failure.NodeDown(6), failure.NodeDown(7)}
+	var reps [2]*HealReport
+	if reps[0], err = sut.Recover(cut...); err != nil {
+		t.Fatal(err)
+	}
+	if reps[1], err = (&roundwise{s: ref}).recover(cut); err != nil {
+		t.Fatal(err)
 	}
 	compareHeals(t, "near tie", reps[0], reps[1])
 	if sut.healTally.fieldEvents != 1 || sut.healTally.contended != 1 {

@@ -36,11 +36,17 @@ type HealReport struct {
 	Pruned []graph.NodeID
 }
 
-// TotalRecoveryDistance sums RD over recovered members.
+// TotalRecoveryDistance sums RD over recovered members in ascending member
+// order, so one report always gives the same float.
 func (r *HealReport) TotalRecoveryDistance() float64 {
+	ms := make([]graph.NodeID, 0, len(r.RecoveryDistance))
+	for m := range r.RecoveryDistance {
+		ms = append(ms, m)
+	}
+	slices.Sort(ms)
 	var total float64
-	for _, d := range r.RecoveryDistance {
-		total += d
+	for _, m := range ms {
+		total += r.RecoveryDistance[m]
 	}
 	return total
 }
@@ -152,9 +158,9 @@ func (s *Session) Reconcile() (*HealReport, error) {
 
 // heal is the state one recovery pass carries from its prologue (beginHeal)
 // through its reconnect loop to its epilogue (endHeal). The built-in engine
-// (reconcile) and the baselines' skeleton (RecoverScaffold) differ only in
-// the loop between the two. A session has one, and the next pass reuses its
-// storage.
+// (reconcile) and recovery along a strategy's proposals (recoverProposed)
+// differ only in the loop between the two. A session has one, and the next
+// pass reuses its storage.
 type heal struct {
 	rep  *HealReport
 	mask *graph.Mask

@@ -363,6 +363,20 @@ func TestRecoverEmptySet(t *testing.T) {
 	}
 }
 
+// TestTotalRecoveryDistanceIsOrdered: the sum runs in ascending member
+// order, whatever order the map hands its entries out in. Summed that way
+// {1, 1e-16, 1e-16} is 1; the two small terms first give 1.0000000000000002.
+func TestTotalRecoveryDistanceIsOrdered(t *testing.T) {
+	one, tiny := 1.0, 1e-16
+	rep := &HealReport{RecoveryDistance: map[graph.NodeID]float64{7: one, 9: tiny, 33: tiny}}
+	want := one + tiny + tiny
+	for i := 0; i < 500; i++ {
+		if got := rep.TotalRecoveryDistance(); got != want {
+			t.Fatalf("call %d: total RD = %v, want %v", i, got, want)
+		}
+	}
+}
+
 // TestRecoverSettledPerMember gates the restoration's work where the clock
 // cannot be trusted, on the paper's regime (N=100, 30 members, worst-case
 // cuts). Whichever side reconnect sweeps from, the recovery scans of one event

@@ -90,7 +90,7 @@ func NewSession(g *graph.Graph, source graph.NodeID, cfg Config) (*Session, erro
 	s := &Session{cfg: cfg, g: g, tree: tree}
 	if cfg.Strategy != nil {
 		if err := cfg.Strategy.Precompute(s); err != nil {
-			return nil, fmt.Errorf("core: strategy %s precompute: %w", cfg.Strategy.Name(), err)
+			return nil, fmt.Errorf("core: strategy precompute: %w", err)
 		}
 	}
 	return s, nil

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"errors"
-
 	"smrp/internal/failure"
 	"smrp/internal/graph"
 )
 
-// RecoveryStrategy is the pluggable restoration seam: it decides how a
-// session reconnects members after persistent failures. SMRP's local-detour
-// recovery (the paper's protocol) is what a session without one runs; the
+// RecoveryStrategy is the pluggable restoration seam: it proposes the detours
+// a session reconnects members along after persistent failures, and the
+// session does the rest (recoverProposed). SMRP's local-detour recovery (the
+// paper's protocol) is what a session without one runs; the
 // comparative-testbed baselines — MRC backup routing configurations
 // (internal/mrc) and Bhosle–Gonzalez precomputed detours (internal/detour) —
 // plug in through Config.Strategy.
@@ -18,32 +17,24 @@ import (
 // and (re)builds any precomputed state, and the session re-invokes it after
 // every tree mutation (join, leave, recovery graft), so implementations must
 // make it idempotent — memoize against Tree.Epoch() (or a build flag for
-// topology-only state) and return fast when nothing changed. Recover and
-// StateBytes operate on the bound session.
+// topology-only state) and return fast when nothing changed.
 type RecoveryStrategy interface {
-	// Name identifies the strategy in study output and reports.
-	Name() string
 	// Precompute binds the strategy to s and builds (or incrementally
 	// refreshes) its precomputed recovery state. The session calls it at
 	// construction and after every tree mutation; it must be idempotent.
 	Precompute(s *Session) error
-	// Recover restores the bound session after the failure set fs, which
-	// has already been folded into the session's accumulated mask (fs is
-	// nil on a Reconcile — re-run recovery under the current mask). It
-	// must leave the session satisfying the chaos harness's invariant
-	// oracle: tree valid, no failed component on tree, every member
-	// on-tree XOR parked, and parked members genuinely unreachable.
-	Recover(fs []failure.Failure) (*HealReport, error)
+	// Propose offers disconnected member m's candidate detours, each a path
+	// m → … → survivor, best first, until offer accepts one: the first
+	// that starts at m and reaches a live on-tree node over live
+	// components. fs is the batch being recovered from, already folded
+	// into the accumulated mask (nil on a Reconcile).
+	Propose(fs []failure.Failure, m graph.NodeID, offer func(graph.Path) bool)
 	// StateBytes is the deterministic byte accounting of the strategy's
 	// precomputed state (fixed per-element sizes, never live heap
 	// measurement — the same contract as graph.MemoryFootprint), so the
 	// strategies study can publish state overhead as a CI-stable metric.
 	StateBytes() int64
 }
-
-// ErrUnboundStrategy is returned when a strategy's Recover runs before
-// Precompute bound it to a session.
-var ErrUnboundStrategy = errors.New("recovery strategy not bound to a session (Precompute not called)")
 
 // notifyStrategy re-runs the configured strategy's Precompute after a tree
 // mutation so precomputed tables (the detour baseline's per-node entries)
@@ -54,41 +45,29 @@ var ErrUnboundStrategy = errors.New("recovery strategy not bound to a session (P
 func (s *Session) notifyStrategy() {
 	if s.cfg.Strategy != nil {
 		// A refresh failure must not un-do the mutation that triggered it;
-		// the strategy surfaces persistent trouble from its own Recover.
+		// whatever the strategy proposes later is checked by sanitizeDetour.
 		_ = s.cfg.Strategy.Precompute(s)
 	}
 }
 
-// dispatchRecover routes one recovery request (failures already folded into
-// the accumulated mask) to the configured strategy, or to the built-in SMRP
-// reconcile engine when none is set.
+// dispatchRecover runs one recovery (failures already folded into the
+// accumulated mask): along the configured strategy's proposals, or with the
+// built-in SMRP reconcile engine when none is set.
 func (s *Session) dispatchRecover(fs []failure.Failure) (*HealReport, error) {
-	if st := s.cfg.Strategy; st != nil {
-		return st.Recover(fs)
+	if s.cfg.Strategy != nil {
+		return s.recoverProposed(fs)
 	}
 	return s.reconcile(fs)
 }
 
-// ReconnectFunc is a strategy's per-member recovery answer inside
-// RecoverScaffold: propose a residual detour for disconnected member m as a
-// path m → … → survivor whose final node is on-tree and unmasked. ok=false
-// means the strategy has no (valid) precomputed answer; the scaffold then
-// falls back to the live nearest-survivor search and counts the miss in
-// Stats.StrategyFallbacks.
-type ReconnectFunc func(m graph.NodeID, mask *graph.Mask) (p graph.Path, ok bool)
-
-// RecoverScaffold is the shared recovery skeleton behind the pluggable
-// baselines: it flushes tree state dead under the accumulated mask, then
-// repeatedly offers every affected member (including previously parked ones
-// — a graft can bring an on-tree node back within their reach) to the
-// strategy's reconnect function in ascending-ID passes until a pass makes no
-// progress, and finally parks whoever is left. Proposed detours are
-// sanitized — trimmed at their first live on-tree node and validated against
-// the mask — so a stale precomputed entry degrades to a fallback search
-// instead of corrupting the tree. Bookkeeping (SHR repair, Condition-I
-// baselines, stale-relay pruning, park/readmit accounting) matches the
-// built-in reconcile engine exactly.
-func (s *Session) RecoverScaffold(fs []failure.Failure, reconnect ReconnectFunc) (*HealReport, error) {
+// recoverProposed is recovery with a strategy: it flushes tree state dead
+// under the accumulated mask, then offers every affected member (including
+// previously parked ones — a graft can bring an on-tree node back within
+// their reach) in ascending-ID passes until a pass makes no progress, and
+// finally parks whoever is left. Bookkeeping (SHR repair, Condition-I
+// baselines, stale-relay pruning, park/readmit accounting) is the built-in
+// reconcile engine's.
+func (s *Session) recoverProposed(fs []failure.Failure) (*HealReport, error) {
 	h, err := s.beginHeal(fs)
 	if err != nil {
 		return nil, err
@@ -98,7 +77,7 @@ func (s *Session) RecoverScaffold(fs []failure.Failure, reconnect ReconnectFunc)
 		progress = false
 		kept := left[:0]
 		for _, m := range left {
-			p, rd, ok := s.tryReconnect(m, h.mask, reconnect)
+			p, rd, ok := s.tryReconnect(fs, m, h.mask)
 			if !ok {
 				kept = append(kept, m)
 				continue
@@ -116,28 +95,30 @@ func (s *Session) RecoverScaffold(fs []failure.Failure, reconnect ReconnectFunc)
 	return s.endHeal(h), nil
 }
 
-// tryReconnect resolves one member inside RecoverScaffold: an already
-// re-attached relay becomes a member in place; otherwise the strategy's
-// proposal is sanitized and used, and a live nearest-survivor search covers
-// strategy misses (counted in Stats.StrategyFallbacks when it succeeds where
-// the strategy had no valid answer; its work, found or not, in
+// tryReconnect resolves one member inside recoverProposed: an already
+// re-attached relay becomes a member in place; otherwise the first of the
+// strategy's proposals that sanitizeDetour accepts is used, and a live
+// nearest-survivor search covers the member when none is (counted in
+// Stats.StrategyFallbacks when it succeeds; its work, found or not, in
 // Stats.FallbackSettled).
-func (s *Session) tryReconnect(m graph.NodeID, mask *graph.Mask, reconnect ReconnectFunc) (graph.Path, float64, bool) {
+func (s *Session) tryReconnect(fs []failure.Failure, m graph.NodeID, mask *graph.Mask) (p graph.Path, rd float64, ok bool) {
 	if s.tree.OnTree(m) {
 		return graph.Path{m}, 0, true
 	}
-	if p, ok := reconnect(m, mask); ok {
-		if sp, rd, valid := s.sanitizeDetour(p, m, mask); valid {
-			return sp, rd, true
-		}
+	s.cfg.Strategy.Propose(fs, m, func(q graph.Path) bool {
+		p, rd, ok = s.sanitizeDetour(q, m, mask)
+		return ok
+	})
+	if ok {
+		return p, rd, true
 	}
 	before := s.stats.HealSettled
-	p, d, ok := s.nearestSurvivor(m, mask)
+	p, rd, ok = s.nearestSurvivor(m, mask)
 	s.stats.FallbackSettled += s.stats.HealSettled - before
 	if ok {
 		s.stats.StrategyFallbacks++
 	}
-	return p, d, ok
+	return p, rd, ok
 }
 
 // sanitizeDetour validates a strategy-proposed detour for member m against

@@ -1,26 +1,30 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"smrp/internal/failure"
+	"smrp/internal/graph"
 	"smrp/internal/topology"
 )
 
-// fakeStrategy records what its session hands it and recovers through the
-// session's own reconcile engine. Like every strategy, it refuses to recover
-// before Precompute has bound it.
-type fakeStrategy struct {
-	bound    *Session
-	binds    int
-	recovers [][]failure.Failure
-	last     *HealReport
+// proposal is one Propose call a fakeStrategy saw: the batch, the member,
+// and how many paths it got through before one was accepted (or it ran out).
+type proposal struct {
+	fs      []failure.Failure
+	m       graph.NodeID
+	offered int
 }
 
-func (f *fakeStrategy) Name() string { return "fake" }
+// fakeStrategy records what its session hands it and proposes a fixed list
+// of paths per member, in order, until the session accepts one.
+type fakeStrategy struct {
+	bound     *Session
+	binds     int
+	paths     map[graph.NodeID][]graph.Path
+	proposals []proposal
+}
 
 func (f *fakeStrategy) Precompute(s *Session) error {
 	f.bound = s
@@ -28,29 +32,38 @@ func (f *fakeStrategy) Precompute(s *Session) error {
 	return nil
 }
 
-func (f *fakeStrategy) Recover(fs []failure.Failure) (*HealReport, error) {
-	if f.bound == nil {
-		return nil, fmt.Errorf("fake strategy: %w", ErrUnboundStrategy)
+func (f *fakeStrategy) Propose(fs []failure.Failure, m graph.NodeID, offer func(graph.Path) bool) {
+	p := proposal{fs: fs, m: m}
+	for _, q := range f.paths[m] {
+		p.offered++
+		if offer(q) {
+			break
+		}
 	}
-	f.recovers = append(f.recovers, fs)
-	rep, err := f.bound.reconcile(fs)
-	f.last = rep
-	return rep, err
+	f.proposals = append(f.proposals, p)
 }
 
 func (f *fakeStrategy) StateBytes() int64 { return 0 }
 
 // TestStrategyDispatch verifies the seam's plumbing: NewSession binds the
-// configured strategy, every tree mutation re-invokes its Precompute, Recover
-// and Reconcile reach its Recover with the failure batch (nil for a
-// Reconcile) and return its report, and an unbound strategy reports
-// ErrUnboundStrategy.
+// configured strategy and every tree mutation re-invokes its Precompute;
+// Recover and Reconcile ask it for each cut member's detours with the failure
+// batch (nil for a Reconcile); the session rejects a proposal that does not
+// start at the member or crosses a failure, grafts the first that holds
+// (trimmed at its first on-tree node) and asks for no more; and a member none
+// of whose proposals holds is covered by the nearest-survivor search and
+// counted as a fallback.
 func TestStrategyDispatch(t *testing.T) {
 	g, err := topology.PaperFig1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fake := &fakeStrategy{}
+	fake := &fakeStrategy{paths: map[graph.NodeID][]graph.Path{4: {
+		{3, 4},       // not from the member
+		{4, 1, 0},    // over the cut link A–D
+		{4, 2, 0, 1}, // D→B→S, trimmed at S
+		{4, 3, 1},    // never offered
+	}}}
 	cfg := DefaultConfig()
 	cfg.Strategy = fake
 	s, err := NewSession(g, 0, cfg)
@@ -72,23 +85,35 @@ func TestStrategyDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := [][]failure.Failure{{cut}}; !reflect.DeepEqual(fake.recovers, want) {
-		t.Fatalf("strategy saw %v, want %v", fake.recovers, want)
+	if want := []proposal{{fs: []failure.Failure{cut}, m: 4, offered: 3}}; !reflect.DeepEqual(fake.proposals, want) {
+		t.Fatalf("strategy saw %+v, want %+v", fake.proposals, want)
 	}
-	if rep != fake.last {
-		t.Error("Recover did not return the strategy's report")
+	if want := (graph.Path{4, 2, 0}); !reflect.DeepEqual(rep.Detours[4], want) || rep.RecoveryDistance[4] != 4 {
+		t.Errorf("member 4 recovered along %v at RD %v, want %v at 4", rep.Detours[4], rep.RecoveryDistance[4], want)
 	}
-	if !s.Tree().IsMember(4) {
-		t.Error("member 4 not restored through the strategy")
+	if fake.binds != 3 {
+		t.Errorf("after a recovery: %d binds, want 3", fake.binds)
 	}
-	if _, err := s.Reconcile(); err != nil {
-		t.Fatal(err)
-	}
-	if len(fake.recovers) != 2 || fake.recovers[1] != nil {
-		t.Errorf("Reconcile reached the strategy with %v, want a nil batch", fake.recovers[1:])
+	if st := s.Stats(); st.StrategyFallbacks != 0 || st.HealSettled != 0 {
+		t.Errorf("fallbacks %d, heal settled %d; want 0, 0 for an accepted proposal", st.StrategyFallbacks, st.HealSettled)
 	}
 
-	if _, err := (&fakeStrategy{}).Recover(nil); !errors.Is(err, ErrUnboundStrategy) {
-		t.Errorf("unbound Recover error = %v, want ErrUnboundStrategy", err)
+	// B fails while recovery is suspended; the Reconcile that follows finds
+	// the fake without an answer for D, and the live search takes it round
+	// by C and A (2 + 2 + 1).
+	fake.paths = nil
+	s.ApplyFailure(failure.NodeDown(2))
+	rep, err = s.Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (proposal{m: 4}); len(fake.proposals) != 2 || !reflect.DeepEqual(fake.proposals[1], want) {
+		t.Fatalf("Reconcile reached the strategy with %+v, want %+v", fake.proposals[1:], want)
+	}
+	if want := (graph.Path{4, 3, 1, 0}); !reflect.DeepEqual(rep.Detours[4], want) || rep.RecoveryDistance[4] != 5 {
+		t.Errorf("member 4 recovered along %v at RD %v, want %v at 5", rep.Detours[4], rep.RecoveryDistance[4], want)
+	}
+	if st := s.Stats(); st.StrategyFallbacks != 1 || st.FallbackSettled == 0 || st.FallbackSettled != st.HealSettled {
+		t.Errorf("fallbacks %d settling %d of %d; want 1 settling all of a non-zero count", st.StrategyFallbacks, st.FallbackSettled, st.HealSettled)
 	}
 }

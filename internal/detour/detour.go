@@ -61,9 +61,6 @@ func New() *Strategy {
 	return &Strategy{table: make(map[graph.NodeID]entry)}
 }
 
-// Name implements core.RecoveryStrategy.
-func (st *Strategy) Name() string { return "detour" }
-
 // Precompute implements core.RecoveryStrategy: bind the session and bring
 // the detour table up to date with the current tree. Memoized against
 // Tree.Epoch, so the post-mutation notification is O(1) when nothing
@@ -136,24 +133,17 @@ func (st *Strategy) Precompute(s *core.Session) error {
 	return nil
 }
 
-// Recover implements core.RecoveryStrategy: offer every disconnected member
-// its precomputed detour. RecoverScaffold validates each proposal against
-// the accumulated failure mask and the post-flush tree — a stale entry
-// (target dead, path crossing a later failure) degrades to the live
-// fallback search rather than a wrong graft — and its fixpoint passes give
-// interior members of a cut subtree additional chances as the subtree's
-// root regrafts and their stored paths regain live on-tree nodes.
-func (st *Strategy) Recover(fs []failure.Failure) (*core.HealReport, error) {
-	if st.s == nil || !st.ready {
-		return nil, fmt.Errorf("detour: %w", core.ErrUnboundStrategy)
+// Propose implements core.RecoveryStrategy: it offers m's precomputed
+// detour, if it has one. The session checks it against the accumulated
+// failure mask and the post-flush tree — a stale entry (target dead, path
+// crossing a later failure) degrades to the live fallback search rather
+// than a wrong graft — and its fixpoint passes give interior members of a
+// cut subtree more chances as the subtree's root regrafts and their stored
+// paths regain live on-tree nodes.
+func (st *Strategy) Propose(_ []failure.Failure, m graph.NodeID, offer func(graph.Path) bool) {
+	if p := st.table[m].path; p != nil {
+		offer(p)
 	}
-	return st.s.RecoverScaffold(fs, func(m graph.NodeID, mask *graph.Mask) (graph.Path, bool) {
-		e, ok := st.table[m]
-		if !ok || e.path == nil {
-			return nil, false
-		}
-		return e.path, true
-	})
 }
 
 // StateBytes implements core.RecoveryStrategy: the table's entries at fixed

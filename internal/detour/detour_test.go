@@ -1,7 +1,6 @@
 package detour
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -143,12 +142,5 @@ func TestTableMaintenance(t *testing.T) {
 		if len(st.table) != covered() {
 			t.Fatalf("after leave %d: table size %d, want %d", m, len(st.table), covered())
 		}
-	}
-}
-
-// TestUnbound pins the not-precomputed error contract.
-func TestUnbound(t *testing.T) {
-	if _, err := New().Recover(nil); !errors.Is(err, core.ErrUnboundStrategy) {
-		t.Errorf("Recover on unbound strategy = %v, want ErrUnboundStrategy", err)
 	}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"smrp/internal/core"
@@ -58,11 +59,72 @@ func (r *ChaosResult) Render() string {
 // chaosTrial is one schedule's outcome.
 type chaosTrial struct {
 	events, failures, repairs int
-	disconnected, recovered   int
-	parks, readmissions       int
-	restorations, parkedEnd   int
-	fullyRestored             bool
-	violations                []string
+	scheduleTally
+	restorations, parkedEnd int
+	fullyRestored           bool
+}
+
+// scheduleTally is what playSchedule counts on one session.
+type scheduleTally struct {
+	disconnected, recovered, parks, readmitted int
+	// disruption counts parked member-events: after each event, every
+	// member parked then counts one.
+	disruption int
+	// rd holds every recovery distance in event order, each event's
+	// ascending by member, so the sample (and its float summation) is
+	// deterministic.
+	rd         []float64
+	violations []string
+}
+
+// playSchedule is the event loop of chaos phase 1 and of every strategies
+// arm. It admits members through JoinBatch — the initial membership is a
+// flash crowd by construction, every member of one group arriving at once,
+// and the batched path (bit-identical to sequential joins) stays under the
+// oracle on every schedule — then plays sched against sess event by event:
+// Recover for its failures, Repair for its repairs, and the invariant oracle
+// after each. study prefixes errors; where prefixes the oracle's event
+// labels.
+func playSchedule(sess *core.Session, members []graph.NodeID, sched failure.Schedule, study, where string) (scheduleTally, error) {
+	var out scheduleTally
+	_, joinErrs := sess.JoinBatch(members)
+	for i, err := range joinErrs {
+		if err != nil {
+			return out, fmt.Errorf("%s: join %d: %w", study, members[i], err)
+		}
+	}
+	var ids []graph.NodeID
+	for k, ev := range sched.Events {
+		if len(ev.Failures) > 0 {
+			rep, err := sess.Recover(ev.Failures...)
+			if err != nil {
+				return out, fmt.Errorf("%s: recover event %d: %w", study, k, err)
+			}
+			out.disconnected += len(rep.Disconnected)
+			out.recovered += len(rep.RecoveryDistance)
+			out.parks += len(rep.Unrecovered)
+			out.readmitted += len(rep.Readmitted)
+			ids = ids[:0]
+			for m := range rep.RecoveryDistance {
+				ids = append(ids, m)
+			}
+			slices.Sort(ids)
+			for _, m := range ids {
+				out.rd = append(out.rd, rep.RecoveryDistance[m])
+			}
+		}
+		if len(ev.Repairs) > 0 {
+			rep, err := sess.Repair(ev.Repairs...)
+			if err != nil {
+				return out, fmt.Errorf("%s: repair event %d: %w", study, k, err)
+			}
+			out.readmitted += len(rep.Readmitted)
+		}
+		out.disruption += len(sess.Parked())
+		out.violations = append(out.violations,
+			chaosInvariants(sess, members, fmt.Sprintf("%s event %d", where, k))...)
+	}
+	return out, nil
 }
 
 // chaosInvariants is the oracle: after every event the tree must be
@@ -156,46 +218,19 @@ func RunChaos(ctx context.Context, rc RunConfig, trials int) (*ChaosResult, erro
 			return chaosTrial{}, err
 		}
 
-		var out chaosTrial
-		out.events = len(sched.Events)
-		out.failures = sched.NumFailures()
-		out.repairs = sched.NumRepairs()
+		out := chaosTrial{
+			events:   len(sched.Events),
+			failures: sched.NumFailures(),
+			repairs:  sched.NumRepairs(),
+		}
 
 		// Phase 1: algorithmic session, event by event, oracle after each.
 		sess, err := core.NewSession(g, source, base.SMRP)
 		if err != nil {
 			return chaosTrial{}, err
 		}
-		// The initial membership is a flash crowd by construction — every
-		// member of one group arriving at once — so it goes through the
-		// batched join path (bit-identical to sequential joins; this also
-		// keeps JoinBatch under the invariant oracle on every schedule).
-		_, joinErrs := sess.JoinBatch(members)
-		for i, err := range joinErrs {
-			if err != nil {
-				return chaosTrial{}, fmt.Errorf("chaos: join %d: %w", members[i], err)
-			}
-		}
-		for k, ev := range sched.Events {
-			if len(ev.Failures) > 0 {
-				rep, err := sess.Recover(ev.Failures...)
-				if err != nil {
-					return chaosTrial{}, fmt.Errorf("chaos: heal event %d: %w", k, err)
-				}
-				out.disconnected += len(rep.Disconnected)
-				out.recovered += len(rep.RecoveryDistance)
-				out.parks += len(rep.Unrecovered)
-				out.readmissions += len(rep.Readmitted)
-			}
-			if len(ev.Repairs) > 0 {
-				rep, err := sess.Repair(ev.Repairs...)
-				if err != nil {
-					return chaosTrial{}, fmt.Errorf("chaos: repair event %d: %w", k, err)
-				}
-				out.readmissions += len(rep.Readmitted)
-			}
-			out.violations = append(out.violations,
-				chaosInvariants(sess, members, fmt.Sprintf("seed %d event %d", t.Seed, k))...)
+		if out.scheduleTally, err = playSchedule(sess, members, sched, "chaos", fmt.Sprintf("seed %d", t.Seed)); err != nil {
+			return chaosTrial{}, err
 		}
 
 		// Phase 2: message level. The same schedule plays out in virtual
@@ -247,7 +282,7 @@ func RunChaos(ctx context.Context, rc RunConfig, trials int) (*ChaosResult, erro
 		res.Disconnections += tr.disconnected
 		res.Recovered += tr.recovered
 		res.Parks += tr.parks
-		res.Readmissions += tr.readmissions
+		res.Readmissions += tr.readmitted
 		res.Restorations += tr.restorations
 		res.ParkedAtEnd += tr.parkedEnd
 		if tr.fullyRestored {

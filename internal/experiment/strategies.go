@@ -3,13 +3,11 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"smrp/internal/core"
 	"smrp/internal/detour"
 	"smrp/internal/failure"
-	"smrp/internal/graph"
 	"smrp/internal/metrics"
 	"smrp/internal/mrc"
 	"smrp/internal/runner"
@@ -108,13 +106,10 @@ var strategyArms = []struct {
 
 // stratArmTrial is one arm's outcome on one schedule.
 type stratArmTrial struct {
-	rd                           []float64
-	recovered, parks, readmitted int
-	disruption                   int
+	scheduleTally
 	precompSettled, recovSettled int
 	fallbacks, fallbackSettled   int
 	stateBytes                   int64
-	violations                   []string
 }
 
 // stratTrial is one schedule's outcome across all arms.
@@ -176,42 +171,9 @@ func RunStrategies(ctx context.Context, rc RunConfig, trials int) (*StrategiesRe
 			if err != nil {
 				return stratTrial{}, fmt.Errorf("strategies %s: new session: %w", armDef.name, err)
 			}
-			_, joinErrs := sess.JoinBatch(members)
-			for i, err := range joinErrs {
-				if err != nil {
-					return stratTrial{}, fmt.Errorf("strategies %s: join %d: %w", armDef.name, members[i], err)
-				}
-			}
-			for k, ev := range sched.Events {
-				if len(ev.Failures) > 0 {
-					rep, err := sess.Recover(ev.Failures...)
-					if err != nil {
-						return stratTrial{}, fmt.Errorf("strategies %s: recover event %d: %w", armDef.name, k, err)
-					}
-					arm.recovered += len(rep.RecoveryDistance)
-					arm.parks += len(rep.Unrecovered)
-					arm.readmitted += len(rep.Readmitted)
-					// Map iteration is unordered; fold RD ascending by member
-					// so the sample (and its float summation) is deterministic.
-					ids := make([]graph.NodeID, 0, len(rep.RecoveryDistance))
-					for m := range rep.RecoveryDistance {
-						ids = append(ids, m)
-					}
-					slices.Sort(ids)
-					for _, m := range ids {
-						arm.rd = append(arm.rd, rep.RecoveryDistance[m])
-					}
-				}
-				if len(ev.Repairs) > 0 {
-					rep, err := sess.Repair(ev.Repairs...)
-					if err != nil {
-						return stratTrial{}, fmt.Errorf("strategies %s: repair event %d: %w", armDef.name, k, err)
-					}
-					arm.readmitted += len(rep.Readmitted)
-				}
-				arm.disruption += len(sess.Parked())
-				arm.violations = append(arm.violations,
-					chaosInvariants(sess, members, fmt.Sprintf("seed %d %s event %d", t.Seed, armDef.name, k))...)
+			if arm.scheduleTally, err = playSchedule(sess, members, sched,
+				"strategies "+armDef.name, fmt.Sprintf("seed %d %s", t.Seed, armDef.name)); err != nil {
+				return stratTrial{}, err
 			}
 			stats := sess.Stats()
 			arm.recovSettled = stats.HealSettled

@@ -15,13 +15,13 @@
 //     trees are built through graph.Dijkstra, so the graph's SPF cache
 //     memoizes them by (source, config-mask fingerprint) and every
 //     recovery-time lookup is a cache hit riding the iSPF lineage path.
-//   - Recover routes each disconnected member along the backup
-//     configuration isolating the failed component. Configurations isolate
-//     exactly one failure class, so a proposal is validated against the
-//     session's full accumulated mask; when every configuration is broken
-//     (overlapping failures across classes — outside MRC's single-failure
-//     design scope) the scaffold falls back to a live search and counts the
-//     miss in Stats.StrategyFallbacks.
+//   - Propose offers each disconnected member its route in the backup
+//     configuration isolating the failed component, then in the others.
+//     Configurations isolate exactly one failure class, so the session
+//     checks each route against its full accumulated mask; when every
+//     configuration is broken (overlapping failures across classes —
+//     outside MRC's single-failure design scope) the session falls back to
+//     a live search and counts the miss in Stats.StrategyFallbacks.
 //
 // MRC proper keeps isolated nodes reachable through restricted links; this
 // reproduction approximates isolation by masking the class out entirely,
@@ -30,7 +30,6 @@
 package mrc
 
 import (
-	"fmt"
 	"math"
 
 	"smrp/internal/core"
@@ -75,9 +74,6 @@ func New(k int) *Strategy {
 	}
 	return &Strategy{k: k}
 }
-
-// Name implements core.RecoveryStrategy.
-func (st *Strategy) Name() string { return "mrc" }
 
 // Precompute implements core.RecoveryStrategy: it binds the session and
 // builds the isolation classes and per-configuration SPF trees once (the
@@ -139,36 +135,21 @@ func (st *Strategy) Precompute(s *core.Session) error {
 	return nil
 }
 
-// Recover implements core.RecoveryStrategy: flush dead state, then offer
-// each disconnected member its backup-configuration route — the
-// configurations isolating a failed component first, then the remaining
-// ones, each group in ascending order.
-func (st *Strategy) Recover(fs []failure.Failure) (*core.HealReport, error) {
-	if st.s == nil || !st.built {
-		return nil, fmt.Errorf("mrc: %w", core.ErrUnboundStrategy)
-	}
-	prefs := st.preferredConfigs(fs)
-	g := st.s.Graph()
-	tree := st.s.Tree()
-	src := tree.Source()
-	return st.s.RecoverScaffold(fs, func(m graph.NodeID, mask *graph.Mask) (graph.Path, bool) {
-		for _, c := range prefs {
-			t := g.Dijkstra(src, st.masks[c])
-			if !t.Reachable(m) {
-				continue // m is in the isolated class, or cut off in this config
-			}
-			// The config path runs source→…→m; the scaffold wants the
-			// member-outward direction and trims at the first live on-tree
-			// node. Pre-validate against the accumulated mask so a broken
-			// configuration falls through to the next one instead of
-			// burning the proposal.
-			p := t.PathTo(m).Reverse()
-			if detourUsable(p, tree, mask) {
-				return p, true
-			}
+// Propose implements core.RecoveryStrategy: it offers m's route in each
+// backup configuration that reaches it, in preferredConfigs order. The
+// configuration trees run source→…→m, so each route is offered reversed,
+// member first; the session trims it at its first live on-tree node and
+// rejects one that crosses the accumulated mask, which moves on to the next
+// configuration.
+func (st *Strategy) Propose(fs []failure.Failure, m graph.NodeID, offer func(graph.Path) bool) {
+	g, src := st.s.Graph(), st.s.Tree().Source()
+	for _, c := range st.preferredConfigs(fs) {
+		t := g.Dijkstra(src, st.masks[c])
+		// m is unreachable when it is in c's isolated class or cut off in c.
+		if t.Reachable(m) && offer(t.PathTo(m).Reverse()) {
+			return
 		}
-		return nil, false
-	})
+	}
 }
 
 // preferredConfigs orders the configurations for one recovery: those
@@ -201,27 +182,6 @@ func (st *Strategy) preferredConfigs(fs []failure.Failure) []int {
 		}
 	}
 	return prefs
-}
-
-// detourUsable reports whether the member-outward path p reaches a live
-// on-tree node without crossing the accumulated failure mask — the same
-// trim-at-first-on-tree-node walk core.Session.sanitizeDetour performs, run
-// early so Recover can try the next configuration on a miss.
-func detourUsable(p graph.Path, tree interface{ OnTree(graph.NodeID) bool }, mask *graph.Mask) bool {
-	for i, n := range p {
-		if mask.NodeBlocked(n) {
-			return false
-		}
-		if i > 0 {
-			if mask.EdgeBlocked(p[i-1], n) {
-				return false
-			}
-			if tree.OnTree(n) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // StateBytes implements core.RecoveryStrategy: k precomputed SPF trees plus

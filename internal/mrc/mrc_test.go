@@ -1,7 +1,6 @@
 package mrc
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -122,13 +121,6 @@ func TestRecoverPaperFig1(t *testing.T) {
 	}
 }
 
-// TestUnbound pins the not-precomputed error contract.
-func TestUnbound(t *testing.T) {
-	if _, err := New(2).Recover(nil); !errors.Is(err, core.ErrUnboundStrategy) {
-		t.Errorf("Recover on unbound strategy = %v, want ErrUnboundStrategy", err)
-	}
-}
-
 // TestRecoverIgnoresBatchOrder: a correlated batch names a set of failures,
 // and the order it lists them in (a node's links come in the order of its
 // adjacency row) must not reach the recovery. Each SRLG batch is healed by
@@ -193,5 +185,67 @@ func TestRecoverIgnoresBatchOrder(t *testing.T) {
 	}
 	if multiClass == 0 {
 		t.Fatal("no batch spans two isolation classes; the order went untested")
+	}
+}
+
+// TestRecoverTriesLaterConfigurations: when the preferred configuration's
+// route crosses the accumulated mask, the member is grafted along the next
+// configuration whose route does not, with no fallback. With k=3 the greedy
+// assignment puts X=1 and 4 in class 0, 2 and 5 in class 1, the member 3 in
+// class 2. The SPF tree is S→1→2→3. Link 5–3 fails first and cuts nothing;
+// then X fails. Config 0, isolating X, routes 3 over S→5→3, across the dead
+// link; config 1 routes it over S→4→3, which holds.
+func TestRecoverTriesLaterConfigurations(t *testing.T) {
+	b := graph.New(6)
+	for _, e := range []struct {
+		u, v graph.NodeID
+		w    float64
+	}{
+		{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, // the tree
+		{0, 5, 2}, {5, 3, 2}, // config 0's route
+		{0, 4, 2}, {4, 3, 2.5}, // config 1's route
+	} {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := New(3)
+	cfg := core.DefaultConfig()
+	cfg.DThresh = 0
+	cfg.Strategy = st
+	s, err := core.NewSession(g, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{-1, 0, 1, 2, 0, 1}; !reflect.DeepEqual(st.classOf, want) {
+		t.Fatalf("classes %v, want %v", st.classOf, want)
+	}
+	for c, want := range []graph.Path{{0, 5, 3}, {0, 4, 3}} {
+		if got := g.Dijkstra(0, st.masks[c]).PathTo(3); !reflect.DeepEqual(got, want) {
+			t.Fatalf("config %d routes 3 over %v, want %v", c, got, want)
+		}
+	}
+	if _, err := s.Join(3); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Recover(failure.LinkDown(5, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Disconnected) != 0 {
+		t.Fatalf("the off-tree link disconnected %v", rep.Disconnected)
+	}
+	if rep, err = s.Recover(failure.NodeDown(1)); err != nil {
+		t.Fatal(err)
+	}
+	if want := (graph.Path{3, 4, 0}); !reflect.DeepEqual(rep.Detours[3], want) || rep.RecoveryDistance[3] != 4.5 {
+		t.Errorf("member 3 recovered along %v at RD %v, want %v at 4.5", rep.Detours[3], rep.RecoveryDistance[3], want)
+	}
+	if fb := s.Stats().StrategyFallbacks; fb != 0 {
+		t.Errorf("fallbacks = %d, want 0 (config 1 holds)", fb)
 	}
 }

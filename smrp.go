@@ -149,8 +149,9 @@ func NewSession(net *Network, source NodeID, cfg Config) (*Session, error) {
 // of a multicast tree.
 func ComputeSHR(t *Tree) map[NodeID]int { return core.ComputeSHR(t) }
 
-// RecoveryStrategy is the pluggable failure-restoration seam: it decides how
-// a session reconnects members after persistent failures. Install one via
+// RecoveryStrategy is the pluggable failure-restoration seam: it proposes the
+// detours a session reconnects members along after persistent failures, and
+// the session validates, grafts and falls back on its own. Install one via
 // Config.Strategy (nil keeps SMRP's local-detour recovery); instances are
 // bound to a single session.
 type RecoveryStrategy = core.RecoveryStrategy
