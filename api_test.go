@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -29,6 +30,14 @@ func TestPublicAPI(t *testing.T) {
 	got, err := renderAPI(".")
 	if err != nil {
 		t.Fatalf("render public API: %v", err)
+	}
+
+	// The root is the protocol library: the study harness is run through
+	// smrp-sim -fig, so no declaration may reach into it.
+	for _, line := range strings.Split(got, "\n") {
+		if harnessRef.MatchString(line) {
+			t.Errorf("root API exposes the study harness: %s", line)
+		}
 	}
 
 	const baseline = "api/smrp.txt"
@@ -66,6 +75,9 @@ func TestPublicAPI(t *testing.T) {
 	}
 	t.Errorf("public API differs from %s; if the change is intentional, regenerate with SMRP_UPDATE_API=1 go test -run TestPublicAPI .", baseline)
 }
+
+// harnessRef matches a reference to the study harness's packages.
+var harnessRef = regexp.MustCompile(`\b(experiment|runner|metrics)\.`)
 
 // splitDecls breaks a rendered API file into its blank-line-separated
 // declarations.

@@ -1,6 +1,7 @@
 package smrp_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -13,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -50,32 +52,7 @@ var testOnlyAllowed = map[string]string{
 // handed. Fitting a standard-library interface is not enough: nothing says
 // the value ever reaches the code that calls through it.
 func TestNoTestOnlyExports(t *testing.T) {
-	l := newLoader()
-	if err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		matches, _ := filepath.Glob(filepath.Join(path, "*.go"))
-		if slices.ContainsFunc(matches, func(f string) bool { return !strings.HasSuffix(f, "_test.go") }) {
-			l.dirs[pathpkg.Join("smrp", filepath.ToSlash(path))] = path
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var paths []string
-	for path := range l.dirs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if _, err := l.Import(path); err != nil {
-			t.Fatalf("type-check %s: %v", path, err)
-		}
-	}
+	l, paths := loadModule(t)
 
 	used := make(map[*types.Func]bool)
 	viaIface := make(map[*types.Func]bool) // interface methods of the module non-test code calls
@@ -166,25 +143,77 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+var (
+	moduleOnce  sync.Once
+	module      *loader
+	modulePaths []string // every loaded import path, sorted
+	moduleErr   error
+)
+
+// loadModule type-checks the non-test code of every package in the module
+// (root, cmd/, examples/, internal/) and in the nested bench/ module, once
+// per test binary, for the tests that read the whole program.
+func loadModule(t *testing.T) (*loader, []string) {
+	t.Helper()
+	moduleOnce.Do(func() {
+		l := newLoader()
+		if moduleErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			matches, _ := filepath.Glob(filepath.Join(path, "*.go"))
+			if slices.ContainsFunc(matches, func(f string) bool { return !strings.HasSuffix(f, "_test.go") }) {
+				l.dirs[pathpkg.Join("smrp", filepath.ToSlash(path))] = path
+			}
+			return nil
+		}); moduleErr != nil {
+			return
+		}
+		for path := range l.dirs {
+			modulePaths = append(modulePaths, path)
+		}
+		sort.Strings(modulePaths)
+		for _, path := range modulePaths {
+			if _, err := l.Import(path); err != nil {
+				moduleErr = fmt.Errorf("type-check %s: %w", path, err)
+				return
+			}
+		}
+		module = l
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return module, modulePaths
+}
+
 // loader type-checks the module's packages, non-test files only, each once,
 // resolving imports among them to its own results and every other import
 // (the standard library) from source, so all uses meet one set of objects.
 type loader struct {
-	fset *token.FileSet
-	std  types.ImporterFrom
-	dirs map[string]string // import path → directory
-	pkgs map[string]*types.Package
-	info *types.Info
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	dirs  map[string]string // import path → directory
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File // import path → its parsed non-test files
+	info  *types.Info
 }
 
 func newLoader() *loader {
 	fset := token.NewFileSet()
 	return &loader{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		dirs: make(map[string]string),
-		pkgs: make(map[string]*types.Package),
-		info: &types.Info{Uses: make(map[*ast.Ident]types.Object)},
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		dirs:  make(map[string]string),
+		pkgs:  make(map[string]*types.Package),
+		files: make(map[string][]*ast.File),
+		info: &types.Info{
+			Uses:  make(map[*ast.Ident]types.Object),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+		},
 	}
 }
 
@@ -219,5 +248,109 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		return nil, err
 	}
 	l.pkgs[path] = pkg
+	l.files[path] = files
 	return pkg, nil
+}
+
+// mapRangeAllowed lists every function in the non-test code of the module
+// (root, cmd/, examples/, internal/) that ranges over a map, keyed
+// "pkg.Func" or "pkg.Recv.Method" ("cmd/name.Func" and "examples/name.Func"
+// for the commands), each with why nothing it returns or prints follows
+// Go's random iteration order. One entry covers every map loop in its
+// function.
+var mapRangeAllowed = map[string]string{
+	"cmd/smrp-trace.printDelivery":          "collected and sorted by member",
+	"examples/quickstart.run":               "collected and sorted by member",
+	"examples/reshaping.printSHR":           "collected and sorted by node",
+	"core.enumerateQuery":                   "collected and sorted by merger",
+	"core.HealReport.TotalRecoveryDistance": "collected and sorted by member before the float sum",
+	"core.Session.beginHeal":                "collected into the todo list, which is sorted",
+	"core.Session.Parked":                   "collected and sorted",
+	"detour.Strategy.Precompute":            "deletes only",
+	"detour.Strategy.StateBytes":            "integer sum",
+	"experiment.playSchedule":               "collected and sorted by member before the RDs are appended",
+	"faultisolation.Isolate":                "min over keys: the error names the lowest non-member",
+	"graph.Mask.Each":                       "edges in map order, as its doc says: failure.DeadRoots sorts what it collects and core's tree view only blocks and unblocks",
+	"graph.Mask.Clone":                      "copies into a map",
+	"graph.Mask.AppendDiff":                 "the output is sorted, and whether the budget runs out depends only on the count",
+	"graph.Mask.Union":                      "blocks edges in a mask: set union",
+	"graph.SPFCache.Dijkstra":               "copies into a map",
+	"hierarchy.NLevelSession.Members":       "collected and sorted",
+	"hierarchy.NLevelSession.Parked":        "collected and sorted",
+	"protect.BuildRedundantTrees":           "collected and sorted by st-number, which is unique per node",
+	"protect.DependableSession.Members":     "collected and sorted",
+	"protocol.driver.Restorations":          "collected and sorted by member",
+	"protocol.driver.Multicast":             "deletes only",
+	"protocol.SMRPInstance.onFailureSet":    "collected and sorted by member",
+	"protocol.SMRPInstance.land":            "max over values: the latest memoised landing m waits on",
+	"server.hub.publish":                    "a non-blocking send to each subscriber's own channel",
+	"server.hub.close":                      "closes and deletes every subscriber",
+	"server.Registry.List":                  "collected and sorted by ID",
+	"server.Registry.Close":                 "collected; every actor is closed, then every one awaited",
+	"trace.Log.Summary":                     "collected and sorted by category",
+}
+
+// TestMapRangesAllowlisted fails when non-test code ranges over a map in a
+// function mapRangeAllowed does not name, and when an entry names a
+// function that no longer does. Go hands a map's entries out in a random
+// order, so a loop whose output follows that order (a float sum, a print,
+// an append kept unsorted) makes one input give different results. A new
+// map loop needs a stated reason why its result is order-free.
+func TestMapRangesAllowlisted(t *testing.T) {
+	l, paths := loadModule(t)
+	seen := make(map[string]bool)
+	var bad []string
+	for _, path := range paths {
+		if strings.HasPrefix(path, "smrp/bench") {
+			continue
+		}
+		prefix := strings.TrimPrefix(strings.TrimPrefix(path, "smrp/internal/"), "smrp/")
+		for _, f := range l.files[path] {
+			for _, d := range f.Decls {
+				key := prefix + "." + declName(d)
+				ast.Inspect(d, func(n ast.Node) bool {
+					rs, ok := n.(*ast.RangeStmt)
+					if !ok {
+						return true
+					}
+					if _, isMap := l.info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
+						return true
+					}
+					if !seen[key] && mapRangeAllowed[key] == "" {
+						bad = append(bad, l.fset.Position(rs.Pos()).String()+": "+key)
+					}
+					seen[key] = true
+					return true
+				})
+			}
+		}
+	}
+	for _, b := range bad {
+		t.Errorf("%s ranges over a map: make its result order-free and allowlist it with the reason, or iterate in a sorted order", b)
+	}
+	for key := range mapRangeAllowed {
+		if !seen[key] {
+			t.Errorf("allowlist entry %s names no function that ranges over a map; remove it", key)
+		}
+	}
+}
+
+// declName names a top-level declaration for mapRangeAllowed: "Func" or
+// "Recv.Method"; package-level initializers run as "init".
+func declName(d ast.Decl) string {
+	fd, ok := d.(*ast.FuncDecl)
+	if !ok {
+		return "init"
+	}
+	if fd.Recv == nil {
+		return fd.Name.Name
+	}
+	recv := fd.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	if generic, ok := recv.(*ast.IndexExpr); ok { // a single type parameter, as pqueue.Heap[E]
+		recv = generic.X
+	}
+	return recv.(*ast.Ident).Name + "." + fd.Name.Name
 }

@@ -70,11 +70,15 @@ var (
 // is always in the returned set; multiple simultaneous failures yield one
 // suspect per maximal dark subtree.
 func Isolate(t *multicast.Tree, obs Observation) ([]Suspect, error) {
-	// Validate the observation.
+	// Validate the observation, naming the lowest non-member reported.
+	bad := graph.Invalid
 	for n := range obs.Reachable {
-		if !t.IsMember(n) {
-			return nil, fmt.Errorf("%w: %d reported reachable but is not a member", ErrInconsistent, n)
+		if !t.IsMember(n) && (bad == graph.Invalid || n < bad) {
+			bad = n
 		}
+	}
+	if bad != graph.Invalid {
+		return nil, fmt.Errorf("%w: %d reported reachable but is not a member", ErrInconsistent, bad)
 	}
 	dark := 0
 	for _, m := range t.Members() {

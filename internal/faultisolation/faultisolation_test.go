@@ -2,6 +2,7 @@ package faultisolation
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"smrp/internal/failure"
@@ -92,6 +93,14 @@ func TestIsolateInconsistent(t *testing.T) {
 	obs := NewObservation([]graph.NodeID{2})
 	if _, err := Isolate(tr, obs); !errors.Is(err, ErrInconsistent) {
 		t.Errorf("err = %v", err)
+	}
+	// Of several, the error names the lowest, whatever order the map
+	// hands them out in.
+	obs = NewObservation([]graph.NodeID{5, 3, 2})
+	for i := 0; i < 100; i++ {
+		if _, err := Isolate(tr, obs); !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), ": 2 reported") {
+			t.Fatalf("call %d: err = %v, want it to name node 2", i, err)
+		}
 	}
 }
 

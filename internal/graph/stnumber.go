@@ -166,10 +166,12 @@ func (g *Graph) STNumbering(s, t NodeID) (map[NodeID]int, error) {
 			ErrNotBiconnected, num[s], num[t], len(num))
 	}
 	// Verify the st-property; it fails exactly when g was not biconnected.
-	for v, nv := range num {
+	// The list numbered every node, so ascending IDs visit them all.
+	for v := NodeID(0); int(v) < n; v++ {
 		if v == s || v == t {
 			continue
 		}
+		nv := num[v]
 		lower, higher := false, false
 		to, _ := g.arcs(NodeID(v))
 		for _, t := range to {

@@ -3,6 +3,7 @@ package protect
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"smrp/internal/graph"
 )
@@ -149,10 +150,12 @@ func pathIntact(p graph.Path, mask *graph.Mask) bool {
 
 // ReservedCost is the standing resource usage: the weight of every primary
 // plus every backup reservation (links reserved twice count twice, as two
-// channels hold them).
+// channels hold them), summed in ascending member order so one session
+// always gives the same float.
 func (s *DependableSession) ReservedCost() (float64, error) {
 	var total float64
-	for _, c := range s.conns {
+	for _, m := range s.Members() {
+		c := s.conns[m]
 		pw, err := c.Primary.Weight(s.g)
 		if err != nil {
 			return 0, err
@@ -164,4 +167,14 @@ func (s *DependableSession) ReservedCost() (float64, error) {
 		total += pw + bw
 	}
 	return total, nil
+}
+
+// Members lists joined receivers in ascending order.
+func (s *DependableSession) Members() []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(s.conns))
+	for m := range s.conns {
+		out = append(out, m)
+	}
+	slices.Sort(out)
+	return out
 }

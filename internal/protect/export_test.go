@@ -2,7 +2,6 @@ package protect
 
 import (
 	"fmt"
-	"sort"
 
 	"smrp/internal/graph"
 )
@@ -14,16 +13,6 @@ func (s *DependableSession) Leave(m graph.NodeID) error {
 	}
 	delete(s.conns, m)
 	return nil
-}
-
-// Members lists joined receivers in ascending order.
-func (s *DependableSession) Members() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(s.conns))
-	for m := range s.conns {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Cost returns the combined standing resource usage of both trees — the

@@ -3,6 +3,7 @@ package protect
 import (
 	"errors"
 	"maps"
+	"math"
 	"slices"
 	"testing"
 
@@ -210,6 +211,54 @@ func TestDependableSessionBasics(t *testing.T) {
 	}
 	if err := s.Leave(3); err == nil {
 		t.Error("double leave should fail")
+	}
+}
+
+// TestReservedCostIsOrdered: the sum runs in ascending member order,
+// whatever order the session's map hands its connections out in. Each
+// member m reaches the source directly at weight w and through its own
+// relay at 3w, so it reserves 4w. Member 1 reserves 1 and members 2 and 3
+// reserve 2⁻⁵³ each, half an ulp of 1: ascending order sums to 1, while the
+// two small terms first give 1.0000000000000002.
+func TestReservedCostIsOrdered(t *testing.T) {
+	weights := []float64{0, 0.25, math.Ldexp(1, -55), math.Ldexp(1, -55)} // w by member; 0 is the source
+	b := graph.New(7)
+	for m := graph.NodeID(1); m <= 3; m++ {
+		w := weights[m]
+		relay := m + 3
+		for _, e := range [][3]float64{{float64(m), 0, w}, {float64(m), float64(relay), w * 1.5}, {float64(relay), 0, w * 1.5}} {
+			if err := b.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), e[2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewDependableSession(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	var rev []float64 // each member's reservation, descending member order
+	for m := graph.NodeID(1); m <= 3; m++ {
+		c, err := s.Join(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pw, _ := c.Primary.Weight(g)
+		bw, _ := c.Backup.Weight(g)
+		want += pw + bw
+		rev = append([]float64{pw + bw}, rev...)
+	}
+	if other := rev[0] + rev[1] + rev[2]; want != 1 || other == want {
+		t.Fatalf("ascending sum %v, descending %v: the weights do not make order matter", want, other)
+	}
+	for i := 0; i < 200; i++ {
+		if got, err := s.ReservedCost(); err != nil || got != want {
+			t.Fatalf("call %d: reserved cost = %v (%v), want %v", i, got, err, want)
+		}
 	}
 }
 

@@ -119,7 +119,11 @@ func (s *Session) Leave(m graph.NodeID) error {
 type HealReport struct {
 	Disconnected []graph.NodeID
 	// RecoveryDistance maps each recoverable member to the weight of the new
-	// links its rejoin brings into the tree (the global-detour RD).
+	// links its rejoin would bring into the surviving tree, measured for
+	// each member alone before anyone rejoins: the isolated global-detour
+	// RD, unlike core.HealReport's, which is measured as grafted. Members
+	// that then rejoin one after another may bring in less, as a later one
+	// can reach a node an earlier one's rejoin added.
 	RecoveryDistance map[graph.NodeID]float64
 	// NewPaths maps each recoverable member to its post-reconvergence unicast
 	// path to the source (member → … → source).

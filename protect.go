@@ -1,9 +1,6 @@
 package smrp
 
 import (
-	"context"
-
-	"smrp/internal/experiment"
 	"smrp/internal/faultisolation"
 	"smrp/internal/protect"
 	"smrp/internal/workload"
@@ -76,12 +73,4 @@ type (
 // GenerateChurn builds a deterministic churn schedule.
 func GenerateChurn(cfg ChurnConfig, rng *RNG) (*ChurnSchedule, error) {
 	return workload.Generate(cfg, rng)
-}
-
-// ProtectionResult compares reactive recovery with preplanned protection.
-type ProtectionResult = experiment.ProtectionResult
-
-// RunProtection executes the reactive-vs-preplanned comparison.
-func RunProtection(ctx context.Context, rc RunConfig, runs int) (*ProtectionResult, error) {
-	return experiment.RunProtection(ctx, rc, runs)
 }

@@ -1,10 +1,13 @@
 // Package smrp is a Go implementation of SMRP, the Survivable Multicast
 // Routing Protocol (Wu & Shin, "SMRP: Fast Restoration of Multicast Sessions
-// from Persistent Failures", DSN 2005), together with everything needed to
-// study it: Waxman/transit–stub topology generators, a link-state unicast
-// routing substrate, a deterministic discrete-event simulator, an SPF/PIM
-// baseline, a hierarchical recovery architecture, and the complete
-// evaluation harness regenerating the paper's figures.
+// from Persistent Failures", DSN 2005): sessions that join under a delay
+// bound and restore through local detours, with what they run on and are
+// compared against — Waxman/transit–stub topology generators, a link-state
+// unicast routing substrate, a deterministic discrete-event simulator, an
+// SPF/PIM baseline, the MRC and precomputed-detour recovery strategies, the
+// preplanned-protection baselines and a hierarchical recovery architecture.
+// The studies that regenerate the paper's figures are not part of this API;
+// run them with smrp-sim -fig (cmd/smrp-sim).
 //
 // # Quick start
 //
