@@ -33,7 +33,7 @@ func Example_quickstart() {
 		log.Fatal(err)
 	}
 	fmt.Printf("disconnected: %v\n", rep.Disconnected)
-	fmt.Printf("detour: %v (RD %.0f)\n", rep.Detours[4], rep.RecoveryDistance[4])
+	fmt.Printf("detour: %v (RD %.0f)\n", rep.Recovered[0].Detour, rep.Recovered[0].RD)
 	// Output:
 	// disconnected: [4]
 	// detour: 4→3 (RD 2)

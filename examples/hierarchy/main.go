@@ -97,7 +97,7 @@ func run() error {
 		rep.NodesInDomain, ts.Graph.NumNodes(),
 		100*(1-float64(rep.NodesInDomain)/float64(ts.Graph.NumNodes())))
 	fmt.Printf("  members re-grafted inside the domain: %d, total RD %.3f\n",
-		len(rep.Heal.RecoveryDistance), rep.Heal.TotalRecoveryDistance())
+		len(rep.Heal.Recovered), rep.Heal.TotalRecoveryDistance())
 	if len(rep.Heal.Unrecovered) > 0 {
 		fmt.Printf("  unrecoverable inside the domain (cut edge): %v\n", rep.Heal.Unrecovered)
 	}

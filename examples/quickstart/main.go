@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"slices"
 
 	"smrp"
 )
@@ -68,13 +67,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	recovered := make([]smrp.NodeID, 0, len(rep.RecoveryDistance))
-	for m := range rep.RecoveryDistance {
-		recovered = append(recovered, m)
-	}
-	slices.Sort(recovered)
-	for _, m := range recovered {
-		fmt.Printf("  member %-3d recovered via %v (RD %.3f)\n", m, rep.Detours[m], rep.RecoveryDistance[m])
+	for _, r := range rep.Recovered {
+		fmt.Printf("  member %-3d recovered via %v (RD %.3f)\n", r.Member, r.Detour, r.RD)
 	}
 	if len(rep.Unrecovered) > 0 {
 		fmt.Println("  unrecoverable:", rep.Unrecovered)

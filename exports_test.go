@@ -259,35 +259,30 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 // Go's random iteration order. One entry covers every map loop in its
 // function.
 var mapRangeAllowed = map[string]string{
-	"cmd/smrp-trace.printDelivery":          "collected and sorted by member",
-	"examples/quickstart.run":               "collected and sorted by member",
-	"examples/reshaping.printSHR":           "collected and sorted by node",
-	"core.enumerateQuery":                   "collected and sorted by merger",
-	"core.HealReport.TotalRecoveryDistance": "collected and sorted by member before the float sum",
-	"core.Session.beginHeal":                "collected into the todo list, which is sorted",
-	"core.Session.Parked":                   "collected and sorted",
-	"detour.Strategy.Precompute":            "deletes only",
-	"detour.Strategy.StateBytes":            "integer sum",
-	"experiment.playSchedule":               "collected and sorted by member before the RDs are appended",
-	"faultisolation.Isolate":                "min over keys: the error names the lowest non-member",
-	"graph.Mask.Each":                       "edges in map order, as its doc says: failure.DeadRoots sorts what it collects and core's tree view only blocks and unblocks",
-	"graph.Mask.Clone":                      "copies into a map",
-	"graph.Mask.AppendDiff":                 "the output is sorted, and whether the budget runs out depends only on the count",
-	"graph.Mask.Union":                      "blocks edges in a mask: set union",
-	"graph.SPFCache.Dijkstra":               "copies into a map",
-	"hierarchy.NLevelSession.Members":       "collected and sorted",
-	"hierarchy.NLevelSession.Parked":        "collected and sorted",
-	"protect.BuildRedundantTrees":           "collected and sorted by st-number, which is unique per node",
-	"protect.DependableSession.Members":     "collected and sorted",
-	"protocol.driver.Restorations":          "collected and sorted by member",
-	"protocol.driver.Multicast":             "deletes only",
-	"protocol.SMRPInstance.onFailureSet":    "collected and sorted by member",
-	"protocol.SMRPInstance.land":            "max over values: the latest memoised landing m waits on",
-	"server.hub.publish":                    "a non-blocking send to each subscriber's own channel",
-	"server.hub.close":                      "closes and deletes every subscriber",
-	"server.Registry.List":                  "collected and sorted by ID",
-	"server.Registry.Close":                 "collected; every actor is closed, then every one awaited",
-	"trace.Log.Summary":                     "collected and sorted by category",
+	"cmd/smrp-trace.printDelivery":      "collected and sorted by member",
+	"examples/reshaping.printSHR":       "collected and sorted by node",
+	"core.Session.beginHeal":            "collected into the todo list, which is sorted",
+	"core.Session.Parked":               "collected and sorted",
+	"detour.Strategy.Precompute":        "deletes only",
+	"detour.Strategy.StateBytes":        "integer sum",
+	"faultisolation.Isolate":            "min over keys: the error names the lowest non-member",
+	"graph.Mask.Each":                   "edges in map order, as its doc says: failure.DeadRoots sorts what it collects and core's tree view only blocks and unblocks",
+	"graph.Mask.Clone":                  "copies into a map",
+	"graph.Mask.AppendDiff":             "the output is sorted, and whether the budget runs out depends only on the count",
+	"graph.Mask.Union":                  "blocks edges in a mask: set union",
+	"graph.SPFCache.Dijkstra":           "copies into a map",
+	"hierarchy.NLevelSession.Members":   "collected and sorted",
+	"hierarchy.NLevelSession.Parked":    "collected and sorted",
+	"protect.BuildRedundantTrees":       "collected and sorted by st-number, which is unique per node",
+	"protect.DependableSession.Members": "collected and sorted",
+	"protocol.driver.Restorations":      "collected and sorted by member",
+	"protocol.driver.Multicast":         "deletes only",
+	"protocol.SMRPInstance.land":        "max over values: the latest memoised landing m waits on",
+	"server.hub.publish":                "a non-blocking send to each subscriber's own channel",
+	"server.hub.close":                  "closes and deletes every subscriber",
+	"server.Registry.List":              "collected and sorted by ID",
+	"server.Registry.Close":             "collected; every actor is closed, then every one awaited",
+	"trace.Log.Summary":                 "collected and sorted by category",
 }
 
 // TestMapRangesAllowlisted fails when non-test code ranges over a map in a

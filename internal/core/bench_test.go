@@ -232,7 +232,8 @@ func BenchmarkRecoverLeafCut(b *testing.B) {
 
 // TestLeafCutRestoreAllocs pins a warm single-member restoration (and its
 // repair) to a handful of allocations whatever the size of the tree: the two
-// reports, the heal report's lists and maps, the detour (11 measured).
+// reports, the heal report's lists, its records and its map, the detour (10
+// measured).
 // Anything sized to the tree (a surviving-node set, a member list, a node
 // list) would show as the tree grows fourfold. Skipped under the race
 // detector, which has the sweep and arena pools drop items at random so that
@@ -265,8 +266,8 @@ func TestLeafCutRestoreAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("%d members, %d tree nodes: %.0f allocs per restore", members, s.tree.NumNodes(), allocs)
-		if allocs > 12 {
-			t.Errorf("%d members (%d tree nodes): %.0f allocs per single-member restore, want ≤ 12",
+		if allocs > 11 {
+			t.Errorf("%d members (%d tree nodes): %.0f allocs per single-member restore, want ≤ 11",
 				members, s.tree.NumNodes(), allocs)
 		}
 	}
@@ -382,10 +383,10 @@ func TestReshapeCheckAllocs(t *testing.T) {
 // TestBranchCutRestoreAllocs pins what a warm multi-member restoration
 // allocates to what it hands back. On branchCutSession a worst-case cut takes
 // the whole tree but the source, so all k = 30 members reconnect from the tree
-// side, and Recover allocates k + 11 times: the k detour paths the report
-// keeps, the report, its failure list, its Disconnected list, and four
-// allocations inside each of its two maps (this toolchain's count for a map
-// made with room for 30). The field, the contenders, the confined sweeps,
+// side, and Recover allocates k + 8 times: the k detour paths the report
+// keeps, the report, its failure list, its Disconnected list, its records, and
+// four allocations inside its RD map (this toolchain's count for a map made
+// with room for 30). The field, the contenders, the confined sweeps,
 // their path buffer and the heal's own lists are scratch. Recover alone is
 // counted, not the Repair that follows it. Skipped under the race detector and
 // run with GC off for the reasons TestLeafCutRestoreAllocs gives.
@@ -417,12 +418,12 @@ func TestBranchCutRestoreAllocs(t *testing.T) {
 		if i < warmup {
 			continue
 		}
-		allocs, k := int(after.Mallocs-before.Mallocs), len(rep.Detours)
+		allocs, k := int(after.Mallocs-before.Mallocs), len(rep.Recovered)
 		if k != s.tree.NumMembers() || s.healTally.fieldEvents == fromTree {
 			t.Fatalf("cut above %d regrafted %d of %d members, from the tree side: %v", m, k, s.tree.NumMembers(), s.healTally.fieldEvents > fromTree)
 		}
-		if allocs > k+11 {
-			t.Errorf("%d allocs restoring %d members, want ≤ %d", allocs, k, k+11)
+		if allocs > k+8 {
+			t.Errorf("%d allocs restoring %d members, want ≤ %d", allocs, k, k+8)
 		}
 	}
 }

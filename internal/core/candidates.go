@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"smrp/internal/graph"
@@ -158,7 +159,7 @@ func enumerateQuery(v *treeView, joiner graph.NodeID, extraMask *graph.Mask, sta
 	t := v.t
 	g := t.Graph()
 	src := t.Source()
-	best := make(map[graph.NodeID]Candidate)
+	var out []Candidate
 	for _, arc := range g.Neighbors(joiner) {
 		nb := arc.To
 		if extraMask.NodeBlocked(nb) || extraMask.EdgeBlocked(joiner, nb) {
@@ -196,21 +197,18 @@ func enumerateQuery(v *treeView, joiner graph.NodeID, extraMask *graph.Mask, sta
 		if err != nil {
 			continue
 		}
-		cand := Candidate{
+		out = append(out, Candidate{
 			Merger:     merger,
 			Connection: conn,
 			ConnDelay:  cd,
 			TotalDelay: treeDelay + cd,
 			SHR:        v.shrAt(merger),
-		}
-		if prev, ok := best[merger]; !ok || cand.TotalDelay < prev.TotalDelay {
-			best[merger] = cand
-		}
+		})
 	}
-	out := make([]Candidate, 0, len(best))
-	for _, c := range best {
-		out = append(out, c)
-	}
-	slices.SortFunc(out, func(a, b Candidate) int { return int(a.Merger - b.Merger) })
-	return out
+	// One candidate per merger, ascending: the reply of least delay, the
+	// earliest neighbour's among equals.
+	slices.SortStableFunc(out, func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(a.Merger, b.Merger), cmp.Compare(a.TotalDelay, b.TotalDelay))
+	})
+	return slices.CompactFunc(out, func(a, b Candidate) bool { return a.Merger == b.Merger })
 }

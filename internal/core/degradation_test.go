@@ -276,8 +276,8 @@ func TestRepairCountsParkOnce(t *testing.T) {
 }
 
 // TestRepairRefusesUnknownComponents: Repair refuses a node or link the
-// graph lacks, as Recover does, and changes nothing; repairing a real
-// component that never failed is a no-op.
+// graph lacks, or a failure of neither kind, as Recover does, and changes
+// nothing; repairing a real component that never failed is a no-op.
 func TestRepairRefusesUnknownComponents(t *testing.T) {
 	s, err := NewSession(lineGraph(t, 4), 0, DefaultConfig())
 	if err != nil {
@@ -296,6 +296,8 @@ func TestRepairRefusesUnknownComponents(t *testing.T) {
 		{[]failure.Failure{failure.NodeDown(999)}, graph.ErrUnknownNode},
 		{[]failure.Failure{failure.LinkDown(1, 2), failure.LinkDown(7, 900)}, graph.ErrUnknownNode},
 		{[]failure.Failure{failure.LinkDown(0, 2)}, graph.ErrUnknownEdge},
+		{[]failure.Failure{{}}, failure.ErrBadSchedule},
+		{[]failure.Failure{failure.LinkDown(1, 2), {Kind: 99}}, failure.ErrBadSchedule},
 	} {
 		if rr, err := s.Repair(tc.fs...); !errors.Is(err, tc.want) {
 			t.Errorf("Repair(%v) = %+v, %v; want %v", tc.fs, rr, err, tc.want)

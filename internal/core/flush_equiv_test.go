@@ -85,7 +85,8 @@ func (st *walkFlush) flushDead(mask *graph.Mask) ([]graph.NodeID, error) {
 	return disconnected, nil
 }
 
-// beginHeal is the parent commit's (*Session).beginHeal, verbatim.
+// beginHeal is the parent commit's (*Session).beginHeal, verbatim but for the
+// list of recovery records it opens.
 func (st *walkFlush) beginHeal(fs []failure.Failure) (*heal, error) {
 	s := st.s
 	mask := s.maskOrNil()
@@ -110,7 +111,6 @@ func (st *walkFlush) beginHeal(fs []failure.Failure) (*heal, error) {
 			Failures:         fs,
 			Disconnected:     disconnected,
 			RecoveryDistance: make(map[graph.NodeID]float64),
-			Detours:          make(map[graph.NodeID]graph.Path),
 		},
 		mask:      mask,
 		wasParked: make(map[graph.NodeID]bool, len(s.parked)),
@@ -133,14 +133,17 @@ func (st *walkFlush) beginHeal(fs []failure.Failure) (*heal, error) {
 		h.todo = append(h.todo, m)
 	}
 	slices.Sort(h.todo)
+	h.rep.Recovered = make([]Recovery, 0, len(h.todo))
 	return h, nil
 }
 
 // endHeal is the parent commit's (*Session).endHeal, verbatim but for the
-// regrafted branches, which regraft no longer collects.
+// regrafted branches, which regraft no longer collects, and the recovery
+// records, which it sorts.
 func (st *walkFlush) endHeal(h *heal) *HealReport {
 	s := st.s
 	rep := h.rep
+	slices.SortFunc(rep.Recovered, byMember)
 	slices.Sort(rep.Unrecovered)
 	slices.Sort(rep.Readmitted)
 	rep.Pruned = s.tree.PruneStale()

@@ -61,7 +61,6 @@ func (st *roundwise) Recover(fs []failure.Failure) (*HealReport, error) {
 		Failures:         fs,
 		Disconnected:     disconnected,
 		RecoveryDistance: make(map[graph.NodeID]float64),
-		Detours:          make(map[graph.NodeID]graph.Path),
 	}
 	if len(fs) > 0 {
 		rep.Failure = fs[0]
@@ -83,6 +82,7 @@ func (st *roundwise) Recover(fs []failure.Failure) (*HealReport, error) {
 			wasParked[m] = true
 		}
 	}
+	rep.Recovered = make([]Recovery, 0, len(remaining))
 	accept := func(n graph.NodeID) bool {
 		return s.tree.OnTree(n) && !mask.NodeBlocked(n)
 	}
@@ -125,9 +125,10 @@ func (st *roundwise) Recover(fs []failure.Failure) (*HealReport, error) {
 			s.stats.Readmissions++
 			rep.Readmitted = append(rep.Readmitted, bestM)
 		}
+		rep.Recovered = append(rep.Recovered, Recovery{Member: bestM, Detour: bestPath, RD: bestD})
 		rep.RecoveryDistance[bestM] = bestD
-		rep.Detours[bestM] = bestPath
 	}
+	slices.SortFunc(rep.Recovered, byMember)
 	slices.Sort(rep.Unrecovered)
 	slices.Sort(rep.Readmitted)
 
@@ -185,8 +186,8 @@ func (c *fieldCoverage) add(s *Session, kind int, rep *HealReport) {
 	if kind >= 0 {
 		c.byKind[kind]++
 	}
-	for m, d := range rep.RecoveryDistance {
-		if d == 0 && len(rep.Detours[m]) == 1 {
+	for _, r := range rep.Recovered {
+		if r.RD == 0 && len(r.Detour) == 1 {
 			c.relays++
 		}
 	}
@@ -426,12 +427,28 @@ func TestReconcileMatchesRoundwiseReference(t *testing.T) {
 }
 
 // compareHeals requires two heal reports to agree in every field:
-// Disconnected, RecoveryDistance, Detours, Unrecovered, Readmitted, Pruned
-// (and the failures they were asked to heal).
+// Disconnected, Recovered, RecoveryDistance, Unrecovered, Readmitted, Pruned
+// (and the failures they were asked to heal). It also requires got's records
+// to ascend by member, each detour to start at its member, and the map to
+// hold each record's RD to the bit and nothing else.
 func compareHeals(t *testing.T, where string, got, want *HealReport) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: heal reports diverge:\n got  %+v\n want %+v", where, got, want)
+	}
+	if len(got.RecoveryDistance) != len(got.Recovered) {
+		t.Fatalf("%s: %d records, %d RDs in the map", where, len(got.Recovered), len(got.RecoveryDistance))
+	}
+	for i, r := range got.Recovered {
+		if i > 0 && got.Recovered[i-1].Member >= r.Member {
+			t.Fatalf("%s: record %d is member %d, after %d", where, i, r.Member, got.Recovered[i-1].Member)
+		}
+		if len(r.Detour) == 0 || r.Detour[0] != r.Member {
+			t.Fatalf("%s: member %d's detour %v does not start at it", where, r.Member, r.Detour)
+		}
+		if d, ok := got.RecoveryDistance[r.Member]; !ok || math.Float64bits(d) != math.Float64bits(r.RD) {
+			t.Fatalf("%s: member %d's record says RD %v, the map %v (present %v)", where, r.Member, r.RD, d, ok)
+		}
 	}
 }
 
@@ -489,7 +506,7 @@ func TestReconnectSettlesNearTiesOnTheMembersFloat(t *testing.T) {
 	if sut.healTally.fieldEvents != 1 || sut.healTally.contended != 1 {
 		t.Errorf("tally %+v, want one heal from the tree side with one contended round", sut.healTally)
 	}
-	if got, want := reps[0].Detours[5], (graph.Path{5, 2}); !slices.Equal(got, want) {
+	if got, want := recoveryOf(reps[0], 5).Detour, (graph.Path{5, 2}); !slices.Equal(got, want) {
 		t.Errorf("member 5 reconnected by %v, want %v: member 3 goes first", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -18,16 +19,13 @@ type HealReport struct {
 	Failures []failure.Failure
 	// Disconnected lists the members the failure cut off, ascending.
 	Disconnected []graph.NodeID
-	// RecoveryDistance maps each recovered member to the weight of its
-	// detour as grafted in this event. The detour may end on a node that an
-	// earlier member's graft in the same event put on the tree, so it can be
-	// shorter than the member's isolated distance to the nearest node of the
-	// surviving tree, which is the paper's per-member RD_R. On the fig-8
-	// scenarios it is shorter for 59 % of the recovered members.
+	// Recovered holds one record per member this event reconnected, ascending
+	// by member.
+	Recovered []Recovery
+	// RecoveryDistance maps each recovered member to its record's RD. It is
+	// the view of Recovered that the benchmark module (bench/drivers.go,
+	// healOut) reads; ROADMAP item 1(d) unpins that reader and deletes it.
 	RecoveryDistance map[graph.NodeID]float64
-	// Detours maps each recovered member to its detour path
-	// (member → … → reattachment point).
-	Detours map[graph.NodeID]graph.Path
 	// Unrecovered lists members newly parked by this event: no residual
 	// path existed, so they degraded to the parked state (ErrPartitioned)
 	// and await re-admission.
@@ -40,17 +38,29 @@ type HealReport struct {
 	Pruned []graph.NodeID
 }
 
-// TotalRecoveryDistance sums RD over recovered members in ascending member
-// order, so one report always gives the same float.
+// Recovery is how one member came back in a heal.
+type Recovery struct {
+	Member graph.NodeID
+	// Detour is the path grafted, member → … → survivor: its last node is the
+	// on-tree node the member reattached to.
+	Detour graph.Path
+	// RD is the weight of Detour, summed from the member's end. The detour may
+	// end on a node that an earlier member's graft in the same event put on
+	// the tree, so it can be shorter than the member's isolated distance to
+	// the nearest node of the surviving tree, which is the paper's per-member
+	// RD_R. On the fig-8 scenarios it is shorter for 59 % of the recovered
+	// members.
+	RD float64
+}
+
+func byMember(a, b Recovery) int { return cmp.Compare(a.Member, b.Member) }
+
+// TotalRecoveryDistance sums RD over the recovered members in ascending
+// member order, so one report always gives the same float.
 func (r *HealReport) TotalRecoveryDistance() float64 {
-	ms := make([]graph.NodeID, 0, len(r.RecoveryDistance))
-	for m := range r.RecoveryDistance {
-		ms = append(ms, m)
-	}
-	slices.Sort(ms)
 	var total float64
-	for _, m := range ms {
-		total += r.RecoveryDistance[m]
+	for _, rec := range r.Recovered {
+		total += rec.RD
 	}
 	return total
 }
@@ -175,8 +185,6 @@ type heal struct {
 	// until somebody is parked.
 	todo      []graph.NodeID
 	wasParked map[graph.NodeID]bool
-	// regrafted lists the members reconnected so far.
-	regrafted []graph.NodeID
 }
 
 // beginHeal flushes the tree state dead under the accumulated mask, opens the
@@ -200,12 +208,10 @@ func (s *Session) beginHeal(fs []failure.Failure) (*heal, error) {
 			Failures:         fs,
 			Disconnected:     flushed,
 			RecoveryDistance: make(map[graph.NodeID]float64, len(flushed)),
-			Detours:          make(map[graph.NodeID]graph.Path, len(flushed)),
 		},
 		mask:      mask,
 		todo:      h.todo[:0],
 		wasParked: h.wasParked,
-		regrafted: h.regrafted[:0],
 	}
 	if len(fs) > 0 {
 		h.rep.Failure = fs[0]
@@ -230,6 +236,7 @@ func (s *Session) beginHeal(fs []failure.Failure) (*heal, error) {
 		h.todo = append(h.todo, m)
 	}
 	slices.Sort(h.todo)
+	h.rep.Recovered = make([]Recovery, 0, len(h.todo))
 	return h, nil
 }
 
@@ -244,9 +251,8 @@ func (s *Session) regraft(h *heal, m graph.NodeID, detour, graft graph.Path, rd 
 		s.stats.Readmissions++
 		h.rep.Readmitted = append(h.rep.Readmitted, m)
 	}
-	h.regrafted = append(h.regrafted, m)
+	h.rep.Recovered = append(h.rep.Recovered, Recovery{Member: m, Detour: detour, RD: rd})
 	h.rep.RecoveryDistance[m] = rd
-	h.rep.Detours[m] = detour
 	return nil
 }
 
@@ -265,6 +271,7 @@ func (s *Session) unrecovered(h *heal, m graph.NodeID) {
 func (s *Session) endHeal(h *heal) *HealReport {
 	rep := h.rep
 	h.rep = nil // the caller's from here on; the session keeps only the buffers
+	slices.SortFunc(rep.Recovered, byMember)
 	slices.Sort(rep.Unrecovered)
 	slices.Sort(rep.Readmitted)
 	// A relay goes stale only where a flush took its last child away, and
@@ -277,10 +284,10 @@ func (s *Session) endHeal(h *heal) *HealReport {
 	s.stats.FlushVisited += len(s.stale) + len(rep.Pruned)
 	s.stale = s.stale[:0]
 	s.repairSHR()
-	// The regrafted are the members without a baseline: the flush (or the
+	// The recovered are the members without a baseline: the flush (or the
 	// park before it) dropped theirs, everybody else kept it.
-	for _, m := range h.regrafted {
-		s.recordUpSHR(m)
+	for _, r := range rep.Recovered {
+		s.recordUpSHR(r.Member)
 	}
 	s.notifyStrategy()
 	return rep
@@ -447,7 +454,7 @@ func (s *Session) reconnectFromMembers(h *heal, a *arena, todo []reconnecting) e
 // reaches the disconnected members nearest first, and when a graft puts new
 // nodes on the tree they are seeded at 0 and the field corrects itself from
 // there, so its order stays the order of the rounds. What it cannot give is
-// the blessed RecoveryDistance: it sums a path's weights tree-outward, the
+// the blessed Recovery.RD: it sums a path's weights tree-outward, the
 // reports carry the member-outward sum, and the two floats differ in their last
 // bits. So the field only nominates. The first pending member it hands out, at
 // D, and every other one within D·(1+TieSlack) are the round's contenders;

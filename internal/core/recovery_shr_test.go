@@ -112,7 +112,7 @@ func TestEagerSHRUpdateCountsDirtyNodesOnly(t *testing.T) {
 	if len(rep.Disconnected) != 1 || rep.Disconnected[0] != 3 {
 		t.Fatalf("disconnected = %v, want [3]", rep.Disconnected)
 	}
-	if rd := rep.RecoveryDistance[3]; rd != 5 {
+	if rd := recoveryOf(rep, 3).RD; rd != 5 {
 		t.Fatalf("RD(3) = %v, want 5", rd)
 	}
 	if len(rep.Pruned) != 2 || rep.Pruned[0] != 1 || rep.Pruned[1] != 2 {

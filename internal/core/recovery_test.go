@@ -34,11 +34,11 @@ func TestHealSingleMember(t *testing.T) {
 	if len(rep.Disconnected) != 1 || rep.Disconnected[0] != 4 {
 		t.Fatalf("disconnected = %v", rep.Disconnected)
 	}
-	if rd := rep.RecoveryDistance[4]; rd != 2 {
+	if rd := recoveryOf(rep, 4).RD; rd != 2 {
 		t.Errorf("RD = %v, want 2", rd)
 	}
-	if rep.Detours[4].String() != "4→3" {
-		t.Errorf("detour = %v, want D→C", rep.Detours[4])
+	if d := recoveryOf(rep, 4).Detour; d.String() != "4→3" {
+		t.Errorf("detour = %v, want D→C", d)
 	}
 	if len(rep.Unrecovered) != 0 {
 		t.Errorf("unrecovered = %v", rep.Unrecovered)
@@ -90,10 +90,10 @@ func TestHealCascadedRecovery(t *testing.T) {
 	if len(rep.Disconnected) != 2 {
 		t.Fatalf("disconnected = %v", rep.Disconnected)
 	}
-	if rd := rep.RecoveryDistance[4]; rd != 4 {
+	if rd := recoveryOf(rep, 4).RD; rd != 4 {
 		t.Errorf("RD(D) = %v, want 4 (D→B→S)", rd)
 	}
-	if rd := rep.RecoveryDistance[3]; rd != 2 {
+	if rd := recoveryOf(rep, 3).RD; rd != 2 {
 		t.Errorf("RD(C) = %v, want 2 (C→D after D recovered)", rd)
 	}
 	if err := s.Tree().Validate(); err != nil {
@@ -146,7 +146,8 @@ func TestHealSourceFailureLeavesSessionIntact(t *testing.T) {
 // mutated: the mask sizes its words by node ID, so before the check
 // LinkDown(0, 1<<40) ran the process out of memory. The whole batch is
 // refused, its valid sibling included, and the mask, tree and parked set stay
-// as they were.
+// as they were. So is a failure of neither kind (the zero Failure included),
+// with ErrBadSchedule.
 func TestRecoverRefusesUnknownNode(t *testing.T) {
 	// S(0)-1-2 line plus 0-3: failing 1-2 parks member 2.
 	b := graph.New(4)
@@ -175,9 +176,19 @@ func TestRecoverRefusesUnknownNode(t *testing.T) {
 	if !slices.Equal(parked, []graph.NodeID{2}) {
 		t.Fatalf("parked = %v, want [2]", parked)
 	}
-	for _, f := range []failure.Failure{failure.LinkDown(0, 1<<40), failure.NodeDown(1 << 40), failure.NodeDown(-1)} {
-		if _, err := s.Recover(failure.LinkDown(0, 3), f); !errors.Is(err, ErrUnknownNode) {
-			t.Fatalf("Recover(%v) err = %v, want ErrUnknownNode", f, err)
+	for _, tc := range []struct {
+		f    failure.Failure
+		want error
+	}{
+		{failure.LinkDown(0, 1<<40), ErrUnknownNode},
+		{failure.NodeDown(1 << 40), ErrUnknownNode},
+		{failure.NodeDown(-1), ErrUnknownNode},
+		{failure.Failure{}, failure.ErrBadSchedule},
+		{failure.Failure{Kind: 99, Node: 3}, failure.ErrBadSchedule},
+	} {
+		f := tc.f
+		if _, err := s.Recover(failure.LinkDown(0, 3), f); !errors.Is(err, tc.want) {
+			t.Fatalf("Recover(%v) err = %v, want %v", f, err, tc.want)
 		}
 		if s.FailedMask().Fingerprint() != mask || !slices.Equal(s.Tree().Nodes(), nodes) || !slices.Equal(s.Parked(), parked) {
 			t.Fatalf("Recover(%v) mutated the session: nodes %v parked %v", f, s.Tree().Nodes(), s.Parked())
@@ -278,8 +289,8 @@ func TestHealNodeFailure(t *testing.T) {
 		t.Error("failed node still on tree")
 	}
 	// F's detour must avoid D: F→G (0.8) reaching the live B branch.
-	if slices.Contains(rep.Detours[f4F], f4D) {
-		t.Errorf("detour %v passes through failed node", rep.Detours[f4F])
+	if d := recoveryOf(rep, f4F).Detour; slices.Contains(d, f4D) {
+		t.Errorf("detour %v passes through failed node", d)
 	}
 }
 
@@ -364,17 +375,23 @@ func TestRecoverEmptySet(t *testing.T) {
 }
 
 // TestTotalRecoveryDistanceIsOrdered: the sum runs in ascending member
-// order, whatever order the map hands its entries out in. Summed that way
-// {1, 1e-16, 1e-16} is 1; the two small terms first give 1.0000000000000002.
+// order. Summed that way {1, 1e-16, 1e-16} is 1; the two small terms first
+// give 1.0000000000000002.
 func TestTotalRecoveryDistanceIsOrdered(t *testing.T) {
 	one, tiny := 1.0, 1e-16
-	rep := &HealReport{RecoveryDistance: map[graph.NodeID]float64{7: one, 9: tiny, 33: tiny}}
-	want := one + tiny + tiny
-	for i := 0; i < 500; i++ {
-		if got := rep.TotalRecoveryDistance(); got != want {
-			t.Fatalf("call %d: total RD = %v, want %v", i, got, want)
-		}
+	rep := &HealReport{Recovered: []Recovery{{Member: 7, RD: one}, {Member: 9, RD: tiny}, {Member: 33, RD: tiny}}}
+	if got, want := rep.TotalRecoveryDistance(), one+tiny+tiny; got != want {
+		t.Fatalf("total RD = %v, want %v", got, want)
 	}
+}
+
+// recoveryOf returns m's record in rep, the zero Recovery when m has none.
+func recoveryOf(rep *HealReport, m graph.NodeID) Recovery {
+	i, ok := slices.BinarySearchFunc(rep.Recovered, Recovery{Member: m}, byMember)
+	if !ok {
+		return Recovery{}
+	}
+	return rep.Recovered[i]
 }
 
 // TestRecoverSettledPerMember gates the restoration's work where the clock

@@ -88,8 +88,8 @@ func TestStrategyDispatch(t *testing.T) {
 	if want := []proposal{{fs: []failure.Failure{cut}, m: 4, offered: 3}}; !reflect.DeepEqual(fake.proposals, want) {
 		t.Fatalf("strategy saw %+v, want %+v", fake.proposals, want)
 	}
-	if want := (graph.Path{4, 2, 0}); !reflect.DeepEqual(rep.Detours[4], want) || rep.RecoveryDistance[4] != 4 {
-		t.Errorf("member 4 recovered along %v at RD %v, want %v at 4", rep.Detours[4], rep.RecoveryDistance[4], want)
+	if got, want := recoveryOf(rep, 4), (Recovery{4, graph.Path{4, 2, 0}, 4}); !reflect.DeepEqual(got, want) {
+		t.Errorf("member 4 recovered along %v at RD %v, want %v at 4", got.Detour, got.RD, want.Detour)
 	}
 	if fake.binds != 3 {
 		t.Errorf("after a recovery: %d binds, want 3", fake.binds)
@@ -110,8 +110,8 @@ func TestStrategyDispatch(t *testing.T) {
 	if want := (proposal{m: 4}); len(fake.proposals) != 2 || !reflect.DeepEqual(fake.proposals[1], want) {
 		t.Fatalf("Reconcile reached the strategy with %+v, want %+v", fake.proposals[1:], want)
 	}
-	if want := (graph.Path{4, 3, 1, 0}); !reflect.DeepEqual(rep.Detours[4], want) || rep.RecoveryDistance[4] != 5 {
-		t.Errorf("member 4 recovered along %v at RD %v, want %v at 5", rep.Detours[4], rep.RecoveryDistance[4], want)
+	if got, want := recoveryOf(rep, 4), (Recovery{4, graph.Path{4, 3, 1, 0}, 5}); !reflect.DeepEqual(got, want) {
+		t.Errorf("member 4 recovered along %v at RD %v, want %v at 5", got.Detour, got.RD, want.Detour)
 	}
 	if st := s.Stats(); st.StrategyFallbacks != 1 || st.FallbackSettled == 0 || st.FallbackSettled != st.HealSettled {
 		t.Errorf("fallbacks %d settling %d of %d; want 1 settling all of a non-zero count", st.StrategyFallbacks, st.FallbackSettled, st.HealSettled)

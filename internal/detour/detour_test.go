@@ -51,14 +51,10 @@ func TestRecoverPaperFig1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd := rep.RecoveryDistance[3]; rd != 6 {
-		t.Errorf("RD_C = %v, want 6 (precomputed C→D→B→S)", rd)
-	}
-	if want := (graph.Path{3, 4, 2, 0}); !reflect.DeepEqual(rep.Detours[3], want) {
-		t.Errorf("C's detour = %v, want %v", rep.Detours[3], want)
-	}
-	if rd := rep.RecoveryDistance[4]; rd != 0 {
-		t.Errorf("RD_D = %v, want 0 (in-place reattach on C's graft)", rd)
+	// C along its precomputed C→D→B→S at RD 6; D in place on C's graft.
+	want := []core.Recovery{{Member: 3, Detour: graph.Path{3, 4, 2, 0}, RD: 6}, {Member: 4, Detour: graph.Path{4}, RD: 0}}
+	if !reflect.DeepEqual(rep.Recovered, want) {
+		t.Errorf("recovered = %+v, want %+v", rep.Recovered, want)
 	}
 	stats := s.Stats()
 	if stats.StrategyFallbacks != 0 {

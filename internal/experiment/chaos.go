@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"smrp/internal/core"
@@ -93,7 +92,6 @@ func playSchedule(sess *core.Session, members []graph.NodeID, sched failure.Sche
 			return out, fmt.Errorf("%s: join %d: %w", study, members[i], err)
 		}
 	}
-	var ids []graph.NodeID
 	for k, ev := range sched.Events {
 		if len(ev.Failures) > 0 {
 			rep, err := sess.Recover(ev.Failures...)
@@ -101,16 +99,11 @@ func playSchedule(sess *core.Session, members []graph.NodeID, sched failure.Sche
 				return out, fmt.Errorf("%s: recover event %d: %w", study, k, err)
 			}
 			out.disconnected += len(rep.Disconnected)
-			out.recovered += len(rep.RecoveryDistance)
+			out.recovered += len(rep.Recovered)
 			out.parks += len(rep.Unrecovered)
 			out.readmitted += len(rep.Readmitted)
-			ids = ids[:0]
-			for m := range rep.RecoveryDistance {
-				ids = append(ids, m)
-			}
-			slices.Sort(ids)
-			for _, m := range ids {
-				out.rd = append(out.rd, rep.RecoveryDistance[m])
+			for _, r := range rep.Recovered {
+				out.rd = append(out.rd, r.RD)
 			}
 		}
 		if len(ev.Repairs) > 0 {

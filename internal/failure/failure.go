@@ -110,17 +110,19 @@ func TakesDownNode(fs []Failure, n graph.NodeID) bool {
 	return false
 }
 
-// Check returns an error when a failure in fs names something topology g does
-// not have: a node outside it (wrapping graph.ErrUnknownNode), or a link
-// whose endpoints no edge joins, a node paired with itself included
-// (wrapping graph.ErrUnknownEdge). Masks index by node ID, and a link that
-// does not exist cuts nobody off yet leaves the session degraded, so every
-// entry point that takes failures from outside checks the whole batch with it
-// before folding any of it into a mask.
+// Check returns an error when a failure in fs is of neither kind (wrapping
+// ErrBadSchedule) or names something topology g does not have: a node outside
+// it (wrapping graph.ErrUnknownNode), or a link whose endpoints no edge joins,
+// a node paired with itself included (wrapping graph.ErrUnknownEdge). Masks
+// index by node ID, and a link that does not exist cuts nobody off yet leaves
+// the session degraded, so every entry point that takes failures from outside
+// checks the whole batch with it before folding any of it into a mask.
 func Check(fs []Failure, g *graph.Graph) error {
 	known := func(v graph.NodeID) bool { return v >= 0 && int(v) < g.NumNodes() }
 	for _, f := range fs {
 		switch {
+		case f.Kind != LinkFailure && f.Kind != NodeFailure:
+			return fmt.Errorf("%w: failure of %v", ErrBadSchedule, f.Kind)
 		case f.Kind == LinkFailure && !(known(f.Edge.A) && known(f.Edge.B)),
 			f.Kind == NodeFailure && !known(f.Node):
 			return fmt.Errorf("%v: %w", f, graph.ErrUnknownNode)

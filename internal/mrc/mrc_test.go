@@ -107,11 +107,8 @@ func TestRecoverPaperFig1(t *testing.T) {
 	if len(rep.Disconnected) != 1 || rep.Disconnected[0] != 4 {
 		t.Fatalf("disconnected = %v, want [4]", rep.Disconnected)
 	}
-	if rd := rep.RecoveryDistance[4]; rd != 4 {
-		t.Errorf("RD = %v, want 4 (config route S→B→D)", rd)
-	}
-	if want := (graph.Path{4, 2, 0}); !reflect.DeepEqual(rep.Detours[4], want) {
-		t.Errorf("detour = %v, want %v", rep.Detours[4], want)
+	if want := []core.Recovery{{Member: 4, Detour: graph.Path{4, 2, 0}, RD: 4}}; !reflect.DeepEqual(rep.Recovered, want) {
+		t.Errorf("recovered = %+v, want %+v (config route S→B→D)", rep.Recovered, want)
 	}
 	if fb := s.Stats().StrategyFallbacks; fb != 0 {
 		t.Errorf("fallbacks = %d, want 0 (config hit)", fb)
@@ -125,7 +122,7 @@ func TestRecoverPaperFig1(t *testing.T) {
 // and the order it lists them in (a node's links come in the order of its
 // adjacency row) must not reach the recovery. Each SRLG batch is healed by
 // two sessions, one given the batch as listed and one given it reversed;
-// RecoveryDistance, Detours, Unrecovered and Stats must come out identical.
+// Recovered, Unrecovered and Stats must come out identical.
 // Batches whose links fall in two or more isolation classes are the ones an
 // order could decide, and some must occur.
 func TestRecoverIgnoresBatchOrder(t *testing.T) {
@@ -177,10 +174,9 @@ func TestRecoverIgnoresBatchOrder(t *testing.T) {
 		if len(classes) > 1 {
 			multiClass++
 		}
-		if !reflect.DeepEqual(a.RecoveryDistance, b.RecoveryDistance) || !reflect.DeepEqual(a.Detours, b.Detours) ||
-			!reflect.DeepEqual(a.Unrecovered, b.Unrecovered) || aStats != bStats {
-			t.Errorf("seed %d, links of node %d: listed order heals to RD %v detours %v unrecovered %v stats %+v;\nreversed to RD %v detours %v unrecovered %v stats %+v",
-				seed, hub, a.RecoveryDistance, a.Detours, a.Unrecovered, aStats, b.RecoveryDistance, b.Detours, b.Unrecovered, bStats)
+		if !reflect.DeepEqual(a.Recovered, b.Recovered) || !reflect.DeepEqual(a.Unrecovered, b.Unrecovered) || aStats != bStats {
+			t.Errorf("seed %d, links of node %d: listed order heals to %+v unrecovered %v stats %+v;\nreversed to %+v unrecovered %v stats %+v",
+				seed, hub, a.Recovered, a.Unrecovered, aStats, b.Recovered, b.Unrecovered, bStats)
 		}
 	}
 	if multiClass == 0 {
@@ -242,8 +238,8 @@ func TestRecoverTriesLaterConfigurations(t *testing.T) {
 	if rep, err = s.Recover(failure.NodeDown(1)); err != nil {
 		t.Fatal(err)
 	}
-	if want := (graph.Path{3, 4, 0}); !reflect.DeepEqual(rep.Detours[3], want) || rep.RecoveryDistance[3] != 4.5 {
-		t.Errorf("member 3 recovered along %v at RD %v, want %v at 4.5", rep.Detours[3], rep.RecoveryDistance[3], want)
+	if want := []core.Recovery{{Member: 3, Detour: graph.Path{3, 4, 0}, RD: 4.5}}; !reflect.DeepEqual(rep.Recovered, want) {
+		t.Errorf("recovered = %+v, want %+v", rep.Recovered, want)
 	}
 	if fb := s.Stats().StrategyFallbacks; fb != 0 {
 		t.Errorf("fallbacks = %d, want 0 (config 1 holds)", fb)

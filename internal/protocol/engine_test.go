@@ -173,13 +173,14 @@ func TestProtocolRecoveryMatchesCore(t *testing.T) {
 			t.Errorf("seed %d: protocol tree %v, core tree %v", seed, pe, te)
 		}
 		rs := inst.Restorations()
-		if len(rs) != len(rep.RecoveryDistance) {
-			t.Errorf("seed %d: %d restorations, core regrafted %d", seed, len(rs), len(rep.RecoveryDistance))
+		if len(rs) != len(rep.Recovered) {
+			t.Errorf("seed %d: %d restorations, core regrafted %d", seed, len(rs), len(rep.Recovered))
+			continue
 		}
-		for _, r := range rs {
-			want, ok := rep.RecoveryDistance[r.Member]
-			if !ok || math.Float64bits(r.RecoveryDistance) != math.Float64bits(want) {
-				t.Errorf("seed %d: member %d RD %v, core %v (regrafted %v)", seed, r.Member, r.RecoveryDistance, want, ok)
+		for k, r := range rs {
+			want := rep.Recovered[k]
+			if r.Member != want.Member || math.Float64bits(r.RecoveryDistance) != math.Float64bits(want.RD) {
+				t.Errorf("seed %d: restoration %d is member %d at RD %v, core regrafted %d at %v", seed, k, r.Member, r.RecoveryDistance, want.Member, want.RD)
 			}
 		}
 	}

@@ -236,36 +236,32 @@ func (i *SMRPInstance) onFailureSet(fs []failure.Failure) {
 		delete(i.pending, m)
 		i.trace.Add(now, trace.CatPark, m, "no residual path: parked pending repair")
 	}
-	members := make([]graph.NodeID, 0, len(rep.Detours))
-	for m := range rep.Detours {
-		members = append(members, m)
-	}
-	slices.Sort(members)
 	// The cut is detected after the hello timeout; the downstream endpoint
 	// then floods a FailureNotice down the (still intact) dead subtree. A
 	// member this batch cut while its own Join_Req was in flight hears no
 	// notice: the request was lost, and the member retries after a backoff.
 	detect := i.domain.DetectionTime()
-	for _, m := range members {
-		g := pendingGraft{path: rep.Detours[m]}
+	for _, r := range rep.Recovered {
+		m := r.Member
+		g := pendingGraft{path: r.Detour}
 		if old, ok := i.pending[m]; ok {
 			g.DetectedAt, g.retries = now+i.retryDelay(old.retries), old.retries+1
 		} else {
 			g.DetectedAt = now + detect + notice[m]
 		}
 		i.net.Sent++ // the query to the survivor
-		g.RecoveryDistance = rep.RecoveryDistance[m]
+		g.RecoveryDistance = r.RD
 		// Discovery is a query round trip along the detour, then the Join_Req
 		// travels it once more.
 		g.RestoredAt = g.DetectedAt + eventsim.Time(3*g.RecoveryDistance)
 		i.pending[m] = g
 	}
-	for _, m := range members {
+	for _, r := range rep.Recovered {
 		why := "failure notice received"
-		if r := i.pending[m].retries; r > 0 {
-			why = fmt.Sprintf("join_req lost: retry %d", r)
+		if n := i.pending[r.Member].retries; n > 0 {
+			why = fmt.Sprintf("join_req lost: retry %d", n)
 		}
-		i.schedule(m, trace.CatNotice, why)
+		i.schedule(r.Member, trace.CatNotice, why)
 	}
 }
 

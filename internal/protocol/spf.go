@@ -76,16 +76,13 @@ func (i *SPFInstance) onFailure(fs []failure.Failure) {
 	if err != nil {
 		return
 	}
-	for _, m := range rep.Disconnected {
-		rd, ok := rep.RecoveryDistance[m]
-		if !ok {
-			continue // unrecoverable
-		}
+	for _, r := range rep.Recovered {
+		m := r.Member
 		conv := i.domain.ConvergenceTime(m, fs[0])
 		if conv == eventsim.Infinity {
 			continue
 		}
-		i.pending[m] = pendingGraft{Restoration: Restoration{Member: m, RecoveryDistance: rd}}
+		i.pending[m] = pendingGraft{Restoration: Restoration{Member: m, RecoveryDistance: r.RD}}
 		i.engine.MustSchedule(conv, func() { i.reconverged(m) })
 	}
 }

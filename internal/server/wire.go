@@ -133,11 +133,17 @@ func healWire(r *core.HealReport) *HealWire {
 	}
 	w := &HealWire{
 		Disconnected: r.Disconnected,
-		Recovered:    r.RecoveryDistance,
-		Detours:      r.Detours,
 		Unrecovered:  r.Unrecovered,
 		Readmitted:   r.Readmitted,
 		Pruned:       r.Pruned,
+	}
+	if len(r.Recovered) > 0 {
+		w.Recovered = make(map[graph.NodeID]float64, len(r.Recovered))
+		w.Detours = make(map[graph.NodeID]graph.Path, len(r.Recovered))
+		for _, rec := range r.Recovered {
+			w.Recovered[rec.Member] = rec.RD
+			w.Detours[rec.Member] = rec.Detour
+		}
 	}
 	for _, f := range r.Failures {
 		w.Failures = append(w.Failures, f.String())

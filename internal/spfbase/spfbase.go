@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 
+	"smrp/internal/core"
 	"smrp/internal/failure"
 	"smrp/internal/graph"
 	"smrp/internal/multicast"
@@ -118,16 +119,15 @@ func (s *Session) Leave(m graph.NodeID) error {
 // HealReport describes an SPF (global-detour) recovery.
 type HealReport struct {
 	Disconnected []graph.NodeID
-	// RecoveryDistance maps each recoverable member to the weight of the new
-	// links its rejoin would bring into the surviving tree, measured for
-	// each member alone before anyone rejoins: the isolated global-detour
-	// RD, unlike core.HealReport's, which is measured as grafted. Members
-	// that then rejoin one after another may bring in less, as a later one
-	// can reach a node an earlier one's rejoin added.
-	RecoveryDistance map[graph.NodeID]float64
-	// NewPaths maps each recoverable member to its post-reconvergence unicast
-	// path to the source (member → … → source).
-	NewPaths map[graph.NodeID]graph.Path
+	// Recovered holds one record per recoverable member, ascending. A
+	// record's Detour is the member's post-reconvergence unicast path up to
+	// its first node on the surviving tree, and its RD is that segment's
+	// weight: the links the rejoin would bring into the tree, measured for
+	// each member alone before anyone rejoins. That is the isolated
+	// global-detour RD, unlike core.HealReport's, which is measured as
+	// grafted. Members that then rejoin one after another may bring in less,
+	// as a later one can reach a node an earlier one's rejoin added.
+	Recovered []core.Recovery
 	// Unrecovered lists members partitioned from the source.
 	Unrecovered []graph.NodeID
 }
@@ -161,22 +161,18 @@ func (s *Session) Fail(fs ...failure.Failure) (*HealReport, error) {
 		return nil, fmt.Errorf("spfbase: flush dead: %w", err)
 	}
 	// Members that failed themselves are gone, not disconnected.
-	rep := &HealReport{
-		Disconnected:     slices.DeleteFunc(flushed, s.failed.NodeBlocked),
-		RecoveryDistance: make(map[graph.NodeID]float64),
-		NewPaths:         make(map[graph.NodeID]graph.Path),
-	}
+	rep := &HealReport{Disconnected: slices.DeleteFunc(flushed, s.failed.NodeBlocked)}
 	slices.Sort(rep.Disconnected)
-	// The flush kept every surviving node, so the detours measure as they
-	// would have before it.
+	// The flush kept every surviving node and nothing else, so the detours
+	// measure as they would have before it, and a path's first node on the
+	// tree is where its RD stops.
 	for _, m := range rep.Disconnected {
 		p, rd, err := failure.GlobalDetour(s.tree, s.failed, m)
 		if err != nil {
 			rep.Unrecovered = append(rep.Unrecovered, m)
 			continue
 		}
-		rep.RecoveryDistance[m] = rd
-		rep.NewPaths[m] = p
+		rep.Recovered = append(rep.Recovered, core.Recovery{Member: m, Detour: p[:slices.IndexFunc(p, s.tree.OnTree)+1], RD: rd})
 	}
 	s.spt = s.g.Dijkstra(s.tree.Source(), s.failed)
 	return rep, nil

@@ -13,17 +13,29 @@ import (
 
 // heal recovers s from f the way the baseline does: Fail, then every
 // recoverable member rejoins along its new shortest path, ascending, and the
-// relays no member uses any more are pruned.
-func heal(s *Session, f failure.Failure) (*HealReport, error) {
+// relays no member uses any more are pruned. Before anyone rejoins it checks
+// Fail's records: ascending, each detour running from its member through
+// nodes off the flushed tree to one on it, each RD that detour's weight.
+func heal(t *testing.T, s *Session, f failure.Failure) (*HealReport, error) {
+	t.Helper()
 	rep, err := s.Fail(f)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range rep.Disconnected {
-		if _, ok := rep.RecoveryDistance[m]; ok {
-			if err := s.Join(m); err != nil {
-				return nil, err
-			}
+	for i, r := range rep.Recovered {
+		if i > 0 && rep.Recovered[i-1].Member >= r.Member {
+			t.Errorf("record %d is member %d, after %d", i, r.Member, rep.Recovered[i-1].Member)
+		}
+		if len(r.Detour) < 2 || r.Detour[0] != r.Member || slices.IndexFunc(r.Detour, s.Tree().OnTree) != len(r.Detour)-1 {
+			t.Errorf("member %d's detour %v does not run from it to its first node on the tree", r.Member, r.Detour)
+		}
+		if w, err := r.Detour.Weight(s.g); err != nil || math.Float64bits(w) != math.Float64bits(r.RD) {
+			t.Errorf("member %d: RD %v, its detour weighs %v (%v)", r.Member, r.RD, w, err)
+		}
+	}
+	for _, r := range rep.Recovered {
+		if err := s.Join(r.Member); err != nil {
+			return nil, err
 		}
 	}
 	s.Tree().PruneStale()
@@ -148,18 +160,21 @@ func TestHealGlobalDetour(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := heal(s, failure.LinkDown(1, 4))
+	rep, err := heal(t, s, failure.LinkDown(1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Disconnected) != 1 || rep.Disconnected[0] != 4 {
 		t.Fatalf("disconnected = %v", rep.Disconnected)
 	}
-	if rd := rep.RecoveryDistance[4]; rd != 4 {
+	if len(rep.Recovered) != 1 || rep.Recovered[0].Member != 4 {
+		t.Fatalf("recovered = %+v, want D alone", rep.Recovered)
+	}
+	if rd := rep.Recovered[0].RD; rd != 4 {
 		t.Errorf("RD = %v, want 4 (D→B→S, both links new)", rd)
 	}
-	if rep.NewPaths[4].String() != "4→2→0" {
-		t.Errorf("new path = %v, want D→B→S", rep.NewPaths[4])
+	if d := rep.Recovered[0].Detour; d.String() != "4→2→0" {
+		t.Errorf("detour = %v, want D→B→S", d)
 	}
 	if err := s.Tree().Validate(); err != nil {
 		t.Fatal(err)
@@ -172,13 +187,23 @@ func TestHealGlobalDetour(t *testing.T) {
 	}
 }
 
+// TestHealSourceFailure: Fail refuses a batch that takes the source down, and
+// one holding a failure of neither kind, before anything changes.
 func TestHealSourceFailure(t *testing.T) {
 	s := fig1Session(t)
 	if err := s.Join(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := heal(s, failure.NodeDown(0)); !errors.Is(err, failure.ErrSourceFailed) {
+	if _, err := heal(t, s, failure.NodeDown(0)); !errors.Is(err, failure.ErrSourceFailed) {
 		t.Errorf("err = %v", err)
+	}
+	for _, f := range []failure.Failure{{}, {Kind: 99, Node: 3}} {
+		if _, err := s.Fail(failure.LinkDown(0, 1), f); !errors.Is(err, failure.ErrBadSchedule) {
+			t.Errorf("Fail(%v) err = %v, want ErrBadSchedule", f, err)
+		}
+		if s.failed != nil || !s.Tree().IsMember(3) {
+			t.Errorf("Fail(%v) changed the session: failed %v, member 3 %v", f, s.failed, s.Tree().IsMember(3))
+		}
 	}
 }
 
@@ -201,7 +226,7 @@ func TestHealUnrecoverable(t *testing.T) {
 	if err := s.Join(2); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := heal(s, failure.LinkDown(1, 2))
+	rep, err := heal(t, s, failure.LinkDown(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +266,7 @@ func TestHealRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := s.Tree().NumMembers()
-		rep, err := heal(s, f)
+		rep, err := heal(t, s, f)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -257,7 +282,8 @@ func TestHealRandom(t *testing.T) {
 		// Every recovered member sits on its reconverged shortest path.
 		mask := f.Mask()
 		spt := g.Dijkstra(0, mask)
-		for m := range rep.RecoveryDistance {
+		for _, r := range rep.Recovered {
+			m := r.Member
 			d, err := s.Tree().DelayTo(m)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -284,8 +310,8 @@ func TestFlushDeadDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Disconnected) != 2 || len(rep.RecoveryDistance) != 2 {
-		t.Errorf("disconnected = %v, RDs = %v", rep.Disconnected, rep.RecoveryDistance)
+	if len(rep.Disconnected) != 2 || len(rep.Recovered) != 2 {
+		t.Errorf("disconnected = %v, recovered = %+v", rep.Disconnected, rep.Recovered)
 	}
 	if s.Tree().NumMembers() != 0 || s.Tree().NumNodes() != 1 {
 		t.Errorf("dead state not flushed: %v", s.Tree().Nodes())

@@ -61,8 +61,8 @@ func TestFacadeBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m := range rep.RecoveryDistance { // the recoverable members rejoin
-		if err := spf.Join(m); err != nil {
+	for _, r := range rep.Recovered { // the recoverable members rejoin
+		if err := spf.Join(r.Member); err != nil {
 			t.Fatal(err)
 		}
 	}
