@@ -249,7 +249,7 @@ func TestLeafCutRestoreAllocs(t *testing.T) {
 		// A member with nobody below it: its uplink takes down itself alone.
 		m := graph.Invalid
 		for _, c := range s.tree.Members() {
-			if len(s.tree.ChildList(c)) == 0 {
+			if s.tree.NumChildren(c) == 0 {
 				m = c
 				break
 			}

@@ -133,17 +133,18 @@ func (st *walkFlush) beginHeal(fs []failure.Failure) (*heal, error) {
 		h.todo = append(h.todo, m)
 	}
 	slices.Sort(h.todo)
-	h.rep.Recovered = make([]Recovery, 0, len(h.todo))
+	h.rep.Recovered = make([]Recovery, len(h.todo))
 	return h, nil
 }
 
 // endHeal is the parent commit's (*Session).endHeal, verbatim but for the
 // regrafted branches, which regraft no longer collects, and the recovery
-// records, which it sorts.
+// records, which regraft lays out at the members' places in todo and this
+// compacts.
 func (st *walkFlush) endHeal(h *heal) *HealReport {
 	s := st.s
 	rep := h.rep
-	slices.SortFunc(rep.Recovered, byMember)
+	rep.Recovered = slices.DeleteFunc(rep.Recovered, func(r Recovery) bool { return r.Detour == nil })
 	slices.Sort(rep.Unrecovered)
 	slices.Sort(rep.Readmitted)
 	rep.Pruned = s.tree.PruneStale()

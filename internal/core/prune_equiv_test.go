@@ -395,7 +395,7 @@ func (o *pruneOracle) reshape(m graph.NodeID) {
 	}
 	if v.cut > v.sub {
 		o.chains++
-		if curMerger != s.tree.Source() && len(s.tree.ChildList(curMerger)) == 1 {
+		if curMerger != s.tree.Source() && s.tree.NumChildren(curMerger) == 1 {
 			o.memberStops++ // nothing but being a receiver spared it
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -52,8 +51,6 @@ type Recovery struct {
 	// members.
 	RD float64
 }
-
-func byMember(a, b Recovery) int { return cmp.Compare(a.Member, b.Member) }
 
 // TotalRecoveryDistance sums RD over the recovered members in ascending
 // member order, so one report always gives the same float.
@@ -236,13 +233,17 @@ func (s *Session) beginHeal(fs []failure.Failure) (*heal, error) {
 		h.todo = append(h.todo, m)
 	}
 	slices.Sort(h.todo)
-	h.rep.Recovered = make([]Recovery, 0, len(h.todo))
+	// One record per member to reconnect, at its place in todo; endHeal
+	// drops the places nobody filled, so the records ascend unsorted.
+	h.rep.Recovered = make([]Recovery, len(h.todo))
 	return h, nil
 }
 
-// regraft reconnects member m along detour (m→…→survivor, rd its weight);
-// graft is the same path in the survivor→…→m orientation Tree.Graft takes.
-func (s *Session) regraft(h *heal, m graph.NodeID, detour, graft graph.Path, rd float64) error {
+// regraft reconnects member m = h.todo[i] along detour (m→…→survivor, rd its
+// weight); graft is the same path in the survivor→…→m orientation Tree.Graft
+// takes.
+func (s *Session) regraft(h *heal, i int, detour, graft graph.Path, rd float64) error {
+	m := h.todo[i]
 	if err := s.tree.Graft(graft, true); err != nil {
 		return fmt.Errorf("heal: regraft %d: %w", m, err)
 	}
@@ -251,7 +252,7 @@ func (s *Session) regraft(h *heal, m graph.NodeID, detour, graft graph.Path, rd 
 		s.stats.Readmissions++
 		h.rep.Readmitted = append(h.rep.Readmitted, m)
 	}
-	h.rep.Recovered = append(h.rep.Recovered, Recovery{Member: m, Detour: detour, RD: rd})
+	h.rep.Recovered[i] = Recovery{Member: m, Detour: detour, RD: rd}
 	h.rep.RecoveryDistance[m] = rd
 	return nil
 }
@@ -271,7 +272,7 @@ func (s *Session) unrecovered(h *heal, m graph.NodeID) {
 func (s *Session) endHeal(h *heal) *HealReport {
 	rep := h.rep
 	h.rep = nil // the caller's from here on; the session keeps only the buffers
-	slices.SortFunc(rep.Recovered, byMember)
+	rep.Recovered = slices.DeleteFunc(rep.Recovered, func(r Recovery) bool { return r.Detour == nil })
 	slices.Sort(rep.Unrecovered)
 	slices.Sort(rep.Readmitted)
 	// A relay goes stale only where a flush took its last child away, and
@@ -432,7 +433,7 @@ func (s *Session) reconnectFromMembers(h *heal, a *arena, todo []reconnecting) e
 		t := &todo[best]
 		t.done = true
 		a.graft = t.scan.AppendPathFrom(a.graft[:0], t.cur)
-		if err := s.regraft(h, t.m, a.graft.Reverse(), a.graft, bestD); err != nil {
+		if err := s.regraft(h, best, a.graft.Reverse(), a.graft, bestD); err != nil {
 			return err
 		}
 		if head == nil {
@@ -529,7 +530,7 @@ func (s *Session) reconnectFromTree(h *heal, a *arena, todo []reconnecting) erro
 			}
 		}
 		todo[best].done = true
-		if err := s.regraft(h, todo[best].m, a.graft.Reverse(), a.graft, bestD); err != nil {
+		if err := s.regraft(h, int(best), a.graft.Reverse(), a.graft, bestD); err != nil {
 			return err
 		}
 		for _, n := range a.graft[1:] { // graft[0] was on the tree already

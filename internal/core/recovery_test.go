@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"testing"
@@ -384,6 +385,8 @@ func TestTotalRecoveryDistanceIsOrdered(t *testing.T) {
 		t.Fatalf("total RD = %v, want %v", got, want)
 	}
 }
+
+func byMember(a, b Recovery) int { return cmp.Compare(a.Member, b.Member) }
 
 // recoveryOf returns m's record in rep, the zero Recovery when m has none.
 func recoveryOf(rep *HealReport, m graph.NodeID) Recovery {

@@ -28,11 +28,11 @@ func ComputeSHR(t *multicast.Tree) map[graph.NodeID]int {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		base := shr[n]
-		for _, k := range t.ChildList(n) {
+		base, kids := shr[n], len(stack)
+		stack = t.AppendChildren(stack, n)
+		for _, k := range stack[kids:] {
 			nr, _ := t.MemberCount(k)
 			shr[k] = base + nr
-			stack = append(stack, k)
 		}
 	}
 	return shr

@@ -72,25 +72,28 @@ func (s *Session) recoverProposed(fs []failure.Failure) (*HealReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	left := h.todo
-	for progress := true; progress && len(left) > 0; {
+	// A member is pending while its record is empty.
+	pending := func(i int) bool { return h.rep.Recovered[i].Detour == nil }
+	for progress := true; progress; {
 		progress = false
-		kept := left[:0]
-		for _, m := range left {
-			p, rd, ok := s.tryReconnect(fs, m, h.mask)
-			if !ok {
-				kept = append(kept, m)
+		for i, m := range h.todo {
+			if !pending(i) {
 				continue
 			}
-			if err := s.regraft(h, m, p, p.Reverse(), rd); err != nil {
+			p, rd, ok := s.tryReconnect(fs, m, h.mask)
+			if !ok {
+				continue
+			}
+			if err := s.regraft(h, i, p, p.Reverse(), rd); err != nil {
 				return nil, err
 			}
 			progress = true
 		}
-		left = kept
 	}
-	for _, m := range left {
-		s.unrecovered(h, m)
+	for i, m := range h.todo {
+		if pending(i) {
+			s.unrecovered(h, m)
+		}
 	}
 	return s.endHeal(h), nil
 }

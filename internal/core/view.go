@@ -144,7 +144,7 @@ func (v *treeView) without(t *multicast.Tree, m graph.NodeID, failed *graph.Mask
 	v.marked = t.AppendSubtree(v.marked[:0], m)
 	v.sub = len(v.marked)
 	up, _ := t.Parent(m)
-	for up != src && !t.IsMember(up) && len(t.ChildList(up)) == 1 {
+	for up != src && !t.IsMember(up) && t.NumChildren(up) == 1 {
 		v.marked = append(v.marked, up)
 		up, _ = t.Parent(up)
 	}

@@ -160,10 +160,12 @@ func SurvivingNodes(t *multicast.Tree, mask *graph.Mask) map[graph.NodeID]bool {
 	}
 	out[src] = true
 	stack := []graph.NodeID{src}
+	var kids []graph.NodeID
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, k := range t.ChildList(n) {
+		kids = t.AppendChildren(kids[:0], n)
+		for _, k := range kids {
 			if mask.NodeBlocked(k) || mask.EdgeBlocked(n, k) {
 				continue
 			}
@@ -264,7 +266,7 @@ func DisconnectedMembers(t *multicast.Tree, mask *graph.Mask) []graph.NodeID {
 		if t.IsMember(n) && !mask.NodeBlocked(n) {
 			out = append(out, n)
 		}
-		stack = append(stack, t.ChildList(n)...)
+		stack = t.AppendChildren(stack, n)
 	}
 	slices.Sort(out)
 	return out

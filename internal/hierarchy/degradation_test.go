@@ -11,6 +11,22 @@ import (
 	"smrp/internal/topology"
 )
 
+// requireParkedIsPartitioned holds Parked to its definition, the members
+// whose EndToEndDelay is core.ErrPartitioned. The degradation tests call it
+// after every operation of their schedules.
+func requireParkedIsPartitioned(t *testing.T, s *NLevelSession) {
+	t.Helper()
+	want := make([]graph.NodeID, 0)
+	for _, m := range s.Members() {
+		if _, err := s.EndToEndDelay(m); errors.Is(err, core.ErrPartitioned) {
+			want = append(want, m)
+		}
+	}
+	if got := s.Parked(); !slices.Equal(got, want) {
+		t.Fatalf("Parked() = %v, members with a partitioned delay %v", got, want)
+	}
+}
+
 // TestDomainDownRepairRevive drives the hierarchy through the degraded-domain
 // state machine: failing a stub's agent (its gateway) suspends the whole
 // domain, its members park as a group, and repairing the agent revives the
@@ -22,6 +38,7 @@ func TestDomainDownRepairRevive(t *testing.T) {
 		if err := s.Join(m); err != nil {
 			t.Fatalf("Join(%d) = %v", m, err)
 		}
+		requireParkedIsPartitioned(t, s)
 	}
 
 	// Pick a member outside the source's domain; its stub's gateway is the
@@ -44,6 +61,7 @@ func TestDomainDownRepairRevive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverSet(NodeDown agent) = %v", err)
 	}
+	requireParkedIsPartitioned(t, s)
 	var domainDown bool
 	for _, r := range reports {
 		if r.DomainID == dom.ID && r.DomainDown {
@@ -72,6 +90,7 @@ func TestDomainDownRepairRevive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverSet while domain down = %v", err)
 	}
+	requireParkedIsPartitioned(t, s)
 	for _, r := range reports {
 		if r.DomainID == dom.ID && !r.DomainDown {
 			t.Fatalf("domain %d should still be down: %+v", dom.ID, r)
@@ -84,6 +103,7 @@ func TestDomainDownRepairRevive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Repair = %v", err)
 	}
+	requireParkedIsPartitioned(t, s)
 	if !slices.Contains(sum.Revived, dom.ID) {
 		t.Fatalf("Revived = %v, want to contain %d", sum.Revived, dom.ID)
 	}
@@ -162,9 +182,11 @@ func TestPartitionedJoinIsRecorded(t *testing.T) {
 	if _, err := s.RecoverSet(cut); err != nil {
 		t.Fatal(err)
 	}
+	requireParkedIsPartitioned(t, s)
 	if err := s.Join(n); !errors.Is(err, core.ErrPartitioned) {
 		t.Fatalf("Join(isolated) = %v, want ErrPartitioned", err)
 	}
+	requireParkedIsPartitioned(t, s)
 	if !slices.Contains(s.Members(), n) || !slices.Contains(s.Parked(), n) {
 		t.Fatalf("isolated joiner: members %v, parked %v, want %d in both", s.Members(), s.Parked(), n)
 	}
@@ -176,6 +198,7 @@ func TestPartitionedJoinIsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireParkedIsPartitioned(t, s)
 	if !slices.Equal(sum.Readmitted, []graph.NodeID{n}) || len(sum.StillParked) != 0 {
 		t.Errorf("Repair: readmitted %v, still parked %v, want [%d] and none", sum.Readmitted, sum.StillParked, n)
 	}
@@ -185,6 +208,7 @@ func TestPartitionedJoinIsRecorded(t *testing.T) {
 	if err := s.Leave(n); err != nil {
 		t.Errorf("Leave after repair = %v", err)
 	}
+	requireParkedIsPartitioned(t, s)
 }
 
 // TestLeaveWhileDomainDown: a receiver that leaves while its domain is
@@ -201,6 +225,7 @@ func TestLeaveWhileDomainDown(t *testing.T) {
 		if err := s.Join(n); err != nil {
 			t.Fatal(err)
 		}
+		requireParkedIsPartitioned(t, s)
 		if stay, goes = goes, n; stay != graph.Invalid {
 			break
 		}
@@ -209,16 +234,19 @@ func TestLeaveWhileDomainDown(t *testing.T) {
 	if _, err := s.RecoverSet([]failure.Failure{agent}); err != nil {
 		t.Fatal(err)
 	}
+	requireParkedIsPartitioned(t, s)
 	if !slices.Equal(s.Parked(), s.Members()) {
 		t.Fatalf("parked %v, want every member %v", s.Parked(), s.Members())
 	}
 	if err := s.Leave(goes); err != nil {
 		t.Fatalf("Leave while domain down = %v", err)
 	}
+	requireParkedIsPartitioned(t, s)
 	sum, err := s.Repair(agent)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireParkedIsPartitioned(t, s)
 	if !slices.Equal(sum.Revived, []int{stub.ID}) || !slices.Equal(sum.Readmitted, []graph.NodeID{stay}) {
 		t.Errorf("Repair: revived %v readmitted %v, want [%d] and [%d]", sum.Revived, sum.Readmitted, stub.ID, stay)
 	}
@@ -254,6 +282,7 @@ func TestLeafGatewayCrashThreeLevel(t *testing.T) {
 		if err := s.Join(m); err != nil {
 			t.Fatal(err)
 		}
+		requireParkedIsPartitioned(t, s)
 	}
 	slices.Sort(below)
 
@@ -262,6 +291,7 @@ func TestLeafGatewayCrashThreeLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireParkedIsPartitioned(t, s)
 	if len(reports) != 2 || reports[0].DomainID != leaf.ID || !reports[0].DomainDown || reports[0].Level != 2 ||
 		reports[1].DomainID != leaf.Parent || reports[1].DomainDown || reports[1].Heal == nil {
 		t.Fatalf("reports = %+v, want leaf %d down then parent %d healed", reports, leaf.ID, leaf.Parent)
@@ -276,6 +306,7 @@ func TestLeafGatewayCrashThreeLevel(t *testing.T) {
 			if err := s.Join(n); !errors.Is(err, core.ErrPartitioned) {
 				t.Fatalf("Join(%d) below the crashed agent = %v, want ErrPartitioned", n, err)
 			}
+			requireParkedIsPartitioned(t, s)
 			below = append(below, n)
 			slices.Sort(below)
 			break
@@ -285,6 +316,7 @@ func TestLeafGatewayCrashThreeLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireParkedIsPartitioned(t, s)
 	if !slices.Equal(sum.Revived, []int{leaf.ID}) || !slices.Equal(sum.Readmitted, below) || len(sum.StillParked) != 0 {
 		t.Errorf("Repair = %+v, want revived [%d], readmitted %v, nobody parked", sum, leaf.ID, below)
 	}
@@ -311,9 +343,11 @@ func TestJoinRefusedBehindCrashedAgent(t *testing.T) {
 	if _, err := s.Recover(failure.NodeDown(stub.Gateway)); err != nil {
 		t.Fatal(err)
 	}
+	requireParkedIsPartitioned(t, s)
 	if err := s.Join(n); !errors.Is(err, failure.ErrMemberFailed) {
 		t.Fatalf("Join behind a crashed, never-hooked agent = %v, want ErrMemberFailed", err)
 	}
+	requireParkedIsPartitioned(t, s)
 	sess, nm, _ := s.DomainSession(stub.ID)
 	if sub, _ := nm.ToSub(n); len(s.Members()) != 0 || sess.IsParked(sub) || sess.Tree().IsMember(sub) {
 		t.Errorf("refused joiner left state behind: members %v, parked in stub %v", s.Members(), sess.Parked())
@@ -353,6 +387,7 @@ func TestRecoverSetRefusesUnknownEdge(t *testing.T) {
 	if _, err := s.RecoverSet([]failure.Failure{cut, absent}); !errors.Is(err, graph.ErrUnknownEdge) {
 		t.Fatalf("RecoverSet(%v, %v) = %v, want ErrUnknownEdge", cut, absent, err)
 	}
+	requireParkedIsPartitioned(t, s)
 	for i, ds := range s.sessions {
 		if !ds.session.FailedMask().IsEmpty() {
 			t.Fatalf("domain %d healed part of a refused batch", i)
@@ -379,6 +414,7 @@ func TestRepairRefusesUnknownEdgeWhole(t *testing.T) {
 	if err := s.Join(m); err != nil {
 		t.Fatal(err)
 	}
+	requireParkedIsPartitioned(t, s)
 	cut, err := s.WorstCaseFor(m)
 	if err != nil {
 		t.Fatal(err)
@@ -386,6 +422,7 @@ func TestRepairRefusesUnknownEdgeWhole(t *testing.T) {
 	if _, err := s.Recover(cut); err != nil {
 		t.Fatal(err)
 	}
+	requireParkedIsPartitioned(t, s)
 	g := nt.Graph
 	root := nt.Domains[0].Nodes
 	absent := failure.Failure{}
@@ -406,6 +443,7 @@ func TestRepairRefusesUnknownEdgeWhole(t *testing.T) {
 	if _, err := s.Repair(cut, absent); !errors.Is(err, graph.ErrUnknownEdge) {
 		t.Fatalf("Repair(%v, %v) = %v, want ErrUnknownEdge", cut, absent, err)
 	}
+	requireParkedIsPartitioned(t, s)
 	for i, ds := range s.sessions {
 		if ds.session.FailedMask().Fingerprint() != masks[i] {
 			t.Errorf("domain %d repaired part of a refused batch", i)
@@ -413,5 +451,55 @@ func TestRepairRefusesUnknownEdgeWhole(t *testing.T) {
 	}
 	if got := s.Parked(); !slices.Equal(got, parked) {
 		t.Errorf("parked %v after a refused repair, %v before", got, parked)
+	}
+}
+
+// TestGatewayCutOffAbove: cutting a stub gateway's links into the domain
+// above parks the agent there and nobody in the stub, whose own tree is
+// intact; the receivers below are degraded through the leg above them all
+// the same, and the repair brings them back.
+func TestGatewayCutOffAbove(t *testing.T) {
+	ts, src, s := newTS(t, 4)
+	stub := ts.Domains[2]
+	if ts.DomainOf(src) == stub.ID {
+		t.Fatal("the source lies in the stub")
+	}
+	var below []graph.NodeID
+	for _, n := range stub.Nodes {
+		if n != stub.Gateway && len(below) < 2 {
+			if err := s.Join(n); err != nil {
+				t.Fatal(err)
+			}
+			requireParkedIsPartitioned(t, s)
+			below = append(below, n)
+		}
+	}
+	var cut []failure.Failure
+	for _, a := range ts.Graph.Neighbors(stub.Gateway) {
+		if !slices.Contains(stub.Nodes, a.To) {
+			cut = append(cut, failure.LinkDown(stub.Gateway, a.To))
+		}
+	}
+	if _, err := s.RecoverSet(cut); err != nil {
+		t.Fatal(err)
+	}
+	requireParkedIsPartitioned(t, s)
+	slices.Sort(below)
+	if got := s.Parked(); !slices.Equal(got, below) {
+		t.Fatalf("parked %v after the gateway was cut off above, want %v", got, below)
+	}
+	sess, nm, _ := s.DomainSession(stub.ID)
+	for _, n := range below {
+		if sub, _ := nm.ToSub(n); sess.IsParked(sub) {
+			t.Fatalf("receiver %d is parked in its own domain, whose links all stand", n)
+		}
+	}
+	sum, err := s.Repair(cut...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireParkedIsPartitioned(t, s)
+	if !slices.Equal(sum.Readmitted, below) || len(sum.StillParked) != 0 {
+		t.Errorf("Repair: readmitted %v, still parked %v, want %v and none", sum.Readmitted, sum.StillParked, below)
 	}
 }

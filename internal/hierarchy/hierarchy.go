@@ -286,35 +286,13 @@ func (s *NLevelSession) EndToEndDelay(m graph.NodeID) (float64, error) {
 	if !s.members[m] {
 		return 0, fmt.Errorf("hierarchy: delay %d: %w", m, core.ErrNotMember)
 	}
-	// m's chain, bottom-up: domain d delivers to n (m itself, then the gateway
-	// of the domain below). The source chain reaches the root, so the climb
-	// ends on it, at the deepest common ancestor.
-	type leg struct {
-		d int
-		n graph.NodeID
-	}
-	l := leg{s.topo.DomainOf(m), m}
-	down := []leg{l}
-	for !s.onChain[l.d] {
-		l = leg{s.topo.Domains[l.d].Parent, s.topo.Domains[l.d].Gateway}
-		down = append(down, l)
-	}
 	var cum float64
-	// Ascend the source chain: each domain relays from its session root to
-	// its gateway, which is the root of the parent's session.
-	for _, d := range s.sourceChain {
-		if d == l.d {
-			break
+	for _, l := range s.route(nil, m) {
+		if s.cut(l) {
+			return 0, fmt.Errorf("hierarchy: node %d in domain %d: %w", l.n, l.d, core.ErrPartitioned)
 		}
-		v, err := s.delayIn(d, s.topo.Domains[d].Gateway)
-		if err != nil {
-			return 0, err
-		}
-		cum += v
-	}
-	// Descend from the common ancestor to m.
-	for k := len(down) - 1; k >= 0; k-- {
-		v, err := s.delayIn(down[k].d, down[k].n)
+		ds := s.sessions[l.d]
+		v, err := ds.session.Tree().DelayTo(ds.local(l.n))
 		if err != nil {
 			return 0, err
 		}
@@ -323,16 +301,45 @@ func (s *NLevelSession) EndToEndDelay(m graph.NodeID) (float64, error) {
 	return cum, nil
 }
 
-// delayIn returns the delay from domain d's session root to node n (full
-// IDs), or core.ErrPartitioned when that leg is cut: the domain is down or n
-// is parked in it.
-func (s *NLevelSession) delayIn(d int, n graph.NodeID) (float64, error) {
-	ds := s.sessions[d]
-	sub := ds.local(n)
-	if ds.session.IsParked(sub) || ds.down() {
-		return 0, fmt.Errorf("hierarchy: node %d in domain %d: %w", n, d, core.ErrPartitioned)
+// leg is one domain's share of a delivery route: domain d carries the stream
+// from its session root to n (full IDs).
+type leg struct {
+	d int
+	n graph.NodeID
+}
+
+// route appends m's delivery legs to buf in delivery order. The source chain
+// reaches the root, so m's chain, climbed gateway by gateway, meets it at the
+// deepest common ancestor: the route ascends the source chain to there, each
+// domain relaying from its session root to its gateway, the root of the
+// parent's session, and descends m's chain to m.
+func (s *NLevelSession) route(buf []leg, m graph.NodeID) []leg {
+	top := s.topo.DomainOf(m)
+	for !s.onChain[top] {
+		top = s.topo.Domains[top].Parent
 	}
-	return ds.session.Tree().DelayTo(sub)
+	for _, d := range s.sourceChain {
+		if d == top {
+			break
+		}
+		buf = append(buf, leg{d, s.topo.Domains[d].Gateway})
+	}
+	down := len(buf)
+	for d, n := s.topo.DomainOf(m), m; ; d, n = s.topo.Domains[d].Parent, s.topo.Domains[d].Gateway {
+		buf = append(buf, leg{d, n})
+		if d == top {
+			break
+		}
+	}
+	slices.Reverse(buf[down:])
+	return buf
+}
+
+// cut reports whether leg l is cut: its domain is down or has parked l's
+// node.
+func (s *NLevelSession) cut(l leg) bool {
+	ds := s.sessions[l.d]
+	return ds.session.IsParked(ds.local(l.n)) || ds.down()
 }
 
 // SettledWork sums the settled-node work counters across every domain

@@ -237,8 +237,9 @@ func (s *NLevelSession) Repair(fs ...failure.Failure) (*RepairSummary, error) {
 // gateway that carries it in a domain above).
 func (s *NLevelSession) Parked() []graph.NodeID {
 	out := make([]graph.NodeID, 0)
+	var legs []leg
 	for m := range s.members {
-		if _, err := s.EndToEndDelay(m); errors.Is(err, core.ErrPartitioned) {
+		if legs = s.route(legs[:0], m); slices.ContainsFunc(legs, s.cut) {
 			out = append(out, m)
 		}
 	}

@@ -17,21 +17,8 @@ func newBitset(n int) bitset {
 	return make(bitset, (n+63)>>6)
 }
 
-// grown returns b extended (if needed) to hold IDs 0..n-1.
-func (b bitset) grown(n int) bitset {
-	want := (n + 63) >> 6
-	if want <= len(b) {
-		return b
-	}
-	nb := make(bitset, want)
-	copy(nb, b)
-	return nb
-}
-
 // grownCap returns b extended to hold IDs 0..n-1 with amortized-doubling
-// capacity, for callers that grow one ID at a time (the sparse tree backend
-// appends slots individually; plain grown would copy the whole set every 64
-// appends).
+// capacity: the sparse tree backend appends slots one at a time.
 func (b bitset) grownCap(n int) bitset {
 	want := (n + 63) >> 6
 	if want <= len(b) {

@@ -7,33 +7,24 @@ package multicast
 // multigroup studies publish these as CI-stable per-session standing-state
 // metrics.
 const (
-	bytesPerParentEntry = 4  // int32
-	bytesPerKidsHeader  = 24 // slice header of one children list
-	bytesPerKidEntry    = 8  // one child NodeID
-	bytesPerNREntry     = 4  // int32
-	bytesPerSHREntry    = 4  // int32
-	bytesPerBaseEntry   = 4  // int32
-	bytesPerWord        = 8  // one bitset word
-	bytesPerIndexEntry  = 4  // one slotIndex entry, int32
-	bytesPerNodeOfEntry = 8  // graph.NodeID
+	// bytesPerSlot is a slot's six int32 columns: parent, first child, next
+	// sibling, N_R, SHR and baseline.
+	bytesPerSlot        = 6 * 4
+	bytesPerWord        = 8 // one bitset word
+	bytesPerIndexEntry  = 4 // one slotIndex entry, int32
+	bytesPerNodeOfEntry = 8 // graph.NodeID
 )
 
 // MemoryFootprint returns the deterministic byte accounting of the tree's
-// standing state: parent vector, children list headers and elements, the
-// N_R, SHR and baseline columns, the on-tree/member bitsets, and (under
-// sparse storage) the slot index and its nodeOf inverse. Dense trees cost
-// O(graph nodes); sparse trees cost O(nodes ever touched). The reusable
-// iteration scratch is excluded — it is a rebuildable derivative, not tree
-// state.
+// standing state: the six slot columns, the on-tree/member bitsets, and
+// (under sparse storage) the slot index and its nodeOf inverse. A dense slot
+// costs 24 bytes, one per graph node; a sparse slot costs 32 with its nodeOf
+// entry, one per node ever touched, plus its share of the index. The
+// reusable iteration scratch and the queue of branches awaiting an SHR
+// repair are excluded: work buffers, not standing state.
 func (t *Tree) MemoryFootprint() int64 {
-	slots := int64(len(t.parent))
-	kidElems := int64(t.nNodes - 1)
-	if kidElems < 0 {
-		kidElems = 0
-	}
 	words := int64(len(t.onTree) + len(t.members))
-	return slots*(bytesPerParentEntry+bytesPerKidsHeader+bytesPerNREntry+bytesPerSHREntry+bytesPerBaseEntry) +
-		kidElems*bytesPerKidEntry +
+	return int64(len(t.parent))*bytesPerSlot +
 		words*bytesPerWord +
 		int64(len(t.slots.tab))*bytesPerIndexEntry +
 		int64(len(t.nodeOf))*bytesPerNodeOfEntry

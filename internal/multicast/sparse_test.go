@@ -134,7 +134,7 @@ func staleByFixpoint(t *Tree) []graph.NodeID {
 	for {
 		var victims []graph.NodeID
 		for _, n := range c.Nodes() {
-			if n != c.Source() && len(c.ChildList(n)) == 0 && !c.IsMember(n) {
+			if n != c.Source() && c.NumChildren(n) == 0 && !c.IsMember(n) {
 				victims = append(victims, n)
 			}
 		}
@@ -193,7 +193,7 @@ func compareTrees(t *testing.T, trial, op int, a, b *Tree) {
 		if ap != bp || aok != bok {
 			fail("parent(%d) (%d,%v) != (%d,%v)", node, ap, aok, bp, bok)
 		}
-		if !slices.Equal(a.ChildList(node), b.ChildList(node)) {
+		if !slices.Equal(a.Children(node), b.Children(node)) {
 			fail("children(%d) diverge", node)
 		}
 		anr, _ := a.MemberCount(node)

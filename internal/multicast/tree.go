@@ -8,25 +8,28 @@
 // S; "members" are receivers (which may be interior nodes); N_R is the
 // number of members in the subtree rooted at R.
 //
+// Tree state is a set of columns indexed by storage slot: the parent, the
+// children threaded through a first-child and a next-sibling column in
+// ascending NodeID order, member and on-tree bitsets, a cached N_R column
+// maintained incrementally along the O(depth) root path of every mutation,
+// the SHR column derived from it, and the owner's baseline. Six int32
+// columns make a slot 24 bytes, and a tree holds no per-node allocation.
+//
 // Storage comes in two backends behind one Tree type. The dense backend (New)
-// exploits that graph.NodeID is a compact integer in 0..NumNodes()-1: tree
-// state lives in NodeID-indexed arrays (parent vector, per-node children lists
-// kept in ascending order, member and on-tree bitsets, a cached N_R column
-// maintained incrementally along the O(depth) root path of every mutation, and
-// the SHR column derived from it). The sparse backend (NewSparse) stores the
-// same arrays indexed by slots handed out in touch order, found through an
-// open-addressed index (slotIndex), so a tree's standing bytes are O(nodes
-// ever touched) rather than O(topology) — the megascale/multigroup regime
-// where thousands of trees each cover a tiny fraction of a million-node
-// graph. A probe costs an out-of-line call where dense storage indexes
-// directly; measured, sparse storage everywhere would cost paper-sized
-// sessions a third of their throughput and dense storage everywhere would
-// triple a large topology's heap, so both backends stay (DESIGN.md §17.2).
-// Slots are never freed (a node that leaves keeps its slot as a tombstone),
-// which is what preserves the zero-steady-state-allocation guarantee under
-// membership churn in both backends. Every observable output —
-// node/member/edge enumeration order, Cost's float summation order, epochs —
-// is bit-identical between the two.
+// exploits that graph.NodeID is a compact integer in 0..NumNodes()-1: the
+// slot of node n is n. The sparse backend (NewSparse) hands slots out in
+// touch order, found through an open-addressed index (slotIndex), so a
+// tree's standing bytes are O(nodes ever touched) rather than O(topology) —
+// the megascale/multigroup regime where thousands of trees each cover a tiny
+// fraction of a million-node graph. A probe costs an out-of-line call where
+// dense storage indexes directly; measured, sparse storage everywhere would
+// cost paper-sized sessions a third of their throughput and dense storage
+// everywhere would triple a large topology's heap, so both backends stay
+// (DESIGN.md §17.2). Slots are never freed (a node that leaves keeps its
+// slot as a tombstone), which is what preserves the zero-steady-state-
+// allocation guarantee under membership churn in both backends. Every
+// observable output — node/member/edge enumeration order, Cost's float
+// summation order, epochs — is bit-identical between the two.
 package multicast
 
 import (
@@ -61,11 +64,13 @@ type Tree struct {
 	// itself; under sparse storage slots are assigned in touch order and
 	// translated through slots/nodeOf. parent holds NodeIDs as int32, read
 	// through up. parent and nr are meaningful only for slots whose onTree
-	// bit is set; children lists hold NodeIDs (not slots) in ascending order
-	// so accessors never re-sort, and keep their backing capacity when a
-	// node leaves so warm churn does not allocate.
+	// bit is set. Each node's children form a list in ascending NodeID order,
+	// so accessors never re-sort: firstKid holds the slot of its first child
+	// and nextSib, for a child, the slot of the next one; none is -1.
+	// nextSib is meaningful only for a slot that is some node's child.
 	parent   []int32
-	children [][]graph.NodeID
+	firstKid []int32
+	nextSib  []int32
 	onTree   bitset
 	members  bitset
 	// nr caches N_R — the number of members in the subtree rooted at each
@@ -130,7 +135,11 @@ func newTree(g *graph.Graph, source graph.NodeID, sparse bool) (*Tree, error) {
 	} else {
 		n := g.NumNodes()
 		t.parent = make([]int32, n)
-		t.children = make([][]graph.NodeID, n)
+		t.firstKid = make([]int32, n)
+		for i := range t.firstKid {
+			t.firstKid[i] = -1
+		}
+		t.nextSib = make([]int32, n)
 		t.onTree = newBitset(n)
 		t.members = newBitset(n)
 		t.nr = make([]int32, n)
@@ -148,9 +157,9 @@ func newTree(g *graph.Graph, source graph.NodeID, sparse bool) (*Tree, error) {
 func (t *Tree) SparseStorage() bool { return t.slots.tab != nil }
 
 // idx returns the storage slot of n, or -1 when n has no slot yet. Under
-// dense storage the slot is n itself (which may lie beyond the allocated
-// arrays if the graph grew — callers guard with the bitsets, whose has()
-// treats out-of-range slots as absent).
+// dense storage the slot is n itself, whatever n is: callers asked about an
+// arbitrary NodeID guard with the bitsets, whose has() treats out-of-range
+// slots as absent.
 func (t *Tree) idx(n graph.NodeID) int32 {
 	if t.slots.tab == nil {
 		return int32(n)
@@ -166,27 +175,11 @@ func (t *Tree) nodeAt(i int32) graph.NodeID {
 	return t.nodeOf[i]
 }
 
-// ensureSlot returns n's slot, creating storage for it as needed: dense
-// storage grows the arrays to cover node id n (the graph may have gained
-// nodes after the tree was created); sparse storage appends a fresh slot.
+// ensureSlot returns the slot of n, a node of the graph, appending a fresh
+// one under sparse storage when n has none. Dense storage covers the whole
+// graph from the start, and a frozen graph never grows.
 func (t *Tree) ensureSlot(n graph.NodeID) int32 {
 	if t.slots.tab == nil {
-		if int(n) < len(t.parent) {
-			return int32(n)
-		}
-		want := int(n) + 1
-		if g := t.g.NumNodes(); g > want {
-			want = g
-		}
-		for len(t.parent) < want {
-			t.parent = append(t.parent, int32(graph.Invalid))
-			t.children = append(t.children, nil)
-			t.nr = append(t.nr, 0)
-			t.shr = append(t.shr, 0)
-			t.baseline = append(t.baseline, 0)
-		}
-		t.onTree = t.onTree.grown(want)
-		t.members = t.members.grown(want)
 		return int32(n)
 	}
 	if i := t.slots.find(n, t.nodeOf); i >= 0 {
@@ -196,7 +189,8 @@ func (t *Tree) ensureSlot(n graph.NodeID) int32 {
 	t.nodeOf = append(t.nodeOf, n)
 	t.slots.add(t.nodeOf)
 	t.parent = append(t.parent, int32(graph.Invalid))
-	t.children = append(t.children, nil)
+	t.firstKid = append(t.firstKid, -1)
+	t.nextSib = append(t.nextSib, -1)
 	t.nr = append(t.nr, 0)
 	t.shr = append(t.shr, 0)
 	t.baseline = append(t.baseline, 0)
@@ -263,25 +257,38 @@ func (t *Tree) Parent(n graph.NodeID) (graph.NodeID, bool) {
 	return t.up(t.idx(n)), true
 }
 
-// Children returns a copy of n's downstream neighbors, in ascending order.
+// Children returns n's downstream neighbors in ascending order, in a fresh
+// slice.
 func (t *Tree) Children(n graph.NodeID) []graph.NodeID {
-	kids := t.ChildList(n)
-	out := make([]graph.NodeID, len(kids))
-	copy(out, kids)
-	return out
+	return t.AppendChildren(make([]graph.NodeID, 0, t.NumChildren(n)), n)
 }
 
-// ChildList returns n's downstream neighbors in ascending order WITHOUT
-// copying. The returned slice aliases tree state: callers must not mutate
-// it and must not hold it across tree mutations. Hot read paths (SHR
-// propagation, surviving-node walks, delivery simulation) use this to
-// iterate allocation-free; everything else should prefer Children.
-func (t *Tree) ChildList(n graph.NodeID) []graph.NodeID {
-	i := t.idx(n)
-	if i < 0 || int(i) >= len(t.children) {
-		return nil
+// AppendChildren appends n's downstream neighbors to buf in ascending order:
+// Children for a caller that keeps buf. A node off the tree has none.
+func (t *Tree) AppendChildren(buf []graph.NodeID, n graph.NodeID) []graph.NodeID {
+	if i := t.idx(n); i >= 0 && int(i) < len(t.firstKid) {
+		return t.appendKids(buf, i)
 	}
-	return t.children[i]
+	return buf
+}
+
+// appendKids appends the children of slot i to buf, ascending.
+func (t *Tree) appendKids(buf []graph.NodeID, i int32) []graph.NodeID {
+	for k := t.firstKid[i]; k >= 0; k = t.nextSib[k] {
+		buf = append(buf, t.nodeAt(k))
+	}
+	return buf
+}
+
+// NumChildren returns the number of n's downstream neighbors, 0 off the
+// tree.
+func (t *Tree) NumChildren(n graph.NodeID) (c int) {
+	if i := t.idx(n); i >= 0 && int(i) < len(t.firstKid) {
+		for k := t.firstKid[i]; k >= 0; k = t.nextSib[k] {
+			c++
+		}
+	}
+	return c
 }
 
 // Members returns the current receivers in ascending order.
@@ -509,7 +516,7 @@ func (t *Tree) RepairSHR() int {
 				t.shr[i] = want
 				writes++
 			}
-			stack = append(stack, t.children[i]...)
+			stack = t.appendKids(stack, i)
 		}
 		t.scratch = stack
 	}
@@ -552,60 +559,42 @@ func (t *Tree) ClearBaseline(n graph.NodeID) {
 // into par's ascending children list.
 func (t *Tree) attach(child, par graph.NodeID) {
 	i := t.ensureSlot(child)
-	t.parent[i] = int32(par)
-	t.insertChild(par, child)
+	t.link(i, par)
 	t.onTree.set(graph.NodeID(i))
 	t.nr[i] = 0
 	t.nNodes++
 }
 
-// link re-parents the already-on-tree node child under par (Reroute's move
-// of an existing subtree root) without touching node counts.
-func (t *Tree) link(child, par graph.NodeID) {
-	t.parent[t.idx(child)] = int32(par)
-	t.insertChild(par, child)
-}
-
-// insertChild inserts child into par's children list keeping ascending
-// order; amortized O(len) with no allocation once capacity is warm.
-func (t *Tree) insertChild(par, child graph.NodeID) {
-	pi := t.idx(par)
-	kids := t.children[pi]
-	i := len(kids)
-	for i > 0 && kids[i-1] > child {
-		i--
+// link hangs slot i under par, in par's children list at its NodeID's place,
+// without touching node counts: attach's hook, and Reroute's move of an
+// existing subtree root.
+func (t *Tree) link(i int32, par graph.NodeID) {
+	t.parent[i] = int32(par)
+	n := t.nodeAt(i)
+	at := &t.firstKid[t.idx(par)]
+	for *at >= 0 && t.nodeAt(*at) < n {
+		at = &t.nextSib[*at]
 	}
-	kids = append(kids, 0)
-	copy(kids[i+1:], kids[i:])
-	kids[i] = child
-	t.children[pi] = kids
+	t.nextSib[i], *at = *at, i
 }
 
-// removeChild deletes child from par's children list, keeping order and
-// backing capacity.
-func (t *Tree) removeChild(par, child graph.NodeID) {
-	pi := t.idx(par)
-	kids := t.children[pi]
-	for i, k := range kids {
-		if k == child {
-			copy(kids[i:], kids[i+1:])
-			t.children[pi] = kids[:len(kids)-1]
-			return
-		}
+// unlink takes slot i out of its parent's children list, which holds it.
+func (t *Tree) unlink(i int32) {
+	at := &t.firstKid[t.idx(t.up(i))]
+	for *at != i {
+		at = &t.nextSib[*at]
 	}
+	*at = t.nextSib[i]
+	t.parent[i] = int32(graph.Invalid)
 }
 
-// detach unlinks child from its parent and drops it from the tree without
-// pruning. The child's children list keeps its capacity (and, under sparse
-// storage, its slot) for reuse.
+// detach unlinks child, a node below the source, from its parent and drops
+// it from the tree without pruning. Under sparse storage the child keeps its
+// slot for reuse.
 func (t *Tree) detach(child graph.NodeID) {
 	i := t.idx(child)
-	par := t.up(i)
-	if par != graph.Invalid {
-		t.removeChild(par, child)
-	}
+	t.unlink(i)
 	t.onTree.clear(graph.NodeID(i))
-	t.parent[i] = int32(graph.Invalid)
 	t.nr[i] = 0
 	t.nNodes--
 }
@@ -634,7 +623,7 @@ func (t *Tree) Leave(m graph.NodeID) error {
 func (t *Tree) pruneUpward(n graph.NodeID, removed *[]graph.NodeID) {
 	for n != graph.Invalid && n != t.source {
 		i := t.idx(n)
-		if !t.onTree.has(graph.NodeID(i)) || len(t.children[i]) != 0 ||
+		if !t.onTree.has(graph.NodeID(i)) || t.firstKid[i] >= 0 ||
 			t.members.has(graph.NodeID(i)) {
 			return
 		}
@@ -666,7 +655,7 @@ func (t *Tree) AppendSubtree(buf []graph.NodeID, r graph.NodeID) []graph.NodeID 
 	start := len(buf)
 	buf = append(buf, r)
 	for i := start; i < len(buf); i++ {
-		buf = append(buf, t.children[t.idx(buf[i])]...)
+		buf = t.appendKids(buf, t.idx(buf[i]))
 	}
 	return buf
 }
@@ -729,14 +718,13 @@ func (t *Tree) Reroute(m graph.NodeID, newPath graph.Path) error {
 	// stands and again inside the branch it joins, and both repairs count.
 	t.markSHR(t.TopAncestor(m))
 	if oldParent != graph.Invalid {
-		t.removeChild(oldParent, m)
-		t.parent[mi] = int32(graph.Invalid)
+		t.unlink(mi)
 		t.bumpNR(oldParent, -sub)
 	}
 	// Attach the new chain from the merger down to m.
 	for i := 1; i < len(newPath); i++ {
 		if newPath[i] == m {
-			t.link(m, newPath[i-1])
+			t.link(mi, newPath[i-1])
 		} else {
 			t.attach(newPath[i], newPath[i-1])
 		}
@@ -768,15 +756,15 @@ func (t *Tree) DetachSubtree(r graph.NodeID, flushed []graph.NodeID) ([]graph.No
 	// clear all state below it.
 	ri := t.idx(r)
 	oldParent := t.up(ri)
-	t.removeChild(oldParent, r)
+	t.unlink(ri)
 	t.bumpNR(oldParent, -t.nr[ri])
 	stack := append(t.scratch[:0], r)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		i := t.idx(n)
-		stack = append(stack, t.children[i]...)
-		t.children[i] = t.children[i][:0]
+		stack = t.appendKids(stack, i)
+		t.firstKid[i] = -1
 		t.onTree.clear(graph.NodeID(i))
 		t.parent[i] = int32(graph.Invalid)
 		t.nr[i] = 0
@@ -823,11 +811,12 @@ func (t *Tree) PruneFrom(hints []graph.NodeID) []graph.NodeID {
 // Clone returns a deep copy of the tree sharing the same graph (and the same
 // storage backend).
 func (t *Tree) Clone() *Tree {
-	c := &Tree{
+	return &Tree{
 		g:        t.g,
 		source:   t.source,
 		parent:   slices.Clone(t.parent),
-		children: make([][]graph.NodeID, len(t.children)),
+		firstKid: slices.Clone(t.firstKid),
+		nextSib:  slices.Clone(t.nextSib),
 		onTree:   t.onTree.clone(),
 		members:  t.members.clone(),
 		nr:       slices.Clone(t.nr),
@@ -840,12 +829,6 @@ func (t *Tree) Clone() *Tree {
 		nMembers: t.nMembers,
 		epoch:    t.epoch,
 	}
-	for i, kids := range t.children {
-		if len(kids) > 0 {
-			c.children[i] = slices.Clone(kids)
-		}
-	}
-	return c
 }
 
 // Validate checks the tree's structural invariants: every non-source node
@@ -880,20 +863,27 @@ func (t *Tree) Validate() error {
 		if !t.OnTree(p) {
 			return fmt.Errorf("multicast: parent %d of %d is off the tree", p, n)
 		}
-		if !slices.Contains(t.children[t.idx(p)], n) {
-			return fmt.Errorf("multicast: %d not recorded as child of %d", n, p)
+	}
+	// Each children list ascends strictly, so it ends, and names on-tree
+	// nodes whose parent is its owner; so no node is listed twice, and
+	// together the lists name every node below the source.
+	listed := 0
+	for _, p := range nodes {
+		prev := graph.Invalid
+		for k := t.firstKid[t.idx(p)]; k >= 0; k = t.nextSib[k] {
+			c := t.nodeAt(k)
+			if c <= prev {
+				return fmt.Errorf("multicast: children of %d not in ascending order", p)
+			}
+			if !t.onTree.has(graph.NodeID(k)) || t.up(k) != p {
+				return fmt.Errorf("multicast: child %d of %d has parent %v", c, p, t.parentOf(c))
+			}
+			prev = c
+			listed++
 		}
 	}
-	for _, p := range nodes {
-		kids := t.children[t.idx(p)]
-		if !slices.IsSorted(kids) {
-			return fmt.Errorf("multicast: children of %d not in ascending order", p)
-		}
-		for _, k := range kids {
-			if !t.OnTree(k) || t.up(t.idx(k)) != p {
-				return fmt.Errorf("multicast: child %d of %d has parent %v", k, p, t.parentOf(k))
-			}
-		}
+	if listed != t.nNodes-1 {
+		return fmt.Errorf("multicast: %d children listed for %d nodes below the source", listed, t.nNodes-1)
 	}
 	// Reachability (no cycles, no orphan islands) plus a from-scratch N_R
 	// recount checked against the incremental cache. Scratch state here is
@@ -915,7 +905,8 @@ func (t *Tree) Validate() error {
 			counts[n] = 1
 			members++
 		}
-		for _, k := range t.children[t.idx(n)] {
+		for i := t.firstKid[t.idx(n)]; i >= 0; i = t.nextSib[i] {
+			k := t.nodeAt(i)
 			if seen.has(k) {
 				return fmt.Errorf("multicast: node %d reached twice (cycle)", k)
 			}
