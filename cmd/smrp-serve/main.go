@@ -10,9 +10,9 @@
 //	smrp-serve -seed 7 -alpha 0.25          # different random topology
 //
 // The topology is generated once at startup and shared read-only by every
-// session; all sessions share one SPF cache, so concurrent sessions with
-// overlapping failure history serve each other's shortest-path-tree misses
-// via incremental delta repair. SIGINT/SIGTERM triggers a graceful drain:
+// session; all sessions share one SPF cache, which keeps each source's
+// healthy shortest-path tree and its tree under the failures last asked
+// about, a miss repairing one of them where it can. SIGINT/SIGTERM triggers a graceful drain:
 // health turns 503, new sessions are refused, every session actor flushes
 // its queued commands and publishes a final snapshot event, then the
 // process exits.

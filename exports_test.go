@@ -270,7 +270,6 @@ var mapRangeAllowed = map[string]string{
 	"graph.Mask.Clone":                  "copies into a map",
 	"graph.Mask.AppendDiff":             "the output is sorted, and whether the budget runs out depends only on the count",
 	"graph.Mask.Union":                  "blocks edges in a mask: set union",
-	"graph.SPFCache.Dijkstra":           "copies into a map",
 	"hierarchy.NLevelSession.Members":   "collected and sorted",
 	"hierarchy.NLevelSession.Parked":    "collected and sorted",
 	"protect.BuildRedundantTrees":       "collected and sorted by st-number, which is unique per node",

@@ -159,6 +159,8 @@ func enumerateQuery(v *treeView, joiner graph.NodeID, extraMask *graph.Mask, sta
 	t := v.t
 	g := t.Graph()
 	src := t.Source()
+	sw := g.NewSweep()
+	defer sw.Release()
 	var out []Candidate
 	for _, arc := range g.Neighbors(joiner) {
 		nb := arc.To
@@ -166,8 +168,11 @@ func enumerateQuery(v *treeView, joiner graph.NodeID, extraMask *graph.Mask, sta
 			continue
 		}
 		stats.QueryMessages++
-		// The neighbor's own unicast shortest path toward the source.
-		spf, _ := g.ShortestPath(nb, src, extraMask)
+		// The neighbor's own unicast shortest path toward the source, from a
+		// sweep that stops once the source is final: the same path as the
+		// neighbor's full tree, without caching a tree per neighbor.
+		sw.RunPruned(nb, extraMask, nil, nil, graph.Unreachable, src, graph.Unreachable)
+		spf := sw.PathTo(src)
 		if spf == nil {
 			continue
 		}

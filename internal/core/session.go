@@ -227,9 +227,8 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, a *arena) (*JoinResul
 // selectBySweep): SPF distances from the source on the *unmasked* graph.
 // Masked distances would prune harder, but the tree keeps its dead edges
 // between ApplyFailure and Recover, and a node's delay along them can
-// undercut its masked SPF distance. Degraded, the unmasked tree is the cache
-// entry healthy joins keep warm; it is asked for first, so the masked entry
-// stays the delta-repair lineage head.
+// undercut its masked SPF distance. Degraded, a join reads both trees the
+// SPF cache keeps for the source: the healthy one and the masked one.
 func (s *Session) sourceSPF(nr graph.NodeID, spt *graph.SPTree) (spfDelay float64, lower []float64) {
 	src, mask := s.tree.Source(), s.maskOrNil()
 	if mask != nil {

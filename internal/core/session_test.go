@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"smrp/internal/failure"
 	"smrp/internal/graph"
 	"smrp/internal/topology"
 )
@@ -601,6 +602,32 @@ func TestQuerySchemeJoins(t *testing.T) {
 		if !s.Tree().IsMember(m) {
 			t.Errorf("member %d missing", m)
 		}
+	}
+}
+
+// TestQuerySchemeJoinCachesSourceTreesOnly pins that a query-scheme join
+// finds each neighbor's route toward the source without leaving that
+// neighbor's tree in the graph's SPF cache: healthy, the cache holds the
+// source's tree; degraded, that one and the source's tree under the failure.
+func TestQuerySchemeJoinCachesSourceTreesOnly(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Knowledge = QueryScheme
+	s := fig4Session(t, cfg)
+	c := s.Graph().SPFCacheOf()
+	for _, m := range []graph.NodeID{f4E, f4G} {
+		if _, err := s.Join(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Len() != 1 {
+		t.Errorf("healthy: the cache holds %d trees, want the source's 1", c.Len())
+	}
+	s.ApplyFailure(failure.LinkDown(f4B, f4F)) // off the tree
+	if _, err := s.Join(f4C); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 2 {
+		t.Errorf("degraded: the cache holds %d trees, want the source's 2", c.Len())
 	}
 }
 

@@ -80,10 +80,11 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Schedule queues fn to run after delay; it returns the event handle so the
-// caller may cancel it. Negative delays are rejected.
+// caller may cancel it. Negative and NaN delays are rejected: a NaN would
+// set the clock to NaN, and every later event would run at NaN.
 func (e *Engine) Schedule(delay Time, fn func()) (*Event, error) {
-	if delay < 0 {
-		return nil, fmt.Errorf("eventsim: negative delay %v", delay)
+	if !(delay >= 0) {
+		return nil, fmt.Errorf("eventsim: delay %v is negative or NaN", delay)
 	}
 	if fn == nil {
 		return nil, errors.New("eventsim: nil event function")

@@ -1,6 +1,8 @@
 package eventsim
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"smrp/internal/graph"
@@ -83,6 +85,29 @@ func TestScheduleErrors(t *testing.T) {
 	}
 	if _, err := e.Schedule(1, nil); err == nil {
 		t.Error("nil fn should error")
+	}
+}
+
+// TestScheduleRefusesNaN pins that a NaN delay is refused: scheduled, it
+// would run and set the clock to NaN, and every later event would run at NaN.
+func TestScheduleRefusesNaN(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	for _, d := range []int{1, 2, -1, 3} {
+		delay := Time(d)
+		if d < 0 {
+			delay = Time(math.NaN())
+		}
+		_, err := e.Schedule(delay, func() { order = append(order, d) })
+		if (err != nil) != (d < 0) {
+			t.Fatalf("Schedule(%v) = %v", delay, err)
+		}
+	}
+	if err := e.Run(Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{1, 2, 3}) || e.Now() != 3 {
+		t.Errorf("events ran as %v, clock at %v; want [1 2 3] at 3", order, e.Now())
 	}
 }
 

@@ -3,6 +3,7 @@ package failure
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"smrp/internal/graph"
@@ -78,11 +79,14 @@ type Schedule struct {
 }
 
 // Validate reports whether the schedule is well-formed: events sorted by
-// time, each with at least one failure or repair.
+// time, none at NaN, each with at least one failure or repair.
 func (s Schedule) Validate() error {
 	for i, ev := range s.Events {
 		if len(ev.Failures) == 0 && len(ev.Repairs) == 0 {
 			return fmt.Errorf("%w: event %d is empty", ErrBadSchedule, i)
+		}
+		if math.IsNaN(ev.At) {
+			return fmt.Errorf("%w: event %d at t=NaN", ErrBadSchedule, i)
 		}
 		if i > 0 && ev.At < s.Events[i-1].At {
 			return fmt.Errorf("%w: event %d at t=%v precedes event %d at t=%v",
@@ -208,12 +212,12 @@ func (c ChaosConfig) Validate() error {
 		return fmt.Errorf("%w: MaxPerEvent = %d", ErrBadSchedule, c.MaxPerEvent)
 	}
 	for _, p := range []float64{c.PNode, c.PSRLG, c.PPartition} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("%w: probability %v out of [0, 1]", ErrBadSchedule, p)
 		}
 	}
-	if c.Spacing <= 0 {
-		return fmt.Errorf("%w: Spacing = %v", ErrBadSchedule, c.Spacing)
+	if !(c.Spacing > 0) || math.IsNaN(c.Start) {
+		return fmt.Errorf("%w: Start = %v, Spacing = %v", ErrBadSchedule, c.Start, c.Spacing)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package failure
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"smrp/internal/graph"
@@ -20,6 +21,13 @@ func TestScheduleValidate(t *testing.T) {
 			{At: 2, Repairs: []Failure{LinkDown(0, 1)}},
 		}}, ok: true},
 		{name: "empty event", s: Schedule{Events: []Event{{At: 1}}}, ok: false},
+		{name: "NaN time", s: Schedule{Events: []Event{
+			{At: math.NaN(), Failures: []Failure{LinkDown(0, 1)}},
+		}}, ok: false},
+		{name: "NaN after a time", s: Schedule{Events: []Event{
+			{At: 1, Failures: []Failure{LinkDown(0, 1)}},
+			{At: math.NaN(), Repairs: []Failure{LinkDown(0, 1)}},
+		}}, ok: false},
 		{name: "unordered", s: Schedule{Events: []Event{
 			{At: 2, Failures: []Failure{LinkDown(0, 1)}},
 			{At: 1, Failures: []Failure{LinkDown(1, 2)}},
@@ -90,6 +98,9 @@ func TestChaosConfigValidate(t *testing.T) {
 		{Events: 1, MaxPerEvent: 0, Spacing: 1},
 		{Events: 1, MaxPerEvent: 1, Spacing: 0},
 		{Events: 1, MaxPerEvent: 1, Spacing: 1, PNode: 1.5},
+		{Events: 1, MaxPerEvent: 1, Spacing: math.NaN()},
+		{Events: 1, MaxPerEvent: 1, Spacing: 1, Start: math.NaN()},
+		{Events: 1, MaxPerEvent: 1, Spacing: 1, PSRLG: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); !errors.Is(err, ErrBadSchedule) {

@@ -41,16 +41,16 @@ func (t *SPTree) PathTo(n NodeID) Path {
 // mask. Nodes settle in (distance, node) order and an equal distance takes
 // the smaller parent ID, so the resulting tree is deterministic.
 //
-// The result comes from the graph's SPF cache, memoized by (src, mask
-// fingerprint) and shared between callers, which also makes the call safe for
-// concurrent use; the tree must be treated as read-only.
+// The result comes from the graph's SPF cache, which keeps src's healthy tree
+// and its tree under the last mask asked about, shared between callers; the
+// call is safe for concurrent use and the tree must be treated as read-only.
 func (g *Graph) Dijkstra(src NodeID, mask *Mask) *SPTree {
 	return g.spf.Dijkstra(src, mask)
 }
 
 // dijkstra is the full shortest-path-tree computation behind a cache miss:
 // the source seeded into a repair's phase-B ripple on a freshly allocated
-// SPTree, which escapes (it is memoized and shared). A blocked or invalid
+// SPTree, which escapes (it is cached and shared). A blocked or invalid
 // source leaves every node unreachable.
 func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 	n := g.NumNodes()

@@ -1,4 +1,4 @@
-// Incremental SPF (iSPF): Ramalingam–Reps-style delta repair of memoized
+// Incremental SPF (iSPF): Ramalingam–Reps-style delta repair of cached
 // shortest-path trees.
 //
 // Every failure or repair event changes the active mask's fingerprint, which
@@ -146,7 +146,7 @@ func cloneTree(t *SPTree) *SPTree {
 // ok=false means the caller must fall back to a full sweep (t may be
 // partially modified and must be discarded). The repair gives up only on
 // degenerate sources: the new mask blocks the source, or the old tree never
-// reached it (all-unreachable lineage carries no usable distances).
+// reached it (an all-unreachable base carries no usable distances).
 func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *ispfScratch) (settled int, ok bool) {
 	src := t.Source
 	n := g.NumNodes()

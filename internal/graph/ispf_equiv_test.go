@@ -58,12 +58,12 @@ func TestISPFEquivalence(t *testing.T) {
 			}
 		}
 
-		check(-1) // initial full compute seeds the lineage
+		check(-1) // initial full compute seeds the repair base
 		events := 30
 		for ev := 0; ev < events; ev++ {
 			// 1–3 mutations per event: multi-mutation events make the mask
 			// diff contain added AND removed elements simultaneously — the
-			// sibling-mask pattern (lineage head computed under {e1}, query
+			// sibling-mask pattern (repair base computed under {e1}, query
 			// under {e2}) that single-step evolution never produces, and
 			// exactly the shape that once let a revived edge leak into the
 			// failure phase (see ispf.go on phase ordering).
@@ -107,7 +107,7 @@ func TestISPFEquivalence(t *testing.T) {
 			}
 			check(ev)
 			if ev%7 == 3 {
-				// Query a second source so per-source lineages interleave.
+				// Query a second source so per-source repair bases interleave.
 				src2 := graph.NodeID(1 + (ev+ti)%(g.NumNodes()-1))
 				tree2 := g.Dijkstra(src2, mask)
 				sw := g.NewSweep()

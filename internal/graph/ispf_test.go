@@ -34,7 +34,7 @@ func ispfTestGraph(t *testing.T) *Graph {
 
 // TestISPFRepairSteadyStateAllocs pins the delta-repair core at zero heap
 // allocations once the pooled scratch arena is warm. Clone-on-write of the
-// lineage tree and the entry's mask clone are inherent per-miss costs and are
+// base tree and the entry's mask clone are inherent per-miss costs and are
 // deliberately outside the guard — this guards the repair itself.
 func TestISPFRepairSteadyStateAllocs(t *testing.T) {
 	g := ispfTestGraph(t)
@@ -75,7 +75,7 @@ func TestISPFRepairSteadyStateAllocs(t *testing.T) {
 }
 
 // TestISPFSiblingMaskSwap is the regression test for the phase-ordering bug:
-// when the lineage head was computed under {e1} and the query mask is {e2},
+// when the repair base was computed under {e1} and the query mask is {e2},
 // the diff contains an added AND a removed edge simultaneously. The failure
 // phase must not use the edge being revived — if it does, orphans re-attach
 // through it at their final distance, the repair phase's seed sees no
@@ -92,7 +92,7 @@ func TestISPFSiblingMaskSwap(t *testing.T) {
 				continue
 			}
 			e1, e2 := edges[i], edges[j]
-			// Seed the lineage under {e1}, then query the sibling mask {e2}:
+			// Seed the repair base under {e1}, then query the sibling mask {e2}:
 			// the second query is a delta with added={e2}, removed={e1}.
 			m1 := NewMask().BlockEdge(e1.A, e1.B)
 			g.Dijkstra(src, m1)
@@ -128,7 +128,7 @@ func TestSPFDeltaToggle(t *testing.T) {
 		t.Fatal("SetSPFDelta(false) did not take effect")
 	}
 	g.SPFCacheOf().Flush()
-	// recompute under a fresh lineage; everything must be a full sweep
+	// recompute from an empty cache; everything must be a full sweep
 	before := SPFCounters()
 	m2 := NewMask()
 	for i := 0; i < 4; i++ {

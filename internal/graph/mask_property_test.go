@@ -308,7 +308,7 @@ func TestMaskFingerprintInsertionOrder(t *testing.T) {
 
 // TestMaskBitsetISPFLineage runs the SPF cache's delta-repair path with
 // evolving masks and compares every tree it returns bit-for-bit against a
-// from-scratch sweep. This pins the lineage-diff path — AppendDiff feeding
+// from-scratch sweep. This pins the repair-base diff path — AppendDiff feeding
 // ispfRepair — to full-recompute ground truth, and asserts that small mask
 // diffs do take it.
 func TestMaskBitsetISPFLineage(t *testing.T) {
@@ -318,10 +318,10 @@ func TestMaskBitsetISPFLineage(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	edges := g.Edges()
 	// The session mask, evolving by small deltas so the cache's tryDelta
-	// lineage path (prev entry → AppendDiff → repair) fires.
+	// path (prev entry → AppendDiff → repair) fires.
 	mask := NewMask()
 	src := NodeID(0)
-	deltasBefore := c.deltas.Load()
+	deltasBefore := SPFCounters().DeltaRuns
 	for step := 0; step < 120; step++ {
 		switch r.Intn(4) {
 		case 0:
@@ -344,7 +344,7 @@ func TestMaskBitsetISPFLineage(t *testing.T) {
 			t.Fatalf("step %d: cached tree diverges from fresh sweep", step)
 		}
 	}
-	if c.deltas.Load() == deltasBefore {
-		t.Fatal("delta-repair path never exercised; lineage diff over bitset masks untested")
+	if SPFCounters().DeltaRuns == deltasBefore {
+		t.Fatal("delta-repair path never exercised; base diff over bitset masks untested")
 	}
 }

@@ -1,196 +1,126 @@
 package graph
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// spfShardCount is the number of independent write domains in an SPFCache.
-// Sixteen shards keep writer serialization negligible for worker pools up to
-// a few dozen goroutines while costing almost nothing at rest. Readers never
-// touch a shard lock at all — see spfShard.
-const spfShardCount = 16
-
-// defaultSPFShardCap bounds each shard. When a shard fills up it is cleared
-// wholesale — memoization is purely a performance optimization, so dropping
-// entries is always safe, and wholesale clearing avoids the bookkeeping of
-// an LRU on the hot path.
-const defaultSPFShardCap = 512
-
-// spfKey identifies one memoized shortest-path tree: the Dijkstra source
-// plus the fingerprint of the failure mask it was computed under.
-type spfKey struct {
-	src NodeID
-	fp  uint64
-}
-
-// spfEntry is one memoized tree together with the mask it was computed under
-// (a private clone — callers reuse and mutate their masks). The mask is what makes an entry usable as a delta-repair
-// ancestor: a later miss for the same source diffs its mask against this one
-// and, when the diff is small, clones the tree and repairs it in place
-// instead of re-sweeping the whole topology (see ispf.go). Entries are
-// immutable once published.
+// spfEntry is one cached tree together with the mask it was computed under
+// (a private clone — callers reuse and mutate their masks; nil for the
+// healthy tree) and that mask's fingerprint. The mask is what makes an entry
+// usable as a delta-repair base: a later miss for the same source diffs its
+// mask against this one and, when the diff is small, clones the tree and
+// repairs it instead of re-sweeping the whole topology (see ispf.go).
+// Entries are immutable once published.
 type spfEntry struct {
 	tree *SPTree
 	mask *Mask
+	fp   uint64
 }
 
-// spfMap is one shard's immutable entry snapshot. A published map is never
-// mutated again; writers clone-on-write and publish a fresh map through the
-// shard's atomic pointer.
-type spfMap = map[spfKey]*spfEntry
+// spfPair is what the cache holds for one source: at [0] the healthy tree
+// (empty mask), at [1] the tree under the last non-empty mask it was asked
+// about. A published pair is never mutated; a miss publishes a successor.
+type spfPair [2]*spfEntry
 
-// spfShard is one write domain of the cache. The read path is lock-free:
-// a hit loads the current snapshot pointer and probes the immutable map —
-// no mutex, no atomic read-modify-write, nothing a concurrent writer can
-// contend on. The mutex serializes writers only (clone → insert → publish);
-// readers racing a publish see either the old or the new snapshot, both of
-// which are internally consistent. A shard has no map until its first insert
-// (and none again after a flush), so a cache nobody has asked anything yet —
-// every graph and every view carries one — is its struct and nothing more.
-type spfShard struct {
-	m  atomic.Pointer[spfMap]
-	mu sync.Mutex // serializes writers; the read path never touches it
-}
-
-// load returns the shard's current immutable snapshot.
-func (sh *spfShard) load() spfMap {
-	if p := sh.m.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// SPFCache is the concurrency-safe memoization layer behind Graph.Dijkstra,
-// sharded by (source, mask-fingerprint) so parallel scenario trials — and
-// parallel sessions inside one scenario — that share a topology stop
-// recomputing identical shortest-path trees from scratch.
+// SPFCache is the concurrency-safe cache behind Graph.Dijkstra. Like a
+// link-state router, which holds one shortest-path tree for the topology as
+// it now stands, it keeps two trees per source: the healthy one, and the one
+// under the failures the source was last asked about. Those are the trees
+// joins read (the session's source, healthy and degraded) and routing tables
+// re-read; a mask that moves by a failure or a repair is one delta repair
+// away from the tree it replaces. Callers that want more trees of one source
+// (MRC's backup configurations) hold them themselves.
 //
-// The read path is entirely lock-free: hits load an immutable per-shard
-// snapshot map and a per-source lineage head through atomic pointers, so any
-// number of reader goroutines scale without a shared cache line to bounce a
-// mutex on (DESIGN.md §14). Writers clone-on-write and publish; the cost of
-// the clone is bounded by the shard cap and paid only on misses, which a
-// hit-dominated workload amortizes away.
+// The read path is lock-free: a hit loads the source's pair through one
+// atomic pointer and compares a fingerprint, storing nothing, so any number
+// of readers scale without a shared cache line to bounce (DESIGN.md §14.1).
+// A miss builds the tree and publishes a fresh pair with a compare-and-swap.
 //
 // Cached *SPTree values are shared between callers and MUST be treated as
-// read-only; every consumer in this repository already does (PathTo and Dist
-// lookups only). The graph is immutable, so a memoized tree never goes stale.
+// read-only. The graph is immutable, so a cached tree never goes stale.
 type SPFCache struct {
-	g      *Graph
-	shards [spfShardCount]spfShard
-	// recent tracks, per source, the most recently touched entry — the
-	// clone-on-write lineage head that delta repairs start from. The slice is
-	// indexed by NodeID, created by the first entry and dropped wholesale on
-	// flush (the pointer indirection keeps a concurrent reader of the old
-	// slice safe while a flush retires it).
-	recent atomic.Pointer[[]atomic.Pointer[spfEntry]]
-	cap    int
-
-	flushMu sync.Mutex // serializes flushes (writer-side only)
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	deltas atomic.Uint64
+	g *Graph
+	// pairs is indexed by source, created by the first entry and dropped
+	// wholesale by Flush (the pointer indirection keeps a concurrent reader
+	// of the old slice safe while a flush retires it).
+	pairs atomic.Pointer[[]atomic.Pointer[spfPair]]
 }
 
-// NewSPFCache builds a cache over g. capPerShard bounds each of the 16
-// shards; values < 1 select the default (512 entries per shard).
-func NewSPFCache(g *Graph, capPerShard int) *SPFCache {
-	if capPerShard < 1 {
-		capPerShard = defaultSPFShardCap
-	}
-	return &SPFCache{g: g, cap: capPerShard}
-}
+// NewSPFCache builds a cache over g. The int argument is ignored; it stays
+// only because the benchmark module passes one, and ROADMAP item 1(d), which
+// unpins that module, drops it.
+func NewSPFCache(g *Graph, _ int) *SPFCache { return &SPFCache{g: g} }
 
-// noteRecent records e as the lineage head for src (lock-free publish).
-func (c *SPFCache) noteRecent(src NodeID, e *spfEntry) {
-	p := c.recent.Load()
+// slot returns src's pair pointer, creating the index on first use.
+func (c *SPFCache) slot(src NodeID) *atomic.Pointer[spfPair] {
+	p := c.pairs.Load()
 	if p == nil {
-		rs := make([]atomic.Pointer[spfEntry], c.g.NumNodes())
-		c.recent.CompareAndSwap(nil, &rs)
-		p = c.recent.Load() // ours, a racing first entry's, or nil again after a flush
+		ps := make([]atomic.Pointer[spfPair], c.g.NumNodes())
+		c.pairs.CompareAndSwap(nil, &ps)
+		if p = c.pairs.Load(); p == nil {
+			p = &ps // flushed meanwhile: the entry lands in a retired index
+		}
 	}
-	if p != nil && int(src) < len(*p) {
-		(*p)[src].Store(e)
-	}
-}
-
-// recentOf returns the lineage head for src, or nil (lock-free load).
-func (c *SPFCache) recentOf(src NodeID) *spfEntry {
-	if p := c.recent.Load(); p != nil && int(src) < len(*p) {
-		return (*p)[src].Load()
-	}
-	return nil
+	return &(*p)[src]
 }
 
 // Dijkstra returns the shortest-path tree from src under mask, computing and
-// memoizing it on first use. Safe for concurrent use; hits take zero locks
-// (pinned by TestSPFCacheHitZeroAlloc and TestSPFCacheHitMutexProfile). The
-// returned tree is shared: callers must not mutate it. A source outside the
-// graph gets a fresh tree with every node unreachable, neither memoized nor
-// a lineage head.
+// caching it on a miss. Safe for concurrent use; hits take no lock and store
+// nothing (pinned by TestSPFCacheHitZeroAlloc and TestSPFCacheHitMutexProfile).
+// The returned tree is shared: callers must not mutate it. A source outside
+// the graph gets a fresh tree with every node unreachable, not cached.
 func (c *SPFCache) Dijkstra(src NodeID, mask *Mask) *SPTree {
 	if !c.g.valid(src) {
 		return c.g.dijkstra(src, mask)
 	}
-	key := spfKey{src: src, fp: mask.Fingerprint()}
-	sh := &c.shards[mix64(uint64(uint32(key.src))^key.fp)%spfShardCount]
-
-	if e, ok := sh.load()[key]; ok {
-		c.hits.Add(1)
+	i, fp := 0, mask.Fingerprint() // i: the slot this mask's tree belongs in
+	if !mask.IsEmpty() {
+		i = 1
+	}
+	slot := c.slot(src)
+	old := slot.Load()
+	var pair spfPair
+	if old != nil {
+		pair = *old
+	}
+	if e := pair[i]; e != nil && e.fp == fp {
 		spfCacheHits.Add(1)
-		// A hit refreshes the lineage head: the next miss for this source is
-		// most likely a small delta of the mask just queried.
-		c.noteRecent(src, e)
 		return e.tree
 	}
-	c.misses.Add(1)
 	spfCacheMisses.Add(1)
-	t := c.tryDelta(src, mask)
+	t := c.tryDelta(mask, pair[i])
+	if t == nil {
+		t = c.tryDelta(mask, pair[1-i])
+	}
 	if t == nil {
 		t = c.g.dijkstra(src, mask)
 	}
-	e := &spfEntry{tree: t, mask: mask.Clone()}
-	sh.mu.Lock()
-	old := sh.load()
-	var next spfMap
-	if len(old) >= c.cap {
-		// Shard full: drop it wholesale. Correctness never depends on a
-		// cache hit, and starting fresh beats LRU bookkeeping (and keeps the
-		// clone below O(cap)).
-		next = make(spfMap)
-	} else {
-		// Clone-on-write: the published map is immutable, so an insert
-		// copies the current snapshot and publishes the successor. Readers
-		// racing this see the old snapshot — a spurious miss at worst.
-		next = make(spfMap, len(old)+1)
-		for k, v := range old {
-			next[k] = v
-		}
+	e := &spfEntry{tree: t, fp: fp}
+	if i == 1 {
+		e.mask = mask.Clone()
 	}
-	// Last writer wins on a racing double-compute; both results are
-	// identical because dijkstra and the delta repair are deterministic.
-	next[key] = e
-	sh.m.Store(&next)
-	sh.mu.Unlock()
-	c.noteRecent(src, e)
-	return t
+	// Publish over whatever pair is current, so a racing miss for the other
+	// slot is kept; of racing misses for the same slot the last one stays,
+	// which is correct whichever it is (every entry fits its own mask).
+	for {
+		next := spfPair{}
+		if old != nil {
+			next = *old
+		}
+		next[i] = e
+		if slot.CompareAndSwap(old, &next) {
+			return t
+		}
+		old = slot.Load()
+	}
 }
 
-// tryDelta attempts to produce the (src, mask) tree by incremental repair of
-// the source's lineage head instead of a full sweep. It returns nil when the
-// delta path is disabled, no lineage exists, the mask diff is too large, or
-// the repair declined (degenerate source) — the caller then falls back to
+// tryDelta attempts to produce the tree under mask by incremental repair of
+// prev instead of a full sweep. It returns nil when the delta path is
+// disabled, prev is nil, the mask diff is too large, or the repair declined
+// (degenerate source) — the caller then tries another base or falls back to
 // g.dijkstra. On success the returned tree is bit-identical to what the full
 // sweep would have produced (see ispf.go for why).
-func (c *SPFCache) tryDelta(src NodeID, mask *Mask) *SPTree {
-	if spfDeltaOff.Load() {
-		return nil
-	}
-	prev := c.recentOf(src)
-	if prev == nil {
+func (c *SPFCache) tryDelta(mask *Mask, prev *spfEntry) *SPTree {
+	if prev == nil || spfDeltaOff.Load() {
 		return nil
 	}
 	sc := ispfPool.Get().(*ispfScratch)
@@ -200,57 +130,35 @@ func (c *SPFCache) tryDelta(src NodeID, mask *Mask) *SPTree {
 	if !ok {
 		return nil
 	}
-	if len(added) == 0 && len(removed) == 0 {
-		// Content-identical mask (entry was evicted from the shard map):
-		// the lineage tree is already the answer.
-		return prev.tree
-	}
 	nt := cloneTree(prev.tree)
 	settled, ok := ispfRepair(c.g, nt, added, removed, mask, sc)
 	if !ok {
 		return nil
 	}
-	c.deltas.Add(1)
 	spfDeltaRuns.Add(1)
 	spfNodesSettled.Add(uint64(settled))
 	return nt
 }
 
-// Flush drops every memoized tree (including the delta-repair lineage
-// index) by retiring the shards' snapshots. Flushes serialize against each
-// other and against shard writers; concurrent readers simply observe the
-// swap.
-func (c *SPFCache) Flush() {
-	c.flushMu.Lock()
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m.Store(nil)
-		sh.mu.Unlock()
-	}
-	c.recent.Store(nil)
-	c.flushMu.Unlock()
-}
+// Flush drops every cached tree by retiring the pair index; concurrent
+// readers of the old index simply observe the swap.
+func (c *SPFCache) Flush() { c.pairs.Store(nil) }
 
-// Len returns the number of memoized trees across all shards.
+// Len returns the number of cached trees, at most two per source.
 func (c *SPFCache) Len() int {
 	n := 0
-	for i := range c.shards {
-		n += len(c.shards[i].load())
+	if p := c.pairs.Load(); p != nil {
+		for i := range *p {
+			if pr := (*p)[i].Load(); pr != nil {
+				for _, e := range pr {
+					if e != nil {
+						n++
+					}
+				}
+			}
+		}
 	}
 	return n
-}
-
-// Stats returns cumulative hit/miss counters.
-func (c *SPFCache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// String describes the cache state.
-func (c *SPFCache) String() string {
-	h, m := c.Stats()
-	return fmt.Sprintf("graph.SPFCache{entries=%d hits=%d misses=%d deltas=%d}",
-		c.Len(), h, m, c.deltas.Load())
 }
 
 // SPFCacheOf returns the graph's SPF cache, which Freeze and View attach to

@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
 // lockFreeTestGraph builds a modest random-ish mesh big enough that cache
-// hits dominate and several shards are populated.
+// hits dominate and many sources hold pairs.
 func lockFreeTestGraph(t testing.TB) *Graph {
 	t.Helper()
 	const n = 40
@@ -30,20 +31,20 @@ func lockFreeTestGraph(t testing.TB) *Graph {
 }
 
 // TestSPFCacheHitZeroAlloc pins that a cache hit allocates nothing: the read
-// path loads two atomic pointers and probes one immutable map — no clone, no
+// path loads two atomic pointers and compares a fingerprint — no clone, no
 // lock, no bookkeeping garbage.
 func TestSPFCacheHitZeroAlloc(t *testing.T) {
 	g := lockFreeTestGraph(t)
-	c := g.SPFCacheOf()
-	g.Dijkstra(0, nil) // warm the entry and its lineage head
+	g.Dijkstra(0, nil) // warm the entry
+	before := SPFCounters()
 	allocs := testing.AllocsPerRun(200, func() {
 		g.Dijkstra(0, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("cache hit allocates %.1f objects/op, want 0", allocs)
 	}
-	if h, _ := c.Stats(); h == 0 {
-		t.Fatal("warm lookups did not register as hits")
+	if d := SPFCounters().Sub(before); d.CacheHits == 0 || d.CacheMisses != 0 {
+		t.Fatalf("warm lookups: %d hits, %d misses; want only hits", d.CacheHits, d.CacheMisses)
 	}
 }
 
@@ -58,12 +59,13 @@ func TestSPFCacheHitMutexProfile(t *testing.T) {
 	defer runtime.SetMutexProfileFraction(old)
 
 	g := lockFreeTestGraph(t)
-	masks := []*Mask{nil, NewMask().BlockNode(5), NewMask().BlockEdge(2, 3)}
+	masks := []*Mask{nil, NewMask().BlockNode(5)} // the healthy tree and one mask
 	for src := NodeID(0); src < 8; src++ {
 		for _, m := range masks {
 			g.Dijkstra(src, m) // populate: every query below is a hit
 		}
 	}
+	before := SPFCounters()
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -78,6 +80,9 @@ func TestSPFCacheHitMutexProfile(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if d := SPFCounters().Sub(before); d.CacheMisses != 0 {
+		t.Fatalf("%d misses among the hammer's lookups, want 0", d.CacheMisses)
+	}
 
 	var buf bytes.Buffer
 	if err := pprof.Lookup("mutex").WriteTo(&buf, 1); err != nil {
@@ -91,20 +96,22 @@ func TestSPFCacheHitMutexProfile(t *testing.T) {
 	}
 }
 
-// TestSPFCacheParallelReadWrite races readers against writers (misses force
-// clone-on-write publishes and wholesale evictions) and cross-checks every
-// tree a reader observes against a from-scratch reference. Run under -race in
-// CI, this is the memory-safety gate for the snapshot-publish protocol.
+// TestSPFCacheParallelReadWrite races healthy readers against masked
+// writers, each of which republishes its source's pair, and against flushes
+// that retire the whole index, and cross-checks every tree a goroutine
+// observes against a from-scratch reference. Run under -race in CI, this is
+// the memory-safety gate for the pair-publish protocol.
 func TestSPFCacheParallelReadWrite(t *testing.T) {
 	g := lockFreeTestGraph(t)
 	ref := make(map[NodeID]*SPTree)
 	for src := NodeID(0); src < 16; src++ {
 		ref[src] = g.dijkstra(src, nil)
 	}
-	c := NewSPFCache(g, 4) // tiny shards: force eviction churn mid-race
+	c := NewSPFCache(g, 0)
 
 	const goroutines = 12
 	var wg sync.WaitGroup
+	errs := make([]string, goroutines)
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -112,38 +119,45 @@ func TestSPFCacheParallelReadWrite(t *testing.T) {
 			mask := NewMask()
 			for i := 0; i < 2000; i++ {
 				src := NodeID((w*7 + i) % 16)
+				got, want := c.Dijkstra(src, nil), ref[src]
 				if i%17 == 0 {
-					// Unique-ish masked queries keep the writer path busy.
+					// A mask the source was not last asked about: a miss that
+					// replaces its masked tree.
 					mask.BlockEdge(NodeID(i%30), NodeID(i%30+1))
-					c.Dijkstra(src, mask)
+					got, want = c.Dijkstra(src, mask), g.dijkstra(src, mask)
 					mask.UnblockEdge(NodeID(i%30), NodeID(i%30+1))
-					continue
 				}
-				got := c.Dijkstra(src, nil)
-				want := ref[src]
-				for n := range want.Dist {
-					if got.Dist[n] != want.Dist[n] {
-						t.Errorf("src %d node %d: dist %v != %v", src, n, got.Dist[n], want.Dist[n])
-						return
-					}
+				if w == 0 && i%101 == 0 {
+					c.Flush()
+				}
+				if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) {
+					errs[w] = fmt.Sprintf("src %d lookup %d: tree differs from a fresh sweep", src, i)
+					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	for _, e := range errs {
+		if e != "" {
+			t.Fatal(e)
+		}
+	}
 }
 
 // TestSPFCacheFirstQueriesRace has goroutines make the first queries on a
 // freshly frozen graph and on a view of it at the same time, so the caches
-// Freeze and View attach meet their first shard maps and lineage index under
-// contention. Every tree must be the from-scratch one. Run under -race in CI.
+// Freeze and View attach meet their first pair index and pairs under
+// contention, each source asked for its healthy tree and one mask. Every tree
+// must be the from-scratch one, and no racing publish may lose the other
+// slot's tree. Run under -race in CI.
 func TestSPFCacheFirstQueriesRace(t *testing.T) {
 	g := lockFreeTestGraph(t)
 	v, _, err := g.View(0, 20, []NodeID{27, 33})
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks := []*Mask{nil, NewMask().BlockNode(5), NewMask().BlockEdge(2, 3)}
+	masks := []*Mask{nil, NewMask().BlockNode(5)}
 	type query struct {
 		x    *Graph
 		src  NodeID

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -30,16 +31,15 @@ func cacheTestGraph(t *testing.T) *Graph {
 func TestSPFCacheHitsAndEquivalence(t *testing.T) {
 	g := cacheTestGraph(t)
 	want := g.dijkstra(0, nil) // from-scratch reference
-	c := g.SPFCacheOf()
 
+	before := SPFCounters()
 	t1 := g.Dijkstra(0, nil)
 	t2 := g.Dijkstra(0, nil)
 	if t1 != t2 {
-		t.Error("second lookup should return the memoized tree")
+		t.Error("second lookup should return the cached tree")
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = (%d hits, %d misses), want (1, 1)", hits, misses)
+	if d := SPFCounters().Sub(before); d.CacheHits != 1 || d.CacheMisses != 1 {
+		t.Errorf("stats = (%d hits, %d misses), want (1, 1)", d.CacheHits, d.CacheMisses)
 	}
 	for n := range want.Dist {
 		if want.Dist[n] != t1.Dist[n] || want.Parent[n] != t1.Parent[n] {
@@ -52,7 +52,7 @@ func TestSPFCacheHitsAndEquivalence(t *testing.T) {
 // TestEveryGraphCarriesACache pins that Freeze and View attach an SPF cache
 // to every graph they return: with no setup call, a first Dijkstra is a miss
 // in the graph's own cache and a second identical one a hit that returns the
-// memoized tree.
+// cached tree.
 func TestEveryGraphCarriesACache(t *testing.T) {
 	g := cacheTestGraph(t)
 	v, _, err := g.View(1, 3, []NodeID{0})
@@ -64,16 +64,17 @@ func TestEveryGraphCarriesACache(t *testing.T) {
 		if c == nil {
 			t.Fatalf("%s graph carries no SPF cache", what)
 		}
+		before := SPFCounters()
 		t1, t2 := x.Dijkstra(0, nil), x.Dijkstra(0, nil)
-		if hits, misses := c.Stats(); hits != 1 || misses != 1 || t1 != t2 || c.Len() != 1 {
-			t.Errorf("%s graph: (%d hits, %d misses, %d entries), same tree %v; want (1, 1, 1), true", what, hits, misses, c.Len(), t1 == t2)
+		if d := SPFCounters().Sub(before); d.CacheHits != 1 || d.CacheMisses != 1 || t1 != t2 || c.Len() != 1 {
+			t.Errorf("%s graph: (%d hits, %d misses, %d entries), same tree %v; want (1, 1, 1), true", what, d.CacheHits, d.CacheMisses, c.Len(), t1 == t2)
 		}
 	}
 }
 
 // TestSPFCacheSourceOutsideGraph pins that a cached query from a source the
 // graph does not hold answers as a from-scratch run does, every node
-// unreachable, and leaves the cache as it was: nothing memoized, no lineage
+// unreachable, and leaves the cache as it was: nothing cached, no pair
 // index.
 func TestSPFCacheSourceOutsideGraph(t *testing.T) {
 	b := New(3)
@@ -96,8 +97,8 @@ func TestSPFCacheSourceOutsideGraph(t *testing.T) {
 		}
 	}
 	for _, x := range []*SPFCache{c, g.SPFCacheOf()} {
-		if x.Len() != 0 || x.recent.Load() != nil {
-			t.Errorf("cache holds %d entries, lineage index %v; want none", x.Len(), x.recent.Load() != nil)
+		if x.Len() != 0 || x.pairs.Load() != nil {
+			t.Errorf("cache holds %d entries, pair index %v; want none", x.Len(), x.pairs.Load() != nil)
 		}
 	}
 }
@@ -120,38 +121,66 @@ func TestSPFCacheDistinguishesMasks(t *testing.T) {
 
 // TestSPFCacheIdleHoldsNothing pins what lets every recovery domain of a
 // hierarchy carry a cache of its own: a cache nobody has asked anything has no
-// shard map and no lineage index, the first entry creates exactly what it
-// needs, and a flush gives it all back.
+// pair index, the first entry creates the index and one pair, and a flush
+// gives it all back.
 func TestSPFCacheIdleHoldsNothing(t *testing.T) {
 	g := cacheTestGraph(t)
 	c := g.SPFCacheOf()
 	idle := func(when string) {
 		t.Helper()
-		for i := range c.shards {
-			if c.shards[i].m.Load() != nil {
-				t.Fatalf("%s: shard %d holds a map", when, i)
-			}
-		}
-		if c.recent.Load() != nil {
-			t.Fatalf("%s: lineage index allocated", when)
-		}
-		if c.Len() != 0 || c.recentOf(0) != nil {
-			t.Fatalf("%s: cache not empty", when)
+		if c.pairs.Load() != nil || c.Len() != 0 {
+			t.Fatalf("%s: pair index allocated, %d entries", when, c.Len())
 		}
 	}
 	idle("new")
 	g.Dijkstra(0, nil)
-	maps := 0
-	for i := range c.shards {
-		if c.shards[i].m.Load() != nil {
-			maps++
+	pairs := 0
+	for i := range *c.pairs.Load() {
+		if (*c.pairs.Load())[i].Load() != nil {
+			pairs++
 		}
 	}
-	if maps != 1 || c.Len() != 1 || c.recentOf(0) == nil {
-		t.Fatalf("after one lookup: %d shard maps, %d entries, lineage head %v", maps, c.Len(), c.recentOf(0))
+	if pairs != 1 || c.Len() != 1 {
+		t.Fatalf("after one lookup: %d pairs, %d entries; want 1, 1", pairs, c.Len())
 	}
 	c.Flush()
 	idle("flushed")
+}
+
+// TestSPFCacheTwoTreesPerSource pins the cache's shape: one source asked
+// under the healthy mask, A, B and A again holds at most its healthy tree
+// and its last masked one; the return to A is one delta repair off B's tree,
+// not a full run; the healthy tree survives the masked churn as a hit; and a
+// flush empties the cache.
+func TestSPFCacheTwoTreesPerSource(t *testing.T) {
+	g := cacheTestGraph(t)
+	c := g.SPFCacheOf()
+	a, b := NewMask().BlockEdge(0, 1), NewMask().BlockNode(3)
+	for step, m := range []*Mask{nil, a, b} {
+		if got, want := c.Dijkstra(0, m), g.dijkstra(0, m); !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) {
+			t.Fatalf("step %d: cached tree differs from a fresh sweep", step)
+		}
+		if c.Len() > 2 {
+			t.Fatalf("step %d: cache holds %d trees of one source, want at most 2", step, c.Len())
+		}
+	}
+	want := g.dijkstra(0, a)
+	before := SPFCounters()
+	if got := c.Dijkstra(0, a); !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) {
+		t.Fatal("repeat of A differs from a fresh sweep")
+	}
+	if d := SPFCounters().Sub(before); d.DeltaRuns != 1 || d.FullRuns != 0 {
+		t.Errorf("repeat of A: %d delta runs, %d full runs; want 1, 0", d.DeltaRuns, d.FullRuns)
+	}
+	before = SPFCounters()
+	c.Dijkstra(0, nil)
+	if d := SPFCounters().Sub(before); d.CacheHits != 1 || d.CacheMisses != 0 || c.Len() != 2 {
+		t.Errorf("healthy repeat: %d hits, %d misses, %d trees; want 1, 0, 2", d.CacheHits, d.CacheMisses, c.Len())
+	}
+	c.Flush()
+	if c.Len() != 0 {
+		t.Errorf("after Flush: %d trees, want 0", c.Len())
+	}
 }
 
 func TestSPFCacheConcurrentLookups(t *testing.T) {
@@ -184,21 +213,6 @@ func TestSPFCacheConcurrentLookups(t *testing.T) {
 		if e != "" {
 			t.Fatal(e)
 		}
-	}
-}
-
-func TestSPFCacheShardEviction(t *testing.T) {
-	g := cacheTestGraph(t)
-	c := NewSPFCache(g, 2) // tiny shards to force eviction
-	for k := 0; k < 100; k++ {
-		m := NewMask().BlockNode(NodeID(k%3 + 1))
-		if k%2 == 0 {
-			m.BlockEdge(2, 4)
-		}
-		_ = c.Dijkstra(0, m)
-	}
-	if c.Len() > 2*spfShardCount {
-		t.Errorf("cache exceeded its bound: %d entries", c.Len())
 	}
 }
 

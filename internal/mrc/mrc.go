@@ -11,10 +11,10 @@
 //
 //   - Precompute partitions the nodes (source excluded) into k isolation
 //     classes, greedily keeping the residual graph connected when a class is
-//     removed, and warms one source-rooted SPF tree per configuration. The
-//     trees are built through graph.Dijkstra, so the graph's SPF cache
-//     memoizes them by (source, config-mask fingerprint) and every
-//     recovery-time lookup is a cache hit riding the iSPF lineage path.
+//     removed, and builds one source-rooted SPF tree per configuration. The
+//     strategy holds the k trees itself — they are the precomputed state
+//     StateBytes charges for, and the graph's SPF cache keeps only two
+//     trees per source — so a recovery reads them without a lookup.
 //   - Propose offers each disconnected member its route in the backup
 //     configuration isolating the failed component, then in the others.
 //     Configurations isolate exactly one failure class, so the session
@@ -59,8 +59,10 @@ type Strategy struct {
 	// (-1: never isolated — the source, plus nodes whose removal would
 	// disconnect every candidate configuration).
 	classOf []int32
-	// masks[c] blocks configuration c's isolated class.
+	// masks[c] blocks configuration c's isolated class; trees[c] is the
+	// source's shortest-path tree under it.
 	masks []*graph.Mask
+	trees []*graph.SPTree
 
 	built          bool
 	precompSettled int
@@ -120,11 +122,13 @@ func (st *Strategy) Precompute(s *core.Session) error {
 		}
 	}
 
-	// Warm one SPF tree per configuration through the shared cache and
-	// account the settled work: a full sweep settles every reachable node.
+	// Build one SPF tree per configuration and account the settled work: a
+	// full sweep settles every reachable node.
 	st.precompSettled = 0
+	st.trees = make([]*graph.SPTree, st.k)
 	for c := range st.masks {
 		t := g.Dijkstra(src, st.masks[c])
+		st.trees[c] = t
 		for id := 0; id < n; id++ {
 			if !math.IsInf(t.Dist[id], 1) {
 				st.precompSettled++
@@ -142,9 +146,8 @@ func (st *Strategy) Precompute(s *core.Session) error {
 // rejects one that crosses the accumulated mask, which moves on to the next
 // configuration.
 func (st *Strategy) Propose(fs []failure.Failure, m graph.NodeID, offer func(graph.Path) bool) {
-	g, src := st.s.Graph(), st.s.Tree().Source()
 	for _, c := range st.preferredConfigs(fs) {
-		t := g.Dijkstra(src, st.masks[c])
+		t := st.trees[c]
 		// m is unreachable when it is in c's isolated class or cut off in c.
 		if t.Reachable(m) && offer(t.PathTo(m).Reverse()) {
 			return

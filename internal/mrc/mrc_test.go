@@ -184,6 +184,39 @@ func TestRecoverIgnoresBatchOrder(t *testing.T) {
 	}
 }
 
+// TestRecoverReadsOwnTrees pins that MRC holds its configuration trees
+// itself: a recovery grafted along a configuration route asks the graph's
+// SPF cache nothing.
+func TestRecoverReadsOwnTrees(t *testing.T) {
+	g, err := topology.PaperFig1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.DThresh = 0
+	cfg.Strategy = New(2)
+	s, err := core.NewSession(g, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []graph.NodeID{3, 4} {
+		if _, err := s.Join(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := graph.SPFCounters()
+	rep, err := s.Recover(failure.LinkDown(1, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Recovered) != 1 || s.Stats().StrategyFallbacks != 0 {
+		t.Fatalf("recovered %+v with %d fallbacks, want one configuration graft", rep.Recovered, s.Stats().StrategyFallbacks)
+	}
+	if d := graph.SPFCounters().Sub(before); d.CacheHits != 0 || d.CacheMisses != 0 {
+		t.Errorf("the recovery made %d cache hits and %d misses, want none", d.CacheHits, d.CacheMisses)
+	}
+}
+
 // TestRecoverTriesLaterConfigurations: when the preferred configuration's
 // route crosses the accumulated mask, the member is grafted along the next
 // configuration whose route does not, with no fallback. With k=3 the greedy

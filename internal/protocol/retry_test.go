@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -73,7 +74,6 @@ func TestInjectErrorsTyped(t *testing.T) {
 	if err := inst.InjectFailureSet(10); !errors.Is(err, failure.ErrBadSchedule) {
 		t.Errorf("InjectFailureSet(empty) = %v, want ErrBadSchedule", err)
 	}
-
 	// A node outside the topology is refused at injection, so it never
 	// reaches a mask (whose words are sized by node ID), and so is a link
 	// the topology lacks, which would leave the session degraded over
@@ -119,8 +119,37 @@ func TestInjectErrorsTyped(t *testing.T) {
 			t.Errorf("SPFInstance.InjectFailure(%v) = %v, want %v", f, err, tc.want)
 		}
 	}
-	// Nothing was queued: running to the end fires no event, so the clock
-	// stays put and no component is down.
+	// A NaN time is neither past nor future, and would set the clock to NaN.
+	nan := eventsim.Time(math.NaN())
+	spfNaN, err := NewSPFInstance(g, 0, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range map[string]error{
+		"ScheduleJoin":              inst.ScheduleJoin(nan, 3),
+		"InjectFailure":             inst.InjectFailure(nan, cut),
+		"InjectFailureSet":          inst.InjectFailureSet(nan, cut),
+		"InjectRepair":              inst.InjectRepair(nan, cut),
+		"SPFInstance.ScheduleJoin":  spfNaN.ScheduleJoin(nan, 3),
+		"SPFInstance.InjectFailure": spfNaN.InjectFailure(nan, cut),
+	} {
+		if err == nil {
+			t.Errorf("%s(NaN) accepted", name)
+		}
+	}
+	if err := inst.InjectSchedule(failure.Schedule{Events: []failure.Event{
+		{At: math.NaN(), Failures: []failure.Failure{cut}},
+	}}); !errors.Is(err, failure.ErrBadSchedule) {
+		t.Errorf("InjectSchedule(NaN) = %v, want ErrBadSchedule", err)
+	}
+	if err := spfNaN.Run(eventsim.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if now := spfNaN.Engine().Now(); now != 0 {
+		t.Errorf("refused NaN injections moved the SPF clock to %v", now)
+	}
+	// Nothing was queued, NaN or refused: running to the end fires no event,
+	// so the clock stays put and no component is down.
 	if err := inst.Run(eventsim.Infinity); err != nil {
 		t.Fatal(err)
 	}

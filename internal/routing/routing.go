@@ -61,11 +61,11 @@ func (c Config) Validate() error {
 }
 
 // Domain is a link-state routing domain over one graph. Tables are computed
-// lazily per node against the currently-applied failure set and memoized in
-// the graph's concurrency-safe SPF cache keyed by (node, failure-mask fingerprint), so
-// applying a failure and then rolling back to a previously-seen mask reuses
-// the earlier tables, and paired protocol instances over the same graph share
-// one table store.
+// lazily per node against the currently-applied failure set and kept in the
+// graph's concurrency-safe SPF cache, which holds each router's healthy table
+// and its table under the last failure set it was asked about — what a
+// link-state router holds — so paired protocol instances over the same graph
+// share one table store.
 //
 // Read queries (PathTo, Dist, ConvergenceTime) are safe for
 // concurrent use. ApplyFailure mutates the domain's topology view and must be
@@ -96,9 +96,9 @@ func NewDomain(g *graph.Graph, cfg Config) (*Domain, error) {
 }
 
 // ApplyFailure folds a failure into the domain's view of the topology.
-// Routing tables need no explicit invalidation: the SPF cache keys on the
-// failure-mask fingerprint, so the next table query under the new mask is a
-// distinct entry (and tables for the old mask remain valid if re-queried).
+// Routing tables need no explicit invalidation: the SPF cache checks the
+// failure-mask fingerprint, so the next table query under the new mask
+// repairs the router's previous table.
 func (d *Domain) ApplyFailure(f failure.Failure) {
 	d.mask = d.mask.Union(f.Mask())
 	fCopy := f
@@ -106,8 +106,9 @@ func (d *Domain) ApplyFailure(f failure.Failure) {
 }
 
 // RemoveFailure lifts a previously applied failure (a repair). Components
-// blocked independently stay blocked. Tables under the restored mask come
-// straight from the SPF cache when the mask was seen before.
+// blocked independently stay blocked. A table under the restored mask comes
+// straight from the SPF cache when it is the healthy one, and is otherwise
+// repaired from the router's previous table.
 func (d *Domain) RemoveFailure(f failure.Failure) {
 	m := d.mask.Clone()
 	f.RemoveFrom(m)

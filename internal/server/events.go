@@ -7,8 +7,8 @@
 // goroutine owns each session and consumes commands from a bounded mailbox,
 // so no session state is ever touched by two goroutines. Sessions share one
 // immutable *graph.Graph and its SPFCache — the cache is concurrency-safe
-// and sharing it across sessions multiplies the incremental-SPF lineage hit
-// rate, because sessions on one topology share failure history.
+// and keeps each source's healthy tree and its tree under the last failures
+// asked about, so sessions rooted at one source read each other's trees.
 package server
 
 import (

@@ -12,10 +12,9 @@ import (
 
 // Registry owns the shared topology and the set of live session actors.
 // All sessions run over the same immutable *graph.Graph and share its SPF
-// cache: concurrent sessions on one topology accumulate overlapping failure
-// history, so one session's delta-repaired shortest-path tree becomes the
-// lineage ancestor for another session's cache miss — cross-session reuse
-// multiplies the incremental-SPF hit rate (ROADMAP item 1).
+// cache, which keeps each source's healthy shortest-path tree and its tree
+// under the failures last asked about: sessions rooted at one source read
+// each other's trees, and a miss repairs one of them (ROADMAP item 1).
 //
 // Session IDs are generation-stamped: the registry's generation (fixed at
 // construction, e.g. a boot counter) plus a monotonically increasing

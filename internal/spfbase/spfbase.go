@@ -30,9 +30,10 @@ var (
 // SMRP is designed to avoid.
 //
 // Session is not safe for concurrent use. Its shortest-path queries go
-// through graph.Graph.Dijkstra, so sessions over the same graph share the
-// trees its SPF cache memoizes — including across parallel trials that pair
-// an SPF baseline with SMRP variants on one topology.
+// through graph.Graph.Dijkstra, so sessions over the same graph and source
+// share the two trees its SPF cache keeps for that source — including across
+// parallel trials that pair an SPF baseline with SMRP variants on one
+// topology.
 type Session struct {
 	g    *graph.Graph
 	tree *multicast.Tree
