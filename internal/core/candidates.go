@@ -154,7 +154,8 @@ func selectBySweep(a *arena, joiner graph.NodeID, mask *graph.Mask, lower []floa
 // neighbor's unicast shortest path toward the source; the first on-tree node
 // met answers with its SHR and becomes a candidate merger. Coverage is
 // partial by design — the scheme trades optimality for not needing topology
-// knowledge. Each relayed query increments stats.QueryMessages.
+// knowledge. Each relayed query increments stats.QueryMessages, and its
+// sweep's settled nodes count in stats.EnumSettled.
 func enumerateQuery(v *treeView, joiner graph.NodeID, extraMask *graph.Mask, stats *Stats) []Candidate {
 	t := v.t
 	g := t.Graph()
@@ -172,6 +173,7 @@ func enumerateQuery(v *treeView, joiner graph.NodeID, extraMask *graph.Mask, sta
 		// sweep that stops once the source is final: the same path as the
 		// neighbor's full tree, without caching a tree per neighbor.
 		sw.RunPruned(nb, extraMask, nil, nil, graph.Unreachable, src, graph.Unreachable)
+		stats.EnumSettled += sw.SettledCount()
 		spf := sw.PathTo(src)
 		if spf == nil {
 			continue

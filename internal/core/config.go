@@ -205,7 +205,8 @@ type Stats struct {
 	// Joins). EnumSettled tallies nodes settled by candidate sweeps (the
 	// delay-bound-pruned pass of every join and reshape, whose goal-directed
 	// order counts a node it settles again after lowering it once more, plus
-	// the unbounded second pass of a join that found nothing within the bound)
+	// the unbounded second pass of a join that found nothing within the bound;
+	// under the query scheme, each relayed query's sweep instead)
 	// — the settled-node counter is the repository's CI-stable unit of SPF
 	// work (wall-clock is noise on shared single-core runners). SelectRescans
 	// counts the joins that took that second pass, SelectSourceExits the

@@ -332,7 +332,8 @@ func (s *Session) ApplyFailure(fs ...failure.Failure) {
 		return
 	}
 	if s.failed == nil {
-		s.failed = graph.NewMask()
+		// Sized for the graph: a later cut never regrows it.
+		s.failed = graph.NewMaskWithCapacity(s.g.NumNodes())
 	}
 	for _, f := range fs {
 		f.ApplyTo(s.failed)

@@ -605,6 +605,21 @@ func TestQuerySchemeJoins(t *testing.T) {
 	}
 }
 
+// TestQuerySchemeCountsSweeps pins that the query scheme's per-neighbour
+// sweeps count in EnumSettled: each relayed query's sweep settles at least
+// the neighbour it starts from.
+func TestQuerySchemeCountsSweeps(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Knowledge = QueryScheme
+	s := fig4Session(t, cfg)
+	if _, err := s.Join(f4E); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.QueryMessages == 0 || st.EnumSettled < st.QueryMessages {
+		t.Errorf("%d queries settled %d nodes, want at least one each", st.QueryMessages, st.EnumSettled)
+	}
+}
+
 // TestQuerySchemeJoinCachesSourceTreesOnly pins that a query-scheme join
 // finds each neighbor's route toward the source without leaving that
 // neighbor's tree in the graph's SPF cache: healthy, the cache holds the

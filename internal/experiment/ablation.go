@@ -7,6 +7,7 @@ import (
 
 	"smrp/internal/core"
 	"smrp/internal/metrics"
+	"smrp/internal/runner"
 )
 
 // AblationRow is one configuration variant of an ablation study.
@@ -45,15 +46,9 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-// ablationVariant evaluates all scenarios under one SMRP configuration on
-// the parallel runner and summarizes metrics plus overhead counters. The
-// scenario set is shared between variants, so the per-topology SPF caches
-// attached by GenScenarios serve hits across the whole study.
-func ablationVariant(ctx context.Context, rc RunConfig, name string, scenarios []Scenario, cfg core.Config, useLocalOnSPF bool) (AblationRow, error) {
-	results, err := evaluateAll(ctx, rc, scenarios, cfg)
-	if err != nil {
-		return AblationRow{}, err
-	}
+// ablationRow summarizes one variant's scenario results (in scenario order)
+// into its metrics and per-scenario overhead counters.
+func ablationRow(name string, results []*Result, useLocalOnSPF bool) (AblationRow, error) {
 	var agg Aggregate
 	var updates, computes, queries, reshapes float64
 	for _, res := range results {
@@ -65,7 +60,7 @@ func ablationVariant(ctx context.Context, rc RunConfig, name string, scenarios [
 		queries += float64(res.SMRPStats.QueryMessages)
 		reshapes += float64(res.SMRPStats.Reshapes)
 	}
-	n := float64(len(scenarios))
+	n := float64(len(results))
 	rdSample := agg.RDRel
 	if useLocalOnSPF {
 		rdSample = agg.RDRelLocalOnSPF
@@ -129,20 +124,39 @@ func RunAblations(ctx context.Context, rc RunConfig, nTopo, nSets int) (*Ablatio
 	query := full
 	query.Knowledge = core.QueryScheme
 
-	type variant struct {
-		name       string
-		cfg        core.Config
-		localOnSPF bool
-		deferred   bool // priced from smrp-full's run, not run again
+	// The configurations run in lockstep: each scenario is evaluated under
+	// all of them before the next, so the SPF trees its members' failures
+	// leave in the topology's cache serve every configuration, not just the
+	// first. detour-on-spf-tree reads smrp-full's run with the other RD
+	// sample, and deferred-shr prices it with the other cost column.
+	configs := []core.Config{full, query, noReshape, condIOnly}
+	results, err := runner.Map(ctx, rc.pool(), len(scenarios), func(_ context.Context, t runner.Trial) ([]*Result, error) {
+		out := make([]*Result, len(configs))
+		for ci, cfg := range configs {
+			res, err := Evaluate(scenarios[t.Index], cfg)
+			if err != nil {
+				return nil, err
+			}
+			out[ci] = res
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	var fullComputes float64
-	for _, v := range []variant{
-		{name: "smrp-full", cfg: full},
-		{name: "detour-on-spf-tree", cfg: full, localOnSPF: true},
-		{name: "query-scheme", cfg: query},
+	for _, v := range []struct {
+		name       string
+		config     int // index into configs
+		localOnSPF bool
+		deferred   bool // priced from smrp-full's run
+	}{
+		{name: "smrp-full"},
+		{name: "detour-on-spf-tree", localOnSPF: true},
+		{name: "query-scheme", config: 1},
 		{name: "deferred-shr", deferred: true},
-		{name: "no-reshaping", cfg: noReshape},
-		{name: "condition-I-only", cfg: condIOnly},
+		{name: "no-reshaping", config: 2},
+		{name: "condition-I-only", config: 3},
 	} {
 		if v.deferred {
 			row := out.Rows[0]
@@ -150,7 +164,11 @@ func RunAblations(ctx context.Context, rc RunConfig, nTopo, nSets int) (*Ablatio
 			out.Rows = append(out.Rows, row)
 			continue
 		}
-		row, err := ablationVariant(ctx, rc, v.name, scenarios, v.cfg, v.localOnSPF)
+		variant := make([]*Result, len(results))
+		for i, r := range results {
+			variant[i] = r[v.config]
+		}
+		row, err := ablationRow(v.name, variant, v.localOnSPF)
 		if err != nil {
 			return nil, err
 		}

@@ -76,48 +76,69 @@ type scheduleTally struct {
 	violations []string
 }
 
-// playSchedule is the event loop of chaos phase 1 and of every strategies
-// arm. It admits members through JoinBatch — the initial membership is a
-// flash crowd by construction, every member of one group arriving at once,
-// and the batched path (bit-identical to sequential joins) stays under the
-// oracle on every schedule — then plays sched against sess event by event:
-// Recover for its failures, Repair for its repairs, and the invariant oracle
-// after each. study prefixes errors; where prefixes the oracle's event
-// labels.
-func playSchedule(sess *core.Session, members []graph.NodeID, sched failure.Schedule, study, where string) (scheduleTally, error) {
-	var out scheduleTally
-	_, joinErrs := sess.JoinBatch(members)
-	for i, err := range joinErrs {
-		if err != nil {
-			return out, fmt.Errorf("%s: join %d: %w", study, members[i], err)
+// schedulePlay is one session's run through a schedule and what it counted.
+// study prefixes its errors; where prefixes its oracle's event labels.
+type schedulePlay struct {
+	sess         *core.Session
+	study, where string
+	scheduleTally
+}
+
+// playSchedule is the event loop of chaos phase 1 and of the strategies
+// testbed. It admits members to every session through JoinBatch — the
+// initial membership is a flash crowd by construction, every member of one
+// group arriving at once, and the batched path (bit-identical to sequential
+// joins) stays under the oracle on every schedule — then plays sched event
+// by event, each event on every session in turn: Recover for its failures,
+// Repair for its repairs, and the invariant oracle after each. Sessions on
+// one topology share its SPF cache, and in lockstep they ask it about the
+// same accumulated mask one after another, so the first session's miss is
+// the others' hit.
+func playSchedule(plays []*schedulePlay, members []graph.NodeID, sched failure.Schedule) error {
+	for _, p := range plays {
+		_, joinErrs := p.sess.JoinBatch(members)
+		for i, err := range joinErrs {
+			if err != nil {
+				return fmt.Errorf("%s: join %d: %w", p.study, members[i], err)
+			}
 		}
 	}
 	for k, ev := range sched.Events {
-		if len(ev.Failures) > 0 {
-			rep, err := sess.Recover(ev.Failures...)
-			if err != nil {
-				return out, fmt.Errorf("%s: recover event %d: %w", study, k, err)
-			}
-			out.disconnected += len(rep.Disconnected)
-			out.recovered += len(rep.Recovered)
-			out.parks += len(rep.Unrecovered)
-			out.readmitted += len(rep.Readmitted)
-			for _, r := range rep.Recovered {
-				out.rd = append(out.rd, r.RD)
+		for _, p := range plays {
+			if err := p.play(k, ev, members); err != nil {
+				return err
 			}
 		}
-		if len(ev.Repairs) > 0 {
-			rep, err := sess.Repair(ev.Repairs...)
-			if err != nil {
-				return out, fmt.Errorf("%s: repair event %d: %w", study, k, err)
-			}
-			out.readmitted += len(rep.Readmitted)
-		}
-		out.disruption += len(sess.Parked())
-		out.violations = append(out.violations,
-			chaosInvariants(sess, members, fmt.Sprintf("%s event %d", where, k))...)
 	}
-	return out, nil
+	return nil
+}
+
+// play applies event k to the session and tallies it.
+func (p *schedulePlay) play(k int, ev failure.Event, members []graph.NodeID) error {
+	if len(ev.Failures) > 0 {
+		rep, err := p.sess.Recover(ev.Failures...)
+		if err != nil {
+			return fmt.Errorf("%s: recover event %d: %w", p.study, k, err)
+		}
+		p.disconnected += len(rep.Disconnected)
+		p.recovered += len(rep.Recovered)
+		p.parks += len(rep.Unrecovered)
+		p.readmitted += len(rep.Readmitted)
+		for _, r := range rep.Recovered {
+			p.rd = append(p.rd, r.RD)
+		}
+	}
+	if len(ev.Repairs) > 0 {
+		rep, err := p.sess.Repair(ev.Repairs...)
+		if err != nil {
+			return fmt.Errorf("%s: repair event %d: %w", p.study, k, err)
+		}
+		p.readmitted += len(rep.Readmitted)
+	}
+	p.disruption += len(p.sess.Parked())
+	p.violations = append(p.violations,
+		chaosInvariants(p.sess, members, fmt.Sprintf("%s event %d", p.where, k))...)
+	return nil
 }
 
 // chaosInvariants is the oracle: after every event the tree must be
@@ -222,9 +243,11 @@ func RunChaos(ctx context.Context, rc RunConfig, trials int) (*ChaosResult, erro
 		if err != nil {
 			return chaosTrial{}, err
 		}
-		if out.scheduleTally, err = playSchedule(sess, members, sched, "chaos", fmt.Sprintf("seed %d", t.Seed)); err != nil {
+		play := &schedulePlay{sess: sess, study: "chaos", where: fmt.Sprintf("seed %d", t.Seed)}
+		if err := playSchedule([]*schedulePlay{play}, members, sched); err != nil {
 			return chaosTrial{}, err
 		}
+		out.scheduleTally = play.scheduleTally
 
 		// Phase 2: message level. The same schedule plays out in virtual
 		// time: later failures land while earlier recoveries are in flight.

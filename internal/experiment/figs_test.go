@@ -3,6 +3,9 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"smrp/internal/core"
+	"smrp/internal/graph"
 )
 
 // Reduced scenario counts keep the test suite fast; the full paper-scale
@@ -215,6 +218,30 @@ func TestDegree10Shape(t *testing.T) {
 	}
 	if last.RDRel.Mean <= 0 {
 		t.Errorf("RD gain should persist at high connectivity, got %.3f", last.RDRel.Mean)
+	}
+}
+
+// TestAblationsSPFMisses pins that the ablation's configurations share each
+// scenario's SPF trees: all six rows together miss the cache no more often
+// than one configuration evaluated alone over the same scenarios. It reads
+// the process-wide counters, so it must not run in parallel.
+func TestAblationsSPFMisses(t *testing.T) {
+	rc := RunConfig{Seed: 77, Workers: 1}
+	scenarios, err := GenScenarios(DefaultBase(), testTopo, testSets, rc.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := graph.SPFCounters()
+	if _, err := evaluateAll(bg, rc, scenarios, core.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	one := graph.SPFCounters().Sub(before).CacheMisses
+	before = graph.SPFCounters()
+	if _, err := RunAblations(bg, rc, testTopo, testSets); err != nil {
+		t.Fatal(err)
+	}
+	if all := graph.SPFCounters().Sub(before).CacheMisses; all > one {
+		t.Errorf("ablations missed the SPF cache %d times, one configuration alone %d", all, one)
 	}
 }
 

@@ -126,9 +126,9 @@ type preSettler interface{ PrecomputeSettled() int }
 // RunStrategies executes trials seeded chaos schedules three-way. Each
 // trial draws one random topology and failure schedule (the same generation
 // as the chaos harness: 60-node Waxman, 12 members, overlapping link/node
-// failures, SRLG bursts, partitions, repairs) and plays it against three
-// core sessions — one per recovery strategy — sharing the topology and its
-// SPF cache. The invariant oracle runs after every event for every arm, so
+// failures, SRLG bursts, partitions, repairs) and plays it in lockstep
+// against three core sessions — one per recovery strategy — sharing the
+// topology and its SPF cache. The invariant oracle runs after every event for every arm, so
 // a baseline that parks a reachable member or routes over a failed
 // component fails loudly. Trials run on the parallel runner and fold in
 // trial order: the result is bit-identical for any worker count.
@@ -159,29 +159,34 @@ func RunStrategies(ctx context.Context, rc RunConfig, trials int) (*StrategiesRe
 			repairs:  sched.NumRepairs(),
 			arms:     make([]stratArmTrial, len(strategyArms)),
 		}
+		strats := make([]core.RecoveryStrategy, len(strategyArms))
+		plays := make([]*schedulePlay, len(strategyArms))
 		for ai, armDef := range strategyArms {
-			arm := &out.arms[ai]
-			var strat core.RecoveryStrategy
 			if armDef.make != nil {
-				strat = armDef.make()
+				strats[ai] = armDef.make()
 			}
 			cfg := base.SMRP
-			cfg.Strategy = strat
+			cfg.Strategy = strats[ai]
 			sess, err := core.NewSession(g, source, cfg)
 			if err != nil {
 				return stratTrial{}, fmt.Errorf("strategies %s: new session: %w", armDef.name, err)
 			}
-			if arm.scheduleTally, err = playSchedule(sess, members, sched,
-				"strategies "+armDef.name, fmt.Sprintf("seed %d %s", t.Seed, armDef.name)); err != nil {
-				return stratTrial{}, err
-			}
-			stats := sess.Stats()
+			plays[ai] = &schedulePlay{sess: sess, study: "strategies " + armDef.name,
+				where: fmt.Sprintf("seed %d %s", t.Seed, armDef.name)}
+		}
+		if err := playSchedule(plays, members, sched); err != nil {
+			return stratTrial{}, err
+		}
+		for ai, p := range plays {
+			arm := &out.arms[ai]
+			arm.scheduleTally = p.scheduleTally
+			stats := p.sess.Stats()
 			arm.recovSettled = stats.HealSettled
 			arm.fallbacks, arm.fallbackSettled = stats.StrategyFallbacks, stats.FallbackSettled
-			if strat != nil {
+			if strat := strats[ai]; strat != nil {
 				arm.stateBytes = strat.StateBytes()
 			}
-			if ps, ok := strat.(preSettler); ok {
+			if ps, ok := strats[ai].(preSettler); ok {
 				arm.precompSettled = ps.PrecomputeSettled()
 			}
 		}

@@ -3,6 +3,9 @@ package experiment
 import (
 	"context"
 	"testing"
+
+	"smrp/internal/graph"
+	"smrp/internal/mrc"
 )
 
 // TestStrategiesAcceptance is the acceptance gate for the comparative
@@ -44,6 +47,25 @@ func TestStrategiesSmoke(t *testing.T) {
 		t.Errorf("invariant violations: %d (first: %s)", len(res.Violations), res.Violations[0])
 	}
 	checkStrategiesSanity(t, res)
+}
+
+// TestStrategiesSPFMisses pins that the arms share their topology's SPF
+// trees instead of costing each other misses. Played in lockstep, a trial
+// misses the cache once for the healthy tree, once per MRC backup
+// configuration, and at most once per event for all three arms together:
+// the first arm to reach an accumulated mask computes its tree, and the
+// others hit it. It reads the process-wide counters, so it must not run in
+// parallel, and on one worker the count is deterministic.
+func TestStrategiesSPFMisses(t *testing.T) {
+	before := graph.SPFCounters()
+	res, err := RunStrategies(bg, RunConfig{Seed: 2005, Workers: 1}, 40)
+	if err != nil {
+		t.Fatalf("RunStrategies: %v", err)
+	}
+	misses := graph.SPFCounters().Sub(before).CacheMisses
+	if bound := uint64(res.Trials*(1+mrc.DefaultConfigurations) + res.Events); misses > bound {
+		t.Errorf("%d trials of %d events missed the SPF cache %d times, want at most %d", res.Trials, res.Events, misses, bound)
+	}
 }
 
 // checkStrategiesSanity asserts the structural expectations that hold at any

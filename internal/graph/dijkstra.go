@@ -9,11 +9,18 @@ import (
 var Unreachable = math.Inf(1)
 
 // SPTree is a shortest-path tree rooted at Source, as produced by Dijkstra.
+// A tree costs 12 bytes a node: its distance, and its parent in 32 bits,
+// which holds every node ID because Freeze refuses larger graphs
+// (TestSPTreeBytesPerNode).
 type SPTree struct {
 	Source NodeID
 	Dist   []float64 // Dist[n] = shortest distance from Source to n (Unreachable if none)
-	Parent []NodeID  // Parent[n] = predecessor of n on its shortest path (Invalid at Source / unreachable)
+	parent []int32   // parent[n] = predecessor of n on its shortest path (Invalid at Source / unreachable)
 }
+
+// Parent returns n's predecessor on its shortest path (Invalid at the source
+// or when unreachable).
+func (t *SPTree) Parent(n NodeID) NodeID { return NodeID(t.parent[n]) }
 
 // Reachable reports whether node n is reachable from the tree's source.
 func (t *SPTree) Reachable(n NodeID) bool {
@@ -27,11 +34,11 @@ func (t *SPTree) PathTo(n NodeID) Path {
 		return nil
 	}
 	ln := 0
-	for cur := n; cur != Invalid; cur = t.Parent[cur] {
+	for cur := n; cur != Invalid; cur = t.Parent(cur) {
 		ln++
 	}
 	p := make(Path, ln)
-	for cur, i := n, ln-1; cur != Invalid; cur, i = t.Parent[cur], i-1 {
+	for cur, i := n, ln-1; cur != Invalid; cur, i = t.Parent(cur), i-1 {
 		p[i] = cur
 	}
 	return p
@@ -57,10 +64,10 @@ func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 	t := &SPTree{
 		Source: src,
 		Dist:   make([]float64, n),
-		Parent: make([]NodeID, n),
+		parent: make([]int32, n),
 	}
 	for i := range n {
-		t.Dist[i], t.Parent[i] = Unreachable, Invalid
+		t.Dist[i], t.parent[i] = Unreachable, int32(Invalid)
 	}
 	spfFullRuns.Add(1)
 	if !g.valid(src) || mask.NodeBlocked(src) {

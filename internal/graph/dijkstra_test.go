@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -240,10 +242,38 @@ func TestDijkstraDeterministic(t *testing.T) {
 	g := randomConnectedGraph(rng, 40, 80)
 	a := g.dijkstra(0, nil)
 	b := g.dijkstra(0, nil)
-	for i := range a.Parent {
-		if a.Parent[i] != b.Parent[i] || a.Dist[i] != b.Dist[i] {
+	for i := range a.Dist {
+		if a.Parent(NodeID(i)) != b.Parent(NodeID(i)) || a.Dist[i] != b.Dist[i] {
 			t.Fatalf("non-deterministic Dijkstra at node %d", i)
 		}
+	}
+}
+
+// TestSPTreeBytesPerNode pins what a cold SPF tree costs: a float64
+// distance and an int32 parent, 12 bytes a node plus a constant for the
+// struct. Twenty full runs on an 8 192-node lattice are summed off
+// TotalAlloc after a first pass over the same sources has grown the pooled
+// scratch, with the collector off so the pool keeps it. A parent stored as a
+// NodeID would read 16.
+func TestSPTreeBytesPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	const runs = 20
+	g := megascaleLattice(128, 64)
+	n := uint64(g.NumNodes())
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	for range 2 { // the first pass warms the scratch
+		runtime.ReadMemStats(&before)
+		for i := range runs {
+			g.dijkstra(NodeID(i), nil)
+		}
+		runtime.ReadMemStats(&after)
+	}
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perRun > 12*n+128 {
+		t.Fatalf("a cold %d-node tree allocates %d B, %.2f B a node; want at most 12 B a node + 128 B", n, perRun, float64(perRun)/float64(n))
 	}
 }
 

@@ -88,8 +88,8 @@ func checkTree(t *testing.T, what string, g *Graph, tr *SPTree, mask *Mask) {
 				}
 			}
 		}
-		if tr.Dist[v] != dist[v] || tr.Parent[v] != parent {
-			t.Fatalf("%s: node %d at (%v, parent %d), reference (%v, parent %d)", what, v, tr.Dist[v], tr.Parent[v], dist[v], parent)
+		if tr.Dist[v] != dist[v] || tr.Parent(v) != parent {
+			t.Fatalf("%s: node %d at (%v, parent %d), reference (%v, parent %d)", what, v, tr.Dist[v], tr.Parent(v), dist[v], parent)
 		}
 	}
 }

@@ -132,10 +132,10 @@ func cloneTree(t *SPTree) *SPTree {
 	nt := &SPTree{
 		Source: t.Source,
 		Dist:   make([]float64, len(t.Dist)),
-		Parent: make([]NodeID, len(t.Parent)),
+		parent: make([]int32, len(t.parent)),
 	}
 	copy(nt.Dist, t.Dist)
-	copy(nt.Parent, t.Parent)
+	copy(nt.parent, t.parent)
 	return nt
 }
 
@@ -196,7 +196,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			continue
 		}
 		sc.addEdges = append(sc.addEdges, e.Edge)
-		if t.Parent[e.Edge.B] == e.Edge.A || t.Parent[e.Edge.A] == e.Edge.B {
+		if t.Parent(e.Edge.B) == e.Edge.A || t.Parent(e.Edge.A) == e.Edge.B {
 			touches = true
 		}
 	}
@@ -231,7 +231,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 					sc.state[cur] = st
 					break
 				}
-				p := t.Parent[cur]
+				p := t.Parent(cur)
 				if edgeListHas(sc.addEdges, MakeEdgeID(p, cur)) {
 					st = ispfOrphan
 					sc.stamp[cur] = sc.epoch
@@ -262,11 +262,11 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			switch sc.state[v] {
 			case ispfOrphan:
 				t.Dist[v] = Unreachable
-				t.Parent[v] = Invalid
+				t.parent[v] = int32(Invalid)
 				sc.orphans = append(sc.orphans, NodeID(v))
 			case ispfGone:
 				t.Dist[v] = Unreachable
-				t.Parent[v] = Invalid
+				t.parent[v] = int32(Invalid)
 			}
 		}
 		// Seed each orphan from its frontier of alive neighbors. Alive
@@ -294,7 +294,7 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			}
 			if pv != Invalid {
 				t.Dist[v] = dv
-				t.Parent[v] = pv
+				t.parent[v] = int32(pv)
 				sc.queue.Push(heapItem{node: v, dist: dv})
 			}
 		}
@@ -326,9 +326,9 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 					continue
 				}
 				nd := du + w[i]
-				if nd < t.Dist[v] || (nd == t.Dist[v] && u < t.Parent[v]) {
+				if nd < t.Dist[v] || (nd == t.Dist[v] && u < t.Parent(v)) {
 					t.Dist[v] = nd
-					t.Parent[v] = u
+					t.parent[v] = int32(u)
 					sc.queue.Push(heapItem{node: v, dist: nd})
 				}
 			}
@@ -351,10 +351,10 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 			nd := t.Dist[u] + w
 			if nd < t.Dist[v] {
 				t.Dist[v] = nd
-				t.Parent[v] = u
+				t.parent[v] = int32(u)
 				sc.queue.Push(heapItem{node: v, dist: nd})
-			} else if nd == t.Dist[v] && u < t.Parent[v] {
-				t.Parent[v] = u // parent-only repair; never propagates
+			} else if nd == t.Dist[v] && u < t.Parent(v) {
+				t.parent[v] = int32(u) // parent-only repair; never propagates
 			}
 		}
 		for _, e := range removed {
@@ -438,10 +438,10 @@ func (sc *ispfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
 			nd := du + w[i]
 			if nd < t.Dist[v] {
 				t.Dist[v] = nd
-				t.Parent[v] = u
+				t.parent[v] = int32(u)
 				sc.queue.Push(heapItem{node: v, dist: nd})
-			} else if nd == t.Dist[v] && u < t.Parent[v] {
-				t.Parent[v] = u
+			} else if nd == t.Dist[v] && u < t.Parent(v) {
+				t.parent[v] = int32(u)
 			}
 		}
 	}

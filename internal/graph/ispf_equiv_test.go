@@ -51,7 +51,7 @@ func TestISPFEquivalence(t *testing.T) {
 					t.Fatalf("topo %d event %d: dist[%d] = %v, oracle %v (mask %d elems)",
 						ti, ev, v, got, want, len(blockedNodes)+len(blockedEdges))
 				}
-				if got, want := tree.Parent[v], sw.Parent(n); got != want {
+				if got, want := tree.Parent(n), sw.Parent(n); got != want {
 					t.Fatalf("topo %d event %d: parent[%d] = %v, oracle %v",
 						ti, ev, v, got, want)
 				}

@@ -67,9 +67,9 @@ func TestISPFRepairSteadyStateAllocs(t *testing.T) {
 	}
 	// The round-trip must land exactly on the original tree.
 	for v := range tr.Dist {
-		if tr.Dist[v] != base.Dist[v] || tr.Parent[v] != base.Parent[v] {
+		if tr.Dist[v] != base.Dist[v] || tr.Parent(NodeID(v)) != base.Parent(NodeID(v)) {
 			t.Fatalf("round-trip diverged at node %d: (%v,%v) != (%v,%v)",
-				v, tr.Dist[v], tr.Parent[v], base.Dist[v], base.Parent[v])
+				v, tr.Dist[v], tr.Parent(NodeID(v)), base.Dist[v], base.Parent(NodeID(v)))
 		}
 	}
 }
@@ -100,9 +100,9 @@ func TestISPFSiblingMaskSwap(t *testing.T) {
 			got := g.Dijkstra(src, m2)
 			want := g.dijkstra(src, m2)
 			for v := range want.Dist {
-				if got.Dist[v] != want.Dist[v] || got.Parent[v] != want.Parent[v] {
+				if got.Dist[v] != want.Dist[v] || got.Parent(NodeID(v)) != want.Parent(NodeID(v)) {
 					t.Fatalf("swap %v->%v: node %d got (%v,%v) want (%v,%v)",
-						e1, e2, v, got.Dist[v], got.Parent[v], want.Dist[v], want.Parent[v])
+						e1, e2, v, got.Dist[v], got.Parent(NodeID(v)), want.Dist[v], want.Parent(NodeID(v)))
 				}
 			}
 		}
@@ -135,7 +135,7 @@ func TestSPFDeltaToggle(t *testing.T) {
 		m2.BlockNode(NodeID(10 + i))
 		tr := g.Dijkstra(src, m2)
 		for v := range tr.Dist {
-			if tr.Dist[v] != ref[i].Dist[v] || tr.Parent[v] != ref[i].Parent[v] {
+			if tr.Dist[v] != ref[i].Dist[v] || tr.Parent(NodeID(v)) != ref[i].Parent(NodeID(v)) {
 				t.Fatalf("delta-off tree %d differs at node %d", i, v)
 			}
 		}

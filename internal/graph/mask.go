@@ -54,7 +54,8 @@ func NewMask() *Mask {
 // NewMaskWithCapacity returns an empty mask whose node words are pre-sized
 // for node IDs 0..n-1 (they grow if a larger ID is blocked later), so blocking
 // node after node never reallocates: the mrc and detour baselines pre-size
-// their per-configuration and per-node masks this way.
+// their per-configuration and per-node masks this way. The first blocked edge
+// sizes the edge-end counters as far, so edge after edge never does either.
 func NewMaskWithCapacity(n int) *Mask {
 	if n < 1 {
 		n = 1
@@ -144,8 +145,8 @@ func (m *Mask) BlockEdge(u, v NodeID) *Mask {
 		return m
 	}
 	m.edges[e] = true
-	if int(e.B) >= len(m.ends) { // A < B: covers both endpoints
-		m.ends = append(m.ends, make([]int32, int(e.B)+1-len(m.ends))...)
+	if int(e.B) >= len(m.ends) { // A < B: covers both endpoints; at least as far as the node words
+		m.ends = append(m.ends, make([]int32, max(int(e.B)+1, 64*len(m.bits))-len(m.ends))...)
 	}
 	m.ends[e.A]++
 	m.ends[e.B]++

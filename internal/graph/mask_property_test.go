@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -282,6 +283,24 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 	}
 }
 
+// TestMaskPresizedEdgeEnds pins that a mask pre-sized for n nodes sizes its
+// edge-end counters for them on the first blocked edge: a later cut with a
+// higher endpoint allocates nothing, as a session's restores rely on.
+func TestMaskPresizedEdgeEnds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin")
+	}
+	const n = 8192
+	m := NewMaskWithCapacity(n).BlockEdge(0, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.BlockEdge(n-2, n-1)
+	runtime.ReadMemStats(&after)
+	if d := after.Mallocs - before.Mallocs; d != 0 {
+		t.Errorf("blocking an edge at the top of a pre-sized mask made %d allocations, want 0", d)
+	}
+}
+
 // TestMaskFingerprintInsertionOrder checks that the same blocked set
 // fingerprints identically whether built forward or in reverse, into a
 // pre-sized mask or one whose words grow, and that unblocking everything
@@ -340,7 +359,7 @@ func TestMaskBitsetISPFLineage(t *testing.T) {
 		}
 		got := c.Dijkstra(src, mask)
 		want := g.dijkstra(src, mask)
-		if !slices.Equal(got.Parent, want.Parent) || !slices.Equal(got.Dist, want.Dist) {
+		if !slices.Equal(got.parent, want.parent) || !slices.Equal(got.Dist, want.Dist) {
 			t.Fatalf("step %d: cached tree diverges from fresh sweep", step)
 		}
 	}

@@ -30,9 +30,10 @@ type spfPair [2]*spfEntry
 // (MRC's backup configurations) hold them themselves.
 //
 // The read path is lock-free: a hit loads the source's pair through one
-// atomic pointer and compares a fingerprint, storing nothing, so any number
-// of readers scale without a shared cache line to bounce (DESIGN.md §14.1).
-// A miss builds the tree and publishes a fresh pair with a compare-and-swap.
+// atomic pointer, compares a fingerprint and allocates nothing. Its one store
+// is an atomic add on the process-wide hit counter, a cache line every
+// reader shares, which ROADMAP item 1(d) removes (DESIGN.md §14.1). A miss
+// builds the tree and publishes a fresh pair with a compare-and-swap.
 //
 // Cached *SPTree values are shared between callers and MUST be treated as
 // read-only. The graph is immutable, so a cached tree never goes stale.
@@ -63,8 +64,9 @@ func (c *SPFCache) slot(src NodeID) *atomic.Pointer[spfPair] {
 }
 
 // Dijkstra returns the shortest-path tree from src under mask, computing and
-// caching it on a miss. Safe for concurrent use; hits take no lock and store
-// nothing (pinned by TestSPFCacheHitZeroAlloc and TestSPFCacheHitMutexProfile).
+// caching it on a miss. Safe for concurrent use; a hit takes no lock and
+// allocates nothing (pinned by TestSPFCacheHitMutexProfile and
+// TestSPFCacheHitZeroAlloc), and stores only its count.
 // The returned tree is shared: callers must not mutate it. A source outside
 // the graph gets a fresh tree with every node unreachable, not cached.
 func (c *SPFCache) Dijkstra(src NodeID, mask *Mask) *SPTree {

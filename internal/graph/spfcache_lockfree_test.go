@@ -130,7 +130,7 @@ func TestSPFCacheParallelReadWrite(t *testing.T) {
 				if w == 0 && i%101 == 0 {
 					c.Flush()
 				}
-				if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) {
+				if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.parent, want.parent) {
 					errs[w] = fmt.Sprintf("src %d lookup %d: tree differs from a fresh sweep", src, i)
 					return
 				}
@@ -188,8 +188,8 @@ func TestSPFCacheFirstQueriesRace(t *testing.T) {
 				q := queries[(w*5+i)%len(queries)]
 				got, ref := q.x.Dijkstra(q.src, q.mask), want[q]
 				for n := range ref.Dist {
-					if got.Dist[n] != ref.Dist[n] || got.Parent[n] != ref.Parent[n] {
-						errs[w] = fmt.Sprintf("source %d node %d: (%v, %d), from scratch (%v, %d)", q.src, n, got.Dist[n], got.Parent[n], ref.Dist[n], ref.Parent[n])
+					if got.Dist[n] != ref.Dist[n] || got.Parent(NodeID(n)) != ref.Parent(NodeID(n)) {
+						errs[w] = fmt.Sprintf("source %d node %d: (%v, %d), from scratch (%v, %d)", q.src, n, got.Dist[n], got.Parent(NodeID(n)), ref.Dist[n], ref.Parent(NodeID(n)))
 						return
 					}
 				}

@@ -42,9 +42,9 @@ func TestSPFCacheHitsAndEquivalence(t *testing.T) {
 		t.Errorf("stats = (%d hits, %d misses), want (1, 1)", d.CacheHits, d.CacheMisses)
 	}
 	for n := range want.Dist {
-		if want.Dist[n] != t1.Dist[n] || want.Parent[n] != t1.Parent[n] {
+		if want.Dist[n] != t1.Dist[n] || want.Parent(NodeID(n)) != t1.Parent(NodeID(n)) {
 			t.Errorf("node %d: cached (%v,%v) != from scratch (%v,%v)",
-				n, t1.Dist[n], t1.Parent[n], want.Dist[n], want.Parent[n])
+				n, t1.Dist[n], t1.Parent(NodeID(n)), want.Dist[n], want.Parent(NodeID(n)))
 		}
 	}
 }
@@ -88,8 +88,8 @@ func TestSPFCacheSourceOutsideGraph(t *testing.T) {
 	for _, src := range []NodeID{-1, 3} {
 		tr := c.Dijkstra(src, nil)
 		for n := range tr.Dist {
-			if tr.Reachable(NodeID(n)) || tr.Parent[n] != Invalid {
-				t.Errorf("source %d: node %d reachable (%v, parent %d)", src, n, tr.Dist[n], tr.Parent[n])
+			if tr.Reachable(NodeID(n)) || tr.Parent(NodeID(n)) != Invalid {
+				t.Errorf("source %d: node %d reachable (%v, parent %d)", src, n, tr.Dist[n], tr.Parent(NodeID(n)))
 			}
 		}
 		if p, d := g.ShortestPath(src, 2, nil); p != nil || d != Unreachable {
@@ -157,7 +157,7 @@ func TestSPFCacheTwoTreesPerSource(t *testing.T) {
 	c := g.SPFCacheOf()
 	a, b := NewMask().BlockEdge(0, 1), NewMask().BlockNode(3)
 	for step, m := range []*Mask{nil, a, b} {
-		if got, want := c.Dijkstra(0, m), g.dijkstra(0, m); !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) {
+		if got, want := c.Dijkstra(0, m), g.dijkstra(0, m); !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.parent, want.parent) {
 			t.Fatalf("step %d: cached tree differs from a fresh sweep", step)
 		}
 		if c.Len() > 2 {
@@ -166,7 +166,7 @@ func TestSPFCacheTwoTreesPerSource(t *testing.T) {
 	}
 	want := g.dijkstra(0, a)
 	before := SPFCounters()
-	if got := c.Dijkstra(0, a); !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) {
+	if got := c.Dijkstra(0, a); !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.parent, want.parent) {
 		t.Fatal("repeat of A differs from a fresh sweep")
 	}
 	if d := SPFCounters().Sub(before); d.DeltaRuns != 1 || d.FullRuns != 0 {

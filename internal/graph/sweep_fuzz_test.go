@@ -260,9 +260,9 @@ func FuzzNearestScanPrefix(f *testing.F) {
 			if sn.Parent >= 0 {
 				par = full[sn.Parent].Node
 			}
-			if sn.Dist != tree.Dist[sn.Node] || par != tree.Parent[sn.Node] {
+			if sn.Dist != tree.Dist[sn.Node] || par != tree.Parent(sn.Node) {
 				t.Fatalf("position %d: node %d (dist, parent) = (%v, %d), Dijkstra (%v, %d)",
-					i, sn.Node, sn.Dist, par, tree.Dist[sn.Node], tree.Parent[sn.Node])
+					i, sn.Node, sn.Dist, par, tree.Dist[sn.Node], tree.Parent(sn.Node))
 			}
 			if i > 0 && !(heapItem{full[i-1].Node, full[i-1].Dist}).Before(heapItem{sn.Node, sn.Dist}) {
 				t.Fatalf("position %d: (%v, %d) settled after (%v, %d)", i, sn.Dist, sn.Node, full[i-1].Dist, full[i-1].Node)

@@ -508,7 +508,7 @@ func denseDomainFixture(tb testing.TB) (g *Graph, spt *SPTree, onTree []bool) {
 	onTree = make([]bool, g.NumNodes())
 	onTree[0] = true
 	for i := 0; i < 12; i++ {
-		for v := NodeID(1 + rng.Intn(99)); v != Invalid; v = spt.Parent[v] {
+		for v := NodeID(1 + rng.Intn(99)); v != Invalid; v = spt.Parent(v) {
 			onTree[v] = true
 		}
 	}
@@ -530,18 +530,18 @@ func TestDenseDomainArcWork(t *testing.T) {
 
 	var scanArcs, scanRef, joinArcs, joinRef int
 	for v := NodeID(1); int(v) < g.NumNodes(); v++ {
-		if onTree[v] && spt.Parent[v] != Invalid {
+		if onTree[v] && spt.Parent(v) != Invalid {
 			// v's uplink is cut: everything below it is gone with it, the
 			// rest of the tree is what it may re-attach to.
 			below := func(x NodeID) bool {
-				for ; x != Invalid; x = spt.Parent[x] {
+				for ; x != Invalid; x = spt.Parent(x) {
 					if x == v {
 						return true
 					}
 				}
 				return false
 			}
-			mask := NewMask().BlockEdge(v, spt.Parent[v])
+			mask := NewMask().BlockEdge(v, spt.Parent(v))
 			accept := func(x NodeID) bool { return onTree[x] && !below(x) }
 			want := b.runReference(v, mask, Invalid, nil, accept, nil, Unreachable)
 			got := a.run(v, mask, nil, accept, nil, Unreachable, Unreachable, Invalid, 0)
@@ -590,7 +590,7 @@ func BenchmarkScanNearestDenseDomain(b *testing.B) {
 		if !onTree[x] {
 			return false
 		}
-		for ; x != Invalid; x = spt.Parent[x] {
+		for ; x != Invalid; x = spt.Parent(x) {
 			if x == v {
 				return false
 			}
@@ -603,8 +603,8 @@ func BenchmarkScanNearestDenseDomain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v = cut[i%len(cut)]
-		mask.BlockEdge(v, spt.Parent[v])
+		mask.BlockEdge(v, spt.Parent(v))
 		rec, _, _ = g.ScanNearest(rec, v, mask, accept, Unreachable)
-		mask.UnblockEdge(v, spt.Parent[v])
+		mask.UnblockEdge(v, spt.Parent(v))
 	}
 }

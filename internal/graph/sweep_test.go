@@ -31,9 +31,9 @@ func TestSweepMatchesDijkstra(t *testing.T) {
 			if !tr.Reachable(n) {
 				continue
 			}
-			if tr.Dist[n] != s.Dist(n) || tr.Parent[n] != s.Parent(n) {
+			if tr.Dist[n] != s.Dist(n) || tr.Parent(n) != s.Parent(n) {
 				t.Fatalf("trial %d node %d: (dist,parent)=(%v,%d) sweep (%v,%d)",
-					trial, v, tr.Dist[n], tr.Parent[n], s.Dist(n), s.Parent(n))
+					trial, v, tr.Dist[n], tr.Parent(n), s.Dist(n), s.Parent(n))
 			}
 		}
 		s.Release()
@@ -185,7 +185,7 @@ func TestShortestPathEarlyExitMatchesFullTree(t *testing.T) {
 			// path reaches it at the same distance.
 			for _, x := range p[min(1, len(p)):] {
 				for _, a := range g.Neighbors(x) {
-					if a.To != tr.Parent[x] && tr.Reachable(a.To) && !mask.EdgeBlocked(a.To, x) && tr.Dist[a.To]+a.Weight == tr.Dist[x] {
+					if a.To != tr.Parent(x) && tr.Reachable(a.To) && !mask.EdgeBlocked(a.To, x) && tr.Dist[a.To]+a.Weight == tr.Dist[x] {
 						tied++
 					}
 				}

@@ -196,7 +196,7 @@ func TestViewMatchesEmbeddedGraph(t *testing.T) {
 				t.Fatalf("trial %d: %s: view %v, graph %v", trial, what, a, b)
 			}
 		}
-		tree := func(x *SPTree) []any { return []any{x.Dist, x.Parent} }
+		tree := func(x *SPTree) []any { return []any{x.Dist, x.parent} }
 		// Through the SPF caches: a cold run, then delta repairs that revive
 		// the mask's elements, block two nodes, and revive one.
 		x, y := (src+1+NodeID(rng.Intn(n-1)))%NodeID(n), (src+1+NodeID(rng.Intn(n-1)))%NodeID(n)

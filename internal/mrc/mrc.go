@@ -45,7 +45,7 @@ const DefaultConfigurations = 4
 // Deterministic per-element sizes of the precomputed state, in the style of
 // graph.MemoryFootprint: fixed constants, never live heap measurement.
 const (
-	bytesPerSPTreeNode = 16 // Dist float64(8) + Parent NodeID(8), per node per config
+	bytesPerSPTreeNode = 12 // Dist float64(8) + parent int32(4), per node per config
 	bytesPerClassEntry = 4  // classOf int32, per node
 )
 
