@@ -21,24 +21,27 @@ func main() {
 }
 
 func run() error {
-	// Preplanned protection needs redundancy to exist: sample a biconnected
-	// Waxman network.
-	var net *smrp.Network
-	for seed := uint64(0); ; seed++ {
+	// Preplanned protection needs redundancy to exist: sample Waxman
+	// networks until one carries Médard red/blue trees, which exist exactly
+	// when the network is biconnected.
+	source := smrp.NodeID(0)
+	var (
+		net *smrp.Network
+		rt  *smrp.RedundantTrees
+	)
+	for seed := uint64(0); rt == nil; seed++ {
+		if seed > 200 {
+			return fmt.Errorf("no biconnected sample found")
+		}
 		g, err := smrp.GenerateWaxman(40, 0.6, 0.4, seed)
 		if err != nil {
 			return err
 		}
-		if g.Biconnected(nil) {
+		if rt, err = smrp.BuildRedundantTrees(g, source); err == nil {
 			net = g
-			break
-		}
-		if seed > 200 {
-			return fmt.Errorf("no biconnected sample found")
 		}
 	}
 	fmt.Println("network:", smrp.DescribeTopology(net))
-	source := smrp.NodeID(0)
 	members := []smrp.NodeID{5, 11, 23, 31, 37}
 
 	// Reactive: an SMRP session.
@@ -46,11 +49,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Preplanned: Médard red/blue trees and Han–Shin channel pairs.
-	rt, err := smrp.BuildRedundantTrees(net, source)
-	if err != nil {
-		return err
-	}
+	// Preplanned: Médard red/blue trees (built above) and Han–Shin channel
+	// pairs.
 	dep, err := smrp.NewDependableSession(net, source)
 	if err != nil {
 		return err

@@ -268,11 +268,10 @@ var mapRangeAllowed = map[string]string{
 	"faultisolation.Isolate":            "min over keys: the error names the lowest non-member",
 	"graph.Mask.Each":                   "edges in map order, as its doc says: failure.DeadRoots sorts what it collects and core's tree view only blocks and unblocks",
 	"graph.Mask.Clone":                  "copies into a map",
-	"graph.Mask.AppendDiff":             "the output is sorted, and whether the budget runs out depends only on the count",
+	"graph.Mask.appendDiff":             "the added edges are sorted, and whether the budget runs out depends only on the counts",
 	"graph.Mask.Union":                  "blocks edges in a mask: set union",
 	"hierarchy.NLevelSession.Members":   "collected and sorted",
 	"hierarchy.NLevelSession.Parked":    "collected and sorted",
-	"protect.BuildRedundantTrees":       "collected and sorted by st-number, which is unique per node",
 	"protect.DependableSession.Members": "collected and sorted",
 	"protocol.driver.Restorations":      "collected and sorted by member",
 	"protocol.driver.Multicast":         "deletes only",

@@ -290,7 +290,7 @@ func sampleBiconnected(rng *topology.RNG, n int) *graph.Graph {
 		if err != nil {
 			return nil
 		}
-		if g.Biconnected(nil) {
+		if protect.Biconnected(g) {
 			return g
 		}
 	}

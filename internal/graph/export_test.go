@@ -25,3 +25,14 @@ func mustFreeze(b *Builder) *Graph {
 	}
 	return g
 }
+
+// DiffAgainst is the SPF cache's diff of m against the elements of prev (nil
+// for the healthy tree's empty list), as a miss computes it against a cached
+// entry.
+func (m *Mask) DiffAgainst(prev *Mask, limit int) (added, removed []MaskElem, ok bool) {
+	var elems []MaskElem
+	if prev != nil {
+		elems = prev.sortedElems()
+	}
+	return m.appendDiff(nil, nil, elems, limit)
+}

@@ -128,14 +128,15 @@ func TestISPFEquivalence(t *testing.T) {
 	}
 }
 
-// TestISPFDiffElements pins the Mask diff contract the delta path is built
-// on: partition into added/removed, deterministic ordering, bounded fast
-// path, nil handling.
+// TestISPFDiffElements pins the diff contract the delta path is built on, a
+// mask against a cached entry's sorted elements: partition into
+// added/removed, deterministic ordering, bounded fast path, the healthy
+// tree's empty list.
 func TestISPFDiffElements(t *testing.T) {
 	old := graph.NewMask().BlockNode(3).BlockEdge(1, 2)
 	cur := graph.NewMask().BlockNode(3).BlockNode(7).BlockEdge(4, 5)
 
-	added, removed, ok := cur.AppendDiff(nil, nil, old, graph.DefaultDiffLimit)
+	added, removed, ok := cur.DiffAgainst(old, graph.DefaultDiffLimit)
 	if !ok {
 		t.Fatal("small diff reported as oversized")
 	}
@@ -147,14 +148,22 @@ func TestISPFDiffElements(t *testing.T) {
 		t.Fatalf("removed = %+v", removed)
 	}
 
-	// Nil other: everything in cur is "added".
-	added, removed, ok = cur.AppendDiff(nil, nil, nil, graph.DefaultDiffLimit)
+	// Against the healthy tree's empty list: everything in cur is "added".
+	added, removed, ok = cur.DiffAgainst(nil, graph.DefaultDiffLimit)
 	if !ok || len(added) != 3 || len(removed) != 0 {
 		t.Fatalf("diff vs nil: added=%d removed=%d ok=%v", len(added), len(removed), ok)
 	}
 
+	// A healthy request (nil mask) against a cached entry: everything in the
+	// entry is "removed", in its order.
+	var healthy *graph.Mask
+	added, removed, ok = healthy.DiffAgainst(old, graph.DefaultDiffLimit)
+	if !ok || len(added) != 0 || len(removed) != 2 || removed[0].IsEdge || removed[0].Node != 3 || !removed[1].IsEdge {
+		t.Fatalf("nil mask vs entry: added=%+v removed=%+v ok=%v", added, removed, ok)
+	}
+
 	// Identical masks diff to nothing.
-	added, removed, ok = cur.AppendDiff(nil, nil, cur.Clone(), graph.DefaultDiffLimit)
+	added, removed, ok = cur.DiffAgainst(cur, graph.DefaultDiffLimit)
 	if !ok || len(added)+len(removed) != 0 {
 		t.Fatalf("self diff: added=%d removed=%d ok=%v", len(added), len(removed), ok)
 	}
@@ -164,11 +173,11 @@ func TestISPFDiffElements(t *testing.T) {
 	for i := 0; i <= graph.DefaultDiffLimit; i++ {
 		big.BlockNode(graph.NodeID(100 + i))
 	}
-	if _, _, ok := big.AppendDiff(nil, nil, graph.NewMask(), graph.DefaultDiffLimit); ok {
+	if _, _, ok := big.DiffAgainst(graph.NewMask(), graph.DefaultDiffLimit); ok {
 		t.Fatal("oversized diff not rejected")
 	}
 	// Quick reject must also trigger on the count difference alone.
-	if _, _, ok := graph.NewMask().AppendDiff(nil, nil, big, graph.DefaultDiffLimit); ok {
+	if _, _, ok := graph.NewMask().DiffAgainst(big, graph.DefaultDiffLimit); ok {
 		t.Fatal("oversized reverse diff not rejected")
 	}
 }

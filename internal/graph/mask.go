@@ -258,7 +258,7 @@ func (m *Mask) Clone() *Mask {
 
 // MaskElem is one blocked element of a Mask: a node when IsEdge is false,
 // an undirected edge otherwise. It is the unit of Mask set-difference used by
-// the incremental-SPF delta path (see AppendDiff and internal/graph/ispf.go).
+// the incremental-SPF delta path (see appendDiff and internal/graph/ispf.go).
 type MaskElem struct {
 	Node   NodeID // valid when !IsEdge
 	Edge   EdgeID // valid when IsEdge
@@ -266,8 +266,9 @@ type MaskElem struct {
 }
 
 // maskElemCompare orders MaskElems deterministically: nodes (by ID) before
-// edges (by canonical endpoint pair). AppendDiff sorts its output with it so
-// the diff is independent of map iteration order.
+// edges (by canonical endpoint pair). An SPF cache entry keeps its mask's
+// elements in this order, and appendDiff returns its diff in it, so the diff
+// is independent of map iteration order.
 func maskElemCompare(a, b MaskElem) int {
 	if a.IsEdge != b.IsEdge {
 		if !a.IsEdge {
@@ -281,91 +282,98 @@ func maskElemCompare(a, b MaskElem) int {
 	return edgeIDCompare(a.Edge, b.Edge)
 }
 
-// DefaultDiffLimit bounds the SPF cache's AppendDiff: diffs larger than this
+// DefaultDiffLimit bounds the SPF cache's appendDiff: diffs larger than this
 // are reported as "not small" (ok=false). The incremental-SPF repair is only
 // a win when the mask changed by a handful of elements; past that a full
 // sweep is both simpler and comparably fast, so the cache falls back to it.
 const DefaultDiffLimit = 32
 
-// appendNodeDiff appends to out (under the shared budget) every node blocked
-// by m but not by other, in ascending ID order, comparing whole words and
-// decoding IDs only for set-difference bits; it reports the remaining budget
-// and false on budget exhaustion.
-func (m *Mask) appendNodeDiff(out []MaskElem, other *Mask, budget int) ([]MaskElem, int, bool) {
-	var ob []uint64
-	if other != nil {
-		ob = other.bits
+// has reports whether e is one of m's elements: a blocked node, or an edge
+// blocked directly. A nil mask has none.
+func (m *Mask) has(e MaskElem) bool {
+	if m == nil {
+		return false
 	}
-	for w, word := range m.bits {
-		if w < len(ob) {
-			word &^= ob[w]
-		}
-		for word != 0 {
-			if budget--; budget < 0 {
-				return out, budget, false
-			}
-			out = append(out, MaskElem{Node: NodeID(w<<6 + bits.TrailingZeros64(word))})
-			word &= word - 1
-		}
+	if e.IsEdge {
+		return m.edges[e.Edge]
 	}
-	return out, budget, true
+	return m.nodeBlocked(e.Node)
 }
 
-// AppendDiff computes the bounded set difference between m and other: it
-// appends to added the elements blocked by m but not by other, and to
-// removed those blocked by other but not by m, each sorted (nodes by ID,
-// then edges by endpoint pair), reusing the slices' capacity. When the diff
-// exceeds limit elements it gives up early with ok=false — the fast path
-// that lets the SPF cache ask "is this mask a small delta of one I already
-// solved?" without unbounded work — and the returned slices are the inputs
-// truncated to their original contents, not a diff. A nil mask is treated
-// as empty.
-func (m *Mask) AppendDiff(added, removed []MaskElem, other *Mask, limit int) ([]MaskElem, []MaskElem, bool) {
-	a0, r0 := len(added), len(removed)
-	mc, oc := 0, 0
+// sortedElems returns m's elements sorted by maskElemCompare: what an SPF
+// cache entry keeps of its mask, a slice of the elements rather than a clone
+// of the node words and edge-end counters.
+func (m *Mask) sortedElems() []MaskElem {
+	out := make([]MaskElem, 0, m.count)
+	m.Each(func(e MaskElem) { out = append(out, e) })
+	slices.SortFunc(out, maskElemCompare)
+	return out
+}
+
+// appendDiff computes the bounded set difference between m and prev, a list
+// of elements sorted by maskElemCompare (as sortedElems returns them): it
+// appends to added the elements of m not in prev, and to removed those of
+// prev not in m, each sorted by maskElemCompare, reusing the slices'
+// capacity. When the diff exceeds limit elements
+// it gives up early with ok=false — the fast path that lets the SPF cache ask
+// "is this mask a small delta of one I already solved?" without unbounded
+// work — and the returned slices are the inputs truncated to their original
+// contents, not a diff. A nil mask is treated as empty.
+func (m *Mask) appendDiff(added, removed, prev []MaskElem, limit int) ([]MaskElem, []MaskElem, bool) {
+	r0 := len(removed)
+	var nodes, edges int // m's elements of each kind
 	if m != nil {
-		mc = m.count
-	}
-	if other != nil {
-		oc = other.count
+		nodes, edges = m.nnodes, len(m.edges)
 	}
 	// Quick reject: the diff has at least |count difference| elements.
-	if d := mc - oc; d > limit || -d > limit {
-		return added[:a0], removed[:r0], false
+	if d := nodes + edges - len(prev); d > limit || -d > limit {
+		return added, removed, false
 	}
-	budget := limit
-	var ok bool
-	if m != nil {
-		if added, budget, ok = m.appendNodeDiff(added, other, budget); !ok {
-			return added[:a0], removed[:r0], false
+	// Walking prev finds the removed elements, and by counting the kept ones
+	// of each kind, how many of m's are added: none of a kind means no walk
+	// of that kind of m.
+	prevNodes := 0
+	for _, e := range prev {
+		if !e.IsEdge {
+			prevNodes++
 		}
-		for e := range m.edges {
-			if other == nil || !other.edges[e] {
-				if budget--; budget < 0 {
-					return added[:a0], removed[:r0], false
+		switch {
+		case !m.has(e):
+			if removed = append(removed, e); len(removed)-r0 > limit {
+				return added, removed[:r0], false
+			}
+		case e.IsEdge:
+			edges--
+		default:
+			nodes--
+		}
+	}
+	if nodes+edges+len(removed)-r0 > limit {
+		return added, removed[:r0], false
+	}
+	if nodes > 0 {
+		for w, word := range m.bits {
+			for ; word != 0; word &= word - 1 {
+				e := MaskElem{Node: NodeID(w<<6 + bits.TrailingZeros64(word))}
+				if _, found := slices.BinarySearchFunc(prev[:prevNodes], e, maskElemCompare); !found {
+					added = append(added, e)
 				}
-				added = append(added, MaskElem{Edge: e, IsEdge: true})
 			}
 		}
 	}
-	if other != nil {
-		if removed, budget, ok = other.appendNodeDiff(removed, m, budget); !ok {
-			return added[:a0], removed[:r0], false
-		}
-		for e := range other.edges {
-			if m == nil || !m.edges[e] {
-				if budget--; budget < 0 {
-					return added[:a0], removed[:r0], false
-				}
-				removed = append(removed, MaskElem{Edge: e, IsEdge: true})
+	if edges > 0 {
+		a1 := len(added)
+		for id := range m.edges {
+			e := MaskElem{Edge: id, IsEdge: true}
+			if _, found := slices.BinarySearchFunc(prev[prevNodes:], e, maskElemCompare); !found {
+				added = append(added, e)
 			}
 		}
+		// Edge-map iteration order is randomized; sort so the diff (and
+		// everything derived from it, like delta-repair settle counters) is
+		// deterministic.
+		slices.SortFunc(added[a1:], maskElemCompare)
 	}
-	// Edge-map iteration order is randomized; sort so the diff (and
-	// everything derived from it, like delta-repair settle counters) is
-	// deterministic.
-	slices.SortFunc(added[a0:], maskElemCompare)
-	slices.SortFunc(removed[r0:], maskElemCompare)
 	return added, removed, true
 }
 

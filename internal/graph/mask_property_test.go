@@ -179,7 +179,7 @@ func (ut *maskUnderTest) checkAgainstRef(t *testing.T, universe int, label strin
 // instances sharing one oracle: one born by NewMask (its node words grow on
 // demand), one pre-sized for the universe by NewMaskWithCapacity, and one
 // pre-sized deliberately tiny (so growth past a capacity is exercised). All
-// observables — Block/Unblock, Clone, Union, Fingerprint, AppendDiff, Each
+// observables — Block/Unblock, Clone, Union, Fingerprint, appendDiff, Each
 // — must match the oracle, and after every step the endpoint index of the
 // blocked edges equals a recount of them. Round 0 blocks no edge: Clone and
 // Union must then leave the index unallocated. Round 1 blocks no node: the
@@ -269,13 +269,14 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 					}
 					un.checkAgainstRef(t, universe, "union")
 
-					// AppendDiff, both directions.
+					// The SPF cache's diff against other's sorted
+					// elements, both directions.
 					wantA, wantR := ut.ref.diff(other.ref)
-					gotA, gotR, ok := ut.m.AppendDiff(nil, nil, other.m, DefaultDiffLimit)
+					gotA, gotR, ok := ut.m.appendDiff(nil, nil, other.m.sortedElems(), DefaultDiffLimit)
 					if wantOK := len(wantA)+len(wantR) <= DefaultDiffLimit; ok != wantOK {
-						t.Fatalf("AppendDiff ok=%v want %v (|added|=%d |removed|=%d)", ok, wantOK, len(wantA), len(wantR))
+						t.Fatalf("appendDiff ok=%v want %v (|added|=%d |removed|=%d)", ok, wantOK, len(wantA), len(wantR))
 					} else if ok && (!slices.Equal(gotA, wantA) || !slices.Equal(gotR, wantR)) {
-						t.Fatalf("AppendDiff mismatch:\n got  %v / %v\n want %v / %v", gotA, gotR, wantA, wantR)
+						t.Fatalf("appendDiff mismatch:\n got  %v / %v\n want %v / %v", gotA, gotR, wantA, wantR)
 					}
 				}
 			}
@@ -327,7 +328,7 @@ func TestMaskFingerprintInsertionOrder(t *testing.T) {
 
 // TestMaskBitsetISPFLineage runs the SPF cache's delta-repair path with
 // evolving masks and compares every tree it returns bit-for-bit against a
-// from-scratch sweep. This pins the repair-base diff path — AppendDiff feeding
+// from-scratch sweep. This pins the repair-base diff path — appendDiff feeding
 // ispfRepair — to full-recompute ground truth, and asserts that small mask
 // diffs do take it.
 func TestMaskBitsetISPFLineage(t *testing.T) {
@@ -337,7 +338,7 @@ func TestMaskBitsetISPFLineage(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	edges := g.Edges()
 	// The session mask, evolving by small deltas so the cache's tryDelta
-	// path (prev entry → AppendDiff → repair) fires.
+	// path (prev entry → appendDiff → repair) fires.
 	mask := NewMask()
 	src := NodeID(0)
 	deltasBefore := SPFCounters().DeltaRuns

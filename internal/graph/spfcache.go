@@ -2,17 +2,18 @@ package graph
 
 import "sync/atomic"
 
-// spfEntry is one cached tree together with the mask it was computed under
-// (a private clone — callers reuse and mutate their masks; nil for the
-// healthy tree) and that mask's fingerprint. The mask is what makes an entry
-// usable as a delta-repair base: a later miss for the same source diffs its
-// mask against this one and, when the diff is small, clones the tree and
-// repairs it instead of re-sweeping the whole topology (see ispf.go).
-// Entries are immutable once published.
+// spfEntry is one cached tree together with the elements of the mask it was
+// computed under (a private copy sorted by maskElemCompare — callers reuse
+// and mutate their masks; nil for the healthy tree) and that mask's
+// fingerprint. The elements are what make an entry usable as a delta-repair
+// base: a later miss for the same source diffs its mask against them and,
+// when the diff is small, clones the tree and repairs it instead of
+// re-sweeping the whole topology (see ispf.go). Entries are immutable once
+// published.
 type spfEntry struct {
-	tree *SPTree
-	mask *Mask
-	fp   uint64
+	tree  *SPTree
+	elems []MaskElem
+	fp    uint64
 }
 
 // spfPair is what the cache holds for one source: at [0] the healthy tree
@@ -97,7 +98,7 @@ func (c *SPFCache) Dijkstra(src NodeID, mask *Mask) *SPTree {
 	}
 	e := &spfEntry{tree: t, fp: fp}
 	if i == 1 {
-		e.mask = mask.Clone()
+		e.elems = mask.sortedElems()
 	}
 	// Publish over whatever pair is current, so a racing miss for the other
 	// slot is kept; of racing misses for the same slot the last one stays,
@@ -127,7 +128,7 @@ func (c *SPFCache) tryDelta(mask *Mask, prev *spfEntry) *SPTree {
 	}
 	sc := ispfPool.Get().(*ispfScratch)
 	defer ispfPool.Put(sc)
-	added, removed, ok := mask.AppendDiff(sc.added[:0], sc.removed[:0], prev.mask, DefaultDiffLimit)
+	added, removed, ok := mask.appendDiff(sc.added[:0], sc.removed[:0], prev.elems, DefaultDiffLimit)
 	sc.added, sc.removed = added[:0], removed[:0] // keep grown buffers pooled
 	if !ok {
 		return nil

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -180,6 +182,47 @@ func TestSPFCacheTwoTreesPerSource(t *testing.T) {
 	c.Flush()
 	if c.Len() != 0 {
 		t.Errorf("after Flush: %d trees, want 0", c.Len())
+	}
+}
+
+// TestSPFMaskedMissAllocatesTree pins what a delta-repaired masked miss
+// allocates: the repaired tree (12 B a node) and a few small records for the
+// entry, which keeps its mask's one element rather than a clone of the mask,
+// whose edge-end counters alone are 4 B a node. A one-link cut of a session
+// mask pre-sized for the 8 192-node lattice is asked of sources whose
+// healthy trees are cached, each miss measured alone with the collector off;
+// a first pass over other sources grows the pooled repair scratch. The
+// median miss must stay within the tree's bytes plus 1 KB.
+func TestSPFMaskedMissAllocatesTree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	const runs = 20
+	g := megascaleLattice(128, 64)
+	n := uint64(g.NumNodes())
+	c := g.SPFCacheOf()
+	e := g.Edges()[g.NumEdges()/2]
+	mask := NewMaskWithCapacity(g.NumNodes()).BlockEdge(e.A, e.B)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	perMiss := make([]uint64, runs)
+	deltas := SPFCounters().DeltaRuns
+	for pass := range 2 {
+		for i := range perMiss {
+			src := NodeID(pass*runs + i)
+			c.Dijkstra(src, nil)
+			runtime.ReadMemStats(&before)
+			c.Dijkstra(src, mask)
+			runtime.ReadMemStats(&after)
+			perMiss[i] = after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	if d := SPFCounters().DeltaRuns - deltas; d != 2*runs {
+		t.Fatalf("%d of %d masked misses were delta repairs", d, 2*runs)
+	}
+	slices.Sort(perMiss)
+	if med := perMiss[runs/2]; med > 12*n+1024 {
+		t.Fatalf("a delta-repaired masked miss on %d nodes allocates %d B (median), want at most %d (the tree's 12 B a node + 1 KB)", n, med, 12*n+1024)
 	}
 }
 

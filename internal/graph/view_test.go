@@ -159,7 +159,7 @@ func embed(tb testing.TB, g *Graph, k int, rng *rand.Rand) *Graph {
 // holds the view to the graph it views, through every read API and every
 // algorithm that walks rows: the same rows (far end, weight, order), edges,
 // weights, positions, shortest-path trees cold and delta-repaired, sweeps,
-// nearest scans, fields, components, articulation points and st-numberings.
+// nearest scans, fields and components.
 func TestViewMatchesEmbeddedGraph(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(7100 + trial)))
@@ -204,7 +204,6 @@ func TestViewMatchesEmbeddedGraph(t *testing.T) {
 			same(fmt.Sprintf("Dijkstra %d", k), tree(v.Dijkstra(src, m)), tree(g.Dijkstra(src, m)))
 		}
 		same("Components", v.Components(mask), g.Components(mask))
-		same("ArticulationPoints", v.ArticulationPoints(mask), g.ArticulationPoints(mask))
 
 		onTree := make([]bool, n)
 		for i := range onTree {
@@ -237,11 +236,5 @@ func TestViewMatchesEmbeddedGraph(t *testing.T) {
 		}
 		fv.Release()
 		fg.Release()
-
-		if e := g.Edges()[0]; g.Biconnected(nil) {
-			nv, errV := v.STNumbering(e.A, e.B)
-			ng, errG := g.STNumbering(e.A, e.B)
-			same("STNumbering", []any{nv, errV}, []any{ng, errG})
-		}
 	}
 }

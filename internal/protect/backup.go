@@ -1,16 +1,11 @@
 package protect
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
 	"smrp/internal/graph"
 )
-
-// ErrNoBackup is returned when no backup path exists for a member (the
-// graph offers no alternative at all).
-var ErrNoBackup = errors.New("protect: no backup path exists")
 
 // DependableConnection is a Han & Shin-style primary/backup channel pair
 // for one receiver: the primary carries traffic; the backup is preplanned
@@ -18,7 +13,9 @@ var ErrNoBackup = errors.New("protect: no backup path exists")
 type DependableConnection struct {
 	Member  graph.NodeID
 	Primary graph.Path // member → … → source
-	Backup  graph.Path // member → … → source, maximally disjoint
+	// Backup runs member → … → source, maximally disjoint from the primary;
+	// backup = primary when no partial avoidance exists.
+	Backup graph.Path
 	// Disjoint reports whether the backup shares no link with the primary
 	// (always preferred; false only when the topology forces sharing).
 	Disjoint bool
@@ -45,9 +42,11 @@ func NewDependableSession(g *graph.Graph, source graph.NodeID) (*DependableSessi
 }
 
 // Join establishes m's primary channel (unicast shortest path) and reserves
-// a backup: the shortest path in the graph with every primary link removed;
-// if that disconnects m, the backup is the shortest path avoiding as much of
-// the primary as possible (penalized reuse).
+// a backup: the shortest path in the graph with every primary link removed.
+// If that disconnects m, the primary's links are given back one at a time
+// from the source end, so the backup avoids as many as it can of the links
+// closest to the member (those are the likeliest to share the primary's
+// fate); backup = primary when no partial avoidance exists.
 func (s *DependableSession) Join(m graph.NodeID) (*DependableConnection, error) {
 	if _, ok := s.conns[m]; ok {
 		return nil, fmt.Errorf("protect: %d already joined", m)
@@ -56,35 +55,20 @@ func (s *DependableSession) Join(m graph.NodeID) (*DependableConnection, error) 
 	if primary == nil {
 		return nil, fmt.Errorf("protect: %d cannot reach the source", m)
 	}
-	conn := &DependableConnection{Member: m, Primary: primary}
-
-	// Fully link-disjoint backup first.
+	edges := primary.Edges()
 	mask := graph.NewMask()
-	for _, e := range primary.Edges() {
+	for _, e := range edges {
 		mask.BlockEdge(e.A, e.B)
 	}
-	if backup, _ := s.g.ShortestPath(m, s.source, mask); backup != nil {
-		conn.Backup = backup
-		conn.Disjoint = true
-	} else {
-		// The topology forces sharing: drop the constraint link by link,
-		// preferring backups that avoid the links closest to the member
-		// (those are the likeliest to share the primary's fate).
-		edges := primary.Edges()
-		for drop := len(edges) - 1; drop >= 0; drop-- {
-			mask2 := graph.NewMask()
-			for i := 0; i < drop; i++ {
-				mask2.BlockEdge(edges[i].A, edges[i].B)
-			}
-			if backup, _ := s.g.ShortestPath(m, s.source, mask2); backup != nil {
-				conn.Backup = backup
-				break
-			}
-		}
-		if conn.Backup == nil {
-			return nil, fmt.Errorf("protect: member %d: %w", m, ErrNoBackup)
-		}
+	backup, _ := s.g.ShortestPath(m, s.source, mask)
+	conn := &DependableConnection{Member: m, Primary: primary, Disjoint: backup != nil}
+	// The last round unblocks every link, and the empty mask yields the
+	// primary itself, so the loop always ends with a backup.
+	for drop := len(edges) - 1; backup == nil; drop-- {
+		mask.UnblockEdge(edges[drop].A, edges[drop].B)
+		backup, _ = s.g.ShortestPath(m, s.source, mask)
 	}
+	conn.Backup = backup
 	s.conns[m] = conn
 	return conn, nil
 }

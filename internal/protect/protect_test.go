@@ -2,7 +2,6 @@ package protect
 
 import (
 	"errors"
-	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -24,7 +23,7 @@ func biconnWaxman(t *testing.T, n int, seed uint64) *graph.Graph {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Biconnected(nil) {
+		if Biconnected(g) {
 			return g
 		}
 	}
@@ -90,7 +89,7 @@ func TestRedundantTreesIgnoreRowOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !g.Biconnected(nil) {
+		if !Biconnected(g) {
 			continue
 		}
 		sample++
@@ -114,7 +113,7 @@ func TestRedundantTreesIgnoreRowOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !maps.Equal(a.Numbering, b.Numbering) {
+		if !slices.Equal(a.Numbering, b.Numbering) {
 			t.Fatalf("sample %d: st-numbering differs on the reversed copy", sample)
 		}
 		if !slices.Equal(a.Red.Edges(), b.Red.Edges()) || !slices.Equal(a.Blue.Edges(), b.Blue.Edges()) {
@@ -166,13 +165,25 @@ func TestRedundantTreesSurviveEverySingleFailure(t *testing.T) {
 	}
 }
 
+// TestBuildRedundantTreesRejectsNonBiconnected: every graph without a
+// red/blue pair is refused with ErrNotBiconnected, whatever makes it so.
 func TestBuildRedundantTreesRejectsNonBiconnected(t *testing.T) {
-	g := line(t, 5)
-	if _, err := BuildRedundantTrees(g, 0); !errors.Is(err, graph.ErrNotBiconnected) {
-		t.Errorf("err = %v", err)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"isolated source", build(t, 4, [2]graph.NodeID{1, 2}, [2]graph.NodeID{2, 3}, [2]graph.NodeID{3, 1})},
+		{"two nodes", line(t, 2)},
+		{"disconnected", build(t, 6, [2]graph.NodeID{0, 1}, [2]graph.NodeID{1, 2}, [2]graph.NodeID{2, 0}, [2]graph.NodeID{3, 4})},
+		{"cut vertex", barbell(t)},
+		{"line", line(t, 5)},
+	} {
+		if _, err := BuildRedundantTrees(tc.g, 0); !errors.Is(err, ErrNotBiconnected) {
+			t.Errorf("%s: err = %v, want ErrNotBiconnected", tc.name, err)
+		}
 	}
-	if _, err := BuildRedundantTrees(g, 99); err == nil {
-		t.Error("unknown source should fail")
+	if _, err := BuildRedundantTrees(line(t, 5), 99); err == nil || errors.Is(err, ErrNotBiconnected) {
+		t.Errorf("unknown source: err = %v, want an error of its own", err)
 	}
 }
 
@@ -297,8 +308,8 @@ func TestDependableFailover(t *testing.T) {
 }
 
 func TestDependableBackupOnBridgyGraph(t *testing.T) {
-	// Line graph: no disjoint backup exists; the fallback reuses primary
-	// links (Disjoint = false) rather than failing.
+	// Line graph: no partial avoidance exists either, so the backup is the
+	// primary itself (Disjoint = false) rather than a failure.
 	g := line(t, 4)
 	s, err := NewDependableSession(g, 0)
 	if err != nil {
@@ -311,8 +322,8 @@ func TestDependableBackupOnBridgyGraph(t *testing.T) {
 	if conn.Disjoint {
 		t.Error("line graph cannot offer a disjoint backup")
 	}
-	if conn.Backup == nil {
-		t.Error("fallback backup missing")
+	if !slices.Equal(conn.Backup, conn.Primary) {
+		t.Errorf("backup %v, want the primary %v", conn.Backup, conn.Primary)
 	}
 }
 

@@ -19,17 +19,11 @@
 package protect
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"smrp/internal/graph"
 	"smrp/internal/multicast"
 )
-
-// ErrNotRedundant is returned when the topology cannot support redundant
-// trees (it is not biconnected, so a single failure can partition it).
-var ErrNotRedundant = errors.New("protect: graph is not biconnected")
 
 // RedundantTrees is a red/blue tree pair rooted at Source with the Médard
 // property: the red path and blue path of every node are internally
@@ -38,9 +32,9 @@ type RedundantTrees struct {
 	Source graph.NodeID
 	Red    *multicast.Tree
 	Blue   *multicast.Tree
-	// Numbering is the underlying st-numbering (diagnostic; red paths
-	// descend in it, blue paths ascend).
-	Numbering map[graph.NodeID]int
+	// Numbering is the underlying st-numbering, indexed by node
+	// (diagnostic; red paths descend in it, blue paths ascend).
+	Numbering []int
 }
 
 // BuildRedundantTrees constructs the red/blue pair on a biconnected graph:
@@ -49,22 +43,22 @@ type RedundantTrees struct {
 // s), in the blue tree every vertex except t attaches to a higher-numbered
 // neighbor and t attaches directly to s (paths ascend to t, then hop to s).
 // Because one path uses only lower numbers and the other only higher
-// numbers, the two paths of any vertex share no interior vertex.
+// numbers, the two paths of any vertex share no interior vertex. The error
+// wraps ErrNotBiconnected when g is not biconnected: the source is isolated,
+// g has fewer than 3 nodes, is disconnected, or has a cut vertex.
 func BuildRedundantTrees(g *graph.Graph, source graph.NodeID) (*RedundantTrees, error) {
-	if source < 0 || int(source) >= g.NumNodes() {
+	n := g.NumNodes()
+	if source < 0 || int(source) >= n {
 		return nil, fmt.Errorf("protect: source %d not in graph", source)
 	}
-	neighbors := g.Neighbors(source)
-	if len(neighbors) == 0 {
-		return nil, ErrNotRedundant
+	adj := newAdjacency(g)
+	if n < 3 || len(adj[source]) == 0 {
+		return nil, fmt.Errorf("%w: %d nodes, source degree %d", ErrNotBiconnected, n, len(adj[source]))
 	}
-	tEnd := neighbors[0].To // by ID, not row order: rows are sorted by weight
-	for _, arc := range neighbors[1:] {
-		tEnd = min(tEnd, arc.To)
-	}
-	num, err := g.STNumbering(source, tEnd)
+	tEnd := adj[source][0] // the lowest-ID neighbour
+	num, err := adj.stNumbering(source, tEnd)
 	if err != nil {
-		return nil, fmt.Errorf("protect: %w", err)
+		return nil, err
 	}
 
 	red, err := multicast.New(g, source)
@@ -78,29 +72,24 @@ func BuildRedundantTrees(g *graph.Graph, source graph.NodeID) (*RedundantTrees, 
 
 	// Process vertices in ascending st-number so every red parent is
 	// already on the red tree when its child attaches; descending for blue.
-	order := make([]graph.NodeID, 0, g.NumNodes())
-	for v := range num {
-		order = append(order, v)
+	order := make([]graph.NodeID, n)
+	for v, k := range num {
+		order[k-1] = graph.NodeID(v)
 	}
-	sort.Slice(order, func(i, j int) bool { return num[order[i]] < num[order[j]] })
 
 	// Red tree: parent = the lowest-numbered neighbor (guaranteed lower
 	// than v for all v ≠ source). Exception: t must not attach directly to
 	// the source — the blue tree already uses the (s, t) edge, and sharing
 	// it would leave t with two paths through one link.
-	for _, v := range order {
-		if v == source {
-			continue
-		}
+	for _, v := range order[1:] {
 		par := graph.Invalid
 		best := num[v]
-		for _, arc := range g.Neighbors(v) {
-			if v == tEnd && arc.To == source {
+		for _, u := range adj[v] {
+			if v == tEnd && u == source {
 				continue
 			}
-			if num[arc.To] < best {
-				best = num[arc.To]
-				par = arc.To
+			if num[u] < best {
+				best, par = num[u], u
 			}
 		}
 		if par == graph.Invalid {
@@ -116,17 +105,13 @@ func BuildRedundantTrees(g *graph.Graph, source graph.NodeID) (*RedundantTrees, 
 	if err := blue.Graft(graph.Path{source, tEnd}, false); err != nil {
 		return nil, fmt.Errorf("protect: blue root edge: %w", err)
 	}
-	for i := len(order) - 1; i >= 0; i-- {
+	for i := n - 2; i >= 1; i-- {
 		v := order[i]
-		if v == source || v == tEnd {
-			continue
-		}
 		par := graph.Invalid
 		best := num[v]
-		for _, arc := range g.Neighbors(v) {
-			if num[arc.To] > best {
-				best = num[arc.To]
-				par = arc.To
+		for _, u := range adj[v] {
+			if num[u] > best {
+				best, par = num[u], u
 			}
 		}
 		if par == graph.Invalid {
