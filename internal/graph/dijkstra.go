@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -55,10 +56,12 @@ func (g *Graph) Dijkstra(src NodeID, mask *Mask) *SPTree {
 	return g.spf.Dijkstra(src, mask)
 }
 
-// dijkstra is the full shortest-path-tree computation behind a cache miss:
-// the source seeded into a repair's phase-B ripple on a freshly allocated
-// SPTree, which escapes (it is cached and shared). A blocked or invalid
-// source leaves every node unreachable.
+// dijkstra is the full shortest-path-tree computation behind a cache miss,
+// on a freshly allocated SPTree, which escapes (it is cached and shared): the
+// bucketed pass where the graph allows it and the pass keeps to its budget,
+// else the source seeded into a repair's phase-B ripple, which gives the same
+// tree bit for bit. A blocked or invalid source leaves every node
+// unreachable.
 func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 	n := g.NumNodes()
 	t := &SPTree{
@@ -66,20 +69,145 @@ func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 		Dist:   make([]float64, n),
 		parent: make([]int32, n),
 	}
-	for i := range n {
-		t.Dist[i], t.parent[i] = Unreachable, int32(Invalid)
-	}
+	t.clear()
 	spfFullRuns.Add(1)
 	if !g.valid(src) || mask.NodeBlocked(src) {
 		return t
 	}
 	sc := ispfPool.Get().(*ispfScratch)
-	sc.begin(n)
 	t.Dist[src] = 0
-	sc.queue.Push(heapItem{node: src})
-	spfNodesSettled.Add(uint64(sc.ripple(g, t, mask)))
+	reached, ok := 0, false
+	if g.stepInv > 0 {
+		reached, ok = sc.bucketPass(g, t, mask)
+	}
+	if !ok {
+		sc.begin(n)
+		sc.queue.Push(heapItem{node: src})
+		reached = sc.ripple(g, t, mask)
+	}
+	spfNodesSettled.Add(uint64(reached))
 	ispfPool.Put(sc)
 	return t
+}
+
+// clear makes every node of t unreachable.
+func (t *SPTree) clear() {
+	for i := range t.Dist {
+		t.Dist[i], t.parent[i] = Unreachable, int32(Invalid)
+	}
+}
+
+// maxSteps bounds the buckets of a full run's bucketed pass.
+const maxSteps = 1 << 12
+
+// setStep derives the bucketed pass's bucket width Δ from the arc weights,
+// once per frozen graph: an eighth of the mean weight, widened where the
+// heaviest arc would otherwise reach more than maxSteps buckets ahead. It
+// leaves stepInv at 0, so that every full run ripples, when there are no
+// arcs or minW·2⁵² ≤ n·maxW. Otherwise adding any weight to any distance,
+// which is at most (n−1)·maxW, rounds to a larger distance, with a factor of
+// two to spare for the distance's own rounding: the premise of the pass.
+func (g *Graph) setStep() {
+	if len(g.w) == 0 {
+		return
+	}
+	minW, maxW, sum := math.Inf(1), 0.0, 0.0
+	for _, w := range g.w { // positive and finite: no NaN for min and max to mind
+		if w < minW {
+			minW = w
+		}
+		if w > maxW {
+			maxW = w
+		}
+		sum += w
+	}
+	inv := 8 * float64(len(g.w)) / sum
+	if minW*0x1p52 <= float64(g.NumNodes())*maxW || !(inv > 0) {
+		return
+	}
+	inv = min(inv, (maxSteps-4)/maxW)
+	g.stepInv = inv
+	g.stepWrap = 1<<bits.Len(uint(maxW*inv)+2) - 1
+}
+
+// bucketPass computes t, seeded with its source at distance 0 and every other
+// node unreachable, over the graph minus the mask: Δ-stepping (Meyer &
+// Sanders, J. Algorithms 2003) on one goroutine. Bucket k of a circular array
+// of stepWrap+1 holds the nodes queued at a distance d with ⌊d/Δ⌋ = k; the
+// pass drains the buckets in turn, each as a stack, and skips a node whose
+// distance has left the bucket since it was queued. A relaxation is ripple's:
+// a strict improvement queues the neighbour, an equal distance from a smaller
+// ID takes the parent. No arc reaches more than stepWrap buckets ahead, so a
+// bucket never holds nodes of two turns of the array.
+//
+// Nodes are settled in no particular order and may be settled more than
+// once, yet the tree is ripple's (TestFullSPFMatchesRipple). Where adding a
+// weight to a distance always rounds to a larger distance (setStep), the
+// distances are the one fixpoint of d(v) = min over arcs (u, v) of
+// d(u) + w(u, v), which the pass ends at; and the parent of v is the least u
+// whose arc gives d(v), which the pass and ripple both pick.
+//
+// The pass gives up, returning ok false with t cleared back to its seed and
+// the buckets empty, once its arc scans pass four times the graph's nodes and
+// arcs, so that a full run costs at most that and one ripple. Otherwise it
+// returns the nodes it reached, the number ripple would have settled.
+func (sc *ispfScratch) bucketPass(g *Graph, t *SPTree, mask *Mask) (reached int, ok bool) {
+	inv, wrap := g.stepInv, g.stepWrap
+	for len(sc.buckets) <= wrap {
+		sc.buckets = append(sc.buckets, nil)
+	}
+	checkEdges := mask.hasEdgeBlocks()
+	checkNodes := mask.hasNodeBlocks()
+	base := g.base
+	budget := 4 * (g.NumNodes() + 2*g.edges)
+	sc.buckets[0] = append(sc.buckets[0], int32(t.Source))
+	queued, reached := 1, 1
+	for k := 0; queued > 0; k++ {
+		b := &sc.buckets[k&wrap]
+		for len(*b) > 0 {
+			u := NodeID((*b)[len(*b)-1])
+			*b = (*b)[:len(*b)-1]
+			queued--
+			du := t.Dist[u]
+			if int(du*inv) != k {
+				continue // queued again since, at a smaller distance
+			}
+			to, w := g.arcs(u)
+			if budget -= len(to) + 1; budget < 0 {
+				for i := range sc.buckets[:wrap+1] {
+					sc.buckets[i] = sc.buckets[i][:0]
+				}
+				t.clear()
+				t.Dist[t.Source] = 0
+				return 0, false
+			}
+			rowEdges := checkEdges && mask.touchesBlockedEdge(u)
+			w = w[:len(to)]
+			for i, x := range to {
+				v := NodeID(x - base)
+				if checkNodes && mask.nodeBlocked(v) {
+					continue
+				}
+				if rowEdges && mask.edges[MakeEdgeID(u, v)] {
+					continue
+				}
+				nd := du + w[i]
+				if dv := t.Dist[v]; nd < dv {
+					if dv == Unreachable {
+						reached++
+					}
+					t.Dist[v] = nd
+					t.parent[v] = int32(u)
+					q := &sc.buckets[int(nd*inv)&wrap]
+					*q = append(*q, int32(v))
+					queued++
+				} else if nd == dv && u < t.Parent(v) {
+					t.parent[v] = int32(u)
+				}
+			}
+		}
+	}
+	return reached, true
 }
 
 // ShortestPath returns the shortest path from src to dst avoiding the mask,

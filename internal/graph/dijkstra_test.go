@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -283,5 +284,188 @@ func BenchmarkDijkstra100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.dijkstra(NodeID(i%100), nil)
+	}
+}
+
+// rippleTree is the full run on ripple alone, the tree the bucketed pass must
+// reproduce.
+func rippleTree(g *Graph, src NodeID, mask *Mask) *SPTree {
+	n := g.NumNodes()
+	t := &SPTree{Source: src, Dist: make([]float64, n), parent: make([]int32, n)}
+	t.clear()
+	if mask.NodeBlocked(src) {
+		return t
+	}
+	sc := new(ispfScratch)
+	sc.begin(n)
+	t.Dist[src] = 0
+	sc.queue.Push(heapItem{node: src})
+	sc.ripple(g, t, mask)
+	return t
+}
+
+// bucketTree is the full run on the bucketed pass alone; ok is false when
+// the pass gave up.
+func bucketTree(g *Graph, src NodeID, mask *Mask) (t *SPTree, ok bool) {
+	n := g.NumNodes()
+	t = &SPTree{Source: src, Dist: make([]float64, n), parent: make([]int32, n)}
+	t.clear()
+	if mask.NodeBlocked(src) {
+		return t, true
+	}
+	t.Dist[src] = 0
+	_, ok = new(ispfScratch).bucketPass(g, t, mask)
+	return t, ok
+}
+
+// sameTree reports the first node where a and b differ in distance bits or
+// parent, or Invalid.
+func sameTree(a, b *SPTree) NodeID {
+	for i := range a.Dist {
+		if math.Float64bits(a.Dist[i]) != math.Float64bits(b.Dist[i]) || a.parent[i] != b.parent[i] {
+			return NodeID(i)
+		}
+	}
+	return Invalid
+}
+
+// TestFullSPFMatchesRipple: from every source, a full run gives ripple's tree
+// bit for bit (distances and parents) whether the bucketed pass computes it
+// or gives it up, on a tie-heavy lattice healthy and masked, on random graphs
+// with and without masks, and on a view. Weights spread over 2⁴⁰ exhaust the
+// pass's budget, and a weight of 1e-300 beside weights near 1 rules the pass
+// out (stepInv 0); both still give ripple's tree. One full run adds the
+// nodes it reaches to SPFCounters().NodesSettled.
+func TestFullSPFMatchesRipple(t *testing.T) {
+	// every checks every source of g under mask and returns how many times
+	// the bucketed pass gave up. Under the race detector, which has nothing
+	// to find in one goroutine's runs, it checks every eleventh.
+	stride := 1
+	if raceEnabled {
+		stride = 11
+	}
+	every := func(name string, g *Graph, mask *Mask) (gaveUp int) {
+		t.Helper()
+		for s := 0; s < g.NumNodes(); s += stride {
+			src := NodeID(s)
+			want := rippleTree(g, src, mask)
+			if v := sameTree(g.dijkstra(src, mask), want); v != Invalid {
+				t.Fatalf("%s, source %d: the full run differs from ripple at node %d", name, src, v)
+			}
+			if g.stepInv == 0 {
+				continue
+			}
+			got, ok := bucketTree(g, src, mask)
+			if !ok {
+				gaveUp++
+				continue
+			}
+			if v := sameTree(got, want); v != Invalid {
+				t.Fatalf("%s, source %d: the bucketed pass differs from ripple at node %d: %v/%d, want %v/%d",
+					name, src, v, got.Dist[v], got.parent[v], want.Dist[v], want.parent[v])
+			}
+		}
+		return gaveUp
+	}
+
+	lat := megascaleLattice(40, 40)
+	if lat.stepInv == 0 {
+		t.Fatal("the lattice's weights rule the bucketed pass out")
+	}
+	mask := NewMask().BlockNodes(41, 42, 600, 1203)
+	for i, e := range lat.Edges() {
+		if i%97 == 0 {
+			mask.BlockEdge(e.A, e.B)
+		}
+	}
+	for name, m := range map[string]*Mask{"lattice": nil, "masked lattice": mask} {
+		if n := every(name, lat, m); n > 0 {
+			t.Errorf("%s: the bucketed pass gave up from %d sources", name, n)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(53))
+	for trial := range 30 {
+		n := 10 + rng.Intn(70)
+		g := randomConnectedGraph(rng, n, 2*n)
+		var m *Mask
+		if trial%2 == 1 {
+			m = NewMask()
+			for range 1 + rng.Intn(4) {
+				m.BlockNode(NodeID(rng.Intn(n)))
+			}
+			for _, e := range g.Edges() {
+				if rng.Intn(8) == 0 {
+					m.BlockEdge(e.A, e.B)
+				}
+			}
+		}
+		every(fmt.Sprintf("random graph %d", trial), g, m)
+	}
+
+	view, _, err := lat.View(200, 600, []NodeID{1000, 1001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	every("view", view, nil)
+
+	// Weights 2^-20 to 2^20: the premise holds (2^40·300 < 2^52), but the
+	// pass re-settles too much to stay within budget.
+	spread, seen := New(300), map[EdgeID]bool{}
+	for i := range 1200 {
+		u, v := NodeID(i%299+1), NodeID(rng.Intn(300))
+		if i < 299 {
+			v = NodeID(rng.Intn(int(u)))
+		}
+		if u != v && !seen[MakeEdgeID(u, v)] {
+			seen[MakeEdgeID(u, v)] = true
+			_ = spread.AddEdge(u, v, math.Ldexp(1, rng.Intn(41)-20))
+		}
+	}
+	sg, err := spread.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sg.stepInv == 0 {
+		t.Fatal("weights spread over 2^40 on 300 nodes rule the bucketed pass out")
+	}
+	if n := every("spread weights", sg, nil); n == 0 {
+		t.Error("weights spread over 2^40: the bucketed pass never gave up")
+	}
+
+	tiny := New(50)
+	for i := 1; i < 50; i++ {
+		_ = tiny.AddEdge(NodeID(i-1), NodeID(i), 1+float64(i%3))
+	}
+	_ = tiny.AddEdge(0, 49, 1e-300)
+	_ = tiny.AddEdge(10, 40, 1e-300)
+	tg := mustFreeze(tiny)
+	if tg.stepInv != 0 {
+		t.Fatal("a weight of 1e-300 beside weights near 1 does not rule the bucketed pass out")
+	}
+	every("a weight of 1e-300", tg, nil)
+
+	before := SPFCounters().NodesSettled
+	tr := lat.dijkstra(0, mask)
+	reached := 0
+	for v := range tr.Dist {
+		if tr.Reachable(NodeID(v)) {
+			reached++
+		}
+	}
+	if d := SPFCounters().NodesSettled - before; d != uint64(reached) {
+		t.Errorf("a full run reaching %d nodes adds %d to NodesSettled", reached, d)
+	}
+}
+
+// BenchmarkDijkstraLattice measures the full run on a 91×90 lattice, as many
+// nodes as a FlatMegascale(8192) plane and more ties, from every 97th source.
+func BenchmarkDijkstraLattice(b *testing.B) {
+	g := megascaleLattice(91, 90)
+	n := g.NumNodes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = g.dijkstra(NodeID(i*97%n), nil)
 	}
 }

@@ -88,6 +88,11 @@ type Graph struct {
 	// Freeze and View attach it empty; it holds nothing until the first
 	// query.
 	spf *SPFCache
+	// stepInv is 1/Δ, the inverse bucket width of a full run's bucketed
+	// pass, and stepWrap+1 its count of buckets, a power of two; stepInv is
+	// 0 when the weights fail the pass's premise (setStep).
+	stepInv  float64
+	stepWrap int
 	// A view (see View) reads a far end t as local node t − base, in 32-bit
 	// arithmetic, and Pos through ids. base is zero and ids nil on an
 	// ordinary graph.
@@ -207,6 +212,7 @@ func (b *Builder) Freeze() (*Graph, error) {
 	n := len(off) - 1
 	g.lo, g.hi, g.to, g.w, g.edges = off[:n:n], off[1:], to, w, len(to)/2
 	sortRows(off, to, w)
+	g.setStep()
 	g.spf = NewSPFCache(g, 0)
 	return g, nil
 }

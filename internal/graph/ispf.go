@@ -84,8 +84,8 @@ const (
 
 // ispfScratch is the pooled arena of a repair or a full run: epoch-stamped
 // classification state, the phase-B settled stamps, the walk/orphan work
-// lists, the queue, and the diff buffers. Steady-state repairs allocate
-// nothing (TestISPFRepairSteadyStateAllocs).
+// lists, the queue, a full run's buckets, and the diff buffers. Steady-state
+// repairs allocate nothing (TestISPFRepairSteadyStateAllocs).
 type ispfScratch struct {
 	epoch   uint32
 	stamp   []uint32 // stamp[v] == epoch: state[v] is valid for this repair
@@ -94,6 +94,9 @@ type ispfScratch struct {
 	stk     []NodeID
 	orphans []NodeID
 	queue   radixQueue
+	// buckets is a full run's circular bucket array (bucketPass), empty
+	// between runs.
+	buckets [][]int32
 	added   []MaskElem
 	removed []MaskElem
 	// split views of added/removed, rebuilt per repair
@@ -403,8 +406,9 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 // ripple settles the queued nodes of t in (distance, node) order, each once,
 // relaxing its live arcs: a strict improvement queues the neighbour, an equal
 // distance from a smaller ID takes the parent in place. It is phase B of a
-// repair and the whole of a full run (Graph.dijkstra), and returns the nodes
-// it settled.
+// repair, whose argument needs the settle order, and the fallback of a full
+// run (Graph.dijkstra) whose bucketed pass is ruled out or gives up. It
+// returns the nodes it settled.
 func (sc *ispfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
 	checkEdges := mask.hasEdgeBlocks()
 	checkNodes := mask.hasNodeBlocks()

@@ -13,8 +13,8 @@ var sweepPool = sync.Pool{New: func() any { return new(Sweep) }}
 // epoch-stamped dist/parent/settled arrays plus the radix queue — so that
 // repeated runs allocate nothing once warm. NearestOf, the distance fields and
 // the candidate enumeration in internal/core execute on this engine; full SPF
-// trees (Dijkstra, ShortestPath) are rippled out on SPTree arrays instead
-// (Graph.dijkstra).
+// trees (Dijkstra, ShortestPath) are computed on SPTree arrays instead, by a
+// bucketed pass without a queue (Graph.dijkstra).
 //
 // Usage:
 //

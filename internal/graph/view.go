@@ -26,7 +26,10 @@ func (g *Graph) View(base NodeID, n int, gateways []NodeID) (*Graph, *NodeMap, e
 		}
 	}
 	rows := n + len(gateways)
-	v := &Graph{lo: make([]int32, rows), hi: make([]int32, rows), to: g.to, w: g.w, pos: g.pos, base: int32(base), ids: nm}
+	// The view keeps g's step: its weights are some of g's and its nodes
+	// fewer, so g's premise and bucket span hold for it (setStep).
+	v := &Graph{lo: make([]int32, rows), hi: make([]int32, rows), to: g.to, w: g.w, pos: g.pos, base: int32(base), ids: nm,
+		stepInv: g.stepInv, stepWrap: g.stepWrap}
 	first, last := int32(base), int32(base)+int32(n)
 	outside := func(t int32) bool { return t < first || t >= last }
 	// Alias the rows that stay in the range and count the private rows'
