@@ -254,12 +254,14 @@ func TestDijkstraDeterministic(t *testing.T) {
 // distance and an int32 parent, 12 bytes a node plus a constant for the
 // struct. Twenty full runs on an 8 192-node lattice are summed off
 // TotalAlloc after a first pass over the same sources has grown the pooled
-// scratch, with the collector off so the pool keeps it. A parent stored as a
-// NodeID would read 16.
+// scratch, with the collector off so the pool keeps it, and on one P: a
+// goroutine moved to another P misses the scratch in the first one's private
+// slot and grows a fresh one. A parent stored as a NodeID would read 16.
 func TestSPTreeBytesPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 20
 	g := megascaleLattice(128, 64)
 	n := uint64(g.NumNodes())

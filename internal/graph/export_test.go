@@ -36,3 +36,25 @@ func (m *Mask) DiffAgainst(prev *Mask, limit int) (added, removed []MaskElem, ok
 	}
 	return m.appendDiff(nil, nil, elems, limit)
 }
+
+// ArcsScanned reports how many arcs the last run's relaxation loop looked at.
+func (s *Sweep) ArcsScanned() int { return s.arcsScanned }
+
+// SetEpoch sets the sweep's validity epoch, so that a test can have the next
+// run wrap it.
+func (s *Sweep) SetEpoch(e uint32) { s.epoch = e }
+
+// RaceEnabled reports whether the tests run under the race detector.
+const RaceEnabled = raceEnabled
+
+// Bucketed reports whether g has a full run's bucket width, which the
+// directed sweep's bucketed pass needs (setStep).
+func (g *Graph) Bucketed() bool { return g.stepInv > 0 }
+
+// TiedPlane, WaxmanDomain and RandomSweepMask are the sweep tests' input
+// generators.
+var (
+	TiedPlane       = tiedPlane
+	WaxmanDomain    = waxmanDomain
+	RandomSweepMask = randomSweepMask
+)

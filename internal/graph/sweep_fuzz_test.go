@@ -90,7 +90,9 @@ func decodeSweepInput(data []byte) sweepInput {
 // own weight or below, or never below half of it — the sweep stops exactly
 // when the exhaustive one reaches the goal at such a weight; then every node
 // keyed at or below the goal reads as it does there, and otherwise every node
-// does.
+// does. Both runs read as the radix queue's runs of the same sweep
+// (QueuesAgree), whichever of the bucketed pass and the queue RunPruned
+// took.
 func FuzzSweepPruned(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{9, 0, 7, 0, 12, 0, 1, 2, 1, 2, 3, 2, 3, 0, 1, 0, 2, 5, 4, 5, 1, 5, 6, 1, 6, 7, 3, 7, 8, 2, 8, 4, 2})
@@ -144,8 +146,8 @@ func FuzzSweepPruned(f *testing.F) {
 		}
 		checkAbsorbed(t, "pruned", pruned, src, pruned.Reached, absorbing)
 
-		if requeued, _, _ := pruned.Relabels(); pruned.SettledCount()-requeued > full.SettledCount() {
-			t.Fatalf("pruned run settled %d nodes (%d of them again), exhaustive %d", pruned.SettledCount(), requeued, full.SettledCount())
+		if pruned.SettledCount() > full.SettledCount() {
+			t.Fatalf("pruned run settled %d nodes, exhaustive %d", pruned.SettledCount(), full.SettledCount())
 		}
 		for i := 0; i < g.NumNodes(); i++ {
 			v := NodeID(i)
@@ -177,6 +179,8 @@ func FuzzSweepPruned(f *testing.F) {
 		toGoal := g.NewSweep()
 		defer toGoal.Release()
 		hit := toGoal.RunPruned(src, mask, absorbing, lower, budget, goal, within)
+		QueuesAgree(t, g, src, mask, absorbing, lower, budget, Invalid, 0)
+		QueuesAgree(t, g, src, mask, absorbing, lower, budget, goal, within)
 		if want := pruned.Reached(goal) && pruned.WeightFrom(goal) <= within; hit != want {
 			t.Fatalf("goal %d within %v: stopped=%v, the exhaustive run reaches it: %v, weighing %v", goal, within, hit, pruned.Reached(goal), pruned.WeightFrom(goal))
 		}
