@@ -203,10 +203,11 @@ type Stats struct {
 
 	// BatchJoins counts members admitted through JoinBatch (a subset of
 	// Joins). EnumSettled tallies nodes settled by candidate sweeps (the
-	// delay-bound-pruned pass of every join and reshape, whose goal-directed
-	// order counts a node it settles again after lowering it once more, plus
-	// the unbounded second pass of a join that found nothing within the bound;
-	// under the query scheme, each relayed query's sweep instead)
+	// delay-bound-pruned pass of every join and reshape, which counts each
+	// node it left final once, however often its goal-directed order settled
+	// it (graph.Sweep.SettledCount), plus the unbounded second pass of a join
+	// that found nothing within the bound; under the query scheme, each
+	// relayed query's sweep instead)
 	// — the settled-node counter is the repository's CI-stable unit of SPF
 	// work (wall-clock is noise on shared single-core runners). SelectRescans
 	// counts the joins that took that second pass, SelectSourceExits the

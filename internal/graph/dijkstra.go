@@ -59,9 +59,9 @@ func (g *Graph) Dijkstra(src NodeID, mask *Mask) *SPTree {
 // dijkstra is the full shortest-path-tree computation behind a cache miss,
 // on a freshly allocated SPTree, which escapes (it is cached and shared): the
 // bucketed pass where the graph allows it and the pass keeps to its budget,
-// else the source seeded into a repair's phase-B ripple, which gives the same
-// tree bit for bit. A blocked or invalid source leaves every node
-// unreachable.
+// else ripple, a repair's settle loop, seeded with the source alone, which
+// gives the same tree bit for bit. A blocked or invalid source leaves every
+// node unreachable.
 func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 	n := g.NumNodes()
 	t := &SPTree{

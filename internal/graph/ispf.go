@@ -5,18 +5,19 @@
 // makes the SPF cache go cold even though a single failed link or node
 // typically invalidates only the small subtree hanging below it. This file
 // repairs a resident tree in place instead of re-running Dijkstra over the
-// whole topology:
+// whole topology, in one seeded label-setting pass:
 //
 //   - Elements *added* to the mask (failures): classify every node as alive
 //     (its old shortest path avoids all newly dead elements), gone (newly
 //     blocked, or already unreachable), or orphaned (its old path crossed a
-//     dead element) with one O(V) memoized parent-chain walk; reset the
-//     orphans, seed each from its frontier of still-valid neighbors, and run
-//     Dijkstra over the orphan set only.
-//   - Elements *removed* from the mask (repairs): seed the queue with the
-//     revived node/edge endpoints and ripple strict distance improvements
-//     outward; equal-distance relaxations update only the parent (smaller ID
-//     wins) and provably never need to propagate.
+//     dead element) with one O(V) memoized parent-chain walk; reset the gone
+//     and the orphaned nodes, and seed each orphan from its frontier of alive
+//     neighbours.
+//   - Elements *removed* from the mask (repairs): relax the revived edges
+//     both ways, and seed each revived node from its reachable neighbours.
+//   - Settle every seed with ripple, which relaxes all live arcs in
+//     (distance, node) order: a strict improvement queues the neighbour, an
+//     equal distance from a smaller ID takes the parent in place.
 //
 // The repaired tree is bit-identical to a from-scratch sweep: the final
 // (dist, parent) pair of Dijkstra with this package's tie-breaking is a pure
@@ -75,58 +76,51 @@ func SPFCounters() metrics.SPFStats {
 // makes work counters incomparable.
 func SetSPFDelta(enabled bool) { spfDeltaOff.Store(!enabled) }
 
-// Node classification states for the failure phase of a repair.
+// Node classification states of a repair's failure walk.
 const (
 	ispfAlive  uint8 = iota + 1 // old shortest path avoids all dead elements
-	ispfOrphan                  // old path crossed a dead element: re-relax
+	ispfOrphan                  // old path crossed a dead element: re-seed
 	ispfGone                    // newly blocked, or already unreachable
 )
 
-// ispfScratch is the pooled arena of a repair or a full run: epoch-stamped
-// classification state, the phase-B settled stamps, the walk/orphan work
-// lists, the queue, a full run's buckets, and the diff buffers. Steady-state
-// repairs allocate nothing (TestISPFRepairSteadyStateAllocs).
+// ispfScratch is the pooled arena of a repair or a full run: the failure
+// walk's classification and work list, the epoch-stamped settled marks, the
+// queue, a full run's buckets, and the diff buffers. Steady-state repairs
+// allocate nothing (TestISPFRepairSteadyStateAllocs).
 type ispfScratch struct {
-	epoch   uint32
-	stamp   []uint32 // stamp[v] == epoch: state[v] is valid for this repair
-	state   []uint8
-	setB    []uint32 // setB[v] == epoch: v settled in the improvement ripple
-	stk     []NodeID
-	orphans []NodeID
-	queue   radixQueue
+	epoch uint32
+	done  []uint32 // done[v] == epoch: v settled in this run's ripple
+	state []uint8  // state[v]: v's class in the failure walk, 0 before it
+	stk   []NodeID
+	queue radixQueue
 	// buckets is a full run's circular bucket array (bucketPass), empty
 	// between runs.
 	buckets [][]int32
 	added   []MaskElem
 	removed []MaskElem
-	// split views of added/removed, rebuilt per repair
+	// the failed nodes and edges of added, rebuilt per repair
 	addNodes []NodeID
 	addEdges []EdgeID
-	remEdges []EdgeID
 }
 
 var ispfPool = sync.Pool{New: func() any { return new(ispfScratch) }}
 
-// begin sizes the arena for an n-node graph and advances the validity epoch.
+// begin sizes the arena for an n-node graph and advances the settled epoch.
 func (sc *ispfScratch) begin(n int) {
-	if n > len(sc.stamp) {
-		sc.stamp = make([]uint32, n)
+	if n > len(sc.done) {
+		sc.done = make([]uint32, n)
 		sc.state = make([]uint8, n)
-		sc.setB = make([]uint32, n)
 		sc.epoch = 0
 	}
 	sc.epoch++
-	if sc.epoch == 0 { // wrapped: stamps ambiguous, hard reset
-		clear(sc.stamp)
-		clear(sc.setB)
+	if sc.epoch == 0 { // wrapped: marks ambiguous, hard reset
+		clear(sc.done)
 		sc.epoch = 1
 	}
 	sc.queue.Reset()
 	sc.stk = sc.stk[:0]
-	sc.orphans = sc.orphans[:0]
 	sc.addNodes = sc.addNodes[:0]
 	sc.addEdges = sc.addEdges[:0]
-	sc.remEdges = sc.remEdges[:0]
 }
 
 // cloneTree returns a deep, privately owned copy of t for clone-on-write
@@ -150,6 +144,21 @@ func cloneTree(t *SPTree) *SPTree {
 // partially modified and must be discarded). The repair gives up only on
 // degenerate sources: the new mask blocks the source, or the old tree never
 // reached it (an all-unreachable base carries no usable distances).
+//
+// Why one pass needs no ordering between failures and repairs: after the
+// seeding every distance is that of a live path under the new mask, and
+// every live arc (u, v) that would still shorten v starts at a queued u. An
+// alive node's path survives; arcs among alive nodes were final under the
+// old mask plus the failures, and the new mask adds only revived arcs, which
+// are relaxed here; an orphan takes the best of its alive arcs; an orphan or
+// revived node with a distance is queued, and one without has no arc to
+// offer. ripple then settles in (distance, node) order and relaxes every
+// live arc of each node it settles, alive neighbours included, so Dijkstra's
+// argument gives every settled node its final distance. The parent follows
+// as in a full run: each neighbour that gives v its distance is either
+// settled by ripple, which relaxes v from it, or alive and unchanged, and
+// then its arc was in the old parent's argmin, an orphan's seed, or a revived
+// arc's relaxation.
 func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *ispfScratch) (settled int, ok bool) {
 	src := t.Source
 	n := g.NumNodes()
@@ -161,28 +170,11 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 	checkNodes := mask.hasNodeBlocks()
 	base := g.base
 
-	// Phase A must compute exactly the tree under (old mask ∪ added) — the
-	// pure-deletion step its correctness argument is about — so edges revived
-	// by this same delta stay off-limits until phase B. Otherwise an orphan
-	// can be re-attached through a revived edge at its final distance, phase
-	// B's seed relaxation then sees no improvement and never ripples, and
-	// alive nodes downstream (which phase A deliberately never re-relaxes)
-	// keep their stale distances. Revived *nodes* need no such care: they
-	// were blocked under the old mask, hence unreachable in the old tree,
-	// hence classified gone and excluded from phase A automatically.
-	for _, e := range removed {
-		if e.IsEdge {
-			sc.remEdges = append(sc.remEdges, e.Edge)
-		}
-	}
-	checkRevived := len(sc.remEdges) > 0
-
-	// --- Phase A: failures (elements added to the mask). ---
-	// Skip entirely when no added element can touch the tree: a blocked node
-	// that was already unreachable, or a blocked edge that is not a tree
-	// edge, changes nothing (removing a non-tree edge cannot shorten any
-	// path, and the parent argmin is unaffected because only the current
-	// parent's edge is a tree edge).
+	// Failures. Skip the walk entirely when no added element can touch the
+	// tree: a blocked node that was already unreachable, or a blocked edge
+	// that is not a tree edge, changes nothing (removing a non-tree edge
+	// cannot shorten any path, and the parent argmin is unaffected because
+	// only the current parent's edge is a tree edge).
 	touches := false
 	for _, e := range added {
 		if !e.IsEdge {
@@ -204,210 +196,121 @@ func ispfRepair(g *Graph, t *SPTree, added, removed []MaskElem, mask *Mask, sc *
 		}
 	}
 	if touches {
-		// Classify every node with a memoized walk up its parent chain.
-		for v := 0; v < n; v++ {
-			if sc.stamp[v] == sc.epoch {
-				continue
-			}
+		// Classify every node with a memoized walk up its parent chain: the
+		// walk ends at a classified node, an unreachable or newly blocked one
+		// (gone), the source (alive), or a node whose parent edge failed
+		// (orphan). Every node passed on the way is alive below an alive end
+		// and orphaned below any other.
+		clear(sc.state[:n])
+		for v := range n {
 			cur := NodeID(v)
-			var st uint8
-			for {
-				if sc.stamp[cur] == sc.epoch {
-					st = sc.state[cur]
-					break
-				}
-				if t.Dist[cur] == Unreachable {
+			st := sc.state[cur]
+			for st == 0 {
+				switch {
+				case t.Dist[cur] == Unreachable || nodeListHas(sc.addNodes, cur):
 					st = ispfGone
-					sc.stamp[cur] = sc.epoch
-					sc.state[cur] = st
-					break
-				}
-				if cur == src {
+				case cur == src:
 					st = ispfAlive
-					sc.stamp[cur] = sc.epoch
-					sc.state[cur] = st
-					break
-				}
-				if nodeListHas(sc.addNodes, cur) {
-					st = ispfGone
-					sc.stamp[cur] = sc.epoch
-					sc.state[cur] = st
-					break
-				}
-				p := t.Parent(cur)
-				if edgeListHas(sc.addEdges, MakeEdgeID(p, cur)) {
+				case edgeListHas(sc.addEdges, MakeEdgeID(t.Parent(cur), cur)):
 					st = ispfOrphan
-					sc.stamp[cur] = sc.epoch
-					sc.state[cur] = st
-					break
+				default:
+					sc.stk = append(sc.stk, cur)
+					cur = t.Parent(cur)
+					st = sc.state[cur]
+					continue
 				}
-				sc.stk = append(sc.stk, cur)
-				cur = p
+				sc.state[cur] = st
 			}
-			// Unwind: a node below an alive parent is alive; below an orphan
-			// or gone parent it is orphaned (unless itself newly blocked,
-			// which the loop above already caught before descending).
-			for i := len(sc.stk) - 1; i >= 0; i-- {
-				w := sc.stk[i]
-				cst := ispfOrphan
-				if st == ispfAlive {
-					cst = ispfAlive
-				}
-				sc.stamp[w] = sc.epoch
-				sc.state[w] = cst
-				st = cst
+			if st != ispfAlive {
+				st = ispfOrphan
+			}
+			for _, w := range sc.stk {
+				sc.state[w] = st
 			}
 			sc.stk = sc.stk[:0]
 		}
-		// Reset gone and orphaned nodes; remember the orphans (ascending ID,
-		// since the pass above runs in ID order).
-		for v := 0; v < n; v++ {
+		// Reset the gone nodes, and seed each orphan from its frontier of
+		// alive neighbours: the relaxations a full sweep would make across
+		// the alive/orphan boundary. An orphan with no such neighbour stays
+		// unreachable until the pass reaches it.
+		for v := NodeID(0); int(v) < n; v++ {
 			switch sc.state[v] {
-			case ispfOrphan:
-				t.Dist[v] = Unreachable
-				t.parent[v] = int32(Invalid)
-				sc.orphans = append(sc.orphans, NodeID(v))
 			case ispfGone:
-				t.Dist[v] = Unreachable
-				t.parent[v] = int32(Invalid)
-			}
-		}
-		// Seed each orphan from its frontier of alive neighbors. Alive
-		// distances are final (deleting elements cannot shorten a path, and
-		// every alive node's old path survives), so this is exactly the set
-		// of relaxations a full sweep would perform across the alive/orphan
-		// boundary.
-		for _, v := range sc.orphans {
-			dv, pv := Unreachable, Invalid
-			rowEdges := checkEdges && mask.touchesBlockedEdge(v)
-			to, w := g.arcs(v)
-			w = w[:len(to)]
-			for i, x := range to {
-				u := NodeID(x - base)
-				if sc.state[u] != ispfAlive || sc.stamp[u] != sc.epoch {
-					continue
+				t.Dist[v], t.parent[v] = Unreachable, int32(Invalid)
+			case ispfOrphan:
+				dv, pv := Unreachable, Invalid
+				rowEdges := checkEdges && mask.touchesBlockedEdge(v)
+				to, w := g.arcs(v)
+				w = w[:len(to)]
+				for i, x := range to {
+					u := NodeID(x - base)
+					if sc.state[u] != ispfAlive || (rowEdges && mask.edges[MakeEdgeID(u, v)]) {
+						continue
+					}
+					if nd := t.Dist[u] + w[i]; nd < dv || (nd == dv && u < pv) {
+						dv, pv = nd, u
+					}
 				}
-				if e := MakeEdgeID(u, v); (rowEdges && mask.edges[e]) ||
-					(checkRevived && edgeListHas(sc.remEdges, e)) {
-					continue
-				}
-				if nd := t.Dist[u] + w[i]; nd < dv || (nd == dv && u < pv) {
-					dv, pv = nd, u
-				}
-			}
-			if pv != Invalid {
-				t.Dist[v] = dv
-				t.parent[v] = int32(pv)
-				sc.queue.Push(heapItem{node: v, dist: dv})
-			}
-		}
-		// Dijkstra restricted to the orphan set. Orphans settle in global
-		// distance order (alive frontier contributions are all seeded), so
-		// tie-breaking matches the full sweep exactly.
-		for {
-			item, popped := sc.queue.Pop()
-			if !popped {
-				break
-			}
-			u := item.node
-			if sc.state[u] != ispfOrphan || item.dist > t.Dist[u] {
-				continue // settled already, or a stale queue entry
-			}
-			sc.state[u] = ispfAlive // settled: distance is final
-			settled++
-			du := t.Dist[u]
-			rowEdges := checkEdges && mask.touchesBlockedEdge(u)
-			to, w := g.arcs(u)
-			w = w[:len(to)]
-			for i, x := range to {
-				v := NodeID(x - base)
-				if sc.state[v] != ispfOrphan || sc.stamp[v] != sc.epoch {
-					continue // alive nodes are final; gone nodes stay gone
-				}
-				if e := MakeEdgeID(u, v); (rowEdges && mask.edges[e]) ||
-					(checkRevived && edgeListHas(sc.remEdges, e)) {
-					continue
-				}
-				nd := du + w[i]
-				if nd < t.Dist[v] || (nd == t.Dist[v] && u < t.Parent(v)) {
-					t.Dist[v] = nd
-					t.parent[v] = int32(u)
-					sc.queue.Push(heapItem{node: v, dist: nd})
+				t.Dist[v], t.parent[v] = dv, int32(pv)
+				if pv != Invalid {
+					sc.queue.Push(heapItem{node: v, dist: dv})
 				}
 			}
 		}
 	}
 
-	// --- Phase B: repairs (elements removed from the mask). ---
-	// The tree now equals the full sweep under (old mask ∪ added); every
-	// distance is an upper bound for the new mask. Seed the revived elements
-	// and ripple strict improvements. Equal-distance relaxations only update
-	// the parent toward the smaller ID and never propagate: a node whose
-	// distance is unchanged keeps its predecessor candidate set except for
-	// additions, and every added candidate is either a revived element
-	// (seeded here) or a node whose own distance improved (settled by the
-	// ripple, which then re-relaxes its neighbors).
-	if len(removed) > 0 {
-		sc.queue.Reset()
-		relax := func(u, v NodeID, w float64) {
-			// caller guarantees u reachable and (u,v) usable under mask
-			nd := t.Dist[u] + w
-			if nd < t.Dist[v] {
-				t.Dist[v] = nd
-				t.parent[v] = int32(u)
-				sc.queue.Push(heapItem{node: v, dist: nd})
-			} else if nd == t.Dist[v] && u < t.Parent(v) {
-				t.parent[v] = int32(u) // parent-only repair; never propagates
-			}
+	// Repairs: relax each revived edge both ways, and attach each revived
+	// node through its usable neighbours.
+	relax := func(u, v NodeID, w float64) {
+		// caller guarantees u reachable and (u,v) usable under mask
+		nd := t.Dist[u] + w
+		if nd < t.Dist[v] {
+			t.Dist[v] = nd
+			t.parent[v] = int32(u)
+			sc.queue.Push(heapItem{node: v, dist: nd})
+		} else if nd == t.Dist[v] && u < t.Parent(v) {
+			t.parent[v] = int32(u)
 		}
-		for _, e := range removed {
-			if e.IsEdge {
-				u, v := e.Edge.A, e.Edge.B
-				w, exists := g.EdgeWeight(u, v)
-				if !exists || mask.EdgeBlocked(u, v) {
-					continue
-				}
-				if t.Dist[u] != Unreachable {
-					relax(u, v, w)
-				}
-				if t.Dist[v] != Unreachable {
-					relax(v, u, w)
-				}
-				continue
-			}
-			// Revived node: recompute its attachment from scratch via its
-			// usable neighbors, then let it ripple outward when it settles.
-			v := e.Node
-			if !g.valid(v) || mask.NodeBlocked(v) {
-				continue
-			}
-			rowEdges := checkEdges && mask.touchesBlockedEdge(v)
-			to, w := g.arcs(v)
-			w = w[:len(to)]
-			for i, x := range to {
-				u := NodeID(x - base)
-				if t.Dist[u] == Unreachable {
-					continue
-				}
-				if checkNodes && mask.nodeBlocked(u) {
-					continue
-				}
-				if rowEdges && mask.edges[MakeEdgeID(u, v)] {
-					continue
-				}
-				relax(u, v, w[i])
-			}
-		}
-		settled += sc.ripple(g, t, mask)
 	}
-	return settled, true
+	for _, e := range removed {
+		if e.IsEdge {
+			u, v := e.Edge.A, e.Edge.B
+			w, exists := g.EdgeWeight(u, v)
+			if !exists || mask.EdgeBlocked(u, v) {
+				continue
+			}
+			if t.Dist[u] != Unreachable {
+				relax(u, v, w)
+			}
+			if t.Dist[v] != Unreachable {
+				relax(v, u, w)
+			}
+			continue
+		}
+		v := e.Node
+		if !g.valid(v) || mask.NodeBlocked(v) {
+			continue
+		}
+		rowEdges := checkEdges && mask.touchesBlockedEdge(v)
+		to, w := g.arcs(v)
+		w = w[:len(to)]
+		for i, x := range to {
+			u := NodeID(x - base)
+			if t.Dist[u] == Unreachable || (checkNodes && mask.nodeBlocked(u)) ||
+				(rowEdges && mask.edges[MakeEdgeID(u, v)]) {
+				continue
+			}
+			relax(u, v, w[i])
+		}
+	}
+	return sc.ripple(g, t, mask), true
 }
 
 // ripple settles the queued nodes of t in (distance, node) order, each once,
 // relaxing its live arcs: a strict improvement queues the neighbour, an equal
-// distance from a smaller ID takes the parent in place. It is phase B of a
-// repair, whose argument needs the settle order, and the fallback of a full
-// run (Graph.dijkstra) whose bucketed pass is ruled out or gives up. It
+// distance from a smaller ID takes the parent in place. It is the settle loop
+// of a repair, whose argument needs the settle order, and the fallback of a
+// full run (Graph.dijkstra) whose bucketed pass is ruled out or gives up. It
 // returns the nodes it settled.
 func (sc *ispfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
 	checkEdges := mask.hasEdgeBlocks()
@@ -419,10 +322,10 @@ func (sc *ispfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
 			return settled
 		}
 		u := item.node
-		if sc.setB[u] == sc.epoch || item.dist > t.Dist[u] {
+		if sc.done[u] == sc.epoch || item.dist > t.Dist[u] {
 			continue
 		}
-		sc.setB[u] = sc.epoch
+		sc.done[u] = sc.epoch
 		settled++
 		du := t.Dist[u]
 		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
@@ -430,21 +333,20 @@ func (sc *ispfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
 		w = w[:len(to)]
 		for i, x := range to {
 			v := NodeID(x - base)
-			if sc.setB[v] == sc.epoch {
-				continue // settled in distance order: final
+			// The distance first: most arcs of a repair lead to alive
+			// nodes that gain nothing.
+			nd, dv := du+w[i], t.Dist[v]
+			if nd > dv || sc.done[v] == sc.epoch {
+				continue // no gain, or settled in distance order: final
 			}
-			if checkNodes && mask.nodeBlocked(v) {
+			if (checkNodes && mask.nodeBlocked(v)) || (rowEdges && mask.edges[MakeEdgeID(u, v)]) {
 				continue
 			}
-			if rowEdges && mask.edges[MakeEdgeID(u, v)] {
-				continue
-			}
-			nd := du + w[i]
-			if nd < t.Dist[v] {
+			if nd < dv {
 				t.Dist[v] = nd
 				t.parent[v] = int32(u)
 				sc.queue.Push(heapItem{node: v, dist: nd})
-			} else if nd == t.Dist[v] && u < t.Parent(v) {
+			} else if u < t.Parent(v) {
 				t.parent[v] = int32(u)
 			}
 		}

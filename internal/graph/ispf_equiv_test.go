@@ -65,8 +65,8 @@ func TestISPFEquivalence(t *testing.T) {
 			// diff contain added AND removed elements simultaneously — the
 			// sibling-mask pattern (repair base computed under {e1}, query
 			// under {e2}) that single-step evolution never produces, and
-			// exactly the shape that once let a revived edge leak into the
-			// failure phase (see ispf.go on phase ordering).
+			// where an orphan can re-attach through a revived edge
+			// (TestISPFSiblingMaskSwap).
 			muts := 1 + r.Intn(3)
 			for mi := 0; mi < muts; mi++ {
 				switch op := r.Intn(10); {

@@ -74,13 +74,12 @@ func TestISPFRepairSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestISPFSiblingMaskSwap is the regression test for the phase-ordering bug:
-// when the repair base was computed under {e1} and the query mask is {e2},
-// the diff contains an added AND a removed edge simultaneously. The failure
-// phase must not use the edge being revived — if it does, orphans re-attach
-// through it at their final distance, the repair phase's seed sees no
-// improvement, and alive nodes downstream keep stale distances. Exercises
-// every ordered pair from a sample of edges.
+// TestISPFSiblingMaskSwap repairs a tree computed under {e1} to the mask
+// {e2}, a diff with an added AND a removed edge at once, for every ordered
+// pair from a sample of edges. Orphans of e2 may re-attach through the
+// revived e1 at their final distance; the repair must then still carry the
+// gain on to the alive nodes beyond them, which a repair that re-relaxed
+// orphans alone once failed to do.
 func TestISPFSiblingMaskSwap(t *testing.T) {
 	g := ispfTestGraph(t)
 	src := NodeID(0)

@@ -22,19 +22,22 @@ func (a heapItem) Before(b heapItem) bool {
 	return a.node < b.node
 }
 
-// radixQueue is the priority queue of every shortest-path run in the package
-// (Sweep, Field, the iSPF repair): a monotone radix heap (Ahuja, Mehlhorn,
-// Orlin & Tarjan 1990) over the bits of float64 keys. For keys ≥ +0,
-// math.Float64bits is increasing in the key, so the bits can be bucketed like
-// integers. Let last be the bits of the key the radix buckets handed out last
-// (0 before the first). Bucket i ≥ 1 holds the keys above last whose highest
-// bit differing from last is bit i−1, so every key of bucket i is below every
-// key of bucket j > i; bucket 0 holds every key at or below last — ties with
-// it, and the keys a label-correcting run pushes below it — in a 4-ary heap
-// ordered by (dist, node). The least entry is therefore bucket 0's top if
-// bucket 0 is non-empty, and otherwise bucket 0's top once the least non-empty
-// bucket has been split: last moves up to that bucket's least key, its entries
-// at that key go to bucket 0 and the rest to lower buckets.
+// radixQueue is the priority queue of the package's runs in settle order:
+// Sweep's (a directed one only where its bucketed pass is ruled out), Field's
+// and ripple's (the iSPF repair, and a full run's fallback). A cold full run
+// and a directed sweep otherwise drain buckets (bucketPass, runBuckets). It is
+// a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan 1990) over the bits
+// of float64 keys. For keys ≥ +0, math.Float64bits is increasing in the key,
+// so the bits can be bucketed like integers. Let last be the bits of the key
+// the radix buckets handed out last (0 before the first). Bucket i ≥ 1 holds
+// the keys above last whose highest bit differing from last is bit i−1, so
+// every key of bucket i is below every key of bucket j > i; bucket 0 holds
+// every key at or below last — ties with it, and the keys a label-correcting
+// run pushes below it — in a 4-ary heap ordered by (dist, node). The least
+// entry is therefore bucket 0's top if bucket 0 is non-empty, and otherwise
+// bucket 0's top once the least non-empty bucket has been split: last moves up
+// to that bucket's least key, its entries at that key go to bucket 0 and the
+// rest to lower buckets.
 //
 // Pops come out in exactly the (dist, node) order of a binary heap of
 // heapItem, whatever the interleaving of Push, Peek and Pop — a push below

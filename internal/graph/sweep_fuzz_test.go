@@ -92,7 +92,10 @@ func decodeSweepInput(data []byte) sweepInput {
 // keyed at or below the goal reads as it does there, and otherwise every node
 // does. Both runs read as the radix queue's runs of the same sweep
 // (QueuesAgree), whichever of the bucketed pass and the queue RunPruned
-// took.
+// took. Two seeds hold the pass to its bucket boundaries on tenths weights:
+// in push-rounds-below-the-bucket-in-drain a key rounds below the bucket in
+// drain, which must take the push; in level-in-the-goals-next-bucket the
+// goal's level lies in the bucket after the goal's own, which must drain.
 func FuzzSweepPruned(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{9, 0, 7, 0, 12, 0, 1, 2, 1, 2, 3, 2, 3, 0, 1, 0, 2, 5, 4, 5, 1, 5, 6, 1, 6, 7, 3, 7, 8, 2, 8, 4, 2})

@@ -5,7 +5,7 @@ import "fmt"
 // SPFStats is a snapshot of the process-wide shortest-path-tree computation
 // counters maintained by internal/graph: how many trees were built from
 // scratch (FullRuns), how many were produced by the incremental-SPF delta
-// repair (DeltaRuns), how much heap work those tree builds cost in settled
+// repair (DeltaRuns), how much work those tree builds cost in settled
 // nodes (NodesSettled — full builds and delta repairs only; early-exit and
 // nearest-of sweeps are deliberately excluded so the number is comparable
 // across cache configurations), and the SPF-cache hit/miss totals.
@@ -19,7 +19,7 @@ import "fmt"
 type SPFStats struct {
 	FullRuns     uint64 // shortest-path trees computed by a full sweep
 	DeltaRuns    uint64 // trees produced by incremental delta repair
-	NodesSettled uint64 // heap-settled nodes across full builds + delta repairs
+	NodesSettled uint64 // nodes settled, each once per run, across full builds + delta repairs
 	CacheHits    uint64 // SPF cache hits
 	CacheMisses  uint64 // SPF cache misses (each becomes a full or delta run)
 }
