@@ -57,7 +57,7 @@ func run(ctx context.Context, args []string) (err error) {
 		rc       experiment.RunConfig
 		fig      = fs.String("fig", "all", "which study to run: "+experiment.FigUsage())
 		csv      = fs.String("csv", "", "also write machine-readable results to this file (-fig "+experiment.CSVUsage()+")")
-		spfstats = fs.Bool("spfstats", false, "print per-study SPF cache/delta-repair counters after each study")
+		spfstats = fs.Bool("spfstats", false, "print per-study SPF cache counters after each study")
 	)
 	a.Register(fs)
 	fs.Uint64Var(&rc.Seed, "seed", 2005, "base RNG seed")
@@ -101,8 +101,8 @@ func run(ctx context.Context, args []string) (err error) {
 	}
 
 	// With -spfstats each study is followed by the delta of the process-wide
-	// SPF counters it consumed: full sweeps vs incremental delta repairs,
-	// nodes settled, and cache hit/miss traffic. Off by default so the
+	// SPF counters it consumed: full runs, nodes settled, and cache hit/miss
+	// traffic (delta= always reads 0). Off by default so the
 	// blessed study outputs stay byte-stable.
 	spfPrev := graph.SPFCounters()
 	for _, s := range studies {

@@ -29,7 +29,6 @@ var testOnlyAllowed = map[string]string{
 	"protocol.driver.ScheduleLeave":       "the soft-state rework of the DES replaces it",
 	"protocol.SMRPInstance.Expired":       "the soft-state rework of the DES replaces it",
 	"protocol.SMRPInstance.SilenceMember": "the soft-state rework of the DES replaces it",
-	"graph.SetSPFDelta":                   "test hook that turns the SPF cache's delta repair off",
 	"graph.Sweep.Relabels":                "core's prune oracle asserts coverage of the label-correcting re-queue through it",
 	"runner.MapSeq":                       "the sequential reference that runner.Map is tested against",
 	"runner.TrialError.Unwrap":            "errors.Is and errors.As call it through the unwrap interface",
@@ -268,7 +267,6 @@ var mapRangeAllowed = map[string]string{
 	"faultisolation.Isolate":            "min over keys: the error names the lowest non-member",
 	"graph.Mask.Each":                   "edges in map order, as its doc says: failure.DeadRoots sorts what it collects and core's tree view only blocks and unblocks",
 	"graph.Mask.Clone":                  "copies into a map",
-	"graph.Mask.appendDiff":             "the added edges are sorted, and whether the budget runs out depends only on the counts",
 	"graph.Mask.Union":                  "blocks edges in a mask: set union",
 	"hierarchy.NLevelSession.Members":   "collected and sorted",
 	"hierarchy.NLevelSession.Parked":    "collected and sorted",

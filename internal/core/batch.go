@@ -10,15 +10,12 @@ import (
 // Condition-I reshaping, parking, and every float in every JoinResult match
 // the sequential reference exactly.
 //
-// What the batch buys is amortization, not reordering. One source-rooted SPF
-// tree under the failure mask, looked up once (joins never move the mask),
-// answers every joiner's delay-bound query — k cache probes when joining one
-// at a time — and while healthy its distances are also the candidate sweep's
-// lower bound (Session.sourceSPF). One arena serves every candidate sweep and
-// reshape check. Both are
-// value-identical to the per-call machinery (TestJoinBatchBitIdentical). The
-// intended use is k simultaneous joiners of one group, as queued by the server
-// actor's mailbox or a flash-crowd workload.
+// What the batch buys is amortization, not reordering: one arena serves every
+// joiner's delay-bound query (Session.sourceSPF), candidate sweep and reshape
+// check, value-identical to a fresh arena per call
+// (TestJoinBatchBitIdentical). The intended use is k simultaneous joiners of
+// one group, as queued by the server actor's mailbox or a flash-crowd
+// workload.
 //
 // Per-joiner failures do not abort the batch: results[i] and errs[i] report
 // joiner i's outcome, and a failed joiner leaves exactly the state a failed
@@ -31,9 +28,8 @@ func (s *Session) JoinBatch(joiners []graph.NodeID) (results []*JoinResult, errs
 	}
 	a := s.newArena()
 	defer a.release()
-	spt := s.g.Dijkstra(s.tree.Source(), s.maskOrNil())
 	for i, nr := range joiners {
-		results[i], errs[i] = s.join(nr, spt, a)
+		results[i], errs[i] = s.join(nr, a)
 		if errs[i] == nil {
 			s.stats.BatchJoins++
 		}

@@ -178,9 +178,15 @@ func TestDegradationErrorIdentity(t *testing.T) {
 		t.Fatalf("Join of failed node = %v, want ErrMemberFailed", err)
 	}
 
-	// Out-of-range member → graph.ErrUnknownNode via the core alias.
-	if _, err := s.Join(99); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("Join(99) = %v, want ErrUnknownNode", err)
+	// Out-of-range member → graph.ErrUnknownNode via the core alias, on both
+	// sides of the range and at its first ID past the end.
+	for _, nr := range []graph.NodeID{-1, graph.NodeID(s.Graph().NumNodes()), 99} {
+		if _, err := s.Join(nr); !errors.Is(err, ErrUnknownNode) {
+			t.Fatalf("Join(%d) = %v, want ErrUnknownNode", nr, err)
+		}
+		if err := s.Leave(nr); !errors.Is(err, ErrUnknownNode) {
+			t.Fatalf("Leave(%d) = %v, want ErrUnknownNode", nr, err)
+		}
 	}
 	if _, err := s.Join(3); !errors.Is(err, ErrAlreadyMember) {
 		t.Fatalf("re-Join = %v, want ErrAlreadyMember", err)

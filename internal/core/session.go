@@ -147,15 +147,14 @@ type JoinResult struct {
 func (s *Session) Join(nr graph.NodeID) (*JoinResult, error) {
 	a := s.newArena()
 	defer a.release()
-	return s.join(nr, nil, a)
+	return s.join(nr, a)
 }
 
 // join is the shared admission engine behind Join and JoinBatch, working in
-// the caller's arena. A batch lends its source-rooted SPF tree (nil otherwise)
-// and one arena for all its joins; both are value-identical substitutions for
-// the per-call machinery (see JoinBatch), so the two paths produce
-// bit-identical sessions.
-func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, a *arena) (*JoinResult, error) {
+// the caller's arena. A batch lends one arena for all its joins, a
+// value-identical substitution for a fresh one (see JoinBatch), so the two
+// paths produce bit-identical sessions.
+func (s *Session) join(nr graph.NodeID, a *arena) (*JoinResult, error) {
 	if nr < 0 || int(nr) >= s.g.NumNodes() {
 		return nil, fmt.Errorf("join %d: %w", nr, ErrUnknownNode)
 	}
@@ -167,7 +166,7 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, a *arena) (*JoinResul
 		return nil, fmt.Errorf("join %d: %w", nr, failure.ErrMemberFailed)
 	}
 
-	spfDelay, lower := s.sourceSPF(nr, spt)
+	spfDelay, lower := s.sourceSPF(a, nr)
 	if math.IsInf(spfDelay, 1) && nr != s.tree.Source() {
 		if mask != nil {
 			// Degrade gracefully: the joiner is alive but the accumulated
@@ -222,25 +221,22 @@ func (s *Session) join(nr graph.NodeID, spt *graph.SPTree, a *arena) (*JoinResul
 }
 
 // sourceSPF returns nr's SPF delay from the source under the accumulated
-// failure mask (Unreachable when cut off; read off spt when the caller holds
-// that tree) and the lower bound the candidate sweep prunes with (see
-// selectBySweep): SPF distances from the source on the *unmasked* graph.
-// Masked distances would prune harder, but the tree keeps its dead edges
-// between ApplyFailure and Recover, and a node's delay along them can
-// undercut its masked SPF distance. Degraded, a join reads both trees the
-// SPF cache keeps for the source: the healthy one and the masked one.
-func (s *Session) sourceSPF(nr graph.NodeID, spt *graph.SPTree) (spfDelay float64, lower []float64) {
+// failure mask (Unreachable when cut off) and the lower bound the candidate
+// sweep prunes with (see selectBySweep): SPF distances from the source on the
+// *unmasked* graph. Masked distances would prune harder, but the tree keeps
+// its dead edges between ApplyFailure and Recover, and a node's delay along
+// them can undercut its masked SPF distance. Healthy, the delay is read off
+// the source's cached tree; degraded, it is one point query on a's sweep
+// (Sweep.RunToward), summed in the order the masked tree from the source
+// sums it.
+func (s *Session) sourceSPF(a *arena, nr graph.NodeID) (spfDelay float64, lower []float64) {
 	src, mask := s.tree.Source(), s.maskOrNil()
-	if mask != nil {
-		lower = s.g.Dijkstra(src, nil).Dist
-	}
-	if spt == nil {
-		spt = s.g.Dijkstra(src, mask)
-	}
+	lower = s.g.Dijkstra(src, nil).Dist
 	if mask == nil {
-		lower = spt.Dist // healthy: the masked tree is the unmasked one
+		return lower[nr], lower
 	}
-	return spt.Dist[nr], lower
+	a.sw.RunToward(nr, src, mask)
+	return a.sw.WeightFrom(src), lower
 }
 
 // selectPath is path selection for joiner against the tree a's view stands for
@@ -343,6 +339,9 @@ func (s *Session) ApplyFailure(fs ...failure.Failure) {
 // Leave removes member m and prunes its unused branch. A parked member has
 // no branch: leaving withdraws its standing request for re-admission.
 func (s *Session) Leave(m graph.NodeID) error {
+	if m < 0 || int(m) >= s.g.NumNodes() {
+		return fmt.Errorf("leave %d: %w", m, ErrUnknownNode)
+	}
 	if s.parked[m] {
 		delete(s.parked, m)
 		s.stats.Leaves++
@@ -454,7 +453,7 @@ func (s *Session) reshapeMember(a *arena, m graph.NodeID) (bool, error) {
 
 	// New-path candidates must avoid m's own subtree (cycle prevention; m
 	// itself is the joiner, not an obstacle) and every failed component.
-	spfDelay, lower := s.sourceSPF(m, nil)
+	spfDelay, lower := s.sourceSPF(a, m)
 	best, _, ok := s.selectPath(a, m, v.avoid, lower, spfDelay, false)
 	curSHR := v.shrAt(curMerger)
 	v.restore()

@@ -622,8 +622,8 @@ func TestQuerySchemeCountsSweeps(t *testing.T) {
 
 // TestQuerySchemeJoinCachesSourceTreesOnly pins that a query-scheme join
 // finds each neighbor's route toward the source without leaving that
-// neighbor's tree in the graph's SPF cache: healthy, the cache holds the
-// source's tree; degraded, that one and the source's tree under the failure.
+// neighbor's tree in the graph's SPF cache: healthy or degraded, the cache
+// holds the source's healthy tree alone.
 func TestQuerySchemeJoinCachesSourceTreesOnly(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Knowledge = QueryScheme
@@ -641,8 +641,8 @@ func TestQuerySchemeJoinCachesSourceTreesOnly(t *testing.T) {
 	if _, err := s.Join(f4C); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Errorf("degraded: the cache holds %d trees, want the source's 2", c.Len())
+	if c.Len() != 1 {
+		t.Errorf("degraded: the cache holds %d trees, want the source's 1", c.Len())
 	}
 }
 

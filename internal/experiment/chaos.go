@@ -180,10 +180,7 @@ func chaosInvariants(s *core.Session, members []graph.NodeID, when string) []str
 	// reconcile pass readmits any parked member with a path to a surviving
 	// on-tree node, and the source is one. Conversely an on-tree member must
 	// be reachable, because the (already validated) tree carries a live path
-	// between them. The source stays fixed while each event moves the failure
-	// mask by one to three elements, so this query is also the chaos
-	// harness's incremental-SPF workload: with delta repair on, each audit
-	// costs roughly the orphaned subtree instead of a full sweep.
+	// between them. The tree is a full run under the mask, never cached.
 	if !mask.NodeBlocked(tr.Source()) {
 		spt := tr.Graph().Dijkstra(tr.Source(), mask)
 		for _, m := range s.Parked() {

@@ -222,9 +222,10 @@ func TestDegree10Shape(t *testing.T) {
 }
 
 // TestAblationsSPFMisses pins that the ablation's configurations share each
-// scenario's SPF trees: all six rows together miss the cache no more often
-// than one configuration evaluated alone over the same scenarios. It reads
-// the process-wide counters, so it must not run in parallel.
+// scenario's healthy SPF trees, the only trees the cache holds: all six rows
+// together miss the cache no more often than one configuration evaluated
+// alone over the same scenarios. It reads the process-wide counters, so it
+// must not run in parallel.
 func TestAblationsSPFMisses(t *testing.T) {
 	rc := RunConfig{Seed: 77, Workers: 1}
 	scenarios, err := GenScenarios(DefaultBase(), testTopo, testSets, rc.Seed)

@@ -49,13 +49,13 @@ func TestStrategiesSmoke(t *testing.T) {
 	checkStrategiesSanity(t, res)
 }
 
-// TestStrategiesSPFMisses pins that the arms share their topology's SPF
-// trees instead of costing each other misses. Played in lockstep, a trial
-// misses the cache once for the healthy tree, once per MRC backup
-// configuration, and at most once per event for all three arms together:
-// the first arm to reach an accumulated mask computes its tree, and the
-// others hit it. It reads the process-wide counters, so it must not run in
-// parallel, and on one worker the count is deterministic.
+// TestStrategiesSPFMisses pins that the arms share their topology's healthy
+// SPF tree instead of costing each other misses: the cache holds only
+// healthy trees, and MRC's backup configurations and every tree under an
+// accumulated mask are uncached full runs that count no miss. The bound still
+// leaves room for a miss per trial, per MRC configuration and per event. It
+// reads the process-wide counters, so it must not run in parallel, and on one
+// worker the count is deterministic.
 func TestStrategiesSPFMisses(t *testing.T) {
 	before := graph.SPFCounters()
 	res, err := RunStrategies(bg, RunConfig{Seed: 2005, Workers: 1}, 40)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Unreachable is the distance reported for nodes that cannot be reached.
@@ -49,19 +50,47 @@ func (t *SPTree) PathTo(n NodeID) Path {
 // mask. Nodes settle in (distance, node) order and an equal distance takes
 // the smaller parent ID, so the resulting tree is deterministic.
 //
-// The result comes from the graph's SPF cache, which keeps src's healthy tree
-// and its tree under the last mask asked about, shared between callers; the
+// The healthy tree (empty mask) comes from the graph's SPF cache, shared
+// between callers; a tree under a non-empty mask is computed afresh. The
 // call is safe for concurrent use and the tree must be treated as read-only.
+// A caller that needs one distance under a mask asks Sweep.RunToward instead.
 func (g *Graph) Dijkstra(src NodeID, mask *Mask) *SPTree {
 	return g.spf.Dijkstra(src, mask)
 }
 
-// dijkstra is the full shortest-path-tree computation behind a cache miss,
-// on a freshly allocated SPTree, which escapes (it is cached and shared): the
-// bucketed pass where the graph allows it and the pass keeps to its budget,
-// else ripple, a repair's settle loop, seeded with the source alone, which
-// gives the same tree bit for bit. A blocked or invalid source leaves every
-// node unreachable.
+// spfScratch is the pooled arena of a full run: the epoch-stamped settled
+// marks and the queue of ripple, and the bucketed pass's buckets.
+type spfScratch struct {
+	epoch uint32
+	done  []uint32 // done[v] == epoch: v settled in this run's ripple
+	queue radixQueue
+	// buckets is a full run's circular bucket array (bucketPass), empty
+	// between runs.
+	buckets [][]int32
+}
+
+var spfPool = sync.Pool{New: func() any { return new(spfScratch) }}
+
+// begin sizes the arena for an n-node graph and advances the settled epoch.
+func (sc *spfScratch) begin(n int) {
+	if n > len(sc.done) {
+		sc.done = make([]uint32, n)
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: marks ambiguous, hard reset
+		clear(sc.done)
+		sc.epoch = 1
+	}
+	sc.queue.Reset()
+}
+
+// dijkstra is the full shortest-path-tree computation behind Dijkstra, on a
+// freshly allocated SPTree, which escapes (the healthy one is cached and
+// shared): the bucketed pass where the graph allows it and the pass keeps to
+// its budget, else ripple, seeded with the source alone, which gives the same
+// tree bit for bit. A blocked or invalid source leaves every node
+// unreachable.
 func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 	n := g.NumNodes()
 	t := &SPTree{
@@ -74,7 +103,7 @@ func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 	if !g.valid(src) || mask.NodeBlocked(src) {
 		return t
 	}
-	sc := ispfPool.Get().(*ispfScratch)
+	sc := spfPool.Get().(*spfScratch)
 	t.Dist[src] = 0
 	reached, ok := 0, false
 	if g.stepInv > 0 {
@@ -86,8 +115,52 @@ func (g *Graph) dijkstra(src NodeID, mask *Mask) *SPTree {
 		reached = sc.ripple(g, t, mask)
 	}
 	spfNodesSettled.Add(uint64(reached))
-	ispfPool.Put(sc)
+	spfPool.Put(sc)
 	return t
+}
+
+// ripple settles the queued nodes of t in (distance, node) order, each once,
+// relaxing its live arcs: a strict improvement queues the neighbour, an equal
+// distance from a smaller ID takes the parent in place. It is the fallback of
+// a full run whose bucketed pass is ruled out or gives up, and returns the
+// nodes it settled.
+func (sc *spfScratch) ripple(g *Graph, t *SPTree, mask *Mask) (settled int) {
+	checkEdges := mask.hasEdgeBlocks()
+	checkNodes := mask.hasNodeBlocks()
+	base := g.base
+	for {
+		item, popped := sc.queue.Pop()
+		if !popped {
+			return settled
+		}
+		u := item.node
+		if sc.done[u] == sc.epoch || item.dist > t.Dist[u] {
+			continue
+		}
+		sc.done[u] = sc.epoch
+		settled++
+		du := t.Dist[u]
+		rowEdges := checkEdges && mask.touchesBlockedEdge(u)
+		to, w := g.arcs(u)
+		w = w[:len(to)]
+		for i, x := range to {
+			v := NodeID(x - base)
+			nd, dv := du+w[i], t.Dist[v]
+			if nd > dv || sc.done[v] == sc.epoch {
+				continue // no gain, or settled in distance order: final
+			}
+			if (checkNodes && mask.nodeBlocked(v)) || (rowEdges && mask.edges[MakeEdgeID(u, v)]) {
+				continue
+			}
+			if nd < dv {
+				t.Dist[v] = nd
+				t.parent[v] = int32(u)
+				sc.queue.Push(heapItem{node: v, dist: nd})
+			} else if u < t.Parent(v) {
+				t.parent[v] = int32(u)
+			}
+		}
+	}
 }
 
 // clear makes every node of t unreachable.
@@ -151,7 +224,7 @@ func (g *Graph) setStep() {
 // the buckets empty, once its arc scans pass four times the graph's nodes and
 // arcs, so that a full run costs at most that and one ripple. Otherwise it
 // returns the nodes it reached, the number ripple would have settled.
-func (sc *ispfScratch) bucketPass(g *Graph, t *SPTree, mask *Mask) (reached int, ok bool) {
+func (sc *spfScratch) bucketPass(g *Graph, t *SPTree, mask *Mask) (reached int, ok bool) {
 	inv, wrap := g.stepInv, g.stepWrap
 	for len(sc.buckets) <= wrap {
 		sc.buckets = append(sc.buckets, nil)
@@ -212,20 +285,15 @@ func (sc *ispfScratch) bucketPass(g *Graph, t *SPTree, mask *Mask) (reached int,
 
 // ShortestPath returns the shortest path from src to dst avoiding the mask,
 // together with its length. It returns (nil, Unreachable) when no path
-// exists.
-//
-// It reads the full (src, mask) tree off the SPF cache: the cache stores only
-// complete trees, because a tree truncated at one destination would silently
-// under-serve the next caller asking the same (src, mask) about another.
+// exists. It is one point query (Sweep.RunToward) on a pooled sweep, and the
+// path and length are those of the tree Dijkstra(src, mask) gives.
 func (g *Graph) ShortestPath(src, dst NodeID, mask *Mask) (Path, float64) {
-	if !g.valid(dst) {
+	s := g.NewSweep()
+	defer s.Release()
+	if !s.RunToward(src, dst, mask) {
 		return nil, Unreachable
 	}
-	t := g.Dijkstra(src, mask)
-	if !t.Reachable(dst) {
-		return nil, Unreachable
-	}
-	return t.PathTo(dst), t.Dist[dst]
+	return s.PathTo(dst), s.Dist(dst)
 }
 
 // ScanNode is one settled node of a NearestScan.
@@ -316,13 +384,11 @@ func (s *Sweep) budgetCut(mask *Mask) bool {
 // first settled accepted node, and the pooled scratch arena makes the
 // steady-state call allocation-free apart from the returned path.
 //
-// NearestOf deliberately bypasses the graph's SPF cache: the sweep stops at
-// the nearest survivor — a few hops out for a member that lost only its own
-// uplink, the whole dead branch and its surroundings for a member deep inside
-// one — which is less than the full (src, mask) tree a cache entry would
-// require, and the sources are disconnected members, rarely re-queried. A
-// caller that asks again while its accept set only grows should keep the
-// record instead (ScanNearest).
+// NearestOf runs on a sweep, not on a tree: the sweep stops at the nearest
+// survivor — a few hops out for a member that lost only its own uplink, the
+// whole dead branch and its surroundings for a member deep inside one — which
+// is less than the full (src, mask) tree. A caller that asks again while its
+// accept set only grows should keep the record instead (ScanNearest).
 //
 // accept must be a pure predicate and may be asked about nodes that never
 // settle (see ScanNearest).

@@ -298,7 +298,7 @@ func rippleTree(g *Graph, src NodeID, mask *Mask) *SPTree {
 	if mask.NodeBlocked(src) {
 		return t
 	}
-	sc := new(ispfScratch)
+	sc := new(spfScratch)
 	sc.begin(n)
 	t.Dist[src] = 0
 	sc.queue.Push(heapItem{node: src})
@@ -316,7 +316,7 @@ func bucketTree(g *Graph, src NodeID, mask *Mask) (t *SPTree, ok bool) {
 		return t, true
 	}
 	t.Dist[src] = 0
-	_, ok = new(ispfScratch).bucketPass(g, t, mask)
+	_, ok = new(spfScratch).bucketPass(g, t, mask)
 	return t, ok
 }
 

@@ -26,17 +26,6 @@ func mustFreeze(b *Builder) *Graph {
 	return g
 }
 
-// DiffAgainst is the SPF cache's diff of m against the elements of prev (nil
-// for the healthy tree's empty list), as a miss computes it against a cached
-// entry.
-func (m *Mask) DiffAgainst(prev *Mask, limit int) (added, removed []MaskElem, ok bool) {
-	var elems []MaskElem
-	if prev != nil {
-		elems = prev.sortedElems()
-	}
-	return m.appendDiff(nil, nil, elems, limit)
-}
-
 // ArcsScanned reports how many arcs the last run's relaxation loop looked at.
 func (s *Sweep) ArcsScanned() int { return s.arcsScanned }
 
@@ -58,3 +47,6 @@ var (
 	WaxmanDomain    = waxmanDomain
 	RandomSweepMask = randomSweepMask
 )
+
+// ColdDijkstra is the full run behind Dijkstra, never cached.
+func ColdDijkstra(g *Graph, src NodeID, mask *Mask) *SPTree { return g.dijkstra(src, mask) }

@@ -84,9 +84,8 @@ type Graph struct {
 	pos    []Point
 	// edges counts the undirected edges in the store.
 	edges int
-	// spf memoizes Dijkstra results keyed by (source, mask fingerprint).
-	// Freeze and View attach it empty; it holds nothing until the first
-	// query.
+	// spf memoizes the healthy Dijkstra tree of each source. Freeze and View
+	// attach it empty; it holds nothing until the first query.
 	spf *SPFCache
 	// stepInv is 1/Δ, the inverse bucket width of a full run's bucketed
 	// pass, and stepWrap+1 its count of buckets, a power of two; stepInv is

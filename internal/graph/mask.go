@@ -10,10 +10,10 @@ import (
 // excludes nothing.
 //
 // The mask maintains its Fingerprint incrementally (XOR is self-inverse and
-// commutative), so fingerprint queries on the SPF-cache hot path are O(1)
-// regardless of how many elements are blocked.
+// commutative), so a fingerprint query is O(1) regardless of how many
+// elements are blocked.
 //
-// Node blocks are a dense bitset over node IDs: on the Dijkstra/sweep/iSPF
+// Node blocks are a dense bitset over node IDs: on the Dijkstra and sweep
 // relaxation loops a probe is a shift+and on a contiguous word array rather
 // than a hash lookup. The words are allocated on the first BlockNode and grow
 // to cover the largest blocked ID, so a mask that blocks only links holds none.
@@ -231,7 +231,7 @@ func (m *Mask) Each(fn func(MaskElem)) {
 
 // Clone returns a deep copy of the mask; cloning a nil mask yields an empty
 // one. The node words are one array copy, made only when a node is blocked,
-// so the SPF cache's clone of a link-only failure mask holds no node words.
+// so the clone of a link-only failure mask holds no node words.
 func (m *Mask) Clone() *Mask {
 	if m == nil {
 		return NewMask()
@@ -256,125 +256,12 @@ func (m *Mask) Clone() *Mask {
 	return c
 }
 
-// MaskElem is one blocked element of a Mask: a node when IsEdge is false,
-// an undirected edge otherwise. It is the unit of Mask set-difference used by
-// the incremental-SPF delta path (see appendDiff and internal/graph/ispf.go).
+// MaskElem is one blocked element of a Mask (see Each): a node when IsEdge is
+// false, an undirected edge otherwise.
 type MaskElem struct {
 	Node   NodeID // valid when !IsEdge
 	Edge   EdgeID // valid when IsEdge
 	IsEdge bool
-}
-
-// maskElemCompare orders MaskElems deterministically: nodes (by ID) before
-// edges (by canonical endpoint pair). An SPF cache entry keeps its mask's
-// elements in this order, and appendDiff returns its diff in it, so the diff
-// is independent of map iteration order.
-func maskElemCompare(a, b MaskElem) int {
-	if a.IsEdge != b.IsEdge {
-		if !a.IsEdge {
-			return -1
-		}
-		return 1
-	}
-	if !a.IsEdge {
-		return int(a.Node - b.Node)
-	}
-	return edgeIDCompare(a.Edge, b.Edge)
-}
-
-// DefaultDiffLimit bounds the SPF cache's appendDiff: diffs larger than this
-// are reported as "not small" (ok=false). The incremental-SPF repair is only
-// a win when the mask changed by a handful of elements; past that a full
-// sweep is both simpler and comparably fast, so the cache falls back to it.
-const DefaultDiffLimit = 32
-
-// has reports whether e is one of m's elements: a blocked node, or an edge
-// blocked directly. A nil mask has none.
-func (m *Mask) has(e MaskElem) bool {
-	if m == nil {
-		return false
-	}
-	if e.IsEdge {
-		return m.edges[e.Edge]
-	}
-	return m.nodeBlocked(e.Node)
-}
-
-// sortedElems returns m's elements sorted by maskElemCompare: what an SPF
-// cache entry keeps of its mask, a slice of the elements rather than a clone
-// of the node words and edge-end counters.
-func (m *Mask) sortedElems() []MaskElem {
-	out := make([]MaskElem, 0, m.count)
-	m.Each(func(e MaskElem) { out = append(out, e) })
-	slices.SortFunc(out, maskElemCompare)
-	return out
-}
-
-// appendDiff computes the bounded set difference between m and prev, a list
-// of elements sorted by maskElemCompare (as sortedElems returns them): it
-// appends to added the elements of m not in prev, and to removed those of
-// prev not in m, each sorted by maskElemCompare, reusing the slices'
-// capacity. When the diff exceeds limit elements
-// it gives up early with ok=false — the fast path that lets the SPF cache ask
-// "is this mask a small delta of one I already solved?" without unbounded
-// work — and the returned slices are the inputs truncated to their original
-// contents, not a diff. A nil mask is treated as empty.
-func (m *Mask) appendDiff(added, removed, prev []MaskElem, limit int) ([]MaskElem, []MaskElem, bool) {
-	r0 := len(removed)
-	var nodes, edges int // m's elements of each kind
-	if m != nil {
-		nodes, edges = m.nnodes, len(m.edges)
-	}
-	// Quick reject: the diff has at least |count difference| elements.
-	if d := nodes + edges - len(prev); d > limit || -d > limit {
-		return added, removed, false
-	}
-	// Walking prev finds the removed elements, and by counting the kept ones
-	// of each kind, how many of m's are added: none of a kind means no walk
-	// of that kind of m.
-	prevNodes := 0
-	for _, e := range prev {
-		if !e.IsEdge {
-			prevNodes++
-		}
-		switch {
-		case !m.has(e):
-			if removed = append(removed, e); len(removed)-r0 > limit {
-				return added, removed[:r0], false
-			}
-		case e.IsEdge:
-			edges--
-		default:
-			nodes--
-		}
-	}
-	if nodes+edges+len(removed)-r0 > limit {
-		return added, removed[:r0], false
-	}
-	if nodes > 0 {
-		for w, word := range m.bits {
-			for ; word != 0; word &= word - 1 {
-				e := MaskElem{Node: NodeID(w<<6 + bits.TrailingZeros64(word))}
-				if _, found := slices.BinarySearchFunc(prev[:prevNodes], e, maskElemCompare); !found {
-					added = append(added, e)
-				}
-			}
-		}
-	}
-	if edges > 0 {
-		a1 := len(added)
-		for id := range m.edges {
-			e := MaskElem{Edge: id, IsEdge: true}
-			if _, found := slices.BinarySearchFunc(prev[prevNodes:], e, maskElemCompare); !found {
-				added = append(added, e)
-			}
-		}
-		// Edge-map iteration order is randomized; sort so the diff (and
-		// everything derived from it, like delta-repair settle counters) is
-		// deterministic.
-		slices.SortFunc(added[a1:], maskElemCompare)
-	}
-	return added, removed, true
 }
 
 // mix64 is the splitmix64 finalizer: a cheap, high-quality 64-bit bit mixer
@@ -391,9 +278,9 @@ func mix64(x uint64) uint64 {
 // Fingerprint returns a deterministic 64-bit digest of the blocked set.
 // Blocked elements are combined commutatively (XOR of per-element mixes,
 // maintained incrementally as elements are blocked), so the fingerprint is
-// independent of insertion order and costs O(1) to query. A nil or empty mask fingerprints to 0. Masks with
-// equal fingerprints are treated as equal by the SPF cache; the per-element
-// mixing keeps accidental collisions vanishingly unlikely at cache scale.
+// independent of insertion order and costs O(1) to query. A nil or empty mask
+// fingerprints to 0; the per-element mixing keeps accidental collisions
+// between different masks vanishingly unlikely.
 func (m *Mask) Fingerprint() uint64 {
 	if m == nil || m.count == 0 {
 		return 0

@@ -45,33 +45,6 @@ func (r *refMaskModel) clone() *refMaskModel {
 	return c
 }
 
-// diff returns the sorted (added, removed) element diff of r vs other.
-func (r *refMaskModel) diff(other *refMaskModel) (added, removed []MaskElem) {
-	for n := range r.nodes {
-		if !other.nodes[n] {
-			added = append(added, MaskElem{Node: n})
-		}
-	}
-	for e := range r.edges {
-		if !other.edges[e] {
-			added = append(added, MaskElem{Edge: e, IsEdge: true})
-		}
-	}
-	for n := range other.nodes {
-		if !r.nodes[n] {
-			removed = append(removed, MaskElem{Node: n})
-		}
-	}
-	for e := range other.edges {
-		if !r.edges[e] {
-			removed = append(removed, MaskElem{Edge: e, IsEdge: true})
-		}
-	}
-	slices.SortFunc(added, maskElemCompare)
-	slices.SortFunc(removed, maskElemCompare)
-	return added, removed
-}
-
 // maskUnderTest pairs a Mask with the oracle model.
 type maskUnderTest struct {
 	m   *Mask
@@ -179,8 +152,8 @@ func (ut *maskUnderTest) checkAgainstRef(t *testing.T, universe int, label strin
 // instances sharing one oracle: one born by NewMask (its node words grow on
 // demand), one pre-sized for the universe by NewMaskWithCapacity, and one
 // pre-sized deliberately tiny (so growth past a capacity is exercised). All
-// observables — Block/Unblock, Clone, Union, Fingerprint, appendDiff, Each
-// — must match the oracle, and after every step the endpoint index of the
+// observables — Block/Unblock, Clone, Union, Fingerprint, Each — must
+// match the oracle, and after every step the endpoint index of the
 // blocked edges equals a recount of them. Round 0 blocks no edge: Clone and
 // Union must then leave the index unallocated. Round 1 blocks no node: the
 // NewMask-born masks, their clones and their unions must hold no node words.
@@ -198,7 +171,7 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 			{m: NewMaskWithCapacity(universe), ref: newRefMaskModel()},
 			{m: NewMaskWithCapacity(1), ref: newRefMaskModel()},
 		}
-		// A second op stream builds the "other" mask for Union/Diff probes.
+		// A second op stream builds the "other" mask for Union probes.
 		other := &maskUnderTest{m: NewMask(), ref: newRefMaskModel(), noWords: true}
 		if r.Intn(2) == 0 {
 			other = &maskUnderTest{m: NewMaskWithCapacity(universe / 2), ref: newRefMaskModel()}
@@ -268,16 +241,6 @@ func TestMaskBitsetEquivalence(t *testing.T) {
 						un.ref.edges[ee] = true
 					}
 					un.checkAgainstRef(t, universe, "union")
-
-					// The SPF cache's diff against other's sorted
-					// elements, both directions.
-					wantA, wantR := ut.ref.diff(other.ref)
-					gotA, gotR, ok := ut.m.appendDiff(nil, nil, other.m.sortedElems(), DefaultDiffLimit)
-					if wantOK := len(wantA)+len(wantR) <= DefaultDiffLimit; ok != wantOK {
-						t.Fatalf("appendDiff ok=%v want %v (|added|=%d |removed|=%d)", ok, wantOK, len(wantA), len(wantR))
-					} else if ok && (!slices.Equal(gotA, wantA) || !slices.Equal(gotR, wantR)) {
-						t.Fatalf("appendDiff mismatch:\n got  %v / %v\n want %v / %v", gotA, gotR, wantA, wantR)
-					}
 				}
 			}
 		}
@@ -323,48 +286,5 @@ func TestMaskFingerprintInsertionOrder(t *testing.T) {
 	}
 	if a.Fingerprint() != 0 || b.Fingerprint() != 0 || !a.IsEmpty() || !b.IsEmpty() {
 		t.Fatalf("unblock round-trip did not restore empty: %#x %#x", a.Fingerprint(), b.Fingerprint())
-	}
-}
-
-// TestMaskBitsetISPFLineage runs the SPF cache's delta-repair path with
-// evolving masks and compares every tree it returns bit-for-bit against a
-// from-scratch sweep. This pins the repair-base diff path — appendDiff feeding
-// ispfRepair — to full-recompute ground truth, and asserts that small mask
-// diffs do take it.
-func TestMaskBitsetISPFLineage(t *testing.T) {
-	g := ispfTestGraph(t)
-	c := g.SPFCacheOf()
-
-	r := rand.New(rand.NewSource(99))
-	edges := g.Edges()
-	// The session mask, evolving by small deltas so the cache's tryDelta
-	// path (prev entry → appendDiff → repair) fires.
-	mask := NewMask()
-	src := NodeID(0)
-	deltasBefore := SPFCounters().DeltaRuns
-	for step := 0; step < 120; step++ {
-		switch r.Intn(4) {
-		case 0:
-			mask.BlockNode(NodeID(r.Intn(g.NumNodes())))
-		case 1:
-			mask.UnblockNode(NodeID(r.Intn(g.NumNodes())))
-		case 2:
-			e := edges[r.Intn(len(edges))]
-			mask.BlockEdge(e.A, e.B)
-		default:
-			e := edges[r.Intn(len(edges))]
-			mask.UnblockEdge(e.A, e.B)
-		}
-		if mask.NodeBlocked(src) {
-			mask.UnblockNode(src)
-		}
-		got := c.Dijkstra(src, mask)
-		want := g.dijkstra(src, mask)
-		if !slices.Equal(got.parent, want.parent) || !slices.Equal(got.Dist, want.Dist) {
-			t.Fatalf("step %d: cached tree diverges from fresh sweep", step)
-		}
-	}
-	if SPFCounters().DeltaRuns == deltasBefore {
-		t.Fatal("delta-repair path never exercised; base diff over bitset masks untested")
 	}
 }

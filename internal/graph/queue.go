@@ -24,7 +24,7 @@ func (a heapItem) Before(b heapItem) bool {
 
 // radixQueue is the priority queue of the package's runs in settle order:
 // Sweep's (a directed one only where its bucketed pass is ruled out), Field's
-// and ripple's (the iSPF repair, and a full run's fallback). A cold full run
+// and ripple's (a full run's fallback). A cold full run
 // and a directed sweep otherwise drain buckets (bucketPass, runBuckets). It is
 // a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan 1990) over the bits
 // of float64 keys. For keys ≥ +0, math.Float64bits is increasing in the key,

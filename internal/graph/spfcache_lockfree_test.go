@@ -12,7 +12,7 @@ import (
 )
 
 // lockFreeTestGraph builds a modest random-ish mesh big enough that cache
-// hits dominate and many sources hold pairs.
+// hits dominate and many sources hold trees.
 func lockFreeTestGraph(t testing.TB) *Graph {
 	t.Helper()
 	const n = 40
@@ -31,8 +31,7 @@ func lockFreeTestGraph(t testing.TB) *Graph {
 }
 
 // TestSPFCacheHitZeroAlloc pins that a cache hit allocates nothing: the read
-// path loads two atomic pointers and compares a fingerprint — no clone, no
-// lock, no bookkeeping garbage.
+// path loads two atomic pointers — no clone, no lock, no bookkeeping garbage.
 func TestSPFCacheHitZeroAlloc(t *testing.T) {
 	g := lockFreeTestGraph(t)
 	g.Dijkstra(0, nil) // warm the entry
@@ -59,11 +58,8 @@ func TestSPFCacheHitMutexProfile(t *testing.T) {
 	defer runtime.SetMutexProfileFraction(old)
 
 	g := lockFreeTestGraph(t)
-	masks := []*Mask{nil, NewMask().BlockNode(5)} // the healthy tree and one mask
 	for src := NodeID(0); src < 8; src++ {
-		for _, m := range masks {
-			g.Dijkstra(src, m) // populate: every query below is a hit
-		}
+		g.Dijkstra(src, nil) // populate: every query below is a hit
 	}
 	before := SPFCounters()
 
@@ -75,7 +71,7 @@ func TestSPFCacheHitMutexProfile(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3000; i++ {
 				src := NodeID((w + i) % 8)
-				g.Dijkstra(src, masks[i%len(masks)])
+				g.Dijkstra(src, nil)
 			}
 		}(w)
 	}
@@ -96,11 +92,11 @@ func TestSPFCacheHitMutexProfile(t *testing.T) {
 	}
 }
 
-// TestSPFCacheParallelReadWrite races healthy readers against masked
-// writers, each of which republishes its source's pair, and against flushes
-// that retire the whole index, and cross-checks every tree a goroutine
-// observes against a from-scratch reference. Run under -race in CI, this is
-// the memory-safety gate for the pair-publish protocol.
+// TestSPFCacheParallelReadWrite races healthy readers, whose misses publish
+// their source's tree, against masked readers, whose queries are uncached full
+// runs, and against flushes that retire the whole index, and cross-checks
+// every tree a goroutine observes against a from-scratch reference. Run under
+// -race in CI, this is the memory-safety gate for the tree-publish protocol.
 func TestSPFCacheParallelReadWrite(t *testing.T) {
 	g := lockFreeTestGraph(t)
 	ref := make(map[NodeID]*SPTree)
@@ -121,8 +117,7 @@ func TestSPFCacheParallelReadWrite(t *testing.T) {
 				src := NodeID((w*7 + i) % 16)
 				got, want := c.Dijkstra(src, nil), ref[src]
 				if i%17 == 0 {
-					// A mask the source was not last asked about: a miss that
-					// replaces its masked tree.
+					// A masked query: a full run beside the cached trees.
 					mask.BlockEdge(NodeID(i%30), NodeID(i%30+1))
 					got, want = c.Dijkstra(src, mask), g.dijkstra(src, mask)
 					mask.UnblockEdge(NodeID(i%30), NodeID(i%30+1))
@@ -147,10 +142,10 @@ func TestSPFCacheParallelReadWrite(t *testing.T) {
 
 // TestSPFCacheFirstQueriesRace has goroutines make the first queries on a
 // freshly frozen graph and on a view of it at the same time, so the caches
-// Freeze and View attach meet their first pair index and pairs under
+// Freeze and View attach meet their first tree index and trees under
 // contention, each source asked for its healthy tree and one mask. Every tree
-// must be the from-scratch one, and no racing publish may lose the other
-// slot's tree. Run under -race in CI.
+// must be the from-scratch one, and each source's healthy tree must be
+// cached once its publishes have raced. Run under -race in CI.
 func TestSPFCacheFirstQueriesRace(t *testing.T) {
 	g := lockFreeTestGraph(t)
 	v, _, err := g.View(0, 20, []NodeID{27, 33})
@@ -204,8 +199,8 @@ func TestSPFCacheFirstQueriesRace(t *testing.T) {
 		}
 	}
 	for _, x := range []*Graph{g, v} {
-		if x.SPFCacheOf().Len() != len(masks)*8 {
-			t.Errorf("cache holds %d trees, want %d", x.SPFCacheOf().Len(), len(masks)*8)
+		if x.SPFCacheOf().Len() != 8 {
+			t.Errorf("cache holds %d trees, want 8", x.SPFCacheOf().Len())
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -76,7 +74,7 @@ func TestEveryGraphCarriesACache(t *testing.T) {
 
 // TestSPFCacheSourceOutsideGraph pins that a cached query from a source the
 // graph does not hold answers as a from-scratch run does, every node
-// unreachable, and leaves the cache as it was: nothing cached, no pair
+// unreachable, and leaves the cache as it was: nothing cached, no tree
 // index.
 func TestSPFCacheSourceOutsideGraph(t *testing.T) {
 	b := New(3)
@@ -99,8 +97,8 @@ func TestSPFCacheSourceOutsideGraph(t *testing.T) {
 		}
 	}
 	for _, x := range []*SPFCache{c, g.SPFCacheOf()} {
-		if x.Len() != 0 || x.pairs.Load() != nil {
-			t.Errorf("cache holds %d entries, pair index %v; want none", x.Len(), x.pairs.Load() != nil)
+		if x.Len() != 0 || x.trees.Load() != nil {
+			t.Errorf("cache holds %d entries, tree index %v; want none", x.Len(), x.trees.Load() != nil)
 		}
 	}
 }
@@ -123,106 +121,58 @@ func TestSPFCacheDistinguishesMasks(t *testing.T) {
 
 // TestSPFCacheIdleHoldsNothing pins what lets every recovery domain of a
 // hierarchy carry a cache of its own: a cache nobody has asked anything has no
-// pair index, the first entry creates the index and one pair, and a flush
+// tree index, the first entry creates the index and one tree, and a flush
 // gives it all back.
 func TestSPFCacheIdleHoldsNothing(t *testing.T) {
 	g := cacheTestGraph(t)
 	c := g.SPFCacheOf()
 	idle := func(when string) {
 		t.Helper()
-		if c.pairs.Load() != nil || c.Len() != 0 {
-			t.Fatalf("%s: pair index allocated, %d entries", when, c.Len())
+		if c.trees.Load() != nil || c.Len() != 0 {
+			t.Fatalf("%s: tree index allocated, %d entries", when, c.Len())
 		}
 	}
 	idle("new")
 	g.Dijkstra(0, nil)
-	pairs := 0
-	for i := range *c.pairs.Load() {
-		if (*c.pairs.Load())[i].Load() != nil {
-			pairs++
-		}
-	}
-	if pairs != 1 || c.Len() != 1 {
-		t.Fatalf("after one lookup: %d pairs, %d entries; want 1, 1", pairs, c.Len())
+	if c.trees.Load() == nil || c.Len() != 1 {
+		t.Fatalf("after one lookup: tree index %v, %d entries; want allocated, 1", c.trees.Load() != nil, c.Len())
 	}
 	c.Flush()
 	idle("flushed")
 }
 
-// TestSPFCacheTwoTreesPerSource pins the cache's shape: one source asked
-// under the healthy mask, A, B and A again holds at most its healthy tree
-// and its last masked one; the return to A is one delta repair off B's tree,
-// not a full run; the healthy tree survives the masked churn as a hit; and a
-// flush empties the cache.
-func TestSPFCacheTwoTreesPerSource(t *testing.T) {
+// TestSPFCacheOneTreePerSource pins the cache's shape: one source asked
+// under the healthy mask, A, B and A again holds its healthy tree alone; each
+// masked query is a fresh full run, equal to the uncached computation and
+// counted as a full run, not as a lookup; the healthy tree survives the
+// masked queries as a hit; and a flush empties the cache.
+func TestSPFCacheOneTreePerSource(t *testing.T) {
 	g := cacheTestGraph(t)
 	c := g.SPFCacheOf()
 	a, b := NewMask().BlockEdge(0, 1), NewMask().BlockNode(3)
-	for step, m := range []*Mask{nil, a, b} {
-		if got, want := c.Dijkstra(0, m), g.dijkstra(0, m); !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.parent, want.parent) {
-			t.Fatalf("step %d: cached tree differs from a fresh sweep", step)
+	for step, m := range []*Mask{nil, a, b, a} {
+		want := g.dijkstra(0, m)
+		before := SPFCounters()
+		got := c.Dijkstra(0, m)
+		d := SPFCounters().Sub(before)
+		if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.parent, want.parent) {
+			t.Fatalf("step %d: tree differs from a fresh sweep", step)
 		}
-		if c.Len() > 2 {
-			t.Fatalf("step %d: cache holds %d trees of one source, want at most 2", step, c.Len())
+		if m != nil && (d.FullRuns != 1 || d.CacheHits+d.CacheMisses != 0 || got == c.Dijkstra(0, m)) {
+			t.Errorf("step %d: masked query made %d full runs, %d lookups, and was shared; want 1, 0, fresh", step, d.FullRuns, d.CacheHits+d.CacheMisses)
+		}
+		if c.Len() != 1 {
+			t.Fatalf("step %d: cache holds %d trees of one source, want 1", step, c.Len())
 		}
 	}
-	want := g.dijkstra(0, a)
 	before := SPFCounters()
-	if got := c.Dijkstra(0, a); !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.parent, want.parent) {
-		t.Fatal("repeat of A differs from a fresh sweep")
-	}
-	if d := SPFCounters().Sub(before); d.DeltaRuns != 1 || d.FullRuns != 0 {
-		t.Errorf("repeat of A: %d delta runs, %d full runs; want 1, 0", d.DeltaRuns, d.FullRuns)
-	}
-	before = SPFCounters()
 	c.Dijkstra(0, nil)
-	if d := SPFCounters().Sub(before); d.CacheHits != 1 || d.CacheMisses != 0 || c.Len() != 2 {
-		t.Errorf("healthy repeat: %d hits, %d misses, %d trees; want 1, 0, 2", d.CacheHits, d.CacheMisses, c.Len())
+	if d := SPFCounters().Sub(before); d.CacheHits != 1 || d.CacheMisses != 0 || d.FullRuns != 0 {
+		t.Errorf("healthy repeat: %d hits, %d misses, %d full runs; want 1, 0, 0", d.CacheHits, d.CacheMisses, d.FullRuns)
 	}
 	c.Flush()
 	if c.Len() != 0 {
 		t.Errorf("after Flush: %d trees, want 0", c.Len())
-	}
-}
-
-// TestSPFMaskedMissAllocatesTree pins what a delta-repaired masked miss
-// allocates: the repaired tree (12 B a node) and a few small records for the
-// entry, which keeps its mask's one element rather than a clone of the mask,
-// whose edge-end counters alone are 4 B a node. A one-link cut of a session
-// mask pre-sized for the 8 192-node lattice is asked of sources whose
-// healthy trees are cached, each miss measured alone with the collector off;
-// a first pass over other sources grows the pooled repair scratch. The
-// median miss must stay within the tree's bytes plus 1 KB.
-func TestSPFMaskedMissAllocatesTree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled scratch at random")
-	}
-	const runs = 20
-	g := megascaleLattice(128, 64)
-	n := uint64(g.NumNodes())
-	c := g.SPFCacheOf()
-	e := g.Edges()[g.NumEdges()/2]
-	mask := NewMaskWithCapacity(g.NumNodes()).BlockEdge(e.A, e.B)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	perMiss := make([]uint64, runs)
-	deltas := SPFCounters().DeltaRuns
-	for pass := range 2 {
-		for i := range perMiss {
-			src := NodeID(pass*runs + i)
-			c.Dijkstra(src, nil)
-			runtime.ReadMemStats(&before)
-			c.Dijkstra(src, mask)
-			runtime.ReadMemStats(&after)
-			perMiss[i] = after.TotalAlloc - before.TotalAlloc
-		}
-	}
-	if d := SPFCounters().DeltaRuns - deltas; d != 2*runs {
-		t.Fatalf("%d of %d masked misses were delta repairs", d, 2*runs)
-	}
-	slices.Sort(perMiss)
-	if med := perMiss[runs/2]; med > 12*n+1024 {
-		t.Fatalf("a delta-repaired masked miss on %d nodes allocates %d B (median), want at most %d (the tree's 12 B a node + 1 KB)", n, med, 12*n+1024)
 	}
 }
 

@@ -16,10 +16,11 @@ var sweepPool = sync.Pool{New: func() any { return new(Sweep) }}
 // repository's Dijkstra core). One Sweep holds the per-run scratch arena —
 // epoch-stamped dist/parent/settled arrays plus the radix queue and the
 // buckets of the directed pass — so that repeated runs allocate nothing once
-// warm. NearestOf, the distance fields and the candidate enumeration in
-// internal/core execute on this engine, the last on buckets (RunPruned); full
-// SPF trees (Dijkstra, ShortestPath) are computed on SPTree arrays instead, by
-// a bucketed pass of their own (Graph.dijkstra).
+// warm. NearestOf, the distance fields, the point queries (RunToward,
+// ShortestPath) and the candidate enumeration in internal/core execute on this
+// engine, the last two on buckets (RunPruned); full SPF trees (Dijkstra) are
+// computed on SPTree arrays instead, by a bucketed pass of their own
+// (Graph.dijkstra).
 //
 // Usage:
 //
@@ -48,7 +49,7 @@ type Sweep struct {
 	queue radixQueue
 	// settledCount tallies nodes settled by the last run. Sweeps do not
 	// feed the package-wide SPFNodesSettled counter, which counts only full
-	// SPF builds and delta repairs (see metrics.SPFStats).
+	// SPF builds (see metrics.SPFStats).
 	settledCount int
 	// arcsScanned tallies the arcs the last run's relaxation loop looked at
 	// (one add per row): the deterministic measure of what the row cut and
@@ -177,6 +178,32 @@ func (s *Sweep) Run(src NodeID, mask *Mask, absorbing func(NodeID) bool) {
 // (DESIGN.md §9.1). goal = Invalid asks for no stop.
 func (s *Sweep) RunPruned(src NodeID, mask *Mask, absorbing func(NodeID) bool, lower []float64, budget float64, goal NodeID, within float64) bool {
 	return s.run(src, mask, absorbing, nil, lower, Unreachable, budget, goal, within) != Invalid
+}
+
+// RunToward is the point query: a run from src that stops once dst is final,
+// under the potential of dst's healthy tree, Dijkstra(dst, nil).Dist. A mask
+// only removes arcs, so healthy distances to dst are consistent on every
+// masked graph, and the run settles little more than the path when the
+// failures are off it (ALT with dst as the one landmark, Goldberg &
+// Harrelson). By RunPruned's contract dst's distance, parent chain and
+// tie-breaks are those of a full run from src: Dist(dst) and PathTo(dst) are
+// what Dijkstra(src, mask) gives, and WeightFrom(dst) sums that path from the
+// dst end, as Dijkstra(dst, mask) sums its distance to src. The budget is
+// finite because with an infinite one RunPruned neither prunes nor orders by
+// the potential. Where the weights fail the premise of setStep, adding a
+// weight may leave a distance unchanged, which a label-correcting run would
+// close into a parent cycle; there the run is a plain goal sweep, without a
+// potential. It reports whether dst was reached.
+func (s *Sweep) RunToward(src, dst NodeID, mask *Mask) bool {
+	if !s.g.valid(src) || !s.g.valid(dst) {
+		s.begin()
+		return false
+	}
+	var lower []float64
+	if s.g.stepInv > 0 {
+		lower = s.g.Dijkstra(dst, nil).Dist
+	}
+	return s.RunPruned(src, mask, nil, lower, math.MaxFloat64, dst, Unreachable)
 }
 
 // SettledCount reports how many distinct nodes the last run left final: after

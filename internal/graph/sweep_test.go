@@ -141,13 +141,12 @@ func TestSweepAbsorbedAfterGrowth(t *testing.T) {
 }
 
 // TestShortestPathEarlyExitMatchesFullTree verifies that the path
-// ShortestPath reads off the full tree in the SPF cache is the one the
-// reference loop finds when it stops at dst (runReference, an early exit),
-// node for node and bit for bit: on Euclidean-ish random graphs, on planes
-// where equal-length paths are the rule and the smallest parent ID has to
-// decide, on planes whose paths tie but for a rounding, each bare and under a
-// node/edge mask. The unmasked tree is asked for first, so a masked one is a
-// delta repair of it.
+// ShortestPath's point query returns is the one the full tree Dijkstra gives
+// and the one the reference loop finds when it stops at dst (runReference, an
+// early exit), node for node and bit for bit: on Euclidean-ish random graphs,
+// on planes where equal-length paths are the rule and the smallest parent ID
+// has to decide, on planes whose paths tie but for a rounding, each bare and
+// under a node/edge mask.
 func TestShortestPathEarlyExitMatchesFullTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tied := 0
@@ -177,9 +176,9 @@ func TestShortestPathEarlyExitMatchesFullTree(t *testing.T) {
 			if s.runReference(src, mask, dst, nil, nil, nil, Unreachable) == dst {
 				ref, refD = s.PathTo(dst), s.dist[dst]
 			}
-			if d != refD || !slices.Equal(p, ref) {
-				t.Fatalf("trial %d %d→%d: full tree (%v,%v) vs early exit (%v,%v)",
-					trial, src, dst, p, d, ref, refD)
+			if d != refD || !slices.Equal(p, ref) || d != tr.Dist[dst] || !slices.Equal(p, tr.PathTo(dst)) {
+				t.Fatalf("trial %d %d→%d: point query (%v,%v), early exit (%v,%v), full tree (%v,%v)",
+					trial, src, dst, p, d, ref, refD, tr.PathTo(dst), tr.Dist[dst])
 			}
 			// A tie the parent ID broke: another neighbour of some node on the
 			// path reaches it at the same distance.

@@ -158,7 +158,7 @@ func embed(tb testing.TB, g *Graph, k int, rng *rand.Rand) *Graph {
 // TestViewMatchesEmbeddedGraph embeds random graphs into larger parents and
 // holds the view to the graph it views, through every read API and every
 // algorithm that walks rows: the same rows (far end, weight, order), edges,
-// weights, positions, shortest-path trees cold and delta-repaired, sweeps,
+// weights, positions, shortest-path trees healthy and masked, sweeps,
 // nearest scans, fields and components.
 func TestViewMatchesEmbeddedGraph(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
@@ -197,8 +197,8 @@ func TestViewMatchesEmbeddedGraph(t *testing.T) {
 			}
 		}
 		tree := func(x *SPTree) []any { return []any{x.Dist, x.parent} }
-		// Through the SPF caches: a cold run, then delta repairs that revive
-		// the mask's elements, block two nodes, and revive one.
+		// Through the SPF caches: a masked run, the healthy tree, and runs
+		// that block two nodes and one.
 		x, y := (src+1+NodeID(rng.Intn(n-1)))%NodeID(n), (src+1+NodeID(rng.Intn(n-1)))%NodeID(n)
 		for k, m := range []*Mask{mask, nil, NewMask().BlockNode(x).BlockNode(y), NewMask().BlockNode(x)} {
 			same(fmt.Sprintf("Dijkstra %d", k), tree(v.Dijkstra(src, m)), tree(g.Dijkstra(src, m)))

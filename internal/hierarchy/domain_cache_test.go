@@ -49,7 +49,7 @@ func TestDomainJoinMatchesFlatCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deltas := graph.SPFCounters().DeltaRuns
+		degraded := 0 // degraded joins admitted: point queries under the view's mask
 		n := dom.Graph().NumNodes()
 		nodes := make([]graph.NodeID, n)
 		for i := range nodes {
@@ -143,6 +143,9 @@ func TestDomainJoinMatchesFlatCopy(t *testing.T) {
 				t.Fatalf("domain %d: degraded join %d = %+v, copy %+v", di, j, ra, rb)
 			}
 			same("degraded join")
+			if errA == nil {
+				degraded++
+			}
 			if k%2 == 0 {
 				sameErr("degraded leave", dom.Leave(j), twin.Leave(j))
 				same("degraded leave")
@@ -166,8 +169,8 @@ func TestDomainJoinMatchesFlatCopy(t *testing.T) {
 			same("repair")
 		}
 
-		if graph.SPFCounters().DeltaRuns == deltas {
-			t.Fatalf("domain %d: no degraded join was served by a delta repair of the root's tree", di)
+		if degraded == 0 {
+			t.Fatalf("domain %d: no degraded join was admitted", di)
 		}
 	}
 }

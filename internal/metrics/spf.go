@@ -4,11 +4,12 @@ import "fmt"
 
 // SPFStats is a snapshot of the process-wide shortest-path-tree computation
 // counters maintained by internal/graph: how many trees were built from
-// scratch (FullRuns), how many were produced by the incremental-SPF delta
-// repair (DeltaRuns), how much work those tree builds cost in settled
-// nodes (NodesSettled — full builds and delta repairs only; early-exit and
-// nearest-of sweeps are deliberately excluded so the number is comparable
-// across cache configurations), and the SPF-cache hit/miss totals.
+// scratch (FullRuns, a masked tree included), how much work those builds cost
+// in settled nodes (NodesSettled — full builds only; point queries,
+// early-exit and nearest-of sweeps are deliberately excluded), and the
+// healthy-tree cache's hit/miss totals. DeltaRuns always reads 0: the delta
+// repair it counted is gone, and the field stays only because the benchmark
+// module reads it, until ROADMAP item 1(d).
 //
 // Counters are cumulative; use Sub to get the delta attributable to one study
 // or phase. All values are deterministic for single-worker runs; with
@@ -18,10 +19,10 @@ import "fmt"
 // traffic (the serving layer's /metrics endpoint does exactly that).
 type SPFStats struct {
 	FullRuns     uint64 // shortest-path trees computed by a full sweep
-	DeltaRuns    uint64 // trees produced by incremental delta repair
-	NodesSettled uint64 // nodes settled, each once per run, across full builds + delta repairs
+	DeltaRuns    uint64 // always 0 (see above)
+	NodesSettled uint64 // nodes settled, each once per run, across full builds
 	CacheHits    uint64 // SPF cache hits
-	CacheMisses  uint64 // SPF cache misses (each becomes a full or delta run)
+	CacheMisses  uint64 // SPF cache misses (each becomes a full run)
 }
 
 // Sub returns the counter delta s - prev (field-wise).

@@ -13,8 +13,8 @@
 //     classes, greedily keeping the residual graph connected when a class is
 //     removed, and builds one source-rooted SPF tree per configuration. The
 //     strategy holds the k trees itself — they are the precomputed state
-//     StateBytes charges for, and the graph's SPF cache keeps only two
-//     trees per source — so a recovery reads them without a lookup.
+//     StateBytes charges for, and the graph's SPF cache keeps only each
+//     source's healthy tree — so a recovery reads them without a lookup.
 //   - Propose offers each disconnected member its route in the backup
 //     configuration isolating the failed component, then in the others.
 //     Configurations isolate exactly one failure class, so the session

@@ -13,5 +13,6 @@ func (d *Domain) Mask() *graph.Mask { return d.mask }
 
 // Dist returns the converged unicast distance from → to.
 func (d *Domain) Dist(from, to graph.NodeID) float64 {
-	return d.table(from).Dist[to]
+	_, dist := d.g.ShortestPath(from, to, d.mask)
+	return dist
 }

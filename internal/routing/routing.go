@@ -60,12 +60,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Domain is a link-state routing domain over one graph. Tables are computed
-// lazily per node against the currently-applied failure set and kept in the
-// graph's concurrency-safe SPF cache, which holds each router's healthy table
-// and its table under the last failure set it was asked about — what a
-// link-state router holds — so paired protocol instances over the same graph
-// share one table store.
+// Domain is a link-state routing domain over one graph. A route is one point
+// query (graph.ShortestPath) against the currently-applied failure set, equal
+// to what the router's full table under that set would give; the healthy trees
+// those queries are guided by sit in the graph's concurrency-safe SPF cache,
+// shared by paired protocol instances over the same graph.
 //
 // Read queries (PathTo, Dist, ConvergenceTime) are safe for
 // concurrent use. ApplyFailure mutates the domain's topology view and must be
@@ -81,9 +80,7 @@ type Domain struct {
 	lastFailure *failure.Failure
 }
 
-// NewDomain builds a routing domain over g. Its per-router tables are g's
-// shortest-path trees, memoized in g's SPF cache and shared with every other
-// consumer of the graph.
+// NewDomain builds a routing domain over g.
 func NewDomain(g *graph.Graph, cfg Config) (*Domain, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -95,10 +92,8 @@ func NewDomain(g *graph.Graph, cfg Config) (*Domain, error) {
 	}, nil
 }
 
-// ApplyFailure folds a failure into the domain's view of the topology.
-// Routing tables need no explicit invalidation: the SPF cache checks the
-// failure-mask fingerprint, so the next table query under the new mask
-// repairs the router's previous table.
+// ApplyFailure folds a failure into the domain's view of the topology; the
+// next query routes around it.
 func (d *Domain) ApplyFailure(f failure.Failure) {
 	d.mask = d.mask.Union(f.Mask())
 	fCopy := f
@@ -106,29 +101,17 @@ func (d *Domain) ApplyFailure(f failure.Failure) {
 }
 
 // RemoveFailure lifts a previously applied failure (a repair). Components
-// blocked independently stay blocked. A table under the restored mask comes
-// straight from the SPF cache when it is the healthy one, and is otherwise
-// repaired from the router's previous table.
+// blocked independently stay blocked.
 func (d *Domain) RemoveFailure(f failure.Failure) {
 	m := d.mask.Clone()
 	f.RemoveFrom(m)
 	d.mask = m
 }
 
-// table returns (computing if needed) the node's shortest-path tree over the
-// current topology view. Trees come from the graph's SPF cache and must be
-// treated as read-only.
-func (d *Domain) table(n graph.NodeID) *graph.SPTree {
-	return d.g.Dijkstra(n, d.mask)
-}
-
 // PathTo returns from's current unicast route to dst (from → … → dst), or
 // nil if dst is unreachable in the converged state.
 func (d *Domain) PathTo(from, to graph.NodeID) graph.Path {
-	p := d.table(from).PathTo(to)
-	if p == nil {
-		return nil
-	}
+	p, _ := d.g.ShortestPath(from, to, d.mask)
 	return p
 }
 
@@ -174,9 +157,8 @@ func (d *Domain) ConvergenceTime(n graph.NodeID, f failure.Failure) eventsim.Tim
 			best = 0
 			break
 		}
-		t := d.g.Dijkstra(det, mask)
-		if t.Reachable(n) && t.Dist[n] < best {
-			best = t.Dist[n]
+		if _, dist := d.g.ShortestPath(det, n, mask); dist < best {
+			best = dist
 		}
 	}
 	if math.IsInf(best, 1) {

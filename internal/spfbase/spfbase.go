@@ -31,9 +31,9 @@ var (
 //
 // Session is not safe for concurrent use. Its shortest-path queries go
 // through graph.Graph.Dijkstra, so sessions over the same graph and source
-// share the two trees its SPF cache keeps for that source — including across
-// parallel trials that pair an SPF baseline with SMRP variants on one
-// topology.
+// share the healthy tree its SPF cache keeps for that source — including
+// across parallel trials that pair an SPF baseline with SMRP variants on one
+// topology. After Fail a session holds its own tree under the failures.
 type Session struct {
 	g    *graph.Graph
 	tree *multicast.Tree
