@@ -226,17 +226,16 @@ func (s *Session) join(nr graph.NodeID, a *arena) (*JoinResult, error) {
 // *unmasked* graph. Masked distances would prune harder, but the tree keeps
 // its dead edges between ApplyFailure and Recover, and a node's delay along
 // them can undercut its masked SPF distance. Healthy, the delay is read off
-// the source's cached tree; degraded, it is one point query on a's sweep
-// (Sweep.RunToward), summed in the order the masked tree from the source
-// sums it.
+// the source's cached tree; degraded, it is a point query on a's sweep
+// guided by that tree (Sweep.RunFrom), equal to the masked tree's Dist[nr].
 func (s *Session) sourceSPF(a *arena, nr graph.NodeID) (spfDelay float64, lower []float64) {
 	src, mask := s.tree.Source(), s.maskOrNil()
 	lower = s.g.Dijkstra(src, nil).Dist
 	if mask == nil {
 		return lower[nr], lower
 	}
-	a.sw.RunToward(nr, src, mask)
-	return a.sw.WeightFrom(src), lower
+	a.sw.RunFrom(src, nr, mask)
+	return a.sw.Dist(nr), lower
 }
 
 // selectPath is path selection for joiner against the tree a's view stands for

@@ -125,10 +125,10 @@ func RunAblations(ctx context.Context, rc RunConfig, nTopo, nSets int) (*Ablatio
 	query.Knowledge = core.QueryScheme
 
 	// The configurations run in lockstep: each scenario is evaluated under
-	// all of them before the next, so the SPF trees its members' failures
-	// leave in the topology's cache serve every configuration, not just the
-	// first. detour-on-spf-tree reads smrp-full's run with the other RD
-	// sample, and deferred-shr prices it with the other cost column.
+	// all of them before the next. They share the topology's SPF cache,
+	// which keeps only healthy trees, so the lockstep saves no miss.
+	// detour-on-spf-tree reads smrp-full's run with the other RD sample, and
+	// deferred-shr prices it with the other cost column.
 	configs := []core.Config{full, query, noReshape, condIOnly}
 	results, err := runner.Map(ctx, rc.pool(), len(scenarios), func(_ context.Context, t runner.Trial) ([]*Result, error) {
 		out := make([]*Result, len(configs))

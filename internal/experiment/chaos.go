@@ -91,9 +91,9 @@ type schedulePlay struct {
 // joins) stays under the oracle on every schedule — then plays sched event
 // by event, each event on every session in turn: Recover for its failures,
 // Repair for its repairs, and the invariant oracle after each. Sessions on
-// one topology share its SPF cache, and in lockstep they ask it about the
-// same accumulated mask one after another, so the first session's miss is
-// the others' hit.
+// one topology share its SPF cache, which keeps the source's healthy tree
+// alone: the first session's miss is the others' hit in any order, and the
+// lockstep saves no miss.
 func playSchedule(plays []*schedulePlay, members []graph.NodeID, sched failure.Schedule) error {
 	for _, p := range plays {
 		_, joinErrs := p.sess.JoinBatch(members)

@@ -53,7 +53,8 @@ func (t *SPTree) PathTo(n NodeID) Path {
 // The healthy tree (empty mask) comes from the graph's SPF cache, shared
 // between callers; a tree under a non-empty mask is computed afresh. The
 // call is safe for concurrent use and the tree must be treated as read-only.
-// A caller that needs one distance under a mask asks Sweep.RunToward instead.
+// A caller that needs one distance under a mask asks a point query instead
+// (Sweep.RunToward, Sweep.RunFrom).
 func (g *Graph) Dijkstra(src NodeID, mask *Mask) *SPTree {
 	return g.spf.Dijkstra(src, mask)
 }

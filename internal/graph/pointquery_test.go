@@ -5,29 +5,37 @@ package graph_test
 // so the test cannot be in package graph.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"smrp/internal/graph"
 	"smrp/internal/topology"
 )
 
-// TestPointQueryEquivalence is the point query's oracle. Over 50 random
+// TestPointQueryEquivalence is the point queries' oracle. Over 50 random
 // Waxman topologies, each with its Euclidean weights, again with tie-heavy
-// integer weights of 1–3 on the same edges, and once more with every tenth of
-// those weights 1e-300 (which rules the potential out: the query is then a
-// plain goal sweep), it replays random failure/repair sequences. After every
-// event, for every node nr as the joiner, the masked D_SPF a session reads —
-// RunToward(nr, src, mask) and then WeightFrom(src) — must equal the uncached
-// Dijkstra(src, mask).Dist[nr] bit for bit, and ShortestPath(src, nr, mask)
-// must return that tree's PathTo(nr) and Dist[nr]. Every seventh event asks a
-// second source the same. The masks partition the graph, block joiners and
-// now and then the source, so the unreachable answers are checked too. Runs
-// under the -race CI gate.
+// integer weights of 1–3 on the same edges, with weights of 0.1, 0.2 and 0.3
+// (ties in length that summation order can break by a rounding), and with the
+// integer weights but every tenth 1e-300 (no bucket width: the pruned runs
+// keep to distance order), it replays random failure/repair sequences. After
+// every event, for every node nr as the joiner, the masked D_SPF a session
+// reads — RunFrom(src, nr, mask) and then Dist(nr) — and ShortestPath(src,
+// nr, mask) must both give the uncached Dijkstra(src, mask)'s Dist[nr] bit for
+// bit and its PathTo(nr). Every seventh event asks a second source the same.
+// The masks partition the graph, block joiners and now and then the source,
+// so the unreachable answers are checked too.
+//
+// The oracle can tell the source's summation order from the joiner's: on the
+// tenths, the first run of RunFrom alone — RunToward(nr, src, mask), its path
+// summed from the source end by WeightFrom(src) — must miss the masked tree's
+// Dist[nr] by a rounding at least once. Runs under the -race CI gate.
 func TestPointQueryEquivalence(t *testing.T) {
 	const topos = 50
+	reverseMisses := 0
 	for ti := 0; ti < topos; ti++ {
 		seed := uint64(9000 + ti)
 		rng := topology.NewRNG(seed)
@@ -37,11 +45,11 @@ func TestPointQueryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("topo %d: %v", ti, err)
 		}
-		reweigh := func(tiny int) *graph.Graph {
+		reweigh := func(unit []float64, tiny int) *graph.Graph {
 			b := graph.New(wax.NumNodes())
 			r := rand.New(rand.NewSource(int64(seed)))
 			for i, e := range wax.Edges() {
-				w := float64(1 + r.Intn(3))
+				w := unit[r.Intn(3)]
 				if tiny > 0 && i%tiny == 0 {
 					w = 1e-300
 				}
@@ -58,7 +66,8 @@ func TestPointQueryEquivalence(t *testing.T) {
 			}
 			return g
 		}
-		for wi, g := range []*graph.Graph{wax, reweigh(0), reweigh(10)} {
+		ints, tenths := []float64{1, 2, 3}, []float64{0.1, 0.2, 0.3}
+		for wi, g := range []*graph.Graph{wax, reweigh(ints, 0), reweigh(tenths, 0), reweigh(ints, 10)} {
 			pointQueryEvents(t, g, rand.New(rand.NewSource(int64(seed)+int64(wi))), func(ev int, src graph.NodeID, mask *graph.Mask) {
 				t.Helper()
 				tree := graph.ColdDijkstra(g, src, mask)
@@ -66,19 +75,27 @@ func TestPointQueryEquivalence(t *testing.T) {
 				defer sw.Release()
 				for v := 0; v < g.NumNodes(); v++ {
 					nr := graph.NodeID(v)
-					reached := sw.RunToward(nr, src, mask)
-					if got, want := sw.WeightFrom(src), tree.Dist[v]; math.Float64bits(got) != math.Float64bits(want) || reached != tree.Reachable(nr) {
-						t.Fatalf("topo %d weights %d event %d: D_SPF(%d→%d) = %v (reached %v), masked tree %v",
-							ti, wi, ev, src, nr, got, reached, want)
+					want, wantPath := tree.Dist[v], tree.PathTo(nr)
+					reached := sw.RunFrom(src, nr, mask)
+					if got := sw.Dist(nr); math.Float64bits(got) != math.Float64bits(want) || reached != tree.Reachable(nr) || !slices.Equal(sw.PathTo(nr), wantPath) {
+						t.Fatalf("topo %d weights %d event %d: RunFrom(%d, %d) = %v along %v (reached %v), masked tree %v along %v",
+							ti, wi, ev, src, nr, got, sw.PathTo(nr), reached, want, wantPath)
 					}
 					p, d := g.ShortestPath(src, nr, mask)
-					if want := tree.PathTo(nr); !slices.Equal(p, want) || math.Float64bits(d) != math.Float64bits(tree.Dist[v]) {
+					if !slices.Equal(p, wantPath) || math.Float64bits(d) != math.Float64bits(want) {
 						t.Fatalf("topo %d weights %d event %d: ShortestPath(%d, %d) = %v, %v; masked tree %v, %v",
-							ti, wi, ev, src, nr, p, d, want, tree.Dist[v])
+							ti, wi, ev, src, nr, p, d, wantPath, want)
+					}
+					if wi == 2 && sw.RunToward(nr, src, mask) && sw.WeightFrom(src) != want {
+						reverseMisses++
 					}
 				}
 			})
 		}
+	}
+	t.Logf("on the tenths, the joiner's run summed from the source missed the masked tree %d times", reverseMisses)
+	if reverseMisses == 0 {
+		t.Error("on the tenths, the joiner's run summed from the source always gave the masked tree's distance: the oracle cannot tell the summation orders apart")
 	}
 }
 
@@ -142,11 +159,11 @@ func pointQueryEvents(t *testing.T, g *graph.Graph, r *rand.Rand, check func(ev 
 // D_SPF costs the region of the detour, not the graph. On FlatMegascale(8192),
 // 8 sources and 50 joiners each, it blocks k random edges of the source's
 // healthy tree, or one edge of the joiner's own path to the source, the
-// worst single cut. The point query must answer as the masked tree does,
-// which settles every node, and settle on average at most 64 nodes. With an
-// infinite budget
-// RunPruned would neither prune nor order by the potential, and the same
-// queries would settle thousands of nodes.
+// worst single cut. The point query a session asks, RunFrom(src, nr, mask),
+// must answer as the masked tree does, which settles every node, and its two
+// runs must settle on average at most 96 nodes together. With an infinite
+// budget RunPruned would neither prune nor order by the potential, and the
+// same queries would settle thousands of nodes.
 func TestPointQuerySettlesNearPath(t *testing.T) {
 	if graph.RaceEnabled {
 		t.Skip("a counter gate, and slow under the race detector")
@@ -176,8 +193,8 @@ func TestPointQuerySettlesNearPath(t *testing.T) {
 						mask.BlockEdge(v, healthy.Parent(v))
 					}
 				}
-				sw.RunToward(nr, src, mask)
-				if got, want := sw.WeightFrom(src), graph.ColdDijkstra(g, src, mask).Dist[nr]; got != want {
+				sw.RunFrom(src, nr, mask)
+				if got, want := sw.Dist(nr), graph.ColdDijkstra(g, src, mask).Dist[nr]; got != want {
 					t.Fatalf("k=%d: D_SPF(%d→%d) = %v, masked tree %v", k, src, nr, got, want)
 				}
 				queries++
@@ -185,8 +202,61 @@ func TestPointQuerySettlesNearPath(t *testing.T) {
 			}
 		}
 		t.Logf("k=%d: %d queries settle %.1f nodes each on %d nodes", k, queries, float64(settled)/float64(queries), n)
-		if settled > 64*queries {
-			t.Errorf("k=%d: %d point queries settled %d nodes, %.1f each; want at most 64 each", k, queries, settled, float64(settled)/float64(queries))
+		if settled > 96*queries {
+			t.Errorf("k=%d: %d point queries settled %d nodes, %.1f each; want at most 96 each", k, queries, settled, float64(settled)/float64(queries))
 		}
+	}
+}
+
+// TestPrunedSweepTinyWeightsStaysAcyclic holds the pruned run on a graph with
+// no bucket width to distance order. On the three-member star below, a weight
+// of 2⁻⁵⁵ added to a distance of 0.25 leaves it unchanged; a label-correcting
+// run from member 1 toward the source, its own link cut, once let node 0 take
+// parent 2 where it stood while 2 held parent 0, and the goal's WeightFrom
+// then walked that cycle for ever. The run must end, and answer as the masked
+// tree from 1 does.
+func TestPrunedSweepTinyWeightsStaysAcyclic(t *testing.T) {
+	tiny := math.Ldexp(1, -55)
+	b := graph.New(7)
+	for m, w := range map[graph.NodeID]float64{1: 0.25, 2: tiny, 3: tiny} {
+		for _, e := range [][2]graph.NodeID{{m, 0}, {m, m + 3}, {m + 3, 0}} {
+			ew := w
+			if e != [2]graph.NodeID{m, 0} {
+				ew = w * 1.5
+			}
+			if err := b.AddEdge(e[0], e[1], ew); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Bucketed() {
+		t.Fatal("the weights leave the graph a bucket width")
+	}
+	mask := graph.NewMask()
+	mask.BlockEdge(1, 0)
+	tree := graph.ColdDijkstra(g, 1, mask)
+	done := make(chan string, 1)
+	go func() {
+		sw := g.NewSweep()
+		defer sw.Release()
+		var bad string
+		if !sw.RunPruned(1, mask, nil, g.Dijkstra(0, nil).Dist, math.MaxFloat64, 0, graph.Unreachable) {
+			bad = "the run did not stop at the source"
+		} else if p := sw.PathTo(0); sw.Dist(0) != tree.Dist[0] || !slices.Equal(p, tree.PathTo(0)) {
+			bad = fmt.Sprintf("the run gives %v along %v, the masked tree %v along %v", sw.Dist(0), p, tree.Dist[0], tree.PathTo(0))
+		}
+		done <- bad
+	}()
+	select {
+	case bad := <-done:
+		if bad != "" {
+			t.Fatal(bad)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pruned run did not end: its parent chain has a cycle")
 	}
 }

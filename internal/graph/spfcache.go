@@ -32,8 +32,8 @@ func SPFCounters() metrics.SPFStats {
 // tree per source: the healthy one. That is the tree joins read (the session
 // source's distances, its delay bounds while healthy and the candidate
 // sweep's potential always), and the potential of every point query
-// (Sweep.RunToward), which is how a caller asks for one distance under
-// failures. A tree under a mask is computed afresh for whoever asks (MRC's
+// (Sweep.RunToward, Sweep.RunFrom), which is how a caller asks for one
+// distance under failures. A tree under a mask is computed afresh for whoever asks (MRC's
 // configurations, a chaos audit) and never cached.
 //
 // The read path is lock-free: a hit loads the source's tree through one

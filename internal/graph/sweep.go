@@ -16,7 +16,7 @@ var sweepPool = sync.Pool{New: func() any { return new(Sweep) }}
 // repository's Dijkstra core). One Sweep holds the per-run scratch arena —
 // epoch-stamped dist/parent/settled arrays plus the radix queue and the
 // buckets of the directed pass — so that repeated runs allocate nothing once
-// warm. NearestOf, the distance fields, the point queries (RunToward,
+// warm. NearestOf, the distance fields, the point queries (RunToward, RunFrom,
 // ShortestPath) and the candidate enumeration in internal/core execute on this
 // engine, the last two on buckets (RunPruned); full SPF trees (Dijkstra) are
 // computed on SPTree arrays instead, by a bucketed pass of their own
@@ -162,9 +162,13 @@ func (s *Sweep) Run(src NodeID, mask *Mask, absorbing func(NodeID) bool) {
 // a potential and a budget the run drains buckets of keys (runBuckets) where
 // the graph has a full run's bucket width (setStep) and lower[src] is within
 // the budget, and keeps to the radix queue otherwise — the same results and
-// the same counts either way (TestPrunedSweepMatchesRadix). The candidate
-// sweep of a join runs in this mode with lower = SPF distance from the session
-// source and budget = the join's delay bound, the ellipse with foci source and
+// the same counts either way (TestPrunedSweepMatchesRadix). Where the graph
+// has no bucket width, adding a weight to a distance may leave it unchanged,
+// and a settled node taking an equal-distance parent where it stands could
+// close a parent cycle; there the pruned run keeps to distance order,
+// label-setting as Run is, its keys the distances. The candidate sweep of a
+// join runs in this mode with lower = SPF distance from the session source
+// and budget = the join's delay bound, the ellipse with foci source and
 // joiner.
 //
 // With a goal, the sweep stops once goal has settled, at key K, and nothing at
@@ -187,23 +191,53 @@ func (s *Sweep) RunPruned(src NodeID, mask *Mask, absorbing func(NodeID) bool, l
 // failures are off it (ALT with dst as the one landmark, Goldberg &
 // Harrelson). By RunPruned's contract dst's distance, parent chain and
 // tie-breaks are those of a full run from src: Dist(dst) and PathTo(dst) are
-// what Dijkstra(src, mask) gives, and WeightFrom(dst) sums that path from the
-// dst end, as Dijkstra(dst, mask) sums its distance to src. The budget is
-// finite because with an infinite one RunPruned neither prunes nor orders by
-// the potential. Where the weights fail the premise of setStep, adding a
-// weight may leave a distance unchanged, which a label-correcting run would
-// close into a parent cycle; there the run is a plain goal sweep, without a
-// potential. It reports whether dst was reached.
+// what Dijkstra(src, mask) gives. The budget is finite because with an
+// infinite one RunPruned neither prunes nor orders by the potential. It
+// reports whether dst was reached.
 func (s *Sweep) RunToward(src, dst NodeID, mask *Mask) bool {
 	if !s.g.valid(src) || !s.g.valid(dst) {
 		s.begin()
 		return false
 	}
-	var lower []float64
-	if s.g.stepInv > 0 {
-		lower = s.g.Dijkstra(dst, nil).Dist
+	return s.RunPruned(src, mask, nil, s.g.Dijkstra(dst, nil).Dist, math.MaxFloat64, dst, Unreachable)
+}
+
+// RunFrom is the point query with src's healthy tree as the landmark instead
+// of dst's, for a caller that holds the one but not the other: the same
+// results as RunToward(src, dst, mask) — Dist(dst) and PathTo(dst) are
+// Dijkstra(src, mask)'s, bit for bit — from two runs instead of one.
+//
+// A run from dst toward src (RunToward) leaves final its distance to every
+// node keyed at or below src's level, K·(1+TieSlack), and these include every
+// node of every path from src to dst within TieSlack of the shortest, whatever
+// order their weights are summed in. Those distances, +Inf at every other node
+// it reached, are the potential of a run from src to dst under the budget
+// K·(1+TieSlack): consistent over every arc that run can take, so by
+// RunPruned's contract it settles dst as a full run from src does, having
+// reached little more than those paths. The first run alone does not suffice:
+// summed from the src end, two paths of equal length can differ by a rounding,
+// and only a run from src picks the one Dijkstra(src, mask) picks.
+//
+// The run from src relaxes arcs only out of nodes the first run left final,
+// each of which that run relaxed in full, so it never reads a distance the
+// first run did not write. SettledCount counts the nodes of both runs. It
+// reports whether dst was reached.
+func (s *Sweep) RunFrom(src, dst NodeID, mask *Mask) bool {
+	back := s.g.NewSweep()
+	defer back.Release()
+	if !back.RunToward(dst, src, mask) {
+		s.begin()
+		return false
 	}
-	return s.RunPruned(src, mask, nil, lower, math.MaxFloat64, dst, Unreachable)
+	lower, level := s.g.Dijkstra(src, nil).Dist, back.dist[src]*(1+TieSlack)
+	for _, v := range back.reach {
+		if back.dist[v]+lower[v] > level {
+			back.dist[v] = Unreachable
+		}
+	}
+	reached := s.RunPruned(src, mask, nil, back.dist, level, dst, Unreachable)
+	s.settledCount += back.settledCount
+	return reached
 }
 
 // SettledCount reports how many distinct nodes the last run left final: after
@@ -245,8 +279,9 @@ func (s *Sweep) Relabels() (requeued, reparented, drained int) {
 //     (see RunPruned); lower may be nil, and reads as min(lower[v], ceil) — the
 //     cap a potential needs whose far values are not final (NearestWithin).
 //     Unless the run is a nearest-of scan, whose record is its settle order
-//     by distance, a potential also orders the run and makes it
-//     label-correcting: the run is directed.
+//     by distance, or the graph has no bucket width (see RunPruned), a
+//     potential also orders the run and makes it label-correcting: the run
+//     is directed.
 //   - goal != Invalid: stop once goal is final and weighs at most within (see
 //     RunPruned), and return it.
 //
@@ -292,7 +327,7 @@ func (s *Sweep) runQueue(src NodeID, mask *Mask, absorbing func(NodeID) bool, ac
 		mbits = mask.bits
 	}
 	prune := lower != nil && budget < Unreachable
-	directed := prune && accept == nil
+	directed := prune && accept == nil && g.stepInv > 0
 	// keyLower is what a key adds to a distance, for tally; a directed or
 	// goal run lists what it reaches for it.
 	var keyLower []float64

@@ -149,6 +149,8 @@ func detectors(g *graph.Graph, f failure.Failure) []graph.NodeID {
 func (d *Domain) ConvergenceTime(n graph.NodeID, f failure.Failure) eventsim.Time {
 	mask := d.mask.Union(f.Mask())
 	best := math.Inf(1)
+	sw := d.g.NewSweep()
+	defer sw.Release()
 	for _, det := range detectors(d.g, f) {
 		if mask.NodeBlocked(det) {
 			continue
@@ -157,8 +159,10 @@ func (d *Domain) ConvergenceTime(n graph.NodeID, f failure.Failure) eventsim.Tim
 			best = 0
 			break
 		}
-		if _, dist := d.g.ShortestPath(det, n, mask); dist < best {
-			best = dist
+		// Guided by the detector's healthy tree, not n's: one tree per
+		// detector in the SPF cache, however many routers ask.
+		if sw.RunFrom(det, n, mask) && sw.Dist(n) < best {
+			best = sw.Dist(n)
 		}
 	}
 	if math.IsInf(best, 1) {
